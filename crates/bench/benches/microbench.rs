@@ -7,7 +7,7 @@ use df_engine::DeterministicRng;
 use df_model::{NetworkConfig, Packet, PacketId, VcId};
 use df_router::{AllocationRequest, Allocator, ContentionCounters, Router};
 use df_routing::{RoutingAlgorithm, RoutingConfig, RoutingKind};
-use df_sim::events::{Event, EventQueue, LegacyEventQueue};
+use df_sim::events::{Event, EventQueue};
 use df_sim::{KernelMode, Network, SimulationConfig};
 use df_topology::{Dragonfly, DragonflyParams, NodeId, Port, RouterId};
 use df_traffic::PatternKind;
@@ -135,19 +135,6 @@ fn event_queue(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("heap_schedule_drain_1000_cycles", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            let mut q = LegacyEventQueue::new();
-            for now in 0..1_000u64 {
-                for k in 0..4u64 {
-                    q.schedule(now + 1 + (now * 7 + k) % 110, make_event((now + k) as u32));
-                }
-                q.pop_due_into(now, &mut out);
-                black_box(out.len());
-            }
-        })
-    });
     // the empty-cycle fast path the low-load simulator leans on
     group.bench_function("wheel_empty_cycles", |b| {
         let mut q = EventQueue::with_horizon(128);
@@ -170,35 +157,26 @@ fn simulator_step(c: &mut Criterion) {
         ("small_72_nodes", DragonflyParams::small()),
         ("medium_1056_nodes", DragonflyParams::medium()),
     ] {
-        for (kernel, kernel_name) in [
-            (KernelMode::Optimized, "optimized"),
-            (KernelMode::Legacy, "legacy"),
-        ] {
-            let config = SimulationConfig::builder()
-                .topology(params)
-                .network(NetworkConfig::paper_table1())
-                .routing(RoutingKind::Base)
-                .pattern(PatternKind::Uniform)
-                .offered_load(0.3)
-                .warmup_cycles(0)
-                .measurement_cycles(1)
-                .seed(1)
-                .kernel(kernel)
-                .build()
-                .unwrap();
-            group.bench_with_input(
-                BenchmarkId::new("100_cycles", format!("{name}_{kernel_name}")),
-                &config,
-                |b, cfg| {
-                    let mut net = Network::new(cfg.clone());
-                    net.run_cycles(200); // reach a loaded steady state once
-                    b.iter(|| {
-                        net.run_cycles(100);
-                        black_box(net.in_flight())
-                    })
-                },
-            );
-        }
+        let config = SimulationConfig::builder()
+            .topology(params)
+            .network(NetworkConfig::paper_table1())
+            .routing(RoutingKind::Base)
+            .pattern(PatternKind::Uniform)
+            .offered_load(0.3)
+            .warmup_cycles(0)
+            .measurement_cycles(1)
+            .seed(1)
+            .kernel(KernelMode::Optimized)
+            .build()
+            .unwrap();
+        group.bench_with_input(BenchmarkId::new("100_cycles", name), &config, |b, cfg| {
+            let mut net = Network::new(cfg.clone());
+            net.run_cycles(200); // reach a loaded steady state once
+            b.iter(|| {
+                net.run_cycles(100);
+                black_box(net.in_flight())
+            })
+        });
     }
     group.finish();
 }

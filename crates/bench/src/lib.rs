@@ -11,15 +11,8 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod figures;
-pub mod kernel_bench;
 pub mod scale;
 
-pub use baseline::{
-    check_against_anchored_baseline, check_against_baseline, parse_bench_runs, parse_frozen_legacy,
-    parse_schema_version, parse_topology, BaselineRun,
-};
 pub use figures::*;
-pub use kernel_bench::{measure_kernel_run, KernelRunMeasurement};
 pub use scale::Scale;

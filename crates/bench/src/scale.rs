@@ -86,8 +86,8 @@ impl Scale {
 
     /// The full Table I topology with deliberately short windows: enough to
     /// prove the 16,512-node network constructs, routes and delivers (the
-    /// `--ignored` paper-scale smoke test and the `bench_parallel` smoke),
-    /// without the hours a real `paper` point takes.
+    /// `--ignored` paper-scale smoke test), without the hours a real
+    /// `paper` point takes.
     pub fn paper_smoke() -> Self {
         Scale {
             name: "paper-smoke",
@@ -216,7 +216,7 @@ impl Scale {
                 "error: {bin} reproduces a Dragonfly-only paper experiment and does not \
                  accept '{arg}' (Figures 6-9 and Table 1 are defined on the canonical \
                  Dragonfly; topology-aware runners: scenario_matrix, fault_recovery, \
-                 bench_kernel, sweep_service)"
+                 sweep_service)"
             ));
         }
         Self::from_arg_list(default, flags, args)
@@ -362,17 +362,11 @@ mod tests {
 
     #[test]
     fn from_arg_list_exempts_declared_flags_only() {
-        let flags = ["smoke", "csv", "--check-against"];
+        let flags = ["smoke", "csv"];
         let s = Scale::from_arg_list(
             Scale::small(),
             &flags,
-            strings(&[
-                "medium",
-                "smoke",
-                "csv",
-                "--check-against",
-                "BENCH_kernel.json",
-            ]),
+            strings(&["medium", "smoke", "csv", "--topology=megafly"]),
         )
         .unwrap();
         assert_eq!(s.name, "medium");

@@ -1,27 +1,21 @@
-//! Process-level CLI tests: `Scale::from_args` rejection paths, the
-//! `--check-against` perf-regression gate, the figure/table binaries as
-//! end-to-end smokes at the tiny `bench` scale, and `bench_parallel`'s
-//! undersized-host baseline protection — all exercised on the real
-//! binaries (`CARGO_BIN_EXE_*` paths are provided by Cargo for
-//! integration tests).
+//! Process-level CLI tests: `Scale::from_args` rejection paths and the
+//! figure/table binaries as end-to-end smokes at the tiny `bench` scale —
+//! all exercised on the real binaries (`CARGO_BIN_EXE_*` paths are provided
+//! by Cargo for integration tests).
 
 use std::process::Command;
-
-fn bench_kernel() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_bench_kernel"))
-}
 
 #[test]
 fn mistyped_scale_names_abort_with_exit_2() {
     for bad in ["papper", "paper_smoke", "smal"] {
-        let out = bench_kernel()
+        let out = Command::new(env!("CARGO_BIN_EXE_scenario_matrix"))
             .arg(bad)
             .output()
-            .expect("spawn bench_kernel");
+            .expect("spawn scenario_matrix");
         assert_eq!(
             out.status.code(),
             Some(2),
-            "'{bad}' must abort before benchmarking"
+            "'{bad}' must abort before simulating"
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -29,39 +23,6 @@ fn mistyped_scale_names_abort_with_exit_2() {
             "stderr must explain the rejection: {stderr}"
         );
     }
-}
-
-#[test]
-fn missing_baseline_aborts_before_benchmarking() {
-    let out = bench_kernel()
-        .args([
-            "small",
-            "50",
-            "--check-against",
-            "/nonexistent/baseline.json",
-        ])
-        .output()
-        .expect("spawn bench_kernel");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cannot read baseline"), "{stderr}");
-}
-
-#[test]
-fn word_like_baseline_paths_are_not_mistaken_for_scale_typos() {
-    // the flag's *value* must be exempt from the scale typo-check even
-    // when it looks like a bare word: the failure must be about the
-    // missing file, not about an "unrecognized scale"
-    let out = bench_kernel()
-        .args(["small", "50", "--check-against", "somebaseline"])
-        .output()
-        .expect("spawn bench_kernel");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("cannot read baseline") && !stderr.contains("unrecognized scale"),
-        "the flag value leaked into scale parsing: {stderr}"
-    );
 }
 
 /// Run one of the figure/table binaries at the `bench` scale and assert it
@@ -215,111 +176,5 @@ fn collectives_bin_writes_deterministic_csv() {
     );
     let second = run();
     assert_eq!(first, second, "collective runs must be rerun-deterministic");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_parallel_protects_the_baseline_from_undersized_hosts() {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // more workers than the host has CPUs, whatever this host is — small
-    // enough that the run (40 measured cycles, tiny topology) stays quick
-    let workers = format!("workers={}", host * 2);
-    let dir = std::env::temp_dir().join(format!("df-bench-undersized-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let baseline = dir.join("BENCH_parallel.json");
-    let sentinel = "{\"sentinel\": \"committed baseline\"}\n";
-    std::fs::write(&baseline, sentinel).unwrap();
-
-    // without the opt-out flag: the committed baseline survives untouched
-    // and the numbers land in a clearly-named advisory side file
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_parallel"))
-        .current_dir(&dir)
-        .args(["bench", "40", &workers])
-        .output()
-        .expect("spawn bench_parallel");
-    assert!(
-        out.status.success(),
-        "undersized run must still succeed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("refusing to overwrite") && stdout.contains("advisory"),
-        "refusal must be explained on stdout: {stdout}"
-    );
-    assert_eq!(
-        std::fs::read_to_string(&baseline).unwrap(),
-        sentinel,
-        "the committed baseline must not be overwritten"
-    );
-    let advisory = std::fs::read_to_string(dir.join("BENCH_parallel.advisory.json")).unwrap();
-    assert!(
-        advisory.contains("\"speedups_advisory\": true")
-            && advisory.contains("\"host_available_parallelism\""),
-        "the advisory JSON must be marked as such: {advisory}"
-    );
-
-    // with the opt-out flag: the baseline is overwritten, but still
-    // annotated as advisory so readers cannot mistake it for scaling data
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_parallel"))
-        .current_dir(&dir)
-        .args(["bench", "40", &workers, "allow-undersized-host"])
-        .output()
-        .expect("spawn bench_parallel");
-    assert!(
-        out.status.success(),
-        "opt-out run must succeed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let overwritten = std::fs::read_to_string(&baseline).unwrap();
-    assert_ne!(overwritten, sentinel, "opt-out must write the baseline");
-    assert!(
-        overwritten.contains("\"speedups_advisory\": true"),
-        "even an opted-in undersized run stays annotated: {overwritten}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn perf_gate_passes_and_fails_on_crafted_baselines() {
-    let dir = std::env::temp_dir().join(format!("df-bench-gate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let baseline_line = |cps: f64| {
-        format!(
-            "{{\n  \"runs\": [\n    {{\"kernel\": \"optimized\", \"offered_load\": 0.1, \"wall_seconds\": 1.0, \"cycles_per_sec\": {cps}, \"phits_per_sec\": 1.0, \"delivered_phits\": 1}}\n  ]\n}}\n"
-        )
-    };
-
-    // a trivially low baseline: any real measurement beats it
-    let pass_path = dir.join("baseline_pass.json");
-    std::fs::write(&pass_path, baseline_line(0.001)).unwrap();
-    let out = bench_kernel()
-        .current_dir(&dir)
-        .args(["small", "60", "--check-against"])
-        .arg(&pass_path)
-        .output()
-        .expect("spawn bench_kernel");
-    assert!(
-        out.status.success(),
-        "gate must pass against a tiny baseline: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("perf gate"));
-
-    // an absurdly high baseline: no machine reaches it, the gate must fail
-    let fail_path = dir.join("baseline_fail.json");
-    std::fs::write(&fail_path, baseline_line(1e15)).unwrap();
-    let out = bench_kernel()
-        .current_dir(&dir)
-        .args(["small", "60", "--check-against"])
-        .arg(&fail_path)
-        .output()
-        .expect("spawn bench_kernel");
-    assert_eq!(out.status.code(), Some(1), "gate must fail loudly");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("perf gate FAILED"));
-
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -196,6 +196,22 @@ mod tests {
     }
 
     #[test]
+    fn figure4_style_combination() {
+        // Figure 4: router A combines the partial arrays received from the
+        // other routers of its group with its own.
+        let mut group = group_of_routers();
+        group[0].ectn_mut().increment_partial(0);
+        group[1].ectn_mut().increment_partial(0);
+        group[1].ectn_mut().increment_partial(2);
+        group[3].ectn_mut().increment_partial(5);
+        ectn_exchange_group(&mut group, &mut Vec::new());
+        assert_eq!(group[2].ectn().combined(0), 2);
+        assert_eq!(group[2].ectn().combined(2), 1);
+        assert_eq!(group[2].ectn().combined(5), 1);
+        assert_eq!(group[2].ectn().combined(1), 0);
+    }
+
+    #[test]
     fn exchanges_tolerate_empty_slices() {
         let mut empty: Vec<Router> = Vec::new();
         let mut flat = vec![true; 4];

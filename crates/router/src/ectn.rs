@@ -79,11 +79,6 @@ impl EctnState {
         *c -= 1;
     }
 
-    /// Snapshot of the partial array, as broadcast to the rest of the group.
-    pub fn partial_snapshot(&self) -> Vec<u32> {
-        self.partial.clone()
-    }
-
     /// Add this router's partial counters into `acc` element-wise
     /// (allocation-free building block for the group broadcast).
     ///
@@ -183,23 +178,6 @@ impl EctnState {
     }
 }
 
-/// Sum a set of partial snapshots into a combined array, as the broadcast
-/// logic of the simulator does once per update period for every group.
-pub fn combine_partials<'a>(partials: impl IntoIterator<Item = &'a [u32]>) -> Vec<u32> {
-    let mut iter = partials.into_iter();
-    let first = match iter.next() {
-        Some(f) => f.to_vec(),
-        None => return Vec::new(),
-    };
-    iter.fold(first, |mut acc, p| {
-        assert_eq!(acc.len(), p.len(), "partial arrays must have equal length");
-        for (a, b) in acc.iter_mut().zip(p.iter()) {
-            *a += b;
-        }
-        acc
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,32 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn combine_partials_sums_elementwise() {
-        let a = vec![1, 0, 2];
-        let b = vec![0, 3, 1];
-        let c = vec![1, 1, 1];
-        let combined = combine_partials([a.as_slice(), b.as_slice(), c.as_slice()]);
-        assert_eq!(combined, vec![2, 4, 4]);
-        assert!(combine_partials(std::iter::empty::<&[u32]>()).is_empty());
-    }
-
-    #[test]
-    fn figure4_style_combination() {
-        // Figure 4: router A combines the partial arrays received from the
-        // other routers of its group with its own.
-        let mut routers: Vec<EctnState> = (0..4).map(|_| EctnState::new(6)).collect();
-        routers[0].increment_partial(0);
-        routers[1].increment_partial(0);
-        routers[1].increment_partial(2);
-        routers[3].increment_partial(5);
-        let snapshots: Vec<Vec<u32>> = routers.iter().map(|r| r.partial_snapshot()).collect();
-        let combined = combine_partials(snapshots.iter().map(|s| s.as_slice()));
-        for r in routers.iter_mut() {
-            r.install_combined(combined.clone());
-        }
-        assert_eq!(routers[2].combined(0), 2);
-        assert_eq!(routers[2].combined(2), 1);
-        assert_eq!(routers[2].combined(5), 1);
-        assert_eq!(routers[2].combined(1), 0);
+    fn add_partial_to_sums_elementwise() {
+        let mut acc = vec![0, 3, 1];
+        let mut e = EctnState::new(3);
+        e.increment_partial(0);
+        e.increment_partial(2);
+        e.increment_partial(2);
+        e.add_partial_to(&mut acc);
+        assert_eq!(acc, vec![1, 3, 3]);
     }
 }

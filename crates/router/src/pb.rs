@@ -55,11 +55,6 @@ impl PbState {
         self.own[k as usize] = saturated;
     }
 
-    /// Snapshot of this router's own saturation flags.
-    pub fn own_snapshot(&self) -> Vec<bool> {
-        self.own.clone()
-    }
-
     /// Borrow this router's own saturation flags (allocation-free view used
     /// by the simulator's flat-array dissemination).
     pub fn own_flags(&self) -> &[bool] {
@@ -162,12 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn own_flags_are_settable_and_snapshot() {
+    fn own_flags_are_settable_and_viewable() {
         let mut s = PbState::new(2, 8);
         s.set_own_saturated(1, true);
         assert!(s.own_saturated(1));
         assert!(!s.own_saturated(0));
-        assert_eq!(s.own_snapshot(), vec![false, true]);
+        assert_eq!(s.own_flags(), [false, true]);
     }
 
     #[test]

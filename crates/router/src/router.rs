@@ -372,33 +372,6 @@ impl Router {
         }
     }
 
-    /// `(port, vc)` pairs whose head packet has not yet been registered in
-    /// the contention counters.
-    pub fn unregistered_heads(&self) -> Vec<(Port, VcId)> {
-        let mut out = Vec::new();
-        for (p, input) in self.inputs.iter().enumerate() {
-            for v in 0..input.num_vcs() {
-                if input.vc(v).head_needs_registration() {
-                    out.push((Port(p as u32), VcId(v as u8)));
-                }
-            }
-        }
-        out
-    }
-
-    /// `(port, vc)` pairs that currently hold at least one packet.
-    pub fn occupied_vcs(&self) -> Vec<(Port, VcId)> {
-        let mut out = Vec::new();
-        for (p, input) in self.inputs.iter().enumerate() {
-            for v in 0..input.num_vcs() {
-                if !input.vc(v).is_empty() {
-                    out.push((Port(p as u32), VcId(v as u8)));
-                }
-            }
-        }
-        out
-    }
-
     // ------------------------------------------------------------------
     // Allocation
     // ------------------------------------------------------------------
@@ -421,7 +394,8 @@ impl Router {
 
     /// Run one iteration of the separable allocator over `requests`
     /// (allocating convenience wrapper around [`Router::allocate_into`]).
-    pub fn allocate(&mut self, requests: &[AllocationRequest]) -> Vec<Grant> {
+    #[cfg(test)]
+    fn allocate(&mut self, requests: &[AllocationRequest]) -> Vec<Grant> {
         let mut grants = Vec::new();
         self.allocate_into(requests, &mut grants);
         grants
@@ -507,7 +481,8 @@ impl Router {
 
     /// Try to start transmission on every output port (allocating
     /// convenience wrapper around [`Router::transmit_outputs_into`]).
-    pub fn transmit_outputs(&mut self, now: Cycle) -> Vec<(Port, Packet, VcId, Cycle)> {
+    #[cfg(test)]
+    fn transmit_outputs(&mut self, now: Cycle) -> Vec<(Port, Packet, VcId, Cycle)> {
         let mut sent = Vec::new();
         self.transmit_outputs_into(now, &mut sent);
         sent
@@ -703,12 +678,13 @@ mod tests {
         // a packet arrives on local input port 2, vc 0
         r.receive_packet(Port(2), VcId(0), packet(1, 40));
         assert_eq!(r.queued_packets(), 1);
-        assert_eq!(r.unregistered_heads(), vec![(Port(2), VcId(0))]);
+        assert!(r.has_unregistered_heads());
+        assert!(r.input(Port(2)).vc(0).head_needs_registration());
         // register its minimal output (say global port 5) and an ECtN link
         r.register_head(Port(2), VcId(0), Port(5), Some(3));
         assert_eq!(r.contention().get(Port(5)), 1);
         assert_eq!(r.ectn().partial(3), 1);
-        assert!(r.unregistered_heads().is_empty());
+        assert!(!r.has_unregistered_heads());
         // allocate it to output 5, downstream vc 0
         let req = AllocationRequest {
             input_port: Port(2),
@@ -874,10 +850,13 @@ mod tests {
     }
 
     #[test]
-    fn occupied_vcs_lists_queued_only() {
+    fn port_occupancy_counts_queued_only() {
         let mut r = router();
-        assert!(r.occupied_vcs().is_empty());
+        let layout = r.topology().layout();
+        assert!(Port::all(&layout).all(|p| r.port_occupancy(p) == 0));
         r.receive_packet(Port(0), VcId(1), packet(1, 9));
-        assert_eq!(r.occupied_vcs(), vec![(Port(0), VcId(1))]);
+        assert!(Port::all(&layout).all(|p| r.port_occupancy(p) == u32::from(p == Port(0))));
+        assert!(!r.input(Port(0)).vc(1).is_empty());
+        assert!(r.input(Port(0)).vc(0).is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //! runs inherit every property the explicit fault subsystem already has:
 //! schedule change-points (the idle fast-forward can never skip a churn
 //! event), plan validation, and main-thread fault application that keeps
-//! runs **bit-identical across the optimized, legacy and parallel kernels
-//! at any worker count**.
+//! runs **bit-identical across the optimized and parallel kernels at any
+//! worker count**.
 //!
 //! # Determinism
 //!

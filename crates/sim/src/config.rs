@@ -12,24 +12,19 @@ use crate::churn::ChurnModel;
 use crate::fault::FaultPlan;
 use crate::scenario::Scenario;
 
-/// Which simulation-kernel implementation [`crate::Network`] runs.
+/// How [`crate::Network`] schedules its one per-cycle pipeline.
 ///
-/// Every kernel is bit-for-bit deterministic and produces identical results
-/// for identical configurations and seeds — including
-/// [`KernelMode::Parallel`] at *any* worker count (guarded by
-/// `tests/determinism.rs` and `tests/kernel_equivalence.rs`); they differ
-/// only in speed.
+/// Both modes are bit-for-bit deterministic and produce identical results
+/// for identical configurations and seeds — [`KernelMode::Parallel`] at
+/// *any* worker count (guarded by `tests/kernel_equivalence.rs`); they
+/// differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelMode {
     /// Time-wheel event queue, activity-gated router iteration,
     /// allocation-free per-cycle loop. The default.
     #[default]
     Optimized,
-    /// The original kernel: binary-heap event queue and a full scan of every
-    /// router every cycle. Kept as the baseline for `BENCH_kernel.json` and
-    /// the determinism cross-checks.
-    Legacy,
-    /// The optimized kernel with its phases sharded across a persistent
+    /// The same pipeline with its phases sharded across a persistent
     /// worker pool (see `df-sim`'s `parallel` module): PB/ECtN exchange by
     /// group, routing + allocation and link transmission by active router,
     /// with barriers between phases and cross-router effects merged in
@@ -53,58 +48,59 @@ impl KernelMode {
     /// The kernel selected by the `DF_SIM_KERNEL` environment variable
     /// (case-insensitive):
     ///
-    /// * `"legacy"` — [`KernelMode::Legacy`],
+    /// * unset, empty or `"optimized"` — [`KernelMode::Optimized`],
     /// * `"parallel"` — [`KernelMode::Parallel`] with auto-detected workers,
     /// * `"parallel:N"` / `"parallel=N"` — [`KernelMode::Parallel`] with
-    ///   `N` workers,
-    /// * anything else, including unset — [`KernelMode::Optimized`].
+    ///   `N` workers.
     ///
     /// Used as the builder default so CI can run the whole test suite under
-    /// any kernel without touching any test.
+    /// either mode without touching any test.
     ///
     /// # Panics
-    /// Panics on a *malformed* parallel spec (`"parallel:2x"`,
-    /// `"parallel 4"`, …): a typo must not silently demote an entire CI leg
-    /// to the optimized kernel.
+    /// Panics on any other value (`"paralel:2"`, `"parallel:2x"`, a stale
+    /// `"legacy"`, …): a typo must not silently demote an entire CI leg to
+    /// the optimized kernel.
     pub fn from_env() -> Self {
-        match std::env::var("DF_SIM_KERNEL") {
-            Ok(v) => Self::parse_env_value(&v),
-            _ => KernelMode::Optimized,
-        }
+        std::env::var_os("DF_SIM_KERNEL").map_or(KernelMode::Optimized, |v| {
+            Self::parse_env_value(&v.to_string_lossy())
+        })
     }
 
     /// Parse one `DF_SIM_KERNEL` value (see [`KernelMode::from_env`] for
-    /// the accepted forms and the panic on malformed parallel specs).
+    /// the accepted forms and the panic on everything else).
     fn parse_env_value(v: &str) -> Self {
+        const FORMS: &str = "use \"optimized\", \"parallel\", \"parallel:N\" or \"parallel=N\"";
         let lower = v.trim().to_ascii_lowercase();
-        if lower == "legacy" {
-            KernelMode::Legacy
-        } else if lower == "parallel" {
-            KernelMode::Parallel { workers: 0 }
-        } else if lower.starts_with("parallel") {
-            let workers = lower
-                .strip_prefix("parallel:")
-                .or_else(|| lower.strip_prefix("parallel="))
-                .and_then(|n| n.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "DF_SIM_KERNEL={v:?} looks like a parallel spec but is malformed; \
-                         use \"parallel\", \"parallel:N\" or \"parallel=N\""
-                    )
-                });
-            KernelMode::Parallel { workers }
-        } else {
-            KernelMode::Optimized
+        match lower.as_str() {
+            "" | "optimized" => KernelMode::Optimized,
+            "parallel" => KernelMode::Parallel { workers: 0 },
+            "legacy" => {
+                panic!("DF_SIM_KERNEL={v:?}: the legacy kernel was removed in PR 12; {FORMS}")
+            }
+            spec if spec.starts_with("parallel") => {
+                let workers = spec
+                    .strip_prefix("parallel:")
+                    .or_else(|| spec.strip_prefix("parallel="))
+                    .and_then(|n| n.parse::<usize>().ok())
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "DF_SIM_KERNEL={v:?} looks like a parallel spec but is malformed; {FORMS}"
+                        )
+                    });
+                KernelMode::Parallel { workers }
+            }
+            _ => panic!("DF_SIM_KERNEL={v:?} names no kernel; {FORMS}"),
         }
     }
 
-    /// The effective shard count this mode runs with: 1 for the sequential
-    /// kernels, the explicit worker count for [`KernelMode::Parallel`], and
-    /// the host's available parallelism (capped at 8) when that count is 0
-    /// (auto). Never affects results — only how the work is scheduled.
+    /// The effective shard count this mode runs with: 1 for
+    /// [`KernelMode::Optimized`], the explicit worker count for
+    /// [`KernelMode::Parallel`], and the host's available parallelism
+    /// (capped at 8) when that count is 0 (auto). Never affects results —
+    /// only how the work is scheduled.
     pub fn resolved_workers(&self) -> usize {
         match *self {
-            KernelMode::Optimized | KernelMode::Legacy => 1,
+            KernelMode::Optimized => 1,
             KernelMode::Parallel { workers: 0 } => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -221,8 +217,8 @@ pub struct SimulationConfig {
     pub warmup_cycles: u64,
     /// Measurement window length in cycles.
     pub measurement_cycles: u64,
-    /// Simulation-kernel implementation (optimized time-wheel kernel by
-    /// default; the legacy kernel exists for benchmarking and cross-checks).
+    /// Kernel mode (single-shard by default; the parallel mode shards the
+    /// same pipeline across a worker pool without changing results).
     pub kernel: KernelMode,
 }
 
@@ -477,7 +473,7 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Select the simulation-kernel implementation.
+    /// Select the kernel mode.
     pub fn kernel(mut self, kernel: KernelMode) -> Self {
         self.kernel = kernel;
         self
@@ -672,8 +668,6 @@ mod tests {
 
     #[test]
     fn kernel_env_values_parse() {
-        assert_eq!(KernelMode::parse_env_value("legacy"), KernelMode::Legacy);
-        assert_eq!(KernelMode::parse_env_value("LEGACY"), KernelMode::Legacy);
         assert_eq!(
             KernelMode::parse_env_value("parallel"),
             KernelMode::Parallel { workers: 0 }
@@ -690,13 +684,36 @@ mod tests {
             KernelMode::parse_env_value("parallel=2"),
             KernelMode::Parallel { workers: 2 }
         );
-        // non-parallel strings keep the documented optimized fallback
+        // empty (as in `DF_SIM_KERNEL= cargo test`) means the default
         assert_eq!(KernelMode::parse_env_value(""), KernelMode::Optimized);
+        assert_eq!(KernelMode::parse_env_value("  "), KernelMode::Optimized);
         assert_eq!(
             KernelMode::parse_env_value("optimized"),
             KernelMode::Optimized
         );
-        assert_eq!(KernelMode::parse_env_value("wheel"), KernelMode::Optimized);
+        assert_eq!(
+            KernelMode::parse_env_value("Optimized"),
+            KernelMode::Optimized
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "names no kernel")]
+    fn mistyped_kernel_env_values_abort_loudly() {
+        // used to fall back to the optimized kernel and report green
+        let _ = KernelMode::parse_env_value("paralel:2");
+    }
+
+    #[test]
+    #[should_panic(expected = "names no kernel")]
+    fn unknown_kernel_env_values_abort_loudly() {
+        let _ = KernelMode::parse_env_value("wheel");
+    }
+
+    #[test]
+    #[should_panic(expected = "removed in PR 12")]
+    fn stale_legacy_kernel_env_value_is_rejected() {
+        let _ = KernelMode::parse_env_value("Legacy");
     }
 
     #[test]
@@ -714,7 +731,6 @@ mod tests {
     #[test]
     fn parallel_kernel_mode_resolves_workers() {
         assert_eq!(KernelMode::Optimized.resolved_workers(), 1);
-        assert_eq!(KernelMode::Legacy.resolved_workers(), 1);
         assert_eq!(KernelMode::Parallel { workers: 3 }.resolved_workers(), 3);
         // auto-detection picks at least one shard, bounded by the cap
         let auto = KernelMode::Parallel { workers: 0 }.resolved_workers();

@@ -2,32 +2,28 @@
 //!
 //! Links are not modelled as objects; instead, every transfer schedules an
 //! event for the cycle at which it completes (tail arrival for packets,
-//! credit arrival for flow control). Two queue implementations share the same
-//! deterministic ordering contract — events complete in `(time, insertion
-//! sequence)` order:
+//! credit arrival for flow control). Events complete in `(time, insertion
+//! sequence)` order.
 //!
-//! * [`EventQueue`] — a **time wheel**: a ring of per-cycle buckets sized to
-//!   the maximum scheduling horizon (packet serialisation + the longest link
-//!   latency), with a small `BTreeMap` overflow for the rare event scheduled
-//!   beyond the horizon. Scheduling is O(1), draining a cycle is O(events in
-//!   that cycle), and in steady state neither allocates: buckets are
-//!   recycled ring slots whose capacity persists, and
-//!   [`EventQueue::pop_due_into`] fills a caller-owned scratch buffer. An
-//!   empty current bucket is a no-op fast path (one length check).
-//! * [`LegacyEventQueue`] — the original `BinaryHeap` queue, kept as the
-//!   reference implementation for the `KernelMode::Legacy` baseline and the
-//!   determinism cross-checks in `tests/determinism.rs`.
+//! [`EventQueue`] is a **time wheel**: a ring of per-cycle buckets sized to
+//! the maximum scheduling horizon (packet serialisation + the longest link
+//! latency), with a small `BTreeMap` overflow for the rare event scheduled
+//! beyond the horizon. Scheduling is O(1), draining a cycle is O(events in
+//! that cycle), and in steady state neither allocates: buckets are recycled
+//! ring slots whose capacity persists, and [`EventQueue::pop_due_into`] fills
+//! a caller-owned scratch buffer. An empty current bucket is a no-op fast
+//! path (one length check).
 //!
-//! The wheel preserves the heap's ordering bit-for-bit: bucket entries are
-//! appended in sequence order, and an overflow entry for cycle `t` is always
-//! older (smaller sequence) than any bucket entry for `t`, because once `t`
-//! enters the horizon every later schedule lands in the bucket — so draining
-//! overflow-then-bucket yields exactly `(time, seq)` order.
+//! The wheel yields exactly the `(time, seq)` order of a priority queue:
+//! bucket entries are appended in sequence order, and an overflow entry for
+//! cycle `t` is always older (smaller sequence) than any bucket entry for
+//! `t`, because once `t` enters the horizon every later schedule lands in the
+//! bucket — so draining overflow-then-bucket is in order. The unit tests
+//! check this against a `BinaryHeap` model.
 
 use df_model::{Cycle, Packet, VcId};
 use df_topology::{NodeId, Port, RouterId};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Something that completes at a future cycle.
 #[derive(Debug, Clone)]
@@ -68,7 +64,7 @@ pub enum Event {
 /// 100-cycle global link plus an 8-phit serialisation with room to spare).
 const DEFAULT_HORIZON: usize = 256;
 
-/// Time-wheel event queue (the optimized kernel's implementation).
+/// Time-wheel event queue.
 pub struct EventQueue {
     /// Ring of per-cycle buckets; slot `t & mask` holds the events for cycle
     /// `t` whenever `t` lies within the horizon of `now`.
@@ -242,128 +238,40 @@ impl EventQueue {
     }
 }
 
-// ---------------------------------------------------------------------
-// Legacy binary-heap implementation
-// ---------------------------------------------------------------------
-
-struct Scheduled {
-    at: Cycle,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The original binary-heap event queue (the `KernelMode::Legacy` baseline).
-#[derive(Default)]
-pub struct LegacyEventQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-}
-
-impl LegacyEventQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        LegacyEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedule `event` to complete at cycle `at`.
-    pub fn schedule(&mut self, at: Cycle, event: Event) {
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    /// Pop every event scheduled at or before `now`, in (time, insertion)
-    /// order.
-    pub fn pop_due(&mut self, now: Cycle) -> Vec<Event> {
-        let mut due = Vec::new();
-        while let Some(top) = self.heap.peek() {
-            if top.at > now {
-                break;
-            }
-            due.push(self.heap.pop().expect("peeked").event);
-        }
-        due
-    }
-
-    /// Drain into a caller buffer (same contract as
-    /// [`EventQueue::pop_due_into`], but the heap pops still reallocate
-    /// internally — that is the point of the baseline).
-    pub fn pop_due_into(&mut self, now: Cycle, out: &mut Vec<Event>) {
-        out.clear();
-        out.extend(self.pop_due(now));
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no event is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Earliest pending completion time.
-    pub fn next_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Every pending event with its completion cycle, in exact drain order
-    /// (non-destructive equivalent of popping everything). Used by the
-    /// snapshot subsystem.
-    pub fn pending_in_order(&self) -> Vec<(Cycle, Event)> {
-        let mut entries: Vec<(Cycle, u64, Event)> = self
-            .heap
-            .iter()
-            .map(|s| (s.at, s.seq, s.event.clone()))
-            .collect();
-        entries.sort_by_key(|&(at, seq, _)| (at, seq));
-        entries.into_iter().map(|(at, _, e)| (at, e)).collect()
-    }
-
-    /// Rebuild a queue holding `events` (given in drain order, as produced
-    /// by [`LegacyEventQueue::pending_in_order`]); fresh sequence numbers
-    /// preserve the relative order.
-    pub fn rebuild(events: impl IntoIterator<Item = (Cycle, Event)>) -> Self {
-        let mut q = Self::new();
-        for (at, event) in events {
-            q.schedule(at, event);
-        }
-        q
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use df_model::PacketId;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The legacy `BinaryHeap` queue the wheel replaced, kept as the ordering
+    /// model: a min-heap on `(time, insertion sequence)`, with the event id
+    /// as payload.
+    #[derive(Default)]
+    struct LegacyHeapModel {
+        heap: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
+        seq: u64,
+    }
+
+    impl LegacyHeapModel {
+        fn schedule(&mut self, at: Cycle, id: u32) {
+            self.heap.push(Reverse((at, self.seq, id)));
+            self.seq += 1;
+        }
+
+        fn pop_due(&mut self, now: Cycle) -> Vec<u32> {
+            let mut due = Vec::new();
+            while let Some(&Reverse((at, _, id))) = self.heap.peek() {
+                if at > now {
+                    break;
+                }
+                self.heap.pop();
+                due.push(id);
+            }
+            due
+        }
+    }
 
     fn credit(router: u32, at_seq: u32) -> Event {
         Event::CreditReturn {
@@ -490,7 +398,7 @@ mod tests {
         // same-cycle events: both implementations must produce identical
         // drain sequences.
         let mut wheel = EventQueue::with_horizon(16);
-        let mut heap = LegacyEventQueue::new();
+        let mut heap = LegacyHeapModel::default();
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         let mut rnd = || {
             x ^= x << 13;
@@ -503,18 +411,20 @@ mod tests {
             for _ in 0..(rnd() % 4) {
                 let at = now + 1 + rnd() % 40;
                 wheel.schedule(at, credit(id, id));
-                heap.schedule(at, credit(id, id));
+                heap.schedule(at, id);
                 id += 1;
             }
             let a = wheel.pop_due(now);
-            let b = heap.pop_due(now);
-            assert_eq!(routers_of(&a), routers_of(&b), "divergence at cycle {now}");
+            assert_eq!(
+                routers_of(&a),
+                heap.pop_due(now),
+                "divergence at cycle {now}"
+            );
         }
         // drain the tail
         let a = wheel.pop_due(1_000);
-        let b = heap.pop_due(1_000);
-        assert_eq!(routers_of(&a), routers_of(&b));
-        assert!(wheel.is_empty() && heap.is_empty());
+        assert_eq!(routers_of(&a), heap.pop_due(1_000));
+        assert!(wheel.is_empty() && heap.heap.is_empty());
     }
 
     #[test]

@@ -69,8 +69,8 @@
 //! report. Resuming stepping applies the remaining events on schedule.
 //!
 //! Fault application is main-thread work in every kernel, so fault runs stay
-//! **bit-identical across the optimized, legacy and parallel kernels at any
-//! worker count** (guarded by `tests/kernel_equivalence.rs`).
+//! **bit-identical across the optimized and parallel kernels at any worker
+//! count** (guarded by `tests/kernel_equivalence.rs`).
 
 use df_model::Cycle;
 use df_topology::{GroupId, NodeId, Port, PortClass, PortLayout, PortPeer, RouterId, Topology};

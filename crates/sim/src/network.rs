@@ -25,11 +25,11 @@
 //! 5. output-buffer link transmission, scheduling remote arrivals after the
 //!    link latency.
 //!
-//! # The optimized kernel
+//! # The kernel
 //!
-//! Under [`KernelMode::Optimized`] (the default) three coordinated
-//! optimizations apply — none of which changes results (guarded bit-for-bit
-//! against the legacy kernel by `tests/determinism.rs`):
+//! There is one pipeline; three properties keep it fast without affecting
+//! results (behaviour is pinned bit for bit by the golden corpora and the
+//! frozen digests under `tests/`):
 //!
 //! * **Time-wheel event queue** ([`EventQueue`]): O(1) scheduling into
 //!   per-cycle ring buckets, drained into a reusable scratch buffer. An
@@ -40,44 +40,40 @@
 //!   no buffered traffic. Invariant: a router with any buffered traffic
 //!   (input VCs or output buffers) is always in the set; an idle router's
 //!   allocation/transmission steps are provably no-ops, so skipping them is
-//!   behaviour-preserving. The set is iterated in ascending router order to
-//!   keep event sequence numbers — and therefore results — identical to the
-//!   legacy full scan. [`Network::drain`] additionally fast-forwards the
-//!   clock to the next pending event when every router is idle.
+//!   behaviour-preserving. Debug builds assert the invariant at the end of
+//!   every [`Network::step`]. The set is iterated in ascending router order,
+//!   which fixes the event sequence numbers — and therefore the results.
+//!   [`Network::drain`] additionally fast-forwards the clock to the next
+//!   pending event when every router is idle.
 //! * **Allocation-free steady state**: the per-cycle loop reuses scratch
 //!   buffers for due events, allocation requests/grants and transmitted
 //!   packets, and PB/ECtN dissemination gathers into flat per-group arrays
 //!   copied slice-to-slice instead of cloning a `Vec` per router per cycle.
 //!
-//! # The parallel kernel
-//!
-//! [`KernelMode::Parallel`] runs steps 3–5 through the *same* phase
-//! executor as the optimized kernel, but sharded across a persistent worker
-//! pool with barriers between phases: PB/ECtN by group, routing +
-//! allocation and transmission by contiguous chunks of the sorted active
-//! list. Cross-router effects (link events, upstream credits, misroute
-//! commits) are staged per worker and merged in ascending router order
-//! after each phase, which reproduces the sequential effect sequence
-//! exactly — results are bit-identical to [`KernelMode::Optimized`] for
-//! any worker count (see the `parallel` module docs for the full argument
-//! and `tests/kernel_equivalence.rs` for the proof-by-regression).
-//!
-//! [`KernelMode::Legacy`] preserves the original binary-heap queue and
-//! full-router scan as a benchmarking baseline (see `BENCH_kernel.json`).
+//! Steps 3–5 run through one phase executor. Under
+//! [`KernelMode::Optimized`] (the default) it runs a single shard inline;
+//! under [`KernelMode::Parallel`] the same phases are sharded across a
+//! persistent worker pool with barriers between them: PB/ECtN by group,
+//! routing + allocation and transmission by contiguous chunks of the sorted
+//! active list. Cross-router effects (link events, upstream credits,
+//! misroute commits) are staged per shard and merged in ascending router
+//! order after each phase, which reproduces the sequential effect sequence
+//! exactly — results are bit-identical for any worker count (see the
+//! `parallel` module docs for the full argument and
+//! `tests/kernel_equivalence.rs` for the proof-by-regression).
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, VcId};
-use df_router::{Grant, Router};
-use df_routing::algorithms::piggyback;
-use df_routing::{minimal, RoutingAlgorithm};
+use df_router::Router;
+use df_routing::RoutingAlgorithm;
 use df_topology::{
     AnyTopology, GatewayLiveness, GroupId, LinkState, NodeId, Port, PortPeer, RouterId, Topology,
 };
 use df_traffic::TrafficPattern;
 use std::collections::BTreeMap;
 
-use crate::config::{KernelMode, SimulationConfig};
-use crate::events::{Event, EventQueue, LegacyEventQueue};
+use crate::config::SimulationConfig;
+use crate::events::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::Node;
@@ -86,44 +82,6 @@ use crate::task::{JobsEngine, TaskEngine};
 
 #[path = "snapshot.rs"]
 pub mod snapshot;
-
-/// Either event-queue implementation, selected by [`KernelMode`].
-enum KernelQueue {
-    Wheel(EventQueue),
-    Legacy(LegacyEventQueue),
-}
-
-impl KernelQueue {
-    #[inline]
-    fn schedule(&mut self, at: Cycle, event: Event) {
-        match self {
-            KernelQueue::Wheel(q) => q.schedule(at, event),
-            KernelQueue::Legacy(q) => q.schedule(at, event),
-        }
-    }
-
-    #[inline]
-    fn pop_due_into(&mut self, now: Cycle, out: &mut Vec<Event>) {
-        match self {
-            KernelQueue::Wheel(q) => q.pop_due_into(now, out),
-            KernelQueue::Legacy(q) => q.pop_due_into(now, out),
-        }
-    }
-
-    fn next_time(&self) -> Option<Cycle> {
-        match self {
-            KernelQueue::Wheel(q) => q.next_time(),
-            KernelQueue::Legacy(q) => q.next_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            KernelQueue::Wheel(q) => q.len(),
-            KernelQueue::Legacy(q) => q.len(),
-        }
-    }
-}
 
 /// The whole simulated network.
 pub struct Network {
@@ -134,7 +92,7 @@ pub struct Network {
     nodes: Vec<Node>,
     patterns: Vec<TrafficPattern>,
     current_phase: usize,
-    events: KernelQueue,
+    events: EventQueue,
     router_rngs: Vec<DeterministicRng>,
     cycle: Cycle,
     next_packet_id: u64,
@@ -202,10 +160,7 @@ pub struct Network {
     /// mutations happen on the main thread in steps 1–2, so multi-job runs
     /// are bit-identical across kernels too.
     jobs: Option<JobsEngine>,
-    // ---- activity gate (staged kernels only) ----
-    /// Whether steps 4–5 iterate the active set (false for the legacy
-    /// kernel's full scan).
-    gated: bool,
+    // ---- activity gate ----
     /// Whether the routing mechanism disseminates control state every cycle
     /// (PB) or on a fixed period (ECtN) — if so, idle cycles are not
     /// no-ops and the drain fast-forward must not skip them.
@@ -218,10 +173,10 @@ pub struct Network {
     /// Router indices currently in the active set (sorted before use).
     active_list: Vec<u32>,
     // ---- sharded phase execution ----
-    /// Per-shard scratch and effect-staging buffers. The sequential kernels
-    /// hold exactly one shard; the parallel kernel one per worker.
+    /// Per-shard scratch and effect-staging buffers. The optimized kernel
+    /// holds exactly one shard; the parallel kernel one per worker.
     shards: Vec<ShardState>,
-    /// Number of shards phases are split into (1 for sequential kernels).
+    /// Number of shards phases are split into (1 for the optimized kernel).
     num_shards: usize,
     /// Persistent worker pool (`None` unless `num_shards > 1`).
     pool: Option<WorkerPool>,
@@ -280,13 +235,7 @@ impl Network {
         let max_link = lat.terminal_link.max(lat.local_link).max(lat.global_link);
         let horizon =
             (config.network.packet_size_phits + max_link + lat.router_pipeline + 2) as usize;
-        let events = match config.kernel {
-            KernelMode::Optimized | KernelMode::Parallel { .. } => {
-                KernelQueue::Wheel(EventQueue::with_horizon(horizon))
-            }
-            KernelMode::Legacy => KernelQueue::Legacy(LegacyEventQueue::new()),
-        };
-        let gated = config.kernel != KernelMode::Legacy;
+        let events = EventQueue::with_horizon(horizon);
         let num_shards = config.kernel.resolved_workers().max(1);
         let pool = (num_shards > 1).then(|| WorkerPool::new(num_shards));
         // PB/ECtN dissemination runs on a fixed cadence even through idle
@@ -343,7 +292,6 @@ impl Network {
             nodes_failed_count: 0,
             task,
             jobs,
-            gated,
             control_plane_every_cycle,
             change_points,
             active_flags: vec![false; num_routers],
@@ -454,19 +402,14 @@ impl Network {
     }
 
     /// Number of shards the per-cycle phases are split into (1 for the
-    /// sequential kernels).
+    /// optimized kernel).
     pub fn num_shards(&self) -> usize {
         self.num_shards
     }
 
-    /// Number of routers currently in the active set (equals the router
-    /// count for the legacy kernel, which scans everything).
+    /// Number of routers currently in the active set.
     pub fn active_routers(&self) -> usize {
-        if self.gated {
-            self.active_list.len()
-        } else {
-            self.routers.len()
-        }
+        self.active_list.len()
     }
 
     /// Whether the network appears stalled: packets are in flight but nothing
@@ -487,11 +430,11 @@ impl Network {
     /// is delivered (or `max_cycles` elapse). Returns true if the network
     /// drained completely.
     ///
-    /// With the optimized and parallel kernels, cycles in which every router
-    /// is idle and all remaining traffic is in flight on links are skipped by
-    /// fast-forwarding the clock to the next pending event — behaviour-
-    /// preserving because traffic generation is off and an idle cycle
-    /// changes no state.
+    /// Cycles in which every router is idle and all remaining traffic is in
+    /// flight on links are skipped by fast-forwarding the clock to the next
+    /// pending event — behaviour-preserving because traffic generation is
+    /// off and an idle cycle changes no state (the tests compare against a
+    /// plain [`Network::step`] loop, which never skips).
     ///
     /// Draining ends the run at the cycle the network empties: fault events
     /// scheduled beyond that cycle simply have not happened yet (the
@@ -508,15 +451,13 @@ impl Network {
             if self.in_flight == 0 && self.all_source_queues_empty() {
                 return true;
             }
-            if self.gated
-                && !self.control_plane_every_cycle
+            if !self.control_plane_every_cycle
                 && self.active_list.is_empty()
                 && self.all_source_queues_empty()
                 // a waiting rank accrues a stall cycle per real cycle, so the
                 // fast-forward must not skip cycles while a task or job set
                 // is running — jobs can also be waiting on a future
-                // start_cycle with nothing in flight at all (the legacy
-                // kernel never skips — bit-identity would break)
+                // start_cycle with nothing in flight at all
                 && self.task.as_ref().is_none_or(|t| t.is_complete())
                 && self.jobs.as_ref().is_none_or(|j| j.is_complete())
             {
@@ -534,8 +475,8 @@ impl Network {
                         };
                         if self.cycle >= deadline {
                             // the jump exhausted the budget: stop without
-                            // stepping, exactly like the cycle-by-cycle
-                            // kernels which never reach past the deadline
+                            // stepping, exactly like a cycle-by-cycle loop
+                            // which never reaches past the deadline
                             break;
                         }
                     }
@@ -621,16 +562,15 @@ impl Network {
     /// Add router `r_idx` to the active set (no-op if already present).
     #[inline]
     fn mark_active(&mut self, r_idx: usize) {
-        if self.gated && !self.active_flags[r_idx] {
+        if !self.active_flags[r_idx] {
             self.active_flags[r_idx] = true;
             self.active_list.push(r_idx as u32);
         }
     }
 
     /// Apply every fault event due at or before `now` (start-of-cycle, so a
-    /// fault at cycle N affects cycle N's arrivals). Main-thread work in
-    /// every kernel — fault runs stay bit-identical across kernels and
-    /// worker counts.
+    /// fault at cycle N affects cycle N's arrivals). Main-thread work, so
+    /// fault runs stay bit-identical across worker counts.
     fn apply_due_faults(&mut self, now: Cycle) {
         let truth_version_before = self.linkview_truth.version();
         while let Some(event) = self.fault_events.get(self.next_fault) {
@@ -740,7 +680,7 @@ impl Network {
     /// pool when present, inline otherwise), then replay the staged
     /// cross-router effects in shard order — which, because shards are
     /// contiguous chunks of the ascending work list, is exactly the order
-    /// the sequential kernel produces them in.
+    /// a single shard produces them in.
     fn run_phase(&mut self, kind: PhaseKind) {
         let num_items = match kind {
             PhaseKind::Pb | PhaseKind::Ectn => self.topo.num_groups() as usize,
@@ -982,21 +922,13 @@ impl Network {
         // exchange, so churn runs stay bit-identical across kernels.
         if self.config.routing.needs_pb_dissemination() {
             self.flood_linkviews();
-            if self.gated {
-                self.run_phase(PhaseKind::Pb);
-            } else {
-                self.disseminate_pb_legacy();
-            }
+            self.run_phase(PhaseKind::Pb);
         }
         if self.config.routing.needs_ectn_broadcast()
             && now.is_multiple_of(self.config.routing_config.ectn_update_period)
         {
             self.flood_linkviews();
-            if self.gated {
-                self.run_phase(PhaseKind::Ectn);
-            } else {
-                self.broadcast_ectn_legacy();
-            }
+            self.run_phase(PhaseKind::Ectn);
         }
         // staleness metric: some router's view still lags the truth
         // (trivially converged for the whole of a healthy run)
@@ -1005,75 +937,41 @@ impl Network {
         }
 
         // Events only arrive in steps 1–2, so the active set is complete
-        // here; sort it so steps 4–5 visit routers in ascending index order —
-        // the same order as the legacy full scan, which keeps event sequence
-        // numbers (and therefore results) bit-for-bit identical. It also
-        // makes shard chunks contiguous ascending ranges, which is what the
-        // parallel merge relies on.
-        if self.gated {
-            self.active_list.sort_unstable();
-        }
+        // here; sort it so steps 4–5 visit routers in ascending index order,
+        // which fixes the event sequence numbers (and therefore the results)
+        // independently of the order routers woke up in. It also makes shard
+        // chunks contiguous ascending ranges, which is what the parallel
+        // merge relies on.
+        self.active_list.sort_unstable();
 
         // ---- 4. routing + allocation ----
         for _ in 0..self.config.network.allocator_speedup {
-            if self.gated {
-                self.run_phase(PhaseKind::Alloc);
-            } else {
-                for r_idx in 0..self.routers.len() {
-                    self.route_and_allocate_legacy(r_idx, now);
-                }
-            }
+            self.run_phase(PhaseKind::Alloc);
         }
 
         // ---- 5. link transmission ----
-        if self.gated {
-            self.run_phase(PhaseKind::Transmit);
-        } else {
-            for r_idx in 0..self.routers.len() {
-                let router_id = RouterId(r_idx as u32);
-                // faithful seed-kernel baseline: allocate the sent list
-                let sent = self.routers[r_idx].transmit_outputs(now);
-                for (port, packet, vc, tail_at) in sent {
-                    match self.topo.peer(router_id, port) {
-                        PortPeer::Node(node) => {
-                            let latency = self.config.network.latencies.terminal_link as Cycle;
-                            self.events
-                                .schedule(tail_at + latency, Event::Delivery { node, packet });
-                        }
-                        PortPeer::Router(peer, peer_port) => {
-                            let class = port.class(&self.topo.layout());
-                            let latency = self.config.network.link_latency_for(class) as Cycle;
-                            self.events.schedule(
-                                tail_at + latency,
-                                Event::PacketArrival {
-                                    router: peer,
-                                    port: peer_port,
-                                    vc,
-                                    packet,
-                                },
-                            );
-                        }
-                        PortPeer::Unconnected => {
-                            unreachable!("routing never selects an unconnected port")
-                        }
-                    }
-                }
-            }
-        }
+        self.run_phase(PhaseKind::Transmit);
 
         // ---- 6. retire idle routers from the active set ----
-        if self.gated {
-            let flags = &mut self.active_flags;
-            let routers = &self.routers;
-            self.active_list.retain(|&r| {
-                if routers[r as usize].is_idle() {
-                    flags[r as usize] = false;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        let flags = &mut self.active_flags;
+        let routers = &self.routers;
+        self.active_list.retain(|&r| {
+            if routers[r as usize].is_idle() {
+                flags[r as usize] = false;
+                false
+            } else {
+                true
+            }
+        });
+        // the gate's invariant, checked against a full scan: steps 4–5 may
+        // only skip routers for which they are no-ops
+        debug_assert!(
+            self.routers
+                .iter()
+                .zip(&self.active_flags)
+                .all(|(router, &active)| active || router.is_idle()),
+            "a router outside the active set holds traffic at cycle {now}"
+        );
 
         self.cycle += 1;
     }
@@ -1091,11 +989,10 @@ impl Network {
     /// sequence numbers make the merges conflict-free in any order, so a
     /// repair always overtakes the stale down-mark it reverts.
     ///
-    /// Main-thread work in every kernel (the sharded phases only *install*
-    /// the finished views), so churn runs stay bit-identical across worker
-    /// counts. The quiescent fast path skips rounds entirely once every
-    /// view has adopted everything reachable — healthy runs never enter the
-    /// loop.
+    /// Main-thread work (the sharded phases only *install* the finished
+    /// views), so churn runs stay bit-identical across worker counts. The
+    /// quiescent fast path skips rounds entirely once every view has adopted
+    /// everything reachable — healthy runs never enter the loop.
     fn flood_linkviews(&mut self) {
         if self.flood_quiescent {
             return;
@@ -1134,191 +1031,12 @@ impl Network {
             self.flood_quiescent = true;
         }
     }
-
-    /// Seed-kernel PB dissemination: per-group `Vec` gather plus one cloned
-    /// `Vec` per router per cycle (the baseline the flat-array version is
-    /// benchmarked against). Each group installs its *own* flooded
-    /// gateway-liveness view, exactly like the sharded phase.
-    fn disseminate_pb_legacy(&mut self) {
-        for g in 0..self.topo.num_groups() {
-            let group = GroupId(g);
-            let mut group_flags = Vec::with_capacity(self.topo.global_links_per_group() as usize);
-            for r in self.topo.routers_in_group(group) {
-                group_flags.extend(self.routers[r.index()].pb().own_snapshot());
-            }
-            for r in self.topo.routers_in_group(group) {
-                self.routers[r.index()]
-                    .pb_mut()
-                    .install_group(group_flags.clone());
-            }
-        }
-        for g in 0..self.topo.num_groups() {
-            let view = &self.group_views[g as usize];
-            for r in self.topo.routers_in_group(GroupId(g)) {
-                self.routers[r.index()].install_link_view(view);
-            }
-        }
-        for router in self.routers.iter_mut() {
-            piggyback::update_own_saturation(&self.config.routing_config, router);
-        }
-    }
-
-    /// Seed-kernel ECtN broadcast: snapshot `Vec`s and a cloned combined
-    /// array per router (the baseline for the flat-buffer version). Each
-    /// group installs its *own* flooded gateway-liveness view.
-    fn broadcast_ectn_legacy(&mut self) {
-        for g in 0..self.topo.num_groups() {
-            let group = GroupId(g);
-            let snapshots: Vec<Vec<u32>> = self
-                .topo
-                .routers_in_group(group)
-                .map(|r| self.routers[r.index()].ectn().partial_snapshot())
-                .collect();
-            let combined =
-                df_router::ectn::combine_partials(snapshots.iter().map(|s| s.as_slice()));
-            let view = &self.group_views[g as usize];
-            for r in self.topo.routers_in_group(group) {
-                self.routers[r.index()]
-                    .ectn_mut()
-                    .install_combined(combined.clone());
-                self.routers[r.index()].install_link_view(view);
-            }
-        }
-    }
-
-    /// The seed kernel's allocation iteration, kept verbatim as the
-    /// `KernelMode::Legacy` baseline: `Vec`-returning head/occupancy scans
-    /// and an allocated grant list every call.
-    fn route_and_allocate_legacy(&mut self, r_idx: usize, now: Cycle) {
-        let router_id = RouterId(r_idx as u32);
-        let track_ectn = self.config.routing.needs_ectn_broadcast();
-
-        // a. contention / ECtN registration of new head packets
-        let unregistered = self.routers[r_idx].unregistered_heads();
-        for (port, vc) in unregistered {
-            let (min_out, ectn_link) = {
-                let router = &self.routers[r_idx];
-                let head = router
-                    .input(port)
-                    .vc(vc.index())
-                    .head()
-                    .expect("unregistered head exists");
-                let min_out = minimal::minimal_output(&self.topo, router_id, head.dst);
-                let ectn_link = if track_ectn {
-                    minimal::ectn_link_for(&self.topo, router_id, router.input(port).class(), head)
-                } else {
-                    None
-                };
-                (min_out, ectn_link)
-            };
-            self.routers[r_idx].register_head(port, vc, min_out, ectn_link);
-        }
-
-        // b. routing decisions for every occupied VC head
-        let occupied = self.routers[r_idx].occupied_vcs();
-        self.shards[0].requests.clear();
-        self.shards[0].decisions.clear();
-        self.shards[0].discards.clear();
-        {
-            let router = &self.routers[r_idx];
-            let rng = &mut self.router_rngs[r_idx];
-            for (port, vc) in occupied {
-                let head = router.input(port).vc(vc.index()).head().expect("occupied");
-                let decision = self.algorithm.decide(router, port, head, rng);
-                if decision.kind == df_routing::DecisionKind::Discard {
-                    self.shards[0].discards.push((port, vc));
-                    continue;
-                }
-                self.shards[0].requests.push(df_router::AllocationRequest {
-                    input_port: port,
-                    input_vc: vc,
-                    output_port: decision.output_port,
-                    output_vc: decision.output_vc,
-                    size_phits: head.size_phits,
-                });
-                self.shards[0].decisions.push(((port, vc), decision));
-            }
-        }
-
-        // b'. discards (fault routing): same post-decision-loop application
-        // order as the staged kernels, with the staged effects flushed
-        // immediately — the per-sink order direct application would produce
-        if !self.shards[0].discards.is_empty() {
-            let ctx = StepCtx {
-                topo: self.topo,
-                algorithm: self.algorithm,
-                network: self.config.network,
-            };
-            let discards = std::mem::take(&mut self.shards[0].discards);
-            for &(port, vc) in &discards {
-                crate::parallel::discard_one(
-                    &mut self.routers[r_idx],
-                    &ctx,
-                    now,
-                    port,
-                    vc,
-                    &mut self.shards[0],
-                );
-            }
-            let shard = &mut self.shards[0];
-            // hand the scratch list back so the hot loop stays allocation-
-            // free (same discipline as route_and_allocate_one)
-            shard.discards = discards;
-            shard.discards.clear();
-            for (at, event) in shard.staged_events.drain(..) {
-                self.events.schedule(at, event);
-            }
-            for packet in shard.staged_discards.drain(..) {
-                self.in_flight -= 1;
-                self.in_flight_phits -= packet.size_phits as u64;
-                self.metrics.record_dropped_unroutable(&packet);
-            }
-        }
-
-        // c. separable allocation
-        let grants = self.routers[r_idx].allocate(&self.shards[0].requests);
-
-        // d. apply grants
-        for grant in &grants {
-            self.apply_one_grant_legacy(r_idx, now, grant);
-        }
-    }
-
-    /// Apply one grant of router `r_idx` (legacy path): runs the shared
-    /// staged implementation against shard 0 and flushes the staged effects
-    /// immediately — the per-sink order (events in grant order, commits in
-    /// grant order) is exactly what direct application produced, so the
-    /// legacy kernel stays equivalent without duplicating the grant logic.
-    fn apply_one_grant_legacy(&mut self, r_idx: usize, now: Cycle, grant: &Grant) {
-        let ctx = StepCtx {
-            topo: self.topo,
-            algorithm: self.algorithm,
-            network: self.config.network,
-        };
-        crate::parallel::apply_one_grant_staged(
-            &mut self.routers[r_idx],
-            &ctx,
-            now,
-            grant,
-            &mut self.shards[0],
-        );
-        let shard = &mut self.shards[0];
-        for (at, event) in shard.staged_events.drain(..) {
-            self.events.schedule(at, event);
-        }
-        for (at, misrouted) in shard.staged_commits.drain(..) {
-            self.metrics.record_commit(at, misrouted);
-        }
-        if shard.staged_recommits > 0 {
-            self.metrics.record_recommitted(shard.staged_recommits);
-            shard.staged_recommits = 0;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::KernelMode;
     use df_model::NetworkConfig;
     use df_routing::RoutingKind;
     use df_topology::DragonflyParams;
@@ -1458,11 +1176,8 @@ mod tests {
     #[test]
     fn active_set_never_misses_a_loaded_router() {
         // the activity-gate invariant: any router holding buffered traffic
-        // is in the active set (gate-specific, so pin the optimized kernel
-        // regardless of the DF_SIM_KERNEL env default)
-        let mut cfg = small_config(RoutingKind::Base, PatternKind::Uniform, 0.3);
-        cfg.kernel = KernelMode::Optimized;
-        let mut net = Network::new(cfg);
+        // is in the active set
+        let mut net = Network::new(small_config(RoutingKind::Base, PatternKind::Uniform, 0.3));
         for _ in 0..200 {
             net.step();
             for r in net.topology().routers() {
@@ -1479,10 +1194,7 @@ mod tests {
 
     #[test]
     fn active_set_shrinks_when_traffic_stops() {
-        // gate-specific: pin the optimized kernel
-        let mut cfg = small_config(RoutingKind::Base, PatternKind::Uniform, 0.2);
-        cfg.kernel = KernelMode::Optimized;
-        let mut net = Network::new(cfg);
+        let mut net = Network::new(small_config(RoutingKind::Base, PatternKind::Uniform, 0.2));
         net.run_cycles(300);
         assert!(net.drain(5_000));
         assert_eq!(

@@ -364,8 +364,8 @@ pub(crate) fn route_and_allocate_one(
 /// Discard one unroutable head packet (fault routing): router-local release
 /// plus staged cross-router effects — the upstream credit return for the
 /// freed input buffer slot and the packet itself for the main thread's
-/// in-flight/drop accounting. Shared by every kernel.
-pub(crate) fn discard_one(
+/// in-flight/drop accounting.
+fn discard_one(
     router: &mut Router,
     ctx: &StepCtx,
     now: Cycle,
@@ -394,11 +394,8 @@ pub(crate) fn discard_one(
 
 /// Apply one grant: commit the routing decision to the head packet, record
 /// misroute statistics (staged), move the packet to its output buffer and
-/// stage the upstream credit return. Also used by the legacy kernel, which
-/// flushes the staged effects immediately after each grant — same per-sink
-/// order, so sharing the implementation keeps the kernels equivalent by
-/// construction.
-pub(crate) fn apply_one_grant_staged(
+/// stage the upstream credit return.
+fn apply_one_grant_staged(
     router: &mut Router,
     ctx: &StepCtx,
     now: Cycle,

@@ -1,6 +1,7 @@
 //! Full-state simulation snapshots: serialise a [`Network`] mid-run and
 //! resume it **bit-identically** later — same deliveries, same RNG draws,
-//! same golden fingerprints as an uninterrupted run, under every kernel.
+//! same golden fingerprints as an uninterrupted run, under either kernel
+//! mode.
 //!
 //! Declared as a child module of [`crate::network`] so it can reach the
 //! simulator's private fields without widening the public API.
@@ -16,7 +17,7 @@
 //! recompute:
 //!
 //! * identity — a fingerprint of the configuration (kernel-normalised, so a
-//!   snapshot taken under one kernel restores under any other),
+//!   snapshot restores under any kernel mode and worker count),
 //! * the clock, packet-id counter and conservation ledgers,
 //! * every router's buffered state ([`df_router::Router::save_state`]),
 //! * every router-stream and node-stream RNG (seed + xoshiro words),
@@ -41,9 +42,9 @@ use df_model::{Cycle, VcId};
 use df_router::{decode_gateway_liveness, encode_gateway_liveness};
 use df_topology::{LinkState, NodeId, Port, RouterId, Topology};
 
-use super::{KernelQueue, Network};
+use super::Network;
 use crate::config::{KernelMode, SimulationConfig};
-use crate::events::{Event, EventQueue, LegacyEventQueue};
+use crate::events::{Event, EventQueue};
 use std::collections::BTreeMap;
 
 /// Frame magic of a simulation snapshot.
@@ -172,10 +173,7 @@ impl Network {
         }
         self.metrics.save_state(&mut e);
         // pending link events in exact drain order
-        let pending = match &self.events {
-            KernelQueue::Wheel(q) => q.pending_in_order(),
-            KernelQueue::Legacy(q) => q.pending_in_order(),
-        };
+        let pending = self.events.pending_in_order();
         e.seq(pending.len());
         for (at, event) in &pending {
             encode_event(*at, event, &mut e);
@@ -309,7 +307,7 @@ impl Network {
             node.restore_state(&mut d)?;
         }
         net.metrics.restore_state(&mut d)?;
-        // pending link events, rebuilt into the configured kernel's queue
+        // pending link events
         let n = d.seq(9)?;
         let mut pending = Vec::with_capacity(n);
         for _ in 0..n {
@@ -320,12 +318,7 @@ impl Network {
                 "snapshot holds a link event scheduled before its own cycle".into(),
             ));
         }
-        net.events = match &net.events {
-            KernelQueue::Wheel(q) => {
-                KernelQueue::Wheel(EventQueue::rebuild(q.horizon(), net.cycle, pending))
-            }
-            KernelQueue::Legacy(_) => KernelQueue::Legacy(LegacyEventQueue::rebuild(pending)),
-        };
+        net.events = EventQueue::rebuild(net.events.horizon(), net.cycle, pending);
         // link availability: replay the directed down set onto a fresh mask
         net.link_state = LinkState::new(&net.topo);
         let n = d.seq(8)?;
@@ -447,12 +440,10 @@ impl Network {
             *flag = false;
         }
         net.active_list.clear();
-        if net.gated {
-            for (i, router) in net.routers.iter().enumerate() {
-                if !router.is_idle() {
-                    net.active_flags[i] = true;
-                    net.active_list.push(i as u32);
-                }
+        for (i, router) in net.routers.iter().enumerate() {
+            if !router.is_idle() {
+                net.active_flags[i] = true;
+                net.active_list.push(i as u32);
             }
         }
         Ok(net)
@@ -544,8 +535,11 @@ mod tests {
 
     #[test]
     fn snapshot_is_kernel_portable() {
-        // snapshot under the optimized kernel, restore under legacy (and a
-        // 2-worker parallel config) — all three must land on the same state
+        // snapshot under the optimized kernel, restore under it and under a
+        // 2-worker parallel config — both must land on the state the retired
+        // seed kernel (heap queue, full router scan) reached from the same
+        // bytes, frozen as an FNV-1a digest at the last commit that had it
+        const FROZEN_END_STATE: u64 = 0x1C5D_B816_7D2C_0E42;
         let cfg_opt = config(KernelMode::Optimized, 23);
         let mut net = Network::new(cfg_opt.clone());
         net.run_cycles(250);
@@ -558,10 +552,12 @@ mod tests {
             end_state(&n)
         };
         let opt = finish(cfg_opt);
-        let legacy = finish(config(KernelMode::Legacy, 23));
-        let par = finish(config(KernelMode::Parallel { workers: 2 }, 23));
-        assert_eq!(opt, legacy);
-        assert_eq!(opt, par);
+        assert_eq!(
+            df_engine::codec::fnv1a64(format!("{opt:?}").as_bytes()),
+            FROZEN_END_STATE,
+            "end state left the frozen reference: {opt:?}"
+        );
+        assert_eq!(opt, finish(config(KernelMode::Parallel { workers: 2 }, 23)));
     }
 
     #[test]
@@ -622,9 +618,9 @@ mod tests {
         ));
 
         // ...but a kernel-only difference is accepted
-        let mut legacy = cfg;
-        legacy.kernel = KernelMode::Legacy;
-        assert!(Network::restore(legacy, &bytes).is_ok());
+        let mut parallel = cfg;
+        parallel.kernel = KernelMode::Parallel { workers: 2 };
+        assert!(Network::restore(parallel, &bytes).is_ok());
     }
 
     #[test]

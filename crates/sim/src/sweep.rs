@@ -89,7 +89,7 @@ pub fn num_threads() -> usize {
 }
 
 /// How many threads one cell of `config` occupies: the resolved worker
-/// count of its kernel (1 for the sequential kernels).
+/// count of its kernel (1 for the optimized kernel).
 pub fn intra_cell_workers(config: &SimulationConfig) -> usize {
     config.kernel.resolved_workers().max(1)
 }

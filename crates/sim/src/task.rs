@@ -24,8 +24,8 @@
 //!
 //! Every engine mutation happens on the main thread: delivery attribution
 //! in step 1 of [`crate::network::Network::step`] and advance/enqueue in
-//! step 2 — both of which are sequential in **every** kernel (optimized,
-//! legacy, parallel at any worker count). Ranks are visited in ascending
+//! step 2 — both of which are sequential in **both** kernel modes (optimized,
+//! parallel at any worker count). Ranks are visited in ascending
 //! rank order and the lowering itself is a pure function of the workload,
 //! so task runs inherit the simulator's bit-identity contract unchanged.
 //!

@@ -13,9 +13,10 @@
 //!    routing cell. The configurations deliberately do not set a
 //!    [`KernelMode`], so CI replays the table under every kernel — which
 //!    must be bit-for-bit identical.
-//! 3. **Cross-kernel bit-identity** — the optimized, legacy and parallel
-//!    (1, 2 and 4 workers) kernels are compared directly on the same
-//!    workloads.
+//! 3. **Cross-kernel bit-identity** — the optimized and parallel (1, 2
+//!    and 4 workers) kernels are compared directly on the same workloads,
+//!    and the optimized fingerprints against the digests frozen from the
+//!    retired seed kernel.
 //! 4. **Snapshot/resume mid-collective** — a snapshot taken with sends
 //!    outstanding and a partially executed script resumes bit-identically,
 //!    under the same kernel and across kernels.
@@ -36,6 +37,10 @@
 //! [`KernelMode`]: contention_dragonfly::prelude::KernelMode
 
 use contention_dragonfly::prelude::*;
+
+#[path = "common/frozen.rs"]
+#[allow(dead_code)] // the drain helpers are used by the drain suites
+mod frozen;
 
 #[path = "common/golden_corpus.rs"]
 #[allow(dead_code)]
@@ -202,9 +207,16 @@ fn regenerate_collective_corpus() {
 
 #[test]
 fn collectives_are_bit_identical_across_kernels() {
+    const FROZEN: [u64; 6] = [
+        0xF3AA_64EA_5157_7B12,
+        0x5902_D405_5B45_1198,
+        0xD5A1_1611_AAD6_61DC,
+        0xD5A1_1611_AAD6_61DC,
+        0xA97F_B3FC_F1D4_EE47,
+        0x54F2_932A_F7E3_B8DE,
+    ];
+    let mut cells = Vec::new();
     let kernels = [
-        KernelMode::Optimized,
-        KernelMode::Legacy,
         KernelMode::Parallel { workers: 1 },
         KernelMode::Parallel { workers: 2 },
         KernelMode::Parallel { workers: 4 },
@@ -234,8 +246,13 @@ fn collectives_are_bit_identical_across_kernels() {
                     routing.label()
                 );
             }
+            cells.push((
+                format!("{} under {}", workload.label(), routing.label()),
+                reference,
+            ));
         }
     }
+    frozen::assert_all_frozen("collectives", &cells, &FROZEN);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,21 +306,25 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     let restored = Network::restore(cfg.clone(), &bytes).expect("snapshot restores");
     assert_eq!(restored.snapshot(), bytes);
 
-    // kernel portability: finish the same snapshot under legacy and parallel
-    for kernel in [KernelMode::Legacy, KernelMode::Parallel { workers: 2 }] {
-        let mut k = cfg.clone();
-        k.kernel = kernel;
-        let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
-        assert_eq!(
-            n.run_until_tasks_complete(200_000),
-            Some(done),
-            "{kernel:?} resumed to a different completion cycle"
-        );
-        assert_eq!(
-            n.metrics().delivered_packets_total(),
-            reference.metrics().delivered_packets_total()
-        );
-    }
+    // kernel portability: finish the same snapshot under the parallel
+    // kernel; both land where the retired seed kernel landed from it
+    frozen::assert_frozen(
+        "resumed collective",
+        &(done, reference.metrics().delivered_packets_total()),
+        0x4CDE_698E_4734_0A3C,
+    );
+    let mut k = cfg.clone();
+    k.kernel = KernelMode::Parallel { workers: 2 };
+    let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
+    assert_eq!(
+        n.run_until_tasks_complete(200_000),
+        Some(done),
+        "parallel(2) resumed to a different completion cycle"
+    );
+    assert_eq!(
+        n.metrics().delivered_packets_total(),
+        reference.metrics().delivered_packets_total()
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -2,20 +2,28 @@
 //! optimizations (time-wheel event queue, activity gating, allocation-free
 //! hot loop).
 //!
-//! Three layers of protection:
+//! Four layers of protection:
 //!
 //! 1. **Repeatability** — two runs of the same `SimulationConfig` + seed
 //!    produce identical delivered-packet counts, latency histograms and
 //!    final cycle.
-//! 2. **Kernel equivalence** — the optimized kernel produces *bit-for-bit*
-//!    the same metrics as the legacy binary-heap/full-scan kernel across
-//!    routing mechanisms, patterns and loads, including a full drain.
-//! 3. **Golden pin** — one configuration's summary is pinned to literal
+//! 2. **Frozen seed-kernel digests** — the optimized kernel still produces
+//!    *bit-for-bit* the metrics the retired binary-heap/full-scan seed
+//!    kernel produced across routing mechanisms, patterns and loads,
+//!    including a full drain (see `tests/common/frozen.rs`).
+//! 3. **Drain fast-forward** — `Network::drain` ends in the same state as
+//!    a plain `step()` loop, which never skips a cycle.
+//! 4. **Golden pin** — one configuration's summary is pinned to literal
 //!    values, so a change in any RNG stream, event ordering or allocator
 //!    tie-break turns up as a diff in review rather than silently shifting
 //!    every future result.
 
 use contention_dragonfly::prelude::*;
+
+#[path = "common/frozen.rs"]
+mod frozen;
+
+use frozen::{assert_all_frozen, assert_frozen, drain_by_stepping, silenced_after_measurement};
 
 fn config(
     kernel: KernelMode,
@@ -55,12 +63,19 @@ struct Fingerprint {
 }
 
 fn run_fingerprint(cfg: SimulationConfig) -> Fingerprint {
+    run_fingerprint_with(cfg, Network::drain)
+}
+
+fn run_fingerprint_with(
+    cfg: SimulationConfig,
+    drain: impl Fn(&mut Network, u64) -> bool,
+) -> Fingerprint {
     let mut net = Network::new(cfg.clone());
     net.run_cycles(cfg.warmup_cycles);
     let start = net.cycle();
     net.metrics_mut().start_measurement(start);
     net.run_cycles(cfg.measurement_cycles);
-    let drained = net.drain(100_000);
+    let drained = drain(&mut net, 100_000);
     let summary = net.metrics().window_summary();
     Fingerprint {
         delivered_window: summary.delivered_packets,
@@ -117,57 +132,94 @@ fn different_seed_different_fingerprint() {
 }
 
 #[test]
-fn optimized_kernel_matches_legacy_kernel_bit_for_bit() {
+fn optimized_kernel_matches_the_frozen_seed_kernel_digests() {
     // The heap→wheel swap and the activity gate must not change a single
-    // event ordering: cross-check every routing mechanism under both a
-    // benign and an adversarial pattern, at a quiet and a saturating load.
+    // event ordering: every routing mechanism under both a benign and an
+    // adversarial pattern, at a quiet and a saturating load.
+    const FROZEN: [u64; 14] = [
+        0xAC04_18C1_1FC0_6901,
+        0xE9DE_87C5_FDF3_C4BC,
+        0xFC73_DE2D_F788_8F41,
+        0xA6BD_5DAE_32DD_5C73,
+        0x7B91_4322_7487_EF0F,
+        0x068F_D290_3F15_C478,
+        0xFF99_7A36_C66F_C02E,
+        0xCD1A_68E2_FFD5_F087,
+        0xAC04_18C1_1FC0_6901,
+        0xE8E2_716C_7CC1_9AF1,
+        0xE70E_4232_B535_A739,
+        0xF96E_D3AF_ED58_339E,
+        0xAC04_18C1_1FC0_6901,
+        0x65F6_D9AD_1CBD_7C62,
+    ];
+    let mut cells = Vec::new();
     for routing in RoutingKind::ALL {
         for (pattern, load) in [
             (PatternKind::Uniform, 0.1),
             (PatternKind::Adversarial { offset: 1 }, 0.35),
         ] {
-            let fast = run_fingerprint(config(KernelMode::Optimized, routing, pattern, load, 7));
-            let slow = run_fingerprint(config(KernelMode::Legacy, routing, pattern, load, 7));
-            assert_eq!(
-                fast, slow,
-                "{routing:?} under {pattern:?} at load {load}: kernels diverge"
-            );
+            cells.push((
+                format!("{routing:?} under {pattern:?} at load {load}"),
+                run_fingerprint(config(KernelMode::Optimized, routing, pattern, load, 7)),
+            ));
         }
     }
+    assert_all_frozen("routing x pattern", &cells, &FROZEN);
 }
 
-#[test]
-fn kernels_match_on_transient_schedules() {
-    // Phase switches exercise the drain fast-forward guard (the clock must
-    // not jump over a traffic change) and mid-run load changes.
-    let run = |kernel: KernelMode| {
-        let schedule = TrafficSchedule::switch_at(
+fn transient_config(kernel: KernelMode, routing: RoutingKind) -> SimulationConfig {
+    SimulationConfig::builder()
+        .topology(DragonflyParams::small())
+        .network(NetworkConfig::fast_test())
+        .routing(routing)
+        .schedule(TrafficSchedule::switch_at(
             PatternKind::Uniform,
             PatternKind::Adversarial { offset: 1 },
             400,
-        );
-        let cfg = SimulationConfig::builder()
-            .topology(DragonflyParams::small())
-            .network(NetworkConfig::fast_test())
-            .routing(RoutingKind::Ectn)
-            .schedule(schedule)
-            .offered_load(0.25)
-            .warmup_cycles(400)
-            .measurement_cycles(400)
-            .seed(3)
-            .kernel(kernel)
-            .build()
-            .unwrap();
-        run_fingerprint(cfg)
-    };
-    assert_eq!(run(KernelMode::Optimized), run(KernelMode::Legacy));
+        ))
+        .offered_load(0.25)
+        .warmup_cycles(400)
+        .measurement_cycles(400)
+        .seed(3)
+        .kernel(kernel)
+        .build()
+        .unwrap()
 }
 
 #[test]
-fn kernels_match_on_new_patterns() {
+fn transient_schedule_matches_the_frozen_seed_kernel_digest() {
+    // A phase switch mid-run: mid-run load changes and the clock must not
+    // jump over a traffic change.
+    assert_frozen(
+        "UN->ADV+1 transient",
+        &run_fingerprint(transient_config(KernelMode::Optimized, RoutingKind::Ectn)),
+        0xC289_925D_C2D3_4EDD,
+    );
+}
+
+#[test]
+fn new_patterns_match_the_frozen_seed_kernel_digests() {
     // The scenario subsystem's destination maps (permutation-style), the
     // hotspot weight split and the group-local mix must not perturb event
-    // ordering between kernels.
+    // ordering.
+    const FROZEN: [u64; 15] = [
+        0x4172_D523_6036_72FE,
+        0x98EA_D568_FD41_C1E8,
+        0x853B_7DFC_3F6E_7284,
+        0x60AD_A239_AA82_9462,
+        0x91F1_EDFB_F1DF_94DA,
+        0x2531_9516_6EBE_AF59,
+        0x3952_D74B_A474_C2E5,
+        0x01A3_71D7_F793_777E,
+        0x6413_6370_3D26_E9FF,
+        0x1578_5FFE_CE29_147E,
+        0x2531_9516_6EBE_AF59,
+        0x3952_D74B_A474_C2E5,
+        0x5881_D585_6542_AB06,
+        0x6413_6370_3D26_E9FF,
+        0x1578_5FFE_CE29_147E,
+    ];
+    let mut cells = Vec::new();
     for routing in [RoutingKind::Olm, RoutingKind::Base, RoutingKind::Ectn] {
         for pattern in [
             PatternKind::Permutation { seed: 17 },
@@ -181,18 +233,25 @@ fn kernels_match_on_new_patterns() {
                 local_fraction: 0.6,
             },
         ] {
-            let fast = run_fingerprint(config(KernelMode::Optimized, routing, pattern, 0.25, 13));
-            let slow = run_fingerprint(config(KernelMode::Legacy, routing, pattern, 0.25, 13));
-            assert_eq!(fast, slow, "{routing:?} under {pattern:?}: kernels diverge");
+            cells.push((
+                format!("{routing:?} under {pattern:?}"),
+                run_fingerprint(config(KernelMode::Optimized, routing, pattern, 0.25, 13)),
+            ));
         }
     }
+    assert_all_frozen("new patterns", &cells, &FROZEN);
 }
 
-fn injector_config(kernel: KernelMode, injection: InjectionKind, seed: u64) -> SimulationConfig {
+fn injector_config(
+    kernel: KernelMode,
+    routing: RoutingKind,
+    injection: InjectionKind,
+    seed: u64,
+) -> SimulationConfig {
     SimulationConfig::builder()
         .topology(DragonflyParams::small())
         .network(NetworkConfig::fast_test())
-        .routing(RoutingKind::Ectn)
+        .routing(routing)
         .schedule(TrafficSchedule::switch_at(
             PatternKind::Uniform,
             PatternKind::Adversarial { offset: 1 },
@@ -208,60 +267,105 @@ fn injector_config(kernel: KernelMode, injection: InjectionKind, seed: u64) -> S
         .expect("valid configuration")
 }
 
+const BURSTY: InjectionKind = InjectionKind::Bursty {
+    mean_on: 40.0,
+    mean_off: 60.0,
+};
+const RAMP: InjectionKind = InjectionKind::Ramp {
+    start_fraction: 0.2,
+    ramp_cycles: 500,
+};
+
 #[test]
-fn bursty_and_ramp_injection_rerun_identically_and_match_across_kernels() {
-    // Rerun identity plus optimized-vs-legacy equality for the new injection
-    // processes under a UN→ADV+1 phase change — the combination that
-    // exercises the drain fast-forward guard, mid-run load changes and the
-    // injectors' internal Markov/ramp state at once.
-    for injection in [
-        InjectionKind::Bursty {
-            mean_on: 40.0,
-            mean_off: 60.0,
-        },
-        InjectionKind::Ramp {
-            start_fraction: 0.2,
-            ramp_cycles: 500,
-        },
+fn bursty_and_ramp_injection_rerun_identically_and_match_the_frozen_digests() {
+    // Rerun identity plus the frozen seed-kernel digest for the new
+    // injection processes under a UN→ADV+1 phase change — the combination
+    // that exercises mid-run load changes and the injectors' internal
+    // Markov/ramp state at once.
+    for (injection, frozen) in [
+        (BURSTY, 0xA5CB_7FC8_E63E_9645),
+        (RAMP, 0xA4A5_BBAC_616F_9CF0),
     ] {
-        let a = run_fingerprint(injector_config(KernelMode::Optimized, injection, 21));
-        let b = run_fingerprint(injector_config(KernelMode::Optimized, injection, 21));
+        let run = |seed| {
+            run_fingerprint(injector_config(
+                KernelMode::Optimized,
+                RoutingKind::Ectn,
+                injection,
+                seed,
+            ))
+        };
+        let (a, b) = (run(21), run(21));
         assert_eq!(a, b, "{injection:?}: rerun must reproduce exactly");
-        let legacy = run_fingerprint(injector_config(KernelMode::Legacy, injection, 21));
-        assert_eq!(a, legacy, "{injection:?}: kernels diverge");
-        let other_seed = run_fingerprint(injector_config(KernelMode::Optimized, injection, 22));
-        assert_ne!(a, other_seed, "{injection:?}: seed must matter");
+        assert_frozen(&format!("{injection:?}"), &a, frozen);
+        assert_ne!(a, run(22), "{injection:?}: seed must matter");
     }
 }
 
+fn multi_phase_config(kernel: KernelMode) -> SimulationConfig {
+    let scenario = Scenario::named("UN-storm-UN")
+        .injection(InjectionKind::Bursty {
+            mean_on: 30.0,
+            mean_off: 30.0,
+        })
+        .phase(PatternKind::Uniform, 300)
+        .phase_at_load(PatternKind::Adversarial { offset: 1 }, 0.35, 300)
+        .hold(PatternKind::Uniform);
+    SimulationConfig::builder()
+        .topology(DragonflyParams::small())
+        .network(NetworkConfig::fast_test())
+        .routing(RoutingKind::Base)
+        .scenario(&scenario)
+        .offered_load(0.15)
+        .warmup_cycles(300)
+        .measurement_cycles(600)
+        .seed(5)
+        .kernel(kernel)
+        .build()
+        .unwrap()
+}
+
 #[test]
-fn kernels_match_on_multi_phase_scenarios_with_load_overrides() {
+fn multi_phase_scenario_with_load_overrides_matches_the_frozen_digest() {
     // A three-phase scenario with a per-phase load override: phase switches
-    // must land on exact cycles under both kernels.
-    let run = |kernel: KernelMode| {
-        let scenario = Scenario::named("UN-storm-UN")
-            .injection(InjectionKind::Bursty {
-                mean_on: 30.0,
-                mean_off: 30.0,
-            })
-            .phase(PatternKind::Uniform, 300)
-            .phase_at_load(PatternKind::Adversarial { offset: 1 }, 0.35, 300)
-            .hold(PatternKind::Uniform);
-        let cfg = SimulationConfig::builder()
-            .topology(DragonflyParams::small())
-            .network(NetworkConfig::fast_test())
-            .routing(RoutingKind::Base)
-            .scenario(&scenario)
-            .offered_load(0.15)
-            .warmup_cycles(300)
-            .measurement_cycles(600)
-            .seed(5)
-            .kernel(kernel)
-            .build()
-            .unwrap();
-        run_fingerprint(cfg)
-    };
-    assert_eq!(run(KernelMode::Optimized), run(KernelMode::Legacy));
+    // must land on exact cycles.
+    assert_frozen(
+        "UN-storm-UN",
+        &run_fingerprint(multi_phase_config(KernelMode::Optimized)),
+        0xE3CF_6ADA_884B_D9D0,
+    );
+}
+
+#[test]
+fn drain_fast_forward_matches_a_plain_step_loop() {
+    // `drain` jumps the clock over cycles in which every router is idle;
+    // `step` never skips one. With generation switched off by a load-0
+    // phase both must reach the same end state — on transient and bursty/
+    // ramp runs, under Base (fast-forward armed) and ECtN (its periodic
+    // broadcast forbids the jump), sequentially and sharded.
+    for kernel in [KernelMode::Optimized, KernelMode::Parallel { workers: 2 }] {
+        let mut cfgs = vec![multi_phase_config(kernel)];
+        for routing in [RoutingKind::Base, RoutingKind::Ectn] {
+            cfgs.push(transient_config(kernel, routing));
+            cfgs.push(injector_config(kernel, routing, BURSTY, 21));
+            cfgs.push(injector_config(kernel, routing, RAMP, 21));
+        }
+        for cfg in cfgs {
+            let cell = format!(
+                "{kernel:?}/{:?}/{:?}/{} phases",
+                cfg.routing,
+                cfg.injection,
+                cfg.schedule.phases().len()
+            );
+            let cfg = silenced_after_measurement(cfg);
+            let stepped = run_fingerprint_with(cfg.clone(), drain_by_stepping);
+            assert!(stepped.drained, "{cell} must drain");
+            assert_eq!(
+                run_fingerprint_with(cfg, Network::drain),
+                stepped,
+                "{cell}: drain() diverged from the step loop"
+            );
+        }
+    }
 }
 
 #[test]

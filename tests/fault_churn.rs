@@ -17,6 +17,10 @@ use df_sim::FaultPlan;
 #[allow(dead_code)] // only the churn slice of the shared corpus is used here
 mod golden_corpus;
 
+#[path = "common/frozen.rs"]
+#[allow(dead_code)] // the drain helpers are used by the drain suites
+mod frozen;
+
 use golden_corpus::{base_builder, churn_fingerprint, churn_routings, churn_scenarios};
 
 // -------------------------------------------------------------------------
@@ -24,12 +28,21 @@ use golden_corpus::{base_builder, churn_fingerprint, churn_routings, churn_scena
 // -------------------------------------------------------------------------
 
 #[test]
-fn churn_corpus_is_bit_identical_across_all_three_kernels() {
+fn churn_corpus_is_bit_identical_across_kernels_and_the_frozen_digests() {
     // ChurnModel lowering happens at config-build time and fault application
     // plus flooding run on the main thread in every kernel, so a churn run's
     // full fingerprint — drops, retargets, strandings, final cycle, latency
-    // bits — must be identical under the optimized, legacy and parallel
-    // kernels at several worker counts.
+    // bits — must be identical under the optimized and parallel kernels at
+    // several worker counts, and to what the retired seed kernel produced.
+    const FROZEN: [u64; 6] = [
+        0xAE88_5993_3014_E643,
+        0x6C72_A062_00E5_DE3E,
+        0xD149_F35D_AC95_DED5,
+        0x1594_A907_1588_6FBC,
+        0x9DB9_08E5_6792_F0FA,
+        0x0B85_86F1_D209_6A14,
+    ];
+    let mut cells = Vec::new();
     for scenario in churn_scenarios() {
         for routing in churn_routings() {
             let run = |kernel: KernelMode| {
@@ -42,13 +55,6 @@ fn churn_corpus_is_bit_identical_across_all_three_kernels() {
                 churn_fingerprint(cfg)
             };
             let reference = run(KernelMode::Optimized);
-            assert_eq!(
-                run(KernelMode::Legacy),
-                reference,
-                "{}/{}: legacy kernel diverged on the churn trajectory",
-                scenario.name,
-                routing.label()
-            );
             for workers in [1usize, 2, 4] {
                 assert_eq!(
                     run(KernelMode::Parallel { workers }),
@@ -58,8 +64,10 @@ fn churn_corpus_is_bit_identical_across_all_three_kernels() {
                     routing.label()
                 );
             }
+            cells.push((format!("{}/{}", scenario.name, routing.label()), reference));
         }
     }
+    frozen::assert_all_frozen("churn corpus", &cells, &FROZEN);
 }
 
 #[test]

@@ -6,6 +6,12 @@
 use contention_dragonfly::prelude::*;
 use df_sim::FaultPlan;
 
+#[path = "common/frozen.rs"]
+#[allow(dead_code)] // the table helper is used by other suites
+mod frozen;
+
+use frozen::{assert_frozen, drain_by_stepping, silenced_after_measurement};
+
 fn base_builder() -> df_sim::SimulationConfigBuilder {
     SimulationConfig::builder()
         .topology(DragonflyParams::small())
@@ -242,15 +248,15 @@ fn router_restore_resumes_generation() {
 
 #[test]
 fn drain_fast_forward_never_skips_a_fault_cycle() {
-    // The optimized kernel's drain() fast-forwards the clock when every
-    // router is idle. A fault cycle is a schedule change-point: the clamp
-    // must observe it exactly, or a LinkDown scheduled during the drain
-    // window would fire late and miss the traffic it should have dropped.
-    // The legacy kernel never fast-forwards, so bit-identical results
-    // (including the dropped count) prove the clamp is correct.
-    let run = |kernel: KernelMode| {
+    // drain() fast-forwards the clock when every router is idle. A fault
+    // cycle is a schedule change-point: the clamp must observe it exactly,
+    // or a LinkDown scheduled during the drain window would fire late and
+    // miss the traffic it should have dropped. A plain step() loop never
+    // skips a cycle, so bit-identical results (including the dropped count)
+    // prove the clamp is correct.
+    let run = |kernel: KernelMode, drain: fn(&mut Network, u64) -> bool| {
         let (gw, port) = link_between(0, 4);
-        let mut cfg = base_builder()
+        let cfg = base_builder()
             .routing(RoutingKind::Minimal)
             .pattern(PatternKind::Uniform)
             // long global links: plenty of idle-router cycles with traffic
@@ -263,12 +269,14 @@ fn drain_fast_forward_never_skips_a_fault_cycle() {
                     .link_down(320, gw, port)
                     .link_up(800, gw, port),
             )
+            .kernel(kernel)
             .build()
             .unwrap();
-        cfg.kernel = kernel;
-        let mut net = Network::new(cfg);
+        // generation off from cycle 300 on, so the step loop needs no
+        // access to the injectors
+        let mut net = Network::new(silenced_after_measurement(cfg));
         net.run_cycles(300);
-        let drained = net.drain(50_000);
+        let drained = drain(&mut net, 50_000);
         (
             drained,
             net.cycle(),
@@ -277,23 +285,33 @@ fn drain_fast_forward_never_skips_a_fault_cycle() {
             net.metrics().dropped_on_fault_phits(),
         )
     };
-    let optimized = run(KernelMode::Optimized);
-    let legacy = run(KernelMode::Legacy);
-    assert_eq!(
-        optimized, legacy,
-        "drain() fast-forward diverged from the cycle-by-cycle legacy kernel"
-    );
-    assert!(
-        optimized.3 > 0,
-        "the fault fired during the drain window and dropped in-flight traffic"
-    );
-    assert!(optimized.0, "the restored network drains");
+    for kernel in [KernelMode::Optimized, KernelMode::Parallel { workers: 2 }] {
+        let stepped = run(kernel, drain_by_stepping);
+        assert!(
+            stepped.3 > 0,
+            "the fault fired during the drain window and dropped in-flight traffic"
+        );
+        assert!(stepped.0, "the restored network drains");
+        // the end state the retired seed kernel — which never
+        // fast-forwarded — reached on the same plan
+        assert_frozen(
+            "drain across a fault window",
+            &stepped,
+            0xCB82_9653_81E1_E978,
+        );
+        assert_eq!(
+            run(kernel, Network::drain),
+            stepped,
+            "{kernel:?}: drain() fast-forward diverged from the cycle-by-cycle loop"
+        );
+    }
 }
 
 #[test]
 fn faulted_runs_are_bit_identical_across_all_kernels_and_worker_counts() {
-    // the acceptance bar: a faulted scenario produces the same trajectory
-    // under optimized, legacy and parallel kernels at workers {1, 2, 4}
+    // the acceptance bar: a faulted scenario produces the trajectory frozen
+    // from the retired seed kernel under the optimized kernel and under the
+    // parallel kernel at workers {1, 2, 4}
     let run = |kernel: KernelMode| {
         let (gw, port) = link_between(0, 1);
         let mut cfg = base_builder()
@@ -325,7 +343,7 @@ fn faulted_runs_are_bit_identical_across_all_kernels_and_worker_counts() {
     };
     let reference = run(KernelMode::Optimized);
     assert!(reference.2 > 0, "the scenario must exercise drops");
-    assert_eq!(run(KernelMode::Legacy), reference, "legacy kernel diverged");
+    assert_frozen("faulted run", &reference, 0xA3AC_C95B_0C64_41B3);
     for workers in [1usize, 2, 4] {
         assert_eq!(
             run(KernelMode::Parallel { workers }),

@@ -6,10 +6,15 @@
 //! strand 54–75 committed packets forever — drains to **zero** stranded
 //! packets under every fault-corpus mechanism, with packet and phit
 //! conservation holding as exact equalities, bit-identically across the
-//! optimized, legacy and parallel kernels at several worker counts.
+//! optimized and parallel kernels at several worker counts (and to the
+//! digests frozen from the retired seed kernel).
 
 use contention_dragonfly::prelude::*;
 use df_sim::FaultPlan;
+
+#[path = "common/frozen.rs"]
+#[allow(dead_code)] // the drain helpers are used by the drain suites
+mod frozen;
 
 // -------------------------------------------------------------------------
 // helpers
@@ -114,7 +119,10 @@ fn adv_cut2_drains_to_zero_stranded_under_every_corpus_mechanism() {
 
 #[test]
 fn adv_cut2_is_bit_identical_across_all_kernels_and_worker_counts() {
-    for routing in [RoutingKind::Base, RoutingKind::Ectn] {
+    for (routing, frozen) in [
+        (RoutingKind::Base, 0xA579_2C92_88AC_B3C2),
+        (RoutingKind::Ectn, 0x4EF8_2DC6_251E_96E4),
+    ] {
         let run = |kernel: KernelMode| {
             let mut cfg = corpus_builder()
                 .routing(routing)
@@ -146,11 +154,7 @@ fn adv_cut2_is_bit_identical_across_all_kernels_and_worker_counts() {
         if routing == RoutingKind::Base {
             assert!(reference.5 > 0, "{routing}: re-commits happen");
         }
-        assert_eq!(
-            run(KernelMode::Legacy),
-            reference,
-            "{routing}: legacy kernel diverged on the re-commit trajectory"
-        );
+        frozen::assert_frozen(&format!("{routing}: ADV+1 cut2"), &reference, frozen);
         for workers in [1usize, 2, 4] {
             assert_eq!(
                 run(KernelMode::Parallel { workers }),

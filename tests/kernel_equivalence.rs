@@ -11,11 +11,12 @@
 //!    fingerprints must match the *committed* constants, not merely a fresh
 //!    sequential run — so a change that shifted every kernel in lockstep
 //!    would still be caught.
-//! 2. **Against both sequential kernels on richer workloads** — bursty and
+//! 2. **Against the optimized kernel on richer workloads** — bursty and
 //!    ramp injectors and a multi-phase transient with a load override,
 //!    compared on an extended fingerprint (full latency histogram,
-//!    generated phits, in-flight count, final cycle) across Optimized,
-//!    Legacy and Parallel at several worker counts.
+//!    generated phits, in-flight count, final cycle) across Optimized and
+//!    Parallel at several worker counts, with the optimized fingerprint
+//!    itself pinned to the digest frozen from the retired seed kernel.
 //! 3. **Worker-count independence on one configuration swept 1..=7** — any
 //!    pair of worker counts must agree with each other *and* with the
 //!    optimized kernel.
@@ -26,6 +27,11 @@ use contention_dragonfly::prelude::*;
 #[allow(dead_code)] // the collective helpers are used by tests/collectives.rs
 mod golden_corpus;
 
+#[path = "common/frozen.rs"]
+#[allow(dead_code)] // the drain helpers are used by the drain suites
+mod frozen;
+
+use frozen::assert_frozen;
 use golden_corpus::{
     all_patterns, base_builder, churn_fingerprint, churn_routings, churn_scenarios,
     fault_fingerprint, fault_routings, fault_scenarios, fingerprint, megafly_base_builder,
@@ -228,7 +234,7 @@ fn parallel_reproduces_the_pinned_churn_corpus() {
 }
 
 // ---------------------------------------------------------------------------
-// Extended fingerprints across all three kernels
+// Extended fingerprints across both kernel modes
 // ---------------------------------------------------------------------------
 
 /// Everything that must match between two equivalent runs — a superset of
@@ -291,19 +297,25 @@ fn injector_builder(injection: InjectionKind) -> df_sim::SimulationConfigBuilder
 }
 
 #[test]
-fn parallel_matches_optimized_and_legacy_on_bursty_and_ramp_injection() {
+fn parallel_matches_optimized_and_the_frozen_digests_on_bursty_and_ramp_injection() {
     // ECtN routing (periodic broadcast) + a UN→ADV+1 switch + non-Bernoulli
     // injectors: exercises every parallel phase including the group-sharded
     // ECtN exchange and the drain fast-forward guard.
-    for injection in [
-        InjectionKind::Bursty {
-            mean_on: 40.0,
-            mean_off: 60.0,
-        },
-        InjectionKind::Ramp {
-            start_fraction: 0.2,
-            ramp_cycles: 500,
-        },
+    for (injection, frozen) in [
+        (
+            InjectionKind::Bursty {
+                mean_on: 40.0,
+                mean_off: 60.0,
+            },
+            0xD4FA_B4DD_4CFD_7728,
+        ),
+        (
+            InjectionKind::Ramp {
+                start_fraction: 0.2,
+                ramp_cycles: 500,
+            },
+            0x2356_B022_16CB_E607,
+        ),
     ] {
         let optimized = rich_fingerprint(
             injector_builder(injection)
@@ -311,16 +323,7 @@ fn parallel_matches_optimized_and_legacy_on_bursty_and_ramp_injection() {
                 .build()
                 .unwrap(),
         );
-        let legacy = rich_fingerprint(
-            injector_builder(injection)
-                .kernel(KernelMode::Legacy)
-                .build()
-                .unwrap(),
-        );
-        assert_eq!(
-            optimized, legacy,
-            "{injection:?}: sequential kernels diverge"
-        );
+        assert_frozen(&format!("{injection:?}"), &optimized, frozen);
         for &workers in WORKER_COUNTS {
             let parallel = rich_fingerprint(
                 injector_builder(injection)
@@ -330,14 +333,14 @@ fn parallel_matches_optimized_and_legacy_on_bursty_and_ramp_injection() {
             );
             assert_eq!(
                 parallel, optimized,
-                "{injection:?}: parallel({workers}) diverged from the sequential kernels"
+                "{injection:?}: parallel({workers}) diverged from the optimized kernel"
             );
         }
     }
 }
 
 #[test]
-fn parallel_matches_optimized_and_legacy_on_a_multi_phase_transient() {
+fn parallel_matches_optimized_and_the_frozen_digest_on_a_multi_phase_transient() {
     // Three phases with a per-phase load override under PB routing, whose
     // every-cycle dissemination forbids the drain fast-forward — the
     // control-plane-heavy corner of the phase pipeline.
@@ -365,11 +368,7 @@ fn parallel_matches_optimized_and_legacy_on_a_multi_phase_transient() {
         rich_fingerprint(cfg)
     };
     let optimized = run(KernelMode::Optimized);
-    assert_eq!(
-        optimized,
-        run(KernelMode::Legacy),
-        "sequential kernels diverge"
-    );
+    assert_frozen("UN-storm-UN under PB", &optimized, 0xB39F_C869_F129_251C);
     for &workers in WORKER_COUNTS {
         assert_eq!(
             run(KernelMode::Parallel { workers }),

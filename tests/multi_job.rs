@@ -12,8 +12,10 @@
 //!    `tests/common/golden_corpus.rs` fingerprints every mix × routing cell
 //!    on both topologies. The configurations do not set a [`KernelMode`],
 //!    so CI replays the table under every kernel bit-for-bit.
-//! 3. **Cross-kernel bit-identity** — optimized, legacy and parallel
-//!    (1, 2 and 4 workers) kernels compared directly on the same job sets.
+//! 3. **Cross-kernel bit-identity** — optimized and parallel (1, 2 and 4
+//!    workers) kernels compared directly on the same job sets, and the
+//!    optimized fingerprints against the digests frozen from the retired
+//!    seed kernel.
 //! 4. **Snapshot/resume mid-run (format v4)** — a snapshot taken with jobs
 //!    mid-collective resumes bit-identically under the same kernel and
 //!    across kernels, and re-snapshotting a restored network reproduces
@@ -39,6 +41,10 @@
 //! [`ConfigError`]: contention_dragonfly::prelude::ConfigError
 
 use contention_dragonfly::prelude::*;
+
+#[path = "common/frozen.rs"]
+#[allow(dead_code)] // the drain helpers are used by the drain suites
+mod frozen;
 
 #[path = "common/golden_corpus.rs"]
 #[allow(dead_code)]
@@ -200,17 +206,23 @@ fn regenerate_multi_job_corpus() {
 #[test]
 fn job_sets_are_bit_identical_across_kernels() {
     let kernels = [
-        KernelMode::Optimized,
-        KernelMode::Legacy,
         KernelMode::Parallel { workers: 1 },
         KernelMode::Parallel { workers: 2 },
         KernelMode::Parallel { workers: 4 },
     ];
     let (_, jobs) = job_mixes().remove(1);
-    for routing in [RoutingKind::Base, RoutingKind::PiggyBacking] {
+    for (routing, frozen) in [
+        (RoutingKind::Base, 0xE94E_60A4_E745_2D7B),
+        (RoutingKind::PiggyBacking, 0xFF2A_D738_5030_51A3),
+    ] {
         let mut cfg = job_set_config(jobs.clone(), routing);
         cfg.kernel = KernelMode::Optimized;
         let reference = job_set_fingerprint(cfg.clone());
+        frozen::assert_frozen(
+            &format!("3-job mix under {}", routing.label()),
+            &reference,
+            frozen,
+        );
         for kernel in kernels {
             let mut k = cfg.clone();
             k.kernel = kernel;
@@ -281,21 +293,25 @@ fn snapshot_mid_jobs_resumes_bit_identically() {
         "v4 round-trip is byte-identical"
     );
 
-    // kernel portability: finish the same snapshot under legacy and parallel
-    for kernel in [KernelMode::Legacy, KernelMode::Parallel { workers: 2 }] {
-        let mut k = cfg.clone();
-        k.kernel = kernel;
-        let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
-        assert_eq!(
-            n.run_until_jobs_complete(200_000),
-            Some(done),
-            "{kernel:?} resumed to a different makespan"
-        );
-        assert_eq!(
-            n.metrics().delivered_packets_total(),
-            reference.metrics().delivered_packets_total()
-        );
-    }
+    // kernel portability: finish the same snapshot under the parallel
+    // kernel; both land where the retired seed kernel landed from it
+    frozen::assert_frozen(
+        "resumed job set",
+        &(done, reference.metrics().delivered_packets_total()),
+        0xCA44_A3F0_381B_823C,
+    );
+    let mut k = cfg.clone();
+    k.kernel = KernelMode::Parallel { workers: 2 };
+    let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
+    assert_eq!(
+        n.run_until_jobs_complete(200_000),
+        Some(done),
+        "parallel(2) resumed to a different makespan"
+    );
+    assert_eq!(
+        n.metrics().delivered_packets_total(),
+        reference.metrics().delivered_packets_total()
+    );
 }
 
 #[test]
@@ -328,11 +344,6 @@ fn job_snapshot_rejects_configuration_disagreement() {
 
 #[test]
 fn pinned_interference_cell_is_strictly_worse_than_solo() {
-    let kernels = [
-        KernelMode::Optimized,
-        KernelMode::Legacy,
-        KernelMode::Parallel { workers: 4 },
-    ];
     let mut cfg = job_set_config(interference_jobs(), RoutingKind::Base);
     cfg.kernel = KernelMode::Optimized;
     let reference = run_interference(cfg.clone(), 200_000);
@@ -361,15 +372,14 @@ fn pinned_interference_cell_is_strictly_worse_than_solo() {
             .collect()
     };
     let expected = fingerprint(&reference);
-    for kernel in kernels {
-        let mut k = cfg.clone();
-        k.kernel = kernel;
-        assert_eq!(
-            fingerprint(&run_interference(k, 200_000)),
-            expected,
-            "interference comparison diverged on {kernel:?}"
-        );
-    }
+    frozen::assert_frozen("interference cell", &expected, 0x47AF_FCC9_F0E9_9C75);
+    let mut k = cfg.clone();
+    k.kernel = KernelMode::Parallel { workers: 4 };
+    assert_eq!(
+        fingerprint(&run_interference(k, 200_000)),
+        expected,
+        "interference comparison diverged on parallel(4)"
+    );
 
     // and survives a mid-run snapshot/resume byte-identically
     let mut first = Network::new(cfg.clone());

@@ -6,13 +6,17 @@
 //! The property is checked at pseudo-randomly drawn checkpoint cycles
 //! (warmup, mid-measurement, inside fault windows, mid-churn) and across
 //! kernels: a snapshot written by the optimized kernel resumes under the
-//! legacy and parallel kernels at several worker counts, because snapshots
-//! are kernel-portable by construction (the config fingerprint is
-//! kernel-normalized and the event queue is rebuilt per kernel on restore).
+//! parallel kernel at several worker counts, because snapshots are
+//! kernel-portable by construction (the config fingerprint is
+//! kernel-normalized and no kernel-specific state is stored).
 //! The resumed golden run must also reproduce the literal pinned constants
 //! of `determinism::golden_summary_is_pinned`.
 
 use contention_dragonfly::prelude::*;
+
+#[path = "common/frozen.rs"]
+#[allow(dead_code)] // the drain helpers are used by the drain suites
+mod frozen;
 
 fn base_config(kernel: KernelMode) -> SimulationConfig {
     SimulationConfig::builder()
@@ -140,14 +144,15 @@ fn resume_is_bit_identical_at_random_checkpoints() {
 #[test]
 fn snapshots_resume_bit_identically_under_every_kernel() {
     // One optimized-kernel snapshot per checkpoint, resumed under the
-    // legacy heap kernel and the sharded parallel kernel at 1, 2 and 4
-    // workers: the mixed-kernel run must still match the uninterrupted
-    // optimized reference, because the kernels are bit-identical and the
-    // snapshot carries no kernel-specific state.
+    // sharded parallel kernel at 1, 2 and 4 workers: the mixed-kernel run
+    // must still match the uninterrupted optimized reference, because the
+    // kernels are bit-identical and the snapshot carries no kernel-specific
+    // state. The reference itself is pinned to what the retired seed kernel
+    // reached when it resumed the same snapshots.
     let cfg = base_config(KernelMode::Optimized);
     let reference = straight_run(&cfg);
+    frozen::assert_frozen("uninterrupted reference", &reference, 0x2CA2_2512_C548_C33F);
     let resumes = [
-        KernelMode::Legacy,
         KernelMode::Parallel { workers: 1 },
         KernelMode::Parallel { workers: 2 },
         KernelMode::Parallel { workers: 4 },
