@@ -14,35 +14,42 @@
 
 use df_engine::Table;
 use df_routing::RoutingKind;
-use df_sim::{run_task_workload, SimulationConfig};
-use df_traffic::{AllReduceAlgorithm, CollectiveKind, PatternKind, RankPlacement, TaskWorkload};
+use df_sim::{run_job_set, SimulationConfig};
+use df_traffic::{
+    AllReduceAlgorithm, CollectiveKind, JobPlacement, JobSpec, PatternKind, TaskWorkload,
+};
 
-/// The workload mix: every collective kind, both all-reduce algorithms,
-/// both placements, and a barrier-gated sequence. Rank counts stay valid
-/// on every scale (the smallest topology has 72 nodes).
-fn workloads() -> Vec<TaskWorkload> {
+/// The workload mix, each a job of its own: every collective kind, both
+/// all-reduce algorithms, both placements, and a barrier-gated sequence.
+/// Rank counts stay valid on every scale (the smallest topology has 72
+/// nodes).
+fn jobs() -> Vec<JobSpec> {
+    let spread = JobPlacement::group_spread(0);
+    let block = JobPlacement::block(0);
+    let rd = CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling);
     vec![
-        TaskWorkload::single(CollectiveKind::AllToAll, 16, 2)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 16, 2),
-        TaskWorkload::single(
-            CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            16,
-            2,
-        )
-        .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::Barrier, 32, 1)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::SweepNeighbors, 16, 4),
-        TaskWorkload {
-            ranks: 16,
-            placement: RankPlacement::GroupSpread,
-            sequence: vec![
-                CollectiveKind::Barrier,
-                CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            ],
-            packets_per_message: 2,
-        },
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllToAll, 16, 2),
+            spread,
+        ),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 16, 2),
+            block,
+        ),
+        JobSpec::new(TaskWorkload::single(rd, 16, 2), spread),
+        JobSpec::new(TaskWorkload::single(CollectiveKind::Barrier, 32, 1), spread),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::SweepNeighbors, 16, 4),
+            block,
+        ),
+        JobSpec::new(
+            TaskWorkload {
+                ranks: 16,
+                sequence: vec![CollectiveKind::Barrier, rd],
+                packets_per_message: 2,
+            },
+            spread,
+        ),
     ]
 }
 
@@ -75,21 +82,25 @@ fn main() {
             "avg_packet_latency",
         ],
     );
-    for workload in workloads() {
+    for job in jobs() {
+        let workload = &job.workload;
         for routing in ROUTINGS {
+            // a closed run: the collective alone on the network (offered
+            // load 0 switches the stochastic injectors off)
             let config = SimulationConfig::builder()
                 .topology(scale.topology)
                 .network(scale.network)
                 .routing(routing)
                 .pattern(PatternKind::Uniform)
-                .offered_load(0.2)
+                .offered_load(0.0)
                 .warmup_cycles(200)
                 .measurement_cycles(400)
                 .seed(11)
-                .workload(workload.clone())
+                .job(job.clone())
                 .build()
                 .expect("valid collective configuration");
-            let report = run_task_workload(config, 2_000_000);
+            let set = run_job_set(config, 2_000_000);
+            let report = &set.jobs[0];
             assert!(
                 report.completed,
                 "{} under {} must complete within the cycle budget",
@@ -102,11 +113,11 @@ fn main() {
                 workload.ranks.to_string(),
                 report.total_steps.to_string(),
                 report.completion_cycle.expect("completed").to_string(),
-                report.delivered_packets.to_string(),
+                set.delivered_packets.to_string(),
                 report.total_stall_cycles.to_string(),
                 report.max_rank_stall_cycles.to_string(),
                 format!("{:.2}", report.mean_rank_stall_cycles),
-                format!("{:.3}", report.avg_packet_latency),
+                format!("{:.3}", set.avg_packet_latency),
             ]);
         }
     }

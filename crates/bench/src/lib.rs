@@ -3,7 +3,7 @@
 //! One function per table/figure of the paper's evaluation section. Each
 //! function sweeps the relevant parameter (offered load, traffic mix,
 //! misrouting threshold, time) for the relevant set of routing mechanisms and
-//! returns [`Table`]s with the same rows/series the paper plots.
+//! returns [`df_engine::Table`]s with the same rows/series the paper plots.
 //!
 //! The binaries in `src/bin/` (one per figure) print these tables at a
 //! selectable scale; the Criterion benches in `benches/` time representative

@@ -39,6 +39,8 @@
 //! first live node scanning upward from `node + 1` (wrapping). A failure
 //! with no live spare anywhere — only possible when every other node is
 //! simultaneously down — is skipped along with its repair.
+//!
+//! [`FaultKind::NodeFail`]: crate::fault::FaultKind::NodeFail
 
 use crate::fault::FaultPlan;
 use df_engine::DeterministicRng;

@@ -3,9 +3,7 @@
 use df_model::NetworkConfig;
 use df_routing::{RoutingConfig, RoutingKind};
 use df_topology::{DragonflyParams, TopologyParams};
-use df_traffic::{
-    validate_job_disjointness, InjectionKind, JobSpec, PatternKind, TaskWorkload, TrafficSchedule,
-};
+use df_traffic::{validate_job_disjointness, InjectionKind, JobSpec, PatternKind, TrafficSchedule};
 use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnModel;
@@ -132,7 +130,8 @@ pub enum ConfigError {
     Faults(String),
     /// The attached churn model is invalid.
     Churn(String),
-    /// The `workload` field does not fit the topology.
+    /// A job of the `jobs` field does not fit the topology, or two jobs
+    /// overlap.
     Workload(String),
     /// One phase of the `schedule` field is invalid.
     SchedulePhase {
@@ -161,7 +160,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Kernel(e) => write!(f, "kernel: {e}"),
             ConfigError::Faults(e) => write!(f, "faults: {e}"),
             ConfigError::Churn(e) => write!(f, "churn: {e}"),
-            ConfigError::Workload(e) => write!(f, "workload: {e}"),
+            ConfigError::Workload(e) => write!(f, "jobs: {e}"),
             ConfigError::SchedulePhase { phase, reason } => {
                 write!(f, "schedule phase {phase}: {reason}")
             }
@@ -196,17 +195,13 @@ pub struct SimulationConfig {
     pub injection: InjectionKind,
     /// Timed link/router fault events (empty for healthy-network runs).
     pub faults: FaultPlan,
-    /// Optional rank-level task workload. When set, nodes stop running their
-    /// stochastic injectors and instead execute the workload's
-    /// dependency-gated collective sequence (see `df_sim::task`); when
-    /// `None`, the task layer is completely inert and the run is a plain
-    /// packet-level experiment.
-    pub workload: Option<TaskWorkload>,
-    /// Concurrent multi-job traffic: several collective applications with
-    /// node-disjoint placements sharing the network. Unlike `workload`,
-    /// jobs layer *over* the stochastic injectors — collectives run under
-    /// background load. Mutually exclusive with `workload`; empty means no
-    /// job layer at all.
+    /// Application traffic: collective applications with node-disjoint
+    /// placements sharing the network, their ranks executing
+    /// dependency-gated collective sequences (see `df_sim::task`). Jobs
+    /// layer *over* the stochastic injectors — collectives run under
+    /// background load; a closed run (one collective alone on the network)
+    /// is a one-job set at `offered_load` 0. Empty means the task layer is
+    /// completely inert and the run is a plain packet-level experiment.
     #[serde(default)]
     pub jobs: Vec<JobSpec>,
     /// Offered load in phits/(node·cycle).
@@ -260,21 +255,7 @@ impl SimulationConfig {
         }
         let topo = self.topology.build();
         self.faults.validate(&topo).map_err(ConfigError::Faults)?;
-        if let Some(workload) = &self.workload {
-            let groups = self.topology.num_groups();
-            let nodes_per_group = self.topology.nodes_per_group();
-            workload
-                .validate(groups, nodes_per_group)
-                .map_err(ConfigError::Workload)?;
-        }
         if !self.jobs.is_empty() {
-            if self.workload.is_some() {
-                return Err(ConfigError::Workload(
-                    "a single task workload and a job set are mutually exclusive \
-                     (wrap the workload in a JobSpec to combine them)"
-                        .into(),
-                ));
-            }
             let groups = self.topology.num_groups();
             let nodes_per_group = self.topology.nodes_per_group();
             for (i, job) in self.jobs.iter().enumerate() {
@@ -303,6 +284,32 @@ impl SimulationConfig {
         }
         Ok(())
     }
+
+    /// Replace the workload half of this configuration with `scenario`'s:
+    /// its phases become the traffic schedule, and its injection process,
+    /// explicitly attached fault events and job set replace the current
+    /// ones. The scenario's churn model is *not* lowered here — follow with
+    /// [`lower_churn`](Self::lower_churn) once the topology is final. The
+    /// one scenario → configuration mapping: the builder and
+    /// [`ScenarioMatrix::cells`](crate::sweep::ScenarioMatrix::cells) both
+    /// go through it.
+    pub(crate) fn set_scenario(&mut self, scenario: &Scenario) {
+        self.schedule = scenario.schedule();
+        self.injection = scenario.injection;
+        self.faults = scenario.fault_plan().clone();
+        self.jobs = scenario.jobs().to_vec();
+    }
+
+    /// Lower `churn` against this configuration's topology into concrete
+    /// fault events and merge them into the fault plan. The lowering depends
+    /// on nothing but the model (its own seed included) and the topology —
+    /// never on the run's traffic seed, routing or kernel.
+    pub(crate) fn lower_churn(&mut self, churn: &ChurnModel) -> Result<(), ConfigError> {
+        churn.validate().map_err(ConfigError::Churn)?;
+        let generated = churn.generate(&self.topology.build());
+        self.faults = std::mem::take(&mut self.faults).merged(generated);
+        Ok(())
+    }
 }
 
 /// Builder for [`SimulationConfig`].
@@ -314,41 +321,35 @@ impl SimulationConfig {
 /// larger values.
 #[derive(Debug, Clone)]
 pub struct SimulationConfigBuilder {
-    topology: TopologyParams,
-    network: NetworkConfig,
-    routing: RoutingKind,
+    /// The configuration being assembled. Its `routing_config` is a
+    /// placeholder until [`build`](Self::build) resolves it.
+    config: SimulationConfig,
+    /// Explicit routing thresholds (`None` = calibrate for the topology).
     routing_config: Option<RoutingConfig>,
-    schedule: TrafficSchedule,
-    injection: InjectionKind,
-    faults: FaultPlan,
+    /// Churn model to lower into `config.faults` at build time.
     churn: Option<ChurnModel>,
-    workload: Option<TaskWorkload>,
-    jobs: Vec<JobSpec>,
-    offered_load: f64,
-    seed: u64,
-    warmup_cycles: u64,
-    measurement_cycles: u64,
-    kernel: KernelMode,
 }
 
 impl Default for SimulationConfigBuilder {
     fn default() -> Self {
         SimulationConfigBuilder {
-            topology: DragonflyParams::small().into(),
-            network: NetworkConfig::paper_table1(),
-            routing: RoutingKind::Base,
+            config: SimulationConfig {
+                topology: DragonflyParams::small().into(),
+                network: NetworkConfig::paper_table1(),
+                routing: RoutingKind::Base,
+                routing_config: RoutingConfig::paper_table1(),
+                schedule: TrafficSchedule::constant(PatternKind::Uniform),
+                injection: InjectionKind::Bernoulli,
+                faults: FaultPlan::new(),
+                jobs: Vec::new(),
+                offered_load: 0.1,
+                seed: 0,
+                warmup_cycles: 1_000,
+                measurement_cycles: 2_000,
+                kernel: KernelMode::from_env(),
+            },
             routing_config: None,
-            schedule: TrafficSchedule::constant(PatternKind::Uniform),
-            injection: InjectionKind::Bernoulli,
-            faults: FaultPlan::new(),
             churn: None,
-            workload: None,
-            jobs: Vec::new(),
-            offered_load: 0.1,
-            seed: 0,
-            warmup_cycles: 1_000,
-            measurement_cycles: 2_000,
-            kernel: KernelMode::from_env(),
         }
     }
 }
@@ -358,19 +359,19 @@ impl SimulationConfigBuilder {
     /// [`DragonflyParams`], [`df_topology::MegaflyParams`] or a
     /// [`TopologyParams`] directly.
     pub fn topology(mut self, topology: impl Into<TopologyParams>) -> Self {
-        self.topology = topology.into();
+        self.config.topology = topology.into();
         self
     }
 
     /// Set the router/link configuration.
     pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
+        self.config.network = network;
         self
     }
 
     /// Set the routing mechanism.
     pub fn routing(mut self, routing: RoutingKind) -> Self {
-        self.routing = routing;
+        self.config.routing = routing;
         self
     }
 
@@ -383,38 +384,34 @@ impl SimulationConfigBuilder {
 
     /// Use a constant traffic pattern.
     pub fn pattern(mut self, pattern: PatternKind) -> Self {
-        self.schedule = TrafficSchedule::constant(pattern);
+        self.config.schedule = TrafficSchedule::constant(pattern);
         self
     }
 
     /// Use an arbitrary traffic schedule (transient experiments).
     pub fn schedule(mut self, schedule: TrafficSchedule) -> Self {
-        self.schedule = schedule;
+        self.config.schedule = schedule;
         self
     }
 
     /// Set the injection process (Bernoulli by default).
     pub fn injection(mut self, injection: InjectionKind) -> Self {
-        self.injection = injection;
+        self.config.injection = injection;
         self
     }
 
     /// Apply a declarative [`Scenario`]: its phases become the traffic
-    /// schedule, and its injection process, fault plan and task workload
-    /// replace the current ones.
+    /// schedule, and its injection process, fault plan, churn model and job
+    /// set replace the current ones.
     pub fn scenario(mut self, scenario: &Scenario) -> Self {
-        self.schedule = scenario.schedule();
-        self.injection = scenario.injection;
-        self.faults = scenario.fault_plan().clone();
+        self.config.set_scenario(scenario);
         self.churn = scenario.churn_model().cloned();
-        self.workload = scenario.workload().cloned();
-        self.jobs = scenario.jobs().to_vec();
         self
     }
 
     /// Set the fault plan (empty, i.e. a healthy network, by default).
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.config.faults = faults;
         self
     }
 
@@ -429,53 +426,46 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Attach a rank-level task workload: nodes hosting ranks execute its
-    /// collective sequence instead of running their stochastic injectors.
-    pub fn workload(mut self, workload: TaskWorkload) -> Self {
-        self.workload = Some(workload);
-        self
-    }
-
-    /// Set the whole job set at once (multi-job traffic; node-disjointness
-    /// and placement bounds are validated at [`build`](Self::build) time).
+    /// Set the whole job set at once (node-disjointness and placement
+    /// bounds are validated at [`build`](Self::build) time).
     pub fn jobs(mut self, jobs: Vec<JobSpec>) -> Self {
-        self.jobs = jobs;
+        self.config.jobs = jobs;
         self
     }
 
     /// Append one job to the job set (builder style).
     pub fn job(mut self, job: JobSpec) -> Self {
-        self.jobs.push(job);
+        self.config.jobs.push(job);
         self
     }
 
     /// Set the offered load in phits/(node·cycle).
     pub fn offered_load(mut self, load: f64) -> Self {
-        self.offered_load = load;
+        self.config.offered_load = load;
         self
     }
 
     /// Set the random seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Set the warm-up length in cycles.
     pub fn warmup_cycles(mut self, cycles: u64) -> Self {
-        self.warmup_cycles = cycles;
+        self.config.warmup_cycles = cycles;
         self
     }
 
     /// Set the measurement window length in cycles.
     pub fn measurement_cycles(mut self, cycles: u64) -> Self {
-        self.measurement_cycles = cycles;
+        self.config.measurement_cycles = cycles;
         self
     }
 
     /// Select the kernel mode.
     pub fn kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
+        self.config.kernel = kernel;
         self
     }
 
@@ -483,33 +473,13 @@ impl SimulationConfigBuilder {
     /// lowered here: its generated fault events are merged into the fault
     /// plan and the combined plan is validated like any hand-written one.
     pub fn build(self) -> Result<SimulationConfig, ConfigError> {
-        let routing_config = self.routing_config.unwrap_or_else(|| {
-            RoutingConfig::calibrated_for(&self.topology.layout(), &self.network.vcs)
+        let mut config = self.config;
+        config.routing_config = self.routing_config.unwrap_or_else(|| {
+            RoutingConfig::calibrated_for(&config.topology.layout(), &config.network.vcs)
         });
-        let faults = match &self.churn {
-            Some(churn) => {
-                churn.validate().map_err(ConfigError::Churn)?;
-                let topo = self.topology.build();
-                self.faults.clone().merged(churn.generate(&topo))
-            }
-            None => self.faults,
-        };
-        let config = SimulationConfig {
-            topology: self.topology,
-            network: self.network,
-            routing: self.routing,
-            routing_config,
-            schedule: self.schedule,
-            injection: self.injection,
-            faults,
-            workload: self.workload,
-            jobs: self.jobs,
-            offered_load: self.offered_load,
-            seed: self.seed,
-            warmup_cycles: self.warmup_cycles,
-            measurement_cycles: self.measurement_cycles,
-            kernel: self.kernel,
-        };
+        if let Some(churn) = &self.churn {
+            config.lower_churn(churn)?;
+        }
         config.validate()?;
         Ok(config)
     }

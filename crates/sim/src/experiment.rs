@@ -14,7 +14,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::SimulationConfig;
 use crate::network::Network;
-use crate::telemetry::{StreamingTelemetry, WindowStats};
 
 /// Result of one steady-state run (or the average of several seeds).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,6 +55,35 @@ pub struct SteadyStateReport {
     pub seed: u64,
 }
 
+impl SteadyStateReport {
+    /// Read the report off a network that has just finished its configured
+    /// warm-up and measurement window (identification fields and the window
+    /// length come from the network's configuration).
+    pub(crate) fn measure(net: &Network) -> Self {
+        let config = net.config();
+        let metrics = net.metrics();
+        let summary = metrics.window_summary();
+        SteadyStateReport {
+            routing: config.routing,
+            pattern: config.schedule.phases()[0].pattern,
+            offered_load: config.offered_load,
+            accepted_load: metrics
+                .accepted_load(config.topology.num_nodes(), config.measurement_cycles),
+            avg_packet_latency: summary.avg_packet_latency,
+            latency_ci95: summary.latency_ci95,
+            p99_latency: summary.p99_latency,
+            avg_hops: summary.avg_hops,
+            global_misroute_fraction: summary.global_misroute_fraction,
+            local_misroute_fraction: summary.local_misroute_fraction,
+            delivered_packets: summary.delivered_packets,
+            dropped_on_fault_packets: metrics.dropped_on_fault_packets(),
+            retargeted_packets: metrics.retargeted_packets(),
+            injected_packets: net.injected_packets_total(),
+            seed: config.seed,
+        }
+    }
+}
+
 /// A steady-state experiment: one configuration, one run.
 #[derive(Debug, Clone)]
 pub struct SteadyStateExperiment {
@@ -80,28 +108,7 @@ impl SteadyStateExperiment {
         let start = net.cycle();
         net.metrics_mut().start_measurement(start);
         net.run_cycles(self.config.measurement_cycles);
-        let summary = net.metrics().window_summary();
-        let accepted = net.metrics().accepted_load(
-            self.config.topology.num_nodes(),
-            self.config.measurement_cycles,
-        );
-        SteadyStateReport {
-            routing: self.config.routing,
-            pattern: self.config.schedule.phases()[0].pattern,
-            offered_load: self.config.offered_load,
-            accepted_load: accepted,
-            avg_packet_latency: summary.avg_packet_latency,
-            latency_ci95: summary.latency_ci95,
-            p99_latency: summary.p99_latency,
-            avg_hops: summary.avg_hops,
-            global_misroute_fraction: summary.global_misroute_fraction,
-            local_misroute_fraction: summary.local_misroute_fraction,
-            delivered_packets: summary.delivered_packets,
-            dropped_on_fault_packets: net.metrics().dropped_on_fault_packets(),
-            retargeted_packets: net.metrics().retargeted_packets(),
-            injected_packets: net.injected_packets_total(),
-            seed: self.config.seed,
-        }
+        SteadyStateReport::measure(&net)
     }
 
     /// Run the same experiment with `num_seeds` consecutive seeds (starting
@@ -117,61 +124,6 @@ impl SteadyStateExperiment {
             })
             .collect();
         average_reports(&self.config, &reports)
-    }
-
-    /// Run with streaming telemetry and automatic warm-up detection instead
-    /// of the configured fixed budgets: windows of `opts.window_cycles` are
-    /// simulated until the run turns steady (or `opts.max_warmup_windows`
-    /// elapse), the measurement window opens there, and measurement runs for
-    /// `opts.measure_windows` further windows.
-    pub fn run_streaming(&self, opts: &StreamingRunOptions) -> StreamingReport {
-        opts.validate().expect("valid streaming options");
-        let mut net = Network::new(self.config.clone());
-        let mut telemetry = StreamingTelemetry::new(&net, opts.window_cycles);
-
-        let mut steady = false;
-        for _ in 0..opts.max_warmup_windows {
-            telemetry.step_window(&mut net);
-            if telemetry.steady(opts.stability_windows, opts.tolerance) {
-                steady = true;
-                break;
-            }
-        }
-        let warmup_cycles = net.cycle();
-        net.metrics_mut().start_measurement(warmup_cycles);
-        for _ in 0..opts.measure_windows {
-            telemetry.step_window(&mut net);
-        }
-        let measurement_cycles = net.cycle() - warmup_cycles;
-
-        let summary = net.metrics().window_summary();
-        let accepted = net
-            .metrics()
-            .accepted_load(self.config.topology.num_nodes(), measurement_cycles);
-        let report = SteadyStateReport {
-            routing: self.config.routing,
-            pattern: self.config.schedule.phases()[0].pattern,
-            offered_load: self.config.offered_load,
-            accepted_load: accepted,
-            avg_packet_latency: summary.avg_packet_latency,
-            latency_ci95: summary.latency_ci95,
-            p99_latency: summary.p99_latency,
-            avg_hops: summary.avg_hops,
-            global_misroute_fraction: summary.global_misroute_fraction,
-            local_misroute_fraction: summary.local_misroute_fraction,
-            delivered_packets: summary.delivered_packets,
-            dropped_on_fault_packets: net.metrics().dropped_on_fault_packets(),
-            retargeted_packets: net.metrics().retargeted_packets(),
-            injected_packets: net.injected_packets_total(),
-            seed: self.config.seed,
-        };
-        StreamingReport {
-            steady_state_detected: steady,
-            warmup_cycles,
-            measurement_cycles,
-            windows: telemetry.windows().to_vec(),
-            report,
-        }
     }
 }
 
@@ -223,71 +175,6 @@ pub fn average_reports(
         injected_packets: injected,
         seed: reports.len() as u64,
     }
-}
-
-/// Options of [`SteadyStateExperiment::run_streaming`].
-#[derive(Debug, Clone)]
-pub struct StreamingRunOptions {
-    /// Telemetry window width in cycles.
-    pub window_cycles: u64,
-    /// Trailing windows that must agree for steady-state declaration.
-    pub stability_windows: usize,
-    /// Relative spread tolerated across those windows (e.g. `0.08` = ±8 %).
-    pub tolerance: f64,
-    /// Warm-up budget: give up waiting for steadiness after this many
-    /// windows (saturated runs never settle).
-    pub max_warmup_windows: usize,
-    /// Measurement length in windows once the window opens.
-    pub measure_windows: usize,
-}
-
-impl Default for StreamingRunOptions {
-    fn default() -> Self {
-        StreamingRunOptions {
-            window_cycles: 500,
-            stability_windows: 4,
-            tolerance: 0.15,
-            max_warmup_windows: 40,
-            measure_windows: 8,
-        }
-    }
-}
-
-impl StreamingRunOptions {
-    /// Validate the combination of options.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.window_cycles == 0 {
-            return Err("telemetry windows need a nonzero width".into());
-        }
-        if self.stability_windows < 2 {
-            return Err("steady-state detection needs at least two windows".into());
-        }
-        if self.measure_windows == 0 {
-            return Err("measurement needs at least one window".into());
-        }
-        if !(self.tolerance > 0.0 && self.tolerance.is_finite()) {
-            return Err("the stability tolerance must be positive and finite".into());
-        }
-        Ok(())
-    }
-}
-
-/// Result of a streaming run: the adaptive budgets actually used, the full
-/// window series, and the standard steady-state report measured after the
-/// detected warm-up.
-#[derive(Debug, Clone)]
-pub struct StreamingReport {
-    /// Whether the stability criterion fired (false = the warm-up budget ran
-    /// out, e.g. a saturated cell; the measurement still happened).
-    pub steady_state_detected: bool,
-    /// Cycle at which the measurement window opened.
-    pub warmup_cycles: u64,
-    /// Measured cycles after the window opened.
-    pub measurement_cycles: u64,
-    /// Every telemetry window of the run (warm-up and measurement).
-    pub windows: Vec<WindowStats>,
-    /// The steady-state report of the adaptive measurement window.
-    pub report: SteadyStateReport,
 }
 
 /// Result of a transient experiment: time series centred on the

@@ -18,10 +18,11 @@
 //! * [`runner`] — the crash-recoverable sweep service: journaled cell
 //!   completions plus periodic [`network::snapshot`] checkpoints in a run
 //!   directory, resumable to a byte-identical results table,
-//! * [`task`] — the collective task layer: ranks executing message-gated
-//!   communication scripts (all-reduce, all-to-all, barriers) on top of
-//!   the packet engine, with application completion time and rank stall
-//!   accounting ([`task::TaskEngine`]),
+//! * [`task`] — the collective task layer: job sets whose ranks execute
+//!   message-gated communication scripts (all-reduce, all-to-all,
+//!   barriers) on top of the packet engine, alone (offered load 0) or
+//!   under background traffic, with per-job completion time and rank
+//!   stall accounting ([`task::JobsEngine`]),
 //! * [`telemetry`] — streaming per-window statistics and automatic
 //!   steady-state detection ([`StreamingTelemetry`]),
 //! * [`metrics`], [`events`], [`node`] — supporting machinery.
@@ -68,8 +69,7 @@ pub mod telemetry;
 pub use churn::{ChurnModel, ChurnRate};
 pub use config::{ConfigError, KernelMode, SimulationConfig, SimulationConfigBuilder};
 pub use experiment::{
-    average_reports, SteadyStateExperiment, SteadyStateReport, StreamingReport,
-    StreamingRunOptions, TransientExperiment, TransientReport,
+    average_reports, SteadyStateExperiment, SteadyStateReport, TransientExperiment, TransientReport,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{Metrics, WindowSummary};
@@ -78,11 +78,11 @@ pub use network::Network;
 pub use runner::{run_sweep_service, RunnerOptions, SweepOutcome};
 pub use scenario::{Scenario, ScenarioPhase};
 pub use sweep::{
-    cell_seed, intra_cell_workers, load_sweep, matrix_table, num_threads, run_matrix,
-    run_matrix_budgeted, run_sweep, split_thread_budget, MatrixCell, MatrixKey, ScenarioMatrix,
+    cell_seed, load_sweep, matrix_table, num_threads, run_matrix, run_sweep, MatrixCell, MatrixKey,
+    ScenarioMatrix,
 };
 pub use task::{
-    run_interference, run_job_set, run_task_workload, InterferenceReport, JobReport, JobSetReport,
-    JobsEngine, TaskEngine, TaskReport,
+    run_interference, run_job_set, InterferenceReport, JobReport, JobSetReport, JobsEngine,
+    TaskEngine,
 };
 pub use telemetry::{StreamingTelemetry, WindowStats};

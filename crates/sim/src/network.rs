@@ -61,6 +61,9 @@
 //! exactly — results are bit-identical for any worker count (see the
 //! `parallel` module docs for the full argument and
 //! `tests/kernel_equivalence.rs` for the proof-by-regression).
+//!
+//! [`KernelMode::Optimized`]: crate::KernelMode::Optimized
+//! [`KernelMode::Parallel`]: crate::KernelMode::Parallel
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, VcId};
@@ -78,7 +81,7 @@ use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::Node;
 use crate::parallel::{execute_shard, PhaseJob, PhaseKind, ShardState, StepCtx, WorkerPool};
-use crate::task::{JobsEngine, TaskEngine};
+use crate::task::JobsEngine;
 
 #[path = "snapshot.rs"]
 pub mod snapshot;
@@ -149,16 +152,11 @@ pub struct Network {
     /// for the injection retarget).
     nodes_failed_count: usize,
     // ---- task layer ----
-    /// The collective task engine (`Some` only when the configuration
-    /// carries a task workload, in which case it replaces stochastic
-    /// generation entirely). All engine mutations happen on the main thread
-    /// in steps 1–2, so task runs are bit-identical across kernels.
-    task: Option<TaskEngine>,
-    /// The multi-job engine (`Some` only when the configuration carries a
-    /// job set). Unlike the single-workload mode, job traffic layers *over*
-    /// stochastic generation — collectives run under background load. All
-    /// mutations happen on the main thread in steps 1–2, so multi-job runs
-    /// are bit-identical across kernels too.
+    /// The job engine (`Some` only when the configuration carries a job
+    /// set). Job traffic layers *over* stochastic generation — collectives
+    /// run under background load, or alone at offered load 0. All mutations
+    /// happen on the main thread in steps 1–2, so job runs are bit-identical
+    /// across kernels.
     jobs: Option<JobsEngine>,
     // ---- activity gate ----
     /// Whether the routing mechanism disseminates control state every cycle
@@ -251,10 +249,6 @@ impl Network {
         change_points.sort_unstable();
         change_points.dedup();
         let fault_events = config.faults.sorted_events();
-        let task = config
-            .workload
-            .as_ref()
-            .map(|w| TaskEngine::new(w, &topo, config.network.packet_size_phits));
         let jobs = (!config.jobs.is_empty())
             .then(|| JobsEngine::new(&config.jobs, &topo, config.network.packet_size_phits));
         let num_routers = routers.len();
@@ -290,7 +284,6 @@ impl Network {
             node_failed: vec![false; num_nodes],
             spare_of: vec![0; num_nodes],
             nodes_failed_count: 0,
-            task,
             jobs,
             control_plane_every_cycle,
             change_points,
@@ -455,10 +448,9 @@ impl Network {
                 && self.active_list.is_empty()
                 && self.all_source_queues_empty()
                 // a waiting rank accrues a stall cycle per real cycle, so the
-                // fast-forward must not skip cycles while a task or job set
-                // is running — jobs can also be waiting on a future
-                // start_cycle with nothing in flight at all
-                && self.task.as_ref().is_none_or(|t| t.is_complete())
+                // fast-forward must not skip cycles while a job set is
+                // running — jobs can also be waiting on a future start_cycle
+                // with nothing in flight at all
                 && self.jobs.as_ref().is_none_or(|j| j.is_complete())
             {
                 if let Some(t) = self.events.next_time() {
@@ -491,12 +483,7 @@ impl Network {
         self.nodes.iter().all(|n| n.queue_len() == 0)
     }
 
-    /// The task engine, when the configuration carries a workload.
-    pub fn task(&self) -> Option<&TaskEngine> {
-        self.task.as_ref()
-    }
-
-    /// The multi-job engine, when the configuration carries a job set.
+    /// The job engine, when the configuration carries a job set.
     pub fn jobs(&self) -> Option<&JobsEngine> {
         self.jobs.as_ref()
     }
@@ -504,8 +491,8 @@ impl Network {
     /// Step until every job of the configured job set completes or
     /// `max_cycles` elapse. Returns the job-set makespan (the cycle the
     /// last job's last rank finished), or `None` when the budget ran out —
-    /// or when the configuration carries no jobs at all. Unlike workload
-    /// mode, completion does not imply an empty network: the stochastic
+    /// or when the configuration carries no jobs at all. Completion implies
+    /// an empty network only at offered load 0: otherwise the stochastic
     /// background traffic keeps flowing.
     pub fn run_until_jobs_complete(&mut self, max_cycles: u64) -> Option<Cycle> {
         self.jobs.as_ref()?;
@@ -517,26 +504,6 @@ impl Network {
             self.step();
         }
         self.jobs.as_ref().and_then(|j| j.completion_cycle())
-    }
-
-    /// Step until the task workload completes or `max_cycles` elapse.
-    /// Returns the application completion cycle (the cycle the last rank
-    /// finished), or `None` when the budget ran out — or when the
-    /// configuration carries no workload at all.
-    ///
-    /// Completion implies the network is empty: the last step's sends must
-    /// all have been delivered for their ranks to finish, and no other
-    /// traffic exists in workload mode.
-    pub fn run_until_tasks_complete(&mut self, max_cycles: u64) -> Option<Cycle> {
-        self.task.as_ref()?;
-        let deadline = self.cycle + max_cycles;
-        while self.cycle < deadline {
-            if let Some(done) = self.task.as_ref().and_then(|t| t.completion_cycle()) {
-                return Some(done);
-            }
-            self.step();
-        }
-        self.task.as_ref().and_then(|t| t.completion_cycle())
     }
 
     /// Register upcoming checkpoint cycles as schedule change points, so the
@@ -816,9 +783,6 @@ impl Network {
                     // task attribution (main thread in every kernel): credit
                     // the sender's outstanding sends and the receiver's
                     // per-step receive counter
-                    if let Some(task) = self.task.as_mut() {
-                        task.on_delivery(&packet);
-                    }
                     if let Some(jobs) = self.jobs.as_mut() {
                         jobs.on_delivery(&packet);
                     }
@@ -828,10 +792,12 @@ impl Network {
         self.scratch_events = due;
 
         // ---- 2. generation + injection ----
-        if let Some(task) = self.task.as_mut() {
-            // task workload: ranks advance past completed steps and enqueue
-            // the next step's sends; stochastic generation is off entirely
-            task.advance_and_generate(
+        // jobs layer over stochastic generation: started jobs enqueue their
+        // task packets first (deterministic specification order), then the
+        // background pattern fills in behind them — both feed the same
+        // per-node source queues and the shared injection loop below
+        if let Some(jobs) = self.jobs.as_mut() {
+            jobs.advance_and_generate(
                 now,
                 &mut self.nodes,
                 &mut self.metrics,
@@ -839,35 +805,19 @@ impl Network {
                 &self.node_blocked,
                 &self.node_failed,
             );
-        } else {
-            // job mode layers over stochastic generation: started jobs
-            // enqueue their task packets first (deterministic specification
-            // order), then the background pattern fills in behind them —
-            // both feed the same per-node source queues and the shared
-            // injection loop below
-            if let Some(jobs) = self.jobs.as_mut() {
-                jobs.advance_and_generate(
-                    now,
-                    &mut self.nodes,
-                    &mut self.metrics,
-                    &mut self.next_packet_id,
-                    &self.node_blocked,
-                    &self.node_failed,
-                );
+        }
+        let pattern = &self.patterns[self.current_phase];
+        let blocked = &self.node_blocked;
+        let failed = &self.node_failed;
+        for (idx, node) in self.nodes.iter_mut().enumerate() {
+            // nodes of a draining router, and failed nodes, generate
+            // nothing (their queued packets still inject below)
+            if blocked[idx] || failed[idx] {
+                continue;
             }
-            let pattern = &self.patterns[self.current_phase];
-            let blocked = &self.node_blocked;
-            let failed = &self.node_failed;
-            for (idx, node) in self.nodes.iter_mut().enumerate() {
-                // nodes of a draining router, and failed nodes, generate
-                // nothing (their queued packets still inject below)
-                if blocked[idx] || failed[idx] {
-                    continue;
-                }
-                let phits = node.generate(now, pattern, &mut self.next_packet_id);
-                if phits > 0 {
-                    self.metrics.record_generated(phits as u64);
-                }
+            let phits = node.generate(now, pattern, &mut self.next_packet_id);
+            if phits > 0 {
+                self.metrics.record_generated(phits as u64);
             }
         }
         for node_idx in 0..self.nodes.len() {

@@ -390,28 +390,8 @@ fn run_subrun(
         }
     }
 
-    let summary = net.metrics().window_summary();
-    let accepted = net
-        .metrics()
-        .accepted_load(config.topology.num_nodes(), config.measurement_cycles);
     Ok(SubRunEnd::Finished(
-        SteadyStateReport {
-            routing: config.routing,
-            pattern: config.schedule.phases()[0].pattern,
-            offered_load: config.offered_load,
-            accepted_load: accepted,
-            avg_packet_latency: summary.avg_packet_latency,
-            latency_ci95: summary.latency_ci95,
-            p99_latency: summary.p99_latency,
-            avg_hops: summary.avg_hops,
-            global_misroute_fraction: summary.global_misroute_fraction,
-            local_misroute_fraction: summary.local_misroute_fraction,
-            delivered_packets: summary.delivered_packets,
-            dropped_on_fault_packets: net.metrics().dropped_on_fault_packets(),
-            retargeted_packets: net.metrics().retargeted_packets(),
-            injected_packets: net.injected_packets_total(),
-            seed: config.seed,
-        },
+        SteadyStateReport::measure(&net),
         resumed_at,
     ))
 }
@@ -430,15 +410,9 @@ pub fn run_sweep_service(
     if matrix.seeds_per_cell == 0 {
         return Err("seeds_per_cell must be at least 1".into());
     }
+    let cells = matrix.validated_cells()?;
     fs::create_dir_all(&options.run_dir)
         .map_err(|e| format!("cannot create run dir {}: {e}", options.run_dir.display()))?;
-
-    let cells = matrix.cells();
-    for (key, config) in &cells {
-        config
-            .validate()
-            .map_err(|e| format!("invalid matrix cell {key:?}: {e}"))?;
-    }
     let fingerprint = matrix_fingerprint(matrix);
     let subruns_total = cells.len() * matrix.seeds_per_cell as usize;
 

@@ -36,8 +36,7 @@
 use df_model::Cycle;
 use df_topology::{NodeId, Port, RouterId};
 use df_traffic::{
-    validate_job_disjointness, InjectionKind, JobSpec, PatternKind, PatternPhase, TaskWorkload,
-    TrafficSchedule,
+    validate_job_disjointness, InjectionKind, JobSpec, PatternKind, PatternPhase, TrafficSchedule,
 };
 use serde::{Deserialize, Serialize};
 
@@ -78,14 +77,8 @@ pub struct Scenario {
     /// seed, so the same churn model replays identically across loads,
     /// routings and kernels.
     churn: Option<ChurnModel>,
-    /// Optional rank-level task workload: when present, the scenario's
-    /// nodes execute a collective sequence instead of stochastic injection
-    /// (the phases still drive any non-rank background pattern selection,
-    /// but rank nodes generate only task traffic).
-    workload: Option<TaskWorkload>,
-    /// Multi-job traffic: concurrently scheduled collective applications
-    /// with node-disjoint placements, layered *over* the stochastic phases
-    /// (mutually exclusive with `workload`).
+    /// Application traffic: concurrently scheduled collective applications
+    /// with node-disjoint placements, layered *over* the stochastic phases.
     jobs: Vec<JobSpec>,
 }
 
@@ -100,7 +93,6 @@ impl Scenario {
             phases: Vec::new(),
             faults: FaultPlan::new(),
             churn: None,
-            workload: None,
             jobs: Vec::new(),
         }
     }
@@ -203,27 +195,14 @@ impl Scenario {
         self.churn.as_ref()
     }
 
-    /// Attach a rank-level task workload (executed instead of stochastic
-    /// injection when the scenario is applied to a configuration).
-    pub fn task_workload(mut self, workload: TaskWorkload) -> Self {
-        self.workload = Some(workload);
-        self
-    }
-
-    /// The attached task workload, if any.
-    pub fn workload(&self) -> Option<&TaskWorkload> {
-        self.workload.as_ref()
-    }
-
-    /// Append one job to the scenario's job set (multi-job traffic over the
+    /// Append one job to the scenario's job set (collective traffic over the
     /// stochastic phases).
     pub fn job(mut self, job: JobSpec) -> Self {
         self.jobs.push(job);
         self
     }
 
-    /// The attached job set (empty for single-workload or packet-level
-    /// scenarios).
+    /// The attached job set (empty for packet-level scenarios).
     pub fn jobs(&self) -> &[JobSpec] {
         &self.jobs
     }
@@ -329,20 +308,7 @@ impl Scenario {
                 .validate()
                 .map_err(|e| format!("scenario '{}': {e}", self.name))?;
         }
-        if let Some(workload) = &self.workload {
-            let groups = topo.num_groups();
-            let nodes_per_group = topo.nodes_per_group();
-            workload
-                .validate(groups, nodes_per_group)
-                .map_err(|e| format!("scenario '{}': workload: {e}", self.name))?;
-        }
         if !self.jobs.is_empty() {
-            if self.workload.is_some() {
-                return Err(format!(
-                    "scenario '{}': a task workload and a job set are mutually exclusive",
-                    self.name
-                ));
-            }
             let groups = topo.num_groups();
             let nodes_per_group = topo.nodes_per_group();
             for (i, job) in self.jobs.iter().enumerate() {

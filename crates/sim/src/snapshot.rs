@@ -26,12 +26,11 @@
 //! * the pending link events in exact drain order,
 //! * the fault cursor, link-availability mask, lost-credit ledger,
 //!   node-failure flags and the gateway-liveness truth/flooded views,
-//! * the task engine's execution state (rank cursors, outstanding sends,
-//!   receive counters, compute-readiness clocks and the pending-packet
-//!   table) when the configuration carries a collective workload — a
-//!   snapshot can land mid-collective and resume bit-identically,
-//! * the multi-job engine's execution state (one task section per job, in
-//!   specification order) when the configuration carries a job set.
+//! * the job engine's execution state when the configuration carries a job
+//!   set — one task section per job, in specification order (rank cursors,
+//!   outstanding sends, receive counters, compute-readiness clocks and the
+//!   pending-packet table), so a snapshot can land mid-collective in any
+//!   job and resume bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns,
 //! derived occupancy counters, the activity gate (recomputed as the sorted
@@ -57,8 +56,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// version 4 adds the per-rank compute-delay readiness clocks to the task
 /// section and appends the multi-job engine's execution state (one task
 /// section per job) so a snapshot can land mid-collective in any job of a
-/// concurrent mix.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// concurrent mix; version 5 drops the separate single-workload task
+/// section and its presence flag (a closed collective run is a one-job set
+/// at offered load 0, so the job section is the only application state).
+/// Older versions are refused by the frame's version check — there is no
+/// compatibility loader: the configuration `Debug` rendering changed with
+/// the format, so no v4 fingerprint could match anyway.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -217,13 +221,8 @@ impl Network {
         for &s in &self.spare_of {
             e.u32(s);
         }
-        // task layer (presence is configuration-determined; the flag guards
+        // job layer (presence is configuration-determined; the flag guards
         // against payload drift)
-        e.bool(self.task.is_some());
-        if let Some(task) = &self.task {
-            task.save_state(&mut e);
-        }
-        // multi-job layer (same presence discipline as the task layer)
         e.bool(self.jobs.is_some());
         if let Some(jobs) = &self.jobs {
             jobs.save_state(&mut e);
@@ -395,16 +394,6 @@ impl Network {
         }
         for s in &mut net.spare_of {
             *s = d.u32()?;
-        }
-        let has_task = d.bool()?;
-        match (&mut net.task, has_task) {
-            (Some(task), true) => task.restore_state(&mut d)?,
-            (None, false) => {}
-            _ => {
-                return Err(CodecError::Invalid(
-                    "snapshot task-layer presence disagrees with the configuration".into(),
-                ))
-            }
         }
         let has_jobs = d.bool()?;
         match (&mut net.jobs, has_jobs) {

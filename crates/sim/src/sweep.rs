@@ -15,6 +15,10 @@
 //!   fully determined before any thread starts, the result table is
 //!   bit-for-bit identical across reruns and across worker counts.
 //!
+//! The pool's `threads` argument is a *total* budget: when the
+//! configurations run the parallel kernel it is divided by their intra-cell
+//! worker count, so `cells × workers` never oversubscribes the host.
+//!
 //! [`matrix_table`] renders the cells as a [`Table`] (text or CSV) for the
 //! scenario-runner binary and the golden regression suite.
 
@@ -31,7 +35,7 @@ use crate::scenario::Scenario;
 
 /// Run every configuration and return the reports in the same order.
 /// `seeds_per_point` > 1 averages each point over consecutive seeds.
-/// `threads` bounds the worker count (use `num_threads()` for a default).
+/// `threads` is the total thread budget (use `num_threads()` for a default).
 pub fn run_sweep(
     configs: &[SimulationConfig],
     seeds_per_point: u64,
@@ -41,7 +45,8 @@ pub fn run_sweep(
 }
 
 /// Execute one experiment per configuration (each averaged over
-/// `seeds_per_point` seeds) on a scoped worker pool, returning reports in
+/// `seeds_per_point` seeds) on a scoped worker pool of
+/// [`outer_threads`]`(configs, threads)` workers, returning reports in
 /// input order.
 fn run_jobs(
     configs: &[SimulationConfig],
@@ -49,7 +54,7 @@ fn run_jobs(
     threads: usize,
 ) -> Vec<SteadyStateReport> {
     assert!(seeds_per_point > 0);
-    let threads = threads.max(1);
+    let threads = outer_threads(configs, threads);
     let results: Mutex<Vec<Option<SteadyStateReport>>> = Mutex::new(vec![None; configs.len()]);
     let next = AtomicUsize::new(0);
 
@@ -90,11 +95,11 @@ pub fn num_threads() -> usize {
 
 /// How many threads one cell of `config` occupies: the resolved worker
 /// count of its kernel (1 for the optimized kernel).
-pub fn intra_cell_workers(config: &SimulationConfig) -> usize {
+fn intra_cell_workers(config: &SimulationConfig) -> usize {
     config.kernel.resolved_workers().max(1)
 }
 
-/// Split a `total_threads` budget between matrix-level parallelism (cells
+/// Split a `total_threads` budget between pool-level parallelism (cells
 /// running concurrently) and intra-cell parallelism (the cells' own
 /// [`KernelMode::Parallel`] worker pools) without oversubscription: the
 /// outer worker count is `total_threads / intra`, floored at 1, so at most
@@ -103,21 +108,21 @@ pub fn intra_cell_workers(config: &SimulationConfig) -> usize {
 /// Returns `(outer_threads, intra_workers)`.
 ///
 /// [`KernelMode::Parallel`]: crate::config::KernelMode::Parallel
-pub fn split_thread_budget(config: &SimulationConfig, total_threads: usize) -> (usize, usize) {
+fn split_thread_budget(config: &SimulationConfig, total_threads: usize) -> (usize, usize) {
     let intra = intra_cell_workers(config);
     ((total_threads.max(1) / intra).max(1), intra)
 }
 
-/// [`run_matrix`] under a single `total_threads` budget: cells of a matrix
-/// whose base configuration uses the parallel kernel are scheduled with
-/// [`split_thread_budget`], so `cells × intra-cell workers` never exceeds
-/// the budget (modulo the floor of one concurrent cell). Results are
-/// bit-for-bit identical to [`run_matrix`] at any thread count — cell seeds
-/// are fixed before any thread starts and the parallel kernel is
-/// worker-count independent.
-pub fn run_matrix_budgeted(matrix: &ScenarioMatrix, total_threads: usize) -> Vec<MatrixCell> {
-    let (outer, _intra) = split_thread_budget(&matrix.base, total_threads);
-    run_matrix(matrix, outer)
+/// Concurrent cells the pool runs for `configs` under a `total_threads`
+/// budget: [`split_thread_budget`] of the widest configuration (in a matrix
+/// every cell inherits the base kernel, so that is the base's split).
+/// Results never depend on it — cell seeds are fixed before any thread
+/// starts and the parallel kernel is worker-count independent.
+fn outer_threads(configs: &[SimulationConfig], total_threads: usize) -> usize {
+    configs
+        .iter()
+        .max_by_key(|c| intra_cell_workers(c))
+        .map_or(1, |widest| split_thread_budget(widest, total_threads).0)
 }
 
 /// Build one configuration per offered-load point from a template.
@@ -189,32 +194,27 @@ impl ScenarioMatrix {
     /// [`cell_seed`]. This happens before any parallelism, so cell seeding
     /// is independent of thread scheduling.
     ///
-    /// A scenario's churn model is lowered here against the base topology
-    /// (mirroring [`SimulationConfigBuilder::build`]), so the same fault
-    /// trace replays identically across every load and routing of its row.
+    /// Each scenario is applied to the base through the same mapping the
+    /// configuration builder uses, its churn model lowered once against the
+    /// base topology — so the same fault trace replays identically across
+    /// every load and routing of its row.
     ///
-    /// [`SimulationConfigBuilder::build`]: crate::config::SimulationConfigBuilder::build
+    /// # Panics
+    /// Panics on a scenario whose churn model is invalid; [`run_matrix`] and
+    /// the sweep service validate every scenario first and report that as
+    /// their own error.
     pub fn cells(&self) -> Vec<(MatrixKey, SimulationConfig)> {
-        let topo = self.base.topology.build();
         let mut out = Vec::with_capacity(self.num_cells());
         for (s_idx, scenario) in self.scenarios.iter().enumerate() {
-            let faults = match scenario.churn_model() {
-                Some(churn) => {
-                    churn
-                        .validate()
-                        .expect("valid churn model in matrix scenario");
-                    scenario.fault_plan().clone().merged(churn.generate(&topo))
-                }
-                None => scenario.fault_plan().clone(),
-            };
+            let mut row = self.base.clone();
+            row.set_scenario(scenario);
+            if let Some(churn) = scenario.churn_model() {
+                row.lower_churn(churn)
+                    .expect("valid churn model in matrix scenario");
+            }
             for (l_idx, &load) in self.loads.iter().enumerate() {
                 for (r_idx, &routing) in self.routings.iter().enumerate() {
-                    let mut config = self.base.clone();
-                    config.schedule = scenario.schedule();
-                    config.injection = scenario.injection;
-                    config.faults = faults.clone();
-                    config.workload = scenario.workload().cloned();
-                    config.jobs = scenario.jobs().to_vec();
+                    let mut config = row.clone();
                     config.offered_load = load;
                     config.routing = routing;
                     config.seed = cell_seed(self.base.seed, s_idx, l_idx, r_idx);
@@ -232,6 +232,26 @@ impl ScenarioMatrix {
             }
         }
         out
+    }
+
+    /// [`cells`](Self::cells) behind the checks both matrix drivers need:
+    /// every scenario is validated against the base topology first (so an
+    /// invalid churn model is an error here, not a panic in the expansion),
+    /// then every expanded cell configuration.
+    pub(crate) fn validated_cells(&self) -> Result<Vec<(MatrixKey, SimulationConfig)>, String> {
+        let topo = self.base.topology.build();
+        for scenario in &self.scenarios {
+            scenario
+                .validate(&topo)
+                .map_err(|e| format!("invalid matrix cell: {e}"))?;
+        }
+        let cells = self.cells();
+        for (key, config) in &cells {
+            config
+                .validate()
+                .map_err(|e| format!("invalid matrix cell {key:?}: {e}"))?;
+        }
+        Ok(cells)
     }
 }
 
@@ -259,26 +279,25 @@ pub struct MatrixCell {
     pub report: SteadyStateReport,
 }
 
-/// Execute a scenario matrix in parallel and return the cells in
+/// Execute a scenario matrix in parallel under a total budget of `threads`
+/// threads (cells × the base kernel's workers) and return the cells in
 /// deterministic scenario-major / load / routing order. The output is
-/// bit-for-bit identical across reruns and worker counts.
+/// bit-for-bit identical across reruns and thread budgets.
 ///
 /// # Panics
-/// Panics if any axis of the matrix is empty or a cell configuration fails
-/// validation.
+/// Panics if any axis of the matrix is empty or a scenario or cell
+/// configuration fails validation.
 pub fn run_matrix(matrix: &ScenarioMatrix, threads: usize) -> Vec<MatrixCell> {
     assert!(
         !matrix.scenarios.is_empty() && !matrix.loads.is_empty() && !matrix.routings.is_empty(),
         "a scenario matrix needs at least one scenario, load and routing"
     );
     assert!(matrix.seeds_per_cell > 0);
-    let (keys, configs): (Vec<MatrixKey>, Vec<SimulationConfig>) =
-        matrix.cells().into_iter().unzip();
-    for (key, config) in keys.iter().zip(&configs) {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid matrix cell {key:?}: {e}"));
-    }
+    let (keys, configs): (Vec<MatrixKey>, Vec<SimulationConfig>) = matrix
+        .validated_cells()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_iter()
+        .unzip();
     let reports = run_jobs(&configs, matrix.seeds_per_cell, threads);
     keys.into_iter()
         .zip(reports)
@@ -526,32 +545,50 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_matrix_matches_unbudgeted_and_reruns_identically() {
+    fn matrix_on_a_parallel_base_is_identical_across_thread_budgets() {
         use crate::config::KernelMode;
-        // cells × intra-cell workers: the combined mode must reproduce the
-        // sequential-kernel matrix bit-for-bit and be rerun-deterministic
+        // cells × intra-cell workers: the pool divides the budget by the
+        // base kernel's worker count, and the result never depends on it
         let mut m = small_matrix();
-        m.base.kernel = KernelMode::Parallel { workers: 2 };
-        let a = run_matrix_budgeted(&m, 4);
-        let b = run_matrix_budgeted(&m, 4);
-        let plain = run_matrix(&small_matrix(), 2);
+        m.base.kernel = KernelMode::Parallel { workers: 3 };
+        let configs: Vec<SimulationConfig> = m.cells().into_iter().map(|(_, c)| c).collect();
+        for (budget, outer) in [(3, 1), (12, 4)] {
+            assert_eq!(split_thread_budget(&m.base, budget).0, outer);
+            assert_eq!(outer_threads(&configs, budget), outer);
+        }
+        let a = run_matrix(&m, 3);
+        let b = run_matrix(&m, 12);
+        let mut sequential = small_matrix();
+        sequential.base.kernel = KernelMode::Optimized;
+        let plain = run_matrix(&sequential, 2);
         assert_eq!(a.len(), plain.len());
         for ((x, y), z) in a.iter().zip(b.iter()).zip(plain.iter()) {
             assert_eq!(x.key, y.key);
-            assert_eq!(
-                x.report.avg_packet_latency.to_bits(),
-                y.report.avg_packet_latency.to_bits(),
-                "rerun diverged for {:?}",
-                x.key
-            );
-            assert_eq!(x.key.scenario, z.key.scenario);
-            assert_eq!(x.report.delivered_packets, z.report.delivered_packets);
-            assert_eq!(
-                x.report.avg_packet_latency.to_bits(),
-                z.report.avg_packet_latency.to_bits(),
-                "parallel-kernel cell diverged from the sequential kernel for {:?}",
-                x.key
-            );
+            assert_eq!(x.key, z.key);
+            for other in [y, z] {
+                assert_eq!(x.report.delivered_packets, other.report.delivered_packets);
+                assert_eq!(
+                    x.report.avg_packet_latency.to_bits(),
+                    other.report.avg_packet_latency.to_bits(),
+                    "cell {:?} depends on the thread budget or the kernel",
+                    x.key
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid matrix cell: scenario 'bad-churn'")]
+    fn run_matrix_reports_an_invalid_scenario_as_an_invalid_cell() {
+        let mut m = small_matrix();
+        m.scenarios.push(
+            Scenario::named("bad-churn")
+                .hold(PatternKind::Uniform)
+                .churn(
+                    crate::churn::ChurnModel::new(7, 100, 300)
+                        .global_links(crate::churn::ChurnRate::new(0.0, 5.0)),
+                ),
+        );
+        let _ = run_matrix(&m, 1);
     }
 }

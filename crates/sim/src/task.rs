@@ -1,11 +1,17 @@
 //! The collective task layer: ranks executing message-gated communication
 //! scripts on top of the packet engine.
 //!
-//! A [`df_traffic::TaskWorkload`] lowers into one script per rank — a list
-//! of [`df_traffic::TaskStep`]s, each naming the messages the rank injects
-//! when the step starts and how many packets it must receive before the
-//! step completes. The [`TaskEngine`] executes those scripts against the
-//! simulator:
+//! There is one application engine: the [`JobsEngine`], owned by
+//! [`Network`] when the configuration carries a job set, running one
+//! [`TaskEngine`] per [`JobSpec`] alongside the stochastic injectors. A
+//! closed run — one collective alone on the network — is a one-job set at
+//! offered load 0 (an injector at load 0 generates nothing).
+//!
+//! A job's [`df_traffic::TaskWorkload`] lowers into one script per rank — a
+//! list of [`df_traffic::TaskStep`]s, each naming the messages the rank
+//! injects when the step starts and how many packets it must receive before
+//! the step completes. The job's [`TaskEngine`] executes those scripts
+//! against the simulator:
 //!
 //! * when a rank reaches a step, its sends are enqueued into the hosting
 //!   node's source queue (the existing injection machinery takes over from
@@ -27,16 +33,16 @@
 //! step 2 — both of which are sequential in **both** kernel modes (optimized,
 //! parallel at any worker count). Ranks are visited in ascending
 //! rank order and the lowering itself is a pure function of the workload,
-//! so task runs inherit the simulator's bit-identity contract unchanged.
+//! so job runs inherit the simulator's bit-identity contract unchanged.
 //!
-//! When the configuration carries no workload the engine does not exist
-//! and the packet-level simulator is byte-for-byte unaffected.
+//! When the configuration carries no jobs the engine does not exist and the
+//! packet-level simulator is byte-for-byte unaffected.
 
 use std::collections::BTreeMap;
 
 use df_model::{Cycle, Packet, PacketId};
 use df_topology::{NodeId, Topology};
-use df_traffic::{JobSpec, TaskStep, TaskWorkload};
+use df_traffic::{JobSpec, TaskStep};
 
 use crate::config::SimulationConfig;
 use crate::metrics::Metrics;
@@ -57,10 +63,9 @@ struct PendingPacket {
     step: u32,
 }
 
-/// Executes a lowered task workload against the packet engine. Owned by
-/// [`Network`] when the configuration carries a workload; all mutations
-/// happen on the main thread (see the module docs for the determinism
-/// argument).
+/// Executes one job's lowered task workload against the packet engine —
+/// the per-job executor of the [`JobsEngine`]. All mutations happen on the
+/// main thread (see the module docs for the determinism argument).
 #[derive(Debug, Clone)]
 pub struct TaskEngine {
     /// One script per rank, all the same length (lowering guarantees it).
@@ -72,7 +77,7 @@ pub struct TaskEngine {
     /// Script length (steps per rank).
     steps_total: usize,
     /// Cycles of modelled computation between a step's completion and the
-    /// next step's injection (0 in single-workload mode).
+    /// next step's injection.
     compute_delay: u64,
     // ---- per-rank execution state ----
     /// Current step index of each rank (`steps_total` once finished).
@@ -106,43 +111,18 @@ pub struct TaskEngine {
 }
 
 impl TaskEngine {
-    /// Lower `workload` onto `topo` and build a fresh engine. The workload
-    /// must already have passed [`TaskWorkload::validate`] for this
-    /// topology (configuration validation guarantees it).
-    pub(crate) fn new(workload: &TaskWorkload, topo: &impl Topology, packet_size: u32) -> Self {
-        let groups = topo.num_groups();
-        let nodes_per_group = topo.nodes_per_group();
-        let node_of_rank: Vec<u32> = (0..workload.ranks)
-            .map(|r| workload.placement.node_of_rank(r, groups, nodes_per_group))
-            .collect();
-        Self::from_parts(workload.lower(), node_of_rank, packet_size, 0)
-    }
-
-    /// Build an engine for one job of a job set: the [`JobSpec`]'s own
-    /// placement decides where the ranks live (the workload's `placement`
-    /// field is ignored in job mode) and its `compute_delay` gates each
+    /// Lower `job`'s workload and build a fresh engine: the job's placement
+    /// decides where the ranks live and its `compute_delay` gates each
     /// step's injection. The job must already have passed
-    /// [`JobSpec::validate`] for this topology.
+    /// [`JobSpec::validate`] for this topology (configuration validation
+    /// guarantees it).
     pub(crate) fn for_job(job: &JobSpec, topo: &impl Topology, packet_size: u32) -> Self {
         let groups = topo.num_groups();
         let nodes_per_group = topo.nodes_per_group();
         let node_of_rank: Vec<u32> = (0..job.workload.ranks)
             .map(|r| job.placement.node_of_rank(r, groups, nodes_per_group))
             .collect();
-        Self::from_parts(
-            job.workload.lower(),
-            node_of_rank,
-            packet_size,
-            job.compute_delay,
-        )
-    }
-
-    fn from_parts(
-        scripts: Vec<Vec<TaskStep>>,
-        node_of_rank: Vec<u32>,
-        packet_size: u32,
-        compute_delay: u64,
-    ) -> Self {
+        let scripts = job.workload.lower();
         let ranks = node_of_rank.len();
         let steps_total = scripts.first().map_or(0, |s| s.len());
         TaskEngine {
@@ -150,7 +130,7 @@ impl TaskEngine {
             node_of_rank,
             packet_size,
             steps_total,
-            compute_delay,
+            compute_delay: job.compute_delay,
             cursor: vec![0; ranks],
             enqueued: vec![false; ranks],
             sends_outstanding: vec![0; ranks],
@@ -177,7 +157,7 @@ impl TaskEngine {
 
     /// Advance ranks past completed steps, enqueue newly reached steps'
     /// sends into the hosting nodes' source queues, and account stall
-    /// cycles. Runs in step 2 of the cycle in place of stochastic traffic
+    /// cycles. Runs in step 2 of the cycle, ahead of stochastic traffic
     /// generation (main thread, every kernel; ascending rank order).
     pub(crate) fn advance_and_generate(
         &mut self,
@@ -421,13 +401,13 @@ impl TaskEngine {
 }
 
 /// Advances a set of concurrently scheduled jobs — one [`TaskEngine`] per
-/// [`JobSpec`] — against one shared network. Owned by [`Network`] when the
-/// configuration carries a job set. Jobs are visited in specification
-/// order; a job whose `start_cycle` has not been reached is skipped, so
-/// its ranks stay idle and accrue no stalls. Packet ids are globally
-/// unique, so delivery attribution simply offers each packet to every
-/// job's pending table (at most one claims it; stochastic background
-/// packets match none).
+/// [`JobSpec`] — against one shared network; the simulator's one
+/// application engine. Owned by [`Network`] when the configuration carries
+/// a job set. Jobs are visited in specification order; a job whose
+/// `start_cycle` has not been reached is skipped, so its ranks stay idle
+/// and accrue no stalls. Packet ids are globally unique, so delivery
+/// attribution simply offers each packet to every job's pending table (at
+/// most one claims it; stochastic background packets match none).
 #[derive(Debug, Clone)]
 pub struct JobsEngine {
     jobs: Vec<JobRun>,
@@ -545,96 +525,14 @@ impl JobsEngine {
     }
 }
 
-/// Binning of the rank-stall distributions reported by [`TaskReport`] and
-/// [`JobReport`]: same shape as the packet-latency histogram. A percentile
-/// landing past the range is reported as `f64::INFINITY` (see
-/// [`df_engine::Histogram::percentile`]) — the tail is *at least* that bad,
-/// never silently clamped to the range bound.
+/// Binning of the rank-stall distribution reported by
+/// [`JobReport::stall_percentile`]: same shape as the packet-latency
+/// histogram.
 const STALL_HISTOGRAM_HIGH: f64 = 5_000.0;
 const STALL_HISTOGRAM_BINS: usize = 500;
 
-fn stall_percentile(stalls: &[u64], pct: f64) -> f64 {
-    let mut h = df_engine::Histogram::new(0.0, STALL_HISTOGRAM_HIGH, STALL_HISTOGRAM_BINS);
-    for &s in stalls {
-        h.record(s as f64);
-    }
-    h.percentile(pct)
-}
-
-/// Application-level outcome of a task-workload run: completion time, step
-/// timeline and the rank stall distribution, alongside the packet-level
-/// delivery statistics.
-#[derive(Debug, Clone)]
-pub struct TaskReport {
-    /// Whether every rank finished within the cycle budget.
-    pub completed: bool,
-    /// Cycle the last rank finished (the application completion time).
-    pub completion_cycle: Option<Cycle>,
-    /// Steps per rank script.
-    pub total_steps: usize,
-    /// Steps every rank passed.
-    pub steps_completed: usize,
-    /// Cycle each step globally completed at, indexed by step.
-    pub step_completion_cycles: Vec<Option<Cycle>>,
-    /// Sum of rank stall cycles (cycles a rank sat blocked on the network).
-    pub total_stall_cycles: u64,
-    /// Largest per-rank stall total.
-    pub max_rank_stall_cycles: u64,
-    /// Mean per-rank stall total.
-    pub mean_rank_stall_cycles: f64,
-    /// Per-rank stall totals, indexed by rank (the full distribution behind
-    /// the aggregates; feed to [`TaskReport::stall_percentile`]).
-    pub rank_stall_cycles: Vec<u64>,
-    /// Task packets delivered.
-    pub delivered_packets: u64,
-    /// Mean packet latency (generation to delivery), cycles.
-    pub avg_packet_latency: f64,
-}
-
-impl TaskReport {
-    /// Percentile of the per-rank stall distribution, through the same
-    /// binned histogram the packet-latency tail uses. Returns
-    /// `f64::INFINITY` when the requested rank lands past the binned range
-    /// — the tail is at least that bad, never clamped.
-    pub fn stall_percentile(&self, pct: f64) -> f64 {
-        stall_percentile(&self.rank_stall_cycles, pct)
-    }
-}
-
-/// Run `config`'s task workload to completion (or until `max_cycles`
-/// elapse) and report application completion time, the per-step timeline
-/// and the rank stall distribution.
-///
-/// Panics if the configuration carries no workload — packet-level
-/// experiments use [`crate::experiment`] instead.
-pub fn run_task_workload(config: SimulationConfig, max_cycles: u64) -> TaskReport {
-    assert!(
-        config.workload.is_some(),
-        "run_task_workload needs a configuration with a task workload"
-    );
-    let mut net = Network::new(config);
-    net.metrics_mut().start_measurement(0);
-    let completion_cycle = net.run_until_tasks_complete(max_cycles);
-    let task = net.task().expect("workload checked above");
-    let stalls = task.stall_cycles();
-    let total_stall_cycles: u64 = stalls.iter().sum();
-    let summary = net.metrics().window_summary();
-    TaskReport {
-        completed: completion_cycle.is_some(),
-        completion_cycle,
-        total_steps: task.total_steps(),
-        steps_completed: task.steps_completed(),
-        step_completion_cycles: task.step_completion_cycles().to_vec(),
-        total_stall_cycles,
-        max_rank_stall_cycles: stalls.iter().copied().max().unwrap_or(0),
-        mean_rank_stall_cycles: total_stall_cycles as f64 / stalls.len().max(1) as f64,
-        rank_stall_cycles: stalls.to_vec(),
-        delivered_packets: net.metrics().delivered_packets_total(),
-        avg_packet_latency: summary.avg_packet_latency,
-    }
-}
-
-/// Per-job outcome of a multi-job run.
+/// Per-job outcome of a job-set run: completion time, step timeline and the
+/// rank stall distribution.
 #[derive(Debug, Clone)]
 pub struct JobReport {
     /// The job's stable label (`workload@base_node`).
@@ -648,6 +546,12 @@ pub struct JobReport {
     /// `completion_cycle - start_cycle`: the job's own wall-clock, the
     /// quantity compared against a solo-run baseline for slowdown.
     pub elapsed_cycles: Option<u64>,
+    /// Steps per rank script.
+    pub total_steps: usize,
+    /// Steps every rank of the job passed.
+    pub steps_completed: usize,
+    /// Cycle each step globally completed at, indexed by step.
+    pub step_completion_cycles: Vec<Option<Cycle>>,
     /// Sum of the job's rank stall cycles.
     pub total_stall_cycles: u64,
     /// Largest per-rank stall total in the job.
@@ -669,6 +573,9 @@ impl JobReport {
             completed: completion_cycle.is_some(),
             completion_cycle,
             elapsed_cycles: completion_cycle.map(|c| c - spec.start_cycle),
+            total_steps: engine.total_steps(),
+            steps_completed: engine.steps_completed(),
+            step_completion_cycles: engine.step_completion_cycles().to_vec(),
             total_stall_cycles,
             max_rank_stall_cycles: stalls.iter().copied().max().unwrap_or(0),
             mean_rank_stall_cycles: total_stall_cycles as f64 / stalls.len().max(1) as f64,
@@ -676,14 +583,20 @@ impl JobReport {
         }
     }
 
-    /// Percentile of the job's per-rank stall distribution (binned;
-    /// `f64::INFINITY` past the range — see [`TaskReport::stall_percentile`]).
+    /// Percentile of the job's per-rank stall distribution, through the same
+    /// binned histogram the packet-latency tail uses. Returns
+    /// `f64::INFINITY` when the requested rank lands past the binned range
+    /// — the tail is at least that bad, never clamped.
     pub fn stall_percentile(&self, pct: f64) -> f64 {
-        stall_percentile(&self.rank_stall_cycles, pct)
+        let mut h = df_engine::Histogram::new(0.0, STALL_HISTOGRAM_HIGH, STALL_HISTOGRAM_BINS);
+        for &s in &self.rank_stall_cycles {
+            h.record(s as f64);
+        }
+        h.percentile(pct)
     }
 }
 
-/// Outcome of a multi-job run: one [`JobReport`] per job plus the shared
+/// Outcome of a job-set run: one [`JobReport`] per job plus the shared
 /// network-level statistics.
 #[derive(Debug, Clone)]
 pub struct JobSetReport {

@@ -12,11 +12,9 @@
 //! traffic and both their throughput and their mean latency stay within
 //! `tolerance` (relative, e.g. `0.08` = ±8 % around the mean). Saturated
 //! runs never pass the latency criterion (the mean climbs without bound as
-//! source queues grow), so detection also acts as a saturation probe:
-//! [`SteadyStateExperiment::run_streaming`] falls back to a bounded window
-//! budget and reports that steady state was never reached.
-//!
-//! [`SteadyStateExperiment::run_streaming`]: crate::experiment::SteadyStateExperiment::run_streaming
+//! source queues grow), so detection also acts as a saturation probe: a
+//! caller polling [`StreamingTelemetry::steady`] needs its own window
+//! budget to give up on.
 
 use df_model::Cycle;
 

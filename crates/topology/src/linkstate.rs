@@ -1,6 +1,6 @@
 //! [`LinkState`]: a dynamic up/down mask over the static Dragonfly wiring.
 //!
-//! The [`Dragonfly`] object is purely combinatorial — its wiring never
+//! The [`crate::Dragonfly`] object is purely combinatorial — its wiring never
 //! changes. Fault injection needs a *dynamic* overlay: which links are
 //! currently usable. `LinkState` tracks one bit per **directed** link end
 //! `(router, port)` (the outgoing direction of that port at that router), so
@@ -19,7 +19,7 @@ use crate::layout::PortLayout;
 use crate::port::{Port, PortClass};
 use crate::topology::Topology;
 
-/// Dynamic link availability over a [`Dragonfly`] topology: one `up` bit per
+/// Dynamic link availability over a [`crate::Dragonfly`] topology: one `up` bit per
 /// directed `(router, port)` pair.
 #[derive(Debug, Clone)]
 pub struct LinkState {
@@ -236,7 +236,7 @@ fn set_mark(marks: &mut Vec<u32>, key: u32, up: bool) {
 /// view install is a version check plus a copy of (typically tiny) vectors,
 /// and the healthy-network fast path ([`all_up`](Self::all_up)) is O(1).
 ///
-/// Entries carry per-entry sequence numbers (see [`EntryRecord`]) so that
+/// Entries carry per-entry sequence numbers (the private `EntryRecord`) so that
 /// flooding merges are conflict-free: whichever copy of an entry has seen
 /// the later truth change wins, regardless of the order views are merged
 /// in. The `version` counter is a *local* change count — it orders the

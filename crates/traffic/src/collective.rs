@@ -242,13 +242,13 @@ impl RankPlacement {
 }
 
 /// A multi-step application workload: a sequence of collectives executed by
-/// `ranks` ranks, each message `packets_per_message` packets.
+/// `ranks` ranks, each message `packets_per_message` packets. Where the
+/// ranks live is not the workload's business: a [`crate::JobSpec`] pairs it
+/// with a [`crate::JobPlacement`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskWorkload {
     /// Number of ranks (each mapped onto one distinct node).
     pub ranks: u32,
-    /// Rank-to-node mapping.
-    pub placement: RankPlacement,
     /// Collectives executed in order; each is globally ordered after the
     /// previous one through its own dependency structure plus the step
     /// gating (a rank enters collective `i+1` only after finishing its part
@@ -259,20 +259,13 @@ pub struct TaskWorkload {
 }
 
 impl TaskWorkload {
-    /// A single-collective workload with block placement.
+    /// A single-collective workload.
     pub fn single(kind: CollectiveKind, ranks: u32, packets_per_message: u32) -> Self {
         TaskWorkload {
             ranks,
-            placement: RankPlacement::Block,
             sequence: vec![kind],
             packets_per_message,
         }
-    }
-
-    /// Use the given placement (builder style).
-    pub fn with_placement(mut self, placement: RankPlacement) -> Self {
-        self.placement = placement;
-        self
     }
 
     /// Lower the whole sequence into per-rank scripts (collectives
@@ -548,7 +541,6 @@ mod tests {
             .is_err());
         let empty = TaskWorkload {
             ranks: 8,
-            placement: RankPlacement::Block,
             sequence: Vec::new(),
             packets_per_message: 1,
         };
@@ -559,7 +551,6 @@ mod tests {
     fn multi_collective_sequences_concatenate() {
         let w = TaskWorkload {
             ranks: 8,
-            placement: RankPlacement::Block,
             sequence: vec![
                 CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
                 CollectiveKind::Barrier,

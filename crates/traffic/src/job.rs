@@ -1,5 +1,5 @@
-//! Multi-job workloads: several collective applications with distinct
-//! placements sharing one network.
+//! Job sets: one or more collective applications with distinct placements
+//! sharing one network.
 //!
 //! A [`JobSpec`] wraps a [`TaskWorkload`] with *where* it runs (a
 //! [`JobPlacement`]: a base node plus a rank-spreading strategy), *when* it
@@ -12,9 +12,10 @@
 //! Placements of concurrent jobs must be node-disjoint; the simulation
 //! configuration validates this at build time so an overlap is a
 //! `ConfigError`, never a runtime surprise. Jobs layer *over* background
-//! stochastic injection: unlike the single-workload mode (which replaces
-//! generation entirely), a job set contends both with the other jobs and
-//! with whatever synthetic pattern the configuration injects.
+//! stochastic injection: a job set contends both with the other jobs and
+//! with whatever synthetic pattern the configuration injects. A closed
+//! run — one collective alone on the network — is a one-job set at offered
+//! load 0.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,17 +60,15 @@ impl JobPlacement {
 /// One job of a multi-job traffic mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
-    /// The collective sequence the job's ranks execute. The workload's own
-    /// `placement` field is ignored in job mode — [`JobSpec::placement`]
-    /// decides where the ranks live.
+    /// The collective sequence the job's ranks execute.
     pub workload: TaskWorkload,
     /// Rank-to-node mapping for this job.
     pub placement: JobPlacement,
     /// Cycle the job starts executing (ranks are idle before it).
     pub start_cycle: u64,
     /// Cycles of modelled computation a rank performs after completing a
-    /// step before it may inject the next step's messages (0 = the pure
-    /// communication behaviour of the single-workload mode).
+    /// step before it may inject the next step's messages (0 = pure
+    /// communication).
     pub compute_delay: u64,
 }
 
@@ -173,7 +172,6 @@ impl TaskWorkload {
         }
         TaskWorkload {
             ranks,
-            placement: RankPlacement::Block,
             sequence,
             packets_per_message,
         }

@@ -17,12 +17,11 @@ pub use df_routing::{
 };
 pub use df_sim::{
     cell_seed, config_fingerprint, load_sweep, matrix_table, run_interference, run_job_set,
-    run_matrix, run_matrix_budgeted, run_sweep, run_sweep_service, run_task_workload,
-    split_thread_budget, ChurnModel, ChurnRate, ConfigError, FaultEvent, FaultKind, FaultPlan,
-    InterferenceReport, JobReport, JobSetReport, JobsEngine, KernelMode, MatrixCell, MatrixKey,
-    Network, RunnerOptions, Scenario, ScenarioMatrix, ScenarioPhase, SimulationConfig,
-    SteadyStateExperiment, SteadyStateReport, StreamingRunOptions, StreamingTelemetry,
-    SweepOutcome, TaskEngine, TaskReport, TransientExperiment, TransientReport, WindowStats,
+    run_matrix, run_sweep, run_sweep_service, ChurnModel, ChurnRate, ConfigError, FaultEvent,
+    FaultKind, FaultPlan, InterferenceReport, JobReport, JobSetReport, JobsEngine, KernelMode,
+    MatrixCell, MatrixKey, Network, RunnerOptions, Scenario, ScenarioMatrix, ScenarioPhase,
+    SimulationConfig, SteadyStateExperiment, SteadyStateReport, StreamingTelemetry, SweepOutcome,
+    TaskEngine, TransientExperiment, TransientReport, WindowStats,
 };
 pub use df_topology::{
     AnyTopology, Dragonfly, DragonflyParams, GatewayLiveness, GroupId, LinkState, Megafly,

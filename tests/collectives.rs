@@ -1,13 +1,15 @@
 //! Collective task-layer suite: rank-level workloads (all-to-all,
-//! all-reduce, barriers, neighbour sweeps) executed on the packet engine.
+//! all-reduce, barriers, neighbour sweeps) executed on the packet engine,
+//! each as a closed run — a one-job set alone on the network (offered load
+//! 0).
 //!
 //! Extends every correctness contract of the simulator to the task layer:
 //!
 //! 1. **Completion** — every collective completes under every contention
 //!    mechanism, reporting an application completion time, a per-step
 //!    timeline and rank stall cycles, with exact packet conservation
-//!    (workload mode generates no stochastic traffic, so injected ==
-//!    delivered == the workload's lowered packet count).
+//!    (offered load 0 generates no stochastic traffic, so injected ==
+//!    delivered == the job set's lowered packet count).
 //! 2. **The pinned corpus** — `GOLDEN_COLLECTIVES` in
 //!    `tests/common/golden_corpus.rs` fingerprints every workload ×
 //!    routing cell. The configurations deliberately do not set a
@@ -48,8 +50,22 @@ mod golden_corpus;
 
 use golden_corpus::{
     collective_config, collective_fingerprint, collective_routings, collective_workloads,
-    GOLDEN_COLLECTIVES,
+    job_mixes, job_set_config, GOLDEN_COLLECTIVES,
 };
+
+fn a2a_spread() -> JobSpec {
+    JobSpec::new(
+        TaskWorkload::single(CollectiveKind::AllToAll, 8, 2),
+        JobPlacement::group_spread(0),
+    )
+}
+
+fn ring(placement: JobPlacement) -> JobSpec {
+    JobSpec::new(
+        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
+        placement,
+    )
+}
 
 // ---------------------------------------------------------------------------
 // 1. completion, conservation and the application-level report
@@ -57,12 +73,14 @@ use golden_corpus::{
 
 #[test]
 fn every_collective_completes_under_every_mechanism() {
-    for workload in collective_workloads() {
+    for job in collective_workloads() {
+        let workload = &job.workload;
         let total_packets = workload.total_packets();
         let total_steps = workload.total_steps();
         for routing in collective_routings() {
-            let cfg = collective_config(workload.clone(), routing);
-            let report = run_task_workload(cfg, 200_000);
+            let cfg = collective_config(job.clone(), routing);
+            let set = run_job_set(cfg, 200_000);
+            let report = &set.jobs[0];
             let label = format!("{} under {}", workload.label(), routing.label());
             assert!(report.completed, "{label} did not complete");
             assert_eq!(report.total_steps, total_steps, "{label}: step count");
@@ -71,8 +89,8 @@ fn every_collective_completes_under_every_mechanism() {
                 "{label}: unfinished steps"
             );
             assert_eq!(
-                report.delivered_packets, total_packets,
-                "{label}: workload mode must deliver exactly the lowered packets"
+                set.delivered_packets, total_packets,
+                "{label}: a closed run must deliver exactly the lowered packets"
             );
             // the step timeline is monotone and ends at the completion cycle
             let cycles: Vec<u64> = report
@@ -94,58 +112,37 @@ fn every_collective_completes_under_every_mechanism() {
                 report.total_stall_cycles > 0,
                 "{label}: rank stalls cannot all be zero"
             );
-            assert!(report.avg_packet_latency > 0.0, "{label}: latency");
+            assert!(set.avg_packet_latency > 0.0, "{label}: latency");
         }
     }
 }
 
 #[test]
-fn workload_mode_replaces_stochastic_generation_entirely() {
-    let workload = TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-        .with_placement(RankPlacement::GroupSpread);
-    let total = workload.total_packets();
-    let cfg = collective_config(workload, RoutingKind::Base);
-    let mut net = Network::new(cfg);
-    net.run_until_tasks_complete(200_000)
-        .expect("all-to-all completes");
-    // offered load 0.2 would have generated thousands of packets in that
-    // span — workload mode must inject only the lowered task packets
-    assert_eq!(net.injected_packets_total(), total);
-    assert_eq!(net.metrics().delivered_packets_total(), total);
-    assert_eq!(net.in_flight(), 0);
-    let task = net.task().expect("workload configured");
-    assert_eq!(task.pending_packets(), 0);
-    assert_eq!(
-        net.metrics().task_steps_completed(),
-        task.total_steps() as u64
-    );
-    assert_eq!(
-        net.metrics().rank_stall_cycles(),
-        task.stall_cycles().iter().sum::<u64>()
-    );
-}
-
-#[test]
-fn workload_rides_the_scenario_matrix_axis() {
-    let workload = TaskWorkload::single(CollectiveKind::Barrier, 8, 1);
-    let scenario = Scenario::named("barrier-x8")
-        .hold(PatternKind::Uniform)
-        .task_workload(workload.clone());
-    let base = collective_config(workload, RoutingKind::Base);
-    let matrix = ScenarioMatrix {
-        scenarios: vec![scenario],
-        loads: vec![0.2],
-        routings: vec![RoutingKind::Base, RoutingKind::Ectn],
-        ..ScenarioMatrix::new(base)
-    };
-    let cells = matrix.cells();
-    assert_eq!(cells.len(), 2);
-    for (key, cfg) in cells {
-        assert!(
-            cfg.workload.is_some(),
-            "cell {key:?} lost the scenario's workload"
+fn job_set_at_offered_load_zero_injects_exactly_the_lowered_packets() {
+    let two_jobs = job_mixes().swap_remove(0).1;
+    for jobs in [vec![a2a_spread()], two_jobs] {
+        let total: u64 = jobs.iter().map(|j| j.workload.total_packets()).sum();
+        let mut cfg = job_set_config(jobs, RoutingKind::Base);
+        // the corpus load (0.2) would generate thousands of packets in that
+        // span — at load 0 only the lowered task packets may exist
+        cfg.offered_load = 0.0;
+        let mut net = Network::new(cfg);
+        net.run_until_jobs_complete(200_000)
+            .expect("job set completes");
+        assert_eq!(net.injected_packets_total(), total);
+        assert_eq!(net.metrics().delivered_packets_total(), total);
+        assert_eq!(net.in_flight(), 0);
+        let engine = net.jobs().expect("job set configured");
+        assert_eq!(engine.pending_packets(), 0);
+        let tasks = || (0..engine.num_jobs()).map(|i| engine.engine(i));
+        assert_eq!(
+            net.metrics().task_steps_completed(),
+            tasks().map(|t| t.total_steps() as u64).sum::<u64>()
         );
-        cfg.validate().expect("matrix cells stay valid");
+        assert_eq!(
+            net.metrics().rank_stall_cycles(),
+            tasks().flat_map(|t| t.stall_cycles()).sum::<u64>()
+        );
     }
 }
 
@@ -156,9 +153,10 @@ fn workload_rides_the_scenario_matrix_axis() {
 #[test]
 fn golden_collective_corpus() {
     let mut expected = GOLDEN_COLLECTIVES.iter();
-    for workload in collective_workloads() {
+    for job in collective_workloads() {
+        let workload = &job.workload;
         for routing in collective_routings() {
-            let cfg = collective_config(workload.clone(), routing);
+            let cfg = collective_config(job.clone(), routing);
             let got = collective_fingerprint(cfg);
             let &(ew, er, done, delivered, stalls, lat) =
                 expected.next().expect("one row per workload x routing");
@@ -187,9 +185,10 @@ fn regenerate_collective_corpus() {
     println!(
         "    // (workload, routing, completion_cycle, delivered, rank_stall_cycles, latency_bits)"
     );
-    for workload in collective_workloads() {
+    for job in collective_workloads() {
+        let workload = &job.workload;
         for routing in collective_routings() {
-            let cfg = collective_config(workload.clone(), routing);
+            let cfg = collective_config(job.clone(), routing);
             let (done, delivered, stalls, lat) = collective_fingerprint(cfg);
             println!(
                 "    ({:?}, {:?}, {done}, {delivered}, {stalls}, {lat:#018X}),",
@@ -221,18 +220,21 @@ fn collectives_are_bit_identical_across_kernels() {
         KernelMode::Parallel { workers: 2 },
         KernelMode::Parallel { workers: 4 },
     ];
-    for workload in [
-        TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
-        TaskWorkload::single(
-            CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            12,
-            2,
+    for job in [
+        a2a_spread(),
+        ring(JobPlacement::block(0)),
+        JobSpec::new(
+            TaskWorkload::single(
+                CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
+                12,
+                2,
+            ),
+            JobPlacement::block(0),
         ),
     ] {
+        let workload = &job.workload;
         for routing in [RoutingKind::Base, RoutingKind::PiggyBacking] {
-            let mut cfg = collective_config(workload.clone(), routing);
+            let mut cfg = collective_config(job.clone(), routing);
             cfg.kernel = KernelMode::Optimized;
             let reference = collective_fingerprint(cfg.clone());
             for kernel in kernels {
@@ -261,22 +263,23 @@ fn collectives_are_bit_identical_across_kernels() {
 
 #[test]
 fn snapshot_mid_collective_resumes_bit_identically() {
-    let workload = TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2)
-        .with_placement(RankPlacement::GroupSpread);
-    let cfg = collective_config(workload, RoutingKind::PiggyBacking);
+    let cfg = collective_config(
+        ring(JobPlacement::group_spread(0)),
+        RoutingKind::PiggyBacking,
+    );
 
     // uninterrupted reference
     let mut reference = Network::new(cfg.clone());
     reference.metrics_mut().start_measurement(0);
     let done = reference
-        .run_until_tasks_complete(200_000)
+        .run_until_jobs_complete(200_000)
         .expect("reference completes");
 
     // interrupted run: snapshot halfway, with the script partially executed
     let mut first = Network::new(cfg.clone());
     first.metrics_mut().start_measurement(0);
     first.run_cycles(done / 2);
-    let task = first.task().expect("workload configured");
+    let task = first.jobs().expect("job configured").engine(0);
     assert!(
         task.pending_packets() > 0 && !task.is_complete(),
         "checkpoint must land mid-collective for this test to bite"
@@ -286,7 +289,7 @@ fn snapshot_mid_collective_resumes_bit_identically() {
 
     let mut resumed = Network::restore(cfg.clone(), &bytes).expect("snapshot restores");
     let resumed_done = resumed
-        .run_until_tasks_complete(200_000)
+        .run_until_jobs_complete(200_000)
         .expect("resumed run completes");
     assert_eq!(resumed_done, done, "completion cycle must match");
     assert_eq!(
@@ -294,8 +297,8 @@ fn snapshot_mid_collective_resumes_bit_identically() {
         reference.metrics().delivered_packets_total()
     );
     assert_eq!(
-        resumed.task().unwrap().stall_cycles(),
-        reference.task().unwrap().stall_cycles(),
+        resumed.jobs().unwrap().engine(0).stall_cycles(),
+        reference.jobs().unwrap().engine(0).stall_cycles(),
         "per-rank stall totals must match"
     );
     assert_eq!(
@@ -317,7 +320,7 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     k.kernel = KernelMode::Parallel { workers: 2 };
     let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
     assert_eq!(
-        n.run_until_tasks_complete(200_000),
+        n.run_until_jobs_complete(200_000),
         Some(done),
         "parallel(2) resumed to a different completion cycle"
     );
@@ -327,39 +330,60 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     );
 }
 
+#[test]
+fn retired_v4_snapshot_is_refused_by_version_not_misread() {
+    // a v4 payload carried a separate single-workload task section ahead of
+    // the job section; v5 has no loader for it, so a frame stamped 4 must
+    // stop at the codec's typed version check
+    let cfg = collective_config(a2a_spread(), RoutingKind::Base);
+    let mut net = Network::new(cfg.clone());
+    net.run_cycles(100);
+    let mut bytes = net.snapshot();
+    assert_eq!(contention_dragonfly::sim::SNAPSHOT_VERSION, 5);
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+    assert!(matches!(
+        Network::restore(cfg, &bytes),
+        Err(
+            contention_dragonfly::engine::CodecError::UnsupportedVersion {
+                supported: 5,
+                found: 4
+            }
+        )
+    ));
+}
+
 // ---------------------------------------------------------------------------
 // 5. behaviour under faults
 // ---------------------------------------------------------------------------
 
 #[test]
 fn router_drain_mid_collective_delays_but_completes() {
-    let workload = TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-        .with_placement(RankPlacement::GroupSpread);
+    let job = a2a_spread();
     for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-        let healthy = run_task_workload(collective_config(workload.clone(), routing), 200_000);
-        let done = healthy.completion_cycle.expect("healthy run completes");
+        let healthy = run_job_set(collective_config(job.clone(), routing), 200_000);
+        let done = healthy.makespan.expect("healthy run completes");
 
         // drain router 0 (hosting ranks) through the middle of the run: its
         // nodes pause, nothing is lost, and the collective finishes late
-        let mut cfg = collective_config(workload.clone(), routing);
+        let mut cfg = collective_config(job.clone(), routing);
         cfg.faults = FaultPlan::new()
             .router_drain(done / 4, RouterId(0))
             .router_restore(done + 50, RouterId(0));
         cfg.validate().expect("fault plan is valid");
-        let faulted = run_task_workload(cfg, 400_000);
+        let faulted = run_job_set(cfg, 400_000);
         assert!(
-            faulted.completed,
+            faulted.all_completed,
             "a drain cannot lose task packets, so the collective must finish ({})",
             routing.label()
         );
         assert!(
-            faulted.completion_cycle.unwrap() > done,
+            faulted.makespan.unwrap() > done,
             "pausing rank hosts must delay completion ({})",
             routing.label()
         );
         assert_eq!(faulted.delivered_packets, healthy.delivered_packets);
         assert!(
-            faulted.total_stall_cycles >= healthy.total_stall_cycles,
+            faulted.jobs[0].total_stall_cycles >= healthy.jobs[0].total_stall_cycles,
             "peers wait for the drained ranks ({})",
             routing.label()
         );
@@ -371,18 +395,17 @@ fn failed_rank_stalls_peers_without_hanging_or_lying() {
     // permanently fail rank 3's node before it can run: the collective can
     // never finish, the budgeted runner must say so, and progress must be
     // exactly the steps that don't depend on the dead rank
-    let workload = TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2);
-    let mut cfg = collective_config(workload, RoutingKind::Base);
+    let mut cfg = collective_config(ring(JobPlacement::block(0)), RoutingKind::Base);
     // block placement: rank 3 lives on node 3
     cfg.faults = FaultPlan::new().node_fail(10, NodeId(3), NodeId(70));
     cfg.validate().expect("fault plan is valid");
     let mut net = Network::new(cfg);
     assert_eq!(
-        net.run_until_tasks_complete(20_000),
+        net.run_until_jobs_complete(20_000),
         None,
         "a dead rank must not complete"
     );
-    let task = net.task().expect("workload configured");
+    let task = net.jobs().expect("job configured").engine(0);
     assert!(!task.is_complete());
     assert!(
         task.steps_completed() < task.total_steps(),

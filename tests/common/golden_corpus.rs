@@ -383,35 +383,37 @@ pub const GOLDEN_CHURN: &[(&str, &str, u64, u64, u64, u64, u64, u64)] = &[
     ("ADV-churn", "ECtN", 770, 50, 67, 0, 775, 0x405883288FA03FD6),
 ];
 
-/// The collective corpus: task workloads (rank-level communication scripts
-/// executed by the task layer) on the small topology. Labels come from
+/// The collective corpus: closed collective runs (rank-level communication
+/// scripts executed by the task layer, each a one-job set alone on the
+/// network) on the small topology. Labels come from
 /// [`TaskWorkload::label`]. The mix covers every collective kind, both
 /// all-reduce algorithms, a non-power-of-two rank count (recursive
 /// doubling's fold/unfold path), both placements and a multi-collective
 /// sequence.
-pub fn collective_workloads() -> Vec<TaskWorkload> {
+pub fn collective_workloads() -> Vec<JobSpec> {
+    let spread = JobPlacement::group_spread(0);
+    let block = JobPlacement::block(0);
+    let rd = CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling);
     vec![
-        TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
-        TaskWorkload::single(
-            CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            12,
-            2,
-        )
-        .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::Barrier, 16, 1)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::SweepNeighbors, 8, 4),
-        TaskWorkload {
-            ranks: 8,
-            placement: RankPlacement::GroupSpread,
-            sequence: vec![
-                CollectiveKind::Barrier,
-                CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            ],
-            packets_per_message: 2,
-        },
+        JobSpec::new(TaskWorkload::single(CollectiveKind::AllToAll, 8, 2), spread),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
+            block,
+        ),
+        JobSpec::new(TaskWorkload::single(rd, 12, 2), spread),
+        JobSpec::new(TaskWorkload::single(CollectiveKind::Barrier, 16, 1), spread),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::SweepNeighbors, 8, 4),
+            block,
+        ),
+        JobSpec::new(
+            TaskWorkload {
+                ranks: 8,
+                sequence: vec![CollectiveKind::Barrier, rd],
+                packets_per_message: 2,
+            },
+            spread,
+        ),
     ]
 }
 
@@ -425,13 +427,15 @@ pub fn collective_routings() -> [RoutingKind; 3] {
 }
 
 /// The common configuration every collective corpus run uses (kernel left
-/// to the caller / environment; the pattern is a placeholder — workload
-/// mode replaces stochastic generation entirely).
-pub fn collective_config(workload: TaskWorkload, routing: RoutingKind) -> SimulationConfig {
+/// to the caller / environment): the job alone on the network — offered
+/// load 0 switches the stochastic injectors off, so the pattern is a
+/// placeholder.
+pub fn collective_config(job: JobSpec, routing: RoutingKind) -> SimulationConfig {
     base_builder()
         .routing(routing)
         .pattern(PatternKind::Uniform)
-        .workload(workload)
+        .offered_load(0.0)
+        .job(job)
         .build()
         .expect("valid collective configuration")
 }
@@ -440,15 +444,15 @@ pub fn collective_config(workload: TaskWorkload, routing: RoutingKind) -> Simula
 /// mean-latency f64 bits)` — the fingerprint of a collective corpus run.
 /// Completion is mandatory and implies the network drained (the last
 /// step's sends must all deliver for their ranks to finish, and no other
-/// traffic exists in workload mode).
+/// traffic exists at offered load 0).
 pub fn collective_fingerprint(cfg: SimulationConfig) -> (u64, u64, u64, u64) {
     let mut net = Network::new(cfg);
     net.metrics_mut().start_measurement(0);
     let done = net
-        .run_until_tasks_complete(200_000)
+        .run_until_jobs_complete(200_000)
         .expect("corpus collectives must complete");
     assert_eq!(net.in_flight(), 0, "completion implies an empty network");
-    let task = net.task().expect("corpus runs carry a workload");
+    let task = net.jobs().expect("corpus runs carry a job").engine(0);
     assert_eq!(
         task.steps_completed(),
         task.total_steps(),
@@ -574,20 +578,27 @@ pub fn megafly_fault_routings() -> [RoutingKind; 2] {
 
 /// The Megafly collective slice: one all-to-all spread across groups (every
 /// rank pair crosses a spine) and one ring all-reduce packed into leaves.
-pub fn megafly_collective_workloads() -> Vec<TaskWorkload> {
+pub fn megafly_collective_workloads() -> Vec<JobSpec> {
     vec![
-        TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllToAll, 8, 2),
+            JobPlacement::group_spread(0),
+        ),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
+            JobPlacement::block(0),
+        ),
     ]
 }
 
-/// The common configuration every Megafly collective corpus run uses.
-pub fn megafly_collective_config(workload: TaskWorkload, routing: RoutingKind) -> SimulationConfig {
+/// The common configuration every Megafly collective corpus run uses (the
+/// twin of [`collective_config`]).
+pub fn megafly_collective_config(job: JobSpec, routing: RoutingKind) -> SimulationConfig {
     megafly_base_builder()
         .routing(routing)
         .pattern(PatternKind::Uniform)
-        .workload(workload)
+        .offered_load(0.0)
+        .job(job)
         .build()
         .expect("valid megafly collective configuration")
 }
@@ -684,8 +695,8 @@ pub fn job_routings() -> [RoutingKind; 3] {
 }
 
 /// The common Dragonfly configuration every multi-job corpus run uses.
-/// Unlike workload mode the stochastic injectors stay on: jobs contend
-/// with uniform background traffic at the corpus load.
+/// Unlike the collective corpus the stochastic injectors stay on: jobs
+/// contend with uniform background traffic at the corpus load.
 pub fn job_set_config(jobs: Vec<JobSpec>, routing: RoutingKind) -> SimulationConfig {
     base_builder()
         .routing(routing)

@@ -482,30 +482,6 @@ fn overlapping_job_placements_are_a_build_time_config_error() {
     }
 }
 
-#[test]
-fn workload_and_jobs_are_mutually_exclusive() {
-    let w = TaskWorkload::single(CollectiveKind::Barrier, 8, 1);
-    let err = SimulationConfig::builder()
-        .topology(DragonflyParams::small())
-        .network(NetworkConfig::fast_test())
-        .routing(RoutingKind::Base)
-        .pattern(PatternKind::Uniform)
-        .offered_load(0.2)
-        .warmup_cycles(100)
-        .measurement_cycles(100)
-        .seed(1)
-        .workload(w.clone())
-        .job(JobSpec::new(w, JobPlacement::block(16)))
-        .build()
-        .unwrap_err();
-    match err {
-        ConfigError::Workload(msg) => {
-            assert!(msg.contains("mutually exclusive"), "got: {msg}");
-        }
-        other => panic!("expected a Workload error, got {other:?}"),
-    }
-}
-
 /// Build the corpus configuration without panicking on validation failure.
 fn job_set_config_err(jobs: Vec<JobSpec>) -> ConfigError {
     SimulationConfig::builder()

@@ -236,9 +236,10 @@ fn golden_megafly_fault_corpus() {
 #[test]
 fn golden_megafly_collective_corpus() {
     let mut expected = GOLDEN_MEGAFLY_COLLECTIVES.iter();
-    for workload in megafly_collective_workloads() {
+    for job in megafly_collective_workloads() {
+        let workload = &job.workload;
         for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-            let cfg = megafly_collective_config(workload.clone(), routing);
+            let cfg = megafly_collective_config(job.clone(), routing);
             let got = collective_fingerprint(cfg);
             let &(ew, er, edone, ed, estall, el) = expected
                 .next()
@@ -334,6 +335,29 @@ fn golden_matrix_runner_cells() {
             "{es}/{col} diverged from the pinned fingerprint"
         );
     }
+}
+
+#[test]
+fn invalid_matrix_scenario_is_a_service_error_not_a_panic() {
+    // used to abort the process inside `ScenarioMatrix::cells()` before the
+    // service's own validation could return its error
+    let dir = std::env::temp_dir().join(format!("df_matrix_bad_churn_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut matrix = golden_matrix();
+    matrix.scenarios.push(
+        Scenario::named("bad-churn")
+            .hold(PatternKind::Uniform)
+            .churn(ChurnModel::new(7, 100, 300).global_links(ChurnRate::new(0.0, 5.0))),
+    );
+    let err = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).unwrap_err();
+    assert!(
+        err.contains("'bad-churn'") && err.contains("global-link mtbf"),
+        "the error must name the scenario and the churn field: {err}"
+    );
+    assert!(
+        !dir.join("journal.bin").exists(),
+        "no journal may be created"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -473,9 +497,10 @@ fn regenerate_golden_tables() {
     println!(
         "// megafly: (workload, routing, completion_cycle, delivered, rank_stall_cycles, latency_bits)"
     );
-    for workload in megafly_collective_workloads() {
+    for job in megafly_collective_workloads() {
+        let workload = &job.workload;
         for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-            let cfg = megafly_collective_config(workload.clone(), routing);
+            let cfg = megafly_collective_config(job.clone(), routing);
             let (done, d, stall, l) = collective_fingerprint(cfg);
             println!(
                 "    (\"{}\", \"{}\", {}, {}, {}, {:#018X}),",
