@@ -20,7 +20,9 @@
 //!     [small|medium|paper] [run-dir=DIR] [seeds=N] [threads=N]
 //! ```
 //!
-//! Runs are journaled and checkpointed under the run directory
+//! A mistyped scale or a `--topology=` selection (the sweep is built on the
+//! canonical Dragonfly) aborts with exit code 2. Runs are journaled and
+//! checkpointed under the run directory
 //! (default `target/availability-run`): kill the process at any point and
 //! rerun the same command to resume; the finished surface is byte-identical
 //! either way. Prints the table and writes `AVAILABILITY.csv` into the
@@ -28,28 +30,20 @@
 
 use std::path::PathBuf;
 
+use df_bench::{or_exit_2, parse_kv, Scale};
 use df_routing::RoutingKind;
 use df_sim::runner::{run_sweep_service, RunnerOptions};
 use df_sim::{ChurnModel, ChurnRate, Scenario, ScenarioMatrix, SimulationConfig};
 use df_traffic::PatternKind;
 
-fn parse_kv(args: &[String], key: &str) -> Option<u64> {
-    args.iter()
-        .find_map(|a| a.strip_prefix(&format!("{key}=")))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: {key}= wants an integer, got '{v}'");
-                std::process::exit(2);
-            })
-        })
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = args
-        .iter()
-        .find_map(|a| df_bench::Scale::from_name(a))
-        .unwrap_or_else(df_bench::Scale::small);
+    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
+        Scale::small(),
+        &[],
+        "availability",
+        args.iter().cloned(),
+    ));
     let seeds = parse_kv(&args, "seeds").unwrap_or(5).max(1);
     let run_dir = args
         .iter()

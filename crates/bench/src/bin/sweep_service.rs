@@ -14,7 +14,8 @@
 //! * `run-dir=` — the run directory (journal, snapshots, `results.csv`);
 //!   required.
 //! * scale name / `smoke` — topology and measurement windows, as in the
-//!   other runners.
+//!   other runners (a mistyped scale or a `--topology=` selection — the
+//!   matrix is built on the canonical Dragonfly — is rejected).
 //! * `threads=` — worker threads (default: available parallelism).
 //! * `checkpoint-every=` — cycles between mid-cell snapshots (default 2000;
 //!   0 disables mid-cell recovery).
@@ -30,22 +31,12 @@
 
 use std::path::PathBuf;
 
+use df_bench::{or_exit_2, parse_kv, Scale};
 use df_routing::RoutingKind;
 use df_sim::runner::{run_sweep_service, RunnerOptions};
 use df_sim::{matrix_table, FaultPlan, Scenario, ScenarioMatrix, SimulationConfig};
 use df_topology::{Dragonfly, GroupId};
 use df_traffic::PatternKind;
-
-fn parse_kv(args: &[String], key: &str) -> Option<u64> {
-    args.iter()
-        .find_map(|a| a.strip_prefix(&format!("{key}=")))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: {key}= wants an integer, got '{v}'");
-                std::process::exit(2);
-            })
-        })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,10 +44,12 @@ fn main() {
         eprintln!("error: run-dir=DIR is required (see the module docs)");
         std::process::exit(2);
     };
-    let scale = args
-        .iter()
-        .find_map(|a| df_bench::Scale::from_name(a))
-        .unwrap_or_else(df_bench::Scale::small);
+    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
+        Scale::small(),
+        &["smoke", "csv"],
+        "sweep_service",
+        args.iter().cloned(),
+    ));
     let smoke = args.iter().any(|a| a == "smoke");
     let csv = args.iter().any(|a| a == "csv");
 
@@ -78,9 +71,9 @@ fn main() {
 
     // Benign + adversarial steady workloads plus one mid-run link outage —
     // the outage exercises snapshot/resume straddling fault windows.
-    // NOTE: deliberately pinned to the concrete Dragonfly family; new code
-    // should build `scale.topology_params().build()` and go through the
-    // `Topology` trait so the `--topology` flag keeps working.
+    // NOTE: pinned to the concrete Dragonfly family, which is why the
+    // parser above rejects `--topology=`; new code should build
+    // `scale.topology_params().build()` and go through the `Topology` trait.
     let topo = Dragonfly::new(scale.topology);
     let (gw, gport) = FaultPlan::global_link_between(&topo, GroupId(0), GroupId(1));
     let matrix = ScenarioMatrix {

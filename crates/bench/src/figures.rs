@@ -2,8 +2,8 @@
 //! evaluation section (§V and §VI-A).
 //!
 //! Every function returns [`Table`]s whose rows/series mirror what the paper
-//! plots; the binaries in `src/bin/` print them, and `EXPERIMENTS.md` records
-//! the paper-versus-measured comparison.
+//! plots; `--bin fig -- <5|6|7|8|9|10|table1>` prints them, and
+//! `EXPERIMENTS.md` records the paper-versus-measured comparison.
 
 use df_engine::Table;
 use df_model::NetworkConfig;

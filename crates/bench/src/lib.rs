@@ -5,9 +5,10 @@
 //! misrouting threshold, time) for the relevant set of routing mechanisms and
 //! returns [`df_engine::Table`]s with the same rows/series the paper plots.
 //!
-//! The binaries in `src/bin/` (one per figure) print these tables at a
-//! selectable scale; the Criterion benches in `benches/` time representative
-//! slices of the same code paths.
+//! `--bin fig -- <5|6|7|8|9|10|table1>` prints these tables at a selectable
+//! scale; the other binaries in `src/bin/` are the scenario-matrix,
+//! sweep-service, fault, availability and collective/job runners. Timing
+//! lives in the standalone `benchmark/` package, not here.
 
 #![warn(missing_docs)]
 
@@ -15,4 +16,4 @@ pub mod figures;
 pub mod scale;
 
 pub use figures::*;
-pub use scale::Scale;
+pub use scale::{or_exit_2, parse_kv, Scale};

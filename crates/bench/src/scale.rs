@@ -156,54 +156,30 @@ impl Scale {
         }
     }
 
-    /// Scale named on the command line (first free argument), defaulting to
-    /// small.
+    /// Scale named on the command line (first free argument), falling back
+    /// to the caller's `default`, with the caller's own word-like flags
+    /// exempted from the typo check — each binary declares the flags *it*
+    /// accepts rather than this parser knowing every binary's CLI.
     ///
-    /// A word-like argument that is *not* a known scale name (or one of the
-    /// shared runner flags) aborts with the list of valid names instead of
-    /// silently falling back to `small` — a mistyped `papper` used to buy
-    /// you a multi-hour run of the wrong topology.
-    pub fn from_args() -> Self {
-        Self::from_args_with_flags(Self::small(), &[])
-    }
-
-    /// Like [`Scale::from_args`], with a caller-chosen default when no scale
-    /// is named and the caller's own word-like flags exempted from the typo
-    /// check — each binary declares the flags *it* accepts rather than this
-    /// parser knowing every binary's CLI.
-    ///
-    /// Aborts the process with exit code 2 on a rejected argument (see
-    /// [`Scale::from_arg_list`] for the testable core).
+    /// A word-like argument that is *not* a known scale name or declared
+    /// flag aborts with exit code 2 and the list of valid names instead of
+    /// silently falling back — a mistyped `papper` used to buy you a
+    /// multi-hour run of the wrong topology (see [`Scale::from_arg_list`]
+    /// for the testable core).
     pub fn from_args_with_flags(default: Self, flags: &[&str]) -> Self {
-        match Self::from_arg_list(default, flags, std::env::args().skip(1)) {
-            Ok(scale) => scale,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        or_exit_2(Self::from_arg_list(
+            default,
+            flags,
+            std::env::args().skip(1),
+        ))
     }
 
-    /// Like [`Scale::from_args`], for the Dragonfly-only paper
-    /// reproductions (`fig6`–`fig9`, `table1`): any `--topology=` selection
-    /// aborts with exit code 2 instead of being silently ignored — these
-    /// binaries reproduce figures defined on the paper's canonical
-    /// Dragonfly, and running one under a `--topology=megafly` flag used to
-    /// produce a Dragonfly table labelled by nothing at all.
-    pub fn from_args_dragonfly_only(bin: &str) -> Self {
-        match Self::from_arg_list_dragonfly_only(Self::small(), &[], bin, std::env::args().skip(1))
-        {
-            Ok(scale) => scale,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The testable core of [`Scale::from_args_dragonfly_only`]: reject any
-    /// `--topology` argument naming the binary and the topology-aware
-    /// alternatives, then fall through to the ordinary parser.
+    /// [`Scale::from_arg_list`] for the binaries that build the canonical
+    /// Dragonfly explicitly (`fig 6`–`fig 9`, `fig table1`, `sweep_service`,
+    /// `availability`): any `--topology` argument is an error naming the
+    /// binary and the topology-aware alternatives instead of being silently
+    /// ignored — running one under `--topology=megafly` used to produce a
+    /// Dragonfly table labelled by nothing at all.
     pub fn from_arg_list_dragonfly_only(
         default: Self,
         flags: &[&str],
@@ -213,10 +189,10 @@ impl Scale {
         let args: Vec<String> = args.into_iter().collect();
         if let Some(arg) = args.iter().find(|a| a.starts_with("--topology")) {
             return Err(format!(
-                "error: {bin} reproduces a Dragonfly-only paper experiment and does not \
-                 accept '{arg}' (Figures 6-9 and Table 1 are defined on the canonical \
-                 Dragonfly; topology-aware runners: scenario_matrix, fault_recovery, \
-                 sweep_service)"
+                "error: {bin} is Dragonfly-only and does not accept '{arg}' (Figures 6-9, \
+                 Table 1, the sweep service and the availability sweep build the \
+                 canonical Dragonfly; topology-aware runners: scenario_matrix, \
+                 fault_recovery)"
             ));
         }
         Self::from_arg_list(default, flags, args)
@@ -268,6 +244,28 @@ impl Scale {
         }
         Ok(scale)
     }
+}
+
+/// Unwrap a CLI parser's result, or print its message and abort the process
+/// with exit code 2 (bad arguments).
+pub fn or_exit_2<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// The integer value of a `key=value` argument, if present; a non-integer
+/// value aborts with exit code 2.
+pub fn parse_kv(args: &[String], key: &str) -> Option<u64> {
+    args.iter()
+        .find_map(|a| a.strip_prefix(&format!("{key}=")))
+        .map(|v| {
+            or_exit_2(
+                v.parse()
+                    .map_err(|_| format!("error: {key}= wants an integer, got '{v}'")),
+            )
+        })
 }
 
 /// Whether `arg` reads like an *attempted* scale name that resolves to

@@ -1,23 +1,30 @@
-//! Process-level CLI tests: `Scale::from_args` rejection paths and the
-//! figure/table binaries as end-to-end smokes at the tiny `bench` scale —
-//! all exercised on the real binaries (`CARGO_BIN_EXE_*` paths are provided
-//! by Cargo for integration tests).
+//! Process-level CLI tests: the scale parser's rejection paths and the
+//! `fig` binary's seven figures as end-to-end smokes at the tiny `bench`
+//! scale — all exercised on the real binaries (`CARGO_BIN_EXE_*` paths are
+//! provided by Cargo for integration tests).
 
 use std::process::Command;
+
+/// Spawn `exe args`, assert it aborts with exit code 2 before printing
+/// anything, and return its stderr.
+fn rejected(exe: &str, args: &[&str]) -> String {
+    let out = Command::new(exe).args(args).output().expect("spawn bin");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{exe} {args:?} must abort before simulating"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{exe} {args:?} must not print a table for a rejected run"
+    );
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
 
 #[test]
 fn mistyped_scale_names_abort_with_exit_2() {
     for bad in ["papper", "paper_smoke", "smal"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_scenario_matrix"))
-            .arg(bad)
-            .output()
-            .expect("spawn scenario_matrix");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "'{bad}' must abort before simulating"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = rejected(env!("CARGO_BIN_EXE_scenario_matrix"), &[bad]);
         assert!(
             stderr.contains("unrecognized scale") && stderr.contains(bad),
             "stderr must explain the rejection: {stderr}"
@@ -25,90 +32,116 @@ fn mistyped_scale_names_abort_with_exit_2() {
     }
 }
 
-/// Run one of the figure/table binaries at the `bench` scale and assert it
-/// exits 0 with a rendered table containing `title` on stdout.
-fn figure_smoke(exe: &str, args: &[&str], title: &str) {
-    let out = Command::new(exe).args(args).output().expect("spawn bin");
-    assert!(
-        out.status.success(),
-        "{exe} {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains(title),
-        "{exe} stdout must contain '{title}': {stdout}"
-    );
-    assert!(
-        stdout.lines().filter(|l| !l.trim().is_empty()).count() >= 3,
-        "{exe} must print a rendered table (title, header, rows): {stdout}"
-    );
-}
-
 #[test]
-fn fig5_runs_at_bench_scale() {
-    figure_smoke(env!("CARGO_BIN_EXE_fig5"), &["bench", "un"], "Figure 5");
-}
-
-#[test]
-fn fig6_runs_at_bench_scale() {
-    figure_smoke(env!("CARGO_BIN_EXE_fig6"), &["bench"], "Figure 6");
-}
-
-#[test]
-fn fig7_runs_at_bench_scale() {
-    figure_smoke(env!("CARGO_BIN_EXE_fig7"), &["bench"], "Figure 7");
-}
-
-#[test]
-fn fig8_runs_at_bench_scale() {
-    figure_smoke(env!("CARGO_BIN_EXE_fig8"), &["bench"], "Figure 8");
-}
-
-#[test]
-fn fig9_runs_at_bench_scale() {
-    figure_smoke(env!("CARGO_BIN_EXE_fig9"), &["bench"], "Figure 9");
-}
-
-#[test]
-fn fig10_runs_at_bench_scale() {
-    figure_smoke(env!("CARGO_BIN_EXE_fig10"), &["bench", "un"], "Figure 10");
-}
-
-#[test]
-fn table1_runs_at_bench_scale() {
-    figure_smoke(env!("CARGO_BIN_EXE_table1"), &["bench"], "Table I");
-}
-
-#[test]
-fn dragonfly_only_figures_reject_topology_selections_with_exit_2() {
-    // fig6-fig9 and table1 reproduce figures defined on the paper's
-    // canonical Dragonfly: a --topology selection must abort loudly, not
-    // silently run a Dragonfly under a misleading flag
+fn service_bins_reject_mistyped_scales_and_topology_selections() {
+    // both used to pick their scale with find_map(Scale::from_name): a typo
+    // silently ran `small`, and --topology was silently ignored although
+    // both build the canonical Dragonfly
     for (exe, bin) in [
-        (env!("CARGO_BIN_EXE_fig6"), "fig6"),
-        (env!("CARGO_BIN_EXE_fig7"), "fig7"),
-        (env!("CARGO_BIN_EXE_fig8"), "fig8"),
-        (env!("CARGO_BIN_EXE_fig9"), "fig9"),
-        (env!("CARGO_BIN_EXE_table1"), "table1"),
+        (env!("CARGO_BIN_EXE_sweep_service"), "sweep_service"),
+        (env!("CARGO_BIN_EXE_availability"), "availability"),
     ] {
-        let out = Command::new(exe)
-            .args(["bench", "--topology=megafly"])
-            .output()
-            .expect("spawn figure bin");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{bin} must reject --topology before simulating"
+        let stderr = rejected(exe, &["run-dir=target/never-created", "papper"]);
+        assert!(
+            stderr.contains("unrecognized scale") && stderr.contains("papper"),
+            "{bin} stderr must explain the rejection: {stderr}"
         );
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = rejected(exe, &["run-dir=target/never-created", "--topology=megafly"]);
         assert!(
             stderr.contains(bin) && stderr.contains("Dragonfly-only"),
             "{bin} stderr must name the binary and the reason: {stderr}"
         );
         assert!(
-            out.stdout.is_empty(),
-            "{bin} must not print a table for a rejected run"
+            !stderr.contains("sweep_service)"),
+            "the sweep service must not be advertised as topology-aware: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new("target/never-created").exists());
+}
+
+#[test]
+fn unknown_figures_abort_with_exit_2_listing_the_valid_ones() {
+    for args in [&["11", "bench"][..], &["bench"], &[]] {
+        let stderr = rejected(env!("CARGO_BIN_EXE_fig"), args);
+        assert!(
+            stderr.contains("unrecognized figure") && stderr.contains("5, 6, 7, 8, 9, 10, table1"),
+            "fig {args:?} stderr must list the valid figures: {stderr}"
+        );
+    }
+}
+
+/// Run `fig <figure> <args>` at the `bench` scale and assert it exits 0 with
+/// a rendered table containing `title` on stdout.
+fn figure_smoke(figure: &str, args: &[&str], title: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig"))
+        .arg(figure)
+        .args(args)
+        .output()
+        .expect("spawn fig");
+    assert!(
+        out.status.success(),
+        "fig {figure} {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(title),
+        "fig {figure} stdout must contain '{title}': {stdout}"
+    );
+    assert!(
+        stdout.lines().filter(|l| !l.trim().is_empty()).count() >= 3,
+        "fig {figure} must print a rendered table (title, header, rows): {stdout}"
+    );
+}
+
+#[test]
+fn fig5_runs_at_bench_scale() {
+    figure_smoke("5", &["bench", "un"], "Figure 5");
+}
+
+#[test]
+fn fig6_runs_at_bench_scale() {
+    figure_smoke("6", &["bench"], "Figure 6");
+}
+
+#[test]
+fn fig7_runs_at_bench_scale() {
+    figure_smoke("7", &["bench"], "Figure 7");
+}
+
+#[test]
+fn fig8_runs_at_bench_scale() {
+    figure_smoke("8", &["bench"], "Figure 8");
+}
+
+#[test]
+fn fig9_runs_at_bench_scale() {
+    figure_smoke("9", &["bench"], "Figure 9");
+}
+
+#[test]
+fn fig10_runs_at_bench_scale() {
+    figure_smoke("10", &["bench", "un"], "Figure 10");
+}
+
+#[test]
+fn table1_runs_at_bench_scale() {
+    figure_smoke("table1", &["bench"], "Table I");
+}
+
+#[test]
+fn dragonfly_only_figures_reject_topology_selections_with_exit_2() {
+    // figures 6-9 and table1 reproduce figures defined on the paper's
+    // canonical Dragonfly: a --topology selection must abort loudly, not
+    // silently run a Dragonfly under a misleading flag
+    for figure in ["6", "7", "8", "9", "table1"] {
+        let stderr = rejected(
+            env!("CARGO_BIN_EXE_fig"),
+            &[figure, "bench", "--topology=megafly"],
+        );
+        assert!(
+            stderr.contains(&format!("fig {figure}")) && stderr.contains("Dragonfly-only"),
+            "fig {figure} stderr must name the figure and the reason: {stderr}"
         );
     }
 }

@@ -7,13 +7,14 @@
 //!   known cycle, and record the time evolution of latency and of the
 //!   percentage of misrouted packets (Figures 7, 8 and 9).
 
-use df_engine::RunningStats;
+use df_engine::{CodecError, Decoder, Encoder, RunningStats};
 use df_routing::RoutingKind;
 use df_traffic::PatternKind;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimulationConfig;
 use crate::network::Network;
+use crate::runner::run_subrun;
 
 /// Result of one steady-state run (or the average of several seeds).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,6 +83,50 @@ impl SteadyStateReport {
             seed: config.seed,
         }
     }
+
+    /// Append the measured (seed-dependent) fields as exact bit patterns —
+    /// the payload of a sweep-journal sub-run record. The identification
+    /// fields are not written: [`decode_measured`](Self::decode_measured)
+    /// regenerates them from the sub-run's configuration.
+    pub(crate) fn encode_measured(&self, e: &mut Encoder) {
+        e.f64(self.accepted_load);
+        e.f64(self.avg_packet_latency);
+        e.f64(self.latency_ci95);
+        e.f64(self.p99_latency);
+        e.f64(self.avg_hops);
+        e.f64(self.global_misroute_fraction);
+        e.f64(self.local_misroute_fraction);
+        e.u64(self.delivered_packets);
+        e.u64(self.dropped_on_fault_packets);
+        e.u64(self.retargeted_packets);
+        e.u64(self.injected_packets);
+        e.u64(self.seed);
+    }
+
+    /// Inverse of [`encode_measured`](Self::encode_measured) for a sub-run of
+    /// the sweep point `config` (any of its seeds: the seed is measured).
+    pub(crate) fn decode_measured(
+        config: &SimulationConfig,
+        d: &mut Decoder,
+    ) -> Result<Self, CodecError> {
+        Ok(SteadyStateReport {
+            routing: config.routing,
+            pattern: config.schedule.phases()[0].pattern,
+            offered_load: config.offered_load,
+            accepted_load: d.f64()?,
+            avg_packet_latency: d.f64()?,
+            latency_ci95: d.f64()?,
+            p99_latency: d.f64()?,
+            avg_hops: d.f64()?,
+            global_misroute_fraction: d.f64()?,
+            local_misroute_fraction: d.f64()?,
+            delivered_packets: d.u64()?,
+            dropped_on_fault_packets: d.u64()?,
+            retargeted_packets: d.u64()?,
+            injected_packets: d.u64()?,
+            seed: d.u64()?,
+        })
+    }
 }
 
 /// A steady-state experiment: one configuration, one run.
@@ -101,37 +146,22 @@ impl SteadyStateExperiment {
         &self.config
     }
 
-    /// Run warm-up plus measurement and report.
+    /// Run warm-up plus measurement and report: one in-memory sub-run of
+    /// the sweep pool's loop. Averaging over seeds is the pool's job
+    /// ([`run_sweep`](crate::sweep::run_sweep) with `seeds_per_point > 1`).
     pub fn run(&self) -> SteadyStateReport {
-        let mut net = Network::new(self.config.clone());
-        net.run_cycles(self.config.warmup_cycles);
-        let start = net.cycle();
-        net.metrics_mut().start_measurement(start);
-        net.run_cycles(self.config.measurement_cycles);
-        SteadyStateReport::measure(&net)
-    }
-
-    /// Run the same experiment with `num_seeds` consecutive seeds (starting
-    /// at the configured seed) and average the reported metrics, as the paper
-    /// does with its 10 simulations per point.
-    pub fn run_averaged(&self, num_seeds: u64) -> SteadyStateReport {
-        assert!(num_seeds > 0, "need at least one seed");
-        let reports: Vec<SteadyStateReport> = (0..num_seeds)
-            .map(|s| {
-                let mut config = self.config.clone();
-                config.seed = self.config.seed + s;
-                SteadyStateExperiment::new(config).run()
-            })
-            .collect();
-        average_reports(&self.config, &reports)
+        match run_subrun(&self.config, None) {
+            Ok(Some(end)) => end.report,
+            _ => unreachable!("only a durable sub-run writes checkpoints or can be interrupted"),
+        }
     }
 }
 
-/// Average per-seed steady-state reports into one (the shape
-/// [`SteadyStateExperiment::run_averaged`] and the sweep runner both
-/// produce): metric means with an across-seed latency confidence interval,
-/// summed deliveries, and the seed count in the `seed` field.
-pub fn average_reports(
+/// Average the per-seed reports of one sweep point into one, as the paper
+/// does with its 10 simulations per point: metric means with an across-seed
+/// latency confidence interval, summed deliveries, and the seed count in
+/// the `seed` field.
+pub(crate) fn average_reports(
     config: &SimulationConfig,
     reports: &[SteadyStateReport],
 ) -> SteadyStateReport {
@@ -301,18 +331,75 @@ mod tests {
         assert_eq!(report.pattern, PatternKind::Uniform);
     }
 
+    /// Every field equal, floats by bit pattern.
+    fn assert_bit_identical(a: &SteadyStateReport, b: &SteadyStateReport) {
+        assert_eq!(a.routing, b.routing);
+        assert_eq!(a.pattern, b.pattern);
+        for (x, y) in [
+            (a.offered_load, b.offered_load),
+            (a.accepted_load, b.accepted_load),
+            (a.avg_packet_latency, b.avg_packet_latency),
+            (a.latency_ci95, b.latency_ci95),
+            (a.p99_latency, b.p99_latency),
+            (a.avg_hops, b.avg_hops),
+            (a.global_misroute_fraction, b.global_misroute_fraction),
+            (a.local_misroute_fraction, b.local_misroute_fraction),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{a:?} vs {b:?}");
+        }
+        assert_eq!(a.delivered_packets, b.delivered_packets);
+        assert_eq!(a.dropped_on_fault_packets, b.dropped_on_fault_packets);
+        assert_eq!(a.retargeted_packets, b.retargeted_packets);
+        assert_eq!(a.injected_packets, b.injected_packets);
+        assert_eq!(a.seed, b.seed);
+    }
+
     #[test]
-    fn averaging_over_seeds_tightens_the_report() {
+    fn a_multi_seed_sweep_point_is_the_average_of_its_single_seed_runs() {
         let config = base_builder()
             .routing(RoutingKind::Base)
             .pattern(PatternKind::Uniform)
             .offered_load(0.1)
             .build()
             .unwrap();
-        let avg = SteadyStateExperiment::new(config).run_averaged(3);
-        assert!(avg.delivered_packets > 0);
-        assert!(avg.avg_packet_latency > 0.0);
-        assert_eq!(avg.seed, 3, "averaged reports carry the seed count");
+        // the pool schedules the three seeds as separate sub-runs on up to
+        // four threads; the point must not depend on who ran which
+        let swept = crate::sweep::run_sweep(std::slice::from_ref(&config), 3, 4);
+        let singles: Vec<SteadyStateReport> = (0..3)
+            .map(|s| {
+                let mut c = config.clone();
+                c.seed += s;
+                SteadyStateExperiment::new(c).run()
+            })
+            .collect();
+        assert_eq!(swept.len(), 1);
+        assert_bit_identical(&swept[0], &average_reports(&config, &singles));
+        assert_eq!(swept[0].seed, 3, "averaged reports carry the seed count");
+        assert!(swept[0].delivered_packets > singles[0].delivered_packets);
+    }
+
+    #[test]
+    fn measured_fields_round_trip_through_the_journal_codec() {
+        let config = base_builder()
+            .routing(RoutingKind::PiggyBacking)
+            .pattern(PatternKind::Adversarial { offset: 1 })
+            .offered_load(0.3)
+            .build()
+            .unwrap();
+        let mut report = SteadyStateExperiment::new(config.clone()).run();
+        // bit patterns text would lose, and counters nothing else sets here
+        report.latency_ci95 = f64::NAN;
+        report.avg_hops = -0.0;
+        report.p99_latency = f64::INFINITY;
+        report.dropped_on_fault_packets = 7;
+        report.retargeted_packets = u64::MAX;
+        let mut e = Encoder::new();
+        report.encode_measured(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), 12 * 8, "record layout: 7 f64 + 5 u64");
+        let mut d = Decoder::new(&bytes);
+        let decoded = SteadyStateReport::decode_measured(&config, &mut d).expect("decodes");
+        assert_bit_identical(&decoded, &report);
     }
 
     #[test]

@@ -14,17 +14,16 @@
 //!   ([`fault::FaultPlan`]),
 //! * [`churn`] — seeded MTBF/MTTR churn models lowering into fault plans
 //!   ([`churn::ChurnModel`]),
-//! * [`sweep`] — parallel parameter sweeps and the scenario-matrix runner,
-//! * [`runner`] — the crash-recoverable sweep service: journaled cell
-//!   completions plus periodic [`network::snapshot`] checkpoints in a run
-//!   directory, resumable to a byte-identical results table,
+//! * [`sweep`] — parameter sweeps and the scenario-matrix runner, in memory,
+//! * [`runner`] — the one sweep driver (sub-run loop + worker pool) and the
+//!   crash-recoverable sweep service: the same pool journaled, with periodic
+//!   [`network::snapshot`] checkpoints, resumable to a byte-identical table,
 //! * [`task`] — the collective task layer: job sets whose ranks execute
 //!   message-gated communication scripts (all-reduce, all-to-all,
 //!   barriers) on top of the packet engine, alone (offered load 0) or
 //!   under background traffic, with per-job completion time and rank
 //!   stall accounting ([`task::JobsEngine`]),
-//! * [`telemetry`] — streaming per-window statistics and automatic
-//!   steady-state detection ([`StreamingTelemetry`]),
+//! * [`telemetry`] — streaming per-window statistics ([`StreamingTelemetry`]),
 //! * [`metrics`], [`events`], [`node`] — supporting machinery.
 //!
 //! ```
@@ -69,7 +68,7 @@ pub mod telemetry;
 pub use churn::{ChurnModel, ChurnRate};
 pub use config::{ConfigError, KernelMode, SimulationConfig, SimulationConfigBuilder};
 pub use experiment::{
-    average_reports, SteadyStateExperiment, SteadyStateReport, TransientExperiment, TransientReport,
+    SteadyStateExperiment, SteadyStateReport, TransientExperiment, TransientReport,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{Metrics, WindowSummary};
@@ -78,7 +77,7 @@ pub use network::Network;
 pub use runner::{run_sweep_service, RunnerOptions, SweepOutcome};
 pub use scenario::{Scenario, ScenarioPhase};
 pub use sweep::{
-    cell_seed, load_sweep, matrix_table, num_threads, run_matrix, run_sweep, MatrixCell, MatrixKey,
+    cell_seed, matrix_table, num_threads, run_matrix, run_sweep, MatrixCell, MatrixKey,
     ScenarioMatrix,
 };
 pub use task::{

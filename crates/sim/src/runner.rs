@@ -1,7 +1,13 @@
-//! The crash-recoverable sweep service: a scenario matrix executed as a
-//! journaled work queue of `(cell, seed)` sub-runs with periodic state
-//! snapshots, so a killed sweep resumes where it stopped and still produces
-//! a results table **byte-identical** to an uninterrupted run.
+//! The one sweep driver. Every steady-state run in the crate is a
+//! `(configuration, seed)` **sub-run** — warm up, open the measurement
+//! window, measure (`run_subrun`) — and every sweep is a flat list of
+//! sub-runs on one worker pool (`run_pool`) that averages each
+//! configuration's per-seed reports in seed order.
+//! [`SteadyStateExperiment::run`] is one sub-run, [`run_sweep`] and
+//! [`run_matrix`] are the pool in memory, and [`run_sweep_service`] is the
+//! pool with a journal and periodic state snapshots: a killed sweep resumes
+//! where it stopped and still produces a results table **byte-identical**
+//! to an uninterrupted run.
 //!
 //! # Run directory
 //!
@@ -30,7 +36,12 @@
 //! uninterrupted one byte for byte.
 //!
 //! Measured numbers ride through the journal as exact bit patterns (f64
-//! bits), never through text, so recovery cannot introduce rounding drift.
+//! bits, `SteadyStateReport::encode_measured`), never through text, so
+//! recovery cannot introduce rounding drift.
+//!
+//! [`SteadyStateExperiment::run`]: crate::experiment::SteadyStateExperiment::run
+//! [`run_sweep`]: crate::sweep::run_sweep
+//! [`run_matrix`]: crate::sweep::run_matrix
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -45,7 +56,7 @@ use crate::config::SimulationConfig;
 use crate::experiment::{average_reports, SteadyStateReport};
 use crate::network::snapshot::config_fingerprint;
 use crate::network::Network;
-use crate::sweep::{MatrixCell, ScenarioMatrix};
+use crate::sweep::{matrix_cells, outer_threads, MatrixCell, MatrixKey, ScenarioMatrix};
 use crate::telemetry::StreamingTelemetry;
 
 /// Journal frame magic.
@@ -64,7 +75,8 @@ pub struct RunnerOptions {
     /// Cycles between mid-run snapshots of each sub-run (0 = none: recovery
     /// granularity is whole sub-runs).
     pub checkpoint_every: u64,
-    /// Worker threads pulling sub-runs off the queue.
+    /// Total thread budget of the pool pulling sub-runs off the queue
+    /// (sub-runs × the base kernel's workers).
     pub threads: usize,
     /// Stream per-window telemetry of every sub-run to stderr with this
     /// window width (None = quiet). Observation only — results are
@@ -115,105 +127,14 @@ pub struct SweepOutcome {
     pub resumed_from_snapshot: Vec<(usize, u64, u64)>,
 }
 
-/// The measured (seed-dependent) part of a [`SteadyStateReport`] — what the
-/// journal persists. Identification fields (routing, pattern, offered load)
-/// are regenerated from the matrix on recovery.
-#[derive(Debug, Clone, Copy)]
-struct MeasuredNumbers {
-    accepted_load: f64,
-    avg_packet_latency: f64,
-    latency_ci95: f64,
-    p99_latency: f64,
-    avg_hops: f64,
-    global_misroute_fraction: f64,
-    local_misroute_fraction: f64,
-    delivered_packets: u64,
-    dropped_on_fault_packets: u64,
-    retargeted_packets: u64,
-    injected_packets: u64,
-    seed: u64,
-}
-
-impl MeasuredNumbers {
-    fn of(report: &SteadyStateReport) -> Self {
-        MeasuredNumbers {
-            accepted_load: report.accepted_load,
-            avg_packet_latency: report.avg_packet_latency,
-            latency_ci95: report.latency_ci95,
-            p99_latency: report.p99_latency,
-            avg_hops: report.avg_hops,
-            global_misroute_fraction: report.global_misroute_fraction,
-            local_misroute_fraction: report.local_misroute_fraction,
-            delivered_packets: report.delivered_packets,
-            dropped_on_fault_packets: report.dropped_on_fault_packets,
-            retargeted_packets: report.retargeted_packets,
-            injected_packets: report.injected_packets,
-            seed: report.seed,
-        }
-    }
-
-    fn into_report(self, config: &SimulationConfig) -> SteadyStateReport {
-        SteadyStateReport {
-            routing: config.routing,
-            pattern: config.schedule.phases()[0].pattern,
-            offered_load: config.offered_load,
-            accepted_load: self.accepted_load,
-            avg_packet_latency: self.avg_packet_latency,
-            latency_ci95: self.latency_ci95,
-            p99_latency: self.p99_latency,
-            avg_hops: self.avg_hops,
-            global_misroute_fraction: self.global_misroute_fraction,
-            local_misroute_fraction: self.local_misroute_fraction,
-            delivered_packets: self.delivered_packets,
-            dropped_on_fault_packets: self.dropped_on_fault_packets,
-            retargeted_packets: self.retargeted_packets,
-            injected_packets: self.injected_packets,
-            seed: self.seed,
-        }
-    }
-
-    fn encode(&self, e: &mut Encoder) {
-        e.f64(self.accepted_load);
-        e.f64(self.avg_packet_latency);
-        e.f64(self.latency_ci95);
-        e.f64(self.p99_latency);
-        e.f64(self.avg_hops);
-        e.f64(self.global_misroute_fraction);
-        e.f64(self.local_misroute_fraction);
-        e.u64(self.delivered_packets);
-        e.u64(self.dropped_on_fault_packets);
-        e.u64(self.retargeted_packets);
-        e.u64(self.injected_packets);
-        e.u64(self.seed);
-    }
-
-    fn decode(d: &mut Decoder) -> Result<Self, CodecError> {
-        Ok(MeasuredNumbers {
-            accepted_load: d.f64()?,
-            avg_packet_latency: d.f64()?,
-            latency_ci95: d.f64()?,
-            p99_latency: d.f64()?,
-            avg_hops: d.f64()?,
-            global_misroute_fraction: d.f64()?,
-            local_misroute_fraction: d.f64()?,
-            delivered_packets: d.u64()?,
-            dropped_on_fault_packets: d.u64()?,
-            retargeted_packets: d.u64()?,
-            injected_packets: d.u64()?,
-            seed: d.u64()?,
-        })
-    }
-}
-
-/// Fingerprint binding a run directory to one matrix: hashes every cell's
-/// kernel-normalised configuration fingerprint plus the seeds-per-cell
-/// count, in cell order.
-pub fn matrix_fingerprint(matrix: &ScenarioMatrix) -> u64 {
+/// Fingerprint binding a run directory to one sweep: hashes the
+/// seeds-per-cell count plus every cell's kernel-normalised configuration
+/// fingerprint, in cell order.
+fn matrix_fingerprint(seeds_per_cell: u64, configs: &[SimulationConfig]) -> u64 {
     let mut e = Encoder::new();
-    e.u64(matrix.seeds_per_cell);
-    let cells = matrix.cells();
-    e.usize(cells.len());
-    for (_, config) in &cells {
+    e.u64(seeds_per_cell);
+    e.usize(configs.len());
+    for config in configs {
         e.u64(config_fingerprint(config));
     }
     df_engine::codec::fnv1a64(&e.into_bytes())
@@ -223,29 +144,111 @@ fn journal_path(run_dir: &Path) -> PathBuf {
     run_dir.join("journal.bin")
 }
 
-fn snapshot_path(run_dir: &Path, cell: usize, seed_idx: u64) -> PathBuf {
-    run_dir.join(format!("cell{cell}_s{seed_idx}.snap"))
-}
-
-/// Append one framed record and flush it to disk.
-fn append_record(file: &Mutex<File>, payload: Encoder) -> Result<(), String> {
-    let bytes = payload.finish_frame(JOURNAL_MAGIC, JOURNAL_VERSION);
-    let mut file = file.lock().map_err(|_| "journal writer poisoned")?;
-    file.write_all(&bytes)
-        .and_then(|()| file.sync_data())
-        .map_err(|e| format!("journal append failed: {e}"))
-}
-
-/// Split a journal file into frames and decode them; stops silently at a
-/// torn or corrupt tail (the crash case), erroring only on a malformed
-/// prefix.
-/// Parsed journal header: `(matrix fingerprint, cell count, seeds per cell)`.
+/// Journal header: `(matrix fingerprint, cell count, seeds per cell)`.
 type JournalHeader = (u64, u64, u64);
-/// Recovered sub-run results, keyed by `(cell index, seed index)`.
-type RecoveredSubruns = HashMap<(usize, u64), MeasuredNumbers>;
+/// Sub-run results, keyed by `(cell index, seed index)`.
+type SubrunReports = HashMap<(usize, u64), SteadyStateReport>;
 
-fn read_journal(bytes: &[u8]) -> Result<(Option<JournalHeader>, RecoveredSubruns), String> {
-    let mut header = None;
+/// The on-disk half of a sweep — what turns the pool into the service: the
+/// open journal, the options governing checkpoints, streaming and the
+/// interruption hooks, and what this invocation has appended so far.
+pub(crate) struct Journal<'a> {
+    options: &'a RunnerOptions,
+    keys: &'a [MatrixKey],
+    file: Mutex<File>,
+    /// `(cell, seed index, cycle)` of every sub-run this invocation executed
+    /// after resuming it from a snapshot.
+    resumed: Mutex<Vec<(usize, u64, u64)>>,
+    /// Sub-runs this invocation executed.
+    executed: AtomicUsize,
+}
+
+impl<'a> Journal<'a> {
+    /// Open (or create) the journal of `options.run_dir` for the sweep
+    /// `configs × seeds` and replay the sub-runs it already holds. Fails
+    /// when the directory belongs to a different sweep.
+    fn open(
+        options: &'a RunnerOptions,
+        keys: &'a [MatrixKey],
+        configs: &[SimulationConfig],
+        seeds: u64,
+    ) -> Result<(Self, SubrunReports), String> {
+        let dir = &options.run_dir;
+        fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create run dir {}: {e}", dir.display()))?;
+        let header = (
+            matrix_fingerprint(seeds, configs),
+            configs.len() as u64,
+            seeds,
+        );
+        let path = journal_path(dir);
+        // a journal whose header record itself was torn is treated as empty
+        let recovered = match fs::read(&path) {
+            Ok(bytes) => read_journal(&bytes, header, configs)
+                .map_err(|e| format!("run dir {}: {e}", dir.display()))?,
+            Err(_) => None,
+        };
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
+        let journal = Journal {
+            options,
+            keys,
+            file: Mutex::new(file),
+            resumed: Mutex::new(Vec::new()),
+            executed: AtomicUsize::new(0),
+        };
+        if recovered.is_none() {
+            let mut e = Encoder::new();
+            e.u8(RECORD_HEADER);
+            e.u64(header.0);
+            e.u64(header.1);
+            e.u64(header.2);
+            journal.append(e)?;
+        }
+        Ok((journal, recovered.unwrap_or_default()))
+    }
+
+    /// Append one framed record and flush it to disk.
+    fn append(&self, payload: Encoder) -> Result<(), String> {
+        let bytes = payload.finish_frame(JOURNAL_MAGIC, JOURNAL_VERSION);
+        let mut file = self.file.lock().map_err(|_| "journal writer poisoned")?;
+        file.write_all(&bytes)
+            .and_then(|()| file.sync_data())
+            .map_err(|e| format!("journal append failed: {e}"))
+    }
+
+    /// Record a completed sub-run (its snapshot, superseded, is deleted) and
+    /// return how many this invocation has executed so far.
+    fn record(&self, subrun: &Durable, end: &SubRunEnd) -> Result<usize, String> {
+        let mut e = Encoder::new();
+        e.u8(RECORD_SUBRUN);
+        e.usize(subrun.cell);
+        e.u64(subrun.seed_idx);
+        end.report.encode_measured(&mut e);
+        self.append(e)?;
+        let _ = fs::remove_file(&subrun.snap_path);
+        if let Some(at) = end.resumed_at {
+            let mut resumed = self.resumed.lock().expect("resume log");
+            resumed.push((subrun.cell, subrun.seed_idx, at));
+        }
+        Ok(self.executed.fetch_add(1, Ordering::SeqCst) + 1)
+    }
+}
+
+/// Split a journal file into frames and decode them against the sweep they
+/// must belong to (`expected` header; sub-run records regenerate their
+/// identification fields from `configs`). Stops silently at a torn or
+/// corrupt tail (the crash case), erroring only on a malformed prefix or
+/// the header of a different sweep. `None` = no intact header.
+fn read_journal(
+    bytes: &[u8],
+    expected: JournalHeader,
+    configs: &[SimulationConfig],
+) -> Result<Option<SubrunReports>, String> {
+    let mut header_seen = false;
     let mut done = HashMap::new();
     let mut off = 0usize;
     while off < bytes.len() {
@@ -263,29 +266,42 @@ fn read_journal(bytes: &[u8]) -> Result<(Option<JournalHeader>, RecoveredSubruns
             Err(CodecError::ChecksumMismatch { .. }) | Err(CodecError::Truncated { .. }) => break,
             Err(e) => return Err(format!("corrupt journal: {e}")),
         };
-        let mut parse = |d: &mut Decoder| -> Result<(), CodecError> {
+        // Ok(Some(header)) for a header record, Ok(None) for a sub-run
+        let mut parse = |d: &mut Decoder| -> Result<Option<JournalHeader>, CodecError> {
             match d.u8()? {
-                RECORD_HEADER => {
-                    header = Some((d.u64()?, d.u64()?, d.u64()?));
-                }
+                RECORD_HEADER => Ok(Some((d.u64()?, d.u64()?, d.u64()?))),
                 RECORD_SUBRUN => {
-                    let cell = d.usize()?;
-                    let seed_idx = d.u64()?;
-                    let numbers = MeasuredNumbers::decode(d)?;
-                    done.insert((cell, seed_idx), numbers);
+                    let (cell, seed_idx) = (d.usize()?, d.u64()?);
+                    let config = configs
+                        .get(cell)
+                        .filter(|_| seed_idx < expected.2)
+                        .ok_or_else(|| {
+                            CodecError::Invalid(format!(
+                                "sub-run ({cell}, {seed_idx}) outside the matrix"
+                            ))
+                        })?;
+                    let report = SteadyStateReport::decode_measured(config, d)?;
+                    done.insert((cell, seed_idx), report);
+                    Ok(None)
                 }
-                tag => {
-                    return Err(CodecError::Invalid(format!(
-                        "unknown journal record tag {tag}"
-                    )))
-                }
+                tag => Err(CodecError::Invalid(format!(
+                    "unknown journal record tag {tag}"
+                ))),
             }
-            Ok(())
         };
-        parse(&mut d).map_err(|e| format!("corrupt journal record: {e}"))?;
+        if let Some(found) = parse(&mut d).map_err(|e| format!("corrupt journal record: {e}"))? {
+            if found != expected {
+                return Err(format!(
+                    "the journal belongs to a different matrix (fingerprint {:#018x}, \
+                     this matrix {:#018x})",
+                    found.0, expected.0
+                ));
+            }
+            header_seen = true;
+        }
         off += 28 + len;
     }
-    Ok((header, done))
+    Ok(header_seen.then_some(done))
 }
 
 /// Write `bytes` to `path` atomically (temp file + rename), fsynced.
@@ -299,32 +315,42 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
     fs::rename(&tmp, path).map_err(|e| format!("cannot commit {}: {e}", path.display()))
 }
 
-/// What a sub-run execution ended as.
-enum SubRunEnd {
-    Finished(SteadyStateReport, Option<u64>),
-    /// Abandoned at a checkpoint by `interrupt_mid_subrun_at`.
-    Interrupted,
+/// The on-disk side of one sub-run: which one it is, where its snapshot
+/// lives and the service options (checkpoint interval, streaming, mid-run
+/// interruption hook).
+pub(crate) struct Durable<'a> {
+    cell: usize,
+    seed_idx: u64,
+    snap_path: PathBuf,
+    options: &'a RunnerOptions,
+    key: &'a MatrixKey,
 }
 
-/// Execute one `(cell, seed)` sub-run with periodic snapshots, resuming
-/// from an existing valid snapshot if the run directory holds one.
-/// Reproduces [`SteadyStateExperiment::run`] exactly: warm up, open the
-/// window, measure — chunked stepping and snapshot writes never perturb the
-/// simulation.
-///
-/// [`SteadyStateExperiment::run`]: crate::experiment::SteadyStateExperiment::run
-fn run_subrun(
+/// A sub-run that ran to the end of its window.
+pub(crate) struct SubRunEnd {
+    pub(crate) report: SteadyStateReport,
+    /// The cycle it resumed from, if it started from a snapshot.
+    resumed_at: Option<u64>,
+}
+
+/// Execute one sub-run — the crate's only steady-state procedure: warm up,
+/// open the measurement window, measure. With a [`Durable`] side it resumes
+/// from a valid snapshot if the run directory holds one and writes periodic
+/// snapshots (chunked stepping and snapshot writes never perturb the
+/// simulation), and returns `Ok(None)` when `interrupt_mid_subrun_at`
+/// abandons it at a checkpoint. Without one it runs in memory and always
+/// returns `Ok(Some(_))`.
+pub(crate) fn run_subrun(
     config: &SimulationConfig,
-    snap_path: &Path,
-    options: &RunnerOptions,
-    label: &str,
-) -> Result<SubRunEnd, String> {
+    durable: Option<&Durable>,
+) -> Result<Option<SubRunEnd>, String> {
     let warmup = config.warmup_cycles;
     let total = config.total_cycles();
     let mut resumed_at = None;
 
-    let mut net = match fs::read(snap_path) {
-        Ok(bytes) => match Network::restore(config.clone(), &bytes) {
+    let snapshot = durable.and_then(|d| Some((d, fs::read(&d.snap_path).ok()?)));
+    let mut net = match snapshot {
+        Some((d, bytes)) => match Network::restore(config.clone(), &bytes) {
             Ok(net) => {
                 resumed_at = Some(net.cycle());
                 net
@@ -333,207 +359,135 @@ fn run_subrun(
                 // stale or damaged checkpoint: discard and start over
                 eprintln!(
                     "sweep: discarding unusable snapshot {}: {e}",
-                    snap_path.display()
+                    d.snap_path.display()
                 );
-                let _ = fs::remove_file(snap_path);
+                let _ = fs::remove_file(&d.snap_path);
                 Network::new(config.clone())
             }
         },
-        Err(_) => Network::new(config.clone()),
+        None => Network::new(config.clone()),
     };
 
-    let mut telemetry = options
-        .stream_window
+    let checkpoint_every = durable.map_or(0, |d| d.options.checkpoint_every);
+    let mut telemetry = durable
+        .and_then(|d| d.options.stream_window)
         .map(|w| StreamingTelemetry::new(&net, w));
+    let stream_every = telemetry.as_ref().map_or(0, |t| t.window_cycles());
+    // the first multiple of `every` after `cycle`; never, for `every == 0`
+    let next_multiple = |cycle: u64, every: u64| match every {
+        0 => u64::MAX,
+        every => (cycle / every + 1) * every,
+    };
 
-    loop {
+    // open the measurement window the moment warm-up ends — before any
+    // checkpoint at that cycle, so the snapshot carries the decision
+    let open_window_if_due = |net: &mut Network| {
         if net.cycle() == warmup && !net.metrics().measuring() {
-            let start = net.cycle();
-            net.metrics_mut().start_measurement(start);
+            net.metrics_mut().start_measurement(warmup);
         }
-        if net.cycle() >= total {
-            break;
-        }
-        let next_checkpoint = match options.checkpoint_every {
-            0 => u64::MAX,
-            every => (net.cycle() / every + 1) * every,
-        };
-        let next_window = telemetry
-            .as_ref()
-            .map(|t| {
-                let w = t.window_cycles();
-                (net.cycle() / w + 1) * w
-            })
-            .unwrap_or(u64::MAX);
+    };
+    open_window_if_due(&mut net);
+    while net.cycle() < total {
+        let next_checkpoint = next_multiple(net.cycle(), checkpoint_every);
+        let next_window = next_multiple(net.cycle(), stream_every);
         let phase_end = if net.cycle() < warmup { warmup } else { total };
         let target = next_checkpoint.min(next_window).min(phase_end);
         net.run_cycles(target - net.cycle());
+        open_window_if_due(&mut net);
 
+        let Some(d) = durable else { continue };
         if let Some(t) = telemetry.as_mut() {
             if net.cycle() == next_window {
-                eprintln!("sweep[{label}]: {}", t.close_window(&net).log_line());
+                let (key, seed_idx) = (d.key, d.seed_idx);
+                eprintln!(
+                    "sweep[{}/{}/{:.2}#{seed_idx}]: {}",
+                    key.scenario,
+                    key.routing.label(),
+                    key.load,
+                    t.close_window(&net).log_line()
+                );
             }
         }
         if net.cycle() == next_checkpoint && net.cycle() < total {
-            // open the window first if the checkpoint sits exactly on the
-            // warm-up boundary, so the snapshot carries the decision
-            if net.cycle() == warmup && !net.metrics().measuring() {
-                let start = net.cycle();
-                net.metrics_mut().start_measurement(start);
-            }
-            write_atomic(snap_path, &net.snapshot())?;
-            if let Some(stop_at) = options.interrupt_mid_subrun_at {
-                if net.cycle() >= stop_at {
-                    return Ok(SubRunEnd::Interrupted);
-                }
+            write_atomic(&d.snap_path, &net.snapshot())?;
+            let stop_at = d.options.interrupt_mid_subrun_at;
+            if stop_at.is_some_and(|stop_at| net.cycle() >= stop_at) {
+                return Ok(None);
             }
         }
     }
 
-    Ok(SubRunEnd::Finished(
-        SteadyStateReport::measure(&net),
+    Ok(Some(SubRunEnd {
+        report: SteadyStateReport::measure(&net),
         resumed_at,
-    ))
+    }))
 }
 
-/// Run (or resume) a scenario matrix as a crash-recoverable service over
-/// `options.run_dir`. See the module documentation for the directory
-/// protocol. Returns the full cell table when the matrix completed, or a
-/// partial [`SweepOutcome`] when an interruption hook stopped it.
-pub fn run_sweep_service(
-    matrix: &ScenarioMatrix,
-    options: &RunnerOptions,
-) -> Result<SweepOutcome, String> {
-    if matrix.scenarios.is_empty() || matrix.loads.is_empty() || matrix.routings.is_empty() {
-        return Err("a scenario matrix needs at least one scenario, load and routing".into());
-    }
-    if matrix.seeds_per_cell == 0 {
-        return Err("seeds_per_cell must be at least 1".into());
-    }
-    let cells = matrix.validated_cells()?;
-    fs::create_dir_all(&options.run_dir)
-        .map_err(|e| format!("cannot create run dir {}: {e}", options.run_dir.display()))?;
-    let fingerprint = matrix_fingerprint(matrix);
-    let subruns_total = cells.len() * matrix.seeds_per_cell as usize;
+/// The one worker pool: execute every `(configuration, seed index)` sub-run
+/// of `configs × seeds` not already in the journal's recovered reports, on
+/// a scoped pool of [`outer_threads`]`(configs, threads)` workers pulling
+/// indices off a shared counter, and average each configuration's per-seed
+/// reports in seed order. Returns one report per configuration in input
+/// order, or `None` when an interruption hook stopped the pool early. With
+/// a journal every completion is recorded and sub-runs checkpoint (the
+/// sweep service); without one the sweep lives in memory and cannot fail.
+pub(crate) fn run_pool(
+    configs: &[SimulationConfig],
+    seeds: u64,
+    threads: usize,
+    journal: Option<(&Journal, SubrunReports)>,
+) -> Result<Option<Vec<SteadyStateReport>>, String> {
+    assert!(seeds > 0, "a sweep point needs at least one seed");
+    let (journal, recovered) = journal.map_or((None, HashMap::new()), |(j, r)| (Some(j), r));
+    let pending: Vec<(usize, u64)> = (0..configs.len())
+        .flat_map(|cell| (0..seeds).map(move |seed_idx| (cell, seed_idx)))
+        .filter(|key| !recovered.contains_key(key))
+        .collect();
 
-    // ---- recover the journal ----
-    let journal = journal_path(&options.run_dir);
-    let mut recovered = HashMap::new();
-    let mut need_header = true;
-    if let Ok(bytes) = fs::read(&journal) {
-        let (header, done) = read_journal(&bytes)?;
-        if let Some((fp, num_cells, seeds)) = header {
-            if fp != fingerprint
-                || num_cells != cells.len() as u64
-                || seeds != matrix.seeds_per_cell
-            {
-                return Err(format!(
-                    "run dir {} belongs to a different matrix (journal fingerprint \
-                     {fp:#018x}, this matrix {fingerprint:#018x})",
-                    options.run_dir.display()
-                ));
-            }
-            need_header = false;
-            recovered = done;
-        }
-        // a journal whose header record itself was torn is treated as empty
-    }
-    let journal_file = Mutex::new(
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&journal)
-            .map_err(|e| format!("cannot open journal {}: {e}", journal.display()))?,
-    );
-    if need_header {
-        let mut e = Encoder::new();
-        e.u8(RECORD_HEADER);
-        e.u64(fingerprint);
-        e.u64(cells.len() as u64);
-        e.u64(matrix.seeds_per_cell);
-        append_record(&journal_file, e)?;
-    }
-
-    // ---- build the work queue: every sub-run not in the journal ----
-    let mut pending: Vec<(usize, u64)> = Vec::new();
-    for cell in 0..cells.len() {
-        for seed_idx in 0..matrix.seeds_per_cell {
-            if !recovered.contains_key(&(cell, seed_idx)) {
-                pending.push((cell, seed_idx));
-            }
-        }
-    }
-    let recovered_subruns = recovered.len();
-
-    // ---- execute ----
-    let results: Mutex<HashMap<(usize, u64), MeasuredNumbers>> = Mutex::new(recovered);
-    let resumed: Mutex<Vec<(usize, u64, u64)>> = Mutex::new(Vec::new());
-    let executed = AtomicUsize::new(0);
+    let results = Mutex::new(recovered);
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let first_error: Mutex<Option<String>> = Mutex::new(None);
 
+    // run one sub-run and file its report; Ok(true) = claim the next one
+    let run = |cell: usize, seed_idx: u64| -> Result<bool, String> {
+        let mut config = configs[cell].clone();
+        config.seed += seed_idx; // a point's seeds are consecutive from its own
+        let durable = journal.map(|j| Durable {
+            cell,
+            seed_idx,
+            snap_path: (j.options.run_dir).join(format!("cell{cell}_s{seed_idx}.snap")),
+            options: j.options,
+            key: &j.keys[cell],
+        });
+        let Some(end) = run_subrun(&config, durable.as_ref())? else {
+            return Ok(false);
+        };
+        let mut more = true;
+        if let (Some(journal), Some(durable)) = (journal, &durable) {
+            let executed = journal.record(durable, &end)?;
+            let limit = journal.options.interrupt_after_subruns;
+            more = limit.is_none_or(|limit| executed < limit);
+        }
+        let mut results = results.lock().expect("result map");
+        results.insert((cell, seed_idx), end.report);
+        Ok(more)
+    };
     std::thread::scope(|scope| {
-        for _ in 0..options.threads.max(1).min(pending.len().max(1)) {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(cell, seed_idx)) = pending.get(idx) else {
-                    break;
-                };
-                let (key, config) = &cells[cell];
-                let mut config = config.clone();
-                config.seed += seed_idx; // run_averaged's consecutive seeds
-                let snap = snapshot_path(&options.run_dir, cell, seed_idx);
-                let label = format!(
-                    "{}/{}/{:.2}#{}",
-                    key.scenario,
-                    key.routing.label(),
-                    key.load,
-                    seed_idx
-                );
-                match run_subrun(&config, &snap, options, &label) {
-                    Ok(SubRunEnd::Finished(report, resumed_at)) => {
-                        let numbers = MeasuredNumbers::of(&report);
-                        let mut e = Encoder::new();
-                        e.u8(RECORD_SUBRUN);
-                        e.usize(cell);
-                        e.u64(seed_idx);
-                        numbers.encode(&mut e);
-                        if let Err(err) = append_record(&journal_file, e) {
+        for _ in 0..outer_threads(configs, threads).min(pending.len().max(1)) {
+            scope.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(cell, seed_idx)) = pending.get(idx) else {
+                        break;
+                    };
+                    match run(cell, seed_idx) {
+                        Ok(true) => {}
+                        Ok(false) => stop.store(true, Ordering::SeqCst),
+                        Err(err) => {
                             *first_error.lock().expect("error slot") = Some(err);
                             stop.store(true, Ordering::SeqCst);
-                            break;
                         }
-                        let _ = fs::remove_file(&snap);
-                        if let Some(at) = resumed_at {
-                            resumed
-                                .lock()
-                                .expect("resume log")
-                                .push((cell, seed_idx, at));
-                        }
-                        results
-                            .lock()
-                            .expect("result map")
-                            .insert((cell, seed_idx), numbers);
-                        let done = executed.fetch_add(1, Ordering::SeqCst) + 1;
-                        if let Some(limit) = options.interrupt_after_subruns {
-                            if done >= limit {
-                                stop.store(true, Ordering::SeqCst);
-                                break;
-                            }
-                        }
-                    }
-                    Ok(SubRunEnd::Interrupted) => {
-                        stop.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    Err(err) => {
-                        *first_error.lock().expect("error slot") = Some(err);
-                        stop.store(true, Ordering::SeqCst);
-                        break;
                     }
                 }
             });
@@ -543,46 +497,51 @@ pub fn run_sweep_service(
     if let Some(err) = first_error.into_inner().expect("error slot") {
         return Err(err);
     }
-
-    let results = results.into_inner().expect("result map");
-    let executed_subruns = executed.load(Ordering::SeqCst);
-    let resumed_from_snapshot = resumed.into_inner().expect("resume log");
-    if results.len() < subruns_total {
-        return Ok(SweepOutcome {
-            complete: false,
-            cells: Vec::new(),
-            recovered_subruns,
-            executed_subruns,
-            resumed_from_snapshot,
-        });
-    }
-
-    // ---- assemble the table in deterministic cell order ----
-    let mut out = Vec::with_capacity(cells.len());
-    for (cell, (key, config)) in cells.iter().enumerate() {
-        let reports: Vec<SteadyStateReport> = (0..matrix.seeds_per_cell)
-            .map(|seed_idx| {
-                let mut cfg = config.clone();
-                cfg.seed += seed_idx;
-                results[&(cell, seed_idx)].into_report(&cfg)
+    let mut results = results.into_inner().expect("result map");
+    let complete = results.len() == configs.len() * seeds as usize;
+    Ok(complete.then(|| {
+        configs
+            .iter()
+            .enumerate()
+            .map(|(cell, config)| {
+                let mut per_seed: Vec<SteadyStateReport> = (0..seeds)
+                    .map(|seed_idx| results.remove(&(cell, seed_idx)).expect("complete sweep"))
+                    .collect();
+                if seeds == 1 {
+                    per_seed.pop().expect("one report")
+                } else {
+                    average_reports(config, &per_seed)
+                }
             })
-            .collect();
-        let report = if matrix.seeds_per_cell == 1 {
-            reports.into_iter().next().expect("one report")
-        } else {
-            average_reports(config, &reports)
-        };
-        out.push(MatrixCell {
-            key: key.clone(),
-            report,
-        });
-    }
+            .collect()
+    }))
+}
+
+/// Run (or resume) a scenario matrix as a crash-recoverable service over
+/// `options.run_dir`: [`run_matrix`](crate::sweep::run_matrix) with a
+/// journal. See the module documentation for the directory protocol.
+/// Returns the full cell table when the matrix completed, or a partial
+/// [`SweepOutcome`] when an interruption hook stopped it.
+pub fn run_sweep_service(
+    matrix: &ScenarioMatrix,
+    options: &RunnerOptions,
+) -> Result<SweepOutcome, String> {
+    let seeds = matrix.seeds_per_cell;
+    let (keys, configs) = matrix.validated_cells()?;
+    let (journal, recovered) = Journal::open(options, &keys, &configs, seeds)?;
+    let recovered_subruns = recovered.len();
+    let reports = run_pool(
+        &configs,
+        seeds,
+        options.threads,
+        Some((&journal, recovered)),
+    )?;
     Ok(SweepOutcome {
-        complete: true,
-        cells: out,
+        complete: reports.is_some(),
         recovered_subruns,
-        executed_subruns,
-        resumed_from_snapshot,
+        executed_subruns: journal.executed.into_inner(),
+        resumed_from_snapshot: journal.resumed.into_inner().expect("resume log"),
+        cells: reports.map_or_else(Vec::new, |reports| matrix_cells(keys, reports)),
     })
 }
 
@@ -754,5 +713,68 @@ mod tests {
         // the torn record's sub-run was re-run, the intact one recovered
         assert_eq!(resumed.recovered_subruns, 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+    /// FNV-1a-64 of `journal.bin` for `small_matrix(2)` at one thread
+    /// without checkpoints (2,309 bytes: header + 16 sub-run records in
+    /// cell-major, seed-minor order), captured at the commit before the
+    /// service pool became the only pool. Holds as long as the record
+    /// layout, the claim order and every sub-run's numbers are unchanged.
+    const FROZEN_JOURNAL_DIGEST: u64 = 0x96D2_8D6F_36C9_F0E6;
+
+    #[test]
+    fn journal_bytes_match_the_frozen_digest() {
+        let dir = tmp_dir("journal_digest");
+        let mut opts = RunnerOptions::new(&dir);
+        opts.checkpoint_every = 0;
+        let outcome = run_sweep_service(&small_matrix(2), &opts).expect("runs");
+        assert!(outcome.complete);
+        let bytes = fs::read(journal_path(&dir)).unwrap();
+        let got = df_engine::codec::fnv1a64(&bytes);
+        assert_eq!(
+            got, FROZEN_JOURNAL_DIGEST,
+            "journal.bin digest {got:#018X} left the frozen reference {FROZEN_JOURNAL_DIGEST:#018X}"
+        );
+        assert_eq!(JOURNAL_VERSION, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn service_on_a_parallel_base_is_identical_across_thread_budgets() {
+        // the service twin of sweep's matrix_on_a_parallel_base_…: the
+        // budget is sub-runs × intra-cell workers here too, and the table
+        // depends on neither the split nor the kernel
+        let mut matrix = small_matrix(1);
+        matrix.base.kernel = KernelMode::Parallel { workers: 3 };
+        let configs: Vec<SimulationConfig> = matrix.cells().into_iter().map(|(_, c)| c).collect();
+        let plain = matrix_table("t", &run_matrix(&small_matrix(1), 2)).to_csv();
+        for (budget, outer) in [(3, 1), (12, 4)] {
+            assert_eq!(outer_threads(&configs, budget), outer);
+            let dir = tmp_dir(&format!("budget{budget}"));
+            let mut opts = RunnerOptions::new(&dir);
+            opts.threads = budget;
+            opts.checkpoint_every = 100;
+            // every worker abandons its first sub-run at cycle 100 and leaves
+            // the snapshot behind, so the snapshots count the workers
+            opts.interrupt_mid_subrun_at = Some(100);
+            assert!(!run_sweep_service(&matrix, &opts).expect("partial").complete);
+            let workers = fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".snap"))
+                .count();
+            assert!(
+                (1..=outer).contains(&workers),
+                "budget {budget} over Parallel{{3}} cells ran {workers} sub-runs at once"
+            );
+            opts.interrupt_mid_subrun_at = None;
+            let outcome = run_sweep_service(&matrix, &opts).expect("resumes");
+            assert!(outcome.complete);
+            assert_eq!(
+                matrix_table("t", &outcome.cells).to_csv(),
+                plain,
+                "budget {budget} over a Parallel{{3}} base must reproduce the Optimized table"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

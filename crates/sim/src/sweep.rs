@@ -1,87 +1,45 @@
-//! Parallel execution: parameter sweeps and the scenario-matrix runner.
+//! Parameter sweeps and the scenario-matrix runner: the in-memory fronts
+//! of the one worker pool in [`crate::runner`].
 //!
-//! Two layers share one worker pool (a `std::thread::scope` pool pulling work
-//! indices from a shared atomic counter, writing results back in input
-//! order):
-//!
-//! * [`run_sweep`] — the original flat sweep: a list of ready-made
-//!   [`SimulationConfig`]s, one report each (the paper's load sweeps).
+//! * [`run_sweep`] — the flat sweep: a list of ready-made
+//!   [`SimulationConfig`]s, one report each (the paper's load sweeps),
+//!   every point averaged over `seeds_per_point` consecutive seeds.
 //! * [`run_matrix`] — the scenario-matrix runner: the cross product of
 //!   `scenarios × loads × routings` described by a [`ScenarioMatrix`] is
 //!   expanded into one cell per combination, every cell gets a
 //!   *deterministic* seed derived from `(base seed, scenario index, load
-//!   index, routing index)` via [`cell_seed`], and the cells are executed in
-//!   parallel. Because each cell's configuration (including its seed) is
-//!   fully determined before any thread starts, the result table is
-//!   bit-for-bit identical across reruns and across worker counts.
+//!   index, routing index)` via [`cell_seed`], and the cells are swept.
+//!   Because each cell's configuration (including its seed) is fully
+//!   determined before any thread starts, the result table is bit-for-bit
+//!   identical across reruns and across worker counts.
 //!
-//! The pool's `threads` argument is a *total* budget: when the
-//! configurations run the parallel kernel it is divided by their intra-cell
-//! worker count, so `cells × workers` never oversubscribes the host.
+//! The `threads` argument is a *total* budget, split by `outer_threads`.
 //!
 //! [`matrix_table`] renders the cells as a [`Table`] (text or CSV) for the
 //! scenario-runner binary and the golden regression suite.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use df_engine::Table;
 use df_routing::RoutingKind;
 use df_traffic::InjectionKind;
 
 use crate::config::SimulationConfig;
-use crate::experiment::{SteadyStateExperiment, SteadyStateReport};
+use crate::experiment::SteadyStateReport;
+use crate::runner::run_pool;
 use crate::scenario::Scenario;
 
 /// Run every configuration and return the reports in the same order.
-/// `seeds_per_point` > 1 averages each point over consecutive seeds.
-/// `threads` is the total thread budget (use `num_threads()` for a default).
+/// `seeds_per_point` > 1 averages each point over consecutive seeds (the
+/// seeds of one point are separate sub-runs, so they load-balance across
+/// threads). `threads` is the total thread budget (use `num_threads()` for
+/// a default).
 pub fn run_sweep(
     configs: &[SimulationConfig],
     seeds_per_point: u64,
     threads: usize,
 ) -> Vec<SteadyStateReport> {
-    run_jobs(configs, seeds_per_point, threads)
-}
-
-/// Execute one experiment per configuration (each averaged over
-/// `seeds_per_point` seeds) on a scoped worker pool of
-/// [`outer_threads`]`(configs, threads)` workers, returning reports in
-/// input order.
-fn run_jobs(
-    configs: &[SimulationConfig],
-    seeds_per_point: u64,
-    threads: usize,
-) -> Vec<SteadyStateReport> {
-    assert!(seeds_per_point > 0);
-    let threads = outer_threads(configs, threads);
-    let results: Mutex<Vec<Option<SteadyStateReport>>> = Mutex::new(vec![None; configs.len()]);
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(configs.len().max(1)) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= configs.len() {
-                    break;
-                }
-                let experiment = SteadyStateExperiment::new(configs[idx].clone());
-                let report = if seeds_per_point == 1 {
-                    experiment.run()
-                } else {
-                    experiment.run_averaged(seeds_per_point)
-                };
-                results.lock().expect("sweep worker panicked")[idx] = Some(report);
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .expect("sweep worker panicked")
-        .into_iter()
-        .map(|r| r.expect("every configuration was run"))
-        .collect()
+    run_pool(configs, seeds_per_point, threads, None)
+        .expect("an in-memory sweep has no journal or snapshot to fail on")
+        .expect("an in-memory sweep has no interruption hooks")
 }
 
 /// A reasonable default worker count: the available parallelism, capped so
@@ -93,48 +51,23 @@ pub fn num_threads() -> usize {
         .min(16)
 }
 
-/// How many threads one cell of `config` occupies: the resolved worker
-/// count of its kernel (1 for the optimized kernel).
-fn intra_cell_workers(config: &SimulationConfig) -> usize {
-    config.kernel.resolved_workers().max(1)
-}
-
-/// Split a `total_threads` budget between pool-level parallelism (cells
-/// running concurrently) and intra-cell parallelism (the cells' own
-/// [`KernelMode::Parallel`] worker pools) without oversubscription: the
-/// outer worker count is `total_threads / intra`, floored at 1, so at most
-/// `max(total_threads, intra)` threads ever run simulation work at once.
-///
-/// Returns `(outer_threads, intra_workers)`.
-///
-/// [`KernelMode::Parallel`]: crate::config::KernelMode::Parallel
-fn split_thread_budget(config: &SimulationConfig, total_threads: usize) -> (usize, usize) {
-    let intra = intra_cell_workers(config);
-    ((total_threads.max(1) / intra).max(1), intra)
-}
-
-/// Concurrent cells the pool runs for `configs` under a `total_threads`
-/// budget: [`split_thread_budget`] of the widest configuration (in a matrix
-/// every cell inherits the base kernel, so that is the base's split).
+/// Concurrent sub-runs the pool runs for `configs` under a `total_threads`
+/// budget, splitting it between pool-level parallelism and the widest
+/// configuration's own [`KernelMode::Parallel`] workers (in a matrix every
+/// cell inherits the base kernel) without oversubscription:
+/// `total_threads / workers`, floored at 1, so at most
+/// `max(total_threads, workers)` threads ever run simulation work at once.
 /// Results never depend on it — cell seeds are fixed before any thread
 /// starts and the parallel kernel is worker-count independent.
-fn outer_threads(configs: &[SimulationConfig], total_threads: usize) -> usize {
-    configs
+///
+/// [`KernelMode::Parallel`]: crate::config::KernelMode::Parallel
+pub(crate) fn outer_threads(configs: &[SimulationConfig], total_threads: usize) -> usize {
+    let workers = configs
         .iter()
-        .max_by_key(|c| intra_cell_workers(c))
-        .map_or(1, |widest| split_thread_budget(widest, total_threads).0)
-}
-
-/// Build one configuration per offered-load point from a template.
-pub fn load_sweep(template: &SimulationConfig, loads: &[f64]) -> Vec<SimulationConfig> {
-    loads
-        .iter()
-        .map(|&load| {
-            let mut c = template.clone();
-            c.offered_load = load;
-            c
-        })
-        .collect()
+        .map(|c| c.kernel.resolved_workers().max(1))
+        .max()
+        .unwrap_or(1);
+    (total_threads.max(1) / workers).max(1)
 }
 
 /// The deterministic seed of matrix cell `(scenario s, load l, routing r)`
@@ -201,7 +134,7 @@ impl ScenarioMatrix {
     ///
     /// # Panics
     /// Panics on a scenario whose churn model is invalid; [`run_matrix`] and
-    /// the sweep service validate every scenario first and report that as
+    /// the sweep service go through `validated_cells` and report that as
     /// their own error.
     pub fn cells(&self) -> Vec<(MatrixKey, SimulationConfig)> {
         let mut out = Vec::with_capacity(self.num_cells());
@@ -235,10 +168,19 @@ impl ScenarioMatrix {
     }
 
     /// [`cells`](Self::cells) behind the checks both matrix drivers need:
-    /// every scenario is validated against the base topology first (so an
-    /// invalid churn model is an error here, not a panic in the expansion),
-    /// then every expanded cell configuration.
-    pub(crate) fn validated_cells(&self) -> Result<Vec<(MatrixKey, SimulationConfig)>, String> {
+    /// no empty axis and at least one seed per cell, every scenario valid
+    /// against the base topology (so an invalid churn model is an error
+    /// here, not a panic in the expansion), then every expanded cell
+    /// configuration.
+    pub(crate) fn validated_cells(
+        &self,
+    ) -> Result<(Vec<MatrixKey>, Vec<SimulationConfig>), String> {
+        if self.num_cells() == 0 {
+            return Err("a scenario matrix needs at least one scenario, load and routing".into());
+        }
+        if self.seeds_per_cell == 0 {
+            return Err("seeds_per_cell must be at least 1".into());
+        }
         let topo = self.base.topology.build();
         for scenario in &self.scenarios {
             scenario
@@ -251,7 +193,7 @@ impl ScenarioMatrix {
                 .validate()
                 .map_err(|e| format!("invalid matrix cell {key:?}: {e}"))?;
         }
-        Ok(cells)
+        Ok(cells.into_iter().unzip())
     }
 }
 
@@ -279,8 +221,20 @@ pub struct MatrixCell {
     pub report: SteadyStateReport,
 }
 
+/// Pair the keys of a matrix expansion with the reports the pool produced
+/// for it (same order).
+pub(crate) fn matrix_cells(
+    keys: Vec<MatrixKey>,
+    reports: Vec<SteadyStateReport>,
+) -> Vec<MatrixCell> {
+    keys.into_iter()
+        .zip(reports)
+        .map(|(key, report)| MatrixCell { key, report })
+        .collect()
+}
+
 /// Execute a scenario matrix in parallel under a total budget of `threads`
-/// threads (cells × the base kernel's workers) and return the cells in
+/// threads (sub-runs × the base kernel's workers) and return the cells in
 /// deterministic scenario-major / load / routing order. The output is
 /// bit-for-bit identical across reruns and thread budgets.
 ///
@@ -288,21 +242,8 @@ pub struct MatrixCell {
 /// Panics if any axis of the matrix is empty or a scenario or cell
 /// configuration fails validation.
 pub fn run_matrix(matrix: &ScenarioMatrix, threads: usize) -> Vec<MatrixCell> {
-    assert!(
-        !matrix.scenarios.is_empty() && !matrix.loads.is_empty() && !matrix.routings.is_empty(),
-        "a scenario matrix needs at least one scenario, load and routing"
-    );
-    assert!(matrix.seeds_per_cell > 0);
-    let (keys, configs): (Vec<MatrixKey>, Vec<SimulationConfig>) = matrix
-        .validated_cells()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .into_iter()
-        .unzip();
-    let reports = run_jobs(&configs, matrix.seeds_per_cell, threads);
-    keys.into_iter()
-        .zip(reports)
-        .map(|(key, report)| MatrixCell { key, report })
-        .collect()
+    let (keys, configs) = matrix.validated_cells().unwrap_or_else(|e| panic!("{e}"));
+    matrix_cells(keys, run_sweep(&configs, matrix.seeds_per_cell, threads))
 }
 
 /// Render matrix cells as a structured results table (one row per cell, in
@@ -341,6 +282,7 @@ pub fn matrix_table(title: impl Into<String>, cells: &[MatrixCell]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::SteadyStateExperiment;
     use df_model::NetworkConfig;
     use df_topology::DragonflyParams;
     use df_traffic::PatternKind;
@@ -356,6 +298,16 @@ mod tests {
             .seed(0)
             .build()
             .unwrap()
+    }
+
+    fn at_loads(loads: &[f64]) -> Vec<SimulationConfig> {
+        loads
+            .iter()
+            .map(|&load| SimulationConfig {
+                offered_load: load,
+                ..template()
+            })
+            .collect()
     }
 
     #[test]
@@ -390,16 +342,8 @@ mod tests {
     }
 
     #[test]
-    fn load_sweep_builds_one_config_per_point() {
-        let configs = load_sweep(&template(), &[0.05, 0.1, 0.2]);
-        assert_eq!(configs.len(), 3);
-        assert_eq!(configs[0].offered_load, 0.05);
-        assert_eq!(configs[2].offered_load, 0.2);
-    }
-
-    #[test]
     fn parallel_sweep_returns_reports_in_order() {
-        let configs = load_sweep(&template(), &[0.05, 0.15]);
+        let configs = at_loads(&[0.05, 0.15]);
         let reports = run_sweep(&configs, 1, 2);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].offered_load, 0.05);
@@ -412,7 +356,7 @@ mod tests {
 
     #[test]
     fn sweep_matches_sequential_execution() {
-        let configs = load_sweep(&template(), &[0.1]);
+        let configs = at_loads(&[0.1]);
         let parallel = run_sweep(&configs, 1, 4);
         let sequential = SteadyStateExperiment::new(configs[0].clone()).run();
         assert_eq!(parallel[0].delivered_packets, sequential.delivered_packets);
@@ -525,23 +469,28 @@ mod tests {
         use crate::config::KernelMode;
         // pin kernels explicitly: the template's default follows the
         // DF_SIM_KERNEL environment, which CI varies
-        let mut sequential = template();
-        sequential.kernel = KernelMode::Optimized;
-        assert_eq!(split_thread_budget(&sequential, 8), (8, 1));
-        assert_eq!(split_thread_budget(&sequential, 0), (1, 1));
-        let mut parallel = template();
-        parallel.kernel = KernelMode::Parallel { workers: 3 };
-        assert_eq!(split_thread_budget(&parallel, 12), (4, 3));
-        assert_eq!(split_thread_budget(&parallel, 3), (1, 3));
+        let with_kernel = |kernel| SimulationConfig {
+            kernel,
+            ..template()
+        };
+        let sequential = [with_kernel(KernelMode::Optimized)];
+        assert_eq!(outer_threads(&sequential, 8), 8);
+        assert_eq!(outer_threads(&sequential, 0), 1);
+        assert_eq!(outer_threads(&[], 8), 8);
+        let parallel = [with_kernel(KernelMode::Parallel { workers: 3 })];
+        assert_eq!(outer_threads(&parallel, 12), 4);
+        assert_eq!(outer_threads(&parallel, 3), 1);
         // a budget below the intra-cell width floors at one concurrent cell
-        assert_eq!(split_thread_budget(&parallel, 2), (1, 3));
+        assert_eq!(outer_threads(&parallel, 2), 1);
         for total in 1..16usize {
-            let (outer, intra) = split_thread_budget(&parallel, total);
             assert!(
-                outer * intra <= total.max(intra),
+                outer_threads(&parallel, total) * 3 <= total.max(3),
                 "budget {total} oversubscribed"
             );
         }
+        // the widest configuration decides
+        let mixed = [sequential[0].clone(), parallel[0].clone()];
+        assert_eq!(outer_threads(&mixed, 12), 4);
     }
 
     #[test]
@@ -553,7 +502,6 @@ mod tests {
         m.base.kernel = KernelMode::Parallel { workers: 3 };
         let configs: Vec<SimulationConfig> = m.cells().into_iter().map(|(_, c)| c).collect();
         for (budget, outer) in [(3, 1), (12, 4)] {
-            assert_eq!(split_thread_budget(&m.base, budget).0, outer);
             assert_eq!(outer_threads(&configs, budget), outer);
         }
         let a = run_matrix(&m, 3);

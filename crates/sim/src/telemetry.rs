@@ -1,20 +1,10 @@
 //! Streaming run telemetry: fixed-width cycle windows with per-window
-//! delivery throughput, latency quantiles and simulation speed, plus
-//! automatic steady-state detection that replaces fixed warm-up budgets.
+//! delivery throughput, latency quantiles and simulation speed.
 //!
 //! The collector is a pure observer: it differences the network's cumulative
 //! counters (and its always-on latency histogram) between window boundaries,
 //! so attaching it never perturbs the simulation — a run produces the same
 //! results, bit for bit, with or without telemetry.
-//!
-//! Steady-state detection uses a relative-spread criterion: the run is
-//! declared steady once the last `stability_windows` windows all delivered
-//! traffic and both their throughput and their mean latency stay within
-//! `tolerance` (relative, e.g. `0.08` = ±8 % around the mean). Saturated
-//! runs never pass the latency criterion (the mean climbs without bound as
-//! source queues grow), so detection also acts as a saturation probe: a
-//! caller polling [`StreamingTelemetry::steady`] needs its own window
-//! budget to give up on.
 
 use df_model::Cycle;
 
@@ -115,7 +105,7 @@ pub struct StreamingTelemetry {
     num_nodes: u32,
     histogram_low: f64,
     histogram_bin_width: f64,
-    windows: Vec<WindowStats>,
+    closed: usize,
     last: Marks,
     last_instant: std::time::Instant,
 }
@@ -139,7 +129,7 @@ impl StreamingTelemetry {
             num_nodes: net.config().topology.num_nodes(),
             histogram_low: low,
             histogram_bin_width: width,
-            windows: Vec::new(),
+            closed: 0,
             last: Marks::take(net),
             last_instant: std::time::Instant::now(),
         }
@@ -150,22 +140,10 @@ impl StreamingTelemetry {
         self.window_cycles
     }
 
-    /// Windows closed so far.
-    pub fn windows(&self) -> &[WindowStats] {
-        &self.windows
-    }
-
-    /// Advance the network by one window and close it, returning the
-    /// window's statistics.
-    pub fn step_window(&mut self, net: &mut Network) -> &WindowStats {
-        net.run_cycles(self.window_cycles);
-        self.close_window(net)
-    }
-
     /// Close a window at the network's current position (the caller advanced
     /// the network itself — e.g. the sweep runner, which interleaves
     /// checkpoints with windows).
-    pub fn close_window(&mut self, net: &Network) -> &WindowStats {
+    pub fn close_window(&mut self, net: &Network) -> WindowStats {
         let now = Marks::take(net);
         let instant = std::time::Instant::now();
         let wall = instant.duration_since(self.last_instant).as_secs_f64();
@@ -192,7 +170,7 @@ impl StreamingTelemetry {
         let p99 = self.delta_percentile(&delta_bins, delta_underflow, delta_overflow, 99.0);
 
         let stats = WindowStats {
-            index: self.windows.len(),
+            index: self.closed,
             start_cycle: self.last.cycle,
             end_cycle: now.cycle,
             delivered_packets,
@@ -212,8 +190,8 @@ impl StreamingTelemetry {
         };
         self.last = now;
         self.last_instant = instant;
-        self.windows.push(stats);
-        self.windows.last().expect("window was just pushed")
+        self.closed += 1;
+        stats
     }
 
     /// Percentile over a windowed (differenced) histogram, mirroring
@@ -240,22 +218,6 @@ impl StreamingTelemetry {
         }
         f64::INFINITY
     }
-
-    /// Whether the trailing `stability_windows` windows are steady: all
-    /// delivered traffic, and both throughput and mean latency stayed
-    /// within `tolerance` (relative spread around their means).
-    pub fn steady(&self, stability_windows: usize, tolerance: f64) -> bool {
-        let n = stability_windows.max(2);
-        if self.windows.len() < n {
-            return false;
-        }
-        let tail = &self.windows[self.windows.len() - n..];
-        if tail.iter().any(|w| w.delivered_packets == 0) {
-            return false;
-        }
-        relative_spread_within(tail.iter().map(|w| w.throughput), tolerance)
-            && relative_spread_within(tail.iter().map(|w| w.avg_latency), tolerance)
-    }
 }
 
 /// Simulation speed over a window. Zero wall time (fast host, tiny window,
@@ -267,27 +229,6 @@ fn window_cycles_per_second(cycles: u64, wall_seconds: f64) -> f64 {
     } else {
         f64::NAN
     }
-}
-
-/// `(max - min) <= tolerance * mean` over the values (false on NaN).
-fn relative_spread_within(values: impl Iterator<Item = f64>, tolerance: f64) -> bool {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    let mut count = 0u32;
-    for v in values {
-        if !v.is_finite() {
-            return false;
-        }
-        min = min.min(v);
-        max = max.max(v);
-        sum += v;
-        count += 1;
-    }
-    if count == 0 || sum <= 0.0 {
-        return false;
-    }
-    (max - min) <= tolerance * (sum / count as f64)
 }
 
 #[cfg(test)]
@@ -313,15 +254,19 @@ mod tests {
             .expect("valid configuration")
     }
 
+    /// Advance `net` by one window and close it.
+    fn step_window(telemetry: &mut StreamingTelemetry, net: &mut Network) -> WindowStats {
+        net.run_cycles(telemetry.window_cycles());
+        telemetry.close_window(net)
+    }
+
     #[test]
     fn windows_partition_the_run_and_sum_to_the_totals() {
         let mut net = Network::new(config(0.3));
         let mut telemetry = StreamingTelemetry::new(&net, 200);
-        for _ in 0..5 {
-            telemetry.step_window(&mut net);
-        }
-        let windows = telemetry.windows();
-        assert_eq!(windows.len(), 5);
+        let windows: Vec<WindowStats> = (0..5)
+            .map(|_| step_window(&mut telemetry, &mut net))
+            .collect();
         for (i, w) in windows.iter().enumerate() {
             assert_eq!(w.index, i);
             assert_eq!(w.start_cycle, 200 * i as u64);
@@ -335,6 +280,7 @@ mod tests {
         assert!(w.avg_latency > 0.0);
         assert!(w.p50_latency > 0.0 && w.p50_latency <= w.p99_latency);
         assert!(w.throughput > 0.0 && w.throughput < 1.0);
+        assert!(w.log_line().starts_with("window   3 [    600,     800)"));
     }
 
     #[test]
@@ -345,7 +291,7 @@ mod tests {
         let mut observed = Network::new(config(0.3));
         let mut telemetry = StreamingTelemetry::new(&observed, 100);
         for _ in 0..10 {
-            telemetry.step_window(&mut observed);
+            step_window(&mut telemetry, &mut observed);
         }
         assert_eq!(plain.cycle(), observed.cycle());
         assert_eq!(
@@ -353,56 +299,6 @@ mod tests {
             observed.metrics().delivered_packets_total()
         );
         assert_eq!(plain.snapshot(), observed.snapshot());
-    }
-
-    #[test]
-    fn light_load_reaches_steady_state() {
-        let mut net = Network::new(config(0.2));
-        let mut telemetry = StreamingTelemetry::new(&net, 300);
-        let mut steady_at = None;
-        for i in 0..30 {
-            telemetry.step_window(&mut net);
-            if telemetry.steady(4, 0.25) {
-                steady_at = Some(i);
-                break;
-            }
-        }
-        assert!(
-            steady_at.is_some(),
-            "an unsaturated uniform run must settle: {:?}",
-            telemetry
-                .windows()
-                .iter()
-                .map(|w| (w.throughput, w.avg_latency))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn saturated_load_does_not_pass_the_latency_criterion() {
-        // ADV+1 under minimal routing at high load saturates: latency climbs
-        // monotonically as source queues grow, so the spread test keeps
-        // failing
-        let cfg = SimulationConfig::builder()
-            .topology(DragonflyParams::small())
-            .network(NetworkConfig::fast_test())
-            .routing(RoutingKind::Minimal)
-            .pattern(PatternKind::Adversarial { offset: 1 })
-            .offered_load(0.9)
-            .warmup_cycles(100)
-            .measurement_cycles(400)
-            .seed(9)
-            .build()
-            .unwrap();
-        let mut net = Network::new(cfg);
-        let mut telemetry = StreamingTelemetry::new(&net, 300);
-        for _ in 0..12 {
-            telemetry.step_window(&mut net);
-        }
-        assert!(
-            !telemetry.steady(4, 0.05),
-            "a saturating run must not be declared steady"
-        );
     }
 
     #[test]
@@ -421,7 +317,7 @@ mod tests {
             net.metrics_mut().record_delivery(&p, latency);
         }
         net.run_cycles(100);
-        let w = telemetry.step_window(&mut net).clone();
+        let w = step_window(&mut telemetry, &mut net);
         assert!(w.p50_latency.is_finite() && w.p50_latency <= top_edge);
         assert!(
             w.p99_latency.is_infinite() && w.p99_latency > 0.0,
@@ -429,9 +325,7 @@ mod tests {
              top edge (got p99 = {})",
             w.p99_latency
         );
-        // the mean stays finite (the histogram sums overflow samples too),
-        // so steadiness detection — a throughput + mean-latency criterion —
-        // is unaffected by the tail-percentile semantics change
+        // the mean stays finite (the histogram sums overflow samples too)
         assert!(w.avg_latency.is_finite());
     }
 
@@ -449,42 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn steady_handles_nan_speed_but_rejects_nan_latency() {
-        let net = Network::new(config(0.0));
-        let mut telemetry = StreamingTelemetry::new(&net, 100);
-        let window = |index: usize, avg_latency: f64| WindowStats {
-            index,
-            start_cycle: 100 * index as u64,
-            end_cycle: 100 * (index + 1) as u64,
-            delivered_packets: 50,
-            delivered_phits: 400,
-            throughput: 0.2,
-            generated_phits: 400,
-            in_flight: 3,
-            avg_latency,
-            p50_latency: avg_latency,
-            p99_latency: avg_latency,
-            wall_seconds: 0.0,
-            cycles_per_second: f64::NAN, // zero-wall window
-        };
-        // steadiness is a throughput + latency criterion: a NaN simulation
-        // speed (zero-wall window) must NOT block it...
-        telemetry.windows = (0..4).map(|i| window(i, 30.0)).collect();
-        assert!(telemetry.steady(4, 0.1));
-        // ...but a NaN mean latency must
-        telemetry.windows = (0..4).map(|i| window(i, f64::NAN)).collect();
-        assert!(!telemetry.steady(4, 0.1));
-    }
-
-    #[test]
-    fn empty_windows_report_nan_latency_and_block_steadiness() {
+    fn empty_windows_report_nan_latency() {
         let mut net = Network::new(config(0.0));
         let mut telemetry = StreamingTelemetry::new(&net, 100);
         for _ in 0..4 {
-            telemetry.step_window(&mut net);
+            let w = step_window(&mut telemetry, &mut net);
+            assert_eq!(w.delivered_packets, 0);
+            assert!(w.avg_latency.is_nan() && w.p99_latency.is_nan());
         }
-        assert!(telemetry.windows().iter().all(|w| w.delivered_packets == 0));
-        assert!(telemetry.windows()[0].avg_latency.is_nan());
-        assert!(!telemetry.steady(3, 1.0));
     }
 }

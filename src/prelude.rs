@@ -16,12 +16,12 @@ pub use df_routing::{
     Commitment, Decision, DecisionKind, RoutingAlgorithm, RoutingConfig, RoutingKind,
 };
 pub use df_sim::{
-    cell_seed, config_fingerprint, load_sweep, matrix_table, run_interference, run_job_set,
-    run_matrix, run_sweep, run_sweep_service, ChurnModel, ChurnRate, ConfigError, FaultEvent,
-    FaultKind, FaultPlan, InterferenceReport, JobReport, JobSetReport, JobsEngine, KernelMode,
-    MatrixCell, MatrixKey, Network, RunnerOptions, Scenario, ScenarioMatrix, ScenarioPhase,
-    SimulationConfig, SteadyStateExperiment, SteadyStateReport, StreamingTelemetry, SweepOutcome,
-    TaskEngine, TransientExperiment, TransientReport, WindowStats,
+    cell_seed, config_fingerprint, matrix_table, run_interference, run_job_set, run_matrix,
+    run_sweep, run_sweep_service, ChurnModel, ChurnRate, ConfigError, FaultEvent, FaultKind,
+    FaultPlan, InterferenceReport, JobReport, JobSetReport, JobsEngine, KernelMode, MatrixCell,
+    MatrixKey, Network, RunnerOptions, Scenario, ScenarioMatrix, ScenarioPhase, SimulationConfig,
+    SteadyStateExperiment, SteadyStateReport, SweepOutcome, TaskEngine, TransientExperiment,
+    TransientReport,
 };
 pub use df_topology::{
     AnyTopology, Dragonfly, DragonflyParams, GatewayLiveness, GroupId, LinkState, Megafly,
