@@ -508,6 +508,37 @@ pub const GOLDEN_SPECIAL: &[(&str, &str, u64, u64, u64)] = &[
 ];
 
 // ---------------------------------------------------------------------------
+// Trigger-table slice: the four in-transit adaptive mechanisms, triggered
+// ---------------------------------------------------------------------------
+
+/// Offered load of the trigger-table slice. The main corpus runs at
+/// [`LOAD`] = 0.2, where ECtN's combined-counter stage never changes an
+/// outcome (every ECtN row above is bit-equal to its Base row); under ADV+1
+/// ECtN first diverges from Base at load 0.3, so this slice runs at 0.4.
+pub const TRIGGER_TABLE_LOAD: f64 = 0.4;
+
+/// The trigger-table cell for one mechanism: [`base_builder`] under ADV+1
+/// at [`TRIGGER_TABLE_LOAD`] (kernel left to the caller / environment).
+pub fn trigger_table_builder(routing: RoutingKind) -> df_sim::SimulationConfigBuilder {
+    base_builder()
+        .routing(routing)
+        .pattern(PatternKind::Adversarial { offset: 1 })
+        .offered_load(TRIGGER_TABLE_LOAD)
+}
+
+/// One row per mechanism of the paper's trigger table (OLM / Base / Hybrid
+/// / ECtN), each with its misroute trigger actually firing — the slice that
+/// tells the four selection pipelines apart.
+#[rustfmt::skip]
+pub const GOLDEN_TRIGGER_TABLE: &[(RoutingKind, u64, u64, u64)] = &[
+    // (routing, delivered_window, final_cycle, latency_bits)
+    (RoutingKind::Olm, 1694, 706, 0x40534B252D08C3D8),
+    (RoutingKind::Base, 1803, 812, 0x405E1B4BF65850A9),
+    (RoutingKind::Hybrid, 1700, 698, 0x4052E3CD67009A3A),
+    (RoutingKind::Ectn, 1803, 794, 0x405C7F412BDFA091),
+];
+
+// ---------------------------------------------------------------------------
 // Megafly / Dragonfly+ corpus slice
 // ---------------------------------------------------------------------------
 

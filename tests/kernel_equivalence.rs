@@ -35,8 +35,8 @@ use frozen::assert_frozen;
 use golden_corpus::{
     all_patterns, base_builder, churn_fingerprint, churn_routings, churn_scenarios,
     fault_fingerprint, fault_routings, fault_scenarios, fingerprint, megafly_base_builder,
-    megafly_patterns, megafly_routings, special_scenarios, GOLDEN_CHURN, GOLDEN_FAULTS,
-    GOLDEN_MEGAFLY, GOLDEN_ROUTING_PATTERN, GOLDEN_SPECIAL,
+    megafly_patterns, megafly_routings, special_scenarios, trigger_table_builder, GOLDEN_CHURN,
+    GOLDEN_FAULTS, GOLDEN_MEGAFLY, GOLDEN_ROUTING_PATTERN, GOLDEN_SPECIAL, GOLDEN_TRIGGER_TABLE,
 };
 
 /// The worker counts the corpus replays cover: the degenerate single-shard
@@ -92,6 +92,24 @@ fn parallel_4_workers_reproduce_the_pinned_corpus() {
 #[test]
 fn parallel_7_workers_reproduce_the_pinned_corpus() {
     run_corpus_at(7);
+}
+
+#[test]
+fn parallel_reproduces_the_pinned_trigger_table() {
+    for &workers in WORKER_COUNTS {
+        for &(routing, ed, ec, el) in GOLDEN_TRIGGER_TABLE {
+            let cfg = trigger_table_builder(routing)
+                .kernel(KernelMode::Parallel { workers })
+                .build()
+                .expect("valid configuration");
+            assert_eq!(
+                fingerprint(cfg),
+                (ed, ec, el),
+                "parallel({workers}): {} diverged from the pinned trigger table",
+                routing.label()
+            );
+        }
+    }
 }
 
 #[test]

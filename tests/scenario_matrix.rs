@@ -39,8 +39,9 @@ use golden_corpus::{
     collective_fingerprint, fault_fingerprint, fault_routings, fault_scenarios, fingerprint,
     megafly_base_builder, megafly_collective_config, megafly_collective_workloads,
     megafly_fault_routings, megafly_fault_scenarios, megafly_patterns, megafly_routings,
-    special_scenarios, GOLDEN_CHURN, GOLDEN_FAULTS, GOLDEN_MEGAFLY, GOLDEN_MEGAFLY_COLLECTIVES,
-    GOLDEN_MEGAFLY_FAULTS, GOLDEN_ROUTING_PATTERN, GOLDEN_SPECIAL,
+    special_scenarios, trigger_table_builder, GOLDEN_CHURN, GOLDEN_FAULTS, GOLDEN_MEGAFLY,
+    GOLDEN_MEGAFLY_COLLECTIVES, GOLDEN_MEGAFLY_FAULTS, GOLDEN_ROUTING_PATTERN, GOLDEN_SPECIAL,
+    GOLDEN_TRIGGER_TABLE,
 };
 
 // ---------------------------------------------------------------------------
@@ -73,6 +74,30 @@ fn golden_routing_pattern_matrix() {
         }
     }
     assert!(expected.next().is_none(), "stale rows in the golden table");
+}
+
+// ---------------------------------------------------------------------------
+// 1b. trigger-table goldens: OLM / Base / Hybrid / ECtN with triggers firing
+// ---------------------------------------------------------------------------
+
+#[test]
+fn golden_trigger_table() {
+    for &(routing, ed, ec, el) in GOLDEN_TRIGGER_TABLE {
+        let cfg = trigger_table_builder(routing)
+            .build()
+            .expect("valid configuration");
+        assert_eq!(
+            fingerprint(cfg),
+            (ed, ec, el),
+            "{} diverged from the pinned trigger-table fingerprint",
+            routing.label()
+        );
+    }
+    // the point of the slice: at this load ECtN's combined-counter stage
+    // changes outcomes, so its row is not a copy of Base's
+    let row = |kind| GOLDEN_TRIGGER_TABLE.iter().find(|r| r.0 == kind).unwrap();
+    let (base, ectn) = (row(RoutingKind::Base), row(RoutingKind::Ectn));
+    assert_ne!((base.1, base.2, base.3), (ectn.1, ectn.2, ectn.3));
 }
 
 // ---------------------------------------------------------------------------
@@ -385,6 +410,11 @@ fn regenerate_golden_tables() {
                 l
             );
         }
+    }
+    println!("// trigger table: (routing, delivered_window, final_cycle, latency_bits)");
+    for &(routing, ..) in GOLDEN_TRIGGER_TABLE {
+        let (d, c, l) = fingerprint(trigger_table_builder(routing).build().unwrap());
+        println!("    (RoutingKind::{routing:?}, {d}, {c}, {l:#018X}),");
     }
     println!("// (scenario, routing, delivered_window, final_cycle, latency_bits)");
     for scenario in special_scenarios() {
