@@ -18,6 +18,7 @@
 //! bin), then a during/after summary per mechanism on stderr. Deterministic:
 //! rerun and diff.
 
+use df_bench::{or_exit_2, Scale};
 use df_routing::RoutingKind;
 use df_sim::{FaultPlan, Network, SimulationConfig};
 use df_topology::{Dragonfly, GroupId};
@@ -25,7 +26,12 @@ use df_traffic::PatternKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = df_bench::Scale::from_args_with_flags(df_bench::Scale::small(), &["csv"]);
+    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
+        Scale::small(),
+        &["csv"],
+        "fault_recovery",
+        args.iter().cloned(),
+    ));
     let csv = args.iter().any(|a| a == "csv");
 
     let warmup = scale.warmup;

@@ -176,10 +176,11 @@ impl Scale {
 
     /// [`Scale::from_arg_list`] for the binaries that build the canonical
     /// Dragonfly explicitly (`fig 6`–`fig 9`, `fig table1`, `sweep_service`,
-    /// `availability`): any `--topology` argument is an error naming the
-    /// binary and the topology-aware alternatives instead of being silently
-    /// ignored — running one under `--topology=megafly` used to produce a
-    /// Dragonfly table labelled by nothing at all.
+    /// `availability`, `fault_recovery`, `collectives`): any `--topology`
+    /// argument is an error naming the binary and the topology-aware
+    /// alternatives instead of being silently ignored — running one under
+    /// `--topology=megafly` used to produce a Dragonfly table labelled by
+    /// nothing at all.
     pub fn from_arg_list_dragonfly_only(
         default: Self,
         flags: &[&str],
@@ -190,9 +191,9 @@ impl Scale {
         if let Some(arg) = args.iter().find(|a| a.starts_with("--topology")) {
             return Err(format!(
                 "error: {bin} is Dragonfly-only and does not accept '{arg}' (Figures 6-9, \
-                 Table 1, the sweep service and the availability sweep build the \
-                 canonical Dragonfly; topology-aware runners: scenario_matrix, \
-                 fault_recovery)"
+                 Table 1, the sweep service, the availability sweep, the fault-recovery \
+                 curve and the collectives table build the canonical Dragonfly; \
+                 topology-aware runners: scenario_matrix, interference)"
             ));
         }
         Self::from_arg_list(default, flags, args)

@@ -60,6 +60,28 @@ fn service_bins_reject_mistyped_scales_and_topology_selections() {
 }
 
 #[test]
+fn dragonfly_only_runners_reject_topology_selections_with_exit_2() {
+    // both used the topology-aware parser but build `scale.topology` (the
+    // Dragonfly): --topology=megafly exited 0 with the Dragonfly table, while
+    // the Dragonfly-only error text advertised fault_recovery as
+    // topology-aware
+    for (exe, bin) in [
+        (env!("CARGO_BIN_EXE_fault_recovery"), "fault_recovery"),
+        (env!("CARGO_BIN_EXE_collectives"), "collectives"),
+    ] {
+        let stderr = rejected(exe, &["bench", "csv", "--topology=megafly"]);
+        assert!(
+            stderr.contains(bin) && stderr.contains("Dragonfly-only"),
+            "{bin} stderr must name the binary and the reason: {stderr}"
+        );
+        assert!(
+            stderr.contains("topology-aware runners: scenario_matrix, interference)"),
+            "only the bins that honour --topology may be advertised: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_figures_abort_with_exit_2_listing_the_valid_ones() {
     for args in [&["11", "bench"][..], &["bench"], &[]] {
         let stderr = rejected(env!("CARGO_BIN_EXE_fig"), args);

@@ -4,22 +4,23 @@
 //! All four share the same misrouting *policy* (where nonminimal paths may be
 //! taken, which candidates are considered, how deadlock is avoided); they
 //! differ only in the *trigger* that decides when to leave the minimal path
-//! and in how candidates are filtered:
+//! and in how candidates are filtered. Each mechanism is an ordered list of
+//! `Rule` rows (`rules()`), and one pipeline (`select`) runs them:
 //!
-//! | mechanism | global misroute trigger | candidate filter |
-//! |-----------|------------------------|------------------|
-//! | OLM       | occupancy(candidate) ≤ 50 % × occupancy(minimal) | same comparison |
-//! | Base      | counter(minimal) > th | counter(candidate) < th |
-//! | Hybrid    | Base rule (th+1) **or** OLM rule (35 %) | per the rule that fired |
-//! | ECtN      | at injection: combined(minimal link) > th_combined; otherwise Base | combined(candidate) < th_combined / Base |
+//! | mechanism | rows, in order | a row fires when | a candidate passes when |
+//! |-----------|----------------|------------------|-------------------------|
+//! | OLM       | `Credit(50 %)` | always (the comparison is per candidate) | occupancy(candidate) ≤ 50 % × occupancy(minimal) |
+//! | Base      | `Contention(th)` | counter(minimal) > th | counter(candidate) < th |
+//! | Hybrid    | `Contention(th+1)`, `Credit(35 %)` | as above | as above, per the row that fired |
+//! | ECtN      | at injection `Combined(th_c)`, then `Contention(th)` | combined(minimal link) > th_c | combined(candidate link) < th_c, own links only |
 //!
-//! Local misrouting (in the intermediate and destination groups) uses the
-//! same trigger family against local output ports.
+//! Local misrouting (in the intermediate and destination groups) runs the
+//! same rows against local output ports.
 
 use df_engine::DeterministicRng;
 use df_model::Packet;
 use df_router::Router;
-use df_topology::{GroupId, Port, PortClass, Topology};
+use df_topology::{Port, PortClass, RouterId, Topology};
 
 use crate::algorithms::common;
 use crate::candidates::{global_candidates, local_candidates, GlobalCandidate, LocalCandidate};
@@ -30,34 +31,199 @@ use crate::minimal::minimal_output;
 use crate::trigger::{contention_allows_candidate, contention_exceeds, credit_comparison};
 use crate::vcmap::{global_misroute_fits, local_detour_fits, vc_for_next_hop};
 
-/// Whether a nonminimal global candidate is viable according to the
-/// router's (possibly stale) gateway-liveness view: the candidate link of
-/// the current group is up, and — when the candidate diverts through an
-/// intermediate group — so is that group's unique onward link towards the
-/// destination group. Always true on a pristine (all-up) view, which is
-/// what mechanisms without a dissemination channel hold, so Base/OLM keep
-/// the PR-4 discover-at-gateway behaviour and healthy runs take the O(1)
-/// fast path.
-fn candidate_viable_by_view(
-    router: &Router,
-    my_group: GroupId,
-    cand: &GlobalCandidate,
-    dst_group: GroupId,
-) -> bool {
+/// One row of the trigger table: a trigger on the minimal output paired
+/// with the filter its candidates must pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rule {
+    /// ECtN's group-wide combined counters, indexed by global link:
+    /// combined(minimal link) > `th` fires, combined(candidate link) < `th`
+    /// passes, and only the current router's own global links are candidates.
+    Combined(u32),
+    /// The router's own contention counters, indexed by output port:
+    /// counter(minimal output) > `th` fires, counter(first hop) < `th` passes.
+    Contention(u32),
+    /// OLM's credit comparison, which has no separate trigger: a candidate
+    /// passes when its occupancy is at most this fraction of the minimal
+    /// output's.
+    Credit(f64),
+}
+
+/// The mechanism's rows of the trigger table, in the order [`select`] tries
+/// them — the only place a mechanism's thresholds are read.
+fn rules(kind: RoutingKind, config: &RoutingConfig, at_injection: bool) -> [Option<Rule>; 2] {
+    use Rule::{Combined, Contention, Credit};
+    match kind {
+        RoutingKind::Base => [Some(Contention(config.contention_threshold)), None],
+        RoutingKind::Ectn => [
+            at_injection.then_some(Combined(config.ectn_combined_threshold)),
+            Some(Contention(config.contention_threshold)),
+        ],
+        RoutingKind::Olm => [Some(Credit(config.olm_congestion_fraction)), None],
+        RoutingKind::Hybrid => [
+            Some(Contention(config.hybrid_contention_threshold)),
+            Some(Credit(config.hybrid_congestion_fraction)),
+        ],
+        RoutingKind::Minimal | RoutingKind::Valiant | RoutingKind::PiggyBacking => [None, None],
+    }
+}
+
+/// What [`select`] needs of a nonminimal candidate, global or local.
+trait Candidate: Copy {
+    /// Output port of the current router that starts the nonminimal path.
+    fn first_hop(&self) -> Port;
+    /// The group-level global link the candidate diverts onto — the index of
+    /// its ECtN combined counter and of its link-view entry. `None` for a
+    /// local detour.
+    fn link(&self) -> Option<u32>;
+}
+
+impl Candidate for GlobalCandidate {
+    fn first_hop(&self) -> Port {
+        self.first_hop
+    }
+    fn link(&self) -> Option<u32> {
+        Some(self.link)
+    }
+}
+
+impl Candidate for LocalCandidate {
+    fn first_hop(&self) -> Port {
+        self.port
+    }
+    fn link(&self) -> Option<u32> {
+        None
+    }
+}
+
+/// The minimal continuation a selection is weighed against.
+struct MinimalSide {
+    /// The minimal output port: its contention counter and occupancy feed
+    /// the `Contention` and `Credit` rows.
+    out: Port,
+    /// The group's minimal global link, whose combined counter feeds the
+    /// `Combined` row. `None` for a local selection.
+    link: Option<u32>,
+    /// The minimal continuation is dead, which is treated as infinitely
+    /// contended: it fires every row. Always false on a healthy network.
+    dead: bool,
+}
+
+/// The one liveness predicate every candidate scan shares: the candidate's
+/// first hop is up at this router, and — for a global candidate — the
+/// router's (possibly stale) gateway-liveness view marks the candidate link
+/// of the current group up and, when the candidate diverts through an
+/// intermediate group, that group's unique onward link towards the
+/// destination group too. The view is pristine (all-up) for mechanisms
+/// without a dissemination channel, so Base/OLM keep the PR-4
+/// discover-at-gateway behaviour and healthy runs take the O(1) fast path.
+fn is_live(router: &Router, packet: &Packet, cand: &impl Candidate) -> bool {
+    if !router.link_is_up(cand.first_hop()) {
+        return false;
+    }
     let view = router.link_view();
+    let Some(link) = cand.link() else {
+        return true;
+    };
     if view.all_up() {
         return true;
     }
     let topo = router.topology();
-    if !view.link_up(my_group, cand.link) {
-        return false;
-    }
-    match topo.global_link_target_group(my_group, cand.link) {
-        Some(target) if target != dst_group => {
-            view.link_up(target, topo.group_link_to(target, dst_group))
+    let (my_group, dst_group) = (router.group(), topo.node_group(packet.dst));
+    view.link_up(my_group, link)
+        && match topo.global_link_target_group(my_group, link) {
+            Some(target) if target != dst_group => {
+                view.link_up(target, topo.group_link_to(target, dst_group))
+            }
+            _ => true,
         }
-        _ => true,
+}
+
+/// The candidates that pass a row's filter (`passes`) and the two checks
+/// every row shares: alive ([`is_live`]), and downstream space for the packet.
+fn eligible<C: Candidate>(
+    router: &Router,
+    packet: &Packet,
+    candidates: Vec<C>,
+    passes: impl Fn(&C) -> bool,
+) -> Vec<C> {
+    let layout = router.topology().layout();
+    candidates
+        .into_iter()
+        .filter(|c| {
+            let hop = c.first_hop();
+            passes(c)
+                && is_live(router, packet, c)
+                && router.output_can_accept(
+                    hop,
+                    vc_for_next_hop(packet, hop.class(&layout), router.config()),
+                    packet.size_phits,
+                )
+        })
+        .collect()
+}
+
+/// The candidate-selection pipeline of every mechanism, global and local:
+/// try the rows in table order; for each row whose trigger fires on the
+/// minimal side (a dead minimal side fires every row), keep the candidates
+/// that pass the row's filter, are alive ([`is_live`]) and have downstream
+/// space for the packet, and draw uniformly from the first non-empty
+/// eligible set.
+///
+/// `candidates(own_links_only)` enumerates the candidates. After the first
+/// local hop only the current router's own global links are eligible (the
+/// PAR/OLM rule): taking a *second* local hop before the first global hop
+/// would break the monotonic VC ordering that guarantees deadlock freedom.
+/// A `Combined` row forces own-links-only regardless.
+///
+/// **RNG discipline** (the contract every pinned fingerprint rests on):
+/// exactly one `rng.index(len)` per non-empty eligible set — the draw that
+/// ends the selection — and none otherwise; rows that do not fire, or fire
+/// on an empty eligible set, consume nothing.
+fn select<C: Candidate>(
+    rows: [Option<Rule>; 2],
+    config: &RoutingConfig,
+    router: &Router,
+    packet: &Packet,
+    min: MinimalSide,
+    candidates: impl Fn(bool) -> Vec<C>,
+    rng: &mut DeterministicRng,
+) -> Option<C> {
+    let own_links_only = packet.routing.local_hops > 0;
+    for rule in rows.into_iter().flatten() {
+        let eligible_set = match rule {
+            Rule::Combined(th) => {
+                // a local selection has no combined counter to consult
+                let Some(min_link) = min.link else { continue };
+                if !min.dead && !contention_exceeds(router.ectn().combined(min_link), th) {
+                    continue;
+                }
+                eligible(router, packet, candidates(true), |c| {
+                    c.link()
+                        .is_some_and(|j| contention_allows_candidate(router.ectn().combined(j), th))
+                })
+            }
+            Rule::Contention(th) => {
+                if !min.dead && !contention_exceeds(router.contention().get(min.out), th) {
+                    continue;
+                }
+                eligible(router, packet, candidates(own_links_only), |c| {
+                    contention_allows_candidate(router.contention().get(c.first_hop()), th)
+                })
+            }
+            Rule::Credit(fraction) => {
+                let q_min = common::output_occupancy(router, min.out);
+                let min_required = config.credit_trigger_min_packets * packet.size_phits;
+                eligible(router, packet, candidates(own_links_only), |c| {
+                    let q_cand = common::output_occupancy(router, c.first_hop());
+                    min.dead || credit_comparison(q_min, q_cand, fraction, min_required)
+                })
+            }
+        };
+        if let Some(c) = common::pick_random(&eligible_set, rng) {
+            return Some(*c);
+        }
     }
+    None
 }
 
 /// The in-transit adaptive decision for OLM / Base / Hybrid / ECtN.
@@ -78,11 +244,17 @@ pub fn decide(
     let min_out = minimal_output(topo, current, packet.dst);
     let min_class = min_out.class(&layout);
     let net = router.config();
-    // Fault routing: a dead minimal output lifts the already-misrouted veto
-    // below — the misroute budget is counted in *hops taken* (global_hops),
-    // not intents, so a packet whose commitment was abandoned at a dead
-    // gateway may select a replacement. Always false on a healthy network.
-    let min_dead = router.any_link_down() && !router.link_is_up(min_out);
+    // Fault routing: a dead minimal output fires every row and lifts the
+    // already-misrouted veto below — the misroute budget is counted in
+    // *hops taken* (global_hops), not intents, so a packet whose commitment
+    // was abandoned at a dead gateway may select a replacement. Always
+    // false on a healthy network.
+    let min_dead = !router.link_is_up(min_out);
+    let at_injection = input_port.class(&layout) == PortClass::Terminal && packet.hops() == 0;
+    let rows = rules(kind, config, at_injection);
+    // whether a policy-legal alternative to a dead minimal output is alive
+    // (merely congested, or vetoed by its row) — see the unroutable case
+    let mut live_alternative = false;
 
     // ---------------- global misrouting ----------------
     let may_misroute_globally = dst_group != my_group
@@ -94,13 +266,23 @@ pub fn decide(
                 && packet.routing.global_hops == 0
                 && packet.routing.local_hops <= 1));
     if may_misroute_globally {
-        if let Some(cand) = pick_global_candidate(
-            kind, config, router, input_port, packet, min_out, dst_group, rng,
-        ) {
-            let first_class = cand.first_hop.class(&layout);
+        let min_link = topo.group_link_to(my_group, dst_group);
+        let globals =
+            |own_links_only| global_candidates(topo, current, Some(min_link), own_links_only);
+        // For the mechanisms with a link-state view (ECtN, and PB on its own
+        // path) a minimal link the *view* marks dead fires the rows too,
+        // even when the first hop towards its gateway is a healthy local
+        // link — that is how source routers stop targeting dead gateway
+        // groups.
+        let min = MinimalSide {
+            out: min_out,
+            link: Some(min_link),
+            dead: min_dead || router.link_view().marks_down(my_group, min_link),
+        };
+        if let Some(cand) = select(rows, config, router, packet, min, globals, rng) {
             return Decision {
                 output_port: cand.first_hop,
-                output_vc: vc_for_next_hop(packet, first_class, net),
+                output_vc: vc_for_next_hop(packet, cand.first_hop.class(&layout), net),
                 kind: DecisionKind::NonminimalGlobal,
                 commitment: Commitment::NonminimalGlobal {
                     gateway: cand.gateway,
@@ -108,6 +290,10 @@ pub fn decide(
                 },
             };
         }
+        live_alternative = min_dead
+            && globals(packet.routing.local_hops > 0)
+                .iter()
+                .any(|c| is_live(router, packet, c));
     }
 
     // ---------------- local misrouting ----------------
@@ -118,7 +304,15 @@ pub fn decide(
         && packet.routing.local_misroute_allowed_in(my_group)
         && local_detour_fits(packet, remaining_locals_after_detour, net);
     if may_misroute_locally {
-        if let Some(cand) = pick_local_candidate(kind, config, router, packet, min_out, rng) {
+        // the router the minimal local hop would reach — excluded from detours
+        let min_target = topo.local_neighbor(current, min_out.class_offset(&layout));
+        let locals = |_own_links_only| local_candidates(topo, current, Some(min_target));
+        let min = MinimalSide {
+            out: min_out,
+            link: None,
+            dead: min_dead,
+        };
+        if let Some(cand) = select(rows, config, router, packet, min, locals, rng) {
             return Decision {
                 output_port: cand.port,
                 output_vc: vc_for_next_hop(packet, PortClass::Local, net),
@@ -128,6 +322,8 @@ pub fn decide(
                 },
             };
         }
+        live_alternative = live_alternative
+            || (min_dead && locals(false).iter().any(|c| is_live(router, packet, c)));
     }
 
     // ---------------- fault: unroutable packets ----------------
@@ -141,200 +337,12 @@ pub fn decide(
     // VC ladder cannot carry), the packet is unroutable: discard it so the
     // network stays live, with exact conservation through the
     // dropped-on-fault counters.
-    if min_dead {
-        let any_live_global = may_misroute_globally && {
-            let min_link = topo.group_link_to(my_group, dst_group);
-            let own_only = packet.routing.local_hops > 0;
-            global_candidates(topo, current, Some(min_link), own_only)
-                .iter()
-                .any(|c| {
-                    router.link_is_up(c.first_hop)
-                        && candidate_viable_by_view(router, my_group, c, dst_group)
-                })
-        };
-        let any_live_local = may_misroute_locally && {
-            let min_target = topo.local_neighbor(current, min_out.class_offset(&layout));
-            local_candidates(topo, current, Some(min_target))
-                .iter()
-                .any(|c| router.link_is_up(c.port))
-        };
-        if !any_live_global && !any_live_local {
-            return Decision::discard();
-        }
+    if min_dead && !live_alternative {
+        return Decision::discard();
     }
 
     // ---------------- default: minimal ----------------
     Decision::minimal(min_out, vc_for_next_hop(packet, min_class, net))
-}
-
-/// Select a nonminimal global link, if the mechanism's trigger fires and a
-/// candidate passes its filter.
-#[allow(clippy::too_many_arguments)]
-fn pick_global_candidate(
-    kind: RoutingKind,
-    config: &RoutingConfig,
-    router: &Router,
-    input_port: Port,
-    packet: &Packet,
-    min_out: Port,
-    dst_group: df_topology::GroupId,
-    rng: &mut DeterministicRng,
-) -> Option<GlobalCandidate> {
-    let topo = router.topology();
-    let layout = topo.layout();
-    let my_group = topo.router_group(router.id());
-    let min_link = topo.group_link_to(my_group, dst_group);
-    let size = packet.size_phits;
-    let vc_for =
-        |port: Port, pkt: &Packet| vc_for_next_hop(pkt, port.class(&layout), router.config());
-    // After the first local hop only the current router's own global links
-    // are eligible (the PAR/OLM rule): taking a *second* local hop before the
-    // first global hop would break the monotonic VC ordering that guarantees
-    // deadlock freedom.
-    let own_only_for_policy = packet.routing.local_hops > 0;
-    // A failed minimal link is treated as infinitely contended: it fires
-    // every misroute trigger, and dead candidates are filtered out. For the
-    // mechanisms with a link-state view (ECtN, and PB on its own path) a
-    // minimal link the *view* marks dead fires the triggers too, even when
-    // the first hop towards its gateway is a healthy local link — that is
-    // how source routers stop targeting dead gateway groups. In a healthy
-    // network both terms are false and every filter below reduces to its
-    // original form.
-    let min_dead = !router.link_is_up(min_out) || router.link_view().marks_down(my_group, min_link);
-    let view_ok = |c: &GlobalCandidate| candidate_viable_by_view(router, my_group, c, dst_group);
-
-    // ECtN: at injection, use the combined counters over the router's own
-    // global links.
-    if kind == RoutingKind::Ectn
-        && input_port.class(&layout) == PortClass::Terminal
-        && packet.hops() == 0
-    {
-        let combined_min = router.ectn().combined(min_link);
-        if min_dead || contention_exceeds(combined_min, config.ectn_combined_threshold) {
-            let cands = global_candidates(topo, router.id(), Some(min_link), true);
-            let eligible: Vec<GlobalCandidate> = cands
-                .into_iter()
-                .filter(|c| {
-                    contention_allows_candidate(
-                        router.ectn().combined(c.link),
-                        config.ectn_combined_threshold,
-                    ) && router.link_is_up(c.first_hop)
-                        && view_ok(c)
-                        && router.output_can_accept(c.first_hop, vc_for(c.first_hop, packet), size)
-                })
-                .collect();
-            if let Some(c) = common::pick_random(&eligible, rng) {
-                return Some(*c);
-            }
-            // fall through to the local-counter (Base) logic below
-        }
-    }
-
-    match kind {
-        RoutingKind::Base | RoutingKind::Ectn => {
-            let th = config.contention_threshold;
-            if !min_dead && !contention_exceeds(router.contention().get(min_out), th) {
-                return None;
-            }
-            let cands = global_candidates(topo, router.id(), Some(min_link), own_only_for_policy);
-            let eligible: Vec<GlobalCandidate> = cands
-                .into_iter()
-                .filter(|c| {
-                    contention_allows_candidate(router.contention().get(c.first_hop), th)
-                        && router.link_is_up(c.first_hop)
-                        && view_ok(c)
-                        && router.output_can_accept(c.first_hop, vc_for(c.first_hop, packet), size)
-                })
-                .collect();
-            common::pick_random(&eligible, rng).copied()
-        }
-        RoutingKind::Olm => credit_global_candidate(
-            config.olm_congestion_fraction,
-            config,
-            router,
-            packet,
-            min_out,
-            min_link,
-            own_only_for_policy,
-            rng,
-        ),
-        RoutingKind::Hybrid => {
-            // contention rule first (with Hybrid's own, higher threshold)
-            let th = config.hybrid_contention_threshold;
-            if min_dead || contention_exceeds(router.contention().get(min_out), th) {
-                let cands =
-                    global_candidates(topo, router.id(), Some(min_link), own_only_for_policy);
-                let eligible: Vec<GlobalCandidate> = cands
-                    .into_iter()
-                    .filter(|c| {
-                        contention_allows_candidate(router.contention().get(c.first_hop), th)
-                            && router.link_is_up(c.first_hop)
-                            && view_ok(c)
-                            && router.output_can_accept(
-                                c.first_hop,
-                                vc_for(c.first_hop, packet),
-                                size,
-                            )
-                    })
-                    .collect();
-                if let Some(c) = common::pick_random(&eligible, rng) {
-                    return Some(*c);
-                }
-            }
-            // otherwise the credit rule may still divert the packet
-            credit_global_candidate(
-                config.hybrid_congestion_fraction,
-                config,
-                router,
-                packet,
-                min_out,
-                min_link,
-                own_only_for_policy,
-                rng,
-            )
-        }
-        _ => None,
-    }
-}
-
-/// OLM-style credit comparison over the global candidates.
-#[allow(clippy::too_many_arguments)]
-fn credit_global_candidate(
-    fraction: f64,
-    config: &RoutingConfig,
-    router: &Router,
-    packet: &Packet,
-    min_out: Port,
-    min_link: u32,
-    own_links_only: bool,
-    rng: &mut DeterministicRng,
-) -> Option<GlobalCandidate> {
-    let topo = router.topology();
-    let layout = topo.layout();
-    let size = packet.size_phits;
-    let q_min = common::output_occupancy(router, min_out);
-    let min_required = config.credit_trigger_min_packets * size;
-    // a dead (locally or per the link-state view) minimal output fires the
-    // credit trigger unconditionally
-    let my_group = topo.router_group(router.id());
-    let min_dead = !router.link_is_up(min_out) || router.link_view().marks_down(my_group, min_link);
-    let dst_group = topo.node_group(packet.dst);
-    let cands = global_candidates(topo, router.id(), Some(min_link), own_links_only);
-    let eligible: Vec<GlobalCandidate> = cands
-        .into_iter()
-        .filter(|c| {
-            let q_cand = common::output_occupancy(router, c.first_hop);
-            (min_dead || credit_comparison(q_min, q_cand, fraction, min_required))
-                && router.link_is_up(c.first_hop)
-                && candidate_viable_by_view(router, my_group, c, dst_group)
-                && router.output_can_accept(
-                    c.first_hop,
-                    vc_for_next_hop(packet, c.first_hop.class(&layout), router.config()),
-                    size,
-                )
-        })
-        .collect();
-    common::pick_random(&eligible, rng).copied()
 }
 
 /// Fault re-commit for a packet whose committed nonminimal gateway link
@@ -359,13 +367,12 @@ fn credit_global_candidate(
 /// it is returned when live-but-congested alternatives exist, so the packet
 /// waits and re-decides next cycle. A packet with no live, view-viable
 /// option at all is discarded as unroutable.
-#[allow(clippy::too_many_arguments)]
 pub fn recommit_global(
     kind: RoutingKind,
     config: &RoutingConfig,
     router: &Router,
     packet: &Packet,
-    committed: (df_topology::RouterId, Port),
+    committed: (RouterId, Port),
     stalled: Decision,
     rng: &mut DeterministicRng,
 ) -> Decision {
@@ -383,7 +390,6 @@ pub fn recommit_global(
     let min_class = min_out.class(&layout);
     let min_link = topo.group_link_to(my_group, dst_group);
     let own_only = packet.routing.local_hops > 0;
-    let size = packet.size_phits;
 
     // the replacement candidates: everything the original selection could
     // have chosen, minus the dead option and anything else dead — locally
@@ -391,32 +397,30 @@ pub fn recommit_global(
     let viable: Vec<GlobalCandidate> = if global_misroute_fits(packet, net) {
         global_candidates(topo, current, Some(min_link), own_only)
             .into_iter()
-            .filter(|c| {
-                (c.gateway, c.gateway_port) != committed
-                    && router.link_is_up(c.first_hop)
-                    && candidate_viable_by_view(router, my_group, c, dst_group)
-            })
+            .filter(|c| (c.gateway, c.gateway_port) != committed && is_live(router, packet, c))
             .collect()
     } else {
         Vec::new()
     };
 
-    // mechanism's candidate-side cap (Base/ECtN/Hybrid contention; OLM has
-    // none beyond liveness), plus downstream space
-    let th = match kind {
-        RoutingKind::Hybrid => Some(config.hybrid_contention_threshold),
-        RoutingKind::Base | RoutingKind::Ectn => Some(config.contention_threshold),
-        _ => None,
-    };
+    // the mechanism's candidate-side cap, read off its table rows
+    // (Base/ECtN/Hybrid contention; OLM has none beyond liveness), plus
+    // downstream space
+    let cap = rules(kind, config, false)
+        .into_iter()
+        .find_map(|rule| match rule {
+            Some(Rule::Contention(th)) => Some(th),
+            _ => None,
+        });
     let eligible: Vec<GlobalCandidate> = viable
         .iter()
         .filter(|c| {
-            th.is_none_or(|th| {
+            cap.is_none_or(|th| {
                 contention_allows_candidate(router.contention().get(c.first_hop), th)
             }) && router.output_can_accept(
                 c.first_hop,
                 vc_for_next_hop(packet, c.first_hop.class(&layout), net),
-                size,
+                packet.size_phits,
             )
         })
         .copied()
@@ -459,83 +463,6 @@ pub fn recommit_global(
     }
 }
 
-/// Select a local detour, if the mechanism's trigger fires.
-fn pick_local_candidate(
-    kind: RoutingKind,
-    config: &RoutingConfig,
-    router: &Router,
-    packet: &Packet,
-    min_out: Port,
-    rng: &mut DeterministicRng,
-) -> Option<LocalCandidate> {
-    let topo = router.topology();
-    let layout = topo.layout();
-    let size = packet.size_phits;
-    // the router the minimal local hop would reach — excluded from detours
-    let min_target = topo.local_neighbor(router.id(), min_out.class_offset(&layout));
-    let vc = vc_for_next_hop(packet, PortClass::Local, router.config());
-    // a failed minimal local link fires the detour triggers unconditionally
-    let min_dead = !router.link_is_up(min_out);
-
-    match kind {
-        RoutingKind::Base | RoutingKind::Ectn => {
-            let th = config.contention_threshold;
-            if !min_dead && !contention_exceeds(router.contention().get(min_out), th) {
-                return None;
-            }
-            let eligible: Vec<LocalCandidate> =
-                local_candidates(topo, router.id(), Some(min_target))
-                    .into_iter()
-                    .filter(|c| {
-                        contention_allows_candidate(router.contention().get(c.port), th)
-                            && router.link_is_up(c.port)
-                            && router.output_can_accept(c.port, vc, size)
-                    })
-                    .collect();
-            common::pick_random(&eligible, rng).copied()
-        }
-        RoutingKind::Olm | RoutingKind::Hybrid => {
-            let fraction = if kind == RoutingKind::Olm {
-                config.olm_congestion_fraction
-            } else {
-                config.hybrid_congestion_fraction
-            };
-            // Hybrid also honours the contention rule for local detours
-            if kind == RoutingKind::Hybrid {
-                let th = config.hybrid_contention_threshold;
-                if min_dead || contention_exceeds(router.contention().get(min_out), th) {
-                    let eligible: Vec<LocalCandidate> =
-                        local_candidates(topo, router.id(), Some(min_target))
-                            .into_iter()
-                            .filter(|c| {
-                                contention_allows_candidate(router.contention().get(c.port), th)
-                                    && router.link_is_up(c.port)
-                                    && router.output_can_accept(c.port, vc, size)
-                            })
-                            .collect();
-                    if let Some(c) = common::pick_random(&eligible, rng) {
-                        return Some(*c);
-                    }
-                }
-            }
-            let q_min = common::output_occupancy(router, min_out);
-            let min_required = config.credit_trigger_min_packets * size;
-            let eligible: Vec<LocalCandidate> =
-                local_candidates(topo, router.id(), Some(min_target))
-                    .into_iter()
-                    .filter(|c| {
-                        let q_cand = common::output_occupancy(router, c.port);
-                        (min_dead || credit_comparison(q_min, q_cand, fraction, min_required))
-                            && router.link_is_up(c.port)
-                            && router.output_can_accept(c.port, vc, size)
-                    })
-                    .collect();
-            common::pick_random(&eligible, rng).copied()
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,6 +485,32 @@ mod tests {
 
     fn rng() -> DeterministicRng {
         DeterministicRng::new(99)
+    }
+
+    #[test]
+    fn the_trigger_table_row_by_row() {
+        use Rule::{Combined, Contention, Credit};
+        // the paper's Table I: th = 6, Hybrid th + 1 = 7, ECtN combined 10;
+        // credit fractions 50 % (OLM) and 35 % (Hybrid)
+        let cfg = RoutingConfig::paper_table1();
+        let rows = |kind, at_injection| {
+            let rows = rules(kind, &cfg, at_injection);
+            rows.into_iter().flatten().collect::<Vec<_>>()
+        };
+        for at_injection in [true, false] {
+            assert_eq!(rows(RoutingKind::Minimal, at_injection), []);
+            assert_eq!(rows(RoutingKind::Valiant, at_injection), []);
+            assert_eq!(rows(RoutingKind::PiggyBacking, at_injection), []);
+            assert_eq!(rows(RoutingKind::Olm, at_injection), [Credit(0.50)]);
+            assert_eq!(rows(RoutingKind::Base, at_injection), [Contention(6)]);
+            assert_eq!(
+                rows(RoutingKind::Hybrid, at_injection),
+                [Contention(7), Credit(0.35)]
+            );
+        }
+        // ECtN is Base plus the combined-counter row, at injection only
+        assert_eq!(rows(RoutingKind::Ectn, true), [Combined(10), Contention(6)]);
+        assert_eq!(rows(RoutingKind::Ectn, false), [Contention(6)]);
     }
 
     #[test]
@@ -589,7 +542,7 @@ mod tests {
         // register them through input VCs as the simulator would
         let mut queued = 0;
         'fill: for port in 0..r.num_ports() as u32 {
-            let class = Port(port).class(r.topology().params());
+            let class = Port(port).class(&r.topology().layout());
             if class == PortClass::Global {
                 continue; // keep it simple: injection and local inputs
             }
@@ -610,7 +563,7 @@ mod tests {
             Commitment::NonminimalGlobal { gateway, port } => {
                 // the committed link must not lead to the destination group
                 let topo = r.topology();
-                let j = topo.global_link_index(gateway, port.class_offset(topo.params()));
+                let j = topo.global_link_index(gateway, port.class_offset(&topo.layout()));
                 let target = topo
                     .global_link_target_group(GroupId(0), j)
                     .expect("candidate link is wired");
@@ -692,7 +645,7 @@ mod tests {
         let min_out2 = minimal_output(r2.topology(), r2.id(), NodeId(40));
         let mut registered = 0;
         'outer: for port in 0..r2.num_ports() as u32 {
-            if Port(port).class(r2.topology().params()) == PortClass::Global {
+            if Port(port).class(&r2.topology().layout()) == PortClass::Global {
                 continue;
             }
             for vc in 0..r2.input(Port(port)).num_vcs() {
@@ -721,7 +674,7 @@ mod tests {
         let dst_group = topo.node_group(NodeId(40));
         let min_link = topo.group_link_to(GroupId(0), dst_group);
         // install a combined array showing heavy contention on the minimal link
-        let mut combined = vec![0u32; topo.params().global_links_per_group() as usize];
+        let mut combined = vec![0u32; topo.global_links_per_group() as usize];
         combined[min_link as usize] = 9;
         r.ectn_mut().install_combined(combined);
         let d = decide(RoutingKind::Ectn, &cfg, &r, Port(0), &p, &mut rng());
@@ -729,7 +682,7 @@ mod tests {
         // ECtN at injection restricts candidates to the current router's own
         // global links
         assert_eq!(
-            d.output_port.class(topo.params()),
+            d.output_port.class(&topo.layout()),
             PortClass::Global,
             "injection misroute must use an own global link"
         );
@@ -768,11 +721,11 @@ mod tests {
         p.routing.flags.global = false;
         let cfg = config_small();
         let min_out = minimal_output(r.topology(), r.id(), dst);
-        assert_eq!(min_out.class(r.topology().params()), PortClass::Local);
+        assert_eq!(min_out.class(&r.topology().layout()), PortClass::Local);
         // build contention on the minimal local port
         let mut registered = 0;
         'outer: for port in 0..r.num_ports() as u32 {
-            if Port(port).class(r.topology().params()) == PortClass::Global {
+            if Port(port).class(&r.topology().layout()) == PortClass::Global {
                 continue;
             }
             for vc in 0..r.input(Port(port)).num_vcs() {
@@ -809,7 +762,7 @@ mod tests {
         let min_out = minimal_output(r.topology(), r.id(), dst);
         let mut registered = 0;
         'outer: for port in 0..r.num_ports() as u32 {
-            if Port(port).class(r.topology().params()) == PortClass::Global {
+            if Port(port).class(&r.topology().layout()) == PortClass::Global {
                 continue;
             }
             for vc in 0..r.input(Port(port)).num_vcs() {
@@ -862,7 +815,7 @@ mod tests {
         let cfg = config_small();
         let min_out = minimal_output(r.topology(), r.id(), NodeId(40));
         // fail the minimal link AND every alternative except one local port
-        let params = *r.topology().params();
+        let params = r.topology().layout();
         let mut kept = None;
         for port in 0..r.num_ports() as u32 {
             let port = Port(port);
@@ -892,7 +845,7 @@ mod tests {
         // the commitment with a live candidate
         let mut r = router(0);
         let mut p = packet(0, 40); // destination group 5 (remote)
-        let dead_port = df_topology::Port::global(r.topology().params(), 0);
+        let dead_port = df_topology::Port::global(&r.topology().layout(), 0);
         p.routing.commit_nonminimal_global(RouterId(0), dead_port);
         r.set_link_up(dead_port, false);
         let algo = crate::RoutingAlgorithm::new(RoutingKind::Base, config_small());
@@ -960,7 +913,7 @@ mod tests {
         let min_out = minimal_output(r.topology(), r.id(), NodeId(40));
         // contend the minimal output AND every alternative output
         for port in 0..r.num_ports() as u32 {
-            let class = Port(port).class(r.topology().params());
+            let class = Port(port).class(&r.topology().layout());
             if class == PortClass::Terminal {
                 continue;
             }

@@ -216,20 +216,26 @@ mod tests {
         let p = packet(0, 70);
         let d = continuation_to_router(&r, &p, RouterId(3));
         assert_eq!(d.kind, DecisionKind::Continuation);
-        assert_eq!(d.output_port.class(r.topology().params()), PortClass::Local);
+        assert_eq!(
+            d.output_port.class(&r.topology().layout()),
+            PortClass::Local
+        );
         assert_eq!(d.output_vc, VcId(0));
     }
 
     #[test]
     fn minimal_decision_matches_minimal_output() {
         let r = router(0);
-        let p = packet(0, 70);
-        let d = minimal_decision(&r, &p);
-        assert_eq!(
-            d.output_port,
-            crate::minimal::minimal_output(r.topology(), r.id(), p.dst)
-        );
-        assert_eq!(d.kind, DecisionKind::Minimal);
+        for dst in [5u32, 20, 70, 71] {
+            let p = packet(0, dst);
+            let d = minimal_decision(&r, &p);
+            assert_eq!(
+                d.output_port,
+                crate::minimal::minimal_output(r.topology(), r.id(), p.dst)
+            );
+            assert_eq!(d.kind, DecisionKind::Minimal);
+            assert_eq!(d.commitment, Commitment::None);
+        }
     }
 
     #[test]
@@ -294,7 +300,7 @@ mod tests {
     #[test]
     fn output_occupancy_starts_at_zero() {
         let r = router(0);
-        for port in df_topology::Port::all(r.topology().params()) {
+        for port in df_topology::Port::all(&r.topology().layout()) {
             assert_eq!(output_occupancy(&r, port), 0);
         }
     }

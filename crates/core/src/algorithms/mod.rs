@@ -274,10 +274,8 @@ impl RoutingAlgorithm {
             "ejection is handled by the objective"
         );
         match self.kind {
-            RoutingKind::Minimal => oblivious::minimal_decision(router, packet),
-            RoutingKind::Valiant => {
-                oblivious::valiant_decision(&self.config, router, input_port, packet, rng)
-            }
+            RoutingKind::Minimal => common::minimal_decision(router, packet),
+            RoutingKind::Valiant => oblivious::valiant_decision(router, input_port, packet, rng),
             RoutingKind::PiggyBacking => {
                 piggyback::decide(&self.config, router, input_port, packet, rng)
             }

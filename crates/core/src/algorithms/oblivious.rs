@@ -1,4 +1,5 @@
-//! Oblivious mechanisms: MIN and VAL.
+//! The oblivious mechanism with a decision of its own: VAL (MIN is
+//! [`common::minimal_decision`] itself).
 
 use df_engine::DeterministicRng;
 use df_model::Packet;
@@ -6,13 +7,7 @@ use df_router::Router;
 use df_topology::{Port, PortClass, Topology};
 
 use crate::algorithms::common;
-use crate::config::RoutingConfig;
 use crate::decision::Decision;
-
-/// MIN: always follow the hierarchical minimal path.
-pub fn minimal_decision(router: &Router, packet: &Packet) -> Decision {
-    common::minimal_decision(router, packet)
-}
 
 /// VAL: at the source router, commit to a uniformly random intermediate
 /// router in a third group and route minimally to it, then minimally to the
@@ -20,7 +15,6 @@ pub fn minimal_decision(router: &Router, packet: &Packet) -> Decision {
 /// the commitment is applied). Falls back to minimal routing when no third
 /// group exists.
 pub fn valiant_decision(
-    _config: &RoutingConfig,
     router: &Router,
     input_port: Port,
     packet: &Packet,
@@ -56,7 +50,6 @@ pub fn valiant_decision(
 mod tests {
     use super::*;
     use crate::decision::{Commitment, DecisionKind};
-    use crate::minimal::minimal_output;
     use df_model::{NetworkConfig, Packet, PacketId};
     use df_topology::{Dragonfly, DragonflyParams, NodeId, RouterId};
 
@@ -70,26 +63,11 @@ mod tests {
     }
 
     #[test]
-    fn min_always_selects_the_minimal_output() {
-        let r = router(0);
-        for dst in [5u32, 20, 71] {
-            let p = packet(0, dst);
-            let d = minimal_decision(&r, &p);
-            assert_eq!(
-                d.output_port,
-                minimal_output(r.topology(), r.id(), NodeId(dst))
-            );
-            assert_eq!(d.kind, DecisionKind::Minimal);
-            assert_eq!(d.commitment, Commitment::None);
-        }
-    }
-
-    #[test]
     fn val_commits_an_intermediate_at_the_source() {
         let r = router(0);
         let p = packet(0, 40); // source node 0 attaches to router 0
         let mut rng = DeterministicRng::new(5);
-        let d = valiant_decision(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        let d = valiant_decision(&r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::NonminimalGlobal);
         match d.commitment {
             Commitment::Intermediate {
@@ -111,7 +89,7 @@ mod tests {
         let mut p = packet(0, 40);
         p.routing.local_hops = 1; // not at the source any more
         let mut rng = DeterministicRng::new(5);
-        let d = valiant_decision(&RoutingConfig::default(), &r, Port(3), &p, &mut rng);
+        let d = valiant_decision(&r, Port(3), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::Minimal);
     }
 
@@ -121,7 +99,7 @@ mod tests {
         let r = Router::new(RouterId(0), topo, NetworkConfig::fast_test());
         let p = packet(0, 10); // group 1 destination
         let mut rng = DeterministicRng::new(5);
-        let d = valiant_decision(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        let d = valiant_decision(&r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::Minimal);
     }
 }

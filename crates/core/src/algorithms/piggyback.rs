@@ -215,7 +215,7 @@ mod tests {
         let dst_group = topo.node_group(NodeId(40));
         let min_link = topo.group_link_to(src_group, dst_group);
         // mark that link saturated in the group-shared view
-        let mut flags = vec![false; topo.params().global_links_per_group() as usize];
+        let mut flags = vec![false; topo.global_links_per_group() as usize];
         flags[min_link as usize] = true;
         r.pb_mut().install_group(flags);
         let mut rng = DeterministicRng::new(1);
@@ -290,7 +290,7 @@ mod tests {
         update_own_saturation(&config, &mut r);
         assert!(!r.pb().own_saturated(0));
         // fill global port 0's credits beyond the saturation fraction
-        let gport = Port::global(r.topology().params(), 0);
+        let gport = Port::global(&r.topology().layout(), 0);
         let total =
             r.output(gport).total_credit_capacity() + r.output(gport).buffer_capacity_phits();
         let mut consumed = 0;

@@ -67,39 +67,6 @@ impl RoutingKind {
         }
     }
 
-    /// Whether the mechanism adapts to network state (MIN and VAL are
-    /// oblivious).
-    pub fn is_adaptive(&self) -> bool {
-        !matches!(self, RoutingKind::Minimal | RoutingKind::Valiant)
-    }
-
-    /// Whether the mechanism uses contention counters (the paper's
-    /// contribution).
-    pub fn uses_contention_counters(&self) -> bool {
-        matches!(
-            self,
-            RoutingKind::Base | RoutingKind::Hybrid | RoutingKind::Ectn
-        )
-    }
-
-    /// Whether the mechanism uses credit/occupancy information to trigger
-    /// misrouting.
-    pub fn uses_credit_trigger(&self) -> bool {
-        matches!(
-            self,
-            RoutingKind::PiggyBacking | RoutingKind::Olm | RoutingKind::Hybrid
-        )
-    }
-
-    /// Whether routing decisions are taken only at the source router
-    /// (source routing) rather than at every hop.
-    pub fn is_source_routed(&self) -> bool {
-        matches!(
-            self,
-            RoutingKind::Minimal | RoutingKind::Valiant | RoutingKind::PiggyBacking
-        )
-    }
-
     /// Whether the mechanism requires the periodic ECtN partial-array
     /// broadcast.
     pub fn needs_ectn_broadcast(&self) -> bool {
@@ -135,39 +102,22 @@ mod tests {
     }
 
     #[test]
-    fn classification_flags_are_consistent() {
+    fn dissemination_flags_name_one_mechanism_each() {
         for k in RoutingKind::ALL {
-            if k.uses_contention_counters() {
-                assert!(k.is_adaptive());
-            }
-            if k.uses_credit_trigger() {
-                assert!(k.is_adaptive());
-            }
+            assert_eq!(k.needs_ectn_broadcast(), k == RoutingKind::Ectn);
+            assert_eq!(k.needs_pb_dissemination(), k == RoutingKind::PiggyBacking);
         }
-        assert!(!RoutingKind::Minimal.is_adaptive());
-        assert!(!RoutingKind::Valiant.is_adaptive());
-        assert!(RoutingKind::Base.uses_contention_counters());
-        assert!(!RoutingKind::Base.uses_credit_trigger());
-        assert!(RoutingKind::Hybrid.uses_credit_trigger());
-        assert!(RoutingKind::Hybrid.uses_contention_counters());
-        assert!(RoutingKind::Olm.uses_credit_trigger());
-        assert!(!RoutingKind::Olm.uses_contention_counters());
-        assert!(RoutingKind::PiggyBacking.is_source_routed());
-        assert!(!RoutingKind::Base.is_source_routed());
-        assert!(RoutingKind::Ectn.needs_ectn_broadcast());
-        assert!(!RoutingKind::Base.needs_ectn_broadcast());
-        assert!(RoutingKind::PiggyBacking.needs_pb_dissemination());
     }
 
     #[test]
-    fn constant_lists_are_disjoint_where_expected() {
+    fn constant_lists_are_nested_as_expected() {
         assert_eq!(RoutingKind::ALL.len(), 7);
         assert_eq!(RoutingKind::ADAPTIVE.len(), 5);
         for k in RoutingKind::ADAPTIVE {
-            assert!(k.is_adaptive());
+            assert!(RoutingKind::ALL.contains(&k));
         }
         for k in RoutingKind::CONTENTION_BASED {
-            assert!(k.uses_contention_counters());
+            assert!(RoutingKind::ADAPTIVE.contains(&k));
         }
     }
 }

@@ -24,9 +24,12 @@
 //! unconnected.
 
 use crate::ids::{GroupId, NodeId, RouterId};
+use crate::layout::RadixLayout;
 use crate::params::{DragonflyParams, ParamsError};
 use crate::port::{Port, PortClass};
+use crate::topology::{Topology, TopologyKind};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// What is attached at the far end of a router port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -66,118 +69,98 @@ impl Dragonfly {
     pub fn params(&self) -> &DragonflyParams {
         &self.params
     }
+}
 
-    /// Total number of compute nodes.
+impl Topology for Dragonfly {
     #[inline]
-    pub fn num_nodes(&self) -> u32 {
+    fn kind(&self) -> TopologyKind {
+        TopologyKind::Dragonfly
+    }
+    #[inline]
+    fn layout(&self) -> RadixLayout {
+        RadixLayout {
+            terminals: self.params.p,
+            locals: self.params.a - 1,
+            globals: self.params.h,
+        }
+    }
+    #[inline]
+    fn num_nodes(&self) -> u32 {
         self.params.num_nodes()
     }
-
-    /// Total number of routers.
     #[inline]
-    pub fn num_routers(&self) -> u32 {
+    fn num_routers(&self) -> u32 {
         self.params.num_routers()
     }
-
-    /// Total number of groups.
     #[inline]
-    pub fn num_groups(&self) -> u32 {
+    fn num_groups(&self) -> u32 {
         self.params.num_groups()
+    }
+    #[inline]
+    fn routers_per_group(&self) -> u32 {
+        self.params.a
+    }
+    #[inline]
+    fn nodes_per_group(&self) -> u32 {
+        self.params.a * self.params.p
+    }
+    #[inline]
+    fn global_links_per_group(&self) -> u32 {
+        self.params.global_links_per_group()
     }
 
     // ---------------------------------------------------------------------
     // Coordinates
     // ---------------------------------------------------------------------
 
-    /// Router to which a node is attached.
     #[inline]
-    pub fn node_router(&self, node: NodeId) -> RouterId {
+    fn node_router(&self, node: NodeId) -> RouterId {
         RouterId(node.0 / self.params.p)
     }
-
-    /// Terminal port (on its router) through which a node injects/ejects.
     #[inline]
-    pub fn node_port(&self, node: NodeId) -> Port {
+    fn node_port(&self, node: NodeId) -> Port {
         Port(node.0 % self.params.p)
     }
-
-    /// Group of a node.
     #[inline]
-    pub fn node_group(&self, node: NodeId) -> GroupId {
-        self.router_group(self.node_router(node))
-    }
-
-    /// Group of a router.
-    #[inline]
-    pub fn router_group(&self, router: RouterId) -> GroupId {
+    fn router_group(&self, router: RouterId) -> GroupId {
         GroupId(router.0 / self.params.a)
     }
-
-    /// Local index of a router inside its group (`0 .. a`).
     #[inline]
-    pub fn router_local_index(&self, router: RouterId) -> u32 {
+    fn router_local_index(&self, router: RouterId) -> u32 {
         router.0 % self.params.a
     }
-
-    /// Router with the given local index inside the given group.
     #[inline]
-    pub fn router_at(&self, group: GroupId, local_index: u32) -> RouterId {
+    fn router_at(&self, group: GroupId, local_index: u32) -> RouterId {
         debug_assert!(local_index < self.params.a);
         RouterId(group.0 * self.params.a + local_index)
     }
-
-    /// Node attached at terminal-port offset `k` of a router.
     #[inline]
-    pub fn node_at(&self, router: RouterId, k: u32) -> NodeId {
+    fn node_at(&self, router: RouterId, k: u32) -> NodeId {
         debug_assert!(k < self.params.p);
         NodeId(router.0 * self.params.p + k)
     }
-
-    /// Iterator over all node identifiers.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.num_nodes()).map(NodeId)
-    }
-
-    /// Iterator over all router identifiers.
-    pub fn routers(&self) -> impl Iterator<Item = RouterId> {
-        (0..self.num_routers()).map(RouterId)
-    }
-
-    /// Iterator over all group identifiers.
-    pub fn groups(&self) -> impl Iterator<Item = GroupId> {
-        (0..self.num_groups()).map(GroupId)
-    }
-
-    /// Iterator over the routers of one group.
-    pub fn routers_in_group(&self, group: GroupId) -> impl Iterator<Item = RouterId> {
-        let a = self.params.a;
-        (0..a).map(move |i| RouterId(group.0 * a + i))
-    }
-
-    /// Iterator over the nodes attached to one router.
-    pub fn nodes_of_router(&self, router: RouterId) -> impl Iterator<Item = NodeId> {
+    #[inline]
+    fn router_node_span(&self, router: RouterId) -> Range<u32> {
         let p = self.params.p;
-        (0..p).map(move |k| NodeId(router.0 * p + k))
+        router.0 * p..(router.0 + 1) * p
     }
 
     // ---------------------------------------------------------------------
-    // Local (intra-group) wiring
+    // Local (intra-group) wiring — a complete graph
     // ---------------------------------------------------------------------
 
-    /// The router reached through local port offset `k` (`0 <= k < a-1`) of
-    /// `router`. The complete-graph wiring skips the router itself: offsets
-    /// `0..a-1` map to the other routers in increasing local index.
-    pub fn local_neighbor(&self, router: RouterId, k: u32) -> RouterId {
+    /// The complete-graph wiring skips the router itself: offsets `0..a-1`
+    /// map to the other routers in increasing local index.
+    #[inline]
+    fn local_neighbor(&self, router: RouterId, k: u32) -> RouterId {
         let a = self.params.a;
         debug_assert!(k < a - 1);
         let me = self.router_local_index(router);
         let neighbor_index = if k < me { k } else { k + 1 };
         self.router_at(self.router_group(router), neighbor_index)
     }
-
-    /// The local port of `router` that connects to `neighbor`, which must be a
-    /// different router of the same group.
-    pub fn local_port_to(&self, router: RouterId, neighbor: RouterId) -> Port {
+    #[inline]
+    fn local_port_to(&self, router: RouterId, neighbor: RouterId) -> Port {
         debug_assert_eq!(self.router_group(router), self.router_group(neighbor));
         debug_assert_ne!(router, neighbor);
         let me = self.router_local_index(router);
@@ -185,95 +168,100 @@ impl Dragonfly {
         let k = if other < me { other } else { other - 1 };
         Port::local(&self.params, k)
     }
+    #[inline]
+    fn local_hop_toward(&self, from: RouterId, to: RouterId) -> Port {
+        self.local_port_to(from, to)
+    }
+    #[inline]
+    fn local_hops_between(&self, a: RouterId, b: RouterId) -> u32 {
+        u32::from(a != b)
+    }
 
     // ---------------------------------------------------------------------
     // Global (inter-group) wiring — palmtree arrangement
     // ---------------------------------------------------------------------
 
-    /// Group-level index (`0 .. a*h`) of the global link at global-port offset
-    /// `k` of `router`. ECtN partial/combined arrays are indexed by this
-    /// value.
     #[inline]
-    pub fn global_link_index(&self, router: RouterId, k: u32) -> u32 {
+    fn global_link_index(&self, router: RouterId, k: u32) -> u32 {
         debug_assert!(k < self.params.h);
         self.router_local_index(router) * self.params.h + k
     }
-
-    /// Inverse of [`global_link_index`](Self::global_link_index): the router
-    /// (within `group`) and global-port offset owning group-level link `j`.
     #[inline]
-    pub fn global_link_owner(&self, group: GroupId, j: u32) -> (RouterId, Port) {
+    fn global_link_owner(&self, group: GroupId, j: u32) -> (RouterId, Port) {
         debug_assert!(j < self.params.global_links_per_group());
         let r = j / self.params.h;
         let k = j % self.params.h;
         (self.router_at(group, r), Port::global(&self.params, k))
     }
-
-    /// Destination group of group-level global link `j` of `group`, following
-    /// the palmtree arrangement. Returns `None` if the peer group is not
-    /// populated.
-    pub fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId> {
+    #[inline]
+    fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId> {
         debug_assert!(j < self.params.global_links_per_group());
         let virt_groups = self.params.a * self.params.h + 1;
         let dst = (group.0 + j + 1) % virt_groups;
         (dst < self.params.groups).then_some(GroupId(dst))
     }
-
-    /// The router and port at the far end of global-port offset `k` of
-    /// `router`, or `None` if the link is unconnected (partially-populated
-    /// network).
-    pub fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)> {
+    #[inline]
+    fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)> {
         let group = self.router_group(router);
         let j = self.global_link_index(router, k);
         let dst_group = self.global_link_target_group(group, j)?;
         let j_rev = self.params.global_links_per_group() - 1 - j;
         Some(self.global_link_owner(dst_group, j_rev))
     }
-
-    /// The group-level global link index (`0 .. a*h`) inside `src_group` that
-    /// connects directly to `dst_group`.
-    ///
     /// Canonical Dragonflies have exactly one such link, which is what lets
-    /// the paper associate a single contention counter with the minimal route
-    /// towards each remote group.
-    pub fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32 {
+    /// the paper associate a single contention counter with the minimal
+    /// route towards each remote group.
+    #[inline]
+    fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32 {
         debug_assert_ne!(src_group, dst_group);
         debug_assert!(src_group.0 < self.params.groups && dst_group.0 < self.params.groups);
         let virt_groups = self.params.a * self.params.h + 1;
         (dst_group.0 + virt_groups - src_group.0 - 1) % virt_groups
     }
-
-    /// The router of `src_group` that owns the (unique) global link towards
-    /// `dst_group`, together with the global port used.
-    pub fn gateway_to(&self, src_group: GroupId, dst_group: GroupId) -> (RouterId, Port) {
-        let j = self.group_link_to(src_group, dst_group);
-        self.global_link_owner(src_group, j)
+    #[inline]
+    fn peer(&self, router: RouterId, port: Port) -> PortPeer {
+        let k = port.class_offset(&self.params);
+        match port.class(&self.params) {
+            PortClass::Terminal => PortPeer::Node(self.node_at(router, k)),
+            PortClass::Local => {
+                let neighbor = self.local_neighbor(router, k);
+                PortPeer::Router(neighbor, self.local_port_to(neighbor, router))
+            }
+            PortClass::Global => match self.global_neighbor(router, k) {
+                Some((neighbor, back)) => PortPeer::Router(neighbor, back),
+                None => PortPeer::Unconnected,
+            },
+        }
     }
 
     // ---------------------------------------------------------------------
-    // Generic neighbour query
+    // Routing-mechanism hooks
     // ---------------------------------------------------------------------
 
-    /// What is attached at the far end of `port` of `router`.
-    pub fn peer(&self, router: RouterId, port: Port) -> PortPeer {
-        match port.class(&self.params) {
-            PortClass::Terminal => {
-                PortPeer::Node(self.node_at(router, port.class_offset(&self.params)))
-            }
-            PortClass::Local => {
-                let k = port.class_offset(&self.params);
-                let neighbor = self.local_neighbor(router, k);
-                let back = self.local_port_to(neighbor, router);
-                PortPeer::Router(neighbor, back)
-            }
-            PortClass::Global => {
-                let k = port.class_offset(&self.params);
-                match self.global_neighbor(router, k) {
-                    Some((neighbor, back)) => PortPeer::Router(neighbor, back),
-                    None => PortPeer::Unconnected,
-                }
-            }
-        }
+    #[inline]
+    fn own_globals(&self, _router: RouterId) -> u32 {
+        self.params.h
+    }
+    #[inline]
+    fn intermediates_per_group(&self) -> u32 {
+        self.params.a
+    }
+    #[inline]
+    fn local_misroute_degree(&self, _router: RouterId) -> u32 {
+        self.params.a - 1
+    }
+    #[inline]
+    fn candidate_first_hop(
+        &self,
+        router: RouterId,
+        gateway: RouterId,
+        gateway_port: Port,
+    ) -> Option<Port> {
+        Some(if gateway == router {
+            gateway_port
+        } else {
+            self.local_port_to(router, gateway)
+        })
     }
 }
 

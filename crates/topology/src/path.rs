@@ -12,6 +12,7 @@
 use crate::dragonfly::Dragonfly;
 use crate::ids::RouterId;
 use crate::port::{Port, PortClass};
+use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// The kind of link a hop traverses.

@@ -23,10 +23,9 @@
 //!   intra-group movement, so the hierarchical minimal route (local* →
 //!   global → local*) is derivable generically.
 //!
-//! Two instances live here: the canonical [`Dragonfly`] (instance #1 — the
-//! paper's network; every pre-trait golden fingerprint is byte-identical
-//! because the trait impl delegates to the original inherent methods) and
-//! the [`Megafly`]/Dragonfly+ (instance #2 — bipartite leaf/spine groups).
+//! Two instances implement it, each next to its wiring: the canonical
+//! [`Dragonfly`] (the paper's network) and the [`Megafly`]/Dragonfly+
+//! (bipartite leaf/spine groups).
 //! [`AnyTopology`] is the `Copy` sum type stored in routers, networks and
 //! step contexts; [`TopologyParams`] is the matching configuration-level
 //! sum the `SimulationConfig` carries.
@@ -252,144 +251,6 @@ pub trait Topology: Copy + std::fmt::Debug {
     ) -> Option<Port>;
 }
 
-impl Topology for Dragonfly {
-    #[inline]
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Dragonfly
-    }
-    #[inline]
-    fn layout(&self) -> RadixLayout {
-        let p = self.params();
-        RadixLayout {
-            terminals: p.p,
-            locals: p.a - 1,
-            globals: p.h,
-        }
-    }
-    #[inline]
-    fn num_nodes(&self) -> u32 {
-        Dragonfly::num_nodes(self)
-    }
-    #[inline]
-    fn num_routers(&self) -> u32 {
-        Dragonfly::num_routers(self)
-    }
-    #[inline]
-    fn num_groups(&self) -> u32 {
-        Dragonfly::num_groups(self)
-    }
-    #[inline]
-    fn routers_per_group(&self) -> u32 {
-        self.params().a
-    }
-    #[inline]
-    fn nodes_per_group(&self) -> u32 {
-        self.params().a * self.params().p
-    }
-    #[inline]
-    fn global_links_per_group(&self) -> u32 {
-        self.params().global_links_per_group()
-    }
-    #[inline]
-    fn node_router(&self, node: NodeId) -> RouterId {
-        Dragonfly::node_router(self, node)
-    }
-    #[inline]
-    fn node_port(&self, node: NodeId) -> Port {
-        Dragonfly::node_port(self, node)
-    }
-    #[inline]
-    fn router_group(&self, router: RouterId) -> GroupId {
-        Dragonfly::router_group(self, router)
-    }
-    #[inline]
-    fn router_local_index(&self, router: RouterId) -> u32 {
-        Dragonfly::router_local_index(self, router)
-    }
-    #[inline]
-    fn router_at(&self, group: GroupId, local_index: u32) -> RouterId {
-        Dragonfly::router_at(self, group, local_index)
-    }
-    #[inline]
-    fn node_at(&self, router: RouterId, k: u32) -> NodeId {
-        Dragonfly::node_at(self, router, k)
-    }
-    #[inline]
-    fn router_node_span(&self, router: RouterId) -> Range<u32> {
-        let p = self.params().p;
-        router.0 * p..(router.0 + 1) * p
-    }
-    #[inline]
-    fn local_neighbor(&self, router: RouterId, k: u32) -> RouterId {
-        Dragonfly::local_neighbor(self, router, k)
-    }
-    #[inline]
-    fn local_port_to(&self, router: RouterId, neighbor: RouterId) -> Port {
-        Dragonfly::local_port_to(self, router, neighbor)
-    }
-    #[inline]
-    fn local_hop_toward(&self, from: RouterId, to: RouterId) -> Port {
-        Dragonfly::local_port_to(self, from, to)
-    }
-    #[inline]
-    fn local_hops_between(&self, a: RouterId, b: RouterId) -> u32 {
-        u32::from(a != b)
-    }
-    #[inline]
-    fn global_link_index(&self, router: RouterId, k: u32) -> u32 {
-        Dragonfly::global_link_index(self, router, k)
-    }
-    #[inline]
-    fn global_link_owner(&self, group: GroupId, j: u32) -> (RouterId, Port) {
-        Dragonfly::global_link_owner(self, group, j)
-    }
-    #[inline]
-    fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId> {
-        Dragonfly::global_link_target_group(self, group, j)
-    }
-    #[inline]
-    fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)> {
-        Dragonfly::global_neighbor(self, router, k)
-    }
-    #[inline]
-    fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32 {
-        Dragonfly::group_link_to(self, src_group, dst_group)
-    }
-    #[inline]
-    fn gateway_to(&self, src_group: GroupId, dst_group: GroupId) -> (RouterId, Port) {
-        Dragonfly::gateway_to(self, src_group, dst_group)
-    }
-    #[inline]
-    fn peer(&self, router: RouterId, port: Port) -> PortPeer {
-        Dragonfly::peer(self, router, port)
-    }
-    #[inline]
-    fn own_globals(&self, _router: RouterId) -> u32 {
-        self.params().h
-    }
-    #[inline]
-    fn intermediates_per_group(&self) -> u32 {
-        self.params().a
-    }
-    #[inline]
-    fn local_misroute_degree(&self, _router: RouterId) -> u32 {
-        self.params().a - 1
-    }
-    #[inline]
-    fn candidate_first_hop(
-        &self,
-        router: RouterId,
-        gateway: RouterId,
-        gateway_port: Port,
-    ) -> Option<Port> {
-        Some(if gateway == router {
-            gateway_port
-        } else {
-            Dragonfly::local_port_to(self, router, gateway)
-        })
-    }
-}
-
 /// The `Copy` sum of every supported topology: what routers, networks and
 /// step contexts store when the concrete network is chosen at run time.
 ///
@@ -417,21 +278,6 @@ impl From<Megafly> for AnyTopology {
 }
 
 impl AnyTopology {
-    /// The Dragonfly sizing parameters, for call sites written against the
-    /// pre-trait API.
-    ///
-    /// # Panics
-    /// Panics when the topology is not a Dragonfly — reach for
-    /// [`Topology::layout`] and the trait queries in topology-generic code.
-    pub fn params(&self) -> &DragonflyParams {
-        match self {
-            AnyTopology::Dragonfly(t) => t.params(),
-            AnyTopology::Megafly(_) => {
-                panic!("AnyTopology::params(): not a Dragonfly (use Topology::layout)")
-            }
-        }
-    }
-
     /// The contained Dragonfly, if this is one.
     pub fn as_dragonfly(&self) -> Option<&Dragonfly> {
         match self {
@@ -674,78 +520,12 @@ impl TopologyParams {
             TopologyParams::Megafly(p) => p.layout(),
         }
     }
-
-    /// The Dragonfly parameters, for call sites written against the
-    /// pre-trait API.
-    ///
-    /// # Panics
-    /// Panics when the parameters are not a Dragonfly's.
-    pub fn dragonfly(&self) -> &DragonflyParams {
-        match self {
-            TopologyParams::Dragonfly(p) => p,
-            TopologyParams::Megafly(_) => {
-                panic!("TopologyParams::dragonfly(): not a Dragonfly parameter set")
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::port::PortClass;
-
-    /// The trait impl must agree with the inherent Dragonfly methods on
-    /// every query — this is the byte-identity argument for the refactor.
-    #[test]
-    fn dragonfly_trait_matches_inherent_surface() {
-        let t = Dragonfly::new(DragonflyParams::small());
-        let any = AnyTopology::from(t);
-        assert_eq!(any.kind(), TopologyKind::Dragonfly);
-        assert_eq!(Topology::num_nodes(&any), t.num_nodes());
-        assert_eq!(Topology::num_routers(&any), t.num_routers());
-        assert_eq!(Topology::num_groups(&any), t.num_groups());
-        assert_eq!(any.layout().radix(), t.params().radix());
-        for node in t.nodes() {
-            assert_eq!(Topology::node_router(&any, node), t.node_router(node));
-            assert_eq!(Topology::node_port(&any, node), t.node_port(node));
-            assert_eq!(Topology::node_group(&any, node), t.node_group(node));
-        }
-        for router in t.routers() {
-            assert_eq!(any.own_globals(router), t.params().h);
-            assert_eq!(
-                any.nodes_of_router(router).collect::<Vec<_>>(),
-                t.nodes_of_router(router).collect::<Vec<_>>()
-            );
-            for k in 0..t.params().a - 1 {
-                let n = Topology::local_neighbor(&any, router, k);
-                assert_eq!(n, t.local_neighbor(router, k));
-                assert_eq!(any.local_hop_toward(router, n), t.local_port_to(router, n));
-                assert_eq!(any.local_hops_between(router, n), 1);
-            }
-            assert_eq!(any.local_hops_between(router, router), 0);
-            for k in 0..t.params().h {
-                assert_eq!(
-                    Topology::global_neighbor(&any, router, k),
-                    t.global_neighbor(router, k)
-                );
-            }
-            for port in Port::all(t.params()) {
-                assert_eq!(Topology::peer(&any, router, port), t.peer(router, port));
-            }
-        }
-        for g1 in t.groups() {
-            for g2 in t.groups() {
-                if g1 != g2 {
-                    assert_eq!(Topology::gateway_to(&any, g1, g2), t.gateway_to(g1, g2));
-                    assert_eq!(
-                        Topology::group_link_to(&any, g1, g2),
-                        t.group_link_to(g1, g2)
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn dragonfly_candidate_first_hop_is_always_reachable() {
@@ -788,12 +568,5 @@ mod tests {
         let mfp = TopologyParams::from(MegaflyParams::small());
         assert_eq!(mfp.kind(), TopologyKind::Megafly);
         assert!(mfp.build().as_megafly().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a Dragonfly")]
-    fn params_compat_accessor_panics_for_megafly() {
-        let any = AnyTopology::from(Megafly::new(MegaflyParams::small()));
-        let _ = any.params();
     }
 }

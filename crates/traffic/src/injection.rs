@@ -15,12 +15,9 @@
 //!   `start_fraction · offered_load` at cycle 0 to the full offered load at
 //!   `ramp_cycles`, then stays constant.
 //!
-//! [`Injector`] implements all three behind one `tick` interface;
-//! [`BernoulliInjector`] is a thin wrapper fixing
-//! [`InjectionKind::Bernoulli`], kept for its narrower API. The Bernoulli
-//! mode draws the exact random sequence of the original standalone
-//! implementation (one trial per tick, a destination draw only on success),
-//! so the refactor moved no golden fingerprint.
+//! [`Injector`] implements all three behind one `tick` interface. The
+//! Bernoulli mode draws one trial per tick and a destination only on
+//! success — the random sequence every golden fingerprint is pinned to.
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, Packet, PacketId};
@@ -267,63 +264,6 @@ impl Injector {
     }
 }
 
-/// Bernoulli packet generator for one node: [`Injector`] fixed to
-/// [`InjectionKind::Bernoulli`], kept for its narrower API.
-///
-/// Each cycle the node generates a packet with probability
-/// `offered_load / packet_size` (the paper expresses load in
-/// phits/(node·cycle), and a packet carries `packet_size` phits), so the
-/// long-run offered load in phits per cycle equals `offered_load`.
-#[derive(Debug, Clone)]
-pub struct BernoulliInjector(Injector);
-
-impl BernoulliInjector {
-    /// Create a generator for `node` with the given offered load in
-    /// phits/(node·cycle) and packet size in phits. `rng` must be a stream
-    /// dedicated to this node (see [`DeterministicRng::split`]).
-    pub fn new(
-        node: NodeId,
-        offered_load: f64,
-        packet_size_phits: u32,
-        rng: DeterministicRng,
-    ) -> Self {
-        BernoulliInjector(Injector::new(
-            node,
-            InjectionKind::Bernoulli,
-            offered_load,
-            packet_size_phits,
-            rng,
-        ))
-    }
-
-    /// The node this injector generates traffic for.
-    pub fn node(&self) -> NodeId {
-        self.0.node()
-    }
-
-    /// Number of packets generated so far.
-    pub fn generated(&self) -> u64 {
-        self.0.generated()
-    }
-
-    /// Change the offered load (phits/(node·cycle)) on the fly; used by
-    /// experiments that ramp load.
-    pub fn set_offered_load(&mut self, offered_load: f64) {
-        self.0.set_offered_load(offered_load);
-    }
-
-    /// Advance one cycle: possibly generate a packet destined according to
-    /// `pattern`. `next_id` provides the globally unique packet identifier.
-    pub fn tick(
-        &mut self,
-        now: Cycle,
-        pattern: &TrafficPattern,
-        next_id: &mut u64,
-    ) -> Option<Packet> {
-        self.0.tick(now, pattern, next_id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,7 +278,13 @@ mod tests {
     fn generation_rate_matches_offered_load() {
         let pat = pattern();
         let load = 0.4; // phits per node per cycle
-        let mut inj = BernoulliInjector::new(NodeId(0), load, 8, DeterministicRng::new(11));
+        let mut inj = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            load,
+            8,
+            DeterministicRng::new(11),
+        );
         let mut next_id = 0;
         let cycles = 200_000u64;
         let mut phits = 0u64;
@@ -358,7 +304,13 @@ mod tests {
     #[test]
     fn zero_load_generates_nothing() {
         let pat = pattern();
-        let mut inj = BernoulliInjector::new(NodeId(0), 0.0, 8, DeterministicRng::new(1));
+        let mut inj = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            0.0,
+            8,
+            DeterministicRng::new(1),
+        );
         let mut next_id = 0;
         for now in 0..10_000 {
             assert!(inj.tick(now, &pat, &mut next_id).is_none());
@@ -369,7 +321,13 @@ mod tests {
     fn full_load_generates_every_packet_interval() {
         let pat = pattern();
         // load 1.0 phit/cycle with 1-phit packets = one packet per cycle
-        let mut inj = BernoulliInjector::new(NodeId(0), 1.0, 1, DeterministicRng::new(1));
+        let mut inj = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            1.0,
+            1,
+            DeterministicRng::new(1),
+        );
         let mut next_id = 0;
         let packets = (0..1000)
             .filter(|&now| inj.tick(now, &pat, &mut next_id).is_some())
@@ -380,7 +338,13 @@ mod tests {
     #[test]
     fn packets_carry_generation_metadata() {
         let pat = pattern();
-        let mut inj = BernoulliInjector::new(NodeId(5), 1.0, 8, DeterministicRng::new(3));
+        let mut inj = Injector::new(
+            NodeId(5),
+            InjectionKind::Bernoulli,
+            1.0,
+            8,
+            DeterministicRng::new(3),
+        );
         let mut next_id = 100;
         // probability 1/8 per cycle: run until one is generated
         let mut produced = None;
@@ -401,8 +365,20 @@ mod tests {
     #[test]
     fn ids_are_unique_across_injectors_sharing_counter() {
         let pat = pattern();
-        let mut a = BernoulliInjector::new(NodeId(0), 1.0, 1, DeterministicRng::new(1).split(0));
-        let mut b = BernoulliInjector::new(NodeId(1), 1.0, 1, DeterministicRng::new(1).split(1));
+        let mut a = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            1.0,
+            1,
+            DeterministicRng::new(1).split(0),
+        );
+        let mut b = Injector::new(
+            NodeId(1),
+            InjectionKind::Bernoulli,
+            1.0,
+            1,
+            DeterministicRng::new(1).split(1),
+        );
         let mut next_id = 0;
         let mut ids = std::collections::HashSet::new();
         for now in 0..100 {
@@ -419,7 +395,13 @@ mod tests {
     #[test]
     fn set_offered_load_takes_effect() {
         let pat = pattern();
-        let mut inj = BernoulliInjector::new(NodeId(0), 0.0, 8, DeterministicRng::new(2));
+        let mut inj = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            0.0,
+            8,
+            DeterministicRng::new(2),
+        );
         let mut next_id = 0;
         for now in 0..1000 {
             assert!(inj.tick(now, &pat, &mut next_id).is_none());
@@ -435,7 +417,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "offered load")]
     fn overload_is_rejected() {
-        let _ = BernoulliInjector::new(NodeId(0), 1.5, 8, DeterministicRng::new(0));
+        let _ = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            1.5,
+            8,
+            DeterministicRng::new(0),
+        );
     }
 
     // ---- unified Injector ----

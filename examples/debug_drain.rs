@@ -36,7 +36,7 @@ fn main() {
             let mut stuck = 0;
             for r in topo.routers() {
                 let router = net.router(r);
-                for port in Port::all(topo.params()) {
+                for port in Port::all(&topo.layout()) {
                     let input = router.input(port);
                     for vc in 0..input.num_vcs() {
                         if !input.vc(vc).is_empty() {
@@ -69,7 +69,7 @@ fn main() {
             // credit state of the first few routers
             for r in topo.routers() {
                 let router = net.router(r);
-                for port in Port::all(topo.params()) {
+                for port in Port::all(&topo.layout()) {
                     let out = router.output(port);
                     let creds: Vec<u32> = (0..out.num_downstream_vcs())
                         .map(|v| out.credits(VcId(v as u8)))
@@ -82,7 +82,7 @@ fn main() {
                     {
                         println!(
                             "  credits {r} {port} ({:?}): staged={} buf={}/{} credits={:?} link_free_at={}",
-                            port.class(topo.params()),
+                            port.class(&topo.layout()),
                             out.staged_packets(),
                             out.buffer_occupancy_phits(),
                             out.buffer_capacity_phits(),

@@ -29,7 +29,7 @@ pub use df_topology::{
     TopologyKind, TopologyParams,
 };
 pub use df_traffic::{
-    validate_job_disjointness, AllReduceAlgorithm, BernoulliInjector, CollectiveKind,
-    InjectionKind, Injector, JobPlacement, JobSpec, PatternKind, RankPlacement, TaskWorkload,
-    TrafficPattern, TrafficSchedule,
+    validate_job_disjointness, AllReduceAlgorithm, CollectiveKind, InjectionKind, Injector,
+    JobPlacement, JobSpec, PatternKind, RankPlacement, TaskWorkload, TrafficPattern,
+    TrafficSchedule,
 };

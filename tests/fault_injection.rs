@@ -49,10 +49,10 @@ fn check_full_conservation(net: &Network) {
     assert_eq!(net.fault_lost_credits(), 0, "all ledger credits returned");
     assert_eq!(net.total_contention(), 0);
     let topo = net.topology();
-    let params = topo.params();
+    let layout = topo.layout();
     for router_id in topo.routers() {
         let router = net.router(router_id);
-        for port in Port::all(params) {
+        for port in Port::all(&layout) {
             let output = router.output(port);
             for vc in 0..output.num_downstream_vcs() {
                 assert_eq!(

@@ -390,7 +390,7 @@ fn recovery_with_traffic_restores_full_credit_conservation() {
         assert_eq!(net.fault_lost_credits(), 0, "{routing}: ledger returned");
         assert_eq!(net.total_contention(), 0);
         let topo = *net.topology();
-        let params = *topo.params();
+        let params = topo.layout();
         for router_id in topo.routers() {
             let router = net.router(router_id);
             for port in Port::all(&params) {

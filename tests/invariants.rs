@@ -73,7 +73,7 @@ fn check_conservation(net: &Network) {
         "contention counters must drain to zero"
     );
     let topo = net.topology();
-    let params = topo.params();
+    let layout = topo.layout();
     for router_id in topo.routers() {
         let router = net.router(router_id);
         // ECtN partial counters drained
@@ -82,7 +82,7 @@ fn check_conservation(net: &Network) {
             "router {router_id} has non-zero ECtN partial counters after drain"
         );
         // every credit returned
-        for port in Port::all(params) {
+        for port in Port::all(&layout) {
             let output = router.output(port);
             for vc in 0..output.num_downstream_vcs() {
                 assert_eq!(
@@ -98,7 +98,7 @@ fn check_conservation(net: &Network) {
             );
         }
         // every input VC empty
-        for port in Port::all(params) {
+        for port in Port::all(&layout) {
             let input = router.input(port);
             for vc in 0..input.num_vcs() {
                 assert!(
