@@ -308,3 +308,75 @@ fn paper_scale_snapshot_resume_smoke() {
     assert_eq!(resumed, reference, "paper-scale resume diverged");
     assert!(reference.delivered_window > 0);
 }
+
+/// `(routing, pattern, offered load, checkpoint cycle, snapshot length,
+/// FNV-1a64 of the snapshot bytes)` — captured from the kernel as it stood
+/// before activity-proportional stepping, so a change that claims to keep
+/// "every snapshot byte" has something to be held to across commits (the
+/// resume tests above only compare two runs of the same build). The last
+/// cell sits at a load where nearly every injector is many cycles from its
+/// next packet: a wrong RNG stream position in a mid-look-ahead snapshot
+/// shows up here and nowhere else.
+const PINNED_SNAPSHOTS: [(RoutingKind, PatternKind, f64, u64, usize, u64); 4] = [
+    (
+        RoutingKind::PiggyBacking,
+        PatternKind::Uniform,
+        0.05,
+        137,
+        54_282,
+        0x2776_E485_1637_CE24,
+    ),
+    (
+        RoutingKind::PiggyBacking,
+        PatternKind::Adversarial { offset: 1 },
+        0.4,
+        333,
+        78_107,
+        0x3744_DF69_A4B1_DA90,
+    ),
+    (
+        RoutingKind::Ectn,
+        PatternKind::Adversarial { offset: 1 },
+        0.4,
+        250,
+        76_818,
+        0xCE25_4F07_1D88_9EC5,
+    ),
+    (
+        RoutingKind::Base,
+        PatternKind::Uniform,
+        0.01,
+        599,
+        54_272,
+        0xD5F5_C58A_8CA8_C960,
+    ),
+];
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    use contention_dragonfly::engine::codec::fnv1a64;
+    for (routing, pattern, load, at, len, digest) in PINNED_SNAPSHOTS {
+        let cfg = SimulationConfig::builder()
+            .topology(DragonflyParams::small())
+            .network(NetworkConfig::fast_test())
+            .routing(routing)
+            .pattern(pattern)
+            .offered_load(load)
+            .warmup_cycles(200)
+            .measurement_cycles(400)
+            .seed(11)
+            .build()
+            .expect("valid configuration");
+        let mut net = Network::new(cfg);
+        net.run_cycles(at);
+        let bytes = net.snapshot();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (len, digest),
+            "{routing} / {pattern:?} / load {load}: snapshot bytes at cycle {at} moved \
+             (got {} bytes, {:#018X})",
+            bytes.len(),
+            fnv1a64(&bytes)
+        );
+    }
+}
