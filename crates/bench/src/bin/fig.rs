@@ -17,8 +17,9 @@
 //!   ADV+1 traffic (`un` / `adv1` select one; default both).
 //! * `table1` — Table I (simulation parameters) for the selected scale.
 //!
-//! `6`–`9` and `table1` are Dragonfly-only paper reproductions:
-//! `--topology=` selections are rejected. Exit code 2 = bad arguments.
+//! Every figure is a Dragonfly-only paper reproduction (`figures.rs` builds
+//! the scale's canonical Dragonfly): `--topology=` selections are rejected.
+//! Exit code 2 = bad arguments.
 
 use df_bench::{or_exit_2, Scale};
 use df_engine::Table;
@@ -48,15 +49,16 @@ fn main() {
         std::process::exit(2);
     }
     let has = |flag: &str| rest.iter().any(|a| a == flag);
-    let scale = or_exit_2(match figure.as_str() {
-        "5" | "10" => Scale::from_arg_list(Scale::small(), &["un", "adv1", "advh"], rest.clone()),
-        _ => Scale::from_arg_list_dragonfly_only(
-            Scale::small(),
-            &[],
-            &format!("fig {figure}"),
-            rest.clone(),
-        ),
-    });
+    let flags: &[&str] = match figure.as_str() {
+        "5" | "10" => &["un", "adv1", "advh"],
+        _ => &[],
+    };
+    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
+        Scale::small(),
+        flags,
+        &format!("fig {figure}"),
+        rest.clone(),
+    ));
     let adv1 = PatternKind::Adversarial { offset: 1 };
     let advh = PatternKind::Adversarial {
         offset: scale.topology.h,

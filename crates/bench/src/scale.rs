@@ -175,7 +175,7 @@ impl Scale {
     }
 
     /// [`Scale::from_arg_list`] for the binaries that build the canonical
-    /// Dragonfly explicitly (`fig 6`–`fig 9`, `fig table1`, `sweep_service`,
+    /// Dragonfly explicitly (every `fig` figure, `sweep_service`,
     /// `availability`, `fault_recovery`, `collectives`): any `--topology`
     /// argument is an error naming the binary and the topology-aware
     /// alternatives instead of being silently ignored — running one under
@@ -190,7 +190,7 @@ impl Scale {
         let args: Vec<String> = args.into_iter().collect();
         if let Some(arg) = args.iter().find(|a| a.starts_with("--topology")) {
             return Err(format!(
-                "error: {bin} is Dragonfly-only and does not accept '{arg}' (Figures 6-9, \
+                "error: {bin} is Dragonfly-only and does not accept '{arg}' (Figures 5-10, \
                  Table 1, the sweep service, the availability sweep, the fault-recovery \
                  curve and the collectives table build the canonical Dragonfly; \
                  topology-aware runners: scenario_matrix, interference)"

@@ -153,14 +153,16 @@ fn table1_runs_at_bench_scale() {
 
 #[test]
 fn dragonfly_only_figures_reject_topology_selections_with_exit_2() {
-    // figures 6-9 and table1 reproduce figures defined on the paper's
-    // canonical Dragonfly: a --topology selection must abort loudly, not
-    // silently run a Dragonfly under a misleading flag
-    for figure in ["6", "7", "8", "9", "table1"] {
-        let stderr = rejected(
-            env!("CARGO_BIN_EXE_fig"),
-            &[figure, "bench", "--topology=megafly"],
-        );
+    // every figure reproduces one defined on the paper's canonical
+    // Dragonfly: a --topology selection must abort loudly, not silently run
+    // a Dragonfly under a misleading flag — 5 and 10 (the two that take
+    // pattern flags) used to exit 0 with the Dragonfly table
+    for figure in ["5", "6", "7", "8", "9", "10", "table1"] {
+        let mut args = vec![figure, "bench", "--topology=megafly"];
+        if matches!(figure, "5" | "10") {
+            args.push("un");
+        }
+        let stderr = rejected(env!("CARGO_BIN_EXE_fig"), &args);
         assert!(
             stderr.contains(&format!("fig {figure}")) && stderr.contains("Dragonfly-only"),
             "fig {figure} stderr must name the figure and the reason: {stderr}"

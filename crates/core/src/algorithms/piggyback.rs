@@ -165,19 +165,35 @@ fn recommit_in_transit(
     Decision::discard()
 }
 
-/// Recompute the saturation flags of this router's own global links from
-/// their occupancy, per the PB rule. The simulator calls this every cycle for
-/// every router when PB is active, then disseminates the flags inside each
-/// group.
+/// Whether this router's own global link `k` is saturated right now, per
+/// the PB rule — a pure function of that output's staged phits and credits.
+fn own_link_saturated(config: &RoutingConfig, router: &Router, k: u32) -> bool {
+    let port = Port::global(&router.topology().layout(), k);
+    let fraction = router.output_congestion_fraction(port);
+    pb_link_saturated(fraction, config.pb_saturation_fraction)
+}
+
+/// Bring the saturation flags of this router's own global links up to date
+/// with their occupancy, per the PB rule. The simulator calls this every
+/// cycle for every router when PB is active, then disseminates the flags
+/// inside each group. The flags depend on nothing but the outputs' staged
+/// phits and credits, so a router none of whose outputs changed since the
+/// last refresh ([`Router::outputs_changed`]) returns at once.
 pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) {
-    let topo = *router.topology();
-    let layout = topo.layout();
-    for k in 0..topo.own_globals(router.id()) {
-        let port = Port::global(&layout, k);
-        let fraction = router.output_congestion_fraction(port);
-        let saturated = pb_link_saturated(fraction, config.pb_saturation_fraction);
-        router.pb_mut().set_own_saturated(k, saturated);
+    let own_globals = router.topology().own_globals(router.id());
+    if router.outputs_changed() {
+        router.clear_outputs_changed();
+        for k in 0..own_globals {
+            let saturated = own_link_saturated(config, router, k);
+            router.pb_mut().set_own_saturated(k, saturated);
+        }
     }
+    debug_assert!(
+        (0..own_globals)
+            .all(|k| router.pb().own_saturated(k) == own_link_saturated(config, router, k)),
+        "router {}: own saturation flags are stale",
+        router.id()
+    );
 }
 
 #[cfg(test)]
@@ -313,6 +329,48 @@ mod tests {
         assert!(
             r.pb().own_saturated(0),
             "occupancy {consumed}/{total} should exceed the 50% saturation fraction"
+        );
+    }
+
+    #[test]
+    fn returned_credits_alone_clear_the_saturation_flag() {
+        // the refresh is skipped for a router whose outputs did not change;
+        // a credit return is such a change even with nothing staged
+        let mut r = router(0);
+        let config = RoutingConfig::default();
+        let gport = Port::global(&r.topology().layout(), 0);
+        // take every credit of the link: packets leave at once, so only the
+        // downstream occupancy remains
+        let mut taken = Vec::new();
+        for vc in 0..r.output(gport).num_downstream_vcs() {
+            let vc = VcId(vc as u8);
+            while r.output(gport).can_accept(vc, 8) {
+                r.output_mut(gport).accept(packet(0, 40), vc, 0);
+                let now = 10_000 + 8 * taken.len() as u64;
+                assert!(r.output_mut(gport).try_transmit(now).is_some());
+                taken.push(vc);
+            }
+        }
+        update_own_saturation(&config, &mut r);
+        assert!(r.pb().own_saturated(0));
+        assert!(r.pb().own_flipped());
+        r.pb_mut().clear_own_flipped();
+        // nothing changed: the refresh is a no-op and records no flip
+        update_own_saturation(&config, &mut r);
+        assert!(r.pb().own_saturated(0));
+        assert!(!r.pb().own_flipped() && !r.outputs_changed());
+        // the downstream router drains: credits come back, nothing else moves
+        for vc in taken {
+            r.receive_credits(gport, vc, 8);
+        }
+        update_own_saturation(&config, &mut r);
+        assert!(
+            !r.pb().own_saturated(0),
+            "returned credits unsaturate the link"
+        );
+        assert!(
+            r.pb().own_flipped(),
+            "and the flip is recorded for the exchange"
         );
     }
 }

@@ -39,5 +39,5 @@ pub use ectn::EctnState;
 pub use input::{InputPort, InputVc, PoppedPacket};
 pub use output::OutputPort;
 pub use pb::PbState;
-pub use router::Router;
+pub use router::{Router, MAX_RADIX};
 pub use snapshot::{decode_gateway_liveness, encode_gateway_liveness};

@@ -33,6 +33,11 @@ pub struct PbState {
     /// Group-wide view (indexed by group-level global link `0..a*h`),
     /// refreshed by the dissemination step with a small delay.
     group: Vec<bool>,
+    /// Whether an own flag changed value (or may have: fresh and restored
+    /// state) since the mark was last cleared — i.e. whether a group
+    /// exchange gathering these flags could install anything new. Derived,
+    /// never part of the saved state.
+    own_flipped: bool,
 }
 
 impl PbState {
@@ -42,6 +47,7 @@ impl PbState {
         PbState {
             own: vec![false; h],
             group: vec![false; global_links],
+            own_flipped: true,
         }
     }
 
@@ -50,9 +56,27 @@ impl PbState {
         self.own[k as usize]
     }
 
-    /// Set the saturation flag of own global link `k`.
+    /// Set the saturation flag of own global link `k`, recording a flip.
     pub fn set_own_saturated(&mut self, k: u32, saturated: bool) {
-        self.own[k as usize] = saturated;
+        let flag = &mut self.own[k as usize];
+        if *flag != saturated {
+            *flag = saturated;
+            self.own_flipped = true;
+        }
+    }
+
+    /// Whether an own flag flipped since
+    /// [`PbState::clear_own_flipped`] (true for fresh and restored state).
+    #[inline]
+    pub fn own_flipped(&self) -> bool {
+        self.own_flipped
+    }
+
+    /// Acknowledge the flips seen so far (the caller is about to gather the
+    /// own flags into a group exchange).
+    #[inline]
+    pub fn clear_own_flipped(&mut self) {
+        self.own_flipped = false;
     }
 
     /// Borrow this router's own saturation flags (allocation-free view used
@@ -139,6 +163,7 @@ impl PbState {
         for b in &mut self.group {
             *b = d.bool()?;
         }
+        self.own_flipped = true;
         Ok(())
     }
 }

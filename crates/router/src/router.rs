@@ -64,7 +64,34 @@ pub struct Router {
     /// dissemination channel (MIN, VAL, OLM, Base, Hybrid), which therefore
     /// keep the discover-at-gateway behaviour.
     link_view: GatewayLiveness,
+    /// Bit `p` set: output `p` may hold staged packets. A *superset* of the
+    /// ports that do — set wherever a packet can be staged
+    /// ([`Router::apply_grant`], [`Router::output_mut`]), cleared by
+    /// [`Router::transmit_outputs_into`] when it finds the stage empty — so
+    /// transmission and [`Router::is_idle`] visit only these ports instead
+    /// of the whole radix. Derived: rebuilt by [`Router::restore_state`].
+    staged_ports: u64,
+    /// Whether any output's staged phits or credits changed since the flag
+    /// was last cleared. PB's own-link saturation flags are a pure function
+    /// of exactly that state, so their per-cycle refresh is skipped while
+    /// this is clear. Derived: set by construction and by restore.
+    outputs_changed: bool,
 }
+
+/// The set bits of a staged-port mask as port indices, ascending.
+fn ports_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let p = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            p
+        })
+    })
+}
+
+/// Widest router [`Router::new`] accepts: one bit of the staged-port set per
+/// port (the paper's Table I routers have 31).
+pub const MAX_RADIX: u32 = u64::BITS;
 
 impl Router {
     /// Build a router for position `id` of `topo` with the given
@@ -75,6 +102,10 @@ impl Router {
         let topo = topo.into();
         let layout = topo.layout();
         let radix = layout.radix();
+        assert!(
+            radix <= MAX_RADIX,
+            "router radix {radix} exceeds the supported maximum of {MAX_RADIX} ports"
+        );
         let mut inputs = Vec::with_capacity(radix as usize);
         let mut outputs = Vec::with_capacity(radix as usize);
         for port in Port::all(&layout) {
@@ -115,6 +146,8 @@ impl Router {
             link_up: vec![true; radix as usize],
             links_down: 0,
             link_view: GatewayLiveness::new(&topo),
+            staged_ports: 0,
+            outputs_changed: true,
         }
     }
 
@@ -200,9 +233,28 @@ impl Router {
         &self.outputs[port.index()]
     }
 
-    /// Mutably borrow an output port.
+    /// Mutably borrow an output port. What the caller does with it is
+    /// invisible from here, so the port is conservatively recorded as
+    /// possibly staged and the outputs as changed.
     pub fn output_mut(&mut self, port: Port) -> &mut OutputPort {
+        self.staged_ports |= 1 << port.index();
+        self.outputs_changed = true;
         &mut self.outputs[port.index()]
+    }
+
+    /// Whether any output's staged phits or credits changed since
+    /// [`Router::clear_outputs_changed`] (true for a fresh or restored
+    /// router).
+    #[inline]
+    pub fn outputs_changed(&self) -> bool {
+        self.outputs_changed
+    }
+
+    /// Acknowledge the output changes seen so far (the PB own-flag refresh
+    /// calls this once it has recomputed the flags from them).
+    #[inline]
+    pub fn clear_outputs_changed(&mut self) {
+        self.outputs_changed = false;
     }
 
     /// Total packets buffered in all input VCs.
@@ -248,6 +300,7 @@ impl Router {
     /// downstream router drained a packet; arrives after the link latency).
     pub fn receive_credits(&mut self, port: Port, vc: VcId, phits: u32) {
         self.outputs[port.index()].return_credits(vc, phits);
+        self.outputs_changed = true;
     }
 
     // ------------------------------------------------------------------
@@ -304,6 +357,7 @@ impl Router {
     /// credits exactly like in-flight drops.
     pub fn drop_staged_for_dead_port(&mut self, port: Port) -> Vec<(Packet, VcId)> {
         debug_assert!(!self.link_is_up(port), "only dead ports lose their stage");
+        self.outputs_changed = true;
         self.outputs[port.index()].drain_staged()
     }
 
@@ -444,6 +498,8 @@ impl Router {
         let freed_phits = packet.size_phits;
         let ready_at = now + self.config.latencies.router_pipeline as Cycle;
         self.outputs[grant.output_port.index()].accept(packet, grant.output_vc, ready_at);
+        self.staged_ports |= 1 << grant.output_port.index();
+        self.outputs_changed = true;
         AppliedGrant {
             grant: *grant,
             freed_phits,
@@ -456,6 +512,10 @@ impl Router {
     /// cycle at which its tail leaves this router (the simulator adds the
     /// link latency to schedule the remote arrival). Writes into the caller's
     /// reusable `sent` buffer — no allocation in steady state.
+    ///
+    /// Only the possibly-staged ports are visited, in ascending port order
+    /// (an empty stage transmits nothing and has no side effect, so the
+    /// other ports are exactly the ones a full scan would pass over).
     pub fn transmit_outputs_into(
         &mut self,
         now: Cycle,
@@ -464,7 +524,7 @@ impl Router {
         // healthy routers (the overwhelmingly common case) skip the
         // per-port flag reads entirely via the O(1) down-counter
         let any_down = self.links_down > 0;
-        for (p, output) in self.outputs.iter_mut().enumerate() {
+        for p in ports_in(self.staged_ports) {
             // a down link transmits nothing. In a full simulation the dead
             // port's stage is drained at the fault cycle
             // ([`Router::drop_staged_for_dead_port`]); the skip remains the
@@ -473,8 +533,13 @@ impl Router {
             if any_down && !self.link_up[p] {
                 continue;
             }
+            let output = &mut self.outputs[p];
             if let Some((packet, vc, tail_at)) = output.try_transmit(now) {
                 sent.push((Port(p as u32), packet, vc, tail_at));
+                self.outputs_changed = true;
+            }
+            if output.staged_packets() == 0 {
+                self.staged_ports &= !(1 << p);
             }
         }
     }
@@ -494,7 +559,14 @@ impl Router {
     /// requests, no staged packets), which is what lets the simulator's
     /// activity gate skip it.
     pub fn is_idle(&self) -> bool {
-        self.occupied_total == 0 && self.outputs.iter().all(|o| o.staged_packets() == 0)
+        let idle = self.occupied_total == 0
+            && ports_in(self.staged_ports).all(|p| self.outputs[p].staged_packets() == 0);
+        debug_assert_eq!(
+            idle,
+            self.occupied_total == 0 && self.outputs.iter().all(|o| o.staged_packets() == 0),
+            "a staged output is missing from the staged-port set"
+        );
+        idle
     }
 
     /// Whether any head packet still awaits contention-counter registration
@@ -610,7 +682,15 @@ impl Router {
         }
         self.link_view =
             crate::snapshot::decode_gateway_liveness(d, self.topo.global_links_per_group())?;
-        // rebuild the derived counters from the restored queues/flags
+        // rebuild the derived counters and sets from the restored
+        // queues/flags
+        self.staged_ports = 0;
+        for (p, output) in self.outputs.iter().enumerate() {
+            if output.staged_packets() > 0 {
+                self.staged_ports |= 1 << p;
+            }
+        }
+        self.outputs_changed = true;
         self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
         self.occupied_total = 0;
         self.unregistered_count = 0;
@@ -858,5 +938,104 @@ mod tests {
         assert!(Port::all(&layout).all(|p| r.port_occupancy(p) == u32::from(p == Port(0))));
         assert!(!r.input(Port(0)).vc(1).is_empty());
         assert!(r.input(Port(0)).vc(0).is_empty());
+    }
+
+    #[test]
+    fn packets_staged_through_output_mut_are_transmitted() {
+        // staging straight into an output port (no grant) is a public path:
+        // the staged-port set must pick it up for transmission and idleness
+        let mut r = router();
+        assert!(r.is_idle());
+        r.output_mut(Port(5)).accept(packet(1, 40), VcId(0), 0);
+        r.output_mut(Port(2)).accept(packet(2, 2), VcId(1), 0);
+        assert!(
+            !r.is_idle(),
+            "a directly staged packet keeps the router busy"
+        );
+        let sent = r.transmit_outputs(0);
+        assert_eq!(
+            sent.iter()
+                .map(|(port, p, ..)| (*port, p.id))
+                .collect::<Vec<_>>(),
+            [(Port(2), PacketId(2)), (Port(5), PacketId(1))],
+            "both stages transmit, in ascending port order"
+        );
+        assert!(r.is_idle());
+        assert!(r.transmit_outputs(100).is_empty());
+    }
+
+    #[test]
+    fn staged_port_set_follows_grants_and_survives_restore() {
+        let mut r = router();
+        r.receive_packet(Port(3), VcId(0), packet(1, 2));
+        r.register_head(Port(3), VcId(0), Port(2), None);
+        let req = AllocationRequest {
+            input_port: Port(3),
+            input_vc: VcId(0),
+            output_port: Port(2),
+            output_vc: VcId(0),
+            size_phits: 8,
+        };
+        let grants = r.allocate(&[req]);
+        r.apply_grant(&grants[0], 0);
+        assert!(!r.is_idle(), "the granted packet sits in the output stage");
+        // a restored router rebuilds the set from its stages
+        let mut e = df_engine::Encoder::new();
+        r.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut restored = router();
+        restored
+            .restore_state(&mut df_engine::Decoder::new(&bytes))
+            .unwrap();
+        assert!(restored.outputs_changed(), "restored routers start dirty");
+        assert!(!restored.is_idle());
+        let pipeline = r.config().latencies.router_pipeline as Cycle;
+        assert_eq!(restored.transmit_outputs(pipeline).len(), 1);
+        assert!(restored.is_idle());
+    }
+
+    #[test]
+    fn outputs_changed_tracks_every_output_mutation() {
+        let mut r = router();
+        assert!(r.outputs_changed(), "fresh routers start dirty");
+        let settle = |r: &mut Router| {
+            r.clear_outputs_changed();
+            assert!(!r.outputs_changed());
+        };
+        settle(&mut r);
+        // receiving a packet touches no output
+        r.receive_packet(Port(3), VcId(0), packet(1, 2));
+        r.register_head(Port(3), VcId(0), Port(2), None);
+        assert!(!r.outputs_changed());
+        let req = AllocationRequest {
+            input_port: Port(3),
+            input_vc: VcId(0),
+            output_port: Port(2),
+            output_vc: VcId(0),
+            size_phits: 8,
+        };
+        let grants = r.allocate(&[req]);
+        assert!(!r.outputs_changed(), "allocation alone stages nothing");
+        r.apply_grant(&grants[0], 0);
+        assert!(
+            r.outputs_changed(),
+            "a grant stages phits and takes credits"
+        );
+        settle(&mut r);
+        assert!(r.transmit_outputs(0).is_empty());
+        assert!(!r.outputs_changed(), "a transmission that sends nothing");
+        let pipeline = r.config().latencies.router_pipeline as Cycle;
+        assert_eq!(r.transmit_outputs(pipeline).len(), 1);
+        assert!(r.outputs_changed(), "a transmission drains staged phits");
+        settle(&mut r);
+        r.receive_credits(Port(2), VcId(0), 8);
+        assert!(r.outputs_changed(), "returned credits");
+        settle(&mut r);
+        let _ = r.output_mut(Port(5));
+        assert!(r.outputs_changed(), "a mutable borrow may change anything");
+        settle(&mut r);
+        r.set_link_up(Port(5), false);
+        r.drop_staged_for_dead_port(Port(5));
+        assert!(r.outputs_changed(), "a dropped stage");
     }
 }

@@ -2,7 +2,7 @@
 
 use df_model::NetworkConfig;
 use df_routing::{RoutingConfig, RoutingKind};
-use df_topology::{DragonflyParams, TopologyParams};
+use df_topology::{DragonflyParams, PortLayout, Topology, TopologyParams};
 use df_traffic::{validate_job_disjointness, InjectionKind, JobSpec, PatternKind, TrafficSchedule};
 use serde::{Deserialize, Serialize};
 
@@ -254,6 +254,13 @@ impl SimulationConfig {
             }
         }
         let topo = self.topology.build();
+        let radix = topo.layout().radix();
+        if radix > df_router::MAX_RADIX {
+            return Err(ConfigError::Topology(format!(
+                "router radix {radix} exceeds the supported maximum of {} ports",
+                df_router::MAX_RADIX
+            )));
+        }
         self.faults.validate(&topo).map_err(ConfigError::Faults)?;
         if !self.jobs.is_empty() {
             let groups = self.topology.num_groups();
@@ -538,6 +545,14 @@ mod tests {
             .measurement_cycles(0)
             .build()
             .is_err());
+        // 97-port routers: one bit per port of the router's staged-port set
+        // is all the kernel supports (a typed error, not `Router::new`'s
+        // panic)
+        let wide = DragonflyParams::new(32, 34, 32, 2).unwrap();
+        assert!(matches!(
+            SimulationConfig::builder().topology(wide).build(),
+            Err(ConfigError::Topology(e)) if e.contains("radix 97")
+        ));
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! 1. deliver due link events (packet arrivals, credit returns, node
 //!    deliveries) — an arrival whose link failed while it was in flight
 //!    is dropped and accounted in the `DroppedOnFault` counters,
-//! 2. traffic generation and injection from the node source queues into the
-//!    routers' injection buffers,
-//! 3. control-plane dissemination: PB saturation flags every cycle, ECtN
-//!    partial-array broadcast every `ectn_update_period` cycles — each
-//!    exchange also carries the piggybacked gateway-liveness bits
+//! 2. traffic generation (every injector whose next trial is not already
+//!    known to fail — see "Activity gating") and injection from the
+//!    non-empty node source queues into the routers' injection buffers,
+//! 3. control-plane dissemination: PB saturation flags every cycle (each
+//!    router whose outputs changed refreshes its own flags, each group with
+//!    a flipped flag re-exchanges them), ECtN partial-array broadcast every
+//!    `ectn_update_period` cycles — each exchange also carries the
+//!    piggybacked gateway-liveness bits
 //!    (failure-aware routing), advanced one *flooding hop* per exchange:
 //!    every group merges its live neighbours' previous-round views, so a
 //!    fault becomes visible to its own group at the first exchange after
@@ -34,17 +37,25 @@
 //! * **Time-wheel event queue** ([`EventQueue`]): O(1) scheduling into
 //!   per-cycle ring buckets, drained into a reusable scratch buffer. An
 //!   event-free cycle costs one length check.
-//! * **Activity gating**: steps 4–5 iterate only the *active set* of
-//!   routers instead of all `a·g` of them. A router enters the set when it
-//!   receives a packet, credits or an injection, and leaves it when it holds
-//!   no buffered traffic. Invariant: a router with any buffered traffic
-//!   (input VCs or output buffers) is always in the set; an idle router's
-//!   allocation/transmission steps are provably no-ops, so skipping them is
-//!   behaviour-preserving. Debug builds assert the invariant at the end of
-//!   every [`Network::step`]. The set is iterated in ascending router order,
-//!   which fixes the event sequence numbers — and therefore the results.
+//! * **Activity gating**: every per-cycle scan walks a derived set instead
+//!   of the whole population, under one rule — an item is skipped only if
+//!   the skipped work is provably a no-op, the set is iterated in ascending
+//!   order (which fixes the event sequence numbers and packet ids, and
+//!   therefore the results), and the set is rebuilt on restore rather than
+//!   stored. Steps 4–5 visit the *active set* of routers (a router enters
+//!   on a packet, credits or an injection and leaves when it holds no
+//!   buffered traffic; an idle router's allocation and transmission are
+//!   no-ops); injection visits the nodes with a non-empty source queue;
+//!   generation skips a silent population outright and otherwise counts
+//!   down the ticks each Bernoulli injector's look-ahead proved to be
+//!   failures (`node::Nodes`); PB refreshes the own flags only of routers
+//!   whose outputs changed and re-exchanges only groups with a flipped
+//!   flag; and a router transmits from, and tests idleness over, only its
+//!   possibly-staged ports. Debug builds assert each set against the full
+//!   scan (the first two at the end of every [`Network::step`]).
 //!   [`Network::drain`] additionally fast-forwards the clock to the next
-//!   pending event when every router is idle.
+//!   pending event when every router is idle and no node has a packet
+//!   waiting.
 //! * **Allocation-free steady state**: the per-cycle loop reuses scratch
 //!   buffers for due events, allocation requests/grants and transmitted
 //!   packets, and PB/ECtN dissemination gathers into flat per-group arrays
@@ -79,7 +90,7 @@ use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
-use crate::node::Node;
+use crate::node::{Node, Nodes};
 use crate::parallel::{execute_shard, PhaseJob, PhaseKind, ShardState, StepCtx, WorkerPool};
 use crate::task::JobsEngine;
 
@@ -92,7 +103,7 @@ pub struct Network {
     topo: AnyTopology,
     algorithm: RoutingAlgorithm,
     routers: Vec<Router>,
-    nodes: Vec<Node>,
+    nodes: Nodes,
     patterns: Vec<TrafficPattern>,
     current_phase: usize,
     events: EventQueue,
@@ -258,7 +269,7 @@ impl Network {
             topo,
             algorithm,
             routers,
-            nodes,
+            nodes: Nodes::new(nodes),
             patterns,
             current_phase: 0,
             events,
@@ -328,7 +339,7 @@ impl Network {
 
     /// Borrow a node (tests and inspection).
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+        self.nodes.get(id.index())
     }
 
     /// Packets currently inside the network (injected but not delivered or
@@ -436,17 +447,15 @@ impl Network {
     /// credits ledgered). The fault plan is not frozen: resume stepping and
     /// the remaining events fire at their scheduled cycles.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        for node in &mut self.nodes {
-            node.set_offered_load(0.0);
-        }
+        self.nodes.set_offered_load(0.0);
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline {
-            if self.in_flight == 0 && self.all_source_queues_empty() {
+            if self.in_flight == 0 && self.nodes.all_queues_empty() {
                 return true;
             }
             if !self.control_plane_every_cycle
                 && self.active_list.is_empty()
-                && self.all_source_queues_empty()
+                && self.nodes.all_queues_empty()
                 // a waiting rank accrues a stall cycle per real cycle, so the
                 // fast-forward must not skip cycles while a job set is
                 // running — jobs can also be waiting on a future start_cycle
@@ -476,11 +485,7 @@ impl Network {
             }
             self.step();
         }
-        self.in_flight == 0 && self.all_source_queues_empty()
-    }
-
-    fn all_source_queues_empty(&self) -> bool {
-        self.nodes.iter().all(|n| n.queue_len() == 0)
+        self.in_flight == 0 && self.nodes.all_queues_empty()
     }
 
     /// The job engine, when the configuration carries a job set.
@@ -710,9 +715,7 @@ impl Network {
             let load = self.config.schedule.phases()[phase]
                 .load
                 .unwrap_or(self.config.offered_load);
-            for node in &mut self.nodes {
-                node.set_offered_load(load);
-            }
+            self.nodes.set_offered_load(load);
         }
 
         // ---- 0.5. fault events ----
@@ -806,29 +809,27 @@ impl Network {
                 &self.node_failed,
             );
         }
-        let pattern = &self.patterns[self.current_phase];
-        let blocked = &self.node_blocked;
-        let failed = &self.node_failed;
-        for (idx, node) in self.nodes.iter_mut().enumerate() {
-            // nodes of a draining router, and failed nodes, generate
-            // nothing (their queued packets still inject below)
-            if blocked[idx] || failed[idx] {
-                continue;
-            }
-            let phits = node.generate(now, pattern, &mut self.next_packet_id);
-            if phits > 0 {
-                self.metrics.record_generated(phits as u64);
-            }
-        }
-        for node_idx in 0..self.nodes.len() {
+        self.nodes.generate(
+            now,
+            &self.patterns[self.current_phase],
+            &mut self.next_packet_id,
+            &self.node_blocked,
+            &self.node_failed,
+            &mut self.metrics,
+        );
+        // injection visits only the nodes with a packet waiting, in
+        // ascending node order (the order the all-node walk it replaces
+        // found them in)
+        for i in 0..self.nodes.sort_queued() {
+            let node_idx = self.nodes.queued(i);
             let node_id = NodeId(node_idx as u32);
-            let Some(head_size) = self.nodes[node_idx].head().map(|p| p.size_phits) else {
+            let Some(head_size) = self.nodes.get(node_idx).head().map(|p| p.size_phits) else {
                 continue;
             };
             let router_id = self.topo.node_router(node_id);
             let port = self.topo.node_port(node_id);
             let num_vcs = self.routers[router_id.index()].input(port).num_vcs();
-            let start = self.nodes[node_idx].take_vc_rr(num_vcs);
+            let start = self.nodes.get_mut(node_idx).take_vc_rr(num_vcs);
             let mut chosen = None;
             for k in 0..num_vcs {
                 let vc = (start + k) % num_vcs;
@@ -839,7 +840,11 @@ impl Network {
                 }
             }
             if let Some(vc) = chosen {
-                let mut packet = self.nodes[node_idx].pop_head().expect("head checked");
+                let mut packet = self
+                    .nodes
+                    .get_mut(node_idx)
+                    .pop_head()
+                    .expect("head checked");
                 packet.injected_at = Some(now);
                 // reroute-to-spare: a packet addressed to a failed node is
                 // retargeted at injection time, following the spare chain in
@@ -862,6 +867,7 @@ impl Network {
                 self.routers[router_id.index()].receive_packet(port, VcId(vc as u8), packet);
             }
         }
+        self.nodes.retire_drained();
 
         // ---- 3. control-plane dissemination ----
         // Each exchange also carries the piggybacked gateway-liveness bits:
@@ -921,6 +927,10 @@ impl Network {
                 .zip(&self.active_flags)
                 .all(|(router, &active)| active || router.is_idle()),
             "a router outside the active set holds traffic at cycle {now}"
+        );
+        debug_assert!(
+            self.nodes.queued_set_is_complete(),
+            "a node outside the queued set holds a packet at cycle {now}"
         );
 
         self.cycle += 1;

@@ -224,12 +224,26 @@ pub(crate) fn control_exchange_group(
 ) {
     match kind {
         PhaseKind::Pb => {
-            dissemination::pb_exchange_group(group, &mut shard.pb_flat);
+            // The exchange is idempotent: gathering own flags none of which
+            // flipped since the group's last gather would reinstall the
+            // views every member already holds, so it is skipped.
+            if group.iter().any(|router| router.pb().own_flipped()) {
+                for router in group.iter_mut() {
+                    router.pb_mut().clear_own_flipped();
+                }
+                dissemination::pb_exchange_group(group, &mut shard.pb_flat);
+            }
+            debug_assert!(
+                pb_views_are_current(group),
+                "a skipped PB exchange would have changed a group view"
+            );
             dissemination::install_linkview_group(group, linkview);
             // Refresh own flags after the group's exchange: installs never
             // read own flags of other groups and the refresh reads only
             // router-local congestion, so doing it group-by-group is
-            // equivalent to the all-groups-then-all-routers order.
+            // equivalent to the all-groups-then-all-routers order. (A no-op
+            // for a router whose outputs did not change; a flip is recorded
+            // for the next cycle's exchange.)
             for router in group.iter_mut() {
                 piggyback::update_own_saturation(ctx.algorithm.config(), router);
             }
@@ -242,6 +256,19 @@ pub(crate) fn control_exchange_group(
             unreachable!("router phases are not group exchanges")
         }
     }
+}
+
+/// Whether every member's installed PB group view equals the concatenation
+/// of the group's own flags — the state a PB exchange leaves behind, checked
+/// in debug builds where one was skipped.
+fn pb_views_are_current(group: &[Router]) -> bool {
+    let gathered: Vec<bool> = group
+        .iter()
+        .flat_map(|router| router.pb().own_flags().iter().copied())
+        .collect();
+    group.iter().all(|router| {
+        (0..gathered.len()).all(|link| router.pb().group_saturated(link as u32) == gathered[link])
+    })
 }
 
 /// One allocation iteration for one router: register new heads, compute

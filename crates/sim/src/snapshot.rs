@@ -33,8 +33,11 @@
 //!   job and resume bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns,
-//! derived occupancy counters, the activity gate (recomputed as the sorted
-//! non-idle router set), shard scratch and the worker pool.
+//! derived occupancy counters, the activity gates (the active set is
+//! recomputed as the sorted non-idle routers and the queued-node set from
+//! the source queues; every look-ahead countdown, output-changed flag,
+//! flipped-flag mark and staged-port set restarts conservatively —
+//! "everything dirty"), shard scratch and the worker pool.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, VcId};
@@ -170,11 +173,9 @@ impl Network {
                 e.u64(w);
             }
         }
-        // nodes (injector RNGs ride inside)
-        e.seq(self.nodes.len());
-        for node in &self.nodes {
-            node.save_state(&mut e);
-        }
+        // nodes (injector RNGs ride inside, at their true stream position
+        // whatever look-ahead is pending)
+        self.nodes.save_state(&mut e);
         self.metrics.save_state(&mut e);
         // pending link events in exact drain order
         let pending = self.events.pending_in_order();
@@ -294,17 +295,7 @@ impl Network {
             let words = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
             *rng = DeterministicRng::from_state(seed, words);
         }
-        let nodes = d.seq(8)?;
-        if nodes != net.nodes.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot node count mismatch: {} vs {}",
-                nodes,
-                net.nodes.len()
-            )));
-        }
-        for node in &mut net.nodes {
-            node.restore_state(&mut d)?;
-        }
+        net.nodes.restore_state(&mut d)?;
         net.metrics.restore_state(&mut d)?;
         // pending link events
         let n = d.seq(9)?;

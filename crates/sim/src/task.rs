@@ -47,7 +47,7 @@ use df_traffic::{JobSpec, TaskStep};
 use crate::config::SimulationConfig;
 use crate::metrics::Metrics;
 use crate::network::Network;
-use crate::node::Node;
+use crate::node::Nodes;
 
 /// A task packet still in the network (source queue or in flight), keyed by
 /// packet id in the engine's pending table.
@@ -162,7 +162,7 @@ impl TaskEngine {
     pub(crate) fn advance_and_generate(
         &mut self,
         now: Cycle,
-        nodes: &mut [Node],
+        nodes: &mut Nodes,
         metrics: &mut Metrics,
         next_packet_id: &mut u64,
         blocked: &[bool],
@@ -206,7 +206,7 @@ impl TaskEngine {
                                     step: step as u32,
                                 },
                             );
-                            nodes[node_idx].enqueue_task_packet(packet);
+                            nodes.enqueue_task_packet(node_idx, packet);
                             metrics.record_generated(self.packet_size as u64);
                         }
                         outstanding += packets;
@@ -240,7 +240,7 @@ impl TaskEngine {
             // on deliveries (its own sends or its peers')
             if self.cursor[r] < self.steps_total
                 && self.enqueued[r]
-                && nodes[node_idx].queue_len() == 0
+                && nodes.get(node_idx).queue_len() == 0
             {
                 self.stall_cycles[r] += 1;
                 stalled_ranks += 1;
@@ -446,7 +446,7 @@ impl JobsEngine {
     pub(crate) fn advance_and_generate(
         &mut self,
         now: Cycle,
-        nodes: &mut [Node],
+        nodes: &mut Nodes,
         metrics: &mut Metrics,
         next_packet_id: &mut u64,
         blocked: &[bool],
@@ -469,11 +469,11 @@ impl JobsEngine {
     /// Cycle the last job finished (the job-set makespan), once all are
     /// complete.
     pub fn completion_cycle(&self) -> Option<Cycle> {
-        self.jobs
-            .iter()
-            .map(|j| j.engine.completion_cycle())
-            .collect::<Option<Vec<Cycle>>>()
-            .and_then(|v| v.into_iter().max())
+        let mut latest = None;
+        for job in &self.jobs {
+            latest = latest.max(Some(job.engine.completion_cycle()?));
+        }
+        latest
     }
 
     /// Number of jobs in the set.

@@ -18,6 +18,25 @@
 //! [`Injector`] implements all three behind one `tick` interface. The
 //! Bernoulli mode draws one trial per tick and a destination only on
 //! success — the random sequence every golden fingerprint is pinned to.
+//!
+//! # Look-ahead
+//!
+//! At low load nearly every Bernoulli trial fails, and a caller ticking
+//! 16,512 injectors per cycle spends its time learning that. Because the
+//! trial probability of a Bernoulli injector depends on nothing but its own
+//! stream, [`Injector::look_ahead`] can read the outcome of the upcoming
+//! trials off a *copy* of the stream and report how many ticks are certain
+//! failures; the caller skips those ticks without touching the injector and
+//! calls [`Injector::tick`] for the one that follows. The injector's own
+//! stream stays where the last tick left it and is advanced by the skipped
+//! draws only when its position becomes observable — at the next `tick`, or
+//! at [`Injector::settle`] before a load change or a state capture — so it
+//! consumes exactly the draws a tick-every-cycle twin consumes and every
+//! packet, RNG state and snapshot byte is the same. `Ramp` (its probability
+//! depends on the cycle) and `Bursty` (a Markov draw per tick) report no
+//! certain failures and are ticked every cycle. [`Injector::is_silent`]
+//! covers the other extreme: at load 0 a non-bursty tick draws nothing at
+//! all, so the caller may skip the whole population.
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, Packet, PacketId};
@@ -115,7 +134,17 @@ pub struct Injector {
     /// Current Markov state for [`InjectionKind::Bursty`] (always `true`
     /// otherwise).
     on: bool,
+    /// Certain-failure ticks reported by the last
+    /// [`look_ahead`](Self::look_ahead) whose draws `rng` has not consumed
+    /// yet (0 for a caller that ticks every cycle). Derived from `rng`, so
+    /// never part of the saved state.
+    lookahead: u32,
 }
+
+/// Longest run of failing trials one [`Injector::look_ahead`] scans for the
+/// next success; a scan that reaches it reports the whole run as certain
+/// failures and the next tick simply scans again.
+const LOOKAHEAD_BOUND: u32 = 4_096;
 
 impl Injector {
     /// Create a generator for `node` with the given process, offered load in
@@ -148,6 +177,7 @@ impl Injector {
             rng,
             generated: 0,
             on,
+            lookahead: 0,
         }
     }
 
@@ -168,9 +198,65 @@ impl Injector {
 
     /// Change the offered load (phits/(node·cycle)) on the fly; used by
     /// phased scenarios and by [`drain`](../df_sim/struct.Network.html).
+    ///
+    /// A pending look-ahead must be [`settle`](Self::settle)d first: the
+    /// trials it read were drawn against the old load.
     pub fn set_offered_load(&mut self, offered_load: f64) {
         assert!((0.0..=1.0).contains(&offered_load));
+        debug_assert_eq!(self.lookahead, 0, "settle the look-ahead first");
         self.offered_load = offered_load;
+    }
+
+    /// Whether a tick is a no-op: it draws nothing from the stream and
+    /// generates nothing. True at offered load 0 for every process except
+    /// `Bursty`, which draws its Markov transition on every tick whatever
+    /// the load (a trial with probability ≤ 0 fails without drawing).
+    pub fn is_silent(&self) -> bool {
+        self.offered_load <= 0.0 && !matches!(self.kind, InjectionKind::Bursty { .. })
+    }
+
+    /// The per-tick trial probability when it is the same for every future
+    /// tick and each trial costs exactly one draw — the precondition of
+    /// [`look_ahead`](Self::look_ahead).
+    fn steady_trial_probability(&self) -> Option<f64> {
+        let p = self.offered_load / self.packet_size_phits as f64;
+        (self.kind == InjectionKind::Bernoulli && p > 0.0 && p < 1.0).then_some(p)
+    }
+
+    /// How many of the upcoming ticks are certain failures: scan a copy of
+    /// this injector's own stream forward to the next successful trial (at
+    /// most `LOOKAHEAD_BOUND` draws). The caller may skip exactly that many
+    /// ticks and must call [`tick`](Self::tick) for the next one; if fewer
+    /// have elapsed when the load changes or the state is captured, it says
+    /// so through [`settle`](Self::settle). Always 0 unless the process is
+    /// `Bernoulli` with a trial probability strictly between 0 and 1.
+    pub fn look_ahead(&mut self) -> u32 {
+        debug_assert_eq!(self.lookahead, 0, "one look-ahead at a time");
+        if let Some(p) = self.steady_trial_probability() {
+            let mut ahead = self.rng.clone();
+            while self.lookahead < LOOKAHEAD_BOUND && !ahead.bernoulli(p) {
+                self.lookahead += 1;
+            }
+        }
+        self.lookahead
+    }
+
+    /// Bring the stream to its true position when `remaining` of the ticks
+    /// the last [`look_ahead`](Self::look_ahead) reported have *not* elapsed
+    /// yet: consume the draws of the ones that have, forget the rest (they
+    /// will be ticked for real). A no-op without a pending look-ahead.
+    pub fn settle(&mut self, remaining: u32) {
+        let elapsed = self.lookahead - remaining;
+        self.lookahead = 0;
+        if elapsed > 0 {
+            let p = self
+                .steady_trial_probability()
+                .expect("a look-ahead is only ever pending on a steady Bernoulli process");
+            for _ in 0..elapsed {
+                let hit = self.rng.bernoulli(p);
+                debug_assert!(!hit, "a skipped tick was not a certain failure");
+            }
+        }
     }
 
     /// The probability of generating a packet this cycle, given the process
@@ -198,6 +284,10 @@ impl Injector {
         pattern: &TrafficPattern,
         next_id: &mut u64,
     ) -> Option<Packet> {
+        if self.lookahead > 0 {
+            // every tick the pending look-ahead reported has elapsed
+            self.settle(0);
+        }
         if let InjectionKind::Bursty { mean_on, mean_off } = self.kind {
             // one transition draw per cycle keeps the stream deterministic
             // regardless of the injection outcome
@@ -226,8 +316,11 @@ impl Injector {
     /// Serialize the injector's dynamic state (snapshot support). The
     /// static configuration — node, process kind, packet size — is not
     /// written: a restored injector is built from the run configuration
-    /// first, then continued from this state.
+    /// first, then continued from this state. A pending look-ahead must be
+    /// [`settle`](Self::settle)d (on a clone, for a `&self` capture) so the
+    /// stream position written is the true one.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
+        debug_assert_eq!(self.lookahead, 0, "settle the look-ahead first");
         e.f64(self.offered_load);
         let (seed, words) = self.rng.state();
         e.u64(seed);
@@ -260,6 +353,7 @@ impl Injector {
         self.rng = DeterministicRng::from_state(seed, words);
         self.generated = d.u64()?;
         self.on = d.bool()?;
+        self.lookahead = 0;
         Ok(())
     }
 }
@@ -618,5 +712,204 @@ mod tests {
         for now in 0..5_000 {
             assert!(inj.tick(now, &pat, &mut next_id).is_none());
         }
+    }
+
+    // ---- look-ahead ----
+
+    /// What a tick produced: the packet's identity, or nothing.
+    fn emitted(p: Option<Packet>) -> Option<(PacketId, NodeId, Cycle)> {
+        p.map(|p| (p.id, p.dst, p.generated_at))
+    }
+
+    fn saved(inj: &Injector) -> Vec<u8> {
+        let mut e = df_engine::Encoder::new();
+        inj.save_state(&mut e);
+        e.into_bytes()
+    }
+
+    /// Drive `kind` at `load` for `ticks` ticks twice — a twin ticked every
+    /// cycle, and an injector that skips every tick its look-ahead reports
+    /// as a certain failure — applying `load_changes` (tick, new load) to
+    /// both, and require the same packets at the same ticks, byte-equal
+    /// saved states at every `captures` tick (taken mid-look-ahead through
+    /// a settled clone) and the same final stream position. Returns the
+    /// number of ticks the look-ahead skipped.
+    fn assert_twin(
+        kind: InjectionKind,
+        load: f64,
+        packet_size: u32,
+        ticks: u64,
+        load_changes: &[(u64, f64)],
+        captures: &[u64],
+    ) -> u64 {
+        let pat = pattern();
+        let build = || {
+            Injector::new(
+                NodeId(7),
+                kind,
+                load,
+                packet_size,
+                DeterministicRng::new(21),
+            )
+        };
+        let (mut twin, mut inj) = (build(), build());
+        let (mut twin_id, mut inj_id) = (0u64, 0u64);
+        let mut quiet = 0u32;
+        let mut skipped = 0u64;
+        for now in 0..ticks {
+            if let Some(&(_, new_load)) = load_changes.iter().find(|&&(at, _)| at == now) {
+                twin.set_offered_load(new_load);
+                inj.settle(std::mem::take(&mut quiet));
+                inj.set_offered_load(new_load);
+            }
+            if captures.contains(&now) {
+                let mut settled = inj.clone();
+                settled.settle(quiet);
+                assert_eq!(saved(&settled), saved(&twin), "saved state at tick {now}");
+            }
+            let expected = emitted(twin.tick(now, &pat, &mut twin_id));
+            if quiet > 0 {
+                quiet -= 1;
+                skipped += 1;
+                assert_eq!(expected, None, "tick {now} was reported a certain failure");
+                continue;
+            }
+            assert_eq!(
+                emitted(inj.tick(now, &pat, &mut inj_id)),
+                expected,
+                "tick {now}"
+            );
+            quiet = inj.look_ahead();
+        }
+        inj.settle(quiet);
+        assert_eq!(inj.rng.state(), twin.rng.state(), "final stream position");
+        assert_eq!((inj.generated(), inj_id), (twin.generated(), twin_id));
+        skipped
+    }
+
+    #[test]
+    fn look_ahead_twin_emits_the_same_packets_and_stream() {
+        let skipped = assert_twin(
+            InjectionKind::Bernoulli,
+            0.3,
+            8,
+            20_000,
+            &[],
+            &[1, 777, 19_999],
+        );
+        // p = 0.0375: about 26 of every 27 ticks never touch the injector
+        assert!(skipped > 18_000, "only {skipped} ticks skipped");
+    }
+
+    #[test]
+    fn look_ahead_survives_load_changes_including_zero_and_back() {
+        // 3_001 and 9_500 land mid-look-ahead with overwhelming likelihood
+        // at these probabilities; 6_000..9_500 is silent (nothing to skip,
+        // nothing drawn)
+        assert_twin(
+            InjectionKind::Bernoulli,
+            0.1,
+            8,
+            15_000,
+            &[(3_001, 0.6), (6_000, 0.0), (9_500, 0.05), (12_000, 1.0)],
+            &[3_000, 3_002, 6_001, 9_499, 9_501, 12_001],
+        );
+    }
+
+    #[test]
+    fn look_ahead_scan_that_hits_its_bound_is_still_exact() {
+        // p = 1e-5: nearly every scan runs the full bound without a success
+        let skipped = assert_twin(
+            InjectionKind::Bernoulli,
+            0.000_08,
+            8,
+            3 * LOOKAHEAD_BOUND as u64 + 100,
+            &[],
+            &[LOOKAHEAD_BOUND as u64 / 2, LOOKAHEAD_BOUND as u64 + 1],
+        );
+        assert!(skipped >= 2 * LOOKAHEAD_BOUND as u64);
+        let mut inj = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            0.000_08,
+            8,
+            DeterministicRng::new(21),
+        );
+        assert_eq!(inj.look_ahead(), LOOKAHEAD_BOUND);
+    }
+
+    #[test]
+    fn look_ahead_reports_nothing_unless_steady_bernoulli_below_one() {
+        // p >= 1 (every tick succeeds without a draw), load 0 (silent),
+        // and the processes whose trial is not a fixed-probability draw
+        let cases = [
+            (InjectionKind::Bernoulli, 1.0, 1, false),
+            (InjectionKind::Bernoulli, 0.0, 8, true),
+            (
+                InjectionKind::Ramp {
+                    start_fraction: 0.2,
+                    ramp_cycles: 500,
+                },
+                0.4,
+                8,
+                false,
+            ),
+            (
+                InjectionKind::Ramp {
+                    start_fraction: 0.2,
+                    ramp_cycles: 500,
+                },
+                0.0,
+                8,
+                true,
+            ),
+            (
+                InjectionKind::Bursty {
+                    mean_on: 20.0,
+                    mean_off: 30.0,
+                },
+                0.4,
+                8,
+                false,
+            ),
+            (
+                InjectionKind::Bursty {
+                    mean_on: 20.0,
+                    mean_off: 30.0,
+                },
+                0.0,
+                8,
+                false,
+            ),
+        ];
+        for (kind, load, size, silent) in cases {
+            let mut inj = Injector::new(NodeId(0), kind, load, size, DeterministicRng::new(5));
+            assert_eq!(inj.look_ahead(), 0, "{} at load {load}", kind.label());
+            assert_eq!(inj.is_silent(), silent, "{} at load {load}", kind.label());
+            let skipped = assert_twin(kind, load, size, 2_000, &[(1_000, 0.0)], &[500, 1_500]);
+            assert_eq!(skipped, 0, "{} at load {load}", kind.label());
+        }
+    }
+
+    #[test]
+    fn silent_injectors_draw_nothing() {
+        let pat = pattern();
+        let mut inj = Injector::new(
+            NodeId(0),
+            InjectionKind::Ramp {
+                start_fraction: 0.5,
+                ramp_cycles: 100,
+            },
+            0.0,
+            8,
+            DeterministicRng::new(9),
+        );
+        assert!(inj.is_silent());
+        let before = inj.rng.state();
+        let mut next_id = 0;
+        for now in 0..1_000 {
+            assert!(inj.tick(now, &pat, &mut next_id).is_none());
+        }
+        assert_eq!(inj.rng.state(), before, "a silent tick must not draw");
     }
 }
