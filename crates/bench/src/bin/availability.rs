@@ -20,9 +20,9 @@
 //!     [small|medium|paper] [run-dir=DIR] [seeds=N] [threads=N]
 //! ```
 //!
-//! A mistyped scale or a `--topology=` selection (the sweep is built on the
-//! canonical Dragonfly) aborts with exit code 2. Runs are journaled and
-//! checkpointed under the run directory
+//! A mistyped scale or `key=`, or a `--topology=` selection (the sweep is
+//! built on the canonical Dragonfly), aborts with exit code 2. Runs are
+//! journaled and checkpointed under the run directory
 //! (default `target/availability-run`): kill the process at any point and
 //! rerun the same command to resume; the finished surface is byte-identical
 //! either way. Prints the table and writes `AVAILABILITY.csv` into the
@@ -40,7 +40,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
         Scale::small(),
-        &[],
+        &["seeds=", "run-dir=", "threads="],
         "availability",
         args.iter().cloned(),
     ));

@@ -14,8 +14,9 @@
 //! * `run-dir=` — the run directory (journal, snapshots, `results.csv`);
 //!   required.
 //! * scale name / `smoke` — topology and measurement windows, as in the
-//!   other runners (a mistyped scale or a `--topology=` selection — the
-//!   matrix is built on the canonical Dragonfly — is rejected).
+//!   other runners (a mistyped scale or `key=`, or a `--topology=`
+//!   selection — the matrix is built on the canonical Dragonfly — is
+//!   rejected).
 //! * `threads=` — worker threads (default: available parallelism).
 //! * `checkpoint-every=` — cycles between mid-cell snapshots (default 2000;
 //!   0 disables mid-cell recovery).
@@ -46,7 +47,17 @@ fn main() {
     };
     let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
         Scale::small(),
-        &["smoke", "csv"],
+        &[
+            "smoke",
+            "csv",
+            "run-dir=",
+            "seeds=",
+            "threads=",
+            "checkpoint-every=",
+            "stream=",
+            "interrupt-after=",
+            "interrupt-mid-at=",
+        ],
         "sweep_service",
         args.iter().cloned(),
     ));

@@ -3,7 +3,7 @@
 //!
 //! Every function returns [`Table`]s whose rows/series mirror what the paper
 //! plots; `--bin fig -- <5|6|7|8|9|10|table1>` prints them, and
-//! `EXPERIMENTS.md` records the paper-versus-measured comparison.
+//! `tests/paper_claims.rs` pins the paper's qualitative orderings.
 
 use df_engine::Table;
 use df_model::NetworkConfig;

@@ -11,6 +11,7 @@
 //! lives in the standalone `benchmark/` package, not here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod figures;
 pub mod scale;

@@ -4,7 +4,7 @@
 //! averaging 10 seeds per point. That is reproducible here
 //! (`Scale::paper()`), but the default scales keep the balanced `a = 2p = 2h`
 //! proportion at laptop-friendly sizes so every figure regenerates in
-//! minutes. `EXPERIMENTS.md` records which scale each reported run used.
+//! minutes; the committed `*.csv` tables were produced at `small`.
 
 use df_model::NetworkConfig;
 use df_topology::{DragonflyParams, MegaflyParams, TopologyKind, TopologyParams};
@@ -35,9 +35,9 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// 72-node network, single seed: regenerates every figure in a couple of
-    /// minutes. This is the scale used for the committed `EXPERIMENTS.md`
-    /// numbers.
+    /// 72-node network, two seeds: regenerates every figure in a couple of
+    /// minutes. The default scale of every bin, and the one the committed
+    /// CSVs were produced at.
     pub fn small() -> Self {
         Scale {
             name: "small",
@@ -102,8 +102,8 @@ impl Scale {
         }
     }
 
-    /// A deliberately tiny scale used by the Criterion benches so `cargo
-    /// bench` finishes quickly while still executing the full code path.
+    /// A deliberately tiny scale for the process-level CLI smokes
+    /// (`crates/bench/tests/cli.rs`): seconds per figure, full code path.
     pub fn bench() -> Self {
         Scale {
             name: "bench",
@@ -157,15 +157,17 @@ impl Scale {
     }
 
     /// Scale named on the command line (first free argument), falling back
-    /// to the caller's `default`, with the caller's own word-like flags
-    /// exempted from the typo check — each binary declares the flags *it*
-    /// accepts rather than this parser knowing every binary's CLI.
+    /// to the caller's `default`, with the caller's own flags exempted from
+    /// the typo check — each binary declares the flags *it* accepts (words
+    /// as `"csv"`, `key=value` options as `"seeds="`) rather than this
+    /// parser knowing every binary's CLI.
     ///
     /// A word-like argument that is *not* a known scale name or declared
-    /// flag aborts with exit code 2 and the list of valid names instead of
-    /// silently falling back — a mistyped `papper` used to buy you a
-    /// multi-hour run of the wrong topology (see [`Scale::from_arg_list`]
-    /// for the testable core).
+    /// flag, or a `key=value` with an undeclared key, aborts with exit code
+    /// 2 and the valid names instead of silently falling back — a mistyped
+    /// `papper` used to buy you a multi-hour run of the wrong topology,
+    /// `sedds=3` the default seed count (testable core:
+    /// [`Scale::from_arg_list`]).
     pub fn from_args_with_flags(default: Self, flags: &[&str]) -> Self {
         or_exit_2(Self::from_arg_list(
             default,
@@ -202,8 +204,8 @@ impl Scale {
     /// The pure core of the CLI scale parser: scan `args` for the first
     /// recognized scale name (falling back to `default`), rejecting any
     /// word-like argument that is neither a scale nor one of the caller's
-    /// declared `flags`. Returns the error message the process-aborting
-    /// wrappers print — unit-testable without spawning a process.
+    /// declared `flags`, and any `key=value` whose `key=` is not among them.
+    /// Returns the error message the process-aborting wrappers print.
     pub fn from_arg_list(
         default: Self,
         flags: &[&str],
@@ -227,9 +229,10 @@ impl Scale {
                 if found.is_none() {
                     found = Some(scale);
                 }
-            } else if is_unrecognized_scale_like(&arg, flags) {
+            } else if is_unrecognized(&arg, flags) {
                 return Err(format!(
-                    "error: unrecognized scale '{arg}' (valid scales: {}{})",
+                    "error: unrecognized {} '{arg}' (valid scales: {}{})",
+                    if arg.contains('=') { "option" } else { "scale" },
                     Self::NAMES.join(", "),
                     if flags.is_empty() {
                         String::new()
@@ -269,13 +272,16 @@ pub fn parse_kv(args: &[String], key: &str) -> Option<u64> {
         })
 }
 
-/// Whether `arg` reads like an *attempted* scale name that resolves to
-/// nothing: a word of letters/digits/hyphens/underscores containing at
-/// least one letter (so bare cycle counts are skipped, and `key=value`
-/// flags never match) that is neither a known scale nor one of the
-/// caller's declared flags. Catches `papper`, `paper_smoke` and `paper2`
-/// alike.
-fn is_unrecognized_scale_like(arg: &str, flags: &[&str]) -> bool {
+/// Whether `arg` is an argument nothing accepts: a `key=value` whose `key=`
+/// is not among the caller's declared flags, or a word that reads like an
+/// *attempted* scale name — letters/digits/hyphens/underscores with at least
+/// one letter (so bare cycle counts are skipped) — and is neither a known
+/// scale nor a declared flag. Catches `sedds=3`, `papper`, `paper_smoke` and
+/// `paper2` alike.
+fn is_unrecognized(arg: &str, flags: &[&str]) -> bool {
+    if let Some(eq) = arg.find('=') {
+        return !flags.contains(&&arg[..=eq]);
+    }
     !arg.is_empty()
         && arg
             .chars()
@@ -306,21 +312,23 @@ mod tests {
     fn scale_typo_detection_is_precise() {
         let flags = ["smoke", "csv"];
         // typos abort loudly, whatever character class they use
-        assert!(is_unrecognized_scale_like("papper", &flags));
-        assert!(is_unrecognized_scale_like("paper_smoke", &flags));
-        assert!(is_unrecognized_scale_like("paper2", &flags));
-        assert!(is_unrecognized_scale_like("medium-", &flags));
+        assert!(is_unrecognized("papper", &flags));
+        assert!(is_unrecognized("paper_smoke", &flags));
+        assert!(is_unrecognized("paper2", &flags));
+        assert!(is_unrecognized("medium-", &flags));
         // the caller's declared flags are exempt; undeclared words are not
-        assert!(!is_unrecognized_scale_like("smoke", &flags));
-        assert!(is_unrecognized_scale_like("smoke", &[]));
-        assert!(!is_unrecognized_scale_like("un", &["un", "adv1", "advh"]));
-        // valid scales, cycle counts and key=value flags always pass
+        assert!(!is_unrecognized("smoke", &flags));
+        assert!(is_unrecognized("smoke", &[]));
+        assert!(!is_unrecognized("un", &["un", "adv1", "advh"]));
+        // valid scales and cycle counts always pass, key=value only when its
+        // key is declared
         for name in Scale::NAMES {
-            assert!(!is_unrecognized_scale_like(name, &[]));
+            assert!(!is_unrecognized(name, &[]));
         }
-        assert!(!is_unrecognized_scale_like("3000", &[]));
-        assert!(!is_unrecognized_scale_like("workers=1,2,4", &[]));
-        assert!(!is_unrecognized_scale_like("", &[]));
+        assert!(!is_unrecognized("3000", &[]));
+        assert!(!is_unrecognized("workers=1,2,4", &["workers="]));
+        assert!(is_unrecognized("workers=1,2,4", &["workers"]));
+        assert!(!is_unrecognized("", &[]));
     }
 
     fn strings(args: &[&str]) -> Vec<String> {
@@ -371,6 +379,30 @@ mod tests {
         assert_eq!(s.name, "medium");
         // the same words without the declaration are typos
         assert!(Scale::from_arg_list(Scale::small(), &[], strings(&["smoke"])).is_err());
+    }
+
+    #[test]
+    fn from_arg_list_rejects_undeclared_keys() {
+        let flags = ["csv", "seeds=", "run-dir="];
+        let parse = |args: &[&str]| Scale::from_arg_list(Scale::small(), &flags, strings(args));
+        assert_eq!(
+            parse(&["seeds=3", "run-dir=target/x", "medium"])
+                .unwrap()
+                .name,
+            "medium"
+        );
+        // a mistyped key used to be skipped, leaving the default in force
+        for bad in ["sedds=3", "thread=4", "--seeds=3", "=3"] {
+            let err = parse(&[bad]).unwrap_err();
+            assert!(
+                err.contains(&format!("unrecognized option '{bad}'"))
+                    && err.contains("flags: csv, seeds=, run-dir="),
+                "rejection must name the argument and the accepted keys: {err}"
+            );
+        }
+        // a word flag does not declare a key, nor a key a word
+        assert!(parse(&["csv=1"]).is_err());
+        assert!(parse(&["seeds"]).is_err());
     }
 
     #[test]

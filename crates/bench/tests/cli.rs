@@ -55,6 +55,15 @@ fn service_bins_reject_mistyped_scales_and_topology_selections() {
             !stderr.contains("sweep_service)"),
             "the sweep service must not be advertised as topology-aware: {stderr}"
         );
+        // a mistyped key used to be skipped: `sedds=3` ran the default seed
+        // count and `thread=4` the default budget, both exiting 0
+        for typo in ["sedds=3", "thread=4"] {
+            let stderr = rejected(exe, &["run-dir=target/never-created", "bench", typo]);
+            assert!(
+                stderr.contains(&format!("option '{typo}'")) && stderr.contains("threads="),
+                "{bin} stderr must name the typo and the accepted keys: {stderr}"
+            );
+        }
     }
     assert!(!std::path::Path::new("target/never-created").exists());
 }
@@ -77,6 +86,12 @@ fn dragonfly_only_runners_reject_topology_selections_with_exit_2() {
         assert!(
             stderr.contains("topology-aware runners: scenario_matrix, interference)"),
             "only the bins that honour --topology may be advertised: {stderr}"
+        );
+        // neither takes a key=value option at all
+        let stderr = rejected(exe, &["bench", "seeds=3"]);
+        assert!(
+            stderr.contains("unrecognized option 'seeds=3'") && stderr.contains("flags: csv)"),
+            "{bin} stderr must list what is accepted: {stderr}"
         );
     }
 }

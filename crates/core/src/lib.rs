@@ -25,6 +25,7 @@
 //! group-distributed summaries, exactly as the paper's hardware could.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod algorithms;
 pub mod analysis;

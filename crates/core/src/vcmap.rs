@@ -21,11 +21,11 @@
 //!
 //! The assignment needs 4 local VCs and 2 global VCs (Table I uses 3 local
 //! VCs for the OLM/contention family and 4 for VAL/PB; the uniform budget of
-//! 4 is the deviation documented in `DESIGN.md`). It also implies one policy
-//! restriction enforced by [`local_detour_fits`]: a packet that has already
-//! taken its *second* global hop (a globally misrouted packet arriving in its
-//! destination group) may not take a local detour there, because that hop
-//! would need a fifth local VC.
+//! 4 is the deviation documented on `df_model::VcConfig`). It also implies
+//! one policy restriction enforced by [`local_detour_fits`]: a packet that
+//! has already taken its *second* global hop (a globally misrouted packet
+//! arriving in its destination group) may not take a local detour there,
+//! because that hop would need a fifth local VC.
 
 use df_model::{NetworkConfig, Packet, VcId};
 use df_topology::PortClass;

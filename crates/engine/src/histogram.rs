@@ -177,10 +177,7 @@ impl Histogram {
         if n == 0 {
             return Err(CodecError::Invalid("histogram with zero bins".into()));
         }
-        let mut bins = Vec::with_capacity(n);
-        for _ in 0..n {
-            bins.push(d.u64()?);
-        }
+        let bins = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
         Ok(Histogram {
             low,
             high,

@@ -16,6 +16,7 @@
 //!   snapshots and the sweep runner's journal.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod histogram;

@@ -111,7 +111,7 @@ impl RunningStats {
 
     /// Half-width of the ~95 % confidence interval of the mean (normal
     /// approximation, `1.96 × SEM`). The paper averages 10 simulations per
-    /// point; this is the error bar we report in EXPERIMENTS.md.
+    /// point; this is the error bar `AVAILABILITY.csv` reports.
     pub fn ci95_half_width(&self) -> f64 {
         1.96 * self.std_error()
     }

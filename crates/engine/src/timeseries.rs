@@ -59,13 +59,9 @@ impl TimeSeries {
 
     /// Rebuild a series from [`encode`](Self::encode) output.
     pub fn decode(d: &mut Decoder) -> Result<Self, CodecError> {
-        let len = d.seq(16)?;
-        let mut points = Vec::with_capacity(len);
-        for _ in 0..len {
-            let t = d.u64()?;
-            let v = d.f64()?;
-            points.push((t, v));
-        }
+        let points = (0..d.seq(16)?)
+            .map(|_| Ok((d.u64()?, d.f64()?)))
+            .collect::<Result<_, CodecError>>()?;
         Ok(TimeSeries { points })
     }
 }
@@ -187,20 +183,9 @@ impl BinnedSeries {
         }
         let start_bin = d.i64()?;
         let n_sums = d.seq(8)?;
-        let mut sums = Vec::with_capacity(n_sums);
-        for _ in 0..n_sums {
-            sums.push(d.f64()?);
-        }
-        let n_counts = d.seq(8)?;
-        if n_counts != n_sums {
-            return Err(CodecError::Invalid(format!(
-                "binned series sums/counts length mismatch ({n_sums} vs {n_counts})"
-            )));
-        }
-        let mut counts = Vec::with_capacity(n_counts);
-        for _ in 0..n_counts {
-            counts.push(d.u64()?);
-        }
+        let sums = (0..n_sums).map(|_| d.f64()).collect::<Result<_, _>>()?;
+        d.seq_exact(8, n_sums, "binned series counts length")?;
+        let counts = (0..n_sums).map(|_| d.u64()).collect::<Result<_, _>>()?;
         Ok(BinnedSeries {
             origin,
             bin_width,

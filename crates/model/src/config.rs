@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// Virtual channel counts per port class.
 ///
-/// The defaults follow Table I with one deviation documented in `DESIGN.md`:
+/// The defaults follow Table I with one deviation:
 /// local ports get 4 VCs for *all* routings (the paper uses 3 for the
 /// OLM/contention family and 4 for VAL/PB). The uniform hop-indexed VC
 /// assignment we use needs the 4th VC whenever both a global misroute and a

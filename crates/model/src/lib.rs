@@ -14,6 +14,7 @@
 //!   presets.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod packet;

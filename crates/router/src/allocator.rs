@@ -205,23 +205,11 @@ impl Allocator {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let inputs = d.seq(8)?;
-        if inputs != self.input_rr.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "allocator input_rr length mismatch: snapshot has {inputs}, config has {}",
-                self.input_rr.len()
-            )));
-        }
+        d.seq_exact(8, self.input_rr.len(), "allocator input_rr length")?;
         for p in &mut self.input_rr {
             *p = d.usize()?;
         }
-        let outputs = d.seq(8)?;
-        if outputs != self.output_rr.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "allocator output_rr length mismatch: snapshot has {outputs}, config has {}",
-                self.output_rr.len()
-            )));
-        }
+        d.seq_exact(8, self.output_rr.len(), "allocator output_rr length")?;
         for p in &mut self.output_rr {
             *p = d.usize()?;
         }

@@ -115,13 +115,7 @@ impl ContentionCounters {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let n = d.seq(4)?;
-        if n != self.counters.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "contention counter count mismatch: snapshot has {n}, config has {}",
-                self.counters.len()
-            )));
-        }
+        d.seq_exact(4, self.counters.len(), "contention counter count")?;
         for c in &mut self.counters {
             *c = d.u32()?;
         }

@@ -154,23 +154,11 @@ impl EctnState {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let partial = d.seq(4)?;
-        if partial != self.partial.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "ECtN partial array length mismatch: snapshot has {partial}, config has {}",
-                self.partial.len()
-            )));
-        }
+        d.seq_exact(4, self.partial.len(), "ECtN partial array length")?;
         for c in &mut self.partial {
             *c = d.u32()?;
         }
-        let combined = d.seq(4)?;
-        if combined != self.combined.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "ECtN combined array length mismatch: snapshot has {combined}, config has {}",
-                self.combined.len()
-            )));
-        }
+        d.seq_exact(4, self.combined.len(), "ECtN combined array length")?;
         for c in &mut self.combined {
             *c = d.u32()?;
         }

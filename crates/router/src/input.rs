@@ -301,13 +301,7 @@ impl InputPort {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let n = d.seq(4)?;
-        if n != self.vcs.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "input port VC count mismatch: snapshot has {n}, config has {}",
-                self.vcs.len()
-            )));
-        }
+        d.seq_exact(4, self.vcs.len(), "input port VC count")?;
         for vc in &mut self.vcs {
             vc.restore_state(d)?;
         }

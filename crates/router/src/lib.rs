@@ -22,6 +22,7 @@
 //! per-cycle dance between the two.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod allocator;
 pub mod contention;

@@ -265,13 +265,8 @@ impl OutputPort {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let n = d.seq(4)?;
-        if n != self.credits.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "output port VC count mismatch: snapshot has {n}, config has {}",
-                self.credits.len()
-            )));
-        }
+        let n = self.credits.len();
+        d.seq_exact(4, n, "output port VC count")?;
         let mut credits = Vec::with_capacity(n);
         for i in 0..n {
             let c = d.u32()?;

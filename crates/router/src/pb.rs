@@ -143,23 +143,11 @@ impl PbState {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let own = d.seq(1)?;
-        if own != self.own.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "PB own mask length mismatch: snapshot has {own}, config has {}",
-                self.own.len()
-            )));
-        }
+        d.seq_exact(1, self.own.len(), "PB own mask length")?;
         for b in &mut self.own {
             *b = d.bool()?;
         }
-        let group = d.seq(1)?;
-        if group != self.group.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "PB group mask length mismatch: snapshot has {group}, config has {}",
-                self.group.len()
-            )));
-        }
+        d.seq_exact(1, self.group.len(), "PB group mask length")?;
         for b in &mut self.group {
             *b = d.bool()?;
         }

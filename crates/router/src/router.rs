@@ -646,23 +646,11 @@ impl Router {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let ports = d.seq(8)?;
-        if ports != self.inputs.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "router input port count mismatch: snapshot has {ports}, config has {}",
-                self.inputs.len()
-            )));
-        }
+        d.seq_exact(8, self.inputs.len(), "router input port count")?;
         for input in &mut self.inputs {
             input.restore_state(d)?;
         }
-        let ports = d.seq(8)?;
-        if ports != self.outputs.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "router output port count mismatch: snapshot has {ports}, config has {}",
-                self.outputs.len()
-            )));
-        }
+        d.seq_exact(8, self.outputs.len(), "router output port count")?;
         for output in &mut self.outputs {
             output.restore_state(d)?;
         }
@@ -670,13 +658,7 @@ impl Router {
         self.ectn.restore_state(d)?;
         self.pb.restore_state(d)?;
         self.allocator.restore_state(d)?;
-        let links = d.seq(1)?;
-        if links != self.link_up.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "router link flag count mismatch: snapshot has {links}, config has {}",
-                self.link_up.len()
-            )));
-        }
+        d.seq_exact(1, self.link_up.len(), "router link flag count")?;
         for up in &mut self.link_up {
             *up = d.bool()?;
         }

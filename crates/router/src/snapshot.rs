@@ -51,32 +51,16 @@ pub fn decode_gateway_liveness(
         )));
     }
     let version = d.u64()?;
-    let n = d.seq(4)?;
-    let mut down = Vec::with_capacity(n);
-    for _ in 0..n {
-        down.push(d.u32()?);
-    }
-    let n = d.seq(4)?;
-    let mut nodes_down = Vec::with_capacity(n);
-    for _ in 0..n {
-        nodes_down.push(d.u32()?);
-    }
-    let n = d.seq(13)?;
-    let mut link_records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let link = d.u32()?;
-        let at = d.u64()?;
-        let up = d.bool()?;
-        link_records.push((link, at, up));
-    }
-    let n = d.seq(13)?;
-    let mut node_records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let node = d.u32()?;
-        let at = d.u64()?;
-        let up = d.bool()?;
-        node_records.push((node, at, up));
-    }
+    let marks = |d: &mut Decoder| -> Result<Vec<u32>, CodecError> {
+        (0..d.seq(4)?).map(|_| d.u32()).collect()
+    };
+    let records = |d: &mut Decoder| -> Result<Vec<(u32, u64, bool)>, CodecError> {
+        (0..d.seq(13)?)
+            .map(|_| Ok((d.u32()?, d.u64()?, d.bool()?)))
+            .collect()
+    };
+    let (down, nodes_down) = (marks(d)?, marks(d)?);
+    let (link_records, node_records) = (records(d)?, records(d)?);
     for marks in [&down, &nodes_down] {
         if marks.windows(2).any(|w| w[0] >= w[1]) {
             return Err(CodecError::Invalid(

@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod churn;
 pub mod config;
@@ -59,6 +60,8 @@ pub mod metrics;
 pub mod network;
 pub mod node;
 mod parallel;
+#[allow(unsafe_code)]
+mod pool;
 pub mod runner;
 pub mod scenario;
 pub mod sweep;

@@ -17,12 +17,8 @@
 //!    router whose outputs changed refreshes its own flags, each group with
 //!    a flipped flag re-exchanges them), ECtN partial-array broadcast every
 //!    `ectn_update_period` cycles — each exchange also carries the
-//!    piggybacked gateway-liveness bits
-//!    (failure-aware routing), advanced one *flooding hop* per exchange:
-//!    every group merges its live neighbours' previous-round views, so a
-//!    fault becomes visible to its own group at the first exchange after
-//!    it and spreads one live-group-hop per exchange thereafter (one
-//!    integer compare per router when no fault changed anything),
+//!    piggybacked gateway-liveness bits (failure-aware routing), advanced
+//!    one *flooding hop* per exchange (`Network::flood_linkviews`),
 //! 4. routing decisions + separable allocation, iterated
 //!    `allocator_speedup` times,
 //! 5. output-buffer link transmission, scheduling remote arrivals after the
@@ -42,35 +38,27 @@
 //!   the skipped work is provably a no-op, the set is iterated in ascending
 //!   order (which fixes the event sequence numbers and packet ids, and
 //!   therefore the results), and the set is rebuilt on restore rather than
-//!   stored. Steps 4–5 visit the *active set* of routers (a router enters
-//!   on a packet, credits or an injection and leaves when it holds no
-//!   buffered traffic; an idle router's allocation and transmission are
-//!   no-ops); injection visits the nodes with a non-empty source queue;
-//!   generation skips a silent population outright and otherwise counts
-//!   down the ticks each Bernoulli injector's look-ahead proved to be
-//!   failures (`node::Nodes`); PB refreshes the own flags only of routers
-//!   whose outputs changed and re-exchanges only groups with a flipped
-//!   flag; and a router transmits from, and tests idleness over, only its
-//!   possibly-staged ports. Debug builds assert each set against the full
-//!   scan (the first two at the end of every [`Network::step`]).
-//!   [`Network::drain`] additionally fast-forwards the clock to the next
-//!   pending event when every router is idle and no node has a packet
-//!   waiting.
+//!   stored. The sets — active routers (steps 4–5), queued nodes
+//!   (injection), silent / look-ahead injectors (generation, `node::Nodes`),
+//!   output-changed routers and flipped groups (PB), staged ports
+//!   (transmission, idleness) — are tabulated in `docs/ARCHITECTURE.md`
+//!   § "Activity gating"; debug builds assert each against the full scan
+//!   (the first two at the end of every [`Network::step`]).
 //! * **Allocation-free steady state**: the per-cycle loop reuses scratch
 //!   buffers for due events, allocation requests/grants and transmitted
 //!   packets, and PB/ECtN dissemination gathers into flat per-group arrays
 //!   copied slice-to-slice instead of cloning a `Vec` per router per cycle.
 //!
-//! Steps 3–5 run through one phase executor. Under
-//! [`KernelMode::Optimized`] (the default) it runs a single shard inline;
-//! under [`KernelMode::Parallel`] the same phases are sharded across a
-//! persistent worker pool with barriers between them: PB/ECtN by group,
-//! routing + allocation and transmission by contiguous chunks of the sorted
-//! active list. Cross-router effects (link events, upstream credits,
-//! misroute commits) are staged per shard and merged in ascending router
-//! order after each phase, which reproduces the sequential effect sequence
-//! exactly — results are bit-identical for any worker count (see the
-//! `parallel` module docs for the full argument and
+//! Steps 3–5 run through one phase executor over *shards* — exclusive
+//! borrows of contiguous router ranges, split off the router array per
+//! phase (PB/ECtN by group, routing + allocation and transmission by chunks
+//! of the sorted active list). [`KernelMode::Optimized`] (the default) has
+//! one shard and runs it inline; [`KernelMode::Parallel`] runs the same
+//! shards on a persistent worker pool. Cross-router effects (link events,
+//! upstream credits, misroute commits) are staged per shard and merged in
+//! ascending router order after each phase, which reproduces the
+//! single-shard effect sequence exactly — results are bit-identical for any
+//! worker count (see the `parallel` module docs for the argument and
 //! `tests/kernel_equivalence.rs` for the proof-by-regression).
 //!
 //! [`KernelMode::Optimized`]: crate::KernelMode::Optimized
@@ -85,13 +73,15 @@ use df_topology::{
 };
 use df_traffic::TrafficPattern;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::{Node, Nodes};
-use crate::parallel::{execute_shard, PhaseJob, PhaseKind, ShardState, StepCtx, WorkerPool};
+use crate::parallel::{split_shards, PhaseKind, ShardState, StepCtx};
+use crate::pool::WorkerPool;
 use crate::task::JobsEngine;
 
 #[path = "snapshot.rs"]
@@ -100,8 +90,8 @@ pub mod snapshot;
 /// The whole simulated network.
 pub struct Network {
     config: SimulationConfig,
-    topo: AnyTopology,
-    algorithm: RoutingAlgorithm,
+    /// Read-only context of the sharded phases (topology, mechanism, timing).
+    ctx: StepCtx,
     routers: Vec<Router>,
     nodes: Nodes,
     patterns: Vec<TrafficPattern>,
@@ -185,9 +175,7 @@ pub struct Network {
     /// Per-shard scratch and effect-staging buffers. The optimized kernel
     /// holds exactly one shard; the parallel kernel one per worker.
     shards: Vec<ShardState>,
-    /// Number of shards phases are split into (1 for the optimized kernel).
-    num_shards: usize,
-    /// Persistent worker pool (`None` unless `num_shards > 1`).
+    /// Persistent worker pool (`None` with a single shard).
     pool: Option<WorkerPool>,
     /// Reusable buffer for due events (step 1).
     scratch_events: Vec<Event>,
@@ -226,7 +214,11 @@ impl Network {
             })
             .collect();
         let patterns = config.schedule.build_patterns(topo);
-        let algorithm = RoutingAlgorithm::new(config.routing, config.routing_config);
+        let ctx = StepCtx {
+            topo,
+            algorithm: RoutingAlgorithm::new(config.routing, config.routing_config),
+            network: config.network,
+        };
         // transient series are centred on the first traffic change (or the
         // end of warm-up when the schedule is constant)
         let origin = config
@@ -266,8 +258,7 @@ impl Network {
         let num_nodes = nodes.len();
         Network {
             config,
-            topo,
-            algorithm,
+            ctx,
             routers,
             nodes: Nodes::new(nodes),
             patterns,
@@ -301,7 +292,6 @@ impl Network {
             active_flags: vec![false; num_routers],
             active_list: Vec::with_capacity(num_routers),
             shards: (0..num_shards).map(|_| ShardState::default()).collect(),
-            num_shards,
             pool,
             scratch_events: Vec::new(),
         }
@@ -314,7 +304,7 @@ impl Network {
 
     /// The topology.
     pub fn topology(&self) -> &AnyTopology {
-        &self.topo
+        &self.ctx.topo
     }
 
     /// The configuration.
@@ -408,7 +398,7 @@ impl Network {
     /// Number of shards the per-cycle phases are split into (1 for the
     /// optimized kernel).
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.shards.len()
     }
 
     /// Number of routers currently in the active set.
@@ -544,6 +534,7 @@ impl Network {
     /// fault at cycle N affects cycle N's arrivals). Main-thread work, so
     /// fault runs stay bit-identical across worker counts.
     fn apply_due_faults(&mut self, now: Cycle) {
+        let topo = self.ctx.topo;
         let truth_version_before = self.linkview_truth.version();
         while let Some(event) = self.fault_events.get(self.next_fault) {
             if event.at > now {
@@ -556,8 +547,8 @@ impl Network {
                     // the gateway-liveness truth the control plane will
                     // disseminate (no-op for local links)
                     self.linkview_truth
-                        .set_global_link(&self.topo, router, port, false);
-                    for (r, p) in self.link_state.set_link(&self.topo, router, port, false) {
+                        .set_global_link(&topo, router, port, false);
+                    for (r, p) in self.link_state.set_link(&topo, router, port, false) {
                         self.routers[r.index()].set_link_up(p, false);
                         // the link-interface serialisation buffer is lost
                         // with the link: staged packets are dropped and
@@ -578,8 +569,8 @@ impl Network {
                 }
                 FaultKind::LinkUp { router, port } => {
                     self.linkview_truth
-                        .set_global_link(&self.topo, router, port, true);
-                    for (r, p) in self.link_state.set_link(&self.topo, router, port, true) {
+                        .set_global_link(&topo, router, port, true);
+                    for (r, p) in self.link_state.set_link(&topo, router, port, true) {
                         self.routers[r.index()].set_link_up(p, true);
                         // return the credits lost to drops on this directed
                         // link: the downstream space those phits had
@@ -599,12 +590,12 @@ impl Network {
                     }
                 }
                 FaultKind::RouterDrain { router } => {
-                    for node in self.topo.nodes_of_router(router) {
+                    for node in topo.nodes_of_router(router) {
                         self.node_blocked[node.index()] = true;
                     }
                 }
                 FaultKind::RouterRestore { router } => {
-                    for node in self.topo.nodes_of_router(router) {
+                    for node in topo.nodes_of_router(router) {
                         self.node_blocked[node.index()] = false;
                     }
                 }
@@ -648,44 +639,37 @@ impl Network {
         per_vc[vc.index()] += phits;
     }
 
-    /// Run one sharded phase: dispatch the shard executor (on the worker
-    /// pool when present, inline otherwise), then replay the staged
-    /// cross-router effects in shard order — which, because shards are
-    /// contiguous chunks of the ascending work list, is exactly the order
-    /// a single shard produces them in.
+    /// Run one sharded phase: split it into one exclusive borrow set per
+    /// shard and execute them — inline with a single shard, otherwise on the
+    /// worker pool, each shard taking its borrows out of its own slot — then
+    /// replay the staged cross-router effects in shard order, which, because
+    /// shards are contiguous chunks of the ascending work list, is exactly
+    /// the order a single shard produces them in.
     fn run_phase(&mut self, kind: PhaseKind) {
-        let num_items = match kind {
-            PhaseKind::Pb | PhaseKind::Ectn => self.topo.num_groups() as usize,
-            PhaseKind::Alloc | PhaseKind::Transmit => self.active_list.len(),
-        };
-        if num_items == 0 {
+        if !kind.is_control() && self.active_list.is_empty() {
             return;
         }
-        let ctx = StepCtx {
-            topo: self.topo,
-            algorithm: self.algorithm,
-            network: self.config.network,
-        };
-        let job = PhaseJob {
+        let (now, ctx) = (self.cycle, &self.ctx);
+        let work = split_shards(
             kind,
-            now: self.cycle,
-            routers: self.routers.as_mut_ptr(),
-            rngs: self.router_rngs.as_mut_ptr(),
-            active: self.active_list.as_ptr(),
-            num_items,
-            shards: self.shards.as_mut_ptr(),
-            num_shards: self.num_shards,
-            ctx: &ctx,
-            linkviews: self.group_views.as_ptr(),
-        };
-        match &self.pool {
-            Some(pool) => pool.run(job),
-            // Safety: a single shard executed inline has trivially exclusive
-            // access to everything the job points to.
-            None => unsafe { execute_shard(&job, 0) },
+            ctx.topo.routers_per_group() as usize,
+            &mut self.routers,
+            &mut self.router_rngs,
+            &self.active_list,
+            &self.group_views,
+            &mut self.shards,
+        );
+        match &mut self.pool {
+            None => work.for_each(|work| work.run(kind, now, ctx)),
+            Some(pool) => {
+                let slots: Vec<_> = work.map(|work| Mutex::new(Some(work))).collect();
+                pool.run(&|w| {
+                    let work = slots[w].lock().expect("shard slot poisoned").take();
+                    work.expect("one call per shard").run(kind, now, ctx);
+                });
+            }
         }
-        for s in 0..self.num_shards {
-            let shard = &mut self.shards[s];
+        for shard in &mut self.shards {
             for (at, event) in shard.staged_events.drain(..) {
                 self.events.schedule(at, event);
             }
@@ -706,7 +690,7 @@ impl Network {
 
     /// Advance one cycle.
     pub fn step(&mut self) {
-        let now = self.cycle;
+        let (now, topo) = (self.cycle, self.ctx.topo);
 
         // ---- 0. traffic-phase change ----
         let phase = self.config.schedule.phase_index_at(now);
@@ -743,7 +727,7 @@ impl Network {
                     if faults_active {
                         // the packet travelled over the peer's outgoing
                         // direction towards (router, port)
-                        if let PortPeer::Router(upstream, up_port) = self.topo.peer(router, port) {
+                        if let PortPeer::Router(upstream, up_port) = topo.peer(router, port) {
                             if !self.link_state.is_up(upstream, up_port) {
                                 self.in_flight -= 1;
                                 self.in_flight_phits -= packet.size_phits as u64;
@@ -765,7 +749,7 @@ impl Network {
                     if faults_active {
                         // the credit message travelled the reverse direction
                         // of (router, port)'s link
-                        if let PortPeer::Router(peer, peer_port) = self.topo.peer(router, port) {
+                        if let PortPeer::Router(peer, peer_port) = topo.peer(router, port) {
                             if !self.link_state.is_up(peer, peer_port) {
                                 self.ledger_lost_credits(router, port, vc, phits);
                                 continue;
@@ -826,8 +810,8 @@ impl Network {
             let Some(head_size) = self.nodes.get(node_idx).head().map(|p| p.size_phits) else {
                 continue;
             };
-            let router_id = self.topo.node_router(node_id);
-            let port = self.topo.node_port(node_id);
+            let router_id = topo.node_router(node_id);
+            let port = topo.node_port(node_id);
             let num_vcs = self.routers[router_id.index()].input(port).num_vcs();
             let start = self.nodes.get_mut(node_idx).take_vc_rr(num_vcs);
             let mut chosen = None;
@@ -871,11 +855,8 @@ impl Network {
 
         // ---- 3. control-plane dissemination ----
         // Each exchange also carries the piggybacked gateway-liveness bits:
-        // one flooding round advances every group's view by one hop (origin
-        // injection for its own keyspace, live-neighbour merges for the
-        // rest), then each group's routers install their group's view. The
-        // round runs on the main thread before the (possibly sharded)
-        // exchange, so churn runs stay bit-identical across kernels.
+        // one flooding round on the main thread, then each group's routers
+        // install their group's view in the (possibly sharded) exchange.
         if self.config.routing.needs_pb_dissemination() {
             self.flood_linkviews();
             self.run_phase(PhaseKind::Pb);
@@ -958,7 +939,7 @@ impl Network {
             return;
         }
         std::mem::swap(&mut self.group_views, &mut self.group_views_prev);
-        let topo = &self.topo;
+        let topo = &self.ctx.topo;
         let truth = &self.linkview_truth;
         let prev = &self.group_views_prev;
         let num_groups = topo.num_groups();

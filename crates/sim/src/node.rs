@@ -156,12 +156,9 @@ impl Node {
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
         self.injector.restore_state(d)?;
-        let n = d.seq(8)?;
-        let mut queue = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            queue.push_back(Packet::decode(d)?);
-        }
-        self.source_queue = queue;
+        self.source_queue = (0..d.seq(8)?)
+            .map(|_| Packet::decode(d))
+            .collect::<Result<_, _>>()?;
         self.next_vc = d.usize()?;
         self.generated_phits = d.u64()?;
         self.injected_packets = d.u64()?;
@@ -357,14 +354,7 @@ impl Nodes {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let nodes = d.seq(8)?;
-        if nodes != self.nodes.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "snapshot node count mismatch: {} vs {}",
-                nodes,
-                self.nodes.len()
-            )));
-        }
+        d.seq_exact(8, self.nodes.len(), "node count")?;
         for node in &mut self.nodes {
             node.restore_state(d)?;
         }

@@ -1,50 +1,35 @@
-//! Phase-parallel sharded execution of [`Network::step`].
+//! The sharded phase pipeline of [`Network::step`]: what one shard does in
+//! one phase, and how a phase's work is split into shards.
 //!
-//! [`KernelMode::Parallel`] shards routers across a persistent worker pool
-//! and executes each phase of the per-cycle loop concurrently, with
-//! barriers between phases. The contract — checked exhaustively by
-//! `tests/kernel_equivalence.rs` — is that results are **bit-for-bit
-//! identical** to the sequential optimized kernel for *any* worker count,
-//! including 1.
+//! A *shard* is a set of ordinary borrows ([`ShardWork`]): a contiguous
+//! `&mut [Router]` with the same range of the per-router RNGs, the work
+//! items inside it and its own [`ShardState`]. [`split_shards`] carves them
+//! off the router array with `split_at_mut`, so that no two alias is checked
+//! by the compiler — whether they then run inline
+//! ([`KernelMode::Optimized`]: one shard, no pool) or concurrently on the
+//! [`WorkerPool`](crate::pool::WorkerPool) ([`KernelMode::Parallel`]). Both
+//! call [`ShardWork::run`]: one code path, differing only in scheduling.
 //!
-//! # Why this is deterministic
+//! # Why the result does not depend on the shard count
 //!
-//! Every phase of a cycle touches, per router, only
-//!
-//! 1. that router's own state (buffers, counters, PB/ECtN arrays) and its
-//!    private RNG stream — sharded routers therefore never race, and each
-//!    router's RNG consumes exactly the sequence it consumes sequentially;
-//! 2. read-only context (topology, configuration, the routing algorithm);
-//! 3. *cross-router effects*: link events (packet arrivals, deliveries,
-//!    upstream credit returns) and global metrics commits.
-//!
-//! Effects of class 3 are never applied during a parallel phase. Each
-//! worker appends them to its private staging buffer in the order it
-//! produces them; after the phase barrier, the main thread replays the
-//! buffers **in ascending shard order**. Shards are contiguous chunks of
-//! the ascending-sorted active-router list (or of the group list for
-//! control-plane phases), so the concatenation of the per-worker buffers is
-//! exactly the sequence the sequential kernel would have produced — same
-//! event insertion order, hence the same time-wheel tie-breaking, hence the
-//! same simulation trajectory, for any number of workers.
-//!
-//! Control-plane dissemination (PB every cycle, ECtN on its period) shards
-//! by *group* instead of by router: a group's exchange reads and writes
-//! only that group's routers (see [`df_router::dissemination`]), and groups
-//! are contiguous id ranges, so group chunks borrow disjointly too.
-//!
-//! The sequential optimized kernel runs the *same* shard executor inline
-//! with a single shard, so "optimized" and "parallel" cannot drift apart:
-//! they are one code path differing only in how chunks are scheduled.
+//! Results are **bit-for-bit identical** for any shard count (checked by
+//! `tests/kernel_equivalence.rs`). Within a phase a router touches only its
+//! own state and private RNG stream, read-only context ([`StepCtx`], its
+//! group's flooded link view), and *cross-router effects* — link events
+//! (arrivals, deliveries, upstream credit returns) and global metrics
+//! commits — which are never applied during a phase: each shard appends them
+//! to its own staging buffers in the order it produces them, and after the
+//! phase the main thread replays the buffers **in ascending shard order**.
+//! Shards are contiguous chunks of the ascending-sorted active-router list
+//! (or of the group list for the control-plane phases, whose exchanges read
+//! and write one group's routers only — see [`df_router::dissemination`]),
+//! so the concatenation of the staging buffers is exactly the sequence one
+//! shard produces: same event insertion order, hence the same time-wheel
+//! tie-breaking, hence the same trajectory.
 //!
 //! [`Network::step`]: crate::network::Network::step
+//! [`KernelMode::Optimized`]: crate::config::KernelMode::Optimized
 //! [`KernelMode::Parallel`]: crate::config::KernelMode::Parallel
-
-use std::cell::UnsafeCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, NetworkConfig, VcId};
@@ -59,9 +44,7 @@ use crate::events::Event;
 /// at which the tail clears the router)`.
 pub(crate) type SentPacket = (Port, df_model::Packet, VcId, Cycle);
 
-/// Read-only per-step context shared by every shard (all `Copy`, passed by
-/// value — no synchronisation needed).
-#[derive(Clone, Copy)]
+/// Read-only context shared by every shard.
 pub(crate) struct StepCtx {
     /// The topology (plain sizing data).
     pub topo: AnyTopology,
@@ -104,7 +87,7 @@ pub(crate) struct ShardState {
     pub staged_recommits: u64,
 }
 
-/// Which phase of the cycle a job executes.
+/// Which phase of the cycle a shard executes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum PhaseKind {
     /// PB flag exchange + own-flag refresh, sharded by group.
@@ -118,52 +101,32 @@ pub(crate) enum PhaseKind {
     Transmit,
 }
 
-/// One phase dispatch: everything a shard needs, as raw pointers.
-///
-/// # Safety contract
-///
-/// * `routers`/`rngs` point to live arrays the main thread does not touch
-///   between the start and end barriers;
-/// * shard `w` dereferences only indices inside its [`chunk_bounds`] chunk
-///   of `active` (router phases) or its chunk of group ids (control
-///   phases), and only `shards[w]` — chunks are disjoint by construction,
-///   so no two threads alias any `&mut`;
-/// * `active` is sorted ascending and duplicate-free, so chunk order equals
-///   router-id order and the post-barrier merge reproduces the sequential
-///   effect sequence.
-#[derive(Clone, Copy)]
-pub(crate) struct PhaseJob {
-    /// The phase to execute.
-    pub kind: PhaseKind,
-    /// Current cycle.
-    pub now: Cycle,
-    /// Base pointer of the router array.
-    pub routers: *mut Router,
-    /// Base pointer of the per-router RNG array (same indexing).
-    pub rngs: *mut DeterministicRng,
-    /// Sorted active-router indices (router phases; null for control
-    /// phases).
-    pub active: *const u32,
-    /// Number of work items: active routers (router phases) or groups
-    /// (control phases).
-    pub num_items: usize,
-    /// Base pointer of the per-shard state array.
-    pub shards: *mut ShardState,
-    /// Number of shards the work is split into.
-    pub num_shards: usize,
-    /// Shared read-only step context.
-    pub ctx: *const StepCtx,
-    /// Base pointer of the per-group flooded gateway-liveness views
-    /// (indexed by group id): each group installs its own view during
-    /// control phases (read-only for the phase's duration).
-    pub linkviews: *const GatewayLiveness,
+impl PhaseKind {
+    /// Whether the phase is a per-group control-plane exchange (as opposed
+    /// to a walk over the active routers).
+    pub fn is_control(self) -> bool {
+        matches!(self, PhaseKind::Pb | PhaseKind::Ectn)
+    }
 }
 
-// Safety: the raw pointers are only dereferenced under the discipline
-// documented on the struct; the type is shipped to workers through the
-// pool's barrier protocol which establishes the necessary happens-before
-// edges.
-unsafe impl Send for PhaseJob {}
+/// One shard's share of one phase, as exclusive borrows.
+pub(crate) struct ShardWork<'a> {
+    /// The contiguous router range the shard owns (whole groups in a
+    /// control phase).
+    pub routers: &'a mut [Router],
+    /// The same range of the per-router RNG array.
+    pub rngs: &'a mut [DeterministicRng],
+    /// Router index of `routers[0]`.
+    pub base: usize,
+    /// The shard's chunk of the sorted active list, all inside the range
+    /// (router phases; empty otherwise).
+    pub active: &'a [u32],
+    /// The flooded link view of each group in `routers` (control phases;
+    /// empty otherwise).
+    pub linkviews: &'a [GatewayLiveness],
+    /// The shard's scratch and effect-staging buffers.
+    pub shard: &'a mut ShardState,
+}
 
 /// The half-open work range `[lo, hi)` of shard `w` out of `shards` over
 /// `len` items: contiguous, balanced to within one item, and covering
@@ -173,38 +136,85 @@ pub(crate) fn chunk_bounds(len: usize, shards: usize, w: usize) -> (usize, usize
     (w * len / shards, (w + 1) * len / shards)
 }
 
-/// Execute shard `w` of `job`.
-///
-/// # Safety
-/// See the contract on [`PhaseJob`]; callers must guarantee shard indices
-/// are unique per concurrent caller and the pointed-to arrays outlive the
-/// call.
-pub(crate) unsafe fn execute_shard(job: &PhaseJob, w: usize) {
-    let ctx = &*job.ctx;
-    let shard = &mut *job.shards.add(w);
-    let (lo, hi) = chunk_bounds(job.num_items, job.num_shards, w);
-    if lo >= hi {
-        return;
-    }
-    match job.kind {
-        PhaseKind::Alloc | PhaseKind::Transmit => {
-            let active = std::slice::from_raw_parts(job.active, job.num_items);
-            for &r in &active[lo..hi] {
-                let router = &mut *job.routers.add(r as usize);
-                if job.kind == PhaseKind::Alloc {
-                    let rng = &mut *job.rngs.add(r as usize);
-                    route_and_allocate_one(router, rng, ctx, job.now, shard);
-                } else {
-                    transmit_one(router, ctx, job.now, shard);
+/// Detach `rest[skip..skip + len]` from the front of `rest`, leaving what
+/// follows it.
+fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T] {
+    let (mine, tail) = std::mem::take(rest)[skip..].split_at_mut(len);
+    *rest = tail;
+    mine
+}
+
+/// Split one phase into one [`ShardWork`] per entry of `shards`, in shard
+/// order. Shard `w` gets its [`chunk_bounds`] chunk of the work list — the
+/// groups `0..linkviews.len()` in a control phase, otherwise `active`,
+/// which must be sorted ascending and duplicate-free — and the smallest
+/// router range containing it: whole groups of `routers_per_group`, or
+/// `active[lo]..=active[hi - 1]`. The ranges ascend with the shard index,
+/// so each is carved off the front of what the previous ones left.
+pub(crate) fn split_shards<'a>(
+    kind: PhaseKind,
+    routers_per_group: usize,
+    mut routers: &'a mut [Router],
+    mut rngs: &'a mut [DeterministicRng],
+    active: &'a [u32],
+    linkviews: &'a [GatewayLiveness],
+    shards: &'a mut [ShardState],
+) -> impl Iterator<Item = ShardWork<'a>> {
+    let control = kind.is_control();
+    let num_shards = shards.len();
+    let num_items = if control {
+        linkviews.len()
+    } else {
+        active.len()
+    };
+    // router index of `routers[0]` / `rngs[0]`
+    let mut carved = 0;
+    shards.iter_mut().enumerate().map(move |(w, shard)| {
+        let (lo, hi) = chunk_bounds(num_items, num_shards, w);
+        let (active, linkviews) = if control {
+            (&active[..0], &linkviews[lo..hi])
+        } else {
+            (&active[lo..hi], &linkviews[..0])
+        };
+        let (base, end) = match (active.first(), active.last()) {
+            _ if control => (lo * routers_per_group, hi * routers_per_group),
+            (Some(&first), Some(&last)) => (first as usize, last as usize + 1),
+            _ => (carved, carved),
+        };
+        let skip = base - carved;
+        carved = end;
+        ShardWork {
+            routers: carve(&mut routers, skip, end - base),
+            rngs: carve(&mut rngs, skip, end - base),
+            base,
+            active,
+            linkviews,
+            shard,
+        }
+    })
+}
+
+impl ShardWork<'_> {
+    /// Execute the shard's share of a `kind` phase at cycle `now`.
+    pub fn run(self, kind: PhaseKind, now: Cycle, ctx: &StepCtx) {
+        let base = self.base;
+        match kind {
+            PhaseKind::Alloc => {
+                for i in self.active.iter().map(|&r| r as usize - base) {
+                    let (router, rng) = (&mut self.routers[i], &mut self.rngs[i]);
+                    route_and_allocate_one(router, rng, ctx, now, self.shard);
                 }
             }
-        }
-        PhaseKind::Pb | PhaseKind::Ectn => {
-            let a = ctx.topo.routers_per_group() as usize;
-            for g in lo..hi {
-                let group = std::slice::from_raw_parts_mut(job.routers.add(g * a), a);
-                let linkview = &*job.linkviews.add(g);
-                control_exchange_group(job.kind, group, ctx, linkview, shard);
+            PhaseKind::Transmit => {
+                for i in self.active.iter().map(|&r| r as usize - base) {
+                    transmit_one(&mut self.routers[i], ctx, now, self.shard);
+                }
+            }
+            PhaseKind::Pb | PhaseKind::Ectn => {
+                let a = ctx.topo.routers_per_group() as usize;
+                for (group, linkview) in self.routers.chunks_mut(a).zip(self.linkviews) {
+                    control_exchange_group(kind, group, ctx, linkview, self.shard);
+                }
             }
         }
     }
@@ -539,167 +549,6 @@ pub(crate) fn transmit_one(router: &mut Router, ctx: &StepCtx, now: Cycle, shard
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------
-
-/// How long a barrier waiter spins before parking on the condvar. Short:
-/// on a loaded or single-core host the releaser cannot run while we spin,
-/// so parking quickly is the safe default; on an idle multi-core host the
-/// spin window absorbs the common fast case.
-const BARRIER_SPIN_ROUNDS: u32 = 256;
-
-/// A reusable generation-counting barrier with a bounded spin before
-/// parking. Unlike `std::sync::Barrier`, waiters first spin briefly so the
-/// per-phase rendezvous of the simulation loop stays cheap.
-struct SenseBarrier {
-    participants: usize,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    lock: Mutex<()>,
-    condvar: Condvar,
-}
-
-impl SenseBarrier {
-    fn new(participants: usize) -> Self {
-        SenseBarrier {
-            participants,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            condvar: Condvar::new(),
-        }
-    }
-
-    /// Block until all participants have called `wait` for the current
-    /// generation.
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == self.participants {
-            self.count.store(0, Ordering::Release);
-            // publish the new generation under the lock so parked waiters
-            // cannot miss the wakeup
-            let _guard = self.lock.lock().expect("barrier lock poisoned");
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-            self.condvar.notify_all();
-        } else {
-            for _ in 0..BARRIER_SPIN_ROUNDS {
-                if self.generation.load(Ordering::Acquire) != generation {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-            let mut guard = self.lock.lock().expect("barrier lock poisoned");
-            while self.generation.load(Ordering::Acquire) == generation {
-                guard = self.condvar.wait(guard).expect("barrier lock poisoned");
-            }
-        }
-    }
-}
-
-/// Shared state between the main thread and the pool workers.
-struct PoolShared {
-    /// The current phase job, written by the main thread strictly before
-    /// the start barrier and read by workers strictly after it.
-    job: UnsafeCell<Option<PhaseJob>>,
-    /// Released by the main thread to begin a phase (or shut down).
-    start: SenseBarrier,
-    /// Reached by every shard when its chunk is done.
-    end: SenseBarrier,
-    /// Set (before releasing `start`) to terminate the workers.
-    stop: AtomicBool,
-    /// Set by a worker whose shard panicked; checked by the main thread
-    /// after the end barrier.
-    panicked: AtomicBool,
-}
-
-// Safety: `job` is only mutated by the main thread between phases, and the
-// barriers order that mutation before any worker read (and all worker
-// reads before the next mutation).
-unsafe impl Sync for PoolShared {}
-
-/// A persistent pool of `num_shards - 1` worker threads; the main thread
-/// executes shard 0 itself between the barriers, so `Parallel { workers: 1 }`
-/// spawns no threads at all.
-pub(crate) struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawn a pool for `num_shards` total shards (`num_shards >= 2`).
-    pub fn new(num_shards: usize) -> Self {
-        assert!(num_shards >= 2, "a pool needs at least one worker thread");
-        let shared = Arc::new(PoolShared {
-            job: UnsafeCell::new(None),
-            start: SenseBarrier::new(num_shards),
-            end: SenseBarrier::new(num_shards),
-            stop: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
-        });
-        let handles = (1..num_shards)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("df-sim-shard-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
-                    .expect("spawn simulation worker")
-            })
-            .collect();
-        WorkerPool { shared, handles }
-    }
-
-    /// Execute `job` across every shard and block until all are done. The
-    /// main thread runs shard 0 itself.
-    pub fn run(&self, job: PhaseJob) {
-        // Safety: workers are parked at the start barrier; nothing reads
-        // `job` until we release it below.
-        unsafe { *self.shared.job.get() = Some(job) };
-        self.shared.start.wait();
-        // Always reach the end barrier, even if our own shard panics —
-        // otherwise the workers (and the pool's Drop) would deadlock.
-        let main_result = catch_unwind(AssertUnwindSafe(|| unsafe { execute_shard(&job, 0) }));
-        self.shared.end.wait();
-        if let Err(payload) = main_result {
-            std::panic::resume_unwind(payload);
-        }
-        if self.shared.panicked.swap(false, Ordering::AcqRel) {
-            panic!("a parallel-kernel worker shard panicked");
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, w: usize) {
-    loop {
-        shared.start.wait();
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let job = unsafe { *shared.job.get() }.expect("job published before the start barrier");
-        // Catch panics so the thread stays alive for the end barrier and
-        // future phases; the main thread re-raises after the barrier.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { execute_shard(&job, w) }));
-        if result.is_err() {
-            shared.panicked.store(true, Ordering::Release);
-        }
-        shared.end.wait();
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        // Workers are parked at the start barrier (they always return to it
-        // after each phase, panicking or not); release them into shutdown.
-        self.shared.start.wait();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,41 +589,102 @@ mod tests {
         }
     }
 
-    #[test]
-    fn barrier_synchronises_repeated_generations() {
-        let barrier = Arc::new(SenseBarrier::new(3));
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let barrier = Arc::clone(&barrier);
-            let counter = Arc::clone(&counter);
-            handles.push(std::thread::spawn(move || {
-                for round in 0..100usize {
-                    counter.fetch_add(1, Ordering::AcqRel);
-                    barrier.wait();
-                    // after the barrier every participant of this round has
-                    // incremented
-                    assert!(counter.load(Ordering::Acquire) >= 3 * (round + 1));
-                    barrier.wait();
+    /// 36 routers in 9 groups of 4, with RNG `i` seeded `i`.
+    fn small_arrays() -> (Vec<Router>, Vec<DeterministicRng>, Vec<GatewayLiveness>) {
+        let topo = df_topology::TopologyParams::from(df_topology::DragonflyParams::small()).build();
+        let routers: Vec<Router> = topo
+            .routers()
+            .map(|r| Router::new(r, topo, NetworkConfig::fast_test()))
+            .collect();
+        let rngs = (0..routers.len() as u64)
+            .map(DeterministicRng::new)
+            .collect();
+        let views = vec![GatewayLiveness::new(&topo); topo.num_groups() as usize];
+        (routers, rngs, views)
+    }
+
+    /// Check every property of one split: `num_shards` shards in order,
+    /// shard `w` holding exactly its `chunk_bounds` chunk and the minimal
+    /// router range around it at the right base offset.
+    fn check_split(kind: PhaseKind, active: &[u32], num_shards: usize) {
+        let (mut routers, mut rngs, views) = small_arrays();
+        let a = 4;
+        let mut shards: Vec<ShardState> = (0..num_shards).map(|_| ShardState::default()).collect();
+        let num_items = if kind.is_control() {
+            views.len()
+        } else {
+            active.len()
+        };
+        let works: Vec<_> = split_shards(
+            kind,
+            a,
+            &mut routers,
+            &mut rngs,
+            active,
+            &views,
+            &mut shards,
+        )
+        .collect();
+        assert_eq!(works.len(), num_shards);
+        let mut seen = Vec::new();
+        for (w, work) in works.iter().enumerate() {
+            let (lo, hi) = chunk_bounds(num_items, num_shards, w);
+            let what = format!("{kind:?} active {active:?} shard {w}/{num_shards}");
+            // the range: routers and RNGs `base..base + len`, in step
+            assert_eq!(work.routers.len(), work.rngs.len(), "{what}");
+            for (i, (router, rng)) in work.routers.iter().zip(work.rngs.iter()).enumerate() {
+                assert_eq!(router.id().index(), work.base + i, "{what}");
+                assert_eq!(rng.seed(), (work.base + i) as u64, "{what}");
+            }
+            if kind.is_control() {
+                assert!(work.active.is_empty(), "{what}");
+                assert!(std::ptr::eq(work.linkviews, &views[lo..hi]), "{what}");
+                assert_eq!(work.base, lo * a, "{what}");
+                assert_eq!(work.routers.len(), (hi - lo) * a, "{what}");
+            } else {
+                assert!(work.linkviews.is_empty(), "{what}");
+                assert_eq!(work.active, &active[lo..hi], "{what}");
+                match work.active {
+                    [] => assert!(work.routers.is_empty(), "{what}"),
+                    [first, .., last] | [first @ last] => {
+                        assert_eq!(work.base, *first as usize, "{what}");
+                        assert_eq!(work.routers.len(), (last - first) as usize + 1, "{what}");
+                    }
                 }
-            }));
+                seen.extend_from_slice(work.active);
+            }
         }
-        for round in 0..100usize {
-            counter.fetch_add(1, Ordering::AcqRel);
-            barrier.wait();
-            assert!(counter.load(Ordering::Acquire) >= 3 * (round + 1));
-            barrier.wait();
+        if !kind.is_control() {
+            assert_eq!(seen, active, "the union is the active list in order");
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Acquire), 300);
     }
 
     #[test]
-    fn pool_spawns_and_shuts_down_cleanly() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.handles.len(), 3, "main runs shard 0 itself");
-        drop(pool); // must not hang
+    fn split_shards_hands_every_shard_exactly_its_chunk() {
+        let mut lists: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![0],
+            vec![17],
+            vec![35],
+            vec![3, 30],
+            (0..36).collect(),
+            (0..36).step_by(5).collect(),
+        ];
+        // seeded sorted subsets with gaps, sparse to dense
+        let mut rng = DeterministicRng::new(7);
+        for density in [0.05, 0.2, 0.5, 0.9] {
+            for _ in 0..8 {
+                lists.push((0..36).filter(|_| rng.bernoulli(density)).collect());
+            }
+        }
+        for num_shards in 1..=7 {
+            for active in &lists {
+                check_split(PhaseKind::Alloc, active, num_shards);
+                check_split(PhaseKind::Transmit, active, num_shards);
+            }
+            // control phases ignore the active list: 9 groups over the shards
+            check_split(PhaseKind::Pb, &[3, 30], num_shards);
+            check_split(PhaseKind::Ectn, &[], num_shards);
+        }
     }
 }

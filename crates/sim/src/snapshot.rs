@@ -47,7 +47,6 @@ use df_topology::{LinkState, NodeId, Port, RouterId, Topology};
 use super::Network;
 use crate::config::{KernelMode, SimulationConfig};
 use crate::events::{Event, EventQueue};
-use std::collections::BTreeMap;
 
 /// Frame magic of a simulation snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
@@ -271,25 +270,11 @@ impl Network {
                 net.fault_events.len()
             )));
         }
-        let routers = d.seq(8)?;
-        if routers != net.routers.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot router count mismatch: {} vs {}",
-                routers,
-                net.routers.len()
-            )));
-        }
+        d.seq_exact(8, net.routers.len(), "router count")?;
         for router in &mut net.routers {
             router.restore_state(&mut d)?;
         }
-        let rngs = d.seq(40)?;
-        if rngs != net.router_rngs.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot router RNG count mismatch: {} vs {}",
-                rngs,
-                net.router_rngs.len()
-            )));
-        }
+        d.seq_exact(40, net.router_rngs.len(), "router RNG count")?;
         for rng in &mut net.router_rngs {
             let seed = d.u64()?;
             let words = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
@@ -298,11 +283,9 @@ impl Network {
         net.nodes.restore_state(&mut d)?;
         net.metrics.restore_state(&mut d)?;
         // pending link events
-        let n = d.seq(9)?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(decode_event(&mut d)?);
-        }
+        let pending = (0..d.seq(9)?)
+            .map(|_| decode_event(&mut d))
+            .collect::<Result<Vec<_>, _>>()?;
         if pending.iter().any(|&(at, _)| at < net.cycle) {
             return Err(CodecError::Invalid(
                 "snapshot holds a link event scheduled before its own cycle".into(),
@@ -310,9 +293,8 @@ impl Network {
         }
         net.events = EventQueue::rebuild(net.events.horizon(), net.cycle, pending);
         // link availability: replay the directed down set onto a fresh mask
-        net.link_state = LinkState::new(&net.topo);
-        let n = d.seq(8)?;
-        for _ in 0..n {
+        net.link_state = LinkState::new(&net.ctx.topo);
+        for _ in 0..d.seq(8)? {
             let r = RouterId(d.u32()?);
             let p = Port(d.u32()?);
             if r.index() >= net.routers.len() || p.index() >= net.routers[r.index()].num_ports() {
@@ -322,67 +304,31 @@ impl Network {
             }
             net.link_state.set_directed(r, p, false);
         }
-        let n = d.seq(1)?;
-        if n != net.node_blocked.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot node_blocked length mismatch: {} vs {}",
-                n,
-                net.node_blocked.len()
-            )));
-        }
+        d.seq_exact(1, net.node_blocked.len(), "node_blocked length")?;
         for b in &mut net.node_blocked {
             *b = d.bool()?;
         }
-        let n = d.seq(12)?;
-        let mut lost_credits = BTreeMap::new();
-        for _ in 0..n {
-            let r = d.u32()?;
-            let p = d.u32()?;
-            let vcs = d.seq(4)?;
-            let mut per_vc = Vec::with_capacity(vcs);
-            for _ in 0..vcs {
-                per_vc.push(d.u32()?);
-            }
-            lost_credits.insert((r, p), per_vc);
+        for _ in 0..d.seq(12)? {
+            let key = (d.u32()?, d.u32()?);
+            let per_vc = (0..d.seq(4)?).map(|_| d.u32()).collect::<Result<_, _>>()?;
+            net.lost_credits.insert(key, per_vc);
         }
-        net.lost_credits = lost_credits;
-        let links_per_group = net.topo.global_links_per_group();
+        let links_per_group = net.ctx.topo.global_links_per_group();
         net.linkview_truth = decode_gateway_liveness(&mut d, links_per_group)?;
         for views in [&mut net.group_views, &mut net.group_views_prev] {
-            let n = d.seq(13)?;
-            if n != views.len() {
-                return Err(CodecError::Invalid(format!(
-                    "snapshot group view count mismatch: {} vs {}",
-                    n,
-                    views.len()
-                )));
-            }
+            d.seq_exact(13, views.len(), "group view count")?;
             for view in views.iter_mut() {
                 *view = decode_gateway_liveness(&mut d, links_per_group)?;
             }
         }
         net.flood_quiescent = d.bool()?;
         net.views_converged = d.bool()?;
-        let n = d.seq(1)?;
-        if n != net.node_failed.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot node_failed length mismatch: {} vs {}",
-                n,
-                net.node_failed.len()
-            )));
-        }
+        d.seq_exact(1, net.node_failed.len(), "node_failed length")?;
         for b in &mut net.node_failed {
             *b = d.bool()?;
         }
         net.nodes_failed_count = net.node_failed.iter().filter(|&&b| b).count();
-        let n = d.seq(4)?;
-        if n != net.spare_of.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot spare_of length mismatch: {} vs {}",
-                n,
-                net.spare_of.len()
-            )));
-        }
+        d.seq_exact(4, net.spare_of.len(), "spare_of length")?;
         for s in &mut net.spare_of {
             *s = d.u32()?;
         }
@@ -405,8 +351,8 @@ impl Network {
         // mirror the restored availability mask into the routers' own flags
         // (restore_state already set them from the per-router snapshot; this
         // is a consistency check, not a rebuild)
-        for r in net.topo.routers() {
-            for port in Port::all(&net.topo.layout()) {
+        for r in net.ctx.topo.routers() {
+            for port in Port::all(&net.ctx.topo.layout()) {
                 if net.routers[r.index()].link_is_up(port) != net.link_state.is_up(r, port) {
                     return Err(CodecError::Invalid(format!(
                         "snapshot link flags disagree with the availability mask at ({r}, {port})"
@@ -415,11 +361,8 @@ impl Network {
             }
         }
         // the activity gate is derived state: at a step boundary the active
-        // set is exactly the sorted non-idle routers
-        for flag in &mut net.active_flags {
-            *flag = false;
-        }
-        net.active_list.clear();
+        // set (empty in the fresh network) is exactly the sorted non-idle
+        // routers
         for (i, router) in net.routers.iter().enumerate() {
             if !router.is_idle() {
                 net.active_flags[i] = true;

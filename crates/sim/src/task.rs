@@ -343,14 +343,8 @@ impl TaskEngine {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let ranks = d.seq(13)?;
-        if ranks != self.cursor.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "snapshot task rank count mismatch: {} vs {}",
-                ranks,
-                self.cursor.len()
-            )));
-        }
+        let ranks = self.cursor.len();
+        d.seq_exact(13, ranks, "task rank count")?;
         for r in 0..ranks {
             self.cursor[r] = d.usize()?;
             if self.cursor[r] > self.steps_total {
@@ -379,9 +373,8 @@ impl TaskEngine {
             )));
         }
         self.completed_at = if d.bool()? { Some(d.u64()?) } else { None };
-        let n = d.seq(20)?;
         let mut pending = BTreeMap::new();
-        for _ in 0..n {
+        for _ in 0..d.seq(20)? {
             let id = d.u64()?;
             let p = PendingPacket {
                 src_rank: d.u32()?,
@@ -510,14 +503,7 @@ impl JobsEngine {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let n = d.seq(16)?;
-        if n != self.jobs.len() {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "snapshot job count mismatch: {} vs {}",
-                n,
-                self.jobs.len()
-            )));
-        }
+        d.seq_exact(16, self.jobs.len(), "job count")?;
         for job in &mut self.jobs {
             job.engine.restore_state(d)?;
         }

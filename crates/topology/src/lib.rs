@@ -28,6 +28,7 @@
 //! credits or routing policy. Those live in `df-router` and `df-routing`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dragonfly;
 pub mod ids;

@@ -30,6 +30,7 @@
 //! changes over time* ([`schedule`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod collective;
 pub mod injection;

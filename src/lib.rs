@@ -35,8 +35,11 @@
 //! assert!(report.delivered_packets > 0);
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the system
-//! inventory and `EXPERIMENTS.md` for the paper-versus-measured record.
+//! See `docs/ARCHITECTURE.md` for the architecture, `benchmark/README.md`
+//! for what the simulator costs to run, and the committed `*.csv` tables
+//! for measured results.
+
+#![forbid(unsafe_code)]
 
 /// Dragonfly topology model (re-export of `df-topology`).
 pub use df_topology as topology;
