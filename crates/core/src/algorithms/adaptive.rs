@@ -19,7 +19,7 @@
 
 use df_engine::DeterministicRng;
 use df_model::Packet;
-use df_router::Router;
+use df_router::{HeadPlan, Router};
 use df_topology::{Port, PortClass, RouterId, Topology};
 
 use crate::algorithms::common;
@@ -48,8 +48,26 @@ enum Rule {
     Credit(f64),
 }
 
+impl Rule {
+    /// Whether the row's trigger fires on the minimal side — output `out`
+    /// and, for a global selection, minimal global link `link`. A `dead`
+    /// minimal side fires every row that applies.
+    #[inline]
+    fn fires(self, router: &Router, out: Port, link: Option<u32>, dead: bool) -> bool {
+        match self {
+            // a local selection has no combined counter to consult
+            Rule::Combined(th) => {
+                link.is_some_and(|j| dead || contention_exceeds(router.ectn().combined(j), th))
+            }
+            Rule::Contention(th) => dead || contention_exceeds(router.contention().get(out), th),
+            Rule::Credit(_) => true,
+        }
+    }
+}
+
 /// The mechanism's rows of the trigger table, in the order [`select`] tries
 /// them — the only place a mechanism's thresholds are read.
+#[inline]
 fn rules(kind: RoutingKind, config: &RoutingConfig, at_injection: bool) -> [Option<Rule>; 2] {
     use Rule::{Combined, Contention, Credit};
     match kind {
@@ -138,135 +156,180 @@ fn is_live(router: &Router, packet: &Packet, cand: &impl Candidate) -> bool {
         }
 }
 
-/// The candidates that pass a row's filter (`passes`) and the two checks
-/// every row shares: alive ([`is_live`]), and downstream space for the packet.
-fn eligible<C: Candidate>(
-    router: &Router,
-    packet: &Packet,
-    candidates: Vec<C>,
-    passes: impl Fn(&C) -> bool,
-) -> Vec<C> {
-    let layout = router.topology().layout();
-    candidates
-        .into_iter()
-        .filter(|c| {
-            let hop = c.first_hop();
-            passes(c)
-                && is_live(router, packet, c)
-                && router.output_can_accept(
-                    hop,
-                    vc_for_next_hop(packet, hop.class(&layout), router.config()),
-                    packet.size_phits,
-                )
-        })
-        .collect()
-}
-
 /// The candidate-selection pipeline of every mechanism, global and local:
 /// try the rows in table order; for each row whose trigger fires on the
 /// minimal side (a dead minimal side fires every row), keep the candidates
 /// that pass the row's filter, are alive ([`is_live`]) and have downstream
 /// space for the packet, and draw uniformly from the first non-empty
-/// eligible set.
+/// eligible set. A row that does not fire reads one counter, nothing else.
 ///
 /// `candidates(own_links_only)` enumerates the candidates. After the first
 /// local hop only the current router's own global links are eligible (the
 /// PAR/OLM rule): taking a *second* local hop before the first global hop
 /// would break the monotonic VC ordering that guarantees deadlock freedom.
-/// A `Combined` row forces own-links-only regardless.
+/// A `Combined` row forces own-links-only regardless. Nothing is collected:
+/// the eligible set is counted, then walked to the drawn candidate, and the
+/// last first hop's verdict is remembered (candidates behind one gateway
+/// share it and are enumerated back to back).
 ///
 /// **RNG discipline** (the contract every pinned fingerprint rests on):
 /// exactly one `rng.index(len)` per non-empty eligible set — the draw that
 /// ends the selection — and none otherwise; rows that do not fire, or fire
 /// on an empty eligible set, consume nothing.
-fn select<C: Candidate>(
+fn select<C: Candidate, I: Iterator<Item = C> + Clone>(
     rows: [Option<Rule>; 2],
     config: &RoutingConfig,
     router: &Router,
     packet: &Packet,
     min: MinimalSide,
-    candidates: impl Fn(bool) -> Vec<C>,
+    candidates: impl Fn(bool) -> I,
     rng: &mut DeterministicRng,
 ) -> Option<C> {
-    let own_links_only = packet.routing.local_hops > 0;
     for rule in rows.into_iter().flatten() {
-        let eligible_set = match rule {
-            Rule::Combined(th) => {
-                // a local selection has no combined counter to consult
-                let Some(min_link) = min.link else { continue };
-                if !min.dead && !contention_exceeds(router.ectn().combined(min_link), th) {
-                    continue;
-                }
-                eligible(router, packet, candidates(true), |c| {
-                    c.link()
-                        .is_some_and(|j| contention_allows_candidate(router.ectn().combined(j), th))
-                })
-            }
-            Rule::Contention(th) => {
-                if !min.dead && !contention_exceeds(router.contention().get(min.out), th) {
-                    continue;
-                }
-                eligible(router, packet, candidates(own_links_only), |c| {
-                    contention_allows_candidate(router.contention().get(c.first_hop()), th)
-                })
-            }
-            Rule::Credit(fraction) => {
-                let q_min = common::output_occupancy(router, min.out);
-                let min_required = config.credit_trigger_min_packets * packet.size_phits;
-                eligible(router, packet, candidates(own_links_only), |c| {
-                    let q_cand = common::output_occupancy(router, c.first_hop());
-                    min.dead || credit_comparison(q_min, q_cand, fraction, min_required)
-                })
-            }
+        if !rule.fires(router, min.out, min.link, min.dead) {
+            continue;
+        }
+        let layout = router.topology().layout();
+        let own_links_only = matches!(rule, Rule::Combined(_)) || packet.routing.local_hops > 0;
+        let (q_min, min_required) = match rule {
+            Rule::Credit(_) => (
+                common::output_occupancy(router, min.out),
+                config.credit_trigger_min_packets * packet.size_phits,
+            ),
+            _ => (0, 0),
         };
-        if let Some(c) = common::pick_random(&eligible_set, rng) {
-            return Some(*c);
+        let min_dead = min.dead;
+        let passes = move |c: &C| {
+            let hop = c.first_hop();
+            let row_passes = match rule {
+                Rule::Combined(th) => c
+                    .link()
+                    .is_some_and(|j| contention_allows_candidate(router.ectn().combined(j), th)),
+                Rule::Contention(th) => {
+                    contention_allows_candidate(router.contention().get(hop), th)
+                }
+                Rule::Credit(fraction) => {
+                    let q_cand = common::output_occupancy(router, hop);
+                    min_dead || credit_comparison(q_min, q_cand, fraction, min_required)
+                }
+            };
+            row_passes
+                && router.output_can_accept(
+                    hop,
+                    vc_for_next_hop(packet, hop.class(&layout), router.config()),
+                    packet.size_phits,
+                )
+        };
+        // unless the row looks at the link itself, the last hop's verdict
+        // holds for every candidate behind the same gateway
+        let per_hop = !matches!(rule, Rule::Combined(_));
+        let mut last = None;
+        let eligible = candidates(own_links_only).filter(move |c| {
+            let ok = match last {
+                Some((hop, ok)) if per_hop && hop == c.first_hop() => ok,
+                _ => {
+                    let ok = passes(c);
+                    last = Some((c.first_hop(), ok));
+                    ok
+                }
+            };
+            ok && is_live(router, packet, c)
+        });
+        if let Some(c) = common::pick_random(eligible, rng) {
+            return Some(c);
         }
     }
     None
 }
 
-/// The in-transit adaptive decision for OLM / Base / Hybrid / ECtN.
+/// Whether `kind` has a trigger table and none of its rows fires for a head
+/// with `plan` on a healthy router: both of [`decide`]'s selections would
+/// then enumerate and draw nothing, leaving the planned minimal output.
+#[inline]
+pub(super) fn rows_quiet(
+    kind: RoutingKind,
+    config: &RoutingConfig,
+    plan: &HeadPlan,
+    router: &Router,
+) -> bool {
+    let link = plan
+        .has(HeadPlan::GLOBAL_SCOPE)
+        .then_some(u32::from(plan.min_link));
+    let rows = rules(kind, config, plan.has(HeadPlan::AT_SOURCE));
+    rows != [None, None]
+        && (rows.into_iter().flatten()).all(|rule| !rule.fires(router, plan.output(), link, false))
+}
+
+/// The packet-static misroute scope of a head at `router` whose minimal
+/// output is `min_out`: which families of nonminimal paths the shared
+/// policy leaves open to it, as [`HeadPlan`] scope bits, plus the group's
+/// minimal global link when the global family is open.
+#[inline]
+pub(super) fn scope(
+    config: &RoutingConfig,
+    router: &Router,
+    packet: &Packet,
+    min_out: Port,
+) -> (u8, u32) {
+    let topo = router.topology();
+    let net = router.config();
+    let my_group = router.group();
+    let src_group = topo.node_group(packet.src);
+    let dst_group = topo.node_group(packet.dst);
+    let mut scope = 0;
+    let mut min_link = 0;
+    if dst_group != my_group
+        && my_group == src_group
+        && global_misroute_fits(packet, net)
+        && (packet.hops() == 0
+            || (config.allow_global_misroute_after_hop
+                && packet.routing.global_hops == 0
+                && packet.routing.local_hops <= 1))
+    {
+        scope |= HeadPlan::GLOBAL_SCOPE;
+        min_link = topo.group_link_to(my_group, dst_group);
+    }
+    let remaining_locals_after_detour: u8 = if my_group == dst_group { 1 } else { 2 };
+    if config.allow_local_misroute
+        && min_out.class(&topo.layout()) == PortClass::Local
+        && my_group != src_group
+        && packet.routing.local_misroute_allowed_in(my_group)
+        && local_detour_fits(packet, remaining_locals_after_detour, net)
+    {
+        scope |= HeadPlan::LOCAL_SCOPE;
+    }
+    (scope, min_link)
+}
+
+/// The in-transit adaptive decision for OLM / Base / Hybrid / ECtN, for a
+/// head whose misroute scope and minimal output are in `plan`.
 pub fn decide(
     kind: RoutingKind,
     config: &RoutingConfig,
+    plan: &HeadPlan,
     router: &Router,
-    input_port: Port,
     packet: &Packet,
     rng: &mut DeterministicRng,
 ) -> Decision {
     let topo = router.topology();
     let layout = topo.layout();
     let current = router.id();
-    let my_group = topo.router_group(current);
-    let src_group = topo.node_group(packet.src);
-    let dst_group = topo.node_group(packet.dst);
-    let min_out = minimal_output(topo, current, packet.dst);
-    let min_class = min_out.class(&layout);
     let net = router.config();
+    let min_out = plan.output();
     // Fault routing: a dead minimal output fires every row and lifts the
     // already-misrouted veto below — the misroute budget is counted in
     // *hops taken* (global_hops), not intents, so a packet whose commitment
     // was abandoned at a dead gateway may select a replacement. Always
     // false on a healthy network.
     let min_dead = !router.link_is_up(min_out);
-    let at_injection = input_port.class(&layout) == PortClass::Terminal && packet.hops() == 0;
-    let rows = rules(kind, config, at_injection);
+    let rows = rules(kind, config, plan.has(HeadPlan::AT_SOURCE));
     // whether a policy-legal alternative to a dead minimal output is alive
     // (merely congested, or vetoed by its row) — see the unroutable case
     let mut live_alternative = false;
 
     // ---------------- global misrouting ----------------
-    let may_misroute_globally = dst_group != my_group
-        && my_group == src_group
-        && (!packet.routing.globally_misrouted() || min_dead)
-        && global_misroute_fits(packet, net)
-        && (packet.hops() == 0
-            || (config.allow_global_misroute_after_hop
-                && packet.routing.global_hops == 0
-                && packet.routing.local_hops <= 1));
-    if may_misroute_globally {
-        let min_link = topo.group_link_to(my_group, dst_group);
+    if plan.has(HeadPlan::GLOBAL_SCOPE) && (!plan.has(HeadPlan::MISROUTED) || min_dead) {
+        let min_link = u32::from(plan.min_link);
         let globals =
             |own_links_only| global_candidates(topo, current, Some(min_link), own_links_only);
         // For the mechanisms with a link-state view (ECtN, and PB on its own
@@ -274,10 +337,11 @@ pub fn decide(
         // even when the first hop towards its gateway is a healthy local
         // link — that is how source routers stop targeting dead gateway
         // groups.
+        let view = router.link_view();
         let min = MinimalSide {
             out: min_out,
             link: Some(min_link),
-            dead: min_dead || router.link_view().marks_down(my_group, min_link),
+            dead: min_dead || (!view.all_up() && view.marks_down(router.group(), min_link)),
         };
         if let Some(cand) = select(rows, config, router, packet, min, globals, rng) {
             return Decision {
@@ -290,20 +354,12 @@ pub fn decide(
                 },
             };
         }
-        live_alternative = min_dead
-            && globals(packet.routing.local_hops > 0)
-                .iter()
-                .any(|c| is_live(router, packet, c));
+        live_alternative =
+            min_dead && globals(packet.routing.local_hops > 0).any(|c| is_live(router, packet, &c));
     }
 
     // ---------------- local misrouting ----------------
-    let remaining_locals_after_detour: u8 = if my_group == dst_group { 1 } else { 2 };
-    let may_misroute_locally = config.allow_local_misroute
-        && min_class == PortClass::Local
-        && my_group != src_group
-        && packet.routing.local_misroute_allowed_in(my_group)
-        && local_detour_fits(packet, remaining_locals_after_detour, net);
-    if may_misroute_locally {
+    if plan.has(HeadPlan::LOCAL_SCOPE) {
         // the router the minimal local hop would reach — excluded from detours
         let min_target = topo.local_neighbor(current, min_out.class_offset(&layout));
         let locals = |_own_links_only| local_candidates(topo, current, Some(min_target));
@@ -322,8 +378,8 @@ pub fn decide(
                 },
             };
         }
-        live_alternative = live_alternative
-            || (min_dead && locals(false).iter().any(|c| is_live(router, packet, c)));
+        live_alternative =
+            live_alternative || (min_dead && locals(false).any(|c| is_live(router, packet, &c)));
     }
 
     // ---------------- fault: unroutable packets ----------------
@@ -342,7 +398,7 @@ pub fn decide(
     }
 
     // ---------------- default: minimal ----------------
-    Decision::minimal(min_out, vc_for_next_hop(packet, min_class, net))
+    Decision::minimal(min_out, plan.vc)
 }
 
 /// Fault re-commit for a packet whose committed nonminimal gateway link
@@ -394,14 +450,9 @@ pub fn recommit_global(
     // the replacement candidates: everything the original selection could
     // have chosen, minus the dead option and anything else dead — locally
     // or per the link-state view
-    let viable: Vec<GlobalCandidate> = if global_misroute_fits(packet, net) {
-        global_candidates(topo, current, Some(min_link), own_only)
-            .into_iter()
-            .filter(|c| (c.gateway, c.gateway_port) != committed && is_live(router, packet, c))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let fits = global_misroute_fits(packet, net);
+    let mut viable = global_candidates(topo, current, Some(min_link), own_only)
+        .filter(|c| fits && (c.gateway, c.gateway_port) != committed && is_live(router, packet, c));
 
     // the mechanism's candidate-side cap, read off its table rows
     // (Base/ECtN/Hybrid contention; OLM has none beyond liveness), plus
@@ -412,20 +463,15 @@ pub fn recommit_global(
             Some(Rule::Contention(th)) => Some(th),
             _ => None,
         });
-    let eligible: Vec<GlobalCandidate> = viable
-        .iter()
-        .filter(|c| {
-            cap.is_none_or(|th| {
-                contention_allows_candidate(router.contention().get(c.first_hop), th)
-            }) && router.output_can_accept(
+    let eligible = viable.clone().filter(|c| {
+        cap.is_none_or(|th| contention_allows_candidate(router.contention().get(c.first_hop), th))
+            && router.output_can_accept(
                 c.first_hop,
                 vc_for_next_hop(packet, c.first_hop.class(&layout), net),
                 packet.size_phits,
             )
-        })
-        .copied()
-        .collect();
-    if let Some(cand) = common::pick_random(&eligible, rng) {
+    });
+    if let Some(cand) = common::pick_random(eligible, rng) {
         return Decision {
             output_port: cand.first_hop,
             output_vc: vc_for_next_hop(packet, cand.first_hop.class(&layout), net),
@@ -456,7 +502,7 @@ pub fn recommit_global(
     // live candidates exist but are congested right now: wait on the
     // stalled continuation and re-decide next cycle; with no live,
     // view-viable option at all the packet is unroutable
-    if !viable.is_empty() {
+    if viable.next().is_some() {
         stalled
     } else {
         Decision::discard()
@@ -485,6 +531,19 @@ mod tests {
 
     fn rng() -> DeterministicRng {
         DeterministicRng::new(99)
+    }
+
+    /// The whole decision — plan, then the adaptive rules — for a packet
+    /// with no pending commitment.
+    fn decide(
+        kind: RoutingKind,
+        config: &RoutingConfig,
+        router: &Router,
+        input_port: Port,
+        packet: &Packet,
+        rng: &mut DeterministicRng,
+    ) -> Decision {
+        crate::RoutingAlgorithm::new(kind, *config).decide(router, input_port, packet, rng)
     }
 
     #[test]

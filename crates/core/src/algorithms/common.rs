@@ -6,31 +6,8 @@ use df_router::Router;
 use df_topology::{GroupId, Port, RouterId, Topology};
 
 use crate::decision::{Commitment, Decision, DecisionKind};
-use crate::minimal::{minimal_output, minimal_output_to_router};
+use crate::minimal::minimal_output_to_router;
 use crate::vcmap::vc_for_next_hop;
-
-/// A continuation decision: follow the hierarchical minimal path towards
-/// `target` (a router the packet is already committed to reach).
-pub fn continuation_to_router(router: &Router, packet: &Packet, target: RouterId) -> Decision {
-    let topo = router.topology();
-    let port = minimal_output_to_router(topo, router.id(), target);
-    Decision {
-        output_port: port,
-        output_vc: vc_for_next_hop(packet, port.class(&topo.layout()), router.config()),
-        kind: DecisionKind::Continuation,
-        commitment: Commitment::None,
-    }
-}
-
-/// A plain minimal decision towards the packet's destination.
-pub fn minimal_decision(router: &Router, packet: &Packet) -> Decision {
-    let topo = router.topology();
-    let port = minimal_output(topo, router.id(), packet.dst);
-    Decision::minimal(
-        port,
-        vc_for_next_hop(packet, port.class(&topo.layout()), router.config()),
-    )
-}
 
 /// Occupancy (in phits) of the path behind an output port, as seen through
 /// credits: staged output-buffer phits plus estimated downstream occupancy.
@@ -40,12 +17,17 @@ pub fn output_occupancy(router: &Router, port: Port) -> u32 {
     o.buffer_occupancy_phits() + o.downstream_occupancy_phits()
 }
 
-/// Pick a uniformly random element of a non-empty slice.
-pub fn pick_random<'a, T>(items: &'a [T], rng: &mut DeterministicRng) -> Option<&'a T> {
-    if items.is_empty() {
+/// Pick a uniformly random item of a replayable sequence without collecting
+/// it: count, draw one `rng.index(len)` (none if empty), walk to the drawn one.
+pub fn pick_random<I: Iterator + Clone>(
+    mut items: I,
+    rng: &mut DeterministicRng,
+) -> Option<I::Item> {
+    let len = items.clone().count();
+    if len == 0 {
         None
     } else {
-        Some(&items[rng.index(items.len())])
+        items.nth(rng.index(len))
     }
 }
 
@@ -64,21 +46,17 @@ pub fn pick_intermediate_router(
     if groups <= excluded {
         return None;
     }
-    // draw a group uniformly among the eligible ones, then a router in it
-    let eligible = groups - excluded;
-    let mut pick = rng.below(eligible as u64) as u32;
-    let mut chosen = None;
-    for g in 0..groups {
-        if g == src_group.0 || g == dst_group.0 {
-            continue;
-        }
-        if pick == 0 {
-            chosen = Some(GroupId(g));
-            break;
-        }
-        pick -= 1;
+    // draw a group uniformly among the eligible ones — the `pick`-th in
+    // ascending order, stepping over the excluded ones — then a router in it
+    let mut pick = rng.below((groups - excluded) as u64) as u32;
+    let (low, high) = (src_group.0.min(dst_group.0), src_group.0.max(dst_group.0));
+    if pick >= low {
+        pick += 1;
     }
-    let group = chosen?;
+    if high != low && pick >= high {
+        pick += 1;
+    }
+    let group = GroupId(pick);
     let local_index = rng.below(topo.intermediates_per_group() as u64) as u32;
     Some(topo.router_at(group, local_index))
 }
@@ -198,8 +176,8 @@ pub fn valiant_first_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_model::{NetworkConfig, PacketId, VcId};
-    use df_topology::{Dragonfly, DragonflyParams, NodeId, PortClass};
+    use df_model::{NetworkConfig, PacketId};
+    use df_topology::{Dragonfly, DragonflyParams, NodeId};
 
     fn router(id: u32) -> Router {
         let topo = Dragonfly::new(DragonflyParams::small());
@@ -208,34 +186,6 @@ mod tests {
 
     fn packet(src: u32, dst: u32) -> Packet {
         Packet::new(PacketId(0), NodeId(src), NodeId(dst), 8, 0)
-    }
-
-    #[test]
-    fn continuation_routes_minimally_towards_the_target() {
-        let r = router(0);
-        let p = packet(0, 70);
-        let d = continuation_to_router(&r, &p, RouterId(3));
-        assert_eq!(d.kind, DecisionKind::Continuation);
-        assert_eq!(
-            d.output_port.class(&r.topology().layout()),
-            PortClass::Local
-        );
-        assert_eq!(d.output_vc, VcId(0));
-    }
-
-    #[test]
-    fn minimal_decision_matches_minimal_output() {
-        let r = router(0);
-        for dst in [5u32, 20, 70, 71] {
-            let p = packet(0, dst);
-            let d = minimal_decision(&r, &p);
-            assert_eq!(
-                d.output_port,
-                crate::minimal::minimal_output(r.topology(), r.id(), p.dst)
-            );
-            assert_eq!(d.kind, DecisionKind::Minimal);
-            assert_eq!(d.commitment, Commitment::None);
-        }
     }
 
     #[test]
@@ -265,6 +215,32 @@ mod tests {
         assert_eq!(groups.len(), (topo.num_groups() - 2) as usize);
     }
 
+    /// The drawn group is the `pick`-th eligible one in ascending order —
+    /// what walking the group list past the excluded ones arrives at — for
+    /// every (source, destination) group pair, equal groups included.
+    #[test]
+    fn intermediate_group_is_the_drawn_one_in_ascending_order() {
+        let r = router(0);
+        let topo = *r.topology();
+        let mut rng = DeterministicRng::new(7);
+        for (src, dst) in
+            (0..topo.num_groups()).flat_map(|s| (0..topo.num_groups()).map(move |d| (s, d)))
+        {
+            let eligible: Vec<u32> = (0..topo.num_groups())
+                .filter(|&g| g != src && g != dst)
+                .collect();
+            for _ in 0..20 {
+                let mut replay = rng.clone();
+                let inter =
+                    pick_intermediate_router(&r, GroupId(src), GroupId(dst), &mut rng).unwrap();
+                let group = GroupId(eligible[replay.below(eligible.len() as u64) as usize]);
+                let local = replay.below(topo.intermediates_per_group() as u64) as u32;
+                assert_eq!(inter, topo.router_at(group, local), "{src} -> {dst}");
+                assert_eq!(rng.state(), replay.state(), "two draws");
+            }
+        }
+    }
+
     #[test]
     fn no_intermediate_in_a_two_group_network() {
         let topo = Dragonfly::new(DragonflyParams::new(2, 4, 2, 2).unwrap());
@@ -292,9 +268,14 @@ mod tests {
     fn pick_random_is_none_on_empty() {
         let mut rng = DeterministicRng::new(0);
         let empty: [u32; 0] = [];
-        assert!(pick_random(&empty, &mut rng).is_none());
+        assert!(pick_random(empty.iter(), &mut rng).is_none());
+        assert_eq!(rng.next_u64(), DeterministicRng::new(0).next_u64());
+        // one draw, the same one indexing a slice would take
         let items = [1, 2, 3];
-        assert!(items.contains(pick_random(&items, &mut rng).unwrap()));
+        let mut replay = rng.clone();
+        let picked = pick_random(items.iter(), &mut rng).unwrap();
+        assert_eq!(*picked, items[replay.index(items.len())]);
+        assert_eq!(rng.next_u64(), replay.next_u64());
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! reach the per-mechanism adaptive logic, which may produce a minimal
 //! decision or a new commitment.
 //!
+//! `decide` is the composition of what is fixed while a packet waits at the
+//! head of its input VC ([`RoutingAlgorithm::plan`], a [`HeadPlan`] the
+//! router parks beside the head) and what is not
+//! ([`RoutingAlgorithm::decide_planned`]), so each rule has one body.
+//!
 //! # Failure-aware continuations (fault routing)
 //!
 //! A committed continuation can die under it: the gateway link of a
@@ -36,10 +41,9 @@ pub mod oblivious;
 pub mod piggyback;
 
 use df_engine::DeterministicRng;
-use df_model::Packet;
-use df_model::RouteObjective;
-use df_router::Router;
-use df_topology::{Port, PortClass, RouterId, Topology};
+use df_model::{Packet, RouteObjective, VcId};
+use df_router::{HeadPlan, PlannedObjective, Router};
+use df_topology::{Port, PortClass, Topology};
 
 use crate::config::RoutingConfig;
 use crate::decision::{Commitment, Decision, DecisionKind};
@@ -77,7 +81,9 @@ impl RoutingAlgorithm {
     }
 
     /// Decide the output request for the head packet of `input_port` at
-    /// `router`.
+    /// `router`: the composition of [`plan`](Self::plan) — what is fixed
+    /// while the packet waits — and [`decide_planned`](Self::decide_planned)
+    /// — what is not.
     ///
     /// The decision is re-evaluated every cycle until the packet wins the
     /// switch, so this function never mutates the packet; any commitment is
@@ -90,68 +96,157 @@ impl RoutingAlgorithm {
         packet: &Packet,
         rng: &mut DeterministicRng,
     ) -> Decision {
+        let plan = self.plan(router, input_port, packet);
+        self.decide_planned(&plan, router, input_port, packet, rng)
+    }
+
+    /// The static half of [`decide`](Self::decide): the packet's resolved
+    /// objective, the output port and VC that objective asks for, and — for
+    /// a packet heading to its destination — the mechanism's misroute scope.
+    /// A function of the packet, the input port and the router's position
+    /// only (no counter, credit or link-health read), so it stays valid for
+    /// as long as the packet sits unchanged at the head of its input VC.
+    #[inline]
+    pub fn plan(&self, router: &Router, input_port: Port, packet: &Packet) -> HeadPlan {
         let topo = router.topology();
-        let current = router.id();
-        match packet.routing.objective(topo, current, packet.dst) {
-            RouteObjective::Eject(port) => Decision::ejection(port),
-            RouteObjective::LocalDetour(r) => {
-                let d = common::continuation_to_router(router, packet, r);
-                if router.any_link_down() && !router.link_is_up(d.output_port) {
-                    self.abandon_dead_detour(router, input_port, packet, rng)
-                } else {
-                    d
+        let (current, layout, net) = (router.id(), topo.layout(), router.config());
+        // the hierarchical minimal hop towards a router, and its VC
+        let toward = |target| {
+            let port = minimal_output_to_router(topo, current, target);
+            (port, vc_for_next_hop(packet, port.class(&layout), net))
+        };
+        let (objective, (port, vc), scope, min_link) =
+            match packet.routing.objective(topo, current, packet.dst) {
+                RouteObjective::Eject(port) => (PlannedObjective::Eject, (port, VcId(0)), 0, 0),
+                RouteObjective::NonminimalGateway(gateway, gateway_port) if gateway == current => {
+                    let vc = vc_for_next_hop(packet, PortClass::Global, net);
+                    (PlannedObjective::Continuation, (gateway_port, vc), 0, 0)
                 }
-            }
-            RouteObjective::NonminimalGateway(gateway, gport) => {
-                self.continue_to_gateway(router, packet, gateway, gport, rng)
-            }
-            RouteObjective::Intermediate(r) => {
-                let d = common::continuation_to_router(router, packet, r);
-                if router.any_link_down() && !router.link_is_up(d.output_port) {
-                    self.reroute_dead_intermediate(router, packet, d, rng)
-                } else {
-                    d
+                RouteObjective::LocalDetour(target)
+                | RouteObjective::NonminimalGateway(target, _)
+                | RouteObjective::Intermediate(target) => {
+                    (PlannedObjective::Continuation, toward(target), 0, 0)
                 }
-            }
-            RouteObjective::Destination(dst_router) => {
-                self.route_to_destination(router, input_port, packet, dst_router, rng)
-            }
+                RouteObjective::Destination(dst_router) => {
+                    let minimal = toward(dst_router);
+                    let misrouted = packet.routing.globally_misrouted();
+                    // source routing (VAL, PB) decides once, before any commitment
+                    let source_routed =
+                        matches!(self.kind, RoutingKind::Valiant | RoutingKind::PiggyBacking);
+                    let at_source = input_port.class(&layout) == PortClass::Terminal
+                        && packet.hops() == 0
+                        && !(source_routed
+                            && (misrouted || packet.routing.intermediate_router.is_some()));
+                    let bit = |set: bool, bit: u8| if set { bit } else { 0 };
+                    let (scope, min_link) = match self.kind {
+                        RoutingKind::Minimal => (0, 0),
+                        // the Valiant path is open at the source, whatever the groups
+                        RoutingKind::Valiant => (bit(at_source, HeadPlan::GLOBAL_SCOPE), 0),
+                        RoutingKind::PiggyBacking => piggyback::scope(router, packet, at_source),
+                        _ => adaptive::scope(&self.config, router, packet, minimal.0),
+                    };
+                    let scope = scope
+                        | bit(at_source, HeadPlan::AT_SOURCE)
+                        | bit(misrouted, HeadPlan::MISROUTED);
+                    (PlannedObjective::Destination, minimal, scope, min_link)
+                }
+            };
+        // `Router::new` caps the radix at `MAX_RADIX`, so the narrow fields fit
+        HeadPlan {
+            objective,
+            scope,
+            port: u8::try_from(port.0).expect("a port index is below MAX_RADIX"),
+            vc,
+            min_link: u16::try_from(min_link).expect("a group has fewer than MAX_RADIX² links"),
+            size: u16::try_from(packet.size_phits).unwrap_or(u16::MAX),
         }
     }
 
-    fn continue_to_gateway(
+    /// The dynamic half of [`decide`](Self::decide), for a head whose
+    /// [`plan`](Self::plan) is `plan`: every read of the router's counters,
+    /// credits and link health, and every RNG draw. On a healthy router the
+    /// planned output *is* the decision for an ejection, a continuation, a
+    /// head with no misroute family in scope and an adaptive head whose
+    /// rows are all quiet (one counter read per row). That is a short cut
+    /// only: the long way decides the same and draws nothing, which debug
+    /// builds assert on a cloned RNG for every head settled this way.
+    #[inline]
+    pub fn decide_planned(
+        &self,
+        plan: &HeadPlan,
+        router: &Router,
+        input_port: Port,
+        packet: &Packet,
+        rng: &mut DeterministicRng,
+    ) -> Decision {
+        let healthy = !router.any_link_down() && router.link_view().all_up();
+        let (kind, settled) = match plan.objective {
+            PlannedObjective::Eject => (DecisionKind::Ejection, true),
+            PlannedObjective::Continuation => (DecisionKind::Continuation, healthy),
+            PlannedObjective::Destination => (
+                DecisionKind::Minimal,
+                healthy
+                    && (!plan.has(HeadPlan::GLOBAL_SCOPE | HeadPlan::LOCAL_SCOPE)
+                        || adaptive::rows_quiet(self.kind, &self.config, plan, router)),
+            ),
+        };
+        let planned = Decision {
+            output_port: plan.output(),
+            output_vc: plan.vc,
+            kind,
+            commitment: Commitment::None,
+        };
+        let long_way = |rng: &mut DeterministicRng| match plan.objective {
+            PlannedObjective::Continuation => {
+                self.continue_under_faults(router, input_port, packet, planned, rng)
+            }
+            _ => self.route_to_destination(plan, router, packet, rng),
+        };
+        if !settled {
+            return long_way(rng);
+        }
+        debug_assert!(
+            plan.objective == PlannedObjective::Eject || {
+                let mut probe = rng.clone();
+                long_way(&mut probe) == planned && probe.state() == rng.state()
+            },
+            "{:?}: {plan:?} short-cuts {packet:?} to another decision or draw",
+            self.kind
+        );
+        planned
+    }
+
+    /// Fault routing for a committed `continuation` on a router with a down
+    /// link or a non-pristine link view: a committed link that died (its
+    /// output port at this router, or — for mechanisms with a link-state
+    /// view — a nonminimal gateway link itself, known before walking there)
+    /// is re-committed; a live one is followed as planned.
+    fn continue_under_faults(
         &self,
         router: &Router,
+        input_port: Port,
         packet: &Packet,
-        gateway: RouterId,
-        gateway_port: Port,
+        continuation: Decision,
         rng: &mut DeterministicRng,
     ) -> Decision {
         let topo = router.topology();
-        let at_gateway = gateway == router.id();
-        let continuation = if at_gateway {
-            Decision {
-                output_port: gateway_port,
-                output_vc: vc_for_next_hop(packet, PortClass::Global, router.config()),
-                kind: DecisionKind::Continuation,
-                commitment: Commitment::None,
+        let dead = !router.link_is_up(continuation.output_port);
+        match packet.routing.objective(topo, router.id(), packet.dst) {
+            RouteObjective::LocalDetour(_) if dead => {
+                self.abandon_dead_detour(router, input_port, packet, rng)
             }
-        } else {
-            common::continuation_to_router(router, packet, gateway)
-        };
-        // fault routing: a committed link that died (its output port at this
-        // router, or — for mechanisms with a link-state view — the gateway
-        // link itself, known before walking there) is re-committed
-        if router.any_link_down() || !router.link_view().all_up() {
-            let committed_dead = !router.link_is_up(continuation.output_port) || {
-                !at_gateway && {
-                    let layout = topo.layout();
-                    let j = topo.global_link_index(gateway, gateway_port.class_offset(&layout));
-                    !router.link_view().link_up(router.group(), j)
-                }
-            };
-            if committed_dead {
-                return adaptive::recommit_global(
+            RouteObjective::Intermediate(_) if dead => {
+                self.reroute_dead_intermediate(router, packet, continuation, rng)
+            }
+            RouteObjective::NonminimalGateway(gateway, gateway_port)
+                if dead
+                    || (gateway != router.id() && {
+                        let offset = gateway_port.class_offset(&topo.layout());
+                        let j = topo.global_link_index(gateway, offset);
+                        !router.link_view().link_up(router.group(), j)
+                    }) =>
+            {
+                adaptive::recommit_global(
                     self.kind,
                     &self.config,
                     router,
@@ -159,18 +254,17 @@ impl RoutingAlgorithm {
                     (gateway, gateway_port),
                     continuation,
                     rng,
-                );
+                )
             }
+            _ => continuation,
         }
-        continuation
     }
 
-    /// A committed local detour whose link died: abandon it and route
-    /// towards the destination as if it had never been committed (the
-    /// once-per-group detour budget stays spent). The destination logic can
-    /// produce no new commitment here — the packet is past its global hop
-    /// and has already detoured in this group — so attaching the abandon
-    /// commitment is unambiguous.
+    /// A committed local detour whose link died: abandon it and decide as if
+    /// it had never been committed (the once-per-group detour budget stays
+    /// spent). That decision can carry no new commitment — the packet is
+    /// past its global hop and has already detoured in this group — so
+    /// attaching the abandon commitment is unambiguous.
     fn abandon_dead_detour(
         &self,
         router: &Router,
@@ -178,18 +272,13 @@ impl RoutingAlgorithm {
         packet: &Packet,
         rng: &mut DeterministicRng,
     ) -> Decision {
-        let dst_router = router.topology().node_router(packet.dst);
-        if dst_router == router.id() {
-            // unreachable in practice (a detour is never committed at the
-            // destination router), but keep the objective's contract
-            return Decision::ejection(router.topology().node_port(packet.dst));
+        let mut undetoured = packet.clone();
+        undetoured.routing.abandon_local_detour();
+        let mut d = self.decide(router, input_port, &undetoured, rng);
+        if d.kind != DecisionKind::Discard {
+            debug_assert_eq!(d.commitment, Commitment::None);
+            d.commitment = Commitment::AbandonLocalDetour;
         }
-        let mut d = self.route_to_destination(router, input_port, packet, dst_router, rng);
-        if d.kind == DecisionKind::Discard {
-            return d;
-        }
-        debug_assert_eq!(d.commitment, Commitment::None);
-        d.commitment = Commitment::AbandonLocalDetour;
         d
     }
 
@@ -262,26 +351,350 @@ impl RoutingAlgorithm {
 
     fn route_to_destination(
         &self,
+        plan: &HeadPlan,
+        router: &Router,
+        packet: &Packet,
+        rng: &mut DeterministicRng,
+    ) -> Decision {
+        match self.kind {
+            RoutingKind::Minimal => Decision::minimal(plan.output(), plan.vc),
+            RoutingKind::Valiant => oblivious::valiant_decision(plan, router, packet, rng),
+            RoutingKind::PiggyBacking => piggyback::decide(&self.config, plan, router, packet, rng),
+            RoutingKind::Olm | RoutingKind::Base | RoutingKind::Hybrid | RoutingKind::Ectn => {
+                adaptive::decide(self.kind, &self.config, plan, router, packet, rng)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::minimal::minimal_output;
+    use df_model::{NetworkConfig, PacketId};
+    use df_topology::{
+        AnyTopology, DragonflyParams, GatewayLiveness, GroupId, MegaflyParams, NodeId, PortPeer,
+        RouterId, TopologyParams,
+    };
+    use std::collections::BTreeSet;
+
+    const KINDS: [RoutingKind; 7] = [
+        RoutingKind::Minimal,
+        RoutingKind::Valiant,
+        RoutingKind::PiggyBacking,
+        RoutingKind::Olm,
+        RoutingKind::Base,
+        RoutingKind::Hybrid,
+        RoutingKind::Ectn,
+    ];
+
+    /// A router at `id` with seeded random counters, ECtN / PB views and
+    /// output occupancy, and — with `faulty` — a few down links and a
+    /// non-pristine link view.
+    fn random_router(
+        id: RouterId,
+        topo: AnyTopology,
+        faulty: bool,
+        rng: &mut DeterministicRng,
+    ) -> Router {
+        let mut r = Router::new(id, topo, NetworkConfig::fast_test());
+        let layout = topo.layout();
+        let links = topo.global_links_per_group() as usize;
+        r.ectn_mut()
+            .install_combined((0..links).map(|_| rng.index(12) as u32).collect());
+        r.pb_mut()
+            .install_group((0..links).map(|_| rng.bernoulli(0.3)).collect());
+        for port in Port::all(&layout) {
+            for _ in 0..rng.index(9) {
+                r.contention_mut().increment(port);
+            }
+            let filler = Packet::new(PacketId(0), NodeId(0), NodeId(1), 8, 0);
+            for vc in 0..r.output(port).num_downstream_vcs() as u8 {
+                for i in 0..rng.index(5) as u64 {
+                    if r.output(port).can_accept(VcId(vc), 8) {
+                        r.output_mut(port).accept(filler.clone(), VcId(vc), 0);
+                        if rng.bernoulli(0.7) {
+                            let _ = r.output_mut(port).try_transmit(1_000 * (i + 1));
+                        }
+                    }
+                }
+            }
+            if faulty && rng.bernoulli(0.15) {
+                r.set_link_up(port, false);
+            }
+        }
+        if faulty {
+            let mut view = GatewayLiveness::new(&topo);
+            for _ in 0..3 {
+                let group = GroupId(rng.index(topo.num_groups() as usize) as u32);
+                view.set_entry(group, rng.index(links) as u32, false);
+            }
+            r.install_link_view(&view);
+        }
+        r
+    }
+
+    /// What the simulator does to a granted head: apply the commitment,
+    /// then record the hop.
+    fn take_hop(
+        packet: &mut Packet,
+        d: &Decision,
+        topo: &AnyTopology,
+        from: RouterId,
+        to: RouterId,
+    ) {
+        let routing = &mut packet.routing;
+        match d.commitment {
+            Commitment::None => {}
+            Commitment::Intermediate { router, misroute } => {
+                routing.commit_intermediate(router, misroute)
+            }
+            Commitment::NonminimalGlobal { gateway, port } => {
+                routing.commit_nonminimal_global(gateway, port)
+            }
+            Commitment::LocalDetour { router } => {
+                routing.commit_local_detour(router, topo.router_group(from))
+            }
+            Commitment::RecommitGlobal { gateway, port } => {
+                routing.recommit_nonminimal_global(gateway, port)
+            }
+            Commitment::AbandonNonminimal => routing.abandon_nonminimal_global(),
+            Commitment::RecommitIntermediate { router } => routing.recommit_intermediate(router),
+            Commitment::AbandonIntermediate => routing.abandon_intermediate(),
+            Commitment::AbandonLocalDetour => routing.abandon_local_detour(),
+        }
+        routing.note_hop(topo, d.output_port, to);
+    }
+
+    /// The decision the long way: the objective, then fault routing or the
+    /// mechanism's own rule, with none of `decide_planned`'s short cuts.
+    fn the_long_way(
+        algorithm: &RoutingAlgorithm,
+        plan: &HeadPlan,
         router: &Router,
         input_port: Port,
         packet: &Packet,
-        dst_router: RouterId,
         rng: &mut DeterministicRng,
     ) -> Decision {
-        debug_assert_ne!(
-            dst_router,
-            router.id(),
-            "ejection is handled by the objective"
-        );
-        match self.kind {
-            RoutingKind::Minimal => common::minimal_decision(router, packet),
-            RoutingKind::Valiant => oblivious::valiant_decision(router, input_port, packet, rng),
-            RoutingKind::PiggyBacking => {
-                piggyback::decide(&self.config, router, input_port, packet, rng)
+        let follow = |kind| Decision {
+            output_port: plan.output(),
+            output_vc: plan.vc,
+            kind,
+            commitment: Commitment::None,
+        };
+        match plan.objective {
+            PlannedObjective::Eject => follow(DecisionKind::Ejection),
+            PlannedObjective::Continuation => {
+                let planned = follow(DecisionKind::Continuation);
+                algorithm.continue_under_faults(router, input_port, packet, planned, rng)
             }
-            RoutingKind::Olm | RoutingKind::Base | RoutingKind::Hybrid | RoutingKind::Ectn => {
-                adaptive::decide(self.kind, &self.config, router, input_port, packet, rng)
+            PlannedObjective::Destination => {
+                algorithm.route_to_destination(plan, router, packet, rng)
             }
         }
+    }
+
+    /// Every state a packet can reach — each mechanism walks seeded packets
+    /// hop by hop through randomised routers of both topologies, healthy
+    /// and faulty — decides the same from a plan made on a *pristine*
+    /// router at that position as from scratch, and as the long way that
+    /// takes no short cut: decision and RNG state both. So a plan parked
+    /// when the head arrived stays right whatever happens to the router's
+    /// counters, credits and links while it waits, and the settled cases of
+    /// `decide_planned` skip work, never a different outcome.
+    #[test]
+    fn a_plan_made_on_a_pristine_router_decides_like_a_from_scratch_decide() {
+        let config = RoutingConfig::default()
+            .with_contention_threshold(3)
+            .with_ectn_combined_threshold(5);
+        let topologies = [
+            TopologyParams::from(DragonflyParams::small()).build(),
+            TopologyParams::from(MegaflyParams::small()).build(),
+        ];
+        for topo in topologies {
+            let layout = topo.layout();
+            let net = NetworkConfig::fast_test();
+            for kind in KINDS {
+                let algorithm = RoutingAlgorithm::new(kind, config);
+                let mut rng = DeterministicRng::new(kind as u64 + 100 * topo.num_routers() as u64);
+                // (objective, input class, scope bits) seen, for coverage
+                let mut seen = BTreeSet::new();
+                let (mut faulty_states, mut short_cuts) = (0, 0);
+                for walk in 0..400 {
+                    let faulty = walk % 3 == 2;
+                    let src = NodeId(rng.index(topo.num_nodes() as usize) as u32);
+                    let dst = NodeId(rng.index(topo.num_nodes() as usize) as u32);
+                    let mut packet = Packet::new(PacketId(walk), src, dst, 8, 0);
+                    let (mut at, mut input_port) = (topo.node_router(src), topo.node_port(src));
+                    for _hop in 0..10 {
+                        let router = random_router(at, topo, faulty, &mut rng);
+                        let pristine = Router::new(at, topo, net);
+                        let plan = algorithm.plan(&pristine, input_port, &packet);
+                        assert_eq!(plan, algorithm.plan(&router, input_port, &packet));
+                        let what =
+                            format!("{kind:?} walk {walk} at {at} {input_port:?}: {packet:?}");
+                        let (mut planned_rng, mut scratch_rng) = (rng.clone(), rng.clone());
+                        let d = algorithm.decide_planned(
+                            &plan,
+                            &router,
+                            input_port,
+                            &packet,
+                            &mut planned_rng,
+                        );
+                        let scratch =
+                            algorithm.decide(&router, input_port, &packet, &mut scratch_rng);
+                        assert_eq!(d, scratch, "{what}");
+                        assert_eq!(planned_rng.state(), scratch_rng.state(), "{what}");
+                        let mut long_rng = rng.clone();
+                        let long = the_long_way(
+                            &algorithm,
+                            &plan,
+                            &router,
+                            input_port,
+                            &packet,
+                            &mut long_rng,
+                        );
+                        assert_eq!(d, long, "{what}");
+                        assert_eq!(planned_rng.state(), long_rng.state(), "{what}");
+                        // the heads `decide_planned` settled without the long way
+                        let in_scope = plan.has(HeadPlan::GLOBAL_SCOPE | HeadPlan::LOCAL_SCOPE);
+                        short_cuts += (!faulty
+                            && match plan.objective {
+                                PlannedObjective::Eject => false,
+                                PlannedObjective::Continuation => true,
+                                PlannedObjective::Destination => {
+                                    !in_scope || adaptive::rows_quiet(kind, &config, &plan, &router)
+                                }
+                            }) as u32;
+                        rng = planned_rng;
+                        let objective = format!("{:?}", plan.objective);
+                        seen.insert((objective, input_port.class(&layout) as u8, plan.scope));
+                        faulty_states += faulty as u32;
+                        // follow the decision, as far as it leads somewhere
+                        let peer = topo.peer(at, d.output_port);
+                        let PortPeer::Router(next, next_port) = peer else {
+                            break;
+                        };
+                        if d.kind == DecisionKind::Discard || !router.link_is_up(d.output_port) {
+                            break;
+                        }
+                        take_hop(&mut packet, &d, &topo, at, next);
+                        (at, input_port) = (next, next_port);
+                    }
+                }
+                assert!(faulty_states > 100, "{kind:?}: faulty routers were visited");
+                assert!(short_cuts > 100, "{kind:?}: {short_cuts} short cuts taken");
+                let objectives: BTreeSet<&str> = seen.iter().map(|s| s.0.as_str()).collect();
+                let adaptive = !matches!(kind, RoutingKind::Minimal);
+                assert!(objectives.contains("Eject") && objectives.contains("Destination"));
+                assert_eq!(objectives.contains("Continuation"), adaptive, "{kind:?}");
+                let classes: BTreeSet<u8> = seen.iter().map(|s| s.1).collect();
+                assert_eq!(classes.len(), 3, "{kind:?}: every input class was visited");
+                let scopes = seen.iter().fold(0, |bits, s| bits | s.2);
+                let expected = match kind {
+                    RoutingKind::Minimal => HeadPlan::AT_SOURCE,
+                    RoutingKind::Valiant => {
+                        HeadPlan::AT_SOURCE | HeadPlan::GLOBAL_SCOPE | HeadPlan::MISROUTED
+                    }
+                    RoutingKind::PiggyBacking => {
+                        HeadPlan::AT_SOURCE | HeadPlan::GLOBAL_SCOPE | HeadPlan::MISROUTED
+                    }
+                    _ => {
+                        HeadPlan::AT_SOURCE
+                            | HeadPlan::GLOBAL_SCOPE
+                            | HeadPlan::LOCAL_SCOPE
+                            | HeadPlan::MISROUTED
+                    }
+                };
+                assert_eq!(scopes, expected, "{kind:?}: every scope bit was exercised");
+            }
+        }
+    }
+
+    #[test]
+    fn continuation_routes_minimally_towards_the_target() {
+        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let r0 = Router::new(RouterId(0), topo, NetworkConfig::fast_test());
+        let gport = Port::global(&topo.layout(), 0);
+        let mut to_waypoint = Packet::new(PacketId(0), NodeId(0), NodeId(70), 8, 0);
+        to_waypoint.routing.commit_intermediate(RouterId(3), true);
+        let mut to_gateway = Packet::new(PacketId(1), NodeId(0), NodeId(70), 8, 0);
+        to_gateway
+            .routing
+            .commit_nonminimal_global(RouterId(3), gport);
+        // a committed head continues whatever the mechanism's own rules say
+        for kind in KINDS {
+            let algorithm = RoutingAlgorithm::new(kind, RoutingConfig::default());
+            for p in [&to_waypoint, &to_gateway] {
+                let mut rng = DeterministicRng::new(4);
+                let d = algorithm.decide(&r0, Port(0), p, &mut rng);
+                assert_eq!(d.kind, DecisionKind::Continuation, "{kind:?}");
+                assert_eq!(d.output_port, topo.local_port_to(RouterId(0), RouterId(3)));
+                assert_eq!(d.output_port.class(&topo.layout()), PortClass::Local);
+                assert_eq!(d.output_vc, VcId(0));
+                assert_eq!(d.commitment, Commitment::None);
+                assert_eq!(rng.next_u64(), DeterministicRng::new(4).next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn minimal_decision_matches_minimal_output() {
+        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let r0 = Router::new(RouterId(0), topo, NetworkConfig::fast_test());
+        let min = RoutingAlgorithm::new(RoutingKind::Minimal, RoutingConfig::default());
+        for dst in [5u32, 20, 70, 71] {
+            let p = Packet::new(PacketId(0), NodeId(0), NodeId(dst), 8, 0);
+            let mut rng = DeterministicRng::new(4);
+            let d = min.decide(&r0, Port(0), &p, &mut rng);
+            assert_eq!(d.output_port, minimal_output(&topo, r0.id(), p.dst));
+            let class = d.output_port.class(&topo.layout());
+            assert_eq!(d.output_vc, vc_for_next_hop(&p, class, r0.config()));
+            assert_eq!(d.kind, DecisionKind::Minimal);
+            assert_eq!(d.commitment, Commitment::None);
+            assert_eq!(rng.next_u64(), DeterministicRng::new(4).next_u64());
+        }
+    }
+
+    /// What the plan holds for a few typical heads.
+    #[test]
+    fn plans_resolve_the_objective_and_the_misroute_scope() {
+        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let net = NetworkConfig::fast_test();
+        let base = RoutingAlgorithm::new(RoutingKind::Base, RoutingConfig::default());
+        let r0 = Router::new(RouterId(0), topo, net);
+        // an injected head for a remote group: global scope, at injection
+        let p = Packet::new(PacketId(0), NodeId(0), NodeId(40), 8, 0);
+        let plan = base.plan(&r0, Port(0), &p);
+        assert_eq!(plan.objective, PlannedObjective::Destination);
+        assert_eq!(plan.scope, HeadPlan::AT_SOURCE | HeadPlan::GLOBAL_SCOPE);
+        assert_eq!(
+            plan.output(),
+            minimal_output(&topo, RouterId(0), NodeId(40))
+        );
+        let (src_group, dst_group) = (topo.node_group(NodeId(0)), topo.node_group(NodeId(40)));
+        assert_eq!(
+            u32::from(plan.min_link),
+            topo.group_link_to(src_group, dst_group)
+        );
+        assert_eq!(plan.size_phits(&p), 8);
+        // MIN has no scope at all; a local head for this router ejects
+        let min = RoutingAlgorithm::new(RoutingKind::Minimal, RoutingConfig::default());
+        assert_eq!(min.plan(&r0, Port(0), &p).scope, HeadPlan::AT_SOURCE);
+        let here = Packet::new(PacketId(1), NodeId(2), NodeId(1), 8, 0);
+        let plan = base.plan(&r0, Port(2), &here);
+        assert_eq!(plan.objective, PlannedObjective::Eject);
+        assert_eq!(plan.output(), topo.node_port(NodeId(1)));
+        // a committed head continues towards its gateway, whatever the rules
+        let mut committed = p.clone();
+        let gport = Port::global(&topo.layout(), 0);
+        committed
+            .routing
+            .commit_nonminimal_global(RouterId(1), gport);
+        let plan = base.plan(&r0, Port(0), &committed);
+        assert_eq!(plan.objective, PlannedObjective::Continuation);
+        assert_eq!(plan.output(), topo.local_port_to(RouterId(0), RouterId(1)));
+        let at_gateway = Router::new(RouterId(1), topo, net);
+        assert_eq!(base.plan(&at_gateway, Port(4), &committed).output(), gport);
     }
 }

@@ -1,10 +1,10 @@
-//! The oblivious mechanism with a decision of its own: VAL (MIN is
-//! [`common::minimal_decision`] itself).
+//! The oblivious mechanism with a decision of its own: VAL (MIN is the
+//! planned minimal output itself).
 
 use df_engine::DeterministicRng;
 use df_model::Packet;
-use df_router::Router;
-use df_topology::{Port, PortClass, Topology};
+use df_router::{HeadPlan, Router};
+use df_topology::Topology;
 
 use crate::algorithms::common;
 use crate::decision::Decision;
@@ -12,22 +12,19 @@ use crate::decision::Decision;
 /// VAL: at the source router, commit to a uniformly random intermediate
 /// router in a third group and route minimally to it, then minimally to the
 /// destination (the continuation is handled by the packet's objective once
-/// the commitment is applied). Falls back to minimal routing when no third
-/// group exists.
+/// the commitment is applied). Falls back to minimal routing — the planned
+/// output — when no third group exists.
 pub fn valiant_decision(
+    plan: &HeadPlan,
     router: &Router,
-    input_port: Port,
     packet: &Packet,
     rng: &mut DeterministicRng,
 ) -> Decision {
-    let topo = router.topology();
-    let at_source = packet.hops() == 0
-        && input_port.class(&topo.layout()) == PortClass::Terminal
-        && packet.routing.intermediate_router.is_none()
-        && !packet.routing.globally_misrouted();
-    if !at_source {
-        return common::minimal_decision(router, packet);
+    let minimal = Decision::minimal(plan.output(), plan.vc);
+    if !plan.has(HeadPlan::GLOBAL_SCOPE) {
+        return minimal;
     }
+    let topo = router.topology();
     let src_group = topo.node_group(packet.src);
     let dst_group = topo.node_group(packet.dst);
     // under faults, only reachable intermediates are drawn (identical RNG
@@ -42,7 +39,7 @@ pub fn valiant_decision(
         Some(intermediate) if intermediate != router.id() => {
             common::valiant_first_hop(router, packet, intermediate, true)
         }
-        _ => common::minimal_decision(router, packet),
+        _ => minimal,
     }
 }
 
@@ -51,7 +48,7 @@ mod tests {
     use super::*;
     use crate::decision::{Commitment, DecisionKind};
     use df_model::{NetworkConfig, Packet, PacketId};
-    use df_topology::{Dragonfly, DragonflyParams, NodeId, RouterId};
+    use df_topology::{Dragonfly, DragonflyParams, NodeId, Port, RouterId};
 
     fn router(id: u32) -> Router {
         let topo = Dragonfly::new(DragonflyParams::small());
@@ -60,6 +57,17 @@ mod tests {
 
     fn packet(src: u32, dst: u32) -> Packet {
         Packet::new(PacketId(0), NodeId(src), NodeId(dst), 8, 0)
+    }
+
+    /// The whole decision — plan, then the VAL rule.
+    fn valiant_decision(
+        router: &Router,
+        input_port: Port,
+        packet: &Packet,
+        rng: &mut DeterministicRng,
+    ) -> Decision {
+        crate::RoutingAlgorithm::new(crate::RoutingKind::Valiant, Default::default())
+            .decide(router, input_port, packet, rng)
     }
 
     #[test]

@@ -15,45 +15,56 @@
 
 use df_engine::DeterministicRng;
 use df_model::Packet;
-use df_router::Router;
-use df_topology::{GroupId, Port, PortClass, Topology};
+use df_router::{HeadPlan, Router};
+use df_topology::{Port, Topology};
 
 use crate::algorithms::common;
 use crate::config::RoutingConfig;
 use crate::decision::Decision;
-use crate::minimal::{minimal_hops_to_router, minimal_output, minimal_output_to_router};
+use crate::minimal::{minimal_hops_to_router, minimal_output_to_router};
 use crate::trigger::{pb_link_saturated, ugal_prefers_valiant};
-use crate::vcmap::global_misroute_fits;
+use crate::vcmap::{global_misroute_fits, vc_for_next_hop};
 
-/// The PB routing decision.
+/// PB's misroute scope as [`HeadPlan`] scope bits plus the source group's
+/// minimal global link: the Valiant path is open at the source, to
+/// inter-group traffic only.
+pub(super) fn scope(router: &Router, packet: &Packet, at_source: bool) -> (u8, u32) {
+    let topo = router.topology();
+    let (src_group, dst_group) = (topo.node_group(packet.src), topo.node_group(packet.dst));
+    if at_source && src_group != dst_group {
+        let min_link = topo.group_link_to(src_group, dst_group);
+        (HeadPlan::GLOBAL_SCOPE, min_link)
+    } else {
+        (0, 0)
+    }
+}
+
+/// The PB routing decision for a head whose minimal output and scope
+/// are in `plan`.
 pub fn decide(
     config: &RoutingConfig,
+    plan: &HeadPlan,
     router: &Router,
-    input_port: Port,
     packet: &Packet,
     rng: &mut DeterministicRng,
 ) -> Decision {
     let topo = router.topology();
-    let at_source = packet.hops() == 0
-        && input_port.class(&topo.layout()) == PortClass::Terminal
-        && packet.routing.intermediate_router.is_none()
-        && !packet.routing.globally_misrouted();
-    if !at_source {
+    let minimal = Decision::minimal(plan.output(), plan.vc);
+    if !plan.has(HeadPlan::AT_SOURCE) {
         // source routing: the decision was made at injection; follow minimal
         // (a committed Valiant path is handled by the packet objective).
-        let d = common::minimal_decision(router, packet);
-        if router.any_link_down() && !router.link_is_up(d.output_port) {
-            return recommit_in_transit(router, packet, d, rng);
+        if router.any_link_down() && !router.link_is_up(minimal.output_port) {
+            return recommit_in_transit(router, packet, minimal, rng);
         }
-        return d;
+        return minimal;
+    }
+    if !plan.has(HeadPlan::GLOBAL_SCOPE) {
+        // PB never misroutes intra-group traffic, so a dead minimal local
+        // link leaves no legal alternative at all
+        return minimal_or_discard(router, packet, minimal, false);
     }
     let src_group = topo.node_group(packet.src);
     let dst_group = topo.node_group(packet.dst);
-    if src_group == dst_group {
-        // PB never misroutes intra-group traffic, so a dead minimal local
-        // link leaves no legal alternative at all
-        return minimal_or_discard(router, packet, dst_group, false);
-    }
     // candidate Valiant path; under faults the pick is filtered to
     // intermediates that are reachable and (per the piggybacked link-state
     // view) can still reach the destination group — on a healthy network
@@ -68,18 +79,30 @@ pub fn decide(
     };
     let intermediate = match picked {
         Some(r) if r != router.id() => r,
-        _ => return minimal_or_discard(router, packet, dst_group, true),
+        _ => return minimal_or_discard(router, packet, minimal, true),
     };
+    let min_first_hop = minimal.output_port;
+    let val_first_hop = minimal_output_to_router(topo, router.id(), intermediate);
+
+    // Neither first hop has room for the packet: whichever way the signals
+    // below point, the allocator cannot grant the request this iteration,
+    // and the head decides again — with fresh draws — on the next. The
+    // draws above are spent either way; only the arithmetic is skipped.
+    let val_vc = vc_for_next_hop(packet, val_first_hop.class(&topo.layout()), router.config());
+    if !faulty
+        && !router.output_can_accept(min_first_hop, minimal.output_vc, packet.size_phits)
+        && !router.output_can_accept(val_first_hop, val_vc, packet.size_phits)
+    {
+        return minimal;
+    }
 
     // signal 1: saturation of the minimal global link, from the group-shared
     // PB state
-    let min_link = topo.group_link_to(src_group, dst_group);
+    let min_link = u32::from(plan.min_link);
     let min_link_saturated = router.pb().group_saturated(min_link);
 
     // signal 2: UGAL comparison at the source router's own outputs
     let dst_router = topo.node_router(packet.dst);
-    let min_first_hop = minimal_output(topo, router.id(), packet.dst);
-    let val_first_hop = minimal_output_to_router(topo, router.id(), intermediate);
     let q_min = common::output_occupancy(router, min_first_hop);
     let q_val = common::output_occupancy(router, val_first_hop);
     let h_min = minimal_hops_to_router(topo, router.id(), dst_router) + 1;
@@ -99,11 +122,11 @@ pub fn decide(
     if (min_link_saturated || ugal_valiant || min_dead) && router.link_is_up(val_first_hop) {
         common::valiant_first_hop(router, packet, intermediate, true)
     } else {
-        minimal_or_discard(router, packet, dst_group, true)
+        minimal_or_discard(router, packet, minimal, true)
     }
 }
 
-/// The minimal decision, degraded to a discard when its output link is
+/// The `minimal` decision, degraded to a discard when its output link is
 /// dead and no Valiant escape can ever save the packet: either PB may not
 /// misroute it at all (`valiant_legal` false — intra-group traffic) or no
 /// live, view-viable escape exists
@@ -114,17 +137,17 @@ pub fn decide(
 fn minimal_or_discard(
     router: &Router,
     packet: &Packet,
-    dst_group: GroupId,
+    minimal: Decision,
     valiant_legal: bool,
 ) -> Decision {
-    let d = common::minimal_decision(router, packet);
     if router.any_link_down()
-        && !router.link_is_up(d.output_port)
-        && (!valiant_legal || !common::any_live_global_escape(router, dst_group))
+        && !router.link_is_up(minimal.output_port)
+        && (!valiant_legal
+            || !common::any_live_global_escape(router, router.topology().node_group(packet.dst)))
     {
         return Decision::discard();
     }
-    d
+    minimal
 }
 
 /// Fault re-commit for PB's in-transit continuations. PB is source-routed:
@@ -200,6 +223,7 @@ pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) {
 mod tests {
     use super::*;
     use crate::decision::{Commitment, DecisionKind};
+    use crate::minimal::minimal_output;
     use df_model::{NetworkConfig, PacketId, VcId};
     use df_topology::{Dragonfly, DragonflyParams, NodeId, RouterId};
 
@@ -210,6 +234,18 @@ mod tests {
 
     fn packet(src: u32, dst: u32) -> Packet {
         Packet::new(PacketId(0), NodeId(src), NodeId(dst), 8, 0)
+    }
+
+    /// The whole decision — plan, then the PB rules.
+    fn decide(
+        config: &RoutingConfig,
+        router: &Router,
+        input_port: Port,
+        packet: &Packet,
+        rng: &mut DeterministicRng,
+    ) -> Decision {
+        crate::RoutingAlgorithm::new(crate::RoutingKind::PiggyBacking, *config)
+            .decide(router, input_port, packet, rng)
     }
 
     #[test]
@@ -241,6 +277,39 @@ mod tests {
             d.commitment,
             Commitment::Intermediate { misroute: true, .. }
         ));
+    }
+
+    #[test]
+    fn a_source_head_with_no_room_behind_either_first_hop_draws_and_stays_minimal() {
+        let mut r = router(0);
+        let p = packet(0, 40);
+        let topo = *r.topology();
+        // the saturated flag alone would send the packet Valiant …
+        r.pb_mut()
+            .install_group(vec![true; topo.global_links_per_group() as usize]);
+        let mut rng = DeterministicRng::new(1);
+        let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        assert_eq!(d.kind, DecisionKind::NonminimalGlobal);
+        // … but with every output buffer full the allocator could grant
+        // neither request, so the comparison is skipped — after the draws
+        for port in Port::all(&topo.layout()) {
+            while r.output(port).can_accept(VcId(0), 8) {
+                r.output_mut(port).accept(packet(0, 40), VcId(0), 0);
+            }
+        }
+        let mut reference = rng.clone();
+        let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        assert_eq!(
+            d,
+            Decision::minimal(minimal_output(&topo, r.id(), p.dst), VcId(0))
+        );
+        let (src, dst) = (topo.node_group(p.src), topo.node_group(p.dst));
+        assert!(common::pick_intermediate_router(&r, src, dst, &mut reference).is_some());
+        assert_eq!(
+            rng.next_u64(),
+            reference.next_u64(),
+            "exactly the two draws"
+        );
     }
 
     #[test]

@@ -41,67 +41,70 @@ pub struct LocalCandidate {
 /// Enumerate the nonminimal global-link candidates for a packet at `router`
 /// whose minimal global link (towards its destination group) is
 /// `minimal_link` (pass `None` when the destination is in the current group,
-/// although global misrouting is normally not considered in that case).
+/// although global misrouting is normally not considered in that case), in
+/// ascending link order — so candidates behind one gateway, which share a
+/// first hop, are adjacent.
 ///
 /// When `own_links_only` is true only the global links of `router` itself are
 /// returned (the restriction the paper applies to ECtN misrouting at
-/// injection).
-pub fn global_candidates(
-    topo: &impl Topology,
+/// injection). The iterator allocates nothing and is `Clone`, so a
+/// selection can count its eligible candidates, then walk to the drawn one.
+pub fn global_candidates<T: Topology>(
+    topo: &T,
     router: RouterId,
     minimal_link: Option<u32>,
     own_links_only: bool,
-) -> Vec<GlobalCandidate> {
+) -> impl Iterator<Item = GlobalCandidate> + Clone + '_ {
     let group = topo.router_group(router);
-    let mut out = Vec::new();
-    for j in 0..topo.global_links_per_group() {
+    // the router's own links are its global ports in order; all of the
+    // group's are the link indices themselves
+    let count = if own_links_only {
+        topo.own_globals(router)
+    } else {
+        topo.global_links_per_group()
+    };
+    (0..count).filter_map(move |i| {
+        let j = if own_links_only {
+            topo.global_link_index(router, i)
+        } else {
+            i
+        };
         if Some(j) == minimal_link {
-            continue;
+            return None;
         }
         // skip links whose peer group is not populated
-        if topo.global_link_target_group(group, j).is_none() {
-            continue;
-        }
+        topo.global_link_target_group(group, j)?;
         let (gateway, gateway_port) = topo.global_link_owner(group, j);
-        if own_links_only && gateway != router {
-            continue;
-        }
+        debug_assert!(!own_links_only || gateway == router);
         // the topology may veto candidates it cannot start within the VC
         // ladder (e.g. a Megafly spine heading for another spine's link)
-        let Some(first_hop) = topo.candidate_first_hop(router, gateway, gateway_port) else {
-            continue;
-        };
-        out.push(GlobalCandidate {
+        let first_hop = topo.candidate_first_hop(router, gateway, gateway_port)?;
+        Some(GlobalCandidate {
             gateway,
             gateway_port,
             first_hop,
             link: j,
-        });
-    }
-    out
+        })
+    })
 }
 
 /// Enumerate the local-detour candidates at `router`: every other router of
 /// the group except the minimal next router `exclude` (the router the minimal
 /// path would visit, so a "detour" through it would not be a detour at all).
-pub fn local_candidates(
-    topo: &impl Topology,
+/// Allocation-free and `Clone`, like [`global_candidates`].
+pub fn local_candidates<T: Topology>(
+    topo: &T,
     router: RouterId,
     exclude: Option<RouterId>,
-) -> Vec<LocalCandidate> {
+) -> impl Iterator<Item = LocalCandidate> + Clone + '_ {
     let layout = topo.layout();
-    let mut out = Vec::new();
-    for k in 0..topo.local_misroute_degree(router) {
+    (0..topo.local_misroute_degree(router)).filter_map(move |k| {
         let neighbor = topo.local_neighbor(router, k);
-        if Some(neighbor) == exclude {
-            continue;
-        }
-        out.push(LocalCandidate {
+        (Some(neighbor) != exclude).then(|| LocalCandidate {
             router: neighbor,
             port: Port::local(&layout, k),
-        });
-    }
-    out
+        })
+    })
 }
 
 #[cfg(test)]
@@ -118,7 +121,7 @@ mod tests {
         let t = topo();
         let router = RouterId(1);
         let minimal = 3u32;
-        let cands = global_candidates(&t, router, Some(minimal), false);
+        let cands: Vec<_> = global_candidates(&t, router, Some(minimal), false).collect();
         assert_eq!(
             cands.len(),
             (t.params().global_links_per_group() - 1) as usize
@@ -145,7 +148,7 @@ mod tests {
     fn own_links_only_restricts_to_the_current_router() {
         let t = topo();
         let router = RouterId(2);
-        let cands = global_candidates(&t, router, None, true);
+        let cands: Vec<_> = global_candidates(&t, router, None, true).collect();
         assert_eq!(cands.len(), t.params().h as usize);
         assert!(cands.iter().all(|c| c.gateway == router));
         assert!(cands
@@ -156,7 +159,7 @@ mod tests {
     #[test]
     fn partial_networks_skip_dangling_links() {
         let t = Dragonfly::new(DragonflyParams::new(2, 4, 2, 5).unwrap());
-        let cands = global_candidates(&t, RouterId(0), None, false);
+        let cands: Vec<_> = global_candidates(&t, RouterId(0), None, false).collect();
         // only links towards the 4 other populated groups remain
         assert_eq!(cands.len(), 4);
         for c in &cands {
@@ -169,7 +172,7 @@ mod tests {
         let t = topo();
         let router = RouterId(0);
         let exclude = RouterId(2);
-        let cands = local_candidates(&t, router, Some(exclude));
+        let cands: Vec<_> = local_candidates(&t, router, Some(exclude)).collect();
         assert_eq!(cands.len(), (t.params().a - 2) as usize);
         assert!(cands
             .iter()
@@ -184,6 +187,6 @@ mod tests {
     fn local_candidates_without_exclusion() {
         let t = topo();
         let cands = local_candidates(&t, RouterId(5), None);
-        assert_eq!(cands.len(), (t.params().a - 1) as usize);
+        assert_eq!(cands.count(), (t.params().a - 1) as usize);
     }
 }

@@ -15,6 +15,19 @@
 //! The simulator invokes the allocator `speedup` times per cycle, applying
 //! the grants (and therefore updating buffer/credit state and queue heads)
 //! between iterations, which is what gives the 2× internal speedup.
+//!
+//! Each stage is one pass picking the request with the smallest round-robin
+//! key — its distance from the port's pointer, scanning upwards and wrapping.
+//! Two properties of the input stage are part of the contract (every pinned
+//! fingerprint depends on them; `tests::single_pass_matches_the_two_stage_scan`
+//! holds the rewrite to the original nested scan):
+//!
+//! * the VC scan of an input port wraps at **the highest requesting VC + 1**
+//!   of that port this iteration, not at the port's VC count — so a request
+//!   that cannot be granted still shapes the priority of its port's other
+//!   VCs, and callers must keep blocked heads in the request list;
+//! * a grant stores the pointer `(vc + 1) % max(num_ports, 8)`, so the
+//!   pointer may exceed that wrap point; it is reduced modulo it when read.
 
 use df_model::VcId;
 use df_topology::Port;
@@ -37,28 +50,45 @@ pub struct AllocationRequest {
 /// A granted request.
 pub type Grant = AllocationRequest;
 
+/// A per-port scratch slot holding no candidate.
+const NO_BEST: (usize, u32) = (usize::MAX, 0);
+
+/// Round-robin key of index `i` under pointer `rr`: its distance from the
+/// pointer scanning upwards and wrapping at `modulus` (`i < modulus`; the
+/// pointer is reduced first and is usually in range already).
+#[inline]
+fn rr_key(i: usize, rr: usize, modulus: usize) -> usize {
+    let rr = if rr < modulus { rr } else { rr % modulus };
+    if i >= rr {
+        i - rr
+    } else {
+        i + modulus - rr
+    }
+}
+
 /// Separable input-first allocator with per-port round-robin priority.
 ///
-/// All grouping state lives in persistent per-port scratch buffers, so an
-/// allocation iteration performs **zero heap allocations** in steady state
-/// (capacities grow to the per-router maximum once and are then reused) —
-/// this is on the per-cycle critical path of every active router.
+/// All scratch is a few persistent per-port words, so an allocation
+/// iteration performs **zero heap allocations** in steady state — this is
+/// on the per-cycle critical path of every active router.
 #[derive(Debug, Clone)]
 pub struct Allocator {
     /// Round-robin pointer per input port (over VC indices).
     input_rr: Vec<usize>,
     /// Round-robin pointer per output port (over input-port indices).
     output_rr: Vec<usize>,
-    // ---- persistent scratch (cleared per iteration, capacity retained) ----
-    /// Per input port: indices into the request slice.
-    by_input: Vec<Vec<u32>>,
+    // ---- persistent scratch (left zeroed / `NO_BEST` between iterations) ----
+    /// Per input port: highest requesting VC + 1 (0: no request yet).
+    max_vc: Vec<usize>,
+    /// Per input port: `(round-robin key, request index)` of its best
+    /// grantable request.
+    input_best: Vec<(usize, u32)>,
     /// Input ports in first-appearance order.
     input_order: Vec<u32>,
-    /// Input-stage winners.
-    candidates: Vec<AllocationRequest>,
-    /// Per output port: indices into `candidates`.
-    by_output: Vec<Vec<u32>>,
-    /// Output ports in first-appearance order.
+    /// Per output port: `(round-robin key, request index)` of its best
+    /// input-stage winner.
+    output_best: Vec<(usize, u32)>,
+    /// Output ports in first-appearance order among the input-stage winners.
     output_order: Vec<u32>,
 }
 
@@ -68,23 +98,26 @@ impl Allocator {
         Allocator {
             input_rr: vec![0; num_ports],
             output_rr: vec![0; num_ports],
-            by_input: vec![Vec::new(); num_ports],
+            max_vc: vec![0; num_ports],
+            input_best: vec![NO_BEST; num_ports],
             input_order: Vec::new(),
-            candidates: Vec::new(),
-            by_output: vec![Vec::new(); num_ports],
+            output_best: vec![NO_BEST; num_ports],
             output_order: Vec::new(),
         }
     }
 
     /// Perform one allocation iteration, appending grants to `grants`
-    /// (cleared first).
+    /// (cleared first). `requests` may come in any order.
     ///
     /// `can_accept(output_port, output_vc, size_phits)` must report whether
     /// the output currently has both output-buffer space and downstream
     /// credits for the packet; requests failing the check are ignored this
-    /// iteration.
+    /// iteration. It is called at most once per request.
     ///
-    /// Each input port and each output port appears in at most one grant.
+    /// Each input port and each output port appears in at most one grant;
+    /// grants come in first-appearance order of their output among the
+    /// input-stage winners, themselves in first-appearance order of their
+    /// input port in `requests` (see the module doc for the priority rule).
     pub fn allocate_into(
         &mut self,
         requests: &[AllocationRequest],
@@ -92,84 +125,54 @@ impl Allocator {
         mut can_accept: impl FnMut(Port, VcId, u32) -> bool,
     ) {
         grants.clear();
-        if requests.is_empty() {
-            return;
-        }
 
-        // ----- input stage: one candidate per input port -----
-        for port in self.input_order.drain(..) {
-            self.by_input[port as usize].clear();
+        // ----- input stage: one winner per input port -----
+        for req in requests {
+            let idx = req.input_port.index();
+            if self.max_vc[idx] == 0 {
+                self.input_order.push(idx as u32);
+            }
+            self.max_vc[idx] = self.max_vc[idx].max(req.input_vc.index() + 1);
         }
         for (i, req) in requests.iter().enumerate() {
             let idx = req.input_port.index();
-            if self.by_input[idx].is_empty() {
-                self.input_order.push(idx as u32);
-            }
-            self.by_input[idx].push(i as u32);
-        }
-        self.candidates.clear();
-        for &input_idx in &self.input_order {
-            let reqs = &self.by_input[input_idx as usize];
-            let rr = self.input_rr[input_idx as usize];
-            // consider VCs in round-robin order starting at the pointer
-            let mut chosen: Option<&AllocationRequest> = None;
-            let max_vc = reqs
-                .iter()
-                .map(|&r| requests[r as usize].input_vc.index())
-                .max()
-                .unwrap_or(0)
-                + 1;
-            'scan: for offset in 0..max_vc {
-                let want = (rr + offset) % max_vc;
-                for &ri in reqs {
-                    let r = &requests[ri as usize];
-                    if r.input_vc.index() == want
-                        && can_accept(r.output_port, r.output_vc, r.size_phits)
-                    {
-                        chosen = Some(r);
-                        break 'scan;
-                    }
-                }
-            }
-            if let Some(r) = chosen {
-                self.candidates.push(*r);
+            // distance of this VC from the pointer, scanning upwards modulo
+            // the port's `max_vc`; equal keys (one VC requesting twice) keep
+            // the earlier request
+            let key = rr_key(req.input_vc.index(), self.input_rr[idx], self.max_vc[idx]);
+            if key < self.input_best[idx].0
+                && can_accept(req.output_port, req.output_vc, req.size_phits)
+            {
+                self.input_best[idx] = (key, i as u32);
             }
         }
 
         // ----- output stage: one winner per output port -----
-        for port in self.output_order.drain(..) {
-            self.by_output[port as usize].clear();
-        }
-        for (i, cand) in self.candidates.iter().enumerate() {
-            let idx = cand.output_port.index();
-            if self.by_output[idx].is_empty() {
-                self.output_order.push(idx as u32);
-            }
-            self.by_output[idx].push(i as u32);
-        }
         let num_inputs = self.input_rr.len();
-        for oi in 0..self.output_order.len() {
-            let output_idx = self.output_order[oi] as usize;
-            let cands = &self.by_output[output_idx];
-            let rr = self.output_rr[output_idx];
-            let mut winner: Option<AllocationRequest> = None;
-            'outer: for offset in 0..num_inputs {
-                let want = (rr + offset) % num_inputs;
-                for &ci in cands {
-                    let c = &self.candidates[ci as usize];
-                    if c.input_port.index() == want {
-                        winner = Some(*c);
-                        break 'outer;
-                    }
-                }
+        for input_idx in self.input_order.drain(..) {
+            self.max_vc[input_idx as usize] = 0;
+            let best = std::mem::replace(&mut self.input_best[input_idx as usize], NO_BEST);
+            if best == NO_BEST {
+                continue;
             }
-            if let Some(w) = winner {
-                // advance round-robin pointers past the winners
-                self.output_rr[output_idx] = (w.input_port.index() + 1) % num_inputs;
-                let max_vc_hint = self.input_rr.len().max(8);
-                self.input_rr[w.input_port.index()] = (w.input_vc.index() + 1) % max_vc_hint;
-                grants.push(w);
+            let i = best.1;
+            let out = requests[i as usize].output_port.index();
+            if self.output_best[out] == NO_BEST {
+                self.output_order.push(out as u32);
             }
+            let key = rr_key(input_idx as usize, self.output_rr[out], num_inputs);
+            if key < self.output_best[out].0 {
+                self.output_best[out] = (key, i);
+            }
+        }
+        for out in self.output_order.drain(..) {
+            let (_, i) = std::mem::replace(&mut self.output_best[out as usize], NO_BEST);
+            let winner = requests[i as usize];
+            // advance both round-robin pointers past the winner
+            self.output_rr[out as usize] = (winner.input_port.index() + 1) % num_inputs;
+            self.input_rr[winner.input_port.index()] =
+                (winner.input_vc.index() + 1) % num_inputs.max(8);
+            grants.push(winner);
         }
     }
 
@@ -185,9 +188,8 @@ impl Allocator {
         grants
     }
 
-    /// Serialise the persistent round-robin pointers. The grouping buffers
-    /// are per-iteration scratch (cleared at the start of every call to
-    /// [`Allocator::allocate_into`]) and are deliberately not written.
+    /// Serialise the persistent round-robin pointers. The other fields are
+    /// per-iteration scratch and are deliberately not written.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.input_rr.len());
         for &p in &self.input_rr {
@@ -220,6 +222,143 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original two-stage scan (nested per-offset rescans over grouped
+    /// index lists), kept as the reference the single-pass allocator is
+    /// compared against. Returns the grants and advances the pointers.
+    fn two_stage_scan(
+        input_rr: &mut [usize],
+        output_rr: &mut [usize],
+        requests: &[AllocationRequest],
+        can_accept: impl Fn(Port, VcId, u32) -> bool,
+    ) -> Vec<Grant> {
+        let num_inputs = input_rr.len();
+        let mut input_order: Vec<usize> = Vec::new();
+        for r in requests {
+            if !input_order.contains(&r.input_port.index()) {
+                input_order.push(r.input_port.index());
+            }
+        }
+        let mut candidates: Vec<AllocationRequest> = Vec::new();
+        for &input_idx in &input_order {
+            let reqs: Vec<&AllocationRequest> = requests
+                .iter()
+                .filter(|r| r.input_port.index() == input_idx)
+                .collect();
+            let max_vc = reqs.iter().map(|r| r.input_vc.index()).max().unwrap() + 1;
+            'scan: for offset in 0..max_vc {
+                let want = (input_rr[input_idx] + offset) % max_vc;
+                for r in &reqs {
+                    if r.input_vc.index() == want
+                        && can_accept(r.output_port, r.output_vc, r.size_phits)
+                    {
+                        candidates.push(**r);
+                        break 'scan;
+                    }
+                }
+            }
+        }
+        let mut output_order: Vec<usize> = Vec::new();
+        for c in &candidates {
+            if !output_order.contains(&c.output_port.index()) {
+                output_order.push(c.output_port.index());
+            }
+        }
+        let mut grants = Vec::new();
+        for &output_idx in &output_order {
+            'outer: for offset in 0..num_inputs {
+                let want = (output_rr[output_idx] + offset) % num_inputs;
+                for c in candidates
+                    .iter()
+                    .filter(|c| c.output_port.index() == output_idx)
+                {
+                    if c.input_port.index() == want {
+                        output_rr[output_idx] = (c.input_port.index() + 1) % num_inputs;
+                        input_rr[c.input_port.index()] =
+                            (c.input_vc.index() + 1) % num_inputs.max(8);
+                        grants.push(*c);
+                        break 'outer;
+                    }
+                }
+            }
+        }
+        grants
+    }
+
+    #[test]
+    fn single_pass_matches_the_two_stage_scan() {
+        use df_engine::DeterministicRng;
+        let mut rng = DeterministicRng::new(21);
+        let mut pointers_beyond_max_vc = 0;
+        for case in 0..600 {
+            // 4 ports stores pointers modulo 8, so `input_rr` routinely
+            // exceeds a port's highest requesting VC + 1
+            let num_ports = [4, 7, 31][case % 3];
+            let num_vcs = 1 + rng.index(4);
+            let density = [0.1, 0.5, 1.0][rng.index(3)];
+            let blocked_share = [0.0, 0.3, 0.9][rng.index(3)];
+            let blocked: Vec<bool> = (0..num_ports * 4)
+                .map(|_| rng.bernoulli(blocked_share))
+                .collect();
+            let can_accept = |port: Port, vc: VcId, _| !blocked[port.index() * 4 + vc.index() % 4];
+            let mut allocator = Allocator::new(num_ports);
+            let (mut input_rr, mut output_rr) = (vec![0; num_ports], vec![0; num_ports]);
+            // several iterations on one allocator, so the pointers move
+            for _ in 0..6 {
+                let mut requests = Vec::new();
+                for port in 0..num_ports as u32 {
+                    for vc in 0..num_vcs as u8 {
+                        if rng.bernoulli(density) {
+                            let out = rng.index(num_ports) as u32;
+                            requests.push(req(port, vc, out, rng.index(4) as u8));
+                        }
+                    }
+                }
+                // any order, including one VC requesting twice
+                for i in (1..requests.len()).rev() {
+                    requests.swap(i, rng.index(i + 1));
+                }
+                if let Some(&first) = requests.first().filter(|_| rng.bernoulli(0.2)) {
+                    requests.push(AllocationRequest {
+                        output_port: Port(rng.index(num_ports) as u32),
+                        ..first
+                    });
+                }
+                for r in &requests {
+                    let max_vc = requests
+                        .iter()
+                        .filter(|o| o.input_port == r.input_port)
+                        .map(|o| o.input_vc.index() + 1)
+                        .max()
+                        .unwrap();
+                    pointers_beyond_max_vc += (input_rr[r.input_port.index()] >= max_vc) as u32;
+                }
+                let expected = two_stage_scan(&mut input_rr, &mut output_rr, &requests, can_accept);
+                let grants = allocator.allocate(&requests, can_accept);
+                assert_eq!(grants, expected, "case {case}: {requests:?}");
+                assert_eq!(allocator.input_rr, input_rr, "case {case}");
+                assert_eq!(allocator.output_rr, output_rr, "case {case}");
+            }
+        }
+        assert!(pointers_beyond_max_vc > 100, "the wrap quirk was exercised");
+    }
+
+    #[test]
+    fn can_accept_is_called_at_most_once_per_request() {
+        let mut a = Allocator::new(4);
+        let requests = [
+            req(0, 0, 1, 0),
+            req(0, 1, 2, 0),
+            req(0, 2, 3, 0),
+            req(1, 0, 3, 0),
+        ];
+        let mut calls = 0;
+        a.allocate(&requests, |_, _, _| {
+            calls += 1;
+            false
+        });
+        assert_eq!(calls, requests.len());
+    }
 
     fn req(ip: u32, ivc: u8, op: u32, ovc: u8) -> AllocationRequest {
         AllocationRequest {

@@ -7,9 +7,80 @@
 //! incremented exactly once per head packet and decremented when it leaves
 //! (§III-B of the paper).
 
-use df_model::Packet;
+use df_model::{Packet, VcId};
 use df_topology::{Port, PortClass};
 use std::collections::VecDeque;
+
+/// Which of its three objectives a planned head pursues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlannedObjective {
+    /// At the destination router: eject through the planned port.
+    Eject,
+    /// Follow a committed path (detour, gateway, waypoint) through the port.
+    Continuation,
+    /// Head for the destination router: the planned port is the minimal one
+    /// and the scope bits say what else the mechanism may consider.
+    Destination,
+}
+
+/// The part of a head packet's routing decision that cannot change while it
+/// waits at the head of its input VC — a function of the packet, the input
+/// port and the router's *position*, never of counters, credits or link
+/// health — made once by the routing layer (`RoutingAlgorithm::plan`) and
+/// parked beside the head, so the per-cycle loop decides from this word.
+/// Derived state: not in the snapshot, dropped by [`InputVc::pop`] and
+/// [`InputVc::head_mut`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeadPlan {
+    /// The resolved objective.
+    pub objective: PlannedObjective,
+    /// The `AT_SOURCE` / `GLOBAL_SCOPE` / `LOCAL_SCOPE` / `MISROUTED` bits
+    /// of a [`PlannedObjective::Destination`] head.
+    pub scope: u8,
+    /// Index of the planned output port (below [`MAX_RADIX`](crate::MAX_RADIX)).
+    pub port: u8,
+    /// Downstream VC of the hop through the planned port.
+    pub vc: VcId,
+    /// The group's minimal global link towards the destination group
+    /// (under `GLOBAL_SCOPE`).
+    pub min_link: u16,
+    /// Packet size in phits, saturating — see [`HeadPlan::size_phits`].
+    pub size: u16,
+}
+
+impl HeadPlan {
+    /// Entered through a terminal port, no hop taken: at-injection rules apply.
+    pub const AT_SOURCE: u8 = 1;
+    /// A nonminimal global path is policy-legal for this head (before the
+    /// already-misrouted veto, which a dead minimal output lifts).
+    pub const GLOBAL_SCOPE: u8 = 2;
+    /// A local detour is policy-legal for this head.
+    pub const LOCAL_SCOPE: u8 = 4;
+    /// The packet already committed to a nonminimal global path.
+    pub const MISROUTED: u8 = 8;
+
+    /// Whether any of the scope bits `bits` is set.
+    #[inline]
+    pub fn has(&self, bits: u8) -> bool {
+        self.scope & bits != 0
+    }
+
+    /// The planned output port.
+    #[inline]
+    pub fn output(&self) -> Port {
+        Port(u32::from(self.port))
+    }
+
+    /// Size of `packet`, the head this plan was made for: from the plan
+    /// unless the stored value saturated.
+    #[inline]
+    pub fn size_phits(&self, packet: &Packet) -> u32 {
+        match self.size {
+            u16::MAX => packet.size_phits,
+            size => u32::from(size),
+        }
+    }
+}
 
 /// A packet removed from an input VC, together with the counter
 /// registrations that must now be released by the caller.
@@ -37,6 +108,8 @@ pub struct InputVc {
     /// Group-level global link registered in the ECtN partial array for the
     /// current head packet.
     registered_ectn_link: Option<u32>,
+    /// The routing layer's plan for the head (None until first decided).
+    plan: Option<HeadPlan>,
 }
 
 impl InputVc {
@@ -48,6 +121,7 @@ impl InputVc {
             occupancy_phits: 0,
             registered_min_output: None,
             registered_ectn_link: None,
+            plan: None,
         }
     }
 
@@ -105,8 +179,10 @@ impl InputVc {
     }
 
     /// Mutable access to the head packet (routing algorithms update the
-    /// packet's routing state when they commit decisions).
+    /// packet's routing state when they commit decisions); the change may
+    /// invalidate the head's plan, so it is dropped.
     pub fn head_mut(&mut self) -> Option<&mut Packet> {
+        self.plan = None;
         self.queue.front_mut()
     }
 
@@ -115,6 +191,7 @@ impl InputVc {
     pub fn pop(&mut self) -> Option<PoppedPacket> {
         let packet = self.queue.pop_front()?;
         self.occupancy_phits -= packet.size_phits;
+        self.plan = None;
         Some(PoppedPacket {
             packet,
             registered_min_output: self.registered_min_output.take(),
@@ -131,6 +208,18 @@ impl InputVc {
     /// The ECtN partial-array link registered for the current head (if any).
     pub fn registered_ectn_link(&self) -> Option<u32> {
         self.registered_ectn_link
+    }
+
+    /// The routing layer's plan for the current head, if one was made.
+    #[inline]
+    pub fn plan(&self) -> Option<HeadPlan> {
+        self.plan
+    }
+
+    /// Park the routing layer's plan for the current head packet.
+    pub fn set_plan(&mut self, plan: HeadPlan) {
+        debug_assert!(!self.queue.is_empty(), "cannot plan for an empty VC");
+        self.plan = Some(plan);
     }
 
     /// Record that the current head packet has been registered against
@@ -218,6 +307,7 @@ impl InputVc {
         self.occupancy_phits = occupancy as u32;
         self.registered_min_output = registered_min_output;
         self.registered_ectn_link = registered_ectn_link;
+        self.plan = None;
         Ok(())
     }
 }
@@ -382,6 +472,40 @@ mod tests {
         // new head needs registration again
         assert!(vc.head_needs_registration());
         assert_eq!(vc.registered_ectn_link(), None);
+    }
+
+    #[test]
+    fn plan_lifecycle() {
+        // one word beside the registrations, niche included
+        assert_eq!(std::mem::size_of::<Option<HeadPlan>>(), 8);
+        let plan = HeadPlan {
+            objective: PlannedObjective::Destination,
+            scope: HeadPlan::AT_SOURCE | HeadPlan::GLOBAL_SCOPE,
+            port: 5,
+            vc: VcId(1),
+            min_link: 3,
+            size: 8,
+        };
+        assert!(plan.has(HeadPlan::GLOBAL_SCOPE) && !plan.has(HeadPlan::LOCAL_SCOPE));
+        assert_eq!(plan.output(), Port(5));
+        let mut vc = InputVc::new(32);
+        vc.push(packet(1, 8));
+        assert_eq!(vc.plan(), None);
+        vc.set_plan(plan);
+        vc.push(packet(2, 8));
+        assert_eq!(vc.plan(), Some(plan), "still the same head");
+        assert_eq!(plan.size_phits(vc.head().unwrap()), 8);
+        vc.pop();
+        assert_eq!(vc.plan(), None, "a new head has no plan");
+        vc.set_plan(plan);
+        vc.head_mut().unwrap().routing.local_hops = 1;
+        assert_eq!(vc.plan(), None, "a mutated head has no plan");
+        // a saturated size defers to the packet
+        let big = HeadPlan {
+            size: u16::MAX,
+            ..plan
+        };
+        assert_eq!(big.size_phits(&packet(3, 70_000)), 70_000);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod snapshot;
 pub use allocator::{AllocationRequest, Allocator, Grant};
 pub use contention::ContentionCounters;
 pub use ectn::EctnState;
-pub use input::{InputPort, InputVc, PoppedPacket};
+pub use input::{HeadPlan, InputPort, InputVc, PlannedObjective, PoppedPacket};
 pub use output::OutputPort;
 pub use pb::PbState;
 pub use router::{Router, MAX_RADIX};

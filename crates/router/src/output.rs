@@ -32,6 +32,11 @@ pub struct OutputPort {
     credits: Vec<u32>,
     /// Capacity of the downstream buffer per VC (maximum credits).
     credit_capacity: Vec<u32>,
+    /// Running sum of `credits` (kept by `accept`, `return_credits` and
+    /// restore), so the occupancy reads of the credit triggers are O(1).
+    credits_total: u32,
+    /// Sum of `credit_capacity` (a constant of the port).
+    credit_capacity_total: u32,
     /// Output buffer (staging between crossbar and link).
     buffer: VecDeque<StagedPacket>,
     buffer_capacity_phits: u32,
@@ -59,6 +64,8 @@ impl OutputPort {
             class,
             credits: vec![downstream_capacity_per_vc; downstream_vcs as usize],
             credit_capacity: vec![downstream_capacity_per_vc; downstream_vcs as usize],
+            credits_total: downstream_capacity_per_vc * downstream_vcs as u32,
+            credit_capacity_total: downstream_capacity_per_vc * downstream_vcs as u32,
             buffer: VecDeque::new(),
             buffer_capacity_phits,
             buffer_occupancy_phits: 0,
@@ -89,12 +96,13 @@ impl OutputPort {
 
     /// Total free credits across downstream VCs.
     pub fn total_credits(&self) -> u32 {
-        self.credits.iter().sum()
+        debug_assert_eq!(self.credits_total, self.credits.iter().sum::<u32>());
+        self.credits_total
     }
 
     /// Total downstream capacity across VCs.
     pub fn total_credit_capacity(&self) -> u32 {
-        self.credit_capacity.iter().sum()
+        self.credit_capacity_total
     }
 
     /// Occupancy of the output buffer in phits.
@@ -165,6 +173,7 @@ impl OutputPort {
         self.buffer_occupancy_phits += packet.size_phits;
         if self.class != PortClass::Terminal {
             self.credits[dst_vc.index()] -= packet.size_phits;
+            self.credits_total -= packet.size_phits;
         }
         self.buffer.push_back(StagedPacket {
             packet,
@@ -183,6 +192,7 @@ impl OutputPort {
     pub fn return_credits(&mut self, vc: VcId, phits: u32) {
         let c = &mut self.credits[vc.index()];
         *c += phits;
+        self.credits_total += phits;
         assert!(
             *c <= self.credit_capacity[vc.index()],
             "credit overflow on vc {vc}: {} > {} (double credit return)",
@@ -298,6 +308,7 @@ impl OutputPort {
                 self.buffer_capacity_phits
             )));
         }
+        self.credits_total = credits.iter().sum();
         self.credits = credits;
         self.buffer = buffer;
         self.buffer_occupancy_phits = occupancy as u32;

@@ -41,7 +41,8 @@
 //!   stored. The sets — active routers (steps 4–5), queued nodes
 //!   (injection), silent / look-ahead injectors (generation, `node::Nodes`),
 //!   output-changed routers and flipped groups (PB), staged ports
-//!   (transmission, idleness) — are tabulated in `docs/ARCHITECTURE.md`
+//!   (transmission, idleness), head plans (routing decisions) — are
+//!   tabulated in `docs/ARCHITECTURE.md`
 //!   § "Activity gating"; debug builds assert each against the full scan
 //!   (the first two at the end of every [`Network::step`]).
 //! * **Allocation-free steady state**: the per-cycle loop reuses scratch

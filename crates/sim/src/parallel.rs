@@ -59,10 +59,11 @@ pub(crate) struct StepCtx {
 /// per shard; a shard touches only its own.
 #[derive(Default)]
 pub(crate) struct ShardState {
-    /// Allocation requests of the router currently being processed.
+    /// Allocation requests of the router currently being processed, in
+    /// ascending `(input port, input VC)` order.
     pub requests: Vec<AllocationRequest>,
-    /// Routing decisions keyed by `(input port, input VC)` for grant lookup.
-    pub decisions: Vec<((Port, VcId), Decision)>,
+    /// `decisions[i]` is the routing decision behind `requests[i]`.
+    pub decisions: Vec<Decision>,
     /// Grant buffer reused across routers.
     pub grants: Vec<Grant>,
     /// Transmitted-packet buffer reused across routers.
@@ -334,40 +335,54 @@ pub(crate) fn route_and_allocate_one(
     }
 
     // b. routing decisions for every occupied VC head (ports with no
-    // queued packet are skipped in O(1)). Discard decisions (fault routing:
-    // unroutable packets) are collected and applied after the loop, so
-    // every head decides against the same pre-discard router state in every
-    // kernel.
+    // queued packet are skipped in O(1)), each from its head plan — made
+    // the first time the head is decided (new, or restored) and parked
+    // beside it. A blocked head still files its request: the allocator's VC
+    // scan wraps at the highest *requesting* VC. Discards (unroutable
+    // packets) are applied after the loop, so every head decides against
+    // the same pre-discard router state in every kernel.
     shard.requests.clear();
     shard.decisions.clear();
     shard.discards.clear();
-    {
-        let router: &Router = router;
-        for p in 0..num_ports {
-            let port = Port(p as u32);
-            if router.port_occupancy(port) == 0 {
+    for p in 0..num_ports {
+        let port = Port(p as u32);
+        if router.port_occupancy(port) == 0 {
+            continue;
+        }
+        for v in 0..router.input(port).num_vcs() {
+            let input_vc = router.input(port).vc(v);
+            let Some(head) = input_vc.head() else {
+                continue;
+            };
+            let plan = match input_vc.plan() {
+                Some(plan) => plan,
+                None => {
+                    let plan = ctx.algorithm.plan(router, port, head);
+                    router.input_mut(port).vc_mut(v).set_plan(plan);
+                    plan
+                }
+            };
+            let head = router.input(port).vc(v).head().expect("checked above");
+            // the gate: with a fresh plan this is `decide`, by definition
+            debug_assert_eq!(
+                plan,
+                ctx.algorithm.plan(router, port, head),
+                "router {router_id} {port:?} vc {v}: the head's plan is stale"
+            );
+            let decision = ctx.algorithm.decide_planned(&plan, router, port, head, rng);
+            let vc = VcId(v as u8);
+            if decision.kind == DecisionKind::Discard {
+                shard.discards.push((port, vc));
                 continue;
             }
-            let input = router.input(port);
-            for v in 0..input.num_vcs() {
-                let Some(head) = input.vc(v).head() else {
-                    continue;
-                };
-                let vc = VcId(v as u8);
-                let decision = ctx.algorithm.decide(router, port, head, rng);
-                if decision.kind == DecisionKind::Discard {
-                    shard.discards.push((port, vc));
-                    continue;
-                }
-                shard.requests.push(AllocationRequest {
-                    input_port: port,
-                    input_vc: vc,
-                    output_port: decision.output_port,
-                    output_vc: decision.output_vc,
-                    size_phits: head.size_phits,
-                });
-                shard.decisions.push(((port, vc), decision));
-            }
+            shard.requests.push(AllocationRequest {
+                input_port: port,
+                input_vc: vc,
+                output_port: decision.output_port,
+                output_vc: decision.output_vc,
+                size_phits: plan.size_phits(head),
+            });
+            shard.decisions.push(decision);
         }
     }
 
@@ -440,12 +455,13 @@ fn apply_one_grant_staged(
     shard: &mut ShardState,
 ) {
     let router_id = router.id();
-    let decision = shard
-        .decisions
-        .iter()
-        .find(|(k, _)| *k == (grant.input_port, grant.input_vc))
-        .map(|(_, d)| *d)
+    let request = shard
+        .requests
+        .binary_search_by_key(&(grant.input_port, grant.input_vc), |r| {
+            (r.input_port, r.input_vc)
+        })
         .expect("grant matches a request");
+    let decision = shard.decisions[request];
     // apply the commitment to the head packet before it moves
     {
         let group = router.group();
@@ -601,6 +617,88 @@ mod tests {
             .collect();
         let views = vec![GatewayLiveness::new(&topo); topo.num_groups() as usize];
         (routers, rngs, views)
+    }
+
+    /// The restore trap: a snapshot taken mid-run holds heads that are
+    /// already *registered*, so no registration will ever plan them — and
+    /// at saturation a blocked head may wait a long time. Every occupied VC
+    /// of a restored router carries a plan after its first iteration, and
+    /// loses it with the head it was made for.
+    #[test]
+    fn a_restored_router_plans_its_registered_heads_on_the_first_iteration() {
+        let topo = df_topology::TopologyParams::from(df_topology::DragonflyParams::small()).build();
+        let network = NetworkConfig::fast_test();
+        let ctx = StepCtx {
+            topo,
+            algorithm: RoutingAlgorithm::new(df_routing::RoutingKind::Base, Default::default()),
+            network,
+        };
+        let (mut rng, mut shard) = (DeterministicRng::new(3), ShardState::default());
+        // two packets in every input VC, all for one remote node: they share
+        // one minimal output, so most heads stay blocked behind it
+        let mut router = Router::new(df_topology::RouterId(0), topo, network);
+        let mut id = 0;
+        for port in Port::all(&topo.layout()) {
+            for vc in 0..router.input(port).num_vcs() {
+                for _ in 0..2 {
+                    let src = df_topology::NodeId(id % 2);
+                    let packet = df_model::Packet::new(
+                        df_model::PacketId(id as u64),
+                        src,
+                        df_topology::NodeId(40),
+                        8,
+                        0,
+                    );
+                    router.receive_packet(port, VcId(vc as u8), packet);
+                    id += 1;
+                }
+            }
+        }
+        route_and_allocate_one(&mut router, &mut rng, &ctx, 0, &mut shard);
+        assert!(!shard.grants.is_empty(), "some head left");
+
+        let mut bytes = df_engine::Encoder::new();
+        router.save_state(&mut bytes);
+        let bytes = bytes.into_bytes();
+        let mut restored = Router::new(df_topology::RouterId(0), topo, network);
+        restored
+            .restore_state(&mut df_engine::Decoder::new(&bytes))
+            .expect("a router restores its own snapshot");
+        let vcs = |router: &Router| -> Vec<(Port, usize)> {
+            Port::all(&topo.layout())
+                .flat_map(|port| (0..router.input(port).num_vcs()).map(move |vc| (port, vc)))
+                .collect()
+        };
+        let mut registered = 0;
+        for (port, vc) in vcs(&restored) {
+            let input_vc = restored.input(port).vc(vc);
+            assert_eq!(input_vc.plan(), None, "plans are not in the snapshot");
+            registered += input_vc.registered_min_output().is_some() as u32;
+        }
+        assert!(registered > 10, "the snapshot holds registered heads");
+
+        route_and_allocate_one(&mut restored, &mut rng, &ctx, 1, &mut shard);
+        let (mut planned, mut popped) = (0, 0);
+        for (port, vc) in vcs(&restored) {
+            let input_vc = restored.input(port).vc(vc);
+            let granted = shard
+                .grants
+                .iter()
+                .any(|g| (g.input_port, g.input_vc.index()) == (port, vc));
+            // a granted head took its plan with it; its successor (if any)
+            // is planned when it is first decided, next iteration
+            assert_eq!(
+                input_vc.plan().is_some(),
+                !input_vc.is_empty() && !granted,
+                "{port:?} vc {vc}"
+            );
+            planned += input_vc.plan().is_some() as u32;
+            popped += granted as u32;
+        }
+        assert!(
+            planned > 10 && popped > 0,
+            "{planned} planned, {popped} popped"
+        );
     }
 
     /// Check every property of one split: `num_shards` shards in order,

@@ -191,8 +191,9 @@ pub trait Topology: Copy + std::fmt::Debug {
     // ------------------------------------------------------------------
 
     /// Group-level index (`0 .. global_links_per_group`) of the global link
-    /// at global-port offset `k` of `router` (which must own global links).
-    /// ECtN partial/combined arrays and PB flags are indexed by this value.
+    /// at global-port offset `k` of `router` (which must own global links),
+    /// increasing in `k`. ECtN partial/combined arrays and PB flags are
+    /// indexed by this value.
     fn global_link_index(&self, router: RouterId, k: u32) -> u32;
     /// Inverse of [`global_link_index`](Topology::global_link_index): the
     /// router (within `group`) and global port owning group-level link `j`.
