@@ -30,7 +30,7 @@
 
 use std::path::PathBuf;
 
-use df_bench::{or_exit_2, parse_kv, Scale};
+use df_bench::{parse_kv, Scale};
 use df_routing::RoutingKind;
 use df_sim::runner::{run_sweep_service, RunnerOptions};
 use df_sim::{ChurnModel, ChurnRate, Scenario, ScenarioMatrix, SimulationConfig};
@@ -38,12 +38,8 @@ use df_traffic::PatternKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
-        Scale::small(),
-        &["seeds=", "run-dir=", "threads="],
-        "availability",
-        args.iter().cloned(),
-    ));
+    let scale =
+        Scale::from_args_dragonfly_only("availability", &["seeds=", "run-dir=", "threads="], &args);
     let seeds = parse_kv(&args, "seeds").unwrap_or(5).max(1);
     let run_dir = args
         .iter()

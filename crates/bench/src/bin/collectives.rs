@@ -12,7 +12,7 @@
 //! cargo run --release -p df-bench --bin collectives -- [small|medium|paper] [csv]
 //! ```
 
-use df_bench::{or_exit_2, Scale};
+use df_bench::Scale;
 use df_engine::Table;
 use df_routing::RoutingKind;
 use df_sim::{run_job_set, SimulationConfig};
@@ -63,12 +63,7 @@ const ROUTINGS: [RoutingKind; 4] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
-        Scale::small(),
-        &["csv"],
-        "collectives",
-        args.iter().cloned(),
-    ));
+    let scale = Scale::from_args_dragonfly_only("collectives", &["csv"], &args);
     let csv_stdout = args.iter().any(|a| a == "csv");
 
     let mut table = Table::new(

@@ -18,7 +18,7 @@
 //! bin), then a during/after summary per mechanism on stderr. Deterministic:
 //! rerun and diff.
 
-use df_bench::{or_exit_2, Scale};
+use df_bench::Scale;
 use df_routing::RoutingKind;
 use df_sim::{FaultPlan, Network, SimulationConfig};
 use df_topology::{Dragonfly, GroupId};
@@ -26,12 +26,7 @@ use df_traffic::PatternKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
-        Scale::small(),
-        &["csv"],
-        "fault_recovery",
-        args.iter().cloned(),
-    ));
+    let scale = Scale::from_args_dragonfly_only("fault_recovery", &["csv"], &args);
     let csv = args.iter().any(|a| a == "csv");
 
     let warmup = scale.warmup;

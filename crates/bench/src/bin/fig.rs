@@ -21,7 +21,7 @@
 //! the scale's canonical Dragonfly): `--topology=` selections are rejected.
 //! Exit code 2 = bad arguments.
 
-use df_bench::{or_exit_2, Scale};
+use df_bench::Scale;
 use df_engine::Table;
 use df_model::{BufferConfig, NetworkConfig};
 use df_traffic::PatternKind;
@@ -53,12 +53,7 @@ fn main() {
         "5" | "10" => &["un", "adv1", "advh"],
         _ => &[],
     };
-    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
-        Scale::small(),
-        flags,
-        &format!("fig {figure}"),
-        rest.clone(),
-    ));
+    let scale = Scale::from_args_dragonfly_only(&format!("fig {figure}"), flags, &rest);
     let adv1 = PatternKind::Adversarial { offset: 1 };
     let advh = PatternKind::Adversarial {
         offset: scale.topology.h,

@@ -32,7 +32,7 @@
 
 use std::path::PathBuf;
 
-use df_bench::{or_exit_2, parse_kv, Scale};
+use df_bench::{parse_kv, Scale};
 use df_routing::RoutingKind;
 use df_sim::runner::{run_sweep_service, RunnerOptions};
 use df_sim::{matrix_table, FaultPlan, Scenario, ScenarioMatrix, SimulationConfig};
@@ -45,8 +45,8 @@ fn main() {
         eprintln!("error: run-dir=DIR is required (see the module docs)");
         std::process::exit(2);
     };
-    let scale = or_exit_2(Scale::from_arg_list_dragonfly_only(
-        Scale::small(),
+    let scale = Scale::from_args_dragonfly_only(
+        "sweep_service",
         &[
             "smoke",
             "csv",
@@ -58,9 +58,8 @@ fn main() {
             "interrupt-after=",
             "interrupt-mid-at=",
         ],
-        "sweep_service",
-        args.iter().cloned(),
-    ));
+        &args,
+    );
     let smoke = args.iter().any(|a| a == "smoke");
     let csv = args.iter().any(|a| a == "csv");
 

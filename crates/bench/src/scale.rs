@@ -156,7 +156,7 @@ impl Scale {
         }
     }
 
-    /// Scale named on the command line (first free argument), falling back
+    /// Scale named on the command line, falling back
     /// to the caller's `default`, with the caller's own flags exempted from
     /// the typo check — each binary declares the flags *it* accepts (words
     /// as `"csv"`, `key=value` options as `"seeds="`) rather than this
@@ -169,10 +169,19 @@ impl Scale {
     /// `sedds=3` the default seed count (testable core:
     /// [`Scale::from_arg_list`]).
     pub fn from_args_with_flags(default: Self, flags: &[&str]) -> Self {
-        or_exit_2(Self::from_arg_list(
-            default,
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        or_exit_2(Self::from_arg_list(default, flags, &args))
+    }
+
+    /// [`Scale::from_arg_list_dragonfly_only`] over a binary's own argument
+    /// list with the `small` default every Dragonfly-only binary uses,
+    /// aborting with exit code 2 on a rejected argument.
+    pub fn from_args_dragonfly_only(bin: &str, flags: &[&str], args: &[String]) -> Self {
+        or_exit_2(Self::from_arg_list_dragonfly_only(
+            Self::small(),
             flags,
-            std::env::args().skip(1),
+            bin,
+            args,
         ))
     }
 
@@ -187,9 +196,8 @@ impl Scale {
         default: Self,
         flags: &[&str],
         bin: &str,
-        args: impl IntoIterator<Item = String>,
+        args: &[String],
     ) -> Result<Self, String> {
-        let args: Vec<String> = args.into_iter().collect();
         if let Some(arg) = args.iter().find(|a| a.starts_with("--topology")) {
             return Err(format!(
                 "error: {bin} is Dragonfly-only and does not accept '{arg}' (Figures 5-10, \
@@ -201,19 +209,27 @@ impl Scale {
         Self::from_arg_list(default, flags, args)
     }
 
-    /// The pure core of the CLI scale parser: scan `args` for the first
-    /// recognized scale name (falling back to `default`), rejecting any
-    /// word-like argument that is neither a scale nor one of the caller's
-    /// declared `flags`, and any `key=value` whose `key=` is not among them.
-    /// Returns the error message the process-aborting wrappers print.
-    pub fn from_arg_list(
-        default: Self,
-        flags: &[&str],
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Self, String> {
+    /// The pure core of the CLI scale parser: scan `args` for the scale name
+    /// (falling back to `default`), rejecting any word-like argument that is
+    /// neither a scale nor one of the caller's declared `flags`, any
+    /// `key=value` whose `key=` is not among them, and anything said twice
+    /// with two meanings — a second, different scale name or a repeated
+    /// `key=` (`medium small` used to run `medium`, `seeds=1 seeds=2` one
+    /// seed). Returns the error message the process-aborting wrappers print.
+    pub fn from_arg_list(default: Self, flags: &[&str], args: &[String]) -> Result<Self, String> {
         let mut found: Option<Scale> = None;
         let mut kind: Option<TopologyKind> = None;
-        for arg in args {
+        for (i, arg) in args.iter().enumerate() {
+            if let Some((key, value)) = arg.split_once('=') {
+                let earlier = args[..i]
+                    .iter()
+                    .find_map(|a| a.strip_prefix(key)?.strip_prefix('='));
+                if let Some(earlier) = earlier {
+                    return Err(format!(
+                        "error: '{key}=' given twice ('{earlier}' and '{value}')"
+                    ));
+                }
+            }
             if let Some(name) = arg.strip_prefix("--topology=") {
                 kind = Some(match name {
                     "dragonfly" => TopologyKind::Dragonfly,
@@ -225,11 +241,15 @@ impl Scale {
                         ))
                     }
                 });
-            } else if let Some(scale) = Self::from_name(&arg) {
-                if found.is_none() {
-                    found = Some(scale);
+            } else if let Some(scale) = Self::from_name(arg) {
+                if let Some(first) = found.as_ref().filter(|f| f.name != scale.name) {
+                    return Err(format!(
+                        "error: two scales named ('{}' and '{}')",
+                        first.name, scale.name
+                    ));
                 }
-            } else if is_unrecognized(&arg, flags) {
+                found = Some(scale);
+            } else if is_unrecognized(arg, flags) {
                 return Err(format!(
                     "error: unrecognized {} '{arg}' (valid scales: {}{})",
                     if arg.contains('=') { "option" } else { "scale" },
@@ -337,20 +357,48 @@ mod tests {
 
     #[test]
     fn from_arg_list_accepts_scales_and_defaults() {
-        let s = Scale::from_arg_list(Scale::small(), &[], strings(&["medium"])).unwrap();
+        let s = Scale::from_arg_list(Scale::small(), &[], &strings(&["medium"])).unwrap();
         assert_eq!(s.name, "medium");
         // no scale named: the caller's default wins
-        let s = Scale::from_arg_list(Scale::bench(), &[], strings(&["3000"])).unwrap();
+        let s = Scale::from_arg_list(Scale::bench(), &[], &strings(&["3000"])).unwrap();
         assert_eq!(s.name, "bench");
-        // the first named scale wins over later ones
-        let s = Scale::from_arg_list(Scale::small(), &[], strings(&["paper", "medium"])).unwrap();
+        // naming the same scale twice is harmless
+        let s = Scale::from_arg_list(Scale::small(), &[], &strings(&["paper", "paper"])).unwrap();
         assert_eq!(s.name, "paper");
+    }
+
+    #[test]
+    fn from_arg_list_rejects_two_scales_and_repeated_keys() {
+        let flags = ["csv", "seeds="];
+        let parse = |args: &[&str]| Scale::from_arg_list(Scale::small(), &flags, &strings(args));
+        // the first scale used to win silently
+        let err = parse(&["medium", "csv", "small"]).unwrap_err();
+        assert!(
+            err.contains("two scales") && err.contains("'medium'") && err.contains("'small'"),
+            "rejection must name both scales: {err}"
+        );
+        // the first value used to win silently (the last one for --topology=)
+        let err = parse(&["seeds=1", "bench", "seeds=2"]).unwrap_err();
+        assert!(
+            err.contains("'seeds=' given twice") && err.contains("'1'") && err.contains("'2'"),
+            "rejection must name the key and both values: {err}"
+        );
+        let err = parse(&["--topology=megafly", "--topology=dragonfly"]).unwrap_err();
+        assert!(err.contains("'--topology=' given twice"), "{err}");
+        // a key that merely shares a prefix is not a repeat
+        let flags = ["seeds=", "seeds-per-cell="];
+        assert!(Scale::from_arg_list(
+            Scale::small(),
+            &flags,
+            &strings(&["seeds=1", "seeds-per-cell=2"])
+        )
+        .is_ok());
     }
 
     #[test]
     fn from_arg_list_rejects_mistyped_scales() {
         for bad in ["papper", "paper_smoke", "paper2", "smal"] {
-            let err = Scale::from_arg_list(Scale::small(), &["smoke", "csv"], strings(&[bad]))
+            let err = Scale::from_arg_list(Scale::small(), &["smoke", "csv"], &strings(&[bad]))
                 .unwrap_err();
             assert!(
                 err.contains("unrecognized scale") && err.contains(bad),
@@ -363,7 +411,7 @@ mod tests {
         }
         // the rejection fires even when a valid scale comes first
         assert!(
-            Scale::from_arg_list(Scale::small(), &[], strings(&["medium", "galactic"])).is_err()
+            Scale::from_arg_list(Scale::small(), &[], &strings(&["medium", "galactic"])).is_err()
         );
     }
 
@@ -373,18 +421,18 @@ mod tests {
         let s = Scale::from_arg_list(
             Scale::small(),
             &flags,
-            strings(&["medium", "smoke", "csv", "--topology=megafly"]),
+            &strings(&["medium", "smoke", "csv", "--topology=megafly"]),
         )
         .unwrap();
         assert_eq!(s.name, "medium");
         // the same words without the declaration are typos
-        assert!(Scale::from_arg_list(Scale::small(), &[], strings(&["smoke"])).is_err());
+        assert!(Scale::from_arg_list(Scale::small(), &[], &strings(&["smoke"])).is_err());
     }
 
     #[test]
     fn from_arg_list_rejects_undeclared_keys() {
         let flags = ["csv", "seeds=", "run-dir="];
-        let parse = |args: &[&str]| Scale::from_arg_list(Scale::small(), &flags, strings(args));
+        let parse = |args: &[&str]| Scale::from_arg_list(Scale::small(), &flags, &strings(args));
         assert_eq!(
             parse(&["seeds=3", "run-dir=target/x", "medium"])
                 .unwrap()
@@ -408,7 +456,7 @@ mod tests {
     #[test]
     fn topology_flag_selects_the_family() {
         let s =
-            Scale::from_arg_list(Scale::small(), &[], strings(&["--topology=megafly"])).unwrap();
+            Scale::from_arg_list(Scale::small(), &[], &strings(&["--topology=megafly"])).unwrap();
         assert_eq!(s.topology_kind, TopologyKind::Megafly);
         assert_eq!(s.name, "small");
         let mf = s.topology_params();
@@ -417,10 +465,10 @@ mod tests {
         assert_eq!(mf.num_groups(), s.topology.num_groups());
         assert_eq!(mf.nodes_per_group(), s.topology.p * s.topology.a);
         // the synonym and the default
-        let s =
-            Scale::from_arg_list(Scale::small(), &[], strings(&["--topology=dragonfly+"])).unwrap();
+        let s = Scale::from_arg_list(Scale::small(), &[], &strings(&["--topology=dragonfly+"]))
+            .unwrap();
         assert_eq!(s.topology_kind, TopologyKind::Megafly);
-        let s = Scale::from_arg_list(Scale::small(), &[], strings(&["medium"])).unwrap();
+        let s = Scale::from_arg_list(Scale::small(), &[], &strings(&["medium"])).unwrap();
         assert_eq!(s.topology_kind, TopologyKind::Dragonfly);
         assert_eq!(s.topology_params().kind(), TopologyKind::Dragonfly);
     }
@@ -432,7 +480,7 @@ mod tests {
             "--topology=",
             "--topology=Dragonfly",
         ] {
-            let err = Scale::from_arg_list(Scale::small(), &[], strings(&[bad])).unwrap_err();
+            let err = Scale::from_arg_list(Scale::small(), &[], &strings(&[bad])).unwrap_err();
             assert!(
                 err.contains("unrecognized topology") && err.contains("dragonfly, megafly"),
                 "rejection must name the valid topologies: {err}"
@@ -454,7 +502,7 @@ mod tests {
                 Scale::small(),
                 &[],
                 "fig6",
-                strings(&["bench", arg]),
+                &strings(&["bench", arg]),
             )
             .unwrap_err();
             assert!(
@@ -467,7 +515,7 @@ mod tests {
             Scale::small(),
             &[],
             "table1",
-            strings(&["medium"]),
+            &strings(&["medium"]),
         )
         .unwrap();
         assert_eq!(s.name, "medium");
@@ -475,7 +523,7 @@ mod tests {
             Scale::small(),
             &[],
             "fig7",
-            strings(&["papper"])
+            &strings(&["papper"])
         )
         .is_err());
     }

@@ -69,6 +69,53 @@ fn service_bins_reject_mistyped_scales_and_topology_selections() {
 }
 
 #[test]
+fn two_different_scale_names_abort_with_exit_2() {
+    // `smoke csv small medium` used to run `small`: the first scale name
+    // won and the rest were ignored
+    let stderr = rejected(
+        env!("CARGO_BIN_EXE_sweep_service"),
+        &[
+            "run-dir=target/never-created",
+            "smoke",
+            "csv",
+            "small",
+            "medium",
+        ],
+    );
+    assert!(
+        stderr.contains("two scales") && stderr.contains("'small'") && stderr.contains("'medium'"),
+        "stderr must name both scales: {stderr}"
+    );
+    assert!(!std::path::Path::new("target/never-created").exists());
+}
+
+#[test]
+fn a_repeated_key_aborts_with_exit_2() {
+    // `seeds=1 seeds=2` used to run one seed: parse_kv takes the first
+    for (exe, bin) in [
+        (env!("CARGO_BIN_EXE_sweep_service"), "sweep_service"),
+        (env!("CARGO_BIN_EXE_availability"), "availability"),
+    ] {
+        let stderr = rejected(
+            exe,
+            &[
+                "run-dir=target/never-created",
+                "bench",
+                "seeds=1",
+                "seeds=2",
+            ],
+        );
+        assert!(
+            stderr.contains("'seeds=' given twice")
+                && stderr.contains("'1'")
+                && stderr.contains("'2'"),
+            "{bin} stderr must name the key and both values: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new("target/never-created").exists());
+}
+
+#[test]
 fn dragonfly_only_runners_reject_topology_selections_with_exit_2() {
     // both used the topology-aware parser but build `scale.topology` (the
     // Dragonfly): --topology=megafly exited 0 with the Dragonfly table, while

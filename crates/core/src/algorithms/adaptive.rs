@@ -735,7 +735,7 @@ mod tests {
         // install a combined array showing heavy contention on the minimal link
         let mut combined = vec![0u32; topo.global_links_per_group() as usize];
         combined[min_link as usize] = 9;
-        r.ectn_mut().install_combined(combined);
+        r.ectn_mut().install_combined_from(&combined);
         let d = decide(RoutingKind::Ectn, &cfg, &r, Port(0), &p, &mut rng());
         assert_eq!(d.kind, DecisionKind::NonminimalGlobal);
         // ECtN at injection restricts candidates to the current router's own

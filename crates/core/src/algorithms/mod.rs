@@ -400,10 +400,10 @@ mod tests {
         let mut r = Router::new(id, topo, NetworkConfig::fast_test());
         let layout = topo.layout();
         let links = topo.global_links_per_group() as usize;
-        r.ectn_mut()
-            .install_combined((0..links).map(|_| rng.index(12) as u32).collect());
-        r.pb_mut()
-            .install_group((0..links).map(|_| rng.bernoulli(0.3)).collect());
+        let combined: Vec<u32> = (0..links).map(|_| rng.index(12) as u32).collect();
+        r.ectn_mut().install_combined_from(&combined);
+        let saturated: Vec<bool> = (0..links).map(|_| rng.bernoulli(0.3)).collect();
+        r.pb_mut().install_group_from(&saturated);
         for port in Port::all(&layout) {
             for _ in 0..rng.index(9) {
                 r.contention_mut().increment(port);

@@ -269,7 +269,7 @@ mod tests {
         // mark that link saturated in the group-shared view
         let mut flags = vec![false; topo.global_links_per_group() as usize];
         flags[min_link as usize] = true;
-        r.pb_mut().install_group(flags);
+        r.pb_mut().install_group_from(&flags);
         let mut rng = DeterministicRng::new(1);
         let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::NonminimalGlobal);
@@ -286,7 +286,7 @@ mod tests {
         let topo = *r.topology();
         // the saturated flag alone would send the packet Valiant …
         r.pb_mut()
-            .install_group(vec![true; topo.global_links_per_group() as usize]);
+            .install_group_from(&vec![true; topo.global_links_per_group() as usize]);
         let mut rng = DeterministicRng::new(1);
         let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::NonminimalGlobal);

@@ -92,22 +92,7 @@ impl EctnState {
     }
 
     /// Install a freshly combined array (the sum of all partial snapshots of
-    /// the group, computed at broadcast time).
-    ///
-    /// # Panics
-    /// Panics if the length does not match the number of global links.
-    pub fn install_combined(&mut self, combined: Vec<u32>) {
-        assert_eq!(
-            combined.len(),
-            self.combined.len(),
-            "combined array size mismatch"
-        );
-        self.combined = combined;
-    }
-
-    /// Install a freshly combined array by copying from a shared slice
-    /// (allocation-free variant of [`EctnState::install_combined`], used by
-    /// the simulator's periodic broadcast).
+    /// the group, computed at broadcast time) by copying from a shared slice.
     ///
     /// # Panics
     /// Panics if the length does not match the number of global links.
@@ -201,7 +186,7 @@ mod tests {
         e.increment_partial(1);
         // combined still reflects the last broadcast (zero)
         assert_eq!(e.combined(1), 0);
-        e.install_combined(vec![5, 7, 0, 1]);
+        e.install_combined_from(&[5, 7, 0, 1]);
         assert_eq!(e.combined(1), 7);
         assert_eq!(e.combined_array(), &[5, 7, 0, 1]);
         // partial increments do not leak into combined until next install
@@ -213,7 +198,7 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn combined_size_mismatch_panics() {
         let mut e = EctnState::new(4);
-        e.install_combined(vec![1, 2]);
+        e.install_combined_from(&[1, 2]);
     }
 
     #[test]

@@ -92,18 +92,8 @@ impl PbState {
     }
 
     /// Install the group-wide view (concatenation of every router's own
-    /// flags, in router-local-index order).
-    ///
-    /// # Panics
-    /// Panics if the length does not match.
-    pub fn install_group(&mut self, group: Vec<bool>) {
-        assert_eq!(group.len(), self.group.len(), "PB group view size mismatch");
-        self.group = group;
-    }
-
-    /// Install the group-wide view by copying from a shared flat slice
-    /// (allocation-free variant of [`PbState::install_group`], used by the
-    /// simulator's per-cycle dissemination).
+    /// flags, in router-local-index order) by copying from a shared flat
+    /// slice.
     ///
     /// # Panics
     /// Panics if the length does not match.
@@ -181,7 +171,7 @@ mod tests {
     #[test]
     fn group_view_installation() {
         let mut s = PbState::new(2, 4);
-        s.install_group(vec![true, false, true, false]);
+        s.install_group_from(&[true, false, true, false]);
         assert!(s.group_saturated(0));
         assert!(!s.group_saturated(1));
         assert_eq!(s.saturated_fraction(), 0.5);
@@ -191,6 +181,6 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn wrong_group_size_panics() {
         let mut s = PbState::new(2, 4);
-        s.install_group(vec![true]);
+        s.install_group_from(&[true]);
     }
 }

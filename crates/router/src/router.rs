@@ -371,19 +371,27 @@ impl Router {
     /// # Panics
     /// Panics if the input VC is empty.
     pub fn discard_head(&mut self, port: Port, vc: VcId) -> (Packet, PortClass) {
+        self.pop_head(port, vc)
+    }
+
+    /// Pop the head packet of input VC `(port, vc)` and release what the
+    /// router held for it: its counter registrations and its slot in the
+    /// occupancy counters. Returns the packet and the input class.
+    fn pop_head(&mut self, port: Port, vc: VcId) -> (Packet, PortClass) {
         let input_class = self.inputs[port.index()].class();
         let input_vc = self.inputs[port.index()].vc_mut(vc.index());
         let PoppedPacket {
             packet,
             registered_min_output,
             registered_ectn_link,
-        } = input_vc
-            .pop()
-            .expect("discarded input VC must hold a packet");
+        } = input_vc.pop().expect("input VC must hold a packet");
         if registered_min_output.is_none() {
+            // the departing head was never registered (possible in direct
+            // unit-test drives); it no longer needs to be
             self.unregistered_count -= 1;
         }
         if !input_vc.is_empty() {
+            // a new head surfaced and awaits registration
             self.unregistered_count += 1;
         }
         self.occupied_per_port[port.index()] -= 1;
@@ -463,30 +471,7 @@ impl Router {
     /// # Panics
     /// Panics if the granted input VC is empty (allocator/sim bug).
     pub fn apply_grant(&mut self, grant: &Grant, now: Cycle) -> AppliedGrant {
-        let input_class = self.inputs[grant.input_port.index()].class();
-        let input_vc = self.inputs[grant.input_port.index()].vc_mut(grant.input_vc.index());
-        let PoppedPacket {
-            mut packet,
-            registered_min_output,
-            registered_ectn_link,
-        } = input_vc.pop().expect("granted input VC must hold a packet");
-        if registered_min_output.is_none() {
-            // the departing head was never registered (possible in direct
-            // unit-test drives); it no longer needs to be
-            self.unregistered_count -= 1;
-        }
-        if !input_vc.is_empty() {
-            // a new head surfaced and awaits registration
-            self.unregistered_count += 1;
-        }
-        self.occupied_per_port[grant.input_port.index()] -= 1;
-        self.occupied_total -= 1;
-        if let Some(port) = registered_min_output {
-            self.contention.decrement(port);
-        }
-        if let Some(link) = registered_ectn_link {
-            self.ectn.decrement_partial(link);
-        }
+        let (mut packet, input_class) = self.pop_head(grant.input_port, grant.input_vc);
         // update routing state for the hop the packet is about to take
         let arrived_at = match self.topo.peer(self.id, grant.output_port) {
             PortPeer::Router(peer, _) => peer,

@@ -7,10 +7,9 @@
 //! It is **not** interpreted online by the kernel — it *lowers* into the
 //! existing declarative [`FaultPlan`] at configuration-build time, so churn
 //! runs inherit every property the explicit fault subsystem already has:
-//! schedule change-points (the idle fast-forward can never skip a churn
-//! event), plan validation, and main-thread fault application that keeps
-//! runs **bit-identical across the optimized and parallel kernels at any
-//! worker count**.
+//! plan validation, and main-thread fault application that keeps runs
+//! **bit-identical across the optimized and parallel kernels at any worker
+//! count**.
 //!
 //! # Determinism
 //!

@@ -596,7 +596,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.faults.len(), 2);
-        assert_eq!(c.faults.change_points(), vec![100, 300]);
+        let cycles: Vec<_> = c.faults.events().iter().map(|e| e.at).collect();
+        assert_eq!(cycles, vec![100, 300]);
         // the default stays empty, and invalid plans are rejected
         assert!(SimulationConfig::builder()
             .build()

@@ -162,10 +162,8 @@ impl EventQueue {
         self.now = now + 1;
     }
 
-    /// Pop every event scheduled at or before `now` (allocating convenience
-    /// wrapper used by tests; the simulator uses
-    /// [`EventQueue::pop_due_into`]).
-    pub fn pop_due(&mut self, now: Cycle) -> Vec<Event> {
+    #[cfg(test)]
+    fn pop_due(&mut self, now: Cycle) -> Vec<Event> {
         let mut out = Vec::new();
         self.pop_due_into(now, &mut out);
         out
@@ -179,22 +177,6 @@ impl EventQueue {
     /// Whether no event is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Earliest pending completion time.
-    pub fn next_time(&self) -> Option<Cycle> {
-        if self.len == 0 {
-            return None;
-        }
-        let horizon = self.buckets.len() as Cycle;
-        let in_ring = (self.now..self.now + horizon)
-            .find(|t| !self.buckets[(*t as usize) & self.mask].is_empty());
-        let in_overflow = self.overflow.keys().next().copied();
-        match (in_ring, in_overflow) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
     }
 
     /// Every pending event with its completion cycle, in exact drain order
@@ -299,7 +281,6 @@ mod tests {
         q.schedule(10, credit(1, 1));
         q.schedule(20, credit(2, 2));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.next_time(), Some(10));
         let due = q.pop_due(25);
         assert_eq!(due.len(), 2);
         assert_eq!(routers_of(&due), vec![1, 2]);
@@ -353,7 +334,7 @@ mod tests {
             q.pop_due_into(t, &mut out);
             assert!(out.is_empty());
         }
-        assert_eq!(q.next_time(), None);
+        assert!(q.is_empty());
         // scheduling after a long quiet period still lands correctly
         q.schedule(150, credit(7, 0));
         q.pop_due_into(149, &mut out);
@@ -378,9 +359,8 @@ mod tests {
         // seq 1 in a near bucket
         q.schedule(3, credit(1, 1));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.next_time(), Some(3));
         assert_eq!(routers_of(&q.pop_due(50)), vec![1]);
-        assert_eq!(q.next_time(), Some(100));
+        assert_eq!(q.len(), 1, "the overflow event is still pending");
         // now cycle 100 is within the horizon of later schedules: a newer
         // event for the same cycle must drain *after* the overflow one
         let mut q2 = EventQueue::with_horizon(8);
@@ -425,18 +405,5 @@ mod tests {
         let a = wheel.pop_due(1_000);
         assert_eq!(routers_of(&a), heap.pop_due(1_000));
         assert!(wheel.is_empty() && heap.heap.is_empty());
-    }
-
-    #[test]
-    fn next_time_sees_ring_and_overflow() {
-        let mut q = EventQueue::with_horizon(8);
-        q.schedule(500, credit(0, 0));
-        assert_eq!(q.next_time(), Some(500));
-        q.schedule(4, credit(1, 1));
-        assert_eq!(q.next_time(), Some(4));
-        q.pop_due(4);
-        assert_eq!(q.next_time(), Some(500));
-        q.pop_due(500);
-        assert_eq!(q.next_time(), None);
     }
 }

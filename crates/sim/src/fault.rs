@@ -5,11 +5,10 @@
 //! `LinkUp` on a (bidirectional) router-to-router link, `RouterDrain` /
 //! `RouterRestore` on a router's traffic sources, and `NodeFail` /
 //! `NodeRestore` on a compute node (drain-at-source plus reroute-to-spare).
-//! The plan is part of the workload description: it lowers into the
-//! simulation kernel as schedule change-points (so the `drain()` idle
-//! fast-forward can never skip a fault cycle) and is applied at the *start*
-//! of the fault's cycle, before link events are delivered. Plans can be
-//! written by hand or generated stochastically — see
+//! The plan is part of the workload description: each event is applied at
+//! the *start* of its cycle, before link events are delivered (time
+//! advances only in `Network::step`, so no cycle is ever skipped). Plans
+//! can be written by hand or generated stochastically — see
 //! [`ChurnModel`](crate::churn::ChurnModel), which lowers seeded MTBF/MTTR
 //! churn into this same validated representation.
 //!
@@ -221,16 +220,6 @@ impl FaultPlan {
         events
     }
 
-    /// The cycles at which the plan changes the network, sorted and
-    /// deduplicated — merged into the kernel's schedule change-points so
-    /// idle fast-forwarding can never skip a fault.
-    pub fn change_points(&self) -> Vec<Cycle> {
-        let mut points: Vec<Cycle> = self.events.iter().map(|e| e.at).collect();
-        points.sort_unstable();
-        points.dedup();
-        points
-    }
-
     /// Validate the plan against a topology:
     ///
     /// * router ids, node ids and ports must exist, and link faults must
@@ -420,12 +409,16 @@ mod tests {
         Dragonfly::new(DragonflyParams::small())
     }
 
+    fn cycles(events: &[FaultEvent]) -> Vec<Cycle> {
+        events.iter().map(|e| e.at).collect()
+    }
+
     #[test]
     fn empty_plan_is_the_default() {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
         assert_eq!(plan.len(), 0);
-        assert!(plan.change_points().is_empty());
+        assert!(plan.events().is_empty());
         assert!(plan.validate(&topo()).is_ok());
         assert_eq!(plan, FaultPlan::default());
     }
@@ -440,7 +433,7 @@ mod tests {
             .link_up(450, gw, port)
             .router_restore(500, RouterId(3));
         assert_eq!(plan.len(), 4);
-        assert_eq!(plan.change_points(), vec![150, 200, 450, 500]);
+        assert_eq!(cycles(plan.events()), vec![150, 200, 450, 500]);
         assert!(plan.validate(&t).is_ok());
         assert_eq!(
             plan.events()[0].kind,
@@ -471,8 +464,8 @@ mod tests {
                 router: RouterId(5)
             }
         );
-        assert_eq!(sorted[2].at, 300);
-        assert_eq!(plan.change_points(), vec![100, 300]);
+        assert_eq!(cycles(&sorted), vec![100, 100, 300]);
+        assert_eq!(cycles(plan.events()), vec![300, 100, 100]);
     }
 
     #[test]
@@ -562,7 +555,7 @@ mod tests {
         let churned = FaultPlan::new().node_fail(300, NodeId(9), NodeId(10));
         let merged = explicit.merged(churned);
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged.change_points(), vec![150, 300]);
+        assert_eq!(cycles(merged.events()), vec![150, 300]);
         assert!(merged.validate(&t).is_ok());
     }
 

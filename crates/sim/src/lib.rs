@@ -85,6 +85,5 @@ pub use sweep::{
 };
 pub use task::{
     run_interference, run_job_set, InterferenceReport, JobReport, JobSetReport, JobsEngine,
-    TaskEngine,
 };
 pub use telemetry::{StreamingTelemetry, WindowStats};

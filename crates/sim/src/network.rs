@@ -1,8 +1,10 @@
 //! The cycle-driven network simulator.
 //!
 //! [`Network`] owns every router, every node, the in-flight event queue and
-//! the metrics collector, and advances them together one cycle at a time.
-//! The per-cycle sequence is:
+//! the metrics collector, and advances them together one cycle at a time:
+//! [`Network::step`] is the only place the clock moves (`run_cycles`,
+//! `drain` and `run_until_jobs_complete` are loops over it). The per-cycle
+//! sequence is:
 //!
 //! 0. apply fault events due this cycle (link state flips, credit-ledger
 //!    restoration, drain flags — see the `fault` module; a no-op
@@ -161,13 +163,6 @@ pub struct Network {
     /// across kernels.
     jobs: Option<JobsEngine>,
     // ---- activity gate ----
-    /// Whether the routing mechanism disseminates control state every cycle
-    /// (PB) or on a fixed period (ECtN) — if so, idle cycles are not
-    /// no-ops and the drain fast-forward must not skip them.
-    control_plane_every_cycle: bool,
-    /// Schedule change points, precomputed so the drain loop does not
-    /// re-collect them per iteration.
-    change_points: Vec<Cycle>,
     /// Membership flag per router.
     active_flags: Vec<bool>,
     /// Router indices currently in the active set (sorted before use).
@@ -240,18 +235,6 @@ impl Network {
         let events = EventQueue::with_horizon(horizon);
         let num_shards = config.kernel.resolved_workers().max(1);
         let pool = (num_shards > 1).then(|| WorkerPool::new(num_shards));
-        // PB/ECtN dissemination runs on a fixed cadence even through idle
-        // cycles (and is *not* a no-op there: it refreshes group views from
-        // post-transmission state), so the drain fast-forward must not skip
-        // cycles for those mechanisms.
-        let control_plane_every_cycle =
-            config.routing.needs_pb_dissemination() || config.routing.needs_ectn_broadcast();
-        // Fault cycles are schedule change-points too: the drain()
-        // fast-forward must observe every fault at its exact cycle.
-        let mut change_points = config.schedule.change_points();
-        change_points.extend(config.faults.change_points());
-        change_points.sort_unstable();
-        change_points.dedup();
         let fault_events = config.faults.sorted_events();
         let jobs = (!config.jobs.is_empty())
             .then(|| JobsEngine::new(&config.jobs, &topo, config.network.packet_size_phits));
@@ -288,8 +271,6 @@ impl Network {
             spare_of: vec![0; num_nodes],
             nodes_failed_count: 0,
             jobs,
-            control_plane_every_cycle,
-            change_points,
             active_flags: vec![false; num_routers],
             active_list: Vec::with_capacity(num_routers),
             shards: (0..num_shards).map(|_| ShardState::default()).collect(),
@@ -368,12 +349,6 @@ impl Network {
         &self.linkview_truth
     }
 
-    /// Group `g`'s current flooded gateway-liveness view (what its routers
-    /// install at the next control-plane exchange).
-    pub fn group_view(&self, g: GroupId) -> &GatewayLiveness {
-        &self.group_views[g.0 as usize]
-    }
-
     /// Whether `node` is currently failed (a `NodeFail` without a matching
     /// `NodeRestore` has fired).
     pub fn node_failed(&self, node: NodeId) -> bool {
@@ -425,11 +400,9 @@ impl Network {
     /// is delivered (or `max_cycles` elapse). Returns true if the network
     /// drained completely.
     ///
-    /// Cycles in which every router is idle and all remaining traffic is in
-    /// flight on links are skipped by fast-forwarding the clock to the next
-    /// pending event — behaviour-preserving because traffic generation is
-    /// off and an idle cycle changes no state (the tests compare against a
-    /// plain [`Network::step`] loop, which never skips).
+    /// Time advances only in [`Network::step`], so a drained network is in
+    /// exactly the state a caller's own `step()` loop with the same stop
+    /// condition leaves it in — injector streams included.
     ///
     /// Draining ends the run at the cycle the network empties: fault events
     /// scheduled beyond that cycle simply have not happened yet (the
@@ -440,42 +413,14 @@ impl Network {
     pub fn drain(&mut self, max_cycles: u64) -> bool {
         self.nodes.set_offered_load(0.0);
         let deadline = self.cycle + max_cycles;
-        while self.cycle < deadline {
-            if self.in_flight == 0 && self.nodes.all_queues_empty() {
-                return true;
-            }
-            if !self.control_plane_every_cycle
-                && self.active_list.is_empty()
-                && self.nodes.all_queues_empty()
-                // a waiting rank accrues a stall cycle per real cycle, so the
-                // fast-forward must not skip cycles while a job set is
-                // running — jobs can also be waiting on a future start_cycle
-                // with nothing in flight at all
-                && self.jobs.as_ref().is_none_or(|j| j.is_complete())
-            {
-                if let Some(t) = self.events.next_time() {
-                    if t > self.cycle {
-                        // don't jump past a schedule change point (traffic
-                        // phase switch or fault event): clamp the jump and
-                        // fall through to step(), so the change is observed
-                        // by a real step at its exact cycle
-                        let next_change =
-                            self.change_points.iter().copied().find(|&c| c > self.cycle);
-                        self.cycle = match next_change {
-                            Some(c) => t.min(c),
-                            None => t,
-                        };
-                        if self.cycle >= deadline {
-                            // the jump exhausted the budget: stop without
-                            // stepping, exactly like a cycle-by-cycle loop
-                            // which never reaches past the deadline
-                            break;
-                        }
-                    }
-                }
-            }
+        while self.cycle < deadline && !self.drained() {
             self.step();
         }
+        self.drained()
+    }
+
+    /// Nothing in flight and nothing waiting in a source queue.
+    fn drained(&self) -> bool {
         self.in_flight == 0 && self.nodes.all_queues_empty()
     }
 
@@ -500,17 +445,6 @@ impl Network {
             self.step();
         }
         self.jobs.as_ref().and_then(|j| j.completion_cycle())
-    }
-
-    /// Register upcoming checkpoint cycles as schedule change points, so the
-    /// [`Network::drain`] fast-forward clamps its clock jumps to them. A
-    /// snapshot must be taken at its exact requested cycle — a jump past it
-    /// would silently move the checkpoint and break resume bit-identity with
-    /// runs that stepped cycle-by-cycle.
-    pub fn add_checkpoint_points(&mut self, cycles: &[Cycle]) {
-        self.change_points.extend_from_slice(cycles);
-        self.change_points.sort_unstable();
-        self.change_points.dedup();
     }
 
     /// Sum of contention counters across all routers (used by invariant
@@ -870,7 +804,10 @@ impl Network {
         }
         // staleness metric: some router's view still lags the truth
         // (trivially converged for the whole of a healthy run)
-        if self.control_plane_every_cycle && !self.views_converged {
+        if !self.views_converged
+            && (self.config.routing.needs_pb_dissemination()
+                || self.config.routing.needs_ectn_broadcast())
+        {
             self.metrics.record_stale_linkstate_cycle();
         }
 

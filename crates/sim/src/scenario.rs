@@ -430,7 +430,8 @@ mod tests {
             .link_up(450, gw, port)
             .router_drain(200, RouterId(2));
         assert_eq!(s.fault_plan().len(), 3);
-        assert_eq!(s.fault_plan().change_points(), vec![150, 200, 450]);
+        let cycles: Vec<_> = s.fault_plan().events().iter().map(|e| e.at).collect();
+        assert_eq!(cycles, vec![150, 450, 200]);
         assert!(s.validate(&topo).is_ok());
         // healthy scenarios carry an empty plan
         assert!(Scenario::steady(PatternKind::Uniform)

@@ -3,15 +3,15 @@
 //!
 //! There is one application engine: the [`JobsEngine`], owned by
 //! [`Network`] when the configuration carries a job set, running one
-//! [`TaskEngine`] per [`JobSpec`] alongside the stochastic injectors. A
+//! [`Job`] per [`JobSpec`] alongside the stochastic injectors. A
 //! closed run — one collective alone on the network — is a one-job set at
 //! offered load 0 (an injector at load 0 generates nothing).
 //!
 //! A job's [`df_traffic::TaskWorkload`] lowers into one script per rank — a
 //! list of [`df_traffic::TaskStep`]s, each naming the messages the rank
 //! injects when the step starts and how many packets it must receive before
-//! the step completes. The job's [`TaskEngine`] executes those scripts
-//! against the simulator:
+//! the step completes. The [`Job`] executes those scripts against the
+//! simulator:
 //!
 //! * when a rank reaches a step, its sends are enqueued into the hosting
 //!   node's source queue (the existing injection machinery takes over from
@@ -63,11 +63,14 @@ struct PendingPacket {
     step: u32,
 }
 
-/// Executes one job's lowered task workload against the packet engine —
-/// the per-job executor of the [`JobsEngine`]. All mutations happen on the
-/// main thread (see the module docs for the determinism argument).
+/// One job of the [`JobsEngine`]: its specification and the execution state
+/// of its lowered task workload. All mutations happen on the main thread
+/// (see the module docs for the determinism argument).
 #[derive(Debug, Clone)]
-pub struct TaskEngine {
+pub struct Job {
+    /// The specification the job was built from (start cycle, compute
+    /// delay, label).
+    spec: JobSpec,
     /// One script per rank, all the same length (lowering guarantees it).
     scripts: Vec<Vec<TaskStep>>,
     /// Hosting node of each rank.
@@ -76,9 +79,6 @@ pub struct TaskEngine {
     packet_size: u32,
     /// Script length (steps per rank).
     steps_total: usize,
-    /// Cycles of modelled computation between a step's completion and the
-    /// next step's injection.
-    compute_delay: u64,
     // ---- per-rank execution state ----
     /// Current step index of each rank (`steps_total` once finished).
     cursor: Vec<usize>,
@@ -110,27 +110,27 @@ pub struct TaskEngine {
     completed_at: Option<Cycle>,
 }
 
-impl TaskEngine {
-    /// Lower `job`'s workload and build a fresh engine: the job's placement
-    /// decides where the ranks live and its `compute_delay` gates each
+impl Job {
+    /// Lower `spec`'s workload and build its fresh execution state: the
+    /// placement decides where the ranks live and `compute_delay` gates each
     /// step's injection. The job must already have passed
     /// [`JobSpec::validate`] for this topology (configuration validation
     /// guarantees it).
-    pub(crate) fn for_job(job: &JobSpec, topo: &impl Topology, packet_size: u32) -> Self {
+    fn new(spec: &JobSpec, topo: &impl Topology, packet_size: u32) -> Self {
         let groups = topo.num_groups();
         let nodes_per_group = topo.nodes_per_group();
-        let node_of_rank: Vec<u32> = (0..job.workload.ranks)
-            .map(|r| job.placement.node_of_rank(r, groups, nodes_per_group))
+        let node_of_rank: Vec<u32> = (0..spec.workload.ranks)
+            .map(|r| spec.placement.node_of_rank(r, groups, nodes_per_group))
             .collect();
-        let scripts = job.workload.lower();
+        let scripts = spec.workload.lower();
         let ranks = node_of_rank.len();
         let steps_total = scripts.first().map_or(0, |s| s.len());
-        TaskEngine {
+        Job {
+            spec: spec.clone(),
             scripts,
             node_of_rank,
             packet_size,
             steps_total,
-            compute_delay: job.compute_delay,
             cursor: vec![0; ranks],
             enqueued: vec![false; ranks],
             sends_outstanding: vec![0; ranks],
@@ -148,7 +148,7 @@ impl TaskEngine {
     /// Attribute a delivered packet: credit the sender's outstanding-send
     /// counter and the receiver's per-step receive counter. Runs in step 1
     /// of the cycle (main thread, every kernel).
-    pub(crate) fn on_delivery(&mut self, packet: &Packet) {
+    fn on_delivery(&mut self, packet: &Packet) {
         if let Some(p) = self.pending.remove(&packet.id.0) {
             self.sends_outstanding[p.src_rank as usize] -= 1;
             self.recvs[p.dst_rank as usize][p.step as usize] += 1;
@@ -159,7 +159,7 @@ impl TaskEngine {
     /// sends into the hosting nodes' source queues, and account stall
     /// cycles. Runs in step 2 of the cycle, ahead of stochastic traffic
     /// generation (main thread, every kernel; ascending rank order).
-    pub(crate) fn advance_and_generate(
+    fn advance_and_generate(
         &mut self,
         now: Cycle,
         nodes: &mut Nodes,
@@ -225,7 +225,7 @@ impl TaskEngine {
                     }
                     self.cursor[r] += 1;
                     self.enqueued[r] = false;
-                    self.ready_at[r] = now + self.compute_delay;
+                    self.ready_at[r] = now + self.spec.compute_delay;
                     if self.cursor[r] == self.steps_total {
                         self.ranks_done += 1;
                         if self.ranks_done == ranks as u32 {
@@ -303,7 +303,7 @@ impl TaskEngine {
 
     /// Serialise the mutable execution state (the scripts and rank map are
     /// rebuilt from the configuration on restore).
-    pub(crate) fn save_state(&self, e: &mut df_engine::Encoder) {
+    fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.cursor.len());
         for r in 0..self.cursor.len() {
             e.usize(self.cursor[r]);
@@ -336,13 +336,10 @@ impl TaskEngine {
         }
     }
 
-    /// Restore the state written by [`TaskEngine::save_state`] into a
-    /// freshly built engine (same workload and topology — the snapshot's
-    /// configuration fingerprint guarantees it).
-    pub(crate) fn restore_state(
-        &mut self,
-        d: &mut df_engine::Decoder,
-    ) -> Result<(), df_engine::CodecError> {
+    /// Restore the state written by [`Job::save_state`] into a freshly built
+    /// job (same workload and topology — the snapshot's configuration
+    /// fingerprint guarantees it).
+    fn restore_state(&mut self, d: &mut df_engine::Decoder) -> Result<(), df_engine::CodecError> {
         let ranks = self.cursor.len();
         d.seq_exact(13, ranks, "task rank count")?;
         for r in 0..ranks {
@@ -393,7 +390,7 @@ impl TaskEngine {
     }
 }
 
-/// Advances a set of concurrently scheduled jobs — one [`TaskEngine`] per
+/// Advances a set of concurrently scheduled jobs — one [`Job`] per
 /// [`JobSpec`] — against one shared network; the simulator's one
 /// application engine. Owned by [`Network`] when the configuration carries
 /// a job set. Jobs are visited in specification order; a job whose
@@ -403,13 +400,7 @@ impl TaskEngine {
 /// most one claims it; stochastic background packets match none).
 #[derive(Debug, Clone)]
 pub struct JobsEngine {
-    jobs: Vec<JobRun>,
-}
-
-#[derive(Debug, Clone)]
-struct JobRun {
-    spec: JobSpec,
-    engine: TaskEngine,
+    jobs: Vec<Job>,
 }
 
 impl JobsEngine {
@@ -417,10 +408,7 @@ impl JobsEngine {
         JobsEngine {
             jobs: jobs
                 .iter()
-                .map(|spec| JobRun {
-                    spec: spec.clone(),
-                    engine: TaskEngine::for_job(spec, topo, packet_size),
-                })
+                .map(|spec| Job::new(spec, topo, packet_size))
                 .collect(),
         }
     }
@@ -429,7 +417,7 @@ impl JobsEngine {
     /// stochastic background packets). Runs in step 1 of the cycle.
     pub(crate) fn on_delivery(&mut self, packet: &Packet) {
         for job in &mut self.jobs {
-            job.engine.on_delivery(packet);
+            job.on_delivery(packet);
         }
     }
 
@@ -446,17 +434,16 @@ impl JobsEngine {
         failed: &[bool],
     ) {
         for job in &mut self.jobs {
-            if now < job.spec.start_cycle || job.engine.is_complete() {
+            if now < job.spec.start_cycle || job.is_complete() {
                 continue;
             }
-            job.engine
-                .advance_and_generate(now, nodes, metrics, next_packet_id, blocked, failed);
+            job.advance_and_generate(now, nodes, metrics, next_packet_id, blocked, failed);
         }
     }
 
     /// Whether every job has completed.
     pub fn is_complete(&self) -> bool {
-        self.jobs.iter().all(|j| j.engine.is_complete())
+        self.jobs.iter().all(Job::is_complete)
     }
 
     /// Cycle the last job finished (the job-set makespan), once all are
@@ -464,7 +451,7 @@ impl JobsEngine {
     pub fn completion_cycle(&self) -> Option<Cycle> {
         let mut latest = None;
         for job in &self.jobs {
-            latest = latest.max(Some(job.engine.completion_cycle()?));
+            latest = latest.max(Some(job.completion_cycle()?));
         }
         latest
     }
@@ -474,19 +461,15 @@ impl JobsEngine {
         self.jobs.len()
     }
 
-    /// Job `i`'s specification.
-    pub fn spec(&self, i: usize) -> &JobSpec {
-        &self.jobs[i].spec
-    }
-
-    /// Job `i`'s engine (per-job completion, stalls, pending packets).
-    pub fn engine(&self, i: usize) -> &TaskEngine {
-        &self.jobs[i].engine
+    /// Job `i` (per-job completion, stalls, pending packets), in
+    /// specification order.
+    pub fn job(&self, i: usize) -> &Job {
+        &self.jobs[i]
     }
 
     /// Task packets of all jobs currently in the network.
     pub fn pending_packets(&self) -> usize {
-        self.jobs.iter().map(|j| j.engine.pending_packets()).sum()
+        self.jobs.iter().map(Job::pending_packets).sum()
     }
 
     /// Serialise every job's mutable execution state (job specifications
@@ -494,7 +477,7 @@ impl JobsEngine {
     pub(crate) fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.jobs.len());
         for job in &self.jobs {
-            job.engine.save_state(e);
+            job.save_state(e);
         }
     }
 
@@ -505,7 +488,7 @@ impl JobsEngine {
     ) -> Result<(), df_engine::CodecError> {
         d.seq_exact(16, self.jobs.len(), "job count")?;
         for job in &mut self.jobs {
-            job.engine.restore_state(d)?;
+            job.restore_state(d)?;
         }
         Ok(())
     }
@@ -549,19 +532,19 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    fn from_engine(spec: &JobSpec, engine: &TaskEngine) -> Self {
-        let stalls = engine.stall_cycles();
+    fn of(job: &Job) -> Self {
+        let stalls = job.stall_cycles();
         let total_stall_cycles: u64 = stalls.iter().sum();
-        let completion_cycle = engine.completion_cycle();
+        let completion_cycle = job.completion_cycle();
         JobReport {
-            label: spec.label(),
-            start_cycle: spec.start_cycle,
+            label: job.spec.label(),
+            start_cycle: job.spec.start_cycle,
             completed: completion_cycle.is_some(),
             completion_cycle,
-            elapsed_cycles: completion_cycle.map(|c| c - spec.start_cycle),
-            total_steps: engine.total_steps(),
-            steps_completed: engine.steps_completed(),
-            step_completion_cycles: engine.step_completion_cycles().to_vec(),
+            elapsed_cycles: completion_cycle.map(|c| c - job.spec.start_cycle),
+            total_steps: job.total_steps(),
+            steps_completed: job.steps_completed(),
+            step_completion_cycles: job.step_completion_cycles().to_vec(),
             total_stall_cycles,
             max_rank_stall_cycles: stalls.iter().copied().max().unwrap_or(0),
             mean_rank_stall_cycles: total_stall_cycles as f64 / stalls.len().max(1) as f64,
@@ -613,9 +596,7 @@ pub fn run_job_set(config: SimulationConfig, max_cycles: u64) -> JobSetReport {
     net.metrics_mut().start_measurement(0);
     let makespan = net.run_until_jobs_complete(max_cycles);
     let jobs_engine = net.jobs().expect("job set checked above");
-    let jobs: Vec<JobReport> = (0..jobs_engine.num_jobs())
-        .map(|i| JobReport::from_engine(jobs_engine.spec(i), jobs_engine.engine(i)))
-        .collect();
+    let jobs: Vec<JobReport> = jobs_engine.jobs.iter().map(JobReport::of).collect();
     let summary = net.metrics().window_summary();
     JobSetReport {
         all_completed: makespan.is_some(),

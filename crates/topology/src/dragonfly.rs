@@ -78,11 +78,7 @@ impl Topology for Dragonfly {
     }
     #[inline]
     fn layout(&self) -> RadixLayout {
-        RadixLayout {
-            terminals: self.params.p,
-            locals: self.params.a - 1,
-            globals: self.params.h,
-        }
+        RadixLayout::of(&self.params)
     }
     #[inline]
     fn num_nodes(&self) -> u32 {
@@ -102,7 +98,7 @@ impl Topology for Dragonfly {
     }
     #[inline]
     fn nodes_per_group(&self) -> u32 {
-        self.params.a * self.params.p
+        self.params.nodes_per_group()
     }
     #[inline]
     fn global_links_per_group(&self) -> u32 {

@@ -50,6 +50,17 @@ pub struct RadixLayout {
     pub globals: u32,
 }
 
+impl RadixLayout {
+    /// The class widths of `layout` as plain data.
+    pub(crate) fn of(layout: &impl PortLayout) -> Self {
+        RadixLayout {
+            terminals: layout.terminals(),
+            locals: layout.locals(),
+            globals: layout.globals(),
+        }
+    }
+}
+
 impl PortLayout for RadixLayout {
     #[inline]
     fn terminals(&self) -> u32 {

@@ -198,11 +198,7 @@ impl MegaflyParams {
     /// The uniform padded port layout.
     #[inline]
     pub fn layout(&self) -> RadixLayout {
-        RadixLayout {
-            terminals: self.p,
-            locals: self.s,
-            globals: self.h,
-        }
+        RadixLayout::of(self)
     }
 }
 

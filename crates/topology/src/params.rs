@@ -128,6 +128,12 @@ impl DragonflyParams {
         self.groups
     }
 
+    /// Compute nodes per group (`a*p`).
+    #[inline]
+    pub fn nodes_per_group(&self) -> u32 {
+        self.a * self.p
+    }
+
     /// Router radix (number of ports): `p` injection + `a-1` local + `h`
     /// global.
     #[inline]

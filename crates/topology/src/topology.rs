@@ -500,7 +500,7 @@ impl TopologyParams {
     /// Compute nodes per group.
     pub fn nodes_per_group(&self) -> u32 {
         match self {
-            TopologyParams::Dragonfly(p) => p.a * p.p,
+            TopologyParams::Dragonfly(p) => p.nodes_per_group(),
             TopologyParams::Megafly(p) => p.nodes_per_group(),
         }
     }
@@ -513,11 +513,7 @@ impl TopologyParams {
     /// The per-router port layout.
     pub fn layout(&self) -> RadixLayout {
         match self {
-            TopologyParams::Dragonfly(p) => RadixLayout {
-                terminals: p.p,
-                locals: p.a - 1,
-                globals: p.h,
-            },
+            TopologyParams::Dragonfly(p) => RadixLayout::of(p),
             TopologyParams::Megafly(p) => p.layout(),
         }
     }

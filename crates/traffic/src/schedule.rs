@@ -77,12 +77,7 @@ impl TrafficSchedule {
 
     /// The phase active at `cycle`.
     pub fn phase_at(&self, cycle: Cycle) -> &PatternPhase {
-        let idx = match self.phases.binary_search_by_key(&cycle, |p| p.start) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        &self.phases[idx]
+        &self.phases[self.phase_index_at(cycle)]
     }
 
     /// The pattern kind active at `cycle`.

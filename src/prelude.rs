@@ -20,8 +20,7 @@ pub use df_sim::{
     run_sweep, run_sweep_service, ChurnModel, ChurnRate, ConfigError, FaultEvent, FaultKind,
     FaultPlan, InterferenceReport, JobReport, JobSetReport, JobsEngine, KernelMode, MatrixCell,
     MatrixKey, Network, RunnerOptions, Scenario, ScenarioMatrix, ScenarioPhase, SimulationConfig,
-    SteadyStateExperiment, SteadyStateReport, SweepOutcome, TaskEngine, TransientExperiment,
-    TransientReport,
+    SteadyStateExperiment, SteadyStateReport, SweepOutcome, TransientExperiment, TransientReport,
 };
 pub use df_topology::{
     AnyTopology, Dragonfly, DragonflyParams, GatewayLiveness, GroupId, LinkState, Megafly,

@@ -134,7 +134,7 @@ fn job_set_at_offered_load_zero_injects_exactly_the_lowered_packets() {
         assert_eq!(net.in_flight(), 0);
         let engine = net.jobs().expect("job set configured");
         assert_eq!(engine.pending_packets(), 0);
-        let tasks = || (0..engine.num_jobs()).map(|i| engine.engine(i));
+        let tasks = || (0..engine.num_jobs()).map(|i| engine.job(i));
         assert_eq!(
             net.metrics().task_steps_completed(),
             tasks().map(|t| t.total_steps() as u64).sum::<u64>()
@@ -279,7 +279,7 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     let mut first = Network::new(cfg.clone());
     first.metrics_mut().start_measurement(0);
     first.run_cycles(done / 2);
-    let task = first.jobs().expect("job configured").engine(0);
+    let task = first.jobs().expect("job configured").job(0);
     assert!(
         task.pending_packets() > 0 && !task.is_complete(),
         "checkpoint must land mid-collective for this test to bite"
@@ -297,8 +297,8 @@ fn snapshot_mid_collective_resumes_bit_identically() {
         reference.metrics().delivered_packets_total()
     );
     assert_eq!(
-        resumed.jobs().unwrap().engine(0).stall_cycles(),
-        reference.jobs().unwrap().engine(0).stall_cycles(),
+        resumed.jobs().unwrap().job(0).stall_cycles(),
+        reference.jobs().unwrap().job(0).stall_cycles(),
         "per-rank stall totals must match"
     );
     assert_eq!(
@@ -405,7 +405,7 @@ fn failed_rank_stalls_peers_without_hanging_or_lying() {
         None,
         "a dead rank must not complete"
     );
-    let task = net.jobs().expect("job configured").engine(0);
+    let task = net.jobs().expect("job configured").job(0);
     assert!(!task.is_complete());
     assert!(
         task.steps_completed() < task.total_steps(),

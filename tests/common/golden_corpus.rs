@@ -452,7 +452,7 @@ pub fn collective_fingerprint(cfg: SimulationConfig) -> (u64, u64, u64, u64) {
         .run_until_jobs_complete(200_000)
         .expect("corpus collectives must complete");
     assert_eq!(net.in_flight(), 0, "completion implies an empty network");
-    let task = net.jobs().expect("corpus runs carry a job").engine(0);
+    let task = net.jobs().expect("corpus runs carry a job").job(0);
     assert_eq!(
         task.steps_completed(),
         task.total_steps(),

@@ -11,8 +11,8 @@
 //!    *bit-for-bit* the metrics the retired binary-heap/full-scan seed
 //!    kernel produced across routing mechanisms, patterns and loads,
 //!    including a full drain (see `tests/common/frozen.rs`).
-//! 3. **Drain fast-forward** — `Network::drain` ends in the same state as
-//!    a plain `step()` loop, which never skips a cycle.
+//! 3. **One clock** — `Network::drain` leaves the snapshot bytes a plain
+//!    `step()` loop leaves: time advances only in `step`.
 //! 4. **Golden pin** — one configuration's summary is pinned to literal
 //!    values, so a change in any RNG stream, event ordering or allocator
 //!    tie-break turns up as a diff in review rather than silently shifting
@@ -23,7 +23,7 @@ use contention_dragonfly::prelude::*;
 #[path = "common/frozen.rs"]
 mod frozen;
 
-use frozen::{assert_all_frozen, assert_frozen, drain_by_stepping, silenced_after_measurement};
+use frozen::{assert_all_frozen, assert_frozen};
 
 fn config(
     kernel: KernelMode,
@@ -63,19 +63,12 @@ struct Fingerprint {
 }
 
 fn run_fingerprint(cfg: SimulationConfig) -> Fingerprint {
-    run_fingerprint_with(cfg, Network::drain)
-}
-
-fn run_fingerprint_with(
-    cfg: SimulationConfig,
-    drain: impl Fn(&mut Network, u64) -> bool,
-) -> Fingerprint {
     let mut net = Network::new(cfg.clone());
     net.run_cycles(cfg.warmup_cycles);
     let start = net.cycle();
     net.metrics_mut().start_measurement(start);
     net.run_cycles(cfg.measurement_cycles);
-    let drained = drain(&mut net, 100_000);
+    let drained = net.drain(100_000);
     let summary = net.metrics().window_summary();
     Fingerprint {
         delivered_window: summary.delivered_packets,
@@ -188,8 +181,7 @@ fn transient_config(kernel: KernelMode, routing: RoutingKind) -> SimulationConfi
 
 #[test]
 fn transient_schedule_matches_the_frozen_seed_kernel_digest() {
-    // A phase switch mid-run: mid-run load changes and the clock must not
-    // jump over a traffic change.
+    // A phase switch mid-run: the pattern changes at its exact cycle.
     assert_frozen(
         "UN->ADV+1 transient",
         &run_fingerprint(transient_config(KernelMode::Optimized, RoutingKind::Ectn)),
@@ -336,34 +328,51 @@ fn multi_phase_scenario_with_load_overrides_matches_the_frozen_digest() {
 }
 
 #[test]
-fn drain_fast_forward_matches_a_plain_step_loop() {
-    // `drain` jumps the clock over cycles in which every router is idle;
-    // `step` never skips one. With generation switched off by a load-0
-    // phase both must reach the same end state — on transient and bursty/
-    // ramp runs, under Base (fast-forward armed) and ECtN (its periodic
-    // broadcast forbids the jump), sequentially and sharded.
+fn drain_leaves_the_bytes_a_step_loop_leaves() {
+    // `drain` is "generation off, then `step` until empty" and nothing else:
+    // a caller's own step loop behind a load-0 phase must end at the same
+    // cycle with the same snapshot bytes — injector streams included, which
+    // `Bursty` advances by a transition trial per tick even at load 0. The
+    // Table-I link latencies leave long stretches with every router idle.
     for kernel in [KernelMode::Optimized, KernelMode::Parallel { workers: 2 }] {
-        let mut cfgs = vec![multi_phase_config(kernel)];
-        for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-            cfgs.push(transient_config(kernel, routing));
-            cfgs.push(injector_config(kernel, routing, BURSTY, 21));
-            cfgs.push(injector_config(kernel, routing, RAMP, 21));
-        }
-        for cfg in cfgs {
-            let cell = format!(
-                "{kernel:?}/{:?}/{:?}/{} phases",
-                cfg.routing,
-                cfg.injection,
-                cfg.schedule.phases().len()
-            );
-            let cfg = silenced_after_measurement(cfg);
-            let stepped = run_fingerprint_with(cfg.clone(), drain_by_stepping);
-            assert!(stepped.drained, "{cell} must drain");
-            assert_eq!(
-                run_fingerprint_with(cfg, Network::drain),
-                stepped,
-                "{cell}: drain() diverged from the step loop"
-            );
+        for routing in [RoutingKind::Base, RoutingKind::Minimal] {
+            for injection in [
+                InjectionKind::Bernoulli,
+                InjectionKind::Bursty {
+                    mean_on: 50.0,
+                    mean_off: 50.0,
+                },
+                RAMP,
+            ] {
+                let scenario = Scenario::named("UN-then-silence")
+                    .injection(injection)
+                    .phase(PatternKind::Uniform, 300)
+                    .hold_at_load(PatternKind::Uniform, 0.0);
+                let cfg = SimulationConfig::builder()
+                    .topology(DragonflyParams::small())
+                    .network(NetworkConfig::paper_table1())
+                    .routing(routing)
+                    .scenario(&scenario)
+                    .offered_load(0.02)
+                    .seed(21)
+                    .kernel(kernel)
+                    .build()
+                    .expect("valid configuration");
+                let cell = format!("{kernel:?}/{routing:?}/{injection:?}");
+                let (mut drained, mut stepped) = (Network::new(cfg.clone()), Network::new(cfg));
+                drained.run_cycles(300);
+                stepped.run_cycles(300);
+                assert!(drained.in_flight() > 0, "{cell}: nothing left to drain");
+                assert!(drained.drain(100_000), "{cell} must drain");
+                while stepped.in_flight() > 0 {
+                    stepped.step();
+                }
+                assert_eq!(drained.cycle(), stepped.cycle(), "{cell}: end cycle");
+                assert!(
+                    drained.snapshot() == stepped.snapshot(),
+                    "{cell}: drain() left different snapshot bytes than the step loop"
+                );
+            }
         }
     }
 }

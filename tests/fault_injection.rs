@@ -1,6 +1,6 @@
 //! End-to-end tests of the deterministic fault-injection subsystem:
 //! conservation equalities under link loss, recovery after `LinkUp`,
-//! graceful router drains, drain()-clamp correctness at fault cycles, and
+//! graceful router drains, faults firing inside a drain window, and
 //! cross-kernel bit-identity of faulted runs.
 
 use contention_dragonfly::prelude::*;
@@ -10,7 +10,7 @@ use df_sim::FaultPlan;
 #[allow(dead_code)] // the table helper is used by other suites
 mod frozen;
 
-use frozen::{assert_frozen, drain_by_stepping, silenced_after_measurement};
+use frozen::assert_frozen;
 
 fn base_builder() -> df_sim::SimulationConfigBuilder {
     SimulationConfig::builder()
@@ -247,21 +247,17 @@ fn router_restore_resumes_generation() {
 }
 
 #[test]
-fn drain_fast_forward_never_skips_a_fault_cycle() {
-    // drain() fast-forwards the clock when every router is idle. A fault
-    // cycle is a schedule change-point: the clamp must observe it exactly,
-    // or a LinkDown scheduled during the drain window would fire late and
-    // miss the traffic it should have dropped. A plain step() loop never
-    // skips a cycle, so bit-identical results (including the dropped count)
-    // prove the clamp is correct.
-    let run = |kernel: KernelMode, drain: fn(&mut Network, u64) -> bool| {
+fn drain_observes_a_fault_at_its_exact_cycle() {
+    // A LinkDown scheduled inside the drain window must fire at its cycle
+    // and drop the traffic then in flight on the link — the long Table-I
+    // global links keep packets on the wire for many cycles in which every
+    // router is idle. The digest is the end state the retired seed kernel
+    // reached on the same plan.
+    let run = |kernel: KernelMode| {
         let (gw, port) = link_between(0, 4);
         let cfg = base_builder()
             .routing(RoutingKind::Minimal)
             .pattern(PatternKind::Uniform)
-            // long global links: plenty of idle-router cycles with traffic
-            // in flight during the drain, which is what arms the
-            // fast-forward path
             .network(NetworkConfig::paper_table1())
             .measurement_cycles(300)
             .faults(
@@ -272,11 +268,9 @@ fn drain_fast_forward_never_skips_a_fault_cycle() {
             .kernel(kernel)
             .build()
             .unwrap();
-        // generation off from cycle 300 on, so the step loop needs no
-        // access to the injectors
-        let mut net = Network::new(silenced_after_measurement(cfg));
+        let mut net = Network::new(cfg);
         net.run_cycles(300);
-        let drained = drain(&mut net, 50_000);
+        let drained = net.drain(50_000);
         (
             drained,
             net.cycle(),
@@ -286,24 +280,13 @@ fn drain_fast_forward_never_skips_a_fault_cycle() {
         )
     };
     for kernel in [KernelMode::Optimized, KernelMode::Parallel { workers: 2 }] {
-        let stepped = run(kernel, drain_by_stepping);
+        let end = run(kernel);
         assert!(
-            stepped.3 > 0,
+            end.3 > 0,
             "the fault fired during the drain window and dropped in-flight traffic"
         );
-        assert!(stepped.0, "the restored network drains");
-        // the end state the retired seed kernel — which never
-        // fast-forwarded — reached on the same plan
-        assert_frozen(
-            "drain across a fault window",
-            &stepped,
-            0xCB82_9653_81E1_E978,
-        );
-        assert_eq!(
-            run(kernel, Network::drain),
-            stepped,
-            "{kernel:?}: drain() fast-forward diverged from the cycle-by-cycle loop"
-        );
+        assert!(end.0, "the restored network drains");
+        assert_frozen("drain across a fault window", &end, 0xCB82_9653_81E1_E978);
     }
 }
 

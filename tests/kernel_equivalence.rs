@@ -318,7 +318,7 @@ fn injector_builder(injection: InjectionKind) -> df_sim::SimulationConfigBuilder
 fn parallel_matches_optimized_and_the_frozen_digests_on_bursty_and_ramp_injection() {
     // ECtN routing (periodic broadcast) + a UN→ADV+1 switch + non-Bernoulli
     // injectors: exercises every parallel phase including the group-sharded
-    // ECtN exchange and the drain fast-forward guard.
+    // ECtN exchange.
     for (injection, frozen) in [
         (
             InjectionKind::Bursty {
@@ -359,9 +359,9 @@ fn parallel_matches_optimized_and_the_frozen_digests_on_bursty_and_ramp_injectio
 
 #[test]
 fn parallel_matches_optimized_and_the_frozen_digest_on_a_multi_phase_transient() {
-    // Three phases with a per-phase load override under PB routing, whose
-    // every-cycle dissemination forbids the drain fast-forward — the
-    // control-plane-heavy corner of the phase pipeline.
+    // Three phases with a per-phase load override under PB routing (every-
+    // cycle dissemination) — the control-plane-heavy corner of the phase
+    // pipeline.
     let run = |kernel: KernelMode| {
         let scenario = Scenario::named("UN-storm-UN")
             .injection(InjectionKind::Bursty {

@@ -275,13 +275,13 @@ fn snapshot_mid_jobs_resumes_bit_identically() {
     );
     for i in 0..reference.jobs().unwrap().num_jobs() {
         assert_eq!(
-            resumed.jobs().unwrap().engine(i).completion_cycle(),
-            reference.jobs().unwrap().engine(i).completion_cycle(),
+            resumed.jobs().unwrap().job(i).completion_cycle(),
+            reference.jobs().unwrap().job(i).completion_cycle(),
             "job {i} completion cycle must match"
         );
         assert_eq!(
-            resumed.jobs().unwrap().engine(i).stall_cycles(),
-            reference.jobs().unwrap().engine(i).stall_cycles(),
+            resumed.jobs().unwrap().job(i).stall_cycles(),
+            reference.jobs().unwrap().job(i).stall_cycles(),
             "job {i} per-rank stall totals must match"
         );
     }
