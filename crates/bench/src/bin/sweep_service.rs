@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release -p df-bench --bin sweep_service -- \
 //!     run-dir=target/sweep [small|medium|paper] [smoke] [csv] \
-//!     [threads=N] [checkpoint-every=N] [stream=N] [seeds=N] \
+//!     [threads=N] [checkpoint-every=N] [seeds=N] \
 //!     [interrupt-after=N] [interrupt-mid-at=N]
 //! ```
 //!
@@ -20,8 +20,6 @@
 //! * `threads=` — worker threads (default: available parallelism).
 //! * `checkpoint-every=` — cycles between mid-cell snapshots (default 2000;
 //!   0 disables mid-cell recovery).
-//! * `stream=` — stream per-window telemetry of every sub-run to stderr
-//!   with the given window width in cycles.
 //! * `seeds=` — seeds averaged per cell (default 1, or the scale's count).
 //! * `interrupt-after=` / `interrupt-mid-at=` — CI hooks that stop the
 //!   service early as if it had been killed (between sub-runs, or mid-cell
@@ -54,7 +52,6 @@ fn main() {
             "seeds=",
             "threads=",
             "checkpoint-every=",
-            "stream=",
             "interrupt-after=",
             "interrupt-mid-at=",
         ],
@@ -111,7 +108,6 @@ fn main() {
     if let Some(every) = parse_kv(&args, "checkpoint-every") {
         options.checkpoint_every = every;
     }
-    options.stream_window = parse_kv(&args, "stream");
     options.interrupt_after_subruns = parse_kv(&args, "interrupt-after").map(|n| n as usize);
     options.interrupt_mid_subrun_at = parse_kv(&args, "interrupt-mid-at");
 

@@ -56,8 +56,9 @@ fn service_bins_reject_mistyped_scales_and_topology_selections() {
             "the sweep service must not be advertised as topology-aware: {stderr}"
         );
         // a mistyped key used to be skipped: `sedds=3` ran the default seed
-        // count and `thread=4` the default budget, both exiting 0
-        for typo in ["sedds=3", "thread=4"] {
+        // count and `thread=4` the default budget, both exiting 0; `stream=`
+        // left with the streaming telemetry it switched on
+        for typo in ["sedds=3", "thread=4", "stream=100"] {
             let stderr = rejected(exe, &["run-dir=target/never-created", "bench", typo]);
             assert!(
                 stderr.contains(&format!("option '{typo}'")) && stderr.contains("threads="),

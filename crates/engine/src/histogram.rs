@@ -157,37 +157,27 @@ impl Histogram {
         }
     }
 
-    /// Rebuild a histogram from [`encode`](Self::encode) output.
-    pub fn decode(d: &mut Decoder) -> Result<Self, CodecError> {
-        let low = d.f64()?;
-        let high = d.f64()?;
-        let bin_width = d.f64()?;
-        // NaN bounds must fail these comparisons too, hence the explicit form
-        let range_ok = high > low && bin_width > 0.0;
-        if !range_ok {
+    /// Decode [`encode`](Self::encode) output *into* this histogram, which
+    /// fixes the shape: range, bin width and bin count must be the ones it
+    /// was built with (a NaN bound matches nothing).
+    pub fn decode(&mut self, d: &mut Decoder) -> Result<(), CodecError> {
+        let shape = (d.f64()?, d.f64()?, d.f64()?);
+        if shape != (self.low, self.high, self.bin_width) {
             return Err(CodecError::Invalid(format!(
-                "histogram range [{low}, {high}) / bin width {bin_width}"
+                "histogram shape mismatch: snapshot has [{}, {}) / bin width {}, \
+                 configured [{}, {}) / {}",
+                shape.0, shape.1, shape.2, self.low, self.high, self.bin_width
             )));
         }
-        let underflow = d.u64()?;
-        let overflow = d.u64()?;
-        let count = d.u64()?;
-        let sum = d.f64()?;
-        let n = d.seq(8)?;
-        if n == 0 {
-            return Err(CodecError::Invalid("histogram with zero bins".into()));
+        self.underflow = d.u64()?;
+        self.overflow = d.u64()?;
+        self.count = d.u64()?;
+        self.sum = d.f64()?;
+        d.seq_exact(8, self.bins.len(), "histogram bin count")?;
+        for bin in &mut self.bins {
+            *bin = d.u64()?;
         }
-        let bins = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
-        Ok(Histogram {
-            low,
-            high,
-            bin_width,
-            bins,
-            underflow,
-            overflow,
-            count,
-            sum,
-        })
+        Ok(())
     }
 }
 
@@ -290,5 +280,41 @@ mod tests {
         assert_eq!(edges.len(), 4);
         assert_eq!(edges[0].0, 0.0);
         assert!((edges[3].1 - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decode_round_trips_into_the_configured_shape_only() {
+        let mut h = Histogram::new(0.0, 10.0, 5);
+        for x in [-1.0, 1.0, 1.5, 9.0, 42.0] {
+            h.record(x);
+        }
+        let mut e = Encoder::new();
+        h.encode(&mut e);
+        let bytes = e.into_bytes();
+        let mut restored = Histogram::new(0.0, 10.0, 5);
+        restored.decode(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(restored.bins(), h.bins());
+        assert_eq!(
+            (
+                restored.underflow(),
+                restored.overflow(),
+                restored.count(),
+                restored.sum()
+            ),
+            (h.underflow(), h.overflow(), h.count(), h.sum())
+        );
+        // other range, other bin count (hence width), NaN bound
+        for mut other in [
+            Histogram::new(0.0, 20.0, 5),
+            Histogram::new(1.0, 10.0, 5),
+            Histogram::new(0.0, 10.0, 10),
+        ] {
+            let err = other.decode(&mut Decoder::new(&bytes));
+            assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
+        }
+        let mut nan = bytes.clone();
+        nan[..8].copy_from_slice(&f64::NAN.to_le_bytes());
+        let err = Histogram::new(0.0, 10.0, 5).decode(&mut Decoder::new(&nan));
+        assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! * [`rng`] — deterministic, splittable random-number generation so every
 //!   experiment is exactly reproducible from a single `u64` seed,
-//! * [`stats`] — streaming statistics (mean, variance, confidence intervals)
-//!   and sample-based percentiles,
+//! * [`stats`] — streaming statistics (mean, variance, confidence intervals),
 //! * [`histogram`] — fixed-width binned histograms (latency distributions),
 //! * [`timeseries`] — binned time series used by the transient experiments
 //!   (Figures 7, 8 and 9 of the paper),
@@ -28,6 +27,6 @@ pub mod timeseries;
 pub use codec::{CodecError, Decoder, Encoder};
 pub use histogram::Histogram;
 pub use rng::DeterministicRng;
-pub use stats::{RunningStats, SampleStats};
+pub use stats::RunningStats;
 pub use table::Table;
-pub use timeseries::{BinnedSeries, TimeSeries};
+pub use timeseries::BinnedSeries;

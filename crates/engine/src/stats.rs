@@ -3,9 +3,7 @@
 //! The steady-state experiments of the paper report average packet latency
 //! and accepted throughput over a measurement window, averaged across 10
 //! seeds. [`RunningStats`] accumulates the per-run values with Welford's
-//! online algorithm (numerically stable, O(1) memory); [`SampleStats`] keeps
-//! the samples and additionally provides percentiles, used for latency
-//! distributions and the ablation studies.
+//! online algorithm (numerically stable, O(1) memory).
 
 use serde::{Deserialize, Serialize};
 
@@ -163,71 +161,6 @@ impl RunningStats {
     }
 }
 
-/// Sample-retaining statistics with percentile queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SampleStats {
-    samples: Vec<f64>,
-}
-
-impl SampleStats {
-    /// Empty sample set.
-    pub fn new() -> Self {
-        SampleStats {
-            samples: Vec::new(),
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Percentile in `[0, 100]` using nearest-rank on the sorted samples
-    /// (`NaN` if empty).
-    pub fn percentile(&self, pct: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
-        let pct = pct.clamp(0.0, 100.0);
-        let rank = ((pct / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        sorted[rank]
-    }
-
-    /// Median (p50).
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// Convert to a streaming accumulator (for merging into sweep results).
-    pub fn to_running(&self) -> RunningStats {
-        let mut r = RunningStats::new();
-        for &x in &self.samples {
-            r.push(x);
-        }
-        r
-    }
-
-    /// Borrow the raw samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,36 +242,5 @@ mod tests {
             large.push(v);
         }
         assert!(large.ci95_half_width() < small.ci95_half_width());
-    }
-
-    #[test]
-    fn percentiles_on_known_distribution() {
-        let mut s = SampleStats::new();
-        for i in 0..=100 {
-            s.push(i as f64);
-        }
-        assert_eq!(s.percentile(0.0), 0.0);
-        assert_eq!(s.percentile(50.0), 50.0);
-        assert_eq!(s.percentile(100.0), 100.0);
-        assert_eq!(s.median(), 50.0);
-        assert_eq!(s.percentile(95.0), 95.0);
-        assert!((s.mean() - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_stats_to_running_round_trip() {
-        let mut s = SampleStats::new();
-        for x in [1.0, 2.0, 3.0, 10.0] {
-            s.push(x);
-        }
-        let r = s.to_running();
-        assert_eq!(r.count(), 4);
-        assert!((r.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_of_empty_is_nan() {
-        let s = SampleStats::new();
-        assert!(s.percentile(50.0).is_nan());
     }
 }

@@ -3,68 +3,11 @@
 //! The paper's Figures 7, 8 and 9 plot per-cycle average latency and the
 //! percentage of misrouted packets around a traffic-pattern change. Because a
 //! single cycle contains few packet deliveries, the plotted curves are binned
-//! over short windows; [`BinnedSeries`] implements exactly that, while
-//! [`TimeSeries`] keeps raw `(cycle, value)` points for sparse signals.
+//! over short windows; [`BinnedSeries`] implements exactly that.
 
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{CodecError, Decoder, Encoder};
-
-/// A raw `(time, value)` series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TimeSeries {
-    points: Vec<(u64, f64)>,
-}
-
-impl TimeSeries {
-    /// Empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Append a point. Times need not be unique but should be non-decreasing
-    /// for meaningful output.
-    pub fn push(&mut self, time: u64, value: f64) {
-        self.points.push((time, value));
-    }
-
-    /// Borrow the points.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Last value, if any.
-    pub fn last(&self) -> Option<(u64, f64)> {
-        self.points.last().copied()
-    }
-
-    /// Serialize the series exactly (snapshot support).
-    pub fn encode(&self, e: &mut Encoder) {
-        e.seq(self.points.len());
-        for &(t, v) in &self.points {
-            e.u64(t);
-            e.f64(v);
-        }
-    }
-
-    /// Rebuild a series from [`encode`](Self::encode) output.
-    pub fn decode(d: &mut Decoder) -> Result<Self, CodecError> {
-        let points = (0..d.seq(16)?)
-            .map(|_| Ok((d.u64()?, d.f64()?)))
-            .collect::<Result<_, CodecError>>()?;
-        Ok(TimeSeries { points })
-    }
-}
 
 /// A series of observations aggregated into fixed-width time bins, producing
 /// the per-bin mean. Observations are attributed to the bin containing their
@@ -141,19 +84,6 @@ impl BinnedSeries {
             })
     }
 
-    /// Mean of the bin containing `time`, if it has observations.
-    pub fn mean_at(&self, time: i64) -> Option<f64> {
-        let bin = self.bin_of(time);
-        if self.sums.is_empty() || bin < self.start_bin {
-            return None;
-        }
-        let idx = (bin - self.start_bin) as usize;
-        if idx >= self.sums.len() || self.counts[idx] == 0 {
-            return None;
-        }
-        Some(self.sums[idx] / self.counts[idx] as f64)
-    }
-
     /// Width of each bin in cycles.
     pub fn bin_width(&self) -> u64 {
         self.bin_width
@@ -174,52 +104,43 @@ impl BinnedSeries {
         }
     }
 
-    /// Rebuild a series from [`encode`](Self::encode) output.
-    pub fn decode(d: &mut Decoder) -> Result<Self, CodecError> {
-        let origin = d.i64()?;
-        let bin_width = d.u64()?;
-        if bin_width == 0 {
-            return Err(CodecError::Invalid("binned series bin_width 0".into()));
+    /// Decode [`encode`](Self::encode) output *into* this series, which
+    /// fixes the shape: origin and bin width must be the ones it was built
+    /// with, and the stored bins must lie inside the span observations at
+    /// times `0..=last_time` can occupy (so a later [`record`](Self::record)
+    /// never grows the series by more than the run's own length).
+    pub fn decode(&mut self, d: &mut Decoder, last_time: i64) -> Result<(), CodecError> {
+        let (origin, bin_width, start_bin) = (d.i64()?, d.u64()?, d.i64()?);
+        if (origin, bin_width) != (self.origin, self.bin_width) {
+            return Err(CodecError::Invalid(format!(
+                "binned series shape mismatch: snapshot has origin {origin} / bin width \
+                 {bin_width}, configured {} / {}",
+                self.origin, self.bin_width
+            )));
         }
-        let start_bin = d.i64()?;
-        let n_sums = d.seq(8)?;
-        let sums = (0..n_sums).map(|_| d.f64()).collect::<Result<_, _>>()?;
-        d.seq_exact(8, n_sums, "binned series counts length")?;
-        let counts = (0..n_sums).map(|_| d.u64()).collect::<Result<_, _>>()?;
-        Ok(BinnedSeries {
-            origin,
-            bin_width,
-            sums,
-            counts,
-            start_bin,
-        })
-    }
-
-    /// Collect into a [`TimeSeries`] of bin means (times are bin starts,
-    /// clamped at zero for the unsigned representation).
-    pub fn to_series(&self) -> TimeSeries {
-        let mut s = TimeSeries::new();
-        for (t, mean, _) in self.iter_means() {
-            s.push(t.max(0) as u64, mean);
+        let n = d.seq(8)?;
+        let (lo, hi) = (self.bin_of(0), self.bin_of(last_time.max(0)));
+        let fits = match n {
+            0 => start_bin == 0,
+            n => lo <= start_bin && start_bin <= hi && (n - 1) as i64 <= hi - start_bin,
+        };
+        if !fits {
+            return Err(CodecError::Invalid(format!(
+                "binned series holds {n} bins from {start_bin}, outside the bins \
+                 {lo}..={hi} of times 0..={last_time}"
+            )));
         }
-        s
+        self.sums = (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?;
+        d.seq_exact(8, n, "binned series counts length")?;
+        self.counts = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
+        self.start_bin = start_bin;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timeseries_push_and_read() {
-        let mut s = TimeSeries::new();
-        assert!(s.is_empty());
-        s.push(1, 10.0);
-        s.push(2, 20.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last(), Some((2, 20.0)));
-        assert_eq!(s.points()[0], (1, 10.0));
-    }
 
     #[test]
     fn binned_means_are_correct() {
@@ -251,17 +172,9 @@ mod tests {
         let mut b = BinnedSeries::new(0, 5);
         b.record(12, 4.0);
         b.record(-3, 8.0);
-        assert_eq!(b.mean_at(12), Some(4.0));
-        assert_eq!(b.mean_at(-3), Some(8.0));
-        assert_eq!(b.mean_at(3), None);
-    }
-
-    #[test]
-    fn mean_at_out_of_range_is_none() {
-        let mut b = BinnedSeries::new(0, 10);
-        b.record(5, 1.0);
-        assert_eq!(b.mean_at(100), None);
-        assert_eq!(b.mean_at(-100), None);
+        // the empty bins in between are not reported
+        let means: Vec<_> = b.iter_means().collect();
+        assert_eq!(means, [(-5, 8.0, 1), (10, 4.0, 1)]);
     }
 
     #[test]
@@ -275,14 +188,73 @@ mod tests {
         assert_eq!(means[1], (1100, 5.0, 1));
     }
 
+    fn encoded(origin: i64, bin_width: u64, start_bin: i64, bins: &[(f64, u64)]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.i64(origin);
+        e.u64(bin_width);
+        e.i64(start_bin);
+        e.seq(bins.len());
+        bins.iter().for_each(|b| e.f64(b.0));
+        e.seq(bins.len());
+        bins.iter().for_each(|b| e.u64(b.1));
+        e.into_bytes()
+    }
+
     #[test]
-    fn to_series_exports_bin_means() {
-        let mut b = BinnedSeries::new(0, 10);
-        b.record(0, 2.0);
-        b.record(15, 4.0);
-        let s = b.to_series();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.points()[1], (10, 4.0));
+    fn decode_round_trips_into_the_configured_series_only() {
+        let mut b = BinnedSeries::new(100, 10);
+        b.record(3, 2.0); // bin -10
+        b.record(250, 4.0); // bin 15
+        let mut e = Encoder::new();
+        b.encode(&mut e);
+        let bytes = e.into_bytes();
+        let mut restored = BinnedSeries::new(100, 10);
+        restored.decode(&mut Decoder::new(&bytes), 250).unwrap();
+        assert_eq!(
+            restored.iter_means().collect::<Vec<_>>(),
+            b.iter_means().collect::<Vec<_>>()
+        );
+        // a collector configured differently refuses the same bytes
+        for mut other in [BinnedSeries::new(100, 20), BinnedSeries::new(0, 10)] {
+            let err = other.decode(&mut Decoder::new(&bytes), 250);
+            assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
+        }
+        // ...and so does one whose run is too short to have seen bin 15
+        let err = BinnedSeries::new(100, 10).decode(&mut Decoder::new(&bytes), 200);
+        assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
+    }
+
+    #[test]
+    fn decode_bounds_start_bin_and_length_by_the_run() {
+        // times 0..=99 around origin 50, width 10: bins -5..=4
+        let try_decode = |start_bin: i64, n: usize| {
+            let bytes = encoded(50, 10, start_bin, &vec![(1.0, 1); n]);
+            BinnedSeries::new(50, 10).decode(&mut Decoder::new(&bytes), 99)
+        };
+        assert!(try_decode(-5, 10).is_ok());
+        assert!(try_decode(4, 1).is_ok());
+        assert!(try_decode(0, 0).is_ok());
+        for (start_bin, n) in [
+            (i64::MAX, 1),
+            (i64::MIN, 1),
+            (-6, 1),
+            (5, 1),
+            (-5, 11),
+            (4, 2),
+            (3, 0), // an empty series has not chosen a start bin yet
+        ] {
+            let err = try_decode(start_bin, n);
+            assert!(
+                matches!(err, Err(CodecError::Invalid(_))),
+                "({start_bin}, {n}): {err:?}"
+            );
+        }
+        // the first record after a restore at the edge grows by one bin, no more
+        let mut b = BinnedSeries::new(50, 10);
+        b.decode(&mut Decoder::new(&encoded(50, 10, 4, &[(1.0, 1)])), 99)
+            .unwrap();
+        b.record(100, 3.0);
+        assert_eq!(b.iter_means().count(), 2);
     }
 
     #[test]

@@ -178,7 +178,8 @@ impl Allocator {
 
     /// Perform one allocation iteration and return the grants (allocating
     /// convenience wrapper around [`Allocator::allocate_into`]).
-    pub fn allocate(
+    #[cfg(test)]
+    fn allocate(
         &mut self,
         requests: &[AllocationRequest],
         can_accept: impl FnMut(Port, VcId, u32) -> bool,

@@ -312,14 +312,11 @@ impl InputVc {
     }
 }
 
-/// An input port: a set of virtual channels plus round-robin state used by
-/// the allocator's input stage.
+/// An input port: a set of virtual channels.
 #[derive(Debug, Clone)]
 pub struct InputPort {
     class: PortClass,
     vcs: Vec<InputVc>,
-    /// Round-robin pointer over VCs for the allocator input stage.
-    next_vc: usize,
 }
 
 impl InputPort {
@@ -328,7 +325,6 @@ impl InputPort {
         InputPort {
             class,
             vcs: (0..num_vcs).map(|_| InputVc::new(capacity_phits)).collect(),
-            next_vc: 0,
         }
     }
 
@@ -367,22 +363,13 @@ impl InputPort {
         self.vcs.iter().map(|v| v.len()).sum()
     }
 
-    /// Round-robin pointer for the allocator's input stage; calling this
-    /// advances the pointer.
-    pub fn take_rr_start(&mut self) -> usize {
-        let s = self.next_vc;
-        self.next_vc = (self.next_vc + 1) % self.vcs.len().max(1);
-        s
-    }
-
-    /// Serialise the persistent state of this port (per-VC queues and the
-    /// allocator round-robin pointer). Class and VC layout are configuration.
+    /// Serialise the persistent state of this port (the per-VC queues).
+    /// Class and VC layout are configuration.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.vcs.len());
         for vc in &self.vcs {
             vc.save_state(e);
         }
-        e.usize(self.next_vc);
     }
 
     /// Restore the state written by [`InputPort::save_state`] into a freshly
@@ -395,13 +382,6 @@ impl InputPort {
         for vc in &mut self.vcs {
             vc.restore_state(d)?;
         }
-        let next_vc = d.usize()?;
-        if next_vc >= self.vcs.len().max(1) {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "input port round-robin pointer {next_vc} out of range"
-            )));
-        }
-        self.next_vc = next_vc;
         Ok(())
     }
 }
@@ -527,13 +507,5 @@ mod tests {
         assert_eq!(port.occupancy_phits(), 16);
         assert_eq!(port.queued_packets(), 2);
         assert_eq!(port.class(), PortClass::Local);
-    }
-
-    #[test]
-    fn round_robin_pointer_cycles() {
-        let mut port = InputPort::new(PortClass::Global, 2, 256);
-        assert_eq!(port.take_rr_start(), 0);
-        assert_eq!(port.take_rr_start(), 1);
-        assert_eq!(port.take_rr_start(), 0);
     }
 }

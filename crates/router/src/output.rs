@@ -43,8 +43,6 @@ pub struct OutputPort {
     buffer_occupancy_phits: u32,
     /// Cycle at which the link becomes free for the next packet.
     link_free_at: Cycle,
-    /// Round-robin pointer over input ports for the allocator output stage.
-    rr_input: usize,
 }
 
 impl OutputPort {
@@ -70,7 +68,6 @@ impl OutputPort {
             buffer_capacity_phits,
             buffer_occupancy_phits: 0,
             link_free_at: 0,
-            rr_input: 0,
         }
     }
 
@@ -241,18 +238,10 @@ impl OutputPort {
         out
     }
 
-    /// Round-robin pointer for the allocator's output stage; calling this
-    /// advances the pointer (modulo `num_inputs`).
-    pub fn take_rr_start(&mut self, num_inputs: usize) -> usize {
-        let s = self.rr_input % num_inputs.max(1);
-        self.rr_input = (s + 1) % num_inputs.max(1);
-        s
-    }
-
     /// Serialise the persistent state of this port: per-VC credits, staged
-    /// packets (with downstream VC and pipeline-ready cycle), the link busy
-    /// horizon and the allocator round-robin pointer. Capacities and class
-    /// are configuration and are not written.
+    /// packets (with downstream VC and pipeline-ready cycle) and the link
+    /// busy horizon. Capacities and class are configuration and are not
+    /// written.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.credits.len());
         for &c in &self.credits {
@@ -265,7 +254,6 @@ impl OutputPort {
             e.u64(s.ready_at);
         }
         e.u64(self.link_free_at);
-        e.usize(self.rr_input);
     }
 
     /// Restore the state written by [`OutputPort::save_state`] into a freshly
@@ -313,7 +301,6 @@ impl OutputPort {
         self.buffer = buffer;
         self.buffer_occupancy_phits = occupancy as u32;
         self.link_free_at = d.u64()?;
-        self.rr_input = d.usize()?;
         Ok(())
     }
 }
@@ -430,14 +417,5 @@ mod tests {
         assert_eq!(p.congestion_phits(), 8);
         p.return_credits(VcId(0), 8);
         assert_eq!(p.congestion_phits(), 0);
-    }
-
-    #[test]
-    fn rr_pointer_wraps() {
-        let mut p = port();
-        assert_eq!(p.take_rr_start(3), 0);
-        assert_eq!(p.take_rr_start(3), 1);
-        assert_eq!(p.take_rr_start(3), 2);
-        assert_eq!(p.take_rr_start(3), 0);
     }
 }

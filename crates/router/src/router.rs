@@ -361,23 +361,17 @@ impl Router {
         self.outputs[port.index()].drain_staged()
     }
 
-    /// Discard the head packet of input VC `(port, vc)` — the fault-routing
-    /// "unroutable packet" path. Releases the same per-router bookkeeping as
-    /// [`Router::apply_grant`] (counter registrations, occupancy) but the
-    /// packet leaves the network instead of an output buffer. Returns the
-    /// packet and the input class (terminal inputs generate no upstream
-    /// credit return).
+    /// Pop the head packet of input VC `(port, vc)` and release what the
+    /// router held for it: its counter registrations and its slot in the
+    /// occupancy counters. Called directly this is the fault-routing
+    /// "unroutable packet" discard — the packet leaves the network instead
+    /// of entering an output buffer as in [`Router::apply_grant`], which
+    /// starts with the same pop. Returns the packet and the input class
+    /// (terminal inputs generate no upstream credit return).
     ///
     /// # Panics
     /// Panics if the input VC is empty.
     pub fn discard_head(&mut self, port: Port, vc: VcId) -> (Packet, PortClass) {
-        self.pop_head(port, vc)
-    }
-
-    /// Pop the head packet of input VC `(port, vc)` and release what the
-    /// router held for it: its counter registrations and its slot in the
-    /// occupancy counters. Returns the packet and the input class.
-    fn pop_head(&mut self, port: Port, vc: VcId) -> (Packet, PortClass) {
         let input_class = self.inputs[port.index()].class();
         let input_vc = self.inputs[port.index()].vc_mut(vc.index());
         let PoppedPacket {
@@ -471,7 +465,7 @@ impl Router {
     /// # Panics
     /// Panics if the granted input VC is empty (allocator/sim bug).
     pub fn apply_grant(&mut self, grant: &Grant, now: Cycle) -> AppliedGrant {
-        let (mut packet, input_class) = self.pop_head(grant.input_port, grant.input_vc);
+        let (mut packet, input_class) = self.discard_head(grant.input_port, grant.input_vc);
         // update routing state for the hop the packet is about to take
         let arrived_at = match self.topo.peer(self.id, grant.output_port) {
             PortPeer::Router(peer, _) => peer,
@@ -599,10 +593,11 @@ impl Router {
 
     /// Serialise everything a restored router cannot rebuild from its
     /// configuration: input queues and registrations, output stages and
-    /// credits, contention/ECtN/PB state, allocator round-robin pointers,
-    /// per-port link health and the gateway-liveness view. The derived
-    /// occupancy and registration counters are *not* written — restore
-    /// recomputes them from the queues.
+    /// credits, contention/ECtN/PB state, allocator round-robin pointers and
+    /// per-port link health. Derived state is *not* written: restore
+    /// recomputes the occupancy and registration counters from the queues,
+    /// and the simulator re-installs the gateway-liveness view from the
+    /// router's group's flooded copy ([`Router::install_link_view`]).
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.inputs.len());
         for input in &self.inputs {
@@ -620,7 +615,6 @@ impl Router {
         for &up in &self.link_up {
             e.bool(up);
         }
-        crate::snapshot::encode_gateway_liveness(&self.link_view, e);
     }
 
     /// Restore the state written by [`Router::save_state`] into a freshly
@@ -647,8 +641,6 @@ impl Router {
         for up in &mut self.link_up {
             *up = d.bool()?;
         }
-        self.link_view =
-            crate::snapshot::decode_gateway_liveness(d, self.topo.global_links_per_group())?;
         // rebuild the derived counters and sets from the restored
         // queues/flags
         self.staged_ports = 0;

@@ -1,48 +1,40 @@
-//! Binary codec for the gateway-liveness view (shared by the router's
-//! per-router `link_view` and the simulator's published truth/group copies).
+//! Binary codec for the gateway-liveness view (the simulator's published
+//! truth and per-group flooded copies; a router's own `link_view` is its
+//! group's copy and is re-installed on restore, not stored).
 //!
 //! `df-topology` stays free of serialisation concerns: [`GatewayLiveness`]
 //! exposes its raw parts and this module turns them into the checksummed
 //! byte stream used by simulation snapshots.
 
 use df_engine::{CodecError, Decoder, Encoder};
-use df_topology::GatewayLiveness;
+use df_topology::{GatewayLiveness, Topology};
 
-/// Serialise a gateway-liveness map (version, down marks and the replayable
-/// failure/recovery records).
+/// Serialise a gateway-liveness map: `links_per_group | version | link
+/// records | node records`. The down marks are not written — they are the
+/// records with `up == false`.
 pub fn encode_gateway_liveness(view: &GatewayLiveness, e: &mut Encoder) {
-    let (links_per_group, version, down, nodes_down, link_records, node_records) = view.raw_parts();
+    let (links_per_group, version, link_records, node_records) = view.raw_parts();
     e.u32(links_per_group);
     e.u64(version);
-    e.seq(down.len());
-    for &l in down {
-        e.u32(l);
-    }
-    e.seq(nodes_down.len());
-    for &n in nodes_down {
-        e.u32(n);
-    }
-    e.seq(link_records.len());
-    for &(link, at, up) in link_records {
-        e.u32(link);
-        e.u64(at);
-        e.bool(up);
-    }
-    e.seq(node_records.len());
-    for &(node, at, up) in node_records {
-        e.u32(node);
-        e.u64(at);
-        e.bool(up);
+    for records in [link_records, node_records] {
+        e.seq(records.len());
+        for &(key, at, up) in records {
+            e.u32(key);
+            e.u64(at);
+            e.bool(up);
+        }
     }
 }
 
-/// Decode a gateway-liveness map written by [`encode_gateway_liveness`].
-/// `links_per_group` must match the topology the view is being restored
-/// into.
+/// Decode a gateway-liveness map written by [`encode_gateway_liveness`] for
+/// `topo`: the links-per-group stamp must match, and both record journals
+/// must be strictly sorted by key (lookups binary-search them) with every
+/// key inside the topology's link / node range.
 pub fn decode_gateway_liveness(
     d: &mut Decoder,
-    expected_links_per_group: u32,
+    topo: &impl Topology,
 ) -> Result<GatewayLiveness, CodecError> {
+    let expected_links_per_group = topo.global_links_per_group();
     let links_per_group = d.u32()?;
     if links_per_group != expected_links_per_group {
         return Err(CodecError::Invalid(format!(
@@ -51,28 +43,24 @@ pub fn decode_gateway_liveness(
         )));
     }
     let version = d.u64()?;
-    let marks = |d: &mut Decoder| -> Result<Vec<u32>, CodecError> {
-        (0..d.seq(4)?).map(|_| d.u32()).collect()
-    };
-    let records = |d: &mut Decoder| -> Result<Vec<(u32, u64, bool)>, CodecError> {
-        (0..d.seq(13)?)
+    let mut records = |what: &str, num_keys: u32| -> Result<Vec<(u32, u64, bool)>, CodecError> {
+        let records = (0..d.seq(13)?)
             .map(|_| Ok((d.u32()?, d.u64()?, d.bool()?)))
-            .collect()
-    };
-    let (down, nodes_down) = (marks(d)?, marks(d)?);
-    let (link_records, node_records) = (records(d)?, records(d)?);
-    for marks in [&down, &nodes_down] {
-        if marks.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(CodecError::Invalid(
-                "gateway liveness down marks must be strictly sorted".into(),
-            ));
+            .collect::<Result<Vec<_>, CodecError>>()?;
+        let sorted = records.windows(2).all(|w| w[0].0 < w[1].0);
+        if !sorted || records.last().is_some_and(|r| r.0 >= num_keys) {
+            return Err(CodecError::Invalid(format!(
+                "gateway liveness {what} records must be strictly sorted by key \
+                 and below {num_keys}"
+            )));
         }
-    }
+        Ok(records)
+    };
+    let link_records = records("link", topo.num_groups() * links_per_group)?;
+    let node_records = records("node", topo.num_nodes())?;
     Ok(GatewayLiveness::from_raw_parts(
         links_per_group,
         version,
-        down,
-        nodes_down,
         link_records,
         node_records,
     ))
@@ -83,9 +71,13 @@ mod tests {
     use super::*;
     use df_topology::{Dragonfly, DragonflyParams, GroupId, NodeId};
 
+    fn topo() -> Dragonfly {
+        Dragonfly::new(DragonflyParams::small())
+    }
+
     #[test]
-    fn gateway_liveness_round_trip() {
-        let topo = Dragonfly::new(DragonflyParams::small());
+    fn gateway_liveness_round_trip_rebuilds_the_marks_from_the_records() {
+        let topo = topo();
         let mut view = GatewayLiveness::new(&topo);
         view.set_entry(GroupId(0), 3, false);
         view.set_entry(GroupId(1), 1, false);
@@ -95,23 +87,72 @@ mod tests {
         encode_gateway_liveness(&view, &mut e);
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
-        let restored =
-            decode_gateway_liveness(&mut d, view.raw_parts().0).expect("round trip decodes");
+        let restored = decode_gateway_liveness(&mut d, &topo).expect("round trip decodes");
         assert!(d.is_exhausted());
-        assert!(view.same_marks(&restored));
-        let (_, version, ..) = restored.raw_parts();
-        assert_eq!(version, view.raw_parts().1);
+        assert_eq!(restored, view, "records, version and derived marks");
+        assert!(restored.link_up(GroupId(0), 3) && !restored.link_up(GroupId(1), 1));
+        assert!(!restored.node_up(NodeId(2)));
+    }
+
+    /// Hand-encode a map with the given journals (the layout of
+    /// [`encode_gateway_liveness`]).
+    fn forged(
+        links_per_group: u32,
+        links: &[(u32, u64, bool)],
+        nodes: &[(u32, u64, bool)],
+    ) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u32(links_per_group);
+        e.u64(9);
+        for records in [links, nodes] {
+            e.seq(records.len());
+            for &(key, at, up) in records {
+                e.u32(key);
+                e.u64(at);
+                e.bool(up);
+            }
+        }
+        e.into_bytes()
     }
 
     #[test]
-    fn links_per_group_mismatch_is_rejected() {
-        let topo = Dragonfly::new(DragonflyParams::small());
-        let view = GatewayLiveness::new(&topo);
-        let mut e = Encoder::new();
-        encode_gateway_liveness(&view, &mut e);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        let err = decode_gateway_liveness(&mut d, 999).unwrap_err();
-        assert!(matches!(err, CodecError::Invalid(_)));
+    fn foreign_unsorted_or_out_of_range_journals_are_rejected() {
+        let topo = topo(); // 9 groups x 8 links = 72 link keys, 72 nodes
+        let lpg = topo.global_links_per_group();
+        let ok = forged(
+            lpg,
+            &[(3, 1, false), (71, 2, true)],
+            &[(0, 3, false), (71, 4, false)],
+        );
+        assert!(decode_gateway_liveness(&mut Decoder::new(&ok), &topo).is_ok());
+        for (what, bytes) in [
+            ("links-per-group", forged(999, &[], &[])),
+            (
+                "unsorted links",
+                forged(lpg, &[(5, 1, false), (3, 2, false)], &[]),
+            ),
+            (
+                "duplicate link key",
+                forged(lpg, &[(5, 1, false), (5, 2, true)], &[]),
+            ),
+            (
+                "link key past the last group",
+                forged(lpg, &[(72, 1, false)], &[]),
+            ),
+            (
+                "unsorted nodes",
+                forged(lpg, &[], &[(9, 1, false), (2, 2, false)]),
+            ),
+            (
+                "node id past the last node",
+                forged(lpg, &[], &[(u32::MAX, 1, false)]),
+            ),
+        ] {
+            let err = decode_gateway_liveness(&mut Decoder::new(&bytes), &topo);
+            assert!(
+                matches!(err, Err(CodecError::Invalid(_))),
+                "{what}: {err:?}"
+            );
+        }
     }
 }

@@ -23,7 +23,6 @@
 //!   barriers) on top of the packet engine, alone (offered load 0) or
 //!   under background traffic, with per-job completion time and rank
 //!   stall accounting ([`task::JobsEngine`]),
-//! * [`telemetry`] — streaming per-window statistics ([`StreamingTelemetry`]),
 //! * [`metrics`], [`events`], [`node`] — supporting machinery.
 //!
 //! ```
@@ -66,7 +65,6 @@ pub mod runner;
 pub mod scenario;
 pub mod sweep;
 pub mod task;
-pub mod telemetry;
 
 pub use churn::{ChurnModel, ChurnRate};
 pub use config::{ConfigError, KernelMode, SimulationConfig, SimulationConfigBuilder};
@@ -86,4 +84,3 @@ pub use sweep::{
 pub use task::{
     run_interference, run_job_set, InterferenceReport, JobReport, JobSetReport, JobsEngine,
 };
-pub use telemetry::{StreamingTelemetry, WindowStats};

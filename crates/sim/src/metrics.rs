@@ -68,11 +68,6 @@ pub struct Metrics {
     misroute_series: BinnedSeries,
     // ---- distribution ----
     latency_histogram: Histogram,
-    /// Always-on latency histogram over the whole run (the measurement-window
-    /// histogram above only records while the window is open). Feeds the
-    /// streaming-telemetry layer, which differences cumulative counts between
-    /// window boundaries to get per-window latency quantiles.
-    telemetry_histogram: Histogram,
 }
 
 /// Final figures of a measurement window.
@@ -126,7 +121,6 @@ impl Metrics {
             latency_series: BinnedSeries::new(series_origin, series_bin),
             misroute_series: BinnedSeries::new(series_origin, series_bin),
             latency_histogram: Histogram::new(0.0, 5_000.0, 500),
-            telemetry_histogram: Histogram::new(0.0, 5_000.0, 500),
         }
     }
 
@@ -158,7 +152,6 @@ impl Metrics {
         self.delivered_phits_total += packet.size_phits as u64;
         let latency = (now - packet.generated_at) as f64;
         self.latency_series.record(now as i64, latency);
-        self.telemetry_histogram.record(latency);
         if self.measuring() {
             self.delivered_packets += 1;
             self.delivered_phits += packet.size_phits as u64;
@@ -296,13 +289,6 @@ impl Metrics {
         self.task_steps_completed
     }
 
-    /// The always-on cumulative latency histogram (records every delivery of
-    /// the run, warm-up included). The streaming-telemetry layer differences
-    /// its counts between window boundaries for per-window quantiles.
-    pub fn telemetry_histogram(&self) -> &Histogram {
-        &self.telemetry_histogram
-    }
-
     /// The latency histogram of the measurement window (records only while
     /// the window is open; used by the determinism regression tests to
     /// compare full distributions, not just summary statistics).
@@ -409,14 +395,17 @@ impl Metrics {
         self.latency_series.encode(e);
         self.misroute_series.encode(e);
         self.latency_histogram.encode(e);
-        self.telemetry_histogram.encode(e);
     }
 
-    /// Restore the state written by [`Metrics::save_state`]. The series
-    /// origin in the snapshot must match this collector's configured origin.
+    /// Restore the state written by [`Metrics::save_state`] at cycle `now`
+    /// into the collector [`Metrics::new`] configured: the bytes fill it in,
+    /// they do not reshape it. The series origin and bin width and the
+    /// histogram range and bin count must match, and the series may only
+    /// hold bins a run of `now` cycles can have touched.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
+        now: Cycle,
     ) -> Result<(), df_engine::CodecError> {
         let window_start = if d.bool()? { Some(d.u64()?) } else { None };
         let origin = d.i64()?;
@@ -446,11 +435,12 @@ impl Metrics {
         self.retargeted_packets = d.u64()?;
         self.rank_stall_cycles = d.u64()?;
         self.task_steps_completed = d.u64()?;
-        self.latency_series = BinnedSeries::decode(d)?;
-        self.misroute_series = BinnedSeries::decode(d)?;
-        self.latency_histogram = Histogram::decode(d)?;
-        self.telemetry_histogram = Histogram::decode(d)?;
-        Ok(())
+        let last_time = i64::try_from(now).map_err(|_| {
+            df_engine::CodecError::Invalid(format!("snapshot cycle {now} out of range"))
+        })?;
+        self.latency_series.decode(d, last_time)?;
+        self.misroute_series.decode(d, last_time)?;
+        self.latency_histogram.decode(d)
     }
 }
 

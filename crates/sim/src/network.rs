@@ -146,7 +146,9 @@ pub struct Network {
     /// (drives the staleness metric; trivially `true` on healthy runs).
     views_converged: bool,
     /// Per-node failure flag (`NodeFail`/`NodeRestore`): a failed node
-    /// generates nothing and traffic addressed to it is retargeted.
+    /// generates nothing and traffic addressed to it is retargeted. The
+    /// dense mirror of `linkview_truth`'s node marks (rebuilt from them on
+    /// restore) that the per-cycle generation walk indexes.
     node_failed: Vec<bool>,
     /// Designated spare of each failed node (valid while `node_failed` is
     /// set; chains resolve in fail order and cannot cycle — see the fault
@@ -850,6 +852,15 @@ impl Network {
         debug_assert!(
             self.nodes.queued_set_is_complete(),
             "a node outside the queued set holds a packet at cycle {now}"
+        );
+        // a snapshot stores the group views only and restore re-installs
+        // them: sound because every flooding round above is followed by an
+        // install in *all* groups, so at a step boundary no router lags
+        debug_assert!(
+            self.routers
+                .iter()
+                .all(|router| *router.link_view() == self.group_views[router.group().index()]),
+            "a router's link view differs from its group's flooded view at cycle {now}"
         );
 
         self.cycle += 1;

@@ -56,8 +56,7 @@ use crate::config::SimulationConfig;
 use crate::experiment::{average_reports, SteadyStateReport};
 use crate::network::snapshot::config_fingerprint;
 use crate::network::Network;
-use crate::sweep::{matrix_cells, outer_threads, MatrixCell, MatrixKey, ScenarioMatrix};
-use crate::telemetry::StreamingTelemetry;
+use crate::sweep::{matrix_cells, outer_threads, MatrixCell, ScenarioMatrix};
 
 /// Journal frame magic.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DFSWPJNL";
@@ -78,10 +77,6 @@ pub struct RunnerOptions {
     /// Total thread budget of the pool pulling sub-runs off the queue
     /// (sub-runs × the base kernel's workers).
     pub threads: usize,
-    /// Stream per-window telemetry of every sub-run to stderr with this
-    /// window width (None = quiet). Observation only — results are
-    /// bit-identical either way.
-    pub stream_window: Option<u64>,
     /// Testing/CI hook: stop claiming work after this many sub-runs have
     /// completed in *this* process, as if the service had been killed (the
     /// journal and snapshots stay behind for a resume).
@@ -94,13 +89,12 @@ pub struct RunnerOptions {
 
 impl RunnerOptions {
     /// Defaults over a run directory: checkpoint every 2000 cycles, one
-    /// worker, no streaming, no interruption hooks.
+    /// worker, no interruption hooks.
     pub fn new(run_dir: impl Into<PathBuf>) -> Self {
         RunnerOptions {
             run_dir: run_dir.into(),
             checkpoint_every: 2_000,
             threads: 1,
-            stream_window: None,
             interrupt_after_subruns: None,
             interrupt_mid_subrun_at: None,
         }
@@ -150,11 +144,10 @@ type JournalHeader = (u64, u64, u64);
 type SubrunReports = HashMap<(usize, u64), SteadyStateReport>;
 
 /// The on-disk half of a sweep — what turns the pool into the service: the
-/// open journal, the options governing checkpoints, streaming and the
-/// interruption hooks, and what this invocation has appended so far.
+/// open journal, the options governing checkpoints and the interruption
+/// hooks, and what this invocation has appended so far.
 pub(crate) struct Journal<'a> {
     options: &'a RunnerOptions,
-    keys: &'a [MatrixKey],
     file: Mutex<File>,
     /// `(cell, seed index, cycle)` of every sub-run this invocation executed
     /// after resuming it from a snapshot.
@@ -169,7 +162,6 @@ impl<'a> Journal<'a> {
     /// when the directory belongs to a different sweep.
     fn open(
         options: &'a RunnerOptions,
-        keys: &'a [MatrixKey],
         configs: &[SimulationConfig],
         seeds: u64,
     ) -> Result<(Self, SubrunReports), String> {
@@ -195,7 +187,6 @@ impl<'a> Journal<'a> {
             .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         let journal = Journal {
             options,
-            keys,
             file: Mutex::new(file),
             resumed: Mutex::new(Vec::new()),
             executed: AtomicUsize::new(0),
@@ -316,14 +307,13 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// The on-disk side of one sub-run: which one it is, where its snapshot
-/// lives and the service options (checkpoint interval, streaming, mid-run
-/// interruption hook).
+/// lives and the service options (checkpoint interval, mid-run interruption
+/// hook).
 pub(crate) struct Durable<'a> {
     cell: usize,
     seed_idx: u64,
     snap_path: PathBuf,
     options: &'a RunnerOptions,
-    key: &'a MatrixKey,
 }
 
 /// A sub-run that ran to the end of its window.
@@ -369,15 +359,6 @@ pub(crate) fn run_subrun(
     };
 
     let checkpoint_every = durable.map_or(0, |d| d.options.checkpoint_every);
-    let mut telemetry = durable
-        .and_then(|d| d.options.stream_window)
-        .map(|w| StreamingTelemetry::new(&net, w));
-    let stream_every = telemetry.as_ref().map_or(0, |t| t.window_cycles());
-    // the first multiple of `every` after `cycle`; never, for `every == 0`
-    let next_multiple = |cycle: u64, every: u64| match every {
-        0 => u64::MAX,
-        every => (cycle / every + 1) * every,
-    };
 
     // open the measurement window the moment warm-up ends — before any
     // checkpoint at that cycle, so the snapshot carries the decision
@@ -388,26 +369,16 @@ pub(crate) fn run_subrun(
     };
     open_window_if_due(&mut net);
     while net.cycle() < total {
-        let next_checkpoint = next_multiple(net.cycle(), checkpoint_every);
-        let next_window = next_multiple(net.cycle(), stream_every);
+        // the first checkpoint cycle after now; never, without checkpoints
+        let next_checkpoint = match checkpoint_every {
+            0 => u64::MAX,
+            every => (net.cycle() / every + 1) * every,
+        };
         let phase_end = if net.cycle() < warmup { warmup } else { total };
-        let target = next_checkpoint.min(next_window).min(phase_end);
-        net.run_cycles(target - net.cycle());
+        net.run_cycles(next_checkpoint.min(phase_end) - net.cycle());
         open_window_if_due(&mut net);
 
         let Some(d) = durable else { continue };
-        if let Some(t) = telemetry.as_mut() {
-            if net.cycle() == next_window {
-                let (key, seed_idx) = (d.key, d.seed_idx);
-                eprintln!(
-                    "sweep[{}/{}/{:.2}#{seed_idx}]: {}",
-                    key.scenario,
-                    key.routing.label(),
-                    key.load,
-                    t.close_window(&net).log_line()
-                );
-            }
-        }
         if net.cycle() == next_checkpoint && net.cycle() < total {
             write_atomic(&d.snap_path, &net.snapshot())?;
             let stop_at = d.options.interrupt_mid_subrun_at;
@@ -458,7 +429,6 @@ pub(crate) fn run_pool(
             seed_idx,
             snap_path: (j.options.run_dir).join(format!("cell{cell}_s{seed_idx}.snap")),
             options: j.options,
-            key: &j.keys[cell],
         });
         let Some(end) = run_subrun(&config, durable.as_ref())? else {
             return Ok(false);
@@ -528,7 +498,7 @@ pub fn run_sweep_service(
 ) -> Result<SweepOutcome, String> {
     let seeds = matrix.seeds_per_cell;
     let (keys, configs) = matrix.validated_cells()?;
-    let (journal, recovered) = Journal::open(options, &keys, &configs, seeds)?;
+    let (journal, recovered) = Journal::open(options, &configs, seeds)?;
     let recovered_subruns = recovered.len();
     let reports = run_pool(
         &configs,
@@ -666,6 +636,51 @@ mod tests {
             .iter()
             .all(|&(_, _, cycle)| cycle == 200));
         assert_eq!(matrix_table("t", &resumed.cells).to_csv(), reference);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_and_forged_snapshots_are_discarded_and_the_cells_rerun() {
+        // a run directory left behind by the previous snapshot format (a
+        // frame stamped version 5) and one holding a checksummed frame whose
+        // histogram shape disagrees with the collector: both sub-runs start
+        // over and the table is the reference table
+        let matrix = small_matrix(1);
+        let reference = matrix_table("t", &run_matrix(&matrix, 2)).to_csv();
+        let dir = tmp_dir("stale_snap");
+        fs::create_dir_all(&dir).unwrap();
+        let snapshot_of = |cell: usize| {
+            let mut net = Network::new(matrix.cells()[cell].1.clone());
+            net.run_cycles(120);
+            net.snapshot()
+        };
+        let mut v5 = snapshot_of(0);
+        v5[8..12].copy_from_slice(&5u32.to_le_bytes());
+        fs::write(dir.join("cell0_s0.snap"), &v5).unwrap();
+        let good = snapshot_of(1);
+        let mut payload = good[20..good.len() - 8].to_vec();
+        let high = payload
+            .windows(8)
+            .rposition(|w| w == 5_000.0f64.to_le_bytes())
+            .expect("histogram upper bound");
+        payload[high..high + 8].copy_from_slice(&4_000.0f64.to_le_bytes());
+        let mut e = Encoder::new();
+        payload.iter().for_each(|&b| e.u8(b));
+        let forged = e.finish_frame(crate::SNAPSHOT_MAGIC, crate::SNAPSHOT_VERSION);
+        assert!(
+            Network::snapshot_cycle(&forged).is_ok(),
+            "the frame itself is valid"
+        );
+        fs::write(dir.join("cell1_s0.snap"), &forged).unwrap();
+
+        let outcome = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).expect("runs");
+        assert!(outcome.complete);
+        assert!(
+            outcome.resumed_from_snapshot.is_empty(),
+            "nothing was resumable"
+        );
+        assert_eq!(outcome.executed_subruns, matrix.num_cells());
+        assert_eq!(matrix_table("t", &outcome.cells).to_csv(), reference);
         let _ = fs::remove_dir_all(&dir);
     }
 

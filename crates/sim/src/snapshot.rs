@@ -13,19 +13,22 @@
 //! Corrupt, truncated, foreign or version-skewed bytes are rejected before
 //! any payload byte is interpreted.
 //!
-//! The payload stores only what a rebuilt `Network::new(config)` cannot
-//! recompute:
+//! One rule decides what the payload holds: **every live fact exactly once;
+//! restore derives every other copy instead of cross-checking it.** What a
+//! rebuilt `Network::new(config)` cannot recompute is stored:
 //!
 //! * identity — a fingerprint of the configuration (kernel-normalised, so a
 //!   snapshot restores under any kernel mode and worker count),
 //! * the clock, packet-id counter and conservation ledgers,
 //! * every router's buffered state ([`df_router::Router::save_state`]),
+//!   per-port link flags included,
 //! * every router-stream and node-stream RNG (seed + xoshiro words),
 //! * every node's injector, source queue and statistics,
 //! * the metrics collector,
 //! * the pending link events in exact drain order,
-//! * the fault cursor, link-availability mask, lost-credit ledger,
-//!   node-failure flags and the gateway-liveness truth/flooded views,
+//! * the fault cursor, drain flags, lost-credit ledger, spare table and the
+//!   gateway-liveness truth / flooded group views (each as its record
+//!   journals),
 //! * the job engine's execution state when the configuration carries a job
 //!   set — one task section per job, in specification order (rank cursors,
 //!   outstanding sends, receive counters, compute-readiness clocks and the
@@ -33,16 +36,22 @@
 //!   job and resume bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns,
-//! derived occupancy counters, the activity gates (the active set is
-//! recomputed as the sorted non-idle routers and the queued-node set from
-//! the source queues; every look-ahead countdown, output-changed flag,
-//! flipped-flag mark and staged-port set restarts conservatively —
-//! "everything dirty"), shard scratch and the worker pool.
+//! derived occupancy counters, the availability mask (the routers' link
+//! flags), the node-failure flags (the truth map's node marks), every
+//! router's gateway-liveness view (its group's flooded view, re-installed),
+//! each liveness map's down marks (its records with `up == false`), the
+//! activity gates (the active set is recomputed as the sorted non-idle
+//! routers and the queued-node set from the source queues; every look-ahead
+//! countdown, output-changed flag, flipped-flag mark and staged-port set
+//! restarts conservatively — "everything dirty"), shard scratch and the
+//! worker pool. State only an observer reads is not simulation state and is
+//! not in the payload at all.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, VcId};
+use df_router::dissemination::install_linkview_group;
 use df_router::{decode_gateway_liveness, encode_gateway_liveness};
-use df_topology::{LinkState, NodeId, Port, RouterId, Topology};
+use df_topology::{NodeId, Port, RouterId, Topology};
 
 use super::Network;
 use crate::config::{KernelMode, SimulationConfig};
@@ -60,11 +69,15 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// section per job) so a snapshot can land mid-collective in any job of a
 /// concurrent mix; version 5 drops the separate single-workload task
 /// section and its presence flag (a closed collective run is a one-job set
-/// at offered load 0, so the job section is the only application state).
+/// at offered load 0, so the job section is the only application state);
+/// version 6 stores every live fact once — the dead allocator pointers, the
+/// observer-only second latency histogram, the job-presence flag and the
+/// duplicated fault facts (down-link list, node-failure flags, per-router
+/// liveness views, liveness down marks) are gone and restore derives them.
 /// Older versions are refused by the frame's version check — there is no
-/// compatibility loader: the configuration `Debug` rendering changed with
-/// the format, so no v4 fingerprint could match anyway.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// compatibility loader (the sweep service discards a stale checkpoint and
+/// re-runs the sub-run).
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -182,13 +195,7 @@ impl Network {
         for (at, event) in &pending {
             encode_event(*at, event, &mut e);
         }
-        // fault machinery: directed down links, drain/failure flags, ledger
-        let down = self.link_state.down_links();
-        e.seq(down.len());
-        for (r, p) in down {
-            e.u32(r.0);
-            e.u32(p.0);
-        }
+        // fault machinery: drain flags, ledger, liveness truth and views
         e.seq(self.node_blocked.len());
         for &b in &self.node_blocked {
             e.bool(b);
@@ -213,17 +220,11 @@ impl Network {
         }
         e.bool(self.flood_quiescent);
         e.bool(self.views_converged);
-        e.seq(self.node_failed.len());
-        for &b in &self.node_failed {
-            e.bool(b);
-        }
         e.seq(self.spare_of.len());
         for &s in &self.spare_of {
             e.u32(s);
         }
-        // job layer (presence is configuration-determined; the flag guards
-        // against payload drift)
-        e.bool(self.jobs.is_some());
+        // job layer (present iff the configuration carries a job set)
         if let Some(jobs) = &self.jobs {
             jobs.save_state(&mut e);
         }
@@ -281,7 +282,7 @@ impl Network {
             *rng = DeterministicRng::from_state(seed, words);
         }
         net.nodes.restore_state(&mut d)?;
-        net.metrics.restore_state(&mut d)?;
+        net.metrics.restore_state(&mut d, net.cycle)?;
         // pending link events
         let pending = (0..d.seq(9)?)
             .map(|_| decode_event(&mut d))
@@ -292,18 +293,6 @@ impl Network {
             ));
         }
         net.events = EventQueue::rebuild(net.events.horizon(), net.cycle, pending);
-        // link availability: replay the directed down set onto a fresh mask
-        net.link_state = LinkState::new(&net.ctx.topo);
-        for _ in 0..d.seq(8)? {
-            let r = RouterId(d.u32()?);
-            let p = Port(d.u32()?);
-            if r.index() >= net.routers.len() || p.index() >= net.routers[r.index()].num_ports() {
-                return Err(CodecError::Invalid(format!(
-                    "snapshot marks out-of-range link ({r}, {p}) down"
-                )));
-            }
-            net.link_state.set_directed(r, p, false);
-        }
         d.seq_exact(1, net.node_blocked.len(), "node_blocked length")?;
         for b in &mut net.node_blocked {
             *b = d.bool()?;
@@ -313,34 +302,22 @@ impl Network {
             let per_vc = (0..d.seq(4)?).map(|_| d.u32()).collect::<Result<_, _>>()?;
             net.lost_credits.insert(key, per_vc);
         }
-        let links_per_group = net.ctx.topo.global_links_per_group();
-        net.linkview_truth = decode_gateway_liveness(&mut d, links_per_group)?;
+        let topo = net.ctx.topo;
+        net.linkview_truth = decode_gateway_liveness(&mut d, &topo)?;
         for views in [&mut net.group_views, &mut net.group_views_prev] {
-            d.seq_exact(13, views.len(), "group view count")?;
+            d.seq_exact(28, views.len(), "group view count")?;
             for view in views.iter_mut() {
-                *view = decode_gateway_liveness(&mut d, links_per_group)?;
+                *view = decode_gateway_liveness(&mut d, &topo)?;
             }
         }
         net.flood_quiescent = d.bool()?;
         net.views_converged = d.bool()?;
-        d.seq_exact(1, net.node_failed.len(), "node_failed length")?;
-        for b in &mut net.node_failed {
-            *b = d.bool()?;
-        }
-        net.nodes_failed_count = net.node_failed.iter().filter(|&&b| b).count();
         d.seq_exact(4, net.spare_of.len(), "spare_of length")?;
         for s in &mut net.spare_of {
             *s = d.u32()?;
         }
-        let has_jobs = d.bool()?;
-        match (&mut net.jobs, has_jobs) {
-            (Some(jobs), true) => jobs.restore_state(&mut d)?,
-            (None, false) => {}
-            _ => {
-                return Err(CodecError::Invalid(
-                    "snapshot job-set presence disagrees with the configuration".into(),
-                ))
-            }
+        if let Some(jobs) = &mut net.jobs {
+            jobs.restore_state(&mut d)?;
         }
         if !d.is_exhausted() {
             return Err(CodecError::Invalid(format!(
@@ -348,17 +325,24 @@ impl Network {
                 d.remaining()
             )));
         }
-        // mirror the restored availability mask into the routers' own flags
-        // (restore_state already set them from the per-router snapshot; this
-        // is a consistency check, not a rebuild)
-        for r in net.ctx.topo.routers() {
-            for port in Port::all(&net.ctx.topo.layout()) {
-                if net.routers[r.index()].link_is_up(port) != net.link_state.is_up(r, port) {
-                    return Err(CodecError::Invalid(format!(
-                        "snapshot link flags disagree with the availability mask at ({r}, {port})"
-                    )));
-                }
+        // Derived copies, rebuilt from the one stored fact each mirrors: the
+        // availability mask from the routers' link flags, the node-failure
+        // flags from the truth map's node marks, and every router's
+        // liveness view from its group's flooded view (equal at every step
+        // boundary — `Network::step` asserts it in debug builds).
+        let layout = topo.layout();
+        for (r, router) in net.routers.iter().enumerate() {
+            for port in Port::all(&layout).filter(|&p| !router.link_is_up(p)) {
+                net.link_state.set_directed(RouterId(r as u32), port, false);
             }
+        }
+        for (n, failed) in net.node_failed.iter_mut().enumerate() {
+            *failed = !net.linkview_truth.node_up(NodeId(n as u32));
+            net.nodes_failed_count += *failed as usize;
+        }
+        let group_size = topo.routers_per_group() as usize;
+        for (group, view) in net.routers.chunks_mut(group_size).zip(&net.group_views) {
+            install_linkview_group(group, view);
         }
         // the activity gate is derived state: at a step boundary the active
         // set (empty in the fresh network) is exactly the sorted non-idle
@@ -379,12 +363,6 @@ impl Network {
         let mut d = Decoder::open_frame(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let _fingerprint = d.u64()?;
         d.u64()
-    }
-
-    /// The fingerprint a snapshot of this network would carry (exposed for
-    /// the sweep runner's journal entries).
-    pub fn config_fingerprint(&self) -> u64 {
-        config_fingerprint(&self.config)
     }
 }
 
@@ -632,5 +610,173 @@ mod tests {
 
         assert_eq!(drained_ref, drained_resumed);
         assert_eq!(end_state(&reference), end_state(&resumed));
+    }
+
+    /// Re-frame `snapshot`'s payload after `patch` edited it, so the forged
+    /// bytes carry a valid checksum and reach the payload decoder.
+    fn forged(snapshot: &[u8], patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = snapshot[20..snapshot.len() - 8].to_vec();
+        patch(&mut payload);
+        let mut e = Encoder::new();
+        payload.iter().for_each(|&b| e.u8(b));
+        e.finish_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
+    }
+
+    fn position(haystack: &[u8], needle: &[u8]) -> usize {
+        haystack
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("section present in the payload")
+    }
+
+    fn assert_invalid(cfg: &SimulationConfig, bytes: &[u8], what: &str) {
+        let err = Network::restore(cfg.clone(), bytes).err();
+        assert!(
+            matches!(err, Some(CodecError::Invalid(_))),
+            "{what}: expected a typed Invalid error, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn forged_metrics_shapes_are_rejected_not_adopted() {
+        // the collector is configured by `Network::new` (series origin 100 =
+        // end of warm-up, 20-cycle bins, 500 bins over [0, 5000)); a
+        // checksummed frame that says otherwise must not reshape it
+        let cfg = config(KernelMode::Optimized, 3);
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(90);
+        let bytes = net.snapshot();
+        assert!(net.metrics().delivered_packets_total() > 0);
+        let payload = &bytes[20..bytes.len() - 8];
+
+        // both series lead with `origin | bin_width | start_bin`
+        let series = position(
+            payload,
+            &[100i64.to_le_bytes(), 20i64.to_le_bytes()].concat(),
+        );
+        // times 0..=90 around origin 100 occupy bins -5..=-1
+        for (start_bin, what) in [
+            (i64::MAX, "start_bin i64::MAX"),
+            (i64::MIN, "start_bin i64::MIN"),
+            (0, "start_bin past the snapshot cycle"),
+            (-6, "start_bin before cycle 0"),
+        ] {
+            let frame = forged(&bytes, |p| {
+                p[series + 16..series + 24].copy_from_slice(&start_bin.to_le_bytes())
+            });
+            assert_invalid(&cfg, &frame, what);
+        }
+        let frame = forged(&bytes, |p| {
+            p[series + 8..series + 16].copy_from_slice(&40u64.to_le_bytes())
+        });
+        assert_invalid(&cfg, &frame, "re-binned series");
+
+        // the histogram leads with `low | high | bin_width`
+        let shape = [0.0f64, 5_000.0, 10.0].map(f64::to_le_bytes).concat();
+        let histogram = position(payload, &shape);
+        for (field, value, what) in [
+            (1, 4_000.0, "histogram range"),
+            (2, 20.0, "histogram bin width"),
+            (0, f64::NAN, "NaN bound"),
+        ] {
+            let at = histogram + 8 * field;
+            let frame = forged(&bytes, |p| {
+                p[at..at + 8].copy_from_slice(&f64::to_le_bytes(value))
+            });
+            assert_invalid(&cfg, &frame, what);
+        }
+        // dropping half the bins (and the length prefix with them)
+        let bins = histogram + 24 + 32;
+        let frame = forged(&bytes, |p| {
+            p[bins..bins + 8].copy_from_slice(&250u64.to_le_bytes());
+            p.drain(bins + 8 + 250 * 8..bins + 8 + 500 * 8);
+        });
+        assert_invalid(&cfg, &frame, "histogram bin count");
+
+        // the untouched payload still restores through the same helper
+        assert!(Network::restore(cfg, &forged(&bytes, |_| {})).is_ok());
+    }
+
+    #[test]
+    fn forged_liveness_journals_are_rejected() {
+        // a down gateway link and a failed node put records in the truth map
+        let base = config(KernelMode::Optimized, 13);
+        let topo = base.topology.build();
+        let (r, p) = FaultPlan::global_link_between(&topo, GroupId(1), GroupId(4));
+        let mut cfg = base;
+        cfg.faults = FaultPlan::new()
+            .link_down(20, r, p)
+            .node_fail(30, NodeId(5), NodeId(40));
+        cfg.validate().expect("fault plan is valid");
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(60);
+        assert!(net.node_failed(NodeId(5)) && !net.link_state().all_up());
+        let bytes = net.snapshot();
+
+        // restore derives the mask, the failure flags and the router views
+        let restored = Network::restore(cfg.clone(), &bytes).expect("restores");
+        assert_eq!(
+            restored.link_state().down_links(),
+            net.link_state().down_links()
+        );
+        assert!(restored.node_failed(NodeId(5)) && !restored.node_failed(NodeId(40)));
+        assert_eq!(restored.nodes_failed_count, 1);
+        for router in topo.routers() {
+            assert_eq!(
+                restored.router(router).link_view(),
+                net.router(router).link_view()
+            );
+        }
+
+        // the truth map is the first liveness section of the payload
+        let section = |view: &df_topology::GatewayLiveness| {
+            let mut e = Encoder::new();
+            encode_gateway_liveness(view, &mut e);
+            e.into_bytes()
+        };
+        let truth = section(&net.linkview_truth);
+        let payload = &bytes[20..bytes.len() - 8];
+        let at = position(payload, &truth);
+        let (lpg, _, links, nodes) = net.linkview_truth.raw_parts();
+        assert_eq!(
+            (links.len(), nodes.len()),
+            (2, 1),
+            "both link ends and the node"
+        );
+        let with = |links: Vec<(u32, u64, bool)>, nodes: Vec<(u32, u64, bool)>| {
+            let mut section = truth[..12].to_vec(); // links_per_group | version
+            let mut e = Encoder::new();
+            for records in [links, nodes] {
+                e.seq(records.len());
+                for (key, seq, up) in records {
+                    e.u32(key);
+                    e.u64(seq);
+                    e.bool(up);
+                }
+            }
+            section.extend(e.into_bytes());
+            forged(&bytes, |p| drop(p.splice(at..at + truth.len(), section)))
+        };
+        assert!(Network::restore(cfg.clone(), &with(links.to_vec(), nodes.to_vec())).is_ok());
+        let swapped = vec![links[1], links[0]];
+        assert_invalid(
+            &cfg,
+            &with(swapped, nodes.to_vec()),
+            "unsorted link records",
+        );
+        let twice = vec![links[0], links[0]];
+        assert_invalid(&cfg, &with(twice, nodes.to_vec()), "duplicate link key");
+        let past = vec![links[0], (9 * lpg, 7, false)];
+        assert_invalid(
+            &cfg,
+            &with(past, nodes.to_vec()),
+            "link key past the last group",
+        );
+        let ghost = vec![(u32::MAX, 7, false)];
+        assert_invalid(
+            &cfg,
+            &with(links.to_vec(), ghost),
+            "node id past the last node",
+        );
     }
 }

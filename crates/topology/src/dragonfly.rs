@@ -190,31 +190,6 @@ impl Topology for Dragonfly {
         (self.router_at(group, r), Port::global(&self.params, k))
     }
     #[inline]
-    fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId> {
-        debug_assert!(j < self.params.global_links_per_group());
-        let virt_groups = self.params.a * self.params.h + 1;
-        let dst = (group.0 + j + 1) % virt_groups;
-        (dst < self.params.groups).then_some(GroupId(dst))
-    }
-    #[inline]
-    fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)> {
-        let group = self.router_group(router);
-        let j = self.global_link_index(router, k);
-        let dst_group = self.global_link_target_group(group, j)?;
-        let j_rev = self.params.global_links_per_group() - 1 - j;
-        Some(self.global_link_owner(dst_group, j_rev))
-    }
-    /// Canonical Dragonflies have exactly one such link, which is what lets
-    /// the paper associate a single contention counter with the minimal
-    /// route towards each remote group.
-    #[inline]
-    fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32 {
-        debug_assert_ne!(src_group, dst_group);
-        debug_assert!(src_group.0 < self.params.groups && dst_group.0 < self.params.groups);
-        let virt_groups = self.params.a * self.params.h + 1;
-        (dst_group.0 + virt_groups - src_group.0 - 1) % virt_groups
-    }
-    #[inline]
     fn peer(&self, router: RouterId, port: Port) -> PortPeer {
         let k = port.class_offset(&self.params);
         match port.class(&self.params) {

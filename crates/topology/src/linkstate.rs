@@ -186,38 +186,79 @@ impl LinkState {
 /// another group's view.
 type EntryRecord = (u32, u64, bool);
 
-/// Adopt `(key, seq, up)` into a sorted record journal if it is fresher
-/// than what the journal holds; returns `(adopted, mark flipped)`.
-fn adopt_record(records: &mut Vec<EntryRecord>, key: u32, seq: u64, up: bool) -> (bool, bool) {
-    match records.binary_search_by_key(&key, |r| r.0) {
-        Ok(pos) => {
-            let (_, cur_seq, cur_up) = records[pos];
-            if cur_seq >= seq {
-                (false, false)
-            } else {
-                records[pos] = (key, seq, up);
-                (true, cur_up != up)
-            }
-        }
-        Err(pos) => {
-            records.insert(pos, (key, seq, up));
-            // an absent record means "assumed up", so only a down-mark flips
-            (true, !up)
-        }
-    }
+/// One keyspace of a [`GatewayLiveness`] map (the global links, or the
+/// nodes): the freshness journal and the down marks it determines.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Keyspace {
+    /// The newest known change per key, sorted by key. Grows with the number
+    /// of keys ever touched by a fault, never shrinks within a run.
+    records: Vec<EntryRecord>,
+    /// The keys whose record says "down", sorted ascending — derived from
+    /// `records` (an absent record means "assumed up") and kept beside them
+    /// so the healthy fast path is one `is_empty` and a lookup searches the
+    /// (typically tiny) down set, not the journal.
+    down: Vec<u32>,
 }
 
-/// Flip `key` in a sorted marks vector to match `up` (present = marked
-/// down).
-fn set_mark(marks: &mut Vec<u32>, key: u32, up: bool) {
-    match marks.binary_search(&key) {
-        Ok(pos) if up => {
-            marks.remove(pos);
+impl Keyspace {
+    /// Rebuild a keyspace from its journal (sorted by key).
+    fn from_records(records: Vec<EntryRecord>) -> Self {
+        debug_assert!(records.windows(2).all(|w| w[0].0 < w[1].0));
+        let down = records.iter().filter(|r| !r.2).map(|r| r.0).collect();
+        Keyspace { records, down }
+    }
+
+    #[inline]
+    fn is_up(&self, key: u32) -> bool {
+        self.down.is_empty() || self.down.binary_search(&key).is_err()
+    }
+
+    /// Adopt `(key, seq, up)` if it is fresher than what the journal holds,
+    /// flipping the mark with it; returns whether it was adopted.
+    fn adopt(&mut self, key: u32, seq: u64, up: bool) -> bool {
+        let flipped = match self.records.binary_search_by_key(&key, |r| r.0) {
+            Ok(pos) => {
+                let (_, cur_seq, cur_up) = self.records[pos];
+                if cur_seq >= seq {
+                    return false;
+                }
+                self.records[pos] = (key, seq, up);
+                cur_up != up
+            }
+            Err(pos) => {
+                self.records.insert(pos, (key, seq, up));
+                // an absent record means "assumed up", so only a down-mark flips
+                !up
+            }
+        };
+        if flipped {
+            match self.down.binary_search(&key) {
+                Ok(pos) if up => drop(self.down.remove(pos)),
+                Err(pos) if !up => self.down.insert(pos, key),
+                _ => {}
+            }
         }
-        Err(pos) if !up => {
-            marks.insert(pos, key);
+        true
+    }
+
+    /// A local state change (the truth map observing a fault event): no-op
+    /// when `key` already reads `up`, otherwise bump `version` and stamp the
+    /// change with it.
+    fn set(&mut self, key: u32, up: bool, version: &mut u64) {
+        if self.is_up(key) != up {
+            *version += 1;
+            let adopted = self.adopt(key, *version, up);
+            debug_assert!(adopted, "a local change must be its key's freshest record");
         }
-        _ => {}
+    }
+
+    /// Adopt every fresher record of `records`; returns whether any was.
+    fn merge<'a>(&mut self, records: impl IntoIterator<Item = &'a EntryRecord>) -> bool {
+        let mut changed = false;
+        for &(key, seq, up) in records {
+            changed |= self.adopt(key, seq, up);
+        }
+        changed
     }
 }
 
@@ -258,17 +299,10 @@ pub struct GatewayLiveness {
     /// without a dissemination channel). On the truth map this doubles as
     /// the sequence-number source for entry records.
     version: u64,
-    /// Flat indices `group * links_per_group + j` of the links currently
-    /// down, sorted ascending.
-    down: Vec<u32>,
-    /// Node ids currently marked failed, sorted ascending.
-    nodes_down: Vec<u32>,
-    /// Freshness journal for link entries: the newest known change per flat
-    /// link index, sorted by index. Grows with the number of links ever
-    /// touched by a fault, never shrinks within a run.
-    link_records: Vec<EntryRecord>,
-    /// Freshness journal for node entries, sorted by node id.
-    node_records: Vec<EntryRecord>,
+    /// Link entries, keyed by the flat index `group * links_per_group + j`.
+    links: Keyspace,
+    /// Node entries, keyed by node id.
+    nodes: Keyspace,
 }
 
 impl GatewayLiveness {
@@ -276,11 +310,7 @@ impl GatewayLiveness {
     pub fn new(topo: &impl Topology) -> Self {
         GatewayLiveness {
             links_per_group: topo.global_links_per_group(),
-            version: 0,
-            down: Vec::new(),
-            nodes_down: Vec::new(),
-            link_records: Vec::new(),
-            node_records: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -293,7 +323,7 @@ impl GatewayLiveness {
     /// Whether every gateway link is up (O(1) healthy fast path).
     #[inline]
     pub fn all_up(&self) -> bool {
-        self.down.is_empty()
+        self.links.down.is_empty()
     }
 
     /// Change counter (0 for a pristine all-up map).
@@ -306,7 +336,7 @@ impl GatewayLiveness {
     /// directions, as far as this map knows.
     #[inline]
     pub fn link_up(&self, group: GroupId, j: u32) -> bool {
-        self.all_up() || self.down.binary_search(&self.flat(group, j)).is_err()
+        self.links.is_up(self.flat(group, j))
     }
 
     /// Whether this map positively marks link `j` of `group` down — the
@@ -314,72 +344,32 @@ impl GatewayLiveness {
     /// O(1) in the healthy case).
     #[inline]
     pub fn marks_down(&self, group: GroupId, j: u32) -> bool {
-        !self.all_up() && !self.link_up(group, j)
+        !self.link_up(group, j)
     }
 
     /// Number of gateway links currently marked down.
     pub fn num_down(&self) -> usize {
-        self.down.len()
+        self.links.down.len()
     }
 
     /// Mark one `(group, j)` entry up or down. Idempotent; bumps the
     /// version (and stamps a fresh entry record with it) only on an actual
     /// change.
     pub fn set_entry(&mut self, group: GroupId, j: u32, up: bool) {
-        let flat = self.flat(group, j);
-        match self.down.binary_search(&flat) {
-            Ok(pos) if up => {
-                self.down.remove(pos);
-                self.version += 1;
-            }
-            Err(pos) if !up => {
-                self.down.insert(pos, flat);
-                self.version += 1;
-            }
-            _ => return,
-        }
-        let seq = self.version;
-        adopt_record(&mut self.link_records, flat, seq, up);
+        self.links.set(self.flat(group, j), up, &mut self.version);
     }
-
-    // -----------------------------------------------------------------
-    // Node-failure entries
-    // -----------------------------------------------------------------
 
     /// Whether `node` is usable as far as this map knows (O(1) in the
     /// healthy case).
     #[inline]
     pub fn node_up(&self, node: NodeId) -> bool {
-        self.nodes_down.is_empty() || self.nodes_down.binary_search(&node.0).is_err()
-    }
-
-    /// Whether this map positively marks `node` as failed.
-    #[inline]
-    pub fn marks_node_down(&self, node: NodeId) -> bool {
-        !self.node_up(node)
-    }
-
-    /// Number of nodes currently marked failed.
-    pub fn num_nodes_down(&self) -> usize {
-        self.nodes_down.len()
+        self.nodes.is_up(node.0)
     }
 
     /// Mark one node failed or restored. Idempotent; bumps the version (and
     /// stamps a fresh entry record with it) only on an actual change.
     pub fn set_node(&mut self, node: NodeId, up: bool) {
-        match self.nodes_down.binary_search(&node.0) {
-            Ok(pos) if up => {
-                self.nodes_down.remove(pos);
-                self.version += 1;
-            }
-            Err(pos) if !up => {
-                self.nodes_down.insert(pos, node.0);
-                self.version += 1;
-            }
-            _ => return,
-        }
-        let seq = self.version;
-        adopt_record(&mut self.node_records, node.0, seq, up);
+        self.nodes.set(node.0, up, &mut self.version);
     }
 
     /// Mark the bidirectional global link attached at `(router, port)` up or
@@ -423,37 +413,11 @@ impl GatewayLiveness {
         if self.version != src.version {
             self.links_per_group = src.links_per_group;
             self.version = src.version;
-            self.down.clear();
-            self.down.extend_from_slice(&src.down);
-            self.nodes_down.clear();
-            self.nodes_down.extend_from_slice(&src.nodes_down);
-            self.link_records.clear();
-            self.link_records.extend_from_slice(&src.link_records);
-            self.node_records.clear();
-            self.node_records.extend_from_slice(&src.node_records);
+            for (dst, src) in [(&mut self.links, &src.links), (&mut self.nodes, &src.nodes)] {
+                dst.records.clone_from(&src.records);
+                dst.down.clone_from(&src.down);
+            }
         }
-    }
-
-    // -----------------------------------------------------------------
-    // Flooding merges
-    // -----------------------------------------------------------------
-
-    #[inline]
-    fn adopt_link(&mut self, key: u32, seq: u64, up: bool) -> bool {
-        let (adopted, flipped) = adopt_record(&mut self.link_records, key, seq, up);
-        if flipped {
-            set_mark(&mut self.down, key, up);
-        }
-        adopted
-    }
-
-    #[inline]
-    fn adopt_node(&mut self, key: u32, seq: u64, up: bool) -> bool {
-        let (adopted, flipped) = adopt_record(&mut self.node_records, key, seq, up);
-        if flipped {
-            set_mark(&mut self.nodes_down, key, up);
-        }
-        adopted
     }
 
     /// Merge every entry of `src` into `self`, adopting the records with
@@ -461,13 +425,7 @@ impl GatewayLiveness {
     /// neighbour group's previous-round view). Bumps the version and
     /// returns `true` if anything was adopted.
     pub fn merge_from(&mut self, src: &GatewayLiveness) -> bool {
-        let mut changed = false;
-        for &(key, seq, up) in &src.link_records {
-            changed |= self.adopt_link(key, seq, up);
-        }
-        for &(key, seq, up) in &src.node_records {
-            changed |= self.adopt_node(key, seq, up);
-        }
+        let changed = self.links.merge(&src.links.records) | self.nodes.merge(&src.nodes.records);
         if changed {
             self.version += 1;
         }
@@ -489,16 +447,17 @@ impl GatewayLiveness {
     ) -> bool {
         let lo = group.0 * truth.links_per_group;
         let hi = lo + truth.links_per_group;
-        let start = truth.link_records.partition_point(|r| r.0 < lo);
-        let mut changed = false;
-        for &(key, seq, up) in truth.link_records[start..].iter().take_while(|r| r.0 < hi) {
-            changed |= self.adopt_link(key, seq, up);
-        }
-        for &(key, seq, up) in &truth.node_records {
-            if topo.router_group(topo.node_router(NodeId(key))) == group {
-                changed |= self.adopt_node(key, seq, up);
-            }
-        }
+        let own_links = &truth.links.records;
+        let start = own_links.partition_point(|r| r.0 < lo);
+        let own_nodes = truth
+            .nodes
+            .records
+            .iter()
+            .filter(|r| topo.router_group(topo.node_router(NodeId(r.0))) == group);
+        let changed = self
+            .links
+            .merge(own_links[start..].iter().take_while(|r| r.0 < hi))
+            | self.nodes.merge(own_nodes);
         if changed {
             self.version += 1;
         }
@@ -509,62 +468,36 @@ impl GatewayLiveness {
     /// identical to `other`'s, ignoring versions and record freshness — the
     /// convergence predicate of the flooding protocol.
     pub fn same_marks(&self, other: &GatewayLiveness) -> bool {
-        self.down == other.down && self.nodes_down == other.nodes_down
+        self.links.down == other.links.down && self.nodes.down == other.nodes.down
     }
 
-    // -----------------------------------------------------------------
-    // Snapshot support
-    // -----------------------------------------------------------------
-
-    /// Borrow every internal field, in declaration order:
-    /// `(links_per_group, version, down, nodes_down, link_records,
-    /// node_records)`. Together with
-    /// [`from_raw_parts`](Self::from_raw_parts) this lets the simulator's
-    /// snapshot subsystem persist views exactly — including the freshness
-    /// journals, which the flooding merges depend on.
+    /// Everything a snapshot must carry, `(links_per_group, version, link
+    /// records, node records)`: the down marks are determined by the records
+    /// and are rebuilt by [`from_raw_parts`](Self::from_raw_parts).
     #[allow(clippy::type_complexity)]
-    pub fn raw_parts(
-        &self,
-    ) -> (
-        u32,
-        u64,
-        &[u32],
-        &[u32],
-        &[(u32, u64, bool)],
-        &[(u32, u64, bool)],
-    ) {
+    pub fn raw_parts(&self) -> (u32, u64, &[(u32, u64, bool)], &[(u32, u64, bool)]) {
         (
             self.links_per_group,
             self.version,
-            &self.down,
-            &self.nodes_down,
-            &self.link_records,
-            &self.node_records,
+            &self.links.records,
+            &self.nodes.records,
         )
     }
 
-    /// Rebuild a map from [`raw_parts`](Self::raw_parts) output. The mark
-    /// and record vectors must be sorted by key, as the accessors of a live
-    /// map always produce them.
+    /// Rebuild a map from [`raw_parts`](Self::raw_parts) output. Both record
+    /// vectors must be strictly sorted by key, as a live map always holds
+    /// them (the snapshot decoder checks before calling).
     pub fn from_raw_parts(
         links_per_group: u32,
         version: u64,
-        down: Vec<u32>,
-        nodes_down: Vec<u32>,
         link_records: Vec<(u32, u64, bool)>,
         node_records: Vec<(u32, u64, bool)>,
     ) -> Self {
-        debug_assert!(down.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(nodes_down.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(link_records.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(node_records.windows(2).all(|w| w[0].0 < w[1].0));
         GatewayLiveness {
             links_per_group,
             version,
-            down,
-            nodes_down,
-            link_records,
-            node_records,
+            links: Keyspace::from_records(link_records),
+            nodes: Keyspace::from_records(node_records),
         }
     }
 }
@@ -752,8 +685,7 @@ mod tests {
         let mut truth = GatewayLiveness::new(&t);
         assert!(truth.node_up(NodeId(3)));
         truth.set_node(NodeId(3), false);
-        assert!(truth.marks_node_down(NodeId(3)));
-        assert_eq!(truth.num_nodes_down(), 1);
+        assert!(!truth.node_up(NodeId(3)));
         assert!(truth.all_up(), "node failures do not mark gateway links");
         let v = truth.version();
         truth.set_node(NodeId(3), false);
@@ -762,7 +694,7 @@ mod tests {
         let own_group = t.router_group(t.node_router(NodeId(3)));
         let mut view = GatewayLiveness::new(&t);
         assert!(view.merge_own_from(&truth, &t, own_group));
-        assert!(view.marks_node_down(NodeId(3)));
+        assert!(!view.node_up(NodeId(3)));
         // a restore with a fresher sequence clears it through a merge
         truth.set_node(NodeId(3), true);
         let mut origin = GatewayLiveness::new(&t);

@@ -434,31 +434,6 @@ impl Topology for Megafly {
         )
     }
 
-    fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId> {
-        debug_assert!(j < self.params.global_links_per_group());
-        let virt_groups = self.params.s * self.params.h + 1;
-        let dst = (group.0 + j + 1) % virt_groups;
-        (dst < self.params.groups).then_some(GroupId(dst))
-    }
-
-    fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)> {
-        if self.is_leaf(router) {
-            return None; // padded global indices of leaves are unwired
-        }
-        let group = Topology::router_group(self, router);
-        let j = Topology::global_link_index(self, router, k);
-        let dst_group = Topology::global_link_target_group(self, group, j)?;
-        let j_rev = self.params.global_links_per_group() - 1 - j;
-        Some(Topology::global_link_owner(self, dst_group, j_rev))
-    }
-
-    fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32 {
-        debug_assert_ne!(src_group, dst_group);
-        debug_assert!(src_group.0 < self.params.groups && dst_group.0 < self.params.groups);
-        let virt_groups = self.params.s * self.params.h + 1;
-        (dst_group.0 + virt_groups - src_group.0 - 1) % virt_groups
-    }
-
     fn peer(&self, router: RouterId, port: Port) -> PortPeer {
         match port.class(&self.params) {
             PortClass::Terminal => {

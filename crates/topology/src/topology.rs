@@ -200,13 +200,46 @@ pub trait Topology: Copy + std::fmt::Debug {
     fn global_link_owner(&self, group: GroupId, j: u32) -> (RouterId, Port);
     /// Destination group of group-level global link `j` of `group`, or
     /// `None` if the peer group is not populated.
-    fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId>;
+    ///
+    /// Every supported topology wires its groups in the same *palmtree*
+    /// arrangement over `global_links_per_group + 1` virtual groups: link
+    /// `j` of group `g` reaches group `g + j + 1` (mod the virtual group
+    /// count), where it arrives as link `global_links_per_group - 1 - j`.
+    /// This and the two queries below are that arrangement, spelled once.
+    #[inline]
+    fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId> {
+        debug_assert!(j < self.global_links_per_group());
+        let virt_groups = self.global_links_per_group() + 1;
+        let dst = (group.0 + j + 1) % virt_groups;
+        (dst < self.num_groups()).then_some(GroupId(dst))
+    }
     /// The router and port at the far end of global-port offset `k` of
-    /// `router`, or `None` if the link is unconnected.
-    fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)>;
+    /// `router`, or `None` if the link is unconnected (its peer group is
+    /// not populated, or `k` is a padded index past the router's
+    /// [`own_globals`](Topology::own_globals) — every global port of a
+    /// Megafly leaf).
+    #[inline]
+    fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)> {
+        if k >= self.own_globals(router) {
+            return None;
+        }
+        let group = self.router_group(router);
+        let j = self.global_link_index(router, k);
+        let dst_group = self.global_link_target_group(group, j)?;
+        let j_rev = self.global_links_per_group() - 1 - j;
+        Some(self.global_link_owner(dst_group, j_rev))
+    }
     /// The group-level global link index inside `src_group` that connects
-    /// directly to `dst_group` (exactly one in every supported topology).
-    fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32;
+    /// directly to `dst_group`. There is exactly one, which is what lets
+    /// the paper associate a single contention counter with the minimal
+    /// route towards each remote group.
+    #[inline]
+    fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32 {
+        debug_assert_ne!(src_group, dst_group);
+        debug_assert!(src_group.0 < self.num_groups() && dst_group.0 < self.num_groups());
+        let virt_groups = self.global_links_per_group() + 1;
+        (dst_group.0 + virt_groups - src_group.0 - 1) % virt_groups
+    }
 
     /// The router of `src_group` owning the (unique) global link towards
     /// `dst_group`, together with the global port used.

@@ -85,16 +85,6 @@ impl PatternKind {
         }
     }
 
-    /// Whether the pattern is a fixed destination map (permutation-style):
-    /// every source always sends to the same destination and no randomness is
-    /// consumed per packet.
-    pub fn is_deterministic_map(&self) -> bool {
-        matches!(
-            self,
-            PatternKind::Permutation { .. } | PatternKind::BitComplement | PatternKind::BitReversal
-        )
-    }
-
     /// Check the pattern parameters against a topology without building it.
     pub fn validate(&self, topo: &impl Topology) -> Result<(), String> {
         let n = topo.num_nodes();

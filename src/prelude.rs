@@ -6,7 +6,7 @@
 //! assert_eq!(topo.num_groups(), 9);
 //! ```
 
-pub use df_engine::{DeterministicRng, Histogram, RunningStats, Table, TimeSeries};
+pub use df_engine::{DeterministicRng, Histogram, RunningStats, Table};
 pub use df_model::{
     BufferConfig, Cycle, LatencyConfig, NetworkConfig, Packet, PacketId, RoutingState, VcConfig,
     VcId,

@@ -118,6 +118,13 @@ fn interrupted_run(
     assert_eq!(Network::snapshot_cycle(&bytes).ok(), Some(checkpoint));
     drop(net);
     let mut resumed = Network::restore(resume_cfg.clone(), &bytes).expect("snapshot restores");
+    // what restore derives instead of reading (availability mask, failure
+    // flags, router link views) must re-encode to the very same bytes
+    assert_eq!(
+        resumed.snapshot(),
+        bytes,
+        "snapshot -> restore -> snapshot moved at cycle {checkpoint}"
+    );
     finish(&mut resumed, warmup, total)
 }
 
@@ -208,30 +215,36 @@ fn resume_mid_fault_window_is_bit_identical() {
 fn resume_mid_churn_is_bit_identical() {
     // Sustained seeded churn over links and nodes: checkpoints drawn inside
     // the churn window must restore the spare-remapping and node-failure
-    // state exactly.
-    let churn = ChurnModel::new(23, 200, 700)
-        .global_links(ChurnRate::new(600.0, 120.0))
-        .local_links(ChurnRate::new(1_200.0, 120.0))
-        .nodes(ChurnRate::new(2_400.0, 120.0));
-    let cfg = SimulationConfig::builder()
-        .topology(DragonflyParams::small())
-        .network(NetworkConfig::fast_test())
-        .routing(RoutingKind::Ectn)
-        .pattern(PatternKind::Uniform)
-        .offered_load(0.25)
-        .warmup_cycles(200)
-        .measurement_cycles(600)
-        .churn(churn)
-        .seed(8)
-        .build()
-        .expect("valid configuration");
-    let reference = straight_run(&cfg);
-    for checkpoint in random_checkpoints(0xD1CE, 700, 4) {
-        let resumed = interrupted_run(&cfg, &cfg, checkpoint);
-        assert_eq!(
-            resumed, reference,
-            "mid-churn resume from cycle {checkpoint} diverged"
-        );
+    // state exactly. The router link views and failure flags are derived on
+    // restore, so the checkpoints land mid-flood under both dissemination
+    // cadences: ECtN (a flooding hop every update period) and PB (every
+    // cycle).
+    for routing in [RoutingKind::Ectn, RoutingKind::PiggyBacking] {
+        let churn = ChurnModel::new(23, 200, 700)
+            .global_links(ChurnRate::new(600.0, 120.0))
+            .local_links(ChurnRate::new(1_200.0, 120.0))
+            .nodes(ChurnRate::new(2_400.0, 120.0));
+        let cfg = SimulationConfig::builder()
+            .topology(DragonflyParams::small())
+            .network(NetworkConfig::fast_test())
+            .routing(routing)
+            .pattern(PatternKind::Uniform)
+            .offered_load(0.25)
+            .warmup_cycles(200)
+            .measurement_cycles(600)
+            .churn(churn)
+            .seed(8)
+            .build()
+            .expect("valid configuration");
+        let reference = straight_run(&cfg);
+        assert!(reference.retargeted > 0, "{routing}: the churn fails nodes");
+        for checkpoint in random_checkpoints(0xD1CE, 700, 4) {
+            let resumed = interrupted_run(&cfg, &cfg, checkpoint);
+            assert_eq!(
+                resumed, reference,
+                "{routing}: mid-churn resume from cycle {checkpoint} diverged"
+            );
+        }
     }
 }
 
