@@ -119,7 +119,7 @@ impl BinnedSeries {
             )));
         }
         let n = d.seq(8)?;
-        let (lo, hi) = (self.bin_of(0), self.bin_of(last_time.max(0)));
+        let (lo, hi) = (self.bin_of(0), self.bin_of(last_time));
         let fits = match n {
             0 => start_bin == 0,
             n => lo <= start_bin && start_bin <= hi && (n - 1) as i64 <= hi - start_bin,

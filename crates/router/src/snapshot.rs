@@ -44,17 +44,17 @@ pub fn decode_gateway_liveness(
     }
     let version = d.u64()?;
     let mut records = |what: &str, num_keys: u32| -> Result<Vec<(u32, u64, bool)>, CodecError> {
-        let records = (0..d.seq(13)?)
+        let journal = (0..d.seq(13)?)
             .map(|_| Ok((d.u32()?, d.u64()?, d.bool()?)))
             .collect::<Result<Vec<_>, CodecError>>()?;
-        let sorted = records.windows(2).all(|w| w[0].0 < w[1].0);
-        if !sorted || records.last().is_some_and(|r| r.0 >= num_keys) {
+        let sorted = journal.windows(2).all(|w| w[0].0 < w[1].0);
+        if !sorted || journal.last().is_some_and(|r| r.0 >= num_keys) {
             return Err(CodecError::Invalid(format!(
                 "gateway liveness {what} records must be strictly sorted by key \
                  and below {num_keys}"
             )));
         }
-        Ok(records)
+        Ok(journal)
     };
     let link_records = records("link", topo.num_groups() * links_per_group)?;
     let node_records = records("node", topo.num_nodes())?;

@@ -657,16 +657,12 @@ mod tests {
         let mut v5 = snapshot_of(0);
         v5[8..12].copy_from_slice(&5u32.to_le_bytes());
         fs::write(dir.join("cell0_s0.snap"), &v5).unwrap();
-        let good = snapshot_of(1);
-        let mut payload = good[20..good.len() - 8].to_vec();
-        let high = payload
-            .windows(8)
-            .rposition(|w| w == 5_000.0f64.to_le_bytes())
-            .expect("histogram upper bound");
-        payload[high..high + 8].copy_from_slice(&4_000.0f64.to_le_bytes());
-        let mut e = Encoder::new();
-        payload.iter().for_each(|&b| e.u8(b));
-        let forged = e.finish_frame(crate::SNAPSHOT_MAGIC, crate::SNAPSHOT_VERSION);
+        let high = 5_000.0f64.to_le_bytes();
+        let forged = crate::network::snapshot::forged(&snapshot_of(1), |payload| {
+            let at = payload.windows(8).rposition(|w| w == high);
+            let at = at.expect("histogram upper bound");
+            payload[at..at + 8].copy_from_slice(&4_000.0f64.to_le_bytes());
+        });
         assert!(
             Network::snapshot_cycle(&forged).is_ok(),
             "the frame itself is valid"

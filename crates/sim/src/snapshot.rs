@@ -366,6 +366,17 @@ impl Network {
     }
 }
 
+/// Re-frame `snapshot`'s payload after `patch` edited it, so the forged
+/// bytes carry a valid checksum and reach the payload decoder.
+#[cfg(test)]
+pub(crate) fn forged(snapshot: &[u8], patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut payload = snapshot[20..snapshot.len() - 8].to_vec();
+    patch(&mut payload);
+    let mut e = Encoder::new();
+    payload.iter().for_each(|&b| e.u8(b));
+    e.finish_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,16 +621,6 @@ mod tests {
 
         assert_eq!(drained_ref, drained_resumed);
         assert_eq!(end_state(&reference), end_state(&resumed));
-    }
-
-    /// Re-frame `snapshot`'s payload after `patch` edited it, so the forged
-    /// bytes carry a valid checksum and reach the payload decoder.
-    fn forged(snapshot: &[u8], patch: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut payload = snapshot[20..snapshot.len() - 8].to_vec();
-        patch(&mut payload);
-        let mut e = Encoder::new();
-        payload.iter().for_each(|&b| e.u8(b));
-        e.finish_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
     }
 
     fn position(haystack: &[u8], needle: &[u8]) -> usize {

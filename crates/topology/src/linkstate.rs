@@ -387,14 +387,13 @@ impl GatewayLiveness {
             return;
         }
         let k = port.class_offset(&layout);
-        if k >= topo.own_globals(router) {
-            return; // padded global index without a link (e.g. Megafly leaf)
-        }
-        let group = topo.router_group(router);
-        let j = topo.global_link_index(router, k);
+        // unwired: a padded global index (e.g. Megafly leaf) or a peer group
+        // that is not populated
         let Some((peer, peer_port)) = topo.global_neighbor(router, k) else {
             return;
         };
+        let group = topo.router_group(router);
+        let j = topo.global_link_index(router, k);
         let peer_group = topo.router_group(peer);
         let peer_j = topo.global_link_index(peer, peer_port.class_offset(&layout));
         self.set_entry(group, j, up);
