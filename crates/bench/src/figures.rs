@@ -8,9 +8,7 @@
 use df_engine::Table;
 use df_model::NetworkConfig;
 use df_routing::{RoutingConfig, RoutingKind};
-use df_sim::{
-    run_sweep, SimulationConfig, SteadyStateReport, TransientExperiment, TransientReport,
-};
+use df_sim::{run_sweep, run_transient, SimulationConfig, SteadyStateReport, TransientReport};
 use df_traffic::{PatternKind, TrafficSchedule};
 
 use crate::scale::Scale;
@@ -273,7 +271,7 @@ pub fn transient_run(
         .seed(1)
         .build()
         .expect("valid configuration");
-    TransientExperiment::new(config, follow).run()
+    run_transient(&config)
 }
 
 /// Figures 7a/7b (and 8, 9 via the `network`/`follow`/`window` arguments):

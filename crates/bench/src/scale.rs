@@ -314,6 +314,7 @@ fn is_unrecognized(arg: &str, flags: &[&str]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_topology::Topology;
 
     #[test]
     fn named_scales_resolve() {
@@ -459,7 +460,7 @@ mod tests {
             Scale::from_arg_list(Scale::small(), &[], &strings(&["--topology=megafly"])).unwrap();
         assert_eq!(s.topology_kind, TopologyKind::Megafly);
         assert_eq!(s.name, "small");
-        let mf = s.topology_params();
+        let mf = s.topology_params().build();
         assert_eq!(mf.kind(), TopologyKind::Megafly);
         // the mapped Megafly keeps the template's group count and radix shape
         assert_eq!(mf.num_groups(), s.topology.num_groups());
@@ -491,7 +492,10 @@ mod tests {
             let mut s = Scale::from_name(name).unwrap();
             s.topology_kind = TopologyKind::Megafly;
             assert_eq!(s.topology_params().kind(), TopologyKind::Megafly);
-            assert_eq!(s.topology_params().num_groups(), s.topology.num_groups());
+            assert_eq!(
+                s.topology_params().build().num_groups(),
+                s.topology.num_groups()
+            );
         }
     }
 

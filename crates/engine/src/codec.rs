@@ -14,7 +14,9 @@
 //! `magic(8) | version(u32) | payload_len(u64) | payload | fnv1a64(payload)`.
 //! Readers reject wrong magic, unknown versions and checksum mismatches
 //! *before* interpreting a single payload byte, so a truncated or corrupted
-//! snapshot fails loudly instead of restoring garbage state.
+//! snapshot fails loudly instead of restoring garbage state. A file of
+//! concatenated frames (the sweep journal) is walked with
+//! [`Decoder::split_frame`], the only other place that knows the layout.
 
 /// Errors produced when decoding a snapshot buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,6 +88,12 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// Bytes of a frame before its payload: `magic(8) | version(u32) |
+/// payload_len(u64)`.
+const FRAME_HEADER: usize = 8 + 4 + 8;
+/// Bytes of a frame after its payload: the `fnv1a64` checksum.
+const FRAME_TRAILER: usize = 8;
 
 /// FNV-1a 64-bit hash — the frame checksum. Not cryptographic; it guards
 /// against corruption and truncation, not tampering.
@@ -180,7 +188,7 @@ impl Encoder {
     /// frame: `magic | version | payload_len | payload | fnv1a64(payload)`.
     pub fn finish_frame(self, magic: [u8; 8], version: u32) -> Vec<u8> {
         let payload = self.buf;
-        let mut out = Vec::with_capacity(payload.len() + 28);
+        let mut out = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
         out.extend_from_slice(&magic);
         out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -235,6 +243,35 @@ impl<'a> Decoder<'a> {
             return Err(CodecError::ChecksumMismatch { stored, computed });
         }
         Ok(Decoder::new(payload))
+    }
+
+    /// Split the first frame off `buf`, a run of concatenated frames:
+    /// `Ok(Some((payload, rest)))`, or `Ok(None)` at a **torn tail** — `buf`
+    /// is empty, ends before the frame its length field announces, or holds
+    /// a frame whose checksum does not match (what a crash mid-append leaves
+    /// behind). Wrong magic or version on a complete frame is an error. The
+    /// length field lies outside the checksum, so it is only ever compared
+    /// with the bytes present, never added to an offset.
+    pub fn split_frame(
+        buf: &'a [u8],
+        magic: [u8; 8],
+        version: u32,
+    ) -> Result<Option<(Decoder<'a>, &'a [u8])>, CodecError> {
+        // the largest payload `buf` has room for
+        let Some(room) = buf.len().checked_sub(FRAME_HEADER + FRAME_TRAILER) else {
+            return Ok(None);
+        };
+        let len_field = buf[FRAME_HEADER - 8..FRAME_HEADER].try_into().unwrap();
+        let payload_len = u64::from_le_bytes(len_field);
+        if payload_len > room as u64 {
+            return Ok(None);
+        }
+        let (frame, rest) = buf.split_at(FRAME_HEADER + payload_len as usize + FRAME_TRAILER);
+        match Decoder::open_frame(frame, magic, version) {
+            Ok(payload) => Ok(Some((payload, rest))),
+            Err(CodecError::ChecksumMismatch { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 
     /// Current read position.
@@ -434,6 +471,49 @@ mod tests {
         // truncation inside the payload
         let err = Decoder::open_frame(&frame[..frame.len() - 12], MAGIC, 3).unwrap_err();
         assert!(matches!(err, CodecError::Truncated { .. }));
+    }
+
+    #[test]
+    fn split_frame_walks_frames_and_stops_at_a_torn_tail() {
+        let frame_of = |v: u64| {
+            let mut e = Encoder::new();
+            e.u64(v);
+            e.finish_frame(MAGIC, 3)
+        };
+        let journal = [frame_of(1), frame_of(2)].concat();
+        let (mut first, rest) = Decoder::split_frame(&journal, MAGIC, 3).unwrap().unwrap();
+        assert_eq!(first.u64().unwrap(), 1);
+        let (mut second, rest) = Decoder::split_frame(rest, MAGIC, 3).unwrap().unwrap();
+        assert_eq!(second.u64().unwrap(), 2);
+        assert!(rest.is_empty());
+        // every proper prefix of a frame is a torn tail, the empty one too
+        let frame = frame_of(7);
+        for cut in 0..frame.len() {
+            assert!(matches!(
+                Decoder::split_frame(&frame[..cut], MAGIC, 3),
+                Ok(None)
+            ));
+        }
+        // so is a length field no buffer can honour: it is compared, never
+        // added (u64::MAX and usize::MAX - 27 overflow header + len + trailer)
+        for len in [u64::MAX, (usize::MAX - 27) as u64, 9, u64::MAX / 2] {
+            let mut torn = frame.clone();
+            torn[FRAME_HEADER - 8..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+            assert!(matches!(Decoder::split_frame(&torn, MAGIC, 3), Ok(None)));
+        }
+        // and a complete frame that fails its checksum
+        let mut flipped = frame.clone();
+        flipped[FRAME_HEADER] ^= 1;
+        assert!(matches!(Decoder::split_frame(&flipped, MAGIC, 3), Ok(None)));
+        // a complete frame of another format is not a tear
+        assert!(matches!(
+            Decoder::split_frame(&frame, *b"OTHERMAG", 3),
+            Err(CodecError::BadMagic { .. })
+        ));
+        assert!(matches!(
+            Decoder::split_frame(&frame, MAGIC, 4),
+            Err(CodecError::UnsupportedVersion { .. })
+        ));
     }
 
     #[test]

@@ -163,14 +163,6 @@ impl NetworkConfig {
         Self::default()
     }
 
-    /// Table I configuration with the Figure 8 "large buffers" variant.
-    pub fn paper_large_buffers() -> Self {
-        NetworkConfig {
-            buffers: BufferConfig::large(),
-            ..Self::default()
-        }
-    }
-
     /// A configuration with shorter link latencies, useful for fast unit
     /// tests where the 100-cycle global latency would dominate run time.
     pub fn fast_test() -> Self {
@@ -261,7 +253,10 @@ mod tests {
 
     #[test]
     fn large_buffer_variant_matches_figure8() {
-        let c = NetworkConfig::paper_large_buffers();
+        let c = NetworkConfig {
+            buffers: BufferConfig::large(),
+            ..NetworkConfig::paper_table1()
+        };
         assert_eq!(c.buffers.local_input_per_vc, 256);
         assert_eq!(c.buffers.global_input_per_vc, 2048);
         assert_eq!(

@@ -241,7 +241,8 @@ impl SimulationConfig {
         if self.measurement_cycles == 0 {
             return Err(ConfigError::MeasurementWindow);
         }
-        if self.topology.num_groups() < 2 {
+        let topo = self.topology.build();
+        if topo.num_groups() < 2 {
             return Err(ConfigError::Topology(
                 "the network needs at least two groups".into(),
             ));
@@ -253,7 +254,6 @@ impl SimulationConfig {
                 )));
             }
         }
-        let topo = self.topology.build();
         let radix = topo.layout().radix();
         if radix > df_router::MAX_RADIX {
             return Err(ConfigError::Topology(format!(
@@ -263,8 +263,8 @@ impl SimulationConfig {
         }
         self.faults.validate(&topo).map_err(ConfigError::Faults)?;
         if !self.jobs.is_empty() {
-            let groups = self.topology.num_groups();
-            let nodes_per_group = self.topology.nodes_per_group();
+            let groups = topo.num_groups();
+            let nodes_per_group = topo.nodes_per_group();
             for (i, job) in self.jobs.iter().enumerate() {
                 job.validate(groups, nodes_per_group)
                     .map_err(|e| ConfigError::Workload(format!("job #{i}: {e}")))?;
@@ -482,7 +482,7 @@ impl SimulationConfigBuilder {
     pub fn build(self) -> Result<SimulationConfig, ConfigError> {
         let mut config = self.config;
         config.routing_config = self.routing_config.unwrap_or_else(|| {
-            RoutingConfig::calibrated_for(&config.topology.layout(), &config.network.vcs)
+            RoutingConfig::calibrated_for(&config.topology.build().layout(), &config.network.vcs)
         });
         if let Some(churn) = &self.churn {
             config.lower_churn(churn)?;

@@ -9,6 +9,7 @@
 
 use df_engine::{CodecError, Decoder, Encoder, RunningStats};
 use df_routing::RoutingKind;
+use df_topology::Topology;
 use df_traffic::PatternKind;
 use serde::{Deserialize, Serialize};
 
@@ -69,7 +70,7 @@ impl SteadyStateReport {
             pattern: config.schedule.phases()[0].pattern,
             offered_load: config.offered_load,
             accepted_load: metrics
-                .accepted_load(config.topology.num_nodes(), config.measurement_cycles),
+                .accepted_load(net.topology().num_nodes(), config.measurement_cycles),
             avg_packet_latency: summary.avg_packet_latency,
             latency_ci95: summary.latency_ci95,
             p99_latency: summary.p99_latency,
@@ -129,31 +130,13 @@ impl SteadyStateReport {
     }
 }
 
-/// A steady-state experiment: one configuration, one run.
-#[derive(Debug, Clone)]
-pub struct SteadyStateExperiment {
-    config: SimulationConfig,
-}
-
-impl SteadyStateExperiment {
-    /// Create the experiment.
-    pub fn new(config: SimulationConfig) -> Self {
-        SteadyStateExperiment { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.config
-    }
-
-    /// Run warm-up plus measurement and report: one in-memory sub-run of
-    /// the sweep pool's loop. Averaging over seeds is the pool's job
-    /// ([`run_sweep`](crate::sweep::run_sweep) with `seeds_per_point > 1`).
-    pub fn run(&self) -> SteadyStateReport {
-        match run_subrun(&self.config, None) {
-            Ok(Some(end)) => end.report,
-            _ => unreachable!("only a durable sub-run writes checkpoints or can be interrupted"),
-        }
+/// Run `config`'s warm-up plus measurement window and report: one in-memory
+/// sub-run of the sweep pool's loop. Averaging over seeds is the pool's job
+/// ([`run_sweep`](crate::sweep::run_sweep) with `seeds_per_point > 1`).
+pub fn run_steady_state(config: &SimulationConfig) -> SteadyStateReport {
+    match run_subrun(config, None) {
+        Ok(Some(end)) => end.report,
+        _ => unreachable!("only a durable sub-run writes checkpoints or can be interrupted"),
     }
 }
 
@@ -257,40 +240,24 @@ fn mean_between(series: &[(i64, f64)], from: i64, to: i64) -> f64 {
     }
 }
 
-/// A transient experiment. The configuration's schedule must contain at least
-/// one pattern change; the series are centred on the first one.
-#[derive(Debug, Clone)]
-pub struct TransientExperiment {
-    config: SimulationConfig,
-    /// Cycles simulated after the traffic change.
-    pub follow_cycles: u64,
-}
-
-impl TransientExperiment {
-    /// Create the experiment; `follow_cycles` is how long to keep simulating
-    /// after the change (the x-axis extent of Figures 7–9).
-    pub fn new(config: SimulationConfig, follow_cycles: u64) -> Self {
-        assert!(
-            !config.schedule.change_points().is_empty(),
-            "a transient experiment needs a schedule with a pattern change"
-        );
-        TransientExperiment {
-            config,
-            follow_cycles,
-        }
-    }
-
-    /// Run and report the time series.
-    pub fn run(&self) -> TransientReport {
-        let switch = self.config.schedule.change_points()[0];
-        let mut net = Network::new(self.config.clone());
-        net.run_cycles(switch + self.follow_cycles);
-        TransientReport {
-            routing: self.config.routing,
-            switch_cycle: switch,
-            latency_series: net.metrics().latency_series(),
-            misroute_series: net.metrics().misroute_series(),
-        }
+/// Run a transient experiment: simulate `config.total_cycles()` and report
+/// the time series centred on the schedule's first pattern change (which it
+/// must contain). By convention the change sits at `warmup_cycles`, so
+/// `measurement_cycles` is how long the run follows it — the x-axis extent
+/// of Figures 7–9.
+pub fn run_transient(config: &SimulationConfig) -> TransientReport {
+    let switch_cycle = *config
+        .schedule
+        .change_points()
+        .first()
+        .expect("a transient experiment needs a schedule with a pattern change");
+    let mut net = Network::new(config.clone());
+    net.run_cycles(config.total_cycles());
+    TransientReport {
+        routing: config.routing,
+        switch_cycle,
+        latency_series: net.metrics().latency_series(),
+        misroute_series: net.metrics().misroute_series(),
     }
 }
 
@@ -318,7 +285,7 @@ mod tests {
             .offered_load(0.1)
             .build()
             .unwrap();
-        let report = SteadyStateExperiment::new(config).run();
+        let report = run_steady_state(&config);
         assert!(report.delivered_packets > 0);
         assert!(report.avg_packet_latency > 0.0);
         assert!(report.accepted_load > 0.0);
@@ -369,7 +336,7 @@ mod tests {
             .map(|s| {
                 let mut c = config.clone();
                 c.seed += s;
-                SteadyStateExperiment::new(c).run()
+                run_steady_state(&c)
             })
             .collect();
         assert_eq!(swept.len(), 1);
@@ -386,7 +353,7 @@ mod tests {
             .offered_load(0.3)
             .build()
             .unwrap();
-        let mut report = SteadyStateExperiment::new(config.clone()).run();
+        let mut report = run_steady_state(&config);
         // bit patterns text would lose, and counters nothing else sets here
         report.latency_ci95 = f64::NAN;
         report.avg_hops = -0.0;
@@ -413,9 +380,10 @@ mod tests {
             .routing(RoutingKind::Base)
             .schedule(schedule)
             .offered_load(0.2)
+            .warmup_cycles(400)
             .build()
             .unwrap();
-        let report = TransientExperiment::new(config, 400).run();
+        let report = run_transient(&config);
         assert_eq!(report.switch_cycle, 400);
         assert!(!report.latency_series.is_empty());
         // there must be data both before and after the switch
@@ -432,7 +400,7 @@ mod tests {
             .pattern(PatternKind::Uniform)
             .build()
             .unwrap();
-        let _ = TransientExperiment::new(config, 100);
+        let _ = run_transient(&config);
     }
 
     #[test]

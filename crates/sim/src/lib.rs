@@ -26,7 +26,7 @@
 //! * [`metrics`], [`events`], [`node`] — supporting machinery.
 //!
 //! ```
-//! use df_sim::{SimulationConfig, SteadyStateExperiment};
+//! use df_sim::{run_steady_state, SimulationConfig};
 //! use df_model::NetworkConfig;
 //! use df_routing::RoutingKind;
 //! use df_topology::DragonflyParams;
@@ -43,7 +43,7 @@
 //!     .seed(1)
 //!     .build()
 //!     .expect("valid configuration");
-//! let report = SteadyStateExperiment::new(config).run();
+//! let report = run_steady_state(&config);
 //! assert!(report.delivered_packets > 0);
 //! ```
 
@@ -68,9 +68,7 @@ pub mod task;
 
 pub use churn::{ChurnModel, ChurnRate};
 pub use config::{ConfigError, KernelMode, SimulationConfig, SimulationConfigBuilder};
-pub use experiment::{
-    SteadyStateExperiment, SteadyStateReport, TransientExperiment, TransientReport,
-};
+pub use experiment::{run_steady_state, run_transient, SteadyStateReport, TransientReport};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{Metrics, WindowSummary};
 pub use network::snapshot::{config_fingerprint, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

@@ -36,7 +36,7 @@ use df_model::{Cycle, NetworkConfig, VcId};
 use df_router::{dissemination, AllocationRequest, Grant, Router};
 use df_routing::algorithms::piggyback;
 use df_routing::{minimal, Commitment, Decision, DecisionKind, RoutingAlgorithm};
-use df_topology::{AnyTopology, GatewayLiveness, Port, PortClass, PortPeer, Topology};
+use df_topology::{AnyTopology, GatewayLiveness, Port, PortClass, PortPeer, RouterId, Topology};
 
 use crate::events::Event;
 
@@ -425,23 +425,45 @@ fn discard_one(
     vc: VcId,
     shard: &mut ShardState,
 ) {
-    let router_id = router.id();
     let (packet, input_class) = router.discard_head(port, vc);
-    if input_class != PortClass::Terminal {
-        if let PortPeer::Router(upstream, upstream_port) = ctx.topo.peer(router_id, port) {
-            let latency = ctx.network.link_latency_for(input_class) as Cycle;
-            shard.staged_events.push((
-                now + latency,
-                Event::CreditReturn {
-                    router: upstream,
-                    port: upstream_port,
-                    vc,
-                    phits: packet.size_phits,
-                },
-            ));
-        }
-    }
+    stage_upstream_credit(
+        router.id(),
+        ctx,
+        now,
+        (port, input_class, vc),
+        packet.size_phits,
+        shard,
+    );
     shard.staged_discards.push(packet);
+}
+
+/// Stage the credit return for `phits` freed in input buffer `(port, class,
+/// vc)` of `router_id`: it reaches the router upstream of that port one
+/// link latency from `now` (terminal inputs have no upstream router).
+#[inline]
+fn stage_upstream_credit(
+    router_id: RouterId,
+    ctx: &StepCtx,
+    now: Cycle,
+    (port, class, vc): (Port, PortClass, VcId),
+    phits: u32,
+    shard: &mut ShardState,
+) {
+    if class == PortClass::Terminal {
+        return;
+    }
+    if let PortPeer::Router(upstream, upstream_port) = ctx.topo.peer(router_id, port) {
+        let latency = ctx.network.link_latency_for(class) as Cycle;
+        shard.staged_events.push((
+            now + latency,
+            Event::CreditReturn {
+                router: upstream,
+                port: upstream_port,
+                vc,
+                phits,
+            },
+        ));
+    }
 }
 
 /// Apply one grant: commit the routing decision to the head packet, record
@@ -454,7 +476,6 @@ fn apply_one_grant_staged(
     grant: &Grant,
     shard: &mut ShardState,
 ) {
-    let router_id = router.id();
     let request = shard
         .requests
         .binary_search_by_key(&(grant.input_port, grant.input_vc), |r| {
@@ -512,23 +533,14 @@ fn apply_one_grant_staged(
         }
     }
     let applied = router.apply_grant(grant, now);
-    // stage the upstream credit return
-    if applied.input_class != PortClass::Terminal {
-        if let PortPeer::Router(upstream, upstream_port) =
-            ctx.topo.peer(router_id, grant.input_port)
-        {
-            let latency = ctx.network.link_latency_for(applied.input_class) as Cycle;
-            shard.staged_events.push((
-                now + latency,
-                Event::CreditReturn {
-                    router: upstream,
-                    port: upstream_port,
-                    vc: grant.input_vc,
-                    phits: applied.freed_phits,
-                },
-            ));
-        }
-    }
+    stage_upstream_credit(
+        router.id(),
+        ctx,
+        now,
+        (grant.input_port, applied.input_class, grant.input_vc),
+        applied.freed_phits,
+        shard,
+    );
 }
 
 /// Link transmission for one router: drain ready output buffers and stage

@@ -3,7 +3,7 @@
 //! window, measure (`run_subrun`) — and every sweep is a flat list of
 //! sub-runs on one worker pool (`run_pool`) that averages each
 //! configuration's per-seed reports in seed order.
-//! [`SteadyStateExperiment::run`] is one sub-run, [`run_sweep`] and
+//! [`run_steady_state`] is one sub-run, [`run_sweep`] and
 //! [`run_matrix`] are the pool in memory, and [`run_sweep_service`] is the
 //! pool with a journal and periodic state snapshots: a killed sweep resumes
 //! where it stopped and still produces a results table **byte-identical**
@@ -39,7 +39,7 @@
 //! bits, `SteadyStateReport::encode_measured`), never through text, so
 //! recovery cannot introduce rounding drift.
 //!
-//! [`SteadyStateExperiment::run`]: crate::experiment::SteadyStateExperiment::run
+//! [`run_steady_state`]: crate::experiment::run_steady_state
 //! [`run_sweep`]: crate::sweep::run_sweep
 //! [`run_matrix`]: crate::sweep::run_matrix
 
@@ -241,22 +241,12 @@ fn read_journal(
 ) -> Result<Option<SubrunReports>, String> {
     let mut header_seen = false;
     let mut done = HashMap::new();
-    let mut off = 0usize;
-    while off < bytes.len() {
-        // frame = magic(8) version(4) payload_len(8) payload checksum(8)
-        let Some(rest) = bytes.get(off..) else { break };
-        if rest.len() < 28 {
-            break; // torn tail
-        }
-        let len = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes")) as usize;
-        let Some(frame) = rest.get(..28 + len) else {
-            break; // torn tail
-        };
-        let mut d = match Decoder::open_frame(frame, JOURNAL_MAGIC, JOURNAL_VERSION) {
-            Ok(d) => d,
-            Err(CodecError::ChecksumMismatch { .. }) | Err(CodecError::Truncated { .. }) => break,
-            Err(e) => return Err(format!("corrupt journal: {e}")),
-        };
+    let mut rest = bytes;
+    // `None` = torn tail: everything before it stands
+    while let Some((mut d, tail)) = Decoder::split_frame(rest, JOURNAL_MAGIC, JOURNAL_VERSION)
+        .map_err(|e| format!("corrupt journal: {e}"))?
+    {
+        rest = tail;
         // Ok(Some(header)) for a header record, Ok(None) for a sub-run
         let mut parse = |d: &mut Decoder| -> Result<Option<JournalHeader>, CodecError> {
             match d.u8()? {
@@ -290,7 +280,6 @@ fn read_journal(
             }
             header_seen = true;
         }
-        off += 28 + len;
     }
     Ok(header_seen.then_some(done))
 }
@@ -521,6 +510,7 @@ mod tests {
     use crate::config::KernelMode;
     use crate::scenario::Scenario;
     use crate::sweep::{matrix_table, run_matrix};
+    use crate::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
     use df_model::NetworkConfig;
     use df_routing::RoutingKind;
     use df_topology::DragonflyParams;
@@ -664,7 +654,7 @@ mod tests {
             payload[at..at + 8].copy_from_slice(&4_000.0f64.to_le_bytes());
         });
         assert!(
-            Network::snapshot_cycle(&forged).is_ok(),
+            Decoder::open_frame(&forged, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).is_ok(),
             "the frame itself is valid"
         );
         fs::write(dir.join("cell1_s0.snap"), &forged).unwrap();
@@ -714,17 +704,41 @@ mod tests {
         let mut opts = RunnerOptions::new(&dir);
         opts.interrupt_after_subruns = Some(2);
         run_sweep_service(&matrix, &opts).expect("partial run");
-        // tear the last record
         let journal = journal_path(&dir);
         let bytes = fs::read(&journal).unwrap();
-        fs::write(&journal, &bytes[..bytes.len() - 5]).unwrap();
-
-        let resumed = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).expect("resume");
-        assert!(resumed.complete);
-        // the torn record's sub-run was re-run, the intact one recovered
-        assert_eq!(resumed.recovered_subruns, 1);
+        // header + two sub-run records: where the last one starts, how long
+        // its payload is and where its length prefix says so
+        let (mut rest, mut last, mut payload_len) = (&bytes[..], 0, 0u64);
+        while let Some((d, tail)) =
+            Decoder::split_frame(rest, JOURNAL_MAGIC, JOURNAL_VERSION).unwrap()
+        {
+            (last, payload_len) = (bytes.len() - rest.len(), d.remaining() as u64);
+            rest = tail;
+        }
+        let prefix = bytes[last..]
+            .windows(8)
+            .position(|w| w == payload_len.to_le_bytes())
+            .expect("length prefix");
+        let prefix = last + prefix;
+        // tears of the last record: cut short, and a length prefix that
+        // overflows the end-of-frame sum, wraps it to 0 (what the hand-rolled
+        // `28 + len` did), or points one byte past the file
+        let cut = bytes[..bytes.len() - 5].to_vec();
+        let relabelled = [u64::MAX, (usize::MAX - 27) as u64, payload_len + 1].map(|len| {
+            let mut torn = bytes.clone();
+            torn[prefix..prefix + 8].copy_from_slice(&len.to_le_bytes());
+            torn
+        });
+        for torn in std::iter::once(cut).chain(relabelled) {
+            fs::write(&journal, &torn).unwrap();
+            let resumed = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).expect("resume");
+            assert!(resumed.complete);
+            // the torn record's sub-run was re-run, the intact one recovered
+            assert_eq!(resumed.recovered_subruns, 1);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
+
     /// FNV-1a-64 of `journal.bin` for `small_matrix(2)` at one thread
     /// without checkpoints (2,309 bytes: header + 16 sub-run records in
     /// cell-major, seed-minor order), captured at the commit before the

@@ -355,15 +355,6 @@ impl Network {
         }
         Ok(net)
     }
-
-    /// Read the cycle a snapshot was taken at (and validate its frame)
-    /// without rebuilding the network — used by the sweep runner to pick the
-    /// newest usable checkpoint.
-    pub fn snapshot_cycle(bytes: &[u8]) -> Result<Cycle, CodecError> {
-        let mut d = Decoder::open_frame(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        let _fingerprint = d.u64()?;
-        d.u64()
-    }
 }
 
 /// Re-frame `snapshot`'s payload after `patch` edited it, so the forged
@@ -430,10 +421,11 @@ mod tests {
         first.metrics_mut().start_measurement(start);
         first.run_cycles(137);
         let bytes = first.snapshot();
-        assert_eq!(Network::snapshot_cycle(&bytes).unwrap(), first.cycle());
+        let checkpoint = first.cycle();
         drop(first);
 
         let mut resumed = Network::restore(cfg, &bytes).expect("snapshot restores");
+        assert_eq!(resumed.cycle(), checkpoint);
         resumed.run_cycles(400 - 137);
         let drained_resumed = resumed.drain(100_000);
 
@@ -548,8 +540,8 @@ mod tests {
         let mut megafly = cfg.clone();
         megafly.topology = df_topology::MegaflyParams::small().into();
         assert_eq!(
-            megafly.topology.num_nodes(),
-            cfg.topology.num_nodes(),
+            megafly.topology.build().num_nodes(),
+            cfg.topology.build().num_nodes(),
             "the rejection must come from the kind, not the size"
         );
         assert!(matches!(

@@ -282,7 +282,7 @@ pub fn matrix_table(title: impl Into<String>, cells: &[MatrixCell]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::SteadyStateExperiment;
+    use crate::experiment::run_steady_state;
     use df_model::NetworkConfig;
     use df_topology::DragonflyParams;
     use df_traffic::PatternKind;
@@ -358,7 +358,7 @@ mod tests {
     fn sweep_matches_sequential_execution() {
         let configs = at_loads(&[0.1]);
         let parallel = run_sweep(&configs, 1, 4);
-        let sequential = SteadyStateExperiment::new(configs[0].clone()).run();
+        let sequential = run_steady_state(&configs[0]);
         assert_eq!(parallel[0].delivered_packets, sequential.delivered_packets);
         assert_eq!(
             parallel[0].avg_packet_latency,

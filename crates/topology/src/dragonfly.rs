@@ -26,7 +26,7 @@
 use crate::ids::{GroupId, NodeId, RouterId};
 use crate::layout::RadixLayout;
 use crate::params::{DragonflyParams, ParamsError};
-use crate::port::{Port, PortClass};
+use crate::port::Port;
 use crate::topology::{Topology, TopologyKind};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -81,14 +81,6 @@ impl Topology for Dragonfly {
         RadixLayout::of(&self.params)
     }
     #[inline]
-    fn num_nodes(&self) -> u32 {
-        self.params.num_nodes()
-    }
-    #[inline]
-    fn num_routers(&self) -> u32 {
-        self.params.num_routers()
-    }
-    #[inline]
     fn num_groups(&self) -> u32 {
         self.params.num_groups()
     }
@@ -105,35 +97,9 @@ impl Topology for Dragonfly {
         self.params.global_links_per_group()
     }
 
-    // ---------------------------------------------------------------------
-    // Coordinates
-    // ---------------------------------------------------------------------
-
     #[inline]
     fn node_router(&self, node: NodeId) -> RouterId {
         RouterId(node.0 / self.params.p)
-    }
-    #[inline]
-    fn node_port(&self, node: NodeId) -> Port {
-        Port(node.0 % self.params.p)
-    }
-    #[inline]
-    fn router_group(&self, router: RouterId) -> GroupId {
-        GroupId(router.0 / self.params.a)
-    }
-    #[inline]
-    fn router_local_index(&self, router: RouterId) -> u32 {
-        router.0 % self.params.a
-    }
-    #[inline]
-    fn router_at(&self, group: GroupId, local_index: u32) -> RouterId {
-        debug_assert!(local_index < self.params.a);
-        RouterId(group.0 * self.params.a + local_index)
-    }
-    #[inline]
-    fn node_at(&self, router: RouterId, k: u32) -> NodeId {
-        debug_assert!(k < self.params.p);
-        NodeId(router.0 * self.params.p + k)
     }
     #[inline]
     fn router_node_span(&self, router: RouterId) -> Range<u32> {
@@ -165,10 +131,6 @@ impl Topology for Dragonfly {
         Port::local(&self.params, k)
     }
     #[inline]
-    fn local_hop_toward(&self, from: RouterId, to: RouterId) -> Port {
-        self.local_port_to(from, to)
-    }
-    #[inline]
     fn local_hops_between(&self, a: RouterId, b: RouterId) -> u32 {
         u32::from(a != b)
     }
@@ -189,21 +151,6 @@ impl Topology for Dragonfly {
         let k = j % self.params.h;
         (self.router_at(group, r), Port::global(&self.params, k))
     }
-    #[inline]
-    fn peer(&self, router: RouterId, port: Port) -> PortPeer {
-        let k = port.class_offset(&self.params);
-        match port.class(&self.params) {
-            PortClass::Terminal => PortPeer::Node(self.node_at(router, k)),
-            PortClass::Local => {
-                let neighbor = self.local_neighbor(router, k);
-                PortPeer::Router(neighbor, self.local_port_to(neighbor, router))
-            }
-            PortClass::Global => match self.global_neighbor(router, k) {
-                Some((neighbor, back)) => PortPeer::Router(neighbor, back),
-                None => PortPeer::Unconnected,
-            },
-        }
-    }
 
     // ---------------------------------------------------------------------
     // Routing-mechanism hooks
@@ -221,19 +168,6 @@ impl Topology for Dragonfly {
     fn local_misroute_degree(&self, _router: RouterId) -> u32 {
         self.params.a - 1
     }
-    #[inline]
-    fn candidate_first_hop(
-        &self,
-        router: RouterId,
-        gateway: RouterId,
-        gateway_port: Port,
-    ) -> Option<Port> {
-        Some(if gateway == router {
-            gateway_port
-        } else {
-            self.local_port_to(router, gateway)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -242,21 +176,6 @@ mod tests {
 
     fn df() -> Dragonfly {
         Dragonfly::new(DragonflyParams::small()) // p=2, a=4, h=2, 9 groups
-    }
-
-    #[test]
-    fn coordinates_round_trip() {
-        let t = df();
-        for node in t.nodes() {
-            let r = t.node_router(node);
-            let port = t.node_port(node);
-            assert_eq!(t.node_at(r, port.class_offset(t.params())), node);
-        }
-        for router in t.routers() {
-            let g = t.router_group(router);
-            let i = t.router_local_index(router);
-            assert_eq!(t.router_at(g, i), router);
-        }
     }
 
     #[test]
@@ -354,37 +273,6 @@ mod tests {
                 assert_eq!(t.global_link_index(r, port.class_offset(t.params())), j);
             }
         }
-    }
-
-    #[test]
-    fn peer_covers_all_port_classes() {
-        let t = df();
-        let r = RouterId(5);
-        let params = *t.params();
-        let mut nodes = 0;
-        let mut routers = 0;
-        for port in Port::all(&params) {
-            match t.peer(r, port) {
-                PortPeer::Node(n) => {
-                    assert_eq!(t.node_router(n), r);
-                    nodes += 1;
-                }
-                PortPeer::Router(peer, back) => {
-                    // following the back port must return here
-                    match t.peer(peer, back) {
-                        PortPeer::Router(me, my_port) => {
-                            assert_eq!(me, r);
-                            assert_eq!(my_port, port);
-                        }
-                        other => panic!("expected router peer, got {other:?}"),
-                    }
-                    routers += 1;
-                }
-                PortPeer::Unconnected => panic!("fully populated network has no dangling ports"),
-            }
-        }
-        assert_eq!(nodes, params.p);
-        assert_eq!(routers, params.a - 1 + params.h);
     }
 
     #[test]

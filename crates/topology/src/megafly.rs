@@ -32,10 +32,9 @@
 //! `(src_spine + dst_spine) mod l` the same way. The balanced `l == s`
 //! block shape is enforced at construction.
 
-use crate::dragonfly::PortPeer;
 use crate::ids::{GroupId, NodeId, RouterId};
 use crate::layout::{PortLayout, RadixLayout};
-use crate::port::{Port, PortClass};
+use crate::port::Port;
 use crate::topology::{Topology, TopologyKind};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -246,22 +245,13 @@ impl Megafly {
     /// Whether `router` is a leaf (attaches nodes, no global links).
     #[inline]
     pub fn is_leaf(&self, router: RouterId) -> bool {
-        Topology::router_local_index(self, router) < self.params.l
+        self.router_local_index(router) < self.params.l
     }
 
     /// Whether `router` is a spine (owns global links, no nodes).
     #[inline]
     pub fn is_spine(&self, router: RouterId) -> bool {
         !self.is_leaf(router)
-    }
-
-    /// Dense ordinal of a leaf router among all leaves (`group*l + leaf`);
-    /// node ids are `ordinal*p + k`.
-    #[inline]
-    fn leaf_ordinal(&self, router: RouterId) -> u32 {
-        debug_assert!(self.is_leaf(router));
-        let group = Topology::router_group(self, router).0;
-        group * self.params.l + Topology::router_local_index(self, router)
     }
 }
 
@@ -270,37 +260,22 @@ impl Topology for Megafly {
     fn kind(&self) -> TopologyKind {
         TopologyKind::Megafly
     }
-
     #[inline]
     fn layout(&self) -> RadixLayout {
         self.params.layout()
     }
-
-    #[inline]
-    fn num_nodes(&self) -> u32 {
-        self.params.num_nodes()
-    }
-
-    #[inline]
-    fn num_routers(&self) -> u32 {
-        self.params.num_routers()
-    }
-
     #[inline]
     fn num_groups(&self) -> u32 {
         self.params.num_groups()
     }
-
     #[inline]
     fn routers_per_group(&self) -> u32 {
         self.params.routers_per_group()
     }
-
     #[inline]
     fn nodes_per_group(&self) -> u32 {
         self.params.nodes_per_group()
     }
-
     #[inline]
     fn global_links_per_group(&self) -> u32 {
         self.params.global_links_per_group()
@@ -314,38 +289,14 @@ impl Topology for Megafly {
         RouterId(group * self.params.routers_per_group() + leaf)
     }
 
-    #[inline]
-    fn node_port(&self, node: NodeId) -> Port {
-        Port(node.0 % self.params.p)
-    }
-
-    #[inline]
-    fn router_group(&self, router: RouterId) -> GroupId {
-        GroupId(router.0 / self.params.routers_per_group())
-    }
-
-    #[inline]
-    fn router_local_index(&self, router: RouterId) -> u32 {
-        router.0 % self.params.routers_per_group()
-    }
-
-    #[inline]
-    fn router_at(&self, group: GroupId, local_index: u32) -> RouterId {
-        debug_assert!(local_index < self.params.routers_per_group());
-        RouterId(group.0 * self.params.routers_per_group() + local_index)
-    }
-
-    #[inline]
-    fn node_at(&self, router: RouterId, k: u32) -> NodeId {
-        debug_assert!(k < self.params.p);
-        NodeId(self.leaf_ordinal(router) * self.params.p + k)
-    }
-
+    /// Leaves are dense in node order: leaf `i` of group `G` has ordinal
+    /// `G*l + i` and attaches nodes `ordinal*p .. (ordinal + 1)*p`.
     #[inline]
     fn router_node_span(&self, router: RouterId) -> Range<u32> {
         if self.is_leaf(router) {
-            let first = self.leaf_ordinal(router) * self.params.p;
-            first..first + self.params.p
+            let ordinal =
+                self.router_group(router).0 * self.params.l + self.router_local_index(router);
+            ordinal * self.params.p..(ordinal + 1) * self.params.p
         } else {
             0..0
         }
@@ -356,26 +307,23 @@ impl Topology for Megafly {
     #[inline]
     fn local_neighbor(&self, router: RouterId, k: u32) -> RouterId {
         debug_assert!(k < self.params.s);
-        let group = Topology::router_group(self, router);
+        let group = self.router_group(router);
         if self.is_leaf(router) {
-            Topology::router_at(self, group, self.params.l + k)
+            self.router_at(group, self.params.l + k)
         } else {
-            Topology::router_at(self, group, k)
+            self.router_at(group, k)
         }
     }
 
     #[inline]
     fn local_port_to(&self, router: RouterId, neighbor: RouterId) -> Port {
-        debug_assert_eq!(
-            Topology::router_group(self, router),
-            Topology::router_group(self, neighbor)
-        );
+        debug_assert_eq!(self.router_group(router), self.router_group(neighbor));
         debug_assert_ne!(
             self.is_leaf(router),
             self.is_leaf(neighbor),
             "only leaf-spine pairs are wired"
         );
-        let other = Topology::router_local_index(self, neighbor);
+        let other = self.router_local_index(neighbor);
         let offset = if self.is_leaf(router) {
             other - self.params.l
         } else {
@@ -385,17 +333,14 @@ impl Topology for Megafly {
     }
 
     fn local_hop_toward(&self, from: RouterId, to: RouterId) -> Port {
-        debug_assert_eq!(
-            Topology::router_group(self, from),
-            Topology::router_group(self, to)
-        );
+        debug_assert_eq!(self.router_group(from), self.router_group(to));
         debug_assert_ne!(from, to);
         if self.is_leaf(from) != self.is_leaf(to) {
-            return Topology::local_port_to(self, from, to);
+            return self.local_port_to(from, to);
         }
         // same side: cross the deterministically spread opposite router
-        let fi = Topology::router_local_index(self, from);
-        let ti = Topology::router_local_index(self, to);
+        let fi = self.router_local_index(from);
+        let ti = self.router_local_index(to);
         let offset = if self.is_leaf(from) {
             (fi + ti) % self.params.s
         } else {
@@ -420,7 +365,7 @@ impl Topology for Megafly {
     fn global_link_index(&self, router: RouterId, k: u32) -> u32 {
         debug_assert!(k < self.params.h);
         debug_assert!(self.is_spine(router), "leaves own no global links");
-        (Topology::router_local_index(self, router) - self.params.l) * self.params.h + k
+        (self.router_local_index(router) - self.params.l) * self.params.h + k
     }
 
     #[inline]
@@ -429,41 +374,9 @@ impl Topology for Megafly {
         let spine = j / self.params.h;
         let k = j % self.params.h;
         (
-            Topology::router_at(self, group, self.params.l + spine),
+            self.router_at(group, self.params.l + spine),
             Port::global(&self.params, k),
         )
-    }
-
-    fn peer(&self, router: RouterId, port: Port) -> PortPeer {
-        match port.class(&self.params) {
-            PortClass::Terminal => {
-                if self.is_leaf(router) {
-                    PortPeer::Node(Topology::node_at(
-                        self,
-                        router,
-                        port.class_offset(&self.params),
-                    ))
-                } else {
-                    PortPeer::Unconnected
-                }
-            }
-            PortClass::Local => {
-                let k = port.class_offset(&self.params);
-                let neighbor = Topology::local_neighbor(self, router, k);
-                let back = Topology::local_port_to(self, neighbor, router);
-                PortPeer::Router(neighbor, back)
-            }
-            PortClass::Global => {
-                if self.is_leaf(router) {
-                    return PortPeer::Unconnected;
-                }
-                let k = port.class_offset(&self.params);
-                match Topology::global_neighbor(self, router, k) {
-                    Some((neighbor, back)) => PortPeer::Router(neighbor, back),
-                    None => PortPeer::Unconnected,
-                }
-            }
-        }
     }
 
     #[inline]
@@ -490,30 +403,12 @@ impl Topology for Megafly {
     fn local_misroute_degree(&self, _router: RouterId) -> u32 {
         0
     }
-
-    fn candidate_first_hop(
-        &self,
-        router: RouterId,
-        gateway: RouterId,
-        gateway_port: Port,
-    ) -> Option<Port> {
-        if gateway == router {
-            return Some(gateway_port);
-        }
-        // only candidates one local hop away fit the VC ladder's single
-        // pre-global local hop: a leaf reaches every spine, but a spine
-        // cannot detour through another spine's global links
-        if Topology::local_hops_between(self, router, gateway) == 1 {
-            Some(Topology::local_port_to(self, router, gateway))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PortClass, PortPeer};
     use std::collections::{HashSet, VecDeque};
 
     fn mf() -> Megafly {

@@ -7,7 +7,8 @@
 //!
 //! * **Hierarchy maps** — nodes attach to routers, routers form groups;
 //!   every map is arithmetic (no tables), so topology objects stay `Copy`.
-//! * **Ports by class** — each router's ports follow a [`PortLayout`]
+//! * **Ports by class** — each router's ports follow a
+//!   [`PortLayout`](crate::layout::PortLayout)
 //!   (terminals, then locals, then globals); [`peer`](Topology::peer)
 //!   resolves any port to what is wired at its far end.
 //! * **Group-level global links** — every group owns
@@ -32,10 +33,10 @@
 
 use crate::dragonfly::{Dragonfly, PortPeer};
 use crate::ids::{GroupId, NodeId, RouterId};
-use crate::layout::{PortLayout, RadixLayout};
+use crate::layout::RadixLayout;
 use crate::megafly::{Megafly, MegaflyParams};
 use crate::params::DragonflyParams;
-use crate::port::Port;
+use crate::port::{Port, PortClass};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -90,6 +91,13 @@ impl std::fmt::Display for TopologyKind {
 /// Implementations are cheap `Copy` values (parameters only; all queries
 /// arithmetic), so they are freely duplicated into routers and per-shard
 /// step contexts.
+///
+/// A family writes the sixteen required methods — its sizes, the
+/// node ↔ router map, the local wiring, who owns which global link and the
+/// three VC-ladder policies; every other method is derived from those here,
+/// once. A family that overrides a provided method (only [`Megafly`], only
+/// [`local_hop_toward`](Topology::local_hop_toward)) must also be
+/// re-dispatched by [`AnyTopology`].
 pub trait Topology: Copy + std::fmt::Debug {
     /// Which concrete network this is.
     fn kind(&self) -> TopologyKind;
@@ -97,10 +105,6 @@ pub trait Topology: Copy + std::fmt::Debug {
     /// The per-router port numbering (identical for every router).
     fn layout(&self) -> RadixLayout;
 
-    /// Total number of compute nodes.
-    fn num_nodes(&self) -> u32;
-    /// Total number of routers.
-    fn num_routers(&self) -> u32;
     /// Total number of groups.
     fn num_groups(&self) -> u32;
     /// Routers in each group.
@@ -110,26 +114,56 @@ pub trait Topology: Copy + std::fmt::Debug {
     /// Group-level global links leaving each group.
     fn global_links_per_group(&self) -> u32;
 
+    /// Total number of routers.
+    #[inline]
+    fn num_routers(&self) -> u32 {
+        self.routers_per_group() * self.num_groups()
+    }
+    /// Total number of compute nodes.
+    #[inline]
+    fn num_nodes(&self) -> u32 {
+        self.nodes_per_group() * self.num_groups()
+    }
+
     // ------------------------------------------------------------------
     // Coordinates
     // ------------------------------------------------------------------
 
     /// Router to which a node is attached.
     fn node_router(&self, node: NodeId) -> RouterId;
-    /// Terminal port (on its router) through which a node injects/ejects.
-    fn node_port(&self, node: NodeId) -> Port;
-    /// Group of a router.
-    fn router_group(&self, router: RouterId) -> GroupId;
-    /// Local index of a router inside its group (`0 .. routers_per_group`).
-    fn router_local_index(&self, router: RouterId) -> u32;
-    /// Router with the given local index inside the given group.
-    fn router_at(&self, group: GroupId, local_index: u32) -> RouterId;
-    /// Node attached at terminal-port offset `k` of a router (which must
-    /// have attached nodes).
-    fn node_at(&self, router: RouterId, k: u32) -> NodeId;
     /// The contiguous range of node ids attached to `router` (empty for
     /// routers without terminals, e.g. Megafly spines).
     fn router_node_span(&self, router: RouterId) -> Range<u32>;
+
+    /// Terminal port (on its router) through which a node injects/ejects.
+    #[inline]
+    fn node_port(&self, node: NodeId) -> Port {
+        Port::terminal(node.0 - self.router_node_span(self.node_router(node)).start)
+    }
+    /// Node attached at terminal-port offset `k` of a router (which must
+    /// have at least `k + 1` attached nodes).
+    #[inline]
+    fn node_at(&self, router: RouterId, k: u32) -> NodeId {
+        let span = self.router_node_span(router);
+        debug_assert!(k < span.end - span.start);
+        NodeId(span.start + k)
+    }
+    /// Group of a router: router ids are dense, group by group.
+    #[inline]
+    fn router_group(&self, router: RouterId) -> GroupId {
+        GroupId(router.0 / self.routers_per_group())
+    }
+    /// Local index of a router inside its group (`0 .. routers_per_group`).
+    #[inline]
+    fn router_local_index(&self, router: RouterId) -> u32 {
+        router.0 % self.routers_per_group()
+    }
+    /// Router with the given local index inside the given group.
+    #[inline]
+    fn router_at(&self, group: GroupId, local_index: u32) -> RouterId {
+        debug_assert!(local_index < self.routers_per_group());
+        RouterId(group.0 * self.routers_per_group() + local_index)
+    }
 
     /// Group of a node.
     #[inline]
@@ -179,7 +213,10 @@ pub trait Topology: Copy + std::fmt::Debug {
     /// [`local_port_to`](Topology::local_port_to); a Megafly may need an
     /// intermediate hop (leaf→leaf crosses a spine), chosen
     /// deterministically so repeated queries trace one consistent path.
-    fn local_hop_toward(&self, from: RouterId, to: RouterId) -> Port;
+    #[inline]
+    fn local_hop_toward(&self, from: RouterId, to: RouterId) -> Port {
+        self.local_port_to(from, to)
+    }
 
     /// Length (in hops) of the minimal intra-group path between two routers
     /// of the same group (0 when equal; 1 for a Dragonfly pair; up to 2 in
@@ -248,8 +285,33 @@ pub trait Topology: Copy + std::fmt::Debug {
         self.global_link_owner(src_group, j)
     }
 
-    /// What is attached at the far end of `port` of `router`.
-    fn peer(&self, router: RouterId, port: Port) -> PortPeer;
+    /// What is attached at the far end of `port` of `router`:
+    /// [`Unconnected`](PortPeer::Unconnected) for a padded terminal index
+    /// past the router's node span and for a global port
+    /// [`global_neighbor`](Topology::global_neighbor) leaves unwired.
+    #[inline]
+    fn peer(&self, router: RouterId, port: Port) -> PortPeer {
+        let layout = self.layout();
+        let k = port.class_offset(&layout);
+        match port.class(&layout) {
+            PortClass::Terminal => {
+                let span = self.router_node_span(router);
+                if k < span.end - span.start {
+                    PortPeer::Node(NodeId(span.start + k))
+                } else {
+                    PortPeer::Unconnected
+                }
+            }
+            PortClass::Local => {
+                let neighbor = self.local_neighbor(router, k);
+                PortPeer::Router(neighbor, self.local_port_to(neighbor, router))
+            }
+            PortClass::Global => match self.global_neighbor(router, k) {
+                Some((neighbor, back)) => PortPeer::Router(neighbor, back),
+                None => PortPeer::Unconnected,
+            },
+        }
+    }
 
     // ------------------------------------------------------------------
     // Routing-mechanism hooks
@@ -275,14 +337,24 @@ pub trait Topology: Copy + std::fmt::Debug {
     /// Output port of `router` that starts the path towards a nonminimal
     /// candidate global link owned by `gateway` (reached through
     /// `gateway_port` there), or `None` if the candidate is not reachable
-    /// within the VC ladder's single pre-global local hop (Megafly:
+    /// within the VC ladder's single pre-global local hop (always reachable
+    /// in a Dragonfly group; Megafly: a leaf reaches every spine, but
     /// spine→other-spine candidates are excluded).
+    #[inline]
     fn candidate_first_hop(
         &self,
         router: RouterId,
         gateway: RouterId,
         gateway_port: Port,
-    ) -> Option<Port>;
+    ) -> Option<Port> {
+        if gateway == router {
+            Some(gateway_port)
+        } else if self.local_hops_between(router, gateway) == 1 {
+            Some(self.local_port_to(router, gateway))
+        } else {
+            None
+        }
+    }
 }
 
 /// The `Copy` sum of every supported topology: what routers, networks and
@@ -311,24 +383,6 @@ impl From<Megafly> for AnyTopology {
     }
 }
 
-impl AnyTopology {
-    /// The contained Dragonfly, if this is one.
-    pub fn as_dragonfly(&self) -> Option<&Dragonfly> {
-        match self {
-            AnyTopology::Dragonfly(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The contained Megafly, if this is one.
-    pub fn as_megafly(&self) -> Option<&Megafly> {
-        match self {
-            AnyTopology::Megafly(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
 macro_rules! dispatch {
     ($self:ident, $t:ident => $e:expr) => {
         match $self {
@@ -338,6 +392,10 @@ macro_rules! dispatch {
     };
 }
 
+/// One arm per method a family writes, plus `local_hop_toward`: a provided
+/// method a family overrides must be re-dispatched here, or the enum would
+/// answer with the trait's default. Every other provided method runs its
+/// one trait body over these arms.
 impl Topology for AnyTopology {
     #[inline]
     fn kind(&self) -> TopologyKind {
@@ -348,16 +406,8 @@ impl Topology for AnyTopology {
         dispatch!(self, t => t.layout())
     }
     #[inline]
-    fn num_nodes(&self) -> u32 {
-        dispatch!(self, t => Topology::num_nodes(t))
-    }
-    #[inline]
-    fn num_routers(&self) -> u32 {
-        dispatch!(self, t => Topology::num_routers(t))
-    }
-    #[inline]
     fn num_groups(&self) -> u32 {
-        dispatch!(self, t => Topology::num_groups(t))
+        dispatch!(self, t => t.num_groups())
     }
     #[inline]
     fn routers_per_group(&self) -> u32 {
@@ -369,31 +419,11 @@ impl Topology for AnyTopology {
     }
     #[inline]
     fn global_links_per_group(&self) -> u32 {
-        dispatch!(self, t => Topology::global_links_per_group(t))
+        dispatch!(self, t => t.global_links_per_group())
     }
     #[inline]
     fn node_router(&self, node: NodeId) -> RouterId {
-        dispatch!(self, t => Topology::node_router(t, node))
-    }
-    #[inline]
-    fn node_port(&self, node: NodeId) -> Port {
-        dispatch!(self, t => Topology::node_port(t, node))
-    }
-    #[inline]
-    fn router_group(&self, router: RouterId) -> GroupId {
-        dispatch!(self, t => Topology::router_group(t, router))
-    }
-    #[inline]
-    fn router_local_index(&self, router: RouterId) -> u32 {
-        dispatch!(self, t => Topology::router_local_index(t, router))
-    }
-    #[inline]
-    fn router_at(&self, group: GroupId, local_index: u32) -> RouterId {
-        dispatch!(self, t => Topology::router_at(t, group, local_index))
-    }
-    #[inline]
-    fn node_at(&self, router: RouterId, k: u32) -> NodeId {
-        dispatch!(self, t => Topology::node_at(t, router, k))
+        dispatch!(self, t => t.node_router(node))
     }
     #[inline]
     fn router_node_span(&self, router: RouterId) -> Range<u32> {
@@ -401,11 +431,11 @@ impl Topology for AnyTopology {
     }
     #[inline]
     fn local_neighbor(&self, router: RouterId, k: u32) -> RouterId {
-        dispatch!(self, t => Topology::local_neighbor(t, router, k))
+        dispatch!(self, t => t.local_neighbor(router, k))
     }
     #[inline]
     fn local_port_to(&self, router: RouterId, neighbor: RouterId) -> Port {
-        dispatch!(self, t => Topology::local_port_to(t, router, neighbor))
+        dispatch!(self, t => t.local_port_to(router, neighbor))
     }
     #[inline]
     fn local_hop_toward(&self, from: RouterId, to: RouterId) -> Port {
@@ -417,31 +447,11 @@ impl Topology for AnyTopology {
     }
     #[inline]
     fn global_link_index(&self, router: RouterId, k: u32) -> u32 {
-        dispatch!(self, t => Topology::global_link_index(t, router, k))
+        dispatch!(self, t => t.global_link_index(router, k))
     }
     #[inline]
     fn global_link_owner(&self, group: GroupId, j: u32) -> (RouterId, Port) {
-        dispatch!(self, t => Topology::global_link_owner(t, group, j))
-    }
-    #[inline]
-    fn global_link_target_group(&self, group: GroupId, j: u32) -> Option<GroupId> {
-        dispatch!(self, t => Topology::global_link_target_group(t, group, j))
-    }
-    #[inline]
-    fn global_neighbor(&self, router: RouterId, k: u32) -> Option<(RouterId, Port)> {
-        dispatch!(self, t => Topology::global_neighbor(t, router, k))
-    }
-    #[inline]
-    fn group_link_to(&self, src_group: GroupId, dst_group: GroupId) -> u32 {
-        dispatch!(self, t => Topology::group_link_to(t, src_group, dst_group))
-    }
-    #[inline]
-    fn gateway_to(&self, src_group: GroupId, dst_group: GroupId) -> (RouterId, Port) {
-        dispatch!(self, t => Topology::gateway_to(t, src_group, dst_group))
-    }
-    #[inline]
-    fn peer(&self, router: RouterId, port: Port) -> PortPeer {
-        dispatch!(self, t => Topology::peer(t, router, port))
+        dispatch!(self, t => t.global_link_owner(group, j))
     }
     #[inline]
     fn own_globals(&self, router: RouterId) -> u32 {
@@ -454,15 +464,6 @@ impl Topology for AnyTopology {
     #[inline]
     fn local_misroute_degree(&self, router: RouterId) -> u32 {
         dispatch!(self, t => t.local_misroute_degree(router))
-    }
-    #[inline]
-    fn candidate_first_hop(
-        &self,
-        router: RouterId,
-        gateway: RouterId,
-        gateway_port: Port,
-    ) -> Option<Port> {
-        dispatch!(self, t => t.candidate_first_hop(router, gateway, gateway_port))
     }
 }
 
@@ -506,48 +507,11 @@ impl TopologyParams {
         }
     }
 
-    /// Total number of compute nodes.
-    pub fn num_nodes(&self) -> u32 {
-        match self {
-            TopologyParams::Dragonfly(p) => p.num_nodes(),
-            TopologyParams::Megafly(p) => p.num_nodes(),
-        }
-    }
-
     /// Total number of routers.
     pub fn num_routers(&self) -> u32 {
         match self {
             TopologyParams::Dragonfly(p) => p.num_routers(),
             TopologyParams::Megafly(p) => p.num_routers(),
-        }
-    }
-
-    /// Total number of groups.
-    pub fn num_groups(&self) -> u32 {
-        match self {
-            TopologyParams::Dragonfly(p) => p.num_groups(),
-            TopologyParams::Megafly(p) => p.num_groups(),
-        }
-    }
-
-    /// Compute nodes per group.
-    pub fn nodes_per_group(&self) -> u32 {
-        match self {
-            TopologyParams::Dragonfly(p) => p.nodes_per_group(),
-            TopologyParams::Megafly(p) => p.nodes_per_group(),
-        }
-    }
-
-    /// Router radix.
-    pub fn radix(&self) -> u32 {
-        self.layout().radix()
-    }
-
-    /// The per-router port layout.
-    pub fn layout(&self) -> RadixLayout {
-        match self {
-            TopologyParams::Dragonfly(p) => RadixLayout::of(p),
-            TopologyParams::Megafly(p) => p.layout(),
         }
     }
 }
@@ -556,21 +520,6 @@ impl TopologyParams {
 mod tests {
     use super::*;
     use crate::port::PortClass;
-
-    #[test]
-    fn dragonfly_candidate_first_hop_is_always_reachable() {
-        let t = Dragonfly::new(DragonflyParams::small());
-        let router = RouterId(1);
-        for j in 0..t.params().global_links_per_group() {
-            let (gw, gport) = t.global_link_owner(GroupId(0), j);
-            let hop = t.candidate_first_hop(router, gw, gport).unwrap();
-            if gw == router {
-                assert_eq!(hop, gport);
-            } else {
-                assert_eq!(hop.class(t.params()), PortClass::Local);
-            }
-        }
-    }
 
     #[test]
     fn kind_names_round_trip() {
@@ -587,16 +536,236 @@ mod tests {
     }
 
     #[test]
-    fn topology_params_delegate_and_build() {
+    fn topology_params_build_their_own_family() {
         let dfp = TopologyParams::from(DragonflyParams::small());
         assert_eq!(dfp.kind(), TopologyKind::Dragonfly);
-        assert_eq!(dfp.num_nodes(), 72);
-        assert_eq!(dfp.nodes_per_group(), 8);
-        assert_eq!(dfp.radix(), 7);
-        assert!(dfp.build().as_dragonfly().is_some());
-
+        assert_eq!(dfp.build(), Dragonfly::new(DragonflyParams::small()).into());
         let mfp = TopologyParams::from(MegaflyParams::small());
         assert_eq!(mfp.kind(), TopologyKind::Megafly);
-        assert!(mfp.build().as_megafly().is_some());
+        assert_eq!(mfp.build(), Megafly::new(MegaflyParams::small()).into());
+        for params in [dfp, mfp] {
+            assert_eq!(params.num_routers(), params.build().num_routers());
+        }
+    }
+
+    /// The family-generic contract of the trait, checked over every id: what
+    /// the provided methods promise given only the sixteen primitives.
+    fn laws(t: impl Topology) {
+        let layout = t.layout();
+
+        // routers: dense, group by group; the three coordinate maps invert
+        assert_eq!(t.routers().count() as u32, t.num_routers());
+        assert_eq!(t.groups().count() as u32, t.num_groups());
+        let mut next_router = 0;
+        for group in t.groups() {
+            for (index, router) in t.routers_in_group(group).enumerate() {
+                assert_eq!(router, RouterId(next_router), "router ids are dense");
+                next_router += 1;
+                assert_eq!(t.router_group(router), group);
+                assert_eq!(t.router_local_index(router), index as u32);
+                assert_eq!(t.router_at(group, index as u32), router);
+            }
+        }
+        assert_eq!(next_router, t.num_routers());
+
+        // nodes: the routers' spans tile `0..num_nodes` in router order, and
+        // node_router / node_port invert node_at
+        assert_eq!(t.nodes().count() as u32, t.num_nodes());
+        let mut next_node = 0;
+        for router in t.routers() {
+            let span = t.router_node_span(router);
+            assert!(span.len() as u32 <= layout.terminals);
+            for (k, node) in t.nodes_of_router(router).enumerate() {
+                assert_eq!(node, NodeId(next_node), "node ids are dense");
+                next_node += 1;
+                assert_eq!(t.node_at(router, k as u32), node);
+                assert_eq!(t.node_router(node), router);
+                assert_eq!(t.node_port(node), Port::terminal(k as u32));
+                assert_eq!(t.node_group(node), t.router_group(router));
+            }
+        }
+        assert_eq!(next_node, t.num_nodes());
+
+        // peer: an involution on wired ports, `Unconnected` exactly on padded
+        // terminal / global indices and on links to unpopulated groups
+        for router in t.routers() {
+            let group = t.router_group(router);
+            for port in Port::all(&layout) {
+                let k = port.class_offset(&layout);
+                let class = port.class(&layout);
+                let unwired = match class {
+                    PortClass::Terminal => k >= t.router_node_span(router).len() as u32,
+                    PortClass::Local => false,
+                    PortClass::Global => {
+                        k >= t.own_globals(router)
+                            || t.global_link_target_group(group, t.global_link_index(router, k))
+                                .is_none()
+                    }
+                };
+                match t.peer(router, port) {
+                    PortPeer::Unconnected => assert!(unwired, "{router} {port} is wired"),
+                    PortPeer::Node(node) => {
+                        assert!(!unwired && class == PortClass::Terminal);
+                        assert_eq!((t.node_router(node), t.node_port(node)), (router, port));
+                    }
+                    PortPeer::Router(far, back) => {
+                        assert!(!unwired && class != PortClass::Terminal);
+                        assert_eq!(back.class(&layout), class);
+                        assert_eq!((t.router_group(far) == group), class == PortClass::Local);
+                        assert_eq!(t.peer(far, back), PortPeer::Router(router, port));
+                    }
+                }
+            }
+        }
+
+        // candidate_first_hop: the gateway's own port, or the one local hop
+        // that reaches the gateway, and nothing further away
+        for group in t.groups() {
+            for router in t.routers_in_group(group) {
+                for j in 0..t.global_links_per_group() {
+                    let (gateway, gateway_port) = t.global_link_owner(group, j);
+                    let hop = t.candidate_first_hop(router, gateway, gateway_port);
+                    if gateway == router {
+                        assert_eq!(hop, Some(gateway_port));
+                    } else if t.local_hops_between(router, gateway) == 1 {
+                        let hop = hop.expect("one local hop away is reachable");
+                        assert_eq!(hop.class(&layout), PortClass::Local);
+                        assert!(
+                            matches!(t.peer(router, hop), PortPeer::Router(r, _) if r == gateway)
+                        );
+                    } else {
+                        assert_eq!(hop, None);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `any` answers every trait method exactly as the family it wraps, for
+    /// every id — a provided method a family overrides but `AnyTopology`
+    /// forgets to dispatch shows up here.
+    fn any_agrees<T: Topology + Into<AnyTopology>>(t: T) {
+        let any: AnyTopology = t.into();
+        let layout = t.layout();
+        assert_eq!(any.kind(), t.kind());
+        assert_eq!(any.layout(), layout);
+        assert_eq!(any.num_nodes(), t.num_nodes());
+        assert_eq!(any.num_routers(), t.num_routers());
+        assert_eq!(any.num_groups(), t.num_groups());
+        assert_eq!(any.routers_per_group(), t.routers_per_group());
+        assert_eq!(any.nodes_per_group(), t.nodes_per_group());
+        assert_eq!(any.global_links_per_group(), t.global_links_per_group());
+        assert_eq!(any.intermediates_per_group(), t.intermediates_per_group());
+        assert!(any.nodes().eq(t.nodes()));
+        assert!(any.routers().eq(t.routers()));
+        assert!(any.groups().eq(t.groups()));
+        for node in t.nodes() {
+            assert_eq!(any.node_router(node), t.node_router(node));
+            assert_eq!(any.node_port(node), t.node_port(node));
+            assert_eq!(any.node_group(node), t.node_group(node));
+        }
+        for router in t.routers() {
+            assert_eq!(any.router_group(router), t.router_group(router));
+            assert_eq!(any.router_local_index(router), t.router_local_index(router));
+            assert_eq!(any.router_node_span(router), t.router_node_span(router));
+            assert!(any.nodes_of_router(router).eq(t.nodes_of_router(router)));
+            for k in 0..t.router_node_span(router).len() as u32 {
+                assert_eq!(any.node_at(router, k), t.node_at(router, k));
+            }
+            for k in 0..layout.locals {
+                assert_eq!(any.local_neighbor(router, k), t.local_neighbor(router, k));
+            }
+            assert_eq!(any.own_globals(router), t.own_globals(router));
+            for k in 0..layout.globals {
+                assert_eq!(any.global_neighbor(router, k), t.global_neighbor(router, k));
+            }
+            for k in 0..t.own_globals(router) {
+                assert_eq!(
+                    any.global_link_index(router, k),
+                    t.global_link_index(router, k)
+                );
+            }
+            assert_eq!(
+                any.local_misroute_degree(router),
+                t.local_misroute_degree(router)
+            );
+            for port in Port::all(&layout) {
+                assert_eq!(any.peer(router, port), t.peer(router, port));
+            }
+        }
+        for group in t.groups() {
+            assert!(any.routers_in_group(group).eq(t.routers_in_group(group)));
+            for index in 0..t.routers_per_group() {
+                assert_eq!(any.router_at(group, index), t.router_at(group, index));
+            }
+            for j in 0..t.global_links_per_group() {
+                assert_eq!(
+                    any.global_link_owner(group, j),
+                    t.global_link_owner(group, j)
+                );
+                assert_eq!(
+                    any.global_link_target_group(group, j),
+                    t.global_link_target_group(group, j)
+                );
+                let (gateway, gateway_port) = t.global_link_owner(group, j);
+                for router in t.routers_in_group(group) {
+                    assert_eq!(
+                        any.candidate_first_hop(router, gateway, gateway_port),
+                        t.candidate_first_hop(router, gateway, gateway_port)
+                    );
+                }
+            }
+            for other in t.groups().filter(|&o| o != group) {
+                assert_eq!(
+                    any.group_link_to(group, other),
+                    t.group_link_to(group, other)
+                );
+                assert_eq!(any.gateway_to(group, other), t.gateway_to(group, other));
+            }
+            for a in t.routers_in_group(group) {
+                for b in t.routers_in_group(group) {
+                    let hops = t.local_hops_between(a, b);
+                    assert_eq!(any.local_hops_between(a, b), hops);
+                    if hops >= 1 {
+                        assert_eq!(any.local_hop_toward(a, b), t.local_hop_toward(a, b));
+                    }
+                    if hops == 1 {
+                        assert_eq!(any.local_port_to(a, b), t.local_port_to(a, b));
+                    }
+                }
+            }
+        }
+    }
+
+    fn laws_hold<T: Topology + Into<AnyTopology>>(t: T) {
+        laws(t);
+        laws(t.into());
+        any_agrees(t);
+    }
+
+    #[test]
+    fn dragonfly_obeys_the_trait_laws() {
+        let partial = DragonflyParams::new(2, 4, 2, 5).unwrap();
+        for params in [
+            DragonflyParams::tiny(),
+            DragonflyParams::small(),
+            DragonflyParams::medium(),
+            partial,
+        ] {
+            laws_hold(Dragonfly::new(params));
+        }
+    }
+
+    #[test]
+    fn megafly_obeys_the_trait_laws() {
+        let partial = MegaflyParams::new(2, 4, 4, 2, 5).unwrap();
+        for params in [
+            MegaflyParams::tiny(),
+            MegaflyParams::small(),
+            MegaflyParams::medium(),
+            partial,
+        ] {
+            laws_hold(Megafly::new(params));
+        }
     }
 }

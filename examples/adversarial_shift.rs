@@ -54,7 +54,7 @@ fn main() {
             .seed(1)
             .build()
             .expect("valid configuration");
-        let report = TransientExperiment::new(config, follow).run();
+        let report = run_transient(&config);
         let reach = report
             .misroute_reaches(50.0)
             .map(|c| c.to_string())

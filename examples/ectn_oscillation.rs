@@ -37,7 +37,7 @@ fn main() {
             .seed(4)
             .build()
             .expect("valid configuration");
-        reports.push(TransientExperiment::new(config, follow).run());
+        reports.push(run_transient(&config));
     }
 
     // print the latency evolution side by side, in 250-cycle windows

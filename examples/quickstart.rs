@@ -54,7 +54,7 @@ fn main() {
             .seed(1)
             .build()
             .expect("valid configuration");
-        let report = SteadyStateExperiment::new(config).run();
+        let report = run_steady_state(&config);
         table.push_row(vec![
             routing.label().to_string(),
             format!("{:.1}", report.avg_packet_latency),

@@ -52,7 +52,7 @@ fn main() {
                 .seed(2)
                 .build()
                 .expect("valid configuration");
-            let report = SteadyStateExperiment::new(config).run();
+            let report = run_steady_state(&config);
             if measure_latency {
                 report.avg_packet_latency
             } else {

@@ -26,7 +26,7 @@
 //!     .build()
 //!     .expect("valid configuration");
 //!
-//! let report = SteadyStateExperiment::new(config).run();
+//! let report = run_steady_state(&config);
 //! println!(
 //!     "latency {:.1} cycles, accepted load {:.3} phits/node/cycle",
 //!     report.avg_packet_latency,

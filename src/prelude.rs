@@ -17,10 +17,11 @@ pub use df_routing::{
 };
 pub use df_sim::{
     cell_seed, config_fingerprint, matrix_table, run_interference, run_job_set, run_matrix,
-    run_sweep, run_sweep_service, ChurnModel, ChurnRate, ConfigError, FaultEvent, FaultKind,
-    FaultPlan, InterferenceReport, JobReport, JobSetReport, JobsEngine, KernelMode, MatrixCell,
-    MatrixKey, Network, RunnerOptions, Scenario, ScenarioMatrix, ScenarioPhase, SimulationConfig,
-    SteadyStateExperiment, SteadyStateReport, SweepOutcome, TransientExperiment, TransientReport,
+    run_steady_state, run_sweep, run_sweep_service, run_transient, ChurnModel, ChurnRate,
+    ConfigError, FaultEvent, FaultKind, FaultPlan, InterferenceReport, JobReport, JobSetReport,
+    JobsEngine, KernelMode, MatrixCell, MatrixKey, Network, RunnerOptions, Scenario,
+    ScenarioMatrix, ScenarioPhase, SimulationConfig, SteadyStateReport, SweepOutcome,
+    TransientReport,
 };
 pub use df_topology::{
     AnyTopology, Dragonfly, DragonflyParams, GatewayLiveness, GroupId, LinkState, Megafly,

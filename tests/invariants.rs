@@ -146,7 +146,7 @@ fn hop_counts_stay_within_the_policy_bounds() {
             .seed(13)
             .build()
             .unwrap();
-        let report = SteadyStateExperiment::new(config).run();
+        let report = run_steady_state(&config);
         assert!(report.delivered_packets > 50);
         assert!(
             report.avg_hops <= 6.0,

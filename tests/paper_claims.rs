@@ -27,7 +27,7 @@ fn steady(
         .seed(seed)
         .build()
         .expect("valid configuration");
-    SteadyStateExperiment::new(config).run()
+    run_steady_state(&config)
 }
 
 #[test]
@@ -282,7 +282,7 @@ fn transient_adaptation_is_faster_with_contention_counters() {
             .seed(7)
             .build()
             .expect("valid configuration");
-        TransientExperiment::new(config, follow).run()
+        run_transient(&config)
     };
     let base = run(RoutingKind::Base);
     let olm = run(RoutingKind::Olm);
@@ -347,7 +347,7 @@ fn latency_recovers_to_adv_steady_state_after_the_transient() {
             .seed(7)
             .build()
             .expect("valid configuration");
-        let steady = SteadyStateExperiment::new(steady_cfg).run();
+        let steady = run_steady_state(&steady_cfg);
         let schedule = TrafficSchedule::switch_at(
             PatternKind::Uniform,
             PatternKind::Adversarial { offset: 1 },
@@ -365,7 +365,7 @@ fn latency_recovers_to_adv_steady_state_after_the_transient() {
             .seed(7)
             .build()
             .expect("valid configuration");
-        let report = TransientExperiment::new(transient_cfg, follow).run();
+        let report = run_transient(&transient_cfg);
         let late = report.mean_latency_between(1_000, 2_000);
         assert!(
             late.is_finite() && late > 0.0,
@@ -412,7 +412,7 @@ fn before_the_switch_nobody_misroutes_much() {
         .seed(8)
         .build()
         .expect("valid configuration");
-    let report = TransientExperiment::new(config, 500).run();
+    let report = run_transient(&config);
     let before = report.mean_misroute_between(-1_500, 0);
     assert!(
         before < 30.0,
