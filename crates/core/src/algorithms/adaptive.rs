@@ -19,11 +19,11 @@
 
 use df_engine::DeterministicRng;
 use df_model::Packet;
-use df_router::{HeadPlan, Router};
+use df_router::{CandidateLink, HeadPlan, Router};
 use df_topology::{Port, PortClass, RouterId, Topology};
 
 use crate::algorithms::common;
-use crate::candidates::{global_candidates, local_candidates, GlobalCandidate, LocalCandidate};
+use crate::candidates::{local_candidates, table_candidates, unpack, LocalCandidate};
 use crate::config::RoutingConfig;
 use crate::decision::{Commitment, Decision, DecisionKind};
 use crate::kind::RoutingKind;
@@ -95,10 +95,12 @@ trait Candidate: Copy {
     fn link(&self) -> Option<u32>;
 }
 
-impl Candidate for GlobalCandidate {
+impl Candidate for CandidateLink {
+    #[inline]
     fn first_hop(&self) -> Port {
-        self.first_hop
+        Port(u32::from(self.first_hop))
     }
+    #[inline]
     fn link(&self) -> Option<u32> {
         Some(self.link)
     }
@@ -330,8 +332,7 @@ pub fn decide(
     // ---------------- global misrouting ----------------
     if plan.has(HeadPlan::GLOBAL_SCOPE) && (!plan.has(HeadPlan::MISROUTED) || min_dead) {
         let min_link = u32::from(plan.min_link);
-        let globals =
-            |own_links_only| global_candidates(topo, current, Some(min_link), own_links_only);
+        let globals = |own_links_only| table_candidates(router, Some(min_link), own_links_only);
         // For the mechanisms with a link-state view (ECtN, and PB on its own
         // path) a minimal link the *view* marks dead fires the rows too,
         // even when the first hop towards its gateway is a healthy local
@@ -344,6 +345,7 @@ pub fn decide(
             dead: min_dead || (!view.all_up() && view.marks_down(router.group(), min_link)),
         };
         if let Some(cand) = select(rows, config, router, packet, min, globals, rng) {
+            let cand = unpack(router, cand);
             return Decision {
                 output_port: cand.first_hop,
                 output_vc: vc_for_next_hop(packet, cand.first_hop.class(&layout), net),
@@ -451,8 +453,10 @@ pub fn recommit_global(
     // have chosen, minus the dead option and anything else dead — locally
     // or per the link-state view
     let fits = global_misroute_fits(packet, net);
-    let mut viable = global_candidates(topo, current, Some(min_link), own_only)
-        .filter(|c| fits && (c.gateway, c.gateway_port) != committed && is_live(router, packet, c));
+    let mut viable = table_candidates(router, Some(min_link), own_only).filter(|c| {
+        let cand = unpack(router, *c);
+        fits && (cand.gateway, cand.gateway_port) != committed && is_live(router, packet, c)
+    });
 
     // the mechanism's candidate-side cap, read off its table rows
     // (Base/ECtN/Hybrid contention; OLM has none beyond liveness), plus
@@ -464,14 +468,16 @@ pub fn recommit_global(
             _ => None,
         });
     let eligible = viable.clone().filter(|c| {
-        cap.is_none_or(|th| contention_allows_candidate(router.contention().get(c.first_hop), th))
+        let hop = c.first_hop();
+        cap.is_none_or(|th| contention_allows_candidate(router.contention().get(hop), th))
             && router.output_can_accept(
-                c.first_hop,
-                vc_for_next_hop(packet, c.first_hop.class(&layout), net),
+                hop,
+                vc_for_next_hop(packet, hop.class(&layout), net),
                 packet.size_phits,
             )
     });
     if let Some(cand) = common::pick_random(eligible, rng) {
+        let cand = unpack(router, cand);
         return Decision {
             output_port: cand.first_hop,
             output_vc: vc_for_next_hop(packet, cand.first_hop.class(&layout), net),

@@ -611,6 +611,63 @@ mod tests {
         }
     }
 
+    /// The candidate table is derived state: a router that built it on its
+    /// first global selection decides exactly like a clone taken before
+    /// that and a restored copy — neither of which has one yet — decision
+    /// and RNG, healthy and faulty, under every mechanism.
+    #[test]
+    fn routers_without_a_built_candidate_table_decide_identically() {
+        let config = RoutingConfig::default()
+            .with_contention_threshold(3)
+            .with_ectn_combined_threshold(5);
+        let net = NetworkConfig::fast_test();
+        for topo in [
+            TopologyParams::from(DragonflyParams::small()).build(),
+            TopologyParams::from(MegaflyParams::small()).build(),
+        ] {
+            for kind in KINDS {
+                let algorithm = RoutingAlgorithm::new(kind, config);
+                let mut rng = DeterministicRng::new(kind as u64 + 7);
+                let mut misroutes = 0;
+                for case in 0..60 {
+                    let src = NodeId(rng.index(topo.num_nodes() as usize) as u32);
+                    let at = topo.node_router(src);
+                    let built = random_router(at, topo, case % 3 == 2, &mut rng);
+                    let cloned = built.clone();
+                    let mut bytes = df_engine::Encoder::new();
+                    built.save_state(&mut bytes);
+                    let bytes = bytes.into_bytes();
+                    let mut restored = Router::new(at, topo, net);
+                    restored
+                        .restore_state(&mut df_engine::Decoder::new(&bytes))
+                        .expect("a router restores its own snapshot");
+                    restored.install_link_view(built.link_view());
+                    for _ in 0..8 {
+                        let dst = NodeId(rng.index(topo.num_nodes() as usize) as u32);
+                        let packet = Packet::new(PacketId(0), src, dst, 8, 0);
+                        let port = topo.node_port(src);
+                        let decide = |router: &Router| {
+                            let mut probe = rng.clone();
+                            let d = algorithm.decide(router, port, &packet, &mut probe);
+                            (d, probe.state())
+                        };
+                        let expected = decide(&built);
+                        assert_eq!(decide(&cloned), expected, "{kind:?} {at} {packet:?}");
+                        assert_eq!(decide(&restored), expected, "{kind:?} {at} {packet:?}");
+                        misroutes += (expected.0.kind == DecisionKind::NonminimalGlobal) as u32;
+                        rng.next_u64();
+                    }
+                }
+                let adaptive = !matches!(kind, RoutingKind::Minimal);
+                assert_eq!(
+                    misroutes > 20,
+                    adaptive,
+                    "{kind:?}: {misroutes} global misroutes"
+                );
+            }
+        }
+    }
+
     #[test]
     fn continuation_routes_minimally_towards_the_target() {
         let topo = TopologyParams::from(DragonflyParams::small()).build();

@@ -10,7 +10,14 @@
 //! * **Local misrouting** diverts a packet to a random non-minimal router of
 //!   the current group before it continues minimally (used in the
 //!   intermediate and destination groups to spread load over local links).
+//!
+//! [`global_candidates`] is the one definition of the global candidates and
+//! of their order — which the drawn index depends on. A selection walks the
+//! router's candidate table instead (`candidate_table`): the same sequence,
+//! enumerated once per router and packed, so a fired row pays a filter per
+//! candidate instead of the topology arithmetic behind each.
 
+use df_router::{CandidateLink, CandidateTable, Router};
 use df_topology::{Port, RouterId, Topology};
 
 /// A candidate nonminimal global link.
@@ -86,6 +93,64 @@ pub fn global_candidates<T: Topology>(
             link: j,
         })
     })
+}
+
+/// The candidate table of `router`: its [`global_candidates`] with no
+/// minimal link excluded, packed, built on the first call for the router
+/// (its first global selection) and kept beside it.
+pub(crate) fn candidate_table(router: &Router) -> &CandidateTable {
+    router.candidate_table(|| {
+        let topo = router.topology();
+        let layout = topo.layout();
+        let own = topo.router_local_index(router.id());
+        let links: Box<[CandidateLink]> = global_candidates(topo, router.id(), None, false)
+            .map(|c| CandidateLink {
+                link: c.link,
+                gateway_local: u16::try_from(topo.router_local_index(c.gateway))
+                    .expect("a group has fewer than 2^16 routers"),
+                gateway_offset: u8::try_from(c.gateway_port.class_offset(&layout))
+                    .expect("a global port offset is below MAX_RADIX"),
+                first_hop: u8::try_from(c.first_hop.0).expect("a port index is below MAX_RADIX"),
+            })
+            .collect();
+        let is_own = |c: &CandidateLink| u32::from(c.gateway_local) == own;
+        let start = links.iter().position(is_own).unwrap_or(0);
+        let end = links.iter().rposition(is_own).map_or(0, |last| last + 1);
+        CandidateTable {
+            links,
+            own: start..end,
+        }
+    })
+}
+
+/// [`global_candidates`] of `router`, read off its [`candidate_table`]: the
+/// same candidates in the same order, packed.
+pub(crate) fn table_candidates(
+    router: &Router,
+    minimal_link: Option<u32>,
+    own_links_only: bool,
+) -> impl Iterator<Item = CandidateLink> + Clone + '_ {
+    let table = candidate_table(router);
+    let own = router.topology().router_local_index(router.id());
+    let range = if own_links_only {
+        table.own.clone()
+    } else {
+        0..table.links.len()
+    };
+    table.links[range].iter().copied().filter(move |c| {
+        Some(c.link) != minimal_link && (!own_links_only || u32::from(c.gateway_local) == own)
+    })
+}
+
+/// The candidate a table entry of `router` packs.
+pub(crate) fn unpack(router: &Router, c: CandidateLink) -> GlobalCandidate {
+    let topo = router.topology();
+    GlobalCandidate {
+        gateway: topo.router_at(router.group(), u32::from(c.gateway_local)),
+        gateway_port: Port::global(&topo.layout(), u32::from(c.gateway_offset)),
+        first_hop: Port(u32::from(c.first_hop)),
+        link: c.link,
+    }
 }
 
 /// Enumerate the local-detour candidates at `router`: every other router of
@@ -164,6 +229,54 @@ mod tests {
         assert_eq!(cands.len(), 4);
         for c in &cands {
             assert!(t.global_link_target_group(GroupId(0), c.link).is_some());
+        }
+    }
+
+    /// The table is the enumerator, entry for entry and in order — a draw
+    /// picks a position in the sequence — for every router of eight
+    /// instances of both families, every minimal link (and none) and both
+    /// scopes, against the concrete family and the `AnyTopology` around it.
+    #[test]
+    fn the_candidate_table_yields_the_enumerator_sequence() {
+        use df_model::NetworkConfig;
+        use df_topology::{AnyTopology, Megafly, MegaflyParams};
+        fn check<T: Topology + Into<AnyTopology>>(t: T) {
+            let any: AnyTopology = t.into();
+            for id in t.routers() {
+                let router = Router::new(id, any, NetworkConfig::fast_test());
+                let minimal_links = (0..t.global_links_per_group()).map(Some);
+                for minimal_link in std::iter::once(None).chain(minimal_links) {
+                    for own_links_only in [false, true] {
+                        let table: Vec<GlobalCandidate> =
+                            table_candidates(&router, minimal_link, own_links_only)
+                                .map(|c| unpack(&router, c))
+                                .collect();
+                        let what = format!("{t:?} {id} {minimal_link:?} own {own_links_only}");
+                        let family = global_candidates(&t, id, minimal_link, own_links_only);
+                        assert!(table.iter().copied().eq(family), "{what}");
+                        let dispatched = global_candidates(&any, id, minimal_link, own_links_only);
+                        assert!(table.iter().copied().eq(dispatched), "{what}");
+                    }
+                }
+            }
+        }
+        let partial = DragonflyParams::new(2, 4, 2, 5).unwrap();
+        for params in [
+            DragonflyParams::tiny(),
+            DragonflyParams::small(),
+            DragonflyParams::medium(),
+            partial,
+        ] {
+            check(Dragonfly::new(params));
+        }
+        let partial = MegaflyParams::new(2, 4, 4, 2, 5).unwrap();
+        for params in [
+            MegaflyParams::tiny(),
+            MegaflyParams::small(),
+            MegaflyParams::medium(),
+            partial,
+        ] {
+            check(Megafly::new(params));
         }
     }
 

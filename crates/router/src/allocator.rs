@@ -22,12 +22,15 @@
 //! fingerprint depends on them; `tests::single_pass_matches_the_two_stage_scan`
 //! holds the rewrite to the original nested scan):
 //!
-//! * the VC scan of an input port wraps at **the highest requesting VC + 1**
-//!   of that port this iteration, not at the port's VC count — so a request
-//!   that cannot be granted still shapes the priority of its port's other
-//!   VCs, and callers must keep blocked heads in the request list;
+//! * the VC scan of an input port wraps at the port's **wrap point** this
+//!   iteration, not at its VC count. The wrap point is an input:
+//!   [`Allocator::allocate_into`] derives it from `requests` (the highest
+//!   requesting VC + 1), while [`Allocator::allocate_wrapped_into`] takes it
+//!   from the caller — so a router can file only the requests that can be
+//!   granted right now and still pass the wrap its blocked heads would have
+//!   set (`tests::grantable_requests_with_wraps_match_the_full_list`);
 //! * a grant stores the pointer `(vc + 1) % max(num_ports, 8)`, so the
-//!   pointer may exceed that wrap point; it is reduced modulo it when read.
+//!   pointer may exceed the wrap point; it is reduced modulo it when read.
 
 use df_model::VcId;
 use df_topology::Port;
@@ -71,15 +74,16 @@ fn rr_key(i: usize, rr: usize, modulus: usize) -> usize {
 /// All scratch is a few persistent per-port words, so an allocation
 /// iteration performs **zero heap allocations** in steady state — this is
 /// on the per-cycle critical path of every active router.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocator {
     /// Round-robin pointer per input port (over VC indices).
     input_rr: Vec<usize>,
     /// Round-robin pointer per output port (over input-port indices).
     output_rr: Vec<usize>,
     // ---- persistent scratch (left zeroed / `NO_BEST` between iterations) ----
-    /// Per input port: highest requesting VC + 1 (0: no request yet).
-    max_vc: Vec<usize>,
+    /// Per input port: the VC-scan wrap point of this iteration (0: the
+    /// port files no request).
+    wrap: Vec<usize>,
     /// Per input port: `(round-robin key, request index)` of its best
     /// grantable request.
     input_best: Vec<(usize, u32)>,
@@ -98,7 +102,7 @@ impl Allocator {
         Allocator {
             input_rr: vec![0; num_ports],
             output_rr: vec![0; num_ports],
-            max_vc: vec![0; num_ports],
+            wrap: vec![0; num_ports],
             input_best: vec![NO_BEST; num_ports],
             input_order: Vec::new(),
             output_best: vec![NO_BEST; num_ports],
@@ -107,7 +111,8 @@ impl Allocator {
     }
 
     /// Perform one allocation iteration, appending grants to `grants`
-    /// (cleared first). `requests` may come in any order.
+    /// (cleared first). `requests` may come in any order; each input port
+    /// wraps its VC scan at its highest requesting VC + 1.
     ///
     /// `can_accept(output_port, output_vc, size_phits)` must report whether
     /// the output currently has both output-buffer space and downstream
@@ -122,24 +127,60 @@ impl Allocator {
         &mut self,
         requests: &[AllocationRequest],
         grants: &mut Vec<Grant>,
+        can_accept: impl FnMut(Port, VcId, u32) -> bool,
+    ) {
+        for req in requests {
+            let idx = req.input_port.index();
+            if self.wrap[idx] == 0 {
+                self.input_order.push(idx as u32);
+            }
+            self.wrap[idx] = self.wrap[idx].max(req.input_vc.index() + 1);
+        }
+        self.allocate_stages(requests, grants, can_accept);
+    }
+
+    /// [`Allocator::allocate_into`] with the wrap points given: `wraps`
+    /// lists every input port of `requests` once, with the point its VC
+    /// scan wraps at (above each of its requesting VCs), in the order the
+    /// ports first appear in `requests`. A caller that leaves requests it
+    /// knows cannot be granted out of the list passes the wrap they would
+    /// have set, and gets the grants and pointers of the full list.
+    pub fn allocate_wrapped_into(
+        &mut self,
+        requests: &[AllocationRequest],
+        wraps: &[(Port, usize)],
+        grants: &mut Vec<Grant>,
+        can_accept: impl FnMut(Port, VcId, u32) -> bool,
+    ) {
+        for &(port, wrap) in wraps {
+            debug_assert!(self.wrap[port.index()] == 0, "{port:?} wraps twice");
+            self.input_order.push(port.0);
+            self.wrap[port.index()] = wrap;
+        }
+        self.allocate_stages(requests, grants, can_accept);
+    }
+
+    /// The two stages, once every requesting port's wrap point is set and
+    /// the ports are listed in `input_order`.
+    fn allocate_stages(
+        &mut self,
+        requests: &[AllocationRequest],
+        grants: &mut Vec<Grant>,
         mut can_accept: impl FnMut(Port, VcId, u32) -> bool,
     ) {
         grants.clear();
 
         // ----- input stage: one winner per input port -----
-        for req in requests {
-            let idx = req.input_port.index();
-            if self.max_vc[idx] == 0 {
-                self.input_order.push(idx as u32);
-            }
-            self.max_vc[idx] = self.max_vc[idx].max(req.input_vc.index() + 1);
-        }
         for (i, req) in requests.iter().enumerate() {
             let idx = req.input_port.index();
+            debug_assert!(
+                req.input_vc.index() < self.wrap[idx],
+                "{req:?} lies above its port's wrap point"
+            );
             // distance of this VC from the pointer, scanning upwards modulo
-            // the port's `max_vc`; equal keys (one VC requesting twice) keep
-            // the earlier request
-            let key = rr_key(req.input_vc.index(), self.input_rr[idx], self.max_vc[idx]);
+            // the port's wrap point; equal keys (one VC requesting twice)
+            // keep the earlier request
+            let key = rr_key(req.input_vc.index(), self.input_rr[idx], self.wrap[idx]);
             if key < self.input_best[idx].0
                 && can_accept(req.output_port, req.output_vc, req.size_phits)
             {
@@ -150,7 +191,7 @@ impl Allocator {
         // ----- output stage: one winner per output port -----
         let num_inputs = self.input_rr.len();
         for input_idx in self.input_order.drain(..) {
-            self.max_vc[input_idx as usize] = 0;
+            self.wrap[input_idx as usize] = 0;
             let best = std::mem::replace(&mut self.input_best[input_idx as usize], NO_BEST);
             if best == NO_BEST {
                 continue;
@@ -342,6 +383,83 @@ mod tests {
             }
         }
         assert!(pointers_beyond_max_vc > 100, "the wrap quirk was exercised");
+    }
+
+    /// What the router files: of its queued heads, ascending by `(port,
+    /// vc)`, only those it would not discard and whose output can take the
+    /// packet now — plus each such port's wrap point, the highest VC of a
+    /// head it did not discard + 1. That must allocate exactly like the
+    /// full list of every non-discarded head, grants and both pointer
+    /// arrays, iteration after iteration.
+    #[test]
+    fn grantable_requests_with_wraps_match_the_full_list() {
+        use df_engine::DeterministicRng;
+        let mut rng = DeterministicRng::new(25);
+        let (mut top_blocked, mut top_discarded, mut pointer_at_or_past_wrap, mut all_blocked) =
+            (0, 0, 0, 0);
+        for case in 0..600 {
+            let num_ports = [4, 7, 31][case % 3];
+            let num_vcs = 1 + rng.index(4);
+            let blocked_share = [0.3, 0.6, 0.9][rng.index(3)];
+            let blocked: Vec<bool> = (0..num_ports * 4)
+                .map(|_| rng.bernoulli(blocked_share))
+                .collect();
+            let can_accept = |port: Port, vc: VcId, _| !blocked[port.index() * 4 + vc.index()];
+            let mut allocator = Allocator::new(num_ports);
+            let (mut input_rr, mut output_rr) = (vec![0; num_ports], vec![0; num_ports]);
+            for _ in 0..6 {
+                let (mut full, mut grantable, mut wraps) = (Vec::new(), Vec::new(), Vec::new());
+                for port in 0..num_ports as u32 {
+                    let (mut wrap, mut filed, mut top) = (0, false, None);
+                    for vc in 0..num_vcs as u8 {
+                        if !rng.bernoulli(0.6) {
+                            continue; // an empty VC
+                        }
+                        top = Some(vc);
+                        if rng.bernoulli(0.1) {
+                            continue; // a head the routing layer discards
+                        }
+                        let r = req(port, vc, rng.index(num_ports) as u32, rng.index(4) as u8);
+                        wrap = usize::from(vc) + 1;
+                        full.push(r);
+                        if can_accept(r.output_port, r.output_vc, r.size_phits) {
+                            grantable.push(r);
+                            filed = true;
+                        }
+                    }
+                    let Some(top) = top else { continue };
+                    if filed {
+                        wraps.push((Port(port), wrap));
+                        top_blocked += (wrap == usize::from(top) + 1
+                            && grantable
+                                .last()
+                                .is_some_and(|r| r.input_vc.index() < wrap - 1))
+                            as u32;
+                        top_discarded += (wrap < usize::from(top) + 1) as u32;
+                        pointer_at_or_past_wrap += (input_rr[port as usize] >= wrap) as u32;
+                    } else {
+                        all_blocked += (wrap > 0) as u32;
+                    }
+                }
+                let expected = two_stage_scan(&mut input_rr, &mut output_rr, &full, can_accept);
+                let mut grants = Vec::new();
+                allocator.allocate_wrapped_into(&grantable, &wraps, &mut grants, can_accept);
+                assert_eq!(grants, expected, "case {case}: {full:?}");
+                assert_eq!(allocator.input_rr, input_rr, "case {case}");
+                assert_eq!(allocator.output_rr, output_rr, "case {case}");
+            }
+        }
+        for (what, count) in [
+            ("top VC blocked", top_blocked),
+            ("top VC discarded", top_discarded),
+            (
+                "stored pointer at or past the wrap",
+                pointer_at_or_past_wrap,
+            ),
+            ("heads but no grantable request", all_blocked),
+        ] {
+            assert!(count > 50, "{what}: {count} ports");
+        }
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use ectn::EctnState;
 pub use input::{HeadPlan, InputPort, InputVc, PlannedObjective, PoppedPacket};
 pub use output::OutputPort;
 pub use pb::PbState;
-pub use router::{Router, MAX_RADIX};
+pub use router::{set_bits, CandidateLink, CandidateTable, Router, MAX_RADIX, MAX_VCS_PER_PORT};
 pub use snapshot::{decode_gateway_liveness, encode_gateway_liveness};

@@ -1,6 +1,8 @@
 //! The [`Router`] object: ports, buffers, counters and allocation for one
 //! Dragonfly router.
 
+use std::sync::OnceLock;
+
 use df_model::{Cycle, NetworkConfig, Packet, VcId};
 use df_topology::{
     AnyTopology, GatewayLiveness, GroupId, Port, PortClass, PortLayout, PortPeer, RouterId,
@@ -39,10 +41,12 @@ pub struct Router {
     ectn: EctnState,
     pb: PbState,
     allocator: Allocator,
-    /// Queued packets per input port — lets the per-cycle loop skip empty
-    /// ports in O(1) instead of scanning every VC.
-    occupied_per_port: Vec<u32>,
-    /// Total queued input packets (sum of `occupied_per_port`).
+    /// Per input port, bit `v` set: input VC `v` holds a packet — the VCs
+    /// the per-cycle registration and decide loops visit, so an empty VC
+    /// (or port) costs nothing. Maintained by [`Router::receive_packet`] and
+    /// [`Router::discard_head`]; derived: rebuilt by [`Router::restore_state`].
+    occupied_vcs: Vec<u64>,
+    /// Total queued input packets.
     occupied_total: u32,
     /// Head packets currently awaiting contention-counter registration —
     /// an O(1) guard that skips the registration scan entirely on the
@@ -76,10 +80,42 @@ pub struct Router {
     /// of exactly that state, so their per-cycle refresh is skipped while
     /// this is clear. Derived: set by construction and by restore.
     outputs_changed: bool,
+    /// The router's nonminimal global candidates, packed — built by the
+    /// routing layer on the router's first global selection
+    /// ([`Router::candidate_table`]), since most routers of a lightly
+    /// loaded network never make one. Derived: a function of the router's
+    /// position only, never in the snapshot.
+    candidate_table: OnceLock<CandidateTable>,
 }
 
-/// The set bits of a staged-port mask as port indices, ascending.
-fn ports_in(mut mask: u64) -> impl Iterator<Item = usize> {
+/// A router's nonminimal global candidates, packed. The routing layer
+/// defines the entries and their order (`df_routing::candidates`); the
+/// router only keeps them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CandidateTable {
+    /// Every candidate, in the routing layer's order.
+    pub links: Box<[CandidateLink]>,
+    /// The range of `links` that holds every candidate the router owns
+    /// itself (a selection restricted to its own links walks only this).
+    pub own: std::ops::Range<usize>,
+}
+
+/// One entry of a router's [`CandidateTable`]: a nonminimal global link of
+/// its group, packed into 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CandidateLink {
+    /// Group-level global link index (`0 .. a·h`).
+    pub link: u32,
+    /// Local index, inside the group, of the router owning the link.
+    pub gateway_local: u16,
+    /// Global-port offset of the link at its owner.
+    pub gateway_offset: u8,
+    /// Index of this router's output port that starts the path to the link.
+    pub first_hop: u8,
+}
+
+/// The set bits of a port or VC mask as indices, ascending.
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let p = mask.trailing_zeros() as usize;
@@ -89,9 +125,20 @@ fn ports_in(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// [`Router::can_grant`] over the two fields it reads, so the allocator's
+/// check can borrow them beside the allocator.
+#[inline]
+fn grantable(link_up: &[bool], outputs: &[OutputPort], port: Port, vc: VcId, size: u32) -> bool {
+    link_up[port.index()] && outputs[port.index()].can_accept(vc, size)
+}
+
 /// Widest router [`Router::new`] accepts: one bit of the staged-port set per
 /// port (the paper's Table I routers have 31).
 pub const MAX_RADIX: u32 = u64::BITS;
+
+/// Most VCs per input port [`Router::new`] accepts: one bit of the port's
+/// occupied-VC mask per VC (the paper's Table I ports have at most 4).
+pub const MAX_VCS_PER_PORT: u32 = u64::BITS;
 
 impl Router {
     /// Build a router for position `id` of `topo` with the given
@@ -105,6 +152,15 @@ impl Router {
         assert!(
             radix <= MAX_RADIX,
             "router radix {radix} exceeds the supported maximum of {MAX_RADIX} ports"
+        );
+        let vcs = config
+            .vcs
+            .injection
+            .max(config.vcs.local)
+            .max(config.vcs.global);
+        assert!(
+            u32::from(vcs) <= MAX_VCS_PER_PORT,
+            "{vcs} VCs per port exceed the supported maximum of {MAX_VCS_PER_PORT}"
         );
         let mut inputs = Vec::with_capacity(radix as usize);
         let mut outputs = Vec::with_capacity(radix as usize);
@@ -140,7 +196,7 @@ impl Router {
             ectn: EctnState::new(global_links),
             pb: PbState::new(topo.own_globals(id) as usize, global_links),
             allocator: Allocator::new(radix as usize),
-            occupied_per_port: vec![0; radix as usize],
+            occupied_vcs: vec![0; radix as usize],
             occupied_total: 0,
             unregistered_count: 0,
             link_up: vec![true; radix as usize],
@@ -148,6 +204,7 @@ impl Router {
             link_view: GatewayLiveness::new(&topo),
             staged_ports: 0,
             outputs_changed: true,
+            candidate_table: OnceLock::new(),
         }
     }
 
@@ -292,8 +349,9 @@ impl Router {
             // the packet became a head and needs counter registration
             self.unregistered_count += 1;
         }
-        self.occupied_per_port[port.index()] += 1;
+        self.occupied_vcs[port.index()] |= 1 << vc.index();
         self.occupied_total += 1;
+        debug_assert!(self.occupied_vcs_are_exact(), "after receive_packet");
     }
 
     /// Return `phits` credits for downstream VC `vc` of output `port` (the
@@ -388,7 +446,9 @@ impl Router {
             // a new head surfaced and awaits registration
             self.unregistered_count += 1;
         }
-        self.occupied_per_port[port.index()] -= 1;
+        if input_vc.is_empty() {
+            self.occupied_vcs[port.index()] &= !(1 << vc.index());
+        }
         self.occupied_total -= 1;
         if let Some(min_out) = registered_min_output {
             self.contention.decrement(min_out);
@@ -396,6 +456,7 @@ impl Router {
         if let Some(link) = registered_ectn_link {
             self.ectn.decrement_partial(link);
         }
+        debug_assert!(self.occupied_vcs_are_exact(), "after discard_head");
         (packet, input_class)
     }
 
@@ -432,28 +493,50 @@ impl Router {
     // Allocation
     // ------------------------------------------------------------------
 
-    /// Run one iteration of the separable allocator over `requests`,
-    /// checking output-buffer space and downstream credits. Grants are
-    /// appended to the caller's reusable `grants` buffer (cleared first) —
-    /// no allocation in steady state.
-    pub fn allocate_into(&mut self, requests: &[AllocationRequest], grants: &mut Vec<Grant>) {
-        let outputs = &self.outputs;
-        let link_up = &self.link_up;
+    /// Whether the allocator may grant a request for downstream VC `vc` of
+    /// output `port` now: the link is up and the output has buffer space and
+    /// credits for `size_phits`. A down link is never granted, whatever the
+    /// routing policy requested — the packet waits (and adaptive policies
+    /// re-decide next cycle).
+    #[inline]
+    pub fn can_grant(&self, port: Port, vc: VcId, size_phits: u32) -> bool {
+        grantable(&self.link_up, &self.outputs, port, vc, size_phits)
+    }
+
+    /// The switch allocator (its round-robin pointers).
+    pub fn allocator(&self) -> &Allocator {
+        &self.allocator
+    }
+
+    /// Run one iteration of the separable allocator over `requests`, each
+    /// input port of which `wraps` lists with its VC-scan wrap point
+    /// ([`Allocator::allocate_wrapped_into`]), checking [`Router::can_grant`].
+    /// Grants are appended to the caller's reusable `grants` buffer (cleared
+    /// first) — no allocation in steady state.
+    pub fn allocate_into(
+        &mut self,
+        requests: &[AllocationRequest],
+        wraps: &[(Port, usize)],
+        grants: &mut Vec<Grant>,
+    ) {
+        let (link_up, outputs) = (&self.link_up, &self.outputs);
         self.allocator
-            .allocate_into(requests, grants, |port, vc, size| {
-                // a down link is never granted, whatever the routing policy
-                // requested — the packet waits (and adaptive policies re-decide
-                // next cycle)
-                link_up[port.index()] && outputs[port.index()].can_accept(vc, size)
+            .allocate_wrapped_into(requests, wraps, grants, |port, vc, size| {
+                grantable(link_up, outputs, port, vc, size)
             })
     }
 
-    /// Run one iteration of the separable allocator over `requests`
-    /// (allocating convenience wrapper around [`Router::allocate_into`]).
+    /// Run one iteration of the separable allocator over `requests`, each
+    /// port wrapping at its highest requesting VC (allocating convenience
+    /// wrapper for the tests).
     #[cfg(test)]
     fn allocate(&mut self, requests: &[AllocationRequest]) -> Vec<Grant> {
+        let (link_up, outputs) = (&self.link_up, &self.outputs);
         let mut grants = Vec::new();
-        self.allocate_into(requests, &mut grants);
+        self.allocator
+            .allocate_into(requests, &mut grants, |port, vc, size| {
+                grantable(link_up, outputs, port, vc, size)
+            });
         grants
     }
 
@@ -503,7 +586,7 @@ impl Router {
         // healthy routers (the overwhelmingly common case) skip the
         // per-port flag reads entirely via the O(1) down-counter
         let any_down = self.links_down > 0;
-        for p in ports_in(self.staged_ports) {
+        for p in set_bits(self.staged_ports) {
             // a down link transmits nothing. In a full simulation the dead
             // port's stage is drained at the fault cycle
             // ([`Router::drop_staged_for_dead_port`]); the skip remains the
@@ -539,7 +622,7 @@ impl Router {
     /// activity gate skip it.
     pub fn is_idle(&self) -> bool {
         let idle = self.occupied_total == 0
-            && ports_in(self.staged_ports).all(|p| self.outputs[p].staged_packets() == 0);
+            && set_bits(self.staged_ports).all(|p| self.outputs[p].staged_packets() == 0);
         debug_assert_eq!(
             idle,
             self.occupied_total == 0 && self.outputs.iter().all(|o| o.staged_packets() == 0),
@@ -554,10 +637,32 @@ impl Router {
         self.unregistered_count > 0
     }
 
-    /// Queued input packets on `port` (O(1); lets the per-cycle loop skip
-    /// empty ports without scanning their VCs).
-    pub fn port_occupancy(&self, port: Port) -> u32 {
-        self.occupied_per_port[port.index()]
+    /// The input VCs of `port` holding a packet, as a mask (bit `v`: VC
+    /// `v`; O(1) — what the per-cycle loops iterate, with [`set_bits`]).
+    #[inline]
+    pub fn occupied_vcs(&self, port: Port) -> u64 {
+        self.occupied_vcs[port.index()]
+    }
+
+    /// Whether every port's occupied-VC mask equals its VCs' emptiness (the
+    /// debug gate behind every mask update).
+    fn occupied_vcs_are_exact(&self) -> bool {
+        self.inputs
+            .iter()
+            .zip(&self.occupied_vcs)
+            .all(|(input, &mask)| {
+                (0..input.num_vcs()).all(|v| (mask >> v & 1 == 1) != input.vc(v).is_empty())
+                    && mask.checked_shr(input.num_vcs() as u32).unwrap_or(0) == 0
+            })
+    }
+
+    /// The router's candidate table, built by `build` the first time it is
+    /// asked for (the routing layer's `candidates::candidate_table` is the
+    /// only caller that builds it). A clone copies the table if it is built;
+    /// a fresh or restored router starts without one.
+    #[inline]
+    pub fn candidate_table(&self, build: impl FnOnce() -> CandidateTable) -> &CandidateTable {
+        self.candidate_table.get_or_init(build)
     }
 
     // ------------------------------------------------------------------
@@ -653,16 +758,19 @@ impl Router {
         self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
         self.occupied_total = 0;
         self.unregistered_count = 0;
-        for (p, input) in self.inputs.iter().enumerate() {
-            let queued = input.queued_packets() as u32;
-            self.occupied_per_port[p] = queued;
-            self.occupied_total += queued;
+        for (input, mask) in self.inputs.iter().zip(&mut self.occupied_vcs) {
+            self.occupied_total += input.queued_packets() as u32;
+            *mask = 0;
             for v in 0..input.num_vcs() {
+                if !input.vc(v).is_empty() {
+                    *mask |= 1 << v;
+                }
                 if input.vc(v).head_needs_registration() {
                     self.unregistered_count += 1;
                 }
             }
         }
+        debug_assert!(self.occupied_vcs_are_exact(), "after restore_state");
         Ok(())
     }
 }
@@ -889,14 +997,46 @@ mod tests {
     }
 
     #[test]
-    fn port_occupancy_counts_queued_only() {
+    fn occupied_vcs_mark_the_queued_vcs_only() {
         let mut r = router();
         let layout = r.topology().layout();
-        assert!(Port::all(&layout).all(|p| r.port_occupancy(p) == 0));
+        assert!(Port::all(&layout).all(|p| r.occupied_vcs(p) == 0));
         r.receive_packet(Port(0), VcId(1), packet(1, 9));
-        assert!(Port::all(&layout).all(|p| r.port_occupancy(p) == u32::from(p == Port(0))));
-        assert!(!r.input(Port(0)).vc(1).is_empty());
-        assert!(r.input(Port(0)).vc(0).is_empty());
+        r.receive_packet(Port(0), VcId(1), packet(2, 9));
+        r.receive_packet(Port(2), VcId(3), packet(3, 9));
+        let marked = |r: &Router| -> Vec<(Port, Vec<usize>)> {
+            Port::all(&layout)
+                .map(|p| (p, set_bits(r.occupied_vcs(p)).collect::<Vec<_>>()))
+                .filter(|(_, vcs)| !vcs.is_empty())
+                .collect()
+        };
+        assert_eq!(marked(&r), [(Port(0), vec![1]), (Port(2), vec![3])]);
+        // a VC stays marked until its last packet leaves
+        r.discard_head(Port(0), VcId(1));
+        assert_eq!(marked(&r), [(Port(0), vec![1]), (Port(2), vec![3])]);
+        r.discard_head(Port(0), VcId(1));
+        assert_eq!(marked(&r), [(Port(2), vec![3])]);
+        // derived: a restored router rebuilds the masks from its queues
+        let mut e = df_engine::Encoder::new();
+        r.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut restored = router();
+        restored
+            .restore_state(&mut df_engine::Decoder::new(&bytes))
+            .unwrap();
+        assert_eq!(marked(&restored), [(Port(2), vec![3])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "65 VCs per port exceed the supported maximum of 64")]
+    fn routers_refuse_more_vcs_than_the_mask_holds() {
+        let mut config = NetworkConfig::fast_test();
+        config.vcs.local = 65;
+        Router::new(
+            RouterId(0),
+            Dragonfly::new(DragonflyParams::small()),
+            config,
+        );
     }
 
     #[test]

@@ -231,6 +231,14 @@ impl SimulationConfig {
     /// Validate the combination of parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.network.validate().map_err(ConfigError::Network)?;
+        let vcs = &self.network.vcs;
+        let most_vcs = vcs.injection.max(vcs.local).max(vcs.global);
+        if u32::from(most_vcs) > df_router::MAX_VCS_PER_PORT {
+            return Err(ConfigError::Network(format!(
+                "{most_vcs} VCs per port exceed the supported maximum of {}",
+                df_router::MAX_VCS_PER_PORT
+            )));
+        }
         self.routing_config
             .validate()
             .map_err(ConfigError::RoutingConfig)?;
@@ -553,6 +561,15 @@ mod tests {
             SimulationConfig::builder().topology(wide).build(),
             Err(ConfigError::Topology(e)) if e.contains("radix 97")
         ));
+        // likewise one bit per VC of a port's occupied-VC mask
+        let mut network = NetworkConfig::paper_table1();
+        network.vcs.local = 65;
+        assert!(matches!(
+            SimulationConfig::builder().network(network).build(),
+            Err(ConfigError::Network(e)) if e.contains("65 VCs per port")
+        ));
+        network.vcs.local = 64;
+        assert!(SimulationConfig::builder().network(network).build().is_ok());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, NetworkConfig, VcId};
-use df_router::{dissemination, AllocationRequest, Grant, Router};
+use df_router::{dissemination, set_bits, AllocationRequest, Grant, Router};
 use df_routing::algorithms::piggyback;
 use df_routing::{minimal, Commitment, Decision, DecisionKind, RoutingAlgorithm};
 use df_topology::{AnyTopology, GatewayLiveness, Port, PortClass, PortPeer, RouterId, Topology};
@@ -59,11 +59,18 @@ pub(crate) struct StepCtx {
 /// per shard; a shard touches only its own.
 #[derive(Default)]
 pub(crate) struct ShardState {
-    /// Allocation requests of the router currently being processed, in
+    /// Allocation requests of the router currently being processed — one
+    /// per head whose requested output can take it right now — in
     /// ascending `(input port, input VC)` order.
     pub requests: Vec<AllocationRequest>,
     /// `decisions[i]` is the routing decision behind `requests[i]`.
     pub decisions: Vec<Decision>,
+    /// Each input port of `requests` with its VC-scan wrap point: the
+    /// highest VC of a head it did not discard + 1, blocked or not.
+    pub wraps: Vec<(Port, usize)>,
+    /// Debug builds only: the request of every head not discarded, blocked
+    /// ones included — the list the allocator gate replays.
+    pub all_requests: Vec<AllocationRequest>,
     /// Grant buffer reused across routers.
     pub grants: Vec<Grant>,
     /// Transmitted-packet buffer reused across routers.
@@ -301,11 +308,7 @@ pub(crate) fn route_and_allocate_one(
     if router.has_unregistered_heads() {
         for p in 0..num_ports {
             let port = Port(p as u32);
-            if router.port_occupancy(port) == 0 {
-                continue;
-            }
-            let num_vcs = router.input(port).num_vcs();
-            for v in 0..num_vcs {
+            for v in set_bits(router.occupied_vcs(port)) {
                 if !router.input(port).vc(v).head_needs_registration() {
                     continue;
                 }
@@ -334,26 +337,30 @@ pub(crate) fn route_and_allocate_one(
         }
     }
 
-    // b. routing decisions for every occupied VC head (ports with no
-    // queued packet are skipped in O(1)), each from its head plan — made
-    // the first time the head is decided (new, or restored) and parked
-    // beside it. A blocked head still files its request: the allocator's VC
-    // scan wraps at the highest *requesting* VC. Discards (unroutable
-    // packets) are applied after the loop, so every head decides against
-    // the same pre-discard router state in every kernel.
+    // b. routing decisions for every occupied VC head, each from its head
+    // plan — made the first time the head is decided (new, or restored)
+    // and parked beside it. Every head is decided (a fired row draws from
+    // the router's RNG whether or not the packet can move), but only a head
+    // whose requested output can take it right now files a request; the
+    // port's wrap point carries what its blocked heads would have told the
+    // allocator. Discards (unroutable packets) are applied after the loop,
+    // so every head decides against the same pre-discard router state in
+    // every kernel.
     shard.requests.clear();
     shard.decisions.clear();
+    shard.wraps.clear();
+    shard.all_requests.clear();
     shard.discards.clear();
     for p in 0..num_ports {
         let port = Port(p as u32);
-        if router.port_occupancy(port) == 0 {
+        let occupied = router.occupied_vcs(port);
+        if occupied == 0 {
             continue;
         }
-        for v in 0..router.input(port).num_vcs() {
+        let (filed, mut wrap) = (shard.requests.len(), 0);
+        for v in set_bits(occupied) {
             let input_vc = router.input(port).vc(v);
-            let Some(head) = input_vc.head() else {
-                continue;
-            };
+            let head = input_vc.head().expect("an occupied VC has a head");
             let plan = match input_vc.plan() {
                 Some(plan) => plan,
                 None => {
@@ -375,14 +382,24 @@ pub(crate) fn route_and_allocate_one(
                 shard.discards.push((port, vc));
                 continue;
             }
-            shard.requests.push(AllocationRequest {
+            wrap = v + 1;
+            let request = AllocationRequest {
                 input_port: port,
                 input_vc: vc,
                 output_port: decision.output_port,
                 output_vc: decision.output_vc,
                 size_phits: plan.size_phits(head),
-            });
-            shard.decisions.push(decision);
+            };
+            if cfg!(debug_assertions) {
+                shard.all_requests.push(request);
+            }
+            if router.can_grant(request.output_port, request.output_vc, request.size_phits) {
+                shard.requests.push(request);
+                shard.decisions.push(decision);
+            }
+        }
+        if shard.requests.len() > filed {
+            shard.wraps.push((port, wrap));
         }
     }
 
@@ -402,9 +419,26 @@ pub(crate) fn route_and_allocate_one(
         return;
     }
 
-    // c. separable allocation
+    // c. separable allocation; debug builds replay the full request list
+    // (blocked heads filed, wraps derived) on a copy of the allocator, which
+    // must grant the same and leave the same pointers
+    let reference = cfg!(debug_assertions).then(|| router.allocator().clone());
     let mut grants = std::mem::take(&mut shard.grants);
-    router.allocate_into(&shard.requests, &mut grants);
+    router.allocate_into(&shard.requests, &shard.wraps, &mut grants);
+    if let Some(mut reference) = reference {
+        let mut expected = Vec::new();
+        reference.allocate_into(&shard.all_requests, &mut expected, |port, vc, size| {
+            router.can_grant(port, vc, size)
+        });
+        debug_assert_eq!(
+            grants, expected,
+            "router {router_id}: grantable-only allocation"
+        );
+        debug_assert!(
+            reference == *router.allocator(),
+            "router {router_id}: grantable-only allocation moved the pointers elsewhere"
+        );
+    }
 
     // d. apply grants, staging upstream credit returns and commit metrics
     for grant in &grants {
