@@ -9,7 +9,8 @@
 
 use df_model::{Packet, VcId};
 use df_topology::{Port, PortClass};
-use std::collections::VecDeque;
+
+use crate::store::{Fifo, PacketStore, Slot, SlotId};
 
 /// Which of its three objectives a planned head pursues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +29,8 @@ pub enum PlannedObjective {
 /// port and the router's *position*, never of counters, credits or link
 /// health — made once by the routing layer (`RoutingAlgorithm::plan`) and
 /// parked beside the head, so the per-cycle loop decides from this word.
-/// Derived state: not in the snapshot, dropped by [`InputVc::pop`] and
-/// [`InputVc::head_mut`].
+/// Derived state: not in the snapshot, dropped when the head leaves its VC
+/// and by [`Router::head_mut`](crate::Router::head_mut).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeadPlan {
     /// The resolved objective.
@@ -82,24 +83,25 @@ impl HeadPlan {
     }
 }
 
-/// A packet removed from an input VC, together with the counter
-/// registrations that must now be released by the caller.
-#[derive(Debug, Clone)]
-pub struct PoppedPacket {
-    /// The packet itself.
-    pub packet: Packet,
+/// A head unlinked from its input VC: its slot, still live in the router's
+/// store for the caller to stage or take, and the counter registrations the
+/// caller must now release.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UnlinkedHead {
+    pub(crate) slot: SlotId,
     /// Output port whose contention counter was incremented for this packet
     /// (to be decremented now).
-    pub registered_min_output: Option<Port>,
+    pub(crate) registered_min_output: Option<Port>,
     /// Group-level global link whose ECtN partial counter was incremented for
     /// this packet (to be decremented now).
-    pub registered_ectn_link: Option<u32>,
+    pub(crate) registered_ectn_link: Option<u32>,
 }
 
-/// One virtual channel of an input port.
+/// One virtual channel of an input port: its queue is a FIFO through the
+/// router's packet store.
 #[derive(Debug, Clone)]
 pub struct InputVc {
-    queue: VecDeque<Packet>,
+    pub(crate) fifo: Fifo,
     capacity_phits: u32,
     occupancy_phits: u32,
     /// Output port registered in the contention counters for the current
@@ -116,7 +118,7 @@ impl InputVc {
     /// Create an empty VC with the given capacity in phits.
     pub fn new(capacity_phits: u32) -> Self {
         InputVc {
-            queue: VecDeque::new(),
+            fifo: Fifo::EMPTY,
             capacity_phits,
             occupancy_phits: 0,
             registered_min_output: None,
@@ -142,12 +144,12 @@ impl InputVc {
 
     /// Number of whole packets queued.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.fifo.len()
     }
 
     /// Whether the VC holds no packet.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.fifo.is_empty()
     }
 
     /// Whether a packet of `size_phits` fits.
@@ -155,13 +157,13 @@ impl InputVc {
         self.free_phits() >= size_phits
     }
 
-    /// Enqueue an arriving packet.
+    /// Enqueue an arriving packet into `store`.
     ///
     /// # Panics
     /// Panics if the packet does not fit — credit-based flow control must
     /// have prevented the upstream router from sending it, so this is a flow
     /// control bug, not a recoverable condition.
-    pub fn push(&mut self, packet: Packet) {
+    pub(crate) fn push(&mut self, store: &mut PacketStore, packet: Packet) {
         assert!(
             self.can_accept(packet.size_phits),
             "input VC overflow: occupancy {}/{} cannot take {} phits (flow-control bug)",
@@ -170,30 +172,30 @@ impl InputVc {
             packet.size_phits
         );
         self.occupancy_phits += packet.size_phits;
-        self.queue.push_back(packet);
+        store.push_back(&mut self.fifo, packet);
     }
 
     /// Peek at the head packet.
-    pub fn head(&self) -> Option<&Packet> {
-        self.queue.front()
+    pub(crate) fn head<'s>(&self, store: &'s PacketStore) -> Option<&'s Packet> {
+        store.front(&self.fifo).map(Slot::packet)
     }
 
     /// Mutable access to the head packet (routing algorithms update the
     /// packet's routing state when they commit decisions); the change may
     /// invalidate the head's plan, so it is dropped.
-    pub fn head_mut(&mut self) -> Option<&mut Packet> {
+    pub(crate) fn head_mut<'s>(&mut self, store: &'s mut PacketStore) -> Option<&'s mut Packet> {
         self.plan = None;
-        self.queue.front_mut()
+        store.front_mut(&self.fifo)
     }
 
-    /// Remove and return the head packet, clearing and returning the counter
+    /// Unlink the head packet's slot, clearing and returning the counter
     /// registrations so the caller can release them.
-    pub fn pop(&mut self) -> Option<PoppedPacket> {
-        let packet = self.queue.pop_front()?;
-        self.occupancy_phits -= packet.size_phits;
+    pub(crate) fn unlink_head(&mut self, store: &mut PacketStore) -> Option<UnlinkedHead> {
+        let slot = store.unlink_front(&mut self.fifo)?;
+        self.occupancy_phits -= store.slot(slot).packet().size_phits;
         self.plan = None;
-        Some(PoppedPacket {
-            packet,
+        Some(UnlinkedHead {
+            slot,
             registered_min_output: self.registered_min_output.take(),
             registered_ectn_link: self.registered_ectn_link.take(),
         })
@@ -218,7 +220,7 @@ impl InputVc {
 
     /// Park the routing layer's plan for the current head packet.
     pub fn set_plan(&mut self, plan: HeadPlan) {
-        debug_assert!(!self.queue.is_empty(), "cannot plan for an empty VC");
+        debug_assert!(!self.is_empty(), "cannot plan for an empty VC");
         self.plan = Some(plan);
     }
 
@@ -226,7 +228,7 @@ impl InputVc {
     /// `port` in the contention counters.
     pub fn set_registered_min_output(&mut self, port: Port) {
         debug_assert!(
-            !self.queue.is_empty(),
+            !self.is_empty(),
             "cannot register contention for an empty VC"
         );
         self.registered_min_output = Some(port);
@@ -236,7 +238,7 @@ impl InputVc {
     /// group-level global link `link` in the ECtN partial array.
     pub fn set_registered_ectn_link(&mut self, link: u32) {
         debug_assert!(
-            !self.queue.is_empty(),
+            !self.is_empty(),
             "cannot register ECtN contention for an empty VC"
         );
         self.registered_ectn_link = Some(link);
@@ -245,21 +247,16 @@ impl InputVc {
     /// Whether the current head still needs to be registered in the
     /// contention counters.
     pub fn head_needs_registration(&self) -> bool {
-        !self.queue.is_empty() && self.registered_min_output.is_none()
-    }
-
-    /// Iterate over the queued packets, head first.
-    pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.queue.iter()
+        !self.is_empty() && self.registered_min_output.is_none()
     }
 
     /// Serialise the persistent state of this VC (queued packets and head
     /// registrations). Capacity is configuration, not state, and is not
     /// written.
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.queue.len());
-        for p in &self.queue {
-            p.encode(e);
+    pub(crate) fn save_state(&self, store: &PacketStore, e: &mut df_engine::Encoder) {
+        e.seq(self.len());
+        for slot in store.iter(&self.fifo) {
+            slot.packet().encode(e);
         }
         e.bool(self.registered_min_output.is_some());
         if let Some(port) = self.registered_min_output {
@@ -271,20 +268,21 @@ impl InputVc {
         }
     }
 
-    /// Restore the persistent state written by [`InputVc::save_state`] into a
-    /// freshly configured VC. Occupancy is recomputed from the packets and
-    /// validated against the configured capacity.
-    pub fn restore_state(
+    /// Restore the persistent state written by [`InputVc::save_state`],
+    /// refilling the queue into `store` (emptied by the caller). Occupancy is
+    /// recomputed from the packets and validated against the configured
+    /// capacity.
+    pub(crate) fn restore_state(
         &mut self,
+        store: &mut PacketStore,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let n = d.seq(8)?;
-        let mut queue = VecDeque::with_capacity(n);
+        self.fifo = Fifo::EMPTY;
         let mut occupancy = 0u64;
-        for _ in 0..n {
+        for _ in 0..d.seq(8)? {
             let p = Packet::decode(d)?;
             occupancy += p.size_phits as u64;
-            queue.push_back(p);
+            store.push_back(&mut self.fifo, p);
         }
         if occupancy > self.capacity_phits as u64 {
             return Err(df_engine::CodecError::Invalid(format!(
@@ -298,12 +296,11 @@ impl InputVc {
             None
         };
         let registered_ectn_link = if d.bool()? { Some(d.u32()?) } else { None };
-        if queue.is_empty() && (registered_min_output.is_some() || registered_ectn_link.is_some()) {
+        if self.is_empty() && (registered_min_output.is_some() || registered_ectn_link.is_some()) {
             return Err(df_engine::CodecError::Invalid(
                 "head registration on an empty input VC".into(),
             ));
         }
-        self.queue = queue;
         self.occupancy_phits = occupancy as u32;
         self.registered_min_output = registered_min_output;
         self.registered_ectn_link = registered_ectn_link;
@@ -358,29 +355,25 @@ impl InputPort {
         self.vcs.iter().map(|v| v.occupancy_phits()).sum()
     }
 
-    /// Total queued packets across VCs.
-    pub fn queued_packets(&self) -> usize {
-        self.vcs.iter().map(|v| v.len()).sum()
-    }
-
     /// Serialise the persistent state of this port (the per-VC queues).
     /// Class and VC layout are configuration.
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
+    pub(crate) fn save_state(&self, store: &PacketStore, e: &mut df_engine::Encoder) {
         e.seq(self.vcs.len());
         for vc in &self.vcs {
-            vc.save_state(e);
+            vc.save_state(store, e);
         }
     }
 
-    /// Restore the state written by [`InputPort::save_state`] into a freshly
-    /// configured port. The VC count must match the configuration.
-    pub fn restore_state(
+    /// Restore the state written by [`InputPort::save_state`], refilling the
+    /// queues into `store`. The VC count must match the configuration.
+    pub(crate) fn restore_state(
         &mut self,
+        store: &mut PacketStore,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
         d.seq_exact(4, self.vcs.len(), "input port VC count")?;
         for vc in &mut self.vcs {
-            vc.restore_state(d)?;
+            vc.restore_state(store, d)?;
         }
         Ok(())
     }
@@ -396,30 +389,39 @@ mod tests {
         Packet::new(PacketId(id), NodeId(0), NodeId(9), size, 0)
     }
 
+    /// Unlink the head and move its packet out of the store.
+    fn pop(vc: &mut InputVc, store: &mut PacketStore) -> Option<(Packet, UnlinkedHead)> {
+        let head = vc.unlink_head(store)?;
+        Some((store.take(head.slot), head))
+    }
+
     #[test]
     fn push_pop_tracks_occupancy() {
+        let mut store = PacketStore::new();
         let mut vc = InputVc::new(32);
         assert!(vc.is_empty());
         assert_eq!(vc.free_phits(), 32);
-        vc.push(packet(1, 8));
-        vc.push(packet(2, 8));
+        vc.push(&mut store, packet(1, 8));
+        vc.push(&mut store, packet(2, 8));
         assert_eq!(vc.len(), 2);
         assert_eq!(vc.occupancy_phits(), 16);
         assert_eq!(vc.free_phits(), 16);
-        let popped = vc.pop().unwrap();
-        assert_eq!(popped.packet.id, PacketId(1));
-        assert_eq!(popped.registered_min_output, None);
-        assert_eq!(popped.registered_ectn_link, None);
+        let (popped, head) = pop(&mut vc, &mut store).unwrap();
+        assert_eq!(popped.id, PacketId(1));
+        assert_eq!(head.registered_min_output, None);
+        assert_eq!(head.registered_ectn_link, None);
         assert_eq!(vc.occupancy_phits(), 8);
+        assert_eq!((store.live(), store.slots()), (1, 2));
     }
 
     #[test]
     fn can_accept_respects_capacity() {
+        let mut store = PacketStore::new();
         let mut vc = InputVc::new(16);
         assert!(vc.can_accept(8));
-        vc.push(packet(1, 8));
+        vc.push(&mut store, packet(1, 8));
         assert!(vc.can_accept(8));
-        vc.push(packet(2, 8));
+        vc.push(&mut store, packet(2, 8));
         assert!(!vc.can_accept(8));
         assert!(vc.can_accept(0));
     }
@@ -427,28 +429,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "input VC overflow")]
     fn overflow_is_a_flow_control_bug() {
+        let mut store = PacketStore::new();
         let mut vc = InputVc::new(8);
-        vc.push(packet(1, 8));
-        vc.push(packet(2, 8));
+        vc.push(&mut store, packet(1, 8));
+        vc.push(&mut store, packet(2, 8));
     }
 
     #[test]
     fn registration_lifecycle() {
+        let mut store = PacketStore::new();
         let mut vc = InputVc::new(32);
         assert!(!vc.head_needs_registration(), "empty VC needs nothing");
-        vc.push(packet(1, 8));
+        vc.push(&mut store, packet(1, 8));
         assert!(vc.head_needs_registration());
         vc.set_registered_min_output(Port(4));
         assert!(!vc.head_needs_registration());
         assert_eq!(vc.registered_min_output(), Some(Port(4)));
         vc.set_registered_ectn_link(3);
         assert_eq!(vc.registered_ectn_link(), Some(3));
-        vc.push(packet(2, 8));
+        vc.push(&mut store, packet(2, 8));
         // still the same head; no new registration needed
         assert!(!vc.head_needs_registration());
-        let popped = vc.pop().unwrap();
-        assert_eq!(popped.registered_min_output, Some(Port(4)));
-        assert_eq!(popped.registered_ectn_link, Some(3));
+        let (_, head) = pop(&mut vc, &mut store).unwrap();
+        assert_eq!(head.registered_min_output, Some(Port(4)));
+        assert_eq!(head.registered_ectn_link, Some(3));
         // new head needs registration again
         assert!(vc.head_needs_registration());
         assert_eq!(vc.registered_ectn_link(), None);
@@ -468,17 +472,18 @@ mod tests {
         };
         assert!(plan.has(HeadPlan::GLOBAL_SCOPE) && !plan.has(HeadPlan::LOCAL_SCOPE));
         assert_eq!(plan.output(), Port(5));
+        let mut store = PacketStore::new();
         let mut vc = InputVc::new(32);
-        vc.push(packet(1, 8));
+        vc.push(&mut store, packet(1, 8));
         assert_eq!(vc.plan(), None);
         vc.set_plan(plan);
-        vc.push(packet(2, 8));
+        vc.push(&mut store, packet(2, 8));
         assert_eq!(vc.plan(), Some(plan), "still the same head");
-        assert_eq!(plan.size_phits(vc.head().unwrap()), 8);
-        vc.pop();
+        assert_eq!(plan.size_phits(vc.head(&store).unwrap()), 8);
+        pop(&mut vc, &mut store);
         assert_eq!(vc.plan(), None, "a new head has no plan");
         vc.set_plan(plan);
-        vc.head_mut().unwrap().routing.local_hops = 1;
+        vc.head_mut(&mut store).unwrap().routing.local_hops = 1;
         assert_eq!(vc.plan(), None, "a mutated head has no plan");
         // a saturated size defers to the packet
         let big = HeadPlan {
@@ -490,22 +495,85 @@ mod tests {
 
     #[test]
     fn head_accessors() {
+        let mut store = PacketStore::new();
         let mut vc = InputVc::new(32);
-        assert!(vc.head().is_none());
-        vc.push(packet(7, 8));
-        assert_eq!(vc.head().unwrap().id, PacketId(7));
-        vc.head_mut().unwrap().routing.local_hops = 2;
-        assert_eq!(vc.head().unwrap().routing.local_hops, 2);
+        assert!(vc.head(&store).is_none());
+        assert!(vc.head_mut(&mut store).is_none());
+        vc.push(&mut store, packet(7, 8));
+        assert_eq!(vc.head(&store).unwrap().id, PacketId(7));
+        vc.head_mut(&mut store).unwrap().routing.local_hops = 2;
+        assert_eq!(vc.head(&store).unwrap().routing.local_hops, 2);
     }
 
     #[test]
     fn input_port_aggregates_vcs() {
+        let mut store = PacketStore::new();
         let mut port = InputPort::new(PortClass::Local, 3, 32);
         assert_eq!(port.num_vcs(), 3);
-        port.vc_mut(0).push(packet(1, 8));
-        port.vc_mut(2).push(packet(2, 8));
+        port.vc_mut(0).push(&mut store, packet(1, 8));
+        port.vc_mut(2).push(&mut store, packet(2, 8));
         assert_eq!(port.occupancy_phits(), 16);
-        assert_eq!(port.queued_packets(), 2);
+        assert_eq!(port.vcs().map(InputVc::len).sum::<usize>(), 2);
         assert_eq!(port.class(), PortClass::Local);
+        assert_eq!(store.live(), 2, "both VCs queue through one store");
+    }
+
+    /// Restore `bytes` into a fresh VC of `capacity` phits over a fresh
+    /// store; the error (if any) and the slots the store ended with.
+    fn restore(capacity: u32, bytes: &[u8]) -> (Result<(), df_engine::CodecError>, usize) {
+        let mut store = PacketStore::new();
+        let result =
+            InputVc::new(capacity).restore_state(&mut store, &mut df_engine::Decoder::new(bytes));
+        (result, store.slots())
+    }
+
+    #[test]
+    fn hostile_vc_bytes_are_typed_errors() {
+        let invalid = |what: &str, bytes: Vec<u8>| {
+            let (result, _) = restore(8, &bytes);
+            assert!(
+                matches!(result, Err(df_engine::CodecError::Invalid(_))),
+                "{what}: {result:?}"
+            );
+        };
+        let mut e = df_engine::Encoder::new();
+        e.seq(2);
+        packet(1, 8).encode(&mut e);
+        packet(2, 8).encode(&mut e);
+        e.bool(false);
+        e.bool(false);
+        invalid("over capacity", e.into_bytes());
+        let mut e = df_engine::Encoder::new();
+        e.seq(0);
+        e.bool(true);
+        e.u32(4);
+        e.bool(false);
+        invalid("registration on an empty VC", e.into_bytes());
+        // a queue length no frame could hold is refused before any slot
+        let mut e = df_engine::Encoder::new();
+        e.seq(usize::MAX / 8);
+        let (result, slots) = restore(8, &e.into_bytes());
+        assert!(result.is_err() && slots == 0, "{result:?}, {slots} slots");
+    }
+
+    #[test]
+    fn a_forged_queue_length_allocates_no_more_slots_than_the_bytes_hold() {
+        // one real packet, then a length claiming every remaining 8 bytes
+        // is a packet: the decode fails on the second, having filled one slot
+        let mut e = df_engine::Encoder::new();
+        packet(1, 8).encode(&mut e);
+        let body = e.into_bytes();
+        let mut e = df_engine::Encoder::new();
+        e.seq(body.len() / 8);
+        let mut bytes = e.into_bytes();
+        bytes.extend_from_slice(&body);
+        let (result, slots) = restore(1 << 20, &bytes);
+        assert!(result.is_err());
+        assert!(
+            slots <= bytes.len() / 8,
+            "{slots} slots from {} bytes",
+            bytes.len()
+        );
+        assert_eq!(slots, 1);
     }
 }

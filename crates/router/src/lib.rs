@@ -7,6 +7,8 @@
 //!   ([`input`]),
 //! * per-port output buffers, credit-based flow control towards the
 //!   downstream router, and link serialisation state ([`output`]),
+//! * one packet slab per router that every input VC queue and output
+//!   stage is a FIFO through (`store`),
 //! * a separable input-first allocator iterated `speedup` times per cycle
 //!   ([`allocator`]),
 //! * the **contention counters** of the paper's §III-B ([`contention`]),
@@ -33,12 +35,13 @@ pub mod output;
 pub mod pb;
 pub mod router;
 pub mod snapshot;
+mod store;
 
 pub use allocator::{AllocationRequest, Allocator, Grant};
 pub use contention::ContentionCounters;
 pub use ectn::EctnState;
-pub use input::{HeadPlan, InputPort, InputVc, PlannedObjective, PoppedPacket};
-pub use output::OutputPort;
+pub use input::{HeadPlan, InputPort, InputVc, PlannedObjective};
+pub use output::{OutputMut, OutputPort};
 pub use pb::PbState;
 pub use router::{set_bits, CandidateLink, CandidateTable, Router, MAX_RADIX, MAX_VCS_PER_PORT};
 pub use snapshot::{decode_gateway_liveness, encode_gateway_liveness};

@@ -8,20 +8,12 @@
 //! link latency — which reproduces the in-flight-credit uncertainty the paper
 //! discusses in §II-B.
 
+use std::ops::Deref;
+
 use df_model::{Cycle, Packet, VcId};
 use df_topology::PortClass;
-use std::collections::VecDeque;
 
-/// A packet staged in the output buffer, waiting for the link.
-#[derive(Debug, Clone)]
-struct StagedPacket {
-    packet: Packet,
-    /// Downstream VC the packet will occupy.
-    dst_vc: VcId,
-    /// Cycle at which the packet has traversed the router pipeline and may
-    /// start link transmission.
-    ready_at: Cycle,
-}
+use crate::store::{Fifo, PacketStore, SlotId};
 
 /// An output port.
 #[derive(Debug, Clone)]
@@ -37,8 +29,10 @@ pub struct OutputPort {
     credits_total: u32,
     /// Sum of `credit_capacity` (a constant of the port).
     credit_capacity_total: u32,
-    /// Output buffer (staging between crossbar and link).
-    buffer: VecDeque<StagedPacket>,
+    /// Output buffer (staging between crossbar and link): a FIFO through
+    /// the router's packet store, each slot carrying its downstream VC and
+    /// pipeline-ready cycle.
+    pub(crate) staged: Fifo,
     buffer_capacity_phits: u32,
     buffer_occupancy_phits: u32,
     /// Cycle at which the link becomes free for the next packet.
@@ -64,7 +58,7 @@ impl OutputPort {
             credit_capacity: vec![downstream_capacity_per_vc; downstream_vcs as usize],
             credits_total: downstream_capacity_per_vc * downstream_vcs as u32,
             credit_capacity_total: downstream_capacity_per_vc * downstream_vcs as u32,
-            buffer: VecDeque::new(),
+            staged: Fifo::EMPTY,
             buffer_capacity_phits,
             buffer_occupancy_phits: 0,
             link_free_at: 0,
@@ -119,7 +113,7 @@ impl OutputPort {
 
     /// Number of packets staged in the output buffer.
     pub fn staged_packets(&self) -> usize {
-        self.buffer.len()
+        self.staged.len()
     }
 
     /// Downstream occupancy estimate in phits: the phits we know are either
@@ -156,27 +150,32 @@ impl OutputPort {
             .is_some_and(|&c| c >= size_phits)
     }
 
-    /// Accept a granted packet into the output buffer. Consumes credits for
+    /// Link the unlinked live slot `slot` of `store` at the tail of the
+    /// output buffer, for downstream VC `dst_vc`. Consumes credits for
     /// non-terminal ports. `ready_at` is when the router pipeline finishes.
     ///
     /// # Panics
     /// Panics if [`can_accept`](Self::can_accept) would have returned false —
     /// the allocator must check before granting.
-    pub fn accept(&mut self, packet: Packet, dst_vc: VcId, ready_at: Cycle) {
+    pub(crate) fn stage(
+        &mut self,
+        store: &mut PacketStore,
+        slot: SlotId,
+        dst_vc: VcId,
+        ready_at: Cycle,
+    ) {
+        let size_phits = store.slot(slot).packet().size_phits;
         assert!(
-            self.can_accept(dst_vc, packet.size_phits),
+            self.can_accept(dst_vc, size_phits),
             "output port cannot accept packet (allocator bug)"
         );
-        self.buffer_occupancy_phits += packet.size_phits;
+        self.buffer_occupancy_phits += size_phits;
         if self.class != PortClass::Terminal {
-            self.credits[dst_vc.index()] -= packet.size_phits;
-            self.credits_total -= packet.size_phits;
+            self.credits[dst_vc.index()] -= size_phits;
+            self.credits_total -= size_phits;
         }
-        self.buffer.push_back(StagedPacket {
-            packet,
-            dst_vc,
-            ready_at,
-        });
+        (store.slot_mut(slot).dst_vc, store.slot_mut(slot).ready_at) = (dst_vc, ready_at);
+        store.link_back(&mut self.staged, slot);
     }
 
     /// Return credits for `phits` on downstream VC `vc` (called when the
@@ -204,19 +203,26 @@ impl OutputPort {
     /// the packet (with its downstream VC) is returned so the caller can
     /// schedule its arrival `link_latency` cycles after serialisation
     /// completes.
-    pub fn try_transmit(&mut self, now: Cycle) -> Option<(Packet, VcId, Cycle)> {
-        if self.link_free_at > now {
+    pub(crate) fn try_transmit(
+        &mut self,
+        store: &mut PacketStore,
+        now: Cycle,
+    ) -> Option<(Packet, VcId, Cycle)> {
+        if self.link_free_at > now || store.front(&self.staged)?.ready_at > now {
             return None;
         }
-        let head_ready = self.buffer.front().map(|s| s.ready_at <= now)?;
-        if !head_ready {
-            return None;
-        }
-        let staged = self.buffer.pop_front().expect("checked non-empty");
-        self.buffer_occupancy_phits -= staged.packet.size_phits;
-        let serialisation = staged.packet.size_phits as Cycle;
-        self.link_free_at = now + serialisation;
-        Some((staged.packet, staged.dst_vc, self.link_free_at))
+        let (packet, dst_vc) = self.pop(store).expect("checked non-empty");
+        self.link_free_at = now + packet.size_phits as Cycle;
+        Some((packet, dst_vc, self.link_free_at))
+    }
+
+    /// Move the head-of-buffer packet out of `store`, with its downstream VC.
+    fn pop(&mut self, store: &mut PacketStore) -> Option<(Packet, VcId)> {
+        let slot = store.unlink_front(&mut self.staged)?;
+        let dst_vc = store.slot(slot).dst_vc;
+        let packet = store.take(slot);
+        self.buffer_occupancy_phits -= packet.size_phits;
+        Some((packet, dst_vc))
     }
 
     /// Cycle at which the link next becomes idle.
@@ -229,38 +235,35 @@ impl OutputPort {
     /// its serialisation buffer is lost with it). The credits the packets
     /// consumed are deliberately *not* restored here — the caller ledgers
     /// them exactly like an in-flight drop, so `LinkUp` returns them.
-    pub fn drain_staged(&mut self) -> Vec<(Packet, VcId)> {
-        let mut out = Vec::with_capacity(self.buffer.len());
-        while let Some(staged) = self.buffer.pop_front() {
-            self.buffer_occupancy_phits -= staged.packet.size_phits;
-            out.push((staged.packet, staged.dst_vc));
-        }
-        out
+    pub(crate) fn drain_staged(&mut self, store: &mut PacketStore) -> Vec<(Packet, VcId)> {
+        std::iter::from_fn(|| self.pop(store)).collect()
     }
 
     /// Serialise the persistent state of this port: per-VC credits, staged
     /// packets (with downstream VC and pipeline-ready cycle) and the link
     /// busy horizon. Capacities and class are configuration and are not
     /// written.
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
+    pub(crate) fn save_state(&self, store: &PacketStore, e: &mut df_engine::Encoder) {
         e.seq(self.credits.len());
         for &c in &self.credits {
             e.u32(c);
         }
-        e.seq(self.buffer.len());
-        for s in &self.buffer {
-            s.packet.encode(e);
+        e.seq(self.staged_packets());
+        for s in store.iter(&self.staged) {
+            s.packet().encode(e);
             e.u8(s.dst_vc.0);
             e.u64(s.ready_at);
         }
         e.u64(self.link_free_at);
     }
 
-    /// Restore the state written by [`OutputPort::save_state`] into a freshly
-    /// configured port. Buffer occupancy is recomputed from the staged
-    /// packets; credit and capacity invariants are validated.
-    pub fn restore_state(
+    /// Restore the state written by [`OutputPort::save_state`], refilling
+    /// the staged packets into `store` (emptied by the caller). Buffer
+    /// occupancy is recomputed from the staged packets; credit and capacity
+    /// invariants are validated.
+    pub(crate) fn restore_state(
         &mut self,
+        store: &mut PacketStore,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
         let n = self.credits.len();
@@ -276,19 +279,14 @@ impl OutputPort {
             }
             credits.push(c);
         }
-        let staged = d.seq(8)?;
-        let mut buffer = VecDeque::with_capacity(staged);
+        self.staged = Fifo::EMPTY;
         let mut occupancy = 0u64;
-        for _ in 0..staged {
+        for _ in 0..d.seq(8)? {
             let packet = Packet::decode(d)?;
-            let dst_vc = VcId(d.u8()?);
-            let ready_at = d.u64()?;
             occupancy += packet.size_phits as u64;
-            buffer.push_back(StagedPacket {
-                packet,
-                dst_vc,
-                ready_at,
-            });
+            let slot = store.push_back(&mut self.staged, packet);
+            let (dst_vc, ready_at) = (VcId(d.u8()?), d.u64()?);
+            (store.slot_mut(slot).dst_vc, store.slot_mut(slot).ready_at) = (dst_vc, ready_at);
         }
         if occupancy > self.buffer_capacity_phits as u64 {
             return Err(df_engine::CodecError::Invalid(format!(
@@ -298,10 +296,45 @@ impl OutputPort {
         }
         self.credits_total = credits.iter().sum();
         self.credits = credits;
-        self.buffer = buffer;
         self.buffer_occupancy_phits = occupancy as u32;
         self.link_free_at = d.u64()?;
         Ok(())
+    }
+}
+
+/// Mutable access to one output port of a router, with the router's packet
+/// store its buffer links through ([`Router::output_mut`](crate::Router::output_mut)).
+#[derive(Debug)]
+pub struct OutputMut<'a> {
+    pub(crate) output: &'a mut OutputPort,
+    pub(crate) store: &'a mut PacketStore,
+}
+
+impl OutputMut<'_> {
+    /// [`OutputPort::can_accept`]-checked staging of `packet` for
+    /// downstream VC `dst_vc`, ready for the link at `ready_at`; consumes
+    /// credits for non-terminal ports.
+    ///
+    /// # Panics
+    /// Panics if the port cannot accept the packet.
+    pub fn accept(&mut self, packet: Packet, dst_vc: VcId, ready_at: Cycle) {
+        let slot = self.store.insert(packet);
+        self.output.stage(self.store, slot, dst_vc, ready_at)
+    }
+
+    /// If the head-of-buffer packet has cleared the pipeline and the link is
+    /// free at `now`, start its transmission and return it with its
+    /// downstream VC and the cycle its tail leaves.
+    pub fn try_transmit(&mut self, now: Cycle) -> Option<(Packet, VcId, Cycle)> {
+        self.output.try_transmit(self.store, now)
+    }
+}
+
+impl Deref for OutputMut<'_> {
+    type Target = OutputPort;
+
+    fn deref(&self) -> &OutputPort {
+        self.output
     }
 }
 
@@ -315,9 +348,54 @@ mod tests {
         Packet::new(PacketId(id), NodeId(0), NodeId(5), size, 0)
     }
 
-    fn port() -> OutputPort {
+    /// A port with a store of its own, staged and drained through the
+    /// guard a router hands out.
+    struct Staged {
+        port: OutputPort,
+        store: PacketStore,
+    }
+
+    impl Staged {
+        fn new(class: PortClass, vcs: u8, capacity: u32, buffer: u32) -> Self {
+            Staged {
+                port: OutputPort::new(class, vcs, capacity, buffer),
+                store: PacketStore::new(),
+            }
+        }
+
+        fn guard(&mut self) -> OutputMut<'_> {
+            OutputMut {
+                output: &mut self.port,
+                store: &mut self.store,
+            }
+        }
+
+        fn accept(&mut self, packet: Packet, dst_vc: VcId, ready_at: Cycle) {
+            self.guard().accept(packet, dst_vc, ready_at)
+        }
+
+        fn try_transmit(&mut self, now: Cycle) -> Option<(Packet, VcId, Cycle)> {
+            self.guard().try_transmit(now)
+        }
+    }
+
+    impl Deref for Staged {
+        type Target = OutputPort;
+
+        fn deref(&self) -> &OutputPort {
+            &self.port
+        }
+    }
+
+    impl std::ops::DerefMut for Staged {
+        fn deref_mut(&mut self) -> &mut OutputPort {
+            &mut self.port
+        }
+    }
+
+    fn port() -> Staged {
         // local-like: 4 downstream VCs of 32 phits, 32-phit output buffer
-        OutputPort::new(PortClass::Local, 4, 32, 32)
+        Staged::new(PortClass::Local, 4, 32, 32)
     }
 
     #[test]
@@ -345,7 +423,7 @@ mod tests {
 
     #[test]
     fn can_accept_fails_without_credits_or_buffer() {
-        let mut p = OutputPort::new(PortClass::Local, 1, 8, 16);
+        let mut p = Staged::new(PortClass::Local, 1, 8, 16);
         assert!(p.can_accept(VcId(0), 8));
         p.accept(packet(1, 8), VcId(0), 0);
         // credits for vc0 exhausted even though buffer has room
@@ -361,7 +439,7 @@ mod tests {
 
     #[test]
     fn terminal_ports_do_not_use_credits() {
-        let mut p = OutputPort::new(PortClass::Terminal, 0, 0, 32);
+        let mut p = Staged::new(PortClass::Terminal, 0, 0, 32);
         assert!(p.can_accept(VcId(0), 8));
         p.accept(packet(1, 8), VcId(0), 0);
         assert_eq!(p.num_downstream_vcs(), 0);
@@ -372,7 +450,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "allocator bug")]
     fn accept_without_resources_panics() {
-        let mut p = OutputPort::new(PortClass::Local, 1, 8, 32);
+        let mut p = Staged::new(PortClass::Local, 1, 8, 32);
         p.accept(packet(1, 8), VcId(0), 0);
         p.accept(packet(2, 8), VcId(0), 0);
     }
@@ -408,7 +486,7 @@ mod tests {
 
     #[test]
     fn congestion_metric_combines_buffer_and_downstream() {
-        let mut p = OutputPort::new(PortClass::Global, 2, 256, 32);
+        let mut p = Staged::new(PortClass::Global, 2, 256, 32);
         p.accept(packet(1, 8), VcId(0), 0);
         // packet staged: buffer 8, downstream estimate 8
         assert_eq!(p.congestion_phits(), 16);
@@ -417,5 +495,67 @@ mod tests {
         assert_eq!(p.congestion_phits(), 8);
         p.return_credits(VcId(0), 8);
         assert_eq!(p.congestion_phits(), 0);
+    }
+
+    #[test]
+    fn drained_stage_returns_packets_in_order_and_frees_their_slots() {
+        let mut p = port();
+        p.accept(packet(1, 8), VcId(2), 0);
+        p.accept(packet(2, 8), VcId(3), 0);
+        let drained = p.port.drain_staged(&mut p.store);
+        assert_eq!(
+            drained
+                .iter()
+                .map(|(pk, vc)| (pk.id, *vc))
+                .collect::<Vec<_>>(),
+            [(PacketId(1), VcId(2)), (PacketId(2), VcId(3))]
+        );
+        assert_eq!((p.staged_packets(), p.buffer_occupancy_phits()), (0, 0));
+        assert_eq!((p.store.live(), p.store.slots()), (0, 2));
+        assert_eq!(p.total_credits(), 128 - 16, "credits stay with the caller");
+    }
+
+    #[test]
+    fn guard_reads_through_to_the_port() {
+        let mut p = port();
+        let mut guard = p.guard();
+        guard.accept(packet(1, 8), VcId(0), 3);
+        assert_eq!(guard.staged_packets(), 1);
+        assert!(guard.try_transmit(2).is_none());
+        assert_eq!(
+            guard.try_transmit(3).map(|(pk, ..)| pk.id),
+            Some(PacketId(1))
+        );
+    }
+
+    #[test]
+    fn hostile_stage_bytes_are_typed_errors() {
+        // a 1-VC port of 8 credits with a 16-phit buffer
+        let restore = |credits: u32, staged: u64| {
+            let mut e = df_engine::Encoder::new();
+            e.seq(1);
+            e.u32(credits);
+            e.seq(staged as usize);
+            for id in 0..staged {
+                packet(id, 8).encode(&mut e);
+                e.u8(0);
+                e.u64(0);
+            }
+            e.u64(0);
+            let mut p = Staged::new(PortClass::Local, 1, 8, 16);
+            let bytes = e.into_bytes();
+            p.port
+                .restore_state(&mut p.store, &mut df_engine::Decoder::new(&bytes))
+        };
+        assert!(restore(8, 2).is_ok());
+        for (what, result) in [
+            ("credit overflow", restore(9, 0)),
+            ("staged over capacity", restore(8, 3)),
+        ] {
+            assert!(
+                matches!(result, Err(df_engine::CodecError::Invalid(_))),
+                "{what}: {result:?}"
+            );
+        }
     }
 }

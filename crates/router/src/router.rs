@@ -12,9 +12,10 @@ use df_topology::{
 use crate::allocator::{AllocationRequest, Allocator, Grant};
 use crate::contention::ContentionCounters;
 use crate::ectn::EctnState;
-use crate::input::{InputPort, PoppedPacket};
-use crate::output::OutputPort;
+use crate::input::{InputPort, UnlinkedHead};
+use crate::output::{OutputMut, OutputPort};
 use crate::pb::PbState;
+use crate::store::{PacketStore, SlotId};
 
 /// Everything the simulator must do after a grant is applied: return credits
 /// upstream and (for non-terminal outputs) know where the packet is heading.
@@ -37,6 +38,10 @@ pub struct Router {
     config: NetworkConfig,
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
+    /// Every packet the router buffers: each input VC queue and each output
+    /// stage is a FIFO through this one slab, so the router's footprint
+    /// follows its peak buffered packets rather than the queues it touched.
+    store: PacketStore,
     contention: ContentionCounters,
     ectn: EctnState,
     pb: PbState,
@@ -44,10 +49,9 @@ pub struct Router {
     /// Per input port, bit `v` set: input VC `v` holds a packet — the VCs
     /// the per-cycle registration and decide loops visit, so an empty VC
     /// (or port) costs nothing. Maintained by [`Router::receive_packet`] and
-    /// [`Router::discard_head`]; derived: rebuilt by [`Router::restore_state`].
+    /// the head unlink [`Router::discard_head`] and [`Router::apply_grant`]
+    /// share; derived: rebuilt by [`Router::restore_state`].
     occupied_vcs: Vec<u64>,
-    /// Total queued input packets.
-    occupied_total: u32,
     /// Head packets currently awaiting contention-counter registration —
     /// an O(1) guard that skips the registration scan entirely on the
     /// (common) cycles where no new head appeared.
@@ -72,8 +76,8 @@ pub struct Router {
     /// ports that do — set wherever a packet can be staged
     /// ([`Router::apply_grant`], [`Router::output_mut`]), cleared by
     /// [`Router::transmit_outputs_into`] when it finds the stage empty — so
-    /// transmission and [`Router::is_idle`] visit only these ports instead
-    /// of the whole radix. Derived: rebuilt by [`Router::restore_state`].
+    /// transmission visits only these ports instead of the whole radix.
+    /// Derived: rebuilt by [`Router::restore_state`].
     staged_ports: u64,
     /// Whether any output's staged phits or credits changed since the flag
     /// was last cleared. PB's own-link saturation flags are a pure function
@@ -192,12 +196,12 @@ impl Router {
             config,
             inputs,
             outputs,
+            store: PacketStore::new(),
             contention: ContentionCounters::new(radix as usize),
             ectn: EctnState::new(global_links),
             pb: PbState::new(topo.own_globals(id) as usize, global_links),
             allocator: Allocator::new(radix as usize),
             occupied_vcs: vec![0; radix as usize],
-            occupied_total: 0,
             unregistered_count: 0,
             link_up: vec![true; radix as usize],
             links_down: 0,
@@ -290,13 +294,38 @@ impl Router {
         &self.outputs[port.index()]
     }
 
-    /// Mutably borrow an output port. What the caller does with it is
-    /// invisible from here, so the port is conservatively recorded as
-    /// possibly staged and the outputs as changed.
-    pub fn output_mut(&mut self, port: Port) -> &mut OutputPort {
+    /// Mutably borrow an output port, with the packet store its buffer
+    /// links through. What the caller does with it is invisible from here,
+    /// so the port is conservatively recorded as possibly staged and the
+    /// outputs as changed.
+    pub fn output_mut(&mut self, port: Port) -> OutputMut<'_> {
         self.staged_ports |= 1 << port.index();
         self.outputs_changed = true;
-        &mut self.outputs[port.index()]
+        OutputMut {
+            output: &mut self.outputs[port.index()],
+            store: &mut self.store,
+        }
+    }
+
+    /// The head packet of input VC `(port, vc)`.
+    #[inline]
+    pub fn head(&self, port: Port, vc: VcId) -> Option<&Packet> {
+        self.inputs[port.index()].vc(vc.index()).head(&self.store)
+    }
+
+    /// Mutable access to the head packet of input VC `(port, vc)` (routing
+    /// commits update its routing state); the change may invalidate the
+    /// head's plan, so it is dropped.
+    pub fn head_mut(&mut self, port: Port, vc: VcId) -> Option<&mut Packet> {
+        self.inputs[port.index()]
+            .vc_mut(vc.index())
+            .head_mut(&mut self.store)
+    }
+
+    /// Slots of the router's packet store: its peak number of buffered
+    /// packets since it was built or restored.
+    pub fn packet_slots(&self) -> usize {
+        self.store.slots()
     }
 
     /// Whether any output's staged phits or credits changed since
@@ -314,17 +343,9 @@ impl Router {
         self.outputs_changed = false;
     }
 
-    /// Total packets buffered in all input VCs.
+    /// Total packets buffered in input VCs and output stages.
     pub fn queued_packets(&self) -> usize {
-        self.inputs
-            .iter()
-            .map(|p| p.queued_packets())
-            .sum::<usize>()
-            + self
-                .outputs
-                .iter()
-                .map(|o| o.staged_packets())
-                .sum::<usize>()
+        self.store.live()
     }
 
     // ------------------------------------------------------------------
@@ -344,13 +365,12 @@ impl Router {
     /// injection).
     pub fn receive_packet(&mut self, port: Port, vc: VcId, packet: Packet) {
         let input_vc = self.inputs[port.index()].vc_mut(vc.index());
-        input_vc.push(packet);
+        input_vc.push(&mut self.store, packet);
         if input_vc.len() == 1 {
             // the packet became a head and needs counter registration
             self.unregistered_count += 1;
         }
         self.occupied_vcs[port.index()] |= 1 << vc.index();
-        self.occupied_total += 1;
         debug_assert!(self.occupied_vcs_are_exact(), "after receive_packet");
     }
 
@@ -416,48 +436,62 @@ impl Router {
     pub fn drop_staged_for_dead_port(&mut self, port: Port) -> Vec<(Packet, VcId)> {
         debug_assert!(!self.link_is_up(port), "only dead ports lose their stage");
         self.outputs_changed = true;
-        self.outputs[port.index()].drain_staged()
+        let dropped = self.outputs[port.index()].drain_staged(&mut self.store);
+        debug_assert!(
+            self.occupied_vcs_are_exact(),
+            "after drop_staged_for_dead_port"
+        );
+        dropped
     }
 
-    /// Pop the head packet of input VC `(port, vc)` and release what the
+    /// Remove the head packet of input VC `(port, vc)` and release what the
     /// router held for it: its counter registrations and its slot in the
     /// occupancy counters. Called directly this is the fault-routing
     /// "unroutable packet" discard — the packet leaves the network instead
     /// of entering an output buffer as in [`Router::apply_grant`], which
-    /// starts with the same pop. Returns the packet and the input class
+    /// starts with the same unlink. Returns the packet and the input class
     /// (terminal inputs generate no upstream credit return).
     ///
     /// # Panics
     /// Panics if the input VC is empty.
     pub fn discard_head(&mut self, port: Port, vc: VcId) -> (Packet, PortClass) {
+        let (slot, input_class) = self.unlink_head(port, vc);
+        let packet = self.store.take(slot);
+        debug_assert!(self.occupied_vcs_are_exact(), "after discard_head");
+        (packet, input_class)
+    }
+
+    /// Unlink the head slot of input VC `(port, vc)` and release what the
+    /// router held for the packet; the slot stays live for the caller to
+    /// stage or take.
+    fn unlink_head(&mut self, port: Port, vc: VcId) -> (SlotId, PortClass) {
         let input_class = self.inputs[port.index()].class();
         let input_vc = self.inputs[port.index()].vc_mut(vc.index());
-        let PoppedPacket {
-            packet,
+        let UnlinkedHead {
+            slot,
             registered_min_output,
             registered_ectn_link,
-        } = input_vc.pop().expect("input VC must hold a packet");
+        } = input_vc
+            .unlink_head(&mut self.store)
+            .expect("input VC must hold a packet");
         if registered_min_output.is_none() {
             // the departing head was never registered (possible in direct
             // unit-test drives); it no longer needs to be
             self.unregistered_count -= 1;
         }
-        if !input_vc.is_empty() {
+        if input_vc.is_empty() {
+            self.occupied_vcs[port.index()] &= !(1 << vc.index());
+        } else {
             // a new head surfaced and awaits registration
             self.unregistered_count += 1;
         }
-        if input_vc.is_empty() {
-            self.occupied_vcs[port.index()] &= !(1 << vc.index());
-        }
-        self.occupied_total -= 1;
         if let Some(min_out) = registered_min_output {
             self.contention.decrement(min_out);
         }
         if let Some(link) = registered_ectn_link {
             self.ectn.decrement_partial(link);
         }
-        debug_assert!(self.occupied_vcs_are_exact(), "after discard_head");
-        (packet, input_class)
+        (slot, input_class)
     }
 
     // ------------------------------------------------------------------
@@ -540,28 +574,36 @@ impl Router {
         grants
     }
 
-    /// Apply a grant: pop the packet from its input VC, release its counter
-    /// registrations, update its routing state for the hop it is about to
-    /// take, and stage it in the output buffer (consuming credits). Returns
-    /// the bookkeeping the simulator needs (upstream credit return).
+    /// Apply a grant: unlink the packet's slot from its input VC, release its
+    /// counter registrations, update its routing state for the hop it is
+    /// about to take, and link the slot onto the output buffer (consuming
+    /// credits) — the packet itself does not move. Returns the bookkeeping
+    /// the simulator needs (upstream credit return).
     ///
     /// # Panics
     /// Panics if the granted input VC is empty (allocator/sim bug).
     pub fn apply_grant(&mut self, grant: &Grant, now: Cycle) -> AppliedGrant {
-        let (mut packet, input_class) = self.discard_head(grant.input_port, grant.input_vc);
+        let (slot, input_class) = self.unlink_head(grant.input_port, grant.input_vc);
         // update routing state for the hop the packet is about to take
         let arrived_at = match self.topo.peer(self.id, grant.output_port) {
             PortPeer::Router(peer, _) => peer,
             PortPeer::Node(_) | PortPeer::Unconnected => self.id,
         };
+        let packet = self.store.slot_mut(slot).packet_mut();
         packet
             .routing
             .note_hop(&self.topo, grant.output_port, arrived_at);
         let freed_phits = packet.size_phits;
         let ready_at = now + self.config.latencies.router_pipeline as Cycle;
-        self.outputs[grant.output_port.index()].accept(packet, grant.output_vc, ready_at);
+        self.outputs[grant.output_port.index()].stage(
+            &mut self.store,
+            slot,
+            grant.output_vc,
+            ready_at,
+        );
         self.staged_ports |= 1 << grant.output_port.index();
         self.outputs_changed = true;
+        debug_assert!(self.occupied_vcs_are_exact(), "after apply_grant");
         AppliedGrant {
             grant: *grant,
             freed_phits,
@@ -596,7 +638,7 @@ impl Router {
                 continue;
             }
             let output = &mut self.outputs[p];
-            if let Some((packet, vc, tail_at)) = output.try_transmit(now) {
+            if let Some((packet, vc, tail_at)) = output.try_transmit(&mut self.store, now) {
                 sent.push((Port(p as u32), packet, vc, tail_at));
                 self.outputs_changed = true;
             }
@@ -604,6 +646,7 @@ impl Router {
                 self.staged_ports &= !(1 << p);
             }
         }
+        debug_assert!(self.occupied_vcs_are_exact(), "after transmit_outputs_into");
     }
 
     /// Try to start transmission on every output port (allocating
@@ -621,14 +664,7 @@ impl Router {
     /// requests, no staged packets), which is what lets the simulator's
     /// activity gate skip it.
     pub fn is_idle(&self) -> bool {
-        let idle = self.occupied_total == 0
-            && set_bits(self.staged_ports).all(|p| self.outputs[p].staged_packets() == 0);
-        debug_assert_eq!(
-            idle,
-            self.occupied_total == 0 && self.outputs.iter().all(|o| o.staged_packets() == 0),
-            "a staged output is missing from the staged-port set"
-        );
-        idle
+        self.store.live() == 0
     }
 
     /// Whether any head packet still awaits contention-counter registration
@@ -644,16 +680,30 @@ impl Router {
         self.occupied_vcs[port.index()]
     }
 
-    /// Whether every port's occupied-VC mask equals its VCs' emptiness (the
-    /// debug gate behind every mask update).
+    /// Whether every port's occupied-VC mask equals its VCs' emptiness,
+    /// every staged output is in the staged-port set, every FIFO's length
+    /// equals the length of its walk through the store, and the store's live
+    /// count equals the queued plus staged packets (the debug gate behind
+    /// every mask and store update).
     fn occupied_vcs_are_exact(&self) -> bool {
-        self.inputs
+        let masks = self
+            .inputs
             .iter()
             .zip(&self.occupied_vcs)
             .all(|(input, &mask)| {
                 (0..input.num_vcs()).all(|v| (mask >> v & 1 == 1) != input.vc(v).is_empty())
                     && mask.checked_shr(input.num_vcs() as u32).unwrap_or(0) == 0
-            })
+            });
+        let staged = (self.outputs.iter().enumerate())
+            .all(|(p, o)| o.staged_packets() == 0 || self.staged_ports >> p & 1 == 1);
+        let fifos = || {
+            (self.inputs.iter())
+                .flat_map(|input| input.vcs().map(|vc| &vc.fifo))
+                .chain(self.outputs.iter().map(|o| &o.staged))
+        };
+        let walks = fifos().all(|fifo| self.store.iter(fifo).count() == fifo.len());
+        let held: usize = fifos().map(|fifo| fifo.len()).sum();
+        masks && staged && walks && self.store.live() == held
     }
 
     /// The router's candidate table, built by `build` the first time it is
@@ -706,11 +756,11 @@ impl Router {
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.inputs.len());
         for input in &self.inputs {
-            input.save_state(e);
+            input.save_state(&self.store, e);
         }
         e.seq(self.outputs.len());
         for output in &self.outputs {
-            output.save_state(e);
+            output.save_state(&self.store, e);
         }
         self.contention.save_state(e);
         self.ectn.save_state(e);
@@ -722,21 +772,23 @@ impl Router {
         }
     }
 
-    /// Restore the state written by [`Router::save_state`] into a freshly
-    /// built router of the *same* topology and configuration. Occupancy,
-    /// registration and down-link counters are recomputed from the restored
-    /// queues and flags.
+    /// Restore the state written by [`Router::save_state`] into a router
+    /// of the *same* topology and configuration: the packet store is cleared
+    /// first and refilled slot by slot. Occupancy, registration and
+    /// down-link counters are recomputed from the restored queues and flags.
+    /// After an error the router is only fit to be dropped.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
+        self.store = PacketStore::new();
         d.seq_exact(8, self.inputs.len(), "router input port count")?;
         for input in &mut self.inputs {
-            input.restore_state(d)?;
+            input.restore_state(&mut self.store, d)?;
         }
         d.seq_exact(8, self.outputs.len(), "router output port count")?;
         for output in &mut self.outputs {
-            output.restore_state(d)?;
+            output.restore_state(&mut self.store, d)?;
         }
         self.contention.restore_state(d)?;
         self.ectn.restore_state(d)?;
@@ -756,10 +808,8 @@ impl Router {
         }
         self.outputs_changed = true;
         self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
-        self.occupied_total = 0;
         self.unregistered_count = 0;
         for (input, mask) in self.inputs.iter().zip(&mut self.occupied_vcs) {
-            self.occupied_total += input.queued_packets() as u32;
             *mask = 0;
             for v in 0..input.num_vcs() {
                 if !input.vc(v).is_empty() {
@@ -1136,5 +1186,74 @@ mod tests {
         r.set_link_up(Port(5), false);
         r.drop_staged_for_dead_port(Port(5));
         assert!(r.outputs_changed(), "a dropped stage");
+    }
+
+    fn grant(input_port: Port, input_vc: VcId, output_port: Port, output_vc: VcId) -> Grant {
+        Grant {
+            input_port,
+            input_vc,
+            output_port,
+            output_vc,
+            size_phits: 8,
+        }
+    }
+
+    #[test]
+    fn a_packet_through_each_of_a_paper_routers_vcs_in_turn_needs_one_slot() {
+        let topo = Dragonfly::new(DragonflyParams::paper_table1());
+        let mut r = Router::new(RouterId(0), topo, NetworkConfig::paper_table1());
+        let layout = topo.layout();
+        let vcs: Vec<(Port, VcId)> = Port::all(&layout)
+            .flat_map(|port| (0..r.input(port).num_vcs() as u8).map(move |v| (port, VcId(v))))
+            .collect();
+        assert_eq!(vcs.len(), 100);
+        let pipeline = r.config().latencies.router_pipeline as Cycle;
+        for (i, &(port, vc)) in vcs.iter().enumerate() {
+            let now = 100 * i as Cycle;
+            r.receive_packet(port, vc, packet(i as u64, 900));
+            assert_eq!(r.head(port, vc).map(|p| p.id), Some(PacketId(i as u64)));
+            r.apply_grant(&grant(port, vc, Port(0), VcId(0)), now);
+            let sent = r.transmit_outputs(now + pipeline);
+            assert_eq!(sent.len(), 1, "{port:?} {vc:?}");
+        }
+        assert!(r.is_idle());
+        assert_eq!(r.packet_slots(), 1, "every VC reused the one slot");
+    }
+
+    #[test]
+    fn restoring_the_same_bytes_twice_leaks_no_slot() {
+        let mut r = router();
+        for i in 0..3 {
+            r.receive_packet(Port(3), VcId(0), packet(i, 2));
+            r.receive_packet(Port(5), VcId(1), packet(10 + i, 40));
+        }
+        r.register_head(Port(3), VcId(0), Port(2), None);
+        r.apply_grant(&grant(Port(3), VcId(0), Port(2), VcId(1)), 0);
+        r.head_mut(Port(5), VcId(1)).unwrap().routing.local_hops = 1;
+        let save = |r: &Router| {
+            let mut e = df_engine::Encoder::new();
+            r.save_state(&mut e);
+            e.into_bytes()
+        };
+        let bytes = save(&r);
+        // a router that buffered more than the snapshot holds
+        let mut restored = r.clone();
+        for i in 0..4 {
+            restored.receive_packet(Port(4), VcId(i), packet(20 + i as u64, 2));
+        }
+        for _ in 0..2 {
+            restored
+                .restore_state(&mut df_engine::Decoder::new(&bytes))
+                .unwrap();
+            assert_eq!(save(&restored), bytes);
+            assert_eq!(restored.packet_slots(), 6, "one slot per restored packet");
+            assert_eq!(restored.queued_packets(), 6);
+        }
+        assert_eq!(
+            restored
+                .head(Port(5), VcId(1))
+                .map(|p| (p.id, p.routing.local_hops)),
+            Some((PacketId(10), 1))
+        );
     }
 }

@@ -314,11 +314,7 @@ pub(crate) fn route_and_allocate_one(
                 }
                 let vc = VcId(v as u8);
                 let (min_out, ectn_link) = {
-                    let head = router
-                        .input(port)
-                        .vc(vc.index())
-                        .head()
-                        .expect("unregistered head exists");
+                    let head = router.head(port, vc).expect("unregistered head exists");
                     let min_out = minimal::minimal_output(&ctx.topo, router_id, head.dst);
                     let ectn_link = if track_ectn {
                         minimal::ectn_link_for(
@@ -359,9 +355,9 @@ pub(crate) fn route_and_allocate_one(
         }
         let (filed, mut wrap) = (shard.requests.len(), 0);
         for v in set_bits(occupied) {
-            let input_vc = router.input(port).vc(v);
-            let head = input_vc.head().expect("an occupied VC has a head");
-            let plan = match input_vc.plan() {
+            let vc = VcId(v as u8);
+            let head = router.head(port, vc).expect("an occupied VC has a head");
+            let plan = match router.input(port).vc(v).plan() {
                 Some(plan) => plan,
                 None => {
                     let plan = ctx.algorithm.plan(router, port, head);
@@ -369,7 +365,7 @@ pub(crate) fn route_and_allocate_one(
                     plan
                 }
             };
-            let head = router.input(port).vc(v).head().expect("checked above");
+            let head = router.head(port, vc).expect("checked above");
             // the gate: with a fresh plan this is `decide`, by definition
             debug_assert_eq!(
                 plan,
@@ -377,7 +373,6 @@ pub(crate) fn route_and_allocate_one(
                 "router {router_id} {port:?} vc {v}: the head's plan is stale"
             );
             let decision = ctx.algorithm.decide_planned(&plan, router, port, head, rng);
-            let vc = VcId(v as u8);
             if decision.kind == DecisionKind::Discard {
                 shard.discards.push((port, vc));
                 continue;
@@ -520,11 +515,7 @@ fn apply_one_grant_staged(
     // apply the commitment to the head packet before it moves
     {
         let group = router.group();
-        if let Some(head) = router
-            .input_mut(grant.input_port)
-            .vc_mut(grant.input_vc.index())
-            .head_mut()
-        {
+        if let Some(head) = router.head_mut(grant.input_port, grant.input_vc) {
             match decision.commitment {
                 Commitment::None => {}
                 Commitment::Intermediate {
@@ -558,9 +549,7 @@ fn apply_one_grant_staged(
     // takes its first global hop
     if grant.output_port.class(&ctx.topo.layout()) == PortClass::Global {
         let head = router
-            .input(grant.input_port)
-            .vc(grant.input_vc.index())
-            .head()
+            .head(grant.input_port, grant.input_vc)
             .expect("granted head exists");
         if head.routing.global_hops == 0 {
             shard.staged_commits.push((now, head.routing.flags.global));

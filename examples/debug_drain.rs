@@ -40,7 +40,7 @@ fn main() {
                     let input = router.input(port);
                     for vc in 0..input.num_vcs() {
                         if !input.vc(vc).is_empty() {
-                            let head = input.vc(vc).head().unwrap();
+                            let head = router.head(port, VcId(vc as u8)).unwrap();
                             stuck += 1;
                             if stuck <= 300 {
                                 println!(

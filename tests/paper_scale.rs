@@ -130,3 +130,30 @@ fn paper_scale_parallel_matches_optimized() {
         );
     }
 }
+
+/// `--ignored`: a router's packet store grows to its peak buffered packets,
+/// not to the VCs it has touched — at UN 0.01 over 2,000 cycles every
+/// router of the Table I network stays within a few slots on average.
+#[test]
+#[ignore = "paper-scale footprint (tens of seconds); run with --ignored"]
+fn paper_scale_packet_slots_follow_live_packets() {
+    let mut net = Network::new(paper_config_for(
+        RoutingKind::Base,
+        0.01,
+        KernelMode::Optimized,
+        2_000,
+    ));
+    net.run_cycles(2_000);
+    let topo = *net.topology();
+    let slots: usize = topo.routers().map(|r| net.router(r).packet_slots()).sum();
+    let routers = topo.num_routers() as usize;
+    assert!(net.metrics().delivered_packets_total() > 0);
+    assert!(
+        slots <= 8 * routers,
+        "{slots} packet slots over {routers} routers"
+    );
+    println!(
+        "{:.2} packet slots per router",
+        slots as f64 / routers as f64
+    );
+}
