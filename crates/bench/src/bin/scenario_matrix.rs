@@ -16,7 +16,7 @@
 //!
 //! Every cell's seed is derived from `(base seed, scenario, load, routing)`
 //! alone, so the table is bit-for-bit identical across reruns and across
-//! worker counts — rerun the command and diff the output to check.
+//! thread counts — rerun the command and diff the output to check.
 
 use df_routing::RoutingKind;
 use df_sim::{

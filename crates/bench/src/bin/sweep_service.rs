@@ -17,7 +17,8 @@
 //!   other runners (a mistyped scale or `key=`, or a `--topology=`
 //!   selection — the matrix is built on the canonical Dragonfly — is
 //!   rejected).
-//! * `threads=` — worker threads (default: available parallelism).
+//! * `threads=` — sub-runs at once, one thread each (default: available
+//!   parallelism).
 //! * `checkpoint-every=` — cycles between mid-cell snapshots (default 2000;
 //!   0 disables mid-cell recovery).
 //! * `seeds=` — seeds averaged per cell (default 1, or the scale's count).

@@ -55,8 +55,7 @@ use crate::vcmap::vc_for_next_hop;
 ///
 /// The object is stateless apart from configuration: all dynamic state
 /// (credits, counters, saturation bits) lives in the [`Router`] it inspects,
-/// which is what lets one instance be shared by every router of the network —
-/// or copied wholesale into every worker of the parallel kernel.
+/// which is what lets one instance be shared by every router of the network.
 #[derive(Debug, Clone, Copy)]
 pub struct RoutingAlgorithm {
     kind: RoutingKind,

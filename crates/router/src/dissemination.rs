@@ -9,14 +9,9 @@
 //! groups are non-overlapping sub-slices.
 //!
 //! This module exploits that: the exchange functions take one group as an
-//! exclusively borrowed `&mut [Router]` slice. The type signature *is* the
-//! sharding contract — any partition of the router array into per-group
-//! slices (for example `chunks_exact_mut(a)`) yields disjoint borrows, so a
-//! phase-parallel kernel can hand different groups to different worker
-//! threads without any further synchronisation, and the borrow checker
-//! rules out cross-group access statically. The sequential kernel calls the
-//! same functions group by group; the results are identical by
-//! construction.
+//! exclusively borrowed `&mut [Router]` slice (for example one chunk of
+//! `chunks_mut(a)`), so the borrow checker rules out cross-group access
+//! statically. The simulator calls them group by group.
 //!
 //! # Per-topology dissemination contract
 //!
@@ -42,10 +37,9 @@
 //! The second half of the disjointness rule: everything *else* a router
 //! does in a cycle (head registration, routing decisions, allocation,
 //! grant application, output transmission) touches only that single
-//! router's state plus read-only topology/configuration, so routers can be
-//! sharded individually for those phases. Cross-router *effects* (link
-//! events, upstream credits) must be staged and merged by the caller — see
-//! `df-sim`'s `parallel` module.
+//! router's state plus read-only topology/configuration. Cross-router
+//! *effects* (link events, upstream credits) are staged and replayed by the
+//! caller — see `df-sim`'s `phase` module.
 
 use df_topology::GatewayLiveness;
 

@@ -14,8 +14,8 @@
 //! * the **contention counters** of the paper's §III-B ([`contention`]),
 //! * the ECtN partial/combined counter arrays of §III-D ([`ectn`]),
 //! * the PiggyBacking saturation state used by the PB baseline ([`pb`]),
-//! * group-local PB/ECtN exchange over disjoint router slices — the
-//!   sharding contract of the phase-parallel kernel ([`dissemination`]),
+//! * group-local PB/ECtN exchange over disjoint router slices
+//!   ([`dissemination`]),
 //! * the [`Router`] object tying all of the above together ([`router`]).
 //!
 //! The crate deliberately knows nothing about routing *policy*: routing

@@ -7,9 +7,7 @@
 //! It is **not** interpreted online by the kernel — it *lowers* into the
 //! existing declarative [`FaultPlan`] at configuration-build time, so churn
 //! runs inherit every property the explicit fault subsystem already has:
-//! plan validation, and main-thread fault application that keeps runs
-//! **bit-identical across the optimized and parallel kernels at any worker
-//! count**.
+//! plan validation, and fault application at exact cycles.
 //!
 //! # Determinism
 //!
@@ -17,10 +15,10 @@
 //! every entity (each link, router and node) draws its failure timeline
 //! from its own [`DeterministicRng::split`] sub-stream. Lowering therefore
 //! depends only on `(seed, topology, rates, window)` — never on iteration
-//! order, worker count, or how many draws another entity made — so the same
-//! model always lowers to the same plan and failure rate becomes a sweepable
-//! axis: rerunning a cell, or running it under a different kernel, replays
-//! the *identical* fault trajectory.
+//! order or how many draws another entity made — so the same model always
+//! lowers to the same plan and failure rate becomes a sweepable axis:
+//! rerunning a cell, or running it under a different routing, replays the
+//! *identical* fault trajectory.
 //!
 //! # Lowering rules
 //!

@@ -10,102 +10,22 @@ use crate::churn::ChurnModel;
 use crate::fault::FaultPlan;
 use crate::scenario::Scenario;
 
-/// How [`crate::Network`] schedules its one per-cycle pipeline.
-///
-/// Both modes are bit-for-bit deterministic and produce identical results
-/// for identical configurations and seeds — [`KernelMode::Parallel`] at
-/// *any* worker count (guarded by `tests/kernel_equivalence.rs`); they
-/// differ only in speed.
+/// The kernel a configuration names. There is one kernel: both values run
+/// the same per-cycle pipeline to the same bytes, and
+/// [`config_fingerprint`](crate::config_fingerprint) normalises the field
+/// away, so a snapshot restores under either. The enum, the builder's
+/// [`kernel`](SimulationConfigBuilder::kernel) and the field remain only
+/// for callers that name a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelMode {
-    /// Time-wheel event queue, activity-gated router iteration,
-    /// allocation-free per-cycle loop. The default.
+    /// The kernel. The default.
     #[default]
     Optimized,
-    /// The same pipeline with its phases sharded across a persistent
-    /// worker pool (see `df-sim`'s `parallel` module): PB/ECtN exchange by
-    /// group, routing + allocation and link transmission by active router,
-    /// with barriers between phases and cross-router effects merged in
-    /// ascending router order — results are bit-identical to
-    /// [`KernelMode::Optimized`] for any worker count.
+    /// Runs exactly as [`KernelMode::Optimized`].
     Parallel {
-        /// Total shards (the main thread runs one of them; `workers - 1`
-        /// threads are spawned). `0` means auto-detect from the host's
-        /// available parallelism. The worker count never affects results,
-        /// only wall-clock time.
+        /// Ignored: a run is one thread.
         workers: usize,
     },
-}
-
-/// Upper bound on explicit worker counts — far above any sensible host,
-/// purely a typo guard (e.g. a load value passed where a worker count was
-/// meant).
-pub const MAX_PARALLEL_WORKERS: usize = 64;
-
-impl KernelMode {
-    /// The kernel selected by the `DF_SIM_KERNEL` environment variable
-    /// (case-insensitive):
-    ///
-    /// * unset, empty or `"optimized"` — [`KernelMode::Optimized`],
-    /// * `"parallel"` — [`KernelMode::Parallel`] with auto-detected workers,
-    /// * `"parallel:N"` / `"parallel=N"` — [`KernelMode::Parallel`] with
-    ///   `N` workers.
-    ///
-    /// Used as the builder default so CI can run the whole test suite under
-    /// either mode without touching any test.
-    ///
-    /// # Panics
-    /// Panics on any other value (`"paralel:2"`, `"parallel:2x"`, a stale
-    /// `"legacy"`, …): a typo must not silently demote an entire CI leg to
-    /// the optimized kernel.
-    pub fn from_env() -> Self {
-        std::env::var_os("DF_SIM_KERNEL").map_or(KernelMode::Optimized, |v| {
-            Self::parse_env_value(&v.to_string_lossy())
-        })
-    }
-
-    /// Parse one `DF_SIM_KERNEL` value (see [`KernelMode::from_env`] for
-    /// the accepted forms and the panic on everything else).
-    fn parse_env_value(v: &str) -> Self {
-        const FORMS: &str = "use \"optimized\", \"parallel\", \"parallel:N\" or \"parallel=N\"";
-        let lower = v.trim().to_ascii_lowercase();
-        match lower.as_str() {
-            "" | "optimized" => KernelMode::Optimized,
-            "parallel" => KernelMode::Parallel { workers: 0 },
-            "legacy" => {
-                panic!("DF_SIM_KERNEL={v:?}: the legacy kernel was removed in PR 12; {FORMS}")
-            }
-            spec if spec.starts_with("parallel") => {
-                let workers = spec
-                    .strip_prefix("parallel:")
-                    .or_else(|| spec.strip_prefix("parallel="))
-                    .and_then(|n| n.parse::<usize>().ok())
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "DF_SIM_KERNEL={v:?} looks like a parallel spec but is malformed; {FORMS}"
-                        )
-                    });
-                KernelMode::Parallel { workers }
-            }
-            _ => panic!("DF_SIM_KERNEL={v:?} names no kernel; {FORMS}"),
-        }
-    }
-
-    /// The effective shard count this mode runs with: 1 for
-    /// [`KernelMode::Optimized`], the explicit worker count for
-    /// [`KernelMode::Parallel`], and the host's available parallelism
-    /// (capped at 8) when that count is 0 (auto). Never affects results —
-    /// only how the work is scheduled.
-    pub fn resolved_workers(&self) -> usize {
-        match *self {
-            KernelMode::Optimized => 1,
-            KernelMode::Parallel { workers: 0 } => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-            KernelMode::Parallel { workers } => workers,
-        }
-    }
 }
 
 /// Error produced by [`SimulationConfig::validate`] /
@@ -124,8 +44,6 @@ pub enum ConfigError {
     MeasurementWindow,
     /// The `topology` field is invalid for simulation.
     Topology(String),
-    /// The `kernel` field requests an absurd worker count.
-    Kernel(String),
     /// The `faults` field does not validate against the topology.
     Faults(String),
     /// The attached churn model is invalid.
@@ -157,7 +75,6 @@ impl std::fmt::Display for ConfigError {
                 "measurement_cycles: measurement window must be at least one cycle"
             ),
             ConfigError::Topology(e) => write!(f, "topology: {e}"),
-            ConfigError::Kernel(e) => write!(f, "kernel: {e}"),
             ConfigError::Faults(e) => write!(f, "faults: {e}"),
             ConfigError::Churn(e) => write!(f, "churn: {e}"),
             ConfigError::Workload(e) => write!(f, "jobs: {e}"),
@@ -212,8 +129,7 @@ pub struct SimulationConfig {
     pub warmup_cycles: u64,
     /// Measurement window length in cycles.
     pub measurement_cycles: u64,
-    /// Kernel mode (single-shard by default; the parallel mode shards the
-    /// same pipeline across a worker pool without changing results).
+    /// Kernel mode (both values run the one kernel).
     pub kernel: KernelMode,
 }
 
@@ -254,13 +170,6 @@ impl SimulationConfig {
             return Err(ConfigError::Topology(
                 "the network needs at least two groups".into(),
             ));
-        }
-        if let KernelMode::Parallel { workers } = self.kernel {
-            if workers > MAX_PARALLEL_WORKERS {
-                return Err(ConfigError::Kernel(format!(
-                    "parallel kernel worker count {workers} exceeds the sanity cap of {MAX_PARALLEL_WORKERS} (use 0 for auto-detection)"
-                )));
-            }
         }
         let radix = topo.layout().radix();
         if radix > df_router::MAX_RADIX {
@@ -361,7 +270,7 @@ impl Default for SimulationConfigBuilder {
                 seed: 0,
                 warmup_cycles: 1_000,
                 measurement_cycles: 2_000,
-                kernel: KernelMode::from_env(),
+                kernel: KernelMode::Optimized,
             },
             routing_config: None,
             churn: None,
@@ -478,7 +387,7 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Select the kernel mode.
+    /// Select the kernel mode (both values run the one kernel).
     pub fn kernel(mut self, kernel: KernelMode) -> Self {
         self.config.kernel = kernel;
         self
@@ -667,89 +576,6 @@ mod tests {
             .churn(ChurnModel::new(7, 0, 0).nodes(ChurnRate::new(1_000.0, 100.0)))
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn kernel_env_values_parse() {
-        assert_eq!(
-            KernelMode::parse_env_value("parallel"),
-            KernelMode::Parallel { workers: 0 }
-        );
-        assert_eq!(
-            KernelMode::parse_env_value(" Parallel "),
-            KernelMode::Parallel { workers: 0 }
-        );
-        assert_eq!(
-            KernelMode::parse_env_value("parallel:4"),
-            KernelMode::Parallel { workers: 4 }
-        );
-        assert_eq!(
-            KernelMode::parse_env_value("parallel=2"),
-            KernelMode::Parallel { workers: 2 }
-        );
-        // empty (as in `DF_SIM_KERNEL= cargo test`) means the default
-        assert_eq!(KernelMode::parse_env_value(""), KernelMode::Optimized);
-        assert_eq!(KernelMode::parse_env_value("  "), KernelMode::Optimized);
-        assert_eq!(
-            KernelMode::parse_env_value("optimized"),
-            KernelMode::Optimized
-        );
-        assert_eq!(
-            KernelMode::parse_env_value("Optimized"),
-            KernelMode::Optimized
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "names no kernel")]
-    fn mistyped_kernel_env_values_abort_loudly() {
-        // used to fall back to the optimized kernel and report green
-        let _ = KernelMode::parse_env_value("paralel:2");
-    }
-
-    #[test]
-    #[should_panic(expected = "names no kernel")]
-    fn unknown_kernel_env_values_abort_loudly() {
-        let _ = KernelMode::parse_env_value("wheel");
-    }
-
-    #[test]
-    #[should_panic(expected = "removed in PR 12")]
-    fn stale_legacy_kernel_env_value_is_rejected() {
-        let _ = KernelMode::parse_env_value("Legacy");
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed")]
-    fn malformed_parallel_env_specs_abort_loudly() {
-        let _ = KernelMode::parse_env_value("parallel:2x");
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed")]
-    fn parallel_env_spec_with_wrong_separator_aborts() {
-        let _ = KernelMode::parse_env_value("parallel-4");
-    }
-
-    #[test]
-    fn parallel_kernel_mode_resolves_workers() {
-        assert_eq!(KernelMode::Optimized.resolved_workers(), 1);
-        assert_eq!(KernelMode::Parallel { workers: 3 }.resolved_workers(), 3);
-        // auto-detection picks at least one shard, bounded by the cap
-        let auto = KernelMode::Parallel { workers: 0 }.resolved_workers();
-        assert!((1..=8).contains(&auto));
-    }
-
-    #[test]
-    fn absurd_worker_counts_are_rejected() {
-        let c = SimulationConfig::builder()
-            .kernel(KernelMode::Parallel { workers: 65 })
-            .build();
-        assert!(c.is_err(), "worker counts beyond the cap must not validate");
-        assert!(SimulationConfig::builder()
-            .kernel(KernelMode::Parallel { workers: 4 })
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -66,10 +66,6 @@
 //! a `LinkUp` that was never reached leaves its link down and its lost
 //! credits ledgered, which is exactly what the conservation counters
 //! report. Resuming stepping applies the remaining events on schedule.
-//!
-//! Fault application is main-thread work in every kernel, so fault runs stay
-//! **bit-identical across the optimized and parallel kernels at any worker
-//! count** (guarded by `tests/kernel_equivalence.rs`).
 
 use df_model::Cycle;
 use df_topology::{GroupId, NodeId, Port, PortClass, PortLayout, PortPeer, RouterId, Topology};

@@ -15,7 +15,7 @@
 //! * [`churn`] — seeded MTBF/MTTR churn models lowering into fault plans
 //!   ([`churn::ChurnModel`]),
 //! * [`sweep`] — parameter sweeps and the scenario-matrix runner, in memory,
-//! * [`runner`] — the one sweep driver (sub-run loop + worker pool) and the
+//! * [`runner`] — the one sweep driver (sub-run loop + thread pool) and the
 //!   crash-recoverable sweep service: the same pool journaled, with periodic
 //!   [`network::snapshot`] checkpoints, resumable to a byte-identical table,
 //! * [`task`] — the collective task layer: job sets whose ranks execute
@@ -48,7 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod churn;
 pub mod config;
@@ -58,9 +58,7 @@ pub mod fault;
 pub mod metrics;
 pub mod network;
 pub mod node;
-mod parallel;
-#[allow(unsafe_code)]
-mod pool;
+mod phase;
 pub mod runner;
 pub mod scenario;
 pub mod sweep;

@@ -52,20 +52,13 @@
 //!   packets, and PB/ECtN dissemination gathers into flat per-group arrays
 //!   copied slice-to-slice instead of cloning a `Vec` per router per cycle.
 //!
-//! Steps 3–5 run through one phase executor over *shards* — exclusive
-//! borrows of contiguous router ranges, split off the router array per
-//! phase (PB/ECtN by group, routing + allocation and transmission by chunks
-//! of the sorted active list). [`KernelMode::Optimized`] (the default) has
-//! one shard and runs it inline; [`KernelMode::Parallel`] runs the same
-//! shards on a persistent worker pool. Cross-router effects (link events,
-//! upstream credits, misroute commits) are staged per shard and merged in
-//! ascending router order after each phase, which reproduces the
-//! single-shard effect sequence exactly — results are bit-identical for any
-//! worker count (see the `parallel` module docs for the argument and
-//! `tests/kernel_equivalence.rs` for the proof-by-regression).
+//! Steps 3–5 walk the groups (PB/ECtN) or the sorted active list
+//! (routing + allocation, transmission) one router at a time. Cross-router
+//! effects (link events, upstream credits, misroute commits, discards) are
+//! staged in walk order and replayed after each phase in that order (the
+//! `phase` module docs). Both [`KernelMode`] values run this one pipeline.
 //!
-//! [`KernelMode::Optimized`]: crate::KernelMode::Optimized
-//! [`KernelMode::Parallel`]: crate::KernelMode::Parallel
+//! [`KernelMode`]: crate::KernelMode
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, VcId};
@@ -76,15 +69,15 @@ use df_topology::{
 };
 use df_traffic::TrafficPattern;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::{Node, Nodes};
-use crate::parallel::{split_shards, PhaseKind, ShardState, StepCtx};
-use crate::pool::WorkerPool;
+use crate::phase::{
+    control_exchange_group, route_and_allocate_one, transmit_one, PhaseKind, StepCtx, StepScratch,
+};
 use crate::task::JobsEngine;
 
 #[path = "snapshot.rs"]
@@ -93,7 +86,7 @@ pub mod snapshot;
 /// The whole simulated network.
 pub struct Network {
     config: SimulationConfig,
-    /// Read-only context of the sharded phases (topology, mechanism, timing).
+    /// Read-only context of the phases (topology, mechanism, timing).
     ctx: StepCtx,
     routers: Vec<Router>,
     nodes: Nodes,
@@ -161,20 +154,16 @@ pub struct Network {
     /// The job engine (`Some` only when the configuration carries a job
     /// set). Job traffic layers *over* stochastic generation — collectives
     /// run under background load, or alone at offered load 0. All mutations
-    /// happen on the main thread in steps 1–2, so job runs are bit-identical
-    /// across kernels.
+    /// happen in steps 1–2.
     jobs: Option<JobsEngine>,
     // ---- activity gate ----
     /// Membership flag per router.
     active_flags: Vec<bool>,
     /// Router indices currently in the active set (sorted before use).
     active_list: Vec<u32>,
-    // ---- sharded phase execution ----
-    /// Per-shard scratch and effect-staging buffers. The optimized kernel
-    /// holds exactly one shard; the parallel kernel one per worker.
-    shards: Vec<ShardState>,
-    /// Persistent worker pool (`None` with a single shard).
-    pool: Option<WorkerPool>,
+    // ---- phase execution ----
+    /// Scratch and effect-staging buffers of steps 3–5.
+    scratch: StepScratch,
     /// Reusable buffer for due events (step 1).
     scratch_events: Vec<Event>,
 }
@@ -235,8 +224,6 @@ impl Network {
         let horizon =
             (config.network.packet_size_phits + max_link + lat.router_pipeline + 2) as usize;
         let events = EventQueue::with_horizon(horizon);
-        let num_shards = config.kernel.resolved_workers().max(1);
-        let pool = (num_shards > 1).then(|| WorkerPool::new(num_shards));
         let fault_events = config.faults.sorted_events();
         let jobs = (!config.jobs.is_empty())
             .then(|| JobsEngine::new(&config.jobs, &topo, config.network.packet_size_phits));
@@ -275,8 +262,7 @@ impl Network {
             jobs,
             active_flags: vec![false; num_routers],
             active_list: Vec::with_capacity(num_routers),
-            shards: (0..num_shards).map(|_| ShardState::default()).collect(),
-            pool,
+            scratch: StepScratch::default(),
             scratch_events: Vec::new(),
         }
     }
@@ -373,12 +359,6 @@ impl Network {
         self.events.len()
     }
 
-    /// Number of shards the per-cycle phases are split into (1 for the
-    /// optimized kernel).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of routers currently in the active set.
     pub fn active_routers(&self) -> usize {
         self.active_list.len()
@@ -468,8 +448,7 @@ impl Network {
     }
 
     /// Apply every fault event due at or before `now` (start-of-cycle, so a
-    /// fault at cycle N affects cycle N's arrivals). Main-thread work, so
-    /// fault runs stay bit-identical across worker counts.
+    /// fault at cycle N affects cycle N's arrivals).
     fn apply_due_faults(&mut self, now: Cycle) {
         let topo = self.ctx.topo;
         let truth_version_before = self.linkview_truth.version();
@@ -576,52 +555,47 @@ impl Network {
         per_vc[vc.index()] += phits;
     }
 
-    /// Run one sharded phase: split it into one exclusive borrow set per
-    /// shard and execute them — inline with a single shard, otherwise on the
-    /// worker pool, each shard taking its borrows out of its own slot — then
-    /// replay the staged cross-router effects in shard order, which, because
-    /// shards are contiguous chunks of the ascending work list, is exactly
-    /// the order a single shard produces them in.
+    /// Run one phase — every group (PB/ECtN) or every router of the sorted
+    /// active list, in ascending order — then replay the cross-router
+    /// effects it staged, in staging order.
     fn run_phase(&mut self, kind: PhaseKind) {
-        if !kind.is_control() && self.active_list.is_empty() {
-            return;
-        }
-        let (now, ctx) = (self.cycle, &self.ctx);
-        let work = split_shards(
-            kind,
-            ctx.topo.routers_per_group() as usize,
-            &mut self.routers,
-            &mut self.router_rngs,
-            &self.active_list,
-            &self.group_views,
-            &mut self.shards,
-        );
-        match &mut self.pool {
-            None => work.for_each(|work| work.run(kind, now, ctx)),
-            Some(pool) => {
-                let slots: Vec<_> = work.map(|work| Mutex::new(Some(work))).collect();
-                pool.run(&|w| {
-                    let work = slots[w].lock().expect("shard slot poisoned").take();
-                    work.expect("one call per shard").run(kind, now, ctx);
-                });
+        let (now, ctx, scratch) = (self.cycle, &self.ctx, &mut self.scratch);
+        match kind {
+            PhaseKind::Pb | PhaseKind::Ectn => {
+                let a = ctx.topo.routers_per_group() as usize;
+                for (group, linkview) in self.routers.chunks_mut(a).zip(&self.group_views) {
+                    control_exchange_group(kind, group, ctx, linkview, scratch);
+                }
+            }
+            PhaseKind::Alloc => {
+                for &r in &self.active_list {
+                    let (router, rng) = (
+                        &mut self.routers[r as usize],
+                        &mut self.router_rngs[r as usize],
+                    );
+                    route_and_allocate_one(router, rng, ctx, now, scratch);
+                }
+            }
+            PhaseKind::Transmit => {
+                for &r in &self.active_list {
+                    transmit_one(&mut self.routers[r as usize], ctx, now, scratch);
+                }
             }
         }
-        for shard in &mut self.shards {
-            for (at, event) in shard.staged_events.drain(..) {
-                self.events.schedule(at, event);
-            }
-            for (at, misrouted) in shard.staged_commits.drain(..) {
-                self.metrics.record_commit(at, misrouted);
-            }
-            for packet in shard.staged_discards.drain(..) {
-                self.in_flight -= 1;
-                self.in_flight_phits -= packet.size_phits as u64;
-                self.metrics.record_dropped_unroutable(&packet);
-            }
-            if shard.staged_recommits > 0 {
-                self.metrics.record_recommitted(shard.staged_recommits);
-                shard.staged_recommits = 0;
-            }
+        for (at, event) in scratch.staged_events.drain(..) {
+            self.events.schedule(at, event);
+        }
+        for (at, misrouted) in scratch.staged_commits.drain(..) {
+            self.metrics.record_commit(at, misrouted);
+        }
+        for packet in scratch.staged_discards.drain(..) {
+            self.in_flight -= 1;
+            self.in_flight_phits -= packet.size_phits as u64;
+            self.metrics.record_dropped_unroutable(&packet);
+        }
+        if scratch.staged_recommits > 0 {
+            self.metrics.record_recommitted(scratch.staged_recommits);
+            scratch.staged_recommits = 0;
         }
     }
 
@@ -704,9 +678,8 @@ impl Network {
                     self.in_flight_phits -= packet.size_phits as u64;
                     self.last_delivery_cycle = now;
                     self.metrics.record_delivery(&packet, now);
-                    // task attribution (main thread in every kernel): credit
-                    // the sender's outstanding sends and the receiver's
-                    // per-step receive counter
+                    // task attribution: credit the sender's outstanding
+                    // sends and the receiver's per-step receive counter
                     if let Some(jobs) = self.jobs.as_mut() {
                         jobs.on_delivery(&packet);
                     }
@@ -770,8 +743,7 @@ impl Network {
                 // reroute-to-spare: a packet addressed to a failed node is
                 // retargeted at injection time, following the spare chain in
                 // fail order (validation guarantees it terminates). Part of
-                // the fault plan's semantics — deterministic in every
-                // kernel, since fault state only changes on the main thread.
+                // the fault plan's semantics.
                 if self.nodes_failed_count > 0 && self.node_failed[packet.dst.index()] {
                     let mut dst = packet.dst;
                     while self.node_failed[dst.index()] {
@@ -792,8 +764,8 @@ impl Network {
 
         // ---- 3. control-plane dissemination ----
         // Each exchange also carries the piggybacked gateway-liveness bits:
-        // one flooding round on the main thread, then each group's routers
-        // install their group's view in the (possibly sharded) exchange.
+        // one flooding round, then each group's routers install their
+        // group's view in the exchange.
         if self.config.routing.needs_pb_dissemination() {
             self.flood_linkviews();
             self.run_phase(PhaseKind::Pb);
@@ -816,9 +788,7 @@ impl Network {
         // Events only arrive in steps 1–2, so the active set is complete
         // here; sort it so steps 4–5 visit routers in ascending index order,
         // which fixes the event sequence numbers (and therefore the results)
-        // independently of the order routers woke up in. It also makes shard
-        // chunks contiguous ascending ranges, which is what the parallel
-        // merge relies on.
+        // independently of the order routers woke up in.
         self.active_list.sort_unstable();
 
         // ---- 4. routing + allocation ----
@@ -879,10 +849,9 @@ impl Network {
     /// sequence numbers make the merges conflict-free in any order, so a
     /// repair always overtakes the stale down-mark it reverts.
     ///
-    /// Main-thread work (the sharded phases only *install* the finished
-    /// views), so churn runs stay bit-identical across worker counts. The
-    /// quiescent fast path skips rounds entirely once every view has adopted
-    /// everything reachable — healthy runs never enter the loop.
+    /// The exchanges only *install* the finished views. The quiescent fast
+    /// path skips rounds entirely once every view has adopted everything
+    /// reachable — healthy runs never enter the loop.
     fn flood_linkviews(&mut self) {
         if self.flood_quiescent {
             return;
@@ -926,7 +895,6 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelMode;
     use df_model::NetworkConfig;
     use df_routing::RoutingKind;
     use df_topology::DragonflyParams;
@@ -1092,59 +1060,5 @@ mod tests {
             0,
             "all routers must retire from the active set once drained"
         );
-    }
-
-    #[test]
-    fn parallel_kernel_spawns_its_pool_and_delivers() {
-        let mut cfg = small_config(RoutingKind::Base, PatternKind::Uniform, 0.2);
-        cfg.kernel = KernelMode::Parallel { workers: 3 };
-        let mut net = Network::new(cfg);
-        assert_eq!(net.num_shards(), 3);
-        net.run_cycles(400);
-        assert!(net.metrics().delivered_packets_total() > 20);
-        assert!(net.drain(5_000));
-        assert_eq!(net.active_routers(), 0);
-    }
-
-    #[test]
-    fn parallel_kernel_with_one_worker_runs_inline() {
-        let mut cfg = small_config(RoutingKind::Ectn, PatternKind::Uniform, 0.2);
-        cfg.kernel = KernelMode::Parallel { workers: 1 };
-        let mut net = Network::new(cfg);
-        assert_eq!(net.num_shards(), 1);
-        net.run_cycles(300);
-        assert!(net.metrics().delivered_packets_total() > 10);
-    }
-
-    #[test]
-    fn parallel_kernel_matches_optimized_summary() {
-        // a fast in-crate smoke of the cross-kernel contract; the exhaustive
-        // suite lives in tests/kernel_equivalence.rs
-        let run = |kernel: KernelMode| {
-            let mut cfg = small_config(
-                RoutingKind::Base,
-                PatternKind::Adversarial { offset: 1 },
-                0.25,
-            );
-            cfg.kernel = kernel;
-            let mut net = Network::new(cfg);
-            net.metrics_mut().start_measurement(0);
-            net.run_cycles(500);
-            let s = net.metrics().window_summary();
-            (
-                s.delivered_packets,
-                s.avg_packet_latency.to_bits(),
-                net.in_flight(),
-                net.pending_events(),
-            )
-        };
-        let optimized = run(KernelMode::Optimized);
-        for workers in [1, 2, 5] {
-            assert_eq!(
-                run(KernelMode::Parallel { workers }),
-                optimized,
-                "parallel({workers}) diverged from the optimized kernel"
-            );
-        }
     }
 }

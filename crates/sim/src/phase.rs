@@ -1,35 +1,25 @@
-//! The sharded phase pipeline of [`Network::step`]: what one shard does in
-//! one phase, and how a phase's work is split into shards.
+//! The per-router work of phases 3–5 of [`Network::step`]: a PB or ECtN
+//! exchange per group, and a routing + allocation iteration or a link
+//! transmission per active router.
 //!
-//! A *shard* is a set of ordinary borrows ([`ShardWork`]): a contiguous
-//! `&mut [Router]` with the same range of the per-router RNGs, the work
-//! items inside it and its own [`ShardState`]. [`split_shards`] carves them
-//! off the router array with `split_at_mut`, so that no two alias is checked
-//! by the compiler — whether they then run inline
-//! ([`KernelMode::Optimized`]: one shard, no pool) or concurrently on the
-//! [`WorkerPool`](crate::pool::WorkerPool) ([`KernelMode::Parallel`]). Both
-//! call [`ShardWork::run`]: one code path, differing only in scheduling.
+//! # Phase staging
 //!
-//! # Why the result does not depend on the shard count
+//! Within a phase a router touches only its own state, its private RNG
+//! stream and read-only context ([`StepCtx`], its group's flooded link
+//! view). Its *cross-router effects* — link events (arrivals, deliveries,
+//! upstream credit returns), misroute commits, unroutable discards and
+//! fault re-commits — are never applied during the phase: they are staged
+//! in [`StepScratch`] in walk order (ascending group, or the ascending
+//! active-router list) and `Network::run_phase` replays them after the
+//! phase, in staging order. That order is the event insertion order, hence
+//! the time wheel's tie-breaking, hence the trajectory every pinned digest
+//! was captured under.
 //!
-//! Results are **bit-for-bit identical** for any shard count (checked by
-//! `tests/kernel_equivalence.rs`). Within a phase a router touches only its
-//! own state and private RNG stream, read-only context ([`StepCtx`], its
-//! group's flooded link view), and *cross-router effects* — link events
-//! (arrivals, deliveries, upstream credit returns) and global metrics
-//! commits — which are never applied during a phase: each shard appends them
-//! to its own staging buffers in the order it produces them, and after the
-//! phase the main thread replays the buffers **in ascending shard order**.
-//! Shards are contiguous chunks of the ascending-sorted active-router list
-//! (or of the group list for the control-plane phases, whose exchanges read
-//! and write one group's routers only — see [`df_router::dissemination`]),
-//! so the concatenation of the staging buffers is exactly the sequence one
-//! shard produces: same event insertion order, hence the same time-wheel
-//! tie-breaking, hence the same trajectory.
+//! The per-router functions are `#[inline]`: each has one caller, the walk
+//! in `Network::run_phase`, and a call per router measured about 3% of a
+//! saturated medium step.
 //!
 //! [`Network::step`]: crate::network::Network::step
-//! [`KernelMode::Optimized`]: crate::config::KernelMode::Optimized
-//! [`KernelMode::Parallel`]: crate::config::KernelMode::Parallel
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, NetworkConfig, VcId};
@@ -44,7 +34,7 @@ use crate::events::Event;
 /// at which the tail clears the router)`.
 pub(crate) type SentPacket = (Port, df_model::Packet, VcId, Cycle);
 
-/// Read-only context shared by every shard.
+/// Read-only context of every phase.
 pub(crate) struct StepCtx {
     /// The topology (plain sizing data).
     pub topo: AnyTopology,
@@ -54,11 +44,10 @@ pub(crate) struct StepCtx {
     pub network: NetworkConfig,
 }
 
-/// Per-shard mutable state: scratch buffers for one router's allocation
-/// round plus the staging buffers for cross-router effects. One instance
-/// per shard; a shard touches only its own.
+/// The step's mutable scratch: buffers for one router's allocation round
+/// plus the staging buffers for cross-router effects, reused every phase.
 #[derive(Default)]
-pub(crate) struct ShardState {
+pub(crate) struct StepScratch {
     /// Allocation requests of the router currently being processed — one
     /// per head whose requested output can take it right now — in
     /// ascending `(input port, input VC)` order.
@@ -79,166 +68,47 @@ pub(crate) struct ShardState {
     pub pb_flat: Vec<bool>,
     /// ECtN combination buffer (one group's `a·h` counters).
     pub ectn_scratch: Vec<u32>,
-    /// Staged link events `(completion cycle, event)`, replayed by the main
-    /// thread in shard order after the phase barrier.
+    /// Staged link events `(completion cycle, event)`, scheduled after the
+    /// phase in staging order.
     pub staged_events: Vec<(Cycle, Event)>,
     /// Staged misroute-commit metrics `(cycle, globally misrouted)`.
     pub staged_commits: Vec<(Cycle, bool)>,
     /// Scratch list of `(port, vc)` heads the routing layer discarded this
     /// round (fault routing), cleared per router.
     pub discards: Vec<(Port, VcId)>,
-    /// Packets discarded as unroutable, replayed by the main thread in
-    /// shard order (global accounting: in-flight counters and drop
-    /// metrics).
+    /// Packets discarded as unroutable, accounted after the phase
+    /// (in-flight counters and drop metrics).
     pub staged_discards: Vec<df_model::Packet>,
-    /// Number of fault re-commits applied in this shard this phase.
+    /// Number of fault re-commits applied this phase.
     pub staged_recommits: u64,
 }
 
-/// Which phase of the cycle a shard executes.
+/// Which phase of the cycle runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum PhaseKind {
-    /// PB flag exchange + own-flag refresh, sharded by group.
+    /// PB flag exchange + own-flag refresh, group by group.
     Pb,
-    /// ECtN partial-array broadcast, sharded by group.
+    /// ECtN partial-array broadcast, group by group.
     Ectn,
-    /// One routing + separable-allocation iteration, sharded over the
-    /// active-router list.
+    /// One routing + separable-allocation iteration over the active-router
+    /// list.
     Alloc,
-    /// Output-buffer link transmission, sharded over the active-router list.
+    /// Output-buffer link transmission over the active-router list.
     Transmit,
 }
 
-impl PhaseKind {
-    /// Whether the phase is a per-group control-plane exchange (as opposed
-    /// to a walk over the active routers).
-    pub fn is_control(self) -> bool {
-        matches!(self, PhaseKind::Pb | PhaseKind::Ectn)
-    }
-}
-
-/// One shard's share of one phase, as exclusive borrows.
-pub(crate) struct ShardWork<'a> {
-    /// The contiguous router range the shard owns (whole groups in a
-    /// control phase).
-    pub routers: &'a mut [Router],
-    /// The same range of the per-router RNG array.
-    pub rngs: &'a mut [DeterministicRng],
-    /// Router index of `routers[0]`.
-    pub base: usize,
-    /// The shard's chunk of the sorted active list, all inside the range
-    /// (router phases; empty otherwise).
-    pub active: &'a [u32],
-    /// The flooded link view of each group in `routers` (control phases;
-    /// empty otherwise).
-    pub linkviews: &'a [GatewayLiveness],
-    /// The shard's scratch and effect-staging buffers.
-    pub shard: &'a mut ShardState,
-}
-
-/// The half-open work range `[lo, hi)` of shard `w` out of `shards` over
-/// `len` items: contiguous, balanced to within one item, and covering
-/// `0..len` exactly when concatenated in shard order.
+/// One control-plane exchange for one group (the contiguous slice of that
+/// group's routers). Every exchange additionally installs the group's
+/// flooded gateway-liveness view into its routers — the link-state bits
+/// piggybacked on the same messages (one integer compare per router when
+/// nothing changed).
 #[inline]
-pub(crate) fn chunk_bounds(len: usize, shards: usize, w: usize) -> (usize, usize) {
-    (w * len / shards, (w + 1) * len / shards)
-}
-
-/// Detach `rest[skip..skip + len]` from the front of `rest`, leaving what
-/// follows it.
-fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T] {
-    let (mine, tail) = std::mem::take(rest)[skip..].split_at_mut(len);
-    *rest = tail;
-    mine
-}
-
-/// Split one phase into one [`ShardWork`] per entry of `shards`, in shard
-/// order. Shard `w` gets its [`chunk_bounds`] chunk of the work list — the
-/// groups `0..linkviews.len()` in a control phase, otherwise `active`,
-/// which must be sorted ascending and duplicate-free — and the smallest
-/// router range containing it: whole groups of `routers_per_group`, or
-/// `active[lo]..=active[hi - 1]`. The ranges ascend with the shard index,
-/// so each is carved off the front of what the previous ones left.
-pub(crate) fn split_shards<'a>(
-    kind: PhaseKind,
-    routers_per_group: usize,
-    mut routers: &'a mut [Router],
-    mut rngs: &'a mut [DeterministicRng],
-    active: &'a [u32],
-    linkviews: &'a [GatewayLiveness],
-    shards: &'a mut [ShardState],
-) -> impl Iterator<Item = ShardWork<'a>> {
-    let control = kind.is_control();
-    let num_shards = shards.len();
-    let num_items = if control {
-        linkviews.len()
-    } else {
-        active.len()
-    };
-    // router index of `routers[0]` / `rngs[0]`
-    let mut carved = 0;
-    shards.iter_mut().enumerate().map(move |(w, shard)| {
-        let (lo, hi) = chunk_bounds(num_items, num_shards, w);
-        let (active, linkviews) = if control {
-            (&active[..0], &linkviews[lo..hi])
-        } else {
-            (&active[lo..hi], &linkviews[..0])
-        };
-        let (base, end) = match (active.first(), active.last()) {
-            _ if control => (lo * routers_per_group, hi * routers_per_group),
-            (Some(&first), Some(&last)) => (first as usize, last as usize + 1),
-            _ => (carved, carved),
-        };
-        let skip = base - carved;
-        carved = end;
-        ShardWork {
-            routers: carve(&mut routers, skip, end - base),
-            rngs: carve(&mut rngs, skip, end - base),
-            base,
-            active,
-            linkviews,
-            shard,
-        }
-    })
-}
-
-impl ShardWork<'_> {
-    /// Execute the shard's share of a `kind` phase at cycle `now`.
-    pub fn run(self, kind: PhaseKind, now: Cycle, ctx: &StepCtx) {
-        let base = self.base;
-        match kind {
-            PhaseKind::Alloc => {
-                for i in self.active.iter().map(|&r| r as usize - base) {
-                    let (router, rng) = (&mut self.routers[i], &mut self.rngs[i]);
-                    route_and_allocate_one(router, rng, ctx, now, self.shard);
-                }
-            }
-            PhaseKind::Transmit => {
-                for i in self.active.iter().map(|&r| r as usize - base) {
-                    transmit_one(&mut self.routers[i], ctx, now, self.shard);
-                }
-            }
-            PhaseKind::Pb | PhaseKind::Ectn => {
-                let a = ctx.topo.routers_per_group() as usize;
-                for (group, linkview) in self.routers.chunks_mut(a).zip(self.linkviews) {
-                    control_exchange_group(kind, group, ctx, linkview, self.shard);
-                }
-            }
-        }
-    }
-}
-
-/// One control-plane exchange for one group (an exclusively borrowed,
-/// contiguous slice of that group's routers). Every exchange additionally
-/// installs the group's flooded gateway-liveness view into its routers —
-/// the link-state bits piggybacked on the same messages (one integer
-/// compare per router when nothing changed).
 pub(crate) fn control_exchange_group(
     kind: PhaseKind,
     group: &mut [Router],
     ctx: &StepCtx,
     linkview: &GatewayLiveness,
-    shard: &mut ShardState,
+    scratch: &mut StepScratch,
 ) {
     match kind {
         PhaseKind::Pb => {
@@ -249,7 +119,7 @@ pub(crate) fn control_exchange_group(
                 for router in group.iter_mut() {
                     router.pb_mut().clear_own_flipped();
                 }
-                dissemination::pb_exchange_group(group, &mut shard.pb_flat);
+                dissemination::pb_exchange_group(group, &mut scratch.pb_flat);
             }
             debug_assert!(
                 pb_views_are_current(group),
@@ -267,7 +137,7 @@ pub(crate) fn control_exchange_group(
             }
         }
         PhaseKind::Ectn => {
-            dissemination::ectn_exchange_group(group, &mut shard.ectn_scratch);
+            dissemination::ectn_exchange_group(group, &mut scratch.ectn_scratch);
             dissemination::install_linkview_group(group, linkview);
         }
         PhaseKind::Alloc | PhaseKind::Transmit => {
@@ -292,12 +162,13 @@ fn pb_views_are_current(group: &[Router]) -> bool {
 /// One allocation iteration for one router: register new heads, compute
 /// routing decisions, allocate, apply grants. Router-local except for the
 /// staged credit events and misroute commits.
+#[inline]
 pub(crate) fn route_and_allocate_one(
     router: &mut Router,
     rng: &mut DeterministicRng,
     ctx: &StepCtx,
     now: Cycle,
-    shard: &mut ShardState,
+    scratch: &mut StepScratch,
 ) {
     let router_id = router.id();
     let track_ectn = ctx.algorithm.kind().needs_ectn_broadcast();
@@ -340,20 +211,19 @@ pub(crate) fn route_and_allocate_one(
     // whose requested output can take it right now files a request; the
     // port's wrap point carries what its blocked heads would have told the
     // allocator. Discards (unroutable packets) are applied after the loop,
-    // so every head decides against the same pre-discard router state in
-    // every kernel.
-    shard.requests.clear();
-    shard.decisions.clear();
-    shard.wraps.clear();
-    shard.all_requests.clear();
-    shard.discards.clear();
+    // so every head decides against the same pre-discard router state.
+    scratch.requests.clear();
+    scratch.decisions.clear();
+    scratch.wraps.clear();
+    scratch.all_requests.clear();
+    scratch.discards.clear();
     for p in 0..num_ports {
         let port = Port(p as u32);
         let occupied = router.occupied_vcs(port);
         if occupied == 0 {
             continue;
         }
-        let (filed, mut wrap) = (shard.requests.len(), 0);
+        let (filed, mut wrap) = (scratch.requests.len(), 0);
         for v in set_bits(occupied) {
             let vc = VcId(v as u8);
             let head = router.head(port, vc).expect("an occupied VC has a head");
@@ -374,7 +244,7 @@ pub(crate) fn route_and_allocate_one(
             );
             let decision = ctx.algorithm.decide_planned(&plan, router, port, head, rng);
             if decision.kind == DecisionKind::Discard {
-                shard.discards.push((port, vc));
+                scratch.discards.push((port, vc));
                 continue;
             }
             wrap = v + 1;
@@ -386,31 +256,31 @@ pub(crate) fn route_and_allocate_one(
                 size_phits: plan.size_phits(head),
             };
             if cfg!(debug_assertions) {
-                shard.all_requests.push(request);
+                scratch.all_requests.push(request);
             }
             if router.can_grant(request.output_port, request.output_vc, request.size_phits) {
-                shard.requests.push(request);
-                shard.decisions.push(decision);
+                scratch.requests.push(request);
+                scratch.decisions.push(decision);
             }
         }
-        if shard.requests.len() > filed {
-            shard.wraps.push((port, wrap));
+        if scratch.requests.len() > filed {
+            scratch.wraps.push((port, wrap));
         }
     }
 
     // b'. apply the discards: release the packet's registrations, stage the
-    // upstream credit return for the freed input slot and hand the packet
-    // to the main thread for global accounting
-    if !shard.discards.is_empty() {
-        let discards = std::mem::take(&mut shard.discards);
+    // upstream credit return for the freed input slot and stage the packet
+    // for global accounting
+    if !scratch.discards.is_empty() {
+        let discards = std::mem::take(&mut scratch.discards);
         for &(port, vc) in &discards {
-            discard_one(router, ctx, now, port, vc, shard);
+            discard_one(router, ctx, now, port, vc, scratch);
         }
-        shard.discards = discards;
-        shard.discards.clear();
+        scratch.discards = discards;
+        scratch.discards.clear();
     }
 
-    if shard.requests.is_empty() {
+    if scratch.requests.is_empty() {
         return;
     }
 
@@ -418,11 +288,11 @@ pub(crate) fn route_and_allocate_one(
     // (blocked heads filed, wraps derived) on a copy of the allocator, which
     // must grant the same and leave the same pointers
     let reference = cfg!(debug_assertions).then(|| router.allocator().clone());
-    let mut grants = std::mem::take(&mut shard.grants);
-    router.allocate_into(&shard.requests, &shard.wraps, &mut grants);
+    let mut grants = std::mem::take(&mut scratch.grants);
+    router.allocate_into(&scratch.requests, &scratch.wraps, &mut grants);
     if let Some(mut reference) = reference {
         let mut expected = Vec::new();
-        reference.allocate_into(&shard.all_requests, &mut expected, |port, vc, size| {
+        reference.allocate_into(&scratch.all_requests, &mut expected, |port, vc, size| {
             router.can_grant(port, vc, size)
         });
         debug_assert_eq!(
@@ -437,14 +307,14 @@ pub(crate) fn route_and_allocate_one(
 
     // d. apply grants, staging upstream credit returns and commit metrics
     for grant in &grants {
-        apply_one_grant_staged(router, ctx, now, grant, shard);
+        apply_one_grant_staged(router, ctx, now, grant, scratch);
     }
-    shard.grants = grants;
+    scratch.grants = grants;
 }
 
 /// Discard one unroutable head packet (fault routing): router-local release
 /// plus staged cross-router effects — the upstream credit return for the
-/// freed input buffer slot and the packet itself for the main thread's
+/// freed input buffer slot and the packet itself for the network's
 /// in-flight/drop accounting.
 fn discard_one(
     router: &mut Router,
@@ -452,7 +322,7 @@ fn discard_one(
     now: Cycle,
     port: Port,
     vc: VcId,
-    shard: &mut ShardState,
+    scratch: &mut StepScratch,
 ) {
     let (packet, input_class) = router.discard_head(port, vc);
     stage_upstream_credit(
@@ -461,9 +331,9 @@ fn discard_one(
         now,
         (port, input_class, vc),
         packet.size_phits,
-        shard,
+        scratch,
     );
-    shard.staged_discards.push(packet);
+    scratch.staged_discards.push(packet);
 }
 
 /// Stage the credit return for `phits` freed in input buffer `(port, class,
@@ -476,14 +346,14 @@ fn stage_upstream_credit(
     now: Cycle,
     (port, class, vc): (Port, PortClass, VcId),
     phits: u32,
-    shard: &mut ShardState,
+    scratch: &mut StepScratch,
 ) {
     if class == PortClass::Terminal {
         return;
     }
     if let PortPeer::Router(upstream, upstream_port) = ctx.topo.peer(router_id, port) {
         let latency = ctx.network.link_latency_for(class) as Cycle;
-        shard.staged_events.push((
+        scratch.staged_events.push((
             now + latency,
             Event::CreditReturn {
                 router: upstream,
@@ -503,15 +373,15 @@ fn apply_one_grant_staged(
     ctx: &StepCtx,
     now: Cycle,
     grant: &Grant,
-    shard: &mut ShardState,
+    scratch: &mut StepScratch,
 ) {
-    let request = shard
+    let request = scratch
         .requests
         .binary_search_by_key(&(grant.input_port, grant.input_vc), |r| {
             (r.input_port, r.input_vc)
         })
         .expect("grant matches a request");
-    let decision = shard.decisions[request];
+    let decision = scratch.decisions[request];
     // apply the commitment to the head packet before it moves
     {
         let group = router.group();
@@ -542,7 +412,7 @@ fn apply_one_grant_staged(
             }
         }
         if decision.commitment.is_fault_recommit() {
-            shard.staged_recommits += 1;
+            scratch.staged_recommits += 1;
         }
     }
     // misrouted-percentage statistics: count each packet once, when it
@@ -552,7 +422,9 @@ fn apply_one_grant_staged(
             .head(grant.input_port, grant.input_vc)
             .expect("granted head exists");
         if head.routing.global_hops == 0 {
-            shard.staged_commits.push((now, head.routing.flags.global));
+            scratch
+                .staged_commits
+                .push((now, head.routing.flags.global));
         }
     }
     let applied = router.apply_grant(grant, now);
@@ -562,28 +434,34 @@ fn apply_one_grant_staged(
         now,
         (grant.input_port, applied.input_class, grant.input_vc),
         applied.freed_phits,
-        shard,
+        scratch,
     );
 }
 
 /// Link transmission for one router: drain ready output buffers and stage
 /// the resulting arrival/delivery events.
-pub(crate) fn transmit_one(router: &mut Router, ctx: &StepCtx, now: Cycle, shard: &mut ShardState) {
-    shard.sent.clear();
-    router.transmit_outputs_into(now, &mut shard.sent);
+#[inline]
+pub(crate) fn transmit_one(
+    router: &mut Router,
+    ctx: &StepCtx,
+    now: Cycle,
+    scratch: &mut StepScratch,
+) {
+    scratch.sent.clear();
+    router.transmit_outputs_into(now, &mut scratch.sent);
     let router_id = router.id();
-    for (port, packet, vc, tail_at) in shard.sent.drain(..) {
+    for (port, packet, vc, tail_at) in scratch.sent.drain(..) {
         match ctx.topo.peer(router_id, port) {
             PortPeer::Node(node) => {
                 let latency = ctx.network.latencies.terminal_link as Cycle;
-                shard
+                scratch
                     .staged_events
                     .push((tail_at + latency, Event::Delivery { node, packet }));
             }
             PortPeer::Router(peer, peer_port) => {
                 let class = port.class(&ctx.topo.layout());
                 let latency = ctx.network.link_latency_for(class) as Cycle;
-                shard.staged_events.push((
+                scratch.staged_events.push((
                     tail_at + latency,
                     Event::PacketArrival {
                         router: peer,
@@ -604,56 +482,6 @@ pub(crate) fn transmit_one(router: &mut Router, ctx: &StepCtx, now: Cycle, shard
 mod tests {
     use super::*;
 
-    #[test]
-    fn chunk_bounds_partition_every_length() {
-        for len in 0..50usize {
-            for shards in 1..9usize {
-                let mut covered = 0;
-                let mut prev_hi = 0;
-                for w in 0..shards {
-                    let (lo, hi) = chunk_bounds(len, shards, w);
-                    assert_eq!(lo, prev_hi, "chunks must be contiguous");
-                    assert!(hi >= lo);
-                    covered += hi - lo;
-                    prev_hi = hi;
-                }
-                assert_eq!(prev_hi, len, "chunks must cover the range");
-                assert_eq!(covered, len);
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_bounds_are_balanced() {
-        for len in 0..64usize {
-            for shards in 1..9usize {
-                let sizes: Vec<usize> = (0..shards)
-                    .map(|w| {
-                        let (lo, hi) = chunk_bounds(len, shards, w);
-                        hi - lo
-                    })
-                    .collect();
-                let min = sizes.iter().min().unwrap();
-                let max = sizes.iter().max().unwrap();
-                assert!(max - min <= 1, "len {len} shards {shards}: {sizes:?}");
-            }
-        }
-    }
-
-    /// 36 routers in 9 groups of 4, with RNG `i` seeded `i`.
-    fn small_arrays() -> (Vec<Router>, Vec<DeterministicRng>, Vec<GatewayLiveness>) {
-        let topo = df_topology::TopologyParams::from(df_topology::DragonflyParams::small()).build();
-        let routers: Vec<Router> = topo
-            .routers()
-            .map(|r| Router::new(r, topo, NetworkConfig::fast_test()))
-            .collect();
-        let rngs = (0..routers.len() as u64)
-            .map(DeterministicRng::new)
-            .collect();
-        let views = vec![GatewayLiveness::new(&topo); topo.num_groups() as usize];
-        (routers, rngs, views)
-    }
-
     /// The restore trap: a snapshot taken mid-run holds heads that are
     /// already *registered*, so no registration will ever plan them — and
     /// at saturation a blocked head may wait a long time. Every occupied VC
@@ -668,7 +496,7 @@ mod tests {
             algorithm: RoutingAlgorithm::new(df_routing::RoutingKind::Base, Default::default()),
             network,
         };
-        let (mut rng, mut shard) = (DeterministicRng::new(3), ShardState::default());
+        let (mut rng, mut scratch) = (DeterministicRng::new(3), StepScratch::default());
         // two packets in every input VC, all for one remote node: they share
         // one minimal output, so most heads stay blocked behind it
         let mut router = Router::new(df_topology::RouterId(0), topo, network);
@@ -689,8 +517,8 @@ mod tests {
                 }
             }
         }
-        route_and_allocate_one(&mut router, &mut rng, &ctx, 0, &mut shard);
-        assert!(!shard.grants.is_empty(), "some head left");
+        route_and_allocate_one(&mut router, &mut rng, &ctx, 0, &mut scratch);
+        assert!(!scratch.grants.is_empty(), "some head left");
 
         let mut bytes = df_engine::Encoder::new();
         router.save_state(&mut bytes);
@@ -712,11 +540,11 @@ mod tests {
         }
         assert!(registered > 10, "the snapshot holds registered heads");
 
-        route_and_allocate_one(&mut restored, &mut rng, &ctx, 1, &mut shard);
+        route_and_allocate_one(&mut restored, &mut rng, &ctx, 1, &mut scratch);
         let (mut planned, mut popped) = (0, 0);
         for (port, vc) in vcs(&restored) {
             let input_vc = restored.input(port).vc(vc);
-            let granted = shard
+            let granted = scratch
                 .grants
                 .iter()
                 .any(|g| (g.input_port, g.input_vc.index()) == (port, vc));
@@ -734,90 +562,5 @@ mod tests {
             planned > 10 && popped > 0,
             "{planned} planned, {popped} popped"
         );
-    }
-
-    /// Check every property of one split: `num_shards` shards in order,
-    /// shard `w` holding exactly its `chunk_bounds` chunk and the minimal
-    /// router range around it at the right base offset.
-    fn check_split(kind: PhaseKind, active: &[u32], num_shards: usize) {
-        let (mut routers, mut rngs, views) = small_arrays();
-        let a = 4;
-        let mut shards: Vec<ShardState> = (0..num_shards).map(|_| ShardState::default()).collect();
-        let num_items = if kind.is_control() {
-            views.len()
-        } else {
-            active.len()
-        };
-        let works: Vec<_> = split_shards(
-            kind,
-            a,
-            &mut routers,
-            &mut rngs,
-            active,
-            &views,
-            &mut shards,
-        )
-        .collect();
-        assert_eq!(works.len(), num_shards);
-        let mut seen = Vec::new();
-        for (w, work) in works.iter().enumerate() {
-            let (lo, hi) = chunk_bounds(num_items, num_shards, w);
-            let what = format!("{kind:?} active {active:?} shard {w}/{num_shards}");
-            // the range: routers and RNGs `base..base + len`, in step
-            assert_eq!(work.routers.len(), work.rngs.len(), "{what}");
-            for (i, (router, rng)) in work.routers.iter().zip(work.rngs.iter()).enumerate() {
-                assert_eq!(router.id().index(), work.base + i, "{what}");
-                assert_eq!(rng.seed(), (work.base + i) as u64, "{what}");
-            }
-            if kind.is_control() {
-                assert!(work.active.is_empty(), "{what}");
-                assert!(std::ptr::eq(work.linkviews, &views[lo..hi]), "{what}");
-                assert_eq!(work.base, lo * a, "{what}");
-                assert_eq!(work.routers.len(), (hi - lo) * a, "{what}");
-            } else {
-                assert!(work.linkviews.is_empty(), "{what}");
-                assert_eq!(work.active, &active[lo..hi], "{what}");
-                match work.active {
-                    [] => assert!(work.routers.is_empty(), "{what}"),
-                    [first, .., last] | [first @ last] => {
-                        assert_eq!(work.base, *first as usize, "{what}");
-                        assert_eq!(work.routers.len(), (last - first) as usize + 1, "{what}");
-                    }
-                }
-                seen.extend_from_slice(work.active);
-            }
-        }
-        if !kind.is_control() {
-            assert_eq!(seen, active, "the union is the active list in order");
-        }
-    }
-
-    #[test]
-    fn split_shards_hands_every_shard_exactly_its_chunk() {
-        let mut lists: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![17],
-            vec![35],
-            vec![3, 30],
-            (0..36).collect(),
-            (0..36).step_by(5).collect(),
-        ];
-        // seeded sorted subsets with gaps, sparse to dense
-        let mut rng = DeterministicRng::new(7);
-        for density in [0.05, 0.2, 0.5, 0.9] {
-            for _ in 0..8 {
-                lists.push((0..36).filter(|_| rng.bernoulli(density)).collect());
-            }
-        }
-        for num_shards in 1..=7 {
-            for active in &lists {
-                check_split(PhaseKind::Alloc, active, num_shards);
-                check_split(PhaseKind::Transmit, active, num_shards);
-            }
-            // control phases ignore the active list: 9 groups over the shards
-            check_split(PhaseKind::Pb, &[3, 30], num_shards);
-            check_split(PhaseKind::Ectn, &[], num_shards);
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! The one sweep driver. Every steady-state run in the crate is a
 //! `(configuration, seed)` **sub-run** — warm up, open the measurement
 //! window, measure (`run_subrun`) — and every sweep is a flat list of
-//! sub-runs on one worker pool (`run_pool`) that averages each
-//! configuration's per-seed reports in seed order.
+//! sub-runs on one thread pool (`run_pool`), one sub-run per thread, that
+//! averages each configuration's per-seed reports in seed order.
 //! [`run_steady_state`] is one sub-run, [`run_sweep`] and
 //! [`run_matrix`] are the pool in memory, and [`run_sweep_service`] is the
 //! pool with a journal and periodic state snapshots: a killed sweep resumes
@@ -56,7 +56,7 @@ use crate::config::SimulationConfig;
 use crate::experiment::{average_reports, SteadyStateReport};
 use crate::network::snapshot::config_fingerprint;
 use crate::network::Network;
-use crate::sweep::{matrix_cells, outer_threads, MatrixCell, ScenarioMatrix};
+use crate::sweep::{matrix_cells, MatrixCell, ScenarioMatrix};
 
 /// Journal frame magic.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DFSWPJNL";
@@ -74,8 +74,8 @@ pub struct RunnerOptions {
     /// Cycles between mid-run snapshots of each sub-run (0 = none: recovery
     /// granularity is whole sub-runs).
     pub checkpoint_every: u64,
-    /// Total thread budget of the pool pulling sub-runs off the queue
-    /// (sub-runs × the base kernel's workers).
+    /// Sub-runs at once: the threads of the pool pulling sub-runs off the
+    /// queue (floored at 1).
     pub threads: usize,
     /// Testing/CI hook: stop claiming work after this many sub-runs have
     /// completed in *this* process, as if the service had been killed (the
@@ -89,7 +89,7 @@ pub struct RunnerOptions {
 
 impl RunnerOptions {
     /// Defaults over a run directory: checkpoint every 2000 cycles, one
-    /// worker, no interruption hooks.
+    /// sub-run at a time, no interruption hooks.
     pub fn new(run_dir: impl Into<PathBuf>) -> Self {
         RunnerOptions {
             run_dir: run_dir.into(),
@@ -383,12 +383,12 @@ pub(crate) fn run_subrun(
     }))
 }
 
-/// The one worker pool: execute every `(configuration, seed index)` sub-run
+/// The one thread pool: execute every `(configuration, seed index)` sub-run
 /// of `configs × seeds` not already in the journal's recovered reports, on
-/// a scoped pool of [`outer_threads`]`(configs, threads)` workers pulling
-/// indices off a shared counter, and average each configuration's per-seed
-/// reports in seed order. Returns one report per configuration in input
-/// order, or `None` when an interruption hook stopped the pool early. With
+/// a scoped pool of `threads` workers (floored at 1) pulling indices off a
+/// shared counter, and average each configuration's per-seed reports in
+/// seed order. Returns one report per configuration in input order, or
+/// `None` when an interruption hook stopped the pool early. With
 /// a journal every completion is recorded and sub-runs checkpoint (the
 /// sweep service); without one the sweep lives in memory and cannot fail.
 pub(crate) fn run_pool(
@@ -433,7 +433,7 @@ pub(crate) fn run_pool(
         Ok(more)
     };
     std::thread::scope(|scope| {
-        for _ in 0..outer_threads(configs, threads).min(pending.len().max(1)) {
+        for _ in 0..threads.clamp(1, pending.len().max(1)) {
             scope.spawn(|| {
                 while !stop.load(Ordering::SeqCst) {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
@@ -507,7 +507,6 @@ pub fn run_sweep_service(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelMode;
     use crate::scenario::Scenario;
     use crate::sweep::{matrix_table, run_matrix};
     use crate::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
@@ -525,7 +524,6 @@ mod tests {
             .warmup_cycles(150)
             .measurement_cycles(350)
             .seed(17)
-            .kernel(KernelMode::Optimized)
             .build()
             .expect("valid base configuration");
         ScenarioMatrix {
@@ -764,32 +762,27 @@ mod tests {
     }
 
     #[test]
-    fn service_on_a_parallel_base_is_identical_across_thread_budgets() {
-        // the service twin of sweep's matrix_on_a_parallel_base_…: the
-        // budget is sub-runs × intra-cell workers here too, and the table
-        // depends on neither the split nor the kernel
-        let mut matrix = small_matrix(1);
-        matrix.base.kernel = KernelMode::Parallel { workers: 3 };
-        let configs: Vec<SimulationConfig> = matrix.cells().into_iter().map(|(_, c)| c).collect();
-        let plain = matrix_table("t", &run_matrix(&small_matrix(1), 2)).to_csv();
-        for (budget, outer) in [(3, 1), (12, 4)] {
-            assert_eq!(outer_threads(&configs, budget), outer);
+    fn service_is_identical_across_thread_budgets() {
+        // each of the budget's threads abandons its first sub-run at cycle
+        // 100 and leaves the snapshot behind, so the snapshots count the
+        // sub-runs that ran at once; the resumed table is run_matrix's
+        let matrix = small_matrix(1);
+        let plain = matrix_table("t", &run_matrix(&matrix, 2)).to_csv();
+        for budget in [1, 3, 12] {
             let dir = tmp_dir(&format!("budget{budget}"));
             let mut opts = RunnerOptions::new(&dir);
             opts.threads = budget;
             opts.checkpoint_every = 100;
-            // every worker abandons its first sub-run at cycle 100 and leaves
-            // the snapshot behind, so the snapshots count the workers
             opts.interrupt_mid_subrun_at = Some(100);
             assert!(!run_sweep_service(&matrix, &opts).expect("partial").complete);
-            let workers = fs::read_dir(&dir)
+            let at_once = fs::read_dir(&dir)
                 .unwrap()
                 .filter_map(|e| e.ok())
                 .filter(|e| e.file_name().to_string_lossy().ends_with(".snap"))
                 .count();
             assert!(
-                (1..=outer).contains(&workers),
-                "budget {budget} over Parallel{{3}} cells ran {workers} sub-runs at once"
+                (1..=budget).contains(&at_once),
+                "budget {budget} ran {at_once} sub-runs at once"
             );
             opts.interrupt_mid_subrun_at = None;
             let outcome = run_sweep_service(&matrix, &opts).expect("resumes");
@@ -797,7 +790,7 @@ mod tests {
             assert_eq!(
                 matrix_table("t", &outcome.cells).to_csv(),
                 plain,
-                "budget {budget} over a Parallel{{3}} base must reproduce the Optimized table"
+                "budget {budget} must reproduce run_matrix's table"
             );
             let _ = fs::remove_dir_all(&dir);
         }

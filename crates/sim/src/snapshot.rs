@@ -18,7 +18,7 @@
 //! rebuilt `Network::new(config)` cannot recompute is stored:
 //!
 //! * identity — a fingerprint of the configuration (kernel-normalised, so a
-//!   snapshot restores under any kernel mode and worker count),
+//!   snapshot restores under either `KernelMode` value),
 //! * the clock, packet-id counter and conservation ledgers,
 //! * every router's buffered state ([`df_router::Router::save_state`]),
 //!   per-port link flags included,
@@ -43,8 +43,8 @@
 //! activity gates (the active set is recomputed as the sorted non-idle
 //! routers and the queued-node set from the source queues; every look-ahead
 //! countdown, output-changed flag, flipped-flag mark and staged-port set
-//! restarts conservatively — "everything dirty"), shard scratch and the
-//! worker pool. State only an observer reads is not simulation state and is
+//! restarts conservatively — "everything dirty") and the step scratch.
+//! State only an observer reads is not simulation state and is
 //! not in the payload at all.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
@@ -81,8 +81,7 @@ pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
-/// simulation state is kernel-independent (the determinism contract), so a
-/// snapshot is deliberately restorable under a different kernel.
+/// both values run the one kernel, so a snapshot restores under either.
 /// The topology kind leads the hashed string explicitly (it is also part of
 /// the `Debug` body) so cross-topology restores fail loudly even if two
 /// parameterisations ever print alike.
@@ -234,7 +233,7 @@ impl Network {
     /// Rebuild a network from `config` and resume it from `bytes` (written
     /// by [`Network::snapshot`]). The configuration must be the one the
     /// snapshot was taken under (fingerprint-checked, kernel excepted — a
-    /// snapshot restores under any kernel and worker count). Rejects foreign
+    /// snapshot restores under either `KernelMode` value). Rejects foreign
     /// magic, unsupported versions, checksum mismatches and truncated or
     /// internally inconsistent payloads.
     pub fn restore(config: SimulationConfig, bytes: &[u8]) -> Result<Network, CodecError> {

@@ -1,5 +1,5 @@
 //! Parameter sweeps and the scenario-matrix runner: the in-memory fronts
-//! of the one worker pool in [`crate::runner`].
+//! of the one thread pool in [`crate::runner`].
 //!
 //! * [`run_sweep`] — the flat sweep: a list of ready-made
 //!   [`SimulationConfig`]s, one report each (the paper's load sweeps),
@@ -11,9 +11,10 @@
 //!   index, routing index)` via [`cell_seed`], and the cells are swept.
 //!   Because each cell's configuration (including its seed) is fully
 //!   determined before any thread starts, the result table is bit-for-bit
-//!   identical across reruns and across worker counts.
+//!   identical across reruns and across thread budgets.
 //!
-//! The `threads` argument is a *total* budget, split by `outer_threads`.
+//! The `threads` argument is the number of sub-runs at once, floored at 1:
+//! every sub-run is one thread.
 //!
 //! [`matrix_table`] renders the cells as a [`Table`] (text or CSV) for the
 //! scenario-runner binary and the golden regression suite.
@@ -30,8 +31,8 @@ use crate::scenario::Scenario;
 /// Run every configuration and return the reports in the same order.
 /// `seeds_per_point` > 1 averages each point over consecutive seeds (the
 /// seeds of one point are separate sub-runs, so they load-balance across
-/// threads). `threads` is the total thread budget (use `num_threads()` for
-/// a default).
+/// threads). `threads` is the number of sub-runs at once, floored at 1 (use
+/// `num_threads()` for a default).
 pub fn run_sweep(
     configs: &[SimulationConfig],
     seeds_per_point: u64,
@@ -49,25 +50,6 @@ pub fn num_threads() -> usize {
         .map(|n| n.get())
         .unwrap_or(4)
         .min(16)
-}
-
-/// Concurrent sub-runs the pool runs for `configs` under a `total_threads`
-/// budget, splitting it between pool-level parallelism and the widest
-/// configuration's own [`KernelMode::Parallel`] workers (in a matrix every
-/// cell inherits the base kernel) without oversubscription:
-/// `total_threads / workers`, floored at 1, so at most
-/// `max(total_threads, workers)` threads ever run simulation work at once.
-/// Results never depend on it — cell seeds are fixed before any thread
-/// starts and the parallel kernel is worker-count independent.
-///
-/// [`KernelMode::Parallel`]: crate::config::KernelMode::Parallel
-pub(crate) fn outer_threads(configs: &[SimulationConfig], total_threads: usize) -> usize {
-    let workers = configs
-        .iter()
-        .map(|c| c.kernel.resolved_workers().max(1))
-        .max()
-        .unwrap_or(1);
-    (total_threads.max(1) / workers).max(1)
 }
 
 /// The deterministic seed of matrix cell `(scenario s, load l, routing r)`
@@ -90,8 +72,8 @@ pub fn cell_seed(base_seed: u64, scenario_idx: usize, load_idx: usize, routing_i
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
     /// Machine-under-test and measurement template: topology, router
-    /// microarchitecture, warm-up/measurement windows, kernel, and the base
-    /// seed cells derive theirs from. Its schedule/injection/load/routing
+    /// microarchitecture, warm-up/measurement windows, and the base seed
+    /// cells derive theirs from. Its schedule/injection/load/routing
     /// are overridden per cell.
     pub base: SimulationConfig,
     /// Workloads (rows of the result table).
@@ -233,10 +215,9 @@ pub(crate) fn matrix_cells(
         .collect()
 }
 
-/// Execute a scenario matrix in parallel under a total budget of `threads`
-/// threads (sub-runs × the base kernel's workers) and return the cells in
-/// deterministic scenario-major / load / routing order. The output is
-/// bit-for-bit identical across reruns and thread budgets.
+/// Execute a scenario matrix `threads` sub-runs at once (floored at 1) and
+/// return the cells in deterministic scenario-major / load / routing order.
+/// The output is bit-for-bit identical across reruns and thread budgets.
 ///
 /// # Panics
 /// Panics if any axis of the matrix is empty or a scenario or cell
@@ -427,21 +408,30 @@ mod tests {
 
     #[test]
     fn matrix_run_is_identical_across_reruns_and_thread_counts() {
+        // budget 0 still runs one sub-run at a time; 12 is more threads
+        // than the matrix has cells
         let m = small_matrix();
         let a = run_matrix(&m, 1);
-        let b = run_matrix(&m, 4);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.key, y.key);
-            assert_eq!(x.report.delivered_packets, y.report.delivered_packets);
+        for budget in [0, 4, 12] {
+            let b = run_matrix(&m, budget);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.key, y.key);
+                assert_eq!(x.report.delivered_packets, y.report.delivered_packets);
+                assert_eq!(
+                    x.report.avg_packet_latency.to_bits(),
+                    y.report.avg_packet_latency.to_bits(),
+                    "cell {:?} depends on the thread budget",
+                    x.key
+                );
+            }
+            let ta = matrix_table("m", &a).to_csv();
+            let tb = matrix_table("m", &b).to_csv();
             assert_eq!(
-                x.report.avg_packet_latency.to_bits(),
-                y.report.avg_packet_latency.to_bits()
+                ta, tb,
+                "budget {budget}: rendered tables must be bit-identical"
             );
         }
-        let ta = matrix_table("m", &a).to_csv();
-        let tb = matrix_table("m", &b).to_csv();
-        assert_eq!(ta, tb, "rendered tables must be bit-identical");
     }
 
     #[test]
@@ -460,69 +450,6 @@ mod tests {
     fn empty_matrix_axes_are_rejected() {
         let m = ScenarioMatrix::new(template());
         let _ = run_matrix(&m, 1);
-    }
-
-    // ---- thread-budget composition with the parallel kernel ----
-
-    #[test]
-    fn thread_budget_splits_without_oversubscription() {
-        use crate::config::KernelMode;
-        // pin kernels explicitly: the template's default follows the
-        // DF_SIM_KERNEL environment, which CI varies
-        let with_kernel = |kernel| SimulationConfig {
-            kernel,
-            ..template()
-        };
-        let sequential = [with_kernel(KernelMode::Optimized)];
-        assert_eq!(outer_threads(&sequential, 8), 8);
-        assert_eq!(outer_threads(&sequential, 0), 1);
-        assert_eq!(outer_threads(&[], 8), 8);
-        let parallel = [with_kernel(KernelMode::Parallel { workers: 3 })];
-        assert_eq!(outer_threads(&parallel, 12), 4);
-        assert_eq!(outer_threads(&parallel, 3), 1);
-        // a budget below the intra-cell width floors at one concurrent cell
-        assert_eq!(outer_threads(&parallel, 2), 1);
-        for total in 1..16usize {
-            assert!(
-                outer_threads(&parallel, total) * 3 <= total.max(3),
-                "budget {total} oversubscribed"
-            );
-        }
-        // the widest configuration decides
-        let mixed = [sequential[0].clone(), parallel[0].clone()];
-        assert_eq!(outer_threads(&mixed, 12), 4);
-    }
-
-    #[test]
-    fn matrix_on_a_parallel_base_is_identical_across_thread_budgets() {
-        use crate::config::KernelMode;
-        // cells × intra-cell workers: the pool divides the budget by the
-        // base kernel's worker count, and the result never depends on it
-        let mut m = small_matrix();
-        m.base.kernel = KernelMode::Parallel { workers: 3 };
-        let configs: Vec<SimulationConfig> = m.cells().into_iter().map(|(_, c)| c).collect();
-        for (budget, outer) in [(3, 1), (12, 4)] {
-            assert_eq!(outer_threads(&configs, budget), outer);
-        }
-        let a = run_matrix(&m, 3);
-        let b = run_matrix(&m, 12);
-        let mut sequential = small_matrix();
-        sequential.base.kernel = KernelMode::Optimized;
-        let plain = run_matrix(&sequential, 2);
-        assert_eq!(a.len(), plain.len());
-        for ((x, y), z) in a.iter().zip(b.iter()).zip(plain.iter()) {
-            assert_eq!(x.key, y.key);
-            assert_eq!(x.key, z.key);
-            for other in [y, z] {
-                assert_eq!(x.report.delivered_packets, other.report.delivered_packets);
-                assert_eq!(
-                    x.report.avg_packet_latency.to_bits(),
-                    other.report.avg_packet_latency.to_bits(),
-                    "cell {:?} depends on the thread budget or the kernel",
-                    x.key
-                );
-            }
-        }
     }
 
     #[test]

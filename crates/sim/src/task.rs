@@ -28,10 +28,9 @@
 //!
 //! # Determinism
 //!
-//! Every engine mutation happens on the main thread: delivery attribution
-//! in step 1 of [`crate::network::Network::step`] and advance/enqueue in
-//! step 2 — both of which are sequential in **both** kernel modes (optimized,
-//! parallel at any worker count). Ranks are visited in ascending
+//! Every engine mutation happens in two places: delivery attribution in
+//! step 1 of [`crate::network::Network::step`] and advance/enqueue in
+//! step 2. Ranks are visited in ascending
 //! rank order and the lowering itself is a pure function of the workload,
 //! so job runs inherit the simulator's bit-identity contract unchanged.
 //!
@@ -64,8 +63,8 @@ struct PendingPacket {
 }
 
 /// One job of the [`JobsEngine`]: its specification and the execution state
-/// of its lowered task workload. All mutations happen on the main thread
-/// (see the module docs for the determinism argument).
+/// of its lowered task workload. All mutations happen in steps 1–2 of the
+/// cycle (see the module docs for the determinism argument).
 #[derive(Debug, Clone)]
 pub struct Job {
     /// The specification the job was built from (start cycle, compute
@@ -147,7 +146,7 @@ impl Job {
 
     /// Attribute a delivered packet: credit the sender's outstanding-send
     /// counter and the receiver's per-step receive counter. Runs in step 1
-    /// of the cycle (main thread, every kernel).
+    /// of the cycle.
     fn on_delivery(&mut self, packet: &Packet) {
         if let Some(p) = self.pending.remove(&packet.id.0) {
             self.sends_outstanding[p.src_rank as usize] -= 1;
@@ -158,7 +157,7 @@ impl Job {
     /// Advance ranks past completed steps, enqueue newly reached steps'
     /// sends into the hosting nodes' source queues, and account stall
     /// cycles. Runs in step 2 of the cycle, ahead of stochastic traffic
-    /// generation (main thread, every kernel; ascending rank order).
+    /// generation (ascending rank order).
     fn advance_and_generate(
         &mut self,
         now: Cycle,

@@ -89,8 +89,8 @@ impl std::fmt::Display for TopologyKind {
 /// oracle. See the [module docs](self) for what generic layers may assume.
 ///
 /// Implementations are cheap `Copy` values (parameters only; all queries
-/// arithmetic), so they are freely duplicated into routers and per-shard
-/// step contexts.
+/// arithmetic), so they are freely duplicated into routers and the step
+/// context.
 ///
 /// A family writes the sixteen required methods — its sizes, the
 /// node ↔ router map, the local wiring, who owns which global link and the

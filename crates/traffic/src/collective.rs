@@ -12,9 +12,9 @@
 //!
 //! The lowering is a pure function of `(collective, ranks,
 //! packets_per_message)` — no RNG, no topology — so the generated dependency
-//! graph is identical across kernels, worker counts and hosts by
-//! construction. The simulation layer (df-sim's task engine) owns the
-//! runtime side: tracking deliveries, advancing cursors, accounting stalls.
+//! graph is identical across runs and hosts by construction. The simulation
+//! layer (df-sim's task engine) owns the runtime side: tracking deliveries,
+//! advancing cursors, accounting stalls.
 //!
 //! Lowered scripts satisfy a global conservation property checked by
 //! [`validate_scripts`]: in every step, the packets sent to rank `r` across

@@ -12,16 +12,11 @@
 //!    delivered == the job set's lowered packet count).
 //! 2. **The pinned corpus** — `GOLDEN_COLLECTIVES` in
 //!    `tests/common/golden_corpus.rs` fingerprints every workload ×
-//!    routing cell. The configurations deliberately do not set a
-//!    [`KernelMode`], so CI replays the table under every kernel — which
-//!    must be bit-for-bit identical.
-//! 3. **Cross-kernel bit-identity** — the optimized and parallel (1, 2
-//!    and 4 workers) kernels are compared directly on the same workloads,
-//!    and the optimized fingerprints against the digests frozen from the
-//!    retired seed kernel.
+//!    routing cell.
+//! 3. **Frozen digests** — fingerprints of the same workloads against the
+//!    digests frozen from the retired seed kernel.
 //! 4. **Snapshot/resume mid-collective** — a snapshot taken with sends
-//!    outstanding and a partially executed script resumes bit-identically,
-//!    under the same kernel and across kernels.
+//!    outstanding and a partially executed script resumes bit-identically.
 //! 5. **Behaviour under faults** — a router drain mid-collective delays
 //!    but cannot lose traffic (completion guaranteed); a permanently
 //!    failed rank stalls its peers honestly (bounded budget, no hang, no
@@ -35,8 +30,6 @@
 //!
 //! and paste the printed constants into `tests/common/golden_corpus.rs` in
 //! the same commit.
-//!
-//! [`KernelMode`]: contention_dragonfly::prelude::KernelMode
 
 use contention_dragonfly::prelude::*;
 
@@ -201,11 +194,11 @@ fn regenerate_collective_corpus() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. cross-kernel bit-identity
+// 3. frozen digests
 // ---------------------------------------------------------------------------
 
 #[test]
-fn collectives_are_bit_identical_across_kernels() {
+fn collectives_match_the_frozen_digests() {
     const FROZEN: [u64; 6] = [
         0xF3AA_64EA_5157_7B12,
         0x5902_D405_5B45_1198,
@@ -215,11 +208,6 @@ fn collectives_are_bit_identical_across_kernels() {
         0x54F2_932A_F7E3_B8DE,
     ];
     let mut cells = Vec::new();
-    let kernels = [
-        KernelMode::Parallel { workers: 1 },
-        KernelMode::Parallel { workers: 2 },
-        KernelMode::Parallel { workers: 4 },
-    ];
     for job in [
         a2a_spread(),
         ring(JobPlacement::block(0)),
@@ -234,20 +222,7 @@ fn collectives_are_bit_identical_across_kernels() {
     ] {
         let workload = &job.workload;
         for routing in [RoutingKind::Base, RoutingKind::PiggyBacking] {
-            let mut cfg = collective_config(job.clone(), routing);
-            cfg.kernel = KernelMode::Optimized;
-            let reference = collective_fingerprint(cfg.clone());
-            for kernel in kernels {
-                let mut k = cfg.clone();
-                k.kernel = kernel;
-                assert_eq!(
-                    collective_fingerprint(k),
-                    reference,
-                    "{} under {} diverged on {kernel:?}",
-                    workload.label(),
-                    routing.label()
-                );
-            }
+            let reference = collective_fingerprint(collective_config(job.clone(), routing));
             cells.push((
                 format!("{} under {}", workload.label(), routing.label()),
                 reference,
@@ -309,24 +284,11 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     let restored = Network::restore(cfg.clone(), &bytes).expect("snapshot restores");
     assert_eq!(restored.snapshot(), bytes);
 
-    // kernel portability: finish the same snapshot under the parallel
-    // kernel; both land where the retired seed kernel landed from it
+    // and where the retired seed kernel landed from the same snapshot
     frozen::assert_frozen(
         "resumed collective",
         &(done, reference.metrics().delivered_packets_total()),
         0x4CDE_698E_4734_0A3C,
-    );
-    let mut k = cfg.clone();
-    k.kernel = KernelMode::Parallel { workers: 2 };
-    let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
-    assert_eq!(
-        n.run_until_jobs_complete(200_000),
-        Some(done),
-        "parallel(2) resumed to a different completion cycle"
-    );
-    assert_eq!(
-        n.metrics().delivered_packets_total(),
-        reference.metrics().delivered_packets_total()
     );
 }
 

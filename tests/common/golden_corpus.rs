@@ -1,11 +1,9 @@
 //! The pinned fingerprint corpus shared by the golden regression suites.
 //!
-//! `tests/scenario_matrix.rs` pins the optimized kernel's results to these
-//! tables; `tests/kernel_equivalence.rs` replays the *same* tables under
-//! the parallel kernel at several worker counts — so the parallel kernel is
-//! checked against the committed corpus, not merely against a fresh
-//! sequential run. Included via `#[path]` from both test binaries (files
-//! under `tests/common/` are not test roots themselves).
+//! `tests/scenario_matrix.rs` pins the kernel's results to these tables;
+//! the collective, multi-job and fault suites reuse their builders and
+//! fingerprints. Included via `#[path]` from each test binary (files under
+//! `tests/common/` are not test roots themselves).
 //!
 //! If a fingerprint changes after an intentional semantics change,
 //! regenerate with
@@ -233,8 +231,7 @@ pub fn churn_fingerprint(cfg: SimulationConfig) -> (u64, u64, u64, u64, u64, u64
     )
 }
 
-/// The common builder every corpus run starts from (kernel left to the
-/// caller / environment).
+/// The common builder every corpus run starts from.
 pub fn base_builder() -> df_sim::SimulationConfigBuilder {
     SimulationConfig::builder()
         .topology(DragonflyParams::small())
@@ -426,8 +423,7 @@ pub fn collective_routings() -> [RoutingKind; 3] {
     ]
 }
 
-/// The common configuration every collective corpus run uses (kernel left
-/// to the caller / environment): the job alone on the network — offered
+/// The common configuration every collective corpus run uses: the job alone on the network — offered
 /// load 0 switches the stochastic injectors off, so the pattern is a
 /// placeholder.
 pub fn collective_config(job: JobSpec, routing: RoutingKind) -> SimulationConfig {
@@ -518,7 +514,7 @@ pub const GOLDEN_SPECIAL: &[(&str, &str, u64, u64, u64)] = &[
 pub const TRIGGER_TABLE_LOAD: f64 = 0.4;
 
 /// The trigger-table cell for one mechanism: [`base_builder`] under ADV+1
-/// at [`TRIGGER_TABLE_LOAD`] (kernel left to the caller / environment).
+/// at [`TRIGGER_TABLE_LOAD`].
 pub fn trigger_table_builder(routing: RoutingKind) -> df_sim::SimulationConfigBuilder {
     base_builder()
         .routing(routing)
@@ -545,8 +541,6 @@ pub const GOLDEN_TRIGGER_TABLE: &[(RoutingKind, u64, u64, u64)] = &[
 /// The common builder every Megafly corpus run starts from: the second
 /// [`Topology`] instance, sized like the Dragonfly `small()` corpus
 /// (`p=2, l=s=4, h=2`, 9 groups, 72 nodes), same load, seed and windows.
-/// Kernel left to the caller / environment, so the CI kernel matrix replays
-/// this slice under every kernel exactly like the Dragonfly tables.
 pub fn megafly_base_builder() -> df_sim::SimulationConfigBuilder {
     SimulationConfig::builder()
         .topology(MegaflyParams::small())

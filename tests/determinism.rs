@@ -25,13 +25,7 @@ mod frozen;
 
 use frozen::{assert_all_frozen, assert_frozen};
 
-fn config(
-    kernel: KernelMode,
-    routing: RoutingKind,
-    pattern: PatternKind,
-    load: f64,
-    seed: u64,
-) -> SimulationConfig {
+fn config(routing: RoutingKind, pattern: PatternKind, load: f64, seed: u64) -> SimulationConfig {
     SimulationConfig::builder()
         .topology(DragonflyParams::small())
         .network(NetworkConfig::fast_test())
@@ -41,7 +35,6 @@ fn config(
         .warmup_cycles(200)
         .measurement_cycles(600)
         .seed(seed)
-        .kernel(kernel)
         .build()
         .expect("valid configuration")
 }
@@ -62,7 +55,8 @@ struct Fingerprint {
     drained: bool,
 }
 
-fn run_fingerprint(cfg: SimulationConfig) -> Fingerprint {
+/// Warm up, measure, drain; the network at the end and its [`Fingerprint`].
+fn run(cfg: SimulationConfig) -> (Network, Fingerprint) {
     let mut net = Network::new(cfg.clone());
     net.run_cycles(cfg.warmup_cycles);
     let start = net.cycle();
@@ -70,7 +64,7 @@ fn run_fingerprint(cfg: SimulationConfig) -> Fingerprint {
     net.run_cycles(cfg.measurement_cycles);
     let drained = net.drain(100_000);
     let summary = net.metrics().window_summary();
-    Fingerprint {
+    let fingerprint = Fingerprint {
         delivered_window: summary.delivered_packets,
         delivered_total: net.metrics().delivered_packets_total(),
         generated_phits: net.metrics().generated_phits_total,
@@ -82,45 +76,63 @@ fn run_fingerprint(cfg: SimulationConfig) -> Fingerprint {
         misroute_global_bits: summary.global_misroute_fraction.to_bits(),
         histogram_bins: net.metrics().latency_histogram().bins().to_vec(),
         drained,
+    };
+    (net, fingerprint)
+}
+
+fn run_fingerprint(cfg: SimulationConfig) -> Fingerprint {
+    run(cfg).1
+}
+
+/// [`Fingerprint`] plus the events still pending at the end, in the shape
+/// (name, fields, order) three digests were frozen in.
+#[derive(Debug)]
+#[allow(dead_code)] // read only through `Debug`, which the digest hashes
+struct RichFingerprint {
+    delivered_window: u64,
+    delivered_total: u64,
+    generated_phits: u64,
+    final_cycle: u64,
+    in_flight: u64,
+    pending_events: usize,
+    latency_bits: u64,
+    hops_bits: u64,
+    p99_bits: u64,
+    misroute_global_bits: u64,
+    histogram_bins: Vec<u64>,
+    drained: bool,
+}
+
+fn rich_fingerprint(cfg: SimulationConfig) -> RichFingerprint {
+    let (net, fp) = run(cfg);
+    RichFingerprint {
+        delivered_window: fp.delivered_window,
+        delivered_total: fp.delivered_total,
+        generated_phits: fp.generated_phits,
+        final_cycle: fp.final_cycle,
+        in_flight: fp.in_flight,
+        pending_events: net.pending_events(),
+        latency_bits: fp.latency_bits,
+        hops_bits: fp.hops_bits,
+        p99_bits: fp.p99_bits,
+        misroute_global_bits: fp.misroute_global_bits,
+        histogram_bins: fp.histogram_bins,
+        drained: fp.drained,
     }
 }
 
 #[test]
 fn same_seed_same_fingerprint() {
-    let a = run_fingerprint(config(
-        KernelMode::Optimized,
-        RoutingKind::Base,
-        PatternKind::Uniform,
-        0.25,
-        42,
-    ));
-    let b = run_fingerprint(config(
-        KernelMode::Optimized,
-        RoutingKind::Base,
-        PatternKind::Uniform,
-        0.25,
-        42,
-    ));
+    let a = run_fingerprint(config(RoutingKind::Base, PatternKind::Uniform, 0.25, 42));
+    let b = run_fingerprint(config(RoutingKind::Base, PatternKind::Uniform, 0.25, 42));
     assert_eq!(a, b, "identical config + seed must reproduce exactly");
     assert!(a.drained);
 }
 
 #[test]
 fn different_seed_different_fingerprint() {
-    let a = run_fingerprint(config(
-        KernelMode::Optimized,
-        RoutingKind::Base,
-        PatternKind::Uniform,
-        0.25,
-        1,
-    ));
-    let b = run_fingerprint(config(
-        KernelMode::Optimized,
-        RoutingKind::Base,
-        PatternKind::Uniform,
-        0.25,
-        2,
-    ));
+    let a = run_fingerprint(config(RoutingKind::Base, PatternKind::Uniform, 0.25, 1));
+    let b = run_fingerprint(config(RoutingKind::Base, PatternKind::Uniform, 0.25, 2));
     assert_ne!(a, b, "different seeds must explore different trajectories");
 }
 
@@ -153,14 +165,14 @@ fn optimized_kernel_matches_the_frozen_seed_kernel_digests() {
         ] {
             cells.push((
                 format!("{routing:?} under {pattern:?} at load {load}"),
-                run_fingerprint(config(KernelMode::Optimized, routing, pattern, load, 7)),
+                run_fingerprint(config(routing, pattern, load, 7)),
             ));
         }
     }
     assert_all_frozen("routing x pattern", &cells, &FROZEN);
 }
 
-fn transient_config(kernel: KernelMode, routing: RoutingKind) -> SimulationConfig {
+fn transient_config(routing: RoutingKind) -> SimulationConfig {
     SimulationConfig::builder()
         .topology(DragonflyParams::small())
         .network(NetworkConfig::fast_test())
@@ -174,7 +186,6 @@ fn transient_config(kernel: KernelMode, routing: RoutingKind) -> SimulationConfi
         .warmup_cycles(400)
         .measurement_cycles(400)
         .seed(3)
-        .kernel(kernel)
         .build()
         .unwrap()
 }
@@ -184,7 +195,7 @@ fn transient_schedule_matches_the_frozen_seed_kernel_digest() {
     // A phase switch mid-run: the pattern changes at its exact cycle.
     assert_frozen(
         "UN->ADV+1 transient",
-        &run_fingerprint(transient_config(KernelMode::Optimized, RoutingKind::Ectn)),
+        &run_fingerprint(transient_config(RoutingKind::Ectn)),
         0xC289_925D_C2D3_4EDD,
     );
 }
@@ -227,19 +238,14 @@ fn new_patterns_match_the_frozen_seed_kernel_digests() {
         ] {
             cells.push((
                 format!("{routing:?} under {pattern:?}"),
-                run_fingerprint(config(KernelMode::Optimized, routing, pattern, 0.25, 13)),
+                run_fingerprint(config(routing, pattern, 0.25, 13)),
             ));
         }
     }
     assert_all_frozen("new patterns", &cells, &FROZEN);
 }
 
-fn injector_config(
-    kernel: KernelMode,
-    routing: RoutingKind,
-    injection: InjectionKind,
-    seed: u64,
-) -> SimulationConfig {
+fn injector_config(routing: RoutingKind, injection: InjectionKind, seed: u64) -> SimulationConfig {
     SimulationConfig::builder()
         .topology(DragonflyParams::small())
         .network(NetworkConfig::fast_test())
@@ -254,7 +260,6 @@ fn injector_config(
         .warmup_cycles(400)
         .measurement_cycles(400)
         .seed(seed)
-        .kernel(kernel)
         .build()
         .expect("valid configuration")
 }
@@ -278,14 +283,7 @@ fn bursty_and_ramp_injection_rerun_identically_and_match_the_frozen_digests() {
         (BURSTY, 0xA5CB_7FC8_E63E_9645),
         (RAMP, 0xA4A5_BBAC_616F_9CF0),
     ] {
-        let run = |seed| {
-            run_fingerprint(injector_config(
-                KernelMode::Optimized,
-                RoutingKind::Ectn,
-                injection,
-                seed,
-            ))
-        };
+        let run = |seed| run_fingerprint(injector_config(RoutingKind::Ectn, injection, seed));
         let (a, b) = (run(21), run(21));
         assert_eq!(a, b, "{injection:?}: rerun must reproduce exactly");
         assert_frozen(&format!("{injection:?}"), &a, frozen);
@@ -293,7 +291,20 @@ fn bursty_and_ramp_injection_rerun_identically_and_match_the_frozen_digests() {
     }
 }
 
-fn multi_phase_config(kernel: KernelMode) -> SimulationConfig {
+#[test]
+fn bursty_and_ramp_injection_match_the_frozen_rich_digests() {
+    // The same cells under ECtN (periodic broadcast) with the pending-event
+    // count in the digest.
+    for (injection, frozen) in [
+        (BURSTY, 0xD4FA_B4DD_4CFD_7728),
+        (RAMP, 0x2356_B022_16CB_E607),
+    ] {
+        let fp = rich_fingerprint(injector_config(RoutingKind::Ectn, injection, 21));
+        assert_frozen(&format!("{injection:?}"), &fp, frozen);
+    }
+}
+
+fn multi_phase_config(routing: RoutingKind) -> SimulationConfig {
     let scenario = Scenario::named("UN-storm-UN")
         .injection(InjectionKind::Bursty {
             mean_on: 30.0,
@@ -305,13 +316,12 @@ fn multi_phase_config(kernel: KernelMode) -> SimulationConfig {
     SimulationConfig::builder()
         .topology(DragonflyParams::small())
         .network(NetworkConfig::fast_test())
-        .routing(RoutingKind::Base)
+        .routing(routing)
         .scenario(&scenario)
         .offered_load(0.15)
         .warmup_cycles(300)
         .measurement_cycles(600)
         .seed(5)
-        .kernel(kernel)
         .build()
         .unwrap()
 }
@@ -322,8 +332,19 @@ fn multi_phase_scenario_with_load_overrides_matches_the_frozen_digest() {
     // must land on exact cycles.
     assert_frozen(
         "UN-storm-UN",
-        &run_fingerprint(multi_phase_config(KernelMode::Optimized)),
+        &run_fingerprint(multi_phase_config(RoutingKind::Base)),
         0xE3CF_6ADA_884B_D9D0,
+    );
+}
+
+#[test]
+fn multi_phase_scenario_under_pb_matches_the_frozen_rich_digest() {
+    // The same scenario under PB (every-cycle dissemination): the
+    // control-plane-heavy corner of the pipeline.
+    assert_frozen(
+        "UN-storm-UN under PB",
+        &rich_fingerprint(multi_phase_config(RoutingKind::PiggyBacking)),
+        0xB39F_C869_F129_251C,
     );
 }
 
@@ -334,45 +355,42 @@ fn drain_leaves_the_bytes_a_step_loop_leaves() {
     // cycle with the same snapshot bytes — injector streams included, which
     // `Bursty` advances by a transition trial per tick even at load 0. The
     // Table-I link latencies leave long stretches with every router idle.
-    for kernel in [KernelMode::Optimized, KernelMode::Parallel { workers: 2 }] {
-        for routing in [RoutingKind::Base, RoutingKind::Minimal] {
-            for injection in [
-                InjectionKind::Bernoulli,
-                InjectionKind::Bursty {
-                    mean_on: 50.0,
-                    mean_off: 50.0,
-                },
-                RAMP,
-            ] {
-                let scenario = Scenario::named("UN-then-silence")
-                    .injection(injection)
-                    .phase(PatternKind::Uniform, 300)
-                    .hold_at_load(PatternKind::Uniform, 0.0);
-                let cfg = SimulationConfig::builder()
-                    .topology(DragonflyParams::small())
-                    .network(NetworkConfig::paper_table1())
-                    .routing(routing)
-                    .scenario(&scenario)
-                    .offered_load(0.02)
-                    .seed(21)
-                    .kernel(kernel)
-                    .build()
-                    .expect("valid configuration");
-                let cell = format!("{kernel:?}/{routing:?}/{injection:?}");
-                let (mut drained, mut stepped) = (Network::new(cfg.clone()), Network::new(cfg));
-                drained.run_cycles(300);
-                stepped.run_cycles(300);
-                assert!(drained.in_flight() > 0, "{cell}: nothing left to drain");
-                assert!(drained.drain(100_000), "{cell} must drain");
-                while stepped.in_flight() > 0 {
-                    stepped.step();
-                }
-                assert_eq!(drained.cycle(), stepped.cycle(), "{cell}: end cycle");
-                assert!(
-                    drained.snapshot() == stepped.snapshot(),
-                    "{cell}: drain() left different snapshot bytes than the step loop"
-                );
+    for routing in [RoutingKind::Base, RoutingKind::Minimal] {
+        for injection in [
+            InjectionKind::Bernoulli,
+            InjectionKind::Bursty {
+                mean_on: 50.0,
+                mean_off: 50.0,
+            },
+            RAMP,
+        ] {
+            let scenario = Scenario::named("UN-then-silence")
+                .injection(injection)
+                .phase(PatternKind::Uniform, 300)
+                .hold_at_load(PatternKind::Uniform, 0.0);
+            let cfg = SimulationConfig::builder()
+                .topology(DragonflyParams::small())
+                .network(NetworkConfig::paper_table1())
+                .routing(routing)
+                .scenario(&scenario)
+                .offered_load(0.02)
+                .seed(21)
+                .build()
+                .expect("valid configuration");
+            let cell = format!("{routing:?}/{injection:?}");
+            let (mut drained, mut stepped) = (Network::new(cfg.clone()), Network::new(cfg));
+            drained.run_cycles(300);
+            stepped.run_cycles(300);
+            assert!(drained.in_flight() > 0, "{cell}: nothing left to drain");
+            assert!(drained.drain(100_000), "{cell} must drain");
+            while stepped.in_flight() > 0 {
+                stepped.step();
             }
+            assert_eq!(drained.cycle(), stepped.cycle(), "{cell}: end cycle");
+            assert!(
+                drained.snapshot() == stepped.snapshot(),
+                "{cell}: drain() left different snapshot bytes than the step loop"
+            );
         }
     }
 }
@@ -385,7 +403,6 @@ fn golden_summary_is_pinned() {
     // a conscious decision: update the constants below in the same commit
     // and call it out in the PR description.
     let fp = run_fingerprint(config(
-        KernelMode::Optimized,
         RoutingKind::Base,
         PatternKind::Adversarial { offset: 1 },
         0.2,

@@ -1,7 +1,7 @@
 //! End-to-end tests of the deterministic fault-injection subsystem:
 //! conservation equalities under link loss, recovery after `LinkUp`,
-//! graceful router drains, faults firing inside a drain window, and
-//! cross-kernel bit-identity of faulted runs.
+//! graceful router drains, faults firing inside a drain window, and the
+//! frozen digest of a faulted run.
 
 use contention_dragonfly::prelude::*;
 use df_sim::FaultPlan;
@@ -253,87 +253,69 @@ fn drain_observes_a_fault_at_its_exact_cycle() {
     // global links keep packets on the wire for many cycles in which every
     // router is idle. The digest is the end state the retired seed kernel
     // reached on the same plan.
-    let run = |kernel: KernelMode| {
-        let (gw, port) = link_between(0, 4);
-        let cfg = base_builder()
-            .routing(RoutingKind::Minimal)
-            .pattern(PatternKind::Uniform)
-            .network(NetworkConfig::paper_table1())
-            .measurement_cycles(300)
-            .faults(
-                FaultPlan::new()
-                    .link_down(320, gw, port)
-                    .link_up(800, gw, port),
-            )
-            .kernel(kernel)
-            .build()
-            .unwrap();
-        let mut net = Network::new(cfg);
-        net.run_cycles(300);
-        let drained = net.drain(50_000);
-        (
-            drained,
-            net.cycle(),
-            net.metrics().delivered_packets_total(),
-            net.metrics().dropped_on_fault_packets(),
-            net.metrics().dropped_on_fault_phits(),
+    let (gw, port) = link_between(0, 4);
+    let cfg = base_builder()
+        .routing(RoutingKind::Minimal)
+        .pattern(PatternKind::Uniform)
+        .network(NetworkConfig::paper_table1())
+        .measurement_cycles(300)
+        .faults(
+            FaultPlan::new()
+                .link_down(320, gw, port)
+                .link_up(800, gw, port),
         )
-    };
-    for kernel in [KernelMode::Optimized, KernelMode::Parallel { workers: 2 }] {
-        let end = run(kernel);
-        assert!(
-            end.3 > 0,
-            "the fault fired during the drain window and dropped in-flight traffic"
-        );
-        assert!(end.0, "the restored network drains");
-        assert_frozen("drain across a fault window", &end, 0xCB82_9653_81E1_E978);
-    }
+        .build()
+        .unwrap();
+    let mut net = Network::new(cfg);
+    net.run_cycles(300);
+    let drained = net.drain(50_000);
+    let end = (
+        drained,
+        net.cycle(),
+        net.metrics().delivered_packets_total(),
+        net.metrics().dropped_on_fault_packets(),
+        net.metrics().dropped_on_fault_phits(),
+    );
+    assert!(
+        end.3 > 0,
+        "the fault fired during the drain window and dropped in-flight traffic"
+    );
+    assert!(end.0, "the restored network drains");
+    assert_frozen("drain across a fault window", &end, 0xCB82_9653_81E1_E978);
 }
 
 #[test]
-fn faulted_runs_are_bit_identical_across_all_kernels_and_worker_counts() {
+fn faulted_run_matches_the_frozen_digest() {
     // the acceptance bar: a faulted scenario produces the trajectory frozen
-    // from the retired seed kernel under the optimized kernel and under the
-    // parallel kernel at workers {1, 2, 4}
-    let run = |kernel: KernelMode| {
-        let (gw, port) = link_between(0, 1);
-        let mut cfg = base_builder()
-            .routing(RoutingKind::Base)
-            .pattern(PatternKind::Adversarial { offset: 1 })
-            .faults(
-                FaultPlan::new()
-                    .link_down(150, gw, port)
-                    .router_drain(200, RouterId(5))
-                    .link_up(400, gw, port)
-                    .router_restore(450, RouterId(5)),
-            )
-            .build()
-            .unwrap();
-        cfg.kernel = kernel;
-        let mut net = Network::new(cfg);
-        net.metrics_mut().start_measurement(0);
-        net.run_cycles(600);
-        net.drain(20_000);
-        let s = net.metrics().window_summary();
-        (
-            s.delivered_packets,
-            s.avg_packet_latency.to_bits(),
-            net.metrics().dropped_on_fault_packets(),
-            net.metrics().dropped_on_fault_phits(),
-            net.cycle(),
-            net.in_flight(),
+    // from the retired seed kernel
+    let (gw, port) = link_between(0, 1);
+    let cfg = base_builder()
+        .routing(RoutingKind::Base)
+        .pattern(PatternKind::Adversarial { offset: 1 })
+        .faults(
+            FaultPlan::new()
+                .link_down(150, gw, port)
+                .router_drain(200, RouterId(5))
+                .link_up(400, gw, port)
+                .router_restore(450, RouterId(5)),
         )
-    };
-    let reference = run(KernelMode::Optimized);
+        .build()
+        .unwrap();
+    let mut net = Network::new(cfg);
+    net.metrics_mut().start_measurement(0);
+    net.run_cycles(600);
+    net.drain(20_000);
+    let s = net.metrics().window_summary();
+    let reference = (
+        s.delivered_packets,
+        s.avg_packet_latency.to_bits(),
+        net.metrics().dropped_on_fault_packets(),
+        net.metrics().dropped_on_fault_phits(),
+        net.cycle(),
+        net.in_flight(),
+    );
     assert!(reference.2 > 0, "the scenario must exercise drops");
     assert_frozen("faulted run", &reference, 0xA3AC_C95B_0C64_41B3);
-    for workers in [1usize, 2, 4] {
-        assert_eq!(
-            run(KernelMode::Parallel { workers }),
-            reference,
-            "parallel({workers}) diverged on a faulted run"
-        );
-    }
 }
 
 #[test]

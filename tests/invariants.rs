@@ -12,17 +12,15 @@
 
 use contention_dragonfly::prelude::*;
 
-/// Run a short simulation under `kernel` and drain it, returning the
-/// network for inspection.
-#[allow(clippy::too_many_arguments)]
-fn run_and_drain_kernel(
+/// Run a short simulation and drain it, returning the network for
+/// inspection.
+fn run_and_drain(
     params: DragonflyParams,
     routing: RoutingKind,
     pattern: PatternKind,
     load: f64,
     cycles: u64,
     seed: u64,
-    kernel: KernelMode,
 ) -> Network {
     let config = SimulationConfig::builder()
         .topology(params)
@@ -33,7 +31,6 @@ fn run_and_drain_kernel(
         .warmup_cycles(0)
         .measurement_cycles(cycles)
         .seed(seed)
-        .kernel(kernel)
         .build()
         .expect("valid configuration");
     let mut net = Network::new(config);
@@ -42,26 +39,6 @@ fn run_and_drain_kernel(
     let drained = net.drain(100_000);
     assert!(drained, "network must drain after traffic stops");
     net
-}
-
-/// Run a short simulation (environment-default kernel) and drain it.
-fn run_and_drain(
-    params: DragonflyParams,
-    routing: RoutingKind,
-    pattern: PatternKind,
-    load: f64,
-    cycles: u64,
-    seed: u64,
-) -> Network {
-    run_and_drain_kernel(
-        params,
-        routing,
-        pattern,
-        load,
-        cycles,
-        seed,
-        KernelMode::from_env(),
-    )
 }
 
 fn check_conservation(net: &Network) {
@@ -226,106 +203,27 @@ fn all_small_topologies_have_consistent_wiring() {
 }
 
 #[test]
-fn parallel_kernel_conserves_phits_credits_and_packets_at_mid_size_scale() {
-    // The conservation laws under the sharded kernel on the 1,056-node
-    // medium topology: no packet lost or duplicated, every phit accounted,
-    // every credit returned, every counter drained — with the work actually
-    // split across a 3-shard pool (groups and routers do not divide evenly).
+fn conservation_holds_at_mid_size_scale() {
+    // The conservation laws on the 1,056-node medium topology: no packet
+    // lost or duplicated, every phit accounted, every credit returned,
+    // every counter drained.
     for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-        let net = run_and_drain_kernel(
+        let net = run_and_drain(
             DragonflyParams::medium(),
             routing,
             PatternKind::Adversarial { offset: 1 },
             0.25,
             250,
             17,
-            KernelMode::Parallel { workers: 3 },
         );
         check_conservation(&net);
         let generated = net.metrics().generated_phits_total / 8;
         assert_eq!(
             net.metrics().delivered_packets_total(),
             generated,
-            "{routing:?}: packets lost or duplicated under the parallel kernel"
+            "{routing:?}: packets lost or duplicated at mid-size scale"
         );
         assert!(generated > 500, "the mid-size run must carry real traffic");
-    }
-}
-
-#[test]
-fn parallel_kernel_invariants_hold_for_every_routing_mechanism() {
-    // Every mechanism (including PB's every-cycle dissemination and ECtN's
-    // periodic broadcast) through the sharded control-plane phases.
-    for routing in RoutingKind::ALL {
-        let net = run_and_drain_kernel(
-            DragonflyParams::small(),
-            routing,
-            PatternKind::Adversarial { offset: 1 },
-            0.3,
-            600,
-            23,
-            KernelMode::Parallel { workers: 4 },
-        );
-        check_conservation(&net);
-        let generated = net.metrics().generated_phits_total / 8;
-        assert_eq!(
-            net.metrics().delivered_packets_total(),
-            generated,
-            "{routing:?}: conservation violated under the parallel kernel"
-        );
-    }
-}
-
-#[test]
-fn latency_histograms_are_identical_across_one_to_eight_workers() {
-    // Stress the worker-count-independence contract on the *full* latency
-    // distribution, not just summary statistics: the same congested
-    // configuration on 1..=8 workers must produce bin-for-bin identical
-    // histograms (and identical totals) to the sequential optimized kernel.
-    let run = |kernel: KernelMode| {
-        let config = SimulationConfig::builder()
-            .topology(DragonflyParams::small())
-            .network(NetworkConfig::fast_test())
-            .routing(RoutingKind::Base)
-            .pattern(PatternKind::Adversarial { offset: 1 })
-            .offered_load(0.35)
-            .warmup_cycles(100)
-            .measurement_cycles(500)
-            .seed(29)
-            .kernel(kernel)
-            .build()
-            .expect("valid configuration");
-        let mut net = Network::new(config);
-        net.run_cycles(100);
-        let start = net.cycle();
-        net.metrics_mut().start_measurement(start);
-        net.run_cycles(500);
-        assert!(net.drain(100_000));
-        (
-            net.metrics().latency_histogram().bins().to_vec(),
-            net.metrics().latency_histogram().count(),
-            net.metrics().delivered_packets_total(),
-        )
-    };
-    let reference = run(KernelMode::Optimized);
-    assert!(reference.1 > 0, "the reference run must record latencies");
-    for workers in 1..=8usize {
-        let parallel = run(KernelMode::Parallel { workers });
-        assert_eq!(
-            parallel.1, reference.1,
-            "parallel({workers}): histogram totals diverged"
-        );
-        assert_eq!(
-            parallel.2, reference.2,
-            "parallel({workers}): delivered totals diverged"
-        );
-        for (bin, (p, r)) in parallel.0.iter().zip(reference.0.iter()).enumerate() {
-            assert_eq!(
-                p, r,
-                "parallel({workers}): histogram bin {bin} diverged from the optimized kernel"
-            );
-        }
-        assert_eq!(parallel.0.len(), reference.0.len());
     }
 }
 

@@ -10,19 +10,15 @@
 //!    per-job completion cycles, stall distributions and labels.
 //! 2. **The pinned corpus** — `GOLDEN_JOBS` in
 //!    `tests/common/golden_corpus.rs` fingerprints every mix × routing cell
-//!    on both topologies. The configurations do not set a [`KernelMode`],
-//!    so CI replays the table under every kernel bit-for-bit.
-//! 3. **Cross-kernel bit-identity** — optimized and parallel (1, 2 and 4
-//!    workers) kernels compared directly on the same job sets, and the
-//!    optimized fingerprints against the digests frozen from the retired
-//!    seed kernel.
+//!    on both topologies.
+//! 3. **Frozen digests** — job-set fingerprints against the digests frozen
+//!    from the retired seed kernel.
 //! 4. **Snapshot/resume mid-run (format v4)** — a snapshot taken with jobs
-//!    mid-collective resumes bit-identically under the same kernel and
-//!    across kernels, and re-snapshotting a restored network reproduces
-//!    the bytes exactly.
+//!    mid-collective resumes bit-identically, and re-snapshotting a
+//!    restored network reproduces the bytes exactly.
 //! 5. **Interference** — the pinned 2-job cell's per-job completion time is
-//!    strictly worse shared than solo, under every kernel, and the
-//!    slowdown-vs-isolation report says so.
+//!    strictly worse shared than solo, and the slowdown-vs-isolation report
+//!    says so.
 //! 6. **Degenerate inputs** — zero-rank and single-rank collectives are
 //!    rejected at validation (and their lowerings cannot panic), a job
 //!    whose `start_cycle` falls after the cycle budget reports honestly,
@@ -37,7 +33,6 @@
 //! and paste the printed constants into `tests/common/golden_corpus.rs` in
 //! the same commit.
 //!
-//! [`KernelMode`]: contention_dragonfly::prelude::KernelMode
 //! [`ConfigError`]: contention_dragonfly::prelude::ConfigError
 
 use contention_dragonfly::prelude::*;
@@ -200,39 +195,22 @@ fn regenerate_multi_job_corpus() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. cross-kernel bit-identity
+// 3. frozen digests
 // ---------------------------------------------------------------------------
 
 #[test]
-fn job_sets_are_bit_identical_across_kernels() {
-    let kernels = [
-        KernelMode::Parallel { workers: 1 },
-        KernelMode::Parallel { workers: 2 },
-        KernelMode::Parallel { workers: 4 },
-    ];
+fn job_sets_match_the_frozen_digests() {
     let (_, jobs) = job_mixes().remove(1);
     for (routing, frozen) in [
         (RoutingKind::Base, 0xE94E_60A4_E745_2D7B),
         (RoutingKind::PiggyBacking, 0xFF2A_D738_5030_51A3),
     ] {
-        let mut cfg = job_set_config(jobs.clone(), routing);
-        cfg.kernel = KernelMode::Optimized;
-        let reference = job_set_fingerprint(cfg.clone());
+        let reference = job_set_fingerprint(job_set_config(jobs.clone(), routing));
         frozen::assert_frozen(
             &format!("3-job mix under {}", routing.label()),
             &reference,
             frozen,
         );
-        for kernel in kernels {
-            let mut k = cfg.clone();
-            k.kernel = kernel;
-            assert_eq!(
-                job_set_fingerprint(k),
-                reference,
-                "3-job mix under {} diverged on {kernel:?}",
-                routing.label()
-            );
-        }
     }
 }
 
@@ -293,24 +271,11 @@ fn snapshot_mid_jobs_resumes_bit_identically() {
         "v4 round-trip is byte-identical"
     );
 
-    // kernel portability: finish the same snapshot under the parallel
-    // kernel; both land where the retired seed kernel landed from it
+    // and where the retired seed kernel landed from the same snapshot
     frozen::assert_frozen(
         "resumed job set",
         &(done, reference.metrics().delivered_packets_total()),
         0xCA44_A3F0_381B_823C,
-    );
-    let mut k = cfg.clone();
-    k.kernel = KernelMode::Parallel { workers: 2 };
-    let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
-    assert_eq!(
-        n.run_until_jobs_complete(200_000),
-        Some(done),
-        "parallel(2) resumed to a different makespan"
-    );
-    assert_eq!(
-        n.metrics().delivered_packets_total(),
-        reference.metrics().delivered_packets_total()
     );
 }
 
@@ -344,8 +309,7 @@ fn job_snapshot_rejects_configuration_disagreement() {
 
 #[test]
 fn pinned_interference_cell_is_strictly_worse_than_solo() {
-    let mut cfg = job_set_config(interference_jobs(), RoutingKind::Base);
-    cfg.kernel = KernelMode::Optimized;
+    let cfg = job_set_config(interference_jobs(), RoutingKind::Base);
     let reference = run_interference(cfg.clone(), 200_000);
     for (i, solo) in reference.solo.iter().enumerate() {
         let shared = &reference.shared.jobs[i];
@@ -365,7 +329,7 @@ fn pinned_interference_cell_is_strictly_worse_than_solo() {
         );
     }
 
-    // the comparison itself is bit-identical across kernels
+    // the comparison itself is pinned
     let fingerprint = |r: &InterferenceReport| -> Vec<(Option<u64>, Option<u64>)> {
         (0..r.solo.len())
             .map(|i| (r.shared.jobs[i].elapsed_cycles, r.solo[i].elapsed_cycles))
@@ -373,13 +337,6 @@ fn pinned_interference_cell_is_strictly_worse_than_solo() {
     };
     let expected = fingerprint(&reference);
     frozen::assert_frozen("interference cell", &expected, 0x47AF_FCC9_F0E9_9C75);
-    let mut k = cfg.clone();
-    k.kernel = KernelMode::Parallel { workers: 4 };
-    assert_eq!(
-        fingerprint(&run_interference(k, 200_000)),
-        expected,
-        "interference comparison diverged on parallel(4)"
-    );
 
     // and survives a mid-run snapshot/resume byte-identically
     let mut first = Network::new(cfg.clone());

@@ -48,16 +48,7 @@ fn paper_table1_topology_constructs_consistently() {
     assert_eq!(scale.measure, 15_000);
 }
 
-fn paper_config(kernel: KernelMode, cycles: u64) -> SimulationConfig {
-    paper_config_for(RoutingKind::Base, 0.1, kernel, cycles)
-}
-
-fn paper_config_for(
-    routing: RoutingKind,
-    load: f64,
-    kernel: KernelMode,
-    cycles: u64,
-) -> SimulationConfig {
+fn paper_config(routing: RoutingKind, load: f64, cycles: u64) -> SimulationConfig {
     SimulationConfig::builder()
         .topology(DragonflyParams::paper_table1())
         .network(NetworkConfig::paper_table1())
@@ -67,17 +58,16 @@ fn paper_config_for(
         .warmup_cycles(0)
         .measurement_cycles(cycles)
         .seed(1)
-        .kernel(kernel)
         .build()
         .expect("the paper-scale configuration must validate")
 }
 
-/// `--ignored`: the 16,512-node network runs a short window under the
-/// parallel kernel and actually delivers traffic.
+/// `--ignored`: the 16,512-node network runs a short window and actually
+/// delivers traffic.
 #[test]
 #[ignore = "paper-scale smoke (tens of seconds); run with --ignored"]
-fn paper_scale_runs_and_delivers_under_the_parallel_kernel() {
-    let mut net = Network::new(paper_config(KernelMode::Parallel { workers: 0 }, 300));
+fn paper_scale_runs_and_delivers() {
+    let mut net = Network::new(paper_config(RoutingKind::Base, 0.1, 300));
     net.metrics_mut().start_measurement(0);
     net.run_cycles(300);
     assert_eq!(net.topology().num_routers(), 2_064);
@@ -92,57 +82,13 @@ fn paper_scale_runs_and_delivers_under_the_parallel_kernel() {
     assert!(summary.avg_packet_latency > 0.0);
 }
 
-/// `--ignored`: a short parallel-vs-optimized bit-identity check at the full
-/// paper scale — the determinism contract does not thin out with size. The
-/// second cell is PB at load 0.01: 129 groups sharded across workers with
-/// nearly every router idle, so the change-gated flag refresh and group
-/// exchange (and the look-ahead injection walk) skip almost everything —
-/// in both kernels, to the same snapshot bytes.
-#[test]
-#[ignore = "paper-scale cross-kernel check (tens of seconds); run with --ignored"]
-fn paper_scale_parallel_matches_optimized() {
-    let run = |routing: RoutingKind, load: f64, kernel: KernelMode| {
-        let mut net = Network::new(paper_config_for(routing, load, kernel, 120));
-        net.metrics_mut().start_measurement(0);
-        net.run_cycles(120);
-        let s = net.metrics().window_summary();
-        (
-            s.delivered_packets,
-            s.avg_packet_latency.to_bits(),
-            net.in_flight(),
-            net.pending_events(),
-            contention_dragonfly::engine::codec::fnv1a64(&net.snapshot()),
-        )
-    };
-    for (routing, load, workers) in [
-        (RoutingKind::Base, 0.1, 4),
-        (RoutingKind::PiggyBacking, 0.01, 2),
-    ] {
-        let optimized = run(routing, load, KernelMode::Optimized);
-        assert!(
-            optimized.0 > 0,
-            "{routing} at load {load} delivered nothing"
-        );
-        let parallel = run(routing, load, KernelMode::Parallel { workers });
-        assert_eq!(
-            parallel, optimized,
-            "parallel({workers}) diverged from optimized at paper scale ({routing}, load {load})"
-        );
-    }
-}
-
 /// `--ignored`: a router's packet store grows to its peak buffered packets,
 /// not to the VCs it has touched — at UN 0.01 over 2,000 cycles every
 /// router of the Table I network stays within a few slots on average.
 #[test]
 #[ignore = "paper-scale footprint (tens of seconds); run with --ignored"]
 fn paper_scale_packet_slots_follow_live_packets() {
-    let mut net = Network::new(paper_config_for(
-        RoutingKind::Base,
-        0.01,
-        KernelMode::Optimized,
-        2_000,
-    ));
+    let mut net = Network::new(paper_config(RoutingKind::Base, 0.01, 2_000));
     net.run_cycles(2_000);
     let topo = *net.topology();
     let slots: usize = topo.routers().map(|r| net.router(r).packet_slots()).sum();

@@ -8,8 +8,8 @@
 //! rather than silently shifting every future result.
 //!
 //! The corpus itself (tables, patterns, fingerprint definition) lives in
-//! `tests/common/golden_corpus.rs` so `tests/kernel_equivalence.rs` can
-//! replay the *same* pinned tables under the parallel kernel.
+//! `tests/common/golden_corpus.rs`, shared with the collective and
+//! multi-job suites.
 //!
 //! If a test in this file fails after an intentional semantics change,
 //! regenerate the tables with
@@ -21,12 +21,6 @@
 //! and paste the printed constants into `tests/common/golden_corpus.rs` in
 //! the same commit, calling the update out in the PR description (same
 //! contract as `tests/determinism.rs`).
-//!
-//! The configurations deliberately do not set a [`KernelMode`], so the env
-//! default applies and CI exercises the whole suite under every kernel —
-//! which must be bit-for-bit identical.
-//!
-//! [`KernelMode`]: contention_dragonfly::prelude::KernelMode
 
 use contention_dragonfly::prelude::*;
 
@@ -198,8 +192,7 @@ fn golden_churn_corpus() {
 
 // ---------------------------------------------------------------------------
 // 2d. Megafly / Dragonfly+ corpus slice: the second `Topology` instance,
-// pinned exactly like the Dragonfly tables (same clock, same seed, env
-// kernel — the CI kernel matrix replays these under every kernel too).
+// pinned exactly like the Dragonfly tables (same clock, same seed).
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -4,11 +4,9 @@
 //! interrupted.
 //!
 //! The property is checked at pseudo-randomly drawn checkpoint cycles
-//! (warmup, mid-measurement, inside fault windows, mid-churn) and across
-//! kernels: a snapshot written by the optimized kernel resumes under the
-//! parallel kernel at several worker counts, because snapshots are
-//! kernel-portable by construction (the config fingerprint is
-//! kernel-normalized and no kernel-specific state is stored).
+//! (warmup, mid-measurement, inside fault windows, mid-churn). A snapshot
+//! also restores under the configuration's other `KernelMode` value, which
+//! runs the same kernel: the config fingerprint normalises the kernel away.
 //! The resumed golden run must also reproduce the literal pinned constants
 //! of `determinism::golden_summary_is_pinned`.
 
@@ -96,7 +94,8 @@ fn straight_run(cfg: &SimulationConfig) -> Fingerprint {
 }
 
 /// Run to `checkpoint`, snapshot, restore under `resume_cfg` (same machine,
-/// possibly a different kernel), and finish the run from the snapshot.
+/// possibly the other `KernelMode` value), and finish the run from the
+/// snapshot.
 fn interrupted_run(
     cfg: &SimulationConfig,
     resume_cfg: &SimulationConfig,
@@ -149,29 +148,35 @@ fn resume_is_bit_identical_at_random_checkpoints() {
 }
 
 #[test]
-fn snapshots_resume_bit_identically_under_every_kernel() {
-    // One optimized-kernel snapshot per checkpoint, resumed under the
-    // sharded parallel kernel at 1, 2 and 4 workers: the mixed-kernel run
-    // must still match the uninterrupted optimized reference, because the
-    // kernels are bit-identical and the snapshot carries no kernel-specific
-    // state. The reference itself is pinned to what the retired seed kernel
-    // reached when it resumed the same snapshots.
-    let cfg = base_config(KernelMode::Optimized);
-    let reference = straight_run(&cfg);
+fn parallel_kernel_value_snapshots_and_restores_like_optimized() {
+    // `KernelMode::Parallel { workers }` survives for callers that name it
+    // (the benchmark builds `workers: 2` and restores an optimized
+    // snapshot under it): the value builds, runs to the very snapshot bytes
+    // `Optimized` does, and takes an `Optimized` snapshot — the mixed run
+    // still lands on the uninterrupted reference, itself pinned to what the
+    // retired seed kernel reached.
+    let optimized = base_config(KernelMode::Optimized);
+    let parallel = base_config(KernelMode::Parallel { workers: 2 });
+    let (mut a, mut b) = (
+        Network::new(optimized.clone()),
+        Network::new(parallel.clone()),
+    );
+    for at in [200, 600] {
+        a.run_cycles(at - a.cycle());
+        b.run_cycles(at - b.cycle());
+        assert!(
+            a.snapshot() == b.snapshot(),
+            "snapshot bytes differ at cycle {at}"
+        );
+    }
+    let reference = straight_run(&optimized);
     frozen::assert_frozen("uninterrupted reference", &reference, 0x2CA2_2512_C548_C33F);
-    let resumes = [
-        KernelMode::Parallel { workers: 1 },
-        KernelMode::Parallel { workers: 2 },
-        KernelMode::Parallel { workers: 4 },
-    ];
     for checkpoint in random_checkpoints(0xBEEF, 800, 2) {
-        for kernel in resumes {
-            let resumed = interrupted_run(&cfg, &base_config(kernel), checkpoint);
-            assert_eq!(
-                resumed, reference,
-                "resume under {kernel:?} from cycle {checkpoint} diverged"
-            );
-        }
+        assert_eq!(
+            interrupted_run(&optimized, &parallel, checkpoint),
+            reference,
+            "an optimized snapshot from cycle {checkpoint} resumed elsewhere under Parallel{{2}}"
+        );
     }
 }
 
@@ -326,8 +331,8 @@ fn paper_scale_snapshot_resume_smoke() {
 /// before activity-proportional stepping and re-captured once per format
 /// version since (`SNAPSHOT_VERSION` 6: each cell 10,073 bytes shorter —
 /// 16 per router port, a 44-byte pristine view per router, one 500-bin
-/// histogram, the mark vectors of 19 liveness maps, three small sections);
-/// equal under `optimized` and `parallel:{2,4}`. The last
+/// histogram, the mark vectors of 19 liveness maps, three small sections).
+/// The last
 /// cell sits at a load where nearly every injector is many cycles from its
 /// next packet: a wrong RNG stream position in a mid-look-ahead snapshot
 /// shows up here and nowhere else.
