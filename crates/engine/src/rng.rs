@@ -76,6 +76,23 @@ impl DeterministicRng {
         }
     }
 
+    /// Consume up to `bound` failing [`bernoulli`](Self::bernoulli)`(p)`
+    /// trials, stopping *before* a success; returns how many (`0 < p < 1`).
+    /// A trial peeks its draw and steps only past a failure: `uniform()` is
+    /// `m · 2^-53` for the draw's top 53 bits, so `uniform() < p` is exactly
+    /// `m < ceil(p · 2^53)` (scaling by a power of two is exact).
+    #[inline]
+    pub fn skip_bernoulli_failures(&mut self, p: f64, bound: u32) -> u32 {
+        debug_assert!(p > 0.0 && p < 1.0, "a trial that draws: 0 < p < 1");
+        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
+        let mut failures = 0;
+        while failures < bound && self.inner.peek_u64() >> 11 >= threshold {
+            self.inner.next_u64();
+            failures += 1;
+        }
+        failures
+    }
+
     /// Uniform integer in `[0, bound)`. `bound` must be non-zero.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
@@ -190,6 +207,66 @@ mod tests {
         let hits = (0..n).filter(|_| r.bernoulli(0.3)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.01, "rate {rate} too far from 0.3");
+    }
+
+    /// The long way: `bernoulli(p)` on a clone, keeping each failure and
+    /// stopping before the first success or at `bound`.
+    fn failures_the_long_way(
+        rng: &DeterministicRng,
+        p: f64,
+        bound: u32,
+    ) -> (u32, DeterministicRng) {
+        let (mut at, mut failures) = (rng.clone(), 0);
+        while failures < bound {
+            let mut probe = at.clone();
+            if probe.bernoulli(p) {
+                break;
+            }
+            at = probe;
+            failures += 1;
+        }
+        (failures, at)
+    }
+
+    #[test]
+    fn skipping_failures_matches_bernoulli_trials_on_a_clone() {
+        let two53 = (1u64 << 53) as f64;
+        let mut probabilities = vec![
+            1.0 / two53,
+            1e-9,
+            0.000_125,
+            0.001_25,
+            1.0 / 3.0,
+            0.5,
+            1.0 - 1.0 / two53,
+        ];
+        // loads whose p · 2^53 is an integer: the threshold is p · 2^53 itself
+        probabilities.extend([3.0 / 1024.0, 5.0 / 4096.0, 0.125, 0.75]);
+        let mut hit_bound = 0;
+        for p in probabilities {
+            for seed in 0..64 {
+                let mut rng = DeterministicRng::new(seed).split(p.to_bits());
+                // walk a few runs in a row, so the scans start at varied states
+                for _ in 0..4 {
+                    let bound = if seed % 2 == 0 { 64 } else { 4_096 };
+                    let (failures, expected) = failures_the_long_way(&rng, p, bound);
+                    assert_eq!(
+                        rng.skip_bernoulli_failures(p, bound),
+                        failures,
+                        "p {p} seed {seed}"
+                    );
+                    assert_eq!(rng.state(), expected.state(), "p {p} seed {seed}");
+                    hit_bound += (failures == bound) as u32;
+                    if failures < bound {
+                        assert!(rng.bernoulli(p), "the trial after the run succeeds");
+                    }
+                }
+            }
+        }
+        assert!(
+            hit_bound > 100,
+            "the scan reached its bound {hit_bound} times"
+        );
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub struct Router {
     /// the head unlink [`Router::discard_head`] and [`Router::apply_grant`]
     /// share; derived: rebuilt by [`Router::restore_state`].
     occupied_vcs: Vec<u64>,
+    /// Bit `p` set: `occupied_vcs[p]` is non-zero — the input ports those
+    /// loops visit. Maintained and rebuilt with `occupied_vcs`.
+    occupied_ports: u64,
     /// Head packets currently awaiting contention-counter registration —
     /// an O(1) guard that skips the registration scan entirely on the
     /// (common) cycles where no new head appeared.
@@ -202,6 +205,7 @@ impl Router {
             pb: PbState::new(topo.own_globals(id) as usize, global_links),
             allocator: Allocator::new(radix as usize),
             occupied_vcs: vec![0; radix as usize],
+            occupied_ports: 0,
             unregistered_count: 0,
             link_up: vec![true; radix as usize],
             links_down: 0,
@@ -371,6 +375,7 @@ impl Router {
             self.unregistered_count += 1;
         }
         self.occupied_vcs[port.index()] |= 1 << vc.index();
+        self.occupied_ports |= 1 << port.index();
         debug_assert!(self.occupied_vcs_are_exact(), "after receive_packet");
     }
 
@@ -481,6 +486,9 @@ impl Router {
         }
         if input_vc.is_empty() {
             self.occupied_vcs[port.index()] &= !(1 << vc.index());
+            if self.occupied_vcs[port.index()] == 0 {
+                self.occupied_ports &= !(1 << port.index());
+            }
         } else {
             // a new head surfaced and awaits registration
             self.unregistered_count += 1;
@@ -680,8 +688,17 @@ impl Router {
         self.occupied_vcs[port.index()]
     }
 
-    /// Whether every port's occupied-VC mask equals its VCs' emptiness,
-    /// every staged output is in the staged-port set, every FIFO's length
+    /// The input ports holding a packet, as a mask (bit `p`: port `p`; O(1)
+    /// — the ports the per-cycle loops iterate, with [`set_bits`]; 0 for a
+    /// router with no input head).
+    #[inline]
+    pub fn occupied_ports(&self) -> u64 {
+        self.occupied_ports
+    }
+
+    /// Whether every port's occupied-VC mask equals its VCs' emptiness, the
+    /// occupied-port mask equals the non-zero VC masks, every staged output
+    /// is in the staged-port set, every FIFO's length
     /// equals the length of its walk through the store, and the store's live
     /// count equals the queued plus staged packets (the debug gate behind
     /// every mask and store update).
@@ -694,6 +711,8 @@ impl Router {
                 (0..input.num_vcs()).all(|v| (mask >> v & 1 == 1) != input.vc(v).is_empty())
                     && mask.checked_shr(input.num_vcs() as u32).unwrap_or(0) == 0
             });
+        let ports = (self.occupied_vcs.iter().enumerate())
+            .all(|(p, &mask)| (mask != 0) == (self.occupied_ports >> p & 1 == 1));
         let staged = (self.outputs.iter().enumerate())
             .all(|(p, o)| o.staged_packets() == 0 || self.staged_ports >> p & 1 == 1);
         let fifos = || {
@@ -703,7 +722,7 @@ impl Router {
         };
         let walks = fifos().all(|fifo| self.store.iter(fifo).count() == fifo.len());
         let held: usize = fifos().map(|fifo| fifo.len()).sum();
-        masks && staged && walks && self.store.live() == held
+        masks && ports && staged && walks && self.store.live() == held
     }
 
     /// The router's candidate table, built by `build` the first time it is
@@ -809,7 +828,8 @@ impl Router {
         self.outputs_changed = true;
         self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
         self.unregistered_count = 0;
-        for (input, mask) in self.inputs.iter().zip(&mut self.occupied_vcs) {
+        self.occupied_ports = 0;
+        for (p, (input, mask)) in self.inputs.iter().zip(&mut self.occupied_vcs).enumerate() {
             *mask = 0;
             for v in 0..input.num_vcs() {
                 if !input.vc(v).is_empty() {
@@ -819,6 +839,7 @@ impl Router {
                     self.unregistered_count += 1;
                 }
             }
+            self.occupied_ports |= ((*mask != 0) as u64) << p;
         }
         debug_assert!(self.occupied_vcs_are_exact(), "after restore_state");
         Ok(())

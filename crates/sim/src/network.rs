@@ -40,23 +40,24 @@
 //!   the skipped work is provably a no-op, the set is iterated in ascending
 //!   order (which fixes the event sequence numbers and packet ids, and
 //!   therefore the results), and the set is rebuilt on restore rather than
-//!   stored. The sets — active routers (steps 4–5), queued nodes
-//!   (injection), silent / look-ahead injectors (generation, `node::Nodes`),
-//!   output-changed routers and flipped groups (PB), staged ports
-//!   (transmission, idleness), head plans (routing decisions) — are
-//!   tabulated in `docs/ARCHITECTURE.md`
+//!   stored. The sets — active routers (step 5), routers holding an input
+//!   head (step 4), queued nodes (injection), the injectors' wake-up
+//!   calendar (generation, `node::Nodes`), output-changed routers and
+//!   flipped groups (PB), staged ports (transmission, idleness), head plans
+//!   (routing decisions) — are tabulated in `docs/ARCHITECTURE.md`
 //!   § "Activity gating"; debug builds assert each against the full scan
-//!   (the first two at the end of every [`Network::step`]).
+//!   (the first four at the end of every [`Network::step`]).
 //! * **Allocation-free steady state**: the per-cycle loop reuses scratch
 //!   buffers for due events, allocation requests/grants and transmitted
 //!   packets, and PB/ECtN dissemination gathers into flat per-group arrays
 //!   copied slice-to-slice instead of cloning a `Vec` per router per cycle.
 //!
-//! Steps 3–5 walk the groups (PB/ECtN) or the sorted active list
-//! (routing + allocation, transmission) one router at a time. Cross-router
-//! effects (link events, upstream credits, misroute commits, discards) are
-//! staged in walk order and replayed after each phase in that order (the
-//! `phase` module docs). Both [`KernelMode`] values run this one pipeline.
+//! Steps 3–5 walk the groups (PB/ECtN), the sorted routers holding a head
+//! (routing + allocation) or the sorted active list (transmission) one
+//! router at a time. Cross-router effects (link events, upstream credits,
+//! misroute commits, discards) are staged in walk order and replayed after
+//! each phase in that order (the `phase` module docs). Both [`KernelMode`]
+//! values run this one pipeline.
 //!
 //! [`KernelMode`]: crate::KernelMode
 
@@ -161,6 +162,11 @@ pub struct Network {
     active_flags: Vec<bool>,
     /// Router indices currently in the active set (sorted before use).
     active_list: Vec<u32>,
+    /// Membership flag per router of `head_list`.
+    head_flags: Vec<bool>,
+    /// Routers holding an input head (sorted before use): all a routing +
+    /// allocation iteration has work for; a subset of the active set.
+    head_list: Vec<u32>,
     // ---- phase execution ----
     /// Scratch and effect-staging buffers of steps 3–5.
     scratch: StepScratch,
@@ -262,6 +268,8 @@ impl Network {
             jobs,
             active_flags: vec![false; num_routers],
             active_list: Vec::with_capacity(num_routers),
+            head_flags: vec![false; num_routers],
+            head_list: Vec::new(),
             scratch: StepScratch::default(),
             scratch_events: Vec::new(),
         }
@@ -393,7 +401,7 @@ impl Network {
     /// credits ledgered). The fault plan is not frozen: resume stepping and
     /// the remaining events fire at their scheduled cycles.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        self.nodes.set_offered_load(0.0);
+        self.nodes.set_offered_load(0.0, self.cycle);
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline && !self.drained() {
             self.step();
@@ -445,6 +453,22 @@ impl Network {
             self.active_flags[r_idx] = true;
             self.active_list.push(r_idx as u32);
         }
+    }
+
+    /// Add router `r_idx`, just handed an input packet, to the head set.
+    #[inline]
+    fn mark_head(&mut self, r_idx: usize) {
+        self.mark_active(r_idx);
+        if !self.head_flags[r_idx] {
+            self.head_flags[r_idx] = true;
+            self.head_list.push(r_idx as u32);
+        }
+    }
+
+    /// Pause node `idx`'s generation at `now` iff its router drains or it failed.
+    fn sync_paused(&mut self, idx: usize, now: Cycle) {
+        let paused = self.node_blocked[idx] || self.node_failed[idx];
+        self.nodes.set_paused(idx, paused, now);
     }
 
     /// Apply every fault event due at or before `now` (start-of-cycle, so a
@@ -508,11 +532,13 @@ impl Network {
                 FaultKind::RouterDrain { router } => {
                     for node in topo.nodes_of_router(router) {
                         self.node_blocked[node.index()] = true;
+                        self.sync_paused(node.index(), now);
                     }
                 }
                 FaultKind::RouterRestore { router } => {
                     for node in topo.nodes_of_router(router) {
                         self.node_blocked[node.index()] = false;
+                        self.sync_paused(node.index(), now);
                     }
                 }
                 FaultKind::NodeFail { node, spare } => {
@@ -525,11 +551,13 @@ impl Network {
                     self.spare_of[node.index()] = spare.0;
                     self.nodes_failed_count += 1;
                     self.linkview_truth.set_node(node, false);
+                    self.sync_paused(node.index(), now);
                 }
                 FaultKind::NodeRestore { node } => {
                     self.node_failed[node.index()] = false;
                     self.nodes_failed_count -= 1;
                     self.linkview_truth.set_node(node, true);
+                    self.sync_paused(node.index(), now);
                 }
             }
         }
@@ -555,9 +583,9 @@ impl Network {
         per_vc[vc.index()] += phits;
     }
 
-    /// Run one phase — every group (PB/ECtN) or every router of the sorted
-    /// active list, in ascending order — then replay the cross-router
-    /// effects it staged, in staging order.
+    /// Run one phase — every group (PB/ECtN), or every router of the sorted
+    /// head set (routing + allocation; leaving it once empty) or active list
+    /// (transmission) — then replay its staged effects in staging order.
     fn run_phase(&mut self, kind: PhaseKind) {
         let (now, ctx, scratch) = (self.cycle, &self.ctx, &mut self.scratch);
         match kind {
@@ -568,13 +596,19 @@ impl Network {
                 }
             }
             PhaseKind::Alloc => {
-                for &r in &self.active_list {
+                for &r in &self.head_list {
                     let (router, rng) = (
                         &mut self.routers[r as usize],
                         &mut self.router_rngs[r as usize],
                     );
                     route_and_allocate_one(router, rng, ctx, now, scratch);
                 }
+                let (flags, routers) = (&mut self.head_flags, &self.routers);
+                self.head_list.retain(|&r| {
+                    let holds = routers[r as usize].occupied_ports() != 0;
+                    flags[r as usize] = holds;
+                    holds
+                });
             }
             PhaseKind::Transmit => {
                 for &r in &self.active_list {
@@ -610,7 +644,7 @@ impl Network {
             let load = self.config.schedule.phases()[phase]
                 .load
                 .unwrap_or(self.config.offered_load);
-            self.nodes.set_offered_load(load);
+            self.nodes.set_offered_load(load, now);
         }
 
         // ---- 0.5. fault events ----
@@ -648,7 +682,7 @@ impl Network {
                             }
                         }
                     }
-                    self.mark_active(router.index());
+                    self.mark_head(router.index());
                     self.routers[router.index()].receive_packet(port, vc, packet);
                 }
                 Event::CreditReturn {
@@ -707,8 +741,6 @@ impl Network {
             now,
             &self.patterns[self.current_phase],
             &mut self.next_packet_id,
-            &self.node_blocked,
-            &self.node_failed,
             &mut self.metrics,
         );
         // injection visits only the nodes with a packet waiting, in
@@ -756,7 +788,7 @@ impl Network {
                 self.in_flight_phits += packet.size_phits as u64;
                 self.injected_packets_total += 1;
                 self.injected_phits_total += packet.size_phits as u64;
-                self.mark_active(router_id.index());
+                self.mark_head(router_id.index());
                 self.routers[router_id.index()].receive_packet(port, VcId(vc as u8), packet);
             }
         }
@@ -785,11 +817,12 @@ impl Network {
             self.metrics.record_stale_linkstate_cycle();
         }
 
-        // Events only arrive in steps 1–2, so the active set is complete
-        // here; sort it so steps 4–5 visit routers in ascending index order,
-        // which fixes the event sequence numbers (and therefore the results)
-        // independently of the order routers woke up in.
+        // Events only arrive in steps 1–2, so the active and head sets are
+        // complete here; sort them so steps 4–5 visit routers in ascending
+        // index order, which fixes the event sequence numbers (and therefore
+        // the results) independently of the order routers woke up in.
         self.active_list.sort_unstable();
+        self.head_list.sort_unstable();
 
         // ---- 4. routing + allocation ----
         for _ in 0..self.config.network.allocator_speedup {
@@ -813,15 +846,19 @@ impl Network {
         // the gate's invariant, checked against a full scan: steps 4–5 may
         // only skip routers for which they are no-ops
         debug_assert!(
-            self.routers
-                .iter()
-                .zip(&self.active_flags)
-                .all(|(router, &active)| active || router.is_idle()),
-            "a router outside the active set holds traffic at cycle {now}"
+            self.routers.iter().enumerate().all(|(r, router)| {
+                (self.active_flags[r] || router.is_idle())
+                    && (self.head_flags[r] || router.occupied_ports() == 0)
+            }),
+            "a router outside the active (head) set holds traffic (a head) at cycle {now}"
         );
         debug_assert!(
             self.nodes.queued_set_is_complete(),
             "a node outside the queued set holds a packet at cycle {now}"
+        );
+        debug_assert!(
+            self.nodes.calendar_is_exact(now + 1),
+            "the wake-up calendar lost, doubled or misfiled a node at cycle {now}"
         );
         // a snapshot stores the group views only and restore re-installs
         // them: sound because every flooding round above is followed by an

@@ -11,16 +11,17 @@
 //! it: the nodes themselves plus three *derived* sets that make the walk
 //! over them proportional to what happens rather than to the node count —
 //! the nodes with a non-empty source queue (the only ones injection has to
-//! visit), a per-node countdown of ticks the Bernoulli look-ahead has
-//! already proved to be failures (see [`df_traffic::injection`]), and a
-//! flag for the case where no injector can generate anything at all. None
-//! of it is simulation state: it is rebuilt from the nodes on construction
-//! and on restore, and a snapshot is byte-identical with or without it.
+//! visit), a wake-up calendar that hands out the nodes whose next tick is
+//! not already proved a failure by the Bernoulli look-ahead (see
+//! [`df_traffic::injection`]), and a flag for the case where no injector
+//! can generate anything at all. None of it is simulation state: it is
+//! rebuilt from the nodes on construction and on restore, and a snapshot
+//! is byte-identical with or without it.
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, Packet};
 use df_topology::NodeId;
-use df_traffic::{InjectionKind, Injector, TrafficPattern};
+use df_traffic::{InjectionKind, Injector, TrafficPattern, LOOKAHEAD_BOUND};
 use std::collections::VecDeque;
 
 use crate::metrics::Metrics;
@@ -132,13 +133,13 @@ impl Node {
 
     /// Serialise the node's persistent state: injector (RNG stream, load
     /// override, generation counter), source queue, VC round-robin pointer
-    /// and statistics. `quiet_ticks` is how many of the ticks the injector's
+    /// and statistics. `owed` is how many of the ticks the injector's
     /// pending look-ahead reported have not elapsed yet (0 for a node ticked
     /// every cycle): the stream position written is the one a
     /// tick-every-cycle twin would hold now.
-    pub fn save_state(&self, e: &mut df_engine::Encoder, quiet_ticks: u32) {
+    pub fn save_state(&self, e: &mut df_engine::Encoder, owed: u32) {
         let mut injector = self.injector.clone();
-        injector.settle(quiet_ticks);
+        injector.settle(owed);
         injector.save_state(e);
         e.seq(self.source_queue.len());
         for p in &self.source_queue {
@@ -171,13 +172,27 @@ impl Node {
 /// rule for each set is the activity gate's: skipped work is provably a
 /// no-op, iteration is in ascending node order, and the set is rebuilt from
 /// the nodes on restore.
+///
+/// The wake-up calendar files each node of a `Bernoulli` population at its
+/// next real tick, `now + look_ahead + 1`, in a ring of buckets longer than
+/// `LOOKAHEAD_BOUND + 1`; a cycle ticks its bucket, sorted. A paused node
+/// leaves it owing the rest of its look-ahead. A new, restored or
+/// load-changed population is *all due*: the next generation walks every
+/// unpaused node. `Ramp` and `Bursty` populations stay all due.
 pub(crate) struct Nodes {
     nodes: Vec<Node>,
-    /// Per node: upcoming ticks its injector's look-ahead proved to be
-    /// failures. The generation walk counts these down — one per *tick*,
-    /// not per cycle: a blocked or failed node does not tick — and touches
-    /// the node itself only at 0.
-    quiet_ticks: Vec<u32>,
+    /// Per node: its wake cycle while filed, or the ticks it owes while
+    /// paused (0 while all are due).
+    wake: Vec<Cycle>,
+    /// Per node: generation paused (draining router or failed node).
+    paused: Vec<bool>,
+    /// The calendar's chains: `links[idx]` follows node `idx` in its bucket,
+    /// `links[n + slot]` heads bucket `slot` (none without a calendar).
+    links: Vec<u32>,
+    /// Every unpaused node is due at the next generation; none is filed.
+    all_due: bool,
+    /// Reusable buffer: the nodes due this cycle.
+    due: Vec<u32>,
     /// Membership flag per node of `queued_list`.
     queued_flags: Vec<bool>,
     /// Nodes whose source queue may be non-empty (sorted before use; exact
@@ -189,9 +204,11 @@ pub(crate) struct Nodes {
     silent: bool,
 }
 
+/// The end of a calendar chain.
+const NO_NODE: u32 = u32::MAX;
+
 /// Add node `idx` to the queued set (no-op if already a member). A free
-/// function over the two fields so the generation walk can call it while it
-/// holds the countdown slice.
+/// function over the two fields so a walk over the nodes can call it.
 #[inline]
 fn mark_queued(flags: &mut [bool], list: &mut Vec<u32>, idx: usize) {
     if !flags[idx] {
@@ -202,10 +219,17 @@ fn mark_queued(flags: &mut [bool], list: &mut Vec<u32>, idx: usize) {
 
 impl Nodes {
     /// Wrap a freshly built or freshly restored population: no look-ahead
-    /// pending anywhere, queued set and silence derived from the nodes.
+    /// pending anywhere, all due, queued set and silence derived from the
+    /// nodes.
     pub fn new(nodes: Vec<Node>) -> Self {
+        let bernoulli = (nodes.iter()).all(|n| n.injector.kind() == InjectionKind::Bernoulli);
+        let slots = bernoulli.then(|| (LOOKAHEAD_BOUND as usize + 2).next_power_of_two());
         let mut this = Nodes {
-            quiet_ticks: vec![0; nodes.len()],
+            wake: vec![0; nodes.len()],
+            paused: vec![false; nodes.len()],
+            links: vec![NO_NODE; nodes.len() + slots.unwrap_or(0)],
+            all_due: true,
+            due: Vec::new(),
             queued_flags: vec![false; nodes.len()],
             queued_list: Vec::new(),
             silent: false,
@@ -216,7 +240,8 @@ impl Nodes {
     }
 
     fn rebuild_derived(&mut self) {
-        self.quiet_ticks.fill(0);
+        self.paused.fill(false);
+        self.make_all_due();
         self.queued_flags.fill(false);
         self.queued_list.clear();
         for (idx, node) in self.nodes.iter().enumerate() {
@@ -225,6 +250,13 @@ impl Nodes {
             }
         }
         self.silent = self.all_silent();
+    }
+
+    /// Empty the calendar: every unpaused node is due, no paused one owes.
+    fn make_all_due(&mut self) {
+        self.wake.fill(0);
+        self.links.fill(NO_NODE);
+        self.all_due = true;
     }
 
     /// Whether no injector can draw or generate (full scan).
@@ -242,28 +274,74 @@ impl Nodes {
         &mut self.nodes[idx]
     }
 
-    /// Change every node's offered load (phase changes, drain). Pending
-    /// look-aheads were drawn against the old load: each stream is brought
-    /// to its true position first and the next tick is a real one.
-    pub fn set_offered_load(&mut self, load: f64) {
-        for (node, quiet) in self.nodes.iter_mut().zip(&mut self.quiet_ticks) {
-            node.injector.settle(std::mem::take(quiet));
-            node.set_offered_load(load);
+    /// How many of the ticks node `idx`'s look-ahead reported have not
+    /// elapsed at the start of cycle `now`.
+    fn owed(&self, idx: usize, now: Cycle) -> u32 {
+        match (self.paused[idx], self.all_due) {
+            (false, true) => 0,
+            (paused, _) => (self.wake[idx] - if paused { 0 } else { now }) as u32,
         }
+    }
+
+    /// The index of `links` heading the bucket of `cycle`.
+    #[inline]
+    fn head(&self, cycle: Cycle) -> usize {
+        let n = self.nodes.len();
+        n + (cycle as usize & (self.links.len() - n - 1))
+    }
+
+    /// File node `idx` to tick at `wake`.
+    #[inline]
+    fn file(&mut self, idx: usize, wake: Cycle) {
+        let head = self.head(wake);
+        self.wake[idx] = wake;
+        self.links[idx] = std::mem::replace(&mut self.links[head], idx as u32);
+    }
+
+    /// Change every node's offered load (phase changes, drain) at the start
+    /// of cycle `now`. Pending look-aheads were drawn against the old load:
+    /// each stream is brought to its true position first, and all are due.
+    pub fn set_offered_load(&mut self, load: f64, now: Cycle) {
+        for idx in 0..self.nodes.len() {
+            let owed = self.owed(idx, now);
+            self.nodes[idx].injector.settle(owed);
+            self.nodes[idx].set_offered_load(load);
+        }
+        self.make_all_due();
         self.silent = self.all_silent();
     }
 
-    /// This cycle's stochastic generation: tick every node that is neither
-    /// `blocked` (draining router) nor `failed` — except that a node whose
-    /// look-ahead already proved this tick a failure only counts it down,
-    /// and a silent population is not walked at all.
+    /// Pause or resume node `idx`'s generation at the start of cycle `now`
+    /// (draining router or failed node; idempotent). A paused node neither
+    /// ticks nor counts down, and resumes owing what it owed; its queued
+    /// packets still inject.
+    pub fn set_paused(&mut self, idx: usize, paused: bool, now: Cycle) {
+        if self.paused[idx] == paused {
+            return;
+        }
+        self.paused[idx] = paused;
+        if self.all_due {
+            // not filed, and owes nothing
+        } else if paused {
+            let mut at = self.head(self.wake[idx]); // pauses are rare: walk the chain
+            while self.links[at] != idx as u32 {
+                at = self.links[at] as usize;
+            }
+            self.links[at] = self.links[idx];
+            self.wake[idx] -= now;
+        } else {
+            self.file(idx, now + self.wake[idx]);
+        }
+    }
+
+    /// This cycle's generation: tick the nodes filed at `now` (every unpaused
+    /// node while all are due) in ascending order, filing each again past
+    /// its look-ahead. A silent population is not walked at all.
     pub fn generate(
         &mut self,
         now: Cycle,
         pattern: &TrafficPattern,
         next_packet_id: &mut u64,
-        blocked: &[bool],
-        failed: &[bool],
         metrics: &mut Metrics,
     ) {
         if self.silent {
@@ -273,25 +351,33 @@ impl Nodes {
             );
             return;
         }
-        let walk = self.quiet_ticks.iter_mut().zip(blocked).zip(failed);
-        for (idx, ((quiet, &blocked), &failed)) in walk.enumerate() {
-            // nodes of a draining router, and failed nodes, generate
-            // nothing (their queued packets still inject)
-            if blocked || failed {
-                continue;
+        let calendar = self.links.len() > self.nodes.len();
+        let mut due = std::mem::take(&mut self.due);
+        if self.all_due {
+            self.all_due = !calendar;
+            due.extend((0..self.nodes.len() as u32).filter(|&idx| !self.paused[idx as usize]));
+        } else {
+            let head = self.head(now);
+            let mut idx = std::mem::replace(&mut self.links[head], NO_NODE);
+            while idx != NO_NODE {
+                due.push(idx);
+                idx = self.links[idx as usize];
             }
-            if *quiet > 0 {
-                *quiet -= 1;
-                continue;
-            }
+            due.sort_unstable();
+        }
+        for idx in due.drain(..).map(|idx| idx as usize) {
             let node = &mut self.nodes[idx];
             let phits = node.generate(now, pattern, next_packet_id);
-            *quiet = node.injector.look_ahead();
+            if calendar {
+                let quiet = node.injector.look_ahead();
+                self.file(idx, now + quiet as Cycle + 1);
+            }
             if phits > 0 {
                 metrics.record_generated(phits as u64);
                 mark_queued(&mut self.queued_flags, &mut self.queued_list, idx);
             }
         }
+        self.due = due;
     }
 
     /// Enqueue a task-layer packet at node `idx` (see
@@ -340,11 +426,34 @@ impl Nodes {
             .all(|(node, &queued)| queued || node.queue_len() == 0)
     }
 
-    /// Serialise every node (see [`Node::save_state`]).
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
+    /// The calendar's invariant against a full scan at the start of cycle
+    /// `now`: each unpaused node is filed once, in its wake cycle's bucket,
+    /// no earlier than `now`; while all are due, none is filed and no paused
+    /// node owes a tick.
+    pub fn calendar_is_exact(&self, now: Cycle) -> bool {
+        let (n, mut filed) = (self.nodes.len(), vec![false; self.nodes.len()]);
+        for head in n..self.links.len() {
+            let mut idx = self.links[head] as usize;
+            while idx != NO_NODE as usize {
+                if filed[idx] || self.wake[idx] < now || self.head(self.wake[idx]) != head {
+                    return false;
+                }
+                filed[idx] = true;
+                idx = self.links[idx] as usize;
+            }
+        }
+        (0..n).all(|idx| match self.all_due {
+            true => !filed[idx] && (!self.paused[idx] || self.wake[idx] == 0),
+            false => filed[idx] != self.paused[idx],
+        })
+    }
+
+    /// Serialise every node at the start of cycle `now` (see
+    /// [`Node::save_state`]).
+    pub fn save_state(&self, e: &mut df_engine::Encoder, now: Cycle) {
         e.seq(self.nodes.len());
-        for (node, &quiet) in self.nodes.iter().zip(&self.quiet_ticks) {
-            node.save_state(e, quiet);
+        for (idx, node) in self.nodes.iter().enumerate() {
+            node.save_state(e, self.owed(idx, now));
         }
     }
 
@@ -468,9 +577,9 @@ mod tests {
             .collect()
     }
 
-    fn saved_nodes(nodes: &Nodes) -> Vec<u8> {
+    fn saved_nodes(nodes: &Nodes, now: Cycle) -> Vec<u8> {
         let mut e = df_engine::Encoder::new();
-        nodes.save_state(&mut e);
+        nodes.save_state(&mut e, now);
         e.into_bytes()
     }
 
@@ -483,35 +592,61 @@ mod tests {
         e.into_bytes()
     }
 
-    #[test]
-    fn gated_walk_matches_ticking_every_node_every_cycle() {
+    /// Drive a population of `injection` injectors through the calendar and
+    /// a twin population ticked every cycle, through overlapping pauses,
+    /// load changes (to zero and back, mid-look-ahead) and two mid-run
+    /// restores, comparing the saved state after every cycle.
+    fn assert_calendar_matches_twins(injection: InjectionKind) {
         let pat = pattern();
-        let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.2));
-        let mut twins = population(InjectionKind::Bernoulli, 0.2);
+        let mut nodes = Nodes::new(population(injection, 0.2));
+        let mut twins = population(injection, 0.2);
         let (mut id, mut twin_id) = (0u64, 0u64);
         let mut metrics = Metrics::new(0, 20);
-        let mut blocked = vec![false; 12];
-        let failed = vec![false; 12];
+        let (mut blocked, mut failed) = (vec![false; 12], vec![false; 12]);
         for now in 0..3_000u64 {
-            // node 5 sits behind a draining router for a while (it must not
-            // tick, so its look-ahead must not count down), and the load
-            // changes twice — to zero and back
-            blocked[5] = (500..900).contains(&now);
-            if let Some(load) = [(1_000, 0.0), (1_400, 0.05)]
+            let label = format!("{} cycle {now}", injection.label());
+            // the load changes to zero and back, with look-aheads pending
+            if let Some(load) = [(1_000, 0.0), (1_400, 0.05), (2_001, 0.3)]
                 .iter()
                 .find_map(|&(at, load)| (at == now).then_some(load))
             {
-                nodes.set_offered_load(load);
+                nodes.set_offered_load(load, now);
                 twins.iter_mut().for_each(|t| t.set_offered_load(load));
             }
-            nodes.generate(now, &pat, &mut id, &blocked, &failed, &mut metrics);
+            // node 5's router drains, then the node fails while still
+            // behind it (paused over the union, across the load change to
+            // zero); node 8 fails alone. A paused node must not tick, so
+            // its look-ahead must not count down.
+            blocked[5] = (500..900).contains(&now);
+            failed[5] = (700..1_100).contains(&now);
+            failed[8] = (1_200..1_300).contains(&now);
+            for idx in [5, 8] {
+                nodes.set_paused(idx, blocked[idx] || failed[idx], now);
+            }
+            // a restore (every node due again) while node 5 is paused and
+            // while most nodes are mid-look-ahead
+            if now == 750 || now == 1_777 {
+                let bytes = saved_nodes(&nodes, now);
+                let mut restored = Nodes::new(population(injection, 0.2));
+                restored
+                    .restore_state(&mut df_engine::Decoder::new(&bytes))
+                    .unwrap();
+                for idx in 0..12 {
+                    restored.set_paused(idx, blocked[idx] || failed[idx], now);
+                }
+                assert_eq!(saved_nodes(&restored, now), bytes, "{label}");
+                assert!(restored.queued_set_is_complete() && restored.calendar_is_exact(now));
+                nodes = restored;
+            }
+            nodes.generate(now, &pat, &mut id, &mut metrics);
             for (idx, twin) in twins.iter_mut().enumerate() {
-                if !blocked[idx] {
+                if !blocked[idx] && !failed[idx] {
                     twin.generate(now, &pat, &mut twin_id);
                 }
             }
-            assert_eq!(saved_nodes(&nodes), saved_twins(&twins), "cycle {now}");
-            assert!(nodes.queued_set_is_complete());
+            assert_eq!(saved_nodes(&nodes, now + 1), saved_twins(&twins), "{label}");
+            assert!(nodes.queued_set_is_complete(), "{label}");
+            assert!(nodes.calendar_is_exact(now + 1), "{label}");
             // drain every other cycle through the queued set, as injection does
             if now % 2 == 0 {
                 for i in 0..nodes.sort_queued() {
@@ -531,15 +666,63 @@ mod tests {
         }
         assert_eq!(id, twin_id);
         assert!(id > 100, "the walk generated traffic ({id} packets)");
-        // a restored population rebuilds its sets from the queues
-        let bytes = saved_nodes(&nodes);
-        let mut restored = Nodes::new(population(InjectionKind::Bernoulli, 0.2));
-        restored
-            .restore_state(&mut df_engine::Decoder::new(&bytes))
-            .unwrap();
-        assert_eq!(saved_nodes(&restored), bytes);
-        assert!(restored.queued_set_is_complete());
-        assert_eq!(restored.all_queues_empty(), nodes.all_queues_empty());
+    }
+
+    #[test]
+    fn gated_walk_matches_ticking_every_node_every_cycle() {
+        assert_calendar_matches_twins(InjectionKind::Bernoulli);
+        assert_calendar_matches_twins(InjectionKind::Ramp {
+            start_fraction: 0.2,
+            ramp_cycles: 1_500,
+        });
+        assert_calendar_matches_twins(InjectionKind::Bursty {
+            mean_on: 20.0,
+            mean_off: 30.0,
+        });
+    }
+
+    #[test]
+    fn a_bernoulli_population_ticks_only_its_due_nodes() {
+        // p = 1/800: after the first walk, the calendar hands out a node
+        // about once per 256-trial look-ahead or per success
+        let pat = pattern();
+        let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.01));
+        let (mut id, mut metrics) = (0u64, Metrics::new(0, 20));
+        nodes.generate(0, &pat, &mut id, &mut metrics);
+        assert!(!nodes.all_due, "the first walk files every node");
+        let filed = |nodes: &Nodes, now: Cycle| {
+            (nodes.wake.iter().zip(&nodes.paused))
+                .filter(|&(&wake, &paused)| !paused && wake == now)
+                .count()
+        };
+        let mut ticks = 0;
+        for now in 1..1_000 {
+            ticks += filed(&nodes, now);
+            nodes.generate(now, &pat, &mut id, &mut metrics);
+        }
+        assert!(ticks < 12 * 10, "{ticks} ticks in 999 cycles of 12 nodes");
+        nodes.set_offered_load(0.02, 1_000);
+        assert!(nodes.all_due && nodes.calendar_is_exact(1_000));
+    }
+
+    #[test]
+    fn a_pause_unlinks_its_node_from_anywhere_in_the_bucket() {
+        let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.01));
+        nodes.all_due = false;
+        for idx in 0..12 {
+            nodes.file(idx, if idx < 4 { 7 } else { 9 });
+        }
+        assert!(nodes.calendar_is_exact(3));
+        // the chain of cycle 7 runs 3, 2, 1, 0: take the middle, the tail,
+        // then the head
+        for (idx, now) in [(1, 3), (0, 4), (3, 5)] {
+            nodes.set_paused(idx, true, now);
+            assert!(nodes.calendar_is_exact(now));
+            assert_eq!(nodes.owed(idx, now), 7 - now as u32);
+        }
+        nodes.set_paused(1, false, 6);
+        assert!(nodes.calendar_is_exact(6));
+        assert_eq!(nodes.wake[1], 10, "resumed owing its 4 ticks");
     }
 
     #[test]
@@ -552,12 +735,12 @@ mod tests {
         assert!(!Nodes::new(population(InjectionKind::Bernoulli, 0.1)).silent);
         assert!(!Nodes::new(population(bursty, 0.0)).silent);
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.1));
-        nodes.set_offered_load(0.0);
+        nodes.set_offered_load(0.0, 0);
         assert!(nodes.silent);
-        nodes.set_offered_load(0.3);
+        nodes.set_offered_load(0.3, 0);
         assert!(!nodes.silent);
         // task packets queue and drain through a silent population
-        nodes.set_offered_load(0.0);
+        nodes.set_offered_load(0.0, 0);
         let packet = Packet::new(df_model::PacketId(1), NodeId(3), NodeId(9), 8, 0);
         nodes.enqueue_task_packet(3, packet);
         assert!(!nodes.all_queues_empty());

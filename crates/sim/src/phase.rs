@@ -1,6 +1,6 @@
 //! The per-router work of phases 3–5 of [`Network::step`]: a PB or ECtN
-//! exchange per group, and a routing + allocation iteration or a link
-//! transmission per active router.
+//! exchange per group, a routing + allocation iteration per router holding
+//! an input head, and a link transmission per active router.
 //!
 //! # Phase staging
 //!
@@ -9,7 +9,7 @@
 //! view). Its *cross-router effects* — link events (arrivals, deliveries,
 //! upstream credit returns), misroute commits, unroutable discards and
 //! fault re-commits — are never applied during the phase: they are staged
-//! in [`StepScratch`] in walk order (ascending group, or the ascending
+//! in [`StepScratch`] in walk order (ascending group, head-set or
 //! active-router list) and `Network::run_phase` replays them after the
 //! phase, in staging order. That order is the event insertion order, hence
 //! the time wheel's tie-breaking, hence the trajectory every pinned digest
@@ -90,8 +90,8 @@ pub(crate) enum PhaseKind {
     Pb,
     /// ECtN partial-array broadcast, group by group.
     Ectn,
-    /// One routing + separable-allocation iteration over the active-router
-    /// list.
+    /// One routing + separable-allocation iteration over the routers
+    /// holding an input head.
     Alloc,
     /// Output-buffer link transmission over the active-router list.
     Transmit,
@@ -172,12 +172,11 @@ pub(crate) fn route_and_allocate_one(
 ) {
     let router_id = router.id();
     let track_ectn = ctx.algorithm.kind().needs_ectn_broadcast();
-    let num_ports = router.num_ports();
 
     // a. contention / ECtN registration of new head packets; the O(1)
     // counter guard makes this free on cycles with no new heads
     if router.has_unregistered_heads() {
-        for p in 0..num_ports {
+        for p in set_bits(router.occupied_ports()) {
             let port = Port(p as u32);
             for v in set_bits(router.occupied_vcs(port)) {
                 if !router.input(port).vc(v).head_needs_registration() {
@@ -217,14 +216,10 @@ pub(crate) fn route_and_allocate_one(
     scratch.wraps.clear();
     scratch.all_requests.clear();
     scratch.discards.clear();
-    for p in 0..num_ports {
+    for p in set_bits(router.occupied_ports()) {
         let port = Port(p as u32);
-        let occupied = router.occupied_vcs(port);
-        if occupied == 0 {
-            continue;
-        }
         let (filed, mut wrap) = (scratch.requests.len(), 0);
-        for v in set_bits(occupied) {
+        for v in set_bits(router.occupied_vcs(port)) {
             let vc = VcId(v as u8);
             let head = router.head(port, vc).expect("an occupied VC has a head");
             let plan = match router.input(port).vc(v).plan() {

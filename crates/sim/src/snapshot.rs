@@ -40,10 +40,11 @@
 //! flags), the node-failure flags (the truth map's node marks), every
 //! router's gateway-liveness view (its group's flooded view, re-installed),
 //! each liveness map's down marks (its records with `up == false`), the
-//! activity gates (the active set is recomputed as the sorted non-idle
-//! routers and the queued-node set from the source queues; every look-ahead
-//! countdown, output-changed flag, flipped-flag mark and staged-port set
-//! restarts conservatively — "everything dirty") and the step scratch.
+//! activity gates (the active and head sets are recomputed from the
+//! routers, the queued-node set from the source queues, node pauses from
+//! the drain and failure flags; the wake-up calendar (every node due),
+//! output-changed flags, flipped-flag marks and staged-port sets restart
+//! conservatively — "everything dirty") and the step scratch.
 //! State only an observer reads is not simulation state and is
 //! not in the payload at all.
 
@@ -186,7 +187,7 @@ impl Network {
         }
         // nodes (injector RNGs ride inside, at their true stream position
         // whatever look-ahead is pending)
-        self.nodes.save_state(&mut e);
+        self.nodes.save_state(&mut e, self.cycle);
         self.metrics.save_state(&mut e);
         // pending link events in exact drain order
         let pending = self.events.pending_in_order();
@@ -343,14 +344,21 @@ impl Network {
         for (group, view) in net.routers.chunks_mut(group_size).zip(&net.group_views) {
             install_linkview_group(group, view);
         }
-        // the activity gate is derived state: at a step boundary the active
-        // set (empty in the fresh network) is exactly the sorted non-idle
-        // routers
+        // the activity gates are derived state: at a step boundary the
+        // active set (empty in the fresh network) is exactly the sorted
+        // non-idle routers, the head set those holding an input head
         for (i, router) in net.routers.iter().enumerate() {
             if !router.is_idle() {
                 net.active_flags[i] = true;
                 net.active_list.push(i as u32);
             }
+            if router.occupied_ports() != 0 {
+                net.head_flags[i] = true;
+                net.head_list.push(i as u32);
+            }
+        }
+        for n in 0..net.node_failed.len() {
+            net.sync_paused(n, net.cycle);
         }
         Ok(net)
     }

@@ -24,19 +24,19 @@
 //! At low load nearly every Bernoulli trial fails, and a caller ticking
 //! 16,512 injectors per cycle spends its time learning that. Because the
 //! trial probability of a Bernoulli injector depends on nothing but its own
-//! stream, [`Injector::look_ahead`] can read the outcome of the upcoming
-//! trials off a *copy* of the stream and report how many ticks are certain
-//! failures; the caller skips those ticks without touching the injector and
-//! calls [`Injector::tick`] for the one that follows. The injector's own
-//! stream stays where the last tick left it and is advanced by the skipped
-//! draws only when its position becomes observable — at the next `tick`, or
-//! at [`Injector::settle`] before a load change or a state capture — so it
-//! consumes exactly the draws a tick-every-cycle twin consumes and every
-//! packet, RNG state and snapshot byte is the same. `Ramp` (its probability
-//! depends on the cycle) and `Bursty` (a Markov draw per tick) report no
-//! certain failures and are ticked every cycle. [`Injector::is_silent`]
-//! covers the other extreme: at load 0 a non-bursty tick draws nothing at
-//! all, so the caller may skip the whole population.
+//! stream, [`Injector::look_ahead`] advances a *copy* of the stream past
+//! the failing trials in one pass and stops *before* the first success
+//! ([`DeterministicRng::skip_bernoulli_failures`]). The count is how many
+//! ticks are certain failures; the caller skips them and calls
+//! [`Injector::tick`] for the next one, which adopts the copy, so every
+//! skipped draw is read once. If a load change or a state capture comes
+//! first, [`Injector::settle`] replays the elapsed draws instead. Either way
+//! the injector consumes exactly the draws of a tick-every-cycle twin, and
+//! every packet, RNG state and snapshot byte is the same. `Ramp` (its
+//! probability depends on the cycle) and `Bursty` (a Markov draw per tick)
+//! report no certain failures and are ticked every cycle.
+//! [`Injector::is_silent`] covers the other extreme: at load 0 a non-bursty
+//! tick draws nothing at all, so the caller may skip the whole population.
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, Packet, PacketId};
@@ -139,12 +139,14 @@ pub struct Injector {
     /// yet (0 for a caller that ticks every cycle). Derived from `rng`, so
     /// never part of the saved state.
     lookahead: u32,
+    /// `rng` advanced past those failing trials: what the next tick adopts.
+    ahead: DeterministicRng,
 }
 
 /// Longest run of failing trials one [`Injector::look_ahead`] scans for the
 /// next success; a scan that reaches it reports the whole run as certain
-/// failures and the next tick simply scans again.
-const LOOKAHEAD_BOUND: u32 = 4_096;
+/// failures and the next tick scans again. It bounds a caller's wake-ups.
+pub const LOOKAHEAD_BOUND: u32 = 256;
 
 impl Injector {
     /// Create a generator for `node` with the given process, offered load in
@@ -174,6 +176,7 @@ impl Injector {
             kind,
             packet_size_phits,
             offered_load,
+            ahead: rng.clone(),
             rng,
             generated: 0,
             on,
@@ -223,20 +226,18 @@ impl Injector {
         (self.kind == InjectionKind::Bernoulli && p > 0.0 && p < 1.0).then_some(p)
     }
 
-    /// How many of the upcoming ticks are certain failures: scan a copy of
-    /// this injector's own stream forward to the next successful trial (at
-    /// most `LOOKAHEAD_BOUND` draws). The caller may skip exactly that many
-    /// ticks and must call [`tick`](Self::tick) for the next one; if fewer
-    /// have elapsed when the load changes or the state is captured, it says
-    /// so through [`settle`](Self::settle). Always 0 unless the process is
-    /// `Bernoulli` with a trial probability strictly between 0 and 1.
+    /// How many of the upcoming ticks are certain failures: advance a copy
+    /// of this injector's own stream past the failing trials, up to the next
+    /// success (at most `LOOKAHEAD_BOUND`). The caller may skip exactly that
+    /// many ticks and must [`tick`](Self::tick) the next one, which adopts
+    /// the copy; if the load changes or the state is captured first, it says
+    /// how many remain through [`settle`](Self::settle). Always 0 unless the
+    /// process is `Bernoulli` with a trial probability strictly in (0, 1).
     pub fn look_ahead(&mut self) -> u32 {
         debug_assert_eq!(self.lookahead, 0, "one look-ahead at a time");
         if let Some(p) = self.steady_trial_probability() {
-            let mut ahead = self.rng.clone();
-            while self.lookahead < LOOKAHEAD_BOUND && !ahead.bernoulli(p) {
-                self.lookahead += 1;
-            }
+            self.ahead.clone_from(&self.rng);
+            self.lookahead = self.ahead.skip_bernoulli_failures(p, LOOKAHEAD_BOUND);
         }
         self.lookahead
     }
@@ -244,19 +245,29 @@ impl Injector {
     /// Bring the stream to its true position when `remaining` of the ticks
     /// the last [`look_ahead`](Self::look_ahead) reported have *not* elapsed
     /// yet: consume the draws of the ones that have, forget the rest (they
-    /// will be ticked for real). A no-op without a pending look-ahead.
+    /// will be ticked for real). With none remaining the stream adopts the
+    /// look-ahead's advanced copy; otherwise the elapsed draws are replayed.
+    /// A no-op without a pending look-ahead.
     pub fn settle(&mut self, remaining: u32) {
-        let elapsed = self.lookahead - remaining;
-        self.lookahead = 0;
-        if elapsed > 0 {
+        let elapsed = std::mem::take(&mut self.lookahead) - remaining;
+        if elapsed == 0 {
+            return;
+        }
+        if remaining > 0 || cfg!(debug_assertions) {
+            // replay the elapsed draws on a clone: the true position, or (an
+            // adoption in a debug build) the gate on the advanced copy
             let p = self
                 .steady_trial_probability()
                 .expect("a look-ahead is only ever pending on a steady Bernoulli process");
+            let mut replay = self.rng.clone();
             for _ in 0..elapsed {
-                let hit = self.rng.bernoulli(p);
+                let hit = replay.bernoulli(p);
                 debug_assert!(!hit, "a skipped tick was not a certain failure");
             }
+            debug_assert!(remaining > 0 || replay.state() == self.ahead.state());
+            self.ahead = replay;
         }
+        std::mem::swap(&mut self.rng, &mut self.ahead);
     }
 
     /// The probability of generating a packet this cycle, given the process
@@ -285,7 +296,8 @@ impl Injector {
         next_id: &mut u64,
     ) -> Option<Packet> {
         if self.lookahead > 0 {
-            // every tick the pending look-ahead reported has elapsed
+            // every tick the pending look-ahead reported has elapsed: adopt
+            // the advanced stream
             self.settle(0);
         }
         if let InjectionKind::Bursty { mean_on, mean_off } = self.kind {

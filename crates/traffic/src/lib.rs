@@ -41,7 +41,7 @@ pub mod schedule;
 pub use collective::{
     validate_scripts, AllReduceAlgorithm, CollectiveKind, RankPlacement, TaskStep, TaskWorkload,
 };
-pub use injection::{InjectionKind, Injector};
+pub use injection::{InjectionKind, Injector, LOOKAHEAD_BOUND};
 pub use job::{validate_job_disjointness, JobPlacement, JobSpec};
 pub use pattern::{PatternKind, TrafficPattern};
 pub use schedule::{PatternPhase, TrafficSchedule};
