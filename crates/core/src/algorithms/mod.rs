@@ -396,6 +396,20 @@ mod tests {
         faulty: bool,
         rng: &mut DeterministicRng,
     ) -> Router {
+        random_router_counting(id, topo, faulty, false, rng)
+    }
+
+    /// [`random_router`], its contention counters either set directly or
+    /// (`registered`) counting a head in every input VC, each registered
+    /// against a random port — a state a snapshot can hold, since restore
+    /// checks the counters against the registrations they count.
+    fn random_router_counting(
+        id: RouterId,
+        topo: AnyTopology,
+        faulty: bool,
+        registered: bool,
+        rng: &mut DeterministicRng,
+    ) -> Router {
         let mut r = Router::new(id, topo, NetworkConfig::fast_test());
         let layout = topo.layout();
         let links = topo.global_links_per_group() as usize;
@@ -404,10 +418,18 @@ mod tests {
         let saturated: Vec<bool> = (0..links).map(|_| rng.bernoulli(0.3)).collect();
         r.pb_mut().install_group_from(&saturated);
         for port in Port::all(&layout) {
-            for _ in 0..rng.index(9) {
-                r.contention_mut().increment(port);
-            }
             let filler = Packet::new(PacketId(0), NodeId(0), NodeId(1), 8, 0);
+            if registered {
+                for vc in 0..r.input(port).num_vcs() as u8 {
+                    r.receive_packet(port, VcId(vc), filler.clone());
+                    let min_output = Port(rng.index(r.num_ports()) as u32);
+                    r.register_head(port, VcId(vc), min_output, None);
+                }
+            } else {
+                for _ in 0..rng.index(9) {
+                    r.contention_mut().increment(port);
+                }
+            }
             for vc in 0..r.output(port).num_downstream_vcs() as u8 {
                 for i in 0..rng.index(5) as u64 {
                     if r.output(port).can_accept(VcId(vc), 8) {
@@ -631,7 +653,7 @@ mod tests {
                 for case in 0..60 {
                     let src = NodeId(rng.index(topo.num_nodes() as usize) as u32);
                     let at = topo.node_router(src);
-                    let built = random_router(at, topo, case % 3 == 2, &mut rng);
+                    let built = random_router_counting(at, topo, case % 3 == 2, true, &mut rng);
                     let cloned = built.clone();
                     let mut bytes = df_engine::Encoder::new();
                     built.save_state(&mut bytes);

@@ -31,9 +31,15 @@
 //!   set (`tests::grantable_requests_with_wraps_match_the_full_list`);
 //! * a grant stores the pointer `(vc + 1) % max(num_ports, 8)`, so the
 //!   pointer may exceed the wrap point; it is reduced modulo it when read.
+//!
+//! The whole state is one narrow slot per port (its two pointers and its
+//! scratch); each stage's port list is kept in first-appearance order, not
+//! bit order, in the slots — the grant order, and every pin, follows it.
 
 use df_model::VcId;
 use df_topology::Port;
+
+use crate::MAX_RADIX;
 
 /// A request from an input VC head packet for an output port/VC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,66 +59,81 @@ pub struct AllocationRequest {
 /// A granted request.
 pub type Grant = AllocationRequest;
 
-/// A per-port scratch slot holding no candidate.
-const NO_BEST: (usize, u32) = (usize::MAX, 0);
+/// A slot's per-stage index: the port as an input, and as an output.
+const IN: usize = 0;
+const OUT: usize = 1;
+
+/// The key of a stage's best candidate when it has none (a key lies below
+/// its wrap point or the radix, both below 256).
+const NO_KEY: u8 = u8::MAX;
 
 /// Round-robin key of index `i` under pointer `rr`: its distance from the
 /// pointer scanning upwards and wrapping at `modulus` (`i < modulus`; the
 /// pointer is reduced first and is usually in range already).
 #[inline]
-fn rr_key(i: usize, rr: usize, modulus: usize) -> usize {
+fn rr_key(i: usize, rr: u8, modulus: usize) -> u8 {
+    let rr = usize::from(rr);
     let rr = if rr < modulus { rr } else { rr % modulus };
-    if i >= rr {
-        i - rr
-    } else {
-        i + modulus - rr
-    }
+    (if i >= rr { i - rr } else { i + modulus - rr }) as u8
+}
+
+/// One port's slot, per stage (`[IN]`, `[OUT]`): its round-robin pointer,
+/// then one iteration's scratch — its best candidate's key and request
+/// index, entry `i` of the stage's port list (kept in slot `i`) and the
+/// input's VC-scan wrap point (0: no request). Between iterations the
+/// scratch is at rest: no wrap point, no key.
+#[derive(Debug, Clone, Copy)]
+struct PortSlot {
+    rr: [u8; 2],
+    key: [u8; 2],
+    order: [u8; 2],
+    wrap: u8,
+    best: [u16; 2],
 }
 
 /// Separable input-first allocator with per-port round-robin priority.
 ///
-/// All scratch is a few persistent per-port words, so an allocation
-/// iteration performs **zero heap allocations** in steady state — this is
-/// on the per-cycle critical path of every active router.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One allocation holds it all, so an iteration performs **zero heap
+/// allocations** — it is on the per-cycle critical path of every active
+/// router. Two allocators are equal when their pointers are.
+#[derive(Debug, Clone)]
 pub struct Allocator {
-    /// Round-robin pointer per input port (over VC indices).
-    input_rr: Vec<usize>,
-    /// Round-robin pointer per output port (over input-port indices).
-    output_rr: Vec<usize>,
-    // ---- persistent scratch (left zeroed / `NO_BEST` between iterations) ----
-    /// Per input port: the VC-scan wrap point of this iteration (0: the
-    /// port files no request).
-    wrap: Vec<usize>,
-    /// Per input port: `(round-robin key, request index)` of its best
-    /// grantable request.
-    input_best: Vec<(usize, u32)>,
-    /// Input ports in first-appearance order.
-    input_order: Vec<u32>,
-    /// Per output port: `(round-robin key, request index)` of its best
-    /// input-stage winner.
-    output_best: Vec<(usize, u32)>,
-    /// Output ports in first-appearance order among the input-stage winners.
-    output_order: Vec<u32>,
+    ports: Box<[PortSlot]>,
 }
 
+impl PartialEq for Allocator {
+    fn eq(&self, other: &Self) -> bool {
+        (self.ports.iter().map(|s| s.rr)).eq(other.ports.iter().map(|s| s.rr))
+    }
+}
+
+impl Eq for Allocator {}
+
 impl Allocator {
-    /// Create an allocator for a router with `num_ports` ports.
+    /// Create an allocator for a router with `num_ports` ports, at most
+    /// [`MAX_RADIX`].
     pub fn new(num_ports: usize) -> Self {
+        assert!(num_ports <= MAX_RADIX as usize, "{num_ports} ports");
+        let fresh = PortSlot {
+            rr: [0; 2],
+            key: [NO_KEY; 2],
+            order: [0; 2],
+            wrap: 0,
+            best: [0; 2],
+        };
         Allocator {
-            input_rr: vec![0; num_ports],
-            output_rr: vec![0; num_ports],
-            wrap: vec![0; num_ports],
-            input_best: vec![NO_BEST; num_ports],
-            input_order: Vec::new(),
-            output_best: vec![NO_BEST; num_ports],
-            output_order: Vec::new(),
+            ports: vec![fresh; num_ports].into_boxed_slice(),
         }
+    }
+
+    /// Bytes of the allocator's one heap buffer.
+    pub(crate) fn buffer_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.ports)
     }
 
     /// Perform one allocation iteration, appending grants to `grants`
     /// (cleared first). `requests` may come in any order; each input port
-    /// wraps its VC scan at its highest requesting VC + 1.
+    /// wraps its VC scan at its highest requesting VC + 1 (VCs below 255).
     ///
     /// `can_accept(output_port, output_vc, size_phits)` must report whether
     /// the output currently has both output-buffer space and downstream
@@ -129,22 +150,26 @@ impl Allocator {
         grants: &mut Vec<Grant>,
         can_accept: impl FnMut(Port, VcId, u32) -> bool,
     ) {
+        let mut listed = 0;
         for req in requests {
             let idx = req.input_port.index();
-            if self.wrap[idx] == 0 {
-                self.input_order.push(idx as u32);
+            if self.ports[idx].wrap == 0 {
+                self.ports[listed].order[IN] = idx as u8;
+                listed += 1;
             }
-            self.wrap[idx] = self.wrap[idx].max(req.input_vc.index() + 1);
+            let wrap = u8::try_from(req.input_vc.index() + 1).expect("a VC index below 255");
+            self.ports[idx].wrap = self.ports[idx].wrap.max(wrap);
         }
-        self.allocate_stages(requests, grants, can_accept);
+        self.allocate_stages(requests, listed, grants, can_accept);
     }
 
     /// [`Allocator::allocate_into`] with the wrap points given: `wraps`
     /// lists every input port of `requests` once, with the point its VC
-    /// scan wraps at (above each of its requesting VCs), in the order the
-    /// ports first appear in `requests`. A caller that leaves requests it
-    /// knows cannot be granted out of the list passes the wrap they would
-    /// have set, and gets the grants and pointers of the full list.
+    /// scan wraps at (above each of its requesting VCs, below 256), in the
+    /// order the ports first appear in `requests`. A caller that leaves
+    /// requests it knows cannot be granted out of the list passes the wrap
+    /// they would have set, and gets the grants and pointers of the full
+    /// list.
     pub fn allocate_wrapped_into(
         &mut self,
         requests: &[AllocationRequest],
@@ -152,67 +177,72 @@ impl Allocator {
         grants: &mut Vec<Grant>,
         can_accept: impl FnMut(Port, VcId, u32) -> bool,
     ) {
-        for &(port, wrap) in wraps {
-            debug_assert!(self.wrap[port.index()] == 0, "{port:?} wraps twice");
-            self.input_order.push(port.0);
-            self.wrap[port.index()] = wrap;
+        for (listed, &(port, wrap)) in wraps.iter().enumerate() {
+            debug_assert!(self.ports[port.index()].wrap == 0, "{port:?} wraps twice");
+            self.ports[port.index()].wrap = u8::try_from(wrap).expect("a wrap point below 256");
+            self.ports[listed].order[IN] = port.0 as u8;
         }
-        self.allocate_stages(requests, grants, can_accept);
+        self.allocate_stages(requests, wraps.len(), grants, can_accept);
     }
 
     /// The two stages, once every requesting port's wrap point is set and
-    /// the ports are listed in `input_order`.
+    /// the first `listed` slots list the input ports in order.
     fn allocate_stages(
         &mut self,
         requests: &[AllocationRequest],
+        listed: usize,
         grants: &mut Vec<Grant>,
         mut can_accept: impl FnMut(Port, VcId, u32) -> bool,
     ) {
+        assert!(requests.len() <= 1 << 16, "request indices are 16-bit");
         grants.clear();
 
         // ----- input stage: one winner per input port -----
         for (i, req) in requests.iter().enumerate() {
-            let idx = req.input_port.index();
+            let slot = &mut self.ports[req.input_port.index()];
             debug_assert!(
-                req.input_vc.index() < self.wrap[idx],
+                req.input_vc.index() < usize::from(slot.wrap),
                 "{req:?} lies above its port's wrap point"
             );
             // distance of this VC from the pointer, scanning upwards modulo
             // the port's wrap point; equal keys (one VC requesting twice)
             // keep the earlier request
-            let key = rr_key(req.input_vc.index(), self.input_rr[idx], self.wrap[idx]);
-            if key < self.input_best[idx].0
-                && can_accept(req.output_port, req.output_vc, req.size_phits)
-            {
-                self.input_best[idx] = (key, i as u32);
+            let key = rr_key(req.input_vc.index(), slot.rr[IN], usize::from(slot.wrap));
+            if key < slot.key[IN] && can_accept(req.output_port, req.output_vc, req.size_phits) {
+                (slot.key[IN], slot.best[IN]) = (key, i as u16);
             }
         }
 
         // ----- output stage: one winner per output port -----
-        let num_inputs = self.input_rr.len();
-        for input_idx in self.input_order.drain(..) {
-            self.wrap[input_idx as usize] = 0;
-            let best = std::mem::replace(&mut self.input_best[input_idx as usize], NO_BEST);
-            if best == NO_BEST {
+        let num_inputs = self.ports.len();
+        let mut winners = 0;
+        for k in 0..listed {
+            let input_idx = usize::from(self.ports[k].order[IN]);
+            let slot = &mut self.ports[input_idx];
+            slot.wrap = 0;
+            if std::mem::replace(&mut slot.key[IN], NO_KEY) == NO_KEY {
                 continue;
             }
-            let i = best.1;
-            let out = requests[i as usize].output_port.index();
-            if self.output_best[out] == NO_BEST {
-                self.output_order.push(out as u32);
+            let i = slot.best[IN];
+            let out = requests[usize::from(i)].output_port.index();
+            if self.ports[out].key[OUT] == NO_KEY {
+                self.ports[winners].order[OUT] = out as u8;
+                winners += 1;
             }
-            let key = rr_key(input_idx as usize, self.output_rr[out], num_inputs);
-            if key < self.output_best[out].0 {
-                self.output_best[out] = (key, i);
+            let slot = &mut self.ports[out];
+            let key = rr_key(input_idx, slot.rr[OUT], num_inputs);
+            if key < slot.key[OUT] {
+                (slot.key[OUT], slot.best[OUT]) = (key, i);
             }
         }
-        for out in self.output_order.drain(..) {
-            let (_, i) = std::mem::replace(&mut self.output_best[out as usize], NO_BEST);
-            let winner = requests[i as usize];
+        for k in 0..winners {
+            let slot = &mut self.ports[usize::from(self.ports[k].order[OUT])];
+            slot.key[OUT] = NO_KEY;
+            let winner = requests[usize::from(slot.best[OUT])];
             // advance both round-robin pointers past the winner
-            self.output_rr[out as usize] = (winner.input_port.index() + 1) % num_inputs;
-            self.input_rr[winner.input_port.index()] =
-                (winner.input_vc.index() + 1) % num_inputs.max(8);
+            slot.rr[OUT] = ((winner.input_port.index() + 1) % num_inputs) as u8;
+            self.ports[winner.input_port.index()].rr[IN] =
+                ((winner.input_vc.index() + 1) % num_inputs.max(8)) as u8;
             grants.push(winner);
         }
     }
@@ -230,32 +260,38 @@ impl Allocator {
         grants
     }
 
-    /// Serialise the persistent round-robin pointers. The other fields are
-    /// per-iteration scratch and are deliberately not written.
+    /// Serialise the persistent round-robin pointers, each as a `usize`
+    /// (the scratch is at rest between iterations).
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.input_rr.len());
-        for &p in &self.input_rr {
-            e.usize(p);
-        }
-        e.seq(self.output_rr.len());
-        for &p in &self.output_rr {
-            e.usize(p);
+        for stage in [IN, OUT] {
+            e.seq(self.ports.len());
+            for slot in self.ports.iter() {
+                e.usize(usize::from(slot.rr[stage]));
+            }
         }
     }
 
     /// Restore the state written by [`Allocator::save_state`]. Pointer array
-    /// lengths must match the configured radix.
+    /// lengths must match the configured radix, and each pointer must be
+    /// one a grant can store: an input pointer below `max(radix, 8)`, an
+    /// output pointer below the radix.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(8, self.input_rr.len(), "allocator input_rr length")?;
-        for p in &mut self.input_rr {
-            *p = d.usize()?;
-        }
-        d.seq_exact(8, self.output_rr.len(), "allocator output_rr length")?;
-        for p in &mut self.output_rr {
-            *p = d.usize()?;
+        let radix = self.ports.len();
+        for (stage, bound) in [(IN, radix.max(8)), (OUT, radix)] {
+            d.seq_exact(8, radix, "allocator pointer count")?;
+            for slot in self.ports.iter_mut() {
+                slot.rr[stage] = match d.usize()? {
+                    rr if rr < bound => rr as u8,
+                    rr => {
+                        return Err(df_engine::CodecError::Invalid(format!(
+                            "allocator pointer {rr} is not below {bound}"
+                        )))
+                    }
+                };
+            }
         }
         Ok(())
     }
@@ -378,8 +414,11 @@ mod tests {
                 let expected = two_stage_scan(&mut input_rr, &mut output_rr, &requests, can_accept);
                 let grants = allocator.allocate(&requests, can_accept);
                 assert_eq!(grants, expected, "case {case}: {requests:?}");
-                assert_eq!(allocator.input_rr, input_rr, "case {case}");
-                assert_eq!(allocator.output_rr, output_rr, "case {case}");
+                assert_eq!(
+                    allocator.pointers(),
+                    (input_rr.clone(), output_rr.clone()),
+                    "case {case}"
+                );
             }
         }
         assert!(pointers_beyond_max_vc > 100, "the wrap quirk was exercised");
@@ -445,8 +484,11 @@ mod tests {
                 let mut grants = Vec::new();
                 allocator.allocate_wrapped_into(&grantable, &wraps, &mut grants, can_accept);
                 assert_eq!(grants, expected, "case {case}: {full:?}");
-                assert_eq!(allocator.input_rr, input_rr, "case {case}");
-                assert_eq!(allocator.output_rr, output_rr, "case {case}");
+                assert_eq!(
+                    allocator.pointers(),
+                    (input_rr.clone(), output_rr.clone()),
+                    "case {case}"
+                );
             }
         }
         for (what, count) in [
@@ -588,6 +630,76 @@ mod tests {
             grants.len(),
             8,
             "a perfect matching should be fully granted"
+        );
+    }
+
+    impl Allocator {
+        /// The input and output round-robin pointers, port by port.
+        fn pointers(&self) -> (Vec<usize>, Vec<usize>) {
+            let rr = |stage: usize| {
+                self.ports
+                    .iter()
+                    .map(|s| usize::from(s.rr[stage]))
+                    .collect()
+            };
+            (rr(IN), rr(OUT))
+        }
+    }
+
+    #[test]
+    fn a_port_slot_is_narrow() {
+        assert!(std::mem::size_of::<PortSlot>() <= 12);
+        let a = Allocator::new(31);
+        assert!(a.buffer_bytes() <= 31 * 12);
+    }
+
+    /// A 4-port allocator's pointers with port 3's input and output
+    /// pointers forged, restored.
+    fn restore_forged(input_rr: usize, output_rr: usize) -> Result<(), df_engine::CodecError> {
+        let mut e = df_engine::Encoder::new();
+        for last in [input_rr, output_rr] {
+            e.seq(4);
+            for p in [1, 2, 0, last] {
+                e.usize(p);
+            }
+        }
+        let bytes = e.into_bytes();
+        Allocator::new(4).restore_state(&mut df_engine::Decoder::new(&bytes))
+    }
+
+    #[test]
+    fn pointers_a_grant_cannot_store_are_typed_errors() {
+        assert!(
+            restore_forged(7, 3).is_ok(),
+            "input pointers run to max(radix, 8)"
+        );
+        for (what, result) in [
+            ("input pointer at max(radix, 8)", restore_forged(8, 0)),
+            ("output pointer at the radix", restore_forged(0, 4)),
+            ("input pointer past a byte", restore_forged(300, 0)),
+        ] {
+            assert!(
+                matches!(result, Err(df_engine::CodecError::Invalid(_))),
+                "{what}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn restored_pointers_round_trip_and_compare_equal() {
+        let mut a = Allocator::new(7);
+        a.allocate(&[req(0, 2, 3, 0), req(5, 1, 6, 0)], |_, _, _| true);
+        let mut e = df_engine::Encoder::new();
+        a.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut b = Allocator::new(7);
+        assert_ne!(a, b);
+        b.restore_state(&mut df_engine::Decoder::new(&bytes))
+            .unwrap();
+        assert_eq!(a, b);
+        assert_eq!(
+            b.pointers(),
+            (vec![3, 0, 0, 0, 0, 2, 0], vec![0, 0, 0, 1, 0, 0, 6])
         );
     }
 }

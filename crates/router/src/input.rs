@@ -1,4 +1,4 @@
-//! Input ports and per-VC input buffers.
+//! Input VCs and the per-port view over them.
 //!
 //! Virtual Cut-Through switching: packets are stored whole, occupancy is
 //! accounted in phits, and a packet is removed in one piece when it wins
@@ -6,6 +6,12 @@
 //! packet's *minimal* route uses, so the contention counters can be
 //! incremented exactly once per head packet and decremented when it leaves
 //! (§III-B of the paper).
+//!
+//! A router keeps all its input VCs in one flat array, port by port. A VC
+//! is only its state (28 bytes: FIFO, occupancy, plan, and the two
+//! registrations in narrow fields with a sentinel); its capacity is its
+//! port class's, which [`InputPort`], a borrowed view of one port's VCs,
+//! carries beside them.
 
 use df_model::{Packet, VcId};
 use df_topology::{Port, PortClass};
@@ -97,49 +103,41 @@ pub(crate) struct UnlinkedHead {
     pub(crate) registered_ectn_link: Option<u32>,
 }
 
+/// `registered_min_output` of a VC whose head is not registered.
+const UNREGISTERED: u8 = u8::MAX;
+
+/// `registered_ectn_link` of a VC whose head holds no ECtN registration.
+const NO_ECTN_LINK: u16 = u16::MAX;
+
 /// One virtual channel of an input port: its queue is a FIFO through the
-/// router's packet store.
+/// router's packet store; its capacity is its port class's.
 #[derive(Debug, Clone)]
 pub struct InputVc {
     pub(crate) fifo: Fifo,
-    capacity_phits: u32,
     occupancy_phits: u32,
-    /// Output port registered in the contention counters for the current
-    /// head packet (None if the head has not been registered yet).
-    registered_min_output: Option<Port>,
-    /// Group-level global link registered in the ECtN partial array for the
-    /// current head packet.
-    registered_ectn_link: Option<u32>,
     /// The routing layer's plan for the head (None until first decided).
     plan: Option<HeadPlan>,
+    /// Group-level global link registered in the ECtN partial array for the
+    /// current head packet ([`NO_ECTN_LINK`]: none).
+    registered_ectn_link: u16,
+    /// Output port registered in the contention counters for the current
+    /// head packet ([`UNREGISTERED`]: not registered yet).
+    registered_min_output: u8,
 }
 
 impl InputVc {
-    /// Create an empty VC with the given capacity in phits.
-    pub fn new(capacity_phits: u32) -> Self {
-        InputVc {
-            fifo: Fifo::EMPTY,
-            capacity_phits,
-            occupancy_phits: 0,
-            registered_min_output: None,
-            registered_ectn_link: None,
-            plan: None,
-        }
-    }
-
-    /// Buffer capacity in phits.
-    pub fn capacity_phits(&self) -> u32 {
-        self.capacity_phits
-    }
+    /// An empty VC.
+    pub(crate) const EMPTY: InputVc = InputVc {
+        fifo: Fifo::EMPTY,
+        occupancy_phits: 0,
+        plan: None,
+        registered_ectn_link: NO_ECTN_LINK,
+        registered_min_output: UNREGISTERED,
+    };
 
     /// Occupied phits.
     pub fn occupancy_phits(&self) -> u32 {
         self.occupancy_phits
-    }
-
-    /// Free space in phits.
-    pub fn free_phits(&self) -> u32 {
-        self.capacity_phits - self.occupancy_phits
     }
 
     /// Number of whole packets queued.
@@ -152,23 +150,18 @@ impl InputVc {
         self.fifo.is_empty()
     }
 
-    /// Whether a packet of `size_phits` fits.
-    pub fn can_accept(&self, size_phits: u32) -> bool {
-        self.free_phits() >= size_phits
-    }
-
-    /// Enqueue an arriving packet into `store`.
+    /// Enqueue an arriving packet into `store`, the VC holding at most
+    /// `capacity_phits`.
     ///
     /// # Panics
     /// Panics if the packet does not fit — credit-based flow control must
     /// have prevented the upstream router from sending it, so this is a flow
     /// control bug, not a recoverable condition.
-    pub(crate) fn push(&mut self, store: &mut PacketStore, packet: Packet) {
+    pub(crate) fn push(&mut self, store: &mut PacketStore, packet: Packet, capacity_phits: u32) {
         assert!(
-            self.can_accept(packet.size_phits),
-            "input VC overflow: occupancy {}/{} cannot take {} phits (flow-control bug)",
+            capacity_phits - self.occupancy_phits >= packet.size_phits,
+            "input VC overflow: occupancy {}/{capacity_phits} cannot take {} phits (flow-control bug)",
             self.occupancy_phits,
-            self.capacity_phits,
             packet.size_phits
         );
         self.occupancy_phits += packet.size_phits;
@@ -194,22 +187,27 @@ impl InputVc {
         let slot = store.unlink_front(&mut self.fifo)?;
         self.occupancy_phits -= store.slot(slot).packet().size_phits;
         self.plan = None;
-        Some(UnlinkedHead {
+        let head = UnlinkedHead {
             slot,
-            registered_min_output: self.registered_min_output.take(),
-            registered_ectn_link: self.registered_ectn_link.take(),
-        })
+            registered_min_output: self.registered_min_output(),
+            registered_ectn_link: self.registered_ectn_link(),
+        };
+        (self.registered_min_output, self.registered_ectn_link) = (UNREGISTERED, NO_ECTN_LINK);
+        Some(head)
     }
 
     /// The output port registered in the contention counters for the current
     /// head (if any).
+    #[inline]
     pub fn registered_min_output(&self) -> Option<Port> {
-        self.registered_min_output
+        (self.registered_min_output != UNREGISTERED)
+            .then(|| Port(u32::from(self.registered_min_output)))
     }
 
     /// The ECtN partial-array link registered for the current head (if any).
+    #[inline]
     pub fn registered_ectn_link(&self) -> Option<u32> {
-        self.registered_ectn_link
+        (self.registered_ectn_link != NO_ECTN_LINK).then(|| u32::from(self.registered_ectn_link))
     }
 
     /// The routing layer's plan for the current head, if one was made.
@@ -219,112 +217,105 @@ impl InputVc {
     }
 
     /// Park the routing layer's plan for the current head packet.
-    pub fn set_plan(&mut self, plan: HeadPlan) {
+    pub(crate) fn set_plan(&mut self, plan: HeadPlan) {
         debug_assert!(!self.is_empty(), "cannot plan for an empty VC");
         self.plan = Some(plan);
     }
 
     /// Record that the current head packet has been registered against
-    /// `port` in the contention counters.
-    pub fn set_registered_min_output(&mut self, port: Port) {
-        debug_assert!(
-            !self.is_empty(),
-            "cannot register contention for an empty VC"
-        );
-        self.registered_min_output = Some(port);
-    }
-
-    /// Record that the current head packet has been registered against
-    /// group-level global link `link` in the ECtN partial array.
-    pub fn set_registered_ectn_link(&mut self, link: u32) {
-        debug_assert!(
-            !self.is_empty(),
-            "cannot register ECtN contention for an empty VC"
-        );
-        self.registered_ectn_link = Some(link);
+    /// `port` in the contention counters and, if given, against
+    /// group-level global link `ectn_link` in the ECtN partial array.
+    pub(crate) fn register(&mut self, port: Port, ectn_link: Option<u32>) {
+        debug_assert!(self.head_needs_registration(), "register a new head once");
+        self.registered_min_output = u8::try_from(port.0).expect("a port index is below MAX_RADIX");
+        if let Some(link) = ectn_link {
+            self.registered_ectn_link = u16::try_from(link)
+                .ok()
+                .filter(|&link| link != NO_ECTN_LINK)
+                .expect("a group has fewer than MAX_RADIX² links");
+        }
     }
 
     /// Whether the current head still needs to be registered in the
     /// contention counters.
+    #[inline]
     pub fn head_needs_registration(&self) -> bool {
-        !self.is_empty() && self.registered_min_output.is_none()
+        !self.is_empty() && self.registered_min_output == UNREGISTERED
     }
 
     /// Serialise the persistent state of this VC (queued packets and head
-    /// registrations). Capacity is configuration, not state, and is not
-    /// written.
+    /// registrations, each registration as an optional `u32`).
     pub(crate) fn save_state(&self, store: &PacketStore, e: &mut df_engine::Encoder) {
         e.seq(self.len());
         for slot in store.iter(&self.fifo) {
             slot.packet().encode(e);
         }
-        e.bool(self.registered_min_output.is_some());
-        if let Some(port) = self.registered_min_output {
+        e.bool(self.registered_min_output().is_some());
+        if let Some(port) = self.registered_min_output() {
             e.u32(port.0);
         }
-        e.bool(self.registered_ectn_link.is_some());
-        if let Some(link) = self.registered_ectn_link {
+        e.bool(self.registered_ectn_link().is_some());
+        if let Some(link) = self.registered_ectn_link() {
             e.u32(link);
         }
     }
 
     /// Restore the persistent state written by [`InputVc::save_state`],
     /// refilling the queue into `store` (emptied by the caller). Occupancy is
-    /// recomputed from the packets and validated against the configured
-    /// capacity.
+    /// recomputed from the packets and validated against `capacity_phits`; a
+    /// registered port must lie below `radix` and an ECtN link below
+    /// `ectn_links`.
     pub(crate) fn restore_state(
         &mut self,
         store: &mut PacketStore,
         d: &mut df_engine::Decoder,
+        capacity_phits: u32,
+        (radix, ectn_links): (usize, usize),
     ) -> Result<(), df_engine::CodecError> {
-        self.fifo = Fifo::EMPTY;
+        let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
+        *self = InputVc::EMPTY;
         let mut occupancy = 0u64;
         for _ in 0..d.seq(8)? {
             let p = Packet::decode(d)?;
             occupancy += p.size_phits as u64;
             store.push_back(&mut self.fifo, p);
         }
-        if occupancy > self.capacity_phits as u64 {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "input VC occupancy {occupancy} exceeds capacity {}",
-                self.capacity_phits
-            )));
-        }
-        let registered_min_output = if d.bool()? {
-            Some(Port(d.u32()?))
-        } else {
-            None
-        };
-        let registered_ectn_link = if d.bool()? { Some(d.u32()?) } else { None };
-        if self.is_empty() && (registered_min_output.is_some() || registered_ectn_link.is_some()) {
-            return Err(df_engine::CodecError::Invalid(
-                "head registration on an empty input VC".into(),
+        if occupancy > capacity_phits as u64 {
+            return invalid(format!(
+                "input VC occupancy {occupancy} exceeds capacity {capacity_phits}"
             ));
         }
         self.occupancy_phits = occupancy as u32;
-        self.registered_min_output = registered_min_output;
-        self.registered_ectn_link = registered_ectn_link;
-        self.plan = None;
+        let min_output = if d.bool()? { Some(d.u32()?) } else { None };
+        let ectn_link = if d.bool()? { Some(d.u32()?) } else { None };
+        if self.is_empty() && (min_output.is_some() || ectn_link.is_some()) {
+            return invalid("head registration on an empty input VC".into());
+        }
+        // an ECtN registration comes with a contention registration
+        let port_ok = min_output.map_or(ectn_link.is_none(), |port| (port as usize) < radix);
+        if !port_ok || ectn_link.is_some_and(|link| link as usize >= ectn_links) {
+            return invalid(format!(
+                "registration {min_output:?}/{ectn_link:?} outside a radix-{radix} router \
+                 of {ectn_links} ECtN links"
+            ));
+        }
+        if let Some(port) = min_output {
+            self.register(Port(port), ectn_link);
+        }
         Ok(())
     }
 }
 
-/// An input port: a set of virtual channels.
-#[derive(Debug, Clone)]
-pub struct InputPort {
-    class: PortClass,
-    vcs: Vec<InputVc>,
+/// One input port of a router: a borrowed view of its VCs in the router's
+/// flat VC array, with the per-VC capacity of its class.
+#[derive(Debug, Clone, Copy)]
+pub struct InputPort<'a> {
+    pub(crate) class: PortClass,
+    pub(crate) capacity_phits: u32,
+    pub(crate) vcs: &'a [InputVc],
 }
 
-impl InputPort {
-    /// Create an input port with `num_vcs` VCs of `capacity_phits` each.
-    pub fn new(class: PortClass, num_vcs: u8, capacity_phits: u32) -> Self {
-        InputPort {
-            class,
-            vcs: (0..num_vcs).map(|_| InputVc::new(capacity_phits)).collect(),
-        }
-    }
-
+impl<'a> InputPort<'a> {
     /// Port class (terminal / local / global).
     pub fn class(&self) -> PortClass {
         self.class
@@ -335,47 +326,20 @@ impl InputPort {
         self.vcs.len()
     }
 
+    /// Buffer capacity of each VC in phits.
+    pub fn capacity_phits(&self) -> u32 {
+        self.capacity_phits
+    }
+
     /// Borrow a VC.
-    pub fn vc(&self, vc: usize) -> &InputVc {
+    #[inline]
+    pub fn vc(&self, vc: usize) -> &'a InputVc {
         &self.vcs[vc]
     }
 
-    /// Mutably borrow a VC.
-    pub fn vc_mut(&mut self, vc: usize) -> &mut InputVc {
-        &mut self.vcs[vc]
-    }
-
-    /// Iterate over the VCs.
-    pub fn vcs(&self) -> impl Iterator<Item = &InputVc> {
-        self.vcs.iter()
-    }
-
-    /// Total queued phits across VCs.
-    pub fn occupancy_phits(&self) -> u32 {
-        self.vcs.iter().map(|v| v.occupancy_phits()).sum()
-    }
-
-    /// Serialise the persistent state of this port (the per-VC queues).
-    /// Class and VC layout are configuration.
-    pub(crate) fn save_state(&self, store: &PacketStore, e: &mut df_engine::Encoder) {
-        e.seq(self.vcs.len());
-        for vc in &self.vcs {
-            vc.save_state(store, e);
-        }
-    }
-
-    /// Restore the state written by [`InputPort::save_state`], refilling the
-    /// queues into `store`. The VC count must match the configuration.
-    pub(crate) fn restore_state(
-        &mut self,
-        store: &mut PacketStore,
-        d: &mut df_engine::Decoder,
-    ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(4, self.vcs.len(), "input port VC count")?;
-        for vc in &mut self.vcs {
-            vc.restore_state(store, d)?;
-        }
-        Ok(())
+    /// Whether a packet of `size_phits` fits into VC `vc`.
+    pub fn can_accept(&self, vc: usize, size_phits: u32) -> bool {
+        self.capacity_phits - self.vc(vc).occupancy_phits >= size_phits
     }
 }
 
@@ -395,17 +359,43 @@ mod tests {
         Some((store.take(head.slot), head))
     }
 
+    /// The view of one VC of `capacity` phits.
+    fn port_of(vc: &InputVc, capacity: u32) -> InputPort<'_> {
+        let (class, vcs) = (PortClass::Local, std::slice::from_ref(vc));
+        InputPort {
+            class,
+            capacity_phits: capacity,
+            vcs,
+        }
+    }
+
+    #[test]
+    fn a_vc_is_its_state_only() {
+        assert!(std::mem::size_of::<InputVc>() <= 28);
+        let vc = InputVc::EMPTY;
+        assert_eq!(
+            (vc.registered_min_output(), vc.registered_ectn_link()),
+            (None, None)
+        );
+    }
+
     #[test]
     fn push_pop_tracks_occupancy() {
         let mut store = PacketStore::new();
-        let mut vc = InputVc::new(32);
+        let mut vc = InputVc::EMPTY;
         assert!(vc.is_empty());
-        assert_eq!(vc.free_phits(), 32);
-        vc.push(&mut store, packet(1, 8));
-        vc.push(&mut store, packet(2, 8));
+        assert!(port_of(&vc, 32).can_accept(0, 32));
+        vc.push(&mut store, packet(1, 8), 32);
+        vc.push(&mut store, packet(2, 8), 32);
         assert_eq!(vc.len(), 2);
         assert_eq!(vc.occupancy_phits(), 16);
-        assert_eq!(vc.free_phits(), 16);
+        assert_eq!(
+            (
+                port_of(&vc, 32).can_accept(0, 16),
+                port_of(&vc, 32).can_accept(0, 17)
+            ),
+            (true, false)
+        );
         let (popped, head) = pop(&mut vc, &mut store).unwrap();
         assert_eq!(popped.id, PacketId(1));
         assert_eq!(head.registered_min_output, None);
@@ -417,37 +407,36 @@ mod tests {
     #[test]
     fn can_accept_respects_capacity() {
         let mut store = PacketStore::new();
-        let mut vc = InputVc::new(16);
-        assert!(vc.can_accept(8));
-        vc.push(&mut store, packet(1, 8));
-        assert!(vc.can_accept(8));
-        vc.push(&mut store, packet(2, 8));
-        assert!(!vc.can_accept(8));
-        assert!(vc.can_accept(0));
+        let mut vc = InputVc::EMPTY;
+        assert!(port_of(&vc, 16).can_accept(0, 8));
+        vc.push(&mut store, packet(1, 8), 16);
+        assert!(port_of(&vc, 16).can_accept(0, 8));
+        vc.push(&mut store, packet(2, 8), 16);
+        assert!(!port_of(&vc, 16).can_accept(0, 8));
+        assert!(port_of(&vc, 16).can_accept(0, 0));
     }
 
     #[test]
     #[should_panic(expected = "input VC overflow")]
     fn overflow_is_a_flow_control_bug() {
         let mut store = PacketStore::new();
-        let mut vc = InputVc::new(8);
-        vc.push(&mut store, packet(1, 8));
-        vc.push(&mut store, packet(2, 8));
+        let mut vc = InputVc::EMPTY;
+        vc.push(&mut store, packet(1, 8), 8);
+        vc.push(&mut store, packet(2, 8), 8);
     }
 
     #[test]
     fn registration_lifecycle() {
         let mut store = PacketStore::new();
-        let mut vc = InputVc::new(32);
+        let mut vc = InputVc::EMPTY;
         assert!(!vc.head_needs_registration(), "empty VC needs nothing");
-        vc.push(&mut store, packet(1, 8));
+        vc.push(&mut store, packet(1, 8), 32);
         assert!(vc.head_needs_registration());
-        vc.set_registered_min_output(Port(4));
+        vc.register(Port(4), Some(3));
         assert!(!vc.head_needs_registration());
         assert_eq!(vc.registered_min_output(), Some(Port(4)));
-        vc.set_registered_ectn_link(3);
         assert_eq!(vc.registered_ectn_link(), Some(3));
-        vc.push(&mut store, packet(2, 8));
+        vc.push(&mut store, packet(2, 8), 32);
         // still the same head; no new registration needed
         assert!(!vc.head_needs_registration());
         let (_, head) = pop(&mut vc, &mut store).unwrap();
@@ -456,6 +445,11 @@ mod tests {
         // new head needs registration again
         assert!(vc.head_needs_registration());
         assert_eq!(vc.registered_ectn_link(), None);
+        vc.register(Port(0), None);
+        assert_eq!(
+            (vc.registered_min_output(), vc.registered_ectn_link()),
+            (Some(Port(0)), None)
+        );
     }
 
     #[test]
@@ -473,11 +467,11 @@ mod tests {
         assert!(plan.has(HeadPlan::GLOBAL_SCOPE) && !plan.has(HeadPlan::LOCAL_SCOPE));
         assert_eq!(plan.output(), Port(5));
         let mut store = PacketStore::new();
-        let mut vc = InputVc::new(32);
-        vc.push(&mut store, packet(1, 8));
+        let mut vc = InputVc::EMPTY;
+        vc.push(&mut store, packet(1, 8), 32);
         assert_eq!(vc.plan(), None);
         vc.set_plan(plan);
-        vc.push(&mut store, packet(2, 8));
+        vc.push(&mut store, packet(2, 8), 32);
         assert_eq!(vc.plan(), Some(plan), "still the same head");
         assert_eq!(plan.size_phits(vc.head(&store).unwrap()), 8);
         pop(&mut vc, &mut store);
@@ -496,10 +490,10 @@ mod tests {
     #[test]
     fn head_accessors() {
         let mut store = PacketStore::new();
-        let mut vc = InputVc::new(32);
+        let mut vc = InputVc::EMPTY;
         assert!(vc.head(&store).is_none());
         assert!(vc.head_mut(&mut store).is_none());
-        vc.push(&mut store, packet(7, 8));
+        vc.push(&mut store, packet(7, 8), 32);
         assert_eq!(vc.head(&store).unwrap().id, PacketId(7));
         vc.head_mut(&mut store).unwrap().routing.local_hops = 2;
         assert_eq!(vc.head(&store).unwrap().routing.local_hops, 2);
@@ -508,23 +502,54 @@ mod tests {
     #[test]
     fn input_port_aggregates_vcs() {
         let mut store = PacketStore::new();
-        let mut port = InputPort::new(PortClass::Local, 3, 32);
+        let mut vcs = [InputVc::EMPTY; 3];
+        vcs[0].push(&mut store, packet(1, 8), 32);
+        vcs[2].push(&mut store, packet(2, 8), 32);
+        let port = InputPort {
+            class: PortClass::Local,
+            capacity_phits: 32,
+            vcs: &vcs,
+        };
         assert_eq!(port.num_vcs(), 3);
-        port.vc_mut(0).push(&mut store, packet(1, 8));
-        port.vc_mut(2).push(&mut store, packet(2, 8));
-        assert_eq!(port.occupancy_phits(), 16);
-        assert_eq!(port.vcs().map(InputVc::len).sum::<usize>(), 2);
-        assert_eq!(port.class(), PortClass::Local);
+        assert_eq!(
+            port.vcs.iter().map(InputVc::occupancy_phits).sum::<u32>(),
+            16
+        );
+        assert_eq!(port.vcs.iter().map(InputVc::len).sum::<usize>(), 2);
+        assert_eq!(
+            (port.class(), port.capacity_phits()),
+            (PortClass::Local, 32)
+        );
         assert_eq!(store.live(), 2, "both VCs queue through one store");
     }
 
-    /// Restore `bytes` into a fresh VC of `capacity` phits over a fresh
-    /// store; the error (if any) and the slots the store ended with.
+    /// Restore `bytes` into a fresh VC of `capacity` phits in a radix-7
+    /// router of a 16-link group, over a fresh store; the error (if any)
+    /// and the slots the store ended with.
     fn restore(capacity: u32, bytes: &[u8]) -> (Result<(), df_engine::CodecError>, usize) {
         let mut store = PacketStore::new();
-        let result =
-            InputVc::new(capacity).restore_state(&mut store, &mut df_engine::Decoder::new(bytes));
+        let mut vc = InputVc::EMPTY;
+        let result = vc.restore_state(
+            &mut store,
+            &mut df_engine::Decoder::new(bytes),
+            capacity,
+            (7, 16),
+        );
         (result, store.slots())
+    }
+
+    /// One queued 8-phit packet with the given registrations.
+    fn registered(min_output: Option<u32>, ectn_link: Option<u32>) -> Vec<u8> {
+        let mut e = df_engine::Encoder::new();
+        e.seq(1);
+        packet(1, 8).encode(&mut e);
+        for registration in [min_output, ectn_link] {
+            e.bool(registration.is_some());
+            if let Some(value) = registration {
+                e.u32(value);
+            }
+        }
+        e.into_bytes()
     }
 
     #[test]
@@ -554,6 +579,28 @@ mod tests {
         e.seq(usize::MAX / 8);
         let (result, slots) = restore(8, &e.into_bytes());
         assert!(result.is_err() && slots == 0, "{result:?}, {slots} slots");
+    }
+
+    #[test]
+    fn registrations_outside_the_router_are_typed_errors() {
+        let (ok, _) = restore(8, &registered(Some(6), Some(15)));
+        assert!(ok.is_ok(), "{ok:?}");
+        for (what, bytes) in [
+            ("registered port at the radix", registered(Some(7), None)),
+            ("registered port 200", registered(Some(200), None)),
+            ("ECtN link past the group", registered(Some(6), Some(16))),
+            (
+                "ECtN link at the sentinel",
+                registered(Some(6), Some(0xffff)),
+            ),
+            ("ECtN link without a port", registered(None, Some(3))),
+        ] {
+            let (result, _) = restore(8, &bytes);
+            assert!(
+                matches!(result, Err(df_engine::CodecError::Invalid(_))),
+                "{what}: {result:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! model following the simulation infrastructure of the paper (§IV-B):
 //!
 //! * per-VC input buffers with phit-granularity occupancy accounting
-//!   ([`input`]),
+//!   ([`input`]), every VC of a router in one flat array,
 //! * per-port output buffers, credit-based flow control towards the
 //!   downstream router, and link serialisation state ([`output`]),
 //! * one packet slab per router that every input VC queue and output
@@ -41,7 +41,9 @@ pub use allocator::{AllocationRequest, Allocator, Grant};
 pub use contention::ContentionCounters;
 pub use ectn::EctnState;
 pub use input::{HeadPlan, InputPort, InputVc, PlannedObjective};
-pub use output::{OutputMut, OutputPort};
+pub use output::{OutputMut, OutputPort, OutputRef};
 pub use pb::PbState;
-pub use router::{set_bits, CandidateLink, CandidateTable, Router, MAX_RADIX, MAX_VCS_PER_PORT};
+pub use router::{
+    set_bits, CandidateLink, CandidateTable, Footprint, Router, MAX_RADIX, MAX_VCS_PER_PORT,
+};
 pub use snapshot::{decode_gateway_liveness, encode_gateway_liveness};

@@ -1,5 +1,10 @@
 //! The [`Router`] object: ports, buffers, counters and allocation for one
 //! Dragonfly router.
+//!
+//! A router's static footprint is its state, not its allocations: every
+//! input VC in one flat array, port by port, every credit in a second at
+//! the same offsets, every output port's own state in a third; capacities
+//! come from the port class ([`Router::footprint`]).
 
 use std::sync::OnceLock;
 
@@ -12,8 +17,8 @@ use df_topology::{
 use crate::allocator::{AllocationRequest, Allocator, Grant};
 use crate::contention::ContentionCounters;
 use crate::ectn::EctnState;
-use crate::input::{InputPort, UnlinkedHead};
-use crate::output::{OutputMut, OutputPort};
+use crate::input::{HeadPlan, InputPort, InputVc, UnlinkedHead};
+use crate::output::{OutputMut, OutputPort, OutputRef};
 use crate::pb::PbState;
 use crate::store::{PacketStore, SlotId};
 
@@ -36,8 +41,14 @@ pub struct Router {
     id: RouterId,
     topo: AnyTopology,
     config: NetworkConfig,
-    inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
+    /// Every input VC, port by port in port order; each output port knows
+    /// its port's range ([`OutputPort::vcs`]).
+    vcs: Box<[InputVc]>,
+    /// Every output port's own state.
+    outputs: Box<[OutputPort]>,
+    /// Every output's downstream credits, at its port's VC offsets
+    /// (unused for terminal ports).
+    credits: Box<[u32]>,
     /// Every packet the router buffers: each input VC queue and each output
     /// stage is a FIFO through this one slab, so the router's footprint
     /// follows its peak buffered packets rather than the queues it touched.
@@ -51,7 +62,7 @@ pub struct Router {
     /// (or port) costs nothing. Maintained by [`Router::receive_packet`] and
     /// the head unlink [`Router::discard_head`] and [`Router::apply_grant`]
     /// share; derived: rebuilt by [`Router::restore_state`].
-    occupied_vcs: Vec<u64>,
+    occupied_vcs: Box<[u64]>,
     /// Bit `p` set: `occupied_vcs[p]` is non-zero — the input ports those
     /// loops visit. Maintained and rebuilt with `occupied_vcs`.
     occupied_ports: u64,
@@ -66,7 +77,7 @@ pub struct Router {
     /// behind it at the fault instant are dropped by the simulator
     /// ([`Router::drop_staged_for_dead_port`] — the serialisation buffer
     /// is lost with the link).
-    link_up: Vec<bool>,
+    link_up: Box<[bool]>,
     /// Number of `false` entries in `link_up` (O(1) healthy fast path).
     links_down: u32,
     /// This router's (possibly stale) copy of the network-wide
@@ -132,11 +143,26 @@ pub fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// [`Router::can_grant`] over the two fields it reads, so the allocator's
-/// check can borrow them beside the allocator.
-#[inline]
-fn grantable(link_up: &[bool], outputs: &[OutputPort], port: Port, vc: VcId, size: u32) -> bool {
-    link_up[port.index()] && outputs[port.index()].can_accept(vc, size)
+/// The bytes one router holds ([`Router::footprint`]): the struct, and the
+/// capacity of the heap buffers of each of its parts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The [`Router`] struct itself.
+    pub router: usize,
+    /// Heap bytes per part: the input VCs; the output ports and credits;
+    /// the allocator; the counters (contention counters, occupied-VC masks,
+    /// link flags); ECtN/PB (with the gateway-liveness view and the
+    /// candidate table); the packet slab.
+    pub parts: [usize; 6],
+    /// Heap buffers holding any capacity.
+    pub buffers: usize,
+}
+
+impl Footprint {
+    /// Bytes over the struct and every part.
+    pub fn total(&self) -> usize {
+        self.router + self.parts.iter().sum::<usize>()
+    }
 }
 
 /// Widest router [`Router::new`] accepts: one bit of the staged-port set per
@@ -169,45 +195,40 @@ impl Router {
             u32::from(vcs) <= MAX_VCS_PER_PORT,
             "{vcs} VCs per port exceed the supported maximum of {MAX_VCS_PER_PORT}"
         );
-        let mut inputs = Vec::with_capacity(radix as usize);
-        let mut outputs = Vec::with_capacity(radix as usize);
-        for port in Port::all(&layout) {
-            let class = port.class(&layout);
-            inputs.push(InputPort::new(
-                class,
-                config.vcs_for(class),
-                config.input_buffer_for(class),
-            ));
-            // The downstream buffer of an output link is the input buffer of
-            // the same-class port on the peer router (links are symmetric in
-            // class), except terminal ports which eject to the node.
-            let output = match class {
-                PortClass::Terminal => OutputPort::new(class, 0, 0, config.buffers.output_buffer),
-                PortClass::Local | PortClass::Global => OutputPort::new(
-                    class,
-                    config.vcs_for(class),
-                    config.input_buffer_for(class),
-                    config.buffers.output_buffer,
-                ),
-            };
-            outputs.push(output);
+        // The downstream buffer of an output link is the input buffer of the
+        // same-class port on the peer router (links are symmetric in class),
+        // except terminal ports which eject to the node: full credits.
+        let mut vc_start = 0;
+        let outputs: Box<[OutputPort]> = Port::all(&layout)
+            .map(|port| {
+                let class = port.class(&layout);
+                let vcs = config.vcs_for(class);
+                let output = OutputPort::new(class, vc_start, vcs, config.input_buffer_for(class));
+                vc_start += usize::from(vcs);
+                output
+            })
+            .collect();
+        let mut credits = vec![0; vc_start].into_boxed_slice();
+        for output in outputs.iter() {
+            credits[output.credit_range()].fill(config.input_buffer_for(output.class));
         }
         let global_links = topo.global_links_per_group() as usize;
         Router {
             id,
             topo,
             config,
-            inputs,
+            vcs: vec![InputVc::EMPTY; vc_start].into_boxed_slice(),
             outputs,
+            credits,
             store: PacketStore::new(),
             contention: ContentionCounters::new(radix as usize),
             ectn: EctnState::new(global_links),
             pb: PbState::new(topo.own_globals(id) as usize, global_links),
             allocator: Allocator::new(radix as usize),
-            occupied_vcs: vec![0; radix as usize],
+            occupied_vcs: vec![0; radix as usize].into_boxed_slice(),
             occupied_ports: 0,
             unregistered_count: 0,
-            link_up: vec![true; radix as usize],
+            link_up: vec![true; radix as usize].into_boxed_slice(),
             links_down: 0,
             link_view: GatewayLiveness::new(&topo),
             staged_ports: 0,
@@ -242,7 +263,7 @@ impl Router {
 
     /// Number of ports (radix).
     pub fn num_ports(&self) -> usize {
-        self.inputs.len()
+        self.outputs.len()
     }
 
     // ------------------------------------------------------------------
@@ -283,19 +304,54 @@ impl Router {
         &mut self.pb
     }
 
-    /// Borrow an input port.
-    pub fn input(&self, port: Port) -> &InputPort {
-        &self.inputs[port.index()]
+    /// Borrow an input port: a view of its VCs.
+    #[inline]
+    pub fn input(&self, port: Port) -> InputPort<'_> {
+        let output = &self.outputs[port.index()];
+        let (class, vcs) = (output.class, &self.vcs[output.vcs()]);
+        let capacity_phits = self.config.input_buffer_for(class);
+        InputPort {
+            class,
+            capacity_phits,
+            vcs,
+        }
     }
 
-    /// Mutably borrow an input port.
-    pub fn input_mut(&mut self, port: Port) -> &mut InputPort {
-        &mut self.inputs[port.index()]
+    /// Input VC `(port, vc)`.
+    #[inline]
+    fn vc(&self, port: Port, vc: VcId) -> &InputVc {
+        &self.vcs[self.outputs[port.index()].vcs()][vc.index()]
     }
 
-    /// Borrow an output port.
-    pub fn output(&self, port: Port) -> &OutputPort {
-        &self.outputs[port.index()]
+    /// Input VC `(port, vc)`, mutably.
+    #[inline]
+    fn vc_mut(&mut self, port: Port, vc: VcId) -> &mut InputVc {
+        &mut self.vcs[self.outputs[port.index()].vcs()][vc.index()]
+    }
+
+    /// Park the routing layer's plan for the head packet of input VC
+    /// `(port, vc)` (dropped when the head leaves or is mutated).
+    #[inline]
+    pub fn set_plan(&mut self, port: Port, vc: VcId, plan: HeadPlan) {
+        self.vc_mut(port, vc).set_plan(plan);
+    }
+
+    /// Borrow an output port, with its credits.
+    #[inline]
+    pub fn output(&self, port: Port) -> OutputRef<'_> {
+        self.outputs[port.index()].view(&self.credits, &self.config)
+    }
+
+    /// Output port `p` with its credits and the packet store, mutably, no
+    /// flag touched.
+    #[inline]
+    fn output_at(&mut self, p: usize) -> OutputMut<'_> {
+        OutputMut {
+            port: &mut self.outputs[p],
+            credits: &mut self.credits,
+            config: &self.config,
+            store: &mut self.store,
+        }
     }
 
     /// Mutably borrow an output port, with the packet store its buffer
@@ -305,25 +361,21 @@ impl Router {
     pub fn output_mut(&mut self, port: Port) -> OutputMut<'_> {
         self.staged_ports |= 1 << port.index();
         self.outputs_changed = true;
-        OutputMut {
-            output: &mut self.outputs[port.index()],
-            store: &mut self.store,
-        }
+        self.output_at(port.index())
     }
 
     /// The head packet of input VC `(port, vc)`.
     #[inline]
     pub fn head(&self, port: Port, vc: VcId) -> Option<&Packet> {
-        self.inputs[port.index()].vc(vc.index()).head(&self.store)
+        self.vc(port, vc).head(&self.store)
     }
 
     /// Mutable access to the head packet of input VC `(port, vc)` (routing
     /// commits update its routing state); the change may invalidate the
     /// head's plan, so it is dropped.
     pub fn head_mut(&mut self, port: Port, vc: VcId) -> Option<&mut Packet> {
-        self.inputs[port.index()]
-            .vc_mut(vc.index())
-            .head_mut(&mut self.store)
+        let vcs = self.outputs[port.index()].vcs();
+        self.vcs[vcs][vc.index()].head_mut(&mut self.store)
     }
 
     /// Slots of the router's packet store: its peak number of buffered
@@ -360,29 +412,30 @@ impl Router {
     /// `(port, vc)`. Used for injection (nodes have no credits) and for
     /// assertions; router-to-router transfers are guaranteed by credits.
     pub fn can_accept_input(&self, port: Port, vc: VcId, size_phits: u32) -> bool {
-        self.inputs[port.index()]
-            .vc(vc.index())
-            .can_accept(size_phits)
+        self.input(port).can_accept(vc.index(), size_phits)
     }
 
     /// Deliver a packet into input VC `(port, vc)` (link arrival or
     /// injection).
     pub fn receive_packet(&mut self, port: Port, vc: VcId, packet: Packet) {
-        let input_vc = self.inputs[port.index()].vc_mut(vc.index());
-        input_vc.push(&mut self.store, packet);
+        let p = port.index();
+        let output = &self.outputs[p];
+        let capacity = self.config.input_buffer_for(output.class);
+        let input_vc = &mut self.vcs[output.vcs()][vc.index()];
+        input_vc.push(&mut self.store, packet, capacity);
         if input_vc.len() == 1 {
             // the packet became a head and needs counter registration
             self.unregistered_count += 1;
         }
         self.occupied_vcs[port.index()] |= 1 << vc.index();
         self.occupied_ports |= 1 << port.index();
-        debug_assert!(self.occupied_vcs_are_exact(), "after receive_packet");
+        debug_assert!(self.bookkeeping_is_exact(), "after receive_packet");
     }
 
     /// Return `phits` credits for downstream VC `vc` of output `port` (the
     /// downstream router drained a packet; arrives after the link latency).
     pub fn receive_credits(&mut self, port: Port, vc: VcId, phits: u32) {
-        self.outputs[port.index()].return_credits(vc, phits);
+        self.output_at(port.index()).return_credits(vc, phits);
         self.outputs_changed = true;
     }
 
@@ -441,9 +494,9 @@ impl Router {
     pub fn drop_staged_for_dead_port(&mut self, port: Port) -> Vec<(Packet, VcId)> {
         debug_assert!(!self.link_is_up(port), "only dead ports lose their stage");
         self.outputs_changed = true;
-        let dropped = self.outputs[port.index()].drain_staged(&mut self.store);
+        let dropped = self.output_at(port.index()).drain_staged();
         debug_assert!(
-            self.occupied_vcs_are_exact(),
+            self.bookkeeping_is_exact(),
             "after drop_staged_for_dead_port"
         );
         dropped
@@ -462,7 +515,7 @@ impl Router {
     pub fn discard_head(&mut self, port: Port, vc: VcId) -> (Packet, PortClass) {
         let (slot, input_class) = self.unlink_head(port, vc);
         let packet = self.store.take(slot);
-        debug_assert!(self.occupied_vcs_are_exact(), "after discard_head");
+        debug_assert!(self.bookkeeping_is_exact(), "after discard_head");
         (packet, input_class)
     }
 
@@ -470,8 +523,9 @@ impl Router {
     /// router held for the packet; the slot stays live for the caller to
     /// stage or take.
     fn unlink_head(&mut self, port: Port, vc: VcId) -> (SlotId, PortClass) {
-        let input_class = self.inputs[port.index()].class();
-        let input_vc = self.inputs[port.index()].vc_mut(vc.index());
+        let output = &self.outputs[port.index()];
+        let input_class = output.class;
+        let input_vc = &mut self.vcs[output.vcs()][vc.index()];
         let UnlinkedHead {
             slot,
             registered_min_output,
@@ -517,14 +571,9 @@ impl Router {
         min_output: Port,
         ectn_link: Option<u32>,
     ) {
-        let input_vc = self.inputs[port.index()].vc_mut(vc.index());
-        debug_assert!(input_vc.head_needs_registration());
         debug_assert!(self.unregistered_count > 0);
         self.unregistered_count -= 1;
-        input_vc.set_registered_min_output(min_output);
-        if let Some(link) = ectn_link {
-            input_vc.set_registered_ectn_link(link);
-        }
+        self.vc_mut(port, vc).register(min_output, ectn_link);
         self.contention.increment(min_output);
         if let Some(link) = ectn_link {
             self.ectn.increment_partial(link);
@@ -542,7 +591,7 @@ impl Router {
     /// re-decide next cycle).
     #[inline]
     pub fn can_grant(&self, port: Port, vc: VcId, size_phits: u32) -> bool {
-        grantable(&self.link_up, &self.outputs, port, vc, size_phits)
+        self.link_up[port.index()] && self.output(port).can_accept(vc, size_phits)
     }
 
     /// The switch allocator (its round-robin pointers).
@@ -561,10 +610,14 @@ impl Router {
         wraps: &[(Port, usize)],
         grants: &mut Vec<Grant>,
     ) {
-        let (link_up, outputs) = (&self.link_up, &self.outputs);
+        let config = &self.config;
+        let (link_up, outputs, credits) = (&self.link_up, &self.outputs, &self.credits);
         self.allocator
             .allocate_wrapped_into(requests, wraps, grants, |port, vc, size| {
-                grantable(link_up, outputs, port, vc, size)
+                link_up[port.index()]
+                    && outputs[port.index()]
+                        .view(credits, config)
+                        .can_accept(vc, size)
             })
     }
 
@@ -573,12 +626,11 @@ impl Router {
     /// wrapper for the tests).
     #[cfg(test)]
     fn allocate(&mut self, requests: &[AllocationRequest]) -> Vec<Grant> {
-        let (link_up, outputs) = (&self.link_up, &self.outputs);
-        let mut grants = Vec::new();
-        self.allocator
-            .allocate_into(requests, &mut grants, |port, vc, size| {
-                grantable(link_up, outputs, port, vc, size)
-            });
+        let (mut allocator, mut grants) = (self.allocator.clone(), Vec::new());
+        allocator.allocate_into(requests, &mut grants, |p, vc, size| {
+            self.can_grant(p, vc, size)
+        });
+        self.allocator = allocator;
         grants
     }
 
@@ -603,15 +655,11 @@ impl Router {
             .note_hop(&self.topo, grant.output_port, arrived_at);
         let freed_phits = packet.size_phits;
         let ready_at = now + self.config.latencies.router_pipeline as Cycle;
-        self.outputs[grant.output_port.index()].stage(
-            &mut self.store,
-            slot,
-            grant.output_vc,
-            ready_at,
-        );
+        self.output_at(grant.output_port.index())
+            .stage(slot, grant.output_vc, ready_at);
         self.staged_ports |= 1 << grant.output_port.index();
         self.outputs_changed = true;
-        debug_assert!(self.occupied_vcs_are_exact(), "after apply_grant");
+        debug_assert!(self.bookkeeping_is_exact(), "after apply_grant");
         AppliedGrant {
             grant: *grant,
             freed_phits,
@@ -645,16 +693,15 @@ impl Router {
             if any_down && !self.link_up[p] {
                 continue;
             }
-            let output = &mut self.outputs[p];
-            if let Some((packet, vc, tail_at)) = output.try_transmit(&mut self.store, now) {
+            if let Some((packet, vc, tail_at)) = self.output_at(p).try_transmit(now) {
                 sent.push((Port(p as u32), packet, vc, tail_at));
                 self.outputs_changed = true;
             }
-            if output.staged_packets() == 0 {
+            if self.outputs[p].staged.is_empty() {
                 self.staged_ports &= !(1 << p);
             }
         }
-        debug_assert!(self.occupied_vcs_are_exact(), "after transmit_outputs_into");
+        debug_assert!(self.bookkeeping_is_exact(), "after transmit_outputs_into");
     }
 
     /// Try to start transmission on every output port (allocating
@@ -696,33 +743,40 @@ impl Router {
         self.occupied_ports
     }
 
-    /// Whether every port's occupied-VC mask equals its VCs' emptiness, the
-    /// occupied-port mask equals the non-zero VC masks, every staged output
-    /// is in the staged-port set, every FIFO's length
-    /// equals the length of its walk through the store, and the store's live
-    /// count equals the queued plus staged packets (the debug gate behind
-    /// every mask and store update).
-    fn occupied_vcs_are_exact(&self) -> bool {
-        let masks = self
-            .inputs
-            .iter()
-            .zip(&self.occupied_vcs)
-            .all(|(input, &mask)| {
-                (0..input.num_vcs()).all(|v| (mask >> v & 1 == 1) != input.vc(v).is_empty())
-                    && mask.checked_shr(input.num_vcs() as u32).unwrap_or(0) == 0
-            });
+    /// The debug gate behind every mask, store and flat-array update: the
+    /// occupied-VC and -port masks match the VCs; staged outputs are in the
+    /// staged-port set; the ports' VC ranges tile the flat arrays (each
+    /// `(port, vc)` has a slot of its own); every FIFO's length and phits
+    /// match its walk through the store and its occupancy; the store holds
+    /// exactly the queued plus staged packets.
+    fn bookkeeping_is_exact(&self) -> bool {
+        let radix = self.num_ports();
+        let masks = (0..radix).all(|p| {
+            let (input, mask) = (self.input(Port(p as u32)), self.occupied_vcs[p]);
+            (0..input.num_vcs()).all(|v| (mask >> v & 1 == 1) != input.vc(v).is_empty())
+                && mask.checked_shr(input.num_vcs() as u32).unwrap_or(0) == 0
+        });
         let ports = (self.occupied_vcs.iter().enumerate())
             .all(|(p, &mask)| (mask != 0) == (self.occupied_ports >> p & 1 == 1));
         let staged = (self.outputs.iter().enumerate())
-            .all(|(p, o)| o.staged_packets() == 0 || self.staged_ports >> p & 1 == 1);
-        let fifos = || {
-            (self.inputs.iter())
-                .flat_map(|input| input.vcs().map(|vc| &vc.fifo))
-                .chain(self.outputs.iter().map(|o| &o.staged))
+            .all(|(p, o)| o.staged.is_empty() || self.staged_ports >> p & 1 == 1);
+        let tiled = (self.outputs.iter())
+            .try_fold(0, |next, o| (o.vcs().start == next).then_some(o.vcs().end))
+            == Some(self.vcs.len())
+            && self.vcs.len() == self.credits.len();
+        let phits = |fifo| {
+            self.store
+                .iter(fifo)
+                .map(|s| s.packet().size_phits)
+                .sum::<u32>()
         };
+        let occupancy = (self.vcs.iter()).all(|vc| phits(&vc.fifo) == vc.occupancy_phits())
+            && (self.outputs.iter()).all(|o| phits(&o.staged) == o.buffer_occupancy_phits);
+        let fifos =
+            || (self.vcs.iter().map(|vc| &vc.fifo)).chain(self.outputs.iter().map(|o| &o.staged));
         let walks = fifos().all(|fifo| self.store.iter(fifo).count() == fifo.len());
         let held: usize = fifos().map(|fifo| fifo.len()).sum();
-        masks && ports && staged && walks && self.store.live() == held
+        masks && ports && staged && tiled && occupancy && walks && self.store.live() == held
     }
 
     /// The router's candidate table, built by `build` the first time it is
@@ -743,7 +797,7 @@ impl Router {
     /// capacity. This is the credit-based congestion signal used by OLM,
     /// Hybrid and PB.
     pub fn output_congestion_fraction(&self, port: Port) -> f64 {
-        let o = &self.outputs[port.index()];
+        let o = self.output(port);
         let cap = o.congestion_capacity_phits();
         if cap == 0 {
             return 0.0;
@@ -751,14 +805,42 @@ impl Router {
         o.congestion_phits() as f64 / cap as f64
     }
 
-    /// Free credits for `(port, vc)`.
-    pub fn credits_free(&self, port: Port, vc: VcId) -> u32 {
-        self.outputs[port.index()].credits(vc)
-    }
-
     /// Whether output `port` can accept a packet for downstream VC `vc`.
     pub fn output_can_accept(&self, port: Port, vc: VcId, size_phits: u32) -> bool {
-        self.outputs[port.index()].can_accept(vc, size_phits)
+        self.output(port).can_accept(vc, size_phits)
+    }
+
+    /// The bytes the router holds, by part: the struct plus the capacity of
+    /// every heap buffer it owns (the counter vectors never grow, so their
+    /// length is their capacity).
+    pub fn footprint(&self) -> Footprint {
+        use std::mem::size_of_val as bytes;
+        let links = 4 * self.ectn.num_links();
+        let (own, group) = (self.pb.own_flags().len(), self.pb.group_links());
+        let table = (self.candidate_table.get()).map_or(0, |table| bytes(&*table.links));
+        let (masks, flags) = (bytes(&*self.occupied_vcs), bytes(&*self.link_up));
+        let parts: [Vec<usize>; 6] = [
+            vec![bytes(&*self.vcs)],
+            vec![bytes(&*self.outputs), bytes(&*self.credits)],
+            vec![self.allocator.buffer_bytes()],
+            vec![4 * self.contention.len(), masks, flags],
+            [links, links, own, group, table]
+                .into_iter()
+                .chain(self.link_view.buffer_bytes())
+                .collect(),
+            vec![self.store.buffer_bytes()],
+        ];
+        Footprint {
+            router: std::mem::size_of::<Router>(),
+            parts: parts.each_ref().map(|buffers| buffers.iter().sum()),
+            buffers: parts.iter().flatten().filter(|&&b| b > 0).count(),
+        }
+    }
+
+    /// [`Footprint::total`] of [`Router::footprint`]: the struct plus the
+    /// capacity of every heap buffer the router owns.
+    pub fn heap_bytes(&self) -> usize {
+        self.footprint().total()
     }
 
     // ------------------------------------------------------------------
@@ -773,13 +855,19 @@ impl Router {
     /// and the simulator re-installs the gateway-liveness view from the
     /// router's group's flooded copy ([`Router::install_link_view`]).
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.inputs.len());
-        for input in &self.inputs {
-            input.save_state(&self.store, e);
+        let radix = self.num_ports();
+        e.seq(radix);
+        for p in 0..radix {
+            let input = self.input(Port(p as u32));
+            e.seq(input.num_vcs());
+            input
+                .vcs
+                .iter()
+                .for_each(|vc| vc.save_state(&self.store, e));
         }
-        e.seq(self.outputs.len());
-        for output in &self.outputs {
-            output.save_state(&self.store, e);
+        e.seq(radix);
+        for p in 0..radix {
+            self.output(Port(p as u32)).save_state(&self.store, e);
         }
         self.contention.save_state(e);
         self.ectn.save_state(e);
@@ -801,27 +889,52 @@ impl Router {
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
         self.store = PacketStore::new();
-        d.seq_exact(8, self.inputs.len(), "router input port count")?;
-        for input in &mut self.inputs {
-            input.restore_state(&mut self.store, d)?;
+        let (radix, ectn_links) = (self.num_ports(), self.ectn.num_links());
+        d.seq_exact(8, radix, "router input port count")?;
+        for p in 0..radix {
+            let output = &self.outputs[p];
+            let capacity = self.config.input_buffer_for(output.class);
+            let vcs = &mut self.vcs[output.vcs()];
+            d.seq_exact(4, vcs.len(), "input port VC count")?;
+            for vc in vcs {
+                vc.restore_state(&mut self.store, d, capacity, (radix, ectn_links))?;
+            }
         }
-        d.seq_exact(8, self.outputs.len(), "router output port count")?;
-        for output in &mut self.outputs {
-            output.restore_state(&mut self.store, d)?;
+        d.seq_exact(8, radix, "router output port count")?;
+        for p in 0..radix {
+            self.output_at(p).restore_state(d)?;
         }
         self.contention.restore_state(d)?;
         self.ectn.restore_state(d)?;
         self.pb.restore_state(d)?;
         self.allocator.restore_state(d)?;
-        d.seq_exact(1, self.link_up.len(), "router link flag count")?;
-        for up in &mut self.link_up {
+        d.seq_exact(1, radix, "router link flag count")?;
+        for up in self.link_up.iter_mut() {
             *up = d.bool()?;
+        }
+        // the counters must count exactly the restored registrations
+        let (mut contention, mut partials) = (vec![0; radix], vec![0; ectn_links]);
+        for vc in self.vcs.iter() {
+            if let Some(port) = vc.registered_min_output() {
+                contention[port.index()] += 1;
+            }
+            if let Some(link) = vc.registered_ectn_link() {
+                partials[link as usize] += 1;
+            }
+        }
+        if !(self.contention.iter().map(|(_, c)| c).eq(contention)
+            && (0..ectn_links as u32)
+                .map(|l| self.ectn.partial(l))
+                .eq(partials))
+        {
+            let what = "contention or ECtN counters differ from the head registrations";
+            return Err(df_engine::CodecError::Invalid(what.into()));
         }
         // rebuild the derived counters and sets from the restored
         // queues/flags
         self.staged_ports = 0;
         for (p, output) in self.outputs.iter().enumerate() {
-            if output.staged_packets() > 0 {
+            if !output.staged.is_empty() {
                 self.staged_ports |= 1 << p;
             }
         }
@@ -829,19 +942,16 @@ impl Router {
         self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
         self.unregistered_count = 0;
         self.occupied_ports = 0;
-        for (p, (input, mask)) in self.inputs.iter().zip(&mut self.occupied_vcs).enumerate() {
-            *mask = 0;
-            for v in 0..input.num_vcs() {
-                if !input.vc(v).is_empty() {
-                    *mask |= 1 << v;
-                }
-                if input.vc(v).head_needs_registration() {
-                    self.unregistered_count += 1;
-                }
+        for p in 0..radix {
+            let mut mask = 0;
+            for (v, vc) in self.vcs[self.outputs[p].vcs()].iter().enumerate() {
+                mask |= u64::from(!vc.is_empty()) << v;
+                self.unregistered_count += u32::from(vc.head_needs_registration());
             }
-            self.occupied_ports |= ((*mask != 0) as u64) << p;
+            self.occupied_vcs[p] = mask;
+            self.occupied_ports |= u64::from(mask != 0) << p;
         }
-        debug_assert!(self.occupied_vcs_are_exact(), "after restore_state");
+        debug_assert!(self.bookkeeping_is_exact(), "after restore_state");
         Ok(())
     }
 }
@@ -877,8 +987,8 @@ mod tests {
         assert_eq!(r.input(Port(2)).num_vcs(), 4);
         assert_eq!(r.input(Port(5)).num_vcs(), 2);
         // global input buffers are deeper
-        assert_eq!(r.input(Port(5)).vc(0).capacity_phits(), 256);
-        assert_eq!(r.input(Port(2)).vc(0).capacity_phits(), 32);
+        assert_eq!(r.input(Port(5)).capacity_phits(), 256);
+        assert_eq!(r.input(Port(2)).capacity_phits(), 32);
         // output credits match the peer input buffers
         assert_eq!(r.output(Port(5)).credit_capacity(VcId(0)), 256);
         assert_eq!(r.output(Port(2)).credit_capacity(VcId(0)), 32);
@@ -954,9 +1064,9 @@ mod tests {
         };
         let grants = r.allocate(&[req]);
         r.apply_grant(&grants[0], 0);
-        assert_eq!(r.credits_free(Port(2), VcId(1)), cap - 8);
+        assert_eq!(r.output(Port(2)).credits(VcId(1)), cap - 8);
         r.receive_credits(Port(2), VcId(1), 8);
-        assert_eq!(r.credits_free(Port(2), VcId(1)), cap);
+        assert_eq!(r.output(Port(2)).credits(VcId(1)), cap);
     }
 
     #[test]
@@ -1276,5 +1386,139 @@ mod tests {
                 .map(|p| (p.id, p.routing.local_hops)),
             Some((PacketId(10), 1))
         );
+    }
+
+    /// The snapshot of a small router whose head at `(3, vc 0)` is
+    /// registered against output `min_output` and ECtN link `ectn_link`.
+    fn registered_snapshot(min_output: u32, ectn_link: u32) -> Vec<u8> {
+        let mut r = router();
+        r.receive_packet(Port(3), VcId(0), packet(1, 40));
+        r.register_head(Port(3), VcId(0), Port(min_output), Some(ectn_link));
+        let mut e = df_engine::Encoder::new();
+        r.save_state(&mut e);
+        e.into_bytes()
+    }
+
+    /// The first byte where `a` and `b` differ: the input VCs come first in
+    /// a snapshot, so for two registrations it is the registration's low
+    /// byte, ahead of the counters that count it.
+    fn first_differing_byte(a: &[u8], b: &[u8]) -> usize {
+        assert_eq!(a.len(), b.len());
+        (0..a.len())
+            .find(|&i| a[i] != b[i])
+            .expect("the snapshots differ")
+    }
+
+    /// Restoring `bytes` fails with an `Invalid` error whose message holds
+    /// `reason`.
+    fn assert_invalid(reason: &str, bytes: &[u8]) {
+        let result = router().restore_state(&mut df_engine::Decoder::new(bytes));
+        assert!(
+            matches!(&result, Err(df_engine::CodecError::Invalid(m)) if m.contains(reason)),
+            "{reason}: {result:?}"
+        );
+    }
+
+    /// A registration outside the router used to restore `Ok` and panic at
+    /// the head's next release; it is a typed error now, and so is each
+    /// counter that disagrees with the registrations it counts.
+    #[test]
+    fn forged_registrations_and_counters_are_typed_errors() {
+        let bytes = registered_snapshot(6, 3);
+        let mut restored = router();
+        restored
+            .restore_state(&mut df_engine::Decoder::new(&bytes))
+            .expect("a router restores its own snapshot");
+        assert_eq!(restored.contention().get(Port(6)), 1);
+        assert_eq!(restored.ectn().partial(3), 1);
+        restored.discard_head(Port(3), VcId(0));
+
+        let port_byte = first_differing_byte(&bytes, &registered_snapshot(5, 3));
+        let mut forged = bytes.clone();
+        forged[port_byte] = 200;
+        assert_invalid("registration Some(200)/Some(3) outside", &forged);
+        forged[port_byte] = 7;
+        assert_invalid("registration Some(7)/Some(3) outside", &forged);
+
+        let links = router().ectn().num_links() as u8;
+        let link_byte = first_differing_byte(&bytes, &registered_snapshot(6, 4));
+        let mut forged = bytes.clone();
+        forged[link_byte] = links;
+        assert_invalid(
+            &format!("registration Some(6)/Some({links}) outside"),
+            &forged,
+        );
+
+        // the same registrations under counters that disagree with them
+        let counters = |tweak: fn(&mut Router)| {
+            let mut r = router();
+            r.receive_packet(Port(3), VcId(0), packet(1, 40));
+            r.register_head(Port(3), VcId(0), Port(6), Some(3));
+            tweak(&mut r);
+            let mut e = df_engine::Encoder::new();
+            r.save_state(&mut e);
+            e.into_bytes()
+        };
+        assert_invalid(
+            "counters differ",
+            &counters(|r| r.contention_mut().increment(Port(1))),
+        );
+        assert_invalid(
+            "counters differ",
+            &counters(|r| r.ectn_mut().increment_partial(5)),
+        );
+    }
+
+    /// Every port's VCs are one contiguous range of the flat array, of its
+    /// class's count and depth, in port order; an output's credits sit at
+    /// its port's VC offsets, but for a terminal port, which takes none.
+    #[test]
+    fn the_flat_arrays_tile_port_by_port() {
+        let topo = Dragonfly::new(DragonflyParams::paper_table1());
+        let config = NetworkConfig::paper_table1();
+        let r = Router::new(RouterId(0), topo, config);
+        let (mut next, mut credits) = (0, 0);
+        for port in Port::all(&topo.layout()) {
+            let (input, output) = (r.input(port), &r.outputs[port.index()]);
+            let class = port.class(&topo.layout());
+            assert_eq!((input.class(), output.class), (class, class));
+            assert_eq!(
+                output.vcs(),
+                next..next + usize::from(config.vcs_for(class))
+            );
+            assert_eq!(input.capacity_phits(), config.input_buffer_for(class));
+            next = output.vcs().end;
+            let expected = if class == PortClass::Terminal {
+                0..0
+            } else {
+                output.vcs()
+            };
+            assert_eq!(output.credit_range(), expected, "{port:?}");
+            credits += r.output(port).num_downstream_vcs();
+        }
+        assert_eq!(
+            (next, r.vcs.len(), r.credits.len(), credits),
+            (100, 100, 100, 76)
+        );
+    }
+
+    #[test]
+    fn the_footprint_counts_every_buffer_once() {
+        let mut r = router();
+        let fresh = r.footprint();
+        assert_eq!(fresh.router, std::mem::size_of::<Router>());
+        let [input_vcs, outputs, _, _, _, slab] = fresh.parts;
+        assert_eq!(input_vcs, 22 * std::mem::size_of::<InputVc>());
+        assert_eq!(
+            outputs,
+            7 * std::mem::size_of::<OutputPort>() + 22 * 4,
+            "the outputs and a credit slot per VC"
+        );
+        assert_eq!((slab, fresh.buffers), (0, 11), "{fresh:?}");
+        assert_eq!(r.heap_bytes(), fresh.total());
+        r.receive_packet(Port(3), VcId(0), packet(1, 40));
+        let busy = r.footprint();
+        assert!(busy.parts[5] > 0 && busy.buffers == 12, "{busy:?}");
+        assert_eq!(busy.total() - fresh.total(), busy.parts[5]);
     }
 }

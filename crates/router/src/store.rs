@@ -90,6 +90,11 @@ impl PacketStore {
         self.slots.len()
     }
 
+    /// Bytes of the slab's heap buffer.
+    pub(crate) fn buffer_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+
     /// Put `packet` into a free slot (growing the slab only when none is
     /// free), linked into no FIFO yet.
     pub(crate) fn insert(&mut self, packet: Packet) -> SlotId {

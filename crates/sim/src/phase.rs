@@ -226,7 +226,7 @@ pub(crate) fn route_and_allocate_one(
                 Some(plan) => plan,
                 None => {
                     let plan = ctx.algorithm.plan(router, port, head);
-                    router.input_mut(port).vc_mut(v).set_plan(plan);
+                    router.set_plan(port, vc, plan);
                     plan
                 }
             };

@@ -314,6 +314,15 @@ impl GatewayLiveness {
         }
     }
 
+    /// Bytes of the map's heap buffers: records and down marks of the
+    /// links, then of the nodes.
+    pub fn buffer_bytes(&self) -> [usize; 4] {
+        let records = size_of::<EntryRecord>();
+        let bytes = |k: &Keyspace| [k.records.capacity() * records, k.down.capacity() * 4];
+        let ([a, b], [c, d]) = (bytes(&self.links), bytes(&self.nodes));
+        [a, b, c, d]
+    }
+
     #[inline]
     fn flat(&self, group: GroupId, j: u32) -> u32 {
         debug_assert!(j < self.links_per_group, "global link {j} out of range");

@@ -1,0 +1,93 @@
+//! Bytes per router, by part: what a router's state costs in memory at the
+//! tiny, small, medium and Table I scales (`Router::footprint`: the struct
+//! plus the capacity of every heap buffer it owns).
+//!
+//! ```text
+//! cargo run --release --example footprint
+//! ```
+//!
+//! The first table is a fresh router 0 of each scale, the layout every
+//! router starts from. The second is the mean over every router after a
+//! short run of uniform traffic, where the packet slab and the
+//! gateway-liveness view have grown with the traffic.
+
+use contention_dragonfly::prelude::*;
+use contention_dragonfly::router::Footprint;
+
+fn scales() -> [(&'static str, DragonflyParams); 4] {
+    [
+        ("tiny", DragonflyParams::tiny()),
+        ("small", DragonflyParams::small()),
+        ("medium", DragonflyParams::medium()),
+        ("Table I", DragonflyParams::paper_table1()),
+    ]
+}
+
+/// The parts of [`Footprint::parts`], in order.
+const PARTS: [&str; 6] = [
+    "input VCs",
+    "outputs + credits",
+    "allocator",
+    "counters",
+    "ECtN/PB",
+    "slab",
+];
+
+fn header() {
+    println!(
+        "| scale | radix | {} | struct | total | buffers |",
+        PARTS.join(" | ")
+    );
+    println!("|---|{}", "--:|".repeat(PARTS.len() + 4));
+}
+
+fn row(scale: &str, radix: u32, f: &Footprint) {
+    let parts: Vec<String> = f.parts.iter().map(usize::to_string).collect();
+    let (parts, total) = (parts.join(" | "), f.total());
+    println!(
+        "| {scale} | {radix} | {parts} | {} | **{total}** | {} |",
+        f.router, f.buffers
+    );
+}
+
+fn main() {
+    println!("Fresh router, bytes by part\n");
+    header();
+    for (name, params) in scales() {
+        let topo = Dragonfly::new(params);
+        let router = Router::new(RouterId(0), topo, NetworkConfig::paper_table1());
+        row(name, topo.layout().radix(), &router.footprint());
+    }
+
+    let cycles = 1_000;
+    println!("\nMean per router after {cycles} cycles of UN @ 0.1 under Base, bytes by part\n");
+    header();
+    for (name, params) in &scales()[..3] {
+        let config = SimulationConfig::builder()
+            .topology(*params)
+            .network(NetworkConfig::paper_table1())
+            .routing(RoutingKind::Base)
+            .pattern(PatternKind::Uniform)
+            .offered_load(0.1)
+            .warmup_cycles(0)
+            .measurement_cycles(cycles)
+            .seed(1)
+            .build()
+            .expect("a valid configuration");
+        let mut net = Network::new(config);
+        net.run_cycles(cycles);
+        let topo = *net.topology();
+        let (mut sum, routers) = (Footprint::default(), topo.num_routers() as usize);
+        for f in topo.routers().map(|r| net.router(r).footprint()) {
+            sum.router += f.router;
+            sum.buffers += f.buffers;
+            (0..sum.parts.len()).for_each(|i| sum.parts[i] += f.parts[i]);
+        }
+        let mean = Footprint {
+            router: sum.router / routers,
+            parts: sum.parts.map(|bytes| bytes / routers),
+            buffers: sum.buffers / routers,
+        };
+        row(name, topo.layout().radix(), &mean);
+    }
+}

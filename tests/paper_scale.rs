@@ -48,6 +48,30 @@ fn paper_table1_topology_constructs_consistently() {
     assert_eq!(scale.measure, 15_000);
 }
 
+/// Always-on: a router's static footprint is its state, not its
+/// allocations — struct plus every heap buffer's capacity, in at most 16
+/// buffers. A fresh Table I router (100 input VCs, 76 credit counters, 31
+/// ports) stays within 7.5 KB; a fresh medium router (radix 15) within
+/// 3.5 KB.
+#[test]
+fn a_fresh_router_is_its_state_not_its_allocations() {
+    for (params, bound) in [
+        (DragonflyParams::paper_table1(), 7_680),
+        (DragonflyParams::medium(), 3_584),
+    ] {
+        let topo = Dragonfly::new(params);
+        let router = Router::new(RouterId(0), topo, NetworkConfig::paper_table1());
+        let footprint = router.footprint();
+        assert_eq!(router.heap_bytes(), footprint.total());
+        assert!(
+            footprint.total() <= bound && footprint.buffers <= 16,
+            "radix {}: {footprint:?} ({} bytes, bound {bound})",
+            router.num_ports(),
+            footprint.total()
+        );
+    }
+}
+
 fn paper_config(routing: RoutingKind, load: f64, cycles: u64) -> SimulationConfig {
     SimulationConfig::builder()
         .topology(DragonflyParams::paper_table1())
@@ -84,7 +108,8 @@ fn paper_scale_runs_and_delivers() {
 
 /// `--ignored`: a router's packet store grows to its peak buffered packets,
 /// not to the VCs it has touched — at UN 0.01 over 2,000 cycles every
-/// router of the Table I network stays within a few slots on average.
+/// router of the Table I network stays within a few slots on average. Also
+/// prints the bytes a router holds by then (`Router::heap_bytes`).
 #[test]
 #[ignore = "paper-scale footprint (tens of seconds); run with --ignored"]
 fn paper_scale_packet_slots_follow_live_packets() {
@@ -98,8 +123,10 @@ fn paper_scale_packet_slots_follow_live_packets() {
         slots <= 8 * routers,
         "{slots} packet slots over {routers} routers"
     );
+    let bytes: usize = topo.routers().map(|r| net.router(r).heap_bytes()).sum();
     println!(
-        "{:.2} packet slots per router",
-        slots as f64 / routers as f64
+        "{:.2} packet slots and {:.0} bytes per router",
+        slots as f64 / routers as f64,
+        bytes as f64 / routers as f64
     );
 }
