@@ -197,10 +197,10 @@ impl Metrics {
         self.dropped_unroutable_phits += packet.size_phits as u64;
     }
 
-    /// Record `count` fault re-commits (committed continuations replaced or
-    /// abandoned because their link died).
-    pub fn record_recommitted(&mut self, count: u64) {
-        self.recommitted_packets += count;
+    /// Record a fault re-commit (a committed continuation replaced or
+    /// abandoned because its link died).
+    pub fn record_recommitted(&mut self) {
+        self.recommitted_packets += 1;
     }
 
     /// Record one cycle during which the disseminated gateway-liveness view
@@ -542,10 +542,10 @@ mod tests {
         let mut m = Metrics::new(0, 10);
         assert_eq!(m.recommitted_packets(), 0);
         assert_eq!(m.stale_linkstate_cycles(), 0);
-        m.record_recommitted(3);
-        m.record_recommitted(2);
+        m.record_recommitted();
+        m.record_recommitted();
         m.record_stale_linkstate_cycle();
-        assert_eq!(m.recommitted_packets(), 5);
+        assert_eq!(m.recommitted_packets(), 2);
         assert_eq!(m.stale_linkstate_cycles(), 1);
     }
 }

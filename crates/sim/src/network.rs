@@ -55,9 +55,9 @@
 //! Steps 3–5 walk the groups (PB/ECtN), the sorted routers holding a head
 //! (routing + allocation) or the sorted active list (transmission) one
 //! router at a time. Cross-router effects (link events, upstream credits,
-//! misroute commits, discards) are staged in walk order and replayed after
-//! each phase in that order (the `phase` module docs). Both [`KernelMode`]
-//! values run this one pipeline.
+//! misroute commits, discards) are applied where they happen, in walk order
+//! (the `phase` module docs). Both [`KernelMode`] values run this one
+//! pipeline.
 //!
 //! [`KernelMode`]: crate::KernelMode
 
@@ -77,7 +77,8 @@ use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::{Node, Nodes};
 use crate::phase::{
-    control_exchange_group, route_and_allocate_one, transmit_one, PhaseKind, StepCtx, StepScratch,
+    ectn_control_exchange, pb_control_exchange, route_and_allocate_one, transmit_one, Effects,
+    StepCtx, StepScratch,
 };
 use crate::task::JobsEngine;
 
@@ -168,7 +169,7 @@ pub struct Network {
     /// allocation iteration has work for; a subset of the active set.
     head_list: Vec<u32>,
     // ---- phase execution ----
-    /// Scratch and effect-staging buffers of steps 3–5.
+    /// Scratch buffers of steps 3–5.
     scratch: StepScratch,
     /// Reusable buffer for due events (step 1).
     scratch_events: Vec<Event>,
@@ -583,56 +584,6 @@ impl Network {
         per_vc[vc.index()] += phits;
     }
 
-    /// Run one phase — every group (PB/ECtN), or every router of the sorted
-    /// head set (routing + allocation; leaving it once empty) or active list
-    /// (transmission) — then replay its staged effects in staging order.
-    fn run_phase(&mut self, kind: PhaseKind) {
-        let (now, ctx, scratch) = (self.cycle, &self.ctx, &mut self.scratch);
-        match kind {
-            PhaseKind::Pb | PhaseKind::Ectn => {
-                let a = ctx.topo.routers_per_group() as usize;
-                for (group, linkview) in self.routers.chunks_mut(a).zip(&self.group_views) {
-                    control_exchange_group(kind, group, ctx, linkview, scratch);
-                }
-            }
-            PhaseKind::Alloc => {
-                for &r in &self.head_list {
-                    let (router, rng) = (
-                        &mut self.routers[r as usize],
-                        &mut self.router_rngs[r as usize],
-                    );
-                    route_and_allocate_one(router, rng, ctx, now, scratch);
-                }
-                let (flags, routers) = (&mut self.head_flags, &self.routers);
-                self.head_list.retain(|&r| {
-                    let holds = routers[r as usize].occupied_ports() != 0;
-                    flags[r as usize] = holds;
-                    holds
-                });
-            }
-            PhaseKind::Transmit => {
-                for &r in &self.active_list {
-                    transmit_one(&mut self.routers[r as usize], ctx, now, scratch);
-                }
-            }
-        }
-        for (at, event) in scratch.staged_events.drain(..) {
-            self.events.schedule(at, event);
-        }
-        for (at, misrouted) in scratch.staged_commits.drain(..) {
-            self.metrics.record_commit(at, misrouted);
-        }
-        for packet in scratch.staged_discards.drain(..) {
-            self.in_flight -= 1;
-            self.in_flight_phits -= packet.size_phits as u64;
-            self.metrics.record_dropped_unroutable(&packet);
-        }
-        if scratch.staged_recommits > 0 {
-            self.metrics.record_recommitted(scratch.staged_recommits);
-            scratch.staged_recommits = 0;
-        }
-    }
-
     /// Advance one cycle.
     pub fn step(&mut self) {
         let (now, topo) = (self.cycle, self.ctx.topo);
@@ -733,8 +684,6 @@ impl Network {
                 &mut self.nodes,
                 &mut self.metrics,
                 &mut self.next_packet_id,
-                &self.node_blocked,
-                &self.node_failed,
             );
         }
         self.nodes.generate(
@@ -798,15 +747,20 @@ impl Network {
         // Each exchange also carries the piggybacked gateway-liveness bits:
         // one flooding round, then each group's routers install their
         // group's view in the exchange.
+        let group_size = topo.routers_per_group() as usize;
         if self.config.routing.needs_pb_dissemination() {
             self.flood_linkviews();
-            self.run_phase(PhaseKind::Pb);
+            for (group, view) in self.routers.chunks_mut(group_size).zip(&self.group_views) {
+                pb_control_exchange(group, &self.ctx, view, &mut self.scratch.pb_flat);
+            }
         }
         if self.config.routing.needs_ectn_broadcast()
             && now.is_multiple_of(self.config.routing_config.ectn_update_period)
         {
             self.flood_linkviews();
-            self.run_phase(PhaseKind::Ectn);
+            for (group, view) in self.routers.chunks_mut(group_size).zip(&self.group_views) {
+                ectn_control_exchange(group, view, &mut self.scratch.ectn_scratch);
+            }
         }
         // staleness metric: some router's view still lags the truth
         // (trivially converged for the whole of a healthy run)
@@ -825,12 +779,41 @@ impl Network {
         self.head_list.sort_unstable();
 
         // ---- 4. routing + allocation ----
+        // over the head set, each iteration leaving out the routers it
+        // emptied of heads
+        let mut fx = Effects {
+            events: &mut self.events,
+            metrics: &mut self.metrics,
+            in_flight: &mut self.in_flight,
+            in_flight_phits: &mut self.in_flight_phits,
+        };
         for _ in 0..self.config.network.allocator_speedup {
-            self.run_phase(PhaseKind::Alloc);
+            for &r in &self.head_list {
+                let (router, rng) = (
+                    &mut self.routers[r as usize],
+                    &mut self.router_rngs[r as usize],
+                );
+                route_and_allocate_one(router, rng, &self.ctx, now, &mut self.scratch, &mut fx);
+            }
+            let (flags, routers) = (&mut self.head_flags, &self.routers);
+            self.head_list.retain(|&r| {
+                let holds = routers[r as usize].occupied_ports() != 0;
+                flags[r as usize] = holds;
+                holds
+            });
         }
 
         // ---- 5. link transmission ----
-        self.run_phase(PhaseKind::Transmit);
+        for &r in &self.active_list {
+            let router = &mut self.routers[r as usize];
+            transmit_one(
+                router,
+                &self.ctx,
+                now,
+                &mut self.scratch.sent,
+                &mut self.events,
+            );
+        }
 
         // ---- 6. retire idle routers from the active set ----
         let flags = &mut self.active_flags;

@@ -311,6 +311,12 @@ impl Nodes {
         self.silent = self.all_silent();
     }
 
+    /// Whether node `idx`'s generation is paused: its router drains or it
+    /// failed, so it makes no progress (`Network::sync_paused` keeps it so).
+    pub(crate) fn is_paused(&self, idx: usize) -> bool {
+        self.paused[idx]
+    }
+
     /// Pause or resume node `idx`'s generation at the start of cycle `now`
     /// (draining router or failed node; idempotent). A paused node neither
     /// ticks nor counts down, and resumes owing what it owed; its queued

@@ -2,22 +2,22 @@
 //! exchange per group, a routing + allocation iteration per router holding
 //! an input head, and a link transmission per active router.
 //!
-//! # Phase staging
+//! # Effects in walk order
 //!
 //! Within a phase a router touches only its own state, its private RNG
 //! stream and read-only context ([`StepCtx`], its group's flooded link
-//! view). Its *cross-router effects* — link events (arrivals, deliveries,
-//! upstream credit returns), misroute commits, unroutable discards and
-//! fault re-commits — are never applied during the phase: they are staged
-//! in [`StepScratch`] in walk order (ascending group, head-set or
-//! active-router list) and `Network::run_phase` replays them after the
-//! phase, in staging order. That order is the event insertion order, hence
-//! the time wheel's tie-breaking, hence the trajectory every pinned digest
-//! was captured under.
+//! view). What escapes it — link events (arrivals, deliveries, upstream
+//! credit returns), misroute commits, fault re-commits and unroutable
+//! discards — is written straight into the network's event queue, metrics
+//! and in-flight counters ([`Effects`]) where it happens, in walk order
+//! (ascending group, head set or active list). No phase reads any of them,
+//! so walk order alone fixes the event insertion order, hence the time
+//! wheel's tie-breaking, hence the trajectory every pinned digest was
+//! captured under.
 //!
-//! The per-router functions are `#[inline]`: each has one caller, the walk
-//! in `Network::run_phase`, and a call per router measured about 3% of a
-//! saturated medium step.
+//! The per-router functions are `#[inline]`: each has one caller, a walk in
+//! `Network::step`, and a call per router measured about 3% of a saturated
+//! medium step.
 //!
 //! [`Network::step`]: crate::network::Network::step
 
@@ -28,7 +28,8 @@ use df_routing::algorithms::piggyback;
 use df_routing::{minimal, Commitment, Decision, DecisionKind, RoutingAlgorithm};
 use df_topology::{AnyTopology, GatewayLiveness, Port, PortClass, PortPeer, RouterId, Topology};
 
-use crate::events::Event;
+use crate::events::{Event, EventQueue};
+use crate::metrics::Metrics;
 
 /// A packet leaving an output buffer: `(port, packet, downstream VC, cycle
 /// at which the tail clears the router)`.
@@ -40,12 +41,12 @@ pub(crate) struct StepCtx {
     pub topo: AnyTopology,
     /// The routing mechanism and its thresholds.
     pub algorithm: RoutingAlgorithm,
-    /// Router/link microarchitecture (link latencies for staged events).
+    /// Router/link microarchitecture (link latencies of scheduled events).
     pub network: NetworkConfig,
 }
 
-/// The step's mutable scratch: buffers for one router's allocation round
-/// plus the staging buffers for cross-router effects, reused every phase.
+/// The step's reusable scratch buffers, each refilled for one router (or
+/// one group) and never read after it.
 #[derive(Default)]
 pub(crate) struct StepScratch {
     /// Allocation requests of the router currently being processed — one
@@ -60,90 +61,78 @@ pub(crate) struct StepScratch {
     /// Debug builds only: the request of every head not discarded, blocked
     /// ones included — the list the allocator gate replays.
     pub all_requests: Vec<AllocationRequest>,
-    /// Grant buffer reused across routers.
+    /// `(port, vc)` heads the routing layer discarded this round (fault
+    /// routing).
+    pub discards: Vec<(Port, VcId)>,
+    /// Grant buffer.
     pub grants: Vec<Grant>,
-    /// Transmitted-packet buffer reused across routers.
+    /// Transmitted-packet buffer.
     pub sent: Vec<SentPacket>,
     /// PB gather buffer (one group's `a·h` flags).
     pub pb_flat: Vec<bool>,
     /// ECtN combination buffer (one group's `a·h` counters).
     pub ectn_scratch: Vec<u32>,
-    /// Staged link events `(completion cycle, event)`, scheduled after the
-    /// phase in staging order.
-    pub staged_events: Vec<(Cycle, Event)>,
-    /// Staged misroute-commit metrics `(cycle, globally misrouted)`.
-    pub staged_commits: Vec<(Cycle, bool)>,
-    /// Scratch list of `(port, vc)` heads the routing layer discarded this
-    /// round (fault routing), cleared per router.
-    pub discards: Vec<(Port, VcId)>,
-    /// Packets discarded as unroutable, accounted after the phase
-    /// (in-flight counters and drop metrics).
-    pub staged_discards: Vec<df_model::Packet>,
-    /// Number of fault re-commits applied this phase.
-    pub staged_recommits: u64,
 }
 
-/// Which phase of the cycle runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum PhaseKind {
-    /// PB flag exchange + own-flag refresh, group by group.
-    Pb,
-    /// ECtN partial-array broadcast, group by group.
-    Ectn,
-    /// One routing + separable-allocation iteration over the routers
-    /// holding an input head.
-    Alloc,
-    /// Output-buffer link transmission over the active-router list.
-    Transmit,
+/// Where a routing + allocation iteration's cross-router effects land: the
+/// network's own state, borrowed for one walk and never read by it.
+pub(crate) struct Effects<'a> {
+    /// Upstream credit returns.
+    pub events: &'a mut EventQueue,
+    /// Misroute commits, fault re-commits and unroutable discards.
+    pub metrics: &'a mut Metrics,
+    /// Packets inside the network (a discard leaves it).
+    pub in_flight: &'a mut u64,
+    /// Phits inside the network.
+    pub in_flight_phits: &'a mut u64,
 }
 
-/// One control-plane exchange for one group (the contiguous slice of that
-/// group's routers). Every exchange additionally installs the group's
-/// flooded gateway-liveness view into its routers — the link-state bits
-/// piggybacked on the same messages (one integer compare per router when
-/// nothing changed).
+/// PB's control-plane exchange for one group (the contiguous slice of its
+/// routers), which also installs the group's flooded gateway-liveness view
+/// — the link-state bits piggybacked on the same messages (one integer
+/// compare per router when nothing changed) — then refreshes each member's
+/// own flags.
 #[inline]
-pub(crate) fn control_exchange_group(
-    kind: PhaseKind,
+pub(crate) fn pb_control_exchange(
     group: &mut [Router],
     ctx: &StepCtx,
     linkview: &GatewayLiveness,
-    scratch: &mut StepScratch,
+    pb_flat: &mut Vec<bool>,
 ) {
-    match kind {
-        PhaseKind::Pb => {
-            // The exchange is idempotent: gathering own flags none of which
-            // flipped since the group's last gather would reinstall the
-            // views every member already holds, so it is skipped.
-            if group.iter().any(|router| router.pb().own_flipped()) {
-                for router in group.iter_mut() {
-                    router.pb_mut().clear_own_flipped();
-                }
-                dissemination::pb_exchange_group(group, &mut scratch.pb_flat);
-            }
-            debug_assert!(
-                pb_views_are_current(group),
-                "a skipped PB exchange would have changed a group view"
-            );
-            dissemination::install_linkview_group(group, linkview);
-            // Refresh own flags after the group's exchange: installs never
-            // read own flags of other groups and the refresh reads only
-            // router-local congestion, so doing it group-by-group is
-            // equivalent to the all-groups-then-all-routers order. (A no-op
-            // for a router whose outputs did not change; a flip is recorded
-            // for the next cycle's exchange.)
-            for router in group.iter_mut() {
-                piggyback::update_own_saturation(ctx.algorithm.config(), router);
-            }
+    // The exchange is idempotent: gathering own flags none of which flipped
+    // since the group's last gather would reinstall the views every member
+    // already holds, so it is skipped.
+    if group.iter().any(|router| router.pb().own_flipped()) {
+        for router in group.iter_mut() {
+            router.pb_mut().clear_own_flipped();
         }
-        PhaseKind::Ectn => {
-            dissemination::ectn_exchange_group(group, &mut scratch.ectn_scratch);
-            dissemination::install_linkview_group(group, linkview);
-        }
-        PhaseKind::Alloc | PhaseKind::Transmit => {
-            unreachable!("router phases are not group exchanges")
-        }
+        dissemination::pb_exchange_group(group, pb_flat);
     }
+    debug_assert!(
+        pb_views_are_current(group),
+        "a skipped PB exchange would have changed a group view"
+    );
+    dissemination::install_linkview_group(group, linkview);
+    // Refresh own flags after the group's exchange: installs never read own
+    // flags of other groups and the refresh reads only router-local
+    // congestion, so doing it group-by-group is equivalent to the
+    // all-groups-then-all-routers order. (A no-op for a router whose outputs
+    // did not change; a flip is recorded for the next cycle's exchange.)
+    for router in group.iter_mut() {
+        piggyback::update_own_saturation(ctx.algorithm.config(), router);
+    }
+}
+
+/// ECtN's partial-array broadcast for one group, which also installs the
+/// group's flooded gateway-liveness view.
+#[inline]
+pub(crate) fn ectn_control_exchange(
+    group: &mut [Router],
+    linkview: &GatewayLiveness,
+    ectn_scratch: &mut Vec<u32>,
+) {
+    dissemination::ectn_exchange_group(group, ectn_scratch);
+    dissemination::install_linkview_group(group, linkview);
 }
 
 /// Whether every member's installed PB group view equals the concatenation
@@ -161,7 +150,7 @@ fn pb_views_are_current(group: &[Router]) -> bool {
 
 /// One allocation iteration for one router: register new heads, compute
 /// routing decisions, allocate, apply grants. Router-local except for the
-/// staged credit events and misroute commits.
+/// upstream credit returns, misroute commits and discards it writes to `fx`.
 #[inline]
 pub(crate) fn route_and_allocate_one(
     router: &mut Router,
@@ -169,6 +158,7 @@ pub(crate) fn route_and_allocate_one(
     ctx: &StepCtx,
     now: Cycle,
     scratch: &mut StepScratch,
+    fx: &mut Effects,
 ) {
     let router_id = router.id();
     let track_ectn = ctx.algorithm.kind().needs_ectn_broadcast();
@@ -263,16 +253,11 @@ pub(crate) fn route_and_allocate_one(
         }
     }
 
-    // b'. apply the discards: release the packet's registrations, stage the
-    // upstream credit return for the freed input slot and stage the packet
-    // for global accounting
-    if !scratch.discards.is_empty() {
-        let discards = std::mem::take(&mut scratch.discards);
-        for &(port, vc) in &discards {
-            discard_one(router, ctx, now, port, vc, scratch);
-        }
-        scratch.discards = discards;
-        scratch.discards.clear();
+    // b'. apply the discards: release the packet's registrations, return
+    // the freed input slot's credits upstream and take the packet out of
+    // the network's accounting
+    for &(port, vc) in &scratch.discards {
+        discard_one(router, ctx, now, port, vc, fx);
     }
 
     if scratch.requests.is_empty() {
@@ -283,15 +268,14 @@ pub(crate) fn route_and_allocate_one(
     // (blocked heads filed, wraps derived) on a copy of the allocator, which
     // must grant the same and leave the same pointers
     let reference = cfg!(debug_assertions).then(|| router.allocator().clone());
-    let mut grants = std::mem::take(&mut scratch.grants);
-    router.allocate_into(&scratch.requests, &scratch.wraps, &mut grants);
+    router.allocate_into(&scratch.requests, &scratch.wraps, &mut scratch.grants);
     if let Some(mut reference) = reference {
         let mut expected = Vec::new();
         reference.allocate_into(&scratch.all_requests, &mut expected, |port, vc, size| {
             router.can_grant(port, vc, size)
         });
         debug_assert_eq!(
-            grants, expected,
+            scratch.grants, expected,
             "router {router_id}: grantable-only allocation"
         );
         debug_assert!(
@@ -300,55 +284,55 @@ pub(crate) fn route_and_allocate_one(
         );
     }
 
-    // d. apply grants, staging upstream credit returns and commit metrics
-    for grant in &grants {
-        apply_one_grant_staged(router, ctx, now, grant, scratch);
+    // d. apply grants: commits, misroute metrics and upstream credit returns
+    for grant in &scratch.grants {
+        apply_one_grant(router, ctx, now, grant, scratch, fx);
     }
-    scratch.grants = grants;
 }
 
-/// Discard one unroutable head packet (fault routing): router-local release
-/// plus staged cross-router effects — the upstream credit return for the
-/// freed input buffer slot and the packet itself for the network's
-/// in-flight/drop accounting.
+/// Discard one unroutable head packet (fault routing): router-local release,
+/// the upstream credit return for the freed input buffer slot, and the
+/// packet's exit from the network's in-flight and drop accounting.
 fn discard_one(
     router: &mut Router,
     ctx: &StepCtx,
     now: Cycle,
     port: Port,
     vc: VcId,
-    scratch: &mut StepScratch,
+    fx: &mut Effects,
 ) {
     let (packet, input_class) = router.discard_head(port, vc);
-    stage_upstream_credit(
+    return_upstream_credit(
         router.id(),
         ctx,
         now,
         (port, input_class, vc),
         packet.size_phits,
-        scratch,
+        fx.events,
     );
-    scratch.staged_discards.push(packet);
+    *fx.in_flight -= 1;
+    *fx.in_flight_phits -= packet.size_phits as u64;
+    fx.metrics.record_dropped_unroutable(&packet);
 }
 
-/// Stage the credit return for `phits` freed in input buffer `(port, class,
-/// vc)` of `router_id`: it reaches the router upstream of that port one
-/// link latency from `now` (terminal inputs have no upstream router).
+/// Schedule the credit return for `phits` freed in input buffer `(port,
+/// class, vc)` of `router_id`: it reaches the router upstream of that port
+/// one link latency from `now` (terminal inputs have no upstream router).
 #[inline]
-fn stage_upstream_credit(
+fn return_upstream_credit(
     router_id: RouterId,
     ctx: &StepCtx,
     now: Cycle,
     (port, class, vc): (Port, PortClass, VcId),
     phits: u32,
-    scratch: &mut StepScratch,
+    events: &mut EventQueue,
 ) {
     if class == PortClass::Terminal {
         return;
     }
     if let PortPeer::Router(upstream, upstream_port) = ctx.topo.peer(router_id, port) {
         let latency = ctx.network.link_latency_for(class) as Cycle;
-        scratch.staged_events.push((
+        events.schedule(
             now + latency,
             Event::CreditReturn {
                 router: upstream,
@@ -356,19 +340,20 @@ fn stage_upstream_credit(
                 vc,
                 phits,
             },
-        ));
+        );
     }
 }
 
 /// Apply one grant: commit the routing decision to the head packet, record
-/// misroute statistics (staged), move the packet to its output buffer and
-/// stage the upstream credit return.
-fn apply_one_grant_staged(
+/// misroute statistics, move the packet to its output buffer and return
+/// the freed input slot's credits upstream.
+fn apply_one_grant(
     router: &mut Router,
     ctx: &StepCtx,
     now: Cycle,
     grant: &Grant,
-    scratch: &mut StepScratch,
+    scratch: &StepScratch,
+    fx: &mut Effects,
 ) {
     let request = scratch
         .requests
@@ -407,7 +392,7 @@ fn apply_one_grant_staged(
             }
         }
         if decision.commitment.is_fault_recommit() {
-            scratch.staged_recommits += 1;
+            fx.metrics.record_recommitted();
         }
     }
     // misrouted-percentage statistics: count each packet once, when it
@@ -417,46 +402,43 @@ fn apply_one_grant_staged(
             .head(grant.input_port, grant.input_vc)
             .expect("granted head exists");
         if head.routing.global_hops == 0 {
-            scratch
-                .staged_commits
-                .push((now, head.routing.flags.global));
+            fx.metrics.record_commit(now, head.routing.flags.global);
         }
     }
     let applied = router.apply_grant(grant, now);
-    stage_upstream_credit(
+    return_upstream_credit(
         router.id(),
         ctx,
         now,
         (grant.input_port, applied.input_class, grant.input_vc),
         applied.freed_phits,
-        scratch,
+        fx.events,
     );
 }
 
-/// Link transmission for one router: drain ready output buffers and stage
-/// the resulting arrival/delivery events.
+/// Link transmission for one router: drain ready output buffers and
+/// schedule the resulting arrival/delivery events.
 #[inline]
 pub(crate) fn transmit_one(
     router: &mut Router,
     ctx: &StepCtx,
     now: Cycle,
-    scratch: &mut StepScratch,
+    sent: &mut Vec<SentPacket>,
+    events: &mut EventQueue,
 ) {
-    scratch.sent.clear();
-    router.transmit_outputs_into(now, &mut scratch.sent);
+    sent.clear();
+    router.transmit_outputs_into(now, sent);
     let router_id = router.id();
-    for (port, packet, vc, tail_at) in scratch.sent.drain(..) {
+    for (port, packet, vc, tail_at) in sent.drain(..) {
         match ctx.topo.peer(router_id, port) {
             PortPeer::Node(node) => {
                 let latency = ctx.network.latencies.terminal_link as Cycle;
-                scratch
-                    .staged_events
-                    .push((tail_at + latency, Event::Delivery { node, packet }));
+                events.schedule(tail_at + latency, Event::Delivery { node, packet });
             }
             PortPeer::Router(peer, peer_port) => {
                 let class = port.class(&ctx.topo.layout());
                 let latency = ctx.network.link_latency_for(class) as Cycle;
-                scratch.staged_events.push((
+                events.schedule(
                     tail_at + latency,
                     Event::PacketArrival {
                         router: peer,
@@ -464,7 +446,7 @@ pub(crate) fn transmit_one(
                         vc,
                         packet,
                     },
-                ));
+                );
             }
             PortPeer::Unconnected => {
                 unreachable!("routing never selects an unconnected port")
@@ -492,6 +474,14 @@ mod tests {
             network,
         };
         let (mut rng, mut scratch) = (DeterministicRng::new(3), StepScratch::default());
+        let (mut events, mut metrics) = (EventQueue::new(), Metrics::new(0, 20));
+        let (mut in_flight, mut in_flight_phits) = (0, 0);
+        let mut fx = Effects {
+            events: &mut events,
+            metrics: &mut metrics,
+            in_flight: &mut in_flight,
+            in_flight_phits: &mut in_flight_phits,
+        };
         // two packets in every input VC, all for one remote node: they share
         // one minimal output, so most heads stay blocked behind it
         let mut router = Router::new(df_topology::RouterId(0), topo, network);
@@ -512,7 +502,7 @@ mod tests {
                 }
             }
         }
-        route_and_allocate_one(&mut router, &mut rng, &ctx, 0, &mut scratch);
+        route_and_allocate_one(&mut router, &mut rng, &ctx, 0, &mut scratch, &mut fx);
         assert!(!scratch.grants.is_empty(), "some head left");
 
         let mut bytes = df_engine::Encoder::new();
@@ -535,7 +525,7 @@ mod tests {
         }
         assert!(registered > 10, "the snapshot holds registered heads");
 
-        route_and_allocate_one(&mut restored, &mut rng, &ctx, 1, &mut scratch);
+        route_and_allocate_one(&mut restored, &mut rng, &ctx, 1, &mut scratch, &mut fx);
         let (mut planned, mut popped) = (0, 0);
         for (port, vc) in vcs(&restored) {
             let input_vc = restored.input(port).vc(vc);

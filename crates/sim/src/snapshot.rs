@@ -779,4 +779,78 @@ mod tests {
             "node id past the last node",
         );
     }
+
+    #[test]
+    fn forged_task_states_are_rejected_not_adopted() {
+        // a ring all-reduce alone on the network, checkpointed mid-script
+        // with task packets in flight
+        let job = df_traffic::JobSpec::new(
+            df_traffic::TaskWorkload::single(
+                df_traffic::CollectiveKind::AllReduce(df_traffic::AllReduceAlgorithm::Ring),
+                8,
+                2,
+            ),
+            df_traffic::JobPlacement::group_spread(0),
+        );
+        let cfg = SimulationConfig::builder()
+            .topology(DragonflyParams::small())
+            .network(NetworkConfig::fast_test())
+            .routing(RoutingKind::Base)
+            .offered_load(0.0)
+            .job(job)
+            .seed(5)
+            .build()
+            .expect("valid configuration");
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(30);
+        let bytes = net.snapshot();
+        let engine = net.jobs().expect("job configured");
+        let (job, ranks) = (engine.job(0), engine.job(0).ranks());
+        let (steps, pending) = (job.total_steps(), job.pending_packets());
+        assert!(pending > 0 && !job.is_complete(), "checkpoint mid-script");
+
+        // the task section closes the payload: `job count | rank count`,
+        // then per rank `cursor | enqueued | sends_outstanding | stalls |
+        // ready_at | recvs per step`, per-step progress, `ranks_done |
+        // completed_at` (absent mid-script) and the pending packets
+        // `id | src_rank | dst_rank | step`, ascending id
+        let payload = &bytes[20..bytes.len() - 8];
+        let mut section = Encoder::new();
+        engine.save_state(&mut section);
+        let at = payload.len() - section.into_bytes().len();
+        let rank_at = |r: usize| at + 16 + r * (29 + 4 * steps);
+        let end = payload.len();
+        let last_src = u32::from_le_bytes(payload[end - 12..end - 8].try_into().unwrap());
+        let sends_at = rank_at(last_src as usize) + 9;
+        let sends = u32::from_le_bytes(payload[sends_at..sends_at + 4].try_into().unwrap());
+        let ranks_done_at = end - 20 * pending - 8 - 1 - 4;
+        let with = |offset: usize, value: &[u8]| {
+            forged(&bytes, |p| {
+                p[offset..offset + value.len()].copy_from_slice(value)
+            })
+        };
+        // each forgery trips its own check: a typed error naming it
+        let cursor = (steps as u64 + 1).to_le_bytes();
+        for (offset, value, check) in [
+            (rank_at(0), &cursor[..], "beyond the"),
+            (
+                ranks_done_at,
+                &(ranks + 1).to_le_bytes()[..],
+                "finished ranks",
+            ),
+            (end - 12, &ranks.to_le_bytes()[..], "out-of-range rank"),
+            (end - 8, &ranks.to_le_bytes()[..], "out-of-range rank"),
+            (end - 4, &(steps as u32).to_le_bytes()[..], "-step script"),
+            (sends_at, &0u32.to_le_bytes()[..], "awaits 0 sends"),
+            (sends_at, &(sends + 1).to_le_bytes()[..], "sends but has"),
+        ] {
+            match Network::restore(cfg.clone(), &with(offset, value)) {
+                Err(CodecError::Invalid(why)) if why.contains(check) => {}
+                other => panic!("forged {check:?}: got {:?}", other.err()),
+            }
+        }
+
+        // the untouched payload still restores through the same helper
+        assert!(Network::restore(cfg, &forged(&bytes, |_| {})).is_ok());
+    }
 }

@@ -164,8 +164,6 @@ impl Job {
         nodes: &mut Nodes,
         metrics: &mut Metrics,
         next_packet_id: &mut u64,
-        blocked: &[bool],
-        failed: &[bool],
     ) {
         let ranks = self.node_of_rank.len();
         let mut stalled_ranks = 0u64;
@@ -173,7 +171,7 @@ impl Job {
             let node_idx = self.node_of_rank[r] as usize;
             // a failed rank (or one on a draining router) makes no progress;
             // its peers will stall honestly waiting for it
-            if blocked[node_idx] || failed[node_idx] {
+            if nodes.is_paused(node_idx) {
                 continue;
             }
             loop {
@@ -382,7 +380,25 @@ impl Job {
                     "snapshot task packet {id} names an out-of-range rank"
                 )));
             }
+            if p.step as usize >= self.steps_total {
+                return Err(df_engine::CodecError::Invalid(format!(
+                    "snapshot task packet {id} belongs to step {} of a {}-step script",
+                    p.step, self.steps_total
+                )));
+            }
             pending.insert(id, p);
+        }
+        // each rank's outstanding sends are exactly its packets in the
+        // network: delivery counts one down per packet
+        let mut sent = vec![0u32; ranks];
+        for p in pending.values() {
+            sent[p.src_rank as usize] += 1;
+        }
+        if let Some(r) = (0..ranks).find(|&r| sent[r] != self.sends_outstanding[r]) {
+            return Err(df_engine::CodecError::Invalid(format!(
+                "snapshot task rank {r} awaits {} sends but has {} in the network",
+                self.sends_outstanding[r], sent[r]
+            )));
         }
         self.pending = pending;
         Ok(())
@@ -429,14 +445,12 @@ impl JobsEngine {
         nodes: &mut Nodes,
         metrics: &mut Metrics,
         next_packet_id: &mut u64,
-        blocked: &[bool],
-        failed: &[bool],
     ) {
         for job in &mut self.jobs {
             if now < job.spec.start_cycle || job.is_complete() {
                 continue;
             }
-            job.advance_and_generate(now, nodes, metrics, next_packet_id, blocked, failed);
+            job.advance_and_generate(now, nodes, metrics, next_packet_id);
         }
     }
 
