@@ -15,7 +15,7 @@
 
 use df_engine::DeterministicRng;
 use df_model::Packet;
-use df_router::{HeadPlan, Router};
+use df_router::{set_bits, HeadPlan, Router};
 use df_topology::{Port, Topology};
 
 use crate::algorithms::common;
@@ -197,19 +197,21 @@ fn own_link_saturated(config: &RoutingConfig, router: &Router, k: u32) -> bool {
 }
 
 /// Bring the saturation flags of this router's own global links up to date
-/// with their occupancy, per the PB rule. The simulator calls this every
-/// cycle for every router when PB is active, then disseminates the flags
-/// inside each group. The flags depend on nothing but the outputs' staged
-/// phits and credits, so a router none of whose outputs changed since the
-/// last refresh ([`Router::outputs_changed`]) returns at once.
-pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) {
+/// with their occupancy, per the PB rule, and return whether any flag
+/// flipped (the router's group must then re-exchange its flags). A flag
+/// depends on nothing but its output's staged phits and credits, so only
+/// the own global ports among [`Router::changed_outputs`] are recomputed;
+/// the simulator calls this only for routers whose outputs can have
+/// changed since their last refresh.
+pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) -> bool {
     let own_globals = router.topology().own_globals(router.id());
-    if router.outputs_changed() {
-        router.clear_outputs_changed();
-        for k in 0..own_globals {
-            let saturated = own_link_saturated(config, router, k);
-            router.pb_mut().set_own_saturated(k, saturated);
-        }
+    let first = Port::global(&router.topology().layout(), 0).index();
+    let changed = (router.changed_outputs() >> first) & ((1 << own_globals) - 1);
+    router.clear_changed_outputs();
+    let mut flipped = false;
+    for k in set_bits(changed) {
+        let saturated = own_link_saturated(config, router, k as u32);
+        flipped |= router.pb_mut().set_own_saturated(k as u32, saturated);
     }
     debug_assert!(
         (0..own_globals)
@@ -217,6 +219,7 @@ pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) {
         "router {}: own saturation flags are stale",
         router.id()
     );
+    flipped
 }
 
 #[cfg(test)]
@@ -420,26 +423,22 @@ mod tests {
                 taken.push(vc);
             }
         }
-        update_own_saturation(&config, &mut r);
+        assert!(update_own_saturation(&config, &mut r), "a flip");
         assert!(r.pb().own_saturated(0));
-        assert!(r.pb().own_flipped());
-        r.pb_mut().clear_own_flipped();
-        // nothing changed: the refresh is a no-op and records no flip
-        update_own_saturation(&config, &mut r);
-        assert!(r.pb().own_saturated(0));
-        assert!(!r.pb().own_flipped() && !r.outputs_changed());
+        // nothing changed: the refresh is a no-op and reports no flip
+        assert!(!update_own_saturation(&config, &mut r));
+        assert!(r.pb().own_saturated(0) && r.changed_outputs() == 0);
         // the downstream router drains: credits come back, nothing else moves
         for vc in taken {
             r.receive_credits(gport, vc, 8);
         }
-        update_own_saturation(&config, &mut r);
+        assert!(
+            update_own_saturation(&config, &mut r),
+            "and the flip is reported for the exchange"
+        );
         assert!(
             !r.pb().own_saturated(0),
             "returned credits unsaturate the link"
-        );
-        assert!(
-            r.pb().own_flipped(),
-            "and the flip is recorded for the exchange"
         );
     }
 }

@@ -37,9 +37,9 @@
 //! The second half of the disjointness rule: everything *else* a router
 //! does in a cycle (head registration, routing decisions, allocation,
 //! grant application, output transmission) touches only that single
-//! router's state plus read-only topology/configuration. Cross-router
-//! *effects* (link events, upstream credits) are staged and replayed by the
-//! caller — see `df-sim`'s `phase` module.
+//! router's state plus read-only topology/configuration. Its cross-router
+//! *effects* (link events, upstream credits) go straight into the caller's
+//! event queue and counters as they happen — see `df-sim`'s `phase` module.
 
 use df_topology::GatewayLiveness;
 
@@ -70,14 +70,13 @@ pub fn pb_exchange_group(group: &mut [Router], flat: &mut Vec<bool>) {
 }
 
 /// Install the group's flooded gateway-liveness view into every router of
-/// one group — the link-state payload piggybacked on the same PB/ECtN
-/// exchange the group is already performing this cycle (each group carries
-/// its *own* hop-delayed view; see `df-sim`'s flooding round). Costs one
-/// integer compare per router when nothing changed (the healthy-network
-/// case), so riding along with every exchange is free.
+/// one group — the link-state payload piggybacked on the group's PB/ECtN
+/// exchange (each group carries its *own* hop-delayed view; see `df-sim`'s
+/// flooding round). The simulator installs after each flooding round it
+/// runs; a cycle without one left every view as installed. Costs one
+/// integer compare per router when the view did not change.
 ///
-/// Same slice contract as [`pb_exchange_group`]: distinct groups may
-/// install concurrently.
+/// Same slice contract as [`pb_exchange_group`].
 pub fn install_linkview_group(group: &mut [Router], view: &GatewayLiveness) {
     for router in group.iter_mut() {
         router.install_link_view(view);
@@ -89,8 +88,7 @@ pub fn install_linkview_group(group: &mut [Router], view: &GatewayLiveness) {
 /// every member's combined array.
 ///
 /// Same slice contract as [`pb_exchange_group`]: `group` is an exclusively
-/// borrowed, group-local slice, so distinct groups may be exchanged
-/// concurrently.
+/// borrowed, group-local slice.
 pub fn ectn_exchange_group(group: &mut [Router], scratch: &mut Vec<u32>) {
     let links = group.first().map(|r| r.ectn().num_links()).unwrap_or(0);
     scratch.clear();

@@ -28,16 +28,12 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PbState {
     /// Saturation of this router's own global links (indexed by global-port
-    /// offset `0..h`), recomputed locally every cycle.
+    /// offset `0..h`), recomputed locally whenever the router's outputs
+    /// change.
     own: Vec<bool>,
     /// Group-wide view (indexed by group-level global link `0..a*h`),
     /// refreshed by the dissemination step with a small delay.
     group: Vec<bool>,
-    /// Whether an own flag changed value (or may have: fresh and restored
-    /// state) since the mark was last cleared — i.e. whether a group
-    /// exchange gathering these flags could install anything new. Derived,
-    /// never part of the saved state.
-    own_flipped: bool,
 }
 
 impl PbState {
@@ -47,7 +43,6 @@ impl PbState {
         PbState {
             own: vec![false; h],
             group: vec![false; global_links],
-            own_flipped: true,
         }
     }
 
@@ -56,27 +51,11 @@ impl PbState {
         self.own[k as usize]
     }
 
-    /// Set the saturation flag of own global link `k`, recording a flip.
-    pub fn set_own_saturated(&mut self, k: u32, saturated: bool) {
+    /// Set the saturation flag of own global link `k`; returns whether it
+    /// flipped (the group's exchange would then install something new).
+    pub fn set_own_saturated(&mut self, k: u32, saturated: bool) -> bool {
         let flag = &mut self.own[k as usize];
-        if *flag != saturated {
-            *flag = saturated;
-            self.own_flipped = true;
-        }
-    }
-
-    /// Whether an own flag flipped since
-    /// [`PbState::clear_own_flipped`] (true for fresh and restored state).
-    #[inline]
-    pub fn own_flipped(&self) -> bool {
-        self.own_flipped
-    }
-
-    /// Acknowledge the flips seen so far (the caller is about to gather the
-    /// own flags into a group exchange).
-    #[inline]
-    pub fn clear_own_flipped(&mut self) {
-        self.own_flipped = false;
+        std::mem::replace(flag, saturated) != saturated
     }
 
     /// Borrow this router's own saturation flags (allocation-free view used
@@ -141,7 +120,6 @@ impl PbState {
         for b in &mut self.group {
             *b = d.bool()?;
         }
-        self.own_flipped = true;
         Ok(())
     }
 }
@@ -162,7 +140,8 @@ mod tests {
     #[test]
     fn own_flags_are_settable_and_viewable() {
         let mut s = PbState::new(2, 8);
-        s.set_own_saturated(1, true);
+        assert!(s.set_own_saturated(1, true), "a flip");
+        assert!(!s.set_own_saturated(1, true), "no flip");
         assert!(s.own_saturated(1));
         assert!(!s.own_saturated(0));
         assert_eq!(s.own_flags(), [false, true]);

@@ -93,11 +93,12 @@ pub struct Router {
     /// transmission visits only these ports instead of the whole radix.
     /// Derived: rebuilt by [`Router::restore_state`].
     staged_ports: u64,
-    /// Whether any output's staged phits or credits changed since the flag
-    /// was last cleared. PB's own-link saturation flags are a pure function
-    /// of exactly that state, so their per-cycle refresh is skipped while
-    /// this is clear. Derived: set by construction and by restore.
-    outputs_changed: bool,
+    /// The outputs whose staged phits or credits changed since the mask was
+    /// last cleared, one bit per port. PB's own-link saturation flags are a
+    /// pure function of exactly that state, so the refresh recomputes only
+    /// the flags of changed global ports. Derived: every port after
+    /// construction and restore.
+    changed_outputs: u64,
     /// The router's nonminimal global candidates, packed — built by the
     /// routing layer on the router's first global selection
     /// ([`Router::candidate_table`]), since most routers of a lightly
@@ -232,7 +233,7 @@ impl Router {
             links_down: 0,
             link_view: GatewayLiveness::new(&topo),
             staged_ports: 0,
-            outputs_changed: true,
+            changed_outputs: u64::MAX >> (64 - radix),
             candidate_table: OnceLock::new(),
         }
     }
@@ -360,7 +361,7 @@ impl Router {
     /// outputs as changed.
     pub fn output_mut(&mut self, port: Port) -> OutputMut<'_> {
         self.staged_ports |= 1 << port.index();
-        self.outputs_changed = true;
+        self.changed_outputs |= 1 << port.index();
         self.output_at(port.index())
     }
 
@@ -384,19 +385,19 @@ impl Router {
         self.store.slots()
     }
 
-    /// Whether any output's staged phits or credits changed since
-    /// [`Router::clear_outputs_changed`] (true for a fresh or restored
-    /// router).
+    /// The output ports whose staged phits or credits changed since
+    /// [`Router::clear_changed_outputs`], one bit per port (every port of
+    /// a fresh or restored router).
     #[inline]
-    pub fn outputs_changed(&self) -> bool {
-        self.outputs_changed
+    pub fn changed_outputs(&self) -> u64 {
+        self.changed_outputs
     }
 
     /// Acknowledge the output changes seen so far (the PB own-flag refresh
     /// calls this once it has recomputed the flags from them).
     #[inline]
-    pub fn clear_outputs_changed(&mut self) {
-        self.outputs_changed = false;
+    pub fn clear_changed_outputs(&mut self) {
+        self.changed_outputs = 0;
     }
 
     /// Total packets buffered in input VCs and output stages.
@@ -436,7 +437,7 @@ impl Router {
     /// downstream router drained a packet; arrives after the link latency).
     pub fn receive_credits(&mut self, port: Port, vc: VcId, phits: u32) {
         self.output_at(port.index()).return_credits(vc, phits);
-        self.outputs_changed = true;
+        self.changed_outputs |= 1 << port.index();
     }
 
     // ------------------------------------------------------------------
@@ -493,7 +494,7 @@ impl Router {
     /// credits exactly like in-flight drops.
     pub fn drop_staged_for_dead_port(&mut self, port: Port) -> Vec<(Packet, VcId)> {
         debug_assert!(!self.link_is_up(port), "only dead ports lose their stage");
-        self.outputs_changed = true;
+        self.changed_outputs |= 1 << port.index();
         let dropped = self.output_at(port.index()).drain_staged();
         debug_assert!(
             self.bookkeeping_is_exact(),
@@ -658,7 +659,7 @@ impl Router {
         self.output_at(grant.output_port.index())
             .stage(slot, grant.output_vc, ready_at);
         self.staged_ports |= 1 << grant.output_port.index();
-        self.outputs_changed = true;
+        self.changed_outputs |= 1 << grant.output_port.index();
         debug_assert!(self.bookkeeping_is_exact(), "after apply_grant");
         AppliedGrant {
             grant: *grant,
@@ -695,7 +696,7 @@ impl Router {
             }
             if let Some((packet, vc, tail_at)) = self.output_at(p).try_transmit(now) {
                 sent.push((Port(p as u32), packet, vc, tail_at));
-                self.outputs_changed = true;
+                self.changed_outputs |= 1 << p;
             }
             if self.outputs[p].staged.is_empty() {
                 self.staged_ports &= !(1 << p);
@@ -938,7 +939,7 @@ impl Router {
                 self.staged_ports |= 1 << p;
             }
         }
-        self.outputs_changed = true;
+        self.changed_outputs = u64::MAX >> (64 - self.outputs.len());
         self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
         self.unregistered_count = 0;
         self.occupied_ports = 0;
@@ -1267,7 +1268,11 @@ mod tests {
         restored
             .restore_state(&mut df_engine::Decoder::new(&bytes))
             .unwrap();
-        assert!(restored.outputs_changed(), "restored routers start dirty");
+        assert_eq!(
+            restored.changed_outputs(),
+            u64::MAX >> (64 - restored.num_ports()),
+            "restored routers start dirty"
+        );
         assert!(!restored.is_idle());
         let pipeline = r.config().latencies.router_pipeline as Cycle;
         assert_eq!(restored.transmit_outputs(pipeline).len(), 1);
@@ -1275,18 +1280,19 @@ mod tests {
     }
 
     #[test]
-    fn outputs_changed_tracks_every_output_mutation() {
+    fn changed_outputs_track_every_output_mutation() {
         let mut r = router();
-        assert!(r.outputs_changed(), "fresh routers start dirty");
+        let all = u64::MAX >> (64 - r.num_ports());
+        assert_eq!(r.changed_outputs(), all, "fresh routers start dirty");
         let settle = |r: &mut Router| {
-            r.clear_outputs_changed();
-            assert!(!r.outputs_changed());
+            r.clear_changed_outputs();
+            assert_eq!(r.changed_outputs(), 0);
         };
         settle(&mut r);
         // receiving a packet touches no output
         r.receive_packet(Port(3), VcId(0), packet(1, 2));
         r.register_head(Port(3), VcId(0), Port(2), None);
-        assert!(!r.outputs_changed());
+        assert_eq!(r.changed_outputs(), 0);
         let req = AllocationRequest {
             input_port: Port(3),
             input_vc: VcId(0),
@@ -1295,28 +1301,37 @@ mod tests {
             size_phits: 8,
         };
         let grants = r.allocate(&[req]);
-        assert!(!r.outputs_changed(), "allocation alone stages nothing");
+        assert_eq!(r.changed_outputs(), 0, "allocation alone stages nothing");
         r.apply_grant(&grants[0], 0);
-        assert!(
-            r.outputs_changed(),
+        assert_eq!(
+            r.changed_outputs(),
+            1 << 2,
             "a grant stages phits and takes credits"
         );
         settle(&mut r);
         assert!(r.transmit_outputs(0).is_empty());
-        assert!(!r.outputs_changed(), "a transmission that sends nothing");
+        assert_eq!(r.changed_outputs(), 0, "a transmission that sends nothing");
         let pipeline = r.config().latencies.router_pipeline as Cycle;
         assert_eq!(r.transmit_outputs(pipeline).len(), 1);
-        assert!(r.outputs_changed(), "a transmission drains staged phits");
+        assert_eq!(
+            r.changed_outputs(),
+            1 << 2,
+            "a transmission drains staged phits"
+        );
         settle(&mut r);
         r.receive_credits(Port(2), VcId(0), 8);
-        assert!(r.outputs_changed(), "returned credits");
+        assert_eq!(r.changed_outputs(), 1 << 2, "returned credits");
         settle(&mut r);
         let _ = r.output_mut(Port(5));
-        assert!(r.outputs_changed(), "a mutable borrow may change anything");
+        assert_eq!(
+            r.changed_outputs(),
+            1 << 5,
+            "a mutable borrow may change anything"
+        );
         settle(&mut r);
         r.set_link_up(Port(5), false);
         r.drop_staged_for_dead_port(Port(5));
-        assert!(r.outputs_changed(), "a dropped stage");
+        assert_eq!(r.changed_outputs(), 1 << 5, "a dropped stage");
     }
 
     fn grant(input_port: Port, input_vc: VcId, output_port: Port, output_vc: VcId) -> Grant {

@@ -16,11 +16,12 @@
 //!    known to fail — see "Activity gating") and injection from the
 //!    non-empty node source queues into the routers' injection buffers,
 //! 3. control-plane dissemination: PB saturation flags every cycle (each
-//!    router whose outputs changed refreshes its own flags, each group with
-//!    a flipped flag re-exchanges them), ECtN partial-array broadcast every
-//!    `ectn_update_period` cycles — each exchange also carries the
-//!    piggybacked gateway-liveness bits (failure-aware routing), advanced
-//!    one *flooding hop* per exchange (`Network::flood_linkviews`),
+//!    group whose flags flipped last cycle re-exchanges them, then each
+//!    router whose outputs can have changed refreshes its own), ECtN
+//!    partial-array broadcast every `ectn_update_period` cycles — each
+//!    exchange also carries the piggybacked gateway-liveness bits
+//!    (failure-aware routing), advanced one *flooding hop* per exchange
+//!    (`Network::flood_linkviews`) and installed when a round ran,
 //! 4. routing decisions + separable allocation, iterated
 //!    `allocator_speedup` times,
 //! 5. output-buffer link transmission, scheduling remote arrivals after the
@@ -38,22 +39,26 @@
 //! * **Activity gating**: every per-cycle scan walks a derived set instead
 //!   of the whole population, under one rule — an item is skipped only if
 //!   the skipped work is provably a no-op, the set is iterated in ascending
-//!   order (which fixes the event sequence numbers and packet ids, and
-//!   therefore the results), and the set is rebuilt on restore rather than
-//!   stored. The sets — active routers (step 5), routers holding an input
-//!   head (step 4), queued nodes (injection), the injectors' wake-up
-//!   calendar (generation, `node::Nodes`), output-changed routers and
-//!   flipped groups (PB), staged ports (transmission, idleness), head plans
-//!   (routing decisions) — are tabulated in `docs/ARCHITECTURE.md`
-//!   § "Activity gating"; debug builds assert each against the full scan
-//!   (the first four at the end of every [`Network::step`]).
+//!   order wherever the walk draws, schedules or numbers anything (which
+//!   fixes the event sequence numbers and packet ids, and therefore the
+//!   results), and the set is rebuilt on restore rather than stored. The
+//!   sets — active routers (step 5), routers holding an input head (step
+//!   4), queued nodes (injection), the injectors' wake-up calendar
+//!   (generation, `node::Nodes`), refresh-due routers, changed outputs and
+//!   dirty groups (PB, step 3), woken and waiting ranks (the job engine,
+//!   step 2), staged ports (transmission, idleness), head plans (routing
+//!   decisions) — are tabulated in `docs/ARCHITECTURE.md` § "Activity gating"; debug
+//!   builds assert each against the full scan (the first four at the end
+//!   of every [`Network::step`], PB's at the end of step 3, the job
+//!   engine's at the end of each job's advance).
 //! * **Allocation-free steady state**: the per-cycle loop reuses scratch
 //!   buffers for due events, allocation requests/grants and transmitted
 //!   packets, and PB/ECtN dissemination gathers into flat per-group arrays
 //!   copied slice-to-slice instead of cloning a `Vec` per router per cycle.
 //!
-//! Steps 3–5 walk the groups (PB/ECtN), the sorted routers holding a head
-//! (routing + allocation) or the sorted active list (transmission) one
+//! Steps 3–5 walk the groups (ECtN; under PB the dirty groups and the
+//! refresh-due routers), the sorted routers holding a head (routing +
+//! allocation) or the sorted active list (transmission) one group or
 //! router at a time. Cross-router effects (link events, upstream credits,
 //! misroute commits, discards) are applied where they happen, in walk order
 //! (the `phase` module docs). Both [`KernelMode`] values run this one
@@ -63,7 +68,9 @@
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, VcId};
+use df_router::dissemination::{ectn_exchange_group, install_linkview_group, pb_exchange_group};
 use df_router::Router;
+use df_routing::algorithms::piggyback;
 use df_routing::RoutingAlgorithm;
 use df_topology::{
     AnyTopology, GatewayLiveness, GroupId, LinkState, NodeId, Port, PortPeer, RouterId, Topology,
@@ -76,10 +83,7 @@ use crate::events::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::{Node, Nodes};
-use crate::phase::{
-    ectn_control_exchange, pb_control_exchange, route_and_allocate_one, transmit_one, Effects,
-    StepCtx, StepScratch,
-};
+use crate::phase::{route_and_allocate_one, transmit_one, Effects, StepCtx, StepScratch};
 use crate::task::JobsEngine;
 
 #[path = "snapshot.rs"]
@@ -168,6 +172,15 @@ pub struct Network {
     /// Routers holding an input head (sorted before use): all a routing +
     /// allocation iteration has work for; a subset of the active set.
     head_list: Vec<u32>,
+    /// Routers step 6 retired from the active set last cycle (every router
+    /// after `new` and `restore`). With the active list, every router whose
+    /// outputs can have changed since its last PB refresh.
+    retired: Vec<u32>,
+    /// Membership flag per group of `dirty_groups`.
+    dirty_flags: Vec<bool>,
+    /// Groups whose last PB refresh flipped an own flag (every group after
+    /// `new` and `restore`): the only groups an exchange can change.
+    dirty_groups: Vec<u32>,
     // ---- phase execution ----
     /// Scratch buffers of steps 3–5.
     scratch: StepScratch,
@@ -236,6 +249,7 @@ impl Network {
             .then(|| JobsEngine::new(&config.jobs, &topo, config.network.packet_size_phits));
         let num_routers = routers.len();
         let num_nodes = nodes.len();
+        let num_groups = topo.num_groups();
         Network {
             config,
             ctx,
@@ -271,6 +285,9 @@ impl Network {
             active_list: Vec::with_capacity(num_routers),
             head_flags: vec![false; num_routers],
             head_list: Vec::new(),
+            retired: (0..num_routers as u32).collect(),
+            dirty_flags: vec![true; num_groups as usize],
+            dirty_groups: (0..num_groups).collect(),
             scratch: StepScratch::default(),
             scratch_events: Vec::new(),
         }
@@ -466,10 +483,15 @@ impl Network {
         }
     }
 
-    /// Pause node `idx`'s generation at `now` iff its router drains or it failed.
+    /// Pause node `idx`'s generation at `now` iff its router drains or it
+    /// failed. A pause decides which ranks the job engine may skip, so every
+    /// rank is visited at the next advance.
     fn sync_paused(&mut self, idx: usize, now: Cycle) {
         let paused = self.node_blocked[idx] || self.node_failed[idx];
         self.nodes.set_paused(idx, paused, now);
+        if let Some(jobs) = self.jobs.as_mut() {
+            jobs.wake_all();
+        }
     }
 
     /// Apply every fault event due at or before `now` (start-of-cycle, so a
@@ -745,21 +767,23 @@ impl Network {
 
         // ---- 3. control-plane dissemination ----
         // Each exchange also carries the piggybacked gateway-liveness bits:
-        // one flooding round, then each group's routers install their
-        // group's view in the exchange.
+        // one flooding round, whose views every router then installs (a
+        // round that did not run left every view as installed).
         let group_size = topo.routers_per_group() as usize;
-        if self.config.routing.needs_pb_dissemination() {
-            self.flood_linkviews();
+        let pb = self.config.routing.needs_pb_dissemination();
+        let ectn = self.config.routing.needs_ectn_broadcast()
+            && now.is_multiple_of(self.config.routing_config.ectn_update_period);
+        if (pb || ectn) && self.flood_linkviews() {
             for (group, view) in self.routers.chunks_mut(group_size).zip(&self.group_views) {
-                pb_control_exchange(group, &self.ctx, view, &mut self.scratch.pb_flat);
+                install_linkview_group(group, view);
             }
         }
-        if self.config.routing.needs_ectn_broadcast()
-            && now.is_multiple_of(self.config.routing_config.ectn_update_period)
-        {
-            self.flood_linkviews();
-            for (group, view) in self.routers.chunks_mut(group_size).zip(&self.group_views) {
-                ectn_control_exchange(group, view, &mut self.scratch.ectn_scratch);
+        if pb {
+            self.disseminate_pb(now);
+        }
+        if ectn {
+            for group in self.routers.chunks_mut(group_size) {
+                ectn_exchange_group(group, &mut self.scratch.ectn_scratch);
             }
         }
         // staleness metric: some router's view still lags the truth
@@ -816,11 +840,13 @@ impl Network {
         }
 
         // ---- 6. retire idle routers from the active set ----
-        let flags = &mut self.active_flags;
+        let (flags, retired) = (&mut self.active_flags, &mut self.retired);
         let routers = &self.routers;
+        retired.clear();
         self.active_list.retain(|&r| {
             if routers[r as usize].is_idle() {
                 flags[r as usize] = false;
+                retired.push(r);
                 false
             } else {
                 true
@@ -871,10 +897,11 @@ impl Network {
     ///
     /// The exchanges only *install* the finished views. The quiescent fast
     /// path skips rounds entirely once every view has adopted everything
-    /// reachable — healthy runs never enter the loop.
-    fn flood_linkviews(&mut self) {
+    /// reachable — healthy runs never enter the loop. Returns whether a
+    /// round ran: otherwise no view changed, and nothing needs installing.
+    fn flood_linkviews(&mut self) -> bool {
         if self.flood_quiescent {
-            return;
+            return false;
         }
         std::mem::swap(&mut self.group_views, &mut self.group_views_prev);
         let topo = &self.ctx.topo;
@@ -909,7 +936,68 @@ impl Network {
             // change (either converged, or stably partitioned from the rest)
             self.flood_quiescent = true;
         }
+        true
     }
+
+    /// PB's control plane for one cycle: every group whose flags flipped at
+    /// the last refresh exchanges them (exchanging any other group would
+    /// reinstall the views its members hold), then every router whose
+    /// outputs can have changed since its own last refresh recomputes its
+    /// flags, marking its group dirty on a flip.
+    ///
+    /// The refresh set is the active list (complete at step 3) plus the
+    /// routers step 6 retired last cycle: outputs change only through
+    /// credits and link faults, which mark a router active, and through
+    /// grants and transmissions, which happen inside the active set. An
+    /// exchange and a refresh each touch one group or one router and draw
+    /// nothing, so neither walk's order matters.
+    fn disseminate_pb(&mut self, now: Cycle) {
+        let group_size = self.ctx.topo.routers_per_group() as usize;
+        for g in self.dirty_groups.drain(..) {
+            self.dirty_flags[g as usize] = false;
+            let start = g as usize * group_size;
+            pb_exchange_group(
+                &mut self.routers[start..start + group_size],
+                &mut self.scratch.pb_flat,
+            );
+        }
+        let config = self.ctx.algorithm.config();
+        for &r in self.active_list.iter().chain(&self.retired) {
+            let router = &mut self.routers[r as usize];
+            if piggyback::update_own_saturation(config, router) {
+                let g = router.group().index();
+                if !self.dirty_flags[g] {
+                    self.dirty_flags[g] = true;
+                    self.dirty_groups.push(g as u32);
+                }
+            }
+        }
+        // the gates against the full scan: the refresh left no router
+        // unrefreshed, and a clean group's exchange would change nothing
+        debug_assert!(
+            self.routers
+                .iter()
+                .all(|router| router.changed_outputs() == 0),
+            "a router outside the PB refresh set has changed outputs at cycle {now}"
+        );
+        debug_assert!(
+            (self.routers.chunks(group_size).enumerate())
+                .all(|(g, group)| self.dirty_flags[g] || pb_views_are_current(group)),
+            "a clean group's PB exchange would change its views at cycle {now}"
+        );
+    }
+}
+
+/// Whether every member's installed PB group view equals the concatenation
+/// of the group's own flags — the state a PB exchange leaves behind.
+fn pb_views_are_current(group: &[Router]) -> bool {
+    let gathered: Vec<bool> = group
+        .iter()
+        .flat_map(|router| router.pb().own_flags().iter().copied())
+        .collect();
+    group.iter().all(|router| {
+        (0..gathered.len()).all(|link| router.pb().group_saturated(link as u32) == gathered[link])
+    })
 }
 
 #[cfg(test)]
@@ -1068,6 +1156,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Both change-set gates through every path that makes them all due:
+    /// flooding rounds (a global link down and back up under PB, its
+    /// saturation fraction lowered so flags flip at a light adversarial
+    /// load), a rank host drained and restored mid-collective (a pause
+    /// change wakes every rank), a compute delay (ranks filed by
+    /// `ready_at`) and a snapshot/restore mid-job-set (the sets rebuilt from
+    /// the restored state). In debug builds every step checks both gates
+    /// against the full scan; the resumed run must also land where the
+    /// uninterrupted one does.
+    #[test]
+    fn change_set_gates_hold_through_every_all_due_path() {
+        use crate::fault::FaultPlan;
+        use df_traffic::{AllReduceAlgorithm, CollectiveKind, JobPlacement, JobSpec, TaskWorkload};
+        let params = DragonflyParams::small();
+        let (link_router, link_port) = FaultPlan::global_link_between(
+            &df_topology::Dragonfly::new(params),
+            GroupId(0),
+            GroupId(1),
+        );
+        let ring = TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2);
+        let all_to_all = TaskWorkload::single(CollectiveKind::AllToAll, 8, 2);
+        // ring rank 1 lives on node 8, whose router (4) drains mid-run
+        let cfg = SimulationConfig::builder()
+            .topology(params)
+            .network(NetworkConfig::fast_test())
+            .routing(RoutingKind::PiggyBacking)
+            .routing_config(df_routing::RoutingConfig {
+                pb_saturation_fraction: 0.1,
+                ..Default::default()
+            })
+            .pattern(PatternKind::Adversarial { offset: 1 })
+            .offered_load(0.2)
+            .job(JobSpec::new(ring, JobPlacement::group_spread(0)).with_compute_delay(5))
+            .job(JobSpec::new(all_to_all, JobPlacement::group_spread(1)).starting_at(40))
+            .faults(
+                FaultPlan::new()
+                    .link_down(30, link_router, link_port)
+                    .router_drain(60, RouterId(4))
+                    .router_restore(150, RouterId(4))
+                    .link_up(200, link_router, link_port),
+            )
+            .seed(3)
+            .build()
+            .unwrap();
+
+        let mut reference = Network::new(cfg.clone());
+        let mut exchanges = 0;
+        while reference.jobs().unwrap().completion_cycle().is_none() {
+            assert!(reference.cycle() < 50_000, "the job set completes");
+            exchanges += reference.dirty_groups.len();
+            reference.step();
+        }
+        let done = reference.cycle();
+        assert!(done > 400, "the faults land mid-job-set ({done} cycles)");
+        assert!(exchanges > 9, "flags flipped after the first full pass");
+        assert!(
+            reference.metrics().stale_linkstate_cycles() > 0,
+            "views flooded"
+        );
+
+        // the snapshot lands while the link is down, the views flood and a
+        // rank host is drained
+        let mut first = Network::new(cfg.clone());
+        first.run_cycles(100);
+        assert!(first.jobs().unwrap().pending_packets() > 0);
+        let mut resumed = Network::restore(cfg, &first.snapshot()).expect("restores");
+        resumed.run_cycles(done - 100);
+        assert_eq!(
+            resumed.jobs().unwrap().completion_cycle(),
+            reference.jobs().unwrap().completion_cycle()
+        );
+        assert_eq!(
+            resumed.snapshot(),
+            reference.snapshot(),
+            "bit-identical resume"
+        );
     }
 
     #[test]

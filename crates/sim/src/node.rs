@@ -386,6 +386,14 @@ impl Nodes {
         self.due = due;
     }
 
+    /// Whether node `idx` has a packet waiting. The queued set is exact from
+    /// one injection pass to the next, and an enqueue marks its node at
+    /// once, so the flag is exact throughout step 2 too.
+    pub(crate) fn is_queued(&self, idx: usize) -> bool {
+        debug_assert_eq!(self.queued_flags[idx], self.nodes[idx].queue_len() > 0);
+        self.queued_flags[idx]
+    }
+
     /// Enqueue a task-layer packet at node `idx` (see
     /// [`Node::enqueue_task_packet`]).
     pub fn enqueue_task_packet(&mut self, idx: usize, packet: Packet) {

@@ -1,16 +1,15 @@
-//! The per-router work of phases 3–5 of [`Network::step`]: a PB or ECtN
-//! exchange per group, a routing + allocation iteration per router holding
-//! an input head, and a link transmission per active router.
+//! The per-router work of phases 4–5 of [`Network::step`]: a routing +
+//! allocation iteration per router holding an input head, and a link
+//! transmission per active router.
 //!
 //! # Effects in walk order
 //!
 //! Within a phase a router touches only its own state, its private RNG
-//! stream and read-only context ([`StepCtx`], its group's flooded link
-//! view). What escapes it — link events (arrivals, deliveries, upstream
+//! stream and read-only context ([`StepCtx`]). What escapes it — link events (arrivals, deliveries, upstream
 //! credit returns), misroute commits, fault re-commits and unroutable
 //! discards — is written straight into the network's event queue, metrics
 //! and in-flight counters ([`Effects`]) where it happens, in walk order
-//! (ascending group, head set or active list). No phase reads any of them,
+//! (ascending head set or active list). No phase reads any of them,
 //! so walk order alone fixes the event insertion order, hence the time
 //! wheel's tie-breaking, hence the trajectory every pinned digest was
 //! captured under.
@@ -23,10 +22,9 @@
 
 use df_engine::DeterministicRng;
 use df_model::{Cycle, NetworkConfig, VcId};
-use df_router::{dissemination, set_bits, AllocationRequest, Grant, Router};
-use df_routing::algorithms::piggyback;
+use df_router::{set_bits, AllocationRequest, Grant, Router};
 use df_routing::{minimal, Commitment, Decision, DecisionKind, RoutingAlgorithm};
-use df_topology::{AnyTopology, GatewayLiveness, Port, PortClass, PortPeer, RouterId, Topology};
+use df_topology::{AnyTopology, Port, PortClass, PortPeer, RouterId, Topology};
 
 use crate::events::{Event, EventQueue};
 use crate::metrics::Metrics;
@@ -85,67 +83,6 @@ pub(crate) struct Effects<'a> {
     pub in_flight: &'a mut u64,
     /// Phits inside the network.
     pub in_flight_phits: &'a mut u64,
-}
-
-/// PB's control-plane exchange for one group (the contiguous slice of its
-/// routers), which also installs the group's flooded gateway-liveness view
-/// — the link-state bits piggybacked on the same messages (one integer
-/// compare per router when nothing changed) — then refreshes each member's
-/// own flags.
-#[inline]
-pub(crate) fn pb_control_exchange(
-    group: &mut [Router],
-    ctx: &StepCtx,
-    linkview: &GatewayLiveness,
-    pb_flat: &mut Vec<bool>,
-) {
-    // The exchange is idempotent: gathering own flags none of which flipped
-    // since the group's last gather would reinstall the views every member
-    // already holds, so it is skipped.
-    if group.iter().any(|router| router.pb().own_flipped()) {
-        for router in group.iter_mut() {
-            router.pb_mut().clear_own_flipped();
-        }
-        dissemination::pb_exchange_group(group, pb_flat);
-    }
-    debug_assert!(
-        pb_views_are_current(group),
-        "a skipped PB exchange would have changed a group view"
-    );
-    dissemination::install_linkview_group(group, linkview);
-    // Refresh own flags after the group's exchange: installs never read own
-    // flags of other groups and the refresh reads only router-local
-    // congestion, so doing it group-by-group is equivalent to the
-    // all-groups-then-all-routers order. (A no-op for a router whose outputs
-    // did not change; a flip is recorded for the next cycle's exchange.)
-    for router in group.iter_mut() {
-        piggyback::update_own_saturation(ctx.algorithm.config(), router);
-    }
-}
-
-/// ECtN's partial-array broadcast for one group, which also installs the
-/// group's flooded gateway-liveness view.
-#[inline]
-pub(crate) fn ectn_control_exchange(
-    group: &mut [Router],
-    linkview: &GatewayLiveness,
-    ectn_scratch: &mut Vec<u32>,
-) {
-    dissemination::ectn_exchange_group(group, ectn_scratch);
-    dissemination::install_linkview_group(group, linkview);
-}
-
-/// Whether every member's installed PB group view equals the concatenation
-/// of the group's own flags — the state a PB exchange leaves behind, checked
-/// in debug builds where one was skipped.
-fn pb_views_are_current(group: &[Router]) -> bool {
-    let gathered: Vec<bool> = group
-        .iter()
-        .flat_map(|router| router.pb().own_flags().iter().copied())
-        .collect();
-    group.iter().all(|router| {
-        (0..gathered.len()).all(|link| router.pb().group_saturated(link as u32) == gathered[link])
-    })
 }
 
 /// One allocation iteration for one router: register new heads, compute

@@ -34,12 +34,20 @@
 //! rank order and the lowering itself is a pure function of the workload,
 //! so job runs inherit the simulator's bit-identity contract unchanged.
 //!
+//! An advance visits only the ranks that can move (the activity-gating
+//! rule of the `network` module): a rank's visit changes nothing unless a
+//! delivery credited it, its compute delay expired, its job started, it was
+//! restored or a pause changed, so each of those wakes it. Stall accounting
+//! walks the ranks waiting on the network. These sets are derived, rebuilt
+//! on restore and never stored.
+//!
 //! When the configuration carries no jobs the engine does not exist and the
 //! packet-level simulator is byte-for-byte unaffected.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use df_model::{Cycle, Packet, PacketId};
+use df_router::set_bits;
 use df_topology::{NodeId, Topology};
 use df_traffic::{JobSpec, TaskStep};
 
@@ -107,6 +115,18 @@ pub struct Job {
     ranks_done: u32,
     /// Cycle the last rank finished (application completion time).
     completed_at: Option<Cycle>,
+    // ---- which ranks can move (derived: rebuilt on restore) ----
+    /// Ranks to visit at the next advance, one bit per rank (bit `r % 64` of
+    /// word `r / 64`), so the visit walks them in ascending order. Every
+    /// rank of a fresh or restored job, or after a pause changed.
+    woken: Vec<u64>,
+    /// `(ready_at, rank)` of each rank computing between steps, pushed when
+    /// the step completes — in `ready_at` order, since `compute_delay` is
+    /// fixed per job.
+    computing: VecDeque<(Cycle, u32)>,
+    /// Ranks whose step is enqueued and whose script is unfinished — the
+    /// only ranks that can stall — in the same bit layout.
+    waiting: Vec<u64>,
 }
 
 impl Job {
@@ -124,7 +144,7 @@ impl Job {
         let scripts = spec.workload.lower();
         let ranks = node_of_rank.len();
         let steps_total = scripts.first().map_or(0, |s| s.len());
-        Job {
+        let mut job = Job {
             spec: spec.clone(),
             scripts,
             node_of_rank,
@@ -141,23 +161,46 @@ impl Job {
             step_completion_cycles: vec![None; steps_total],
             ranks_done: 0,
             completed_at: None,
-        }
+            woken: vec![0; ranks.div_ceil(64)],
+            computing: VecDeque::new(),
+            waiting: vec![0; ranks.div_ceil(64)],
+        };
+        job.wake_all();
+        job
     }
 
     /// Attribute a delivered packet: credit the sender's outstanding-send
-    /// counter and the receiver's per-step receive counter. Runs in step 1
-    /// of the cycle.
-    fn on_delivery(&mut self, packet: &Packet) {
-        if let Some(p) = self.pending.remove(&packet.id.0) {
-            self.sends_outstanding[p.src_rank as usize] -= 1;
-            self.recvs[p.dst_rank as usize][p.step as usize] += 1;
+    /// counter and the receiver's per-step receive counter, and wake both
+    /// ranks. Returns whether the packet was this job's. Runs in step 1 of
+    /// the cycle.
+    fn on_delivery(&mut self, packet: &Packet) -> bool {
+        let Some(p) = self.pending.remove(&packet.id.0) else {
+            return false;
+        };
+        self.sends_outstanding[p.src_rank as usize] -= 1;
+        self.recvs[p.dst_rank as usize][p.step as usize] += 1;
+        self.wake(p.src_rank);
+        self.wake(p.dst_rank);
+        true
+    }
+
+    /// Visit `rank` at the next advance.
+    fn wake(&mut self, rank: u32) {
+        self.woken[rank as usize / 64] |= 1 << (rank % 64);
+    }
+
+    /// Visit every rank at the next advance.
+    fn wake_all(&mut self) {
+        let ranks = self.cursor.len();
+        for (w, word) in self.woken.iter_mut().enumerate() {
+            *word = u64::MAX >> (64 - (ranks - 64 * w).min(64));
         }
     }
 
-    /// Advance ranks past completed steps, enqueue newly reached steps'
-    /// sends into the hosting nodes' source queues, and account stall
-    /// cycles. Runs in step 2 of the cycle, ahead of stochastic traffic
-    /// generation (ascending rank order).
+    /// Advance the ranks that can move past completed steps, enqueue newly
+    /// reached steps' sends into the hosting nodes' source queues, and
+    /// account stall cycles. Runs in step 2 of the cycle, ahead of
+    /// stochastic traffic generation (ascending rank order).
     fn advance_and_generate(
         &mut self,
         now: Cycle,
@@ -165,87 +208,143 @@ impl Job {
         metrics: &mut Metrics,
         next_packet_id: &mut u64,
     ) {
-        let ranks = self.node_of_rank.len();
-        let mut stalled_ranks = 0u64;
-        for r in 0..ranks {
-            let node_idx = self.node_of_rank[r] as usize;
-            // a failed rank (or one on a draining router) makes no progress;
-            // its peers will stall honestly waiting for it
-            if nodes.is_paused(node_idx) {
-                continue;
-            }
-            loop {
-                if self.cursor[r] >= self.steps_total {
-                    break;
-                }
-                let step = self.cursor[r];
-                if !self.enqueued[r] {
-                    // modelled computation between steps: the rank holds its
-                    // sends back until the compute delay elapses (never gates
-                    // when compute_delay == 0 — ready_at is then <= now)
-                    if now < self.ready_at[r] {
-                        break;
-                    }
-                    let sends = self.scripts[r][step].sends.clone();
-                    let mut outstanding = 0u32;
-                    for (dst_rank, packets) in sends {
-                        let dst = NodeId(self.node_of_rank[dst_rank as usize]);
-                        let src = NodeId(self.node_of_rank[r]);
-                        for _ in 0..packets {
-                            let id = *next_packet_id;
-                            *next_packet_id += 1;
-                            let packet = Packet::new(PacketId(id), src, dst, self.packet_size, now);
-                            self.pending.insert(
-                                id,
-                                PendingPacket {
-                                    src_rank: r as u32,
-                                    dst_rank,
-                                    step: step as u32,
-                                },
-                            );
-                            nodes.enqueue_task_packet(node_idx, packet);
-                            metrics.record_generated(self.packet_size as u64);
-                        }
-                        outstanding += packets;
-                    }
-                    self.sends_outstanding[r] = outstanding;
-                    self.enqueued[r] = true;
-                }
-                let expected = self.scripts[r][step].expected_packets;
-                if self.sends_outstanding[r] == 0 && self.recvs[r][step] >= expected {
-                    // step complete for this rank (empty steps fall straight
-                    // through, so a rank can cross several in one cycle)
-                    self.step_rank_done[step] += 1;
-                    if self.step_rank_done[step] == ranks as u32 {
-                        self.step_completion_cycles[step] = Some(now);
-                        metrics.record_task_step_completed();
-                    }
-                    self.cursor[r] += 1;
-                    self.enqueued[r] = false;
-                    self.ready_at[r] = now + self.spec.compute_delay;
-                    if self.cursor[r] == self.steps_total {
-                        self.ranks_done += 1;
-                        if self.ranks_done == ranks as u32 {
-                            self.completed_at = Some(now);
-                        }
-                    }
-                    continue;
-                }
+        while let Some(&(ready_at, r)) = self.computing.front() {
+            if ready_at > now {
                 break;
             }
-            // stall: the rank handed everything to the network and is waiting
-            // on deliveries (its own sends or its peers')
-            if self.cursor[r] < self.steps_total
-                && self.enqueued[r]
-                && nodes.get(node_idx).queue_len() == 0
-            {
-                self.stall_cycles[r] += 1;
-                stalled_ranks += 1;
+            self.computing.pop_front();
+            self.wake(r);
+        }
+        for w in 0..self.woken.len() {
+            for bit in set_bits(std::mem::take(&mut self.woken[w])) {
+                self.visit(w * 64 + bit, now, nodes, metrics, next_packet_id);
+            }
+        }
+        // stall: the rank handed everything to the network and is waiting
+        // on deliveries (its own sends or its peers'). One rank lives on
+        // one node, so its queue holds only its own sends until stochastic
+        // generation, which runs after this.
+        let mut stalled_ranks = 0u64;
+        for (w, &word) in self.waiting.iter().enumerate() {
+            for bit in set_bits(word) {
+                let (r, node_idx) = (w * 64 + bit, self.node_of_rank[w * 64 + bit] as usize);
+                if !nodes.is_paused(node_idx) && !nodes.is_queued(node_idx) {
+                    self.stall_cycles[r] += 1;
+                    stalled_ranks += 1;
+                }
             }
         }
         if stalled_ranks > 0 {
             metrics.record_rank_stalls(stalled_ranks);
         }
+        debug_assert!(
+            self.wake_sets_are_exact(now, nodes),
+            "job {}: a rank outside the woken set could move, or the waiting \
+             or computing set is wrong, at cycle {now}",
+            self.spec.label()
+        );
+    }
+
+    /// One rank's advance: enqueue its step's sends once its compute delay
+    /// has elapsed, and pass every step whose sends were all delivered and
+    /// whose expected packets have all arrived (empty steps fall straight
+    /// through, so a rank can cross several in one cycle).
+    fn visit(
+        &mut self,
+        r: usize,
+        now: Cycle,
+        nodes: &mut Nodes,
+        metrics: &mut Metrics,
+        next_packet_id: &mut u64,
+    ) {
+        let node_idx = self.node_of_rank[r] as usize;
+        // a failed rank (or one on a draining router) makes no progress;
+        // its peers will stall honestly waiting for it
+        if nodes.is_paused(node_idx) {
+            return;
+        }
+        let ranks = self.cursor.len() as u32;
+        while self.cursor[r] < self.steps_total {
+            let step = self.cursor[r];
+            if !self.enqueued[r] {
+                // modelled computation between steps: the rank holds its
+                // sends back until the compute delay elapses (never gates
+                // when compute_delay == 0 — ready_at is then <= now)
+                if now < self.ready_at[r] {
+                    break;
+                }
+                let src = NodeId(self.node_of_rank[r]);
+                let mut outstanding = 0u32;
+                for &(dst_rank, packets) in &self.scripts[r][step].sends {
+                    let dst = NodeId(self.node_of_rank[dst_rank as usize]);
+                    for _ in 0..packets {
+                        let id = *next_packet_id;
+                        *next_packet_id += 1;
+                        let packet = Packet::new(PacketId(id), src, dst, self.packet_size, now);
+                        self.pending.insert(
+                            id,
+                            PendingPacket {
+                                src_rank: r as u32,
+                                dst_rank,
+                                step: step as u32,
+                            },
+                        );
+                        nodes.enqueue_task_packet(node_idx, packet);
+                        metrics.record_generated(self.packet_size as u64);
+                    }
+                    outstanding += packets;
+                }
+                self.sends_outstanding[r] = outstanding;
+                self.enqueued[r] = true;
+                self.waiting[r / 64] |= 1 << (r % 64);
+            }
+            let expected = self.scripts[r][step].expected_packets;
+            if self.sends_outstanding[r] != 0 || self.recvs[r][step] < expected {
+                break;
+            }
+            // step complete for this rank
+            self.step_rank_done[step] += 1;
+            if self.step_rank_done[step] == ranks {
+                self.step_completion_cycles[step] = Some(now);
+                metrics.record_task_step_completed();
+            }
+            self.cursor[r] += 1;
+            self.enqueued[r] = false;
+            self.waiting[r / 64] &= !(1 << (r % 64));
+            self.ready_at[r] = now + self.spec.compute_delay;
+            if self.cursor[r] == self.steps_total {
+                self.ranks_done += 1;
+                if self.ranks_done == ranks {
+                    self.completed_at = Some(now);
+                }
+            } else if self.ready_at[r] > now {
+                self.computing.push_back((self.ready_at[r], r as u32));
+            }
+        }
+    }
+
+    /// The wake-up sets against a full scan after the advance at `now`: no
+    /// unpaused rank can still enqueue or pass a step, each rank computing
+    /// past `now` is filed at its `ready_at` (in order), and the waiting
+    /// set holds exactly the unfinished ranks with an enqueued step.
+    fn wake_sets_are_exact(&self, now: Cycle, nodes: &Nodes) -> bool {
+        let mut filed = self.computing.iter().zip(self.computing.iter().skip(1));
+        filed.all(|(a, b)| a.0 <= b.0)
+            && (0..self.cursor.len()).all(|r| {
+                let (step, enqueued) = (self.cursor[r], self.enqueued[r]);
+                let unfinished = step < self.steps_total;
+                let can_move = unfinished
+                    && if enqueued {
+                        self.sends_outstanding[r] == 0
+                            && self.recvs[r][step] >= self.scripts[r][step].expected_packets
+                    } else {
+                        now >= self.ready_at[r]
+                    };
+                let computing = unfinished && !enqueued && self.ready_at[r] > now;
+                (!can_move || nodes.is_paused(self.node_of_rank[r] as usize))
+                    && (self.waiting[r / 64] >> (r % 64) & 1 == 1) == (unfinished && enqueued)
+                    && (!computing || self.computing.contains(&(self.ready_at[r], r as u32)))
+            })
     }
 
     /// Whether every rank has finished its script.
@@ -401,6 +500,16 @@ impl Job {
             )));
         }
         self.pending = pending;
+        // the wake-up sets: a fresh job's are empty with every rank woken;
+        // file the waiting ranks and the computing ranks by `ready_at`
+        for r in (0..ranks).filter(|&r| self.cursor[r] < self.steps_total) {
+            if self.enqueued[r] {
+                self.waiting[r / 64] |= 1 << (r % 64);
+            } else {
+                self.computing.push_back((self.ready_at[r], r as u32));
+            }
+        }
+        self.computing.make_contiguous().sort_unstable();
         Ok(())
     }
 }
@@ -411,8 +520,8 @@ impl Job {
 /// a job set. Jobs are visited in specification order; a job whose
 /// `start_cycle` has not been reached is skipped, so its ranks stay idle
 /// and accrue no stalls. Packet ids are globally unique, so delivery
-/// attribution simply offers each packet to every job's pending table (at
-/// most one claims it; stochastic background packets match none).
+/// attribution offers each packet to the jobs' pending tables until one
+/// claims it (stochastic background packets match none).
 #[derive(Debug, Clone)]
 pub struct JobsEngine {
     jobs: Vec<Job>,
@@ -432,7 +541,16 @@ impl JobsEngine {
     /// stochastic background packets). Runs in step 1 of the cycle.
     pub(crate) fn on_delivery(&mut self, packet: &Packet) {
         for job in &mut self.jobs {
-            job.on_delivery(packet);
+            if job.on_delivery(packet) {
+                return;
+            }
+        }
+    }
+
+    /// Visit every rank of every job at the next advance (a pause changed).
+    pub(crate) fn wake_all(&mut self) {
+        for job in &mut self.jobs {
+            job.wake_all();
         }
     }
 
