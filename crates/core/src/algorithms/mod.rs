@@ -96,7 +96,7 @@ impl RoutingAlgorithm {
         rng: &mut DeterministicRng,
     ) -> Decision {
         let plan = self.plan(router, input_port, packet);
-        self.decide_planned(&plan, router, input_port, packet, rng)
+        self.decide_planned(&plan, router, input_port, || packet, rng)
     }
 
     /// The static half of [`decide`](Self::decide): the packet's resolved
@@ -163,19 +163,26 @@ impl RoutingAlgorithm {
 
     /// The dynamic half of [`decide`](Self::decide), for a head whose
     /// [`plan`](Self::plan) is `plan`: every read of the router's counters,
-    /// credits and link health, and every RNG draw. On a healthy router the
-    /// planned output *is* the decision for an ejection, a continuation, a
-    /// head with no misroute family in scope and an adaptive head whose
-    /// rows are all quiet (one counter read per row). That is a short cut
-    /// only: the long way decides the same and draws nothing, which debug
-    /// builds assert on a cloned RNG for every head settled this way.
+    /// credits and link health, and every RNG draw.
+    ///
+    /// The head packet is behind an accessor, called only where a decision
+    /// reads it: the long way of a fired row, fault routing, a saturated
+    /// plan `size`, and a PB source head with room behind either first hop
+    /// ([`piggyback::decide`]). On a healthy router the planned output *is*
+    /// the decision for an ejection, a continuation, a head with no
+    /// misroute family in scope and an adaptive head whose rows are all
+    /// quiet (one counter read per row), and a PB source head blocked at
+    /// both first hops is decided from its draws, the plan and the
+    /// router's credits. Those are short cuts only: debug builds re-decide
+    /// every head decided without its packet the long way, with the
+    /// packet, on a cloned RNG — same decision, same draws.
     #[inline]
-    pub fn decide_planned(
+    pub fn decide_planned<'p>(
         &self,
         plan: &HeadPlan,
         router: &Router,
         input_port: Port,
-        packet: &Packet,
+        packet: impl Fn() -> &'p Packet,
         rng: &mut DeterministicRng,
     ) -> Decision {
         let healthy = !router.any_link_down() && router.link_view().all_up();
@@ -195,24 +202,35 @@ impl RoutingAlgorithm {
             kind,
             commitment: Commitment::None,
         };
-        let long_way = |rng: &mut DeterministicRng| match plan.objective {
+        let long_way = |packet: &Packet, rng: &mut DeterministicRng| match plan.objective {
             PlannedObjective::Continuation => {
                 self.continue_under_faults(router, input_port, packet, planned, rng)
             }
             _ => self.route_to_destination(plan, router, packet, rng),
         };
-        if !settled {
-            return long_way(rng);
-        }
+        let before = cfg!(debug_assertions).then(|| rng.clone());
+        let read = std::cell::Cell::new(false);
+        let head = || {
+            read.set(true);
+            packet()
+        };
+        let decision = match plan.objective {
+            _ if settled => planned,
+            PlannedObjective::Destination if self.kind == RoutingKind::PiggyBacking => {
+                piggyback::decide(&self.config, plan, router, head, rng)
+            }
+            _ => long_way(head(), rng),
+        };
         debug_assert!(
-            plan.objective == PlannedObjective::Eject || {
-                let mut probe = rng.clone();
-                long_way(&mut probe) == planned && probe.state() == rng.state()
+            read.get() || plan.objective == PlannedObjective::Eject || {
+                let mut probe = before.expect("cloned in debug builds");
+                long_way(packet(), &mut probe) == decision && probe.state() == rng.state()
             },
-            "{:?}: {plan:?} short-cuts {packet:?} to another decision or draw",
-            self.kind
+            "{:?}: {plan:?} decides {:?} without its packet: another decision or draw",
+            self.kind,
+            packet()
         );
-        planned
+        decision
     }
 
     /// Fault routing for a committed `continuation` on a router with a down
@@ -358,7 +376,9 @@ impl RoutingAlgorithm {
         match self.kind {
             RoutingKind::Minimal => Decision::minimal(plan.output(), plan.vc),
             RoutingKind::Valiant => oblivious::valiant_decision(plan, router, packet, rng),
-            RoutingKind::PiggyBacking => piggyback::decide(&self.config, plan, router, packet, rng),
+            RoutingKind::PiggyBacking => {
+                piggyback::decide_from_packet(&self.config, plan, router, packet, rng)
+            }
             RoutingKind::Olm | RoutingKind::Base | RoutingKind::Hybrid | RoutingKind::Ectn => {
                 adaptive::decide(self.kind, &self.config, plan, router, packet, rng)
             }
@@ -388,8 +408,8 @@ mod tests {
     ];
 
     /// A router at `id` with seeded random counters, ECtN / PB views and
-    /// output occupancy, and — with `faulty` — a few down links and a
-    /// non-pristine link view.
+    /// output room — per port none, all of it or a random occupancy — and,
+    /// with `faulty`, a few down links and a non-pristine link view.
     fn random_router(
         id: RouterId,
         topo: AnyTopology,
@@ -430,12 +450,24 @@ mod tests {
                     r.contention_mut().increment(port);
                 }
             }
-            for vc in 0..r.output(port).num_downstream_vcs() as u8 {
-                for i in 0..rng.index(5) as u64 {
-                    if r.output(port).can_accept(VcId(vc), 8) {
-                        r.output_mut(port).accept(filler.clone(), VcId(vc), 0);
-                        if rng.bernoulli(0.7) {
-                            let _ = r.output_mut(port).try_transmit(1_000 * (i + 1));
+            // the port's room: none (a full output buffer), all of it, or
+            // a random occupancy of its buffer and downstream credits
+            match rng.index(3) {
+                0 => {
+                    while r.output(port).can_accept(VcId(0), 8) {
+                        r.output_mut(port).accept(filler.clone(), VcId(0), 0);
+                    }
+                }
+                1 => {}
+                _ => {
+                    for vc in 0..r.output(port).num_downstream_vcs() as u8 {
+                        for i in 0..rng.index(5) as u64 {
+                            if r.output(port).can_accept(VcId(vc), 8) {
+                                r.output_mut(port).accept(filler.clone(), VcId(vc), 0);
+                                if rng.bernoulli(0.7) {
+                                    let _ = r.output_mut(port).try_transmit(1_000 * (i + 1));
+                                }
+                            }
                         }
                     }
                 }
@@ -485,6 +517,35 @@ mod tests {
             Commitment::AbandonLocalDetour => routing.abandon_local_detour(),
         }
         routing.note_hop(topo, d.output_port, to);
+    }
+
+    /// Reads of the head packet a decision made without it still costs in
+    /// this build: the debug gate's replay of the long way.
+    pub(super) const GATE_READS: u32 = cfg!(debug_assertions) as u32;
+
+    /// A head packet that counts how often a decision reads it.
+    pub(super) struct Counted<'a> {
+        packet: &'a Packet,
+        reads: std::cell::Cell<u32>,
+    }
+
+    impl<'a> Counted<'a> {
+        pub(super) fn new(packet: &'a Packet) -> Self {
+            Counted {
+                packet,
+                reads: std::cell::Cell::new(0),
+            }
+        }
+
+        /// The accessor `decide_planned` takes.
+        pub(super) fn read(&self) -> &'a Packet {
+            self.reads.set(self.reads.get() + 1);
+            self.packet
+        }
+
+        pub(super) fn reads(&self) -> u32 {
+            self.reads.get()
+        }
     }
 
     /// The decision the long way: the objective, then fault routing or the
@@ -541,6 +602,8 @@ mod tests {
                 // (objective, input class, scope bits) seen, for coverage
                 let mut seen = BTreeSet::new();
                 let (mut faulty_states, mut short_cuts) = (0, 0);
+                // healthy PB source heads by first hops with room: 0, 1, 2
+                let mut pb_rooms = [0u32; 3];
                 for walk in 0..400 {
                     let faulty = walk % 3 == 2;
                     let src = NodeId(rng.index(topo.num_nodes() as usize) as u32);
@@ -555,11 +618,12 @@ mod tests {
                         let what =
                             format!("{kind:?} walk {walk} at {at} {input_port:?}: {packet:?}");
                         let (mut planned_rng, mut scratch_rng) = (rng.clone(), rng.clone());
+                        let counted = Counted::new(&packet);
                         let d = algorithm.decide_planned(
                             &plan,
                             &router,
                             input_port,
-                            &packet,
+                            || counted.read(),
                             &mut planned_rng,
                         );
                         let scratch =
@@ -579,14 +643,50 @@ mod tests {
                         assert_eq!(planned_rng.state(), long_rng.state(), "{what}");
                         // the heads `decide_planned` settled without the long way
                         let in_scope = plan.has(HeadPlan::GLOBAL_SCOPE | HeadPlan::LOCAL_SCOPE);
-                        short_cuts += (!faulty
+                        let settled = !faulty
                             && match plan.objective {
                                 PlannedObjective::Eject => false,
                                 PlannedObjective::Continuation => true,
                                 PlannedObjective::Destination => {
                                     !in_scope || adaptive::rows_quiet(kind, &config, &plan, &router)
                                 }
-                            }) as u32;
+                            };
+                        short_cuts += settled as u32;
+                        // a healthy PB source head: room behind its minimal
+                        // and its Valiant first hop (none without a third group)
+                        let pb_room = (kind == RoutingKind::PiggyBacking
+                            && !faulty
+                            && plan.objective == PlannedObjective::Destination
+                            && plan.has(HeadPlan::AT_SOURCE)
+                            && plan.has(HeadPlan::GLOBAL_SCOPE))
+                        .then(|| {
+                            let dst_group = topo.node_group(packet.dst);
+                            let inter = common::pick_intermediate_router(
+                                &router,
+                                router.group(),
+                                dst_group,
+                                &mut rng.clone(),
+                            );
+                            inter.map_or(0, |inter| {
+                                let val = minimal_output_to_router(&topo, at, inter);
+                                let room = |port| router.output_can_accept(port, VcId(0), 8);
+                                room(plan.output()) as usize + room(val) as usize
+                            })
+                        });
+                        if let Some(open) = pb_room {
+                            pb_rooms[open] += 1;
+                        }
+                        // the packet is read where a decision needs it, and
+                        // a decision without it is replayed by the debug gate;
+                        // under faults PB reads it for a dead link only
+                        let reads: &[u32] = match plan.objective {
+                            PlannedObjective::Eject => &[0],
+                            _ if settled || pb_room == Some(0) => &[GATE_READS],
+                            _ if kind == RoutingKind::PiggyBacking && faulty => &[GATE_READS, 1],
+                            _ => &[1],
+                        };
+                        let read = counted.reads();
+                        assert!(reads.contains(&read), "{what}: read {read} times");
                         rng = planned_rng;
                         let objective = format!("{:?}", plan.objective);
                         seen.insert((objective, input_port.class(&layout) as u8, plan.scope));
@@ -605,6 +705,12 @@ mod tests {
                 }
                 assert!(faulty_states > 100, "{kind:?}: faulty routers were visited");
                 assert!(short_cuts > 100, "{kind:?}: {short_cuts} short cuts taken");
+                if kind == RoutingKind::PiggyBacking {
+                    assert!(
+                        pb_rooms.iter().all(|&n| n > 30),
+                        "PB source heads blocked, one open, both open: {pb_rooms:?}"
+                    );
+                }
                 let objectives: BTreeSet<&str> = seen.iter().map(|s| s.0.as_str()).collect();
                 let adaptive = !matches!(kind, RoutingKind::Minimal);
                 assert!(objectives.contains("Eject") && objectives.contains("Destination"));
@@ -630,6 +736,60 @@ mod tests {
                 assert_eq!(scopes, expected, "{kind:?}: every scope bit was exercised");
             }
         }
+    }
+
+    /// The head packet is read only where a decision needs it: never for
+    /// an ejection, a healthy continuation, a head whose rows are quiet or
+    /// a PB source head with no room behind either first hop — in debug
+    /// builds once, by the gate's replay — and once for a fired row or a
+    /// PB source head with room.
+    #[test]
+    fn a_decision_reads_its_head_packet_only_on_the_long_way() {
+        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let fresh = Router::new(RouterId(0), topo, NetworkConfig::fast_test());
+        let base = RoutingAlgorithm::new(RoutingKind::Base, RoutingConfig::default());
+        let pb = RoutingAlgorithm::new(RoutingKind::PiggyBacking, RoutingConfig::default());
+        let reads = |algorithm: &RoutingAlgorithm, router: &Router, port, packet: &Packet| {
+            let plan = algorithm.plan(router, port, packet);
+            let counted = Counted::new(packet);
+            let mut rng = DeterministicRng::new(5);
+            let d = algorithm.decide_planned(&plan, router, port, || counted.read(), &mut rng);
+            let mut reference = DeterministicRng::new(5);
+            assert_eq!(d, algorithm.decide(router, port, packet, &mut reference));
+            assert_eq!(rng.state(), reference.state());
+            (d, counted.reads())
+        };
+        let remote = Packet::new(PacketId(0), NodeId(0), NodeId(40), 8, 0);
+        let local = Packet::new(PacketId(1), NodeId(2), NodeId(1), 8, 0);
+        let mut committed = remote.clone();
+        committed.routing.commit_intermediate(RouterId(3), true);
+        // an ejection, a continuation and a head whose row is quiet
+        let (d, n) = reads(&base, &fresh, Port(2), &local);
+        assert_eq!((d.kind, n), (DecisionKind::Ejection, 0));
+        let (d, n) = reads(&base, &fresh, Port(0), &committed);
+        assert_eq!((d.kind, n), (DecisionKind::Continuation, GATE_READS));
+        let (d, n) = reads(&base, &fresh, Port(0), &remote);
+        assert_eq!((d.kind, n), (DecisionKind::Minimal, GATE_READS));
+        // a PB source head with room behind its first hops reads it once
+        let (d, n) = reads(&pb, &fresh, Port(0), &remote);
+        assert_eq!((d.kind, n), (DecisionKind::Minimal, 1));
+        // a fired row reads it once
+        let mut fired = fresh.clone();
+        let min_out = minimal_output(&topo, RouterId(0), remote.dst);
+        for _ in 0..=RoutingConfig::default().contention_threshold {
+            fired.contention_mut().increment(min_out);
+        }
+        let (d, n) = reads(&base, &fired, Port(0), &remote);
+        assert_eq!((d.kind, n), (DecisionKind::NonminimalGlobal, 1));
+        // a PB source head blocked at both first hops: never
+        let mut blocked = fresh.clone();
+        for port in Port::all(&topo.layout()) {
+            while blocked.output(port).can_accept(VcId(0), 8) {
+                blocked.output_mut(port).accept(local.clone(), VcId(0), 0);
+            }
+        }
+        let (d, n) = reads(&pb, &blocked, Port(0), &remote);
+        assert_eq!((d, n), (Decision::minimal(min_out, VcId(0)), GATE_READS));
     }
 
     /// The candidate table is derived state: a router that built it on its
@@ -755,7 +915,7 @@ mod tests {
             u32::from(plan.min_link),
             topo.group_link_to(src_group, dst_group)
         );
-        assert_eq!(plan.size_phits(&p), 8);
+        assert_eq!(plan.size_phits(|| &p), 8);
         // MIN has no scope at all; a local head for this router ejects
         let min = RoutingAlgorithm::new(RoutingKind::Minimal, RoutingConfig::default());
         assert_eq!(min.plan(&r0, Port(0), &p).scope, HeadPlan::AT_SOURCE);

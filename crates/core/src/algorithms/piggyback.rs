@@ -23,14 +23,15 @@ use crate::config::RoutingConfig;
 use crate::decision::Decision;
 use crate::minimal::{minimal_hops_to_router, minimal_output_to_router};
 use crate::trigger::{pb_link_saturated, ugal_prefers_valiant};
-use crate::vcmap::{global_misroute_fits, vc_for_next_hop};
+use crate::vcmap::{global_misroute_fits, vc_for_next_hop, FIRST_HOP_VC};
 
 /// PB's misroute scope as [`HeadPlan`] scope bits plus the source group's
 /// minimal global link: the Valiant path is open at the source, to
-/// inter-group traffic only.
+/// inter-group traffic only. At the source the packet's group is the
+/// router's own.
 pub(super) fn scope(router: &Router, packet: &Packet, at_source: bool) -> (u8, u32) {
     let topo = router.topology();
-    let (src_group, dst_group) = (topo.node_group(packet.src), topo.node_group(packet.dst));
+    let (src_group, dst_group) = (router.group(), topo.node_group(packet.dst));
     if at_source && src_group != dst_group {
         let min_link = topo.group_link_to(src_group, dst_group);
         (HeadPlan::GLOBAL_SCOPE, min_link)
@@ -39,13 +40,48 @@ pub(super) fn scope(router: &Router, packet: &Packet, at_source: bool) -> (u8, u
     }
 }
 
-/// The PB routing decision for a head whose minimal output and scope
-/// are in `plan`.
-pub fn decide(
+/// The PB routing decision for a head whose minimal output and scope are
+/// in `plan`, its packet behind an accessor.
+///
+/// A source head reads its packet only when either first hop has room
+/// for it (or its plan's size saturated): the draws, the blocked test and
+/// the fault checks need just the plan, the router's position and its
+/// credits — the destination group is where the plan's minimal link
+/// leads, and a head that has taken no hop uses
+/// [`FIRST_HOP_VC`] on every port class.
+/// Past the source the packet is read only under faults.
+pub fn decide<'p>(
+    config: &RoutingConfig,
+    plan: &HeadPlan,
+    router: &Router,
+    packet: impl Fn() -> &'p Packet,
+    rng: &mut DeterministicRng,
+) -> Decision {
+    rule(config, plan, router, packet, false, rng)
+}
+
+/// [`decide`] the long way: the destination group, the size and the
+/// Valiant first hop's VC read from the packet instead of derived from the
+/// plan — the reference debug builds replay a packet-free decision against.
+pub(super) fn decide_from_packet(
     config: &RoutingConfig,
     plan: &HeadPlan,
     router: &Router,
     packet: &Packet,
+    rng: &mut DeterministicRng,
+) -> Decision {
+    rule(config, plan, router, || packet, true, rng)
+}
+
+/// The PB rules, the blocked test's facts taken from the packet
+/// (`from_packet`) or from the plan.
+#[inline]
+fn rule<'p>(
+    config: &RoutingConfig,
+    plan: &HeadPlan,
+    router: &Router,
+    packet: impl Fn() -> &'p Packet,
+    from_packet: bool,
     rng: &mut DeterministicRng,
 ) -> Decision {
     let topo = router.topology();
@@ -54,17 +90,23 @@ pub fn decide(
         // source routing: the decision was made at injection; follow minimal
         // (a committed Valiant path is handled by the packet objective).
         if router.any_link_down() && !router.link_is_up(minimal.output_port) {
-            return recommit_in_transit(router, packet, minimal, rng);
+            return recommit_in_transit(router, packet(), minimal, rng);
         }
         return minimal;
     }
     if !plan.has(HeadPlan::GLOBAL_SCOPE) {
         // PB never misroutes intra-group traffic, so a dead minimal local
         // link leaves no legal alternative at all
-        return minimal_or_discard(router, packet, minimal, false);
+        return minimal_or_discard(router, &packet, minimal, false);
     }
-    let src_group = topo.node_group(packet.src);
-    let dst_group = topo.node_group(packet.dst);
+    let min_link = u32::from(plan.min_link);
+    let src_group = router.group();
+    let dst_group = if from_packet {
+        topo.node_group(packet().dst)
+    } else {
+        (topo.global_link_target_group(src_group, min_link))
+            .expect("a planned minimal link leads to the destination group")
+    };
     // candidate Valiant path; under faults the pick is filtered to
     // intermediates that are reachable and (per the piggybacked link-state
     // view) can still reach the destination group — on a healthy network
@@ -79,7 +121,7 @@ pub fn decide(
     };
     let intermediate = match picked {
         Some(r) if r != router.id() => r,
-        _ => return minimal_or_discard(router, packet, minimal, true),
+        _ => return minimal_or_discard(router, &packet, minimal, true),
     };
     let min_first_hop = minimal.output_port;
     let val_first_hop = minimal_output_to_router(topo, router.id(), intermediate);
@@ -87,18 +129,26 @@ pub fn decide(
     // Neither first hop has room for the packet: whichever way the signals
     // below point, the allocator cannot grant the request this iteration,
     // and the head decides again — with fresh draws — on the next. The
-    // draws above are spent either way; only the arithmetic is skipped.
-    let val_vc = vc_for_next_hop(packet, val_first_hop.class(&topo.layout()), router.config());
-    if !faulty
-        && !router.output_can_accept(min_first_hop, minimal.output_vc, packet.size_phits)
-        && !router.output_can_accept(val_first_hop, val_vc, packet.size_phits)
-    {
-        return minimal;
+    // draws above are spent either way; only the signals are skipped, and
+    // with them every read of the packet.
+    if !faulty {
+        let (val_vc, size) = if from_packet {
+            let class = val_first_hop.class(&topo.layout());
+            let p = packet();
+            (vc_for_next_hop(p, class, router.config()), p.size_phits)
+        } else {
+            (FIRST_HOP_VC, plan.size_phits(&packet))
+        };
+        if !router.output_can_accept(min_first_hop, minimal.output_vc, size)
+            && !router.output_can_accept(val_first_hop, val_vc, size)
+        {
+            return minimal;
+        }
     }
+    let packet = packet();
 
     // signal 1: saturation of the minimal global link, from the group-shared
     // PB state
-    let min_link = u32::from(plan.min_link);
     let min_link_saturated = router.pb().group_saturated(min_link);
 
     // signal 2: UGAL comparison at the source router's own outputs
@@ -122,7 +172,7 @@ pub fn decide(
     if (min_link_saturated || ugal_valiant || min_dead) && router.link_is_up(val_first_hop) {
         common::valiant_first_hop(router, packet, intermediate, true)
     } else {
-        minimal_or_discard(router, packet, minimal, true)
+        minimal_or_discard(router, &|| packet, minimal, true)
     }
 }
 
@@ -133,17 +183,18 @@ pub fn decide(
 /// ([`common::any_live_global_escape`]). While an escape exists the dead
 /// minimal decision is returned unchanged — the allocator refuses dead
 /// ports, so the packet waits and the decision (with fresh intermediate
-/// draws) is re-evaluated next cycle.
-fn minimal_or_discard(
+/// draws) is re-evaluated next cycle. The packet is read only for a dead
+/// minimal output.
+fn minimal_or_discard<'p>(
     router: &Router,
-    packet: &Packet,
+    packet: &impl Fn() -> &'p Packet,
     minimal: Decision,
     valiant_legal: bool,
 ) -> Decision {
     if router.any_link_down()
         && !router.link_is_up(minimal.output_port)
         && (!valiant_legal
-            || !common::any_live_global_escape(router, router.topology().node_group(packet.dst)))
+            || !common::any_live_global_escape(router, router.topology().node_group(packet().dst)))
     {
         return Decision::discard();
     }
@@ -225,6 +276,7 @@ pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::tests::{Counted, GATE_READS};
     use crate::decision::{Commitment, DecisionKind};
     use crate::minimal::minimal_output;
     use df_model::{NetworkConfig, PacketId, VcId};
@@ -301,18 +353,26 @@ mod tests {
             }
         }
         let mut reference = rng.clone();
-        let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
-        assert_eq!(
-            d,
-            Decision::minimal(minimal_output(&topo, r.id(), p.dst), VcId(0))
-        );
         let (src, dst) = (topo.node_group(p.src), topo.node_group(p.dst));
         assert!(common::pick_intermediate_router(&r, src, dst, &mut reference).is_some());
+        let minimal = Decision::minimal(minimal_output(&topo, r.id(), p.dst), VcId(0));
+        let mut whole = rng.clone();
         assert_eq!(
-            rng.next_u64(),
-            reference.next_u64(),
-            "exactly the two draws"
+            decide(&RoutingConfig::default(), &r, Port(0), &p, &mut whole),
+            minimal
         );
+        assert_eq!(whole.state(), reference.state(), "exactly the two draws");
+        // the decide loop's entry point: the same, from the plan alone
+        let algorithm = crate::RoutingAlgorithm::new(
+            crate::RoutingKind::PiggyBacking,
+            RoutingConfig::default(),
+        );
+        let plan = algorithm.plan(&r, Port(0), &p);
+        let counted = Counted::new(&p);
+        let d = algorithm.decide_planned(&plan, &r, Port(0), || counted.read(), &mut rng);
+        assert_eq!(d, minimal);
+        assert_eq!(rng.state(), reference.state(), "exactly the two draws");
+        assert_eq!(counted.reads(), GATE_READS, "no read but the debug gate's");
     }
 
     #[test]

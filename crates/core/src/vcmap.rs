@@ -37,6 +37,10 @@ pub const MAX_LOCAL_VC: u8 = 3;
 /// Maximum global VC index (the scheme needs 2 global VCs).
 pub const MAX_GLOBAL_VC: u8 = 1;
 
+/// The VC of a packet's first hop, through a port of any class: a packet
+/// that has taken no hop is on the first rung of both ladders.
+pub const FIRST_HOP_VC: VcId = VcId(0);
+
 /// The local VC a packet would use for its next local hop, given its phase.
 fn next_local_vc(packet: &Packet) -> u8 {
     let g = packet.routing.global_hops;
@@ -165,6 +169,14 @@ mod tests {
             vc_for_next_hop(&packet(3, 2, 1), PortClass::Terminal, &c),
             VcId(0)
         );
+    }
+
+    #[test]
+    fn every_first_hop_is_on_the_first_hop_vc() {
+        let c = NetworkConfig::default();
+        for class in [PortClass::Terminal, PortClass::Local, PortClass::Global] {
+            assert_eq!(vc_for_next_hop(&packet(0, 0, 0), class, &c), FIRST_HOP_VC);
+        }
     }
 
     #[test]

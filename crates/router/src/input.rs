@@ -78,12 +78,12 @@ impl HeadPlan {
         Port(u32::from(self.port))
     }
 
-    /// Size of `packet`, the head this plan was made for: from the plan
-    /// unless the stored value saturated.
+    /// Size of the head this plan was made for: from the plan unless the
+    /// stored value saturated — only then is `packet` called to read it.
     #[inline]
-    pub fn size_phits(&self, packet: &Packet) -> u32 {
+    pub fn size_phits<'p>(&self, packet: impl FnOnce() -> &'p Packet) -> u32 {
         match self.size {
-            u16::MAX => packet.size_phits,
+            u16::MAX => packet().size_phits,
             size => u32::from(size),
         }
     }
@@ -473,7 +473,10 @@ mod tests {
         vc.set_plan(plan);
         vc.push(&mut store, packet(2, 8), 32);
         assert_eq!(vc.plan(), Some(plan), "still the same head");
-        assert_eq!(plan.size_phits(vc.head(&store).unwrap()), 8);
+        assert_eq!(
+            plan.size_phits(|| unreachable!("the plan holds the size")),
+            8
+        );
         pop(&mut vc, &mut store);
         assert_eq!(vc.plan(), None, "a new head has no plan");
         vc.set_plan(plan);
@@ -484,7 +487,8 @@ mod tests {
             size: u16::MAX,
             ..plan
         };
-        assert_eq!(big.size_phits(&packet(3, 70_000)), 70_000);
+        let jumbo = packet(3, 70_000);
+        assert_eq!(big.size_phits(|| &jumbo), 70_000);
     }
 
     #[test]

@@ -179,25 +179,29 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Every pending event with its completion cycle, in exact drain order
-    /// (`(time, insertion sequence)`, overflow before bucket within a cycle —
-    /// the order [`EventQueue::pop_due_into`] would produce). Used by the
+    /// Every pending event with its completion cycle, borrowed, in exact
+    /// drain order — the order [`EventQueue::pop_due_into`] would produce:
+    /// cycle by cycle through the wheel, each cycle's overflow entries
+    /// before its bucket entries (both already in insertion order, see the
+    /// module docs), then the overflow beyond the horizon. Used by the
     /// snapshot subsystem.
-    pub fn pending_in_order(&self) -> Vec<(Cycle, Event)> {
-        let mut entries: Vec<(Cycle, u64, Event)> = Vec::with_capacity(self.len);
-        for (&t, bucket) in &self.overflow {
-            for (seq, event) in bucket {
-                entries.push((t, *seq, event.clone()));
-            }
-        }
-        let horizon = self.buckets.len() as Cycle;
-        for t in self.now..self.now + horizon {
-            for (seq, event) in &self.buckets[(t as usize) & self.mask] {
-                entries.push((t, *seq, event.clone()));
-            }
-        }
-        entries.sort_by_key(|&(t, seq, _)| (t, seq));
-        entries.into_iter().map(|(t, _, e)| (t, e)).collect()
+    pub fn pending_in_order(&self) -> impl Iterator<Item = (Cycle, &Event)> + '_ {
+        let wheel_end = self.now + self.buckets.len() as Cycle;
+        let wheel = (self.now..wheel_end).flat_map(move |t| {
+            let overflow = self.overflow.get(&t).into_iter().flatten();
+            let bucket = &self.buckets[(t as usize) & self.mask];
+            overflow
+                .chain(bucket)
+                .map(move |(seq, event)| (t, *seq, event))
+        });
+        let beyond = (self.overflow.range(wheel_end..))
+            .flat_map(|(&t, entries)| entries.iter().map(move |(seq, event)| (t, *seq, event)));
+        let mut last = None;
+        wheel.chain(beyond).map(move |(t, seq, event)| {
+            debug_assert!(last < Some((t, seq)), "pending events out of drain order");
+            last = Some((t, seq));
+            (t, event)
+        })
     }
 
     /// Rebuild a queue positioned at drain cycle `now` holding `events`
@@ -394,6 +398,14 @@ mod tests {
                 heap.schedule(at, id);
                 id += 1;
             }
+            // the snapshot's listing is the heap's whole order
+            let listed: Vec<(Cycle, u32)> = (wheel.pending_in_order())
+                .map(|(t, e)| (t, routers_of(std::slice::from_ref(e))[0]))
+                .collect();
+            let mut ordered: Vec<_> = heap.heap.iter().map(|r| r.0).collect();
+            ordered.sort_unstable();
+            let ordered: Vec<(Cycle, u32)> = ordered.iter().map(|&(t, _, id)| (t, id)).collect();
+            assert_eq!(listed, ordered, "pending order at cycle {now}");
             let a = wheel.pop_due(now);
             assert_eq!(
                 routers_of(&a),

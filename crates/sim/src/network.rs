@@ -1051,6 +1051,50 @@ mod tests {
         }
     }
 
+    /// PB past saturation — UN @ 0.9 on the 72-node network — where most
+    /// source heads wait with no room behind their minimal first hop, and
+    /// each cycle decides many of them without reading their packet (no
+    /// room behind the Valiant first hop either). In debug builds
+    /// `decide_planned` replays every such decision the long way, with the
+    /// packet, on a cloned RNG.
+    #[test]
+    fn saturated_pb_decides_its_blocked_source_heads_from_the_plan() {
+        use df_router::HeadPlan;
+        let mut net = Network::new(small_config(
+            RoutingKind::PiggyBacking,
+            PatternKind::Uniform,
+            0.9,
+        ));
+        let layout = net.topology().layout();
+        let terminals: Vec<Port> = Port::all(&layout)
+            .filter(|port| port.class(&layout) == df_topology::PortClass::Terminal)
+            .collect();
+        let mut waiting = 0;
+        for _ in 0..600 {
+            net.step();
+            for router in &net.routers {
+                for &port in &terminals {
+                    for vc in 0..router.input(port).num_vcs() {
+                        let Some(plan) = router.input(port).vc(vc).plan() else {
+                            continue;
+                        };
+                        let size = u32::from(plan.size);
+                        waiting += (plan.has(HeadPlan::AT_SOURCE)
+                            && plan.has(HeadPlan::GLOBAL_SCOPE)
+                            && !router.output_can_accept(plan.output(), plan.vc, size))
+                            as u32;
+                    }
+                }
+            }
+        }
+        let accepted = net.metrics().accepted_load(net.topology().num_nodes(), 400);
+        assert!(accepted < 0.8, "past saturation: {accepted} accepted");
+        assert!(
+            waiting > 2_000,
+            "{waiting} source heads waited at the source"
+        );
+    }
+
     #[test]
     fn network_drains_and_counters_return_to_zero() {
         let mut net = Network::new(small_config(RoutingKind::Base, PatternKind::Uniform, 0.2));

@@ -14,6 +14,17 @@
 //! wheel's tie-breaking, hence the trajectory every pinned digest was
 //! captured under.
 //!
+//! # What the decide loop reads
+//!
+//! A head is decided from its [`HeadPlan`](df_router::HeadPlan) (parked on
+//! its input VC), the router's own counters, credits and link health, and
+//! the router's RNG. The head packet, in the router's slab, is read only
+//! where a decision needs it: to plan a new or restored head, on the long
+//! way (a fired row, a PB source head with room behind either first hop,
+//! fault routing) and for a plan whose `size` saturated. At saturation
+//! most heads are settled or blocked, so most of the step never touches
+//! a packet.
+//!
 //! The per-router functions are `#[inline]`: each has one caller, a walk in
 //! `Network::step`, and a call per router measured about 3% of a saturated
 //! medium step.
@@ -136,8 +147,10 @@ pub(crate) fn route_and_allocate_one(
     // the router's RNG whether or not the packet can move), but only a head
     // whose requested output can take it right now files a request; the
     // port's wrap point carries what its blocked heads would have told the
-    // allocator. Discards (unroutable packets) are applied after the loop,
-    // so every head decides against the same pre-discard router state.
+    // allocator. The head packet is behind an accessor (module doc:
+    // what the decide loop reads). Discards (unroutable packets) are
+    // applied after the loop, so every head decides against the same
+    // pre-discard router state.
     scratch.requests.clear();
     scratch.decisions.clear();
     scratch.wraps.clear();
@@ -148,20 +161,20 @@ pub(crate) fn route_and_allocate_one(
         let (filed, mut wrap) = (scratch.requests.len(), 0);
         for v in set_bits(router.occupied_vcs(port)) {
             let vc = VcId(v as u8);
-            let head = router.head(port, vc).expect("an occupied VC has a head");
             let plan = match router.input(port).vc(v).plan() {
                 Some(plan) => plan,
                 None => {
+                    let head = router.head(port, vc).expect("an occupied VC has a head");
                     let plan = ctx.algorithm.plan(router, port, head);
                     router.set_plan(port, vc, plan);
                     plan
                 }
             };
-            let head = router.head(port, vc).expect("checked above");
+            let head = || router.head(port, vc).expect("an occupied VC has a head");
             // the gate: with a fresh plan this is `decide`, by definition
             debug_assert_eq!(
                 plan,
-                ctx.algorithm.plan(router, port, head),
+                ctx.algorithm.plan(router, port, head()),
                 "router {router_id} {port:?} vc {v}: the head's plan is stale"
             );
             let decision = ctx.algorithm.decide_planned(&plan, router, port, head, rng);

@@ -190,10 +190,9 @@ impl Network {
         self.nodes.save_state(&mut e, self.cycle);
         self.metrics.save_state(&mut e);
         // pending link events in exact drain order
-        let pending = self.events.pending_in_order();
-        e.seq(pending.len());
-        for (at, event) in &pending {
-            encode_event(*at, event, &mut e);
+        e.seq(self.events.len());
+        for (at, event) in self.events.pending_in_order() {
+            encode_event(at, event, &mut e);
         }
         // fault machinery: drain flags, ledger, liveness truth and views
         e.seq(self.node_blocked.len());
