@@ -23,6 +23,8 @@
 //!   barriers) on top of the packet engine, alone (offered load 0) or
 //!   under background traffic, with per-job completion time and rank
 //!   stall accounting ([`task::JobsEngine`]),
+//! * [`probe`] — observers of the per-cycle pipeline: per-phase wall time
+//!   and exact work counts ([`probe::PhaseClock`]),
 //! * [`metrics`], [`events`], [`node`] — supporting machinery.
 //!
 //! ```
@@ -59,6 +61,7 @@ pub mod metrics;
 pub mod network;
 pub mod node;
 mod phase;
+pub mod probe;
 pub mod runner;
 pub mod scenario;
 pub mod sweep;

@@ -77,6 +77,7 @@ use df_topology::{
 };
 use df_traffic::TrafficPattern;
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use crate::config::SimulationConfig;
 use crate::events::{Event, EventQueue};
@@ -84,6 +85,7 @@ use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::{Node, Nodes};
 use crate::phase::{route_and_allocate_one, transmit_one, Effects, StepCtx, StepScratch};
+use crate::probe::{Phase, Probe, StepCounts};
 use crate::task::JobsEngine;
 
 #[path = "snapshot.rs"]
@@ -186,6 +188,8 @@ pub struct Network {
     scratch: StepScratch,
     /// Reusable buffer for due events (step 1).
     scratch_events: Vec<Event>,
+    /// The attached observer, if any (`crate::probe`): not simulation state.
+    probe: Option<Box<dyn Probe>>,
 }
 
 impl Network {
@@ -290,6 +294,24 @@ impl Network {
             dirty_groups: (0..num_groups).collect(),
             scratch: StepScratch::default(),
             scratch_events: Vec::new(),
+            probe: None,
+        }
+    }
+
+    /// Attach `probe` to observe every later step (`None` detaches it). A
+    /// probe only observes: a probed run takes the same trajectory and
+    /// snapshots to the same bytes as an unprobed one.
+    pub fn set_probe(&mut self, probe: Option<Box<dyn Probe>>) {
+        self.probe = probe;
+    }
+
+    /// Hand the phase that just ended to the probe, if one is attached, and
+    /// restart the phase clock.
+    fn lap(&mut self, clock: &mut Option<Instant>, phase: Phase) {
+        if let (Some(probe), Some(start)) = (self.probe.as_mut(), clock.as_mut()) {
+            let now = Instant::now();
+            probe.phase(phase, now - *start);
+            *start = now;
         }
     }
 
@@ -609,6 +631,8 @@ impl Network {
     /// Advance one cycle.
     pub fn step(&mut self) {
         let (now, topo) = (self.cycle, self.ctx.topo);
+        let mut clock = self.probe.is_some().then(Instant::now);
+        self.scratch.counts = StepCounts::default();
 
         // ---- 0. traffic-phase change ----
         let phase = self.config.schedule.phase_index_at(now);
@@ -634,6 +658,7 @@ impl Network {
         let faults_active = !self.link_state.all_up();
         let mut due = std::mem::take(&mut self.scratch_events);
         self.events.pop_due_into(now, &mut due);
+        self.scratch.counts.events = due.len() as u64;
         for event in due.drain(..) {
             match event {
                 Event::PacketArrival {
@@ -694,6 +719,7 @@ impl Network {
             }
         }
         self.scratch_events = due;
+        self.lap(&mut clock, Phase::Deliver);
 
         // ---- 2. generation + injection ----
         // jobs layer over stochastic generation: started jobs enqueue their
@@ -708,12 +734,13 @@ impl Network {
                 &mut self.next_packet_id,
             );
         }
-        self.nodes.generate(
+        self.scratch.counts.due_ticks = self.nodes.generate(
             now,
             &self.patterns[self.current_phase],
             &mut self.next_packet_id,
             &mut self.metrics,
         );
+        self.lap(&mut clock, Phase::Generate);
         // injection visits only the nodes with a packet waiting, in
         // ascending node order (the order the all-node walk it replaces
         // found them in)
@@ -764,6 +791,7 @@ impl Network {
             }
         }
         self.nodes.retire_drained();
+        self.lap(&mut clock, Phase::Inject);
 
         // ---- 3. control-plane dissemination ----
         // Each exchange also carries the piggybacked gateway-liveness bits:
@@ -794,6 +822,7 @@ impl Network {
         {
             self.metrics.record_stale_linkstate_cycle();
         }
+        self.lap(&mut clock, Phase::Control);
 
         // Events only arrive in steps 1–2, so the active and head sets are
         // complete here; sort them so steps 4–5 visit routers in ascending
@@ -812,6 +841,7 @@ impl Network {
             in_flight_phits: &mut self.in_flight_phits,
         };
         for _ in 0..self.config.network.allocator_speedup {
+            self.scratch.counts.router_iterations += self.head_list.len() as u64;
             for &r in &self.head_list {
                 let (router, rng) = (
                     &mut self.routers[r as usize],
@@ -826,17 +856,20 @@ impl Network {
                 holds
             });
         }
+        self.lap(&mut clock, Phase::Route);
 
         // ---- 5. link transmission ----
         for &r in &self.active_list {
             let router = &mut self.routers[r as usize];
-            transmit_one(
+            let sent = transmit_one(
                 router,
                 &self.ctx,
                 now,
                 &mut self.scratch.sent,
                 &mut self.events,
             );
+            self.scratch.counts.transmit_visits += 1;
+            self.scratch.counts.senders += u64::from(sent);
         }
 
         // ---- 6. retire idle routers from the active set ----
@@ -878,6 +911,11 @@ impl Network {
                 .all(|router| *router.link_view() == self.group_views[router.group().index()]),
             "a router's link view differs from its group's flooded view at cycle {now}"
         );
+        self.lap(&mut clock, Phase::Transmit);
+        if let Some(probe) = self.probe.as_mut() {
+            self.scratch.counts.holding = self.active_list.len() as u64;
+            probe.step(now, &self.scratch.counts);
+        }
 
         self.cycle += 1;
     }
@@ -953,6 +991,8 @@ impl Network {
     /// nothing, so neither walk's order matters.
     fn disseminate_pb(&mut self, now: Cycle) {
         let group_size = self.ctx.topo.routers_per_group() as usize;
+        self.scratch.counts.pb_exchanges = self.dirty_groups.len() as u64;
+        self.scratch.counts.pb_refreshes = (self.active_list.len() + self.retired.len()) as u64;
         for g in self.dirty_groups.drain(..) {
             self.dirty_flags[g as usize] = false;
             let start = g as usize * group_size;
@@ -1278,6 +1318,36 @@ mod tests {
             reference.snapshot(),
             "bit-identical resume"
         );
+    }
+
+    /// The probe is a pure observer: a probed run lands on the same bytes and
+    /// the same results as an unprobed one, and its counts add up.
+    #[test]
+    fn a_probe_observes_without_perturbing() {
+        use crate::probe::{Phase, PhaseClock};
+        let run = |clock: Option<PhaseClock>| {
+            let mut net = Network::new(small_config(
+                RoutingKind::PiggyBacking,
+                PatternKind::Uniform,
+                0.3,
+            ));
+            net.set_probe(clock.map(|clock| Box::new(clock) as Box<dyn Probe>));
+            net.metrics_mut().start_measurement(0);
+            net.run_cycles(300);
+            (
+                net.snapshot(),
+                format!("{:?}", net.metrics().window_summary()),
+            )
+        };
+        let clock = PhaseClock::default();
+        assert_eq!(run(Some(clock.clone())), run(None));
+        let totals = clock.totals();
+        assert_eq!(totals.steps, 300);
+        assert!(Phase::ALL.iter().all(|&p| totals.us_per_step(p) >= 0.0));
+        let c = totals.counts;
+        assert!(c.events > 0 && c.due_ticks > 0 && c.pb_refreshes > 0);
+        assert!(c.heads >= c.requests && c.requests >= c.grants && c.grants > 0);
+        assert!(c.transmit_visits >= c.senders && c.senders > 0);
     }
 
     #[test]

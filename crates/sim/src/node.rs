@@ -342,20 +342,21 @@ impl Nodes {
 
     /// This cycle's generation: tick the nodes filed at `now` (every unpaused
     /// node while all are due) in ascending order, filing each again past
-    /// its look-ahead. A silent population is not walked at all.
+    /// its look-ahead. A silent population is not walked at all. Returns
+    /// how many nodes ticked.
     pub fn generate(
         &mut self,
         now: Cycle,
         pattern: &TrafficPattern,
         next_packet_id: &mut u64,
         metrics: &mut Metrics,
-    ) {
+    ) -> u64 {
         if self.silent {
             debug_assert!(
                 self.all_silent(),
                 "the generation walk was skipped but an injector can still draw"
             );
-            return;
+            return 0;
         }
         let calendar = self.links.len() > self.nodes.len();
         let mut due = std::mem::take(&mut self.due);
@@ -371,6 +372,7 @@ impl Nodes {
             }
             due.sort_unstable();
         }
+        let ticks = due.len() as u64;
         for idx in due.drain(..).map(|idx| idx as usize) {
             let node = &mut self.nodes[idx];
             let phits = node.generate(now, pattern, next_packet_id);
@@ -384,6 +386,7 @@ impl Nodes {
             }
         }
         self.due = due;
+        ticks
     }
 
     /// Whether node `idx` has a packet waiting. The queued set is exact from

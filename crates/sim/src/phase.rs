@@ -39,6 +39,7 @@ use df_topology::{AnyTopology, Port, PortClass, PortPeer, RouterId, Topology};
 
 use crate::events::{Event, EventQueue};
 use crate::metrics::Metrics;
+use crate::probe::StepCounts;
 
 /// A packet leaving an output buffer: `(port, packet, downstream VC, cycle
 /// at which the tail clears the router)`.
@@ -81,6 +82,8 @@ pub(crate) struct StepScratch {
     pub pb_flat: Vec<bool>,
     /// ECtN combination buffer (one group's `a·h` counters).
     pub ectn_scratch: Vec<u32>,
+    /// The step's work counts so far, handed to the probe at its end.
+    pub counts: StepCounts,
 }
 
 /// Where a routing + allocation iteration's cross-router effects land: the
@@ -156,6 +159,7 @@ pub(crate) fn route_and_allocate_one(
     scratch.wraps.clear();
     scratch.all_requests.clear();
     scratch.discards.clear();
+    let mut heads = 0;
     for p in set_bits(router.occupied_ports()) {
         let port = Port(p as u32);
         let (filed, mut wrap) = (scratch.requests.len(), 0);
@@ -178,6 +182,7 @@ pub(crate) fn route_and_allocate_one(
                 "router {router_id} {port:?} vc {v}: the head's plan is stale"
             );
             let decision = ctx.algorithm.decide_planned(&plan, router, port, head, rng);
+            heads += 1;
             if decision.kind == DecisionKind::Discard {
                 scratch.discards.push((port, vc));
                 continue;
@@ -202,6 +207,8 @@ pub(crate) fn route_and_allocate_one(
             scratch.wraps.push((port, wrap));
         }
     }
+    scratch.counts.heads += heads;
+    scratch.counts.requests += scratch.requests.len() as u64;
 
     // b'. apply the discards: release the packet's registrations, return
     // the freed input slot's credits upstream and take the packet out of
@@ -235,6 +242,7 @@ pub(crate) fn route_and_allocate_one(
     }
 
     // d. apply grants: commits, misroute metrics and upstream credit returns
+    scratch.counts.grants += scratch.grants.len() as u64;
     for grant in &scratch.grants {
         apply_one_grant(router, ctx, now, grant, scratch, fx);
     }
@@ -367,7 +375,8 @@ fn apply_one_grant(
 }
 
 /// Link transmission for one router: drain ready output buffers and
-/// schedule the resulting arrival/delivery events.
+/// schedule the resulting arrival/delivery events. Returns whether any
+/// packet left.
 #[inline]
 pub(crate) fn transmit_one(
     router: &mut Router,
@@ -375,10 +384,11 @@ pub(crate) fn transmit_one(
     now: Cycle,
     sent: &mut Vec<SentPacket>,
     events: &mut EventQueue,
-) {
+) -> bool {
     sent.clear();
     router.transmit_outputs_into(now, sent);
     let router_id = router.id();
+    let any = !sent.is_empty();
     for (port, packet, vc, tail_at) in sent.drain(..) {
         match ctx.topo.peer(router_id, port) {
             PortPeer::Node(node) => {
@@ -403,6 +413,7 @@ pub(crate) fn transmit_one(
             }
         }
     }
+    any
 }
 
 #[cfg(test)]

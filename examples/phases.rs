@@ -1,0 +1,168 @@
+//! Where the time goes inside `Network::step`: per-phase wall time and
+//! exact work counts, from the phase clock (`df_sim::probe::PhaseClock`).
+//!
+//! ```text
+//! cargo run --release --example phases [runs]
+//! ```
+//!
+//! Two tables, the two "Where the time goes" tables of
+//! `docs/ARCHITECTURE.md`, each cell configured as its benchmark workload
+//! configures it (seed 1):
+//!
+//! * `lowload_paper` — the Table I Dragonfly (16,512 nodes) at UN 0.01,
+//!   probed over the 300 cycles after a 100-cycle warm-up;
+//! * `saturated_medium` — the medium Dragonfly restored at cycle 800 of
+//!   UN 0.9 (Base, PB) and ADV+1 0.5 (ECtN, OLM), probed over 150 cycles.
+//!
+//! Times are µs per step, the fastest of `runs` runs (default 9) per phase
+//! and for the whole step; counts are exact and equal in every run.
+
+use contention_dragonfly::prelude::*;
+use contention_dragonfly::sim::probe::{Phase, PhaseClock, PhaseTotals, StepCounts};
+use contention_dragonfly::sim::Network;
+
+/// A configuration as the benchmark workloads build theirs.
+fn config(
+    topology: DragonflyParams,
+    routing: RoutingKind,
+    pattern: PatternKind,
+    load: f64,
+    cell: usize,
+) -> SimulationConfig {
+    SimulationConfig::builder()
+        .topology(topology)
+        .network(NetworkConfig::paper_table1())
+        .routing(routing)
+        .pattern(pattern)
+        .offered_load(load)
+        .seed(DeterministicRng::new(1).split(cell as u64).seed())
+        .build()
+        .expect("valid configuration")
+}
+
+/// Probe `steps` steps of the network `start` builds, `runs` times: per
+/// phase (and for the whole step) the fastest run, counts from the first.
+fn probe(runs: usize, steps: u64, start: impl Fn() -> Network) -> (PhaseTotals, f64) {
+    let mut best: Option<PhaseTotals> = None;
+    let mut best_step = f64::INFINITY;
+    for _ in 0..runs {
+        let mut net = start();
+        let clock = PhaseClock::default();
+        net.set_probe(Some(Box::new(clock.clone())));
+        net.run_cycles(steps);
+        let totals = clock.totals();
+        let step: f64 = Phase::ALL.iter().map(|&p| totals.us_per_step(p)).sum();
+        best_step = best_step.min(step);
+        let best = best.get_or_insert(totals);
+        assert_eq!(best.counts, totals.counts, "counts are deterministic");
+        for (kept, time) in best.time.iter_mut().zip(totals.time) {
+            *kept = (*kept).min(time);
+        }
+    }
+    (best.expect("at least one run"), best_step)
+}
+
+/// The count rows of a table: label and field.
+type CountRow = (&'static str, fn(&StepCounts) -> u64);
+const COUNTS: [CountRow; 10] = [
+    ("link events delivered", |c| c.events),
+    ("due ticks", |c| c.due_ticks),
+    ("PB exchanges", |c| c.pb_exchanges),
+    ("PB refreshes", |c| c.pb_refreshes),
+    ("router-iterations (step 4)", |c| c.router_iterations),
+    ("heads decided", |c| c.heads),
+    ("requests filed → grants", |c| c.requests),
+    ("routers visited (step 5)", |c| c.transmit_visits),
+    ("routers that sent", |c| c.senders),
+    ("routers holding traffic", |c| c.holding),
+];
+
+fn print_table(cells: &[(String, PhaseTotals, f64)]) {
+    let labels: Vec<&str> = cells.iter().map(|(label, ..)| label.as_str()).collect();
+    println!("| per step | {} |", labels.join(" | "));
+    println!("|---|{}", "---:|".repeat(cells.len()));
+    for phase in Phase::ALL {
+        let row: Vec<String> = (cells.iter())
+            .map(|(_, t, _)| format!("{:.0}", t.us_per_step(phase)))
+            .collect();
+        println!("| {} µs | {} |", phase.label(), row.join(" | "));
+    }
+    let row: Vec<String> = (cells.iter())
+        .map(|(.., step)| format!("**{step:.0}**"))
+        .collect();
+    println!("| **step µs** | {} |", row.join(" | "));
+    for (label, field) in COUNTS {
+        let row: Vec<String> = (cells.iter())
+            .map(|(_, t, _)| match label {
+                "requests filed → grants" => format!(
+                    "{:.0} → {:.0}",
+                    t.per_step(|c| c.requests),
+                    t.per_step(|c| c.grants)
+                ),
+                _ => format!("{:.0}", t.per_step(field)),
+            })
+            .collect();
+        println!("| {label} | {} |", row.join(" | "));
+    }
+}
+
+fn main() {
+    let runs: usize = match std::env::args().nth(1) {
+        Some(arg) => arg.parse().expect("usage: phases [runs]"),
+        None => 9,
+    };
+
+    println!("lowload_paper: Table I Dragonfly, UN @ 0.01, cycles 100–400, fastest of {runs}\n");
+    let routings = [
+        RoutingKind::Base,
+        RoutingKind::PiggyBacking,
+        RoutingKind::Ectn,
+    ];
+    let mut cells = Vec::new();
+    for (i, routing) in routings.into_iter().enumerate() {
+        let cfg = config(
+            DragonflyParams::paper_table1(),
+            routing,
+            PatternKind::Uniform,
+            0.01,
+            i,
+        );
+        let (totals, step) = probe(runs, 300, || {
+            let mut net = Network::new(cfg.clone());
+            net.run_cycles(100);
+            net
+        });
+        cells.push((routing.label().to_string(), totals, step));
+    }
+    print_table(&cells);
+    println!("\n`cargo run --release --example phases`\n");
+
+    println!(
+        "saturated_medium: medium Dragonfly restored at cycle 800, 150 cycles, fastest of {runs}\n"
+    );
+    let adv = PatternKind::Adversarial { offset: 1 };
+    let grid = [
+        (PatternKind::Uniform, "UN@0.9", 0.9, RoutingKind::Base),
+        (
+            PatternKind::Uniform,
+            "UN@0.9",
+            0.9,
+            RoutingKind::PiggyBacking,
+        ),
+        (adv, "ADV+1@0.5", 0.5, RoutingKind::Ectn),
+        (adv, "ADV+1@0.5", 0.5, RoutingKind::Olm),
+    ];
+    let mut cells = Vec::new();
+    for (i, (pattern, name, load, routing)) in grid.into_iter().enumerate() {
+        let cfg = config(DragonflyParams::medium(), routing, pattern, load, i);
+        let mut warm = Network::new(cfg.clone());
+        warm.run_cycles(800);
+        let bytes = warm.snapshot();
+        let (totals, step) = probe(runs, 150, || {
+            Network::restore(cfg.clone(), &bytes).expect("a snapshot restores")
+        });
+        cells.push((format!("{} {name}", routing.label()), totals, step));
+    }
+    print_table(&cells);
+    println!("\n`cargo run --release --example phases`");
+}
