@@ -451,7 +451,11 @@ mod tests {
                 }
             }
             // the port's room: none (a full output buffer), all of it, or
-            // a random occupancy of its buffer and downstream credits
+            // a random occupancy of its buffer and downstream credits (an
+            // unconnected port has no link, so nothing is ever staged there)
+            if topo.peer(id, port) == PortPeer::Unconnected {
+                continue;
+            }
             match rng.index(3) {
                 0 => {
                     while r.output(port).can_accept(VcId(0), 8) {

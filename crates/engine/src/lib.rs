@@ -3,6 +3,8 @@
 //! Infrastructure shared by the simulator, the traffic generators and the
 //! experiment harness:
 //!
+//! * [`bitset`] — the ordered index set behind the simulator's activity
+//!   gates,
 //! * [`rng`] — deterministic, splittable random-number generation so every
 //!   experiment is exactly reproducible from a single `u64` seed,
 //! * [`stats`] — streaming statistics (mean, variance, confidence intervals),
@@ -17,6 +19,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bitset;
 pub mod codec;
 pub mod histogram;
 pub mod rng;
@@ -24,6 +27,7 @@ pub mod stats;
 pub mod table;
 pub mod timeseries;
 
+pub use bitset::BitSet;
 pub use codec::{CodecError, Decoder, Encoder};
 pub use histogram::Histogram;
 pub use rng::DeterministicRng;

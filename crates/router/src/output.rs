@@ -75,6 +75,16 @@ impl OutputPort {
         }
     }
 
+    /// The first cycle the port's front staged packet can start on the
+    /// link: the later of its pipeline-ready cycle and the link's free
+    /// cycle (`None` with nothing staged). [`OutputMut::try_transmit`]
+    /// sends exactly when this has come.
+    #[inline]
+    pub(crate) fn next_transmit(&self, store: &PacketStore) -> Option<Cycle> {
+        let front = store.front(&self.staged)?;
+        Some(front.ready_at.max(self.link_free_at))
+    }
+
     /// The port with its part of `credits`, the router's credit array, and
     /// its capacities under `cfg`.
     #[inline]

@@ -93,6 +93,13 @@ pub struct Router {
     /// transmission visits only these ports instead of the whole radix.
     /// Derived: rebuilt by [`Router::restore_state`].
     staged_ports: u64,
+    /// The first cycle a staged packet can start on its link
+    /// ([`Router::next_transmit`]; `Cycle::MAX` with nothing staged). Kept
+    /// where a grant stages a packet and a transmission walks the stages,
+    /// recomputed from the stages after a dead port's drop and on restore;
+    /// [`Router::output_mut`], which cannot see what its caller stages,
+    /// sets it to 0 until the next transmission recomputes it.
+    next_transmit: Cycle,
     /// The outputs whose staged phits or credits changed since the mask was
     /// last cleared, one bit per port. PB's own-link saturation flags are a
     /// pure function of exactly that state, so the refresh recomputes only
@@ -233,6 +240,7 @@ impl Router {
             links_down: 0,
             link_view: GatewayLiveness::new(&topo),
             staged_ports: 0,
+            next_transmit: Cycle::MAX,
             changed_outputs: u64::MAX >> (64 - radix),
             candidate_table: OnceLock::new(),
         }
@@ -357,11 +365,12 @@ impl Router {
 
     /// Mutably borrow an output port, with the packet store its buffer
     /// links through. What the caller does with it is invisible from here,
-    /// so the port is conservatively recorded as possibly staged and the
-    /// outputs as changed.
+    /// so the port is conservatively recorded as possibly staged, the
+    /// outputs as changed and the next transmission as due now.
     pub fn output_mut(&mut self, port: Port) -> OutputMut<'_> {
         self.staged_ports |= 1 << port.index();
         self.changed_outputs |= 1 << port.index();
+        self.next_transmit = 0;
         self.output_at(port.index())
     }
 
@@ -496,6 +505,7 @@ impl Router {
         debug_assert!(!self.link_is_up(port), "only dead ports lose their stage");
         self.changed_outputs |= 1 << port.index();
         let dropped = self.output_at(port.index()).drain_staged();
+        self.next_transmit = self.next_transmit_from_stages().unwrap_or(Cycle::MAX);
         debug_assert!(
             self.bookkeeping_is_exact(),
             "after drop_staged_for_dead_port"
@@ -656,8 +666,14 @@ impl Router {
             .note_hop(&self.topo, grant.output_port, arrived_at);
         let freed_phits = packet.size_phits;
         let ready_at = now + self.config.latencies.router_pipeline as Cycle;
-        self.output_at(grant.output_port.index())
-            .stage(slot, grant.output_vc, ready_at);
+        let p = grant.output_port.index();
+        let front = self.outputs[p].staged.is_empty();
+        self.output_at(p).stage(slot, grant.output_vc, ready_at);
+        if front {
+            // a packet behind another changes neither the front nor the link
+            let at = self.outputs[p].next_transmit(&self.store);
+            self.next_transmit = self.next_transmit.min(at.expect("just staged"));
+        }
         self.staged_ports |= 1 << grant.output_port.index();
         self.changed_outputs |= 1 << grant.output_port.index();
         debug_assert!(self.bookkeeping_is_exact(), "after apply_grant");
@@ -685,24 +701,45 @@ impl Router {
         // healthy routers (the overwhelmingly common case) skip the
         // per-port flag reads entirely via the O(1) down-counter
         let any_down = self.links_down > 0;
+        let mut next = Cycle::MAX;
         for p in set_bits(self.staged_ports) {
             // a down link transmits nothing. In a full simulation the dead
             // port's stage is drained at the fault cycle
             // ([`Router::drop_staged_for_dead_port`]); the skip remains the
             // hard guarantee for anything staged outside that path (e.g.
             // direct unit-test drives).
-            if any_down && !self.link_up[p] {
-                continue;
+            if !any_down || self.link_up[p] {
+                if let Some((packet, vc, tail_at)) = self.output_at(p).try_transmit(now) {
+                    sent.push((Port(p as u32), packet, vc, tail_at));
+                    self.changed_outputs |= 1 << p;
+                }
             }
-            if let Some((packet, vc, tail_at)) = self.output_at(p).try_transmit(now) {
-                sent.push((Port(p as u32), packet, vc, tail_at));
-                self.changed_outputs |= 1 << p;
-            }
-            if self.outputs[p].staged.is_empty() {
-                self.staged_ports &= !(1 << p);
+            match self.outputs[p].next_transmit(&self.store) {
+                Some(at) => next = next.min(at),
+                None => self.staged_ports &= !(1 << p),
             }
         }
+        self.next_transmit = next;
         debug_assert!(self.bookkeeping_is_exact(), "after transmit_outputs_into");
+    }
+
+    /// The first cycle a staged packet can start on its link: per output
+    /// holding one, the later of its front packet's pipeline-ready cycle
+    /// and the link's free cycle, minimised over the outputs (`None` with
+    /// nothing staged). Before it, [`Router::transmit_outputs_into`] sends
+    /// nothing; it changes only where a grant stages a packet, a
+    /// transmission pops one and a dead port's stage is dropped (O(1): the
+    /// router keeps it).
+    #[inline]
+    pub fn next_transmit(&self) -> Option<Cycle> {
+        (self.next_transmit != Cycle::MAX).then_some(self.next_transmit)
+    }
+
+    /// [`Router::next_transmit`] recomputed from the stages.
+    pub fn next_transmit_from_stages(&self) -> Option<Cycle> {
+        set_bits(self.staged_ports)
+            .filter_map(|p| self.outputs[p].next_transmit(&self.store))
+            .min()
     }
 
     /// Try to start transmission on every output port (allocating
@@ -746,7 +783,9 @@ impl Router {
 
     /// The debug gate behind every mask, store and flat-array update: the
     /// occupied-VC and -port masks match the VCs; staged outputs are in the
-    /// staged-port set; the ports' VC ranges tile the flat arrays (each
+    /// staged-port set, and the kept next-transmit cycle is no later than
+    /// the stages' (equal but after [`Router::output_mut`]); the ports' VC
+    /// ranges tile the flat arrays (each
     /// `(port, vc)` has a slot of its own); every FIFO's length and phits
     /// match its walk through the store and its occupancy; the store holds
     /// exactly the queued plus staged packets.
@@ -760,7 +799,8 @@ impl Router {
         let ports = (self.occupied_vcs.iter().enumerate())
             .all(|(p, &mask)| (mask != 0) == (self.occupied_ports >> p & 1 == 1));
         let staged = (self.outputs.iter().enumerate())
-            .all(|(p, o)| o.staged.is_empty() || self.staged_ports >> p & 1 == 1);
+            .all(|(p, o)| o.staged.is_empty() || self.staged_ports >> p & 1 == 1)
+            && self.next_transmit <= self.next_transmit_from_stages().unwrap_or(Cycle::MAX);
         let tiled = (self.outputs.iter())
             .try_fold(0, |next, o| (o.vcs().start == next).then_some(o.vcs().end))
             == Some(self.vcs.len())
@@ -932,13 +972,19 @@ impl Router {
             return Err(df_engine::CodecError::Invalid(what.into()));
         }
         // rebuild the derived counters and sets from the restored
-        // queues/flags
+        // queues/flags; a packet staged at an unconnected port could never
+        // leave (routing never grants one)
         self.staged_ports = 0;
         for (p, output) in self.outputs.iter().enumerate() {
             if !output.staged.is_empty() {
+                if self.topo.peer(self.id, Port(p as u32)) == PortPeer::Unconnected {
+                    let what = format!("a packet staged at unconnected port {p}");
+                    return Err(df_engine::CodecError::Invalid(what));
+                }
                 self.staged_ports |= 1 << p;
             }
         }
+        self.next_transmit = self.next_transmit_from_stages().unwrap_or(Cycle::MAX);
         self.changed_outputs = u64::MAX >> (64 - self.outputs.len());
         self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
         self.unregistered_count = 0;
@@ -1332,6 +1378,42 @@ mod tests {
         r.set_link_up(Port(5), false);
         r.drop_staged_for_dead_port(Port(5));
         assert_eq!(r.changed_outputs(), 1 << 5, "a dropped stage");
+    }
+
+    /// The kept next-transmit cycle through grants (a packet behind another
+    /// leaves it alone), sends (the link busy for the packet's phits), a
+    /// dead port's drop and a restore, always equal to the stages'.
+    #[test]
+    fn next_transmit_follows_grants_sends_drops_and_restore() {
+        let mut r = router();
+        let pipeline = r.config().latencies.router_pipeline as Cycle;
+        let exact = |r: &Router, at: Option<Cycle>| {
+            assert_eq!(r.next_transmit(), at);
+            assert_eq!(r.next_transmit_from_stages(), at);
+        };
+        exact(&r, None);
+        for (id, now, port) in [(1, 10, 2), (2, 11, 2), (3, 12, 5)] {
+            r.receive_packet(Port(3), VcId(0), packet(id, 2));
+            r.register_head(Port(3), VcId(0), Port(port), None);
+            r.apply_grant(&grant(Port(3), VcId(0), Port(port), VcId(0)), now);
+            exact(&r, Some(10 + pipeline));
+        }
+        // port 2 sends its front; its second packet waits for the link
+        assert_eq!(r.transmit_outputs(10 + pipeline).len(), 1);
+        exact(&r, Some(12 + pipeline));
+        let mut e = df_engine::Encoder::new();
+        r.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut restored = router();
+        restored
+            .restore_state(&mut df_engine::Decoder::new(&bytes))
+            .unwrap();
+        exact(&restored, Some(12 + pipeline));
+        r.set_link_up(Port(5), false);
+        r.drop_staged_for_dead_port(Port(5));
+        exact(&r, Some(10 + pipeline + 8));
+        assert_eq!(r.transmit_outputs(10 + pipeline + 8).len(), 1);
+        exact(&r, None);
     }
 
     fn grant(input_port: Port, input_vc: VcId, output_port: Port, output_vc: VcId) -> Grant {

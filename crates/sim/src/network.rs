@@ -24,7 +24,8 @@
 //!    (`Network::flood_linkviews`) and installed when a round ran,
 //! 4. routing decisions + separable allocation, iterated
 //!    `allocator_speedup` times,
-//! 5. output-buffer link transmission, scheduling remote arrivals after the
+//! 5. output-buffer link transmission at the routers whose earliest staged
+//!    packet can leave this cycle, scheduling remote arrivals after the
 //!    link latency.
 //!
 //! # The kernel
@@ -42,14 +43,16 @@
 //!   order wherever the walk draws, schedules or numbers anything (which
 //!   fixes the event sequence numbers and packet ids, and therefore the
 //!   results), and the set is rebuilt on restore rather than stored. The
-//!   sets — active routers (step 5), routers holding an input head (step
-//!   4), queued nodes (injection), the injectors' wake-up calendar
-//!   (generation, `node::Nodes`), refresh-due routers, changed outputs and
-//!   dirty groups (PB, step 3), woken and waiting ranks (the job engine,
-//!   step 2), staged ports (transmission, idleness), head plans (routing
-//!   decisions) — are tabulated in `docs/ARCHITECTURE.md` § "Activity gating"; debug
-//!   builds assert each against the full scan (the first four at the end
-//!   of every [`Network::step`], PB's at the end of step 3, the job
+//!   membership sets are one type, [`BitSet`], whose walks ascend by
+//!   construction, so no walk sorts. The sets — routers holding an input
+//!   head (step 4), routers holding a staged packet with each one's
+//!   next-transmit cycle (step 5), queued nodes (injection), the
+//!   injectors' wake-up calendar (generation, `node::Nodes`), routers with
+//!   changed outputs and dirty groups (PB, step 3), woken and waiting ranks
+//!   (the job engine, step 2), staged ports, head plans (routing decisions)
+//!   — are tabulated in `docs/ARCHITECTURE.md` § "Activity gating"; debug
+//!   builds assert each against the full scan (the router and node sets at
+//!   the end of every [`Network::step`], PB's at the end of step 3, the job
 //!   engine's at the end of each job's advance).
 //! * **Allocation-free steady state**: the per-cycle loop reuses scratch
 //!   buffers for due events, allocation requests/grants and transmitted
@@ -57,16 +60,17 @@
 //!   copied slice-to-slice instead of cloning a `Vec` per router per cycle.
 //!
 //! Steps 3–5 walk the groups (ECtN; under PB the dirty groups and the
-//! refresh-due routers), the sorted routers holding a head (routing +
-//! allocation) or the sorted active list (transmission) one group or
-//! router at a time. Cross-router effects (link events, upstream credits,
+//! routers with changed outputs), the routers holding a head (routing +
+//! allocation) or the staged routers whose next transmission is due
+//! (transmission) one group or router at a time. Cross-router effects (link events, upstream credits,
 //! misroute commits, discards) are applied where they happen, in walk order
 //! (the `phase` module docs). Both [`KernelMode`] values run this one
 //! pipeline.
 //!
 //! [`KernelMode`]: crate::KernelMode
+//! [`BitSet`]: df_engine::BitSet
 
-use df_engine::DeterministicRng;
+use df_engine::{BitSet, DeterministicRng};
 use df_model::{Cycle, VcId};
 use df_router::dissemination::{ectn_exchange_group, install_linkview_group, pb_exchange_group};
 use df_router::Router;
@@ -164,25 +168,22 @@ pub struct Network {
     /// run under background load, or alone at offered load 0. All mutations
     /// happen in steps 1–2.
     jobs: Option<JobsEngine>,
-    // ---- activity gate ----
-    /// Membership flag per router.
-    active_flags: Vec<bool>,
-    /// Router indices currently in the active set (sorted before use).
-    active_list: Vec<u32>,
-    /// Membership flag per router of `head_list`.
-    head_flags: Vec<bool>,
-    /// Routers holding an input head (sorted before use): all a routing +
-    /// allocation iteration has work for; a subset of the active set.
-    head_list: Vec<u32>,
-    /// Routers step 6 retired from the active set last cycle (every router
-    /// after `new` and `restore`). With the active list, every router whose
-    /// outputs can have changed since its last PB refresh.
-    retired: Vec<u32>,
-    /// Membership flag per group of `dirty_groups`.
-    dirty_flags: Vec<bool>,
+    // ---- activity gates (derived: rebuilt on `new` and `restore`) ----
+    /// Routers holding an input head: all a routing + allocation iteration
+    /// has work for.
+    heads: BitSet,
+    /// Routers holding a staged packet.
+    staged: BitSet,
+    /// Per router, [`Router::next_transmit`] (`Cycle::MAX` with nothing
+    /// staged): step 5 visits only the staged routers whose cycle has come,
+    /// reading this array instead of the router.
+    next_transmit: Vec<Cycle>,
+    /// Routers whose outputs changed since their last PB refresh (credits,
+    /// grants, sends, faults; every router after `new` and `restore`).
+    changed: BitSet,
     /// Groups whose last PB refresh flipped an own flag (every group after
     /// `new` and `restore`): the only groups an exchange can change.
-    dirty_groups: Vec<u32>,
+    dirty_groups: BitSet,
     // ---- phase execution ----
     /// Scratch buffers of steps 3–5.
     scratch: StepScratch,
@@ -285,13 +286,11 @@ impl Network {
             spare_of: vec![0; num_nodes],
             nodes_failed_count: 0,
             jobs,
-            active_flags: vec![false; num_routers],
-            active_list: Vec::with_capacity(num_routers),
-            head_flags: vec![false; num_routers],
-            head_list: Vec::new(),
-            retired: (0..num_routers as u32).collect(),
-            dirty_flags: vec![true; num_groups as usize],
-            dirty_groups: (0..num_groups).collect(),
+            heads: BitSet::new(num_routers),
+            staged: BitSet::new(num_routers),
+            next_transmit: vec![Cycle::MAX; num_routers],
+            changed: BitSet::full(num_routers),
+            dirty_groups: BitSet::full(num_groups as usize),
             scratch: StepScratch::default(),
             scratch_events: Vec::new(),
             probe: None,
@@ -407,9 +406,11 @@ impl Network {
         self.events.len()
     }
 
-    /// Number of routers currently in the active set.
+    /// Number of routers holding traffic (an input head or a staged
+    /// packet); exact at a step boundary.
     pub fn active_routers(&self) -> usize {
-        self.active_list.len()
+        let staged_only = self.staged.iter().filter(|&r| !self.heads.contains(r));
+        self.heads.len() + staged_only.count()
     }
 
     /// Whether the network appears stalled: packets are in flight but nothing
@@ -486,25 +487,6 @@ impl Network {
             .sum()
     }
 
-    /// Add router `r_idx` to the active set (no-op if already present).
-    #[inline]
-    fn mark_active(&mut self, r_idx: usize) {
-        if !self.active_flags[r_idx] {
-            self.active_flags[r_idx] = true;
-            self.active_list.push(r_idx as u32);
-        }
-    }
-
-    /// Add router `r_idx`, just handed an input packet, to the head set.
-    #[inline]
-    fn mark_head(&mut self, r_idx: usize) {
-        self.mark_active(r_idx);
-        if !self.head_flags[r_idx] {
-            self.head_flags[r_idx] = true;
-            self.head_list.push(r_idx as u32);
-        }
-    }
-
     /// Pause node `idx`'s generation at `now` iff its router drains or it
     /// failed. A pause decides which ranks the job engine may skip, so every
     /// rank is visited at the next advance.
@@ -546,10 +528,13 @@ impl Network {
                             self.metrics.record_dropped_staged(&packet);
                             self.ledger_lost_credits(r, p, dst_vc, packet.size_phits);
                         }
-                        // wake both endpoints so adaptive policies reconsider
-                        // their buffered heads this cycle (behaviour-neutral
-                        // for idle routers)
-                        self.mark_active(r.index());
+                        // the drop can only empty the router's stages
+                        let (r, router) = (r.index(), &self.routers[r.index()]);
+                        self.changed.insert(r);
+                        self.next_transmit[r] = router.next_transmit().unwrap_or(Cycle::MAX);
+                        if router.next_transmit().is_none() {
+                            self.staged.remove(r);
+                        }
                     }
                 }
                 FaultKind::LinkUp { router, port } => {
@@ -570,8 +555,8 @@ impl Network {
                                     );
                                 }
                             }
+                            self.changed.insert(r.index());
                         }
-                        self.mark_active(r.index());
                     }
                 }
                 FaultKind::RouterDrain { router } => {
@@ -680,7 +665,7 @@ impl Network {
                             }
                         }
                     }
-                    self.mark_head(router.index());
+                    self.heads.insert(router.index());
                     self.routers[router.index()].receive_packet(port, vc, packet);
                 }
                 Event::CreditReturn {
@@ -699,10 +684,7 @@ impl Network {
                             }
                         }
                     }
-                    // Fresh credits can only unblock a head packet, and a
-                    // router holding packets is active already; marking here
-                    // keeps the gate conservative at negligible cost.
-                    self.mark_active(router.index());
+                    self.changed.insert(router.index());
                     self.routers[router.index()].receive_credits(port, vc, phits);
                 }
                 Event::Delivery { node: _, packet } => {
@@ -744,53 +726,44 @@ impl Network {
         // injection visits only the nodes with a packet waiting, in
         // ascending node order (the order the all-node walk it replaces
         // found them in)
-        for i in 0..self.nodes.sort_queued() {
-            let node_idx = self.nodes.queued(i);
-            let node_id = NodeId(node_idx as u32);
-            let Some(head_size) = self.nodes.get(node_idx).head().map(|p| p.size_phits) else {
-                continue;
+        let routers = &mut self.routers;
+        self.nodes.inject_queued(|node_idx, node| {
+            let Some(head_size) = node.head().map(|p| p.size_phits) else {
+                return;
             };
+            let node_id = NodeId(node_idx as u32);
             let router_id = topo.node_router(node_id);
             let port = topo.node_port(node_id);
-            let num_vcs = self.routers[router_id.index()].input(port).num_vcs();
-            let start = self.nodes.get_mut(node_idx).take_vc_rr(num_vcs);
-            let mut chosen = None;
-            for k in 0..num_vcs {
-                let vc = (start + k) % num_vcs;
-                if self.routers[router_id.index()].can_accept_input(port, VcId(vc as u8), head_size)
-                {
-                    chosen = Some(vc);
-                    break;
+            let router = &mut routers[router_id.index()];
+            let num_vcs = router.input(port).num_vcs();
+            let start = node.take_vc_rr(num_vcs);
+            let Some(vc) = (0..num_vcs)
+                .map(|k| VcId(((start + k) % num_vcs) as u8))
+                .find(|&vc| router.can_accept_input(port, vc, head_size))
+            else {
+                return;
+            };
+            let mut packet = node.pop_head().expect("head checked");
+            packet.injected_at = Some(now);
+            // reroute-to-spare: a packet addressed to a failed node is
+            // retargeted at injection time, following the spare chain in
+            // fail order (validation guarantees it terminates). Part of
+            // the fault plan's semantics.
+            if self.nodes_failed_count > 0 && self.node_failed[packet.dst.index()] {
+                let mut dst = packet.dst;
+                while self.node_failed[dst.index()] {
+                    dst = NodeId(self.spare_of[dst.index()]);
                 }
+                packet.dst = dst;
+                self.metrics.record_retargeted();
             }
-            if let Some(vc) = chosen {
-                let mut packet = self
-                    .nodes
-                    .get_mut(node_idx)
-                    .pop_head()
-                    .expect("head checked");
-                packet.injected_at = Some(now);
-                // reroute-to-spare: a packet addressed to a failed node is
-                // retargeted at injection time, following the spare chain in
-                // fail order (validation guarantees it terminates). Part of
-                // the fault plan's semantics.
-                if self.nodes_failed_count > 0 && self.node_failed[packet.dst.index()] {
-                    let mut dst = packet.dst;
-                    while self.node_failed[dst.index()] {
-                        dst = NodeId(self.spare_of[dst.index()]);
-                    }
-                    packet.dst = dst;
-                    self.metrics.record_retargeted();
-                }
-                self.in_flight += 1;
-                self.in_flight_phits += packet.size_phits as u64;
-                self.injected_packets_total += 1;
-                self.injected_phits_total += packet.size_phits as u64;
-                self.mark_head(router_id.index());
-                self.routers[router_id.index()].receive_packet(port, VcId(vc as u8), packet);
-            }
-        }
-        self.nodes.retire_drained();
+            self.in_flight += 1;
+            self.in_flight_phits += packet.size_phits as u64;
+            self.injected_packets_total += 1;
+            self.injected_phits_total += packet.size_phits as u64;
+            self.heads.insert(router_id.index());
+            router.receive_packet(port, vc, packet);
+        });
         self.lap(&mut clock, Phase::Inject);
 
         // ---- 3. control-plane dissemination ----
@@ -824,79 +797,78 @@ impl Network {
         }
         self.lap(&mut clock, Phase::Control);
 
-        // Events only arrive in steps 1–2, so the active and head sets are
-        // complete here; sort them so steps 4–5 visit routers in ascending
-        // index order, which fixes the event sequence numbers (and therefore
-        // the results) independently of the order routers woke up in.
-        self.active_list.sort_unstable();
-        self.head_list.sort_unstable();
-
         // ---- 4. routing + allocation ----
-        // over the head set, each iteration leaving out the routers it
-        // emptied of heads
+        // over the head set, ascending (which fixes the event sequence
+        // numbers, and therefore the results), each iteration leaving out
+        // the routers it emptied of heads; a grant stages a packet
         let mut fx = Effects {
             events: &mut self.events,
             metrics: &mut self.metrics,
             in_flight: &mut self.in_flight,
             in_flight_phits: &mut self.in_flight_phits,
         };
+        let (routers, rngs, scratch) =
+            (&mut self.routers, &mut self.router_rngs, &mut self.scratch);
+        let (staged, next, changed) =
+            (&mut self.staged, &mut self.next_transmit, &mut self.changed);
         for _ in 0..self.config.network.allocator_speedup {
-            self.scratch.counts.router_iterations += self.head_list.len() as u64;
-            for &r in &self.head_list {
-                let (router, rng) = (
-                    &mut self.routers[r as usize],
-                    &mut self.router_rngs[r as usize],
-                );
-                route_and_allocate_one(router, rng, &self.ctx, now, &mut self.scratch, &mut fx);
-            }
-            let (flags, routers) = (&mut self.head_flags, &self.routers);
-            self.head_list.retain(|&r| {
-                let holds = routers[r as usize].occupied_ports() != 0;
-                flags[r as usize] = holds;
-                holds
+            scratch.counts.router_iterations += self.heads.len() as u64;
+            self.heads.retain(|r| {
+                let router = &mut routers[r];
+                if route_and_allocate_one(router, &mut rngs[r], &self.ctx, now, scratch, &mut fx) {
+                    changed.insert(r);
+                    staged.insert(r);
+                    next[r] = router.next_transmit().expect("a grant stages a packet");
+                }
+                router.occupied_ports() != 0
             });
         }
         self.lap(&mut clock, Phase::Route);
 
         // ---- 5. link transmission ----
-        for &r in &self.active_list {
-            let router = &mut self.routers[r as usize];
-            let sent = transmit_one(
-                router,
-                &self.ctx,
-                now,
-                &mut self.scratch.sent,
-                &mut self.events,
-            );
-            self.scratch.counts.transmit_visits += 1;
-            self.scratch.counts.senders += u64::from(sent);
-        }
-
-        // ---- 6. retire idle routers from the active set ----
-        let (flags, retired) = (&mut self.active_flags, &mut self.retired);
-        let routers = &self.routers;
-        retired.clear();
-        self.active_list.retain(|&r| {
-            if routers[r as usize].is_idle() {
-                flags[r as usize] = false;
-                retired.push(r);
-                false
-            } else {
-                true
+        // over the staged routers whose next transmission is due, ascending;
+        // any other router would send nothing
+        let (routers, scratch, changed) = (&mut self.routers, &mut self.scratch, &mut self.changed);
+        let next = &mut self.next_transmit;
+        self.staged.retain(|r| {
+            if next[r] > now {
+                return true;
             }
+            let router = &mut routers[r];
+            let sent = transmit_one(router, &self.ctx, now, &mut scratch.sent, &mut self.events);
+            scratch.counts.transmit_visits += 1;
+            if sent {
+                scratch.counts.senders += 1;
+                changed.insert(r);
+            }
+            next[r] = router.next_transmit().unwrap_or(Cycle::MAX);
+            next[r] != Cycle::MAX
         });
-        // the gate's invariant, checked against a full scan: steps 4–5 may
-        // only skip routers for which they are no-ops
+        self.lap(&mut clock, Phase::Transmit);
+
+        // the gates against a full scan: every set is exactly the routers
+        // it stands for, and each next-transmit cycle is the router's own
         debug_assert!(
             self.routers.iter().enumerate().all(|(r, router)| {
-                (self.active_flags[r] || router.is_idle())
-                    && (self.head_flags[r] || router.occupied_ports() == 0)
+                let next = router.next_transmit_from_stages();
+                self.heads.contains(r) == (router.occupied_ports() != 0)
+                    && self.staged.contains(r) == next.is_some()
+                    && self.next_transmit[r] == next.unwrap_or(Cycle::MAX)
+                    && (self.changed.contains(r) || router.changed_outputs() == 0)
             }),
-            "a router outside the active (head) set holds traffic (a head) at cycle {now}"
+            "a router set or next-transmit cycle disagrees with its router at cycle {now}"
+        );
+        debug_assert_eq!(
+            self.active_routers(),
+            self.routers
+                .iter()
+                .filter(|router| !router.is_idle())
+                .count(),
+            "the active count disagrees with the non-idle routers at cycle {now}"
         );
         debug_assert!(
-            self.nodes.queued_set_is_complete(),
-            "a node outside the queued set holds a packet at cycle {now}"
+            self.nodes.queued_set_is_exact(),
+            "the queued set disagrees with the source queues at cycle {now}"
         );
         debug_assert!(
             self.nodes.calendar_is_exact(now + 1),
@@ -911,9 +883,10 @@ impl Network {
                 .all(|router| *router.link_view() == self.group_views[router.group().index()]),
             "a router's link view differs from its group's flooded view at cycle {now}"
         );
-        self.lap(&mut clock, Phase::Transmit);
+        if self.probe.is_some() {
+            self.scratch.counts.holding = self.active_routers() as u64;
+        }
         if let Some(probe) = self.probe.as_mut() {
-            self.scratch.counts.holding = self.active_list.len() as u64;
             probe.step(now, &self.scratch.counts);
         }
 
@@ -980,36 +953,29 @@ impl Network {
     /// PB's control plane for one cycle: every group whose flags flipped at
     /// the last refresh exchanges them (exchanging any other group would
     /// reinstall the views its members hold), then every router whose
-    /// outputs can have changed since its own last refresh recomputes its
-    /// flags, marking its group dirty on a flip.
+    /// outputs changed since its own last refresh recomputes its flags,
+    /// marking its group dirty on a flip.
     ///
-    /// The refresh set is the active list (complete at step 3) plus the
-    /// routers step 6 retired last cycle: outputs change only through
-    /// credits and link faults, which mark a router active, and through
-    /// grants and transmissions, which happen inside the active set. An
+    /// Outputs change only through credits, grants, transmissions and link
+    /// faults, and each of those files its router in the changed set. An
     /// exchange and a refresh each touch one group or one router and draw
     /// nothing, so neither walk's order matters.
     fn disseminate_pb(&mut self, now: Cycle) {
         let group_size = self.ctx.topo.routers_per_group() as usize;
         self.scratch.counts.pb_exchanges = self.dirty_groups.len() as u64;
-        self.scratch.counts.pb_refreshes = (self.active_list.len() + self.retired.len()) as u64;
-        for g in self.dirty_groups.drain(..) {
-            self.dirty_flags[g as usize] = false;
-            let start = g as usize * group_size;
+        self.scratch.counts.pb_refreshes = self.changed.len() as u64;
+        for g in self.dirty_groups.drain() {
+            let start = g * group_size;
             pb_exchange_group(
                 &mut self.routers[start..start + group_size],
                 &mut self.scratch.pb_flat,
             );
         }
         let config = self.ctx.algorithm.config();
-        for &r in self.active_list.iter().chain(&self.retired) {
-            let router = &mut self.routers[r as usize];
+        for r in self.changed.drain() {
+            let router = &mut self.routers[r];
             if piggyback::update_own_saturation(config, router) {
-                let g = router.group().index();
-                if !self.dirty_flags[g] {
-                    self.dirty_flags[g] = true;
-                    self.dirty_groups.push(g as u32);
-                }
+                self.dirty_groups.insert(router.group().index());
             }
         }
         // the gates against the full scan: the refresh left no router
@@ -1022,7 +988,7 @@ impl Network {
         );
         debug_assert!(
             (self.routers.chunks(group_size).enumerate())
-                .all(|(g, group)| self.dirty_flags[g] || pb_views_are_current(group)),
+                .all(|(g, group)| self.dirty_groups.contains(g) || pb_views_are_current(group)),
             "a clean group's PB exchange would change its views at cycle {now}"
         );
     }
@@ -1223,23 +1189,131 @@ mod tests {
         assert!(net.in_flight() <= generated);
     }
 
-    #[test]
-    fn active_set_never_misses_a_loaded_router() {
-        // the activity-gate invariant: any router holding buffered traffic
-        // is in the active set
-        let mut net = Network::new(small_config(RoutingKind::Base, PatternKind::Uniform, 0.3));
-        for _ in 0..200 {
-            net.step();
-            for r in net.topology().routers() {
-                let router = net.router(r);
-                if !router.is_idle() {
-                    assert!(
-                        net.active_flags[r.index()],
-                        "router {r} holds traffic but is not in the active set"
-                    );
-                }
-            }
+    /// Every router set against a full scan of the routers: the head set,
+    /// the staged set and each next-transmit cycle exactly, the changed set
+    /// covering every router with a changed output, the active count.
+    fn assert_router_sets_exact(net: &Network) {
+        let cycle = net.cycle();
+        for (r, router) in net.routers.iter().enumerate() {
+            let next = router.next_transmit_from_stages();
+            assert_eq!(
+                net.heads.contains(r),
+                router.occupied_ports() != 0,
+                "router {r} heads at {cycle}"
+            );
+            assert_eq!(
+                net.staged.contains(r),
+                next.is_some(),
+                "router {r} staged at {cycle}"
+            );
+            assert_eq!(
+                net.next_transmit[r],
+                next.unwrap_or(Cycle::MAX),
+                "router {r} at {cycle}"
+            );
+            assert!(
+                net.changed.contains(r) || router.changed_outputs() == 0,
+                "router {r} changed at {cycle}"
+            );
         }
+        let held = net
+            .routers
+            .iter()
+            .filter(|router| !router.is_idle())
+            .count();
+        assert_eq!(net.active_routers(), held, "active count at {cycle}");
+    }
+
+    /// The router sets — heads, staged routers with their next-transmit
+    /// cycles, changed outputs — through grants and sends under PB (a
+    /// 5-cycle router pipeline, so most staged packets wait in it), a link
+    /// that goes down while its stage holds a packet and comes back up with
+    /// the lost credits, a drained and restored router, and a snapshot
+    /// taken while packets are inside the pipeline: checked after every
+    /// step (and in debug builds by the end-of-step gates), and the resumed
+    /// run lands on the uninterrupted run's bytes.
+    #[test]
+    fn router_sets_stay_exact_through_grants_sends_faults_and_restore() {
+        use crate::fault::FaultPlan;
+        let params = DragonflyParams::small();
+        let (link_router, link_port) = FaultPlan::global_link_between(
+            &df_topology::Dragonfly::new(params),
+            GroupId(0),
+            GroupId(1),
+        );
+        let config = |faults: FaultPlan| {
+            SimulationConfig::builder()
+                .topology(params)
+                .network(NetworkConfig::paper_table1())
+                .routing(RoutingKind::PiggyBacking)
+                .pattern(PatternKind::Adversarial { offset: 1 })
+                .offered_load(0.3)
+                .faults(faults)
+                .seed(5)
+                .build()
+                .unwrap()
+        };
+        // the link goes down the cycle after its stage first holds a packet
+        // past cycle 100 (the trajectory up to the first fault does not
+        // depend on the plan)
+        let mut scout = Network::new(config(FaultPlan::new()));
+        scout.run_cycles(100);
+        while scout.router(link_router).output(link_port).staged_packets() == 0 {
+            scout.step();
+        }
+        let down = scout.cycle() + 1;
+        let faults = FaultPlan::new()
+            .link_down(down, link_router, link_port)
+            .router_drain(down + 20, RouterId(4))
+            .router_restore(down + 80, RouterId(4))
+            .link_up(down + 150, link_router, link_port);
+        let cfg = config(faults);
+
+        let mut reference = Network::new(cfg.clone());
+        let clock = crate::probe::PhaseClock::default();
+        reference.set_probe(Some(Box::new(clock.clone())));
+        let mut lost = 0;
+        while reference.cycle() < down + 300 {
+            reference.step();
+            assert_router_sets_exact(&reference);
+            lost = lost.max(reference.fault_lost_credits());
+        }
+        let counts = clock.totals().counts;
+        let (grants, sends) = (counts.grants, counts.senders);
+        assert!(
+            grants > 1_000 && sends > 1_000,
+            "{grants} grants, {sends} sends"
+        );
+        assert_eq!(counts.transmit_visits, sends, "every visited router sends");
+        assert!(
+            reference.metrics().dropped_staged_packets() > 0,
+            "a stage was lost"
+        );
+        assert!(
+            lost > 0 && reference.fault_lost_credits() == 0,
+            "credits came back"
+        );
+
+        // the snapshot lands while the link is down, the router drains and
+        // packets wait inside the router pipeline
+        let mut first = Network::new(cfg.clone());
+        first.run_cycles(down + 40);
+        let now = first.cycle();
+        assert!(first
+            .routers
+            .iter()
+            .any(|r| r.next_transmit().is_some_and(|at| at > now + 1)));
+        let mut resumed = Network::restore(cfg, &first.snapshot()).expect("restores");
+        assert_router_sets_exact(&resumed);
+        while resumed.cycle() < down + 300 {
+            resumed.step();
+            assert_router_sets_exact(&resumed);
+        }
+        assert_eq!(
+            resumed.snapshot(),
+            reference.snapshot(),
+            "bit-identical resume"
+        );
     }
 
     /// Both change-set gates through every path that makes them all due:

@@ -11,14 +11,17 @@
 //! it: the nodes themselves plus three *derived* sets that make the walk
 //! over them proportional to what happens rather than to the node count —
 //! the nodes with a non-empty source queue (the only ones injection has to
-//! visit), a wake-up calendar that hands out the nodes whose next tick is
-//! not already proved a failure by the Bernoulli look-ahead (see
+//! visit, a [`BitSet`] walked in ascending order), a wake-up calendar that
+//! hands out the nodes whose next tick is not already proved a failure by
+//! the Bernoulli look-ahead (see
 //! [`df_traffic::injection`]), and a flag for the case where no injector
 //! can generate anything at all. None of it is simulation state: it is
 //! rebuilt from the nodes on construction and on restore, and a snapshot
 //! is byte-identical with or without it.
+//!
+//! [`BitSet`]: df_engine::BitSet
 
-use df_engine::DeterministicRng;
+use df_engine::{BitSet, DeterministicRng};
 use df_model::{Cycle, Packet};
 use df_topology::NodeId;
 use df_traffic::{InjectionKind, Injector, TrafficPattern, LOOKAHEAD_BOUND};
@@ -193,11 +196,9 @@ pub(crate) struct Nodes {
     all_due: bool,
     /// Reusable buffer: the nodes due this cycle.
     due: Vec<u32>,
-    /// Membership flag per node of `queued_list`.
-    queued_flags: Vec<bool>,
-    /// Nodes whose source queue may be non-empty (sorted before use; exact
-    /// at step boundaries).
-    queued_list: Vec<u32>,
+    /// Nodes whose source queue is non-empty (exact outside the injection
+    /// walk, which leaves out the nodes it empties).
+    queued: BitSet,
     /// Every injector is silent: a tick draws nothing and generates
     /// nothing, so the generation walk is skipped outright. Recomputed
     /// whenever a load changes.
@@ -206,16 +207,6 @@ pub(crate) struct Nodes {
 
 /// The end of a calendar chain.
 const NO_NODE: u32 = u32::MAX;
-
-/// Add node `idx` to the queued set (no-op if already a member). A free
-/// function over the two fields so a walk over the nodes can call it.
-#[inline]
-fn mark_queued(flags: &mut [bool], list: &mut Vec<u32>, idx: usize) {
-    if !flags[idx] {
-        flags[idx] = true;
-        list.push(idx as u32);
-    }
-}
 
 impl Nodes {
     /// Wrap a freshly built or freshly restored population: no look-ahead
@@ -230,8 +221,7 @@ impl Nodes {
             links: vec![NO_NODE; nodes.len() + slots.unwrap_or(0)],
             all_due: true,
             due: Vec::new(),
-            queued_flags: vec![false; nodes.len()],
-            queued_list: Vec::new(),
+            queued: BitSet::new(nodes.len()),
             silent: false,
             nodes,
         };
@@ -242,11 +232,10 @@ impl Nodes {
     fn rebuild_derived(&mut self) {
         self.paused.fill(false);
         self.make_all_due();
-        self.queued_flags.fill(false);
-        self.queued_list.clear();
+        self.queued.clear();
         for (idx, node) in self.nodes.iter().enumerate() {
             if node.queue_len() > 0 {
-                mark_queued(&mut self.queued_flags, &mut self.queued_list, idx);
+                self.queued.insert(idx);
             }
         }
         self.silent = self.all_silent();
@@ -267,11 +256,6 @@ impl Nodes {
     /// Borrow node `idx`.
     pub fn get(&self, idx: usize) -> &Node {
         &self.nodes[idx]
-    }
-
-    /// Mutably borrow node `idx` (injection: VC round-robin, head pop).
-    pub fn get_mut(&mut self, idx: usize) -> &mut Node {
-        &mut self.nodes[idx]
     }
 
     /// How many of the ticks node `idx`'s look-ahead reported have not
@@ -382,7 +366,7 @@ impl Nodes {
             }
             if phits > 0 {
                 metrics.record_generated(phits as u64);
-                mark_queued(&mut self.queued_flags, &mut self.queued_list, idx);
+                self.queued.insert(idx);
             }
         }
         self.due = due;
@@ -390,57 +374,42 @@ impl Nodes {
     }
 
     /// Whether node `idx` has a packet waiting. The queued set is exact from
-    /// one injection pass to the next, and an enqueue marks its node at
-    /// once, so the flag is exact throughout step 2 too.
+    /// one injection walk to the next, and an enqueue files its node at
+    /// once, so membership is exact throughout step 2 too.
     pub(crate) fn is_queued(&self, idx: usize) -> bool {
-        debug_assert_eq!(self.queued_flags[idx], self.nodes[idx].queue_len() > 0);
-        self.queued_flags[idx]
+        debug_assert_eq!(self.queued.contains(idx), self.nodes[idx].queue_len() > 0);
+        self.queued.contains(idx)
     }
 
     /// Enqueue a task-layer packet at node `idx` (see
     /// [`Node::enqueue_task_packet`]).
     pub fn enqueue_task_packet(&mut self, idx: usize, packet: Packet) {
         self.nodes[idx].enqueue_task_packet(packet);
-        mark_queued(&mut self.queued_flags, &mut self.queued_list, idx);
+        self.queued.insert(idx);
     }
 
-    /// Sort the queued set for this cycle's injection pass and return how
-    /// many nodes it holds; visit them with [`Nodes::queued`].
-    pub fn sort_queued(&mut self) -> usize {
-        self.queued_list.sort_unstable();
-        self.queued_list.len()
-    }
-
-    /// The `i`-th queued node (ascending node order after
-    /// [`Nodes::sort_queued`]).
-    pub fn queued(&self, i: usize) -> usize {
-        self.queued_list[i] as usize
-    }
-
-    /// Drop the nodes whose queue the injection pass emptied from the
-    /// queued set.
-    pub fn retire_drained(&mut self) {
-        let (flags, nodes) = (&mut self.queued_flags, &self.nodes);
-        self.queued_list.retain(|&idx| {
-            let queued = nodes[idx as usize].queue_len() > 0;
-            flags[idx as usize] = queued;
-            queued
+    /// The injection walk: hand every node with a packet waiting to
+    /// `inject`, in ascending node order, and leave out of the queued set
+    /// the nodes whose queue it emptied.
+    pub fn inject_queued(&mut self, mut inject: impl FnMut(usize, &mut Node)) {
+        let nodes = &mut self.nodes;
+        self.queued.retain(|idx| {
+            inject(idx, &mut nodes[idx]);
+            nodes[idx].queue_len() > 0
         });
     }
 
     /// Whether no node has a packet waiting (O(1); exact at step
     /// boundaries).
     pub fn all_queues_empty(&self) -> bool {
-        self.queued_list.is_empty()
+        self.queued.is_empty()
     }
 
-    /// The queued set's invariant against a full scan: every node with a
-    /// non-empty source queue is a member.
-    pub fn queued_set_is_complete(&self) -> bool {
-        self.nodes
-            .iter()
-            .zip(&self.queued_flags)
-            .all(|(node, &queued)| queued || node.queue_len() == 0)
+    /// The queued set against a full scan: exactly the nodes with a
+    /// non-empty source queue.
+    pub fn queued_set_is_exact(&self) -> bool {
+        (self.nodes.iter().enumerate())
+            .all(|(idx, node)| self.queued.contains(idx) == (node.queue_len() > 0))
     }
 
     /// The calendar's invariant against a full scan at the start of cycle
@@ -652,7 +621,7 @@ mod tests {
                     restored.set_paused(idx, blocked[idx] || failed[idx], now);
                 }
                 assert_eq!(saved_nodes(&restored, now), bytes, "{label}");
-                assert!(restored.queued_set_is_complete() && restored.calendar_is_exact(now));
+                assert!(restored.queued_set_is_exact() && restored.calendar_is_exact(now));
                 nodes = restored;
             }
             nodes.generate(now, &pat, &mut id, &mut metrics);
@@ -662,19 +631,20 @@ mod tests {
                 }
             }
             assert_eq!(saved_nodes(&nodes, now + 1), saved_twins(&twins), "{label}");
-            assert!(nodes.queued_set_is_complete(), "{label}");
+            assert!(nodes.queued_set_is_exact(), "{label}");
             assert!(nodes.calendar_is_exact(now + 1), "{label}");
             // drain every other cycle through the queued set, as injection does
             if now % 2 == 0 {
-                for i in 0..nodes.sort_queued() {
-                    let idx = nodes.queued(i);
-                    assert!(i == 0 || nodes.queued(i - 1) < idx, "ascending order");
+                let mut last = None;
+                nodes.inject_queued(|idx, node| {
+                    assert!(last < Some(idx), "ascending order");
+                    last = Some(idx);
                     assert_eq!(
-                        nodes.get_mut(idx).pop_head().map(|p| p.id),
+                        node.pop_head().map(|p| p.id),
                         twins[idx].pop_head().map(|p| p.id)
                     );
-                }
-                nodes.retire_drained();
+                });
+                assert!(nodes.queued_set_is_exact(), "{label}");
                 assert_eq!(
                     nodes.all_queues_empty(),
                     twins.iter().all(|t| t.queue_len() == 0)
@@ -761,9 +731,12 @@ mod tests {
         let packet = Packet::new(df_model::PacketId(1), NodeId(3), NodeId(9), 8, 0);
         nodes.enqueue_task_packet(3, packet);
         assert!(!nodes.all_queues_empty());
-        assert_eq!((nodes.sort_queued(), nodes.queued(0)), (1, 3));
-        nodes.get_mut(3).pop_head();
-        nodes.retire_drained();
+        let mut visited = Vec::new();
+        nodes.inject_queued(|idx, node| {
+            visited.push(idx);
+            node.pop_head();
+        });
+        assert_eq!(visited, [3]);
         assert!(nodes.all_queues_empty());
     }
 }

@@ -1,6 +1,7 @@
 //! The per-router work of phases 4–5 of [`Network::step`]: a routing +
 //! allocation iteration per router holding an input head, and a link
-//! transmission per active router.
+//! transmission per router whose earliest staged packet can leave this
+//! cycle.
 //!
 //! # Effects in walk order
 //!
@@ -9,7 +10,9 @@
 //! credit returns), misroute commits, fault re-commits and unroutable
 //! discards — is written straight into the network's event queue, metrics
 //! and in-flight counters ([`Effects`]) where it happens, in walk order
-//! (ascending head set or active list). No phase reads any of them,
+//! (the ascending head set, or the ascending staged routers whose next
+//! transmission is due: a staged router that is not due would send
+//! nothing, so leaving it out moves no event). No phase reads any of them,
 //! so walk order alone fixes the event insertion order, hence the time
 //! wheel's tie-breaking, hence the trajectory every pinned digest was
 //! captured under.
@@ -102,6 +105,7 @@ pub(crate) struct Effects<'a> {
 /// One allocation iteration for one router: register new heads, compute
 /// routing decisions, allocate, apply grants. Router-local except for the
 /// upstream credit returns, misroute commits and discards it writes to `fx`.
+/// Returns whether a grant staged a packet.
 #[inline]
 pub(crate) fn route_and_allocate_one(
     router: &mut Router,
@@ -110,7 +114,7 @@ pub(crate) fn route_and_allocate_one(
     now: Cycle,
     scratch: &mut StepScratch,
     fx: &mut Effects,
-) {
+) -> bool {
     let router_id = router.id();
     let track_ectn = ctx.algorithm.kind().needs_ectn_broadcast();
 
@@ -218,7 +222,7 @@ pub(crate) fn route_and_allocate_one(
     }
 
     if scratch.requests.is_empty() {
-        return;
+        return false;
     }
 
     // c. separable allocation; debug builds replay the full request list
@@ -246,6 +250,7 @@ pub(crate) fn route_and_allocate_one(
     for grant in &scratch.grants {
         apply_one_grant(router, ctx, now, grant, scratch, fx);
     }
+    !scratch.grants.is_empty()
 }
 
 /// Discard one unroutable head packet (fault routing): router-local release,

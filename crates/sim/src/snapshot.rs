@@ -40,13 +40,14 @@
 //! flags), the node-failure flags (the truth map's node marks), every
 //! router's gateway-liveness view (its group's flooded view, re-installed),
 //! each liveness map's down marks (its records with `up == false`), the
-//! activity gates (the active and head sets are recomputed from the
-//! routers, the queued-node set from the source queues, node pauses from
-//! the drain and failure flags; the wake-up calendar (every node due),
-//! output-changed flags, flipped-flag marks and staged-port sets restart
-//! conservatively — "everything dirty") and the step scratch.
-//! State only an observer reads is not simulation state and is
-//! not in the payload at all.
+//! activity gates (the head and staged-router sets and the next-transmit
+//! cycles are recomputed from the routers, the queued-node set from the
+//! source queues, node pauses from the drain and failure flags; the
+//! wake-up calendar (every node due), changed outputs, dirty groups and
+//! staged-port sets restart conservatively — "everything dirty") and the
+//! step scratch. State only an observer reads (an attached probe) is not
+//! simulation state and is not in the payload at all. A packet staged at
+//! an unconnected port is refused: it could never leave.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, VcId};
@@ -343,17 +344,17 @@ impl Network {
         for (group, view) in net.routers.chunks_mut(group_size).zip(&net.group_views) {
             install_linkview_group(group, view);
         }
-        // the activity gates are derived state: at a step boundary the
-        // active set (empty in the fresh network) is exactly the sorted
-        // non-idle routers, the head set those holding an input head
+        // the activity gates are derived state: at a step boundary the head
+        // set (empty in the fresh network) is exactly the routers holding an
+        // input head, the staged set those holding a staged packet, each
+        // with its next-transmit cycle
         for (i, router) in net.routers.iter().enumerate() {
-            if !router.is_idle() {
-                net.active_flags[i] = true;
-                net.active_list.push(i as u32);
-            }
             if router.occupied_ports() != 0 {
-                net.head_flags[i] = true;
-                net.head_list.push(i as u32);
+                net.heads.insert(i);
+            }
+            if let Some(at) = router.next_transmit() {
+                net.staged.insert(i);
+                net.next_transmit[i] = at;
             }
         }
         for n in 0..net.node_failed.len() {
@@ -446,7 +447,7 @@ mod tests {
     #[test]
     fn snapshot_is_kernel_portable() {
         // snapshot under the optimized kernel, restore under it and under a
-        // 2-worker parallel config — both must land on the state the retired
+        // 2-worker parallel config — both must land on the state the deleted
         // seed kernel (heap queue, full router scan) reached from the same
         // bytes, frozen as an FNV-1a digest at the last commit that had it
         const FROZEN_END_STATE: u64 = 0x1C5D_B816_7D2C_0E42;
@@ -583,6 +584,28 @@ mod tests {
 
         assert_eq!(drained_ref, drained_resumed);
         assert_eq!(end_state(&reference), end_state(&resumed));
+    }
+
+    /// A packet staged at a port with nothing behind it could never leave:
+    /// routing never grants one, and the transmission that reached it would
+    /// have nowhere to send it. Restore refuses the snapshot.
+    #[test]
+    fn a_packet_staged_at_an_unconnected_port_is_refused() {
+        let mut cfg = config(KernelMode::Optimized, 11);
+        cfg.topology = df_topology::MegaflyParams::small().into();
+        let mut net = Network::new(cfg.clone());
+        let port = Port(6);
+        assert_eq!(
+            net.topology().peer(RouterId(0), port),
+            df_topology::PortPeer::Unconnected
+        );
+        let packet = df_model::Packet::new(df_model::PacketId(0), NodeId(0), NodeId(9), 8, 0);
+        net.routers[0].output_mut(port).accept(packet, VcId(0), 0);
+        assert_invalid(
+            &cfg,
+            &net.snapshot(),
+            "a packet staged at an unconnected port",
+        );
     }
 
     #[test]

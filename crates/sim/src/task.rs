@@ -46,8 +46,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use df_engine::BitSet;
 use df_model::{Cycle, Packet, PacketId};
-use df_router::set_bits;
 use df_topology::{NodeId, Topology};
 use df_traffic::{JobSpec, TaskStep};
 
@@ -116,17 +116,16 @@ pub struct Job {
     /// Cycle the last rank finished (application completion time).
     completed_at: Option<Cycle>,
     // ---- which ranks can move (derived: rebuilt on restore) ----
-    /// Ranks to visit at the next advance, one bit per rank (bit `r % 64` of
-    /// word `r / 64`), so the visit walks them in ascending order. Every
+    /// Ranks to visit at the next advance (walked in ascending order). Every
     /// rank of a fresh or restored job, or after a pause changed.
-    woken: Vec<u64>,
+    woken: BitSet,
     /// `(ready_at, rank)` of each rank computing between steps, pushed when
     /// the step completes — in `ready_at` order, since `compute_delay` is
     /// fixed per job.
     computing: VecDeque<(Cycle, u32)>,
     /// Ranks whose step is enqueued and whose script is unfinished — the
-    /// only ranks that can stall — in the same bit layout.
-    waiting: Vec<u64>,
+    /// only ranks that can stall.
+    waiting: BitSet,
 }
 
 impl Job {
@@ -144,7 +143,7 @@ impl Job {
         let scripts = spec.workload.lower();
         let ranks = node_of_rank.len();
         let steps_total = scripts.first().map_or(0, |s| s.len());
-        let mut job = Job {
+        Job {
             spec: spec.clone(),
             scripts,
             node_of_rank,
@@ -161,12 +160,10 @@ impl Job {
             step_completion_cycles: vec![None; steps_total],
             ranks_done: 0,
             completed_at: None,
-            woken: vec![0; ranks.div_ceil(64)],
+            woken: BitSet::full(ranks),
             computing: VecDeque::new(),
-            waiting: vec![0; ranks.div_ceil(64)],
-        };
-        job.wake_all();
-        job
+            waiting: BitSet::new(ranks),
+        }
     }
 
     /// Attribute a delivered packet: credit the sender's outstanding-send
@@ -186,15 +183,12 @@ impl Job {
 
     /// Visit `rank` at the next advance.
     fn wake(&mut self, rank: u32) {
-        self.woken[rank as usize / 64] |= 1 << (rank % 64);
+        self.woken.insert(rank as usize);
     }
 
     /// Visit every rank at the next advance.
     fn wake_all(&mut self) {
-        let ranks = self.cursor.len();
-        for (w, word) in self.woken.iter_mut().enumerate() {
-            *word = u64::MAX >> (64 - (ranks - 64 * w).min(64));
-        }
+        self.woken = BitSet::full(self.cursor.len());
     }
 
     /// Advance the ranks that can move past completed steps, enqueue newly
@@ -215,23 +209,21 @@ impl Job {
             self.computing.pop_front();
             self.wake(r);
         }
-        for w in 0..self.woken.len() {
-            for bit in set_bits(std::mem::take(&mut self.woken[w])) {
-                self.visit(w * 64 + bit, now, nodes, metrics, next_packet_id);
-            }
+        let mut woken = std::mem::take(&mut self.woken);
+        for r in woken.drain() {
+            self.visit(r, now, nodes, metrics, next_packet_id);
         }
+        self.woken = woken;
         // stall: the rank handed everything to the network and is waiting
         // on deliveries (its own sends or its peers'). One rank lives on
         // one node, so its queue holds only its own sends until stochastic
         // generation, which runs after this.
         let mut stalled_ranks = 0u64;
-        for (w, &word) in self.waiting.iter().enumerate() {
-            for bit in set_bits(word) {
-                let (r, node_idx) = (w * 64 + bit, self.node_of_rank[w * 64 + bit] as usize);
-                if !nodes.is_paused(node_idx) && !nodes.is_queued(node_idx) {
-                    self.stall_cycles[r] += 1;
-                    stalled_ranks += 1;
-                }
+        for r in self.waiting.iter() {
+            let node_idx = self.node_of_rank[r] as usize;
+            if !nodes.is_paused(node_idx) && !nodes.is_queued(node_idx) {
+                self.stall_cycles[r] += 1;
+                stalled_ranks += 1;
             }
         }
         if stalled_ranks > 0 {
@@ -296,7 +288,7 @@ impl Job {
                 }
                 self.sends_outstanding[r] = outstanding;
                 self.enqueued[r] = true;
-                self.waiting[r / 64] |= 1 << (r % 64);
+                self.waiting.insert(r);
             }
             let expected = self.scripts[r][step].expected_packets;
             if self.sends_outstanding[r] != 0 || self.recvs[r][step] < expected {
@@ -310,7 +302,7 @@ impl Job {
             }
             self.cursor[r] += 1;
             self.enqueued[r] = false;
-            self.waiting[r / 64] &= !(1 << (r % 64));
+            self.waiting.remove(r);
             self.ready_at[r] = now + self.spec.compute_delay;
             if self.cursor[r] == self.steps_total {
                 self.ranks_done += 1;
@@ -342,7 +334,7 @@ impl Job {
                     };
                 let computing = unfinished && !enqueued && self.ready_at[r] > now;
                 (!can_move || nodes.is_paused(self.node_of_rank[r] as usize))
-                    && (self.waiting[r / 64] >> (r % 64) & 1 == 1) == (unfinished && enqueued)
+                    && self.waiting.contains(r) == (unfinished && enqueued)
                     && (!computing || self.computing.contains(&(self.ready_at[r], r as u32)))
             })
     }
@@ -504,7 +496,7 @@ impl Job {
         // file the waiting ranks and the computing ranks by `ready_at`
         for r in (0..ranks).filter(|&r| self.cursor[r] < self.steps_total) {
             if self.enqueued[r] {
-                self.waiting[r / 64] |= 1 << (r % 64);
+                self.waiting.insert(r);
             } else {
                 self.computing.push_back((self.ready_at[r], r as u32));
             }
