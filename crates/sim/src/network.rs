@@ -528,11 +528,11 @@ impl Network {
                             self.metrics.record_dropped_staged(&packet);
                             self.ledger_lost_credits(r, p, dst_vc, packet.size_phits);
                         }
-                        // the drop can only empty the router's stages
-                        let (r, router) = (r.index(), &self.routers[r.index()]);
+                        let r = r.index();
                         self.changed.insert(r);
-                        self.next_transmit[r] = router.next_transmit().unwrap_or(Cycle::MAX);
-                        if router.next_transmit().is_none() {
+                        self.next_transmit[r] =
+                            self.routers[r].next_transmit().unwrap_or(Cycle::MAX);
+                        if self.next_transmit[r] == Cycle::MAX {
                             self.staged.remove(r);
                         }
                     }
