@@ -30,7 +30,7 @@
 
 use std::path::PathBuf;
 
-use df_bench::{parse_kv, Scale};
+use df_bench::{parse_kv, write_or_exit, Scale};
 use df_routing::RoutingKind;
 use df_sim::runner::{run_sweep_service, RunnerOptions};
 use df_sim::{ChurnModel, ChurnRate, Scenario, ScenarioMatrix, SimulationConfig};
@@ -173,7 +173,7 @@ fn main() {
             print!("{line}");
         }
     }
-    std::fs::write("AVAILABILITY.csv", &csv).expect("write AVAILABILITY.csv");
+    write_or_exit("AVAILABILITY.csv", &csv);
     eprintln!("wrote AVAILABILITY.csv");
 
     // The availability headline: at every failure rate, the mechanisms

@@ -12,7 +12,7 @@
 //! cargo run --release -p df-bench --bin collectives -- [small|medium|paper] [csv]
 //! ```
 
-use df_bench::Scale;
+use df_bench::{write_or_exit, Scale};
 use df_engine::Table;
 use df_routing::RoutingKind;
 use df_sim::{run_job_set, SimulationConfig};
@@ -129,6 +129,6 @@ fn main() {
     } else {
         println!("{}", table.to_text());
     }
-    std::fs::write("COLLECTIVES.csv", table.to_csv()).expect("write COLLECTIVES.csv");
+    write_or_exit("COLLECTIVES.csv", &table.to_csv());
     eprintln!("wrote COLLECTIVES.csv");
 }

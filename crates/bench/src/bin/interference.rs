@@ -16,6 +16,7 @@
 //! cargo run --release -p df-bench --bin interference -- [small|medium|paper] [csv] [--topology=...]
 //! ```
 
+use df_bench::{or_exit_2, write_or_exit, Scale};
 use df_engine::Table;
 use df_routing::RoutingKind;
 use df_sim::{run_interference, SimulationConfig};
@@ -67,8 +68,9 @@ const ROUTINGS: [RoutingKind; 3] = [
 ];
 
 fn main() {
-    let scale = df_bench::Scale::from_args_with_flags(df_bench::Scale::small(), &["csv"]);
-    let csv_stdout = std::env::args().any(|a| a == "csv");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = or_exit_2(Scale::from_arg_list(Scale::small(), &["csv"], &args));
+    let csv_stdout = args.iter().any(|a| a == "csv");
 
     let mut table = Table::new(
         format!(
@@ -135,6 +137,6 @@ fn main() {
     } else {
         println!("{}", table.to_text());
     }
-    std::fs::write("INTERFERENCE.csv", table.to_csv()).expect("write INTERFERENCE.csv");
+    write_or_exit("INTERFERENCE.csv", &table.to_csv());
     eprintln!("wrote INTERFERENCE.csv");
 }

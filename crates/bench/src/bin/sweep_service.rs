@@ -1,22 +1,25 @@
-//! Sweep-as-a-service: the crash-recoverable scenario-matrix runner over a
-//! run directory. Kill it at any point — rerunning the same command resumes
-//! from the journal and the latest per-cell snapshots and produces a results
-//! table byte-identical to an uninterrupted run.
+//! The scenario-matrix runner: a `scenarios × loads × routings` cross
+//! product over a run directory, crash-recoverable. Kill it at any point —
+//! rerunning the same command resumes from the journal and the latest
+//! per-cell snapshots and produces a results table byte-identical to an
+//! uninterrupted run.
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p df-bench --bin sweep_service -- \
 //!     run-dir=target/sweep [small|medium|paper] [smoke] [csv] \
-//!     [threads=N] [checkpoint-every=N] [seeds=N] \
-//!     [interrupt-after=N] [interrupt-mid-at=N]
+//!     [--topology=dragonfly|megafly] [threads=N] [checkpoint-every=N] \
+//!     [seeds=N] [interrupt-after=N] [interrupt-mid-at=N]
 //! ```
 //!
 //! * `run-dir=` — the run directory (journal, snapshots, `results.csv`);
 //!   required.
 //! * scale name / `smoke` — topology and measurement windows, as in the
-//!   other runners (a mistyped scale or `key=`, or a `--topology=`
-//!   selection — the matrix is built on the canonical Dragonfly — is
-//!   rejected).
+//!   other runners (default `small`; `smoke` is short windows for CI, a
+//!   mistyped scale or `key=` is rejected).
+//! * `--topology=` — topology family (default `dragonfly`; `megafly` runs
+//!   the matrix on the Dragonfly+ instance of the same sizing).
+//! * `csv` — print CSV instead of the aligned text table.
 //! * `threads=` — sub-runs at once, one thread each (default: available
 //!   parallelism).
 //! * `checkpoint-every=` — cycles between mid-cell snapshots (default 2000;
@@ -26,17 +29,21 @@
 //!   service early as if it had been killed (between sub-runs, or mid-cell
 //!   right after a checkpoint).
 //!
+//! Every cell's seed is derived from `(base seed, scenario, load, routing)`
+//! alone, so the table is bit-for-bit identical across reruns, resumes and
+//! thread budgets — run it into two fresh directories and compare.
+//!
 //! Exit code 0 = matrix complete (`results.csv` written), 3 = interrupted
 //! by a hook (resume by rerunning), 2 = bad arguments.
 
 use std::path::PathBuf;
 
-use df_bench::{parse_kv, Scale};
+use df_bench::{or_exit_2, parse_kv, write_or_exit, Scale};
 use df_routing::RoutingKind;
 use df_sim::runner::{run_sweep_service, RunnerOptions};
 use df_sim::{matrix_table, FaultPlan, Scenario, ScenarioMatrix, SimulationConfig};
-use df_topology::{Dragonfly, GroupId};
-use df_traffic::PatternKind;
+use df_topology::{GroupId, RouterId};
+use df_traffic::{InjectionKind, PatternKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,8 +51,8 @@ fn main() {
         eprintln!("error: run-dir=DIR is required (see the module docs)");
         std::process::exit(2);
     };
-    let scale = Scale::from_args_dragonfly_only(
-        "sweep_service",
+    let scale = or_exit_2(Scale::from_arg_list(
+        Scale::small(),
         &[
             "smoke",
             "csv",
@@ -57,7 +64,7 @@ fn main() {
             "interrupt-mid-at=",
         ],
         &args,
-    );
+    ));
     let smoke = args.iter().any(|a| a == "smoke");
     let csv = args.iter().any(|a| a == "csv");
 
@@ -68,8 +75,9 @@ fn main() {
     };
     let seeds = parse_kv(&args, "seeds").unwrap_or(seeds);
 
+    let topology = scale.topology_params();
     let base = SimulationConfig::builder()
-        .topology(scale.topology)
+        .topology(topology)
         .network(scale.network)
         .warmup_cycles(warmup)
         .measurement_cycles(measure)
@@ -77,26 +85,52 @@ fn main() {
         .build()
         .expect("valid base configuration");
 
-    // Benign + adversarial steady workloads plus one mid-run link outage —
-    // the outage exercises snapshot/resume straddling fault windows.
-    // NOTE: pinned to the concrete Dragonfly family, which is why the
-    // parser above rejects `--topology=`; new code should build
-    // `scale.topology_params().build()` and go through the `Topology` trait.
-    let topo = Dragonfly::new(scale.topology);
-    let (gw, gport) = FaultPlan::global_link_between(&topo, GroupId(0), GroupId(1));
+    // The workload axis: steady patterns spanning benign, adversarial,
+    // locality-skewed and permutation-style traffic, one bursty variant and
+    // one phased transient; then the faults family, deterministic failures
+    // layered over steady traffic — a global-link outage window on the
+    // busiest ADV+1 link and a graceful router drain/restore, scaled to the
+    // run's windows (the outages also exercise snapshot/resume straddling
+    // fault windows).
+    let (gw, gport) = FaultPlan::global_link_between(&topology.build(), GroupId(0), GroupId(1));
+    let scenarios = vec![
+        Scenario::steady(PatternKind::Uniform),
+        Scenario::steady(PatternKind::Adversarial { offset: 1 }),
+        Scenario::steady(PatternKind::Hotspot {
+            hotspots: 4,
+            fraction: 0.5,
+        }),
+        Scenario::steady(PatternKind::BitReversal),
+        Scenario::steady(PatternKind::GroupLocal {
+            local_fraction: 0.6,
+        }),
+        Scenario::named("UN-bursty")
+            .injection(InjectionKind::Bursty {
+                mean_on: 50.0,
+                mean_off: 50.0,
+            })
+            .hold(PatternKind::Uniform),
+        Scenario::transient(
+            PatternKind::Uniform,
+            PatternKind::Adversarial { offset: 1 },
+            warmup / 2,
+        ),
+        Scenario::named("ADV-linkloss")
+            .hold(PatternKind::Adversarial { offset: 1 })
+            .link_down(warmup / 2, gw, gport)
+            .link_up(warmup + measure / 2, gw, gport),
+        Scenario::named("UN-drain")
+            .hold(PatternKind::Uniform)
+            .router_drain(warmup / 2, RouterId(1))
+            .router_restore(warmup + measure / 2, RouterId(1)),
+    ];
     let matrix = ScenarioMatrix {
         base,
-        scenarios: vec![
-            Scenario::steady(PatternKind::Uniform),
-            Scenario::steady(PatternKind::Adversarial { offset: 1 }),
-            Scenario::named("ADV-linkloss")
-                .hold(PatternKind::Adversarial { offset: 1 })
-                .link_down(warmup / 2, gw, gport)
-                .link_up(warmup + measure / 2, gw, gport),
-        ],
+        scenarios,
         loads: vec![0.1, 0.25, 0.4],
         routings: vec![
             RoutingKind::Minimal,
+            RoutingKind::Olm,
             RoutingKind::Base,
             RoutingKind::PiggyBacking,
             RoutingKind::Ectn,
@@ -113,10 +147,15 @@ fn main() {
     options.interrupt_mid_subrun_at = parse_kv(&args, "interrupt-mid-at");
 
     eprintln!(
-        "sweep service: {} cells x {} seeds over {} ({} threads, checkpoints every {} cycles) -> {}",
+        "sweep service: {} scenarios x {} loads x {} routings = {} cells x {} seeds over {} {:?} \
+         ({} threads, checkpoints every {} cycles) -> {}",
+        matrix.scenarios.len(),
+        matrix.loads.len(),
+        matrix.routings.len(),
         matrix.num_cells(),
         matrix.seeds_per_cell,
         scale.name,
+        scale.topology_kind,
         options.threads,
         options.checkpoint_every,
         options.run_dir.display(),
@@ -141,15 +180,15 @@ fn main() {
     }
 
     let table = matrix_table(
-        format!("sweep service ({}, seed 1)", scale.name),
+        format!(
+            "sweep service ({} {:?}, seed 1)",
+            scale.name, scale.topology_kind
+        ),
         &outcome.cells,
     );
     let rendered_csv = table.to_csv();
     let results_path = options.run_dir.join("results.csv");
-    if let Err(e) = std::fs::write(&results_path, &rendered_csv) {
-        eprintln!("cannot write {}: {e}", results_path.display());
-        std::process::exit(1);
-    }
+    write_or_exit(&results_path, &rendered_csv);
     if csv {
         print!("{rendered_csv}");
     } else {

@@ -41,10 +41,6 @@ fn base_config(
         .topology(scale.topology)
         .network(scale.network)
         .routing(routing)
-        .routing_config(RoutingConfig::calibrated_for(
-            &scale.topology,
-            &scale.network.vcs,
-        ))
         .pattern(pattern)
         .offered_load(load)
         .warmup_cycles(scale.warmup)
@@ -263,7 +259,6 @@ pub fn transient_run(
         .topology(scale.topology)
         .network(network)
         .routing(routing)
-        .routing_config(RoutingConfig::calibrated_for(&scale.topology, &network.vcs))
         .schedule(schedule)
         .offered_load(load)
         .warmup_cycles(scale.warmup)

@@ -6,8 +6,9 @@
 //! returns [`df_engine::Table`]s with the same rows/series the paper plots.
 //!
 //! `--bin fig -- <5|6|7|8|9|10|table1>` prints these tables at a selectable
-//! scale; the other binaries in `src/bin/` are the scenario-matrix,
-//! sweep-service, fault, availability and collective/job runners. Timing
+//! scale; the other binaries in `src/bin/` are the scenario-matrix runner
+//! (`sweep_service`, journaled and resumable), and the fault, availability
+//! and collective/job runners. Timing
 //! lives in the standalone `benchmark/` package, not here.
 
 #![warn(missing_docs)]
@@ -17,4 +18,4 @@ pub mod figures;
 pub mod scale;
 
 pub use figures::*;
-pub use scale::{or_exit_2, parse_kv, Scale};
+pub use scale::{or_exit_2, parse_kv, write_or_exit, Scale};

@@ -156,23 +156,6 @@ impl Scale {
         }
     }
 
-    /// Scale named on the command line, falling back
-    /// to the caller's `default`, with the caller's own flags exempted from
-    /// the typo check — each binary declares the flags *it* accepts (words
-    /// as `"csv"`, `key=value` options as `"seeds="`) rather than this
-    /// parser knowing every binary's CLI.
-    ///
-    /// A word-like argument that is *not* a known scale name or declared
-    /// flag, or a `key=value` with an undeclared key, aborts with exit code
-    /// 2 and the valid names instead of silently falling back — a mistyped
-    /// `papper` used to buy you a multi-hour run of the wrong topology,
-    /// `sedds=3` the default seed count (testable core:
-    /// [`Scale::from_arg_list`]).
-    pub fn from_args_with_flags(default: Self, flags: &[&str]) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        or_exit_2(Self::from_arg_list(default, flags, &args))
-    }
-
     /// [`Scale::from_arg_list_dragonfly_only`] over a binary's own argument
     /// list with the `small` default every Dragonfly-only binary uses,
     /// aborting with exit code 2 on a rejected argument.
@@ -186,8 +169,8 @@ impl Scale {
     }
 
     /// [`Scale::from_arg_list`] for the binaries that build the canonical
-    /// Dragonfly explicitly (every `fig` figure, `sweep_service`,
-    /// `availability`, `fault_recovery`, `collectives`): any `--topology`
+    /// Dragonfly explicitly (every `fig` figure, `availability`,
+    /// `fault_recovery`, `collectives`): any `--topology`
     /// argument is an error naming the binary and the topology-aware
     /// alternatives instead of being silently ignored — running one under
     /// `--topology=megafly` used to produce a Dragonfly table labelled by
@@ -201,9 +184,9 @@ impl Scale {
         if let Some(arg) = args.iter().find(|a| a.starts_with("--topology")) {
             return Err(format!(
                 "error: {bin} is Dragonfly-only and does not accept '{arg}' (Figures 5-10, \
-                 Table 1, the sweep service, the availability sweep, the fault-recovery \
-                 curve and the collectives table build the canonical Dragonfly; \
-                 topology-aware runners: scenario_matrix, interference)"
+                 Table 1, the availability sweep, the fault-recovery curve and the \
+                 collectives table build the canonical Dragonfly; topology-aware runners: \
+                 sweep_service, interference)"
             ));
         }
         Self::from_arg_list(default, flags, args)
@@ -277,6 +260,16 @@ pub fn or_exit_2<T>(parsed: Result<T, String>) -> T {
         eprintln!("{msg}");
         std::process::exit(2);
     })
+}
+
+/// Write `contents` to `path`, or print the path and the error and abort the
+/// process with exit code 1.
+pub fn write_or_exit(path: impl AsRef<std::path::Path>, contents: &str) {
+    let path = path.as_ref();
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
 /// The integer value of a `key=value` argument, if present; a non-integer

@@ -24,7 +24,10 @@ fn rejected(exe: &str, args: &[&str]) -> String {
 #[test]
 fn mistyped_scale_names_abort_with_exit_2() {
     for bad in ["papper", "paper_smoke", "smal"] {
-        let stderr = rejected(env!("CARGO_BIN_EXE_scenario_matrix"), &[bad]);
+        let stderr = rejected(
+            env!("CARGO_BIN_EXE_sweep_service"),
+            &["run-dir=target/never-created", bad],
+        );
         assert!(
             stderr.contains("unrecognized scale") && stderr.contains(bad),
             "stderr must explain the rejection: {stderr}"
@@ -33,10 +36,9 @@ fn mistyped_scale_names_abort_with_exit_2() {
 }
 
 #[test]
-fn service_bins_reject_mistyped_scales_and_topology_selections() {
+fn service_bins_reject_mistyped_scales_and_keys() {
     // both used to pick their scale with find_map(Scale::from_name): a typo
-    // silently ran `small`, and --topology was silently ignored although
-    // both build the canonical Dragonfly
+    // silently ran `small`
     for (exe, bin) in [
         (env!("CARGO_BIN_EXE_sweep_service"), "sweep_service"),
         (env!("CARGO_BIN_EXE_availability"), "availability"),
@@ -45,15 +47,6 @@ fn service_bins_reject_mistyped_scales_and_topology_selections() {
         assert!(
             stderr.contains("unrecognized scale") && stderr.contains("papper"),
             "{bin} stderr must explain the rejection: {stderr}"
-        );
-        let stderr = rejected(exe, &["run-dir=target/never-created", "--topology=megafly"]);
-        assert!(
-            stderr.contains(bin) && stderr.contains("Dragonfly-only"),
-            "{bin} stderr must name the binary and the reason: {stderr}"
-        );
-        assert!(
-            !stderr.contains("sweep_service)"),
-            "the sweep service must not be advertised as topology-aware: {stderr}"
         );
         // a mistyped key used to be skipped: `sedds=3` ran the default seed
         // count and `thread=4` the default budget, both exiting 0; `stream=`
@@ -67,6 +60,52 @@ fn service_bins_reject_mistyped_scales_and_topology_selections() {
         }
     }
     assert!(!std::path::Path::new("target/never-created").exists());
+}
+
+#[test]
+fn availability_rejects_topology_selections_with_exit_2() {
+    // --topology was silently ignored although the sweep builds the
+    // canonical Dragonfly
+    let stderr = rejected(
+        env!("CARGO_BIN_EXE_availability"),
+        &["run-dir=target/never-created", "--topology=megafly"],
+    );
+    assert!(
+        stderr.contains("availability")
+            && stderr.contains("Dragonfly-only")
+            && stderr.contains("topology-aware runners: sweep_service, interference)"),
+        "stderr must name the binary, the reason and the alternatives: {stderr}"
+    );
+    assert!(!std::path::Path::new("target/never-created").exists());
+}
+
+#[test]
+fn sweep_service_runs_its_matrix_on_megafly() {
+    let dir = std::env::temp_dir().join(format!("df-bench-sweep-megafly-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep_service"))
+        .arg(format!("run-dir={}", dir.display()))
+        .args([
+            "--topology=megafly",
+            "bench",
+            "smoke",
+            "threads=1",
+            "interrupt-after=1",
+        ])
+        .output()
+        .expect("spawn sweep_service");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "interrupted by the hook: {stderr}"
+    );
+    assert!(
+        stderr.contains("Megafly"),
+        "the run names its topology: {stderr}"
+    );
+    assert!(dir.join("journal.bin").exists(), "the run leaves a journal");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -132,7 +171,7 @@ fn dragonfly_only_runners_reject_topology_selections_with_exit_2() {
             "{bin} stderr must name the binary and the reason: {stderr}"
         );
         assert!(
-            stderr.contains("topology-aware runners: scenario_matrix, interference)"),
+            stderr.contains("topology-aware runners: sweep_service, interference)"),
             "only the bins that honour --topology may be advertised: {stderr}"
         );
         // neither takes a key=value option at all
@@ -296,5 +335,24 @@ fn collectives_bin_writes_deterministic_csv() {
     );
     let second = run();
     assert_eq!(first, second, "collective runs must be rerun-deterministic");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unwritable_csv_exits_1_without_a_panic() {
+    // `collectives` used to panic at `.expect("write COLLECTIVES.csv")`
+    let dir = std::env::temp_dir().join(format!("df-bench-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("COLLECTIVES.csv")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_collectives"))
+        .current_dir(&dir)
+        .args(["bench", "csv"])
+        .output()
+        .expect("spawn collectives");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot write COLLECTIVES.csv") && !stderr.contains("panicked"),
+        "stderr must name the path and the error, not a panic: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

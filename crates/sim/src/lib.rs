@@ -75,7 +75,7 @@ pub use metrics::{Metrics, WindowSummary};
 pub use network::snapshot::{config_fingerprint, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use network::Network;
 pub use runner::{run_sweep_service, RunnerOptions, SweepOutcome};
-pub use scenario::{Scenario, ScenarioPhase};
+pub use scenario::Scenario;
 pub use sweep::{
     cell_seed, matrix_table, num_threads, run_matrix, run_sweep, MatrixCell, MatrixKey,
     ScenarioMatrix,

@@ -8,17 +8,21 @@
 //! schedules of the paper's Figures 7–9: any number of phases, each a
 //! `pattern × load × duration` triple, can be chained.
 //!
-//! Phases are expressed by *duration* rather than absolute start cycle, so
+//! Phases are appended by *duration* rather than absolute start cycle, so
 //! scenarios compose: appending a phase never requires renumbering the
-//! existing ones. The last phase may be open-ended (`duration = None`) and
-//! runs until the simulation stops.
+//! existing ones. A scenario is a builder for the [`TrafficSchedule`] the
+//! configuration already carries: each phase is stored as the schedule's own
+//! [`PatternPhase`] at its accumulated start cycle, and
+//! [`schedule`](Scenario::schedule) hands them over unchanged. Every
+//! workload rule (phase patterns and loads, injection, faults, jobs) is
+//! checked once, by [`SimulationConfig::validate`](crate::SimulationConfig::validate)
+//! on the configuration the scenario is applied to.
 //!
 //! A scenario never *ends* a run — how long to simulate is the experiment's
-//! decision, not the workload's. When the last phase is timed, its pattern
-//! and load simply persist beyond its nominal end (the lowered
-//! [`TrafficSchedule`] is right-open); use
-//! [`timed_cycles`](Scenario::timed_cycles) to size the warm-up/measurement
-//! windows if the run should stop where the scenario does.
+//! decision, not the workload's. The schedule is right-open: the last
+//! phase's pattern and load persist for as long as the simulation runs,
+//! whether it was appended with [`hold`](Scenario::hold) or as a timed
+//! phase.
 //!
 //! ```
 //! use df_sim::Scenario;
@@ -35,27 +39,11 @@
 
 use df_model::Cycle;
 use df_topology::{NodeId, Port, RouterId};
-use df_traffic::{
-    validate_job_disjointness, InjectionKind, JobSpec, PatternKind, PatternPhase, TrafficSchedule,
-};
+use df_traffic::{InjectionKind, JobSpec, PatternKind, PatternPhase, TrafficSchedule};
 use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnModel;
 use crate::fault::FaultPlan;
-
-/// One phase of a scenario: a pattern at an (optional) load override for a
-/// (possibly open-ended) duration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioPhase {
-    /// Traffic pattern of the phase.
-    pub pattern: PatternKind,
-    /// Offered-load override in phits/(node·cycle); `None` keeps the
-    /// experiment's base load.
-    pub load: Option<f64>,
-    /// Length of the phase in cycles; `None` means "until the end of the
-    /// run" and is only allowed for the final phase.
-    pub duration: Option<Cycle>,
-}
 
 /// A named, composable traffic workload: an injection process plus an ordered
 /// list of phases.
@@ -65,8 +53,11 @@ pub struct Scenario {
     pub name: String,
     /// Injection process shared by every phase.
     pub injection: InjectionKind,
-    /// The phases, in order. Never empty once built.
-    phases: Vec<ScenarioPhase>,
+    /// The phases, in order, each at its absolute start cycle.
+    phases: Vec<PatternPhase>,
+    /// Start cycle of the next phase to append; `None` after an open-ended
+    /// phase, which nothing may follow.
+    next_start: Option<Cycle>,
     /// Timed link/router fault events (empty for healthy-network
     /// scenarios). Cycles are absolute, on the same clock as the phase
     /// durations.
@@ -91,6 +82,7 @@ impl Scenario {
             name: name.into(),
             injection: InjectionKind::Bernoulli,
             phases: Vec::new(),
+            next_start: Some(0),
             faults: FaultPlan::new(),
             churn: None,
             jobs: Vec::new(),
@@ -215,124 +207,42 @@ impl Scenario {
     }
 
     fn push(mut self, pattern: PatternKind, load: Option<f64>, duration: Option<Cycle>) -> Self {
-        assert!(
-            self.phases.last().is_none_or(|p| p.duration.is_some()),
-            "no phase can follow an open-ended phase"
-        );
+        let start = self
+            .next_start
+            .expect("no phase can follow an open-ended phase");
         if let Some(d) = duration {
             assert!(d > 0, "a timed phase needs a positive duration");
         }
-        self.phases.push(ScenarioPhase {
+        self.phases.push(PatternPhase {
+            start,
             pattern,
             load,
-            duration,
         });
+        self.next_start = duration.map(|d| start + d);
         self
     }
 
-    /// The phases, in order.
-    pub fn phases(&self) -> &[ScenarioPhase] {
-        &self.phases
+    /// Whether any phase was appended: a scenario without one has no
+    /// schedule.
+    pub(crate) fn has_phases(&self) -> bool {
+        !self.phases.is_empty()
     }
 
     /// Absolute cycles at which the pattern changes (start of every phase
-    /// after the first).
+    /// after the first). The end of a timed last phase is not a switch: its
+    /// pattern and load persist.
     pub fn switch_points(&self) -> Vec<Cycle> {
-        let mut points = Vec::new();
-        let mut at = 0;
-        for phase in self.phases.iter() {
-            let Some(d) = phase.duration else { break };
-            at += d;
-            points.push(at);
-        }
-        // an open-ended last phase starts at the last accumulated point; a
-        // timed last phase simply ends the scenario there, which is not a
-        // switch
-        if self.phases.last().is_some_and(|p| p.duration.is_some()) {
-            points.pop();
-        }
-        points
+        self.phases.iter().skip(1).map(|p| p.start).collect()
     }
 
-    /// Total length of the timed phases; `None` if the scenario ends with an
-    /// open-ended phase.
-    ///
-    /// This is advisory: simulating past it keeps the last phase's pattern
-    /// and load active (see the module docs). Size the experiment's
-    /// warm-up/measurement windows from this value when the run should end
-    /// with the scenario.
-    pub fn timed_cycles(&self) -> Option<Cycle> {
-        self.phases
-            .iter()
-            .map(|p| p.duration)
-            .sum::<Option<Cycle>>()
-    }
-
-    /// Lower the scenario to the piecewise-constant [`TrafficSchedule`] the
-    /// simulator consumes (durations become absolute start cycles). The
-    /// schedule is right-open: the final phase — timed or not — stays active
-    /// for as long as the simulation runs.
+    /// The piecewise-constant [`TrafficSchedule`] the simulator consumes.
+    /// The schedule is right-open: the final phase — timed or not — stays
+    /// active for as long as the simulation runs.
     ///
     /// # Panics
     /// Panics if the scenario has no phases.
     pub fn schedule(&self) -> TrafficSchedule {
-        assert!(
-            !self.phases.is_empty(),
-            "a scenario needs at least one phase"
-        );
-        let mut start = 0;
-        let mut phases = Vec::with_capacity(self.phases.len());
-        for phase in self.phases.iter() {
-            phases.push(PatternPhase {
-                start,
-                pattern: phase.pattern,
-                load: phase.load,
-            });
-            start += phase.duration.unwrap_or(0);
-        }
-        TrafficSchedule::from_phases(phases)
-    }
-
-    /// Validate every phase pattern against a topology, plus the injection
-    /// process.
-    pub fn validate(&self, topo: &impl df_topology::Topology) -> Result<(), String> {
-        if self.phases.is_empty() {
-            return Err(format!("scenario '{}' has no phases", self.name));
-        }
-        self.injection.validate()?;
-        self.faults
-            .validate(topo)
-            .map_err(|e| format!("scenario '{}': {e}", self.name))?;
-        if let Some(churn) = &self.churn {
-            churn
-                .validate()
-                .map_err(|e| format!("scenario '{}': {e}", self.name))?;
-        }
-        if !self.jobs.is_empty() {
-            let groups = topo.num_groups();
-            let nodes_per_group = topo.nodes_per_group();
-            for (i, job) in self.jobs.iter().enumerate() {
-                job.validate(groups, nodes_per_group)
-                    .map_err(|e| format!("scenario '{}': job #{i}: {e}", self.name))?;
-            }
-            validate_job_disjointness(&self.jobs, groups, nodes_per_group)
-                .map_err(|e| format!("scenario '{}': {e}", self.name))?;
-        }
-        for (i, phase) in self.phases.iter().enumerate() {
-            phase
-                .pattern
-                .validate(topo)
-                .map_err(|e| format!("scenario '{}' phase {i}: {e}", self.name))?;
-            if let Some(load) = phase.load {
-                if !(0.0..=1.0).contains(&load) {
-                    return Err(format!(
-                        "scenario '{}' phase {i}: load must be in [0,1], got {load}",
-                        self.name
-                    ));
-                }
-            }
-        }
-        Ok(())
+        TrafficSchedule::from_phases(self.phases.clone())
     }
 }
 
@@ -344,12 +254,11 @@ mod tests {
     fn steady_scenario_is_one_open_phase() {
         let s = Scenario::steady(PatternKind::Uniform);
         assert_eq!(s.name, "UN");
-        assert_eq!(s.phases().len(), 1);
         assert!(s.switch_points().is_empty());
-        assert!(s.timed_cycles().is_none());
-        let schedule = s.schedule();
-        assert_eq!(schedule.pattern_at(0), PatternKind::Uniform);
-        assert!(schedule.change_points().is_empty());
+        assert_eq!(
+            s.schedule(),
+            TrafficSchedule::constant(PatternKind::Uniform)
+        );
     }
 
     #[test]
@@ -379,7 +288,6 @@ mod tests {
             .phase_at_load(PatternKind::Adversarial { offset: 1 }, 0.4, 500)
             .hold(PatternKind::Uniform);
         assert_eq!(s.switch_points(), vec![1_000, 1_500]);
-        assert_eq!(s.timed_cycles(), None);
         let schedule = s.schedule();
         assert_eq!(schedule.phases().len(), 3);
         assert_eq!(schedule.phases()[1].start, 1_000);
@@ -388,15 +296,14 @@ mod tests {
     }
 
     #[test]
-    fn timed_final_phase_has_a_total_length() {
+    fn a_timed_final_phase_persists() {
         let s = Scenario::named("finite")
             .phase(PatternKind::Uniform, 300)
             .phase(PatternKind::Adversarial { offset: 1 }, 200);
-        assert_eq!(s.timed_cycles(), Some(500));
         // the end of the last phase is not a pattern switch
         assert_eq!(s.switch_points(), vec![300]);
-        // the lowered schedule is right-open: simulating past timed_cycles
-        // keeps the final pattern active (sizing the run is the
+        // the lowered schedule is right-open: simulating past the timed
+        // phases keeps the final pattern active (sizing the run is the
         // experiment's job, not the workload's)
         let schedule = s.schedule();
         assert_eq!(
@@ -420,7 +327,8 @@ mod tests {
     }
 
     #[test]
-    fn fault_events_attach_and_validate() {
+    fn fault_events_and_churn_attach_to_scenarios() {
+        use crate::churn::ChurnRate;
         let topo = df_topology::Dragonfly::new(df_topology::DragonflyParams::small());
         let (gw, port) =
             FaultPlan::global_link_between(&topo, df_topology::GroupId(0), df_topology::GroupId(3));
@@ -428,62 +336,16 @@ mod tests {
             .hold(PatternKind::Uniform)
             .link_down(150, gw, port)
             .link_up(450, gw, port)
-            .router_drain(200, RouterId(2));
-        assert_eq!(s.fault_plan().len(), 3);
-        let cycles: Vec<_> = s.fault_plan().events().iter().map(|e| e.at).collect();
-        assert_eq!(cycles, vec![150, 450, 200]);
-        assert!(s.validate(&topo).is_ok());
-        // healthy scenarios carry an empty plan
-        assert!(Scenario::steady(PatternKind::Uniform)
-            .fault_plan()
-            .is_empty());
-        // a terminal-link fault is rejected by validation
-        let bad =
-            Scenario::named("bad")
-                .hold(PatternKind::Uniform)
-                .link_down(10, RouterId(0), Port(0));
-        assert!(bad.validate(&topo).is_err());
-    }
-
-    #[test]
-    fn node_events_and_churn_attach_to_scenarios() {
-        use crate::churn::ChurnRate;
-        let topo = df_topology::Dragonfly::new(df_topology::DragonflyParams::small());
-        let s = Scenario::named("UN-nodeloss")
-            .hold(PatternKind::Uniform)
-            .node_fail(100, df_topology::NodeId(5), df_topology::NodeId(6))
-            .node_restore(400, df_topology::NodeId(5))
+            .router_drain(200, RouterId(2))
+            .node_fail(100, NodeId(5), NodeId(6))
+            .node_restore(400, NodeId(5))
             .churn(ChurnModel::new(9, 0, 1_000).global_links(ChurnRate::new(5_000.0, 300.0)));
-        assert_eq!(s.fault_plan().len(), 2);
+        let cycles: Vec<_> = s.fault_plan().events().iter().map(|e| e.at).collect();
+        assert_eq!(cycles, vec![150, 450, 200, 100, 400]);
         assert!(s.churn_model().is_some());
-        assert!(s.validate(&topo).is_ok());
-        // an invalid churn model fails scenario validation
-        let bad = Scenario::named("bad-churn")
-            .hold(PatternKind::Uniform)
-            .churn(ChurnModel::new(9, 0, 0).routers(ChurnRate::new(1_000.0, 100.0)));
-        assert!(bad.validate(&topo).is_err());
-        // healthy scenarios carry no churn
-        assert!(Scenario::steady(PatternKind::Uniform)
-            .churn_model()
-            .is_none());
-    }
-
-    #[test]
-    fn validation_flags_bad_phase_parameters() {
-        let topo = df_topology::Dragonfly::new(df_topology::DragonflyParams::small());
-        assert!(Scenario::named("empty").validate(&topo).is_err());
-        let bad_load = Scenario::named("overload").hold_at_load(PatternKind::Uniform, 1.5);
-        assert!(bad_load.validate(&topo).is_err());
-        let bad_pattern = Scenario::named("hot").hold(PatternKind::Hotspot {
-            hotspots: 0,
-            fraction: 0.5,
-        });
-        assert!(bad_pattern.validate(&topo).is_err());
-        let good = Scenario::transient(PatternKind::Uniform, PatternKind::BitReversal, 100)
-            .injection(InjectionKind::Bursty {
-                mean_on: 20.0,
-                mean_off: 20.0,
-            });
-        assert!(good.validate(&topo).is_ok());
+        // healthy scenarios carry an empty plan and no churn
+        let healthy = Scenario::steady(PatternKind::Uniform);
+        assert!(healthy.fault_plan().is_empty());
+        assert!(healthy.churn_model().is_none());
     }
 }

@@ -11,13 +11,17 @@
 //!   index, routing index)` via [`cell_seed`], and the cells are swept.
 //!   Because each cell's configuration (including its seed) is fully
 //!   determined before any thread starts, the result table is bit-for-bit
-//!   identical across reruns and across thread budgets.
+//!   identical across reruns and across thread budgets. Every cell is
+//!   checked by [`SimulationConfig::validate`], the one home of the
+//!   workload rules. The journaled front of the same expansion is
+//!   [`run_sweep_service`](crate::runner::run_sweep_service), whose tests
+//!   hold it to `run_matrix`.
 //!
 //! The `threads` argument is the number of sub-runs at once, floored at 1:
 //! every sub-run is one thread.
 //!
 //! [`matrix_table`] renders the cells as a [`Table`] (text or CSV) for the
-//! scenario-runner binary and the golden regression suite.
+//! `sweep_service` binary and the golden regression suite.
 
 use df_engine::Table;
 use df_routing::RoutingKind;
@@ -115,9 +119,9 @@ impl ScenarioMatrix {
     /// every load and routing of its row.
     ///
     /// # Panics
-    /// Panics on a scenario whose churn model is invalid; [`run_matrix`] and
-    /// the sweep service go through `validated_cells` and report that as
-    /// their own error.
+    /// Panics on a scenario without a phase or with an invalid churn model;
+    /// [`run_matrix`] and the sweep service go through `validated_cells`
+    /// and report both as their own error.
     pub fn cells(&self) -> Vec<(MatrixKey, SimulationConfig)> {
         let mut out = Vec::with_capacity(self.num_cells());
         for (s_idx, scenario) in self.scenarios.iter().enumerate() {
@@ -150,10 +154,11 @@ impl ScenarioMatrix {
     }
 
     /// [`cells`](Self::cells) behind the checks both matrix drivers need:
-    /// no empty axis and at least one seed per cell, every scenario valid
-    /// against the base topology (so an invalid churn model is an error
-    /// here, not a panic in the expansion), then every expanded cell
-    /// configuration.
+    /// no empty axis and at least one seed per cell, then the two checks
+    /// only a scenario can fail before its expansion (a phase to schedule, a
+    /// valid churn model), then [`SimulationConfig::validate`] on every
+    /// expanded cell — the one home of every other workload rule. Each
+    /// error names the scenario.
     pub(crate) fn validated_cells(
         &self,
     ) -> Result<(Vec<MatrixKey>, Vec<SimulationConfig>), String> {
@@ -163,17 +168,20 @@ impl ScenarioMatrix {
         if self.seeds_per_cell == 0 {
             return Err("seeds_per_cell must be at least 1".into());
         }
-        let topo = self.base.topology.build();
+        let invalid = |scenario: &str, e: &dyn std::fmt::Display| {
+            format!("invalid matrix cell: scenario '{scenario}': {e}")
+        };
         for scenario in &self.scenarios {
-            scenario
-                .validate(&topo)
-                .map_err(|e| format!("invalid matrix cell: {e}"))?;
+            if !scenario.has_phases() {
+                return Err(invalid(&scenario.name, &"it has no phase"));
+            }
+            if let Some(churn) = scenario.churn_model() {
+                churn.validate().map_err(|e| invalid(&scenario.name, &e))?;
+            }
         }
         let cells = self.cells();
         for (key, config) in &cells {
-            config
-                .validate()
-                .map_err(|e| format!("invalid matrix cell {key:?}: {e}"))?;
+            config.validate().map_err(|e| invalid(&key.scenario, &e))?;
         }
         Ok(cells.into_iter().unzip())
     }
@@ -450,6 +458,66 @@ mod tests {
     fn empty_matrix_axes_are_rejected() {
         let m = ScenarioMatrix::new(template());
         let _ = run_matrix(&m, 1);
+    }
+
+    #[test]
+    fn every_workload_rule_is_a_service_error_naming_the_scenario() {
+        use crate::churn::{ChurnModel, ChurnRate};
+        use crate::runner::{run_sweep_service, RunnerOptions};
+        use df_topology::RouterId;
+        use df_traffic::{CollectiveKind, JobPlacement, JobSpec, TaskWorkload};
+        let a2a = || {
+            JobSpec::new(
+                TaskWorkload::single(CollectiveKind::AllToAll, 8, 1),
+                JobPlacement::block(0),
+            )
+        };
+        let cases = [
+            (Scenario::named("phaseless"), "no phase"),
+            (
+                Scenario::named("overload").hold_at_load(PatternKind::Uniform, 1.5),
+                "schedule phase 0: load must be in [0,1]",
+            ),
+            (
+                Scenario::named("no-hotspots").hold(PatternKind::Hotspot {
+                    hotspots: 0,
+                    fraction: 0.5,
+                }),
+                "hotspot count",
+            ),
+            (
+                Scenario::named("bad-churn")
+                    .hold(PatternKind::Uniform)
+                    .churn(ChurnModel::new(7, 100, 300).global_links(ChurnRate::new(0.0, 5.0))),
+                "churn model: global-link mtbf",
+            ),
+            (
+                Scenario::named("overlap")
+                    .hold(PatternKind::Uniform)
+                    .job(a2a())
+                    .job(a2a()),
+                "both place a rank",
+            ),
+            (
+                Scenario::named("far-router")
+                    .hold(PatternKind::Uniform)
+                    .router_drain(10, RouterId(10_000)),
+                "router r10000 out of range",
+            ),
+        ];
+        let dir = std::env::temp_dir().join(format!("df_sweep_rules_{}", std::process::id()));
+        for (scenario, reason) in cases {
+            let name = scenario.name.clone();
+            let mut m = small_matrix();
+            m.scenarios.push(scenario);
+            let err = run_sweep_service(&m, &RunnerOptions::new(&dir)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("invalid matrix cell: scenario '{name}'"))
+                    && err.contains(reason),
+                "{name}: the error must name the scenario and the rule: {err}"
+            );
+        }
+        assert!(!dir.exists(), "no run directory may be created");
     }
 
     #[test]

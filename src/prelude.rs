@@ -20,8 +20,7 @@ pub use df_sim::{
     run_steady_state, run_sweep, run_sweep_service, run_transient, ChurnModel, ChurnRate,
     ConfigError, FaultEvent, FaultKind, FaultPlan, InterferenceReport, JobReport, JobSetReport,
     JobsEngine, KernelMode, MatrixCell, MatrixKey, Network, RunnerOptions, Scenario,
-    ScenarioMatrix, ScenarioPhase, SimulationConfig, SteadyStateReport, SweepOutcome,
-    TransientReport,
+    ScenarioMatrix, SimulationConfig, SteadyStateReport, SweepOutcome, TransientReport,
 };
 pub use df_topology::{
     AnyTopology, Dragonfly, DragonflyParams, GatewayLiveness, GroupId, LinkState, Megafly,
