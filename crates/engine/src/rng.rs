@@ -22,6 +22,31 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The raw draw at or above which a `bernoulli(p)` trial fails (`0 < p <
+/// 1`; see [`DeterministicRng::skip_bernoulli_failures`]).
+#[inline]
+fn failure_threshold(p: f64) -> u64 {
+    debug_assert!(p > 0.0 && p < 1.0, "a trial that draws: 0 < p < 1");
+    ((p * (1u64 << 53) as f64).ceil() as u64) << 11
+}
+
+/// Whether `rng`'s next trial fails, read without stepping.
+#[inline]
+fn fails(rng: &SmallRng, threshold: u64) -> bool {
+    rng.peek_u64() >= threshold
+}
+
+/// Step `rng` past failing trials until a success or `bound`, counting on
+/// from `failures`.
+#[inline]
+fn finish_failures(rng: &mut SmallRng, threshold: u64, mut failures: u32, bound: u32) -> u32 {
+    while failures < bound && fails(rng, threshold) {
+        rng.next_u64();
+        failures += 1;
+    }
+    failures
+}
+
 /// A deterministic random number generator with named sub-streams.
 ///
 /// Internally wraps [`rand::rngs::SmallRng`] (xoshiro256++ on 64-bit
@@ -80,16 +105,41 @@ impl DeterministicRng {
     /// trials, stopping *before* a success; returns how many (`0 < p < 1`).
     /// A trial peeks its draw and steps only past a failure: `uniform()` is
     /// `m · 2^-53` for the draw's top 53 bits, so `uniform() < p` is exactly
-    /// `m < ceil(p · 2^53)` (scaling by a power of two is exact).
+    /// `m < t = ceil(p · 2^53)` (scaling by a power of two is exact), and
+    /// since `t ≤ 2^53 − 1` for every `p < 1`, exactly `draw < t · 2^11`.
     #[inline]
     pub fn skip_bernoulli_failures(&mut self, p: f64, bound: u32) -> u32 {
-        debug_assert!(p > 0.0 && p < 1.0, "a trial that draws: 0 < p < 1");
-        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
-        let mut failures = 0;
-        while failures < bound && self.inner.peek_u64() >> 11 >= threshold {
-            self.inner.next_u64();
-            failures += 1;
+        let mut rng = self.inner.clone();
+        let failures = finish_failures(&mut rng, failure_threshold(p), 0, bound);
+        self.inner = rng;
+        failures
+    }
+
+    /// [`skip_bernoulli_failures`](Self::skip_bernoulli_failures) on two
+    /// streams at once: both step in lock-step while both fail, then each
+    /// finishes alone. Returns each stream's count, and leaves each where
+    /// its own scan would; interleaving the two dependency chains is what
+    /// makes a pair cheaper than two scans.
+    #[inline]
+    pub fn skip_bernoulli_failures_pair(
+        a: &mut Self,
+        b: &mut Self,
+        p: f64,
+        bound: u32,
+    ) -> [u32; 2] {
+        let threshold = failure_threshold(p);
+        let (mut ra, mut rb) = (a.inner.clone(), b.inner.clone());
+        let mut both = 0;
+        while both < bound && fails(&ra, threshold) && fails(&rb, threshold) {
+            ra.next_u64();
+            rb.next_u64();
+            both += 1;
         }
+        let failures = [
+            finish_failures(&mut ra, threshold, both, bound),
+            finish_failures(&mut rb, threshold, both, bound),
+        ];
+        (a.inner, b.inner) = (ra, rb);
         failures
     }
 
@@ -228,22 +278,33 @@ mod tests {
         (failures, at)
     }
 
-    #[test]
-    fn skipping_failures_matches_bernoulli_trials_on_a_clone() {
+    /// The trial probabilities the scans are checked at: the extremes (the
+    /// largest, `1 − 2^-53`, has the largest threshold `(2^53 − 1) · 2^11`),
+    /// the loads the benchmark workloads run, and loads whose `p · 2^53` is
+    /// an integer (the threshold is `p · 2^53` itself).
+    fn trial_probabilities() -> Vec<f64> {
         let two53 = (1u64 << 53) as f64;
-        let mut probabilities = vec![
+        vec![
             1.0 / two53,
+            1.0 / (1u64 << 40) as f64,
             1e-9,
+            1e-4,
             0.000_125,
             0.001_25,
             1.0 / 3.0,
             0.5,
             1.0 - 1.0 / two53,
-        ];
-        // loads whose p · 2^53 is an integer: the threshold is p · 2^53 itself
-        probabilities.extend([3.0 / 1024.0, 5.0 / 4096.0, 0.125, 0.75]);
+            3.0 / 1024.0,
+            5.0 / 4096.0,
+            0.125,
+            0.75,
+        ]
+    }
+
+    #[test]
+    fn skipping_failures_matches_bernoulli_trials_on_a_clone() {
         let mut hit_bound = 0;
-        for p in probabilities {
+        for p in trial_probabilities() {
             for seed in 0..64 {
                 let mut rng = DeterministicRng::new(seed).split(p.to_bits());
                 // walk a few runs in a row, so the scans start at varied states
@@ -267,6 +328,46 @@ mod tests {
             hit_bound > 100,
             "the scan reached its bound {hit_bound} times"
         );
+    }
+
+    #[test]
+    fn a_paired_scan_matches_two_single_scans_on_clones() {
+        // lanes: [stopped at the same index, one stopped at 0 and the
+        // other not, one reached the bound and the other not]
+        let mut lanes = [0u32; 3];
+        for p in trial_probabilities() {
+            for seed in 0..64u64 {
+                let root = DeterministicRng::new(seed).split(p.to_bits());
+                let (mut a, mut b) = (root.split(0), root.split(1));
+                // every fourth pair is a stream and its own clone: the two
+                // lanes stop together wherever they stop
+                if seed % 4 == 0 {
+                    b = a.clone();
+                }
+                // walk a few pairs of scans in a row, each at every bound
+                for bound in [0, 1, 64, 256].repeat(2) {
+                    let (mut single_a, mut single_b) = (a.clone(), b.clone());
+                    let expected = [
+                        single_a.skip_bernoulli_failures(p, bound),
+                        single_b.skip_bernoulli_failures(p, bound),
+                    ];
+                    let paired =
+                        DeterministicRng::skip_bernoulli_failures_pair(&mut a, &mut b, p, bound);
+                    let label = format!("p {p} seed {seed} bound {bound}");
+                    assert_eq!(paired, expected, "{label}");
+                    assert_eq!(a.state(), single_a.state(), "{label}");
+                    assert_eq!(b.state(), single_b.state(), "{label}");
+                    let [x, y] = paired;
+                    lanes[0] += (x == y && x < bound) as u32;
+                    lanes[1] += (x.min(y) == 0 && x.max(y) > 0) as u32;
+                    lanes[2] += (x.max(y) == bound && x.min(y) < bound) as u32;
+                    // step both past where they stopped, into fresh draws
+                    a.next_u64();
+                    b.next_u64();
+                }
+            }
+        }
+        assert!(lanes.iter().all(|&n| n > 100), "lanes {lanes:?}");
     }
 
     #[test]

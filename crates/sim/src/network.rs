@@ -80,6 +80,7 @@ use df_topology::{
     AnyTopology, GatewayLiveness, GroupId, LinkState, NodeId, Port, PortPeer, RouterId, Topology,
 };
 use df_traffic::TrafficPattern;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -98,6 +99,10 @@ pub mod snapshot;
 /// The whole simulated network.
 pub struct Network {
     config: SimulationConfig,
+    /// [`snapshot::config_fingerprint`] of `config`, which never changes
+    /// after construction: computed by the first snapshot (or taken from
+    /// the one restored), which leads with it like every later one.
+    fingerprint: OnceCell<u64>,
     /// Read-only context of the phases (topology, mechanism, timing).
     ctx: StepCtx,
     routers: Vec<Router>,
@@ -257,6 +262,7 @@ impl Network {
         let num_groups = topo.num_groups();
         Network {
             config,
+            fingerprint: OnceCell::new(),
             ctx,
             routers,
             nodes: Nodes::new(nodes),
@@ -716,7 +722,8 @@ impl Network {
                 &mut self.next_packet_id,
             );
         }
-        self.scratch.counts.due_ticks = self.nodes.generate(
+        let counts = &mut self.scratch.counts;
+        (counts.due_ticks, counts.lookahead_draws) = self.nodes.generate(
             now,
             &self.patterns[self.current_phase],
             &mut self.next_packet_id,
@@ -1419,7 +1426,7 @@ mod tests {
         assert_eq!(totals.steps, 300);
         assert!(Phase::ALL.iter().all(|&p| totals.us_per_step(p) >= 0.0));
         let c = totals.counts;
-        assert!(c.events > 0 && c.due_ticks > 0 && c.pb_refreshes > 0);
+        assert!(c.events > 0 && c.due_ticks > 0 && c.lookahead_draws > 0 && c.pb_refreshes > 0);
         assert!(c.heads >= c.requests && c.requests >= c.grants && c.grants > 0);
         assert!(c.transmit_visits >= c.senders && c.senders > 0);
     }

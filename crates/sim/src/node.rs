@@ -15,7 +15,11 @@
 //! hands out the nodes whose next tick is not already proved a failure by
 //! the Bernoulli look-ahead (see
 //! [`df_traffic::injection`]), and a flag for the case where no injector
-//! can generate anything at all. None of it is simulation state: it is
+//! can generate anything at all. A cycle's generation walks its due nodes
+//! twice: it ticks them all in ascending order (the order packet ids are
+//! numbered in), then looks ahead two at a time
+//! ([`Injector::look_ahead_pair`]) and files each in the calendar. None of
+//! it is simulation state: it is
 //! rebuilt from the nodes on construction and on restore, and a snapshot
 //! is byte-identical with or without it.
 //!
@@ -178,7 +182,8 @@ impl Node {
 ///
 /// The wake-up calendar files each node of a `Bernoulli` population at its
 /// next real tick, `now + look_ahead + 1`, in a ring of buckets longer than
-/// `LOOKAHEAD_BOUND + 1`; a cycle ticks its bucket, sorted. A paused node
+/// `LOOKAHEAD_BOUND + 1`; a cycle ticks its bucket, sorted (the order
+/// within a bucket's chain is not state). A paused node
 /// leaves it owing the rest of its look-ahead. A new, restored or
 /// load-changed population is *all due*: the next generation walks every
 /// unpaused node. `Ramp` and `Bursty` populations stay all due.
@@ -325,22 +330,23 @@ impl Nodes {
     }
 
     /// This cycle's generation: tick the nodes filed at `now` (every unpaused
-    /// node while all are due) in ascending order, filing each again past
-    /// its look-ahead. A silent population is not walked at all. Returns
-    /// how many nodes ticked.
+    /// node while all are due) in ascending order, then file each again past
+    /// its look-ahead, two at a time. A silent population is not walked at
+    /// all. Returns how many nodes ticked and how many failing trials their
+    /// look-aheads skipped.
     pub fn generate(
         &mut self,
         now: Cycle,
         pattern: &TrafficPattern,
         next_packet_id: &mut u64,
         metrics: &mut Metrics,
-    ) -> u64 {
+    ) -> (u64, u64) {
         if self.silent {
             debug_assert!(
                 self.all_silent(),
                 "the generation walk was skipped but an injector can still draw"
             );
-            return 0;
+            return (0, 0);
         }
         let calendar = self.links.len() > self.nodes.len();
         let mut due = std::mem::take(&mut self.due);
@@ -356,21 +362,36 @@ impl Nodes {
             }
             due.sort_unstable();
         }
-        let ticks = due.len() as u64;
-        for idx in due.drain(..).map(|idx| idx as usize) {
-            let node = &mut self.nodes[idx];
-            let phits = node.generate(now, pattern, next_packet_id);
-            if calendar {
-                let quiet = node.injector.look_ahead();
-                self.file(idx, now + quiet as Cycle + 1);
-            }
+        // the ticks number the packets: ascending, as an every-node walk
+        for &idx in &due {
+            let phits = self.nodes[idx as usize].generate(now, pattern, next_packet_id);
             if phits > 0 {
                 metrics.record_generated(phits as u64);
-                self.queued.insert(idx);
+                self.queued.insert(idx as usize);
             }
         }
+        // the look-aheads read only their own streams: any order will do
+        let mut draws = 0;
+        if calendar {
+            let mut pairs = due.chunks_exact(2);
+            for pair in &mut pairs {
+                let (a, b) = (pair[0] as usize, pair[1] as usize);
+                let (low, high) = self.nodes.split_at_mut(b);
+                let quiet = Injector::look_ahead_pair(&mut low[a].injector, &mut high[0].injector);
+                self.file(a, now + quiet[0] as Cycle + 1);
+                self.file(b, now + quiet[1] as Cycle + 1);
+                draws += (quiet[0] + quiet[1]) as u64;
+            }
+            for &idx in pairs.remainder() {
+                let quiet = self.nodes[idx as usize].injector.look_ahead();
+                self.file(idx as usize, now + quiet as Cycle + 1);
+                draws += quiet as u64;
+            }
+        }
+        let ticks = due.len() as u64;
+        due.clear();
         self.due = due;
-        ticks
+        (ticks, draws)
     }
 
     /// Whether node `idx` has a packet waiting. The queued set is exact from
@@ -549,8 +570,12 @@ mod tests {
 
     // ---- Nodes: the derived sets against a plain every-node walk ----
 
+    /// An odd population: with one node paused, the due lists run odd and
+    /// even, so the paired look-ahead walk leaves a node out on some cycles.
+    const POPULATION: usize = 13;
+
     fn population(injection: InjectionKind, load: f64) -> Vec<Node> {
-        (0..12)
+        (0..POPULATION as u32)
             .map(|n| {
                 Node::new(
                     NodeId(n),
@@ -581,14 +606,16 @@ mod tests {
     /// Drive a population of `injection` injectors through the calendar and
     /// a twin population ticked every cycle, through overlapping pauses,
     /// load changes (to zero and back, mid-look-ahead) and two mid-run
-    /// restores, comparing the saved state after every cycle.
-    fn assert_calendar_matches_twins(injection: InjectionKind) {
+    /// restores, comparing the saved state after every cycle. Returns how
+    /// many cycles ticked an odd number of nodes.
+    fn assert_calendar_matches_twins(injection: InjectionKind) -> u32 {
         let pat = pattern();
         let mut nodes = Nodes::new(population(injection, 0.2));
         let mut twins = population(injection, 0.2);
         let (mut id, mut twin_id) = (0u64, 0u64);
         let mut metrics = Metrics::new(0, 20);
-        let (mut blocked, mut failed) = (vec![false; 12], vec![false; 12]);
+        let (mut blocked, mut failed) = (vec![false; POPULATION], vec![false; POPULATION]);
+        let mut odd = 0;
         for now in 0..3_000u64 {
             let label = format!("{} cycle {now}", injection.label());
             // the load changes to zero and back, with look-aheads pending
@@ -617,14 +644,15 @@ mod tests {
                 restored
                     .restore_state(&mut df_engine::Decoder::new(&bytes))
                     .unwrap();
-                for idx in 0..12 {
+                for idx in 0..POPULATION {
                     restored.set_paused(idx, blocked[idx] || failed[idx], now);
                 }
                 assert_eq!(saved_nodes(&restored, now), bytes, "{label}");
                 assert!(restored.queued_set_is_exact() && restored.calendar_is_exact(now));
                 nodes = restored;
             }
-            nodes.generate(now, &pat, &mut id, &mut metrics);
+            let (ticks, _) = nodes.generate(now, &pat, &mut id, &mut metrics);
+            odd += (ticks % 2) as u32;
             for (idx, twin) in twins.iter_mut().enumerate() {
                 if !blocked[idx] && !failed[idx] {
                     twin.generate(now, &pat, &mut twin_id);
@@ -653,11 +681,13 @@ mod tests {
         }
         assert_eq!(id, twin_id);
         assert!(id > 100, "the walk generated traffic ({id} packets)");
+        odd
     }
 
     #[test]
     fn gated_walk_matches_ticking_every_node_every_cycle() {
-        assert_calendar_matches_twins(InjectionKind::Bernoulli);
+        let odd = assert_calendar_matches_twins(InjectionKind::Bernoulli);
+        assert!(odd > 100, "{odd} cycles left a node out of the pairs");
         assert_calendar_matches_twins(InjectionKind::Ramp {
             start_fraction: 0.2,
             ramp_cycles: 1_500,
@@ -687,7 +717,7 @@ mod tests {
             ticks += filed(&nodes, now);
             nodes.generate(now, &pat, &mut id, &mut metrics);
         }
-        assert!(ticks < 12 * 10, "{ticks} ticks in 999 cycles of 12 nodes");
+        assert!(ticks < 13 * 10, "{ticks} ticks in 999 cycles of 13 nodes");
         nodes.set_offered_load(0.02, 1_000);
         assert!(nodes.all_due && nodes.calendar_is_exact(1_000));
     }
@@ -696,7 +726,7 @@ mod tests {
     fn a_pause_unlinks_its_node_from_anywhere_in_the_bucket() {
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.01));
         nodes.all_due = false;
-        for idx in 0..12 {
+        for idx in 0..POPULATION {
             nodes.file(idx, if idx < 4 { 7 } else { 9 });
         }
         assert!(nodes.calendar_is_exact(3));

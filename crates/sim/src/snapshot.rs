@@ -54,6 +54,7 @@ use df_model::{Cycle, VcId};
 use df_router::dissemination::install_linkview_group;
 use df_router::{decode_gateway_liveness, encode_gateway_liveness};
 use df_topology::{NodeId, Port, RouterId, Topology};
+use std::cell::OnceCell;
 
 use super::Network;
 use crate::config::{KernelMode, SimulationConfig};
@@ -163,7 +164,10 @@ impl Network {
     /// continues bit-identically to this one.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.u64(config_fingerprint(&self.config));
+        let fingerprint = self
+            .fingerprint
+            .get_or_init(|| config_fingerprint(&self.config));
+        e.u64(*fingerprint);
         e.u64(self.cycle);
         e.usize(self.current_phase);
         e.u64(self.next_packet_id);
@@ -248,6 +252,7 @@ impl Network {
             )));
         }
         let mut net = Network::new(config);
+        net.fingerprint = OnceCell::from(expected);
         net.cycle = d.u64()?;
         net.current_phase = d.usize()?;
         if net.current_phase >= net.patterns.len() {

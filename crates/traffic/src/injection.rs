@@ -32,7 +32,11 @@
 //! skipped draw is read once. If a load change or a state capture comes
 //! first, [`Injector::settle`] replays the elapsed draws instead. Either way
 //! the injector consumes exactly the draws of a tick-every-cycle twin, and
-//! every packet, RNG state and snapshot byte is the same. `Ramp` (its
+//! every packet, RNG state and snapshot byte is the same. A caller with
+//! many injectors looks ahead two at a time ([`Injector::look_ahead_pair`]):
+//! two Bernoulli streams at one probability scan in lock-step, overlapping
+//! the generator's two dependency chains, and each reads only its own
+//! draws. `Ramp` (its
 //! probability depends on the cycle) and `Bursty` (a Markov draw per tick)
 //! report no certain failures and are ticked every cycle.
 //! [`Injector::is_silent`] covers the other extreme: at load 0 a non-bursty
@@ -240,6 +244,31 @@ impl Injector {
             self.lookahead = self.ahead.skip_bernoulli_failures(p, LOOKAHEAD_BOUND);
         }
         self.lookahead
+    }
+
+    /// [`look_ahead`](Self::look_ahead) on two injectors at once: when both
+    /// are steady Bernoulli processes with the same trial probability, their
+    /// two scans run interleaved
+    /// ([`DeterministicRng::skip_bernoulli_failures_pair`]); otherwise each
+    /// looks ahead alone. Either way each reports, and leaves pending, what
+    /// its own look-ahead would.
+    pub fn look_ahead_pair(a: &mut Self, b: &mut Self) -> [u32; 2] {
+        debug_assert_eq!(a.lookahead + b.lookahead, 0, "one look-ahead at a time");
+        match (a.steady_trial_probability(), b.steady_trial_probability()) {
+            (Some(p), Some(q)) if p == q => {
+                a.ahead.clone_from(&a.rng);
+                b.ahead.clone_from(&b.rng);
+                let counts = DeterministicRng::skip_bernoulli_failures_pair(
+                    &mut a.ahead,
+                    &mut b.ahead,
+                    p,
+                    LOOKAHEAD_BOUND,
+                );
+                [a.lookahead, b.lookahead] = counts;
+                counts
+            }
+            _ => [a.look_ahead(), b.look_ahead()],
+        }
     }
 
     /// Bring the stream to its true position when `remaining` of the ticks
@@ -900,6 +929,49 @@ mod tests {
             assert_eq!(inj.is_silent(), silent, "{} at load {load}", kind.label());
             let skipped = assert_twin(kind, load, size, 2_000, &[(1_000, 0.0)], &[500, 1_500]);
             assert_eq!(skipped, 0, "{} at load {load}", kind.label());
+        }
+    }
+
+    #[test]
+    fn a_paired_look_ahead_leaves_each_injector_as_its_own_would() {
+        let ramp = InjectionKind::Ramp {
+            start_fraction: 0.2,
+            ramp_cycles: 500,
+        };
+        // (kind, load, packet size) of each lane: equal trial probabilities
+        // (through different loads and sizes too), unequal ones, and lanes
+        // that look ahead to nothing
+        let bernoulli = |load, size| (InjectionKind::Bernoulli, load, size);
+        let pairs = [
+            (bernoulli(0.01, 8), bernoulli(0.01, 8)),
+            (bernoulli(0.000_08, 8), bernoulli(0.000_08, 8)),
+            (bernoulli(0.02, 16), bernoulli(0.01, 8)),
+            (bernoulli(0.01, 8), bernoulli(0.3, 8)),
+            (bernoulli(0.01, 8), bernoulli(0.0, 8)),
+            (bernoulli(1.0, 1), bernoulli(0.01, 8)),
+            ((ramp, 0.4, 8), bernoulli(0.4, 8)),
+        ];
+        let pat = pattern();
+        for (seed, ((ka, la, sa), (kb, lb, sb))) in pairs.into_iter().enumerate() {
+            let rng = DeterministicRng::new(seed as u64);
+            let mut a = Injector::new(NodeId(0), ka, la, sa, rng.split(0));
+            let mut b = Injector::new(NodeId(1), kb, lb, sb, rng.split(1));
+            let mut next_id = 0;
+            for now in 0..200 {
+                let (mut single_a, mut single_b) = (a.clone(), b.clone());
+                let expected = [single_a.look_ahead(), single_b.look_ahead()];
+                let label = format!("pair {seed} tick {now}");
+                assert_eq!(
+                    Injector::look_ahead_pair(&mut a, &mut b),
+                    expected,
+                    "{label}"
+                );
+                for (paired, single) in [(&mut a, single_a), (&mut b, single_b)] {
+                    assert_eq!(paired.lookahead, single.lookahead, "{label}");
+                    assert_eq!(paired.ahead.state(), single.ahead.state(), "{label}");
+                    paired.tick(now, &pat, &mut next_id);
+                }
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //! configures it (seed 1):
 //!
 //! * `lowload_paper` — the Table I Dragonfly (16,512 nodes) at UN 0.01,
-//!   probed over the 300 cycles after a 100-cycle warm-up;
+//!   probed over the 300 cycles after a 100-cycle warm-up, and over cycle 0
+//!   (every node due: a look-ahead per node) on its own line;
 //! * `saturated_medium` — the medium Dragonfly restored at cycle 800 of
 //!   UN 0.9 (Base, PB) and ADV+1 0.5 (ECtN, OLM), probed over 150 cycles.
 //!
@@ -20,6 +21,7 @@
 use contention_dragonfly::prelude::*;
 use contention_dragonfly::sim::probe::{Phase, PhaseClock, PhaseTotals, StepCounts};
 use contention_dragonfly::sim::Network;
+use std::cell::Cell;
 
 /// A configuration as the benchmark workloads build theirs.
 fn config(
@@ -40,19 +42,28 @@ fn config(
         .expect("valid configuration")
 }
 
+/// Run `steps` steps of `net` under a phase clock and return its totals.
+fn clocked(net: &mut Network, steps: u64) -> PhaseTotals {
+    let clock = PhaseClock::default();
+    net.set_probe(Some(Box::new(clock.clone())));
+    net.run_cycles(steps);
+    net.set_probe(None);
+    clock.totals()
+}
+
+/// Mean µs per step over every phase.
+fn step_us(totals: &PhaseTotals) -> f64 {
+    Phase::ALL.iter().map(|&p| totals.us_per_step(p)).sum()
+}
+
 /// Probe `steps` steps of the network `start` builds, `runs` times: per
 /// phase (and for the whole step) the fastest run, counts from the first.
 fn probe(runs: usize, steps: u64, start: impl Fn() -> Network) -> (PhaseTotals, f64) {
     let mut best: Option<PhaseTotals> = None;
     let mut best_step = f64::INFINITY;
     for _ in 0..runs {
-        let mut net = start();
-        let clock = PhaseClock::default();
-        net.set_probe(Some(Box::new(clock.clone())));
-        net.run_cycles(steps);
-        let totals = clock.totals();
-        let step: f64 = Phase::ALL.iter().map(|&p| totals.us_per_step(p)).sum();
-        best_step = best_step.min(step);
+        let totals = clocked(&mut start(), steps);
+        best_step = best_step.min(step_us(&totals));
         let best = best.get_or_insert(totals);
         assert_eq!(best.counts, totals.counts, "counts are deterministic");
         for (kept, time) in best.time.iter_mut().zip(totals.time) {
@@ -64,9 +75,10 @@ fn probe(runs: usize, steps: u64, start: impl Fn() -> Network) -> (PhaseTotals, 
 
 /// The count rows of a table: label and field.
 type CountRow = (&'static str, fn(&StepCounts) -> u64);
-const COUNTS: [CountRow; 10] = [
+const COUNTS: [CountRow; 11] = [
     ("link events delivered", |c| c.events),
     ("due ticks", |c| c.due_ticks),
+    ("look-ahead draws", |c| c.lookahead_draws),
     ("PB exchanges", |c| c.pb_exchanges),
     ("PB refreshes", |c| c.pb_refreshes),
     ("router-iterations (step 4)", |c| c.router_iterations),
@@ -93,7 +105,9 @@ fn print_table(cells: &[(String, PhaseTotals, f64)]) {
     println!("| **step µs** | {} |", row.join(" | "));
     for (label, field) in COUNTS {
         let row: Vec<String> = (cells.iter())
-            .map(|(_, t, _)| match label {
+            .map(|(cell, t, _)| match label {
+                // a mechanism without PB state has no PB work to count
+                "PB exchanges" | "PB refreshes" if !cell.starts_with("PB") => "–".into(),
                 "requests filed → grants" => format!(
                     "{:.0} → {:.0}",
                     t.per_step(|c| c.requests),
@@ -118,7 +132,7 @@ fn main() {
         RoutingKind::PiggyBacking,
         RoutingKind::Ectn,
     ];
-    let mut cells = Vec::new();
+    let (mut cells, mut first_steps) = (Vec::new(), Vec::new());
     for (i, routing) in routings.into_iter().enumerate() {
         let cfg = config(
             DragonflyParams::paper_table1(),
@@ -127,14 +141,19 @@ fn main() {
             0.01,
             i,
         );
+        let first_step = Cell::new(f64::INFINITY);
         let (totals, step) = probe(runs, 300, || {
             let mut net = Network::new(cfg.clone());
-            net.run_cycles(100);
+            let first = clocked(&mut net, 1);
+            first_step.set(first_step.get().min(step_us(&first)));
+            net.run_cycles(99);
             net
         });
         cells.push((routing.label().to_string(), totals, step));
+        first_steps.push(format!("{} {:.0}", routing.label(), first_step.get()));
     }
     print_table(&cells);
+    println!("\ncycle 0 (all due) step µs: {}", first_steps.join(" | "));
     println!("\n`cargo run --release --example phases`\n");
 
     println!(
