@@ -70,16 +70,15 @@ pub struct Router {
     /// an O(1) guard that skips the registration scan entirely on the
     /// (common) cycles where no new head appeared.
     unregistered_count: u32,
-    /// Whether the *outgoing* direction of each port's link is usable
-    /// (fault injection). All `true` in a healthy network; mirrored from
-    /// the simulator's `LinkState` when fault events fire. A down port is
-    /// never granted by the allocator and never transmits; packets staged
-    /// behind it at the fault instant are dropped by the simulator
-    /// ([`Router::drop_staged_for_dead_port`] — the serialisation buffer
-    /// is lost with the link).
-    link_up: Box<[bool]>,
-    /// Number of `false` entries in `link_up` (O(1) healthy fast path).
-    links_down: u32,
+    /// Bit `p` set: the *outgoing* direction of port `p`'s link is down
+    /// (fault injection) — the one record of this end's link health. Zero
+    /// in a healthy network (the O(1) fast path); the simulator flips both
+    /// ends of a link when a fault event fires. A down port is never
+    /// granted by the allocator and never transmits; packets staged behind
+    /// it at the fault instant are dropped by the simulator
+    /// ([`Router::drop_staged_for_dead_port`] — the serialisation buffer is
+    /// lost with the link).
+    links_down: u64,
     /// This router's (possibly stale) copy of the network-wide
     /// gateway-liveness map, refreshed by the PB/ECtN dissemination step.
     /// Pristine all-up — and never installed — for mechanisms without a
@@ -236,7 +235,6 @@ impl Router {
             occupied_vcs: vec![0; radix as usize].into_boxed_slice(),
             occupied_ports: 0,
             unregistered_count: 0,
-            link_up: vec![true; radix as usize].into_boxed_slice(),
             links_down: 0,
             link_view: GatewayLiveness::new(&topo),
             staged_ports: 0,
@@ -459,27 +457,24 @@ impl Router {
     /// ports regardless of policy.
     #[inline]
     pub fn link_is_up(&self, port: Port) -> bool {
-        self.link_up[port.index()]
+        self.links_down & (1 << port.index()) == 0
     }
 
-    /// Mark the outgoing direction of `port` up or down (mirrors the
-    /// simulator's `LinkState` when a fault event fires).
+    /// Mark the outgoing direction of `port` up or down (the simulator
+    /// calls it on both ends of a link when a fault event fires).
     pub fn set_link_up(&mut self, port: Port, up: bool) {
-        let flag = &mut self.link_up[port.index()];
-        if *flag != up {
-            *flag = up;
-            if up {
-                self.links_down -= 1;
-            } else {
-                self.links_down += 1;
-            }
+        let bit = 1 << port.index();
+        if up {
+            self.links_down &= !bit;
+        } else {
+            self.links_down |= bit;
         }
     }
 
     /// Whether any outgoing link of this router is currently down (O(1)).
     #[inline]
     pub fn any_link_down(&self) -> bool {
-        self.links_down > 0
+        self.links_down != 0
     }
 
     /// This router's (possibly stale) view of the network-wide
@@ -602,7 +597,7 @@ impl Router {
     /// re-decide next cycle).
     #[inline]
     pub fn can_grant(&self, port: Port, vc: VcId, size_phits: u32) -> bool {
-        self.link_up[port.index()] && self.output(port).can_accept(vc, size_phits)
+        self.link_is_up(port) && self.output(port).can_accept(vc, size_phits)
     }
 
     /// The switch allocator (its round-robin pointers).
@@ -622,10 +617,10 @@ impl Router {
         grants: &mut Vec<Grant>,
     ) {
         let config = &self.config;
-        let (link_up, outputs, credits) = (&self.link_up, &self.outputs, &self.credits);
+        let (links_down, outputs, credits) = (self.links_down, &self.outputs, &self.credits);
         self.allocator
             .allocate_wrapped_into(requests, wraps, grants, |port, vc, size| {
-                link_up[port.index()]
+                links_down & (1 << port.index()) == 0
                     && outputs[port.index()]
                         .view(credits, config)
                         .can_accept(vc, size)
@@ -698,9 +693,6 @@ impl Router {
         now: Cycle,
         sent: &mut Vec<(Port, Packet, VcId, Cycle)>,
     ) {
-        // healthy routers (the overwhelmingly common case) skip the
-        // per-port flag reads entirely via the O(1) down-counter
-        let any_down = self.links_down > 0;
         let mut next = Cycle::MAX;
         for p in set_bits(self.staged_ports) {
             // a down link transmits nothing. In a full simulation the dead
@@ -708,7 +700,7 @@ impl Router {
             // ([`Router::drop_staged_for_dead_port`]); the skip remains the
             // hard guarantee for anything staged outside that path (e.g.
             // direct unit-test drives).
-            if !any_down || self.link_up[p] {
+            if self.links_down & (1 << p) == 0 {
                 if let Some((packet, vc, tail_at)) = self.output_at(p).try_transmit(now) {
                     sent.push((Port(p as u32), packet, vc, tail_at));
                     self.changed_outputs |= 1 << p;
@@ -859,12 +851,12 @@ impl Router {
         let links = 4 * self.ectn.num_links();
         let (own, group) = (self.pb.own_flags().len(), self.pb.group_links());
         let table = (self.candidate_table.get()).map_or(0, |table| bytes(&*table.links));
-        let (masks, flags) = (bytes(&*self.occupied_vcs), bytes(&*self.link_up));
+        let masks = bytes(&*self.occupied_vcs);
         let parts: [Vec<usize>; 6] = [
             vec![bytes(&*self.vcs)],
             vec![bytes(&*self.outputs), bytes(&*self.credits)],
             vec![self.allocator.buffer_bytes()],
-            vec![4 * self.contention.len(), masks, flags],
+            vec![4 * self.contention.len(), masks],
             [links, links, own, group, table]
                 .into_iter()
                 .chain(self.link_view.buffer_bytes())
@@ -914,16 +906,16 @@ impl Router {
         self.ectn.save_state(e);
         self.pb.save_state(e);
         self.allocator.save_state(e);
-        e.seq(self.link_up.len());
-        for &up in &self.link_up {
-            e.bool(up);
+        e.seq(radix);
+        for p in 0..radix {
+            e.bool(self.link_is_up(Port(p as u32)));
         }
     }
 
     /// Restore the state written by [`Router::save_state`] into a router
     /// of the *same* topology and configuration: the packet store is cleared
-    /// first and refilled slot by slot. Occupancy, registration and
-    /// down-link counters are recomputed from the restored queues and flags.
+    /// first and refilled slot by slot. Occupancy and registration
+    /// counters are recomputed from the restored queues.
     /// After an error the router is only fit to be dropped.
     pub fn restore_state(
         &mut self,
@@ -950,8 +942,9 @@ impl Router {
         self.pb.restore_state(d)?;
         self.allocator.restore_state(d)?;
         d.seq_exact(1, radix, "router link flag count")?;
-        for up in self.link_up.iter_mut() {
-            *up = d.bool()?;
+        self.links_down = 0;
+        for p in 0..radix {
+            self.links_down |= u64::from(!d.bool()?) << p;
         }
         // the counters must count exactly the restored registrations
         let (mut contention, mut partials) = (vec![0; radix], vec![0; ectn_links]);
@@ -986,7 +979,6 @@ impl Router {
         }
         self.next_transmit = self.next_transmit_from_stages().unwrap_or(Cycle::MAX);
         self.changed_outputs = u64::MAX >> (64 - self.outputs.len());
-        self.links_down = self.link_up.iter().filter(|&&up| !up).count() as u32;
         self.unregistered_count = 0;
         self.occupied_ports = 0;
         for p in 0..radix {
@@ -1611,11 +1603,11 @@ mod tests {
             7 * std::mem::size_of::<OutputPort>() + 22 * 4,
             "the outputs and a credit slot per VC"
         );
-        assert_eq!((slab, fresh.buffers), (0, 11), "{fresh:?}");
+        assert_eq!((slab, fresh.buffers), (0, 10), "{fresh:?}");
         assert_eq!(r.heap_bytes(), fresh.total());
         r.receive_packet(Port(3), VcId(0), packet(1, 40));
         let busy = r.footprint();
-        assert!(busy.parts[5] > 0 && busy.buffers == 12, "{busy:?}");
+        assert!(busy.parts[5] > 0 && busy.buffers == 11, "{busy:?}");
         assert_eq!(busy.total() - fresh.total(), busy.parts[5]);
     }
 }

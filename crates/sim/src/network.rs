@@ -77,7 +77,7 @@ use df_router::Router;
 use df_routing::algorithms::piggyback;
 use df_routing::RoutingAlgorithm;
 use df_topology::{
-    AnyTopology, GatewayLiveness, GroupId, LinkState, NodeId, Port, PortPeer, RouterId, Topology,
+    AnyTopology, GatewayLiveness, GroupId, NodeId, Port, PortPeer, RouterId, Topology,
 };
 use df_traffic::TrafficPattern;
 use std::cell::OnceCell;
@@ -120,9 +120,11 @@ pub struct Network {
     injected_phits_total: u64,
     last_delivery_cycle: Cycle,
     // ---- fault injection ----
-    /// Dynamic link availability (mirrored into each router's own port
-    /// flags whenever a fault event fires).
-    link_state: LinkState,
+    /// Whether any router has a link end down: the O(1) gate that keeps
+    /// step 1's healthy path free of peer lookups. Derived from the
+    /// routers' link flags (the one record of link health) wherever they
+    /// change: a link fault event and `restore`.
+    any_link_down: bool,
     /// The lowered fault plan, sorted by cycle (stable).
     fault_events: Vec<FaultEvent>,
     /// Index of the next fault event to apply.
@@ -135,8 +137,10 @@ pub struct Network {
     /// packets had reserved was never used). `BTreeMap` for deterministic
     /// iteration; empty in healthy runs.
     lost_credits: BTreeMap<(u32, u32), Vec<u32>>,
-    /// The true network-wide gateway-liveness map, kept in sync with
-    /// `link_state` and the node-failure flags as fault events fire.
+    /// The true network-wide gateway-liveness map, kept in sync with the
+    /// routers' link flags as fault events fire — and the one record of
+    /// which nodes have failed (`NodeFail`/`NodeRestore`): a failed node
+    /// generates nothing and traffic addressed to it is retargeted.
     linkview_truth: GatewayLiveness,
     /// Per-group flooded gateway-liveness views, indexed by group id: what
     /// each group's routers install at a control-plane exchange. A group
@@ -155,18 +159,10 @@ pub struct Network {
     /// Whether every group's view currently matches the truth's marks
     /// (drives the staleness metric; trivially `true` on healthy runs).
     views_converged: bool,
-    /// Per-node failure flag (`NodeFail`/`NodeRestore`): a failed node
-    /// generates nothing and traffic addressed to it is retargeted. The
-    /// dense mirror of `linkview_truth`'s node marks (rebuilt from them on
-    /// restore) that the per-cycle generation walk indexes.
-    node_failed: Vec<bool>,
-    /// Designated spare of each failed node (valid while `node_failed` is
-    /// set; chains resolve in fail order and cannot cycle — see the fault
-    /// module docs).
+    /// Designated spare of each failed node (valid while the truth map
+    /// marks it down; chains resolve in fail order and cannot cycle — see
+    /// the fault module docs).
     spare_of: Vec<u32>,
-    /// Number of currently failed nodes (O(1) "any node down?" fast path
-    /// for the injection retarget).
-    nodes_failed_count: usize,
     // ---- task layer ----
     /// The job engine (`Some` only when the configuration carries a job
     /// set). Job traffic layers *over* stochastic generation — collectives
@@ -278,7 +274,7 @@ impl Network {
             injected_packets_total: 0,
             injected_phits_total: 0,
             last_delivery_cycle: 0,
-            link_state: LinkState::new(&topo),
+            any_link_down: false,
             fault_events,
             next_fault: 0,
             node_blocked: vec![false; num_nodes],
@@ -288,9 +284,7 @@ impl Network {
             group_views_prev: vec![GatewayLiveness::new(&topo); topo.num_groups() as usize],
             flood_quiescent: true,
             views_converged: true,
-            node_failed: vec![false; num_nodes],
             spare_of: vec![0; num_nodes],
-            nodes_failed_count: 0,
             jobs,
             heads: BitSet::new(num_routers),
             staged: BitSet::new(num_routers),
@@ -378,12 +372,6 @@ impl Network {
         self.injected_phits_total
     }
 
-    /// The dynamic link-availability mask (all up unless a fault plan is
-    /// active).
-    pub fn link_state(&self) -> &LinkState {
-        &self.link_state
-    }
-
     /// The true network-wide gateway-liveness map (what the flooded views
     /// converge towards; tests compare per-router views against it).
     pub fn linkview_truth(&self) -> &GatewayLiveness {
@@ -393,7 +381,7 @@ impl Network {
     /// Whether `node` is currently failed (a `NodeFail` without a matching
     /// `NodeRestore` has fired).
     pub fn node_failed(&self, node: NodeId) -> bool {
-        self.node_failed[node.index()]
+        !self.linkview_truth.node_up(node)
     }
 
     /// Credits currently lost to in-flight drops on failed links (returned
@@ -497,7 +485,7 @@ impl Network {
     /// failed. A pause decides which ranks the job engine may skip, so every
     /// rank is visited at the next advance.
     fn sync_paused(&mut self, idx: usize, now: Cycle) {
-        let paused = self.node_blocked[idx] || self.node_failed[idx];
+        let paused = self.node_blocked[idx] || self.node_failed(NodeId(idx as u32));
         self.nodes.set_paused(idx, paused, now);
         if let Some(jobs) = self.jobs.as_mut() {
             jobs.wake_all();
@@ -509,6 +497,7 @@ impl Network {
     fn apply_due_faults(&mut self, now: Cycle) {
         let topo = self.ctx.topo;
         let truth_version_before = self.linkview_truth.version();
+        let mut links_changed = false;
         while let Some(event) = self.fault_events.get(self.next_fault) {
             if event.at > now {
                 break;
@@ -521,7 +510,8 @@ impl Network {
                     // disseminate (no-op for local links)
                     self.linkview_truth
                         .set_global_link(&topo, router, port, false);
-                    for (r, p) in self.link_state.set_link(&topo, router, port, false) {
+                    links_changed = true;
+                    for (r, p) in link_ends(&topo, router, port) {
                         self.routers[r.index()].set_link_up(p, false);
                         // the link-interface serialisation buffer is lost
                         // with the link: staged packets are dropped and
@@ -546,7 +536,8 @@ impl Network {
                 FaultKind::LinkUp { router, port } => {
                     self.linkview_truth
                         .set_global_link(&topo, router, port, true);
-                    for (r, p) in self.link_state.set_link(&topo, router, port, true) {
+                    links_changed = true;
+                    for (r, p) in link_ends(&topo, router, port) {
                         self.routers[r.index()].set_link_up(p, true);
                         // return the credits lost to drops on this directed
                         // link: the downstream space those phits had
@@ -583,19 +574,18 @@ impl Network {
                     // to it retargets to the spare at injection time, and
                     // in-flight deliveries still land at its NIC — so every
                     // conservation equality is untouched
-                    self.node_failed[node.index()] = true;
                     self.spare_of[node.index()] = spare.0;
-                    self.nodes_failed_count += 1;
                     self.linkview_truth.set_node(node, false);
                     self.sync_paused(node.index(), now);
                 }
                 FaultKind::NodeRestore { node } => {
-                    self.node_failed[node.index()] = false;
-                    self.nodes_failed_count -= 1;
                     self.linkview_truth.set_node(node, true);
                     self.sync_paused(node.index(), now);
                 }
             }
+        }
+        if links_changed {
+            self.any_link_down = self.routers.iter().any(Router::any_link_down);
         }
         // any truth change restarts the flooding rounds (and is by
         // definition not yet visible in the routers' views)
@@ -646,7 +636,7 @@ impl Network {
         // accounted (packets in `DroppedOnFault`, credit messages in the
         // lost-credit ledger). `faults_active` keeps the healthy path free
         // of peer lookups.
-        let faults_active = !self.link_state.all_up();
+        let faults_active = self.any_link_down;
         let mut due = std::mem::take(&mut self.scratch_events);
         self.events.pop_due_into(now, &mut due);
         self.scratch.counts.events = due.len() as u64;
@@ -662,7 +652,7 @@ impl Network {
                         // the packet travelled over the peer's outgoing
                         // direction towards (router, port)
                         if let PortPeer::Router(upstream, up_port) = topo.peer(router, port) {
-                            if !self.link_state.is_up(upstream, up_port) {
+                            if !self.routers[upstream.index()].link_is_up(up_port) {
                                 self.in_flight -= 1;
                                 self.in_flight_phits -= packet.size_phits as u64;
                                 self.metrics.record_dropped_on_fault(&packet);
@@ -684,7 +674,7 @@ impl Network {
                         // the credit message travelled the reverse direction
                         // of (router, port)'s link
                         if let PortPeer::Router(peer, peer_port) = topo.peer(router, port) {
-                            if !self.link_state.is_up(peer, peer_port) {
+                            if !self.routers[peer.index()].link_is_up(peer_port) {
                                 self.ledger_lost_credits(router, port, vc, phits);
                                 continue;
                             }
@@ -756,9 +746,10 @@ impl Network {
             // retargeted at injection time, following the spare chain in
             // fail order (validation guarantees it terminates). Part of
             // the fault plan's semantics.
-            if self.nodes_failed_count > 0 && self.node_failed[packet.dst.index()] {
+            let truth = &self.linkview_truth;
+            if !truth.node_up(packet.dst) {
                 let mut dst = packet.dst;
-                while self.node_failed[dst.index()] {
+                while !truth.node_up(dst) {
                     dst = NodeId(self.spare_of[dst.index()]);
                 }
                 packet.dst = dst;
@@ -872,6 +863,11 @@ impl Network {
                 .filter(|router| !router.is_idle())
                 .count(),
             "the active count disagrees with the non-idle routers at cycle {now}"
+        );
+        debug_assert_eq!(
+            self.any_link_down,
+            self.routers.iter().any(Router::any_link_down),
+            "the any-link-down gate disagrees with the link flags at cycle {now}"
         );
         debug_assert!(
             self.nodes.queued_set_is_exact(),
@@ -999,6 +995,16 @@ impl Network {
             "a clean group's PB exchange would change its views at cycle {now}"
         );
     }
+}
+
+/// Both directed ends of the router-to-router link at `(router, port)`:
+/// the ends a `LinkDown`/`LinkUp` event flips (validation rejects a link
+/// fault anywhere else).
+fn link_ends(topo: &impl Topology, router: RouterId, port: Port) -> [(RouterId, Port); 2] {
+    let PortPeer::Router(peer, peer_port) = topo.peer(router, port) else {
+        unreachable!("a validated link fault names a router-to-router link");
+    };
+    [(router, port), (peer, peer_port)]
 }
 
 /// Whether every member's installed PB group view equals the concatenation

@@ -36,29 +36,32 @@
 //!   job and resume bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns,
-//! derived occupancy counters, the availability mask (the routers' link
-//! flags), the node-failure flags (the truth map's node marks), every
-//! router's gateway-liveness view (its group's flooded view, re-installed),
-//! each liveness map's down marks (its records with `up == false`), the
-//! activity gates (the head and staged-router sets and the next-transmit
-//! cycles are recomputed from the routers, the queued-node set from the
-//! source queues, node pauses from the drain and failure flags; the
-//! wake-up calendar (every node due), changed outputs, dirty groups and
-//! staged-port sets restart conservatively — "everything dirty") and the
-//! step scratch. State only an observer reads (an attached probe) is not
-//! simulation state and is not in the payload at all. A packet staged at
-//! an unconnected port is refused: it could never leave.
+//! derived occupancy counters, the any-link-down gate (the routers' link
+//! flags), every router's gateway-liveness view (its group's flooded view,
+//! re-installed), each liveness map's down marks (its records with
+//! `up == false`), the activity gates (the head and staged-router sets and
+//! the next-transmit cycles are recomputed from the routers, the
+//! queued-node set from the source queues, node pauses from the drain
+//! flags and the truth map's node marks; the wake-up calendar (every node
+//! due), changed outputs, dirty groups and staged-port sets restart
+//! conservatively — "everything dirty") and the step scratch. State only
+//! an observer reads (an attached probe) is not simulation state and is
+//! not in the payload at all. A packet staged at an unconnected port is
+//! refused: it could never leave. So are fault facts (link and drain
+//! flags, liveness truth, spare table) other than those the applied fault
+//! events leave on a fresh network.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, VcId};
 use df_router::dissemination::install_linkview_group;
 use df_router::{decode_gateway_liveness, encode_gateway_liveness};
-use df_topology::{NodeId, Port, RouterId, Topology};
+use df_topology::{GatewayLiveness, NodeId, Port, RouterId, Topology};
 use std::cell::OnceCell;
 
-use super::Network;
+use super::{link_ends, Network};
 use crate::config::{KernelMode, SimulationConfig};
 use crate::events::{Event, EventQueue};
+use crate::fault::FaultKind;
 
 /// Frame magic of a simulation snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
@@ -330,21 +333,57 @@ impl Network {
                 d.remaining()
             )));
         }
-        // Derived copies, rebuilt from the one stored fact each mirrors: the
-        // availability mask from the routers' link flags, the node-failure
-        // flags from the truth map's node marks, and every router's
-        // liveness view from its group's flooded view (equal at every step
-        // boundary — `Network::step` asserts it in debug builds).
-        let layout = topo.layout();
-        for (r, router) in net.routers.iter().enumerate() {
-            for port in Port::all(&layout).filter(|&p| !router.link_is_up(p)) {
-                net.link_state.set_directed(RouterId(r as u32), port, false);
+        // Every fault fact the payload stores — the routers' link flags,
+        // the drain flags, the liveness truth and the spare table — must be
+        // exactly what the applied events leave on a fresh network: replay
+        // them. (A spare outside the network, or a spare chain that cycles,
+        // would otherwise panic or hang the retarget loop.)
+        let mut down = vec![0u64; net.routers.len()];
+        let mut blocked = vec![false; net.node_blocked.len()];
+        let mut truth = GatewayLiveness::new(&topo);
+        let mut spare_of = vec![0; net.spare_of.len()];
+        for event in &net.fault_events[..net.next_fault] {
+            match event.kind {
+                FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port } => {
+                    let up = matches!(event.kind, FaultKind::LinkUp { .. });
+                    truth.set_global_link(&topo, router, port, up);
+                    for (r, p) in link_ends(&topo, router, port) {
+                        let (mask, bit) = (&mut down[r.index()], 1 << p.index());
+                        *mask = if up { *mask & !bit } else { *mask | bit };
+                    }
+                }
+                FaultKind::RouterDrain { router } | FaultKind::RouterRestore { router } => {
+                    let drained = matches!(event.kind, FaultKind::RouterDrain { .. });
+                    for node in topo.nodes_of_router(router) {
+                        blocked[node.index()] = drained;
+                    }
+                }
+                FaultKind::NodeFail { node, spare } => {
+                    truth.set_node(node, false);
+                    spare_of[node.index()] = spare.0;
+                }
+                FaultKind::NodeRestore { node } => truth.set_node(node, true),
             }
         }
-        for (n, failed) in net.node_failed.iter_mut().enumerate() {
-            *failed = !net.linkview_truth.node_up(NodeId(n as u32));
-            net.nodes_failed_count += *failed as usize;
+        let layout = topo.layout();
+        for (r, (router, mask)) in net.routers.iter().zip(&down).enumerate() {
+            if Port::all(&layout).any(|p| router.link_is_up(p) != (mask & 1 << p.index() == 0)) {
+                return Err(CodecError::Invalid(format!(
+                    "router {r}'s link flags differ from the applied faults"
+                )));
+            }
         }
+        if blocked != net.node_blocked || truth != net.linkview_truth || spare_of != net.spare_of {
+            return Err(CodecError::Invalid(
+                "the drain flags, liveness truth or spare table differ from the applied faults"
+                    .into(),
+            ));
+        }
+        // Derived copies, rebuilt from the one stored fact each mirrors: the
+        // any-link-down gate from the link flags, and every router's
+        // liveness view from its group's flooded view (equal at every step
+        // boundary — `Network::step` asserts it in debug builds).
+        net.any_link_down = down.iter().any(|&mask| mask != 0);
         let group_size = topo.routers_per_group() as usize;
         for (group, view) in net.routers.chunks_mut(group_size).zip(&net.group_views) {
             install_linkview_group(group, view);
@@ -362,7 +401,7 @@ impl Network {
                 net.next_transmit[i] = at;
             }
         }
-        for n in 0..net.node_failed.len() {
+        for n in 0..net.node_blocked.len() {
             net.sync_paused(n, net.cycle);
         }
         Ok(net)
@@ -613,6 +652,47 @@ mod tests {
         );
     }
 
+    /// Fault facts no applied event explains — a terminal link down (link
+    /// faults never name one), one end of a wired link down without its
+    /// peer, a drained or failed node the plan never touched, a failed
+    /// node whose spare is itself (the retarget loop would spin forever) —
+    /// are refused: restore replays the applied fault events and holds
+    /// every stored fault fact to the result.
+    #[test]
+    fn fault_facts_no_applied_event_explains_are_refused() {
+        let base = config(KernelMode::Optimized, 17);
+        let topo = base.topology.build();
+        let (r, p) = FaultPlan::global_link_between(&topo, GroupId(1), GroupId(4));
+        let (gw, port) = FaultPlan::global_link_between(&topo, GroupId(0), GroupId(2));
+        let mut cfg = base;
+        cfg.faults = FaultPlan::new()
+            .link_down(20, r, p)
+            .node_fail(30, NodeId(5), NodeId(40));
+        type Forgery<'a> = (&'a str, &'a dyn Fn(&mut Network));
+        let forgeries: [Forgery; 5] = [
+            ("a terminal link down", &|net| {
+                net.routers[0].set_link_up(Port(0), false)
+            }),
+            ("one end of a global link down", &|net| {
+                net.routers[gw.index()].set_link_up(port, false)
+            }),
+            ("a drained node", &|net| net.node_blocked[3] = true),
+            ("a failed node", &|net| {
+                net.linkview_truth.set_node(NodeId(3), false)
+            }),
+            ("a failed node spared by itself", &|net| net.spare_of[5] = 5),
+        ];
+        for (what, forge) in forgeries {
+            let mut net = Network::new(cfg.clone());
+            net.run_cycles(40);
+            forge(&mut net);
+            assert_invalid(&cfg, &net.snapshot(), what);
+        }
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(40);
+        assert!(Network::restore(cfg, &net.snapshot()).is_ok());
+    }
+
     #[test]
     fn snapshot_mid_fault_window_resumes_bit_identically() {
         // snapshot while links are down and lost credits are ledgered
@@ -636,7 +716,7 @@ mod tests {
         let mut first = Network::new(cfg.clone());
         first.run_cycles(180); // inside the fault window
         assert!(
-            !first.link_state().all_up(),
+            !first.router(r1).link_is_up(p1),
             "checkpoint must land mid-fault-window for this test to bite"
         );
         let bytes = first.snapshot();
@@ -737,22 +817,21 @@ mod tests {
         cfg.validate().expect("fault plan is valid");
         let mut net = Network::new(cfg.clone());
         net.run_cycles(60);
-        assert!(net.node_failed(NodeId(5)) && !net.link_state().all_up());
+        assert!(net.node_failed(NodeId(5)) && !net.router(r).link_is_up(p));
         let bytes = net.snapshot();
 
-        // restore derives the mask, the failure flags and the router views
+        // restore keeps the link flags and the truth map, and derives the
+        // router views
         let restored = Network::restore(cfg.clone(), &bytes).expect("restores");
-        assert_eq!(
-            restored.link_state().down_links(),
-            net.link_state().down_links()
-        );
+        assert_eq!(restored.linkview_truth(), net.linkview_truth());
         assert!(restored.node_failed(NodeId(5)) && !restored.node_failed(NodeId(40)));
-        assert_eq!(restored.nodes_failed_count, 1);
+        let failed = topo.nodes().filter(|&n| restored.node_failed(n)).count();
+        assert_eq!(failed, 1);
+        let layout = topo.layout();
         for router in topo.routers() {
-            assert_eq!(
-                restored.router(router).link_view(),
-                net.router(router).link_view()
-            );
+            let (before, after) = (net.router(router), restored.router(router));
+            assert!(Port::all(&layout).all(|p| after.link_is_up(p) == before.link_is_up(p)));
+            assert_eq!(after.link_view(), before.link_view());
         }
 
         // the truth map is the first liveness section of the payload

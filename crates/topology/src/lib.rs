@@ -43,7 +43,7 @@ pub mod topology;
 pub use dragonfly::{Dragonfly, PortPeer};
 pub use ids::{GroupId, NodeId, RouterId};
 pub use layout::{PortLayout, RadixLayout};
-pub use linkstate::{GatewayLiveness, LinkState};
+pub use linkstate::GatewayLiveness;
 pub use megafly::{Megafly, MegaflyParams, MegaflyParamsError};
 pub use params::DragonflyParams;
 pub use path::{HopKind, PathHop};

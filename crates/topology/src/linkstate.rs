@@ -1,181 +1,16 @@
-//! [`LinkState`]: a dynamic up/down mask over the static Dragonfly wiring.
+//! [`GatewayLiveness`]: a sparse, versioned map of which global links and
+//! compute nodes are usable, over the static topology wiring.
 //!
-//! The [`crate::Dragonfly`] object is purely combinatorial — its wiring never
-//! changes. Fault injection needs a *dynamic* overlay: which links are
-//! currently usable. `LinkState` tracks one bit per **directed** link end
-//! `(router, port)` (the outgoing direction of that port at that router), so
-//! a bidirectional link failure is represented as both directions down,
-//! while asymmetric degradations (one direction only) remain expressible.
-//!
-//! The object is deliberately dumb: it stores bits and answers
-//! degraded-connectivity queries. *Semantics* of a failure (what happens to
-//! in-flight traffic, credits, routing) live in the simulator (`df-sim`)
-//! and the router model (`df-router`), which mirror these bits into their
-//! own per-router state.
+//! The topology objects are purely combinatorial — their wiring never
+//! changes. Fault injection needs a *dynamic* overlay for what the
+//! failure-aware routing mechanisms disseminate: the simulator (`df-sim`)
+//! keeps one truth copy, every group floods its own view of it, and every
+//! router installs its group's view. Per-port link health itself lives in
+//! each router's own link flags (`df-router`), where the hot paths read it.
 
-use crate::dragonfly::PortPeer;
 use crate::ids::{GroupId, NodeId, RouterId};
-use crate::layout::PortLayout;
 use crate::port::{Port, PortClass};
 use crate::topology::Topology;
-
-/// Dynamic link availability over a [`crate::Dragonfly`] topology: one `up` bit per
-/// directed `(router, port)` pair.
-#[derive(Debug, Clone)]
-pub struct LinkState {
-    /// Radix (ports per router), for flat indexing.
-    radix: u32,
-    /// `true` = the outgoing direction of this port is up. Indexed
-    /// `router * radix + port`.
-    up: Vec<bool>,
-    /// Number of `false` entries in `up` (O(1) "any fault?" fast path).
-    down_count: usize,
-}
-
-impl LinkState {
-    /// All links up.
-    pub fn new(topo: &impl Topology) -> Self {
-        let radix = topo.layout().radix();
-        LinkState {
-            radix,
-            up: vec![true; (topo.num_routers() * radix) as usize],
-            down_count: 0,
-        }
-    }
-
-    #[inline]
-    fn index(&self, router: RouterId, port: Port) -> usize {
-        debug_assert!(port.0 < self.radix, "port {port} out of range");
-        (router.0 * self.radix + port.0) as usize
-    }
-
-    /// Whether the outgoing direction of `port` at `router` is up.
-    #[inline]
-    pub fn is_up(&self, router: RouterId, port: Port) -> bool {
-        self.up[self.index(router, port)]
-    }
-
-    /// Whether every directed link is up (O(1)).
-    #[inline]
-    pub fn all_up(&self) -> bool {
-        self.down_count == 0
-    }
-
-    /// Number of directed link ends currently down.
-    pub fn num_down(&self) -> usize {
-        self.down_count
-    }
-
-    /// Set one *directed* link end. Returns `true` if the state changed.
-    pub fn set_directed(&mut self, router: RouterId, port: Port, up: bool) -> bool {
-        let idx = self.index(router, port);
-        if self.up[idx] == up {
-            return false;
-        }
-        self.up[idx] = up;
-        if up {
-            self.down_count -= 1;
-        } else {
-            self.down_count += 1;
-        }
-        true
-    }
-
-    /// Set both directions of the (bidirectional) link attached at
-    /// `(router, port)`, returning the affected directed ends. For a
-    /// router-to-router link that is `[(router, port), (peer, peer_port)]`;
-    /// for a terminal or unconnected port only the local end.
-    pub fn set_link(
-        &mut self,
-        topo: &impl Topology,
-        router: RouterId,
-        port: Port,
-        up: bool,
-    ) -> Vec<(RouterId, Port)> {
-        let mut ends = vec![(router, port)];
-        if let PortPeer::Router(peer, peer_port) = topo.peer(router, port) {
-            ends.push((peer, peer_port));
-        }
-        for &(r, p) in &ends {
-            self.set_directed(r, p, up);
-        }
-        ends
-    }
-
-    /// Every directed link end currently down, in ascending
-    /// `(router, port)` order.
-    pub fn down_links(&self) -> Vec<(RouterId, Port)> {
-        if self.all_up() {
-            return Vec::new();
-        }
-        self.up
-            .iter()
-            .enumerate()
-            .filter(|(_, &u)| !u)
-            .map(|(i, _)| (RouterId(i as u32 / self.radix), Port(i as u32 % self.radix)))
-            .collect()
-    }
-
-    // -----------------------------------------------------------------
-    // Degraded-connectivity queries
-    // -----------------------------------------------------------------
-
-    /// Whether the unique direct global link between two distinct groups is
-    /// usable in *both* directions.
-    pub fn group_pair_connected(&self, topo: &impl Topology, g1: GroupId, g2: GroupId) -> bool {
-        let (gw, port) = topo.gateway_to(g1, g2);
-        if !self.is_up(gw, port) {
-            return false;
-        }
-        match topo.peer(gw, port) {
-            PortPeer::Router(peer, back) => self.is_up(peer, back),
-            _ => false,
-        }
-    }
-
-    /// Number of routers reachable from `from` (including itself) following
-    /// only *up* directed router-to-router links — a BFS over the degraded
-    /// wiring.
-    pub fn reachable_routers(&self, topo: &impl Topology, from: RouterId) -> usize {
-        let n = topo.num_routers() as usize;
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[from.index()] = true;
-        queue.push_back(from);
-        let mut count = 1usize;
-        let layout = topo.layout();
-        while let Some(r) = queue.pop_front() {
-            for port in Port::all(&layout) {
-                if port.class(&layout) == PortClass::Terminal || !self.is_up(r, port) {
-                    continue;
-                }
-                if let PortPeer::Router(peer, _) = topo.peer(r, port) {
-                    if !seen[peer.index()] {
-                        seen[peer.index()] = true;
-                        count += 1;
-                        queue.push_back(peer);
-                    }
-                }
-            }
-        }
-        count
-    }
-
-    /// Whether every router is reachable from router 0 over up directed
-    /// links. For the pairwise-symmetric failure patterns of `LinkDown`
-    /// (both directions fail together) this is equivalent to full strong
-    /// connectivity; for hand-built asymmetric states (single
-    /// [`set_directed`](Self::set_directed) calls) it only certifies the
-    /// forward orientation — use [`reachable_routers`](Self::reachable_routers)
-    /// from the routers of interest for the full picture.
-    pub fn connected(&self, topo: &impl Topology) -> bool {
-        let n = topo.num_routers() as usize;
-        if n == 0 {
-            return true;
-        }
-        self.reachable_routers(topo, RouterId(0)) == n
-    }
-}
 
 /// One disseminated state change: the newest known `(sequence, up)` pair
 /// for an entry, keyed by the entry's flat index. Sequence numbers are
@@ -268,11 +103,11 @@ impl Keyspace {
 /// node has failed and its traffic is retargeted to a spare).
 ///
 /// This is the payload the failure-aware routing mechanisms disseminate
-/// through the PB/ECtN control plane: the simulator keeps a *truth* copy in
-/// sync with its [`LinkState`], every group accumulates a *flooded* view
-/// (hop-by-hop, one live-neighbour merge per exchange — see `df-sim`'s
-/// flooding round), and every router installs its own group's view on the
-/// dissemination cadence. Because faults are rare, the map is stored
+/// through the PB/ECtN control plane: the simulator keeps a *truth* copy —
+/// the one record of which nodes have failed — in sync with the fault events
+/// it applies, every group accumulates a *flooded* view (hop-by-hop, one
+/// live-neighbour merge per exchange — see `df-sim`'s flooding round), and
+/// every router installs its own group's view on the dissemination cadence. Because faults are rare, the map is stored
 /// sparsely — only the down marks plus a small freshness journal — so a
 /// view install is a version check plus a copy of (typically tiny) vectors,
 /// and the healthy-network fast path ([`all_up`](Self::all_up)) is O(1).
@@ -521,78 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_state_has_everything_up() {
-        let t = topo();
-        let s = LinkState::new(&t);
-        assert!(s.all_up());
-        assert_eq!(s.num_down(), 0);
-        assert!(s.down_links().is_empty());
-        for r in t.routers() {
-            for port in Port::all(t.params()) {
-                assert!(s.is_up(r, port));
-            }
-        }
-        assert!(s.connected(&t));
-        assert_eq!(
-            s.reachable_routers(&t, RouterId(0)),
-            t.num_routers() as usize
-        );
-    }
-
-    #[test]
-    fn directed_set_and_reset_round_trips() {
-        let t = topo();
-        let mut s = LinkState::new(&t);
-        let port = Port::global(t.params(), 0);
-        assert!(s.set_directed(RouterId(3), port, false));
-        assert!(!s.is_up(RouterId(3), port));
-        assert_eq!(s.num_down(), 1);
-        // idempotent
-        assert!(!s.set_directed(RouterId(3), port, false));
-        assert_eq!(s.num_down(), 1);
-        assert!(s.set_directed(RouterId(3), port, true));
-        assert!(s.all_up());
-    }
-
-    #[test]
-    fn set_link_takes_both_directions_down() {
-        let t = topo();
-        let mut s = LinkState::new(&t);
-        let port = Port::global(t.params(), 1);
-        let ends = s.set_link(&t, RouterId(0), port, false);
-        assert_eq!(ends.len(), 2);
-        assert_eq!(ends[0], (RouterId(0), port));
-        let (peer, back) = (ends[1].0, ends[1].1);
-        assert!(!s.is_up(RouterId(0), port));
-        assert!(!s.is_up(peer, back));
-        assert_eq!(s.num_down(), 2);
-        assert_eq!(s.down_links().len(), 2);
-        // bring it back
-        let ends_up = s.set_link(&t, peer, back, true);
-        assert_eq!(ends_up.len(), 2);
-        assert!(s.all_up());
-    }
-
-    #[test]
-    fn group_pair_connectivity_tracks_the_direct_link() {
-        let t = topo();
-        let mut s = LinkState::new(&t);
-        let (g1, g2) = (GroupId(0), GroupId(3));
-        assert!(s.group_pair_connected(&t, g1, g2));
-        let (gw, port) = t.gateway_to(g1, g2);
-        s.set_link(&t, gw, port, false);
-        assert!(!s.group_pair_connected(&t, g1, g2));
-        assert!(
-            !s.group_pair_connected(&t, g2, g1),
-            "symmetric link, symmetric query"
-        );
-        // an unrelated pair is untouched
-        assert!(s.group_pair_connected(&t, GroupId(1), GroupId(2)));
-        // the network as a whole stays connected through other groups
-        assert!(s.connected(&t));
-    }
-
-    #[test]
     fn gateway_liveness_tracks_both_incident_groups() {
         let t = topo();
         let mut g = GatewayLiveness::new(&t);
@@ -710,25 +473,5 @@ mod tests {
         assert!(view.merge_from(&origin));
         assert!(view.node_up(NodeId(3)));
         assert!(view.same_marks(&truth));
-    }
-
-    #[test]
-    fn isolating_a_router_shrinks_reachability() {
-        let t = topo();
-        let mut s = LinkState::new(&t);
-        let params = *t.params();
-        // cut every router-to-router link of router 5
-        let victim = RouterId(5);
-        for port in Port::all(&params) {
-            if port.class(&params) != PortClass::Terminal {
-                s.set_link(&t, victim, port, false);
-            }
-        }
-        assert!(!s.connected(&t));
-        assert_eq!(s.reachable_routers(&t, victim), 1);
-        assert_eq!(
-            s.reachable_routers(&t, RouterId(0)),
-            t.num_routers() as usize - 1
-        );
     }
 }

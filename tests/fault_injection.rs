@@ -66,6 +66,27 @@ fn check_full_conservation(net: &Network) {
     }
 }
 
+/// Every directed link end currently down, in ascending `(router, port)`
+/// order, read from the routers' own link flags.
+fn down_ends(net: &Network) -> Vec<(RouterId, Port)> {
+    let topo = net.topology();
+    let layout = topo.layout();
+    topo.routers()
+        .flat_map(|r| Port::all(&layout).map(move |p| (r, p)))
+        .filter(|&(r, p)| !net.router(r).link_is_up(p))
+        .collect()
+}
+
+/// Both directed ends of the link at `(router, port)`, ascending.
+fn ends_of(net: &Network, router: RouterId, port: Port) -> Vec<(RouterId, Port)> {
+    let PortPeer::Router(peer, back) = net.topology().peer(router, port) else {
+        panic!("{router} port {port} is not a router-to-router link");
+    };
+    let mut ends = vec![(router, port), (peer, back)];
+    ends.sort();
+    ends
+}
+
 /// The global link between two groups, as a fault target.
 fn link_between(g1: u32, g2: u32) -> (RouterId, Port) {
     let topo = Dragonfly::new(DragonflyParams::small());
@@ -97,8 +118,11 @@ fn link_loss_drops_in_flight_phits_and_conserves_exactly() {
         net.metrics().delivered_packets_total() > 100,
         "the rest of the network keeps delivering"
     );
-    assert!(!net.link_state().all_up());
-    assert_eq!(net.link_state().num_down(), 2, "both directions are down");
+    assert_eq!(
+        down_ends(&net),
+        ends_of(&net, gw, port),
+        "both directions are down, nothing else"
+    );
     // the ledger remembers the credits of every phit dropped on the dead
     // link itself — in flight on the wire or staged behind it — plus any
     // credit-return messages that were on the wire, while the link stays
@@ -132,7 +156,7 @@ fn link_up_restores_credits_and_full_conservation() {
         .unwrap();
     let mut net = Network::new(cfg);
     net.run_cycles(600);
-    assert!(net.link_state().all_up(), "the link came back");
+    assert!(down_ends(&net).is_empty(), "the link came back");
     assert!(
         net.drain(50_000),
         "a restored network must drain completely"
@@ -371,22 +395,17 @@ fn degraded_connectivity_queries_track_the_fault_plan() {
         .build()
         .unwrap();
     let mut net = Network::new(cfg);
-    let topo = *net.topology();
-    assert!(net
-        .link_state()
-        .group_pair_connected(&topo, GroupId(0), GroupId(4)));
+    let ends = ends_of(&net, gw, port);
+    let up = |net: &Network| {
+        ends.iter()
+            .map(|&(r, p)| net.router(r).link_is_up(p))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(up(&net), [true, true]);
     net.run_cycles(60);
-    assert!(!net
-        .link_state()
-        .group_pair_connected(&topo, GroupId(0), GroupId(4)));
-    assert!(
-        net.link_state().connected(&topo),
-        "one dead global link leaves the network connected through other groups"
-    );
-    assert_eq!(net.link_state().down_links().len(), 2);
+    assert_eq!(up(&net), [false, false], "both ends fail together");
+    assert_eq!(down_ends(&net), ends, "and nothing else does");
     net.run_cycles(100);
-    assert!(net
-        .link_state()
-        .group_pair_connected(&topo, GroupId(0), GroupId(4)));
-    assert!(net.link_state().all_up());
+    assert_eq!(up(&net), [true, true]);
+    assert!(down_ends(&net).is_empty());
 }

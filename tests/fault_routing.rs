@@ -1,6 +1,5 @@
 //! Adversarial fault-routing suite (PR 5): the re-commit rule, unroutable
-//! discards, link-state dissemination through PB/ECtN, and the degraded
-//! topology queries backing them.
+//! discards and link-state dissemination through PB/ECtN.
 //!
 //! The headline contract: the pinned `ADV-cut2` double-cut — which used to
 //! strand 54–75 committed packets forever — drains to **zero** stranded
@@ -431,139 +430,7 @@ fn valiant_repicks_waypoints_blocked_by_a_dead_link() {
 }
 
 // -------------------------------------------------------------------------
-// 5. property tests: degraded-connectivity queries
-// -------------------------------------------------------------------------
-
-/// Brute-force reachability by iterating edge relaxation to a fixpoint —
-/// deliberately a different algorithm from the BFS in `LinkState`.
-fn floodfill_reachable(topo: &Dragonfly, state: &LinkState, from: RouterId) -> usize {
-    let n = topo.num_routers() as usize;
-    let params = *topo.params();
-    let mut reached = vec![false; n];
-    reached[from.index()] = true;
-    loop {
-        let mut changed = false;
-        for r in topo.routers() {
-            if !reached[r.index()] {
-                continue;
-            }
-            for port in Port::all(&params) {
-                if port.class(&params) == PortClass::Terminal || !state.is_up(r, port) {
-                    continue;
-                }
-                if let df_topology::PortPeer::Router(peer, _) = topo.peer(r, port) {
-                    if !reached[peer.index()] {
-                        reached[peer.index()] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    reached.iter().filter(|&&x| x).count()
-}
-
-/// Brute-force group-pair connectivity: enumerate *every* global port of
-/// both groups and look for the direct link between the pair with both
-/// directions up — independent of `gateway_to`.
-fn exhaustive_pair_connected(
-    topo: &Dragonfly,
-    state: &LinkState,
-    g1: GroupId,
-    g2: GroupId,
-) -> bool {
-    let params = *topo.params();
-    for r in topo.routers_in_group(g1) {
-        for k in 0..params.h {
-            let port = Port::global(&params, k);
-            if let Some((peer, back)) = topo.global_neighbor(r, k) {
-                if topo.router_group(peer) == g2 && state.is_up(r, port) && state.is_up(peer, back)
-                {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-#[test]
-fn reachable_routers_matches_bruteforce_floodfill_under_random_masks() {
-    let topo = small_topo();
-    let params = *topo.params();
-    let mut rng = DeterministicRng::new(0xFA_17);
-    for _trial in 0..40 {
-        let mut state = LinkState::new(&topo);
-        // knock out a random set of links (0..12), sometimes asymmetric
-        let cuts = rng.below(12) as usize;
-        for _ in 0..cuts {
-            let r = RouterId(rng.below(topo.num_routers() as u64) as u32);
-            let port = Port(rng.below(params.radix() as u64) as u32);
-            if port.class(&params) == PortClass::Terminal {
-                continue;
-            }
-            if !matches!(topo.peer(r, port), df_topology::PortPeer::Router(..)) {
-                continue;
-            }
-            if rng.below(4) == 0 {
-                state.set_directed(r, port, false); // asymmetric degradation
-            } else {
-                state.set_link(&topo, r, port, false);
-            }
-        }
-        for start in [RouterId(0), RouterId(7), RouterId(20), RouterId(35)] {
-            assert_eq!(
-                state.reachable_routers(&topo, start),
-                floodfill_reachable(&topo, &state, start),
-                "BFS and floodfill disagree from {start} with {cuts} cuts"
-            );
-        }
-        assert_eq!(
-            state.connected(&topo),
-            floodfill_reachable(&topo, &state, RouterId(0)) == topo.num_routers() as usize
-        );
-    }
-}
-
-#[test]
-fn group_pair_connected_matches_exhaustive_enumeration_under_random_masks() {
-    let topo = small_topo();
-    let params = *topo.params();
-    let mut rng = DeterministicRng::new(0xBEE);
-    for _trial in 0..40 {
-        let mut state = LinkState::new(&topo);
-        let cuts = rng.below(10) as usize;
-        for _ in 0..cuts {
-            // cut random *global* links, where the pair query is decided
-            let r = RouterId(rng.below(topo.num_routers() as u64) as u32);
-            let k = rng.below(params.h as u64) as u32;
-            let port = Port::global(&params, k);
-            if topo.global_neighbor(r, k).is_none() {
-                continue;
-            }
-            state.set_link(&topo, r, port, false);
-        }
-        for a in 0..topo.num_groups() {
-            for b in 0..topo.num_groups() {
-                if a == b {
-                    continue;
-                }
-                let (g1, g2) = (GroupId(a), GroupId(b));
-                assert_eq!(
-                    state.group_pair_connected(&topo, g1, g2),
-                    exhaustive_pair_connected(&topo, &state, g1, g2),
-                    "pair ({a},{b}) disagrees with exhaustive enumeration"
-                );
-            }
-        }
-    }
-}
-
-// -------------------------------------------------------------------------
-// 6. FaultPlan validation rejection paths
+// 5. FaultPlan validation rejection paths
 // -------------------------------------------------------------------------
 
 #[test]
