@@ -826,6 +826,11 @@ mod tests {
                     restored
                         .restore_state(&mut df_engine::Decoder::new(&bytes))
                         .expect("a router restores its own snapshot");
+                    // the simulator replays the link flags and installs the
+                    // view, neither of which a router snapshot holds
+                    for p in Port::all(&topo.layout()) {
+                        restored.set_link_up(p, built.link_is_up(p));
+                    }
                     restored.install_link_view(built.link_view());
                     for _ in 0..8 {
                         let dst = NodeId(rng.index(topo.num_nodes() as usize) as u32);

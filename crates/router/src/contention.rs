@@ -8,6 +8,9 @@
 //! tracks *demand* rather than *service*, it reacts immediately to a traffic
 //! change and is completely decoupled from buffer sizes — the two properties
 //! the paper exploits.
+//!
+//! The bank is a pure function of the registered heads, so a snapshot
+//! stores none of it: [`crate::Router::restore_state`] recounts it.
 
 use df_topology::Port;
 use serde::{Deserialize, Serialize};
@@ -16,10 +19,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ContentionCounters {
     counters: Vec<u32>,
-    /// Lifetime statistics: total increments, used by the ablation studies.
-    total_increments: u64,
-    /// Running peak, useful to validate the threshold analysis of §VI-A.
-    peak: u32,
 }
 
 impl ContentionCounters {
@@ -27,8 +26,6 @@ impl ContentionCounters {
     pub fn new(num_ports: usize) -> Self {
         ContentionCounters {
             counters: vec![0; num_ports],
-            total_increments: 0,
-            peak: 0,
         }
     }
 
@@ -52,10 +49,7 @@ impl ContentionCounters {
     /// `port` reached the head of an input VC).
     #[inline]
     pub fn increment(&mut self, port: Port) {
-        let c = &mut self.counters[port.index()];
-        *c += 1;
-        self.peak = self.peak.max(*c);
-        self.total_increments += 1;
+        self.counters[port.index()] += 1;
     }
 
     /// Decrement the counter for `port` (the packet that had been registered
@@ -76,16 +70,6 @@ impl ContentionCounters {
         self.counters.iter().sum()
     }
 
-    /// Largest value any counter has reached during the run.
-    pub fn peak(&self) -> u32 {
-        self.peak
-    }
-
-    /// Total number of increments over the run.
-    pub fn total_increments(&self) -> u64 {
-        self.total_increments
-    }
-
     /// Iterate over `(port, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Port, u32)> + '_ {
         self.counters
@@ -97,31 +81,6 @@ impl ContentionCounters {
     /// True when every counter is zero (e.g. after the network drains).
     pub fn all_zero(&self) -> bool {
         self.counters.iter().all(|&c| c == 0)
-    }
-
-    /// Serialise the counter bank (values plus lifetime statistics).
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.counters.len());
-        for &c in &self.counters {
-            e.u32(c);
-        }
-        e.u64(self.total_increments);
-        e.u32(self.peak);
-    }
-
-    /// Restore the state written by [`ContentionCounters::save_state`]. The
-    /// counter count must match the configured radix.
-    pub fn restore_state(
-        &mut self,
-        d: &mut df_engine::Decoder,
-    ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(4, self.counters.len(), "contention counter count")?;
-        for c in &mut self.counters {
-            *c = d.u32()?;
-        }
-        self.total_increments = d.u64()?;
-        self.peak = d.u32()?;
-        Ok(())
     }
 }
 
@@ -146,21 +105,6 @@ mod tests {
         c.decrement(Port(2));
         c.decrement(Port(5));
         assert!(c.all_zero());
-    }
-
-    #[test]
-    fn peak_and_increments_are_tracked() {
-        let mut c = ContentionCounters::new(3);
-        for _ in 0..5 {
-            c.increment(Port(1));
-        }
-        for _ in 0..3 {
-            c.decrement(Port(1));
-        }
-        c.increment(Port(1));
-        assert_eq!(c.peak(), 5);
-        assert_eq!(c.total_increments(), 6);
-        assert_eq!(c.get(Port(1)), 3);
     }
 
     #[test]

@@ -121,32 +121,27 @@ impl EctnState {
         &self.combined
     }
 
-    /// Serialise the partial and combined counter arrays.
+    /// Serialise the combined array: the partial array counts the router's
+    /// registered heads, so [`crate::Router::restore_state`] recounts it.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.partial.len());
-        for &c in &self.partial {
-            e.u32(c);
-        }
         e.seq(self.combined.len());
         for &c in &self.combined {
             e.u32(c);
         }
     }
 
-    /// Restore the state written by [`EctnState::save_state`]. Both array
-    /// lengths must match the configured topology.
+    /// Restore the combined array written by [`EctnState::save_state`] (its
+    /// length must match the configured topology) and zero the partial
+    /// array for the caller's recount.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(4, self.partial.len(), "ECtN partial array length")?;
-        for c in &mut self.partial {
-            *c = d.u32()?;
-        }
         d.seq_exact(4, self.combined.len(), "ECtN combined array length")?;
         for c in &mut self.combined {
             *c = d.u32()?;
         }
+        self.partial.fill(0);
         Ok(())
     }
 }

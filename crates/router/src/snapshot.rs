@@ -1,6 +1,7 @@
-//! Binary codec for the gateway-liveness view (the simulator's published
-//! truth and per-group flooded copies; a router's own `link_view` is its
-//! group's copy and is re-installed on restore, not stored).
+//! Binary codec for the gateway-liveness view (the simulator's per-group
+//! flooded copies; the truth is replayed from the fault plan, and a
+//! router's own `link_view` is its group's copy, re-installed on restore —
+//! neither is stored).
 //!
 //! `df-topology` stays free of serialisation concerns: [`GatewayLiveness`]
 //! exposes its raw parts and this module turns them into the checksummed

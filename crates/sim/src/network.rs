@@ -123,11 +123,12 @@ pub struct Network {
     /// Whether any router has a link end down: the O(1) gate that keeps
     /// step 1's healthy path free of peer lookups. Derived from the
     /// routers' link flags (the one record of link health) wherever they
-    /// change: a link fault event and `restore`.
+    /// change: a link fault event, also when `restore` replays it.
     any_link_down: bool,
     /// The lowered fault plan, sorted by cycle (stable).
     fault_events: Vec<FaultEvent>,
-    /// Index of the next fault event to apply.
+    /// Index of the next fault event to apply: at a step boundary, the
+    /// count of events due before the clock (what `restore` replays).
     next_fault: usize,
     /// Nodes whose router is draining (generation suppressed).
     node_blocked: Vec<bool>,
@@ -150,7 +151,9 @@ pub struct Network {
     group_views: Vec<GatewayLiveness>,
     /// The previous flooding round's views (double buffer): a round reads
     /// only these, so information advances exactly one hop per exchange
-    /// regardless of group iteration order.
+    /// regardless of group iteration order. Scratch between rounds: a round
+    /// swaps the buffers and overwrites every slot of `group_views` before
+    /// it reads this one, so no snapshot stores it.
     group_views_prev: Vec<GatewayLiveness>,
     /// Fast path: `true` while no truth change is pending and the last
     /// flooding round adopted nothing — rounds are skipped entirely

@@ -13,55 +13,60 @@
 //! Corrupt, truncated, foreign or version-skewed bytes are rejected before
 //! any payload byte is interpreted.
 //!
-//! One rule decides what the payload holds: **every live fact exactly once;
-//! restore derives every other copy instead of cross-checking it.** What a
-//! rebuilt `Network::new(config)` cannot recompute is stored:
+//! One rule decides what the payload holds: **every live fact exactly once,
+//! and no fact restore can derive.** What a rebuilt `Network::new(config)`
+//! cannot recompute is stored:
 //!
 //! * identity — a fingerprint of the configuration (kernel-normalised, so a
 //!   snapshot restores under either `KernelMode` value),
 //! * the clock, packet-id counter and conservation ledgers,
-//! * every router's buffered state ([`df_router::Router::save_state`]),
-//!   per-port link flags included,
+//! * every router's buffered state ([`df_router::Router::save_state`]:
+//!   queues and head registrations, output stages and credits, ECtN's
+//!   combined array, PB's masks, allocator pointers),
 //! * every router-stream and node-stream RNG (seed + xoshiro words),
 //! * every node's injector, source queue and statistics,
 //! * the metrics collector,
 //! * the pending link events in exact drain order,
-//! * the fault cursor, drain flags, lost-credit ledger, spare table and the
-//!   gateway-liveness truth / flooded group views (each as its record
-//!   journals),
+//! * the lost-credit ledger, the flooded group views (each as its record
+//!   journal) and the two flooding flags,
 //! * the job engine's execution state when the configuration carries a job
 //!   set — one task section per job, in specification order (rank cursors,
 //!   outstanding sends, receive counters, compute-readiness clocks and the
 //!   pending-packet table), so a snapshot can land mid-collective in any
 //!   job and resume bit-identically.
 //!
-//! **Not** stored (derived on restore): topology, routing tables/patterns,
-//! derived occupancy counters, the any-link-down gate (the routers' link
-//! flags), every router's gateway-liveness view (its group's flooded view,
-//! re-installed), each liveness map's down marks (its records with
-//! `up == false`), the activity gates (the head and staged-router sets and
-//! the next-transmit cycles are recomputed from the routers, the
-//! queued-node set from the source queues, node pauses from the drain
-//! flags and the truth map's node marks; the wake-up calendar (every node
-//! due), changed outputs, dirty groups and staged-port sets restart
-//! conservatively — "everything dirty") and the step scratch. State only
-//! an observer reads (an attached probe) is not simulation state and is
-//! not in the payload at all. A packet staged at an unconnected port is
-//! refused: it could never leave. So are fault facts (link and drain
-//! flags, liveness truth, spare table) other than those the applied fault
-//! events leave on a fresh network.
+//! **Not** stored (derived on restore): topology, routing tables/patterns;
+//! every fact of the fault plan — restore replays the events due before the
+//! snapshot's cycle through the kernel's own `apply_due_faults`, which sets
+//! the routers' link flags, the any-link-down gate, the drain flags, the
+//! gateway-liveness truth (records and version), the spare table and the
+//! fault cursor (every step applies the events due at or before its cycle,
+//! so the cursor counts the events before the snapshot's); the occupancy,
+//! contention and ECtN partial counters (recounted from the queues and head
+//! registrations); every router's gateway-liveness view (its group's
+//! flooded view, re-installed); the previous flooding round's views
+//! (scratch: a round overwrites every slot before it reads one); each
+//! liveness map's down marks (its records with `up == false`); the activity
+//! gates (the head and staged-router sets and the next-transmit cycles are
+//! recomputed from the routers, the queued-node set from the source queues,
+//! node pauses from the drain flags and the truth map's node marks; the
+//! wake-up calendar (every node due), changed outputs, dirty groups and
+//! staged-port sets restart conservatively — "everything dirty") and the
+//! step scratch. State only an observer reads (an attached probe) is not
+//! simulation state and is not in the payload at all. A packet staged at
+//! an unconnected port is refused: it could never leave. So is a pending
+//! event that names a router, port, VC or node outside the network.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, VcId};
 use df_router::dissemination::install_linkview_group;
 use df_router::{decode_gateway_liveness, encode_gateway_liveness};
-use df_topology::{GatewayLiveness, NodeId, Port, RouterId, Topology};
+use df_topology::{NodeId, Port, RouterId, Topology};
 use std::cell::OnceCell;
 
-use super::{link_ends, Network};
+use super::Network;
 use crate::config::{KernelMode, SimulationConfig};
 use crate::events::{Event, EventQueue};
-use crate::fault::FaultKind;
 
 /// Frame magic of a simulation snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
@@ -79,11 +84,15 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// version 6 stores every live fact once — the dead allocator pointers, the
 /// observer-only second latency histogram, the job-presence flag and the
 /// duplicated fault facts (down-link list, node-failure flags, per-router
-/// liveness views, liveness down marks) are gone and restore derives them.
+/// liveness views, liveness down marks) are gone and restore derives them;
+/// version 7 stores no derivable fact — the link and drain flags, the
+/// liveness truth, the spare table and the fault cursor come from replaying
+/// the fault plan, the contention and ECtN partial counters from the head
+/// registrations, and the previous flooding round's views are scratch.
 /// Older versions are refused by the frame's version check — there is no
 /// compatibility loader (the sweep service discards a stale checkpoint and
 /// re-runs the sub-run).
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -179,7 +188,6 @@ impl Network {
         e.u64(self.injected_packets_total);
         e.u64(self.injected_phits_total);
         e.u64(self.last_delivery_cycle);
-        e.usize(self.next_fault);
         // routers + their RNG streams
         e.seq(self.routers.len());
         for router in &self.routers {
@@ -202,11 +210,7 @@ impl Network {
         for (at, event) in self.events.pending_in_order() {
             encode_event(at, event, &mut e);
         }
-        // fault machinery: drain flags, ledger, liveness truth and views
-        e.seq(self.node_blocked.len());
-        for &b in &self.node_blocked {
-            e.bool(b);
-        }
+        // fault machinery the plan cannot replay: the ledger and the views
         e.seq(self.lost_credits.len());
         for (&(r, p), per_vc) in &self.lost_credits {
             e.u32(r);
@@ -216,21 +220,12 @@ impl Network {
                 e.u32(c);
             }
         }
-        encode_gateway_liveness(&self.linkview_truth, &mut e);
         e.seq(self.group_views.len());
         for view in &self.group_views {
             encode_gateway_liveness(view, &mut e);
         }
-        e.seq(self.group_views_prev.len());
-        for view in &self.group_views_prev {
-            encode_gateway_liveness(view, &mut e);
-        }
         e.bool(self.flood_quiescent);
         e.bool(self.views_converged);
-        e.seq(self.spare_of.len());
-        for &s in &self.spare_of {
-            e.u32(s);
-        }
         // job layer (present iff the configuration carries a job set)
         if let Some(jobs) = &self.jobs {
             jobs.save_state(&mut e);
@@ -257,6 +252,15 @@ impl Network {
         let mut net = Network::new(config);
         net.fingerprint = OnceCell::from(expected);
         net.cycle = d.u64()?;
+        // The fault facts are the plan's, set by the kernel's own
+        // interpreter: every step applies the events due at or before its
+        // cycle. Replayed on the fresh network, ahead of every section, the
+        // side effects (staged-packet drops, lost-credit returns, pauses)
+        // find nothing to act on; the flooding flags it clears are read
+        // below.
+        if let Some(last) = net.cycle.checked_sub(1) {
+            net.apply_due_faults(last);
+        }
         net.current_phase = d.usize()?;
         if net.current_phase >= net.patterns.len() {
             return Err(CodecError::Invalid(format!(
@@ -271,14 +275,6 @@ impl Network {
         net.injected_packets_total = d.u64()?;
         net.injected_phits_total = d.u64()?;
         net.last_delivery_cycle = d.u64()?;
-        net.next_fault = d.usize()?;
-        if net.next_fault > net.fault_events.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot fault cursor {} beyond the {}-event plan",
-                net.next_fault,
-                net.fault_events.len()
-            )));
-        }
         d.seq_exact(8, net.routers.len(), "router count")?;
         for router in &mut net.routers {
             router.restore_state(&mut d)?;
@@ -295,35 +291,28 @@ impl Network {
         let pending = (0..d.seq(9)?)
             .map(|_| decode_event(&mut d))
             .collect::<Result<Vec<_>, _>>()?;
-        if pending.iter().any(|&(at, _)| at < net.cycle) {
-            return Err(CodecError::Invalid(
-                "snapshot holds a link event scheduled before its own cycle".into(),
-            ));
+        let misplaced = pending
+            .iter()
+            .find(|(at, event)| *at < net.cycle || !net.is_inside(event));
+        if let Some((at, event)) = misplaced {
+            return Err(CodecError::Invalid(format!(
+                "snapshot holds a link event before its own cycle or outside the \
+                 network: {event:?} at cycle {at}"
+            )));
         }
         net.events = EventQueue::rebuild(net.events.horizon(), net.cycle, pending);
-        d.seq_exact(1, net.node_blocked.len(), "node_blocked length")?;
-        for b in &mut net.node_blocked {
-            *b = d.bool()?;
-        }
         for _ in 0..d.seq(12)? {
             let key = (d.u32()?, d.u32()?);
             let per_vc = (0..d.seq(4)?).map(|_| d.u32()).collect::<Result<_, _>>()?;
             net.lost_credits.insert(key, per_vc);
         }
         let topo = net.ctx.topo;
-        net.linkview_truth = decode_gateway_liveness(&mut d, &topo)?;
-        for views in [&mut net.group_views, &mut net.group_views_prev] {
-            d.seq_exact(28, views.len(), "group view count")?;
-            for view in views.iter_mut() {
-                *view = decode_gateway_liveness(&mut d, &topo)?;
-            }
+        d.seq_exact(28, net.group_views.len(), "group view count")?;
+        for view in &mut net.group_views {
+            *view = decode_gateway_liveness(&mut d, &topo)?;
         }
         net.flood_quiescent = d.bool()?;
         net.views_converged = d.bool()?;
-        d.seq_exact(4, net.spare_of.len(), "spare_of length")?;
-        for s in &mut net.spare_of {
-            *s = d.u32()?;
-        }
         if let Some(jobs) = &mut net.jobs {
             jobs.restore_state(&mut d)?;
         }
@@ -333,57 +322,8 @@ impl Network {
                 d.remaining()
             )));
         }
-        // Every fault fact the payload stores — the routers' link flags,
-        // the drain flags, the liveness truth and the spare table — must be
-        // exactly what the applied events leave on a fresh network: replay
-        // them. (A spare outside the network, or a spare chain that cycles,
-        // would otherwise panic or hang the retarget loop.)
-        let mut down = vec![0u64; net.routers.len()];
-        let mut blocked = vec![false; net.node_blocked.len()];
-        let mut truth = GatewayLiveness::new(&topo);
-        let mut spare_of = vec![0; net.spare_of.len()];
-        for event in &net.fault_events[..net.next_fault] {
-            match event.kind {
-                FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port } => {
-                    let up = matches!(event.kind, FaultKind::LinkUp { .. });
-                    truth.set_global_link(&topo, router, port, up);
-                    for (r, p) in link_ends(&topo, router, port) {
-                        let (mask, bit) = (&mut down[r.index()], 1 << p.index());
-                        *mask = if up { *mask & !bit } else { *mask | bit };
-                    }
-                }
-                FaultKind::RouterDrain { router } | FaultKind::RouterRestore { router } => {
-                    let drained = matches!(event.kind, FaultKind::RouterDrain { .. });
-                    for node in topo.nodes_of_router(router) {
-                        blocked[node.index()] = drained;
-                    }
-                }
-                FaultKind::NodeFail { node, spare } => {
-                    truth.set_node(node, false);
-                    spare_of[node.index()] = spare.0;
-                }
-                FaultKind::NodeRestore { node } => truth.set_node(node, true),
-            }
-        }
-        let layout = topo.layout();
-        for (r, (router, mask)) in net.routers.iter().zip(&down).enumerate() {
-            if Port::all(&layout).any(|p| router.link_is_up(p) != (mask & 1 << p.index() == 0)) {
-                return Err(CodecError::Invalid(format!(
-                    "router {r}'s link flags differ from the applied faults"
-                )));
-            }
-        }
-        if blocked != net.node_blocked || truth != net.linkview_truth || spare_of != net.spare_of {
-            return Err(CodecError::Invalid(
-                "the drain flags, liveness truth or spare table differ from the applied faults"
-                    .into(),
-            ));
-        }
-        // Derived copies, rebuilt from the one stored fact each mirrors: the
-        // any-link-down gate from the link flags, and every router's
-        // liveness view from its group's flooded view (equal at every step
-        // boundary — `Network::step` asserts it in debug builds).
-        net.any_link_down = down.iter().any(|&mask| mask != 0);
+        // every router's liveness view is its group's flooded view (equal at
+        // every step boundary — `Network::step` asserts it in debug builds)
         let group_size = topo.routers_per_group() as usize;
         for (group, view) in net.routers.chunks_mut(group_size).zip(&net.group_views) {
             install_linkview_group(group, view);
@@ -405,6 +345,29 @@ impl Network {
             net.sync_paused(n, net.cycle);
         }
         Ok(net)
+    }
+
+    /// Whether every router, port, VC and node `event` names lies inside the
+    /// network: the kernel applies a pending event without a range check.
+    fn is_inside(&self, event: &Event) -> bool {
+        let port = |router: RouterId, port: Port| {
+            (self.routers.get(router.index())).filter(|r| port.index() < r.num_ports())
+        };
+        match *event {
+            Event::PacketArrival {
+                router,
+                port: p,
+                vc,
+                ..
+            } => port(router, p).is_some_and(|r| vc.index() < r.input(p).num_vcs()),
+            Event::CreditReturn {
+                router,
+                port: p,
+                vc,
+                ..
+            } => port(router, p).is_some_and(|r| vc.index() < r.output(p).num_downstream_vcs()),
+            Event::Delivery { node, .. } => node.0 < self.ctx.topo.num_nodes(),
+        }
     }
 }
 
@@ -652,58 +615,71 @@ mod tests {
         );
     }
 
-    /// Fault facts no applied event explains — a terminal link down (link
-    /// faults never name one), one end of a wired link down without its
-    /// peer, a drained or failed node the plan never touched, a failed
-    /// node whose spare is itself (the retarget loop would spin forever) —
-    /// are refused: restore replays the applied fault events and holds
-    /// every stored fault fact to the result.
+    /// The kernel applies a pending event without a range check, so an
+    /// event naming a router, port, VC or node outside the network — each of
+    /// which restored `Ok` and panicked or ran on silently at the next step
+    /// — is refused.
     #[test]
-    fn fault_facts_no_applied_event_explains_are_refused() {
-        let base = config(KernelMode::Optimized, 17);
-        let topo = base.topology.build();
-        let (r, p) = FaultPlan::global_link_between(&topo, GroupId(1), GroupId(4));
-        let (gw, port) = FaultPlan::global_link_between(&topo, GroupId(0), GroupId(2));
-        let mut cfg = base;
-        cfg.faults = FaultPlan::new()
-            .link_down(20, r, p)
-            .node_fail(30, NodeId(5), NodeId(40));
-        type Forgery<'a> = (&'a str, &'a dyn Fn(&mut Network));
-        let forgeries: [Forgery; 5] = [
-            ("a terminal link down", &|net| {
-                net.routers[0].set_link_up(Port(0), false)
-            }),
-            ("one end of a global link down", &|net| {
-                net.routers[gw.index()].set_link_up(port, false)
-            }),
-            ("a drained node", &|net| net.node_blocked[3] = true),
-            ("a failed node", &|net| {
-                net.linkview_truth.set_node(NodeId(3), false)
-            }),
-            ("a failed node spared by itself", &|net| net.spare_of[5] = 5),
-        ];
-        for (what, forge) in forgeries {
+    fn pending_events_outside_the_network_are_refused() {
+        let cfg = config(KernelMode::Optimized, 11);
+        let packet = || df_model::Packet::new(df_model::PacketId(0), NodeId(0), NodeId(9), 8, 0);
+        let arrival = |router, port| Event::PacketArrival {
+            router: RouterId(router),
+            port: Port(port),
+            vc: VcId(0),
+            packet: packet(),
+        };
+        let credit = |vc| Event::CreditReturn {
+            router: RouterId(0),
+            port: Port(3),
+            vc: VcId(vc),
+            phits: 8,
+        };
+        let delivery = |node| Event::Delivery {
+            node: NodeId(node),
+            packet: packet(),
+        };
+        let snapshot_with = |event| {
             let mut net = Network::new(cfg.clone());
-            net.run_cycles(40);
-            forge(&mut net);
-            assert_invalid(&cfg, &net.snapshot(), what);
+            net.run_cycles(20);
+            net.events.schedule(21, event);
+            net.snapshot()
+        };
+        for (field, event) in [
+            ("router", arrival(9_999, 3)),
+            ("port", arrival(0, 200)),
+            ("VC", credit(77)),
+            ("node", delivery(99_999)),
+        ] {
+            assert_invalid(&cfg, &snapshot_with(event), field);
         }
-        let mut net = Network::new(cfg.clone());
-        net.run_cycles(40);
-        assert!(Network::restore(cfg, &net.snapshot()).is_ok());
+        // the last router, port, VC and node are inside
+        for event in [arrival(35, 6), credit(2), delivery(71)] {
+            assert!(Network::restore(cfg.clone(), &snapshot_with(event)).is_ok());
+        }
     }
 
     #[test]
     fn snapshot_mid_fault_window_resumes_bit_identically() {
-        // snapshot while links are down and lost credits are ledgered
+        // snapshot while links are down and lost credits are ledgered, and
+        // on both sides of every kind of fault: at its own cycle (not yet
+        // applied) and the cycle after — so the replayed cursor must land
+        // on either side of each event exactly as the run left it
         let base = config(KernelMode::Optimized, 31);
         let topo = base.topology.build();
+        let (r0, p0) = FaultPlan::global_link_between(&topo, GroupId(1), GroupId(6));
         let (r1, p1) = FaultPlan::global_link_between(&topo, GroupId(0), GroupId(3));
         let (r2, p2) = FaultPlan::global_link_between(&topo, GroupId(2), GroupId(5));
         let faults = FaultPlan::new()
+            .link_down(0, r0, p0)
+            .link_up(90, r0, p0)
             .link_down(120, r1, p1)
             .link_down(140, r2, p2)
+            .router_drain(150, RouterId(4))
+            .node_fail(200, NodeId(5), NodeId(40))
+            .router_restore(230, RouterId(4))
             .link_up(260, r1, p1)
+            .node_restore(280, NodeId(5))
             .link_up(300, r2, p2);
         let mut cfg = base;
         cfg.faults = faults;
@@ -713,20 +689,29 @@ mod tests {
         reference.run_cycles(500);
         let drained_ref = reference.drain(100_000);
 
-        let mut first = Network::new(cfg.clone());
-        first.run_cycles(180); // inside the fault window
-        assert!(
-            !first.router(r1).link_is_up(p1),
-            "checkpoint must land mid-fault-window for this test to bite"
-        );
-        let bytes = first.snapshot();
-        let mut resumed = Network::restore(cfg, &bytes).expect("snapshot restores");
-        assert_eq!(resumed.fault_lost_credits(), first.fault_lost_credits());
-        resumed.run_cycles(500 - 180);
-        let drained_resumed = resumed.drain(100_000);
-
-        assert_eq!(drained_ref, drained_resumed);
-        assert_eq!(end_state(&reference), end_state(&resumed));
+        for checkpoint in [1, 120, 121, 150, 151, 180, 200, 201] {
+            let mut first = Network::new(cfg.clone());
+            first.run_cycles(checkpoint);
+            let bytes = first.snapshot();
+            let mut resumed = Network::restore(cfg.clone(), &bytes).expect("snapshot restores");
+            assert_eq!(resumed.next_fault, first.next_fault, "cycle {checkpoint}");
+            assert_eq!(resumed.snapshot(), bytes, "cycle {checkpoint}");
+            assert_eq!(resumed.fault_lost_credits(), first.fault_lost_credits());
+            if checkpoint == 180 {
+                assert!(
+                    !first.router(r1).link_is_up(p1) && first.fault_lost_credits() > 0,
+                    "checkpoint must land mid-fault-window for this test to bite"
+                );
+            }
+            resumed.run_cycles(500 - checkpoint);
+            let drained_resumed = resumed.drain(100_000);
+            assert_eq!(drained_ref, drained_resumed, "cycle {checkpoint}");
+            assert_eq!(
+                end_state(&reference),
+                end_state(&resumed),
+                "cycle {checkpoint}"
+            );
+        }
     }
 
     fn position(haystack: &[u8], needle: &[u8]) -> usize {
@@ -820,8 +805,8 @@ mod tests {
         assert!(net.node_failed(NodeId(5)) && !net.router(r).link_is_up(p));
         let bytes = net.snapshot();
 
-        // restore keeps the link flags and the truth map, and derives the
-        // router views
+        // restore replays the plan onto the link flags and the truth map,
+        // and installs the router views from the flooded group views
         let restored = Network::restore(cfg.clone(), &bytes).expect("restores");
         assert_eq!(restored.linkview_truth(), net.linkview_truth());
         assert!(restored.node_failed(NodeId(5)) && !restored.node_failed(NodeId(40)));
@@ -834,23 +819,22 @@ mod tests {
             assert_eq!(after.link_view(), before.link_view());
         }
 
-        // the truth map is the first liveness section of the payload
-        let section = |view: &df_topology::GatewayLiveness| {
-            let mut e = Encoder::new();
-            encode_gateway_liveness(view, &mut e);
-            e.into_bytes()
-        };
-        let truth = section(&net.linkview_truth);
+        // group 0's flooded view, converged on the truth's records, is the
+        // first liveness section of the payload
+        let view = &net.group_views[0];
+        let mut e = Encoder::new();
+        encode_gateway_liveness(view, &mut e);
+        let first = e.into_bytes();
         let payload = &bytes[20..bytes.len() - 8];
-        let at = position(payload, &truth);
-        let (lpg, _, links, nodes) = net.linkview_truth.raw_parts();
+        let at = position(payload, &first);
+        let (lpg, _, links, nodes) = view.raw_parts();
         assert_eq!(
             (links.len(), nodes.len()),
             (2, 1),
             "both link ends and the node"
         );
         let with = |links: Vec<(u32, u64, bool)>, nodes: Vec<(u32, u64, bool)>| {
-            let mut section = truth[..12].to_vec(); // links_per_group | version
+            let mut section = first[..12].to_vec(); // links_per_group | version
             let mut e = Encoder::new();
             for records in [links, nodes] {
                 e.seq(records.len());
@@ -861,7 +845,7 @@ mod tests {
                 }
             }
             section.extend(e.into_bytes());
-            forged(&bytes, |p| drop(p.splice(at..at + truth.len(), section)))
+            forged(&bytes, |p| drop(p.splice(at..at + first.len(), section)))
         };
         assert!(Network::restore(cfg.clone(), &with(links.to_vec(), nodes.to_vec())).is_ok());
         let swapped = vec![links[1], links[0]];

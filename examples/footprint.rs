@@ -9,7 +9,8 @@
 //! The first table is a fresh router 0 of each scale, the layout every
 //! router starts from. The second is the mean over every router after a
 //! short run of uniform traffic, where the packet slab and the
-//! gateway-liveness view have grown with the traffic.
+//! gateway-liveness view have grown with the traffic; its last column is
+//! the length of the whole `Network::snapshot` divided by the router count.
 
 use contention_dragonfly::prelude::*;
 use contention_dragonfly::router::Footprint;
@@ -33,35 +34,38 @@ const PARTS: [&str; 6] = [
     "slab",
 ];
 
-fn header() {
+fn header(snapshot: bool) {
+    let extra = if snapshot { " snapshot B/router |" } else { "" };
     println!(
-        "| scale | radix | {} | struct | total | buffers |",
+        "| scale | radix | {} | struct | total | buffers |{extra}",
         PARTS.join(" | ")
     );
-    println!("|---|{}", "--:|".repeat(PARTS.len() + 4));
+    let columns = PARTS.len() + 4 + usize::from(snapshot);
+    println!("|---|{}", "--:|".repeat(columns));
 }
 
-fn row(scale: &str, radix: u32, f: &Footprint) {
+fn row(scale: &str, radix: u32, f: &Footprint, snapshot: Option<usize>) {
     let parts: Vec<String> = f.parts.iter().map(usize::to_string).collect();
     let (parts, total) = (parts.join(" | "), f.total());
+    let extra = snapshot.map_or(String::new(), |bytes| format!(" {bytes} |"));
     println!(
-        "| {scale} | {radix} | {parts} | {} | **{total}** | {} |",
+        "| {scale} | {radix} | {parts} | {} | **{total}** | {} |{extra}",
         f.router, f.buffers
     );
 }
 
 fn main() {
     println!("Fresh router, bytes by part\n");
-    header();
+    header(false);
     for (name, params) in scales() {
         let topo = Dragonfly::new(params);
         let router = Router::new(RouterId(0), topo, NetworkConfig::paper_table1());
-        row(name, topo.layout().radix(), &router.footprint());
+        row(name, topo.layout().radix(), &router.footprint(), None);
     }
 
     let cycles = 1_000;
     println!("\nMean per router after {cycles} cycles of UN @ 0.1 under Base, bytes by part\n");
-    header();
+    header(true);
     for (name, params) in &scales()[..3] {
         let config = SimulationConfig::builder()
             .topology(*params)
@@ -88,6 +92,7 @@ fn main() {
             parts: sum.parts.map(|bytes| bytes / routers),
             buffers: sum.buffers / routers,
         };
-        row(name, topo.layout().radix(), &mean);
+        let snapshot = net.snapshot().len() / routers;
+        row(name, topo.layout().radix(), &mean, Some(snapshot));
     }
 }
