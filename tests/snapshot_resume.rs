@@ -329,9 +329,11 @@ fn paper_scale_snapshot_resume_smoke() {
 /// "every snapshot byte" has something to be held to across commits (the
 /// resume tests above only compare two runs of the same build). Captured
 /// before activity-proportional stepping and re-captured once per format
-/// version since (`SNAPSHOT_VERSION` 6: each cell 10,073 bytes shorter —
-/// 16 per router port, a 44-byte pristine view per router, one 500-bin
-/// histogram, the mark vectors of 19 liveness maps, three small sections).
+/// version since (`SNAPSHOT_VERSION` 7: each cell 4,380 bytes shorter —
+/// per router 103 (the contention bank, ECtN's partial array and the link
+/// flags, each with its length prefix), per node 5 (drain flag and spare),
+/// the fault cursor, the truth map, nine previous-round views and three
+/// length prefixes).
 /// The last
 /// cell sits at a load where nearly every injector is many cycles from its
 /// next packet: a wrong RNG stream position in a mid-look-ahead snapshot
@@ -342,32 +344,32 @@ const PINNED_SNAPSHOTS: [(RoutingKind, PatternKind, f64, u64, usize, u64); 4] = 
         PatternKind::Uniform,
         0.05,
         137,
-        44_209,
-        0x43E7_2267_310A_614C,
+        39_829,
+        0x67C7_6FE4_C458_3221,
     ),
     (
         RoutingKind::PiggyBacking,
         PatternKind::Adversarial { offset: 1 },
         0.4,
         333,
-        68_034,
-        0xD54B_A152_28E5_F30A,
+        63_654,
+        0x3D8A_C840_2926_F92A,
     ),
     (
         RoutingKind::Ectn,
         PatternKind::Adversarial { offset: 1 },
         0.4,
         250,
-        66_745,
-        0x352D_5183_1641_A68A,
+        62_365,
+        0xD773_8E52_6A38_7335,
     ),
     (
         RoutingKind::Base,
         PatternKind::Uniform,
         0.01,
         599,
-        44_199,
-        0xFF4B_1A2A_D589_4AF0,
+        39_819,
+        0xD91E_ABEE_2300_B7BF,
     ),
 ];
 
