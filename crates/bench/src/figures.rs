@@ -6,7 +6,11 @@
 //! `tests/paper_claims.rs` pins the paper's qualitative orderings.
 
 use df_engine::Table;
-use df_model::NetworkConfig;
+use df_model::{NetworkConfig, ALLOCATOR_SPEEDUP};
+use df_routing::config::{
+    ECTN_UPDATE_PERIOD, HYBRID_CONGESTION_FRACTION, OLM_CONGESTION_FRACTION,
+    PB_UGAL_THRESHOLD_PACKETS,
+};
 use df_routing::{RoutingConfig, RoutingKind};
 use df_sim::{run_sweep, run_transient, SimulationConfig, SteadyStateReport, TransientReport};
 use df_traffic::{PatternKind, TrafficSchedule};
@@ -93,10 +97,7 @@ pub fn table1(scale: &Scale) -> Table {
             "Router latency".into(),
             format!("{} cycles", n.latencies.router_pipeline),
         ),
-        (
-            "Frequency speedup".into(),
-            format!("{}x", n.allocator_speedup),
-        ),
+        ("Frequency speedup".into(), format!("{ALLOCATOR_SPEEDUP}x")),
         (
             "Group size".into(),
             format!("{} routers, {} computing nodes", t.a, t.a * t.p),
@@ -142,9 +143,9 @@ pub fn table1(scale: &Scale) -> Table {
             "Congestion thresholds".into(),
             format!(
                 "{:.0}% (OLM), {:.0}% (Hybrid), T = {} (PB)",
-                100.0 * rc.olm_congestion_fraction,
-                100.0 * rc.hybrid_congestion_fraction,
-                rc.pb_ugal_threshold_packets
+                100.0 * OLM_CONGESTION_FRACTION,
+                100.0 * HYBRID_CONGESTION_FRACTION,
+                PB_UGAL_THRESHOLD_PACKETS
             ),
         ),
         (
@@ -156,7 +157,7 @@ pub fn table1(scale: &Scale) -> Table {
         ),
         (
             "ECtN partial update".into(),
-            format!("{} cycles", rc.ectn_update_period),
+            format!("{ECTN_UPDATE_PERIOD} cycles"),
         ),
     ];
     for (k, v) in rows {
@@ -451,6 +452,53 @@ mod tests {
             "31 ports (h=8 global, p=8 injection, 15 local)"
         );
         assert!(t.cell(4, 1).unwrap().contains("129 groups, 16512"));
+    }
+
+    /// The text of Table I at two scales, captured when the fixed
+    /// parameters were configuration fields: the constants print the same
+    /// table.
+    #[test]
+    fn table1_text_is_pinned() {
+        let small = concat!(
+            "# Table I — simulation parameters (small scale)\n",
+            "              parameter                                                    value\n",
+            "--------------------------------------------------------------------------------\n",
+            "            Router size             7 ports (h=2 global, p=2 injection, 3 local)\n",
+            "         Router latency                                                 5 cycles\n",
+            "      Frequency speedup                                                       2x\n",
+            "             Group size                             4 routers, 8 computing nodes\n",
+            "            System size                             9 groups, 72 computing nodes\n",
+            "Global link arrangement                                                 Palmtree\n",
+            "           Link latency                          10 (local), 100 (global) cycles\n",
+            "       Virtual channels   2 (global ports), 3 (injection ports), 4 (local ports)\n",
+            "              Switching                                      Virtual Cut-Through\n",
+            "    Buffer size (phits)  32 (output), 32 (local input/VC), 256 (global input/VC)\n",
+            "            Packet size                                                  8 phits\n",
+            "  Congestion thresholds                      50% (OLM), 35% (Hybrid), T = 3 (PB)\n",
+            "  Contention thresholds            3 (Base, ECtN), 4 (Hybrid), 5 (ECtN combined)\n",
+            "    ECtN partial update                                               100 cycles\n",
+        );
+        let paper = concat!(
+            "# Table I — simulation parameters (paper scale)\n",
+            "              parameter                                                    value\n",
+            "--------------------------------------------------------------------------------\n",
+            "            Router size           31 ports (h=8 global, p=8 injection, 15 local)\n",
+            "         Router latency                                                 5 cycles\n",
+            "      Frequency speedup                                                       2x\n",
+            "             Group size                          16 routers, 128 computing nodes\n",
+            "            System size                        129 groups, 16512 computing nodes\n",
+            "Global link arrangement                                                 Palmtree\n",
+            "           Link latency                          10 (local), 100 (global) cycles\n",
+            "       Virtual channels   2 (global ports), 3 (injection ports), 4 (local ports)\n",
+            "              Switching                                      Virtual Cut-Through\n",
+            "    Buffer size (phits)  32 (output), 32 (local input/VC), 256 (global input/VC)\n",
+            "            Packet size                                                  8 phits\n",
+            "  Congestion thresholds                      50% (OLM), 35% (Hybrid), T = 3 (PB)\n",
+            "  Contention thresholds           7 (Base, ECtN), 8 (Hybrid), 12 (ECtN combined)\n",
+            "    ECtN partial update                                               100 cycles\n",
+        );
+        assert_eq!(table1(&Scale::small()).to_text(), small);
+        assert_eq!(table1(&Scale::paper()).to_text(), paper);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use df_topology::{Port, PortClass, RouterId, Topology};
 
 use crate::algorithms::common;
 use crate::candidates::{local_candidates, table_candidates, unpack, LocalCandidate};
-use crate::config::RoutingConfig;
+use crate::config::{RoutingConfig, HYBRID_CONGESTION_FRACTION, OLM_CONGESTION_FRACTION};
 use crate::decision::{Commitment, Decision, DecisionKind};
 use crate::kind::RoutingKind;
 use crate::minimal::minimal_output;
@@ -76,10 +76,10 @@ fn rules(kind: RoutingKind, config: &RoutingConfig, at_injection: bool) -> [Opti
             at_injection.then_some(Combined(config.ectn_combined_threshold)),
             Some(Contention(config.contention_threshold)),
         ],
-        RoutingKind::Olm => [Some(Credit(config.olm_congestion_fraction)), None],
+        RoutingKind::Olm => [Some(Credit(OLM_CONGESTION_FRACTION)), None],
         RoutingKind::Hybrid => [
             Some(Contention(config.hybrid_contention_threshold)),
-            Some(Credit(config.hybrid_congestion_fraction)),
+            Some(Credit(HYBRID_CONGESTION_FRACTION)),
         ],
         RoutingKind::Minimal | RoutingKind::Valiant | RoutingKind::PiggyBacking => [None, None],
     }
@@ -180,7 +180,6 @@ fn is_live(router: &Router, packet: &Packet, cand: &impl Candidate) -> bool {
 /// on an empty eligible set, consume nothing.
 fn select<C: Candidate, I: Iterator<Item = C> + Clone>(
     rows: [Option<Rule>; 2],
-    config: &RoutingConfig,
     router: &Router,
     packet: &Packet,
     min: MinimalSide,
@@ -193,12 +192,9 @@ fn select<C: Candidate, I: Iterator<Item = C> + Clone>(
         }
         let layout = router.topology().layout();
         let own_links_only = matches!(rule, Rule::Combined(_)) || packet.routing.local_hops > 0;
-        let (q_min, min_required) = match rule {
-            Rule::Credit(_) => (
-                common::output_occupancy(router, min.out),
-                config.credit_trigger_min_packets * packet.size_phits,
-            ),
-            _ => (0, 0),
+        let q_min = match rule {
+            Rule::Credit(_) => common::output_occupancy(router, min.out),
+            _ => 0,
         };
         let min_dead = min.dead;
         let passes = move |c: &C| {
@@ -211,8 +207,10 @@ fn select<C: Candidate, I: Iterator<Item = C> + Clone>(
                     contention_allows_candidate(router.contention().get(hop), th)
                 }
                 Rule::Credit(fraction) => {
+                    // the minimal output must hold a packet's worth: no
+                    // misroute between two empty ports
                     let q_cand = common::output_occupancy(router, hop);
-                    min_dead || credit_comparison(q_min, q_cand, fraction, min_required)
+                    min_dead || credit_comparison(q_min, q_cand, fraction, packet.size_phits)
                 }
             };
             row_passes
@@ -267,12 +265,7 @@ pub(super) fn rows_quiet(
 /// policy leaves open to it, as [`HeadPlan`] scope bits, plus the group's
 /// minimal global link when the global family is open.
 #[inline]
-pub(super) fn scope(
-    config: &RoutingConfig,
-    router: &Router,
-    packet: &Packet,
-    min_out: Port,
-) -> (u8, u32) {
+pub(super) fn scope(router: &Router, packet: &Packet, min_out: Port) -> (u8, u32) {
     let topo = router.topology();
     let net = router.config();
     let my_group = router.group();
@@ -284,16 +277,13 @@ pub(super) fn scope(
         && my_group == src_group
         && global_misroute_fits(packet, net)
         && (packet.hops() == 0
-            || (config.allow_global_misroute_after_hop
-                && packet.routing.global_hops == 0
-                && packet.routing.local_hops <= 1))
+            || (packet.routing.global_hops == 0 && packet.routing.local_hops <= 1))
     {
         scope |= HeadPlan::GLOBAL_SCOPE;
         min_link = topo.group_link_to(my_group, dst_group);
     }
     let remaining_locals_after_detour: u8 = if my_group == dst_group { 1 } else { 2 };
-    if config.allow_local_misroute
-        && min_out.class(&topo.layout()) == PortClass::Local
+    if min_out.class(&topo.layout()) == PortClass::Local
         && my_group != src_group
         && packet.routing.local_misroute_allowed_in(my_group)
         && local_detour_fits(packet, remaining_locals_after_detour, net)
@@ -344,7 +334,7 @@ pub fn decide(
             link: Some(min_link),
             dead: min_dead || (!view.all_up() && view.marks_down(router.group(), min_link)),
         };
-        if let Some(cand) = select(rows, config, router, packet, min, globals, rng) {
+        if let Some(cand) = select(rows, router, packet, min, globals, rng) {
             let cand = unpack(router, cand);
             return Decision {
                 output_port: cand.first_hop,
@@ -370,7 +360,7 @@ pub fn decide(
             link: None,
             dead: min_dead,
         };
-        if let Some(cand) = select(rows, config, router, packet, min, locals, rng) {
+        if let Some(cand) = select(rows, router, packet, min, locals, rng) {
             return Decision {
                 output_port: cand.port,
                 output_vc: vc_for_next_hop(packet, PortClass::Local, net),

@@ -142,7 +142,7 @@ impl RoutingAlgorithm {
                         // the Valiant path is open at the source, whatever the groups
                         RoutingKind::Valiant => (bit(at_source, HeadPlan::GLOBAL_SCOPE), 0),
                         RoutingKind::PiggyBacking => piggyback::scope(router, packet, at_source),
-                        _ => adaptive::scope(&self.config, router, packet, minimal.0),
+                        _ => adaptive::scope(router, packet, minimal.0),
                     };
                     let scope = scope
                         | bit(at_source, HeadPlan::AT_SOURCE)
@@ -217,7 +217,7 @@ impl RoutingAlgorithm {
         let decision = match plan.objective {
             _ if settled => planned,
             PlannedObjective::Destination if self.kind == RoutingKind::PiggyBacking => {
-                piggyback::decide(&self.config, plan, router, head, rng)
+                piggyback::decide(plan, router, head, rng)
             }
             _ => long_way(head(), rng),
         };
@@ -376,9 +376,7 @@ impl RoutingAlgorithm {
         match self.kind {
             RoutingKind::Minimal => Decision::minimal(plan.output(), plan.vc),
             RoutingKind::Valiant => oblivious::valiant_decision(plan, router, packet, rng),
-            RoutingKind::PiggyBacking => {
-                piggyback::decide_from_packet(&self.config, plan, router, packet, rng)
-            }
+            RoutingKind::PiggyBacking => piggyback::decide_from_packet(plan, router, packet, rng),
             RoutingKind::Olm | RoutingKind::Base | RoutingKind::Hybrid | RoutingKind::Ectn => {
                 adaptive::decide(self.kind, &self.config, plan, router, packet, rng)
             }

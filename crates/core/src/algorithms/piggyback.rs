@@ -19,7 +19,7 @@ use df_router::{set_bits, HeadPlan, Router};
 use df_topology::{Port, Topology};
 
 use crate::algorithms::common;
-use crate::config::RoutingConfig;
+use crate::config::{PB_SATURATION_FRACTION, PB_UGAL_THRESHOLD_PACKETS};
 use crate::decision::Decision;
 use crate::minimal::{minimal_hops_to_router, minimal_output_to_router};
 use crate::trigger::{pb_link_saturated, ugal_prefers_valiant};
@@ -51,33 +51,30 @@ pub(super) fn scope(router: &Router, packet: &Packet, at_source: bool) -> (u8, u
 /// [`FIRST_HOP_VC`] on every port class.
 /// Past the source the packet is read only under faults.
 pub fn decide<'p>(
-    config: &RoutingConfig,
     plan: &HeadPlan,
     router: &Router,
     packet: impl Fn() -> &'p Packet,
     rng: &mut DeterministicRng,
 ) -> Decision {
-    rule(config, plan, router, packet, false, rng)
+    rule(plan, router, packet, false, rng)
 }
 
 /// [`decide`] the long way: the destination group, the size and the
 /// Valiant first hop's VC read from the packet instead of derived from the
 /// plan — the reference debug builds replay a packet-free decision against.
 pub(super) fn decide_from_packet(
-    config: &RoutingConfig,
     plan: &HeadPlan,
     router: &Router,
     packet: &Packet,
     rng: &mut DeterministicRng,
 ) -> Decision {
-    rule(config, plan, router, || packet, true, rng)
+    rule(plan, router, || packet, true, rng)
 }
 
 /// The PB rules, the blocked test's facts taken from the packet
 /// (`from_packet`) or from the plan.
 #[inline]
 fn rule<'p>(
-    config: &RoutingConfig,
     plan: &HeadPlan,
     router: &Router,
     packet: impl Fn() -> &'p Packet,
@@ -159,7 +156,7 @@ fn rule<'p>(
     let h_val = minimal_hops_to_router(topo, router.id(), intermediate)
         + minimal_hops_to_router(topo, intermediate, dst_router)
         + 1;
-    let threshold_phits = config.pb_ugal_threshold_packets * packet.size_phits;
+    let threshold_phits = PB_UGAL_THRESHOLD_PACKETS * packet.size_phits;
     let ugal_valiant = ugal_prefers_valiant(q_min, h_min, q_val, h_val, threshold_phits);
 
     // a failed minimal first hop — or a minimal gateway link the
@@ -241,10 +238,10 @@ fn recommit_in_transit(
 
 /// Whether this router's own global link `k` is saturated right now, per
 /// the PB rule — a pure function of that output's staged phits and credits.
-fn own_link_saturated(config: &RoutingConfig, router: &Router, k: u32) -> bool {
+fn own_link_saturated(router: &Router, k: u32) -> bool {
     let port = Port::global(&router.topology().layout(), k);
     let fraction = router.output_congestion_fraction(port);
-    pb_link_saturated(fraction, config.pb_saturation_fraction)
+    pb_link_saturated(fraction, PB_SATURATION_FRACTION)
 }
 
 /// Bring the saturation flags of this router's own global links up to date
@@ -254,19 +251,18 @@ fn own_link_saturated(config: &RoutingConfig, router: &Router, k: u32) -> bool {
 /// the own global ports among [`Router::changed_outputs`] are recomputed;
 /// the simulator calls this only for routers whose outputs can have
 /// changed since their last refresh.
-pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) -> bool {
+pub fn update_own_saturation(router: &mut Router) -> bool {
     let own_globals = router.topology().own_globals(router.id());
     let first = Port::global(&router.topology().layout(), 0).index();
     let changed = (router.changed_outputs() >> first) & ((1 << own_globals) - 1);
     router.clear_changed_outputs();
     let mut flipped = false;
     for k in set_bits(changed) {
-        let saturated = own_link_saturated(config, router, k as u32);
+        let saturated = own_link_saturated(router, k as u32);
         flipped |= router.pb_mut().set_own_saturated(k as u32, saturated);
     }
     debug_assert!(
-        (0..own_globals)
-            .all(|k| router.pb().own_saturated(k) == own_link_saturated(config, router, k)),
+        (0..own_globals).all(|k| router.pb().own_saturated(k) == own_link_saturated(router, k)),
         "router {}: own saturation flags are stale",
         router.id()
     );
@@ -277,6 +273,7 @@ pub fn update_own_saturation(config: &RoutingConfig, router: &mut Router) -> boo
 mod tests {
     use super::*;
     use crate::algorithms::tests::{Counted, GATE_READS};
+    use crate::config::RoutingConfig;
     use crate::decision::{Commitment, DecisionKind};
     use crate::minimal::minimal_output;
     use df_model::{NetworkConfig, PacketId, VcId};
@@ -293,13 +290,12 @@ mod tests {
 
     /// The whole decision — plan, then the PB rules.
     fn decide(
-        config: &RoutingConfig,
         router: &Router,
         input_port: Port,
         packet: &Packet,
         rng: &mut DeterministicRng,
     ) -> Decision {
-        crate::RoutingAlgorithm::new(crate::RoutingKind::PiggyBacking, *config)
+        crate::RoutingAlgorithm::new(crate::RoutingKind::PiggyBacking, RoutingConfig::default())
             .decide(router, input_port, packet, rng)
     }
 
@@ -308,7 +304,7 @@ mod tests {
         let r = router(0);
         let p = packet(0, 40);
         let mut rng = DeterministicRng::new(1);
-        let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        let d = decide(&r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::Minimal);
         assert_eq!(d.commitment, Commitment::None);
     }
@@ -326,7 +322,7 @@ mod tests {
         flags[min_link as usize] = true;
         r.pb_mut().install_group_from(&flags);
         let mut rng = DeterministicRng::new(1);
-        let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        let d = decide(&r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::NonminimalGlobal);
         assert!(matches!(
             d.commitment,
@@ -343,7 +339,7 @@ mod tests {
         r.pb_mut()
             .install_group_from(&vec![true; topo.global_links_per_group() as usize]);
         let mut rng = DeterministicRng::new(1);
-        let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        let d = decide(&r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::NonminimalGlobal);
         // … but with every output buffer full the allocator could grant
         // neither request, so the comparison is skipped — after the draws
@@ -357,10 +353,7 @@ mod tests {
         assert!(common::pick_intermediate_router(&r, src, dst, &mut reference).is_some());
         let minimal = Decision::minimal(minimal_output(&topo, r.id(), p.dst), VcId(0));
         let mut whole = rng.clone();
-        assert_eq!(
-            decide(&RoutingConfig::default(), &r, Port(0), &p, &mut whole),
-            minimal
-        );
+        assert_eq!(decide(&r, Port(0), &p, &mut whole), minimal);
         assert_eq!(whole.state(), reference.state(), "exactly the two draws");
         // the decide loop's entry point: the same, from the plan alone
         let algorithm = crate::RoutingAlgorithm::new(
@@ -401,10 +394,7 @@ mod tests {
         // large majority to go Valiant.
         let mut rng = DeterministicRng::new(1);
         let valiant = (0..20)
-            .filter(|_| {
-                decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng).kind
-                    == DecisionKind::NonminimalGlobal
-            })
+            .filter(|_| decide(&r, Port(0), &p, &mut rng).kind == DecisionKind::NonminimalGlobal)
             .count();
         assert!(
             valiant >= 12,
@@ -418,7 +408,7 @@ mod tests {
         let mut p = packet(0, 40);
         p.routing.local_hops = 1;
         let mut rng = DeterministicRng::new(1);
-        let d = decide(&RoutingConfig::default(), &r, Port(2), &p, &mut rng);
+        let d = decide(&r, Port(2), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::Minimal);
     }
 
@@ -427,15 +417,14 @@ mod tests {
         let r = router(0);
         let p = packet(0, 6); // destination in group 0
         let mut rng = DeterministicRng::new(1);
-        let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
+        let d = decide(&r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::Minimal);
     }
 
     #[test]
     fn saturation_update_reflects_occupancy() {
         let mut r = router(0);
-        let config = RoutingConfig::default();
-        update_own_saturation(&config, &mut r);
+        update_own_saturation(&mut r);
         assert!(!r.pb().own_saturated(0));
         // fill global port 0's credits beyond the saturation fraction
         let gport = Port::global(&r.topology().layout(), 0);
@@ -457,7 +446,7 @@ mod tests {
                 }
             }
         }
-        update_own_saturation(&config, &mut r);
+        update_own_saturation(&mut r);
         assert!(
             r.pb().own_saturated(0),
             "occupancy {consumed}/{total} should exceed the 50% saturation fraction"
@@ -469,7 +458,6 @@ mod tests {
         // the refresh is skipped for a router whose outputs did not change;
         // a credit return is such a change even with nothing staged
         let mut r = router(0);
-        let config = RoutingConfig::default();
         let gport = Port::global(&r.topology().layout(), 0);
         // take every credit of the link: packets leave at once, so only the
         // downstream occupancy remains
@@ -483,17 +471,17 @@ mod tests {
                 taken.push(vc);
             }
         }
-        assert!(update_own_saturation(&config, &mut r), "a flip");
+        assert!(update_own_saturation(&mut r), "a flip");
         assert!(r.pb().own_saturated(0));
         // nothing changed: the refresh is a no-op and reports no flip
-        assert!(!update_own_saturation(&config, &mut r));
+        assert!(!update_own_saturation(&mut r));
         assert!(r.pb().own_saturated(0) && r.changed_outputs() == 0);
         // the downstream router drains: credits come back, nothing else moves
         for vc in taken {
             r.receive_credits(gport, vc, 8);
         }
         assert!(
-            update_own_saturation(&config, &mut r),
+            update_own_saturation(&mut r),
             "and the flip is reported for the exchange"
         );
         assert!(

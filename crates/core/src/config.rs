@@ -1,16 +1,39 @@
 //! Routing-mechanism configuration: the misrouting thresholds of Table I and
 //! the calibration rule of §VI-A.
+//!
+//! Only the three contention thresholds are settable: §VI-A calibrates them
+//! to the router geometry and Fig. 10 sweeps them. Every other Table I
+//! parameter of the mechanisms is a constant of this module.
 
 use df_model::VcConfig;
 use df_topology::PortLayout;
 use serde::{Deserialize, Serialize};
 
-/// Thresholds and policy knobs for every routing mechanism.
+/// ECtN partial-array broadcast period, in cycles (Table I: 100).
+pub const ECTN_UPDATE_PERIOD: u64 = 100;
+
+/// OLM relative congestion threshold: misroute when the nonminimal output's
+/// occupancy is at most this fraction of the minimal output's (Table I:
+/// 50 %).
+pub const OLM_CONGESTION_FRACTION: f64 = 0.50;
+
+/// Hybrid's credit-trigger fraction (Table I: 35 %).
+pub const HYBRID_CONGESTION_FRACTION: f64 = 0.35;
+
+/// PB's UGAL-style threshold `T`, in packets (Table I: 3).
+pub const PB_UGAL_THRESHOLD_PACKETS: u32 = 3;
+
+/// Occupancy fraction above which PB marks one of its global links
+/// saturated (not listed in Table I; FOGSim uses a comparable
+/// fraction-of-buffer rule).
+pub const PB_SATURATION_FRACTION: f64 = 0.50;
+
+/// The contention thresholds of the Base, Hybrid and ECtN mechanisms.
 ///
 /// Defaults are the paper's Table I values, which are calibrated for the
 /// 31-port, `p=8` router. For scaled-down networks use
 /// [`RoutingConfig::calibrated_for`], which applies the paper's §VI-A rule to
-/// the actual router geometry.
+/// the actual router geometry. Any value is valid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RoutingConfig {
     /// Base/ECtN contention threshold `th`: misroute when the contention
@@ -22,32 +45,6 @@ pub struct RoutingConfig {
     /// ECtN combined-counter threshold for misrouting at injection
     /// (Table I: 10).
     pub ectn_combined_threshold: u32,
-    /// ECtN partial-array broadcast period in cycles (Table I: 100).
-    pub ectn_update_period: u64,
-    /// OLM relative congestion threshold: misroute when the nonminimal
-    /// output's occupancy is below this fraction of the minimal output's
-    /// occupancy (Table I: 50 %).
-    pub olm_congestion_fraction: f64,
-    /// Hybrid's credit-trigger fraction (Table I: 35 %).
-    pub hybrid_congestion_fraction: f64,
-    /// Minimum occupancy (in packets) of the minimal output before a
-    /// credit-based trigger is considered at all; avoids misrouting between
-    /// two empty ports.
-    pub credit_trigger_min_packets: u32,
-    /// PB UGAL-style threshold `T`, in packets (Table I: 3).
-    pub pb_ugal_threshold_packets: u32,
-    /// Occupancy fraction above which PB marks one of its global links
-    /// saturated (not listed in Table I; FOGSim uses a comparable
-    /// fraction-of-buffer rule).
-    pub pb_saturation_fraction: f64,
-    /// Whether in-transit mechanisms may misroute locally in the intermediate
-    /// and destination groups (the paper's OLM-style policy; disabling it is
-    /// used by the ablation benches).
-    pub allow_local_misroute: bool,
-    /// Whether global misrouting may also be selected after the first local
-    /// hop, not only at injection (PAR-style, used by OLM and the contention
-    /// mechanisms).
-    pub allow_global_misroute_after_hop: bool,
 }
 
 impl Default for RoutingConfig {
@@ -56,14 +53,6 @@ impl Default for RoutingConfig {
             contention_threshold: 6,
             hybrid_contention_threshold: 7,
             ectn_combined_threshold: 10,
-            ectn_update_period: 100,
-            olm_congestion_fraction: 0.50,
-            hybrid_congestion_fraction: 0.35,
-            credit_trigger_min_packets: 1,
-            pb_ugal_threshold_packets: 3,
-            pb_saturation_fraction: 0.50,
-            allow_local_misroute: true,
-            allow_global_misroute_after_hop: true,
         }
     }
 }
@@ -110,7 +99,6 @@ impl RoutingConfig {
             contention_threshold: th,
             hybrid_contention_threshold: th + 1,
             ectn_combined_threshold: combined,
-            ..Self::default()
         }
     }
 
@@ -126,23 +114,6 @@ impl RoutingConfig {
         self.ectn_combined_threshold = th;
         self
     }
-
-    /// Basic sanity checks.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.olm_congestion_fraction) {
-            return Err("OLM congestion fraction must be in [0,1]".into());
-        }
-        if !(0.0..=1.0).contains(&self.hybrid_congestion_fraction) {
-            return Err("Hybrid congestion fraction must be in [0,1]".into());
-        }
-        if !(0.0..=1.0).contains(&self.pb_saturation_fraction) {
-            return Err("PB saturation fraction must be in [0,1]".into());
-        }
-        if self.ectn_update_period == 0 {
-            return Err("ECtN update period must be positive".into());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -156,11 +127,11 @@ mod tests {
         assert_eq!(c.contention_threshold, 6);
         assert_eq!(c.hybrid_contention_threshold, 7);
         assert_eq!(c.ectn_combined_threshold, 10);
-        assert_eq!(c.ectn_update_period, 100);
-        assert!((c.olm_congestion_fraction - 0.50).abs() < 1e-9);
-        assert!((c.hybrid_congestion_fraction - 0.35).abs() < 1e-9);
-        assert_eq!(c.pb_ugal_threshold_packets, 3);
-        assert!(c.validate().is_ok());
+        assert_eq!(ECTN_UPDATE_PERIOD, 100);
+        assert!((OLM_CONGESTION_FRACTION - 0.50).abs() < 1e-9);
+        assert!((HYBRID_CONGESTION_FRACTION - 0.35).abs() < 1e-9);
+        assert_eq!(PB_UGAL_THRESHOLD_PACKETS, 3);
+        assert!((PB_SATURATION_FRACTION - 0.50).abs() < 1e-9);
     }
 
     #[test]
@@ -189,7 +160,6 @@ mod tests {
         assert!(c.contention_threshold < 6);
         assert!(c.contention_threshold >= 2);
         assert!(c.ectn_combined_threshold > c.contention_threshold);
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -210,24 +180,5 @@ mod tests {
             .with_ectn_combined_threshold(8);
         assert_eq!(c.contention_threshold, 4);
         assert_eq!(c.ectn_combined_threshold, 8);
-    }
-
-    #[test]
-    fn validation_rejects_bad_fractions() {
-        let c = RoutingConfig {
-            olm_congestion_fraction: 1.5,
-            ..RoutingConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = RoutingConfig {
-            pb_saturation_fraction: -0.1,
-            ..RoutingConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = RoutingConfig {
-            ectn_update_period: 0,
-            ..RoutingConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 }

@@ -1,13 +1,19 @@
 //! Network (router + link) configuration — the paper's Table I.
 //!
 //! [`NetworkConfig`] bundles everything the router microarchitecture and the
-//! links need: virtual-channel counts per port class, buffer depths, link
-//! latencies, router pipeline depth, crossbar speedup and packet size. The
+//! links need that a run may vary: virtual-channel counts per port class,
+//! buffer depths, link and router pipeline latencies, and packet size. The
+//! allocator speedup is the constant [`ALLOCATOR_SPEEDUP`]. The
 //! routing-algorithm thresholds live in `df-routing::RoutingConfig`, and the
 //! experiment-level knobs (warm-up, measurement window, offered load) in
 //! `df-sim::SimulationConfig`.
 
 use serde::{Deserialize, Serialize};
+
+/// Crossbar / allocator frequency speedup: the allocator performs this many
+/// allocation iterations per cycle (Table I: 2×, to mitigate head-of-line
+/// blocking of the simple separable allocator).
+pub const ALLOCATOR_SPEEDUP: u32 = 2;
 
 /// Virtual channel counts per port class.
 ///
@@ -129,13 +135,6 @@ pub struct NetworkConfig {
     /// Packet size in phits (8 in the paper: 80-byte packets of 10-byte
     /// phits).
     pub packet_size_phits: u32,
-    /// Phit size in bytes (10 in the paper — only used for documentation and
-    /// bandwidth conversions).
-    pub phit_bytes: u32,
-    /// Crossbar / allocator frequency speedup: the allocator performs this
-    /// many allocation iterations per cycle (2× in the paper, to mitigate
-    /// head-of-line blocking of the simple separable allocator).
-    pub allocator_speedup: u32,
     /// Virtual channels per port class.
     pub vcs: VcConfig,
     /// Buffer depths.
@@ -148,8 +147,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             packet_size_phits: 8,
-            phit_bytes: 10,
-            allocator_speedup: 2,
             vcs: VcConfig::default(),
             buffers: BufferConfig::default(),
             latencies: LatencyConfig::default(),
@@ -210,9 +207,6 @@ impl NetworkConfig {
         if self.packet_size_phits == 0 {
             return Err("packet size must be at least one phit".into());
         }
-        if self.allocator_speedup == 0 {
-            return Err("allocator speedup must be at least 1".into());
-        }
         if self.vcs.injection == 0 || self.vcs.local == 0 || self.vcs.global == 0 {
             return Err("every port class needs at least one VC".into());
         }
@@ -239,8 +233,7 @@ mod tests {
     fn defaults_match_table1() {
         let c = NetworkConfig::paper_table1();
         assert_eq!(c.packet_size_phits, 8);
-        assert_eq!(c.phit_bytes, 10);
-        assert_eq!(c.allocator_speedup, 2);
+        assert_eq!(ALLOCATOR_SPEEDUP, 2);
         assert_eq!(c.latencies.local_link, 10);
         assert_eq!(c.latencies.global_link, 100);
         assert_eq!(c.latencies.router_pipeline, 5);
@@ -303,10 +296,6 @@ mod tests {
 
         let mut c = NetworkConfig::paper_table1();
         c.vcs.global = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = NetworkConfig::paper_table1();
-        c.allocator_speedup = 0;
         assert!(c.validate().is_err());
     }
 

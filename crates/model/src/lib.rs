@@ -21,7 +21,7 @@ pub mod packet;
 pub mod time;
 pub mod vc;
 
-pub use config::{BufferConfig, LatencyConfig, NetworkConfig, VcConfig};
+pub use config::{BufferConfig, LatencyConfig, NetworkConfig, VcConfig, ALLOCATOR_SPEEDUP};
 pub use packet::{MisrouteFlags, Packet, PacketId, RouteObjective, RoutingState};
 pub use time::Cycle;
 pub use vc::VcId;

@@ -34,8 +34,6 @@ pub enum KernelMode {
 pub enum ConfigError {
     /// The `network` field (router/link microarchitecture) is invalid.
     Network(String),
-    /// The `routing_config` field (routing thresholds) is invalid.
-    RoutingConfig(String),
     /// The `injection` field (injection process) is invalid.
     Injection(String),
     /// The `offered_load` field is outside `[0, 1]`.
@@ -64,7 +62,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Network(e) => write!(f, "network: {e}"),
-            ConfigError::RoutingConfig(e) => write!(f, "routing_config: {e}"),
             ConfigError::Injection(e) => write!(f, "injection: {e}"),
             ConfigError::OfferedLoad(load) => write!(
                 f,
@@ -155,9 +152,6 @@ impl SimulationConfig {
                 df_router::MAX_VCS_PER_PORT
             )));
         }
-        self.routing_config
-            .validate()
-            .map_err(ConfigError::RoutingConfig)?;
         self.injection.validate().map_err(ConfigError::Injection)?;
         if !(0.0..=1.0).contains(&self.offered_load) {
             return Err(ConfigError::OfferedLoad(self.offered_load));

@@ -18,12 +18,12 @@
 //! 3. control-plane dissemination: PB saturation flags every cycle (each
 //!    group whose flags flipped last cycle re-exchanges them, then each
 //!    router whose outputs can have changed refreshes its own), ECtN
-//!    partial-array broadcast every `ectn_update_period` cycles — each
+//!    partial-array broadcast every [`ECTN_UPDATE_PERIOD`] cycles — each
 //!    exchange also carries the piggybacked gateway-liveness bits
 //!    (failure-aware routing), advanced one *flooding hop* per exchange
 //!    (`Network::flood_linkviews`) and installed when a round ran,
 //! 4. routing decisions + separable allocation, iterated
-//!    `allocator_speedup` times,
+//!    [`ALLOCATOR_SPEEDUP`] times (both Table I constants),
 //! 5. output-buffer link transmission at the routers whose earliest staged
 //!    packet can leave this cycle, scheduling remote arrivals after the
 //!    link latency.
@@ -71,10 +71,11 @@
 //! [`BitSet`]: df_engine::BitSet
 
 use df_engine::{BitSet, DeterministicRng};
-use df_model::{Cycle, VcId};
+use df_model::{Cycle, VcId, ALLOCATOR_SPEEDUP};
 use df_router::dissemination::{ectn_exchange_group, install_linkview_group, pb_exchange_group};
 use df_router::Router;
 use df_routing::algorithms::piggyback;
+use df_routing::config::ECTN_UPDATE_PERIOD;
 use df_routing::RoutingAlgorithm;
 use df_topology::{
     AnyTopology, GatewayLiveness, GroupId, NodeId, Port, PortPeer, RouterId, Topology,
@@ -773,8 +774,8 @@ impl Network {
         // round that did not run left every view as installed).
         let group_size = topo.routers_per_group() as usize;
         let pb = self.config.routing.needs_pb_dissemination();
-        let ectn = self.config.routing.needs_ectn_broadcast()
-            && now.is_multiple_of(self.config.routing_config.ectn_update_period);
+        let ectn =
+            self.config.routing.needs_ectn_broadcast() && now.is_multiple_of(ECTN_UPDATE_PERIOD);
         if (pb || ectn) && self.flood_linkviews() {
             for (group, view) in self.routers.chunks_mut(group_size).zip(&self.group_views) {
                 install_linkview_group(group, view);
@@ -812,7 +813,7 @@ impl Network {
             (&mut self.routers, &mut self.router_rngs, &mut self.scratch);
         let (staged, next, changed) =
             (&mut self.staged, &mut self.next_transmit, &mut self.changed);
-        for _ in 0..self.config.network.allocator_speedup {
+        for _ in 0..ALLOCATOR_SPEEDUP {
             scratch.counts.router_iterations += self.heads.len() as u64;
             self.heads.retain(|r| {
                 let router = &mut routers[r];
@@ -977,10 +978,9 @@ impl Network {
                 &mut self.scratch.pb_flat,
             );
         }
-        let config = self.ctx.algorithm.config();
         for r in self.changed.drain() {
             let router = &mut self.routers[r];
-            if piggyback::update_own_saturation(config, router) {
+            if piggyback::update_own_saturation(router) {
                 self.dirty_groups.insert(router.group().index());
             }
         }
@@ -1333,10 +1333,10 @@ mod tests {
     }
 
     /// Both change-set gates through every path that makes them all due:
-    /// flooding rounds (a global link down and back up under PB, its
-    /// saturation fraction lowered so flags flip at a light adversarial
-    /// load), a rank host drained and restored mid-collective (a pause
-    /// change wakes every rank), a compute delay (ranks filed by
+    /// flooding rounds (a global link down and back up under PB, at an
+    /// adversarial load where the Table I saturation fraction flips flags;
+    /// at 0.55 none flips), a rank host drained and restored mid-collective
+    /// (a pause change wakes every rank), a compute delay (ranks filed by
     /// `ready_at`) and a snapshot/restore mid-job-set (the sets rebuilt from
     /// the restored state). In debug builds every step checks both gates
     /// against the full scan; the resumed run must also land where the
@@ -1358,12 +1358,8 @@ mod tests {
             .topology(params)
             .network(NetworkConfig::fast_test())
             .routing(RoutingKind::PiggyBacking)
-            .routing_config(df_routing::RoutingConfig {
-                pb_saturation_fraction: 0.1,
-                ..Default::default()
-            })
             .pattern(PatternKind::Adversarial { offset: 1 })
-            .offered_load(0.2)
+            .offered_load(0.7)
             .job(JobSpec::new(ring, JobPlacement::group_spread(0)).with_compute_delay(5))
             .job(JobSpec::new(all_to_all, JobPlacement::group_spread(1)).starting_at(40))
             .faults(
