@@ -89,9 +89,6 @@ pub struct RoutingState {
     pub local_misrouted_in: Option<GroupId>,
     /// Misrouting summary for statistics.
     pub flags: MisrouteFlags,
-    /// Whether the minimal-vs-nonminimal commitment has been counted by the
-    /// statistics (the transient figures count decisions at commit time).
-    pub commit_recorded: bool,
 }
 
 impl RoutingState {
@@ -342,14 +339,20 @@ impl Packet {
         }
         e.bool(r.flags.global);
         e.bool(r.flags.local);
-        e.bool(r.commit_recorded);
     }
 
-    /// Rebuild a packet from [`encode`](Self::encode) output.
-    pub fn decode(d: &mut df_engine::Decoder) -> Result<Self, df_engine::CodecError> {
+    /// Rebuild a packet from [`encode`](Self::encode) output, refusing a
+    /// source or destination outside a network of `nodes` nodes.
+    pub fn decode(d: &mut df_engine::Decoder, nodes: u32) -> Result<Self, df_engine::CodecError> {
         let id = PacketId(d.u64()?);
         let src = NodeId(d.u32()?);
         let dst = NodeId(d.u32()?);
+        if src.0 >= nodes || dst.0 >= nodes {
+            return Err(df_engine::CodecError::Invalid(format!(
+                "packet {} from {src} to {dst} outside a {nodes}-node network",
+                id.0
+            )));
+        }
         let size_phits = d.u32()?;
         let generated_at = d.u64()?;
         let injected_at = if d.bool()? { Some(d.u64()?) } else { None };
@@ -381,7 +384,6 @@ impl Packet {
             global: d.bool()?,
             local: d.bool()?,
         };
-        let commit_recorded = d.bool()?;
         Ok(Packet {
             id,
             src,
@@ -399,7 +401,6 @@ impl Packet {
                 local_detour,
                 local_misrouted_in,
                 flags,
-                commit_recorded,
             },
         })
     }

@@ -263,20 +263,20 @@ impl InputVc {
     /// Restore the persistent state written by [`InputVc::save_state`],
     /// refilling the queue into `store` (emptied by the caller). Occupancy is
     /// recomputed from the packets and validated against `capacity_phits`; a
-    /// registered port must lie below `radix` and an ECtN link below
-    /// `ectn_links`.
+    /// registered port must lie below `radix`, an ECtN link below
+    /// `ectn_links` and a packet's nodes below `nodes`.
     pub(crate) fn restore_state(
         &mut self,
         store: &mut PacketStore,
         d: &mut df_engine::Decoder,
         capacity_phits: u32,
-        (radix, ectn_links): (usize, usize),
+        (radix, ectn_links, nodes): (usize, usize, u32),
     ) -> Result<(), df_engine::CodecError> {
         let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
         *self = InputVc::EMPTY;
         let mut occupancy = 0u64;
         for _ in 0..d.seq(8)? {
-            let p = Packet::decode(d)?;
+            let p = Packet::decode(d, nodes)?;
             occupancy += p.size_phits as u64;
             store.push_back(&mut self.fifo, p);
         }
@@ -528,8 +528,8 @@ mod tests {
     }
 
     /// Restore `bytes` into a fresh VC of `capacity` phits in a radix-7
-    /// router of a 16-link group, over a fresh store; the error (if any)
-    /// and the slots the store ended with.
+    /// router of a 16-link group in a 72-node network, over a fresh store;
+    /// the error (if any) and the slots the store ended with.
     fn restore(capacity: u32, bytes: &[u8]) -> (Result<(), df_engine::CodecError>, usize) {
         let mut store = PacketStore::new();
         let mut vc = InputVc::EMPTY;
@@ -537,7 +537,7 @@ mod tests {
             &mut store,
             &mut df_engine::Decoder::new(bytes),
             capacity,
-            (7, 16),
+            (7, 16, 72),
         );
         (result, store.slots())
     }

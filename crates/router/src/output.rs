@@ -330,11 +330,12 @@ impl OutputMut<'_> {
     /// Restore the state written by [`OutputRef::save_state`], refilling
     /// the staged packets into the store (emptied by the caller). Buffer
     /// occupancy is recomputed from the staged packets; credits must not
-    /// exceed the capacity and a staged packet's downstream VC must exist
-    /// (a terminal port ejects on VC 0).
+    /// exceed the capacity, a staged packet's downstream VC must exist
+    /// (a terminal port ejects on VC 0) and its nodes lie below `nodes`.
     pub(crate) fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
+        nodes: u32,
     ) -> Result<(), df_engine::CodecError> {
         let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
         let capacity = self.config.input_buffer_for(self.port.class);
@@ -358,7 +359,7 @@ impl OutputMut<'_> {
         self.port.credits_total = credits_total;
         let mut occupancy = 0u64;
         for _ in 0..d.seq(8)? {
-            let packet = Packet::decode(d)?;
+            let packet = Packet::decode(d, nodes)?;
             occupancy += packet.size_phits as u64;
             let slot = self.store.push_back(&mut self.port.staged, packet);
             let (dst_vc, ready_at) = (VcId(d.u8()?), d.u64()?);
@@ -620,7 +621,7 @@ mod tests {
         let mut p = Staged::new(class, vcs, 8 * u32::from(vcs), 16);
         let bytes = e.into_bytes();
         p.guard()
-            .restore_state(&mut df_engine::Decoder::new(&bytes))
+            .restore_state(&mut df_engine::Decoder::new(&bytes), 72)
     }
 
     #[test]

@@ -921,6 +921,7 @@ impl Router {
     ) -> Result<(), df_engine::CodecError> {
         self.store = PacketStore::new();
         let (radix, ectn_links) = (self.num_ports(), self.ectn.num_links());
+        let nodes = self.topology().num_nodes();
         d.seq_exact(8, radix, "router input port count")?;
         for p in 0..radix {
             let output = &self.outputs[p];
@@ -928,12 +929,12 @@ impl Router {
             let vcs = &mut self.vcs[output.vcs()];
             d.seq_exact(4, vcs.len(), "input port VC count")?;
             for vc in vcs {
-                vc.restore_state(&mut self.store, d, capacity, (radix, ectn_links))?;
+                vc.restore_state(&mut self.store, d, capacity, (radix, ectn_links, nodes))?;
             }
         }
         d.seq_exact(8, radix, "router output port count")?;
         for p in 0..radix {
-            self.output_at(p).restore_state(d)?;
+            self.output_at(p).restore_state(d, nodes)?;
         }
         self.ectn.restore_state(d)?;
         self.pb.restore_state(d)?;

@@ -22,7 +22,7 @@
 //! check this against a `BinaryHeap` model.
 
 use df_model::{Cycle, Packet, VcId};
-use df_topology::{NodeId, Port, RouterId};
+use df_topology::{Port, RouterId};
 use std::collections::BTreeMap;
 
 /// Something that completes at a future cycle.
@@ -51,10 +51,8 @@ pub enum Event {
         /// Number of phits freed.
         phits: u32,
     },
-    /// A packet is delivered to its destination node.
+    /// A packet is delivered to its destination node, `packet.dst`.
     Delivery {
-        /// The destination node.
-        node: NodeId,
         /// The packet.
         packet: Packet,
     },
@@ -228,6 +226,7 @@ impl EventQueue {
 mod tests {
     use super::*;
     use df_model::PacketId;
+    use df_topology::NodeId;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -317,13 +316,7 @@ mod tests {
                 packet: p.clone(),
             },
         );
-        q.schedule(
-            5,
-            Event::Delivery {
-                node: NodeId(5),
-                packet: p,
-            },
-        );
+        q.schedule(5, Event::Delivery { packet: p });
         let due = q.pop_due(10);
         assert!(matches!(due[0], Event::Delivery { .. }));
         assert!(matches!(due[1], Event::PacketArrival { .. }));

@@ -687,7 +687,7 @@ impl Network {
                     self.changed.insert(router.index());
                     self.routers[router.index()].receive_credits(port, vc, phits);
                 }
-                Event::Delivery { node: _, packet } => {
+                Event::Delivery { packet } => {
                     self.in_flight -= 1;
                     self.in_flight_phits -= packet.size_phits as u64;
                     self.last_delivery_cycle = now;

@@ -158,14 +158,15 @@ impl Node {
     }
 
     /// Restore the state written by [`Node::save_state`] into a freshly
-    /// configured node.
+    /// configured node of a `nodes`-node network.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
+        nodes: u32,
     ) -> Result<(), df_engine::CodecError> {
         self.injector.restore_state(d)?;
         self.source_queue = (0..d.seq(8)?)
-            .map(|_| Packet::decode(d))
+            .map(|_| Packet::decode(d, nodes))
             .collect::<Result<_, _>>()?;
         self.next_vc = d.usize()?;
         self.generated_phits = d.u64()?;
@@ -470,9 +471,10 @@ impl Nodes {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(8, self.nodes.len(), "node count")?;
+        let nodes = self.nodes.len();
+        d.seq_exact(8, nodes, "node count")?;
         for node in &mut self.nodes {
-            node.restore_state(d)?;
+            node.restore_state(d, nodes as u32)?;
         }
         self.rebuild_derived();
         Ok(())

@@ -397,8 +397,9 @@ pub(crate) fn transmit_one(
     for (port, packet, vc, tail_at) in sent.drain(..) {
         match ctx.topo.peer(router_id, port) {
             PortPeer::Node(node) => {
+                debug_assert_eq!(node, packet.dst, "a packet ejects at its destination");
                 let latency = ctx.network.latencies.terminal_link as Cycle;
-                events.schedule(tail_at + latency, Event::Delivery { node, packet });
+                events.schedule(tail_at + latency, Event::Delivery { packet });
             }
             PortPeer::Router(peer, peer_port) => {
                 let class = port.class(&ctx.topo.layout());

@@ -36,6 +36,7 @@
 //!   job and resume bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns;
+//! a pending delivery's node (its packet's destination);
 //! every fact of the fault plan — restore replays the events due before the
 //! snapshot's cycle through the kernel's own `apply_due_faults`, which sets
 //! the routers' link flags, the any-link-down gate, the drain flags, the
@@ -54,14 +55,17 @@
 //! staged-port sets restart conservatively — "everything dirty") and the
 //! step scratch. State only an observer reads (an attached probe) is not
 //! simulation state and is not in the payload at all. A packet staged at
-//! an unconnected port is refused: it could never leave. So is a pending
-//! event that names a router, port, VC or node outside the network.
+//! an unconnected port is refused: it could never leave. So is a packet,
+//! in any section, whose source or destination lies outside the network; a
+//! pending event that names a router, port or VC outside it; and a
+//! lost-credit ledger entry that is not a link end the fault replay left
+//! down, with one count per downstream VC of that output.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, VcId};
 use df_router::dissemination::install_linkview_group;
 use df_router::{decode_gateway_liveness, encode_gateway_liveness};
-use df_topology::{NodeId, Port, RouterId, Topology};
+use df_topology::{Port, RouterId, Topology};
 use std::cell::OnceCell;
 
 use super::Network;
@@ -88,11 +92,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// version 7 stores no derivable fact — the link and drain flags, the
 /// liveness truth, the spare table and the fault cursor come from replaying
 /// the fault plan, the contention and ECtN partial counters from the head
-/// registrations, and the previous flooding round's views are scratch.
-/// Older versions are refused by the frame's version check — there is no
+/// registrations, and the previous flooding round's views are scratch;
+/// version 8 drops two fields nothing read — a packet's never-set
+/// commit-recorded flag and a pending delivery's node, which is the
+/// packet's destination. Older versions are refused by the frame's version check — there is no
 /// compatibility loader (the sweep service discards a stale checkpoint and
 /// re-runs the sub-run).
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -134,22 +140,21 @@ fn encode_event(at: Cycle, event: &Event, e: &mut Encoder) {
             e.u8(vc.0);
             e.u32(*phits);
         }
-        Event::Delivery { node, packet } => {
+        Event::Delivery { packet } => {
             e.u8(2);
-            e.u32(node.0);
             packet.encode(e);
         }
     }
 }
 
-fn decode_event(d: &mut Decoder) -> Result<(Cycle, Event), CodecError> {
+fn decode_event(d: &mut Decoder, nodes: u32) -> Result<(Cycle, Event), CodecError> {
     let at = d.u64()?;
     let event = match d.u8()? {
         0 => Event::PacketArrival {
             router: RouterId(d.u32()?),
             port: Port(d.u32()?),
             vc: VcId(d.u8()?),
-            packet: df_model::Packet::decode(d)?,
+            packet: df_model::Packet::decode(d, nodes)?,
         },
         1 => Event::CreditReturn {
             router: RouterId(d.u32()?),
@@ -158,8 +163,7 @@ fn decode_event(d: &mut Decoder) -> Result<(Cycle, Event), CodecError> {
             phits: d.u32()?,
         },
         2 => Event::Delivery {
-            node: NodeId(d.u32()?),
-            packet: df_model::Packet::decode(d)?,
+            packet: df_model::Packet::decode(d, nodes)?,
         },
         tag => {
             return Err(CodecError::Invalid(format!(
@@ -288,8 +292,9 @@ impl Network {
         net.nodes.restore_state(&mut d)?;
         net.metrics.restore_state(&mut d, net.cycle)?;
         // pending link events
+        let nodes = net.ctx.topo.num_nodes();
         let pending = (0..d.seq(9)?)
-            .map(|_| decode_event(&mut d))
+            .map(|_| decode_event(&mut d, nodes))
             .collect::<Result<Vec<_>, _>>()?;
         let misplaced = pending
             .iter()
@@ -301,10 +306,24 @@ impl Network {
             )));
         }
         net.events = EventQueue::rebuild(net.events.horizon(), net.cycle, pending);
+        // a ledger entry waits for the `LinkUp` of a link end the replay
+        // left down (only router-to-router links fail), one count per
+        // downstream VC
         for _ in 0..d.seq(12)? {
-            let key = (d.u32()?, d.u32()?);
-            let per_vc = (0..d.seq(4)?).map(|_| d.u32()).collect::<Result<_, _>>()?;
-            net.lost_credits.insert(key, per_vc);
+            let (r, p) = (RouterId(d.u32()?), Port(d.u32()?));
+            let per_vc: Vec<u32> = (0..d.seq(4)?).map(|_| d.u32()).collect::<Result<_, _>>()?;
+            let vcs = (net.routers.get(r.index()))
+                .filter(|router| p.index() < router.num_ports() && !router.link_is_up(p))
+                .map(|router| router.output(p).num_downstream_vcs());
+            if vcs != Some(per_vc.len()) {
+                return Err(CodecError::Invalid(format!(
+                    "lost-credit ledger entry for {r} port {} ({} VCs) is not a down \
+                     link end of that many VCs",
+                    p.0,
+                    per_vc.len()
+                )));
+            }
+            net.lost_credits.insert((r.0, p.0), per_vc);
         }
         let topo = net.ctx.topo;
         d.seq_exact(28, net.group_views.len(), "group view count")?;
@@ -347,8 +366,9 @@ impl Network {
         Ok(net)
     }
 
-    /// Whether every router, port, VC and node `event` names lies inside the
-    /// network: the kernel applies a pending event without a range check.
+    /// Whether every router, port and VC `event` names lies inside the
+    /// network: the kernel applies a pending event without a range check
+    /// (a packet's nodes are checked as it is decoded).
     fn is_inside(&self, event: &Event) -> bool {
         let port = |router: RouterId, port: Port| {
             (self.routers.get(router.index())).filter(|r| port.index() < r.num_ports())
@@ -366,7 +386,7 @@ impl Network {
                 vc,
                 ..
             } => port(router, p).is_some_and(|r| vc.index() < r.output(p).num_downstream_vcs()),
-            Event::Delivery { node, .. } => node.0 < self.ctx.topo.num_nodes(),
+            Event::Delivery { .. } => true,
         }
     }
 }
@@ -387,8 +407,9 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use df_model::NetworkConfig;
+    use df_model::{Packet, PacketId};
     use df_routing::RoutingKind;
-    use df_topology::{DragonflyParams, GroupId};
+    use df_topology::{DragonflyParams, GroupId, NodeId};
     use df_traffic::PatternKind;
 
     fn config(kernel: KernelMode, seed: u64) -> SimulationConfig {
@@ -622,12 +643,12 @@ mod tests {
     #[test]
     fn pending_events_outside_the_network_are_refused() {
         let cfg = config(KernelMode::Optimized, 11);
-        let packet = || df_model::Packet::new(df_model::PacketId(0), NodeId(0), NodeId(9), 8, 0);
+        let packet = |dst| Packet::new(PacketId(0), NodeId(0), NodeId(dst), 8, 0);
         let arrival = |router, port| Event::PacketArrival {
             router: RouterId(router),
             port: Port(port),
             vc: VcId(0),
-            packet: packet(),
+            packet: packet(9),
         };
         let credit = |vc| Event::CreditReturn {
             router: RouterId(0),
@@ -636,8 +657,7 @@ mod tests {
             phits: 8,
         };
         let delivery = |node| Event::Delivery {
-            node: NodeId(node),
-            packet: packet(),
+            packet: packet(node),
         };
         let snapshot_with = |event| {
             let mut net = Network::new(cfg.clone());
@@ -657,6 +677,71 @@ mod tests {
         for event in [arrival(35, 6), credit(2), delivery(71)] {
             assert!(Network::restore(cfg.clone(), &snapshot_with(event)).is_ok());
         }
+    }
+
+    /// A packet whose source or destination lies outside the network
+    /// restored `Ok` and panicked at its next route. Each section that
+    /// decodes a packet refuses one: a marked packet is put there, and its
+    /// source, then its destination, forged to node 99,999.
+    #[test]
+    fn forged_packets_outside_the_network_are_refused() {
+        let cfg = config(KernelMode::Optimized, 11);
+        let marked = Packet::new(PacketId(0x5EED_F00D), NodeId(0), NodeId(9), 8, 0);
+        let mut bytes = marked.id.0.to_le_bytes().to_vec();
+        bytes.extend([0u32, 9].iter().flat_map(|n| n.to_le_bytes()));
+        for section in ["source queue", "input VC", "output stage", "pending event"] {
+            let (mut net, p) = (Network::new(cfg.clone()), marked.clone());
+            match section {
+                "source queue" => net.nodes.enqueue_task_packet(0, p),
+                "input VC" => net.routers[0].receive_packet(Port(0), VcId(0), p),
+                "output stage" => net.routers[0].output_mut(Port(3)).accept(p, VcId(0), 0),
+                _ => net.events.schedule(1, Event::Delivery { packet: p }),
+            }
+            let snapshot = net.snapshot();
+            assert!(
+                Network::restore(cfg.clone(), &snapshot).is_ok(),
+                "{section}"
+            );
+            for field in [8, 12] {
+                let frame = forged(&snapshot, |p| {
+                    let at = position(p, &bytes) + field;
+                    p[at..at + 4].copy_from_slice(&99_999u32.to_le_bytes());
+                });
+                assert_invalid(&cfg, &frame, section);
+            }
+        }
+    }
+
+    /// A lost-credit ledger entry is returned at its link's `LinkUp`, so
+    /// one whose key is not a link end the fault replay leaves down, or
+    /// whose per-VC counts do not match that output, is refused: a 77-VC
+    /// entry panicked when its credits came back, and a key naming no link
+    /// was never removed.
+    #[test]
+    fn forged_lost_credit_ledger_entries_are_refused() {
+        let mut cfg = config(KernelMode::Optimized, 11);
+        let topo = cfg.topology.build();
+        let (down_router, down_port) =
+            FaultPlan::global_link_between(&topo, GroupId(0), GroupId(1));
+        let (up_router, up_port) = FaultPlan::global_link_between(&topo, GroupId(2), GroupId(3));
+        cfg.faults = FaultPlan::new().link_down(10, down_router, down_port);
+        let snapshot_with = |(router, port): (RouterId, Port), vcs: usize| {
+            let mut net = Network::new(cfg.clone());
+            net.run_cycles(20);
+            net.lost_credits.insert((router.0, port.0), vec![8; vcs]);
+            net.snapshot()
+        };
+        for (what, key, vcs) in [
+            ("77 VCs", (down_router, down_port), 77),
+            ("no such router", (RouterId(9_999), down_port), 2),
+            ("no such port", (down_router, Port(200)), 2),
+            ("a terminal port", (down_router, Port(0)), 3),
+            ("a link that is up", (up_router, up_port), 2),
+        ] {
+            assert_invalid(&cfg, &snapshot_with(key, vcs), what);
+        }
+        let entry = snapshot_with((down_router, down_port), 2);
+        assert!(Network::restore(cfg.clone(), &entry).is_ok());
     }
 
     #[test]
