@@ -740,9 +740,12 @@ mod tests {
     /// FNV-1a-64 of `journal.bin` for `small_matrix(2)` at one thread
     /// without checkpoints (2,309 bytes: header + 16 sub-run records in
     /// cell-major, seed-minor order), captured at the commit before the
-    /// service pool became the only pool. Holds as long as the record
-    /// layout, the claim order and every sub-run's numbers are unchanged.
-    const FROZEN_JOURNAL_DIGEST: u64 = 0x96D2_8D6F_36C9_F0E6;
+    /// service pool became the only pool and re-captured when the fixed
+    /// Table I settings left the configuration (each record's
+    /// configuration fingerprint hashes its `Debug` text). Holds as long as
+    /// the record layout, the fingerprinted text, the claim order and every
+    /// sub-run's numbers are unchanged.
+    const FROZEN_JOURNAL_DIGEST: u64 = 0xD9B9_A26B_CDB0_3AA7;
 
     #[test]
     fn journal_bytes_match_the_frozen_digest() {
