@@ -724,7 +724,10 @@ mod tests {
     fn ectn_misroutes_at_injection_from_combined_counters() {
         let mut r = router(0);
         let p = packet(0, 40);
-        let cfg = config_small().with_ectn_combined_threshold(5);
+        let cfg = RoutingConfig {
+            ectn_combined_threshold: 5,
+            ..config_small()
+        };
         let topo = *r.topology();
         let dst_group = topo.node_group(NodeId(40));
         let min_link = topo.group_link_to(GroupId(0), dst_group);

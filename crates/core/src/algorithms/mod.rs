@@ -74,11 +74,6 @@ impl RoutingAlgorithm {
         self.kind
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RoutingConfig {
-        &self.config
-    }
-
     /// Decide the output request for the head packet of `input_port` at
     /// `router`: the composition of [`plan`](Self::plan) — what is fixed
     /// while the packet waits — and [`decide_planned`](Self::decide_planned)
@@ -588,9 +583,11 @@ mod tests {
     /// `decide_planned` skip work, never a different outcome.
     #[test]
     fn a_plan_made_on_a_pristine_router_decides_like_a_from_scratch_decide() {
-        let config = RoutingConfig::default()
-            .with_contention_threshold(3)
-            .with_ectn_combined_threshold(5);
+        let config = RoutingConfig {
+            contention_threshold: 3,
+            ectn_combined_threshold: 5,
+            ..RoutingConfig::default()
+        };
         let topologies = [
             TopologyParams::from(DragonflyParams::small()).build(),
             TopologyParams::from(MegaflyParams::small()).build(),
@@ -800,9 +797,11 @@ mod tests {
     /// and RNG, healthy and faulty, under every mechanism.
     #[test]
     fn routers_without_a_built_candidate_table_decide_identically() {
-        let config = RoutingConfig::default()
-            .with_contention_threshold(3)
-            .with_ectn_combined_threshold(5);
+        let config = RoutingConfig {
+            contention_threshold: 3,
+            ectn_combined_threshold: 5,
+            ..RoutingConfig::default()
+        };
         let net = NetworkConfig::fast_test();
         for topo in [
             TopologyParams::from(DragonflyParams::small()).build(),

@@ -108,12 +108,6 @@ impl RoutingConfig {
         self.contention_threshold = th;
         self
     }
-
-    /// Override the ECtN combined threshold.
-    pub fn with_ectn_combined_threshold(mut self, th: u32) -> Self {
-        self.ectn_combined_threshold = th;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -175,10 +169,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = RoutingConfig::paper_table1()
-            .with_contention_threshold(4)
-            .with_ectn_combined_threshold(8);
+        let c = RoutingConfig::paper_table1().with_contention_threshold(4);
         assert_eq!(c.contention_threshold, 4);
-        assert_eq!(c.ectn_combined_threshold, 8);
+        assert_eq!(c.ectn_combined_threshold, 10);
     }
 }
