@@ -10,8 +10,8 @@
 //!   misrouting commitments, Valiant intermediate destinations),
 //! * [`config`] — the network configuration corresponding to the paper's
 //!   Table I (buffer sizes, virtual channels, link latencies, router
-//!   pipeline, crossbar speedup, packet size) with paper-scale and scaled
-//!   presets.
+//!   pipeline, packet size) with paper-scale and scaled presets, and the
+//!   crossbar speedup as a constant.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

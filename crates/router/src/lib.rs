@@ -9,8 +9,8 @@
 //!   downstream router, and link serialisation state ([`output`]),
 //! * one packet slab per router that every input VC queue and output
 //!   stage is a FIFO through (`store`),
-//! * a separable input-first allocator iterated `speedup` times per cycle
-//!   ([`allocator`]),
+//! * a separable input-first allocator, which the simulator iterates
+//!   `df_model::ALLOCATOR_SPEEDUP` times per cycle ([`allocator`]),
 //! * the **contention counters** of the paper's §III-B ([`contention`]),
 //! * the ECtN partial/combined counter arrays of §III-D ([`ectn`]),
 //! * the PiggyBacking saturation state used by the PB baseline ([`pb`]),

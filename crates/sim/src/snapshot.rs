@@ -95,9 +95,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// registrations, and the previous flooding round's views are scratch;
 /// version 8 drops two fields nothing read — a packet's never-set
 /// commit-recorded flag and a pending delivery's node, which is the
-/// packet's destination. Older versions are refused by the frame's version check — there is no
-/// compatibility loader (the sweep service discards a stale checkpoint and
-/// re-runs the sub-run).
+/// packet's destination. Older versions are refused by the frame's version
+/// check — there is no compatibility loader (the sweep service discards a
+/// stale checkpoint and re-runs the sub-run).
 pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
