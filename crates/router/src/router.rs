@@ -412,6 +412,13 @@ impl Router {
         self.store.live()
     }
 
+    /// Total phits buffered in input VCs and output stages.
+    pub fn queued_phits(&self) -> u64 {
+        let inputs = self.vcs.iter().map(|vc| u64::from(vc.occupancy_phits()));
+        let stages = (self.outputs.iter()).map(|o| u64::from(o.buffer_occupancy_phits));
+        inputs.chain(stages).sum()
+    }
+
     // ------------------------------------------------------------------
     // Flow control entry points (called by the simulator)
     // ------------------------------------------------------------------

@@ -202,6 +202,20 @@ impl EventQueue {
         })
     }
 
+    /// The packet of every pending arrival and delivery, in no particular
+    /// order: the packets on the links.
+    pub fn packets(&self) -> impl Iterator<Item = &Packet> + '_ {
+        let overflow = self.overflow.values().flatten();
+        self.buckets
+            .iter()
+            .flatten()
+            .chain(overflow)
+            .filter_map(|(_, event)| match event {
+                Event::PacketArrival { packet, .. } | Event::Delivery { packet } => Some(packet),
+                Event::CreditReturn { .. } => None,
+            })
+    }
+
     /// Rebuild a queue positioned at drain cycle `now` holding `events`
     /// (given in drain order, as produced by
     /// [`EventQueue::pending_in_order`]). Fresh insertion sequences `0..`

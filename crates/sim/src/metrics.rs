@@ -4,7 +4,11 @@ use df_engine::{BinnedSeries, Histogram, RunningStats};
 use df_model::{Cycle, Packet};
 use serde::{Deserialize, Serialize};
 
-/// Collects everything the experiments report.
+/// Collects everything the experiments report: what happened to the
+/// packets that left the network (delivered or dropped) and the run's
+/// series. Counts the network itself holds are not kept here: the offered
+/// traffic is the nodes' (`Network::generated_phits_total`), the packets in
+/// flight are the routers' and the links' (`Network::in_flight`).
 #[derive(Debug, Clone)]
 pub struct Metrics {
     /// Cycle at which the measurement window opened (`None` while warming
@@ -13,9 +17,6 @@ pub struct Metrics {
     /// Origin of the transient time series (x = 0, the traffic-change
     /// instant); exported series times are relative to it.
     series_origin: i64,
-    /// Offered traffic since the beginning of time (phits), for debugging and
-    /// the offered-vs-accepted sanity checks.
-    pub generated_phits_total: u64,
     // ---- measurement window ----
     delivered_packets: u64,
     delivered_phits: u64,
@@ -99,7 +100,6 @@ impl Metrics {
         Metrics {
             window_start: None,
             series_origin,
-            generated_phits_total: 0,
             delivered_packets: 0,
             delivered_phits: 0,
             latency: RunningStats::new(),
@@ -139,11 +139,6 @@ impl Metrics {
     /// Whether the measurement window is open.
     pub fn measuring(&self) -> bool {
         self.window_start.is_some()
-    }
-
-    /// Record traffic generation (phits).
-    pub fn record_generated(&mut self, phits: u64) {
-        self.generated_phits_total += phits;
     }
 
     /// Record a packet delivered to its destination node at `now`.
@@ -373,7 +368,6 @@ impl Metrics {
             e.u64(c);
         }
         e.i64(self.series_origin);
-        e.u64(self.generated_phits_total);
         e.u64(self.delivered_packets);
         e.u64(self.delivered_phits);
         self.latency.encode(e);
@@ -416,7 +410,6 @@ impl Metrics {
             )));
         }
         self.window_start = window_start;
-        self.generated_phits_total = d.u64()?;
         self.delivered_packets = d.u64()?;
         self.delivered_phits = d.u64()?;
         self.latency = RunningStats::decode(d)?;
@@ -514,14 +507,6 @@ mod tests {
             (mis[0].1 - 50.0).abs() < 1e-9,
             "50% of commits were misroutes"
         );
-    }
-
-    #[test]
-    fn generated_counter_accumulates() {
-        let mut m = Metrics::new(0, 10);
-        m.record_generated(8);
-        m.record_generated(16);
-        assert_eq!(m.generated_phits_total, 24);
     }
 
     #[test]

@@ -115,8 +115,6 @@ pub struct Network {
     cycle: Cycle,
     next_packet_id: u64,
     metrics: Metrics,
-    in_flight: u64,
-    in_flight_phits: u64,
     injected_packets_total: u64,
     injected_phits_total: u64,
     last_delivery_cycle: Cycle,
@@ -273,8 +271,6 @@ impl Network {
             cycle: 0,
             next_packet_id: 0,
             metrics,
-            in_flight: 0,
-            in_flight_phits: 0,
             injected_packets_total: 0,
             injected_phits_total: 0,
             last_delivery_cycle: 0,
@@ -354,14 +350,23 @@ impl Network {
     }
 
     /// Packets currently inside the network (injected but not delivered or
-    /// dropped).
+    /// dropped), counted where they are: buffered in a router (an input VC
+    /// or an output stage) or on a link (a pending arrival or delivery).
     pub fn in_flight(&self) -> u64 {
-        self.in_flight
+        let buffered: usize = self.routers.iter().map(Router::queued_packets).sum();
+        (buffered + self.events.packets().count()) as u64
     }
 
-    /// Phits currently inside the network.
+    /// Phits currently inside the network, counted like
+    /// [`Network::in_flight`].
     pub fn in_flight_phits(&self) -> u64 {
-        self.in_flight_phits
+        let buffered: u64 = self.routers.iter().map(Router::queued_phits).sum();
+        buffered
+            + self
+                .events
+                .packets()
+                .map(|p| p.size_phits as u64)
+                .sum::<u64>()
     }
 
     /// Packets handed to the routers' injection buffers since the beginning
@@ -374,6 +379,15 @@ impl Network {
     /// Phits injected since the beginning of the run.
     pub fn injected_phits_total(&self) -> u64 {
         self.injected_phits_total
+    }
+
+    /// Phits the nodes generated since the beginning of the run (stochastic
+    /// and job traffic): the offered side of the conservation checks.
+    pub fn generated_phits_total(&self) -> u64 {
+        let nodes = self.ctx.topo.num_nodes() as usize;
+        (0..nodes)
+            .map(|n| self.nodes.get(n).generated_phits())
+            .sum()
     }
 
     /// The true network-wide gateway-liveness map (what the flooded views
@@ -415,7 +429,7 @@ impl Network {
     /// has been delivered for `threshold` cycles. Used as a deadlock
     /// watchdog by the tests.
     pub fn stalled(&self, threshold: Cycle) -> bool {
-        self.in_flight > 0 && self.cycle.saturating_sub(self.last_delivery_cycle) > threshold
+        self.cycle.saturating_sub(self.last_delivery_cycle) > threshold && self.in_flight() > 0
     }
 
     /// Advance `cycles` cycles.
@@ -450,7 +464,7 @@ impl Network {
 
     /// Nothing in flight and nothing waiting in a source queue.
     fn drained(&self) -> bool {
-        self.in_flight == 0 && self.nodes.all_queues_empty()
+        self.nodes.all_queues_empty() && self.in_flight() == 0
     }
 
     /// The job engine, when the configuration carries a job set.
@@ -523,8 +537,6 @@ impl Network {
                         // exactly like in-flight drops
                         let dropped = self.routers[r.index()].drop_staged_for_dead_port(p);
                         for (packet, dst_vc) in dropped {
-                            self.in_flight -= 1;
-                            self.in_flight_phits -= packet.size_phits as u64;
                             self.metrics.record_dropped_staged(&packet);
                             self.ledger_lost_credits(r, p, dst_vc, packet.size_phits);
                         }
@@ -657,8 +669,6 @@ impl Network {
                         // direction towards (router, port)
                         if let PortPeer::Router(upstream, up_port) = topo.peer(router, port) {
                             if !self.routers[upstream.index()].link_is_up(up_port) {
-                                self.in_flight -= 1;
-                                self.in_flight_phits -= packet.size_phits as u64;
                                 self.metrics.record_dropped_on_fault(&packet);
                                 self.ledger_lost_credits(upstream, up_port, vc, packet.size_phits);
                                 continue;
@@ -688,8 +698,6 @@ impl Network {
                     self.routers[router.index()].receive_credits(port, vc, phits);
                 }
                 Event::Delivery { packet } => {
-                    self.in_flight -= 1;
-                    self.in_flight_phits -= packet.size_phits as u64;
                     self.last_delivery_cycle = now;
                     self.metrics.record_delivery(&packet, now);
                     // task attribution: credit the sender's outstanding
@@ -721,7 +729,6 @@ impl Network {
             now,
             &self.patterns[self.current_phase],
             &mut self.next_packet_id,
-            &mut self.metrics,
         );
         self.lap(&mut clock, Phase::Generate);
         // injection visits only the nodes with a packet waiting, in
@@ -759,8 +766,6 @@ impl Network {
                 packet.dst = dst;
                 self.metrics.record_retargeted();
             }
-            self.in_flight += 1;
-            self.in_flight_phits += packet.size_phits as u64;
             self.injected_packets_total += 1;
             self.injected_phits_total += packet.size_phits as u64;
             self.heads.insert(router_id.index());
@@ -806,8 +811,6 @@ impl Network {
         let mut fx = Effects {
             events: &mut self.events,
             metrics: &mut self.metrics,
-            in_flight: &mut self.in_flight,
-            in_flight_phits: &mut self.in_flight_phits,
         };
         let (routers, rngs, scratch) =
             (&mut self.routers, &mut self.router_rngs, &mut self.scratch);
@@ -1201,7 +1204,7 @@ mod tests {
         net.run_cycles(300);
         // in_flight counts packets injected but not delivered; it can never
         // exceed total generated packets
-        let generated = net.metrics().generated_phits_total / 8;
+        let generated = net.generated_phits_total() / 8;
         assert!(net.in_flight() <= generated);
     }
 

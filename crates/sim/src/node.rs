@@ -31,9 +31,10 @@ use df_topology::NodeId;
 use df_traffic::{InjectionKind, Injector, TrafficPattern, LOOKAHEAD_BOUND};
 use std::collections::VecDeque;
 
-use crate::metrics::Metrics;
-
-/// A compute node: injector plus source queue.
+/// A compute node: injector plus source queue. Its one statistic is the
+/// phits it generated; what it handed to the router is the network's
+/// injection count, and how many packets its injector made the packet ids
+/// count.
 #[derive(Debug, Clone)]
 pub struct Node {
     injector: Injector,
@@ -41,9 +42,9 @@ pub struct Node {
     /// Round-robin pointer over the injection VCs of the attached router
     /// port.
     next_vc: usize,
-    /// Statistics: packets generated / handed to the router.
+    /// Phits generated (stochastic and task packets): the one home of the
+    /// offered traffic, which `Network::generated_phits_total` sums.
     generated_phits: u64,
-    injected_packets: u64,
 }
 
 impl Node {
@@ -60,7 +61,6 @@ impl Node {
             source_queue: VecDeque::new(),
             next_vc: 0,
             generated_phits: 0,
-            injected_packets: 0,
         }
     }
 
@@ -70,21 +70,19 @@ impl Node {
     }
 
     /// Generate this cycle's traffic (if any) into the source queue. Returns
-    /// the number of phits generated (0 or the packet size).
+    /// whether a packet was generated.
     pub fn generate(
         &mut self,
         now: Cycle,
         pattern: &TrafficPattern,
         next_packet_id: &mut u64,
-    ) -> u32 {
-        if let Some(packet) = self.injector.tick(now, pattern, next_packet_id) {
-            let phits = packet.size_phits;
-            self.generated_phits += phits as u64;
-            self.source_queue.push_back(packet);
-            phits
-        } else {
-            0
-        }
+    ) -> bool {
+        let Some(packet) = self.injector.tick(now, pattern, next_packet_id) else {
+            return false;
+        };
+        self.generated_phits += packet.size_phits as u64;
+        self.source_queue.push_back(packet);
+        true
     }
 
     /// Enqueue a packet produced by the task layer (collective workloads)
@@ -109,11 +107,7 @@ impl Node {
     /// Remove the head packet (it was accepted by the router's injection
     /// buffer).
     pub fn pop_head(&mut self) -> Option<Packet> {
-        let p = self.source_queue.pop_front();
-        if p.is_some() {
-            self.injected_packets += 1;
-        }
-        p
+        self.source_queue.pop_front()
     }
 
     /// Packets currently waiting in the source queue.
@@ -126,11 +120,6 @@ impl Node {
         self.generated_phits
     }
 
-    /// Total packets handed to the router so far.
-    pub fn injected_packets(&self) -> u64 {
-        self.injected_packets
-    }
-
     /// Round-robin pointer over injection VCs; advances on every call.
     pub fn take_vc_rr(&mut self, num_vcs: usize) -> usize {
         let s = self.next_vc % num_vcs.max(1);
@@ -139,8 +128,7 @@ impl Node {
     }
 
     /// Serialise the node's persistent state: injector (RNG stream, load
-    /// override, generation counter), source queue, VC round-robin pointer
-    /// and statistics. `owed` is how many of the ticks the injector's
+    /// override), source queue, VC round-robin pointer and generated phits. `owed` is how many of the ticks the injector's
     /// pending look-ahead reported have not elapsed yet (0 for a node ticked
     /// every cycle): the stream position written is the one a
     /// tick-every-cycle twin would hold now.
@@ -154,7 +142,6 @@ impl Node {
         }
         e.usize(self.next_vc);
         e.u64(self.generated_phits);
-        e.u64(self.injected_packets);
     }
 
     /// Restore the state written by [`Node::save_state`] into a freshly
@@ -170,7 +157,6 @@ impl Node {
             .collect::<Result<_, _>>()?;
         self.next_vc = d.usize()?;
         self.generated_phits = d.u64()?;
-        self.injected_packets = d.u64()?;
         Ok(())
     }
 }
@@ -340,7 +326,6 @@ impl Nodes {
         now: Cycle,
         pattern: &TrafficPattern,
         next_packet_id: &mut u64,
-        metrics: &mut Metrics,
     ) -> (u64, u64) {
         if self.silent {
             debug_assert!(
@@ -365,9 +350,7 @@ impl Nodes {
         }
         // the ticks number the packets: ascending, as an every-node walk
         for &idx in &due {
-            let phits = self.nodes[idx as usize].generate(now, pattern, next_packet_id);
-            if phits > 0 {
-                metrics.record_generated(phits as u64);
+            if self.nodes[idx as usize].generate(now, pattern, next_packet_id) {
                 self.queued.insert(idx as usize);
             }
         }
@@ -503,14 +486,13 @@ mod tests {
         );
         let mut id = 0;
         for now in 0..100 {
-            node.generate(now, &pat, &mut id);
+            assert!(node.generate(now, &pat, &mut id));
         }
-        assert_eq!(node.queue_len(), 100);
+        assert_eq!((id, node.queue_len()), (100, 100));
         assert_eq!(node.generated_phits(), 100);
-        assert_eq!(node.injected_packets(), 0);
         let p = node.pop_head().unwrap();
-        assert_eq!(p.src, NodeId(3));
-        assert_eq!(node.injected_packets(), 1);
+        assert_eq!((p.src, p.id), (NodeId(3), df_model::PacketId(0)));
+        assert_eq!(node.head().map(|p| p.id), Some(df_model::PacketId(1)));
         assert_eq!(node.queue_len(), 99);
     }
 
@@ -615,7 +597,6 @@ mod tests {
         let mut nodes = Nodes::new(population(injection, 0.2));
         let mut twins = population(injection, 0.2);
         let (mut id, mut twin_id) = (0u64, 0u64);
-        let mut metrics = Metrics::new(0, 20);
         let (mut blocked, mut failed) = (vec![false; POPULATION], vec![false; POPULATION]);
         let mut odd = 0;
         for now in 0..3_000u64 {
@@ -653,7 +634,7 @@ mod tests {
                 assert!(restored.queued_set_is_exact() && restored.calendar_is_exact(now));
                 nodes = restored;
             }
-            let (ticks, _) = nodes.generate(now, &pat, &mut id, &mut metrics);
+            let (ticks, _) = nodes.generate(now, &pat, &mut id);
             odd += (ticks % 2) as u32;
             for (idx, twin) in twins.iter_mut().enumerate() {
                 if !blocked[idx] && !failed[idx] {
@@ -706,8 +687,8 @@ mod tests {
         // about once per 256-trial look-ahead or per success
         let pat = pattern();
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.01));
-        let (mut id, mut metrics) = (0u64, Metrics::new(0, 20));
-        nodes.generate(0, &pat, &mut id, &mut metrics);
+        let mut id = 0u64;
+        nodes.generate(0, &pat, &mut id);
         assert!(!nodes.all_due, "the first walk files every node");
         let filed = |nodes: &Nodes, now: Cycle| {
             (nodes.wake.iter().zip(&nodes.paused))
@@ -717,7 +698,7 @@ mod tests {
         let mut ticks = 0;
         for now in 1..1_000 {
             ticks += filed(&nodes, now);
-            nodes.generate(now, &pat, &mut id, &mut metrics);
+            nodes.generate(now, &pat, &mut id);
         }
         assert!(ticks < 13 * 10, "{ticks} ticks in 999 cycles of 13 nodes");
         nodes.set_offered_load(0.02, 1_000);

@@ -8,8 +8,8 @@
 //! Within a phase a router touches only its own state, its private RNG
 //! stream and read-only context ([`StepCtx`]). What escapes it — link events (arrivals, deliveries, upstream
 //! credit returns), misroute commits, fault re-commits and unroutable
-//! discards — is written straight into the network's event queue, metrics
-//! and in-flight counters ([`Effects`]) where it happens, in walk order
+//! discards — is written straight into the network's event queue and
+//! metrics ([`Effects`]) where it happens, in walk order
 //! (the ascending head set, or the ascending staged routers whose next
 //! transmission is due: a staged router that is not due would send
 //! nothing, so leaving it out moves no event). No phase reads any of them,
@@ -96,10 +96,6 @@ pub(crate) struct Effects<'a> {
     pub events: &'a mut EventQueue,
     /// Misroute commits, fault re-commits and unroutable discards.
     pub metrics: &'a mut Metrics,
-    /// Packets inside the network (a discard leaves it).
-    pub in_flight: &'a mut u64,
-    /// Phits inside the network.
-    pub in_flight_phits: &'a mut u64,
 }
 
 /// One allocation iteration for one router: register new heads, compute
@@ -255,7 +251,7 @@ pub(crate) fn route_and_allocate_one(
 
 /// Discard one unroutable head packet (fault routing): router-local release,
 /// the upstream credit return for the freed input buffer slot, and the
-/// packet's exit from the network's in-flight and drop accounting.
+/// packet's drop accounting.
 fn discard_one(
     router: &mut Router,
     ctx: &StepCtx,
@@ -273,8 +269,6 @@ fn discard_one(
         packet.size_phits,
         fx.events,
     );
-    *fx.in_flight -= 1;
-    *fx.in_flight_phits -= packet.size_phits as u64;
     fx.metrics.record_dropped_unroutable(&packet);
 }
 
@@ -442,12 +436,9 @@ mod tests {
         };
         let (mut rng, mut scratch) = (DeterministicRng::new(3), StepScratch::default());
         let (mut events, mut metrics) = (EventQueue::new(), Metrics::new(0, 20));
-        let (mut in_flight, mut in_flight_phits) = (0, 0);
         let mut fx = Effects {
             events: &mut events,
             metrics: &mut metrics,
-            in_flight: &mut in_flight,
-            in_flight_phits: &mut in_flight_phits,
         };
         // two packets in every input VC, all for one remote node: they share
         // one minimal output, so most heads stay blocked behind it

@@ -19,24 +19,30 @@
 //!
 //! * identity — a fingerprint of the configuration (kernel-normalised, so a
 //!   snapshot restores under either `KernelMode` value),
-//! * the clock, packet-id counter and conservation ledgers,
+//! * the clock, packet-id counter and the ledgers of what left the network
+//!   (injected, delivered and dropped totals),
 //! * every router's buffered state ([`df_router::Router::save_state`]:
 //!   queues and head registrations, output stages and credits, ECtN's
 //!   combined array, PB's masks, allocator pointers),
 //! * every router-stream and node-stream RNG (seed + xoshiro words),
-//! * every node's injector, source queue and statistics,
+//! * every node's injector, source queue and generated phits,
 //! * the metrics collector,
 //! * the pending link events in exact drain order,
 //! * the lost-credit ledger, the flooded group views (each as its record
 //!   journal) and the two flooding flags,
 //! * the job engine's execution state when the configuration carries a job
 //!   set — one task section per job, in specification order (rank cursors,
-//!   outstanding sends, receive counters, compute-readiness clocks and the
-//!   pending-packet table), so a snapshot can land mid-collective in any
+//!   receive counters, compute-readiness clocks, step completion cycles and
+//!   the pending-packet table), so a snapshot can land mid-collective in any
 //!   job and resume bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns;
-//! a pending delivery's node (its packet's destination);
+//! a pending delivery's node (its packet's destination); the packets and
+//! phits in flight (counted in the routers' buffers and the pending link
+//! events whenever they are read); the generated totals (the nodes' own
+//! counts and the packet ids); a job's outstanding sends (its packets in the
+//! pending table), ranks past each step and finished ranks (its cursors)
+//! and completion cycle (its last step's);
 //! every fact of the fault plan — restore replays the events due before the
 //! snapshot's cycle through the kernel's own `apply_due_faults`, which sets
 //! the routers' link flags, the any-link-down gate, the drain flags, the
@@ -95,10 +101,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// registrations, and the previous flooding round's views are scratch;
 /// version 8 drops two fields nothing read — a packet's never-set
 /// commit-recorded flag and a pending delivery's node, which is the
-/// packet's destination. Older versions are refused by the frame's version
-/// check — there is no compatibility loader (the sweep service discards a
-/// stale checkpoint and re-runs the sub-run).
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// packet's destination; version 9 drops the counts another ledger holds —
+/// the in-flight packets and phits (the routers' buffers and the pending
+/// link events hold them), the generated-phit total (the nodes' sum), each
+/// node's injected-packet and generated-packet counts, and a job's
+/// outstanding sends, ranks past each step, finished ranks and completion
+/// cycle (recounted from the cursors and the pending table). Older versions
+/// are refused by the frame's version check — there is no compatibility
+/// loader (the sweep service discards a stale checkpoint and re-runs the
+/// sub-run).
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -187,8 +199,6 @@ impl Network {
         e.u64(self.cycle);
         e.usize(self.current_phase);
         e.u64(self.next_packet_id);
-        e.u64(self.in_flight);
-        e.u64(self.in_flight_phits);
         e.u64(self.injected_packets_total);
         e.u64(self.injected_phits_total);
         e.u64(self.last_delivery_cycle);
@@ -274,8 +284,6 @@ impl Network {
             )));
         }
         net.next_packet_id = d.u64()?;
-        net.in_flight = d.u64()?;
-        net.in_flight_phits = d.u64()?;
         net.injected_packets_total = d.u64()?;
         net.injected_phits_total = d.u64()?;
         net.last_delivery_cycle = d.u64()?;
@@ -977,55 +985,62 @@ mod tests {
             .build()
             .expect("valid configuration");
         let mut net = Network::new(cfg.clone());
-        net.run_cycles(30);
+        net.run_cycles(60);
         let bytes = net.snapshot();
         let engine = net.jobs().expect("job configured");
         let (job, ranks) = (engine.job(0), engine.job(0).ranks());
         let (steps, pending) = (job.total_steps(), job.pending_packets());
         assert!(pending > 0 && !job.is_complete(), "checkpoint mid-script");
+        assert!(job.steps_completed() > 0, "a step behind every rank");
 
         // the task section closes the payload: `job count | rank count`,
-        // then per rank `cursor | enqueued | sends_outstanding | stalls |
-        // ready_at | recvs per step`, per-step progress, `ranks_done |
-        // completed_at` (absent mid-script) and the pending packets
-        // `id | src_rank | dst_rank | step`, ascending id
+        // then per rank `cursor | enqueued | stalls | ready_at | recvs per
+        // step`, per step its completion cycle (optional) and the pending
+        // packets `id | src_rank | dst_rank | step`, ascending id
         let payload = &bytes[20..bytes.len() - 8];
         let mut section = Encoder::new();
         engine.save_state(&mut section);
         let at = payload.len() - section.into_bytes().len();
-        let rank_at = |r: usize| at + 16 + r * (29 + 4 * steps);
+        let rank_at = |r: usize| at + 16 + r * (25 + 4 * steps);
         let end = payload.len();
-        let last_src = u32::from_le_bytes(payload[end - 12..end - 8].try_into().unwrap());
-        let sends_at = rank_at(last_src as usize) + 9;
-        let sends = u32::from_le_bytes(payload[sends_at..sends_at + 4].try_into().unwrap());
-        let ranks_done_at = end - 20 * pending - 8 - 1 - 4;
+        let last_step = u32::from_le_bytes(payload[end - 4..end].try_into().unwrap());
         let with = |offset: usize, value: &[u8]| {
             forged(&bytes, |p| {
                 p[offset..offset + value.len()].copy_from_slice(value)
             })
         };
         // each forgery trips its own check: a typed error naming it
-        let cursor = (steps as u64 + 1).to_le_bytes();
+        let other_step = (last_step + 1) % steps as u32;
         for (offset, value, check) in [
-            (rank_at(0), &cursor[..], "beyond the"),
             (
-                ranks_done_at,
-                &(ranks + 1).to_le_bytes()[..],
-                "finished ranks",
+                rank_at(0),
+                &(steps as u64 + 1).to_le_bytes()[..],
+                "beyond the",
             ),
+            (rank_at(0), &0u64.to_le_bytes()[..], "ranks past it"),
             (end - 12, &ranks.to_le_bytes()[..], "out-of-range rank"),
             (end - 8, &ranks.to_le_bytes()[..], "out-of-range rank"),
             (end - 4, &(steps as u32).to_le_bytes()[..], "-step script"),
-            (sends_at, &0u32.to_le_bytes()[..], "awaits 0 sends"),
-            (sends_at, &(sends + 1).to_le_bytes()[..], "sends but has"),
+            (end - 4, &other_step.to_le_bytes()[..], "not enqueued"),
         ] {
             match Network::restore(cfg.clone(), &with(offset, value)) {
                 Err(CodecError::Invalid(why)) if why.contains(check) => {}
                 other => panic!("forged {check:?}: got {:?}", other.err()),
             }
         }
-
         // the untouched payload still restores through the same helper
-        assert!(Network::restore(cfg, &forged(&bytes, |_| {})).is_ok());
+        assert!(Network::restore(cfg.clone(), &forged(&bytes, |_| {})).is_ok());
+
+        // the progress counts restore recounts are the live job's, mid-script
+        // and once the job has finished
+        let mid_script = job.progress();
+        net.run_until_jobs_complete(100_000)
+            .expect("the job completes");
+        let done = net.jobs().unwrap().job(0).progress();
+        for (live, bytes) in [(mid_script, bytes), (done, net.snapshot())] {
+            let restored = Network::restore(cfg.clone(), &bytes).expect("restores");
+            assert_eq!(restored.jobs().unwrap().job(0).progress(), live);
+            assert_eq!(restored.snapshot(), bytes);
+        }
     }
 }

@@ -282,7 +282,6 @@ impl Job {
                             },
                         );
                         nodes.enqueue_task_packet(node_idx, packet);
-                        metrics.record_generated(self.packet_size as u64);
                     }
                     outstanding += packets;
                 }
@@ -389,31 +388,33 @@ impl Job {
         self.pending.len()
     }
 
+    /// The progress counts restore recounts: outstanding sends per rank,
+    /// ranks past each step, finished ranks and the completion cycle.
+    #[cfg(test)]
+    pub(crate) fn progress(&self) -> (Vec<u32>, Vec<u32>, u32, Option<Cycle>) {
+        let (sends, steps) = (self.sends_outstanding.clone(), self.step_rank_done.clone());
+        (sends, steps, self.ranks_done, self.completed_at)
+    }
+
     /// Serialise the mutable execution state (the scripts and rank map are
-    /// rebuilt from the configuration on restore).
+    /// rebuilt from the configuration on restore, and the progress counts
+    /// from the cursors and the pending table).
     fn save_state(&self, e: &mut df_engine::Encoder) {
         e.seq(self.cursor.len());
         for r in 0..self.cursor.len() {
             e.usize(self.cursor[r]);
             e.bool(self.enqueued[r]);
-            e.u32(self.sends_outstanding[r]);
             e.u64(self.stall_cycles[r]);
             e.u64(self.ready_at[r]);
             for &c in &self.recvs[r] {
                 e.u32(c);
             }
         }
-        for s in 0..self.steps_total {
-            e.u32(self.step_rank_done[s]);
-            e.bool(self.step_completion_cycles[s].is_some());
-            if let Some(c) = self.step_completion_cycles[s] {
+        for c in &self.step_completion_cycles {
+            e.bool(c.is_some());
+            if let Some(c) = *c {
                 e.u64(c);
             }
-        }
-        e.u32(self.ranks_done);
-        e.bool(self.completed_at.is_some());
-        if let Some(c) = self.completed_at {
-            e.u64(c);
         }
         e.seq(self.pending.len());
         for (&id, p) in &self.pending {
@@ -426,10 +427,11 @@ impl Job {
 
     /// Restore the state written by [`Job::save_state`] into a freshly built
     /// job (same workload and topology — the snapshot's configuration
-    /// fingerprint guarantees it).
+    /// fingerprint guarantees it) and recount the progress counts from it.
     fn restore_state(&mut self, d: &mut df_engine::Decoder) -> Result<(), df_engine::CodecError> {
+        let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
         let ranks = self.cursor.len();
-        d.seq_exact(13, ranks, "task rank count")?;
+        d.seq_exact(9, ranks, "task rank count")?;
         for r in 0..ranks {
             self.cursor[r] = d.usize()?;
             if self.cursor[r] > self.steps_total {
@@ -439,7 +441,6 @@ impl Job {
                 )));
             }
             self.enqueued[r] = d.bool()?;
-            self.sends_outstanding[r] = d.u32()?;
             self.stall_cycles[r] = d.u64()?;
             self.ready_at[r] = d.u64()?;
             for c in &mut self.recvs[r] {
@@ -447,17 +448,23 @@ impl Job {
             }
         }
         for s in 0..self.steps_total {
-            self.step_rank_done[s] = d.u32()?;
             self.step_completion_cycles[s] = if d.bool()? { Some(d.u64()?) } else { None };
+            // a step completes the cycle its last rank passes it
+            self.step_rank_done[s] = self.cursor.iter().filter(|&&c| c > s).count() as u32;
+            if self.step_completion_cycles[s].is_some()
+                != (self.step_rank_done[s] as usize == ranks)
+            {
+                return invalid(format!(
+                    "snapshot task step {s} completion disagrees with its {} of {ranks} ranks past it",
+                    self.step_rank_done[s]
+                ));
+            }
         }
-        self.ranks_done = d.u32()?;
-        if self.ranks_done as usize > ranks {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "snapshot claims {} finished ranks of {ranks}",
-                self.ranks_done
-            )));
-        }
-        self.completed_at = if d.bool()? { Some(d.u64()?) } else { None };
+        let finished = self.cursor.iter().filter(|&&c| c == self.steps_total);
+        self.ranks_done = finished.count() as u32;
+        // every valid workload lowers to at least one step, and the job
+        // completes the cycle its last step does
+        self.completed_at = self.step_completion_cycles.last().copied().flatten();
         let mut pending = BTreeMap::new();
         for _ in 0..d.seq(20)? {
             let id = d.u64()?;
@@ -467,29 +474,32 @@ impl Job {
                 step: d.u32()?,
             };
             if p.src_rank as usize >= ranks || p.dst_rank as usize >= ranks {
-                return Err(df_engine::CodecError::Invalid(format!(
+                return invalid(format!(
                     "snapshot task packet {id} names an out-of-range rank"
-                )));
+                ));
             }
             if p.step as usize >= self.steps_total {
-                return Err(df_engine::CodecError::Invalid(format!(
+                return invalid(format!(
                     "snapshot task packet {id} belongs to step {} of a {}-step script",
                     p.step, self.steps_total
-                )));
+                ));
+            }
+            // a rank passes its step only once every send was delivered
+            let src = p.src_rank as usize;
+            if !self.enqueued[src] || self.cursor[src] != p.step as usize {
+                return invalid(format!(
+                    "snapshot task packet {id} of step {} was sent by rank {src}, \
+                     which has not enqueued that step",
+                    p.step
+                ));
             }
             pending.insert(id, p);
         }
         // each rank's outstanding sends are exactly its packets in the
         // network: delivery counts one down per packet
-        let mut sent = vec![0u32; ranks];
+        self.sends_outstanding.fill(0);
         for p in pending.values() {
-            sent[p.src_rank as usize] += 1;
-        }
-        if let Some(r) = (0..ranks).find(|&r| sent[r] != self.sends_outstanding[r]) {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "snapshot task rank {r} awaits {} sends but has {} in the network",
-                self.sends_outstanding[r], sent[r]
-            )));
+            self.sends_outstanding[p.src_rank as usize] += 1;
         }
         self.pending = pending;
         // the wake-up sets: a fresh job's are empty with every rank woken;

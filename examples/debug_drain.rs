@@ -27,7 +27,7 @@ fn main() {
             drained,
             net.in_flight(),
             net.metrics().delivered_packets_total(),
-            net.metrics().generated_phits_total / 8,
+            net.generated_phits_total() / 8,
             net.total_contention(),
         );
         if !drained {

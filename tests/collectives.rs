@@ -296,23 +296,24 @@ fn snapshot_mid_collective_resumes_bit_identically() {
 fn retired_v4_snapshot_is_refused_by_version_not_misread() {
     // a v4 payload carried a separate single-workload task section ahead of
     // the job section, a v5 payload the duplicated fault facts v6 derives,
-    // a v6 payload the fault facts and counters v7 derives and a v7 payload
-    // the two dead fields v8 drops; there is no loader for any, so a frame
+    // a v6 payload the fault facts and counters v7 derives, a v7 payload
+    // the two dead fields v8 drops and a v8 payload the duplicated counts v9
+    // derives; there is no loader for any, so a frame
     // stamped with a retired version must stop at the codec's typed
     // version check
     let cfg = collective_config(a2a_spread(), RoutingKind::Base);
     let mut net = Network::new(cfg.clone());
     net.run_cycles(100);
     let mut bytes = net.snapshot();
-    assert_eq!(contention_dragonfly::sim::SNAPSHOT_VERSION, 8);
-    for retired in [4u32, 5, 6, 7] {
+    assert_eq!(contention_dragonfly::sim::SNAPSHOT_VERSION, 9);
+    for retired in [4u32, 5, 6, 7, 8] {
         bytes[8..12].copy_from_slice(&retired.to_le_bytes());
         let err = Network::restore(cfg.clone(), &bytes).err();
         assert!(
             matches!(
                 err,
                 Some(contention_dragonfly::engine::CodecError::UnsupportedVersion {
-                    supported: 8,
+                    supported: 9,
                     found
                 }) if found == retired
             ),

@@ -67,7 +67,7 @@ fn run(cfg: SimulationConfig) -> (Network, Fingerprint) {
     let fingerprint = Fingerprint {
         delivered_window: summary.delivered_packets,
         delivered_total: net.metrics().delivered_packets_total(),
-        generated_phits: net.metrics().generated_phits_total,
+        generated_phits: net.generated_phits_total(),
         final_cycle: net.cycle(),
         in_flight: net.in_flight(),
         latency_bits: summary.avg_packet_latency.to_bits(),

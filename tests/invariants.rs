@@ -99,7 +99,7 @@ fn conservation_after_drain_for_every_routing() {
             11,
         );
         check_conservation(&net);
-        let generated = net.metrics().generated_phits_total / 8;
+        let generated = net.generated_phits_total() / 8;
         assert_eq!(
             net.metrics().delivered_packets_total(),
             generated,
@@ -155,7 +155,7 @@ fn sampled_small_simulations_conserve_packets() {
             case += 1;
             let net = run_and_drain(DragonflyParams::small(), routing, pattern, load, 600, seed);
             check_conservation(&net);
-            let generated = net.metrics().generated_phits_total / 8;
+            let generated = net.generated_phits_total() / 8;
             assert_eq!(
                 net.metrics().delivered_packets_total(),
                 generated,
@@ -217,7 +217,7 @@ fn conservation_holds_at_mid_size_scale() {
             17,
         );
         check_conservation(&net);
-        let generated = net.metrics().generated_phits_total / 8;
+        let generated = net.generated_phits_total() / 8;
         assert_eq!(
             net.metrics().delivered_packets_total(),
             generated,

@@ -56,7 +56,7 @@ fn fingerprint_of(net: &Network, drained: bool) -> Fingerprint {
     Fingerprint {
         delivered_window: summary.delivered_packets,
         delivered_total: net.metrics().delivered_packets_total(),
-        generated_phits: net.metrics().generated_phits_total,
+        generated_phits: net.generated_phits_total(),
         final_cycle: net.cycle(),
         in_flight: net.in_flight(),
         latency_bits: summary.avg_packet_latency.to_bits(),
