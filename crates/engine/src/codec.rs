@@ -179,6 +179,15 @@ impl Encoder {
         self.usize(len);
     }
 
+    /// Write an optional value: a presence `bool`, then the value through
+    /// `write` when there is one.
+    pub fn option<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            write(self, v);
+        }
+    }
+
     /// Consume the encoder, returning the raw (unframed) bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -355,6 +364,19 @@ impl<'a> Decoder<'a> {
             .map_err(|e| CodecError::Invalid(format!("non-UTF-8 string: {e}")))
     }
 
+    /// Read what [`Encoder::option`] wrote: a presence `bool`, then the
+    /// value through `read` when there is one.
+    pub fn option<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, CodecError> {
+        if self.bool()? {
+            read(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
     /// Read a sequence length prefix, bounds-checked against the remaining
     /// buffer assuming at least `min_elem_bytes` per element — so a corrupt
     /// length cannot trigger an absurd allocation.
@@ -409,6 +431,8 @@ mod tests {
         e.f64(f64::NAN);
         e.f64(1.5e-300);
         e.str("hello ✓");
+        e.option(Some(9u32), Encoder::u32);
+        e.option(None, Encoder::u32);
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.u8().unwrap(), 7);
@@ -422,6 +446,8 @@ mod tests {
         assert!(d.f64().unwrap().is_nan());
         assert_eq!(d.f64().unwrap(), 1.5e-300);
         assert_eq!(d.str().unwrap(), "hello ✓");
+        assert_eq!(d.option(Decoder::u32).unwrap(), Some(9));
+        assert_eq!(d.option(Decoder::u32).unwrap(), None);
         assert!(d.is_exhausted());
     }
 

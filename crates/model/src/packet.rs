@@ -296,47 +296,19 @@ impl Packet {
         e.u32(self.dst.0);
         e.u32(self.size_phits);
         e.u64(self.generated_at);
-        match self.injected_at {
-            None => e.bool(false),
-            Some(c) => {
-                e.bool(true);
-                e.u64(c);
-            }
-        }
+        e.option(self.injected_at, df_engine::Encoder::u64);
         let r = &self.routing;
         e.u8(r.local_hops);
         e.u8(r.global_hops);
         e.u8(r.local_hops_since_global);
-        match r.intermediate_router {
-            None => e.bool(false),
-            Some(id) => {
-                e.bool(true);
-                e.u32(id.0);
-            }
-        }
+        e.option(r.intermediate_router, |e, id| e.u32(id.0));
         e.bool(r.intermediate_reached);
-        match r.nonminimal_global {
-            None => e.bool(false),
-            Some((gw, port)) => {
-                e.bool(true);
-                e.u32(gw.0);
-                e.u32(port.0);
-            }
-        }
-        match r.local_detour {
-            None => e.bool(false),
-            Some(id) => {
-                e.bool(true);
-                e.u32(id.0);
-            }
-        }
-        match r.local_misrouted_in {
-            None => e.bool(false),
-            Some(g) => {
-                e.bool(true);
-                e.u32(g.0);
-            }
-        }
+        e.option(r.nonminimal_global, |e, (gw, port)| {
+            e.u32(gw.0);
+            e.u32(port.0);
+        });
+        e.option(r.local_detour, |e, id| e.u32(id.0));
+        e.option(r.local_misrouted_in, |e, g| e.u32(g.0));
         e.bool(r.flags.global);
         e.bool(r.flags.local);
     }
@@ -355,31 +327,15 @@ impl Packet {
         }
         let size_phits = d.u32()?;
         let generated_at = d.u64()?;
-        let injected_at = if d.bool()? { Some(d.u64()?) } else { None };
+        let injected_at = d.option(df_engine::Decoder::u64)?;
         let local_hops = d.u8()?;
         let global_hops = d.u8()?;
         let local_hops_since_global = d.u8()?;
-        let intermediate_router = if d.bool()? {
-            Some(RouterId(d.u32()?))
-        } else {
-            None
-        };
+        let intermediate_router = d.option(|d| d.u32().map(RouterId))?;
         let intermediate_reached = d.bool()?;
-        let nonminimal_global = if d.bool()? {
-            Some((RouterId(d.u32()?), Port(d.u32()?)))
-        } else {
-            None
-        };
-        let local_detour = if d.bool()? {
-            Some(RouterId(d.u32()?))
-        } else {
-            None
-        };
-        let local_misrouted_in = if d.bool()? {
-            Some(GroupId(d.u32()?))
-        } else {
-            None
-        };
+        let nonminimal_global = d.option(|d| Ok((RouterId(d.u32()?), Port(d.u32()?))))?;
+        let local_detour = d.option(|d| d.u32().map(RouterId))?;
+        let local_misrouted_in = d.option(|d| d.u32().map(GroupId))?;
         let flags = MisrouteFlags {
             global: d.bool()?,
             local: d.bool()?,

@@ -250,14 +250,8 @@ impl InputVc {
         for slot in store.iter(&self.fifo) {
             slot.packet().encode(e);
         }
-        e.bool(self.registered_min_output().is_some());
-        if let Some(port) = self.registered_min_output() {
-            e.u32(port.0);
-        }
-        e.bool(self.registered_ectn_link().is_some());
-        if let Some(link) = self.registered_ectn_link() {
-            e.u32(link);
-        }
+        e.option(self.registered_min_output(), |e, port| e.u32(port.0));
+        e.option(self.registered_ectn_link(), df_engine::Encoder::u32);
     }
 
     /// Restore the persistent state written by [`InputVc::save_state`],
@@ -286,8 +280,8 @@ impl InputVc {
             ));
         }
         self.occupancy_phits = occupancy as u32;
-        let min_output = if d.bool()? { Some(d.u32()?) } else { None };
-        let ectn_link = if d.bool()? { Some(d.u32()?) } else { None };
+        let min_output = d.option(df_engine::Decoder::u32)?;
+        let ectn_link = d.option(df_engine::Decoder::u32)?;
         if self.is_empty() && (min_output.is_some() || ectn_link.is_some()) {
             return invalid("head registration on an empty input VC".into());
         }
@@ -548,10 +542,7 @@ mod tests {
         e.seq(1);
         packet(1, 8).encode(&mut e);
         for registration in [min_output, ectn_link] {
-            e.bool(registration.is_some());
-            if let Some(value) = registration {
-                e.u32(value);
-            }
+            e.option(registration, df_engine::Encoder::u32);
         }
         e.into_bytes()
     }

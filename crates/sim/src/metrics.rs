@@ -363,10 +363,7 @@ impl Metrics {
     /// and histogram). The series origin is written for validation only — it
     /// is configuration (the traffic-change instant), not run state.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.bool(self.window_start.is_some());
-        if let Some(c) = self.window_start {
-            e.u64(c);
-        }
+        e.option(self.window_start, df_engine::Encoder::u64);
         e.i64(self.series_origin);
         e.u64(self.delivered_packets);
         e.u64(self.delivered_phits);
@@ -401,7 +398,7 @@ impl Metrics {
         d: &mut df_engine::Decoder,
         now: Cycle,
     ) -> Result<(), df_engine::CodecError> {
-        let window_start = if d.bool()? { Some(d.u64()?) } else { None };
+        let window_start = d.option(df_engine::Decoder::u64)?;
         let origin = d.i64()?;
         if origin != self.series_origin {
             return Err(df_engine::CodecError::Invalid(format!(

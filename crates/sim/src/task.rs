@@ -410,11 +410,8 @@ impl Job {
                 e.u32(c);
             }
         }
-        for c in &self.step_completion_cycles {
-            e.bool(c.is_some());
-            if let Some(c) = *c {
-                e.u64(c);
-            }
+        for &c in &self.step_completion_cycles {
+            e.option(c, df_engine::Encoder::u64);
         }
         e.seq(self.pending.len());
         for (&id, p) in &self.pending {
@@ -448,7 +445,7 @@ impl Job {
             }
         }
         for s in 0..self.steps_total {
-            self.step_completion_cycles[s] = if d.bool()? { Some(d.u64()?) } else { None };
+            self.step_completion_cycles[s] = d.option(df_engine::Decoder::u64)?;
             // a step completes the cycle its last rank passes it
             self.step_rank_done[s] = self.cursor.iter().filter(|&&c| c > s).count() as u32;
             if self.step_completion_cycles[s].is_some()
