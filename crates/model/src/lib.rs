@@ -22,6 +22,6 @@ pub mod time;
 pub mod vc;
 
 pub use config::{BufferConfig, LatencyConfig, NetworkConfig, VcConfig, ALLOCATOR_SPEEDUP};
-pub use packet::{MisrouteFlags, Packet, PacketId, RouteObjective, RoutingState};
+pub use packet::{MisrouteFlags, Packet, PacketBounds, PacketId, RouteObjective, RoutingState};
 pub use time::Cycle;
 pub use vc::VcId;

@@ -17,7 +17,7 @@
 //! * whether (and when) the packet was misrouted, for the misrouted-packet
 //!   statistics of Figures 7b and the throughput discussion.
 
-use df_topology::{GroupId, NodeId, Port, RouterId, Topology};
+use df_topology::{GroupId, NodeId, Port, PortLayout, RouterId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::time::Cycle;
@@ -242,6 +242,37 @@ impl RoutingState {
     }
 }
 
+/// The network a decoded packet must fit ([`Packet::decode`]): its nodes,
+/// the routers and groups its routing state names, the ports a committed
+/// gateway link can use and the one packet size every injector and job
+/// uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketBounds {
+    /// Nodes of the network.
+    pub nodes: u32,
+    /// Routers of the network.
+    pub routers: u32,
+    /// Groups of the network.
+    pub groups: u32,
+    /// Ports per router.
+    pub radix: u32,
+    /// The configured packet size in phits.
+    pub size_phits: u32,
+}
+
+impl PacketBounds {
+    /// The bounds of `topo` carrying `size_phits`-phit packets.
+    pub fn new(topo: &impl Topology, size_phits: u32) -> Self {
+        PacketBounds {
+            nodes: topo.num_nodes(),
+            routers: topo.num_routers(),
+            groups: topo.num_groups(),
+            radix: topo.layout().radix(),
+            size_phits,
+        }
+    }
+}
+
 /// A packet travelling through the network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Packet {
@@ -313,29 +344,51 @@ impl Packet {
         e.bool(r.flags.local);
     }
 
-    /// Rebuild a packet from [`encode`](Self::encode) output, refusing a
-    /// source or destination outside a network of `nodes` nodes.
-    pub fn decode(d: &mut df_engine::Decoder, nodes: u32) -> Result<Self, df_engine::CodecError> {
+    /// Rebuild a packet from [`encode`](Self::encode) output, refusing one
+    /// that does not fit `bounds`: a node, router, group or gateway port
+    /// outside the network, or another size than the configured one.
+    pub fn decode(
+        d: &mut df_engine::Decoder,
+        bounds: &PacketBounds,
+    ) -> Result<Self, df_engine::CodecError> {
         let id = PacketId(d.u64()?);
-        let src = NodeId(d.u32()?);
-        let dst = NodeId(d.u32()?);
-        if src.0 >= nodes || dst.0 >= nodes {
+        // a field read as `u32` and refused unless below `bound`
+        let below = |bound: u32, what: &'static str| {
+            move |d: &mut df_engine::Decoder| {
+                let v = d.u32()?;
+                if v < bound {
+                    Ok(v)
+                } else {
+                    Err(df_engine::CodecError::Invalid(format!(
+                        "packet {} names {what} {v} of {bound}",
+                        id.0
+                    )))
+                }
+            }
+        };
+        let router = below(bounds.routers, "router");
+        let src = NodeId(below(bounds.nodes, "source node")(d)?);
+        let dst = NodeId(below(bounds.nodes, "destination node")(d)?);
+        let size_phits = d.u32()?;
+        if size_phits != bounds.size_phits {
             return Err(df_engine::CodecError::Invalid(format!(
-                "packet {} from {src} to {dst} outside a {nodes}-node network",
-                id.0
+                "packet {} of {size_phits} phits in a network of {}-phit packets",
+                id.0, bounds.size_phits
             )));
         }
-        let size_phits = d.u32()?;
         let generated_at = d.u64()?;
         let injected_at = d.option(df_engine::Decoder::u64)?;
         let local_hops = d.u8()?;
         let global_hops = d.u8()?;
         let local_hops_since_global = d.u8()?;
-        let intermediate_router = d.option(|d| d.u32().map(RouterId))?;
+        let intermediate_router = d.option(|d| router(d).map(RouterId))?;
         let intermediate_reached = d.bool()?;
-        let nonminimal_global = d.option(|d| Ok((RouterId(d.u32()?), Port(d.u32()?))))?;
-        let local_detour = d.option(|d| d.u32().map(RouterId))?;
-        let local_misrouted_in = d.option(|d| d.u32().map(GroupId))?;
+        let nonminimal_global = d.option(|d| {
+            let gateway = RouterId(router(d)?);
+            Ok((gateway, Port(below(bounds.radix, "gateway port")(d)?)))
+        })?;
+        let local_detour = d.option(|d| router(d).map(RouterId))?;
+        let local_misrouted_in = d.option(|d| below(bounds.groups, "group")(d).map(GroupId))?;
         let flags = MisrouteFlags {
             global: d.bool()?,
             local: d.bool()?,

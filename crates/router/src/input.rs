@@ -13,7 +13,7 @@
 //! port class's, which [`InputPort`], a borrowed view of one port's VCs,
 //! carries beside them.
 
-use df_model::{Packet, VcId};
+use df_model::{Packet, PacketBounds, VcId};
 use df_topology::{Port, PortClass};
 
 use crate::store::{Fifo, PacketStore, Slot, SlotId};
@@ -257,20 +257,21 @@ impl InputVc {
     /// Restore the persistent state written by [`InputVc::save_state`],
     /// refilling the queue into `store` (emptied by the caller). Occupancy is
     /// recomputed from the packets and validated against `capacity_phits`; a
-    /// registered port must lie below `radix`, an ECtN link below
-    /// `ectn_links` and a packet's nodes below `nodes`.
+    /// packet must fit `bounds`, a registered port lie below its radix and an
+    /// ECtN link below `ectn_links`.
     pub(crate) fn restore_state(
         &mut self,
         store: &mut PacketStore,
         d: &mut df_engine::Decoder,
         capacity_phits: u32,
-        (radix, ectn_links, nodes): (usize, usize, u32),
+        (bounds, ectn_links): (&PacketBounds, usize),
     ) -> Result<(), df_engine::CodecError> {
+        let radix = bounds.radix as usize;
         let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
         *self = InputVc::EMPTY;
         let mut occupancy = 0u64;
         for _ in 0..d.seq(8)? {
-            let p = Packet::decode(d, nodes)?;
+            let p = Packet::decode(d, bounds)?;
             occupancy += p.size_phits as u64;
             store.push_back(&mut self.fifo, p);
         }
@@ -527,11 +528,18 @@ mod tests {
     fn restore(capacity: u32, bytes: &[u8]) -> (Result<(), df_engine::CodecError>, usize) {
         let mut store = PacketStore::new();
         let mut vc = InputVc::EMPTY;
+        let bounds = PacketBounds {
+            nodes: 72,
+            routers: 36,
+            groups: 9,
+            radix: 7,
+            size_phits: 8,
+        };
         let result = vc.restore_state(
             &mut store,
             &mut df_engine::Decoder::new(bytes),
             capacity,
-            (7, 16, 72),
+            (&bounds, 16),
         );
         (result, store.slots())
     }

@@ -16,7 +16,7 @@
 
 use std::ops::Range;
 
-use df_model::{Cycle, NetworkConfig, Packet, VcId};
+use df_model::{Cycle, NetworkConfig, Packet, PacketBounds, VcId};
 use df_topology::PortClass;
 
 use crate::store::{Fifo, PacketStore, SlotId};
@@ -331,11 +331,11 @@ impl OutputMut<'_> {
     /// the staged packets into the store (emptied by the caller). Buffer
     /// occupancy is recomputed from the staged packets; credits must not
     /// exceed the capacity, a staged packet's downstream VC must exist
-    /// (a terminal port ejects on VC 0) and its nodes lie below `nodes`.
+    /// (a terminal port ejects on VC 0) and the packet fit `bounds`.
     pub(crate) fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
-        nodes: u32,
+        bounds: &PacketBounds,
     ) -> Result<(), df_engine::CodecError> {
         let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
         let capacity = self.config.input_buffer_for(self.port.class);
@@ -359,7 +359,7 @@ impl OutputMut<'_> {
         self.port.credits_total = credits_total;
         let mut occupancy = 0u64;
         for _ in 0..d.seq(8)? {
-            let packet = Packet::decode(d, nodes)?;
+            let packet = Packet::decode(d, bounds)?;
             occupancy += packet.size_phits as u64;
             let slot = self.store.push_back(&mut self.port.staged, packet);
             let (dst_vc, ready_at) = (VcId(d.u8()?), d.u64()?);
@@ -620,8 +620,15 @@ mod tests {
         let class = [PortClass::Terminal, PortClass::Local][usize::from(vcs)];
         let mut p = Staged::new(class, vcs, 8 * u32::from(vcs), 16);
         let bytes = e.into_bytes();
+        let bounds = PacketBounds {
+            nodes: 72,
+            routers: 36,
+            groups: 9,
+            radix: 7,
+            size_phits: 8,
+        };
         p.guard()
-            .restore_state(&mut df_engine::Decoder::new(&bytes), 72)
+            .restore_state(&mut df_engine::Decoder::new(&bytes), &bounds)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::sync::OnceLock;
 
-use df_model::{Cycle, NetworkConfig, Packet, VcId};
+use df_model::{Cycle, NetworkConfig, Packet, PacketBounds, VcId};
 use df_topology::{
     AnyTopology, GatewayLiveness, GroupId, Port, PortClass, PortLayout, PortPeer, RouterId,
     Topology,
@@ -928,7 +928,7 @@ impl Router {
     ) -> Result<(), df_engine::CodecError> {
         self.store = PacketStore::new();
         let (radix, ectn_links) = (self.num_ports(), self.ectn.num_links());
-        let nodes = self.topology().num_nodes();
+        let bounds = PacketBounds::new(&self.topo, self.config.packet_size_phits);
         d.seq_exact(8, radix, "router input port count")?;
         for p in 0..radix {
             let output = &self.outputs[p];
@@ -936,12 +936,12 @@ impl Router {
             let vcs = &mut self.vcs[output.vcs()];
             d.seq_exact(4, vcs.len(), "input port VC count")?;
             for vc in vcs {
-                vc.restore_state(&mut self.store, d, capacity, (radix, ectn_links, nodes))?;
+                vc.restore_state(&mut self.store, d, capacity, (&bounds, ectn_links))?;
             }
         }
         d.seq_exact(8, radix, "router output port count")?;
         for p in 0..radix {
-            self.output_at(p).restore_state(d, nodes)?;
+            self.output_at(p).restore_state(d, &bounds)?;
         }
         self.ectn.restore_state(d)?;
         self.pb.restore_state(d)?;

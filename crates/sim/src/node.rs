@@ -26,7 +26,7 @@
 //! [`BitSet`]: df_engine::BitSet
 
 use df_engine::{BitSet, DeterministicRng};
-use df_model::{Cycle, Packet};
+use df_model::{Cycle, Packet, PacketBounds};
 use df_topology::NodeId;
 use df_traffic::{InjectionKind, Injector, TrafficPattern, LOOKAHEAD_BOUND};
 use std::collections::VecDeque;
@@ -145,15 +145,15 @@ impl Node {
     }
 
     /// Restore the state written by [`Node::save_state`] into a freshly
-    /// configured node of a `nodes`-node network.
+    /// configured node whose queued packets must fit `bounds`.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
-        nodes: u32,
+        bounds: &PacketBounds,
     ) -> Result<(), df_engine::CodecError> {
         self.injector.restore_state(d)?;
         self.source_queue = (0..d.seq(8)?)
-            .map(|_| Packet::decode(d, nodes))
+            .map(|_| Packet::decode(d, bounds))
             .collect::<Result<_, _>>()?;
         self.next_vc = d.usize()?;
         self.generated_phits = d.u64()?;
@@ -448,16 +448,16 @@ impl Nodes {
         }
     }
 
-    /// Restore the state written by [`Nodes::save_state`] and rebuild the
-    /// derived sets from it.
+    /// Restore the state written by [`Nodes::save_state`] (every queued
+    /// packet fitting `bounds`) and rebuild the derived sets from it.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
+        bounds: &PacketBounds,
     ) -> Result<(), df_engine::CodecError> {
-        let nodes = self.nodes.len();
-        d.seq_exact(8, nodes, "node count")?;
+        d.seq_exact(8, self.nodes.len(), "node count")?;
         for node in &mut self.nodes {
-            node.restore_state(d, nodes as u32)?;
+            node.restore_state(d, bounds)?;
         }
         self.rebuild_derived();
         Ok(())
@@ -594,6 +594,7 @@ mod tests {
     /// many cycles ticked an odd number of nodes.
     fn assert_calendar_matches_twins(injection: InjectionKind) -> u32 {
         let pat = pattern();
+        let bounds = PacketBounds::new(&Dragonfly::new(DragonflyParams::small()), 8);
         let mut nodes = Nodes::new(population(injection, 0.2));
         let mut twins = population(injection, 0.2);
         let (mut id, mut twin_id) = (0u64, 0u64);
@@ -625,7 +626,7 @@ mod tests {
                 let bytes = saved_nodes(&nodes, now);
                 let mut restored = Nodes::new(population(injection, 0.2));
                 restored
-                    .restore_state(&mut df_engine::Decoder::new(&bytes))
+                    .restore_state(&mut df_engine::Decoder::new(&bytes), &bounds)
                     .unwrap();
                 for idx in 0..POPULATION {
                     restored.set_paused(idx, blocked[idx] || failed[idx], now);

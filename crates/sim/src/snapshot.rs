@@ -62,13 +62,14 @@
 //! step scratch. State only an observer reads (an attached probe) is not
 //! simulation state and is not in the payload at all. A packet staged at
 //! an unconnected port is refused: it could never leave. So is a packet,
-//! in any section, whose source or destination lies outside the network; a
-//! pending event that names a router, port or VC outside it; and a
+//! in any section, that does not fit the network ([`df_model::PacketBounds`]:
+//! a node, a router or group of its routing state or its gateway port
+//! outside it, or another size than the configured one); a pending event that names a router, port or VC outside it; and a
 //! lost-credit ledger entry that is not a link end the fault replay left
 //! down, with one count per downstream VC of that output.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
-use df_model::{Cycle, VcId};
+use df_model::{Cycle, Packet, PacketBounds, VcId};
 use df_router::dissemination::install_linkview_group;
 use df_router::{decode_gateway_liveness, encode_gateway_liveness};
 use df_topology::{Port, RouterId, Topology};
@@ -159,14 +160,14 @@ fn encode_event(at: Cycle, event: &Event, e: &mut Encoder) {
     }
 }
 
-fn decode_event(d: &mut Decoder, nodes: u32) -> Result<(Cycle, Event), CodecError> {
+fn decode_event(d: &mut Decoder, bounds: &PacketBounds) -> Result<(Cycle, Event), CodecError> {
     let at = d.u64()?;
     let event = match d.u8()? {
         0 => Event::PacketArrival {
             router: RouterId(d.u32()?),
             port: Port(d.u32()?),
             vc: VcId(d.u8()?),
-            packet: df_model::Packet::decode(d, nodes)?,
+            packet: Packet::decode(d, bounds)?,
         },
         1 => Event::CreditReturn {
             router: RouterId(d.u32()?),
@@ -175,7 +176,7 @@ fn decode_event(d: &mut Decoder, nodes: u32) -> Result<(Cycle, Event), CodecErro
             phits: d.u32()?,
         },
         2 => Event::Delivery {
-            packet: df_model::Packet::decode(d, nodes)?,
+            packet: Packet::decode(d, bounds)?,
         },
         tag => {
             return Err(CodecError::Invalid(format!(
@@ -297,12 +298,12 @@ impl Network {
             let words = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
             *rng = DeterministicRng::from_state(seed, words);
         }
-        net.nodes.restore_state(&mut d)?;
+        let bounds = PacketBounds::new(&net.ctx.topo, net.config.network.packet_size_phits);
+        net.nodes.restore_state(&mut d, &bounds)?;
         net.metrics.restore_state(&mut d, net.cycle)?;
         // pending link events
-        let nodes = net.ctx.topo.num_nodes();
         let pending = (0..d.seq(9)?)
-            .map(|_| decode_event(&mut d, nodes))
+            .map(|_| decode_event(&mut d, &bounds))
             .collect::<Result<Vec<_>, _>>()?;
         let misplaced = pending
             .iter()
@@ -718,6 +719,48 @@ mod tests {
                 assert_invalid(&cfg, &frame, section);
             }
         }
+    }
+
+    /// The kernel follows a packet's routing state without a range check and
+    /// every packet has the configured size: a source-queue packet routed
+    /// via router 9,999 restored `Ok` and panicked within 300 cycles, and a
+    /// 0-phit packet ran on silently. Each field forged one past the network
+    /// is refused; the last router, port and group are inside.
+    #[test]
+    fn forged_routing_state_fields_are_refused() {
+        let cfg = config(KernelMode::Optimized, 11);
+        let snapshot_with = |forge: fn(&mut Packet)| {
+            let mut net = Network::new(cfg.clone());
+            let mut packet = Packet::new(PacketId(0), NodeId(0), NodeId(9), 8, 0);
+            forge(&mut packet);
+            net.nodes.enqueue_task_packet(0, packet);
+            net.snapshot()
+        };
+        let inside = snapshot_with(|p| {
+            let r = &mut p.routing;
+            (r.intermediate_router, r.local_detour) = (Some(RouterId(35)), Some(RouterId(35)));
+            r.nonminimal_global = Some((RouterId(35), Port(6)));
+            r.local_misrouted_in = Some(GroupId(8));
+        });
+        assert!(Network::restore(cfg.clone(), &inside).is_ok());
+        let refused = |field, forge| assert_invalid(&cfg, &snapshot_with(forge), field);
+        refused("intermediate router", |p| {
+            p.routing.intermediate_router = Some(RouterId(36))
+        });
+        refused("gateway", |p| {
+            p.routing.nonminimal_global = Some((RouterId(36), Port(6)))
+        });
+        refused("gateway port", |p| {
+            p.routing.nonminimal_global = Some((RouterId(35), Port(7)))
+        });
+        refused("local detour", |p| {
+            p.routing.local_detour = Some(RouterId(36))
+        });
+        refused("misrouted-in group", |p| {
+            p.routing.local_misrouted_in = Some(GroupId(9))
+        });
+        refused("0 phits", |p| p.size_phits = 0);
+        refused("16 phits", |p| p.size_phits = 16);
     }
 
     /// A lost-credit ledger entry is returned at its link's `LinkUp`, so
