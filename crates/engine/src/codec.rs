@@ -370,11 +370,7 @@ impl<'a> Decoder<'a> {
         &mut self,
         read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
     ) -> Result<Option<T>, CodecError> {
-        if self.bool()? {
-            read(self).map(Some)
-        } else {
-            Ok(None)
-        }
+        self.bool()?.then(|| read(self)).transpose()
     }
 
     /// Read a sequence length prefix, bounds-checked against the remaining

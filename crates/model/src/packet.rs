@@ -244,32 +244,42 @@ impl RoutingState {
 
 /// The network a decoded packet must fit ([`Packet::decode`]): its nodes,
 /// the routers and groups its routing state names, the ports a committed
-/// gateway link can use and the one packet size every injector and job
-/// uses.
+/// gateway link can use and the one packet size every injector and job uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketBounds {
-    /// Nodes of the network.
-    pub nodes: u32,
-    /// Routers of the network.
-    pub routers: u32,
-    /// Groups of the network.
-    pub groups: u32,
-    /// Ports per router.
-    pub radix: u32,
-    /// The configured packet size in phits.
-    pub size_phits: u32,
+    nodes: u32,
+    routers: u32,
+    groups: u32,
+    radix: u32,
+    size_phits: u32,
 }
 
 impl PacketBounds {
     /// The bounds of `topo` carrying `size_phits`-phit packets.
     pub fn new(topo: &impl Topology, size_phits: u32) -> Self {
+        let (nodes, routers, groups) = (topo.num_nodes(), topo.num_routers(), topo.num_groups());
+        let radix = topo.layout().radix();
         PacketBounds {
-            nodes: topo.num_nodes(),
-            routers: topo.num_routers(),
-            groups: topo.num_groups(),
-            radix: topo.layout().radix(),
+            nodes,
+            routers,
+            groups,
+            radix,
             size_phits,
         }
+    }
+
+    /// Whether every node, router, group and port `p` names lies inside the
+    /// network and its size is the configured one.
+    fn fit(&self, p: &Packet) -> bool {
+        let r = &p.routing;
+        let (gateway, port) = r.nonminimal_global.unzip();
+        let routers = [r.intermediate_router, gateway, r.local_detour];
+        p.src.0 < self.nodes
+            && p.dst.0 < self.nodes
+            && p.size_phits == self.size_phits
+            && routers.iter().flatten().all(|id| id.0 < self.routers)
+            && port.is_none_or(|port| port.0 < self.radix)
+            && r.local_misrouted_in.is_none_or(|g| g.0 < self.groups)
     }
 }
 
@@ -351,67 +361,34 @@ impl Packet {
         d: &mut df_engine::Decoder,
         bounds: &PacketBounds,
     ) -> Result<Self, df_engine::CodecError> {
-        let id = PacketId(d.u64()?);
-        // a field read as `u32` and refused unless below `bound`
-        let below = |bound: u32, what: &'static str| {
-            move |d: &mut df_engine::Decoder| {
-                let v = d.u32()?;
-                if v < bound {
-                    Ok(v)
-                } else {
-                    Err(df_engine::CodecError::Invalid(format!(
-                        "packet {} names {what} {v} of {bound}",
-                        id.0
-                    )))
-                }
-            }
+        let packet = Packet {
+            id: PacketId(d.u64()?),
+            src: NodeId(d.u32()?),
+            dst: NodeId(d.u32()?),
+            size_phits: d.u32()?,
+            generated_at: d.u64()?,
+            injected_at: d.option(df_engine::Decoder::u64)?,
+            routing: RoutingState {
+                local_hops: d.u8()?,
+                global_hops: d.u8()?,
+                local_hops_since_global: d.u8()?,
+                intermediate_router: d.option(|d| d.u32().map(RouterId))?,
+                intermediate_reached: d.bool()?,
+                nonminimal_global: d.option(|d| Ok((RouterId(d.u32()?), Port(d.u32()?))))?,
+                local_detour: d.option(|d| d.u32().map(RouterId))?,
+                local_misrouted_in: d.option(|d| d.u32().map(GroupId))?,
+                flags: MisrouteFlags {
+                    global: d.bool()?,
+                    local: d.bool()?,
+                },
+            },
         };
-        let router = below(bounds.routers, "router");
-        let src = NodeId(below(bounds.nodes, "source node")(d)?);
-        let dst = NodeId(below(bounds.nodes, "destination node")(d)?);
-        let size_phits = d.u32()?;
-        if size_phits != bounds.size_phits {
+        if !bounds.fit(&packet) {
             return Err(df_engine::CodecError::Invalid(format!(
-                "packet {} of {size_phits} phits in a network of {}-phit packets",
-                id.0, bounds.size_phits
+                "{packet:?} does not fit {bounds:?}"
             )));
         }
-        let generated_at = d.u64()?;
-        let injected_at = d.option(df_engine::Decoder::u64)?;
-        let local_hops = d.u8()?;
-        let global_hops = d.u8()?;
-        let local_hops_since_global = d.u8()?;
-        let intermediate_router = d.option(|d| router(d).map(RouterId))?;
-        let intermediate_reached = d.bool()?;
-        let nonminimal_global = d.option(|d| {
-            let gateway = RouterId(router(d)?);
-            Ok((gateway, Port(below(bounds.radix, "gateway port")(d)?)))
-        })?;
-        let local_detour = d.option(|d| router(d).map(RouterId))?;
-        let local_misrouted_in = d.option(|d| below(bounds.groups, "group")(d).map(GroupId))?;
-        let flags = MisrouteFlags {
-            global: d.bool()?,
-            local: d.bool()?,
-        };
-        Ok(Packet {
-            id,
-            src,
-            dst,
-            size_phits,
-            generated_at,
-            injected_at,
-            routing: RoutingState {
-                local_hops,
-                global_hops,
-                local_hops_since_global,
-                intermediate_router,
-                intermediate_reached,
-                nonminimal_global,
-                local_detour,
-                local_misrouted_in,
-                flags,
-            },
-        })
+        Ok(packet)
     }
 }
 

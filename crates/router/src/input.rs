@@ -257,16 +257,15 @@ impl InputVc {
     /// Restore the persistent state written by [`InputVc::save_state`],
     /// refilling the queue into `store` (emptied by the caller). Occupancy is
     /// recomputed from the packets and validated against `capacity_phits`; a
-    /// packet must fit `bounds`, a registered port lie below its radix and an
-    /// ECtN link below `ectn_links`.
+    /// registered port must lie below `radix`, an ECtN link below
+    /// `ectn_links` and a packet fit `bounds`.
     pub(crate) fn restore_state(
         &mut self,
         store: &mut PacketStore,
         d: &mut df_engine::Decoder,
         capacity_phits: u32,
-        (bounds, ectn_links): (&PacketBounds, usize),
+        (radix, ectn_links, bounds): (usize, usize, &PacketBounds),
     ) -> Result<(), df_engine::CodecError> {
-        let radix = bounds.radix as usize;
         let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
         *self = InputVc::EMPTY;
         let mut occupancy = 0u64;
@@ -342,7 +341,7 @@ impl<'a> InputPort<'a> {
 mod tests {
     use super::*;
     use df_model::{Packet, PacketId};
-    use df_topology::NodeId;
+    use df_topology::{Dragonfly, DragonflyParams, NodeId};
 
     fn packet(id: u64, size: u32) -> Packet {
         Packet::new(PacketId(id), NodeId(0), NodeId(9), size, 0)
@@ -528,18 +527,12 @@ mod tests {
     fn restore(capacity: u32, bytes: &[u8]) -> (Result<(), df_engine::CodecError>, usize) {
         let mut store = PacketStore::new();
         let mut vc = InputVc::EMPTY;
-        let bounds = PacketBounds {
-            nodes: 72,
-            routers: 36,
-            groups: 9,
-            radix: 7,
-            size_phits: 8,
-        };
+        let bounds = PacketBounds::new(&Dragonfly::new(DragonflyParams::small()), 8);
         let result = vc.restore_state(
             &mut store,
             &mut df_engine::Decoder::new(bytes),
             capacity,
-            (&bounds, 16),
+            (7, 16, &bounds),
         );
         (result, store.slots())
     }

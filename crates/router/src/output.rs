@@ -384,7 +384,7 @@ impl OutputMut<'_> {
 mod tests {
     use super::*;
     use df_model::PacketId;
-    use df_topology::NodeId;
+    use df_topology::{Dragonfly, DragonflyParams, NodeId};
 
     fn packet(id: u64, size: u32) -> Packet {
         Packet::new(PacketId(id), NodeId(0), NodeId(5), size, 0)
@@ -620,13 +620,7 @@ mod tests {
         let class = [PortClass::Terminal, PortClass::Local][usize::from(vcs)];
         let mut p = Staged::new(class, vcs, 8 * u32::from(vcs), 16);
         let bytes = e.into_bytes();
-        let bounds = PacketBounds {
-            nodes: 72,
-            routers: 36,
-            groups: 9,
-            radix: 7,
-            size_phits: 8,
-        };
+        let bounds = PacketBounds::new(&Dragonfly::new(DragonflyParams::small()), 8);
         p.guard()
             .restore_state(&mut df_engine::Decoder::new(&bytes), &bounds)
     }

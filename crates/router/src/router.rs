@@ -936,7 +936,7 @@ impl Router {
             let vcs = &mut self.vcs[output.vcs()];
             d.seq_exact(4, vcs.len(), "input port VC count")?;
             for vc in vcs {
-                vc.restore_state(&mut self.store, d, capacity, (&bounds, ectn_links))?;
+                vc.restore_state(&mut self.store, d, capacity, (radix, ectn_links, &bounds))?;
             }
         }
         d.seq_exact(8, radix, "router output port count")?;

@@ -205,15 +205,11 @@ impl EventQueue {
     /// The packet of every pending arrival and delivery, in no particular
     /// order: the packets on the links.
     pub fn packets(&self) -> impl Iterator<Item = &Packet> + '_ {
-        let overflow = self.overflow.values().flatten();
-        self.buckets
-            .iter()
-            .flatten()
-            .chain(overflow)
-            .filter_map(|(_, event)| match event {
-                Event::PacketArrival { packet, .. } | Event::Delivery { packet } => Some(packet),
-                Event::CreditReturn { .. } => None,
-            })
+        let events = self.buckets.iter().chain(self.overflow.values()).flatten();
+        events.filter_map(|(_, event)| match event {
+            Event::PacketArrival { packet, .. } | Event::Delivery { packet } => Some(packet),
+            Event::CreditReturn { .. } => None,
+        })
     }
 
     /// Rebuild a queue positioned at drain cycle `now` holding `events`

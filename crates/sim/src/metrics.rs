@@ -4,11 +4,9 @@ use df_engine::{BinnedSeries, Histogram, RunningStats};
 use df_model::{Cycle, Packet};
 use serde::{Deserialize, Serialize};
 
-/// Collects everything the experiments report: what happened to the
-/// packets that left the network (delivered or dropped) and the run's
-/// series. Counts the network itself holds are not kept here: the offered
-/// traffic is the nodes' (`Network::generated_phits_total`), the packets in
-/// flight are the routers' and the links' (`Network::in_flight`).
+/// Collects everything the experiments report. Counts the network holds
+/// are not kept here: generation is the nodes', in-flight the routers' and
+/// the links' (`Network::{generated_phits_total, in_flight}`).
 #[derive(Debug, Clone)]
 pub struct Metrics {
     /// Cycle at which the measurement window opened (`None` while warming

@@ -360,13 +360,12 @@ impl Network {
     /// Phits currently inside the network, counted like
     /// [`Network::in_flight`].
     pub fn in_flight_phits(&self) -> u64 {
-        let buffered: u64 = self.routers.iter().map(Router::queued_phits).sum();
-        buffered
-            + self
-                .events
-                .packets()
-                .map(|p| p.size_phits as u64)
-                .sum::<u64>()
+        let on_links = self.events.packets().map(|p| p.size_phits as u64);
+        self.routers
+            .iter()
+            .map(Router::queued_phits)
+            .chain(on_links)
+            .sum()
     }
 
     /// Packets handed to the routers' injection buffers since the beginning
@@ -384,10 +383,8 @@ impl Network {
     /// Phits the nodes generated since the beginning of the run (stochastic
     /// and job traffic): the offered side of the conservation checks.
     pub fn generated_phits_total(&self) -> u64 {
-        let nodes = self.ctx.topo.num_nodes() as usize;
-        (0..nodes)
-            .map(|n| self.nodes.get(n).generated_phits())
-            .sum()
+        let nodes = 0..self.ctx.topo.num_nodes() as usize;
+        nodes.map(|n| self.nodes.get(n).generated_phits()).sum()
     }
 
     /// The true network-wide gateway-liveness map (what the flooded views

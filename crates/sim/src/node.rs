@@ -32,9 +32,7 @@ use df_traffic::{InjectionKind, Injector, TrafficPattern, LOOKAHEAD_BOUND};
 use std::collections::VecDeque;
 
 /// A compute node: injector plus source queue. Its one statistic is the
-/// phits it generated; what it handed to the router is the network's
-/// injection count, and how many packets its injector made the packet ids
-/// count.
+/// phits it generated (the packet ids count its packets).
 #[derive(Debug, Clone)]
 pub struct Node {
     injector: Injector,

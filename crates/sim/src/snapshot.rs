@@ -37,13 +37,11 @@
 //!   job and resume bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns;
-//! a pending delivery's node (its packet's destination); the packets and
-//! phits in flight (counted in the routers' buffers and the pending link
-//! events whenever they are read); the generated totals (the nodes' own
-//! counts and the packet ids); a job's outstanding sends (its packets in the
-//! pending table), ranks past each step and finished ranks (its cursors)
-//! and completion cycle (its last step's);
-//! every fact of the fault plan — restore replays the events due before the
+//! a pending delivery's node (its packet's destination); every count
+//! another ledger holds — the packets and phits in flight (the routers'
+//! buffers and the pending link events), the generated totals (the nodes'
+//! counts, the packet ids) and a job's progress counts (its cursors and
+//! pending table); every fact of the fault plan — restore replays the events due before the
 //! snapshot's cycle through the kernel's own `apply_due_faults`, which sets
 //! the routers' link flags, the any-link-down gate, the drain flags, the
 //! gateway-liveness truth (records and version), the spare table and the
@@ -63,8 +61,9 @@
 //! simulation state and is not in the payload at all. A packet staged at
 //! an unconnected port is refused: it could never leave. So is a packet,
 //! in any section, that does not fit the network ([`df_model::PacketBounds`]:
-//! a node, a router or group of its routing state or its gateway port
-//! outside it, or another size than the configured one); a pending event that names a router, port or VC outside it; and a
+//! a node, routing-state router or group or gateway port outside it, or
+//! another size than the configured one); a pending event that names a
+//! router, port or VC outside it; and a
 //! lost-credit ledger entry that is not a link end the fault replay left
 //! down, with one count per downstream VC of that output.
 
@@ -81,36 +80,17 @@ use crate::events::{Event, EventQueue};
 
 /// Frame magic of a simulation snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
-/// Current snapshot format version. Version 2 extended the metrics section
-/// with the task-layer counters and appended the task engine's execution
-/// state; version 3 folds the topology *kind* into the configuration
-/// fingerprint so a snapshot can never silently restore onto a different
-/// topology family (older snapshots are rejected rather than misread);
-/// version 4 adds the per-rank compute-delay readiness clocks to the task
-/// section and appends the multi-job engine's execution state (one task
-/// section per job) so a snapshot can land mid-collective in any job of a
-/// concurrent mix; version 5 drops the separate single-workload task
-/// section and its presence flag (a closed collective run is a one-job set
-/// at offered load 0, so the job section is the only application state);
-/// version 6 stores every live fact once — the dead allocator pointers, the
-/// observer-only second latency histogram, the job-presence flag and the
-/// duplicated fault facts (down-link list, node-failure flags, per-router
-/// liveness views, liveness down marks) are gone and restore derives them;
-/// version 7 stores no derivable fact — the link and drain flags, the
-/// liveness truth, the spare table and the fault cursor come from replaying
-/// the fault plan, the contention and ECtN partial counters from the head
-/// registrations, and the previous flooding round's views are scratch;
-/// version 8 drops two fields nothing read — a packet's never-set
-/// commit-recorded flag and a pending delivery's node, which is the
-/// packet's destination; version 9 drops the counts another ledger holds —
-/// the in-flight packets and phits (the routers' buffers and the pending
-/// link events hold them), the generated-phit total (the nodes' sum), each
-/// node's injected-packet and generated-packet counts, and a job's
-/// outstanding sends, ranks past each step, finished ranks and completion
-/// cycle (recounted from the cursors and the pending table). Older versions
-/// are refused by the frame's version check — there is no compatibility
-/// loader (the sweep service discards a stale checkpoint and re-runs the
-/// sub-run).
+/// Current snapshot format version, bumped by every format change: v2
+/// added the task layer, v3 the topology kind to the fingerprint, v4 the
+/// per-rank compute clocks and one task section per job; v5 dropped the
+/// single-workload section, v6 stored every live fact once, v7 stored no
+/// derivable fact (fault facts replayed, counters recounted), v8 dropped a
+/// packet's never-set commit flag and a delivery's node, and v9 drops the
+/// counts another ledger holds (the packets and phits in flight, the
+/// generated totals, each node's packet counts, a job's progress counts).
+/// Older versions are refused by the frame's version check — there is no
+/// compatibility loader (the sweep service discards a stale checkpoint and
+/// re-runs the sub-run).
 pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
@@ -1063,7 +1043,7 @@ mod tests {
             (rank_at(0), &0u64.to_le_bytes()[..], "ranks past it"),
             (end - 12, &ranks.to_le_bytes()[..], "out-of-range rank"),
             (end - 8, &ranks.to_le_bytes()[..], "out-of-range rank"),
-            (end - 4, &(steps as u32).to_le_bytes()[..], "-step script"),
+            (end - 4, &(steps as u32).to_le_bytes()[..], "not enqueued"),
             (end - 4, &other_step.to_le_bytes()[..], "not enqueued"),
         ] {
             match Network::restore(cfg.clone(), &with(offset, value)) {

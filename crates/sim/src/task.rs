@@ -388,14 +388,6 @@ impl Job {
         self.pending.len()
     }
 
-    /// The progress counts restore recounts: outstanding sends per rank,
-    /// ranks past each step, finished ranks and the completion cycle.
-    #[cfg(test)]
-    pub(crate) fn progress(&self) -> (Vec<u32>, Vec<u32>, u32, Option<Cycle>) {
-        let (sends, steps) = (self.sends_outstanding.clone(), self.step_rank_done.clone());
-        (sends, steps, self.ranks_done, self.completed_at)
-    }
-
     /// Serialise the mutable execution state (the scripts and rank map are
     /// rebuilt from the configuration on restore, and the progress counts
     /// from the cursors and the pending table).
@@ -432,10 +424,10 @@ impl Job {
         for r in 0..ranks {
             self.cursor[r] = d.usize()?;
             if self.cursor[r] > self.steps_total {
-                return Err(df_engine::CodecError::Invalid(format!(
+                return invalid(format!(
                     "snapshot task cursor {} beyond the {}-step script",
                     self.cursor[r], self.steps_total
-                )));
+                ));
             }
             self.enqueued[r] = d.bool()?;
             self.stall_cycles[r] = d.u64()?;
@@ -462,7 +454,10 @@ impl Job {
         // every valid workload lowers to at least one step, and the job
         // completes the cycle its last step does
         self.completed_at = self.step_completion_cycles.last().copied().flatten();
+        // each rank's outstanding sends are exactly its packets in the
+        // network: delivery counts one down per packet
         let mut pending = BTreeMap::new();
+        self.sends_outstanding.fill(0);
         for _ in 0..d.seq(20)? {
             let id = d.u64()?;
             let p = PendingPacket {
@@ -475,28 +470,17 @@ impl Job {
                     "snapshot task packet {id} names an out-of-range rank"
                 ));
             }
-            if p.step as usize >= self.steps_total {
-                return invalid(format!(
-                    "snapshot task packet {id} belongs to step {} of a {}-step script",
-                    p.step, self.steps_total
-                ));
-            }
             // a rank passes its step only once every send was delivered
-            let src = p.src_rank as usize;
-            if !self.enqueued[src] || self.cursor[src] != p.step as usize {
+            let (src, step) = (p.src_rank as usize, p.step as usize);
+            if step >= self.steps_total || !self.enqueued[src] || self.cursor[src] != step {
                 return invalid(format!(
-                    "snapshot task packet {id} of step {} was sent by rank {src}, \
-                     which has not enqueued that step",
-                    p.step
+                    "snapshot task packet {id} of step {step} was sent by rank {src}, which \
+                     has not enqueued that step of its {}-step script",
+                    self.steps_total
                 ));
             }
+            self.sends_outstanding[src] += 1;
             pending.insert(id, p);
-        }
-        // each rank's outstanding sends are exactly its packets in the
-        // network: delivery counts one down per packet
-        self.sends_outstanding.fill(0);
-        for p in pending.values() {
-            self.sends_outstanding[p.src_rank as usize] += 1;
         }
         self.pending = pending;
         // the wake-up sets: a fresh job's are empty with every rank woken;
@@ -780,4 +764,14 @@ pub fn run_interference(config: SimulationConfig, max_cycles: u64) -> Interferen
         })
         .collect();
     InterferenceReport { shared, solo }
+}
+
+#[cfg(test)]
+impl Job {
+    /// The progress counts restore recounts: outstanding sends per rank,
+    /// ranks past each step, finished ranks and the completion cycle.
+    pub(crate) fn progress(&self) -> (Vec<u32>, Vec<u32>, u32, Option<Cycle>) {
+        let (sends, steps) = (self.sends_outstanding.clone(), self.step_rank_done.clone());
+        (sends, steps, self.ranks_done, self.completed_at)
+    }
 }
