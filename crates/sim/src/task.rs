@@ -109,12 +109,9 @@ pub struct Job {
     /// Ranks that have passed each step (a step is globally complete when
     /// this reaches the rank count).
     step_rank_done: Vec<u32>,
-    /// Cycle each step globally completed at.
+    /// Cycle each step globally completed at. The last step's is the job's
+    /// completion: every valid workload lowers to at least one step.
     step_completion_cycles: Vec<Option<Cycle>>,
-    /// Ranks that have finished their whole script.
-    ranks_done: u32,
-    /// Cycle the last rank finished (application completion time).
-    completed_at: Option<Cycle>,
     // ---- which ranks can move (derived: rebuilt on restore) ----
     /// Ranks to visit at the next advance (walked in ascending order). Every
     /// rank of a fresh or restored job, or after a pause changed.
@@ -158,8 +155,6 @@ impl Job {
             pending: BTreeMap::new(),
             step_rank_done: vec![0; steps_total],
             step_completion_cycles: vec![None; steps_total],
-            ranks_done: 0,
-            completed_at: None,
             woken: BitSet::full(ranks),
             computing: VecDeque::new(),
             waiting: BitSet::new(ranks),
@@ -303,12 +298,7 @@ impl Job {
             self.enqueued[r] = false;
             self.waiting.remove(r);
             self.ready_at[r] = now + self.spec.compute_delay;
-            if self.cursor[r] == self.steps_total {
-                self.ranks_done += 1;
-                if self.ranks_done == ranks {
-                    self.completed_at = Some(now);
-                }
-            } else if self.ready_at[r] > now {
+            if self.cursor[r] < self.steps_total && self.ready_at[r] > now {
                 self.computing.push_back((self.ready_at[r], r as u32));
             }
         }
@@ -340,13 +330,13 @@ impl Job {
 
     /// Whether every rank has finished its script.
     pub fn is_complete(&self) -> bool {
-        self.completed_at.is_some()
+        self.completion_cycle().is_some()
     }
 
     /// Cycle the last rank finished (the application completion time), once
     /// complete.
     pub fn completion_cycle(&self) -> Option<Cycle> {
-        self.completed_at
+        self.step_completion_cycles.last().copied().flatten()
     }
 
     /// Number of ranks.
@@ -449,11 +439,6 @@ impl Job {
                 ));
             }
         }
-        let finished = self.cursor.iter().filter(|&&c| c == self.steps_total);
-        self.ranks_done = finished.count() as u32;
-        // every valid workload lowers to at least one step, and the job
-        // completes the cycle its last step does
-        self.completed_at = self.step_completion_cycles.last().copied().flatten();
         // each rank's outstanding sends are exactly its packets in the
         // network: delivery counts one down per packet
         let mut pending = BTreeMap::new();
@@ -768,10 +753,9 @@ pub fn run_interference(config: SimulationConfig, max_cycles: u64) -> Interferen
 
 #[cfg(test)]
 impl Job {
-    /// The progress counts restore recounts: outstanding sends per rank,
-    /// ranks past each step, finished ranks and the completion cycle.
-    pub(crate) fn progress(&self) -> (Vec<u32>, Vec<u32>, u32, Option<Cycle>) {
-        let (sends, steps) = (self.sends_outstanding.clone(), self.step_rank_done.clone());
-        (sends, steps, self.ranks_done, self.completed_at)
+    /// The progress counts restore recounts: outstanding sends per rank
+    /// and ranks past each step.
+    pub(crate) fn progress(&self) -> (Vec<u32>, Vec<u32>) {
+        (self.sends_outstanding.clone(), self.step_rank_done.clone())
     }
 }

@@ -386,8 +386,8 @@ mod tests {
             for ranks in 2..=33u32 {
                 let scripts = kind.lower(ranks, 3);
                 assert_eq!(scripts.len(), ranks as usize);
-                // a job completes the cycle its last step does (a snapshot
-                // restores the completion from it), so there is one
+                // a job's completion cycle is its last step's, so there is
+                // one
                 assert!(!scripts[0].is_empty(), "{} at {ranks} ranks", kind.label());
                 validate_scripts(&scripts).unwrap_or_else(|e| {
                     panic!("{} at {ranks} ranks: {e}", kind.label());
