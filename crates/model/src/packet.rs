@@ -257,13 +257,11 @@ pub struct PacketBounds {
 impl PacketBounds {
     /// The bounds of `topo` carrying `size_phits`-phit packets.
     pub fn new(topo: &impl Topology, size_phits: u32) -> Self {
-        let (nodes, routers, groups) = (topo.num_nodes(), topo.num_routers(), topo.num_groups());
-        let radix = topo.layout().radix();
         PacketBounds {
-            nodes,
-            routers,
-            groups,
-            radix,
+            nodes: topo.num_nodes(),
+            routers: topo.num_routers(),
+            groups: topo.num_groups(),
+            radix: topo.layout().radix(),
             size_phits,
         }
     }

@@ -126,10 +126,11 @@ impl Node {
     }
 
     /// Serialise the node's persistent state: injector (RNG stream, load
-    /// override), source queue, VC round-robin pointer and generated phits. `owed` is how many of the ticks the injector's
-    /// pending look-ahead reported have not elapsed yet (0 for a node ticked
-    /// every cycle): the stream position written is the one a
-    /// tick-every-cycle twin would hold now.
+    /// override), source queue, VC round-robin pointer and generated phits.
+    /// `owed` is how many of the ticks the injector's pending look-ahead
+    /// reported have not elapsed yet (0 for a node ticked every cycle): the
+    /// stream position written is the one a tick-every-cycle twin would hold
+    /// now.
     pub fn save_state(&self, e: &mut df_engine::Encoder, owed: u32) {
         let mut injector = self.injector.clone();
         injector.settle(owed);

@@ -434,7 +434,7 @@ impl Job {
                 != (self.step_rank_done[s] as usize == ranks)
             {
                 return invalid(format!(
-                    "snapshot task step {s} completion disagrees with its {} of {ranks} ranks past it",
+                    "snapshot task step {s} completion disagrees with {} of {ranks} ranks past it",
                     self.step_rank_done[s]
                 ));
             }
