@@ -152,7 +152,6 @@ impl RoutingAlgorithm {
             port: u8::try_from(port.0).expect("a port index is below MAX_RADIX"),
             vc,
             min_link: u16::try_from(min_link).expect("a group has fewer than MAX_RADIX² links"),
-            size: u16::try_from(packet.size_phits).unwrap_or(u16::MAX),
         }
     }
 
@@ -161,9 +160,9 @@ impl RoutingAlgorithm {
     /// credits and link health, and every RNG draw.
     ///
     /// The head packet is behind an accessor, called only where a decision
-    /// reads it: the long way of a fired row, fault routing, a saturated
-    /// plan `size`, and a PB source head with room behind either first hop
-    /// ([`piggyback::decide`]). On a healthy router the planned output *is*
+    /// reads it: the long way of a fired row or fault routing, and a PB
+    /// source head with room behind either first hop
+    /// ([`piggyback::decide`]); its size is the configured one. On a healthy router the planned output *is*
     /// the decision for an ejection, a continuation, a head with no
     /// misroute family in scope and an adaptive head whose rows are all
     /// quiet (one counter read per row), and a PB source head blocked at
@@ -921,7 +920,6 @@ mod tests {
             u32::from(plan.min_link),
             topo.group_link_to(src_group, dst_group)
         );
-        assert_eq!(plan.size_phits(|| &p), 8);
         // MIN has no scope at all; a local head for this router ejects
         let min = RoutingAlgorithm::new(RoutingKind::Minimal, RoutingConfig::default());
         assert_eq!(min.plan(&r0, Port(0), &p).scope, HeadPlan::AT_SOURCE);

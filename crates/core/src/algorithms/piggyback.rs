@@ -44,11 +44,11 @@ pub(super) fn scope(router: &Router, packet: &Packet, at_source: bool) -> (u8, u
 /// in `plan`, its packet behind an accessor.
 ///
 /// A source head reads its packet only when either first hop has room
-/// for it (or its plan's size saturated): the draws, the blocked test and
-/// the fault checks need just the plan, the router's position and its
-/// credits — the destination group is where the plan's minimal link
-/// leads, and a head that has taken no hop uses
-/// [`FIRST_HOP_VC`] on every port class.
+/// for it: the draws, the blocked test and the fault checks need just the
+/// plan, the router's position and its credits — the destination group is
+/// where the plan's minimal link leads, every packet has the configured
+/// size, and a head that has taken no hop uses [`FIRST_HOP_VC`] on every
+/// port class.
 /// Past the source the packet is read only under faults.
 pub fn decide<'p>(
     plan: &HeadPlan,
@@ -61,7 +61,7 @@ pub fn decide<'p>(
 
 /// [`decide`] the long way: the destination group, the size and the
 /// Valiant first hop's VC read from the packet instead of derived from the
-/// plan — the reference debug builds replay a packet-free decision against.
+/// plan and the configuration — the reference debug builds replay a packet-free decision against.
 pub(super) fn decide_from_packet(
     plan: &HeadPlan,
     router: &Router,
@@ -134,7 +134,7 @@ fn rule<'p>(
             let p = packet();
             (vc_for_next_hop(p, class, router.config()), p.size_phits)
         } else {
-            (FIRST_HOP_VC, plan.size_phits(&packet))
+            (FIRST_HOP_VC, router.config().packet_size_phits)
         };
         if !router.output_can_accept(min_first_hop, minimal.output_vc, size)
             && !router.output_can_accept(val_first_hop, val_vc, size)

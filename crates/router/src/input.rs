@@ -51,8 +51,6 @@ pub struct HeadPlan {
     /// The group's minimal global link towards the destination group
     /// (under `GLOBAL_SCOPE`).
     pub min_link: u16,
-    /// Packet size in phits, saturating — see [`HeadPlan::size_phits`].
-    pub size: u16,
 }
 
 impl HeadPlan {
@@ -76,16 +74,6 @@ impl HeadPlan {
     #[inline]
     pub fn output(&self) -> Port {
         Port(u32::from(self.port))
-    }
-
-    /// Size of the head this plan was made for: from the plan unless the
-    /// stored value saturated — only then is `packet` called to read it.
-    #[inline]
-    pub fn size_phits<'p>(&self, packet: impl FnOnce() -> &'p Packet) -> u32 {
-        match self.size {
-            u16::MAX => packet().size_phits,
-            size => u32::from(size),
-        }
     }
 }
 
@@ -448,15 +436,14 @@ mod tests {
 
     #[test]
     fn plan_lifecycle() {
-        // one word beside the registrations, niche included
-        assert_eq!(std::mem::size_of::<Option<HeadPlan>>(), 8);
+        // six bytes beside the registrations, niche included
+        assert_eq!(std::mem::size_of::<Option<HeadPlan>>(), 6);
         let plan = HeadPlan {
             objective: PlannedObjective::Destination,
             scope: HeadPlan::AT_SOURCE | HeadPlan::GLOBAL_SCOPE,
             port: 5,
             vc: VcId(1),
             min_link: 3,
-            size: 8,
         };
         assert!(plan.has(HeadPlan::GLOBAL_SCOPE) && !plan.has(HeadPlan::LOCAL_SCOPE));
         assert_eq!(plan.output(), Port(5));
@@ -467,22 +454,11 @@ mod tests {
         vc.set_plan(plan);
         vc.push(&mut store, packet(2, 8), 32);
         assert_eq!(vc.plan(), Some(plan), "still the same head");
-        assert_eq!(
-            plan.size_phits(|| unreachable!("the plan holds the size")),
-            8
-        );
         pop(&mut vc, &mut store);
         assert_eq!(vc.plan(), None, "a new head has no plan");
         vc.set_plan(plan);
         vc.head_mut(&mut store).unwrap().routing.local_hops = 1;
         assert_eq!(vc.plan(), None, "a mutated head has no plan");
-        // a saturated size defers to the packet
-        let big = HeadPlan {
-            size: u16::MAX,
-            ..plan
-        };
-        let jumbo = packet(3, 70_000);
-        assert_eq!(big.size_phits(|| &jumbo), 70_000);
     }
 
     #[test]

@@ -412,13 +412,6 @@ impl Router {
         self.store.live()
     }
 
-    /// Total phits buffered in input VCs and output stages.
-    pub fn queued_phits(&self) -> u64 {
-        let inputs = self.vcs.iter().map(|vc| u64::from(vc.occupancy_phits()));
-        let stages = (self.outputs.iter()).map(|o| u64::from(o.buffer_occupancy_phits));
-        inputs.chain(stages).sum()
-    }
-
     // ------------------------------------------------------------------
     // Flow control entry points (called by the simulator)
     // ------------------------------------------------------------------
@@ -431,8 +424,14 @@ impl Router {
     }
 
     /// Deliver a packet into input VC `(port, vc)` (link arrival or
-    /// injection).
+    /// injection). Every packet has the configured size, which is what
+    /// lets plans, requests and the phit ledgers take it from the
+    /// configuration.
     pub fn receive_packet(&mut self, port: Port, vc: VcId, packet: Packet) {
+        debug_assert_eq!(
+            packet.size_phits, self.config.packet_size_phits,
+            "{packet:?} is not of the configured size"
+        );
         let p = port.index();
         let output = &self.outputs[p];
         let capacity = self.config.input_buffer_for(output.class);

@@ -6,9 +6,13 @@ use serde::{Deserialize, Serialize};
 
 /// Collects everything the experiments report. Counts the network holds
 /// are not kept here: generation is the nodes', in-flight the routers' and
-/// the links' (`Network::{generated_phits_total, in_flight}`).
+/// the links' (`Network::{generated_phits_total, in_flight}`). Every packet
+/// of a run has the configured size, so each phit count is its packet count
+/// times that size, and the window's delivery count is `latency`'s.
 #[derive(Debug, Clone)]
 pub struct Metrics {
+    /// The configured packet size (configuration, not run state).
+    packet_size_phits: u32,
     /// Cycle at which the measurement window opened (`None` while warming
     /// up).
     window_start: Option<Cycle>,
@@ -16,35 +20,27 @@ pub struct Metrics {
     /// instant); exported series times are relative to it.
     series_origin: i64,
     // ---- measurement window ----
-    delivered_packets: u64,
-    delivered_phits: u64,
     latency: RunningStats,
     hops: RunningStats,
     misrouted_global: u64,
     misrouted_local: u64,
     // ---- whole-run counters (used by the progress watchdog) ----
     delivered_packets_total: u64,
-    delivered_phits_total: u64,
     // ---- fault accounting (whole run) ----
     /// Packets lost to link failures, whatever the mechanism: in flight on
     /// the wire, staged in a dead link's output buffer, or discarded as
     /// unroutable. Together with `delivered` and `in-flight` these make
     /// packet conservation under faults a checkable equality.
     dropped_on_fault_packets: u64,
-    /// Phits of those dropped packets.
-    dropped_on_fault_phits: u64,
     /// Of the dropped packets, those that were staged in an output buffer
     /// behind a link when it failed (the serialisation buffer is lost with
     /// the link).
     dropped_staged_packets: u64,
     /// Of the dropped packets, those the routing layer discarded as
     /// unroutable (dead minimal continuation and no policy-legal live
-    /// alternative).
+    /// alternative). Unlike wire/staged drops these consumed no credits on
+    /// the dead link, so the lost-credit ledger bound excludes them.
     dropped_unroutable_packets: u64,
-    /// Phits of the unroutable discards. Unlike wire/staged drops these
-    /// consumed no credits on the dead link, so the lost-credit ledger
-    /// bound excludes them.
-    dropped_unroutable_phits: u64,
     /// Packets whose dead committed continuation was re-committed (replaced
     /// or abandoned) by the failure-aware routing layer.
     recommitted_packets: u64,
@@ -60,8 +56,6 @@ pub struct Metrics {
     /// (sends handed over, completion conditions unmet; summed over ranks.
     /// 0 without a workload).
     rank_stall_cycles: u64,
-    /// Workload steps every rank has passed (task layer; 0 without one).
-    task_steps_completed: u64,
     // ---- transient series ----
     latency_series: BinnedSeries,
     misroute_series: BinnedSeries,
@@ -93,29 +87,25 @@ pub struct WindowSummary {
 impl Metrics {
     /// Create a collector. `series_origin` is the cycle that becomes x = 0 in
     /// the transient time series (the traffic-change instant), and
-    /// `series_bin` the bin width in cycles.
-    pub fn new(series_origin: i64, series_bin: u64) -> Self {
+    /// `series_bin` the bin width in cycles; `packet_size_phits` is the
+    /// configured size of every packet.
+    pub fn new(series_origin: i64, series_bin: u64, packet_size_phits: u32) -> Self {
         Metrics {
+            packet_size_phits,
             window_start: None,
             series_origin,
-            delivered_packets: 0,
-            delivered_phits: 0,
             latency: RunningStats::new(),
             hops: RunningStats::new(),
             misrouted_global: 0,
             misrouted_local: 0,
             delivered_packets_total: 0,
-            delivered_phits_total: 0,
             dropped_on_fault_packets: 0,
-            dropped_on_fault_phits: 0,
             dropped_staged_packets: 0,
             dropped_unroutable_packets: 0,
-            dropped_unroutable_phits: 0,
             recommitted_packets: 0,
             stale_linkstate_cycles: 0,
             retargeted_packets: 0,
             rank_stall_cycles: 0,
-            task_steps_completed: 0,
             latency_series: BinnedSeries::new(series_origin, series_bin),
             misroute_series: BinnedSeries::new(series_origin, series_bin),
             latency_histogram: Histogram::new(0.0, 5_000.0, 500),
@@ -125,8 +115,6 @@ impl Metrics {
     /// Open the measurement window at `cycle` (typically after warm-up).
     pub fn start_measurement(&mut self, cycle: Cycle) {
         self.window_start = Some(cycle);
-        self.delivered_packets = 0;
-        self.delivered_phits = 0;
         self.latency = RunningStats::new();
         self.hops = RunningStats::new();
         self.misrouted_global = 0;
@@ -142,12 +130,9 @@ impl Metrics {
     /// Record a packet delivered to its destination node at `now`.
     pub fn record_delivery(&mut self, packet: &Packet, now: Cycle) {
         self.delivered_packets_total += 1;
-        self.delivered_phits_total += packet.size_phits as u64;
         let latency = (now - packet.generated_at) as f64;
         self.latency_series.record(now as i64, latency);
         if self.measuring() {
-            self.delivered_packets += 1;
-            self.delivered_phits += packet.size_phits as u64;
             self.latency.push(latency);
             self.hops.push(packet.hops() as f64);
             self.latency_histogram.record(latency);
@@ -169,25 +154,23 @@ impl Metrics {
 
     /// Record a packet dropped because its link failed while it was in
     /// flight (fault injection).
-    pub fn record_dropped_on_fault(&mut self, packet: &Packet) {
+    pub fn record_dropped_on_fault(&mut self) {
         self.dropped_on_fault_packets += 1;
-        self.dropped_on_fault_phits += packet.size_phits as u64;
     }
 
     /// Record a packet dropped because it was staged in an output buffer
     /// behind a link when the link failed (counts into the dropped-on-fault
     /// totals and the staged sub-counter).
-    pub fn record_dropped_staged(&mut self, packet: &Packet) {
-        self.record_dropped_on_fault(packet);
+    pub fn record_dropped_staged(&mut self) {
+        self.record_dropped_on_fault();
         self.dropped_staged_packets += 1;
     }
 
     /// Record a packet the routing layer discarded as unroutable (counts
     /// into the dropped-on-fault totals and the unroutable sub-counter).
-    pub fn record_dropped_unroutable(&mut self, packet: &Packet) {
-        self.record_dropped_on_fault(packet);
+    pub fn record_dropped_unroutable(&mut self) {
+        self.record_dropped_on_fault();
         self.dropped_unroutable_packets += 1;
-        self.dropped_unroutable_phits += packet.size_phits as u64;
     }
 
     /// Record a fault re-commit (a committed continuation replaced or
@@ -214,11 +197,6 @@ impl Metrics {
         self.rank_stall_cycles += ranks;
     }
 
-    /// Record a workload step every rank has now passed (task layer).
-    pub fn record_task_step_completed(&mut self) {
-        self.task_steps_completed += 1;
-    }
-
     /// Total packets delivered since the beginning of the run (not just the
     /// window); used by the progress watchdog.
     pub fn delivered_packets_total(&self) -> u64 {
@@ -227,7 +205,7 @@ impl Metrics {
 
     /// Total phits delivered since the beginning of the run.
     pub fn delivered_phits_total(&self) -> u64 {
-        self.delivered_phits_total
+        self.phits(self.delivered_packets_total)
     }
 
     /// Packets dropped by link failures since the beginning of the run.
@@ -237,7 +215,7 @@ impl Metrics {
 
     /// Phits dropped by link failures since the beginning of the run.
     pub fn dropped_on_fault_phits(&self) -> u64 {
-        self.dropped_on_fault_phits
+        self.phits(self.dropped_on_fault_packets)
     }
 
     /// Packets dropped from dead links' output stages (subset of
@@ -254,7 +232,7 @@ impl Metrics {
 
     /// Phits of the unroutable discards.
     pub fn dropped_unroutable_phits(&self) -> u64 {
-        self.dropped_unroutable_phits
+        self.phits(self.dropped_unroutable_packets)
     }
 
     /// Committed continuations re-committed around a dead link.
@@ -277,9 +255,9 @@ impl Metrics {
         self.rank_stall_cycles
     }
 
-    /// Workload steps every rank has passed (task layer).
-    pub fn task_steps_completed(&self) -> u64 {
-        self.task_steps_completed
+    /// Phits of `packets` packets of the configured size.
+    fn phits(&self, packets: u64) -> u64 {
+        packets * u64::from(self.packet_size_phits)
     }
 
     /// The latency histogram of the measurement window (records only while
@@ -289,35 +267,33 @@ impl Metrics {
         &self.latency_histogram
     }
 
-    /// Summarise the measurement window. `num_nodes` and `window_cycles`
-    /// convert the phit count into accepted load.
+    /// Summarise the measurement window.
     pub fn window_summary(&self) -> WindowSummary {
+        let delivered_packets = self.latency.count();
         WindowSummary {
-            delivered_packets: self.delivered_packets,
-            delivered_phits: self.delivered_phits,
+            delivered_packets,
+            delivered_phits: self.phits(delivered_packets),
             avg_packet_latency: self.latency.mean(),
             latency_ci95: self.latency.ci95_half_width(),
             p99_latency: self.latency_histogram.percentile(99.0),
             avg_hops: self.hops.mean(),
-            global_misroute_fraction: if self.delivered_packets == 0 {
+            global_misroute_fraction: if delivered_packets == 0 {
                 0.0
             } else {
-                self.misrouted_global as f64 / self.delivered_packets as f64
+                self.misrouted_global as f64 / delivered_packets as f64
             },
-            local_misroute_fraction: if self.delivered_packets == 0 {
+            local_misroute_fraction: if delivered_packets == 0 {
                 0.0
             } else {
-                self.misrouted_local as f64 / self.delivered_packets as f64
+                self.misrouted_local as f64 / delivered_packets as f64
             },
         }
     }
 
     /// Accepted load in phits/(node·cycle) over the measurement window.
     pub fn accepted_load(&self, num_nodes: u32, window_cycles: u64) -> f64 {
-        if window_cycles == 0 {
-            return 0.0;
-        }
-        self.delivered_phits as f64 / (num_nodes as f64 * window_cycles as f64)
+        let delivered = self.latency.count();
+        accepted_load(delivered, self.packet_size_phits, num_nodes, window_cycles)
     }
 
     /// Per-bin mean latency around the series origin (transient figures).
@@ -363,24 +339,18 @@ impl Metrics {
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         e.option(self.window_start, df_engine::Encoder::u64);
         e.i64(self.series_origin);
-        e.u64(self.delivered_packets);
-        e.u64(self.delivered_phits);
         self.latency.encode(e);
         self.hops.encode(e);
         e.u64(self.misrouted_global);
         e.u64(self.misrouted_local);
         e.u64(self.delivered_packets_total);
-        e.u64(self.delivered_phits_total);
         e.u64(self.dropped_on_fault_packets);
-        e.u64(self.dropped_on_fault_phits);
         e.u64(self.dropped_staged_packets);
         e.u64(self.dropped_unroutable_packets);
-        e.u64(self.dropped_unroutable_phits);
         e.u64(self.recommitted_packets);
         e.u64(self.stale_linkstate_cycles);
         e.u64(self.retargeted_packets);
         e.u64(self.rank_stall_cycles);
-        e.u64(self.task_steps_completed);
         self.latency_series.encode(e);
         self.misroute_series.encode(e);
         self.latency_histogram.encode(e);
@@ -405,31 +375,53 @@ impl Metrics {
             )));
         }
         self.window_start = window_start;
-        self.delivered_packets = d.u64()?;
-        self.delivered_phits = d.u64()?;
         self.latency = RunningStats::decode(d)?;
         self.hops = RunningStats::decode(d)?;
         self.misrouted_global = d.u64()?;
         self.misrouted_local = d.u64()?;
         self.delivered_packets_total = d.u64()?;
-        self.delivered_phits_total = d.u64()?;
         self.dropped_on_fault_packets = d.u64()?;
-        self.dropped_on_fault_phits = d.u64()?;
         self.dropped_staged_packets = d.u64()?;
         self.dropped_unroutable_packets = d.u64()?;
-        self.dropped_unroutable_phits = d.u64()?;
         self.recommitted_packets = d.u64()?;
         self.stale_linkstate_cycles = d.u64()?;
         self.retargeted_packets = d.u64()?;
         self.rank_stall_cycles = d.u64()?;
-        self.task_steps_completed = d.u64()?;
         let last_time = i64::try_from(now).map_err(|_| {
             df_engine::CodecError::Invalid(format!("snapshot cycle {now} out of range"))
         })?;
         self.latency_series.decode(d, last_time)?;
         self.misroute_series.decode(d, last_time)?;
-        self.latency_histogram.decode(d)
+        self.latency_histogram.decode(d)?;
+        // the window's delivery count is `latency`'s; its other records agree
+        let delivered = self.latency.count();
+        let (hops, histogram) = (self.hops.count(), self.latency_histogram.count());
+        let (global, local) = (self.misrouted_global, self.misrouted_local);
+        if hops != delivered || histogram != delivered || global.max(local) > delivered {
+            return Err(df_engine::CodecError::Invalid(format!(
+                "metrics window of {delivered} deliveries holds {hops} hop counts, \
+                 {histogram} histogram entries and {global}/{local} global/local misroutes"
+            )));
+        }
+        Ok(())
     }
+}
+
+/// Accepted load in phits/(node·cycle): `delivered_packets` packets of
+/// `packet_size_phits` phits over `num_nodes` nodes and `window_cycles`
+/// cycles (0 for an empty window) — the one formula behind a report's
+/// accepted load, measured or rebuilt from a sweep-journal record.
+pub(crate) fn accepted_load(
+    delivered_packets: u64,
+    packet_size_phits: u32,
+    num_nodes: u32,
+    window_cycles: u64,
+) -> f64 {
+    if window_cycles == 0 {
+        return 0.0;
+    }
+    let phits = delivered_packets * u64::from(packet_size_phits);
+    phits as f64 / (num_nodes as f64 * window_cycles as f64)
 }
 
 #[cfg(test)]
@@ -444,7 +436,7 @@ mod tests {
 
     #[test]
     fn deliveries_before_measurement_do_not_count_in_the_window() {
-        let mut m = Metrics::new(0, 10);
+        let mut m = Metrics::new(0, 10, 8);
         m.record_delivery(&packet(1, 0), 100);
         assert_eq!(m.delivered_packets_total(), 1);
         assert_eq!(m.window_summary().delivered_packets, 0);
@@ -458,7 +450,7 @@ mod tests {
 
     #[test]
     fn misroute_fractions() {
-        let mut m = Metrics::new(0, 10);
+        let mut m = Metrics::new(0, 10, 8);
         m.start_measurement(0);
         let mut a = packet(1, 0);
         a.routing.flags.global = true;
@@ -475,7 +467,7 @@ mod tests {
 
     #[test]
     fn accepted_load_normalises_by_nodes_and_cycles() {
-        let mut m = Metrics::new(0, 10);
+        let mut m = Metrics::new(0, 10, 8);
         m.start_measurement(0);
         for i in 0..10 {
             m.record_delivery(&packet(i, 0), 10);
@@ -487,7 +479,7 @@ mod tests {
 
     #[test]
     fn series_are_binned_around_the_origin() {
-        let mut m = Metrics::new(1_000, 50);
+        let mut m = Metrics::new(1_000, 50, 8);
         m.record_delivery(&packet(1, 900), 990); // bin -100..-50? latency 90 at t=990 → bin -50..0
         m.record_delivery(&packet(2, 1_000), 1_020);
         m.record_commit(1_010, true);
@@ -506,10 +498,10 @@ mod tests {
 
     #[test]
     fn fault_drop_subcounters_feed_the_conservation_totals() {
-        let mut m = Metrics::new(0, 10);
-        m.record_dropped_on_fault(&packet(1, 0)); // wire drop
-        m.record_dropped_staged(&packet(2, 0));
-        m.record_dropped_unroutable(&packet(3, 0));
+        let mut m = Metrics::new(0, 10, 8);
+        m.record_dropped_on_fault(); // wire drop
+        m.record_dropped_staged();
+        m.record_dropped_unroutable();
         assert_eq!(m.dropped_on_fault_packets(), 3);
         assert_eq!(m.dropped_on_fault_phits(), 24);
         assert_eq!(m.dropped_staged_packets(), 1);
@@ -519,7 +511,7 @@ mod tests {
 
     #[test]
     fn recommit_and_staleness_counters_accumulate() {
-        let mut m = Metrics::new(0, 10);
+        let mut m = Metrics::new(0, 10, 8);
         assert_eq!(m.recommitted_packets(), 0);
         assert_eq!(m.stale_linkstate_cycles(), 0);
         m.record_recommitted();

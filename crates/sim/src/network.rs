@@ -116,7 +116,6 @@ pub struct Network {
     next_packet_id: u64,
     metrics: Metrics,
     injected_packets_total: u64,
-    injected_phits_total: u64,
     last_delivery_cycle: Cycle,
     // ---- fault injection ----
     /// Whether any router has a link end down: the O(1) gate that keeps
@@ -242,7 +241,7 @@ impl Network {
             .first()
             .copied()
             .unwrap_or(config.warmup_cycles) as i64;
-        let metrics = Metrics::new(origin, 20);
+        let metrics = Metrics::new(origin, 20, config.network.packet_size_phits);
         // The wheel must cover the farthest schedule distance of any event:
         // packet serialisation plus the longest link latency plus the router
         // pipeline, with a little slack. Anything beyond spills to the
@@ -272,7 +271,6 @@ impl Network {
             next_packet_id: 0,
             metrics,
             injected_packets_total: 0,
-            injected_phits_total: 0,
             last_delivery_cycle: 0,
             any_link_down: false,
             fault_events,
@@ -357,15 +355,10 @@ impl Network {
         (buffered + self.events.packets().count()) as u64
     }
 
-    /// Phits currently inside the network, counted like
-    /// [`Network::in_flight`].
+    /// Phits currently inside the network: [`Network::in_flight`] packets
+    /// of the configured size.
     pub fn in_flight_phits(&self) -> u64 {
-        let on_links = self.events.packets().map(|p| p.size_phits as u64);
-        self.routers
-            .iter()
-            .map(Router::queued_phits)
-            .chain(on_links)
-            .sum()
+        self.in_flight() * self.packet_phits()
     }
 
     /// Packets handed to the routers' injection buffers since the beginning
@@ -377,7 +370,12 @@ impl Network {
 
     /// Phits injected since the beginning of the run.
     pub fn injected_phits_total(&self) -> u64 {
-        self.injected_phits_total
+        self.injected_packets_total * self.packet_phits()
+    }
+
+    /// The configured size of every packet, in phits.
+    fn packet_phits(&self) -> u64 {
+        u64::from(self.config.network.packet_size_phits)
     }
 
     /// Phits the nodes generated since the beginning of the run (stochastic
@@ -534,7 +532,7 @@ impl Network {
                         // exactly like in-flight drops
                         let dropped = self.routers[r.index()].drop_staged_for_dead_port(p);
                         for (packet, dst_vc) in dropped {
-                            self.metrics.record_dropped_staged(&packet);
+                            self.metrics.record_dropped_staged();
                             self.ledger_lost_credits(r, p, dst_vc, packet.size_phits);
                         }
                         let r = r.index();
@@ -666,7 +664,7 @@ impl Network {
                         // direction towards (router, port)
                         if let PortPeer::Router(upstream, up_port) = topo.peer(router, port) {
                             if !self.routers[upstream.index()].link_is_up(up_port) {
-                                self.metrics.record_dropped_on_fault(&packet);
+                                self.metrics.record_dropped_on_fault();
                                 self.ledger_lost_credits(upstream, up_port, vc, packet.size_phits);
                                 continue;
                             }
@@ -764,7 +762,6 @@ impl Network {
                 self.metrics.record_retargeted();
             }
             self.injected_packets_total += 1;
-            self.injected_phits_total += packet.size_phits as u64;
             self.heads.insert(router_id.index());
             router.receive_packet(port, vc, packet);
         });
@@ -1091,7 +1088,7 @@ mod tests {
         let terminals: Vec<Port> = Port::all(&layout)
             .filter(|port| port.class(&layout) == df_topology::PortClass::Terminal)
             .collect();
-        let mut waiting = 0;
+        let (mut waiting, size) = (0, net.config().network.packet_size_phits);
         for _ in 0..600 {
             net.step();
             for router in &net.routers {
@@ -1100,7 +1097,6 @@ mod tests {
                         let Some(plan) = router.input(port).vc(vc).plan() else {
                             continue;
                         };
-                        let size = u32::from(plan.size);
                         waiting += (plan.has(HeadPlan::AT_SOURCE)
                             && plan.has(HeadPlan::GLOBAL_SCOPE)
                             && !router.output_can_accept(plan.output(), plan.vc, size))

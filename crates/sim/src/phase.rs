@@ -22,9 +22,9 @@
 //! A head is decided from its [`HeadPlan`](df_router::HeadPlan) (parked on
 //! its input VC), the router's own counters, credits and link health, and
 //! the router's RNG. The head packet, in the router's slab, is read only
-//! where a decision needs it: to plan a new or restored head, on the long
-//! way (a fired row, a PB source head with room behind either first hop,
-//! fault routing) and for a plan whose `size` saturated. At saturation
+//! where a decision needs it: to plan a new or restored head, and on the
+//! long way (a fired row, a PB source head with room behind either first
+//! hop, fault routing). Its size is the configured one. At saturation
 //! most heads are settled or blocked, so most of the step never touches
 //! a packet.
 //!
@@ -193,7 +193,7 @@ pub(crate) fn route_and_allocate_one(
                 input_vc: vc,
                 output_port: decision.output_port,
                 output_vc: decision.output_vc,
-                size_phits: plan.size_phits(head),
+                size_phits: ctx.network.packet_size_phits,
             };
             if cfg!(debug_assertions) {
                 scratch.all_requests.push(request);
@@ -269,7 +269,7 @@ fn discard_one(
         packet.size_phits,
         fx.events,
     );
-    fx.metrics.record_dropped_unroutable(&packet);
+    fx.metrics.record_dropped_unroutable();
 }
 
 /// Schedule the credit return for `phits` freed in input buffer `(port,
@@ -435,7 +435,10 @@ mod tests {
             network,
         };
         let (mut rng, mut scratch) = (DeterministicRng::new(3), StepScratch::default());
-        let (mut events, mut metrics) = (EventQueue::new(), Metrics::new(0, 20));
+        let (mut events, mut metrics) = (
+            EventQueue::new(),
+            Metrics::new(0, 20, network.packet_size_phits),
+        );
         let mut fx = Effects {
             events: &mut events,
             metrics: &mut metrics,

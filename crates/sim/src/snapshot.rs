@@ -85,13 +85,15 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// per-rank compute clocks and one task section per job; v5 dropped the
 /// single-workload section, v6 stored every live fact once, v7 stored no
 /// derivable fact (fault facts replayed, counters recounted), v8 dropped a
-/// packet's never-set commit flag and a delivery's node, and v9 drops the
+/// packet's never-set commit flag and a delivery's node, v9 dropped the
 /// counts another ledger holds (the packets and phits in flight, the
-/// generated totals, each node's packet counts, a job's progress counts).
+/// generated totals, each node's packet counts, a job's progress counts),
+/// and v10 drops every phit count a packet count and the configured size
+/// give, the window's delivery count and the completed-step count.
 /// Older versions are refused by the frame's version check — there is no
 /// compatibility loader (the sweep service discards a stale checkpoint and
 /// re-runs the sub-run).
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -181,7 +183,6 @@ impl Network {
         e.usize(self.current_phase);
         e.u64(self.next_packet_id);
         e.u64(self.injected_packets_total);
-        e.u64(self.injected_phits_total);
         e.u64(self.last_delivery_cycle);
         // routers + their RNG streams
         e.seq(self.routers.len());
@@ -266,7 +267,6 @@ impl Network {
         }
         net.next_packet_id = d.u64()?;
         net.injected_packets_total = d.u64()?;
-        net.injected_phits_total = d.u64()?;
         net.last_delivery_cycle = d.u64()?;
         d.seq_exact(8, net.routers.len(), "router count")?;
         for router in &mut net.routers {

@@ -206,7 +206,7 @@ impl Job {
         }
         let mut woken = std::mem::take(&mut self.woken);
         for r in woken.drain() {
-            self.visit(r, now, nodes, metrics, next_packet_id);
+            self.visit(r, now, nodes, next_packet_id);
         }
         self.woken = woken;
         // stall: the rank handed everything to the network and is waiting
@@ -236,14 +236,7 @@ impl Job {
     /// has elapsed, and pass every step whose sends were all delivered and
     /// whose expected packets have all arrived (empty steps fall straight
     /// through, so a rank can cross several in one cycle).
-    fn visit(
-        &mut self,
-        r: usize,
-        now: Cycle,
-        nodes: &mut Nodes,
-        metrics: &mut Metrics,
-        next_packet_id: &mut u64,
-    ) {
+    fn visit(&mut self, r: usize, now: Cycle, nodes: &mut Nodes, next_packet_id: &mut u64) {
         let node_idx = self.node_of_rank[r] as usize;
         // a failed rank (or one on a draining router) makes no progress;
         // its peers will stall honestly waiting for it
@@ -292,7 +285,6 @@ impl Job {
             self.step_rank_done[step] += 1;
             if self.step_rank_done[step] == ranks {
                 self.step_completion_cycles[step] = Some(now);
-                metrics.record_task_step_completed();
             }
             self.cursor[r] += 1;
             self.enqueued[r] = false;
