@@ -118,10 +118,6 @@ impl Scale {
         }
     }
 
-    /// Topology family names [`Scale::from_arg_list`]'s `--topology=` flag
-    /// accepts.
-    pub const TOPOLOGY_NAMES: &'static [&'static str] = &["dragonfly", "megafly", "dragonfly+"];
-
     /// The scale's sizing as [`TopologyParams`] of the selected kind. The
     /// Dragonfly sizing doubles as the template: `--topology=megafly` maps
     /// `(p, a, h, groups)` onto a balanced `l = s = a` leaf/spine block with
@@ -214,16 +210,13 @@ impl Scale {
                 }
             }
             if let Some(name) = arg.strip_prefix("--topology=") {
-                kind = Some(match name {
-                    "dragonfly" => TopologyKind::Dragonfly,
-                    "megafly" | "dragonfly+" => TopologyKind::Megafly,
-                    other => {
-                        return Err(format!(
-                            "error: unrecognized topology '{other}' (valid topologies: {})",
-                            Self::TOPOLOGY_NAMES.join(", ")
-                        ))
-                    }
-                });
+                let Some(parsed) = TopologyKind::from_name(name) else {
+                    return Err(format!(
+                        "error: unrecognized topology '{name}' (valid topologies: {})",
+                        TopologyKind::NAMES.map(|(name, _)| name).join(", ")
+                    ));
+                };
+                kind = Some(parsed);
             } else if let Some(scale) = Self::from_name(arg) {
                 if let Some(first) = found.as_ref().filter(|f| f.name != scale.name) {
                     return Err(format!(

@@ -14,6 +14,7 @@ use df_traffic::PatternKind;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimulationConfig;
+use crate::metrics::accepted_load;
 use crate::network::Network;
 use crate::runner::run_subrun;
 
@@ -69,8 +70,7 @@ impl SteadyStateReport {
             routing: config.routing,
             pattern: config.schedule.phases()[0].pattern,
             offered_load: config.offered_load,
-            accepted_load: metrics
-                .accepted_load(net.topology().num_nodes(), config.measurement_cycles),
+            accepted_load: window_accepted_load(config, summary.delivered_packets),
             avg_packet_latency: summary.avg_packet_latency,
             latency_ci95: summary.latency_ci95,
             p99_latency: summary.p99_latency,
@@ -86,11 +86,11 @@ impl SteadyStateReport {
     }
 
     /// Append the measured (seed-dependent) fields as exact bit patterns —
-    /// the payload of a sweep-journal sub-run record. The identification
-    /// fields are not written: [`decode_measured`](Self::decode_measured)
-    /// regenerates them from the sub-run's configuration.
+    /// the payload of a sweep-journal sub-run record. No field the record's
+    /// configuration and seed index give is written: the identification
+    /// fields, the seed and the accepted load (the delivered packets over
+    /// the window) are rebuilt by [`decode_measured`](Self::decode_measured).
     pub(crate) fn encode_measured(&self, e: &mut Encoder) {
-        e.f64(self.accepted_load);
         e.f64(self.avg_packet_latency);
         e.f64(self.latency_ci95);
         e.f64(self.p99_latency);
@@ -101,20 +101,21 @@ impl SteadyStateReport {
         e.u64(self.dropped_on_fault_packets);
         e.u64(self.retargeted_packets);
         e.u64(self.injected_packets);
-        e.u64(self.seed);
     }
 
-    /// Inverse of [`encode_measured`](Self::encode_measured) for a sub-run of
-    /// the sweep point `config` (any of its seeds: the seed is measured).
+    /// Inverse of [`encode_measured`](Self::encode_measured) for seed
+    /// `seed_idx` of the sweep point `config`, whose seeds run consecutively
+    /// from its own.
     pub(crate) fn decode_measured(
         config: &SimulationConfig,
+        seed_idx: u64,
         d: &mut Decoder,
     ) -> Result<Self, CodecError> {
-        Ok(SteadyStateReport {
+        let mut report = SteadyStateReport {
             routing: config.routing,
             pattern: config.schedule.phases()[0].pattern,
             offered_load: config.offered_load,
-            accepted_load: d.f64()?,
+            accepted_load: 0.0,
             avg_packet_latency: d.f64()?,
             latency_ci95: d.f64()?,
             p99_latency: d.f64()?,
@@ -125,9 +126,18 @@ impl SteadyStateReport {
             dropped_on_fault_packets: d.u64()?,
             retargeted_packets: d.u64()?,
             injected_packets: d.u64()?,
-            seed: d.u64()?,
-        })
+            seed: config.seed + seed_idx,
+        };
+        report.accepted_load = window_accepted_load(config, report.delivered_packets);
+        Ok(report)
     }
+}
+
+/// Accepted load of `delivered_packets` over `config`'s measurement window.
+fn window_accepted_load(config: &SimulationConfig, delivered_packets: u64) -> f64 {
+    let nodes = config.topology.build().num_nodes();
+    let size = config.network.packet_size_phits;
+    accepted_load(delivered_packets, size, nodes, config.measurement_cycles)
 }
 
 /// Run `config`'s warm-up plus measurement window and report: one in-memory
@@ -363,10 +373,16 @@ mod tests {
         let mut e = Encoder::new();
         report.encode_measured(&mut e);
         let bytes = e.into_bytes();
-        assert_eq!(bytes.len(), 12 * 8, "record layout: 7 f64 + 5 u64");
+        assert_eq!(bytes.len(), 10 * 8, "record layout: 6 f64 + 4 u64");
         let mut d = Decoder::new(&bytes);
-        let decoded = SteadyStateReport::decode_measured(&config, &mut d).expect("decodes");
+        let decoded = SteadyStateReport::decode_measured(&config, 0, &mut d).expect("decodes");
         assert_bit_identical(&decoded, &report);
+        // the seed is the point's plus the index; the accepted load is
+        // rebuilt from the delivered packets, bit for bit
+        let mut d = Decoder::new(&bytes);
+        let third = SteadyStateReport::decode_measured(&config, 2, &mut d).expect("decodes");
+        assert_eq!(third.seed, config.seed + 2);
+        assert!(report.accepted_load > 0.0);
     }
 
     #[test]

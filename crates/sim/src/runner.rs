@@ -37,7 +37,9 @@
 //!
 //! Measured numbers ride through the journal as exact bit patterns (f64
 //! bits, `SteadyStateReport::encode_measured`), never through text, so
-//! recovery cannot introduce rounding drift.
+//! recovery cannot introduce rounding drift. A record holds no number its
+//! cell's configuration and seed index give: the seed and the accepted
+//! load (one formula over the delivered packets) are rebuilt on replay.
 //!
 //! [`run_steady_state`]: crate::experiment::run_steady_state
 //! [`run_sweep`]: crate::sweep::run_sweep
@@ -60,8 +62,10 @@ use crate::sweep::{matrix_cells, MatrixCell, ScenarioMatrix};
 
 /// Journal frame magic.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DFSWPJNL";
-/// Journal format version.
-pub const JOURNAL_VERSION: u32 = 1;
+/// Journal format version: v2 records store no field a sub-run's
+/// configuration and seed index give (its seed, its accepted load). An
+/// older journal is refused by the frame's version check.
+pub const JOURNAL_VERSION: u32 = 2;
 
 const RECORD_HEADER: u8 = 0;
 const RECORD_SUBRUN: u8 = 1;
@@ -261,7 +265,7 @@ fn read_journal(
                                 "sub-run ({cell}, {seed_idx}) outside the matrix"
                             ))
                         })?;
-                    let report = SteadyStateReport::decode_measured(config, d)?;
+                    let report = SteadyStateReport::decode_measured(config, seed_idx, d)?;
                     done.insert((cell, seed_idx), report);
                     Ok(None)
                 }
@@ -738,11 +742,12 @@ mod tests {
     }
 
     /// FNV-1a-64 of `journal.bin` for `small_matrix(2)` at one thread
-    /// without checkpoints (2,309 bytes: header + 16 sub-run records in
+    /// without checkpoints (2,053 bytes: header + 16 sub-run records in
     /// cell-major, seed-minor order), captured at the commit before the
     /// service pool became the only pool and re-captured when the fixed
     /// Table I settings left the configuration (each record's
-    /// configuration fingerprint hashes its `Debug` text). Holds as long as
+    /// configuration fingerprint hashes its `Debug` text) and when the
+    /// records stopped storing the seed and the accepted load. Holds as long as
     /// the record layout, the fingerprinted text, the claim order and every
     /// sub-run's numbers are unchanged.
     const FROZEN_JOURNAL_DIGEST: u64 = 0xD9B9_A26B_CDB0_3AA7;
@@ -760,7 +765,46 @@ mod tests {
             got, FROZEN_JOURNAL_DIGEST,
             "journal.bin digest {got:#018X} left the frozen reference {FROZEN_JOURNAL_DIGEST:#018X}"
         );
-        assert_eq!(JOURNAL_VERSION, 1);
+        assert_eq!(JOURNAL_VERSION, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_journal_is_refused_by_version_not_misread() {
+        // a v1 sub-run record carried the accepted load first and the seed
+        // last (7 f64 + 5 u64); read as v2 it would shift every field by
+        // one, so the frame's version check must stop it
+        let matrix = small_matrix(1);
+        let (_, configs) = matrix.validated_cells().expect("valid matrix");
+        let mut header = Encoder::new();
+        header.u8(RECORD_HEADER);
+        header.u64(matrix_fingerprint(1, &configs));
+        header.u64(configs.len() as u64);
+        header.u64(1);
+        let mut record = Encoder::new();
+        record.u8(RECORD_SUBRUN);
+        record.usize(0);
+        record.u64(0);
+        [0.25, 30.0, 1.0, 60.0, 3.0, 0.0, 0.0]
+            .into_iter()
+            .for_each(|x| record.f64(x));
+        [500, 0, 0, 520, 17].into_iter().for_each(|n| record.u64(n));
+        let dir = tmp_dir("v1_journal");
+        fs::create_dir_all(&dir).unwrap();
+        let v1 = [header, record]
+            .map(|e| e.finish_frame(JOURNAL_MAGIC, 1))
+            .concat();
+        fs::write(journal_path(&dir), &v1).unwrap();
+        let err = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).unwrap_err();
+        assert!(
+            err.contains("version 1") && err.contains("version 2"),
+            "the refusal names both versions: {err}"
+        );
+        assert_eq!(
+            fs::read(journal_path(&dir)).unwrap(),
+            v1,
+            "nothing appended"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -906,6 +906,43 @@ mod tests {
     }
 
     #[test]
+    fn forged_window_counts_are_refused() {
+        // `latency` holds the window's delivery count; the hop statistic and
+        // the histogram count the same deliveries, and neither misroute
+        // count can exceed them
+        let cfg = config(KernelMode::Optimized, 3);
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(100);
+        net.metrics_mut().start_measurement(100);
+        net.run_cycles(200);
+        let bytes = net.snapshot();
+        let delivered = net.metrics().window_summary().delivered_packets;
+        assert!(delivered > 0);
+        let payload = &bytes[20..bytes.len() - 8];
+        // the block leads with `Some(window start) | series origin`, then
+        // `latency` and `hops` (count first, 48 bytes each) and the two
+        // misroute counts
+        let window = [&[1u8][..], &100u64.to_le_bytes(), &100i64.to_le_bytes()].concat();
+        let latency = position(payload, &window) + window.len();
+        let (hops, global) = (latency + 48, latency + 96);
+        // the histogram's count follows its shape and under/overflow counts
+        let shape = [0.0f64, 5_000.0, 10.0].map(f64::to_le_bytes).concat();
+        let histogram = position(payload, &shape) + 24 + 16;
+        for (at, value, what) in [
+            (hops, delivered + 1, "hop count"),
+            (histogram, delivered - 1, "histogram count"),
+            (global, delivered + 1, "global misroutes"),
+            (global + 8, delivered + 1, "local misroutes"),
+        ] {
+            let frame = forged(&bytes, |p| {
+                p[at..at + 8].copy_from_slice(&value.to_le_bytes())
+            });
+            assert_invalid(&cfg, &frame, what);
+        }
+        assert!(Network::restore(cfg, &forged(&bytes, |_| {})).is_ok());
+    }
+
+    #[test]
     fn forged_liveness_journals_are_rejected() {
         // a down gateway link and a failed node put records in the truth map
         let base = config(KernelMode::Optimized, 13);

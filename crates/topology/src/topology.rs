@@ -68,14 +68,20 @@ impl TopologyKind {
         }
     }
 
-    /// Parse a CLI name. Returns `None` for unknown names (callers are
-    /// expected to abort loudly, matching the mistyped-scale behavior).
+    /// Every CLI name with the kind it selects: each kind's
+    /// [`name`](Self::name), then Megafly's `dragonfly+` synonym.
+    pub const NAMES: [(&'static str, TopologyKind); 3] = [
+        ("dragonfly", TopologyKind::Dragonfly),
+        ("megafly", TopologyKind::Megafly),
+        ("dragonfly+", TopologyKind::Megafly),
+    ];
+
+    /// Parse a CLI name (one of [`NAMES`](Self::NAMES)). Returns `None` for
+    /// unknown names (callers are expected to abort loudly, matching the
+    /// mistyped-scale behavior).
     pub fn from_name(name: &str) -> Option<TopologyKind> {
-        match name {
-            "dragonfly" | "df" => Some(TopologyKind::Dragonfly),
-            "megafly" | "mf" | "dragonfly+" => Some(TopologyKind::Megafly),
-            _ => None,
-        }
+        let found = Self::NAMES.iter().find(|(n, _)| *n == name);
+        found.map(|&(_, kind)| kind)
     }
 }
 
@@ -526,7 +532,7 @@ mod tests {
         for kind in TopologyKind::ALL {
             assert_eq!(TopologyKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(TopologyKind::from_name("df"), Some(TopologyKind::Dragonfly));
+        assert_eq!(TopologyKind::from_name("df"), None);
         assert_eq!(
             TopologyKind::from_name("dragonfly+"),
             Some(TopologyKind::Megafly)
