@@ -358,7 +358,7 @@ impl Network {
     /// Phits currently inside the network: [`Network::in_flight`] packets
     /// of the configured size.
     pub fn in_flight_phits(&self) -> u64 {
-        self.in_flight() * self.packet_phits()
+        self.in_flight() * u64::from(self.config.network.packet_size_phits)
     }
 
     /// Packets handed to the routers' injection buffers since the beginning
@@ -370,12 +370,7 @@ impl Network {
 
     /// Phits injected since the beginning of the run.
     pub fn injected_phits_total(&self) -> u64 {
-        self.injected_packets_total * self.packet_phits()
-    }
-
-    /// The configured size of every packet, in phits.
-    fn packet_phits(&self) -> u64 {
-        u64::from(self.config.network.packet_size_phits)
+        self.injected_packets_total * u64::from(self.config.network.packet_size_phits)
     }
 
     /// Phits the nodes generated since the beginning of the run (stochastic

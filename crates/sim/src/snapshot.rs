@@ -19,8 +19,8 @@
 //!
 //! * identity — a fingerprint of the configuration (kernel-normalised, so a
 //!   snapshot restores under either `KernelMode` value),
-//! * the clock, packet-id counter and the ledgers of what left the network
-//!   (injected, delivered and dropped totals),
+//! * the clock, packet-id counter and the ledgers of what entered and left
+//!   the network (injected, delivered and dropped packet totals),
 //! * every router's buffered state ([`df_router::Router::save_state`]:
 //!   queues and head registrations, output stages and credits, ECtN's
 //!   combined array, PB's masks, allocator pointers),
@@ -38,10 +38,13 @@
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns;
 //! a pending delivery's node (its packet's destination); every count
-//! another ledger holds — the packets and phits in flight (the routers'
-//! buffers and the pending link events), the generated totals (the nodes'
-//! counts, the packet ids) and a job's progress counts (its cursors and
-//! pending table); every fact of the fault plan — restore replays the events due before the
+//! another ledger holds — the packets in flight (the routers' buffers and
+//! the pending link events), the generated totals (the nodes' counts, the
+//! packet ids), the window's delivered packets (its latency statistic's
+//! count), the steps completed (the jobs' step completion cycles) and a
+//! job's progress counts (its cursors and pending table); every phit count
+//! but the nodes' generated ones (its packet count times the configured
+//! packet size, which every packet has); every fact of the fault plan — restore replays the events due before the
 //! snapshot's cycle through the kernel's own `apply_due_faults`, which sets
 //! the routers' link flags, the any-link-down gate, the drain flags, the
 //! gateway-liveness truth (records and version), the spare table and the

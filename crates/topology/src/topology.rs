@@ -80,8 +80,10 @@ impl TopologyKind {
     /// unknown names (callers are expected to abort loudly, matching the
     /// mistyped-scale behavior).
     pub fn from_name(name: &str) -> Option<TopologyKind> {
-        let found = Self::NAMES.iter().find(|(n, _)| *n == name);
-        found.map(|&(_, kind)| kind)
+        Self::NAMES
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, kind)| kind)
     }
 }
 
