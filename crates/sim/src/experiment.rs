@@ -383,6 +383,14 @@ mod tests {
         let third = SteadyStateReport::decode_measured(&config, 2, &mut d).expect("decodes");
         assert_eq!(third.seed, config.seed + 2);
         assert!(report.accepted_load > 0.0);
+        // a hostile delivered count rebuilds a load without overflowing
+        report.delivered_packets = u64::MAX;
+        let mut e = Encoder::new();
+        report.encode_measured(&mut e);
+        let bytes = e.into_bytes();
+        let mut d = Decoder::new(&bytes);
+        let huge = SteadyStateReport::decode_measured(&config, 0, &mut d).expect("decodes");
+        assert!(huge.accepted_load.is_finite());
     }
 
     #[test]

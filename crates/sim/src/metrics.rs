@@ -255,9 +255,10 @@ impl Metrics {
         self.rank_stall_cycles
     }
 
-    /// Phits of `packets` packets of the configured size.
+    /// Phits of `packets` packets of the configured size (a restored count
+    /// is outside input: saturating, never a panic).
     fn phits(&self, packets: u64) -> u64 {
-        packets * u64::from(self.packet_size_phits)
+        packets.saturating_mul(u64::from(self.packet_size_phits))
     }
 
     /// The latency histogram of the measurement window (records only while
@@ -420,8 +421,9 @@ pub(crate) fn accepted_load(
     if window_cycles == 0 {
         return 0.0;
     }
-    let phits = delivered_packets * u64::from(packet_size_phits);
-    phits as f64 / (num_nodes as f64 * window_cycles as f64)
+    // in f64, exact below 2^53 phits: a journal's count cannot overflow it
+    let phits = delivered_packets as f64 * f64::from(packet_size_phits);
+    phits / (num_nodes as f64 * window_cycles as f64)
 }
 
 #[cfg(test)]

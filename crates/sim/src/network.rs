@@ -370,7 +370,8 @@ impl Network {
 
     /// Phits injected since the beginning of the run.
     pub fn injected_phits_total(&self) -> u64 {
-        self.injected_packets_total * u64::from(self.config.network.packet_size_phits)
+        let size = u64::from(self.config.network.packet_size_phits);
+        self.injected_packets_total.saturating_mul(size)
     }
 
     /// Phits the nodes generated since the beginning of the run (stochastic
