@@ -162,12 +162,12 @@ impl RoutingAlgorithm {
     /// The head packet is behind an accessor, called only where a decision
     /// reads it: the long way of a fired row or fault routing, and a PB
     /// source head with room behind either first hop
-    /// ([`piggyback::decide`]); its size is the configured one. On a healthy router the planned output *is*
-    /// the decision for an ejection, a continuation, a head with no
-    /// misroute family in scope and an adaptive head whose rows are all
-    /// quiet (one counter read per row), and a PB source head blocked at
-    /// both first hops is decided from its draws, the plan and the
-    /// router's credits. Those are short cuts only: debug builds re-decide
+    /// ([`piggyback::decide`]); its size is the configured one. On a
+    /// healthy router the planned output *is* the decision for an
+    /// ejection, a continuation, a head with no misroute family in scope
+    /// and an adaptive head whose rows are all quiet (one counter read per
+    /// row), and a PB source head blocked at both first hops is decided
+    /// from its draws, the plan and the router's credits. Those are short cuts only: debug builds re-decide
     /// every head decided without its packet the long way, with the
     /// packet, on a cloned RNG — same decision, same draws.
     #[inline]

@@ -61,7 +61,8 @@ pub fn decide<'p>(
 
 /// [`decide`] the long way: the destination group, the size and the
 /// Valiant first hop's VC read from the packet instead of derived from the
-/// plan and the configuration — the reference debug builds replay a packet-free decision against.
+/// plan and the configuration — the reference debug builds replay a
+/// packet-free decision against.
 pub(super) fn decide_from_packet(
     plan: &HeadPlan,
     router: &Router,
