@@ -408,22 +408,16 @@ impl Metrics {
     }
 }
 
-/// Accepted load in phits/(node·cycle): `delivered_packets` packets of
-/// `packet_size_phits` phits over `num_nodes` nodes and `window_cycles`
-/// cycles (0 for an empty window) — the one formula behind a report's
-/// accepted load, measured or rebuilt from a sweep-journal record.
-pub(crate) fn accepted_load(
-    delivered_packets: u64,
-    packet_size_phits: u32,
-    num_nodes: u32,
-    window_cycles: u64,
-) -> f64 {
-    if window_cycles == 0 {
+/// Accepted load in phits/(node·cycle): `packets` delivered packets of
+/// `size` phits over `nodes` nodes and `cycles` cycles (0 for an empty
+/// window) — the one formula behind a report's accepted load, measured or
+/// rebuilt from a sweep-journal record.
+pub(crate) fn accepted_load(packets: u64, size: u32, nodes: u32, cycles: u64) -> f64 {
+    if cycles == 0 {
         return 0.0;
     }
     // in f64, exact below 2^53 phits: a journal's count cannot overflow it
-    let phits = delivered_packets as f64 * f64::from(packet_size_phits);
-    phits / (num_nodes as f64 * window_cycles as f64)
+    packets as f64 * f64::from(size) / (nodes as f64 * cycles as f64)
 }
 
 #[cfg(test)]
