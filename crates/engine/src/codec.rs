@@ -76,7 +76,7 @@ impl std::fmt::Display for CodecError {
             ),
             CodecError::UnsupportedVersion { supported, found } => write!(
                 f,
-                "unsupported snapshot version {found} (this build reads version {supported})"
+                "unsupported format version {found} (this build reads version {supported})"
             ),
             CodecError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -387,24 +387,6 @@ impl<'a> Decoder<'a> {
         }
         Ok(len)
     }
-
-    /// Read the length prefix of a sequence whose length the reader already
-    /// knows (the configuration fixes it): [`Decoder::seq`]'s allocation
-    /// guard, then `Invalid` naming `what` unless it is exactly `expected`.
-    pub fn seq_exact(
-        &mut self,
-        min_elem_bytes: usize,
-        expected: usize,
-        what: &str,
-    ) -> Result<(), CodecError> {
-        let len = self.seq(min_elem_bytes)?;
-        if len != expected {
-            return Err(CodecError::Invalid(format!(
-                "{what} mismatch: snapshot has {len}, expected {expected}"
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -545,40 +527,6 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert!(matches!(d.seq(8), Err(CodecError::Invalid(_))));
-    }
-
-    #[test]
-    fn seq_exact_accepts_only_the_expected_length() {
-        let mut e = Encoder::new();
-        e.seq(3);
-        e.u32(1);
-        e.u32(2);
-        e.u32(3);
-        let bytes = e.into_bytes();
-        assert!(Decoder::new(&bytes).seq_exact(4, 3, "widgets").is_ok());
-        // wrong length: rejected naming the field and both lengths
-        match Decoder::new(&bytes).seq_exact(4, 2, "widgets") {
-            Err(CodecError::Invalid(msg)) => {
-                assert!(
-                    msg.contains("widgets") && msg.contains("has 3") && msg.contains("expected 2")
-                )
-            }
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-        // absurd length: the allocation guard fires even when it is the
-        // expected one
-        let mut e = Encoder::new();
-        e.u64(u64::MAX);
-        let absurd = e.into_bytes();
-        let err = Decoder::new(&absurd).seq_exact(4, usize::MAX, "widgets");
-        assert!(matches!(err, Err(CodecError::Invalid(msg)) if msg.contains("cannot fit")));
-        // truncated prefix
-        let mut d = Decoder::new(&bytes[..5]);
-        assert!(matches!(
-            d.seq_exact(4, 3, "widgets"),
-            Err(CodecError::Truncated { .. })
-        ));
-        assert_eq!(d.position(), 0, "failed reads do not advance");
     }
 
     #[test]

@@ -142,41 +142,33 @@ impl Histogram {
         self.sum += other.sum;
     }
 
-    /// Serialize the histogram exactly (snapshot support).
+    /// Serialize the histogram exactly (snapshot support). The shape — range,
+    /// bin width and bin count — is the reader's, and the count is its
+    /// parts' sum, so neither is written.
     pub fn encode(&self, e: &mut Encoder) {
-        e.f64(self.low);
-        e.f64(self.high);
-        e.f64(self.bin_width);
         e.u64(self.underflow);
         e.u64(self.overflow);
-        e.u64(self.count);
         e.f64(self.sum);
-        e.seq(self.bins.len());
         for &b in &self.bins {
             e.u64(b);
         }
     }
 
     /// Decode [`encode`](Self::encode) output *into* this histogram, which
-    /// fixes the shape: range, bin width and bin count must be the ones it
-    /// was built with (a NaN bound matches nothing).
+    /// fixes the shape. The count is `underflow + overflow + Σ bins`, as
+    /// [`record`](Self::record) and [`merge`](Self::merge) keep it; a sum
+    /// past `u64` is `Invalid`.
     pub fn decode(&mut self, d: &mut Decoder) -> Result<(), CodecError> {
-        let shape = (d.f64()?, d.f64()?, d.f64()?);
-        if shape != (self.low, self.high, self.bin_width) {
-            return Err(CodecError::Invalid(format!(
-                "histogram shape mismatch: snapshot has [{}, {}) / bin width {}, \
-                 configured [{}, {}) / {}",
-                shape.0, shape.1, shape.2, self.low, self.high, self.bin_width
-            )));
-        }
         self.underflow = d.u64()?;
         self.overflow = d.u64()?;
-        self.count = d.u64()?;
         self.sum = d.f64()?;
-        d.seq_exact(8, self.bins.len(), "histogram bin count")?;
+        let mut count = self.underflow.checked_add(self.overflow);
         for bin in &mut self.bins {
             *bin = d.u64()?;
+            count = count.and_then(|c| c.checked_add(*bin));
         }
+        self.count = count
+            .ok_or_else(|| CodecError::Invalid("histogram counts overflow a u64".to_string()))?;
         Ok(())
     }
 }
@@ -283,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_round_trips_into_the_configured_shape_only() {
+    fn decode_round_trips_and_derives_the_count() {
         let mut h = Histogram::new(0.0, 10.0, 5);
         for x in [-1.0, 1.0, 1.5, 9.0, 42.0] {
             h.record(x);
@@ -292,7 +284,9 @@ mod tests {
         h.encode(&mut e);
         let bytes = e.into_bytes();
         let mut restored = Histogram::new(0.0, 10.0, 5);
-        restored.decode(&mut Decoder::new(&bytes)).unwrap();
+        let mut d = Decoder::new(&bytes);
+        restored.decode(&mut d).unwrap();
+        assert!(d.is_exhausted());
         assert_eq!(restored.bins(), h.bins());
         assert_eq!(
             (
@@ -303,18 +297,13 @@ mod tests {
             ),
             (h.underflow(), h.overflow(), h.count(), h.sum())
         );
-        // other range, other bin count (hence width), NaN bound
-        for mut other in [
-            Histogram::new(0.0, 20.0, 5),
-            Histogram::new(1.0, 10.0, 5),
-            Histogram::new(0.0, 10.0, 10),
-        ] {
-            let err = other.decode(&mut Decoder::new(&bytes));
-            assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
-        }
-        let mut nan = bytes.clone();
-        nan[..8].copy_from_slice(&f64::NAN.to_le_bytes());
-        let err = Histogram::new(0.0, 10.0, 5).decode(&mut Decoder::new(&nan));
+        // a forged bin moves the count with it; counts past u64 are refused
+        let mut forged = bytes.clone();
+        forged[24..32].copy_from_slice(&7u64.to_le_bytes());
+        restored.decode(&mut Decoder::new(&forged)).unwrap();
+        assert_eq!(restored.count(), 10);
+        forged[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = restored.decode(&mut Decoder::new(&forged));
         assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
     }
 }

@@ -89,36 +89,28 @@ impl BinnedSeries {
         self.bin_width
     }
 
-    /// Serialize the series exactly (snapshot support).
+    /// Serialize the series exactly (snapshot support): the first bin and
+    /// the bins, each its sum and count. The origin and bin width are the
+    /// reader's and are not written.
     pub fn encode(&self, e: &mut Encoder) {
-        e.i64(self.origin);
-        e.u64(self.bin_width);
         e.i64(self.start_bin);
         e.seq(self.sums.len());
         for &s in &self.sums {
             e.f64(s);
         }
-        e.seq(self.counts.len());
         for &c in &self.counts {
             e.u64(c);
         }
     }
 
     /// Decode [`encode`](Self::encode) output *into* this series, which
-    /// fixes the shape: origin and bin width must be the ones it was built
-    /// with, and the stored bins must lie inside the span observations at
-    /// times `0..=last_time` can occupy (so a later [`record`](Self::record)
-    /// never grows the series by more than the run's own length).
+    /// fixes the origin and bin width. The stored bins must lie inside the
+    /// span observations at times `0..=last_time` can occupy (so a later
+    /// [`record`](Self::record) never grows the series by more than the
+    /// run's own length).
     pub fn decode(&mut self, d: &mut Decoder, last_time: i64) -> Result<(), CodecError> {
-        let (origin, bin_width, start_bin) = (d.i64()?, d.u64()?, d.i64()?);
-        if (origin, bin_width) != (self.origin, self.bin_width) {
-            return Err(CodecError::Invalid(format!(
-                "binned series shape mismatch: snapshot has origin {origin} / bin width \
-                 {bin_width}, configured {} / {}",
-                self.origin, self.bin_width
-            )));
-        }
-        let n = d.seq(8)?;
+        let start_bin = d.i64()?;
+        let n = d.seq(16)?;
         let (lo, hi) = (self.bin_of(0), self.bin_of(last_time));
         let fits = match n {
             0 => start_bin == 0,
@@ -131,7 +123,6 @@ impl BinnedSeries {
             )));
         }
         self.sums = (0..n).map(|_| d.f64()).collect::<Result<_, _>>()?;
-        d.seq_exact(8, n, "binned series counts length")?;
         self.counts = (0..n).map(|_| d.u64()).collect::<Result<_, _>>()?;
         self.start_bin = start_bin;
         Ok(())
@@ -188,20 +179,17 @@ mod tests {
         assert_eq!(means[1], (1100, 5.0, 1));
     }
 
-    fn encoded(origin: i64, bin_width: u64, start_bin: i64, bins: &[(f64, u64)]) -> Vec<u8> {
+    fn encoded(start_bin: i64, bins: &[(f64, u64)]) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.i64(origin);
-        e.u64(bin_width);
         e.i64(start_bin);
         e.seq(bins.len());
         bins.iter().for_each(|b| e.f64(b.0));
-        e.seq(bins.len());
         bins.iter().for_each(|b| e.u64(b.1));
         e.into_bytes()
     }
 
     #[test]
-    fn decode_round_trips_into_the_configured_series_only() {
+    fn decode_round_trips_within_the_run() {
         let mut b = BinnedSeries::new(100, 10);
         b.record(3, 2.0); // bin -10
         b.record(250, 4.0); // bin 15
@@ -214,12 +202,7 @@ mod tests {
             restored.iter_means().collect::<Vec<_>>(),
             b.iter_means().collect::<Vec<_>>()
         );
-        // a collector configured differently refuses the same bytes
-        for mut other in [BinnedSeries::new(100, 20), BinnedSeries::new(0, 10)] {
-            let err = other.decode(&mut Decoder::new(&bytes), 250);
-            assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
-        }
-        // ...and so does one whose run is too short to have seen bin 15
+        // a run too short to have seen bin 15 refuses the bytes
         let err = BinnedSeries::new(100, 10).decode(&mut Decoder::new(&bytes), 200);
         assert!(matches!(err, Err(CodecError::Invalid(_))), "{err:?}");
     }
@@ -228,7 +211,7 @@ mod tests {
     fn decode_bounds_start_bin_and_length_by_the_run() {
         // times 0..=99 around origin 50, width 10: bins -5..=4
         let try_decode = |start_bin: i64, n: usize| {
-            let bytes = encoded(50, 10, start_bin, &vec![(1.0, 1); n]);
+            let bytes = encoded(start_bin, &vec![(1.0, 1); n]);
             BinnedSeries::new(50, 10).decode(&mut Decoder::new(&bytes), 99)
         };
         assert!(try_decode(-5, 10).is_ok());
@@ -251,7 +234,7 @@ mod tests {
         }
         // the first record after a restore at the edge grows by one bin, no more
         let mut b = BinnedSeries::new(50, 10);
-        b.decode(&mut Decoder::new(&encoded(50, 10, 4, &[(1.0, 1)])), 99)
+        b.decode(&mut Decoder::new(&encoded(4, &[(1.0, 1)])), 99)
             .unwrap();
         b.record(100, 3.0);
         assert_eq!(b.iter_means().count(), 2);

@@ -260,28 +260,26 @@ impl Allocator {
         grants
     }
 
-    /// Serialise the persistent round-robin pointers, each as a `usize`
-    /// (the scratch is at rest between iterations).
+    /// Serialise the persistent round-robin pointers, each as a `usize`,
+    /// one per port and stage (the scratch is at rest between iterations).
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         for stage in [IN, OUT] {
-            e.seq(self.ports.len());
             for slot in self.ports.iter() {
                 e.usize(usize::from(slot.rr[stage]));
             }
         }
     }
 
-    /// Restore the state written by [`Allocator::save_state`]. Pointer array
-    /// lengths must match the configured radix, and each pointer must be
-    /// one a grant can store: an input pointer below `max(radix, 8)`, an
-    /// output pointer below the radix.
+    /// Restore the state written by [`Allocator::save_state`] for the
+    /// configured radix. Each pointer must be one a grant can store: an
+    /// input pointer below `max(radix, 8)`, an output pointer below the
+    /// radix.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
         let radix = self.ports.len();
         for (stage, bound) in [(IN, radix.max(8)), (OUT, radix)] {
-            d.seq_exact(8, radix, "allocator pointer count")?;
             for slot in self.ports.iter_mut() {
                 slot.rr[stage] = match d.usize()? {
                     rr if rr < bound => rr as u8,
@@ -658,7 +656,6 @@ mod tests {
     fn restore_forged(input_rr: usize, output_rr: usize) -> Result<(), df_engine::CodecError> {
         let mut e = df_engine::Encoder::new();
         for last in [input_rr, output_rr] {
-            e.seq(4);
             for p in [1, 2, 0, last] {
                 e.usize(p);
             }

@@ -14,6 +14,11 @@
 //! Misrouting at injection is triggered when the combined counter of the
 //! minimal global link exceeds the (separate, higher) combined threshold.
 //!
+//! The combined array is a group fact: a broadcast installs one sum into
+//! every member, so all members hold the same copy. A simulation snapshot
+//! stores it once per group and installs it into every member on restore;
+//! the partial array is recounted from the restored head registrations.
+//!
 //! Since the failure-aware routing extension, the periodic broadcast
 //! additionally piggybacks **gateway-liveness bits** (network-wide link
 //! state, `df_topology::GatewayLiveness`) on the same messages and cadence
@@ -119,30 +124,6 @@ impl EctnState {
     /// Borrow the combined array.
     pub fn combined_array(&self) -> &[u32] {
         &self.combined
-    }
-
-    /// Serialise the combined array: the partial array counts the router's
-    /// registered heads, so [`crate::Router::restore_state`] recounts it.
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.combined.len());
-        for &c in &self.combined {
-            e.u32(c);
-        }
-    }
-
-    /// Restore the combined array written by [`EctnState::save_state`] (its
-    /// length must match the configured topology) and zero the partial
-    /// array for the caller's recount.
-    pub fn restore_state(
-        &mut self,
-        d: &mut df_engine::Decoder,
-    ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(4, self.combined.len(), "ECtN combined array length")?;
-        for c in &mut self.combined {
-            *c = d.u32()?;
-        }
-        self.partial.fill(0);
-        Ok(())
     }
 }
 

@@ -206,10 +206,9 @@ impl OutputRef<'_> {
 
     /// Serialise the persistent state of this port: per-VC credits, staged
     /// packets (with downstream VC and pipeline-ready cycle) and the link
-    /// busy horizon. Capacities and class are configuration and are not
-    /// written.
+    /// busy horizon. Capacities, class and VC count are configuration and
+    /// are not written.
     pub(crate) fn save_state(&self, store: &PacketStore, e: &mut df_engine::Encoder) {
-        e.seq(self.credits.len());
         for &c in self.credits {
             e.u32(c);
         }
@@ -341,7 +340,6 @@ impl OutputMut<'_> {
         let capacity = self.config.input_buffer_for(self.port.class);
         let buffer = self.config.buffers.output_buffer;
         let n = self.port.credit_range().len();
-        d.seq_exact(4, n, "output port VC count")?;
         let mut credits_total = 0;
         for (i, credit) in self.credits[self.port.credit_range()]
             .iter_mut()
@@ -606,7 +604,6 @@ mod tests {
         dst_vc: u8,
     ) -> Result<(), df_engine::CodecError> {
         let mut e = df_engine::Encoder::new();
-        e.seq(usize::from(vcs));
         for _ in 0..vcs {
             e.u32(credits);
         }

@@ -13,6 +13,11 @@
 //! decision live in `df-routing::algorithms::piggyback`, and the intra-group
 //! dissemination (with its one-local-hop delay) is driven by the simulator.
 //!
+//! Only the own flags are state. The group view is scratch: every exchange
+//! overwrites all of it from the members' own flags, and a restored
+//! simulator exchanges every group before its first routing decision, so a
+//! snapshot stores the own flags alone.
+//!
 //! Since the failure-aware routing extension, the PB exchange additionally
 //! piggybacks **gateway-liveness bits** (one bit per group-level global
 //! link, network-wide — see `df_topology::GatewayLiveness`): the same
@@ -94,32 +99,26 @@ impl PbState {
         self.group.iter().filter(|&&s| s).count() as f64 / self.group.len() as f64
     }
 
-    /// Serialise the own and group saturation masks.
+    /// Serialise the own saturation flags, one per own global link. The
+    /// group view is scratch and is not written: every exchange overwrites
+    /// it from the members' own flags.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.own.len());
         for &b in &self.own {
-            e.bool(b);
-        }
-        e.seq(self.group.len());
-        for &b in &self.group {
             e.bool(b);
         }
     }
 
-    /// Restore the state written by [`PbState::save_state`]. Both mask
-    /// lengths must match the configured topology.
+    /// Restore the own flags written by [`PbState::save_state`] and clear
+    /// the group view, which the group's next exchange rewrites before any
+    /// routing decision reads it.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(1, self.own.len(), "PB own mask length")?;
         for b in &mut self.own {
             *b = d.bool()?;
         }
-        d.seq_exact(1, self.group.len(), "PB group mask length")?;
-        for b in &mut self.group {
-            *b = d.bool()?;
-        }
+        self.group.fill(false);
         Ok(())
     }
 }

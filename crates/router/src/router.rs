@@ -888,29 +888,20 @@ impl Router {
 
     /// Serialise everything a restored router cannot rebuild from its
     /// configuration: input queues and head registrations, output stages
-    /// and credits, ECtN's combined array, PB's masks and the allocator's
-    /// round-robin pointers. Derived state is *not* written: restore
-    /// recounts the occupancy counters, the contention counters and ECtN's
-    /// partial array from the queues and registrations, and the simulator
-    /// replays its fault plan onto the link flags and re-installs the
-    /// gateway-liveness view from the router's group's flooded copy
-    /// ([`Router::install_link_view`]).
+    /// and credits, PB's own saturation flags and the allocator's
+    /// round-robin pointers. Every length is the configuration's and is not
+    /// written, nor is derived state: restore recounts the occupancy
+    /// counters, the contention counters and ECtN's partial array from the
+    /// queues and registrations, and the simulator replays its fault plan
+    /// onto the link flags, re-installs the gateway-liveness view from the
+    /// router's group's flooded copy ([`Router::install_link_view`]) and
+    /// ECtN's combined array from the one it stores per group. PB's group
+    /// view is scratch: the next exchange rewrites it from the own flags.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        let radix = self.num_ports();
-        e.seq(radix);
-        for p in 0..radix {
-            let input = self.input(Port(p as u32));
-            e.seq(input.num_vcs());
-            input
-                .vcs
-                .iter()
-                .for_each(|vc| vc.save_state(&self.store, e));
-        }
-        e.seq(radix);
-        for p in 0..radix {
+        self.vcs.iter().for_each(|vc| vc.save_state(&self.store, e));
+        for p in 0..self.num_ports() {
             self.output(Port(p as u32)).save_state(&self.store, e);
         }
-        self.ectn.save_state(e);
         self.pb.save_state(e);
         self.allocator.save_state(e);
     }
@@ -918,7 +909,8 @@ impl Router {
     /// Restore the state written by [`Router::save_state`] into a router
     /// of the *same* topology and configuration: the packet store is cleared
     /// first and refilled slot by slot. Occupancy, contention and ECtN
-    /// partial counters are recounted from the restored queues; the link
+    /// partial counters are recounted from the restored queues, and ECtN's
+    /// combined array is cleared for the simulator to install; the link
     /// flags are left as they are (the simulator set them).
     /// After an error the router is only fit to be dropped.
     pub fn restore_state(
@@ -928,25 +920,21 @@ impl Router {
         self.store = PacketStore::new();
         let (radix, ectn_links) = (self.num_ports(), self.ectn.num_links());
         let bounds = PacketBounds::new(&self.topo, self.config.packet_size_phits);
-        d.seq_exact(8, radix, "router input port count")?;
         for p in 0..radix {
             let output = &self.outputs[p];
             let capacity = self.config.input_buffer_for(output.class);
-            let vcs = &mut self.vcs[output.vcs()];
-            d.seq_exact(4, vcs.len(), "input port VC count")?;
-            for vc in vcs {
+            for vc in &mut self.vcs[output.vcs()] {
                 vc.restore_state(&mut self.store, d, capacity, (radix, ectn_links, &bounds))?;
             }
         }
-        d.seq_exact(8, radix, "router output port count")?;
         for p in 0..radix {
             self.output_at(p).restore_state(d, &bounds)?;
         }
-        self.ectn.restore_state(d)?;
         self.pb.restore_state(d)?;
         self.allocator.restore_state(d)?;
         // the counters count exactly the restored registrations
         self.contention = ContentionCounters::new(radix);
+        self.ectn = EctnState::new(ectn_links);
         for vc in self.vcs.iter() {
             if let Some(port) = vc.registered_min_output() {
                 self.contention.increment(port);

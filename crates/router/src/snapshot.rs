@@ -10,12 +10,11 @@
 use df_engine::{CodecError, Decoder, Encoder};
 use df_topology::{GatewayLiveness, Topology};
 
-/// Serialise a gateway-liveness map: `links_per_group | version | link
-/// records | node records`. The down marks are not written — they are the
-/// records with `up == false`.
+/// Serialise a gateway-liveness map: `version | link records | node
+/// records`. The links-per-group stamp is the topology's and the down marks
+/// are the records with `up == false`; neither is written.
 pub fn encode_gateway_liveness(view: &GatewayLiveness, e: &mut Encoder) {
-    let (links_per_group, version, link_records, node_records) = view.raw_parts();
-    e.u32(links_per_group);
+    let (version, link_records, node_records) = view.raw_parts();
     e.u64(version);
     for records in [link_records, node_records] {
         e.seq(records.len());
@@ -28,21 +27,13 @@ pub fn encode_gateway_liveness(view: &GatewayLiveness, e: &mut Encoder) {
 }
 
 /// Decode a gateway-liveness map written by [`encode_gateway_liveness`] for
-/// `topo`: the links-per-group stamp must match, and both record journals
-/// must be strictly sorted by key (lookups binary-search them) with every
-/// key inside the topology's link / node range.
+/// `topo`: both record journals must be strictly sorted by key (lookups
+/// binary-search them) with every key inside the topology's link / node
+/// range.
 pub fn decode_gateway_liveness(
     d: &mut Decoder,
     topo: &impl Topology,
 ) -> Result<GatewayLiveness, CodecError> {
-    let expected_links_per_group = topo.global_links_per_group();
-    let links_per_group = d.u32()?;
-    if links_per_group != expected_links_per_group {
-        return Err(CodecError::Invalid(format!(
-            "gateway liveness links-per-group mismatch: snapshot has \
-             {links_per_group}, topology has {expected_links_per_group}"
-        )));
-    }
     let version = d.u64()?;
     let mut records = |what: &str, num_keys: u32| -> Result<Vec<(u32, u64, bool)>, CodecError> {
         let journal = (0..d.seq(13)?)
@@ -57,10 +48,11 @@ pub fn decode_gateway_liveness(
         }
         Ok(journal)
     };
-    let link_records = records("link", topo.num_groups() * links_per_group)?;
+    let num_links = topo.num_groups() * topo.global_links_per_group();
+    let link_records = records("link", num_links)?;
     let node_records = records("node", topo.num_nodes())?;
     Ok(GatewayLiveness::from_raw_parts(
-        links_per_group,
+        topo,
         version,
         link_records,
         node_records,
@@ -97,13 +89,8 @@ mod tests {
 
     /// Hand-encode a map with the given journals (the layout of
     /// [`encode_gateway_liveness`]).
-    fn forged(
-        links_per_group: u32,
-        links: &[(u32, u64, bool)],
-        nodes: &[(u32, u64, bool)],
-    ) -> Vec<u8> {
+    fn forged(links: &[(u32, u64, bool)], nodes: &[(u32, u64, bool)]) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.u32(links_per_group);
         e.u64(9);
         for records in [links, nodes] {
             e.seq(records.len());
@@ -119,34 +106,31 @@ mod tests {
     #[test]
     fn foreign_unsorted_or_out_of_range_journals_are_rejected() {
         let topo = topo(); // 9 groups x 8 links = 72 link keys, 72 nodes
-        let lpg = topo.global_links_per_group();
         let ok = forged(
-            lpg,
             &[(3, 1, false), (71, 2, true)],
             &[(0, 3, false), (71, 4, false)],
         );
         assert!(decode_gateway_liveness(&mut Decoder::new(&ok), &topo).is_ok());
         for (what, bytes) in [
-            ("links-per-group", forged(999, &[], &[])),
             (
                 "unsorted links",
-                forged(lpg, &[(5, 1, false), (3, 2, false)], &[]),
+                forged(&[(5, 1, false), (3, 2, false)], &[]),
             ),
             (
                 "duplicate link key",
-                forged(lpg, &[(5, 1, false), (5, 2, true)], &[]),
+                forged(&[(5, 1, false), (5, 2, true)], &[]),
             ),
             (
                 "link key past the last group",
-                forged(lpg, &[(72, 1, false)], &[]),
+                forged(&[(72, 1, false)], &[]),
             ),
             (
                 "unsorted nodes",
-                forged(lpg, &[], &[(9, 1, false), (2, 2, false)]),
+                forged(&[], &[(9, 1, false), (2, 2, false)]),
             ),
             (
                 "node id past the last node",
-                forged(lpg, &[], &[(u32::MAX, 1, false)]),
+                forged(&[], &[(u32::MAX, 1, false)]),
             ),
         ] {
             let err = decode_gateway_liveness(&mut Decoder::new(&bytes), &topo);

@@ -335,11 +335,10 @@ impl Metrics {
     }
 
     /// Serialise the whole collector (counters, running statistics, series
-    /// and histogram). The series origin is written for validation only — it
-    /// is configuration (the traffic-change instant), not run state.
+    /// and histogram). The series origin and bin width and the histogram's
+    /// shape are configuration, not run state, and are not written.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         e.option(self.window_start, df_engine::Encoder::u64);
-        e.i64(self.series_origin);
         self.latency.encode(e);
         self.hops.encode(e);
         e.u64(self.misrouted_global);
@@ -359,23 +358,15 @@ impl Metrics {
 
     /// Restore the state written by [`Metrics::save_state`] at cycle `now`
     /// into the collector [`Metrics::new`] configured: the bytes fill it in,
-    /// they do not reshape it. The series origin and bin width and the
-    /// histogram range and bin count must match, and the series may only
-    /// hold bins a run of `now` cycles can have touched.
+    /// they do not reshape it. The series may only hold bins a run of `now`
+    /// cycles can have touched, and the window's records must agree with
+    /// its delivery count and the run's.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
         now: Cycle,
     ) -> Result<(), df_engine::CodecError> {
-        let window_start = d.option(df_engine::Decoder::u64)?;
-        let origin = d.i64()?;
-        if origin != self.series_origin {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "metrics series origin mismatch: snapshot has {origin}, config has {}",
-                self.series_origin
-            )));
-        }
-        self.window_start = window_start;
+        self.window_start = d.option(df_engine::Decoder::u64)?;
         self.latency = RunningStats::decode(d)?;
         self.hops = RunningStats::decode(d)?;
         self.misrouted_global = d.u64()?;
@@ -395,6 +386,7 @@ impl Metrics {
         self.misroute_series.decode(d, last_time)?;
         self.latency_histogram.decode(d)?;
         // the window's delivery count is `latency`'s; its other records agree
+        // and the run delivered at least as many
         let delivered = self.latency.count();
         let (hops, histogram) = (self.hops.count(), self.latency_histogram.count());
         let (global, local) = (self.misrouted_global, self.misrouted_local);
@@ -402,6 +394,12 @@ impl Metrics {
             return Err(df_engine::CodecError::Invalid(format!(
                 "metrics window of {delivered} deliveries holds {hops} hop counts, \
                  {histogram} histogram entries and {global}/{local} global/local misroutes"
+            )));
+        }
+        if self.delivered_packets_total < delivered {
+            return Err(df_engine::CodecError::Invalid(format!(
+                "metrics window of {delivered} deliveries in a run of {}",
+                self.delivered_packets_total
             )));
         }
         Ok(())

@@ -125,8 +125,8 @@ impl Node {
         s
     }
 
-    /// Serialise the node's persistent state: injector (RNG stream, load
-    /// override), source queue, VC round-robin pointer and generated phits.
+    /// Serialise the node's persistent state: injector (RNG stream, burst
+    /// state), source queue, VC round-robin pointer and generated phits.
     /// `owed` is how many of the ticks the injector's pending look-ahead
     /// reported have not elapsed yet (0 for a node ticked every cycle): the
     /// stream position written is the one a tick-every-cycle twin would hold
@@ -439,24 +439,36 @@ impl Nodes {
     }
 
     /// Serialise every node at the start of cycle `now` (see
-    /// [`Node::save_state`]).
+    /// [`Node::save_state`]), after the offered load they share: every node
+    /// starts at one load and [`Nodes::set_offered_load`] sets all of them.
     pub fn save_state(&self, e: &mut df_engine::Encoder, now: Cycle) {
-        e.seq(self.nodes.len());
+        let load = self.nodes[0].injector.offered_load();
+        debug_assert!(
+            (self.nodes.iter()).all(|n| n.injector.offered_load().to_bits() == load.to_bits()),
+            "the nodes' offered loads differ"
+        );
+        e.f64(load);
         for (idx, node) in self.nodes.iter().enumerate() {
             node.save_state(e, self.owed(idx, now));
         }
     }
 
-    /// Restore the state written by [`Nodes::save_state`] (every queued
-    /// packet fitting `bounds`) and rebuild the derived sets from it.
+    /// Restore the state written by [`Nodes::save_state`] (an offered load
+    /// in `[0, 1]`, every queued packet fitting `bounds`) and rebuild the
+    /// derived sets from it.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
         bounds: &PacketBounds,
     ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(8, self.nodes.len(), "node count")?;
+        let load = d.f64()?;
+        if !(0.0..=1.0).contains(&load) {
+            let what = format!("offered load {load} outside [0, 1]");
+            return Err(df_engine::CodecError::Invalid(what));
+        }
         for node in &mut self.nodes {
             node.restore_state(d, bounds)?;
+            node.set_offered_load(load);
         }
         self.rebuild_derived();
         Ok(())
@@ -579,7 +591,7 @@ mod tests {
 
     fn saved_twins(twins: &[Node]) -> Vec<u8> {
         let mut e = df_engine::Encoder::new();
-        e.seq(twins.len());
+        e.f64(twins[0].injector.offered_load());
         for twin in twins {
             twin.save_state(&mut e, 0);
         }

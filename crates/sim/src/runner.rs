@@ -248,7 +248,13 @@ fn read_journal(
     let mut rest = bytes;
     // `None` = torn tail: everything before it stands
     while let Some((mut d, tail)) = Decoder::split_frame(rest, JOURNAL_MAGIC, JOURNAL_VERSION)
-        .map_err(|e| format!("corrupt journal: {e}"))?
+        .map_err(|e| match e {
+            CodecError::UnsupportedVersion { supported, found } => format!(
+                "the journal has format version {found}, this build reads version \
+                 {supported}: remove the run directory and run the sweep again"
+            ),
+            e => format!("corrupt journal: {e}"),
+        })?
     {
         rest = tail;
         // Ok(Some(header)) for a header record, Ok(None) for a sub-run
@@ -635,8 +641,8 @@ mod tests {
     fn stale_and_forged_snapshots_are_discarded_and_the_cells_rerun() {
         // a run directory left behind by the previous snapshot format (a
         // frame stamped version 5) and one holding a checksummed frame whose
-        // histogram shape disagrees with the collector: both sub-runs start
-        // over and the table is the reference table
+        // injected-packet count disagrees with the other packet ledgers: both
+        // sub-runs start over and the table is the reference table
         let matrix = small_matrix(1);
         let reference = matrix_table("t", &run_matrix(&matrix, 2)).to_csv();
         let dir = tmp_dir("stale_snap");
@@ -649,12 +655,8 @@ mod tests {
         let mut v5 = snapshot_of(0);
         v5[8..12].copy_from_slice(&5u32.to_le_bytes());
         fs::write(dir.join("cell0_s0.snap"), &v5).unwrap();
-        let high = 5_000.0f64.to_le_bytes();
-        let forged = crate::network::snapshot::forged(&snapshot_of(1), |payload| {
-            let at = payload.windows(8).rposition(|w| w == high);
-            let at = at.expect("histogram upper bound");
-            payload[at..at + 8].copy_from_slice(&4_000.0f64.to_le_bytes());
-        });
+        // `fingerprint | cycle | next packet id | injected | ...`
+        let forged = crate::network::snapshot::forged(&snapshot_of(1), |payload| payload[24] ^= 1);
         assert!(
             Decoder::open_frame(&forged, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).is_ok(),
             "the frame itself is valid"
@@ -797,8 +799,11 @@ mod tests {
         fs::write(journal_path(&dir), &v1).unwrap();
         let err = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).unwrap_err();
         assert!(
-            err.contains("version 1") && err.contains("version 2"),
-            "the refusal names both versions: {err}"
+            err.contains("journal has format version 1")
+                && err.contains("reads version 2")
+                && err.contains("remove the run directory")
+                && !err.contains("corrupt"),
+            "the refusal names both versions and the remedy: {err}"
         );
         assert_eq!(
             fs::read(journal_path(&dir)).unwrap(),

@@ -22,10 +22,11 @@
 //! * the clock, packet-id counter and the ledgers of what entered and left
 //!   the network (injected, delivered and dropped packet totals),
 //! * every router's buffered state ([`df_router::Router::save_state`]:
-//!   queues and head registrations, output stages and credits, ECtN's
-//!   combined array, PB's masks, allocator pointers),
+//!   queues and head registrations, output stages and credits, PB's own
+//!   flags, allocator pointers), then ECtN's combined array once per group,
 //! * every router-stream and node-stream RNG (seed + xoshiro words),
-//! * every node's injector, source queue and generated phits,
+//! * the nodes' shared offered load, then every node's injector, source
+//!   queue and generated phits,
 //! * the metrics collector,
 //! * the pending link events in exact drain order,
 //! * the lost-credit ledger, the flooded group views (each as its record
@@ -36,12 +37,23 @@
 //!   the pending-packet table), so a snapshot can land mid-collective in any
 //!   job and resume bit-identically.
 //!
+//! The fingerprint is checked once, before any section is read, so the
+//! payload does not restate the configuration: no sequence whose length it
+//! fixes carries a length prefix (routers, ports, VCs, RNG streams, nodes,
+//! group views, jobs, ranks, histogram bins, a ledger entry's per-VC
+//! counts), and no shape it fixes is written (the series origins and bin
+//! widths, the histogram's range and bin width, a liveness view's
+//! links-per-group). Only lengths that vary — queues, pending events,
+//! ledger entries, liveness records, series bins — are prefixed.
+//!
 //! **Not** stored (derived on restore): topology, routing tables/patterns;
-//! a pending delivery's node (its packet's destination); every count
+//! the traffic phase (the one the last step ran in); a pending delivery's
+//! node (its packet's destination); every count
 //! another ledger holds — the packets in flight (the routers' buffers and
 //! the pending link events), the generated totals (the nodes' counts, the
 //! packet ids), the window's delivered packets (its latency statistic's
-//! count), the steps completed (the jobs' step completion cycles) and a
+//! count), a histogram's count (its bins and under/overflow), the steps
+//! completed (the jobs' step completion cycles) and a
 //! job's progress counts (its cursors and pending table); every phit count
 //! but the nodes' generated ones (its packet count times the configured
 //! packet size, which every packet has); every fact of the fault plan — restore replays the events due before the
@@ -52,8 +64,10 @@
 //! so the cursor counts the events before the snapshot's); the occupancy,
 //! contention and ECtN partial counters (recounted from the queues and head
 //! registrations); every router's gateway-liveness view (its group's
-//! flooded view, re-installed); the previous flooding round's views
-//! (scratch: a round overwrites every slot before it reads one); each
+//! flooded view, re-installed); PB's group views and the previous flooding
+//! round's views (scratch: the next exchange or round overwrites every slot
+//! before it reads one — restore leaves every group dirty, so the first
+//! step's PB exchange rewrites each view from the stored own flags); each
 //! liveness map's down marks (its records with `up == false`); the activity
 //! gates (the head and staged-router sets and the next-transmit cycles are
 //! recomputed from the routers, the queued-node set from the source queues,
@@ -66,9 +80,11 @@
 //! in any section, that does not fit the network ([`df_model::PacketBounds`]:
 //! a node, routing-state router or group or gateway port outside it, or
 //! another size than the configured one); a pending event that names a
-//! router, port or VC outside it; and a
+//! router, port or VC outside it; a
 //! lost-credit ledger entry that is not a link end the fault replay left
-//! down, with one count per downstream VC of that output.
+//! down; and packet ledgers that disagree (the injected packets are not the
+//! delivered, in-flight and fault-dropped ones, or the run delivered fewer
+//! than its window).
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, Packet, PacketBounds, VcId};
@@ -91,12 +107,14 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// packet's never-set commit flag and a delivery's node, v9 dropped the
 /// counts another ledger holds (the packets and phits in flight, the
 /// generated totals, each node's packet counts, a job's progress counts),
-/// and v10 drops every phit count a packet count and the configured size
-/// give, the window's delivery count and the completed-step count.
-/// Older versions are refused by the frame's version check — there is no
+/// v10 dropped every phit count a packet count and the configured size
+/// give, the window's delivery count and the completed-step count, and v11
+/// drops what the configuration fixes (length prefixes, shapes, the phase
+/// index), stores ECtN's combined array and the offered load once, and
+/// drops PB's group views. Older versions are refused by the frame's version check — there is no
 /// compatibility loader (the sweep service discards a stale checkpoint and
 /// re-runs the sub-run).
-pub const SNAPSHOT_VERSION: u32 = 10;
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -183,16 +201,23 @@ impl Network {
             .get_or_init(|| config_fingerprint(&self.config));
         e.u64(*fingerprint);
         e.u64(self.cycle);
-        e.usize(self.current_phase);
         e.u64(self.next_packet_id);
         e.u64(self.injected_packets_total);
         e.u64(self.last_delivery_cycle);
-        // routers + their RNG streams
-        e.seq(self.routers.len());
+        // routers, ECtN's combined array once per group (every member holds
+        // the group's one broadcast sum), the routers' RNG streams
         for router in &self.routers {
             router.save_state(&mut e);
         }
-        e.seq(self.router_rngs.len());
+        let group_size = self.ctx.topo.routers_per_group() as usize;
+        for group in self.routers.chunks(group_size) {
+            let combined = group[0].ectn().combined_array();
+            debug_assert!(
+                group.iter().all(|r| r.ectn().combined_array() == combined),
+                "a group's members hold different ECtN combined arrays"
+            );
+            combined.iter().for_each(|&c| e.u32(c));
+        }
         for rng in &self.router_rngs {
             let (seed, words) = rng.state();
             e.u64(seed);
@@ -214,12 +239,8 @@ impl Network {
         for (&(r, p), per_vc) in &self.lost_credits {
             e.u32(r);
             e.u32(p);
-            e.seq(per_vc.len());
-            for &c in per_vc {
-                e.u32(c);
-            }
+            per_vc.iter().for_each(|&c| e.u32(c));
         }
-        e.seq(self.group_views.len());
         for view in &self.group_views {
             encode_gateway_liveness(view, &mut e);
         }
@@ -256,26 +277,28 @@ impl Network {
         // cycle. Replayed on the fresh network, ahead of every section, the
         // side effects (staged-packet drops, lost-credit returns, pauses)
         // find nothing to act on; the flooding flags it clears are read
-        // below.
+        // below. The traffic phase is the one the last step ran in.
         if let Some(last) = net.cycle.checked_sub(1) {
             net.apply_due_faults(last);
-        }
-        net.current_phase = d.usize()?;
-        if net.current_phase >= net.patterns.len() {
-            return Err(CodecError::Invalid(format!(
-                "snapshot phase index {} out of range ({} phases)",
-                net.current_phase,
-                net.patterns.len()
-            )));
+            net.current_phase = net.config.schedule.phase_index_at(last);
         }
         net.next_packet_id = d.u64()?;
         net.injected_packets_total = d.u64()?;
         net.last_delivery_cycle = d.u64()?;
-        d.seq_exact(8, net.routers.len(), "router count")?;
         for router in &mut net.routers {
             router.restore_state(&mut d)?;
         }
-        d.seq_exact(40, net.router_rngs.len(), "router RNG count")?;
+        let topo = net.ctx.topo;
+        let group_size = topo.routers_per_group() as usize;
+        let mut combined = vec![0; topo.global_links_per_group() as usize];
+        for group in net.routers.chunks_mut(group_size) {
+            for c in &mut combined {
+                *c = d.u32()?;
+            }
+            group
+                .iter_mut()
+                .for_each(|r| r.ectn_mut().install_combined_from(&combined));
+        }
         for rng in &mut net.router_rngs {
             let seed = d.u64()?;
             let words = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
@@ -300,25 +323,21 @@ impl Network {
         net.events = EventQueue::rebuild(net.events.horizon(), net.cycle, pending);
         // a ledger entry waits for the `LinkUp` of a link end the replay
         // left down (only router-to-router links fail), one count per
-        // downstream VC
+        // downstream VC of that output
         for _ in 0..d.seq(12)? {
             let (r, p) = (RouterId(d.u32()?), Port(d.u32()?));
-            let per_vc: Vec<u32> = (0..d.seq(4)?).map(|_| d.u32()).collect::<Result<_, _>>()?;
             let vcs = (net.routers.get(r.index()))
                 .filter(|router| p.index() < router.num_ports() && !router.link_is_up(p))
                 .map(|router| router.output(p).num_downstream_vcs());
-            if vcs != Some(per_vc.len()) {
+            let Some(vcs) = vcs else {
                 return Err(CodecError::Invalid(format!(
-                    "lost-credit ledger entry for {r} port {} ({} VCs) is not a down \
-                     link end of that many VCs",
-                    p.0,
-                    per_vc.len()
+                    "lost-credit ledger entry for {r} port {} is not a down link end",
+                    p.0
                 )));
-            }
+            };
+            let per_vc = (0..vcs).map(|_| d.u32()).collect::<Result<_, _>>()?;
             net.lost_credits.insert((r.0, p.0), per_vc);
         }
-        let topo = net.ctx.topo;
-        d.seq_exact(28, net.group_views.len(), "group view count")?;
         for view in &mut net.group_views {
             *view = decode_gateway_liveness(&mut d, &topo)?;
         }
@@ -333,9 +352,23 @@ impl Network {
                 d.remaining()
             )));
         }
+        // every packet that entered the network was delivered, is in it or
+        // was dropped on a fault
+        let (injected, in_flight) = (net.injected_packets_total, net.in_flight());
+        let (delivered, dropped) = (
+            net.metrics.delivered_packets_total(),
+            net.metrics.dropped_on_fault_packets(),
+        );
+        if u128::from(injected)
+            != u128::from(delivered) + u128::from(in_flight) + u128::from(dropped)
+        {
+            return Err(CodecError::Invalid(format!(
+                "snapshot injected {injected} packets, but {delivered} were delivered, \
+                 {in_flight} are in flight and {dropped} were dropped"
+            )));
+        }
         // every router's liveness view is its group's flooded view (equal at
         // every step boundary — `Network::step` asserts it in debug builds)
-        let group_size = topo.routers_per_group() as usize;
         for (group, view) in net.routers.chunks_mut(group_size).zip(&net.group_views) {
             install_linkview_group(group, view);
         }
@@ -400,6 +433,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use df_model::NetworkConfig;
     use df_model::{Packet, PacketId};
+    use df_router::Router;
     use df_routing::RoutingKind;
     use df_topology::{DragonflyParams, GroupId, NodeId};
     use df_traffic::PatternKind;
@@ -432,36 +466,62 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
-        let cfg = config(KernelMode::Optimized, 11);
-        // uninterrupted reference run
-        let mut reference = Network::new(cfg.clone());
-        reference.run_cycles(100);
-        let start = reference.cycle();
-        reference.metrics_mut().start_measurement(start);
-        reference.run_cycles(400);
-        let drained_ref = reference.drain(100_000);
+        // the second cell checkpoints with PB saturation flags in its group
+        // views, which the snapshot does not store: the first exchange after
+        // the restore must rebuild every view the uninterrupted run holds
+        let saturated = SimulationConfig::builder()
+            .topology(DragonflyParams::small())
+            .network(NetworkConfig::paper_table1())
+            .routing(RoutingKind::PiggyBacking)
+            .pattern(PatternKind::Adversarial { offset: 1 })
+            .offered_load(0.9)
+            .seed(11)
+            .build()
+            .expect("valid configuration");
+        let views = |net: &Network| -> Vec<bool> {
+            let pb = net.routers.iter().map(Router::pb);
+            pb.flat_map(|pb| (0..pb.group_links() as u32).map(|l| pb.group_saturated(l)))
+                .collect()
+        };
+        for (cfg, checkpoint) in [(config(KernelMode::Optimized, 11), 137), (saturated, 300)] {
+            // uninterrupted reference run
+            let mut reference = Network::new(cfg.clone());
+            reference.run_cycles(100);
+            let start = reference.cycle();
+            reference.metrics_mut().start_measurement(start);
+            reference.run_cycles(400);
+            let drained_ref = reference.drain(100_000);
 
-        // interrupted run: snapshot mid-measurement, restore, finish
-        let mut first = Network::new(cfg.clone());
-        first.run_cycles(100);
-        let start = first.cycle();
-        first.metrics_mut().start_measurement(start);
-        first.run_cycles(137);
-        let bytes = first.snapshot();
-        let checkpoint = first.cycle();
-        drop(first);
+            // interrupted run: snapshot mid-measurement, restore, finish
+            let mut first = Network::new(cfg.clone());
+            first.run_cycles(100);
+            let start = first.cycle();
+            first.metrics_mut().start_measurement(start);
+            first.run_cycles(checkpoint);
+            let bytes = first.snapshot();
+            let checkpoint_cycle = first.cycle();
+            let mut resumed = Network::restore(cfg, &bytes).expect("snapshot restores");
+            assert_eq!(resumed.cycle(), checkpoint_cycle);
+            if checkpoint == 300 {
+                assert!(
+                    views(&first).contains(&true),
+                    "a saturated view flag is set"
+                );
+            }
+            first.step();
+            resumed.step();
+            assert_eq!(views(&resumed), views(&first), "cycle {checkpoint_cycle}");
+            drop(first);
+            resumed.run_cycles(400 - checkpoint - 1);
+            let drained_resumed = resumed.drain(100_000);
 
-        let mut resumed = Network::restore(cfg, &bytes).expect("snapshot restores");
-        assert_eq!(resumed.cycle(), checkpoint);
-        resumed.run_cycles(400 - 137);
-        let drained_resumed = resumed.drain(100_000);
-
-        assert_eq!(drained_ref, drained_resumed);
-        assert_eq!(end_state(&reference), end_state(&resumed));
-        assert_eq!(
-            reference.metrics().window_summary().avg_packet_latency,
-            resumed.metrics().window_summary().avg_packet_latency
-        );
+            assert_eq!(drained_ref, drained_resumed);
+            assert_eq!(end_state(&reference), end_state(&resumed));
+            assert_eq!(
+                reference.metrics().window_summary().avg_packet_latency,
+                resumed.metrics().window_summary().avg_packet_latency
+            );
+        }
     }
 
     #[test]
@@ -621,6 +681,7 @@ mod tests {
         );
         let packet = df_model::Packet::new(df_model::PacketId(0), NodeId(0), NodeId(9), 8, 0);
         net.routers[0].output_mut(port).accept(packet, VcId(0), 0);
+        net.injected_packets_total += 1;
         assert_invalid(
             &cfg,
             &net.snapshot(),
@@ -651,9 +712,10 @@ mod tests {
         let delivery = |node| Event::Delivery {
             packet: packet(node),
         };
-        let snapshot_with = |event| {
+        let snapshot_with = |event: Event| {
             let mut net = Network::new(cfg.clone());
             net.run_cycles(20);
+            net.injected_packets_total += u64::from(!matches!(event, Event::CreditReturn { .. }));
             net.events.schedule(21, event);
             net.snapshot()
         };
@@ -689,6 +751,7 @@ mod tests {
                 "output stage" => net.routers[0].output_mut(Port(3)).accept(p, VcId(0), 0),
                 _ => net.events.schedule(1, Event::Delivery { packet: p }),
             }
+            net.injected_packets_total += u64::from(section != "source queue");
             let snapshot = net.snapshot();
             assert!(
                 Network::restore(cfg.clone(), &snapshot).is_ok(),
@@ -747,10 +810,9 @@ mod tests {
     }
 
     /// A lost-credit ledger entry is returned at its link's `LinkUp`, so
-    /// one whose key is not a link end the fault replay leaves down, or
-    /// whose per-VC counts do not match that output, is refused: a 77-VC
-    /// entry panicked when its credits came back, and a key naming no link
-    /// was never removed.
+    /// one whose key is not a link end the fault replay leaves down is
+    /// refused: a key naming no link was never removed. Its per-VC counts
+    /// are as many as that output's VCs.
     #[test]
     fn forged_lost_credit_ledger_entries_are_refused() {
         let mut cfg = config(KernelMode::Optimized, 11);
@@ -766,7 +828,6 @@ mod tests {
             net.snapshot()
         };
         for (what, key, vcs) in [
-            ("77 VCs", (down_router, down_port), 77),
             ("no such router", (RouterId(9_999), down_port), 2),
             ("no such port", (down_router, Port(200)), 2),
             ("a terminal port", (down_router, Port(0)), 3),
@@ -848,23 +909,31 @@ mod tests {
         );
     }
 
+    /// Where `net`'s metrics section lies in `payload`.
+    fn metrics_section(net: &Network, payload: &[u8]) -> std::ops::Range<usize> {
+        let mut e = Encoder::new();
+        net.metrics.save_state(&mut e);
+        let section = e.into_bytes();
+        let at = position(payload, &section);
+        at..at + section.len()
+    }
+
     #[test]
     fn forged_metrics_shapes_are_rejected_not_adopted() {
         // the collector is configured by `Network::new` (series origin 100 =
-        // end of warm-up, 20-cycle bins, 500 bins over [0, 5000)); a
-        // checksummed frame that says otherwise must not reshape it
+        // end of warm-up, 20-cycle bins); a checksummed frame whose series
+        // holds bins the run cannot have touched must not reshape it
         let cfg = config(KernelMode::Optimized, 3);
         let mut net = Network::new(cfg.clone());
         net.run_cycles(90);
         let bytes = net.snapshot();
         assert!(net.metrics().delivered_packets_total() > 0);
         let payload = &bytes[20..bytes.len() - 8];
-
-        // both series lead with `origin | bin_width | start_bin`
-        let series = position(
-            payload,
-            &[100i64.to_le_bytes(), 20i64.to_le_bytes()].concat(),
-        );
+        // `None` (no window yet) | latency | hops | ten counts | the latency
+        // series, which leads with its start bin (the first delivery's, at
+        // a cycle in 20..40)
+        let series = metrics_section(&net, payload).start + 1 + 96 + 80;
+        assert_eq!(payload[series..series + 8], (-4i64).to_le_bytes());
         // times 0..=90 around origin 100 occupy bins -5..=-1
         for (start_bin, what) in [
             (i64::MAX, "start_bin i64::MAX"),
@@ -873,39 +942,25 @@ mod tests {
             (-6, "start_bin before cycle 0"),
         ] {
             let frame = forged(&bytes, |p| {
-                p[series + 16..series + 24].copy_from_slice(&start_bin.to_le_bytes())
+                p[series..series + 8].copy_from_slice(&start_bin.to_le_bytes())
             });
             assert_invalid(&cfg, &frame, what);
         }
-        let frame = forged(&bytes, |p| {
-            p[series + 8..series + 16].copy_from_slice(&40u64.to_le_bytes())
-        });
-        assert_invalid(&cfg, &frame, "re-binned series");
-
-        // the histogram leads with `low | high | bin_width`
-        let shape = [0.0f64, 5_000.0, 10.0].map(f64::to_le_bytes).concat();
-        let histogram = position(payload, &shape);
-        for (field, value, what) in [
-            (1, 4_000.0, "histogram range"),
-            (2, 20.0, "histogram bin width"),
-            (0, f64::NAN, "NaN bound"),
-        ] {
-            let at = histogram + 8 * field;
-            let frame = forged(&bytes, |p| {
-                p[at..at + 8].copy_from_slice(&f64::to_le_bytes(value))
-            });
-            assert_invalid(&cfg, &frame, what);
-        }
-        // dropping half the bins (and the length prefix with them)
-        let bins = histogram + 24 + 32;
-        let frame = forged(&bytes, |p| {
-            p[bins..bins + 8].copy_from_slice(&250u64.to_le_bytes());
-            p.drain(bins + 8 + 250 * 8..bins + 8 + 500 * 8);
-        });
-        assert_invalid(&cfg, &frame, "histogram bin count");
 
         // the untouched payload still restores through the same helper
         assert!(Network::restore(cfg, &forged(&bytes, |_| {})).is_ok());
+    }
+
+    /// A snapshot 300 cycles into a run with its window open at cycle 100,
+    /// and where its metrics section lies in the payload.
+    fn measured_snapshot(cfg: &SimulationConfig) -> (Network, Vec<u8>, std::ops::Range<usize>) {
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(100);
+        net.metrics_mut().start_measurement(100);
+        net.run_cycles(200);
+        let bytes = net.snapshot();
+        let section = metrics_section(&net, &bytes[20..bytes.len() - 8]);
+        (net, bytes, section)
     }
 
     #[test]
@@ -914,26 +969,18 @@ mod tests {
         // the histogram count the same deliveries, and neither misroute
         // count can exceed them
         let cfg = config(KernelMode::Optimized, 3);
-        let mut net = Network::new(cfg.clone());
-        net.run_cycles(100);
-        net.metrics_mut().start_measurement(100);
-        net.run_cycles(200);
-        let bytes = net.snapshot();
+        let (net, bytes, section) = measured_snapshot(&cfg);
         let delivered = net.metrics().window_summary().delivered_packets;
         assert!(delivered > 0);
-        let payload = &bytes[20..bytes.len() - 8];
-        // the block leads with `Some(window start) | series origin`, then
-        // `latency` and `hops` (count first, 48 bytes each) and the two
-        // misroute counts
-        let window = [&[1u8][..], &100u64.to_le_bytes(), &100i64.to_le_bytes()].concat();
-        let latency = position(payload, &window) + window.len();
-        let (hops, global) = (latency + 48, latency + 96);
-        // the histogram's count follows its shape and under/overflow counts
-        let shape = [0.0f64, 5_000.0, 10.0].map(f64::to_le_bytes).concat();
-        let histogram = position(payload, &shape) + 24 + 16;
+        // `Some(window start)`, then `latency` and `hops` (count first, 48
+        // bytes each) and the two misroute counts; the histogram's bins
+        // close the section
+        let (hops, global) = (section.start + 9 + 48, section.start + 9 + 96);
+        let bins = section.end - 500 * 8;
+        let first_bin = |p: &[u8]| u64::from_le_bytes(p[bins..bins + 8].try_into().unwrap());
         for (at, value, what) in [
             (hops, delivered + 1, "hop count"),
-            (histogram, delivered - 1, "histogram count"),
+            (bins, first_bin(&bytes[20..]) + 1, "histogram bin"),
             (global, delivered + 1, "global misroutes"),
             (global + 8, delivered + 1, "local misroutes"),
         ] {
@@ -943,6 +990,41 @@ mod tests {
             assert_invalid(&cfg, &frame, what);
         }
         assert!(Network::restore(cfg, &forged(&bytes, |_| {})).is_ok());
+    }
+
+    #[test]
+    fn forged_packet_ledgers_are_refused() {
+        // every packet that entered the network was delivered, is in it or
+        // was dropped, and the run delivered every packet of the window
+        let cfg = config(KernelMode::Optimized, 3);
+        let (net, bytes, section) = measured_snapshot(&cfg);
+        let total = net.metrics().delivered_packets_total();
+        let window = net.metrics().window_summary().delivered_packets;
+        assert!(net.in_flight() > 0 && total > window && window > 0);
+        let injected = net.injected_packets_total();
+        // `fingerprint | cycle | next packet id | injected | ...`; the run's
+        // delivery count follows the window block and the misroute counts
+        let delivered = section.start + 9 + 96 + 16;
+        let with = |fields: &[(usize, u64)]| {
+            forged(&bytes, |p| {
+                for &(at, value) in fields {
+                    p[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
+            })
+        };
+        // one row per check: the window check alone sees the second, whose
+        // ledgers still balance
+        let short = total - window + 1;
+        for (fields, what) in [
+            (vec![(24, injected + 1)], "an unaccounted packet"),
+            (
+                vec![(24, injected - short), (delivered, window - 1)],
+                "fewer run deliveries than window deliveries",
+            ),
+        ] {
+            assert_invalid(&cfg, &with(&fields), what);
+        }
+        assert!(Network::restore(cfg, &with(&[(24, injected), (delivered, total)])).is_ok());
     }
 
     #[test]
@@ -983,14 +1065,15 @@ mod tests {
         let first = e.into_bytes();
         let payload = &bytes[20..bytes.len() - 8];
         let at = position(payload, &first);
-        let (lpg, _, links, nodes) = view.raw_parts();
+        let (_, links, nodes) = view.raw_parts();
+        let lpg = topo.global_links_per_group();
         assert_eq!(
             (links.len(), nodes.len()),
             (2, 1),
             "both link ends and the node"
         );
         let with = |links: Vec<(u32, u64, bool)>, nodes: Vec<(u32, u64, bool)>| {
-            let mut section = first[..12].to_vec(); // links_per_group | version
+            let mut section = first[..8].to_vec(); // version
             let mut e = Encoder::new();
             for records in [links, nodes] {
                 e.seq(records.len());
@@ -1056,15 +1139,15 @@ mod tests {
         assert!(pending > 0 && !job.is_complete(), "checkpoint mid-script");
         assert!(job.steps_completed() > 0, "a step behind every rank");
 
-        // the task section closes the payload: `job count | rank count`,
-        // then per rank `cursor | enqueued | stalls | ready_at | recvs per
-        // step`, per step its completion cycle (optional) and the pending
-        // packets `id | src_rank | dst_rank | step`, ascending id
+        // the task section closes the payload: per rank `cursor | enqueued |
+        // stalls | ready_at | recvs per step`, per step its completion cycle
+        // (optional) and the pending packets `id | src_rank | dst_rank |
+        // step`, ascending id
         let payload = &bytes[20..bytes.len() - 8];
         let mut section = Encoder::new();
         engine.save_state(&mut section);
         let at = payload.len() - section.into_bytes().len();
-        let rank_at = |r: usize| at + 16 + r * (25 + 4 * steps);
+        let rank_at = |r: usize| at + r * (25 + 4 * steps);
         let end = payload.len();
         let last_step = u32::from_le_bytes(payload[end - 4..end].try_into().unwrap());
         let with = |offset: usize, value: &[u8]| {

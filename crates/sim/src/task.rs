@@ -374,7 +374,6 @@ impl Job {
     /// rebuilt from the configuration on restore, and the progress counts
     /// from the cursors and the pending table).
     fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.cursor.len());
         for r in 0..self.cursor.len() {
             e.usize(self.cursor[r]);
             e.bool(self.enqueued[r]);
@@ -402,7 +401,6 @@ impl Job {
     fn restore_state(&mut self, d: &mut df_engine::Decoder) -> Result<(), df_engine::CodecError> {
         let invalid = |what: String| Err(df_engine::CodecError::Invalid(what));
         let ranks = self.cursor.len();
-        d.seq_exact(9, ranks, "task rank count")?;
         for r in 0..ranks {
             self.cursor[r] = d.usize()?;
             if self.cursor[r] > self.steps_total {
@@ -564,9 +562,9 @@ impl JobsEngine {
     }
 
     /// Serialise every job's mutable execution state (job specifications
-    /// and scripts are rebuilt from the configuration on restore).
+    /// and scripts, hence the job and rank counts, are rebuilt from the
+    /// configuration on restore).
     pub(crate) fn save_state(&self, e: &mut df_engine::Encoder) {
-        e.seq(self.jobs.len());
         for job in &self.jobs {
             job.save_state(e);
         }
@@ -577,7 +575,6 @@ impl JobsEngine {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        d.seq_exact(16, self.jobs.len(), "job count")?;
         for job in &mut self.jobs {
             job.restore_state(d)?;
         }

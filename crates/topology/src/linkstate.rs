@@ -314,30 +314,26 @@ impl GatewayLiveness {
         self.links.down == other.links.down && self.nodes.down == other.nodes.down
     }
 
-    /// Everything a snapshot must carry, `(links_per_group, version, link
-    /// records, node records)`: the down marks are determined by the records
-    /// and are rebuilt by [`from_raw_parts`](Self::from_raw_parts).
+    /// Everything a snapshot must carry, `(version, link records, node
+    /// records)`: the links-per-group stamp is the topology's, and the down
+    /// marks are determined by the records; both are rebuilt by
+    /// [`from_raw_parts`](Self::from_raw_parts).
     #[allow(clippy::type_complexity)]
-    pub fn raw_parts(&self) -> (u32, u64, &[(u32, u64, bool)], &[(u32, u64, bool)]) {
-        (
-            self.links_per_group,
-            self.version,
-            &self.links.records,
-            &self.nodes.records,
-        )
+    pub fn raw_parts(&self) -> (u64, &[(u32, u64, bool)], &[(u32, u64, bool)]) {
+        (self.version, &self.links.records, &self.nodes.records)
     }
 
-    /// Rebuild a map from [`raw_parts`](Self::raw_parts) output. Both record
-    /// vectors must be strictly sorted by key, as a live map always holds
-    /// them (the snapshot decoder checks before calling).
+    /// Rebuild a map of `topo` from [`raw_parts`](Self::raw_parts) output.
+    /// Both record vectors must be strictly sorted by key, as a live map
+    /// always holds them (the snapshot decoder checks before calling).
     pub fn from_raw_parts(
-        links_per_group: u32,
+        topo: &impl Topology,
         version: u64,
         link_records: Vec<(u32, u64, bool)>,
         node_records: Vec<(u32, u64, bool)>,
     ) -> Self {
         GatewayLiveness {
-            links_per_group,
+            links_per_group: topo.global_links_per_group(),
             version,
             links: Keyspace::from_records(link_records),
             nodes: Keyspace::from_records(node_records),

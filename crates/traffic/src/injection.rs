@@ -196,6 +196,11 @@ impl Injector {
         self.kind
     }
 
+    /// The offered load, phits/(node·cycle).
+    pub fn offered_load(&self) -> f64 {
+        self.offered_load
+    }
+
     /// Change the offered load (phits/(node·cycle)) on the fly; used by
     /// phased scenarios and by [`drain`](../df_sim/struct.Network.html).
     ///
@@ -349,12 +354,13 @@ impl Injector {
     /// Serialize the injector's dynamic state (snapshot support). The
     /// static configuration — node, process kind, packet size — is not
     /// written: a restored injector is built from the run configuration
-    /// first, then continued from this state. A pending look-ahead must be
-    /// [`settle`](Self::settle)d (on a clone, for a `&self` capture) so the
-    /// stream position written is the true one.
+    /// first, then continued from this state. Nor is the offered load, which
+    /// every injector of a run shares: the caller stores it once and
+    /// [`set_offered_load`](Self::set_offered_load)s it back. A pending
+    /// look-ahead must be [`settle`](Self::settle)d (on a clone, for a
+    /// `&self` capture) so the stream position written is the true one.
     pub fn save_state(&self, e: &mut df_engine::Encoder) {
         debug_assert_eq!(self.lookahead, 0, "settle the look-ahead first");
-        e.f64(self.offered_load);
         let (seed, words) = self.rng.state();
         e.u64(seed);
         for w in words {
@@ -370,18 +376,11 @@ impl Injector {
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
-        let offered_load = d.f64()?;
-        if !(0.0..=1.0).contains(&offered_load) {
-            return Err(df_engine::CodecError::Invalid(format!(
-                "injector offered load {offered_load}"
-            )));
-        }
         let seed = d.u64()?;
         let mut words = [0u64; 4];
         for w in &mut words {
             *w = d.u64()?;
         }
-        self.offered_load = offered_load;
         self.rng = DeterministicRng::from_state(seed, words);
         self.on = d.bool()?;
         self.lookahead = 0;

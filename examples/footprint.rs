@@ -11,6 +11,12 @@
 //! short run of uniform traffic, where the packet slab and the
 //! gateway-liveness view have grown with the traffic; its last column is
 //! the length of the whole `Network::snapshot` divided by the router count.
+//! The third is the snapshot of the Table I network at low load (UN @ 0.01
+//! under Base, seed 5, 100 warm-up cycles then 300 measured): its bytes and
+//! the median of three encodes (`Network::snapshot`) and three restores
+//! (`Network::restore`, which builds the network first).
+
+use std::time::Instant;
 
 use contention_dragonfly::prelude::*;
 use contention_dragonfly::router::Footprint;
@@ -95,4 +101,53 @@ fn main() {
         let snapshot = net.snapshot().len() / routers;
         row(name, topo.layout().radix(), &mean, Some(snapshot));
     }
+
+    table1_snapshot();
+}
+
+/// The Table I snapshot row: bytes, bytes per router, and the median
+/// encode and restore times of three runs each.
+fn table1_snapshot() {
+    let config = SimulationConfig::builder()
+        .topology(DragonflyParams::paper_table1())
+        .network(NetworkConfig::paper_table1())
+        .routing(RoutingKind::Base)
+        .pattern(PatternKind::Uniform)
+        .offered_load(0.01)
+        .warmup_cycles(100)
+        .measurement_cycles(300)
+        .seed(5)
+        .build()
+        .expect("a valid configuration");
+    let mut net = Network::new(config.clone());
+    net.run_cycles(100);
+    net.metrics_mut().start_measurement(100);
+    net.run_cycles(300);
+    let bytes = net.snapshot();
+    let encode = median_ms(|| drop(net.snapshot()));
+    let restore = median_ms(|| {
+        drop(Network::restore(config.clone(), &bytes).expect("the snapshot restores"))
+    });
+    let routers = net.topology().num_routers() as usize;
+    println!("\nSnapshot after 100 + 300 cycles of UN @ 0.01 under Base (seed 5), median of 3\n");
+    println!("| scale | bytes | B/router | encode ms | restore ms |");
+    println!("|---|--:|--:|--:|--:|");
+    println!(
+        "| Table I | {} | {} | {encode:.1} | {restore:.1} |",
+        bytes.len(),
+        bytes.len() / routers
+    );
+}
+
+/// Median wall time of three calls of `run`, in milliseconds.
+fn median_ms(mut run: impl FnMut()) -> f64 {
+    let mut ms: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[1]
 }
