@@ -340,7 +340,14 @@ fn paper_scale_snapshot_resume_smoke() {
 /// (its injected and generated packet counts) and 24 for the in-flight
 /// packets and phits and the generated-phit total; version 10: each cell
 /// 56 bytes shorter — the window's delivered packets, five phit counts and
-/// the completed-step count). The last
+/// the completed-step count; version 11: each cell 7,940 bytes shorter — per
+/// router 208 (21 length prefixes, ECtN's 32-byte combined array and PB's
+/// 8-byte group view) less 288 for one combined array per group, and 740
+/// at network level: seven length prefixes (routers, RNG streams, nodes,
+/// group views, each series' counts, histogram bins), the phase index, 71
+/// of the 72 per-node offered loads, the series origin, each series'
+/// origin and bin width, the histogram's range, bin width and count, and
+/// nine 4-byte links-per-group stamps). The last
 /// cell sits at a load where nearly every injector is many cycles from its
 /// next packet: a wrong RNG stream position in a mid-look-ahead snapshot
 /// shows up here and nowhere else.
@@ -350,32 +357,32 @@ const PINNED_SNAPSHOTS: [(RoutingKind, PatternKind, f64, u64, usize, u64); 4] = 
         PatternKind::Uniform,
         0.05,
         137,
-        38_572,
-        0xE185_54D0_5656_6F98,
+        30_632,
+        0x804F_B478_0A6C_CBAC,
     ),
     (
         RoutingKind::PiggyBacking,
         PatternKind::Adversarial { offset: 1 },
         0.4,
         333,
-        61_940,
-        0xC0F6_5901_EBD4_9EBD,
+        54_000,
+        0x010D_4D6D_CF58_7482,
     ),
     (
         RoutingKind::Ectn,
         PatternKind::Adversarial { offset: 1 },
         0.4,
         250,
-        60_645,
-        0x4FB2_20A5_C30B_5CB2,
+        52_705,
+        0xDCE7_4BE1_BDC4_075F,
     ),
     (
         RoutingKind::Base,
         PatternKind::Uniform,
         0.01,
         599,
-        38_573,
-        0x5F2D_9043_18F5_F2B9,
+        30_633,
+        0x31CA_C154_662D_0720,
     ),
 ];
 
