@@ -398,7 +398,7 @@ impl Metrics {
         }
         if self.delivered_packets_total < delivered {
             return Err(df_engine::CodecError::Invalid(format!(
-                "metrics window of {delivered} deliveries in a run of {}",
+                "metrics window of {delivered} deliveries in a run that delivered {}",
                 self.delivered_packets_total
             )));
         }

@@ -111,9 +111,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// give, the window's delivery count and the completed-step count, and v11
 /// drops what the configuration fixes (length prefixes, shapes, the phase
 /// index), stores ECtN's combined array and the offered load once, and
-/// drops PB's group views. Older versions are refused by the frame's version check — there is no
-/// compatibility loader (the sweep service discards a stale checkpoint and
-/// re-runs the sub-run).
+/// drops PB's group views. Older versions are refused by the frame's
+/// version check — there is no compatibility loader (the sweep service
+/// discards a stale checkpoint and re-runs the sub-run).
 pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
@@ -359,8 +359,10 @@ impl Network {
             net.metrics.delivered_packets_total(),
             net.metrics.dropped_on_fault_packets(),
         );
-        if u128::from(injected)
-            != u128::from(delivered) + u128::from(in_flight) + u128::from(dropped)
+        if delivered
+            .checked_add(in_flight)
+            .and_then(|n| n.checked_add(dropped))
+            != Some(injected)
         {
             return Err(CodecError::Invalid(format!(
                 "snapshot injected {injected} packets, but {delivered} were delivered, \
