@@ -823,11 +823,19 @@ mod tests {
                         .restore_state(&mut df_engine::Decoder::new(&bytes))
                         .expect("a router restores its own snapshot");
                     // the simulator replays the link flags and installs the
-                    // view, neither of which a router snapshot holds
+                    // group facts — the link view, ECtN's combined array and
+                    // PB's group view — none of which a router snapshot holds
                     for p in Port::all(&topo.layout()) {
                         restored.set_link_up(p, built.link_is_up(p));
                     }
                     restored.install_link_view(built.link_view());
+                    let combined = built.ectn().combined_array();
+                    restored.ectn_mut().install_combined_from(combined);
+                    let pb = built.pb();
+                    let view: Vec<bool> = (0..pb.group_links() as u32)
+                        .map(|l| pb.group_saturated(l))
+                        .collect();
+                    restored.pb_mut().install_group_from(&view);
                     for _ in 0..8 {
                         let dst = NodeId(rng.index(topo.num_nodes() as usize) as u32);
                         let packet = Packet::new(PacketId(0), src, dst, 8, 0);
