@@ -30,7 +30,7 @@ pub mod timeseries;
 pub use bitset::BitSet;
 pub use codec::{CodecError, Decoder, Encoder};
 pub use histogram::Histogram;
-pub use rng::DeterministicRng;
+pub use rng::{failure_run_table, DeterministicRng};
 pub use stats::RunningStats;
 pub use table::Table;
 pub use timeseries::BinnedSeries;

@@ -23,28 +23,31 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// The raw draw at or above which a `bernoulli(p)` trial fails (`0 < p <
-/// 1`; see [`DeterministicRng::skip_bernoulli_failures`]).
+/// 1`): `uniform()` is `m · 2^-53` for the draw's top 53 bits, so
+/// `uniform() < p` is exactly `m < t = ceil(p · 2^53)` (scaling by a power
+/// of two is exact), and since `t ≤ 2^53 − 1` for every `p < 1`, exactly
+/// `draw < t · 2^11`.
 #[inline]
 fn failure_threshold(p: f64) -> u64 {
     debug_assert!(p > 0.0 && p < 1.0, "a trial that draws: 0 < p < 1");
     ((p * (1u64 << 53) as f64).ceil() as u64) << 11
 }
 
-/// Whether `rng`'s next trial fails, read without stepping.
-#[inline]
-fn fails(rng: &SmallRng, threshold: u64) -> bool {
-    rng.peek_u64() >= threshold
-}
-
-/// Step `rng` past failing trials until a success or `bound`, counting on
-/// from `failures`.
-#[inline]
-fn finish_failures(rng: &mut SmallRng, threshold: u64, mut failures: u32, bound: u32) -> u32 {
-    while failures < bound && fails(rng, threshold) {
-        rng.next_u64();
-        failures += 1;
-    }
-    failures
+/// The inverse-CDF table of a run of failing `bernoulli(p)` trials, for
+/// [`DeterministicRng::failure_run`] (`0 < p < 1`, geometric variates by
+/// inversion): entry `k − 1` is `S_k`, the number of the 2^64 raw draws that
+/// mean *at least `k` failures*, for `k` in `1..=bound`. `S_1 = 2^64 − t` is
+/// exactly the set of draws on which one `bernoulli(p)` trial fails, and
+/// each next entry is the previous one times `S_1 / 2^64`, rounded down by
+/// an integer multiply-high — `S_k ≈ 2^64 · (1 − p)^k`, descending, with no
+/// floating point past the single-trial threshold.
+pub fn failure_run_table(p: f64, bound: u32) -> Vec<u64> {
+    let fail = failure_threshold(p).wrapping_neg();
+    std::iter::successors(Some(fail), |&s| {
+        Some(((s as u128 * fail as u128) >> 64) as u64)
+    })
+    .take(bound as usize)
+    .collect()
 }
 
 /// A deterministic random number generator with named sub-streams.
@@ -101,46 +104,17 @@ impl DeterministicRng {
         }
     }
 
-    /// Consume up to `bound` failing [`bernoulli`](Self::bernoulli)`(p)`
-    /// trials, stopping *before* a success; returns how many (`0 < p < 1`).
-    /// A trial peeks its draw and steps only past a failure: `uniform()` is
-    /// `m · 2^-53` for the draw's top 53 bits, so `uniform() < p` is exactly
-    /// `m < t = ceil(p · 2^53)` (scaling by a power of two is exact), and
-    /// since `t ≤ 2^53 − 1` for every `p < 1`, exactly `draw < t · 2^11`.
+    /// How many `bernoulli(p)` trials in a row fail, counting from the next
+    /// one, up to `table.len()`, in one draw: `table` is
+    /// [`failure_run_table`]`(p, bound)`. A draw `v` means at least `k`
+    /// failures exactly when `!v < S_k`, so the count is `k` with
+    /// probability `(S_k − S_{k+1}) / 2^64` and `bound` (that many failures,
+    /// the run not over) with probability `S_bound / 2^64`. A count of 0 is
+    /// exactly the draws on which `bernoulli(p)` succeeds.
     #[inline]
-    pub fn skip_bernoulli_failures(&mut self, p: f64, bound: u32) -> u32 {
-        let mut rng = self.inner.clone();
-        let failures = finish_failures(&mut rng, failure_threshold(p), 0, bound);
-        self.inner = rng;
-        failures
-    }
-
-    /// [`skip_bernoulli_failures`](Self::skip_bernoulli_failures) on two
-    /// streams at once: both step in lock-step while both fail, then each
-    /// finishes alone. Returns each stream's count, and leaves each where
-    /// its own scan would; interleaving the two dependency chains is what
-    /// makes a pair cheaper than two scans.
-    #[inline]
-    pub fn skip_bernoulli_failures_pair(
-        a: &mut Self,
-        b: &mut Self,
-        p: f64,
-        bound: u32,
-    ) -> [u32; 2] {
-        let threshold = failure_threshold(p);
-        let (mut ra, mut rb) = (a.inner.clone(), b.inner.clone());
-        let mut both = 0;
-        while both < bound && fails(&ra, threshold) && fails(&rb, threshold) {
-            ra.next_u64();
-            rb.next_u64();
-            both += 1;
-        }
-        let failures = [
-            finish_failures(&mut ra, threshold, both, bound),
-            finish_failures(&mut rb, threshold, both, bound),
-        ];
-        (a.inner, b.inner) = (ra, rb);
-        failures
+    pub fn failure_run(&mut self, table: &[u64]) -> u32 {
+        let w = !self.inner.next_u64();
+        table.partition_point(|&s| s > w) as u32
     }
 
     /// Uniform integer in `[0, bound)`. `bound` must be non-zero.
@@ -259,27 +233,9 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.01, "rate {rate} too far from 0.3");
     }
 
-    /// The long way: `bernoulli(p)` on a clone, keeping each failure and
-    /// stopping before the first success or at `bound`.
-    fn failures_the_long_way(
-        rng: &DeterministicRng,
-        p: f64,
-        bound: u32,
-    ) -> (u32, DeterministicRng) {
-        let (mut at, mut failures) = (rng.clone(), 0);
-        while failures < bound {
-            let mut probe = at.clone();
-            if probe.bernoulli(p) {
-                break;
-            }
-            at = probe;
-            failures += 1;
-        }
-        (failures, at)
-    }
-
-    /// The trial probabilities the scans are checked at: the extremes (the
-    /// largest, `1 − 2^-53`, has the largest threshold `(2^53 − 1) · 2^11`),
+    /// The trial probabilities the failure runs are checked at: the extremes
+    /// (the largest, `1 − 2^-53`, has the largest threshold `(2^53 − 1) ·
+    /// 2^11`, so `S_1 = 2^11` and every later entry is 0),
     /// the loads the benchmark workloads run, and loads whose `p · 2^53` is
     /// an integer (the threshold is `p · 2^53` itself).
     fn trial_probabilities() -> Vec<f64> {
@@ -302,72 +258,89 @@ mod tests {
     }
 
     #[test]
-    fn skipping_failures_matches_bernoulli_trials_on_a_clone() {
-        let mut hit_bound = 0;
+    fn a_run_of_no_failures_is_exactly_a_bernoulli_success() {
+        let mut runs = [0u32; 2];
         for p in trial_probabilities() {
+            let table = failure_run_table(p, 256);
+            assert_eq!(table.len(), 256);
+            assert_eq!(table[0], failure_threshold(p).wrapping_neg(), "p {p}");
+            assert_eq!(
+                table[0],
+                (1u128 << 64).wrapping_sub(failure_threshold(p) as u128) as u64
+            );
+            assert!(table.windows(2).all(|w| w[0] >= w[1]), "p {p} descends");
             for seed in 0..64 {
                 let mut rng = DeterministicRng::new(seed).split(p.to_bits());
-                // walk a few runs in a row, so the scans start at varied states
-                for _ in 0..4 {
-                    let bound = if seed % 2 == 0 { 64 } else { 4_096 };
-                    let (failures, expected) = failures_the_long_way(&rng, p, bound);
-                    assert_eq!(
-                        rng.skip_bernoulli_failures(p, bound),
-                        failures,
-                        "p {p} seed {seed}"
-                    );
-                    assert_eq!(rng.state(), expected.state(), "p {p} seed {seed}");
-                    hit_bound += (failures == bound) as u32;
-                    if failures < bound {
-                        assert!(rng.bernoulli(p), "the trial after the run succeeds");
-                    }
+                for _ in 0..16 {
+                    let mut trial = rng.clone();
+                    let failures = rng.failure_run(&table);
+                    assert_eq!(trial.bernoulli(p), failures == 0, "p {p} seed {seed}");
+                    assert_eq!(trial.state(), rng.state(), "one draw either way");
+                    runs[(failures == 0) as usize] += 1;
                 }
             }
         }
-        assert!(
-            hit_bound > 100,
-            "the scan reached its bound {hit_bound} times"
-        );
+        assert!(runs.iter().all(|&n| n > 1_000), "runs {runs:?}");
+    }
+
+    /// The upper `1 − 3.4e-6` quantile of the chi-square law with `df`
+    /// degrees of freedom (Wilson–Hilferty, `z = 4.5`).
+    fn chi_square_bound(df: usize) -> f64 {
+        let (df, z) = (df as f64, 4.5);
+        let h = 2.0 / (9.0 * df);
+        df * (1.0 - h + z * h.sqrt()).powi(3)
     }
 
     #[test]
-    fn a_paired_scan_matches_two_single_scans_on_clones() {
-        // lanes: [stopped at the same index, one stopped at 0 and the
-        // other not, one reached the bound and the other not]
-        let mut lanes = [0u32; 3];
+    fn failure_runs_follow_the_truncated_geometric_law() {
+        const BOUND: u32 = 256;
+        const DRAWS: usize = 200_000;
         for p in trial_probabilities() {
-            for seed in 0..64u64 {
-                let root = DeterministicRng::new(seed).split(p.to_bits());
-                let (mut a, mut b) = (root.split(0), root.split(1));
-                // every fourth pair is a stream and its own clone: the two
-                // lanes stop together wherever they stop
-                if seed % 4 == 0 {
-                    b = a.clone();
-                }
-                // walk a few pairs of scans in a row, each at every bound
-                for bound in [0, 1, 64, 256].repeat(2) {
-                    let (mut single_a, mut single_b) = (a.clone(), b.clone());
-                    let expected = [
-                        single_a.skip_bernoulli_failures(p, bound),
-                        single_b.skip_bernoulli_failures(p, bound),
-                    ];
-                    let paired =
-                        DeterministicRng::skip_bernoulli_failures_pair(&mut a, &mut b, p, bound);
-                    let label = format!("p {p} seed {seed} bound {bound}");
-                    assert_eq!(paired, expected, "{label}");
-                    assert_eq!(a.state(), single_a.state(), "{label}");
-                    assert_eq!(b.state(), single_b.state(), "{label}");
-                    let [x, y] = paired;
-                    lanes[0] += (x == y && x < bound) as u32;
-                    lanes[1] += (x.min(y) == 0 && x.max(y) > 0) as u32;
-                    lanes[2] += (x.max(y) == bound && x.min(y) < bound) as u32;
-                    // step both past where they stopped, into fresh draws
-                    a.next_u64();
-                    b.next_u64();
+            let table = failure_run_table(p, BOUND);
+            let mut rng = DeterministicRng::new(3).split(p.to_bits());
+            let mut observed = vec![0u64; BOUND as usize + 1];
+            for _ in 0..DRAWS {
+                observed[rng.failure_run(&table) as usize] += 1;
+            }
+            // k failures then a success, or the whole bound without one
+            let law = |k: u32| match k {
+                BOUND => (1.0 - p).powi(BOUND as i32),
+                k => (1.0 - p).powi(k as i32) * p,
+            };
+            // merge neighbouring counts until each bin expects at least 5;
+            // a short tail joins the last bin
+            let mut bins: Vec<(f64, u64)> = Vec::new();
+            let mut open = (0.0, 0u64);
+            for k in 0..=BOUND {
+                open.0 += law(k) * DRAWS as f64;
+                open.1 += observed[k as usize];
+                if open.0 >= 5.0 {
+                    bins.push(std::mem::take(&mut open));
                 }
             }
+            match bins.last_mut() {
+                Some(last) => {
+                    last.0 += open.0;
+                    last.1 += open.1;
+                }
+                None => bins.push(open),
+            }
+            let chi2: f64 = (bins.iter())
+                .map(|&(e, o)| (o as f64 - e).powi(2) / e)
+                .sum();
+            // one bin (the smallest loads: every bin but the bound's expects
+            // under 5 draws) holds every draw and tests nothing
+            let df = bins.len() - 1;
+            let bound = if df == 0 {
+                f64::INFINITY
+            } else {
+                chi_square_bound(df)
+            };
+            assert!(
+                chi2 <= bound,
+                "p {p}: chi-square {chi2:.1} over {df} degrees of freedom exceeds {bound:.1}"
+            );
         }
-        assert!(lanes.iter().all(|&n| n > 100), "lanes {lanes:?}");
     }
 
     #[test]

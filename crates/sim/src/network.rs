@@ -445,7 +445,7 @@ impl Network {
     /// credits ledgered). The fault plan is not frozen: resume stepping and
     /// the remaining events fire at their scheduled cycles.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        self.nodes.set_offered_load(0.0, self.cycle);
+        self.nodes.set_offered_load(0.0);
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline && !self.drained() {
             self.step();
@@ -629,7 +629,7 @@ impl Network {
             let load = self.config.schedule.phases()[phase]
                 .load
                 .unwrap_or(self.config.offered_load);
-            self.nodes.set_offered_load(load, now);
+            self.nodes.set_offered_load(load);
         }
 
         // ---- 0.5. fault events ----
@@ -716,7 +716,7 @@ impl Network {
             );
         }
         let counts = &mut self.scratch.counts;
-        (counts.due_ticks, counts.lookahead_draws) = self.nodes.generate(
+        (counts.due_ticks, counts.gap_draws) = self.nodes.generate(
             now,
             &self.patterns[self.current_phase],
             &mut self.next_packet_id,
@@ -1423,7 +1423,7 @@ mod tests {
         assert_eq!(totals.steps, 300);
         assert!(Phase::ALL.iter().all(|&p| totals.us_per_step(p) >= 0.0));
         let c = totals.counts;
-        assert!(c.events > 0 && c.due_ticks > 0 && c.lookahead_draws > 0 && c.pb_refreshes > 0);
+        assert!(c.events > 0 && c.due_ticks > 0 && c.gap_draws > 0 && c.pb_refreshes > 0);
         assert!(c.heads >= c.requests && c.requests >= c.grants && c.grants > 0);
         assert!(c.transmit_visits >= c.senders && c.senders > 0);
     }

@@ -12,16 +12,15 @@
 //! over them proportional to what happens rather than to the node count —
 //! the nodes with a non-empty source queue (the only ones injection has to
 //! visit, a [`BitSet`] walked in ascending order), a wake-up calendar that
-//! hands out the nodes whose next tick is not already proved a failure by
-//! the Bernoulli look-ahead (see
+//! hands out the nodes whose next tick is not inside a Bernoulli gap (see
 //! [`df_traffic::injection`]), and a flag for the case where no injector
-//! can generate anything at all. A cycle's generation walks its due nodes
-//! twice: it ticks them all in ascending order (the order packet ids are
-//! numbered in), then looks ahead two at a time
-//! ([`Injector::look_ahead_pair`]) and files each in the calendar. None of
-//! it is simulation state: it is
-//! rebuilt from the nodes on construction and on restore, and a snapshot
-//! is byte-identical with or without it.
+//! can generate anything at all. A cycle's generation ticks its due nodes
+//! in ascending order (the order packet ids are numbered in) and files each
+//! past the gap its tick left ([`Injector::take_gap`]). The gaps are
+//! simulation state and are saved with the nodes (the calendar hands back
+//! what each still owes); the buckets are not: they are rebuilt from the
+//! nodes on construction and on restore, and a snapshot is byte-identical
+//! with or without them.
 //!
 //! [`BitSet`]: df_engine::BitSet
 
@@ -126,15 +125,12 @@ impl Node {
     }
 
     /// Serialise the node's persistent state: injector (RNG stream, burst
-    /// state), source queue, VC round-robin pointer and generated phits.
-    /// `owed` is how many of the ticks the injector's pending look-ahead
-    /// reported have not elapsed yet (0 for a node ticked every cycle): the
-    /// stream position written is the one a tick-every-cycle twin would hold
-    /// now.
+    /// state, gap), source queue, VC round-robin pointer and generated
+    /// phits. `owed` is how many ticks of the gap the calendar took out have
+    /// not elapsed yet (0 for a node ticked every cycle): the gap written is
+    /// the one a tick-every-cycle twin would hold now.
     pub fn save_state(&self, e: &mut df_engine::Encoder, owed: u32) {
-        let mut injector = self.injector.clone();
-        injector.settle(owed);
-        injector.save_state(e);
+        self.injector.save_state(e, owed);
         e.seq(self.source_queue.len());
         for p in &self.source_queue {
             p.encode(e);
@@ -144,7 +140,8 @@ impl Node {
     }
 
     /// Restore the state written by [`Node::save_state`] into a freshly
-    /// configured node whose queued packets must fit `bounds`.
+    /// configured node, already at the captured offered load, whose queued
+    /// packets must fit `bounds`.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
@@ -167,16 +164,17 @@ impl Node {
 /// the nodes on restore.
 ///
 /// The wake-up calendar files each node of a `Bernoulli` population at its
-/// next real tick, `now + look_ahead + 1`, in a ring of buckets longer than
-/// `LOOKAHEAD_BOUND + 1`; a cycle ticks its bucket, sorted (the order
-/// within a bucket's chain is not state). A paused node
-/// leaves it owing the rest of its look-ahead. A new, restored or
-/// load-changed population is *all due*: the next generation walks every
-/// unpaused node. `Ramp` and `Bursty` populations stay all due.
+/// next tick outside a gap, `now + gap + 1`, in a ring of buckets longer
+/// than `LOOKAHEAD_BOUND`; a cycle ticks its bucket, sorted (the order
+/// within a bucket's chain is not state). A paused node leaves it owing the
+/// rest of its gap. A new, restored or load-changed population is *all
+/// due*: the next generation walks every unpaused node (a restored gap is
+/// still in its injector, so that tick counts it down). `Ramp` and `Bursty`
+/// populations stay all due.
 pub(crate) struct Nodes {
     nodes: Vec<Node>,
-    /// Per node: its wake cycle while filed, or the ticks it owes while
-    /// paused (0 while all are due).
+    /// Per node: its wake cycle while filed, or the ticks of its gap it owes
+    /// while paused (0 while all are due).
     wake: Vec<Cycle>,
     /// Per node: generation paused (draining router or failed node).
     paused: Vec<bool>,
@@ -200,12 +198,11 @@ pub(crate) struct Nodes {
 const NO_NODE: u32 = u32::MAX;
 
 impl Nodes {
-    /// Wrap a freshly built or freshly restored population: no look-ahead
-    /// pending anywhere, all due, queued set and silence derived from the
-    /// nodes.
+    /// Wrap a freshly built or freshly restored population: nothing filed,
+    /// all due, queued set and silence derived from the nodes.
     pub fn new(nodes: Vec<Node>) -> Self {
         let bernoulli = (nodes.iter()).all(|n| n.injector.kind() == InjectionKind::Bernoulli);
-        let slots = bernoulli.then(|| (LOOKAHEAD_BOUND as usize + 2).next_power_of_two());
+        let slots = bernoulli.then(|| (LOOKAHEAD_BOUND as usize + 1).next_power_of_two());
         let mut this = Nodes {
             wake: vec![0; nodes.len()],
             paused: vec![false; nodes.len()],
@@ -249,8 +246,8 @@ impl Nodes {
         &self.nodes[idx]
     }
 
-    /// How many of the ticks node `idx`'s look-ahead reported have not
-    /// elapsed at the start of cycle `now`.
+    /// How many ticks of the gap the calendar took out of node `idx` have
+    /// not elapsed at the start of cycle `now`.
     fn owed(&self, idx: usize, now: Cycle) -> u32 {
         match (self.paused[idx], self.all_due) {
             (false, true) => 0,
@@ -273,14 +270,12 @@ impl Nodes {
         self.links[idx] = std::mem::replace(&mut self.links[head], idx as u32);
     }
 
-    /// Change every node's offered load (phase changes, drain) at the start
-    /// of cycle `now`. Pending look-aheads were drawn against the old load:
-    /// each stream is brought to its true position first, and all are due.
-    pub fn set_offered_load(&mut self, load: f64, now: Cycle) {
-        for idx in 0..self.nodes.len() {
-            let owed = self.owed(idx, now);
-            self.nodes[idx].injector.settle(owed);
-            self.nodes[idx].set_offered_load(load);
+    /// Change every node's offered load (phase changes, drain). The gaps
+    /// were drawn against the old load: each injector discards its own, the
+    /// calendar what it holds, and all are due.
+    pub fn set_offered_load(&mut self, load: f64) {
+        for node in &mut self.nodes {
+            node.set_offered_load(load);
         }
         self.make_all_due();
         self.silent = self.all_silent();
@@ -294,8 +289,8 @@ impl Nodes {
 
     /// Pause or resume node `idx`'s generation at the start of cycle `now`
     /// (draining router or failed node; idempotent). A paused node neither
-    /// ticks nor counts down, and resumes owing what it owed; its queued
-    /// packets still inject.
+    /// ticks nor counts its gap down, and resumes owing what it owed; its
+    /// queued packets still inject.
     pub fn set_paused(&mut self, idx: usize, paused: bool, now: Cycle) {
         if self.paused[idx] == paused {
             return;
@@ -316,10 +311,10 @@ impl Nodes {
     }
 
     /// This cycle's generation: tick the nodes filed at `now` (every unpaused
-    /// node while all are due) in ascending order, then file each again past
-    /// its look-ahead, two at a time. A silent population is not walked at
-    /// all. Returns how many nodes ticked and how many failing trials their
-    /// look-aheads skipped.
+    /// node while all are due) in ascending order, filing each again past
+    /// the gap its tick left. A silent population is not walked at all.
+    /// Returns how many nodes ticked and how many of the ticks drew a run of
+    /// failures (a gap).
     pub fn generate(
         &mut self,
         now: Cycle,
@@ -348,27 +343,16 @@ impl Nodes {
             due.sort_unstable();
         }
         // the ticks number the packets: ascending, as an every-node walk
+        let mut draws = 0;
         for &idx in &due {
-            if self.nodes[idx as usize].generate(now, pattern, next_packet_id) {
+            let node = &mut self.nodes[idx as usize];
+            draws += node.injector.draws_a_run() as u64;
+            if node.generate(now, pattern, next_packet_id) {
                 self.queued.insert(idx as usize);
             }
-        }
-        // the look-aheads read only their own streams: any order will do
-        let mut draws = 0;
-        if calendar {
-            let mut pairs = due.chunks_exact(2);
-            for pair in &mut pairs {
-                let (a, b) = (pair[0] as usize, pair[1] as usize);
-                let (low, high) = self.nodes.split_at_mut(b);
-                let quiet = Injector::look_ahead_pair(&mut low[a].injector, &mut high[0].injector);
-                self.file(a, now + quiet[0] as Cycle + 1);
-                self.file(b, now + quiet[1] as Cycle + 1);
-                draws += (quiet[0] + quiet[1]) as u64;
-            }
-            for &idx in pairs.remainder() {
-                let quiet = self.nodes[idx as usize].injector.look_ahead();
-                self.file(idx as usize, now + quiet as Cycle + 1);
-                draws += quiet as u64;
+            if calendar {
+                let gap = node.injector.take_gap();
+                self.file(idx as usize, now + gap as Cycle + 1);
             }
         }
         let ticks = due.len() as u64;
@@ -467,8 +451,8 @@ impl Nodes {
             return Err(df_engine::CodecError::Invalid(what));
         }
         for node in &mut self.nodes {
-            node.restore_state(d, bounds)?;
             node.set_offered_load(load);
+            node.restore_state(d, bounds)?;
         }
         self.rebuild_derived();
         Ok(())
@@ -565,8 +549,7 @@ mod tests {
 
     // ---- Nodes: the derived sets against a plain every-node walk ----
 
-    /// An odd population: with one node paused, the due lists run odd and
-    /// even, so the paired look-ahead walk leaves a node out on some cycles.
+    /// A small population, some of it paused at times.
     const POPULATION: usize = 13;
 
     fn population(injection: InjectionKind, load: f64) -> Vec<Node> {
@@ -600,31 +583,30 @@ mod tests {
 
     /// Drive a population of `injection` injectors through the calendar and
     /// a twin population ticked every cycle, through overlapping pauses,
-    /// load changes (to zero and back, mid-look-ahead) and two mid-run
-    /// restores, comparing the saved state after every cycle. Returns how
-    /// many cycles ticked an odd number of nodes.
-    fn assert_calendar_matches_twins(injection: InjectionKind) -> u32 {
+    /// load changes (to zero and back, mid-gap) and two mid-run restores,
+    /// comparing the saved state after every cycle: the same packets, the
+    /// same streams and the same gaps, bit for bit.
+    fn assert_calendar_matches_twins(injection: InjectionKind) {
         let pat = pattern();
         let bounds = PacketBounds::new(&Dragonfly::new(DragonflyParams::small()), 8);
         let mut nodes = Nodes::new(population(injection, 0.2));
         let mut twins = population(injection, 0.2);
         let (mut id, mut twin_id) = (0u64, 0u64);
         let (mut blocked, mut failed) = (vec![false; POPULATION], vec![false; POPULATION]);
-        let mut odd = 0;
         for now in 0..3_000u64 {
             let label = format!("{} cycle {now}", injection.label());
-            // the load changes to zero and back, with look-aheads pending
+            // the load changes to zero and back, with gaps pending
             if let Some(load) = [(1_000, 0.0), (1_400, 0.05), (2_001, 0.3)]
                 .iter()
                 .find_map(|&(at, load)| (at == now).then_some(load))
             {
-                nodes.set_offered_load(load, now);
+                nodes.set_offered_load(load);
                 twins.iter_mut().for_each(|t| t.set_offered_load(load));
             }
             // node 5's router drains, then the node fails while still
             // behind it (paused over the union, across the load change to
             // zero); node 8 fails alone. A paused node must not tick, so
-            // its look-ahead must not count down.
+            // its gap must not count down.
             blocked[5] = (500..900).contains(&now);
             failed[5] = (700..1_100).contains(&now);
             failed[8] = (1_200..1_300).contains(&now);
@@ -632,7 +614,7 @@ mod tests {
                 nodes.set_paused(idx, blocked[idx] || failed[idx], now);
             }
             // a restore (every node due again) while node 5 is paused and
-            // while most nodes are mid-look-ahead
+            // while most nodes are mid-gap
             if now == 750 || now == 1_777 {
                 let bytes = saved_nodes(&nodes, now);
                 let mut restored = Nodes::new(population(injection, 0.2));
@@ -646,8 +628,7 @@ mod tests {
                 assert!(restored.queued_set_is_exact() && restored.calendar_is_exact(now));
                 nodes = restored;
             }
-            let (ticks, _) = nodes.generate(now, &pat, &mut id);
-            odd += (ticks % 2) as u32;
+            nodes.generate(now, &pat, &mut id);
             for (idx, twin) in twins.iter_mut().enumerate() {
                 if !blocked[idx] && !failed[idx] {
                     twin.generate(now, &pat, &mut twin_id);
@@ -676,13 +657,11 @@ mod tests {
         }
         assert_eq!(id, twin_id);
         assert!(id > 100, "the walk generated traffic ({id} packets)");
-        odd
     }
 
     #[test]
     fn gated_walk_matches_ticking_every_node_every_cycle() {
-        let odd = assert_calendar_matches_twins(InjectionKind::Bernoulli);
-        assert!(odd > 100, "{odd} cycles left a node out of the pairs");
+        assert_calendar_matches_twins(InjectionKind::Bernoulli);
         assert_calendar_matches_twins(InjectionKind::Ramp {
             start_fraction: 0.2,
             ramp_cycles: 1_500,
@@ -696,7 +675,7 @@ mod tests {
     #[test]
     fn a_bernoulli_population_ticks_only_its_due_nodes() {
         // p = 1/800: after the first walk, the calendar hands out a node
-        // about once per 256-trial look-ahead or per success
+        // about once per 256-trial run, twice per success
         let pat = pattern();
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.01));
         let mut id = 0u64;
@@ -713,7 +692,7 @@ mod tests {
             nodes.generate(now, &pat, &mut id);
         }
         assert!(ticks < 13 * 10, "{ticks} ticks in 999 cycles of 13 nodes");
-        nodes.set_offered_load(0.02, 1_000);
+        nodes.set_offered_load(0.02);
         assert!(nodes.all_due && nodes.calendar_is_exact(1_000));
     }
 
@@ -747,12 +726,12 @@ mod tests {
         assert!(!Nodes::new(population(InjectionKind::Bernoulli, 0.1)).silent);
         assert!(!Nodes::new(population(bursty, 0.0)).silent);
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.1));
-        nodes.set_offered_load(0.0, 0);
+        nodes.set_offered_load(0.0);
         assert!(nodes.silent);
-        nodes.set_offered_load(0.3, 0);
+        nodes.set_offered_load(0.3);
         assert!(!nodes.silent);
         // task packets queue and drain through a silent population
-        nodes.set_offered_load(0.0, 0);
+        nodes.set_offered_load(0.0);
         let packet = Packet::new(df_model::PacketId(1), NodeId(3), NodeId(9), 8, 0);
         nodes.enqueue_task_packet(3, packet);
         assert!(!nodes.all_queues_empty());

@@ -69,9 +69,9 @@ pub struct StepCounts {
     pub events: u64,
     /// Injector ticks (step 2a): the nodes the generation walk visited.
     pub due_ticks: u64,
-    /// Failing trials the due ticks' look-aheads skipped (step 2a): the
-    /// draws the Bernoulli scans read past.
-    pub lookahead_draws: u64,
+    /// Runs of failing trials the due ticks drew (step 2a): one draw per
+    /// Bernoulli gap.
+    pub gap_draws: u64,
     /// PB group exchanges (step 3).
     pub pb_exchanges: u64,
     /// PB own-flag refreshes (step 3): the routers the refresh visited.
@@ -99,7 +99,7 @@ impl StepCounts {
     pub fn add(&mut self, other: &StepCounts) {
         self.events += other.events;
         self.due_ticks += other.due_ticks;
-        self.lookahead_draws += other.lookahead_draws;
+        self.gap_draws += other.gap_draws;
         self.pb_exchanges += other.pb_exchanges;
         self.pb_refreshes += other.pb_refreshes;
         self.router_iterations += other.router_iterations;

@@ -25,8 +25,9 @@
 //!   queues and head registrations, output stages and credits, PB's own
 //!   flags, allocator pointers), then ECtN's combined array once per group,
 //! * every router-stream and node-stream RNG (seed + xoshiro words),
-//! * the nodes' shared offered load, then every node's injector, source
-//!   queue and generated phits,
+//! * the nodes' shared offered load, then every node's injector (stream,
+//!   burst state, Bernoulli gap and whether a certain success follows it),
+//!   source queue and generated phits,
 //! * the metrics collector,
 //! * the pending link events in exact drain order,
 //! * the lost-credit ledger, the flooded group views (each as its record
@@ -72,7 +73,8 @@
 //! gates (the head and staged-router sets and the next-transmit cycles are
 //! recomputed from the routers, the queued-node set from the source queues,
 //! node pauses from the drain flags and the truth map's node marks; the
-//! wake-up calendar (every node due), changed outputs, dirty groups and
+//! wake-up calendar's buckets (every node due: each restored gap is in its
+//! injector, which the first tick counts down), changed outputs, dirty groups and
 //! staged-port sets restart conservatively — "everything dirty") and the
 //! step scratch. State only an observer reads (an attached probe) is not
 //! simulation state and is not in the payload at all. A packet staged at
@@ -84,7 +86,9 @@
 //! lost-credit ledger entry that is not a link end the fault replay left
 //! down; and packet ledgers that disagree (the injected packets are not the
 //! delivered, in-flight and fault-dropped ones, or the run delivered fewer
-//! than its window).
+//! than its window); and an injector gap no run of failures leaves
+//! (`LOOKAHEAD_BOUND` ticks or more, or any gap on a process that draws
+//! none).
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, Packet, PacketBounds, VcId};
@@ -111,10 +115,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// give, the window's delivery count and the completed-step count, and v11
 /// drops what the configuration fixes (length prefixes, shapes, the phase
 /// index), stores ECtN's combined array and the offered load once, and
-/// drops PB's group views. Older versions are refused by the frame's
+/// drops PB's group views; v12 stores each injector's gap and its certain
+/// success, which became simulation state when a Bernoulli injector began
+/// drawing one run of failures per gap. Older versions are refused by the frame's
 /// version check — there is no compatibility loader (the sweep service
 /// discards a stale checkpoint and re-runs the sub-run).
-pub const SNAPSHOT_VERSION: u32 = 11;
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -225,8 +231,8 @@ impl Network {
                 e.u64(w);
             }
         }
-        // nodes (injector RNGs ride inside, at their true stream position
-        // whatever look-ahead is pending)
+        // nodes (each injector's gap as a tick-every-cycle twin holds it,
+        // whatever the calendar took out)
         self.nodes.save_state(&mut e, self.cycle);
         self.metrics.save_state(&mut e);
         // pending link events in exact drain order
@@ -438,7 +444,7 @@ mod tests {
     use df_router::Router;
     use df_routing::RoutingKind;
     use df_topology::{DragonflyParams, GroupId, NodeId};
-    use df_traffic::PatternKind;
+    use df_traffic::{PatternKind, LOOKAHEAD_BOUND};
 
     fn config(kernel: KernelMode, seed: u64) -> SimulationConfig {
         SimulationConfig::builder()
@@ -1027,6 +1033,50 @@ mod tests {
             assert_invalid(&cfg, &with(&fields), what);
         }
         assert!(Network::restore(cfg, &with(&[(24, injected), (delivered, total)])).is_ok());
+    }
+
+    /// Where node 0's injector gap lies in `payload`: the nodes section is
+    /// found by its bytes, then decoded up to the gap.
+    fn first_gap(net: &Network, payload: &[u8]) -> usize {
+        let mut e = Encoder::new();
+        net.nodes.save_state(&mut e, net.cycle);
+        let section = e.into_bytes();
+        let mut d = Decoder::new(&section);
+        d.f64().unwrap(); // the shared offered load
+        for _ in 0..5 {
+            d.u64().unwrap(); // node 0's stream: seed and four words
+        }
+        d.bool().unwrap(); // its burst state
+        position(payload, &section) + d.position()
+    }
+
+    #[test]
+    fn forged_injector_gaps_are_refused() {
+        // a run of failures leaves at most `LOOKAHEAD_BOUND − 1` ticks, and
+        // only a steady Bernoulli process leaves any
+        let cfg = config(KernelMode::Optimized, 3);
+        let mut silent = cfg.clone();
+        silent.offered_load = 0.0;
+        for (cfg, gap, what) in [
+            (&cfg, LOOKAHEAD_BOUND, "a gap of the whole bound"),
+            (&cfg, u32::MAX, "a gap of u32::MAX"),
+            (&silent, 1, "a gap at load 0"),
+        ] {
+            let mut net = Network::new(cfg.clone());
+            net.run_cycles(40);
+            let bytes = net.snapshot();
+            let at = first_gap(&net, &bytes[20..bytes.len() - 8]);
+            let with = |gap: u32| {
+                forged(&bytes, |p| {
+                    p[at..at + 4].copy_from_slice(&gap.to_le_bytes())
+                })
+            };
+            assert_invalid(cfg, &with(gap), what);
+            if cfg.offered_load > 0.0 {
+                let restored = Network::restore(cfg.clone(), &with(LOOKAHEAD_BOUND - 1));
+                assert!(restored.is_ok(), "the longest gap a run leaves restores");
+            }
+        }
     }
 
     #[test]

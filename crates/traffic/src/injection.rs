@@ -15,37 +15,42 @@
 //!   `start_fraction · offered_load` at cycle 0 to the full offered load at
 //!   `ramp_cycles`, then stays constant.
 //!
-//! [`Injector`] implements all three behind one `tick` interface. The
-//! Bernoulli mode draws one trial per tick and a destination only on
-//! success — the random sequence every golden fingerprint is pinned to.
+//! [`Injector`] implements all three behind one `tick` interface, and
+//! draws a destination only on success.
 //!
-//! # Look-ahead
+//! # Gaps
 //!
 //! At low load nearly every Bernoulli trial fails, and a caller ticking
-//! 16,512 injectors per cycle spends its time learning that. Because the
-//! trial probability of a Bernoulli injector depends on nothing but its own
-//! stream, [`Injector::look_ahead`] advances a *copy* of the stream past
-//! the failing trials in one pass and stops *before* the first success
-//! ([`DeterministicRng::skip_bernoulli_failures`]). The count is how many
-//! ticks are certain failures; the caller skips them and calls
-//! [`Injector::tick`] for the next one, which adopts the copy, so every
-//! skipped draw is read once. If a load change or a state capture comes
-//! first, [`Injector::settle`] replays the elapsed draws instead. Either way
-//! the injector consumes exactly the draws of a tick-every-cycle twin, and
-//! every packet, RNG state and snapshot byte is the same. A caller with
-//! many injectors looks ahead two at a time ([`Injector::look_ahead_pair`]):
-//! two Bernoulli streams at one probability scan in lock-step, overlapping
-//! the generator's two dependency chains, and each reads only its own
-//! draws. `Ramp` (its
+//! 16,512 injectors per cycle would spend its time learning that one draw at
+//! a time. A steady Bernoulli injector (trial probability `p` strictly in
+//! (0, 1), the same every tick) instead draws the whole run of failing
+//! trials at once ([`DeterministicRng::failure_run`]: one draw, looked up in
+//! an inverse-CDF table built once per distinct `p` and shared by every
+//! injector at that `p`). A run of 0 is a success on this tick — exactly the
+//! draws on which a single `bernoulli(p)` trial succeeds. A run of `k ≥ 1`
+//! fails this tick and leaves a *gap* of `k − 1` ticks that are certain
+//! failures, and the tick after them a certain success; a run that reaches
+//! [`LOOKAHEAD_BOUND`] leaves that many failures and the tick after them
+//! draws again. That is the Bernoulli law, truncated at the bound and
+//! continued by memorylessness, on a stream of one draw per gap.
+//!
+//! The gap is simulation state: a tick while it is non-zero only counts it
+//! down and draws nothing, so a caller may tick every cycle. A caller with
+//! many injectors takes the gap out instead ([`Injector::take_gap`]), skips
+//! those ticks itself and hands what is left of it back when the state is
+//! captured ([`Injector::save_state`]'s `owed`); both leave the same packets,
+//! stream and saved bytes. A load change discards the gap and any certain
+//! success (the process is memoryless, so the law is exact). `Ramp` (its
 //! probability depends on the cycle) and `Bursty` (a Markov draw per tick)
-//! report no certain failures and are ticked every cycle.
+//! draw every tick and never leave a gap.
 //! [`Injector::is_silent`] covers the other extreme: at load 0 a non-bursty
 //! tick draws nothing at all, so the caller may skip the whole population.
 
-use df_engine::DeterministicRng;
+use df_engine::{failure_run_table, CodecError, DeterministicRng};
 use df_model::{Cycle, Packet, PacketId};
 use df_topology::NodeId;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::pattern::TrafficPattern;
 
@@ -137,19 +142,34 @@ pub struct Injector {
     /// Current Markov state for [`InjectionKind::Bursty`] (always `true`
     /// otherwise).
     on: bool,
-    /// Certain-failure ticks reported by the last
-    /// [`look_ahead`](Self::look_ahead) whose draws `rng` has not consumed
-    /// yet (0 for a caller that ticks every cycle). Derived from `rng`, so
-    /// never part of the saved state.
-    lookahead: u32,
-    /// `rng` advanced past those failing trials: what the next tick adopts.
-    ahead: DeterministicRng,
+    /// Upcoming ticks that are certain failures: a tick counts one down and
+    /// draws nothing.
+    gap: u32,
+    /// Whether the tick after the gap is a certain success (otherwise it
+    /// draws the next run of failures).
+    hit: bool,
+    /// The failure-run table of a steady Bernoulli process (see the module
+    /// docs); `None` for every other process and load.
+    runs: Option<Arc<[u64]>>,
 }
 
-/// Longest run of failing trials one [`Injector::look_ahead`] scans for the
-/// next success; a scan that reaches it reports the whole run as certain
-/// failures and the next tick scans again. It bounds a caller's wake-ups.
+/// Longest run of failing trials one draw reports: a run that reaches it
+/// leaves a gap of `LOOKAHEAD_BOUND − 1` ticks and the tick after them draws
+/// again. It bounds the gap, and so a caller's wake-ups.
 pub const LOOKAHEAD_BOUND: u32 = 256;
+
+/// The failure-run table of trial probability `p` at [`LOOKAHEAD_BOUND`]:
+/// built once per distinct `p` in the process, then shared.
+fn failure_runs(p: f64) -> Arc<[u64]> {
+    static TABLES: Mutex<Vec<(u64, Arc<[u64]>)>> = Mutex::new(Vec::new());
+    let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, table)) = tables.iter().find(|(bits, _)| *bits == p.to_bits()) {
+        return table.clone();
+    }
+    let table: Arc<[u64]> = failure_run_table(p, LOOKAHEAD_BOUND).into();
+    tables.push((p.to_bits(), table.clone()));
+    table
+}
 
 impl Injector {
     /// Create a generator for `node` with the given process, offered load in
@@ -174,16 +194,19 @@ impl Injector {
             InjectionKind::Bursty { .. } => rng.bernoulli(kind.duty_cycle()),
             _ => true,
         };
-        Injector {
+        let mut injector = Injector {
             node,
             kind,
             packet_size_phits,
             offered_load,
-            ahead: rng.clone(),
             rng,
             on,
-            lookahead: 0,
-        }
+            gap: 0,
+            hit: false,
+            runs: None,
+        };
+        injector.set_offered_load(offered_load);
+        injector
     }
 
     /// The node this injector generates traffic for.
@@ -203,13 +226,13 @@ impl Injector {
 
     /// Change the offered load (phits/(node·cycle)) on the fly; used by
     /// phased scenarios and by [`drain`](../df_sim/struct.Network.html).
-    ///
-    /// A pending look-ahead must be [`settle`](Self::settle)d first: the
-    /// trials it read were drawn against the old load.
+    /// The gap and any certain success were drawn against the old load and
+    /// are discarded: the next tick draws afresh.
     pub fn set_offered_load(&mut self, offered_load: f64) {
         assert!((0.0..=1.0).contains(&offered_load));
-        debug_assert_eq!(self.lookahead, 0, "settle the look-ahead first");
         self.offered_load = offered_load;
+        (self.gap, self.hit) = (0, false);
+        self.runs = self.steady_trial_probability().map(failure_runs);
     }
 
     /// Whether a tick is a no-op: it draws nothing from the stream and
@@ -221,80 +244,25 @@ impl Injector {
     }
 
     /// The per-tick trial probability when it is the same for every future
-    /// tick and each trial costs exactly one draw — the precondition of
-    /// [`look_ahead`](Self::look_ahead).
+    /// tick and each trial costs exactly one draw — the precondition of a
+    /// gap.
     fn steady_trial_probability(&self) -> Option<f64> {
         let p = self.offered_load / self.packet_size_phits as f64;
         (self.kind == InjectionKind::Bernoulli && p > 0.0 && p < 1.0).then_some(p)
     }
 
-    /// How many of the upcoming ticks are certain failures: advance a copy
-    /// of this injector's own stream past the failing trials, up to the next
-    /// success (at most `LOOKAHEAD_BOUND`). The caller may skip exactly that
-    /// many ticks and must [`tick`](Self::tick) the next one, which adopts
-    /// the copy; if the load changes or the state is captured first, it says
-    /// how many remain through [`settle`](Self::settle). Always 0 unless the
+    /// Take the gap out: the caller skips that many ticks itself (they are
+    /// certain failures) and ticks the one after, or hands the ticks still
+    /// owed back to [`save_state`](Self::save_state). Always 0 unless the
     /// process is `Bernoulli` with a trial probability strictly in (0, 1).
-    pub fn look_ahead(&mut self) -> u32 {
-        debug_assert_eq!(self.lookahead, 0, "one look-ahead at a time");
-        if let Some(p) = self.steady_trial_probability() {
-            self.ahead.clone_from(&self.rng);
-            self.lookahead = self.ahead.skip_bernoulli_failures(p, LOOKAHEAD_BOUND);
-        }
-        self.lookahead
+    pub fn take_gap(&mut self) -> u32 {
+        std::mem::take(&mut self.gap)
     }
 
-    /// [`look_ahead`](Self::look_ahead) on two injectors at once: when both
-    /// are steady Bernoulli processes with the same trial probability, their
-    /// two scans run interleaved
-    /// ([`DeterministicRng::skip_bernoulli_failures_pair`]); otherwise each
-    /// looks ahead alone. Either way each reports, and leaves pending, what
-    /// its own look-ahead would.
-    pub fn look_ahead_pair(a: &mut Self, b: &mut Self) -> [u32; 2] {
-        debug_assert_eq!(a.lookahead + b.lookahead, 0, "one look-ahead at a time");
-        match (a.steady_trial_probability(), b.steady_trial_probability()) {
-            (Some(p), Some(q)) if p == q => {
-                a.ahead.clone_from(&a.rng);
-                b.ahead.clone_from(&b.rng);
-                let counts = DeterministicRng::skip_bernoulli_failures_pair(
-                    &mut a.ahead,
-                    &mut b.ahead,
-                    p,
-                    LOOKAHEAD_BOUND,
-                );
-                [a.lookahead, b.lookahead] = counts;
-                counts
-            }
-            _ => [a.look_ahead(), b.look_ahead()],
-        }
-    }
-
-    /// Bring the stream to its true position when `remaining` of the ticks
-    /// the last [`look_ahead`](Self::look_ahead) reported have *not* elapsed
-    /// yet: consume the draws of the ones that have, forget the rest (they
-    /// will be ticked for real). With none remaining the stream adopts the
-    /// look-ahead's advanced copy; otherwise the elapsed draws are replayed.
-    /// A no-op without a pending look-ahead.
-    pub fn settle(&mut self, remaining: u32) {
-        let elapsed = std::mem::take(&mut self.lookahead) - remaining;
-        if elapsed == 0 {
-            return;
-        }
-        if remaining > 0 || cfg!(debug_assertions) {
-            // replay the elapsed draws on a clone: the true position, or (an
-            // adoption in a debug build) the gate on the advanced copy
-            let p = self
-                .steady_trial_probability()
-                .expect("a look-ahead is only ever pending on a steady Bernoulli process");
-            let mut replay = self.rng.clone();
-            for _ in 0..elapsed {
-                let hit = replay.bernoulli(p);
-                debug_assert!(!hit, "a skipped tick was not a certain failure");
-            }
-            debug_assert!(remaining > 0 || replay.state() == self.ahead.state());
-            self.ahead = replay;
-        }
-        std::mem::swap(&mut self.rng, &mut self.ahead);
+    /// Whether the next tick draws a run of failures: a steady Bernoulli
+    /// process with no gap and no certain success pending.
+    pub fn draws_a_run(&self) -> bool {
+        self.runs.is_some() && self.gap == 0 && !self.hit
     }
 
     /// The probability of generating a packet this cycle, given the process
@@ -322,12 +290,22 @@ impl Injector {
         pattern: &TrafficPattern,
         next_id: &mut u64,
     ) -> Option<Packet> {
-        if self.lookahead > 0 {
-            // every tick the pending look-ahead reported has elapsed: adopt
-            // the advanced stream
-            self.settle(0);
+        if self.gap > 0 {
+            self.gap -= 1;
+            return None;
         }
-        if let InjectionKind::Bursty { mean_on, mean_off } = self.kind {
+        if let Some(runs) = &self.runs {
+            // a certain success, or one draw for the run of failures from
+            // this tick on
+            if !std::mem::take(&mut self.hit) {
+                let failures = self.rng.failure_run(runs);
+                if failures > 0 {
+                    self.gap = failures - 1;
+                    self.hit = failures < LOOKAHEAD_BOUND;
+                    return None;
+                }
+            }
+        } else if let InjectionKind::Bursty { mean_on, mean_off } = self.kind {
             // one transition draw per cycle keeps the stream deterministic
             // regardless of the injection outcome
             let flip = if self.on {
@@ -338,11 +316,10 @@ impl Injector {
             if flip {
                 self.on = !self.on;
             }
-            if !self.on {
+            if !self.on || !self.rng.bernoulli(self.injection_probability(now)) {
                 return None;
             }
-        }
-        if !self.rng.bernoulli(self.injection_probability(now)) {
+        } else if !self.rng.bernoulli(self.injection_probability(now)) {
             return None;
         }
         let dst = pattern.destination(self.node, &mut self.rng);
@@ -351,31 +328,35 @@ impl Injector {
         Some(Packet::new(id, self.node, dst, self.packet_size_phits, now))
     }
 
-    /// Serialize the injector's dynamic state (snapshot support). The
-    /// static configuration — node, process kind, packet size — is not
-    /// written: a restored injector is built from the run configuration
-    /// first, then continued from this state. Nor is the offered load, which
-    /// every injector of a run shares: the caller stores it once and
-    /// [`set_offered_load`](Self::set_offered_load)s it back. A pending
-    /// look-ahead must be [`settle`](Self::settle)d (on a clone, for a
-    /// `&self` capture) so the stream position written is the true one.
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
-        debug_assert_eq!(self.lookahead, 0, "settle the look-ahead first");
+    /// Serialize the injector's dynamic state (snapshot support): the
+    /// stream, the burst state, the gap and whether a certain success
+    /// follows it. `owed` is how many ticks of a gap the caller
+    /// [took](Self::take_gap) have not elapsed yet (0 for a caller that
+    /// ticks every cycle); the gap written is the one a tick-every-cycle
+    /// twin holds. The static configuration — node, process kind, packet
+    /// size — is not written: a restored injector is built from the run
+    /// configuration first, then continued from this state. Nor is the
+    /// offered load, which every injector of a run shares: the caller
+    /// stores it once and [`set_offered_load`](Self::set_offered_load)s it
+    /// back before the restore.
+    pub fn save_state(&self, e: &mut df_engine::Encoder, owed: u32) {
         let (seed, words) = self.rng.state();
         e.u64(seed);
         for w in words {
             e.u64(w);
         }
         e.bool(self.on);
+        e.u32(self.gap + owed);
+        e.bool(self.hit);
     }
 
-    /// Continue from a [`save_state`](Self::save_state) capture: the next
+    /// Continue from a [`save_state`](Self::save_state) capture into an
+    /// injector already at the captured offered load: the next
     /// [`tick`](Self::tick) behaves bit-identically to the injector the
-    /// state was captured from.
-    pub fn restore_state(
-        &mut self,
-        d: &mut df_engine::Decoder,
-    ) -> Result<(), df_engine::CodecError> {
+    /// state was captured from. A gap no run leaves (`LOOKAHEAD_BOUND` or
+    /// longer), or a gap or certain success on a process that draws none,
+    /// is refused.
+    pub fn restore_state(&mut self, d: &mut df_engine::Decoder) -> Result<(), CodecError> {
         let seed = d.u64()?;
         let mut words = [0u64; 4];
         for w in &mut words {
@@ -383,7 +364,15 @@ impl Injector {
         }
         self.rng = DeterministicRng::from_state(seed, words);
         self.on = d.bool()?;
-        self.lookahead = 0;
+        (self.gap, self.hit) = (d.u32()?, d.bool()?);
+        if self.gap >= LOOKAHEAD_BOUND {
+            let what = format!("an injector gap of {} ticks", self.gap);
+            return Err(CodecError::Invalid(what));
+        }
+        if self.runs.is_none() && (self.gap > 0 || self.hit) {
+            let what = "a gap on an injector that draws none".to_string();
+            return Err(CodecError::Invalid(what));
+        }
         Ok(())
     }
 }
@@ -587,8 +576,9 @@ mod tests {
 
     #[test]
     fn bursty_traffic_is_actually_bursty() {
-        // compare the variance of per-window packet counts against Bernoulli:
-        // the on/off process must cluster its packets
+        // compare the variance of per-window packet counts against
+        // Bernoulli's, `window · p · (1 − p)` (which the Bernoulli sample
+        // must show): the on/off process must cluster its packets
         let pat = pattern();
         let window = 100u64;
         let windows = 2_000u64;
@@ -612,11 +602,17 @@ mod tests {
             mean_on: 60.0,
             mean_off: 60.0,
         });
+        let p = 0.2 / 8.0;
+        let expected = window as f64 * p * (1.0 - p);
         assert!(
-            variance(&bursty) > variance(&bernoulli) * 2.0,
-            "bursty window variance {} must exceed Bernoulli's {}",
-            variance(&bursty),
+            (variance(&bernoulli) - expected).abs() < 0.1 * expected,
+            "Bernoulli window variance {} too far from {expected}",
             variance(&bernoulli)
+        );
+        assert!(
+            variance(&bursty) > expected * 2.0,
+            "bursty window variance {} must exceed twice Bernoulli's {expected}",
+            variance(&bursty)
         );
     }
 
@@ -748,26 +744,26 @@ mod tests {
         }
     }
 
-    // ---- look-ahead ----
+    // ---- gaps ----
 
     /// What a tick produced: the packet's identity, or nothing.
     fn emitted(p: Option<Packet>) -> Option<(PacketId, NodeId, Cycle)> {
         p.map(|p| (p.id, p.dst, p.generated_at))
     }
 
-    fn saved(inj: &Injector) -> Vec<u8> {
+    fn saved(inj: &Injector, owed: u32) -> Vec<u8> {
         let mut e = df_engine::Encoder::new();
-        inj.save_state(&mut e);
+        inj.save_state(&mut e, owed);
         e.into_bytes()
     }
 
     /// Drive `kind` at `load` for `ticks` ticks twice — a twin ticked every
-    /// cycle, and an injector that skips every tick its look-ahead reports
-    /// as a certain failure — applying `load_changes` (tick, new load) to
-    /// both, and require the same packets at the same ticks, byte-equal
-    /// saved states at every `captures` tick (taken mid-look-ahead through
-    /// a settled clone) and the same final stream position. Returns the
-    /// number of ticks the look-ahead skipped.
+    /// cycle, and an injector driven as a wake-up calendar drives it (it
+    /// takes the gap out after each tick and skips that many ticks) —
+    /// applying `load_changes` (tick, new load) to both, and require the
+    /// same packets at the same ticks, byte-equal saved states at every
+    /// `captures` tick (mid-gap, through `owed`) and after the last tick,
+    /// and the same final stream. Returns the number of ticks skipped.
     fn assert_twin(
         kind: InjectionKind,
         load: f64,
@@ -788,24 +784,26 @@ mod tests {
         };
         let (mut twin, mut inj) = (build(), build());
         let (mut twin_id, mut inj_id) = (0u64, 0u64);
-        let mut quiet = 0u32;
+        let mut owed = 0u32;
         let mut skipped = 0u64;
         for now in 0..ticks {
             if let Some(&(_, new_load)) = load_changes.iter().find(|&&(at, _)| at == now) {
                 twin.set_offered_load(new_load);
-                inj.settle(std::mem::take(&mut quiet));
                 inj.set_offered_load(new_load);
+                owed = 0;
             }
             if captures.contains(&now) {
-                let mut settled = inj.clone();
-                settled.settle(quiet);
-                assert_eq!(saved(&settled), saved(&twin), "saved state at tick {now}");
+                assert_eq!(
+                    saved(&inj, owed),
+                    saved(&twin, 0),
+                    "saved state at tick {now}"
+                );
             }
             let expected = emitted(twin.tick(now, &pat, &mut twin_id));
-            if quiet > 0 {
-                quiet -= 1;
+            if owed > 0 {
+                owed -= 1;
                 skipped += 1;
-                assert_eq!(expected, None, "tick {now} was reported a certain failure");
+                assert_eq!(expected, None, "tick {now} was in a gap");
                 continue;
             }
             assert_eq!(
@@ -813,16 +811,16 @@ mod tests {
                 expected,
                 "tick {now}"
             );
-            quiet = inj.look_ahead();
+            owed = inj.take_gap();
         }
-        inj.settle(quiet);
+        assert_eq!(saved(&inj, owed), saved(&twin, 0), "final saved state");
         assert_eq!(inj.rng.state(), twin.rng.state(), "final stream position");
         assert_eq!(inj_id, twin_id);
         skipped
     }
 
     #[test]
-    fn look_ahead_twin_emits_the_same_packets_and_stream() {
+    fn calendar_driven_injector_emits_the_same_packets_and_stream_as_its_twin() {
         let skipped = assert_twin(
             InjectionKind::Bernoulli,
             0.3,
@@ -831,15 +829,14 @@ mod tests {
             &[],
             &[1, 777, 19_999],
         );
-        // p = 0.0375: about 26 of every 27 ticks never touch the injector
-        assert!(skipped > 18_000, "only {skipped} ticks skipped");
+        // p = 0.0375: about 25 of every 27 ticks never touch the injector
+        assert!(skipped > 17_000, "only {skipped} ticks skipped");
     }
 
     #[test]
-    fn look_ahead_survives_load_changes_including_zero_and_back() {
-        // 3_001 and 9_500 land mid-look-ahead with overwhelming likelihood
-        // at these probabilities; 6_000..9_500 is silent (nothing to skip,
-        // nothing drawn)
+    fn gaps_survive_load_changes_including_zero_and_back() {
+        // 3_001 and 9_500 land mid-gap with overwhelming likelihood at these
+        // probabilities; 6_000..9_500 is silent (no gap, nothing drawn)
         assert_twin(
             InjectionKind::Bernoulli,
             0.1,
@@ -851,8 +848,8 @@ mod tests {
     }
 
     #[test]
-    fn look_ahead_scan_that_hits_its_bound_is_still_exact() {
-        // p = 1e-5: nearly every scan runs the full bound without a success
+    fn a_run_that_reaches_its_bound_draws_again_after_the_gap() {
+        // p = 1e-5: nearly every run reaches the bound without a success
         let skipped = assert_twin(
             InjectionKind::Bernoulli,
             0.000_08,
@@ -861,7 +858,7 @@ mod tests {
             &[],
             &[LOOKAHEAD_BOUND as u64 / 2, LOOKAHEAD_BOUND as u64 + 1],
         );
-        assert!(skipped >= 2 * LOOKAHEAD_BOUND as u64);
+        assert!(skipped >= 2 * (LOOKAHEAD_BOUND as u64 - 1));
         let mut inj = Injector::new(
             NodeId(0),
             InjectionKind::Bernoulli,
@@ -869,11 +866,44 @@ mod tests {
             8,
             DeterministicRng::new(21),
         );
-        assert_eq!(inj.look_ahead(), LOOKAHEAD_BOUND);
+        let (pat, mut next_id) = (pattern(), 0);
+        assert!(inj.draws_a_run());
+        assert_eq!(inj.tick(0, &pat, &mut next_id), None);
+        assert_eq!((inj.gap, inj.hit), (LOOKAHEAD_BOUND - 1, false));
+        assert_eq!(inj.take_gap(), LOOKAHEAD_BOUND - 1);
+        assert!(inj.draws_a_run(), "the tick after a full run draws again");
     }
 
     #[test]
-    fn look_ahead_reports_nothing_unless_steady_bernoulli_below_one() {
+    fn the_tick_after_a_short_gap_succeeds_without_a_draw() {
+        let (pat, mut next_id) = (pattern(), 0);
+        let mut inj = Injector::new(
+            NodeId(0),
+            InjectionKind::Bernoulli,
+            0.4,
+            8,
+            DeterministicRng::new(8),
+        );
+        let mut certain = 0;
+        for now in 0..4_000 {
+            if inj.gap == 0 && inj.hit {
+                // the destination is the tick's only draw
+                let mut expected = inj.rng.clone();
+                let packet = inj
+                    .tick(now, &pat, &mut next_id)
+                    .expect("a certain success");
+                assert_eq!(pat.destination(NodeId(0), &mut expected), packet.dst);
+                assert_eq!(expected.state(), inj.rng.state(), "tick {now}");
+                certain += 1;
+            } else {
+                inj.tick(now, &pat, &mut next_id);
+            }
+        }
+        assert!(certain > 100, "{certain} certain successes");
+    }
+
+    #[test]
+    fn only_a_steady_bernoulli_process_leaves_a_gap() {
         // p >= 1 (every tick succeeds without a draw), load 0 (silent),
         // and the processes whose trial is not a fixed-probability draw
         let cases = [
@@ -917,8 +947,8 @@ mod tests {
             ),
         ];
         for (kind, load, size, silent) in cases {
-            let mut inj = Injector::new(NodeId(0), kind, load, size, DeterministicRng::new(5));
-            assert_eq!(inj.look_ahead(), 0, "{} at load {load}", kind.label());
+            let inj = Injector::new(NodeId(0), kind, load, size, DeterministicRng::new(5));
+            assert!(!inj.draws_a_run(), "{} at load {load}", kind.label());
             assert_eq!(inj.is_silent(), silent, "{} at load {load}", kind.label());
             let skipped = assert_twin(kind, load, size, 2_000, &[(1_000, 0.0)], &[500, 1_500]);
             assert_eq!(skipped, 0, "{} at load {load}", kind.label());
@@ -926,45 +956,41 @@ mod tests {
     }
 
     #[test]
-    fn a_paired_look_ahead_leaves_each_injector_as_its_own_would() {
-        let ramp = InjectionKind::Ramp {
-            start_fraction: 0.2,
-            ramp_cycles: 500,
+    fn restore_refuses_a_gap_no_run_leaves() {
+        let build = |load| {
+            Injector::new(
+                NodeId(0),
+                InjectionKind::Bernoulli,
+                load,
+                8,
+                DeterministicRng::new(2),
+            )
         };
-        // (kind, load, packet size) of each lane: equal trial probabilities
-        // (through different loads and sizes too), unequal ones, and lanes
-        // that look ahead to nothing
-        let bernoulli = |load, size| (InjectionKind::Bernoulli, load, size);
-        let pairs = [
-            (bernoulli(0.01, 8), bernoulli(0.01, 8)),
-            (bernoulli(0.000_08, 8), bernoulli(0.000_08, 8)),
-            (bernoulli(0.02, 16), bernoulli(0.01, 8)),
-            (bernoulli(0.01, 8), bernoulli(0.3, 8)),
-            (bernoulli(0.01, 8), bernoulli(0.0, 8)),
-            (bernoulli(1.0, 1), bernoulli(0.01, 8)),
-            ((ramp, 0.4, 8), bernoulli(0.4, 8)),
-        ];
-        let pat = pattern();
-        for (seed, ((ka, la, sa), (kb, lb, sb))) in pairs.into_iter().enumerate() {
-            let rng = DeterministicRng::new(seed as u64);
-            let mut a = Injector::new(NodeId(0), ka, la, sa, rng.split(0));
-            let mut b = Injector::new(NodeId(1), kb, lb, sb, rng.split(1));
-            let mut next_id = 0;
-            for now in 0..200 {
-                let (mut single_a, mut single_b) = (a.clone(), b.clone());
-                let expected = [single_a.look_ahead(), single_b.look_ahead()];
-                let label = format!("pair {seed} tick {now}");
-                assert_eq!(
-                    Injector::look_ahead_pair(&mut a, &mut b),
-                    expected,
-                    "{label}"
-                );
-                for (paired, single) in [(&mut a, single_a), (&mut b, single_b)] {
-                    assert_eq!(paired.lookahead, single.lookahead, "{label}");
-                    assert_eq!(paired.ahead.state(), single.ahead.state(), "{label}");
-                    paired.tick(now, &pat, &mut next_id);
-                }
-            }
+        let bytes = |gap: u32, hit: bool| {
+            let mut e = df_engine::Encoder::new();
+            let (seed, words) = DeterministicRng::new(2).state();
+            e.u64(seed);
+            words.iter().for_each(|&w| e.u64(w));
+            e.bool(true);
+            e.u32(gap);
+            e.bool(hit);
+            e.into_bytes()
+        };
+        let restore = |load, gap, hit| {
+            build(load).restore_state(&mut df_engine::Decoder::new(&bytes(gap, hit)))
+        };
+        assert!(restore(0.01, LOOKAHEAD_BOUND - 1, true).is_ok());
+        assert!(restore(0.01, 0, true).is_ok());
+        for (load, gap, hit) in [
+            (0.01, LOOKAHEAD_BOUND, false),
+            (0.01, u32::MAX, true),
+            (0.0, 3, false),
+            (0.0, 0, true),
+        ] {
+            assert!(
+                matches!(restore(load, gap, hit), Err(CodecError::Invalid(_))),
+                "load {load} gap {gap} hit {hit}"
+            );
         }
     }
 

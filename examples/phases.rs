@@ -78,7 +78,7 @@ type CountRow = (&'static str, fn(&StepCounts) -> u64);
 const COUNTS: [CountRow; 11] = [
     ("link events delivered", |c| c.events),
     ("due ticks", |c| c.due_ticks),
-    ("look-ahead draws", |c| c.lookahead_draws),
+    ("gap draws", |c| c.gap_draws),
     ("PB exchanges", |c| c.pb_exchanges),
     ("PB refreshes", |c| c.pb_refreshes),
     ("router-iterations (step 4)", |c| c.router_iterations),

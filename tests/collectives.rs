@@ -295,24 +295,25 @@ fn retired_v4_snapshot_is_refused_by_version_not_misread() {
     // the job section, a v5 payload the duplicated fault facts v6 derives,
     // a v6 payload the fault facts and counters v7 derives, a v7 payload
     // the two dead fields v8 drops, a v8 payload the duplicated counts v9
-    // derives, a v9 payload the phit and window counts v10 derives and a v10
+    // derives, a v9 payload the phit and window counts v10 derives, a v10
     // payload the lengths, shapes and group copies v11 takes from the
-    // configuration; there is no loader for any, so a frame
+    // configuration and a v11 payload no injector gaps; there is no loader
+    // for any, so a frame
     // stamped with a retired version must stop at the codec's typed
     // version check
     let cfg = collective_config(a2a_spread(), RoutingKind::Base);
     let mut net = Network::new(cfg.clone());
     net.run_cycles(100);
     let mut bytes = net.snapshot();
-    assert_eq!(contention_dragonfly::sim::SNAPSHOT_VERSION, 11);
-    for retired in [4u32, 5, 6, 7, 8, 9, 10] {
+    assert_eq!(contention_dragonfly::sim::SNAPSHOT_VERSION, 12);
+    for retired in [4u32, 5, 6, 7, 8, 9, 10, 11] {
         bytes[8..12].copy_from_slice(&retired.to_le_bytes());
         let err = Network::restore(cfg.clone(), &bytes).err();
         assert!(
             matches!(
                 err,
                 Some(contention_dragonfly::engine::CodecError::UnsupportedVersion {
-                    supported: 11,
+                    supported: 12,
                     found
                 }) if found == retired
             ),

@@ -349,8 +349,8 @@ fn paper_scale_snapshot_resume_smoke() {
 /// origin and bin width, the histogram's range, bin width and count, and
 /// nine 4-byte links-per-group stamps). The last
 /// cell sits at a load where nearly every injector is many cycles from its
-/// next packet: a wrong RNG stream position in a mid-look-ahead snapshot
-/// shows up here and nowhere else.
+/// next packet: a wrong gap or stream position in a mid-gap snapshot shows
+/// up here and nowhere else.
 const PINNED_SNAPSHOTS: [(RoutingKind, PatternKind, f64, u64, usize, u64); 4] = [
     (
         RoutingKind::PiggyBacking,
