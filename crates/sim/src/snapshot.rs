@@ -538,7 +538,7 @@ mod tests {
         // 2-worker parallel config — both must land on the state the deleted
         // seed kernel (heap queue, full router scan) reached from the same
         // bytes, frozen as an FNV-1a digest at the last commit that had it
-        const FROZEN_END_STATE: u64 = 0x1C5D_B816_7D2C_0E42;
+        const FROZEN_END_STATE: u64 = 0x2112_82DF_B544_EB8C;
         let cfg_opt = config(KernelMode::Optimized, 23);
         let mut net = Network::new(cfg_opt.clone());
         net.run_cycles(250);

@@ -264,62 +264,62 @@ pub fn fingerprint(cfg: SimulationConfig) -> (u64, u64, u64) {
 #[rustfmt::skip]
 pub const GOLDEN_ROUTING_PATTERN: &[(&str, &str, u64, u64, u64)] = &[
     // (routing, pattern, delivered_window, final_cycle, latency_bits)
-    ("MIN", "UN", 805, 652, 0x40469853F48D328F),
-    ("MIN", "ADV+1", 911, 1137, 0x4070211244011FC1),
-    ("MIN", "MIX(ADV+1,50%UN)", 824, 772, 0x405002F392A409F2),
-    ("MIN", "PERM(17)", 809, 665, 0x404761C7AC75B73A),
-    ("MIN", "HOT(4x50%)", 873, 1201, 0x406D38F652B1B44E),
-    ("MIN", "BITCOMP", 888, 1125, 0x406CF322983759ED),
-    ("MIN", "BITREV", 816, 656, 0x4047257D7D7D7D77),
-    ("MIN", "LOC(60%)", 782, 653, 0x404112D2D2D2D2D3),
-    ("VAL", "UN", 885, 703, 0x40565E02E4850FEB),
-    ("VAL", "ADV+1", 883, 706, 0x405708C52566578F),
-    ("VAL", "MIX(ADV+1,50%UN)", 882, 705, 0x4056F01BDD2B8999),
-    ("VAL", "PERM(17)", 885, 708, 0x40569F9A2DB43662),
-    ("VAL", "HOT(4x50%)", 922, 1241, 0x4070A04B85D4AF7E),
-    ("VAL", "BITCOMP", 884, 704, 0x4056D4B4B4B4B4B2),
-    ("VAL", "BITREV", 878, 700, 0x4055845FA2B27127),
-    ("VAL", "LOC(60%)", 877, 697, 0x4055828DDD8E284D),
-    ("PB", "UN", 809, 689, 0x4048C89F7C5C6689),
-    ("PB", "ADV+1", 860, 691, 0x40521404C3464050),
-    ("PB", "MIX(ADV+1,50%UN)", 827, 690, 0x404CBFEC304A4AEE),
-    ("PB", "PERM(17)", 819, 680, 0x404AA62262262260),
-    ("PB", "HOT(4x50%)", 874, 1201, 0x406D0F574939FED5),
-    ("PB", "BITCOMP", 840, 690, 0x4050B3A83A83A843),
-    ("PB", "BITREV", 824, 692, 0x404AE9027C4597A2),
-    ("PB", "LOC(60%)", 784, 691, 0x4041BE87D6343EB2),
-    ("OLM", "UN", 835, 687, 0x404F17743247BDC7),
-    ("OLM", "ADV+1", 844, 688, 0x40508BE7BC0E8F1F),
-    ("OLM", "MIX(ADV+1,50%UN)", 839, 681, 0x40503035B3B7FD90),
-    ("OLM", "PERM(17)", 841, 693, 0x40500D2A4FC0AF52),
-    ("OLM", "HOT(4x50%)", 890, 1201, 0x406DD3F47E8FD1F4),
-    ("OLM", "BITCOMP", 844, 701, 0x405123A3CA9DB9A6),
-    ("OLM", "BITREV", 835, 686, 0x40502242D5FF6308),
-    ("OLM", "LOC(60%)", 790, 659, 0x40443DE4C79D7D13),
-    ("Base", "UN", 805, 652, 0x40469853F48D328F),
-    ("Base", "ADV+1", 886, 765, 0x405A8D4A8BD8B448),
-    ("Base", "MIX(ADV+1,50%UN)", 824, 716, 0x404E5A409F1165E6),
-    ("Base", "PERM(17)", 809, 665, 0x404761C7AC75B73A),
-    ("Base", "HOT(4x50%)", 873, 1201, 0x406D38F652B1B44E),
-    ("Base", "BITCOMP", 879, 757, 0x4059395FD166CEC9),
-    ("Base", "BITREV", 816, 656, 0x4047257D7D7D7D77),
-    ("Base", "LOC(60%)", 782, 653, 0x404112D2D2D2D2D3),
-    ("Hybrid", "UN", 834, 691, 0x404E74A4870F590B),
-    ("Hybrid", "ADV+1", 841, 687, 0x405071D86D9575C9),
-    ("Hybrid", "MIX(ADV+1,50%UN)", 833, 686, 0x40500DD45C3266A4),
-    ("Hybrid", "PERM(17)", 836, 685, 0x404FF32385830FE5),
-    ("Hybrid", "HOT(4x50%)", 887, 1201, 0x406D1E5729458E4A),
-    ("Hybrid", "BITCOMP", 842, 687, 0x4050FB9769327864),
-    ("Hybrid", "BITREV", 837, 681, 0x404FC4349B5FBB80),
-    ("Hybrid", "LOC(60%)", 791, 664, 0x4043F38A31D738A3),
-    ("ECtN", "UN", 805, 652, 0x40469853F48D328F),
-    ("ECtN", "ADV+1", 886, 765, 0x405A8D4A8BD8B448),
-    ("ECtN", "MIX(ADV+1,50%UN)", 824, 716, 0x404E5A409F1165E6),
-    ("ECtN", "PERM(17)", 809, 665, 0x404761C7AC75B73A),
-    ("ECtN", "HOT(4x50%)", 873, 1201, 0x406D38F652B1B44E),
-    ("ECtN", "BITCOMP", 879, 757, 0x4059395FD166CEC9),
-    ("ECtN", "BITREV", 816, 656, 0x4047257D7D7D7D77),
-    ("ECtN", "LOC(60%)", 782, 653, 0x404112D2D2D2D2D3),
+    ("MIN", "UN", 779, 658, 0x4046AAB8B024CE63),
+    ("MIN", "ADV+1", 875, 1110, 0x406E1BD4B30DC03E),
+    ("MIN", "MIX(ADV+1,50%UN)", 795, 719, 0x404CA439F656F185),
+    ("MIN", "PERM(17)", 766, 651, 0x4046D5B92619664A),
+    ("MIN", "HOT(4x50%)", 844, 1354, 0x40708865EA29404E),
+    ("MIN", "BITCOMP", 863, 1102, 0x406DA4601C7A3728),
+    ("MIN", "BITREV", 760, 658, 0x4046D1AF286BCA1A),
+    ("MIN", "LOC(60%)", 756, 651, 0x404068F93A3E4E92),
+    ("VAL", "UN", 846, 702, 0x40560C1AA0FBC375),
+    ("VAL", "ADV+1", 846, 714, 0x4056B7397E7CABE1),
+    ("VAL", "MIX(ADV+1,50%UN)", 862, 703, 0x40569A817C23A357),
+    ("VAL", "PERM(17)", 855, 711, 0x40569B18D9F969C4),
+    ("VAL", "HOT(4x50%)", 902, 1405, 0x4072988CC588CC58),
+    ("VAL", "BITCOMP", 846, 701, 0x4056BB3BEA3677D1),
+    ("VAL", "BITREV", 844, 695, 0x4055490610FC5C2F),
+    ("VAL", "LOC(60%)", 840, 701, 0x4054B35A35A35A39),
+    ("PB", "UN", 784, 677, 0x40487F05397829C9),
+    ("PB", "ADV+1", 812, 689, 0x4051C8D3DCB08D3A),
+    ("PB", "MIX(ADV+1,50%UN)", 797, 689, 0x404BF446AA3D0760),
+    ("PB", "PERM(17)", 777, 688, 0x4049E622EC8FA669),
+    ("PB", "HOT(4x50%)", 846, 1354, 0x4070A6AD166476A1),
+    ("PB", "BITCOMP", 803, 685, 0x40509C5FA42F2EDB),
+    ("PB", "BITREV", 776, 684, 0x404A23CB376C34C6),
+    ("PB", "LOC(60%)", 758, 679, 0x4040FB9C081B04B6),
+    ("OLM", "UN", 797, 691, 0x404EFBD30807B57A),
+    ("OLM", "ADV+1", 807, 692, 0x4050806583037D57),
+    ("OLM", "MIX(ADV+1,50%UN)", 806, 685, 0x404FF34B97D24354),
+    ("OLM", "PERM(17)", 804, 684, 0x404F1C569B6211D5),
+    ("OLM", "HOT(4x50%)", 855, 1354, 0x40708E3DADF5D1E5),
+    ("OLM", "BITCOMP", 796, 692, 0x40513D2F9915DE91),
+    ("OLM", "BITREV", 796, 678, 0x404EBD9683375109),
+    ("OLM", "LOC(60%)", 763, 679, 0x4042FDA6C0964FDE),
+    ("Base", "UN", 779, 658, 0x4046AAB8B024CE63),
+    ("Base", "ADV+1", 843, 773, 0x405A3207E546C1BF),
+    ("Base", "MIX(ADV+1,50%UN)", 795, 687, 0x404B93A48C65C183),
+    ("Base", "PERM(17)", 766, 651, 0x4046D5B92619664A),
+    ("Base", "HOT(4x50%)", 844, 1354, 0x407089D1E54EDCD0),
+    ("Base", "BITCOMP", 849, 751, 0x405905E13E6ABDF9),
+    ("Base", "BITREV", 760, 658, 0x4046D1AF286BCA1A),
+    ("Base", "LOC(60%)", 756, 651, 0x404068F93A3E4E92),
+    ("Hybrid", "UN", 795, 692, 0x404E8FC75366B8D0),
+    ("Hybrid", "ADV+1", 805, 682, 0x4050561A13B77E44),
+    ("Hybrid", "MIX(ADV+1,50%UN)", 810, 691, 0x404FBD27D27D27D4),
+    ("Hybrid", "PERM(17)", 797, 675, 0x404EEFF09509F50E),
+    ("Hybrid", "HOT(4x50%)", 856, 1354, 0x40706DD4EF409922),
+    ("Hybrid", "BITCOMP", 797, 693, 0x4050D509F5143C5D),
+    ("Hybrid", "BITREV", 799, 686, 0x404E98FDC1D7A127),
+    ("Hybrid", "LOC(60%)", 763, 671, 0x40430A919D5B98A9),
+    ("ECtN", "UN", 779, 658, 0x4046AAB8B024CE63),
+    ("ECtN", "ADV+1", 843, 773, 0x405A3207E546C1BF),
+    ("ECtN", "MIX(ADV+1,50%UN)", 795, 687, 0x404B93A48C65C183),
+    ("ECtN", "PERM(17)", 766, 651, 0x4046D5B92619664A),
+    ("ECtN", "HOT(4x50%)", 844, 1354, 0x407089D1E54EDCD0),
+    ("ECtN", "BITCOMP", 849, 751, 0x405905E13E6ABDF9),
+    ("ECtN", "BITREV", 760, 658, 0x4046D1AF286BCA1A),
+    ("ECtN", "LOC(60%)", 756, 651, 0x404068F93A3E4E92),
 ];
 
 /// Pinned fault-corpus fingerprints: every [`fault_scenarios`] cell under
@@ -343,24 +343,24 @@ pub const GOLDEN_ROUTING_PATTERN: &[(&str, &str, u64, u64, u64)] = &[
 #[rustfmt::skip]
 pub const GOLDEN_FAULTS: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     // (scenario, routing, delivered_window, dropped, in_flight, final_cycle, latency_bits)
-    ("ADV-gldown", "Base", 875, 16, 0, 765, 0x405A9F4E1DD7A007),
-    ("ADV-gldown", "OLM", 836, 10, 0, 685, 0x40508D79435E50E0),
-    ("ADV-gldown", "ECtN", 881, 10, 0, 765, 0x405A1B061A26F00A),
-    ("UN-gldown", "Base", 805, 0, 0, 652, 0x4046C553A323EF78),
-    ("UN-gldown", "OLM", 827, 10, 0, 681, 0x404FA2D31D6851BF),
-    ("UN-gldown", "ECtN", 805, 0, 0, 652, 0x4046B4A18CE1271C),
-    ("UN-drain", "Base", 790, 0, 0, 653, 0x4046946A49E22FFD),
-    ("UN-drain", "OLM", 820, 0, 0, 691, 0x404FB0B3D30B3D2E),
-    ("UN-drain", "ECtN", 790, 0, 0, 653, 0x4046946A49E22FFD),
-    ("ADV-cut2", "Base", 799, 105, 0, 788, 0x405BA5161B8DEFFF),
-    ("ADV-cut2", "OLM", 789, 63, 0, 685, 0x405111470E99CB72),
-    ("ADV-cut2", "ECtN", 883, 18, 0, 765, 0x4058E748C525665C),
-    ("ADV-cut2up", "Base", 842, 62, 0, 765, 0x405B12D9B0F33AFA),
-    ("ADV-cut2up", "OLM", 812, 40, 0, 693, 0x4050F717F5E94CEF),
-    ("ADV-cut2up", "ECtN", 883, 18, 0, 765, 0x405913C97EB202E6),
-    ("ADV-lldown", "Base", 882, 5, 0, 765, 0x405ABF7DF7DF7DFC),
-    ("ADV-lldown", "OLM", 833, 12, 0, 686, 0x40505D3217F89FD4),
-    ("ADV-lldown", "ECtN", 882, 5, 0, 765, 0x405AA20820820821),
+    ("ADV-gldown", "Base", 837, 10, 0, 773, 0x4059D30A17DB4C22),
+    ("ADV-gldown", "OLM", 798, 13, 0, 681, 0x4050C133F84CFE15),
+    ("ADV-gldown", "ECtN", 838, 9, 0, 773, 0x40598B883F8AB12B),
+    ("UN-gldown", "Base", 779, 2, 0, 658, 0x4046DD005420DCE1),
+    ("UN-gldown", "OLM", 794, 3, 0, 693, 0x404F7BCEFE10C401),
+    ("UN-gldown", "ECtN", 779, 2, 0, 658, 0x4046DA5F4D3A2AB6),
+    ("UN-drain", "Base", 765, 0, 0, 658, 0x4046A97ED4297EDA),
+    ("UN-drain", "OLM", 783, 0, 0, 680, 0x404F5B8B9B4CD52F),
+    ("UN-drain", "ECtN", 765, 0, 0, 658, 0x4046A97ED4297EDA),
+    ("ADV-cut2", "Base", 769, 94, 0, 868, 0x405BE7B2C4693243),
+    ("ADV-cut2", "OLM", 762, 57, 0, 692, 0x405186B81AE06B7D),
+    ("ADV-cut2", "ECtN", 833, 23, 0, 773, 0x40582CA37EECA380),
+    ("ADV-cut2up", "Base", 804, 59, 0, 765, 0x405A6D226357E16D),
+    ("ADV-cut2up", "OLM", 780, 39, 0, 692, 0x4051142F42F42F3B),
+    ("ADV-cut2up", "ECtN", 833, 23, 0, 773, 0x4058864CD4AADF1E),
+    ("ADV-lldown", "Base", 839, 5, 0, 773, 0x4059E70E57440AFE),
+    ("ADV-lldown", "OLM", 801, 6, 0, 679, 0x4050746A1B7C531B),
+    ("ADV-lldown", "ECtN", 840, 4, 0, 773, 0x4059ED2E52E52E4E),
 ];
 
 /// Pinned churn-corpus fingerprints: every [`churn_scenarios`] cell under
@@ -372,12 +372,12 @@ pub const GOLDEN_FAULTS: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
 #[allow(clippy::type_complexity)]
 pub const GOLDEN_CHURN: &[(&str, &str, u64, u64, u64, u64, u64, u64)] = &[
     // (scenario, routing, delivered_window, dropped, retargeted, in_flight, final_cycle, latency_bits)
-    ("UN-churn", "Base", 708, 35, 65, 0, 678, 0x40475A08AD8F2FB4),
-    ("UN-churn", "PB", 725, 21, 65, 0, 688, 0x4049E1A213114D56),
-    ("UN-churn", "ECtN", 726, 17, 65, 0, 667, 0x40477A5BAE315DCA),
-    ("ADV-churn", "Base", 765, 55, 67, 0, 783, 0x405A2D4297ED428E),
-    ("ADV-churn", "PB", 749, 45, 67, 0, 697, 0x4051FA880833F3B3),
-    ("ADV-churn", "ECtN", 770, 50, 67, 0, 775, 0x405883288FA03FD6),
+    ("UN-churn", "Base", 692, 22, 66, 0, 684, 0x4047780BD6910474),
+    ("UN-churn", "PB", 706, 13, 66, 0, 695, 0x4049A89CA5593378),
+    ("UN-churn", "ECtN", 700, 14, 66, 0, 684, 0x404762608C6F2D57),
+    ("ADV-churn", "Base", 734, 45, 74, 0, 730, 0x405786A06F9B8D92),
+    ("ADV-churn", "PB", 689, 58, 74, 0, 691, 0x40522F005F1E188A),
+    ("ADV-churn", "ECtN", 736, 43, 74, 0, 708, 0x4056C4DE9BD37A73),
 ];
 
 /// The collective corpus: closed collective runs (rank-level communication
@@ -497,10 +497,10 @@ pub const GOLDEN_SPECIAL: &[(&str, &str, u64, u64, u64)] = &[
     ("UN-bursty", "ECtN", 824, 648, 0x4046E5979C95204C),
     ("UN-ramp", "Base", 748, 657, 0x40467F24F66AC7DF),
     ("UN-ramp", "ECtN", 748, 657, 0x40467F24F66AC7DF),
-    ("UN->ADV+1", "Base", 805, 785, 0x4053B98F6C713667),
-    ("UN->ADV+1", "ECtN", 805, 785, 0x4053B98F6C713667),
-    ("UN-storm-UN", "Base", 1067, 663, 0x4054D492D588846B),
-    ("UN-storm-UN", "ECtN", 1067, 663, 0x4054D492D588846B),
+    ("UN->ADV+1", "Base", 805, 764, 0x405392AEE826295C),
+    ("UN->ADV+1", "ECtN", 805, 764, 0x405392AEE826295C),
+    ("UN-storm-UN", "Base", 1098, 664, 0x40547D15EA8CD2C7),
+    ("UN-storm-UN", "ECtN", 1098, 672, 0x405467670D85D42E),
 ];
 
 // ---------------------------------------------------------------------------
@@ -528,10 +528,10 @@ pub fn trigger_table_builder(routing: RoutingKind) -> df_sim::SimulationConfigBu
 #[rustfmt::skip]
 pub const GOLDEN_TRIGGER_TABLE: &[(RoutingKind, u64, u64, u64)] = &[
     // (routing, delivered_window, final_cycle, latency_bits)
-    (RoutingKind::Olm, 1694, 706, 0x40534B252D08C3D8),
-    (RoutingKind::Base, 1803, 812, 0x405E1B4BF65850A9),
-    (RoutingKind::Hybrid, 1700, 698, 0x4052E3CD67009A3A),
-    (RoutingKind::Ectn, 1803, 794, 0x405C7F412BDFA091),
+    (RoutingKind::Olm, 1701, 711, 0x405341948B0FCD71),
+    (RoutingKind::Base, 1816, 813, 0x405DF41F93BC55AB),
+    (RoutingKind::Hybrid, 1694, 699, 0x4053020A46B993CC),
+    (RoutingKind::Ectn, 1804, 797, 0x405C4C981FC981F2),
 ];
 
 // ---------------------------------------------------------------------------
@@ -635,21 +635,21 @@ pub fn megafly_collective_config(job: JobSpec, routing: RoutingKind) -> Simulati
 #[rustfmt::skip]
 pub const GOLDEN_MEGAFLY: &[(&str, &str, u64, u64, u64)] = &[
     // (routing, pattern, delivered_window, final_cycle, latency_bits)
-    ("MIN", "UN", 820, 652, 0x40497C68E5C68E59),
-    ("MIN", "ADV+1", 920, 1157, 0x40707FC1AB68A045),
-    ("MIN", "LOC(60%)", 801, 651, 0x4045306B62C1AD90),
-    ("VAL", "UN", 902, 696, 0x40585D7217D72179),
-    ("VAL", "ADV+1", 899, 694, 0x4058BA1759B31D51),
-    ("VAL", "LOC(60%)", 882, 697, 0x405772492492492A),
-    ("Base", "UN", 820, 652, 0x40497C68E5C68E59),
-    ("Base", "ADV+1", 909, 801, 0x405CF3BFC9ED699D),
-    ("Base", "LOC(60%)", 801, 651, 0x4045306B62C1AD90),
-    ("PB", "UN", 827, 687, 0x404BCA7288D27EE3),
-    ("PB", "ADV+1", 867, 717, 0x4055663CD36A0093),
-    ("PB", "LOC(60%)", 803, 677, 0x40463DD91B192F80),
-    ("ECtN", "UN", 820, 652, 0x40497C68E5C68E59),
-    ("ECtN", "ADV+1", 909, 801, 0x405CF3BFC9ED699D),
-    ("ECtN", "LOC(60%)", 801, 651, 0x4045306B62C1AD90),
+    ("MIN", "UN", 791, 656, 0x404973B39EE85FCF),
+    ("MIN", "ADV+1", 880, 1117, 0x406ED62E8BA2E8B7),
+    ("MIN", "LOC(60%)", 770, 651, 0x40446A392F35DC16),
+    ("VAL", "UN", 856, 710, 0x405840991F1A5151),
+    ("VAL", "ADV+1", 861, 702, 0x4058BFFFFFFFFFFE),
+    ("VAL", "LOC(60%)", 857, 703, 0x40568E1D4632C82B),
+    ("Base", "UN", 791, 656, 0x404973B39EE85FCF),
+    ("Base", "ADV+1", 863, 783, 0x405D26EF176F3D68),
+    ("Base", "LOC(60%)", 770, 651, 0x40446A392F35DC16),
+    ("PB", "UN", 799, 690, 0x404C4586E37BFEAD),
+    ("PB", "ADV+1", 828, 697, 0x405492519F894682),
+    ("PB", "LOC(60%)", 772, 679, 0x404581FD58DED6E0),
+    ("ECtN", "UN", 791, 656, 0x404973B39EE85FCF),
+    ("ECtN", "ADV+1", 863, 783, 0x405D26EF176F3D68),
+    ("ECtN", "LOC(60%)", 770, 651, 0x40446A392F35DC16),
 ];
 
 /// Pinned Megafly fault-slice fingerprints; same clock and conservation
@@ -657,10 +657,10 @@ pub const GOLDEN_MEGAFLY: &[(&str, &str, u64, u64, u64)] = &[
 #[rustfmt::skip]
 pub const GOLDEN_MEGAFLY_FAULTS: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     // (scenario, routing, delivered_window, dropped, in_flight, final_cycle, latency_bits)
-    ("MF-ADV-gldown", "Base", 887, 25, 0, 801, 0x405DAEC15EF42AB9),
-    ("MF-ADV-gldown", "ECtN", 901, 11, 0, 801, 0x405DAD1AFE02D75B),
-    ("MF-UN-gldown", "Base", 820, 0, 0, 652, 0x4049A436F2436F27),
-    ("MF-UN-gldown", "ECtN", 820, 0, 0, 652, 0x4049A3E7063E7066),
+    ("MF-ADV-gldown", "Base", 848, 19, 0, 783, 0x405D26439F656F16),
+    ("MF-ADV-gldown", "ECtN", 853, 14, 0, 783, 0x405CD83C060099A7),
+    ("MF-UN-gldown", "Base", 791, 2, 0, 656, 0x40499B0626308BD5),
+    ("MF-UN-gldown", "ECtN", 791, 2, 0, 656, 0x4049C014B6889393),
 ];
 
 /// Pinned Megafly collective-slice fingerprints; same completion contract
@@ -791,18 +791,18 @@ pub fn interference_jobs() -> Vec<JobSpec> {
 #[allow(clippy::type_complexity)]
 pub const GOLDEN_JOBS: &[(&str, &str, &str, u64, u64, u64, u64, u64)] = &[
     // (topology, mix, routing, makespan, completion_sum, delivered, job_stalls, latency_bits)
-    ("dragonfly", "2job", "Base", 501, 809, 1164, 5984, 0x4043BE054741FABA),
-    ("dragonfly", "2job", "PB", 496, 794, 1146, 5840, 0x4044B8DA06413A8B),
-    ("dragonfly", "2job", "ECtN", 501, 809, 1164, 5984, 0x4043BE054741FABA),
-    ("dragonfly", "3job", "Base", 501, 1118, 1240, 7648, 0x4043469B4069B40B),
-    ("dragonfly", "3job", "PB", 496, 1103, 1222, 7512, 0x40442B5D6F07F5ED),
-    ("dragonfly", "3job", "ECtN", 501, 1118, 1240, 7648, 0x4043469B4069B40B),
-    ("megafly", "2job", "Base", 669, 1051, 1457, 7942, 0x40478F763F9ACB7A),
-    ("megafly", "2job", "PB", 680, 1059, 1466, 7899, 0x404960A7A3CC4FA9),
-    ("megafly", "2job", "ECtN", 669, 1051, 1457, 7942, 0x40478F763F9ACB7A),
-    ("megafly", "3job", "Base", 669, 1433, 1533, 10162, 0x4047283ECA0FB27C),
-    ("megafly", "3job", "PB", 680, 1425, 1544, 10048, 0x4048F874B9B3113B),
-    ("megafly", "3job", "ECtN", 669, 1433, 1533, 10162, 0x4047283ECA0FB27C),
-    ("dragonfly", "interfere", "Base", 906, 1757, 2236, 13098, 0x404DE9F5ECC401D2),
-    ("megafly", "interfere", "Base", 933, 1781, 2286, 13404, 0x40501BB76EDDBB7A),
+    ("dragonfly", "2job", "Base", 497, 787, 1115, 5778, 0x4043DA1DD8F7F6D6),
+    ("dragonfly", "2job", "PB", 496, 805, 1110, 5936, 0x4045024E6A17102E),
+    ("dragonfly", "2job", "ECtN", 497, 787, 1115, 5778, 0x4043DA1DD8F7F6D6),
+    ("dragonfly", "3job", "Base", 497, 1083, 1191, 7336, 0x404354B04157E9AF),
+    ("dragonfly", "3job", "PB", 496, 1102, 1186, 7484, 0x40445CB550BA7EE2),
+    ("dragonfly", "3job", "ECtN", 497, 1083, 1191, 7336, 0x404354B04157E9AF),
+    ("megafly", "2job", "Base", 664, 1053, 1407, 8040, 0x404780D19A792D53),
+    ("megafly", "2job", "PB", 664, 1048, 1395, 7934, 0x404962A3537F8A95),
+    ("megafly", "2job", "ECtN", 664, 1053, 1407, 8040, 0x404780D19A792D53),
+    ("megafly", "3job", "Base", 664, 1423, 1483, 10215, 0x40470A2F4C78D614),
+    ("megafly", "3job", "PB", 664, 1432, 1471, 10130, 0x4048DBA0A18042E0),
+    ("megafly", "3job", "ECtN", 664, 1423, 1483, 10215, 0x40470A2F4C78D614),
+    ("dragonfly", "interfere", "Base", 928, 1825, 2230, 13521, 0x404DFFE29C95B26A),
+    ("megafly", "interfere", "Base", 956, 1835, 2269, 13736, 0x4050373A549E6806),
 ];

