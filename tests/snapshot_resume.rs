@@ -347,7 +347,10 @@ fn paper_scale_snapshot_resume_smoke() {
 /// group views, each series' counts, histogram bins), the phase index, 71
 /// of the 72 per-node offered loads, the series origin, each series'
 /// origin and bin width, the histogram's range, bin width and count, and
-/// nine 4-byte links-per-group stamps). The last
+/// nine 4-byte links-per-group stamps; version 12: 360 bytes more from
+/// the format — each of the 72 injectors' 4-byte gap and certain-success
+/// flag — and the rest from the new injector streams, which leave other
+/// packets queued and in flight at each checkpoint). The last
 /// cell sits at a load where nearly every injector is many cycles from its
 /// next packet: a wrong gap or stream position in a mid-gap snapshot shows
 /// up here and nowhere else.
@@ -357,32 +360,32 @@ const PINNED_SNAPSHOTS: [(RoutingKind, PatternKind, f64, u64, usize, u64); 4] = 
         PatternKind::Uniform,
         0.05,
         137,
-        30_632,
-        0x804F_B478_0A6C_CBAC,
+        31_315,
+        0x5C02_8E30_19F5_22B5,
     ),
     (
         RoutingKind::PiggyBacking,
         PatternKind::Adversarial { offset: 1 },
         0.4,
         333,
-        54_000,
-        0x010D_4D6D_CF58_7482,
+        54_265,
+        0xC008_8896_2D32_99AB,
     ),
     (
         RoutingKind::Ectn,
         PatternKind::Adversarial { offset: 1 },
         0.4,
         250,
-        52_705,
-        0xDCE7_4BE1_BDC4_075F,
+        52_205,
+        0x3BF7_2CFD_49E7_F483,
     ),
     (
         RoutingKind::Base,
         PatternKind::Uniform,
         0.01,
         599,
-        30_633,
-        0x31CA_C154_662D_0720,
+        31_004,
+        0xA243_669C_D0DD_3B2C,
     ),
 ];
 
