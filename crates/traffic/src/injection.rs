@@ -25,13 +25,13 @@
 //! a time. A steady Bernoulli injector (trial probability `p` strictly in
 //! (0, 1), the same every tick) instead draws the whole run of failing
 //! trials at once ([`DeterministicRng::failure_run`]: one draw, looked up in
-//! an inverse-CDF table built once per distinct `p` and shared by every
-//! injector at that `p`). A run of 0 is a success on this tick — exactly the
-//! draws on which a single `bernoulli(p)` trial succeeds. A run of `k ≥ 1`
-//! fails this tick and leaves a *gap* of `k − 1` ticks that are certain
-//! failures, and the tick after them a certain success; a run that reaches
-//! [`LOOKAHEAD_BOUND`] leaves that many failures and the tick after them
-//! draws again. That is the Bernoulli law, truncated at the bound and
+//! an inverse-CDF table built once per distinct `p` on a thread and shared
+//! by every injector at that `p`). A run of 0 is a success on this tick —
+//! exactly the draws on which a single `bernoulli(p)` trial succeeds. A run
+//! of `k ≥ 1` fails this tick and leaves a *gap* of `k − 1` ticks that are
+//! certain failures, and the tick after them a certain success; a run that
+//! reaches [`LOOKAHEAD_BOUND`] leaves that many failures and the tick after
+//! them draws again. That is the Bernoulli law, truncated at the bound and
 //! continued by memorylessness, on a stream of one draw per gap.
 //!
 //! The gap is simulation state: a tick while it is non-zero only counts it
@@ -50,7 +50,8 @@ use df_engine::{failure_run_table, CodecError, DeterministicRng};
 use df_model::{Cycle, Packet, PacketId};
 use df_topology::NodeId;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use crate::pattern::TrafficPattern;
 
@@ -159,16 +160,20 @@ pub struct Injector {
 pub const LOOKAHEAD_BOUND: u32 = 256;
 
 /// The failure-run table of trial probability `p` at [`LOOKAHEAD_BOUND`]:
-/// built once per distinct `p` in the process, then shared.
+/// built once per distinct `p` on each thread, then shared by every
+/// injector at that `p` (building a network looks one up per node).
 fn failure_runs(p: f64) -> Arc<[u64]> {
-    static TABLES: Mutex<Vec<(u64, Arc<[u64]>)>> = Mutex::new(Vec::new());
-    let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((_, table)) = tables.iter().find(|(bits, _)| *bits == p.to_bits()) {
-        return table.clone();
+    thread_local! {
+        static TABLES: RefCell<Vec<(u64, Arc<[u64]>)>> = const { RefCell::new(Vec::new()) };
     }
-    let table: Arc<[u64]> = failure_run_table(p, LOOKAHEAD_BOUND).into();
-    tables.push((p.to_bits(), table.clone()));
-    table
+    TABLES.with_borrow_mut(|tables| {
+        if let Some((_, table)) = tables.iter().find(|(bits, _)| *bits == p.to_bits()) {
+            return table.clone();
+        }
+        let table: Arc<[u64]> = failure_run_table(p, LOOKAHEAD_BOUND).into();
+        tables.push((p.to_bits(), table.clone()));
+        table
+    })
 }
 
 impl Injector {
