@@ -11,9 +11,12 @@
 //!
 //! * `lowload_paper` — the Table I Dragonfly (16,512 nodes) at UN 0.01,
 //!   probed over the 300 cycles after a 100-cycle warm-up, and over cycle 0
-//!   (every node due: a look-ahead per node) on its own line;
+//!   (every node due: a gap drawn per node) on its own line;
 //! * `saturated_medium` — the medium Dragonfly restored at cycle 800 of
-//!   UN 0.9 (Base, PB) and ADV+1 0.5 (ECtN, OLM), probed over 150 cycles.
+//!   UN 0.9 (Base, PB) and ADV+1 0.5 (ECtN, OLM), probed over 150 cycles;
+//!
+//! and one `jobs_medium` cell (Base: three 64-rank jobs over UN 0.001 on the
+//! medium Dragonfly, probed from cycle 0 to the jobs' completion).
 //!
 //! Times are µs per step, the fastest of `runs` runs (default 9) per phase
 //! and for the whole step; counts are exact and equal in every run.
@@ -95,12 +98,12 @@ fn print_table(cells: &[(String, PhaseTotals, f64)]) {
     println!("|---|{}", "---:|".repeat(cells.len()));
     for phase in Phase::ALL {
         let row: Vec<String> = (cells.iter())
-            .map(|(_, t, _)| format!("{:.0}", t.us_per_step(phase)))
+            .map(|(_, t, _)| format!("{:.1}", t.us_per_step(phase)))
             .collect();
         println!("| {} µs | {} |", phase.label(), row.join(" | "));
     }
     let row: Vec<String> = (cells.iter())
-        .map(|(.., step)| format!("**{step:.0}**"))
+        .map(|(.., step)| format!("**{step:.1}**"))
         .collect();
     println!("| **step µs** | {} |", row.join(" | "));
     for (label, field) in COUNTS {
@@ -183,5 +186,47 @@ fn main() {
         cells.push((format!("{} {name}", routing.label()), totals, step));
     }
     print_table(&cells);
+    println!("\n`cargo run --release --example phases`\n");
+
+    println!(
+        "jobs_medium: medium Dragonfly, 3 jobs over UN @ 0.001, to completion, fastest of {runs}\n"
+    );
+    let cfg = jobs_medium_base();
+    let cycles =
+        (Network::new(cfg.clone()).run_until_jobs_complete(2_000_000)).expect("the jobs complete");
+    let (totals, step) = probe(runs, cycles, || Network::new(cfg.clone()));
+    print_table(&[(format!("Base, {cycles} cycles"), totals, step)]);
     println!("\n`cargo run --release --example phases`");
+}
+
+/// The first `jobs_medium` cell as the benchmark workload configures it.
+fn jobs_medium_base() -> SimulationConfig {
+    let rd = AllReduceAlgorithm::RecursiveDoubling;
+    let ring = CollectiveKind::AllReduce(AllReduceAlgorithm::Ring);
+    let jobs = vec![
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllToAll, 64, 2),
+            JobPlacement::group_spread(0),
+        ),
+        JobSpec::new(
+            TaskWorkload::single(ring, 64, 2),
+            JobPlacement::group_spread(8),
+        ),
+        JobSpec::new(
+            TaskWorkload::mini_app(64, 8, rd, 1),
+            JobPlacement::group_spread(16),
+        )
+        .starting_at(500)
+        .with_compute_delay(20),
+    ];
+    SimulationConfig::builder()
+        .topology(DragonflyParams::medium())
+        .network(NetworkConfig::paper_table1())
+        .routing(RoutingKind::Base)
+        .pattern(PatternKind::Uniform)
+        .offered_load(0.001)
+        .seed(DeterministicRng::new(1).split(0).seed())
+        .jobs(jobs)
+        .build()
+        .expect("valid configuration")
 }
