@@ -493,25 +493,7 @@ mod tests {
         to: RouterId,
     ) {
         let routing = &mut packet.routing;
-        match d.commitment {
-            Commitment::None => {}
-            Commitment::Intermediate { router, misroute } => {
-                routing.commit_intermediate(router, misroute)
-            }
-            Commitment::NonminimalGlobal { gateway, port } => {
-                routing.commit_nonminimal_global(gateway, port)
-            }
-            Commitment::LocalDetour { router } => {
-                routing.commit_local_detour(router, topo.router_group(from))
-            }
-            Commitment::RecommitGlobal { gateway, port } => {
-                routing.recommit_nonminimal_global(gateway, port)
-            }
-            Commitment::AbandonNonminimal => routing.abandon_nonminimal_global(),
-            Commitment::RecommitIntermediate { router } => routing.recommit_intermediate(router),
-            Commitment::AbandonIntermediate => routing.abandon_intermediate(),
-            Commitment::AbandonLocalDetour => routing.abandon_local_detour(),
-        }
+        d.commitment.apply(routing, topo.router_group(from));
         routing.note_hop(topo, d.output_port, to);
     }
 

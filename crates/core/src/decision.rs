@@ -1,7 +1,7 @@
 //! Routing decisions handed from the routing algorithm to the simulator.
 
-use df_model::VcId;
-use df_topology::{Port, RouterId};
+use df_model::{RoutingState, VcId};
+use df_topology::{GroupId, Port, RouterId};
 use serde::{Deserialize, Serialize};
 
 /// Why the chosen output was selected — used by the statistics and by tests.
@@ -97,6 +97,31 @@ impl Commitment {
                 | Commitment::AbandonIntermediate
                 | Commitment::AbandonLocalDetour
         )
+    }
+
+    /// Record this commitment on a granted head packet's routing state, as
+    /// the simulator does when the grant is applied; `group` is the group of
+    /// the router granting it.
+    pub fn apply(self, routing: &mut RoutingState, group: GroupId) {
+        match self {
+            Commitment::None => {}
+            Commitment::Intermediate { router, misroute } => {
+                routing.commit_intermediate(router, misroute)
+            }
+            Commitment::NonminimalGlobal { gateway, port } => {
+                routing.commit_nonminimal_global(gateway, port)
+            }
+            Commitment::LocalDetour { router } => routing.commit_local_detour(router, group),
+            // fault re-commits: replace or abandon a committed continuation
+            // whose link died
+            Commitment::RecommitGlobal { gateway, port } => {
+                routing.recommit_nonminimal_global(gateway, port)
+            }
+            Commitment::AbandonNonminimal => routing.abandon_nonminimal_global(),
+            Commitment::RecommitIntermediate { router } => routing.recommit_intermediate(router),
+            Commitment::AbandonIntermediate => routing.abandon_intermediate(),
+            Commitment::AbandonLocalDetour => routing.abandon_local_detour(),
+        }
     }
 }
 

@@ -110,12 +110,6 @@ impl EctnState {
         self.combined.copy_from_slice(combined);
     }
 
-    /// Sum of the partial counters (total remote-bound head packets seen by
-    /// this router).
-    pub fn partial_total(&self) -> u32 {
-        self.partial.iter().sum()
-    }
-
     /// True when every partial counter is zero.
     pub fn partial_all_zero(&self) -> bool {
         self.partial.iter().all(|&c| c == 0)
@@ -140,7 +134,6 @@ mod tests {
         assert_eq!(e.partial(3), 2);
         assert_eq!(e.partial(7), 1);
         assert_eq!(e.partial(0), 0);
-        assert_eq!(e.partial_total(), 3);
         e.decrement_partial(3);
         assert_eq!(e.partial(3), 1);
         assert!(!e.partial_all_zero());

@@ -445,7 +445,7 @@ impl Network {
     /// credits ledgered). The fault plan is not frozen: resume stepping and
     /// the remaining events fire at their scheduled cycles.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        self.nodes.set_offered_load(0.0);
+        self.nodes.set_offered_load(0.0, self.cycle);
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline && !self.drained() {
             self.step();
@@ -629,7 +629,7 @@ impl Network {
             let load = self.config.schedule.phases()[phase]
                 .load
                 .unwrap_or(self.config.offered_load);
-            self.nodes.set_offered_load(load);
+            self.nodes.set_offered_load(load, now);
         }
 
         // ---- 0.5. fault events ----

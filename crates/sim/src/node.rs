@@ -7,20 +7,18 @@
 //! shows up as source-queue growth and latency blow-up rather than packet
 //! loss).
 //!
-//! `Nodes` (crate-private) is the whole population as the simulator's per-cycle loop sees
-//! it: the nodes themselves plus three *derived* sets that make the walk
-//! over them proportional to what happens rather than to the node count —
-//! the nodes with a non-empty source queue (the only ones injection has to
-//! visit, a [`BitSet`] walked in ascending order), a wake-up calendar that
-//! hands out the nodes whose next tick is not inside a Bernoulli gap (see
-//! [`df_traffic::injection`]), and a flag for the case where no injector
-//! can generate anything at all. A cycle's generation ticks its due nodes
-//! in ascending order (the order packet ids are numbered in) and files each
-//! past the gap its tick left ([`Injector::take_gap`]). The gaps are
-//! simulation state and are saved with the nodes (the calendar hands back
-//! what each still owes); the buckets are not: they are rebuilt from the
-//! nodes on construction and on restore, and a snapshot is byte-identical
-//! with or without them.
+//! `Nodes` (crate-private) is the whole population as the simulator's
+//! per-cycle loop sees it: the nodes plus two *derived* sets that make the
+//! walk over them proportional to what happens rather than to the node
+//! count — the nodes with a non-empty source queue (the only ones injection
+//! visits, a [`BitSet`] walked in ascending order) and a wake-up calendar,
+//! the one generation walk, which hands out each node at its next live
+//! tick: past its Bernoulli gap (see [`df_traffic::injection`]), never while
+//! silent. A cycle's generation ticks its due nodes in ascending order (the
+//! order packet ids are numbered in). The gaps are simulation state, saved
+//! with the nodes (the calendar hands back what each still owes); the
+//! buckets are not: they are rebuilt from the nodes on construction and on
+//! restore, and a snapshot is byte-identical with or without them.
 //!
 //! [`BitSet`]: df_engine::BitSet
 
@@ -141,17 +139,24 @@ impl Node {
 
     /// Restore the state written by [`Node::save_state`] into a freshly
     /// configured node, already at the captured offered load, whose queued
-    /// packets must fit `bounds`.
+    /// packets must fit `bounds` and whose VC pointer must lie below the
+    /// injection port's `injection_vcs` (where [`Node::take_vc_rr`] keeps
+    /// it).
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
         bounds: &PacketBounds,
+        injection_vcs: usize,
     ) -> Result<(), df_engine::CodecError> {
         self.injector.restore_state(d)?;
         self.source_queue = (0..d.seq(8)?)
             .map(|_| Packet::decode(d, bounds))
             .collect::<Result<_, _>>()?;
         self.next_vc = d.usize()?;
+        if self.next_vc >= injection_vcs {
+            let what = format!("VC pointer {} of {injection_vcs} VCs", self.next_vc);
+            return Err(df_engine::CodecError::Invalid(what));
+        }
         self.generated_phits = d.u64()?;
         Ok(())
     }
@@ -163,82 +168,50 @@ impl Node {
 /// no-op, iteration is in ascending node order, and the set is rebuilt from
 /// the nodes on restore.
 ///
-/// The wake-up calendar files each node of a `Bernoulli` population at its
-/// next tick outside a gap, `now + gap + 1`, in a ring of buckets longer
-/// than `LOOKAHEAD_BOUND`; a cycle ticks its bucket, sorted (the order
-/// within a bucket's chain is not state). A paused node leaves it owing the
-/// rest of its gap. A new, restored or load-changed population is *all
-/// due*: the next generation walks every unpaused node (a restored gap is
-/// still in its injector, so that tick counts it down). `Ramp` and `Bursty`
-/// populations stay all due.
+/// The calendar files each node at its next live tick: `now + gap` when the
+/// population is built, restored or its load changes, `now + gap + 1` after
+/// each tick, the gap taken out of its injector ([`Injector::take_gap`]; 0
+/// for `Ramp` and `Bursty`). Its buckets form a ring longer than
+/// `LOOKAHEAD_BOUND`; a cycle ticks its bucket, sorted (the order within a
+/// chain is not state). A silent node stays out until the next load change;
+/// a paused one leaves owing the rest of its gap.
 pub(crate) struct Nodes {
     nodes: Vec<Node>,
-    /// Per node: its wake cycle while filed, or the ticks of its gap it owes
-    /// while paused (0 while all are due).
+    /// Per unpaused node: the cycle of its next live tick (passed while it
+    /// is silent). Per paused node: the ticks of its gap it owes.
     wake: Vec<Cycle>,
     /// Per node: generation paused (draining router or failed node).
     paused: Vec<bool>,
     /// The calendar's chains: `links[idx]` follows node `idx` in its bucket,
-    /// `links[n + slot]` heads bucket `slot` (none without a calendar).
+    /// `links[n + slot]` heads bucket `slot`.
     links: Vec<u32>,
-    /// Every unpaused node is due at the next generation; none is filed.
-    all_due: bool,
     /// Reusable buffer: the nodes due this cycle.
     due: Vec<u32>,
     /// Nodes whose source queue is non-empty (exact outside the injection
     /// walk, which leaves out the nodes it empties).
     queued: BitSet,
-    /// Every injector is silent: a tick draws nothing and generates
-    /// nothing, so the generation walk is skipped outright. Recomputed
-    /// whenever a load changes.
-    silent: bool,
 }
 
 /// The end of a calendar chain.
 const NO_NODE: u32 = u32::MAX;
 
+/// The calendar's buckets: more than a wake-up lies ahead (a whole gap and
+/// the tick after it).
+const SLOTS: usize = (LOOKAHEAD_BOUND as usize + 1).next_power_of_two();
+
 impl Nodes {
-    /// Wrap a freshly built or freshly restored population: nothing filed,
-    /// all due, queued set and silence derived from the nodes.
+    /// Wrap a freshly built population: every node filed for cycle 0.
     pub fn new(nodes: Vec<Node>) -> Self {
-        let bernoulli = (nodes.iter()).all(|n| n.injector.kind() == InjectionKind::Bernoulli);
-        let slots = bernoulli.then(|| (LOOKAHEAD_BOUND as usize + 1).next_power_of_two());
         let mut this = Nodes {
             wake: vec![0; nodes.len()],
             paused: vec![false; nodes.len()],
-            links: vec![NO_NODE; nodes.len() + slots.unwrap_or(0)],
-            all_due: true,
+            links: vec![NO_NODE; nodes.len() + SLOTS],
             due: Vec::new(),
             queued: BitSet::new(nodes.len()),
-            silent: false,
             nodes,
         };
-        this.rebuild_derived();
+        this.refile_all(0);
         this
-    }
-
-    fn rebuild_derived(&mut self) {
-        self.paused.fill(false);
-        self.make_all_due();
-        self.queued.clear();
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if node.queue_len() > 0 {
-                self.queued.insert(idx);
-            }
-        }
-        self.silent = self.all_silent();
-    }
-
-    /// Empty the calendar: every unpaused node is due, no paused one owes.
-    fn make_all_due(&mut self) {
-        self.wake.fill(0);
-        self.links.fill(NO_NODE);
-        self.all_due = true;
-    }
-
-    /// Whether no injector can draw or generate (full scan).
-    fn all_silent(&self) -> bool {
-        self.nodes.iter().all(|node| node.injector.is_silent())
     }
 
     /// Borrow node `idx`.
@@ -247,38 +220,62 @@ impl Nodes {
     }
 
     /// How many ticks of the gap the calendar took out of node `idx` have
-    /// not elapsed at the start of cycle `now`.
+    /// not elapsed at the start of cycle `now`. A wake-up behind `now` owes
+    /// nothing: a silent node's, or a filed one's in a restore's fault
+    /// replay, which meets the population filed for cycle 0 (restore refiles
+    /// it afterwards).
     fn owed(&self, idx: usize, now: Cycle) -> u32 {
-        match (self.paused[idx], self.all_due) {
-            (false, true) => 0,
-            (paused, _) => (self.wake[idx] - if paused { 0 } else { now }) as u32,
+        match self.paused[idx] {
+            true => self.wake[idx] as u32,
+            false => self.wake[idx].saturating_sub(now) as u32,
         }
     }
 
     /// The index of `links` heading the bucket of `cycle`.
     #[inline]
     fn head(&self, cycle: Cycle) -> usize {
-        let n = self.nodes.len();
-        n + (cycle as usize & (self.links.len() - n - 1))
+        self.nodes.len() + (cycle as usize & (SLOTS - 1))
     }
 
-    /// File node `idx` to tick at `wake`.
+    /// Link node `idx` into the bucket of its wake cycle.
     #[inline]
-    fn file(&mut self, idx: usize, wake: Cycle) {
-        let head = self.head(wake);
-        self.wake[idx] = wake;
+    fn link(&mut self, idx: usize) {
+        let head = self.head(self.wake[idx]);
         self.links[idx] = std::mem::replace(&mut self.links[head], idx as u32);
     }
 
-    /// Change every node's offered load (phase changes, drain). The gaps
-    /// were drawn against the old load: each injector discards its own, the
-    /// calendar what it holds, and all are due.
-    pub fn set_offered_load(&mut self, load: f64) {
+    /// File node `idx` at its next live tick from cycle `from`, past the gap
+    /// taken out of its injector; a paused node owes the gap instead, and a
+    /// silent one is not linked.
+    #[inline]
+    fn file_next(&mut self, idx: usize, from: Cycle) {
+        let injector = &mut self.nodes[idx].injector;
+        let gap = injector.take_gap() as Cycle;
+        if self.paused[idx] {
+            self.wake[idx] = gap;
+        } else {
+            self.wake[idx] = from + gap;
+            if !injector.is_silent() {
+                self.link(idx);
+            }
+        }
+    }
+
+    /// Refile the whole population at the start of cycle `now` (built,
+    /// restored, load changed).
+    fn refile_all(&mut self, now: Cycle) {
+        self.links.fill(NO_NODE);
+        (0..self.nodes.len()).for_each(|idx| self.file_next(idx, now));
+    }
+
+    /// Change every node's offered load at the start of cycle `now` (phase
+    /// changes, drain). The gaps were drawn against the old load: each
+    /// injector discards its own, and every node is refiled.
+    pub fn set_offered_load(&mut self, load: f64, now: Cycle) {
         for node in &mut self.nodes {
             node.set_offered_load(load);
         }
-        self.make_all_due();
-        self.silent = self.all_silent();
+        self.refile_all(now);
     }
 
     /// Whether node `idx`'s generation is paused: its router drains or it
@@ -295,54 +292,41 @@ impl Nodes {
         if self.paused[idx] == paused {
             return;
         }
-        self.paused[idx] = paused;
-        if self.all_due {
-            // not filed, and owes nothing
-        } else if paused {
-            let mut at = self.head(self.wake[idx]); // pauses are rare: walk the chain
-            while self.links[at] != idx as u32 {
-                at = self.links[at] as usize;
+        if paused {
+            if !self.nodes[idx].injector.is_silent() {
+                let mut at = self.head(self.wake[idx]); // pauses are rare: walk the chain
+                while self.links[at] != idx as u32 {
+                    at = self.links[at] as usize;
+                }
+                self.links[at] = self.links[idx];
             }
-            self.links[at] = self.links[idx];
-            self.wake[idx] -= now;
+            self.wake[idx] = self.owed(idx, now) as Cycle;
+            self.paused[idx] = true;
         } else {
-            self.file(idx, now + self.wake[idx]);
+            self.paused[idx] = false;
+            self.file_next(idx, now + self.wake[idx]);
         }
     }
 
-    /// This cycle's generation: tick the nodes filed at `now` (every unpaused
-    /// node while all are due) in ascending order, filing each again past
-    /// the gap its tick left. A silent population is not walked at all.
-    /// Returns how many nodes ticked and how many of the ticks drew a run of
-    /// failures (a gap).
+    /// This cycle's generation: tick the nodes filed at `now` in ascending
+    /// order, filing each again at its next live tick. Returns how many
+    /// nodes ticked and how many of the ticks drew a run of failures (a
+    /// gap).
     pub fn generate(
         &mut self,
         now: Cycle,
         pattern: &TrafficPattern,
         next_packet_id: &mut u64,
     ) -> (u64, u64) {
-        if self.silent {
-            debug_assert!(
-                self.all_silent(),
-                "the generation walk was skipped but an injector can still draw"
-            );
-            return (0, 0);
-        }
-        let calendar = self.links.len() > self.nodes.len();
         let mut due = std::mem::take(&mut self.due);
-        if self.all_due {
-            self.all_due = !calendar;
-            due.extend((0..self.nodes.len() as u32).filter(|&idx| !self.paused[idx as usize]));
-        } else {
-            let head = self.head(now);
-            let mut idx = std::mem::replace(&mut self.links[head], NO_NODE);
-            while idx != NO_NODE {
-                due.push(idx);
-                idx = self.links[idx as usize];
-            }
-            due.sort_unstable();
+        let head = self.head(now);
+        let mut idx = std::mem::replace(&mut self.links[head], NO_NODE);
+        while idx != NO_NODE {
+            due.push(idx);
+            idx = self.links[idx as usize];
         }
         // the ticks number the packets: ascending, as an every-node walk
+        due.sort_unstable();
         let mut draws = 0;
         for &idx in &due {
             let node = &mut self.nodes[idx as usize];
@@ -350,10 +334,7 @@ impl Nodes {
             if node.generate(now, pattern, next_packet_id) {
                 self.queued.insert(idx as usize);
             }
-            if calendar {
-                let gap = node.injector.take_gap();
-                self.file(idx as usize, now + gap as Cycle + 1);
-            }
+            self.file_next(idx as usize, now + 1);
         }
         let ticks = due.len() as u64;
         due.clear();
@@ -401,25 +382,26 @@ impl Nodes {
     }
 
     /// The calendar's invariant against a full scan at the start of cycle
-    /// `now`: each unpaused node is filed once, in its wake cycle's bucket,
-    /// no earlier than `now`; while all are due, none is filed and no paused
-    /// node owes a tick.
+    /// `now`: exactly the unpaused nodes with a live injector are filed,
+    /// each once, in its wake cycle's bucket, from `now` to a whole gap
+    /// ahead.
     pub fn calendar_is_exact(&self, now: Cycle) -> bool {
         let (n, mut filed) = (self.nodes.len(), vec![false; self.nodes.len()]);
         for head in n..self.links.len() {
             let mut idx = self.links[head] as usize;
             while idx != NO_NODE as usize {
-                if filed[idx] || self.wake[idx] < now || self.head(self.wake[idx]) != head {
+                let wake = self.wake[idx];
+                if filed[idx]
+                    || !(now..=now + LOOKAHEAD_BOUND as Cycle).contains(&wake)
+                    || self.head(wake) != head
+                {
                     return false;
                 }
                 filed[idx] = true;
                 idx = self.links[idx] as usize;
             }
         }
-        (0..n).all(|idx| match self.all_due {
-            true => !filed[idx] && (!self.paused[idx] || self.wake[idx] == 0),
-            false => filed[idx] != self.paused[idx],
-        })
+        (0..n).all(|idx| filed[idx] != (self.paused[idx] || self.nodes[idx].injector.is_silent()))
     }
 
     /// Serialise every node at the start of cycle `now` (see
@@ -437,24 +419,31 @@ impl Nodes {
         }
     }
 
-    /// Restore the state written by [`Nodes::save_state`] (an offered load
-    /// in `[0, 1]`, every queued packet fitting `bounds`) and rebuild the
-    /// derived sets from it.
+    /// Restore the state written by [`Nodes::save_state`] at the start of
+    /// cycle `now` (see [`Node::restore_state`] for `bounds` and
+    /// `injection_vcs`; the offered load lies in `[0, 1]`), then rebuild the
+    /// queued set and file each node at `now` plus its restored gap.
     pub fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
         bounds: &PacketBounds,
+        injection_vcs: usize,
+        now: Cycle,
     ) -> Result<(), df_engine::CodecError> {
         let load = d.f64()?;
         if !(0.0..=1.0).contains(&load) {
             let what = format!("offered load {load} outside [0, 1]");
             return Err(df_engine::CodecError::Invalid(what));
         }
-        for node in &mut self.nodes {
+        self.queued.clear();
+        for (idx, node) in self.nodes.iter_mut().enumerate() {
             node.set_offered_load(load);
-            node.restore_state(d, bounds)?;
+            node.restore_state(d, bounds, injection_vcs)?;
+            if node.queue_len() > 0 {
+                self.queued.insert(idx);
+            }
         }
-        self.rebuild_derived();
+        self.refile_all(now);
         Ok(())
     }
 }
@@ -600,7 +589,7 @@ mod tests {
                 .iter()
                 .find_map(|&(at, load)| (at == now).then_some(load))
             {
-                nodes.set_offered_load(load);
+                nodes.set_offered_load(load, now);
                 twins.iter_mut().for_each(|t| t.set_offered_load(load));
             }
             // node 5's router drains, then the node fails while still
@@ -613,13 +602,14 @@ mod tests {
             for idx in [5, 8] {
                 nodes.set_paused(idx, blocked[idx] || failed[idx], now);
             }
-            // a restore (every node due again) while node 5 is paused and
-            // while most nodes are mid-gap
-            if now == 750 || now == 1_777 {
+            // a restore (every node refiled past its restored gap) while
+            // node 5 is paused, while the population is silent with node 8
+            // paused, and while most nodes are mid-gap
+            if [750, 1_250, 1_777].contains(&now) {
                 let bytes = saved_nodes(&nodes, now);
                 let mut restored = Nodes::new(population(injection, 0.2));
                 restored
-                    .restore_state(&mut df_engine::Decoder::new(&bytes), &bounds)
+                    .restore_state(&mut df_engine::Decoder::new(&bytes), &bounds, 1, now)
                     .unwrap();
                 for idx in 0..POPULATION {
                     restored.set_paused(idx, blocked[idx] || failed[idx], now);
@@ -672,6 +662,21 @@ mod tests {
         });
     }
 
+    /// How many nodes the calendar holds.
+    fn filed(nodes: &Nodes) -> usize {
+        let n = nodes.nodes.len();
+        (n..nodes.links.len())
+            .map(|head| {
+                let mut idx = nodes.links[head];
+                let mut len = 0;
+                while idx != NO_NODE {
+                    (len, idx) = (len + 1, nodes.links[idx as usize]);
+                }
+                len
+            })
+            .sum()
+    }
+
     #[test]
     fn a_bernoulli_population_ticks_only_its_due_nodes() {
         // p = 1/800: after the first walk, the calendar hands out a node
@@ -679,29 +684,25 @@ mod tests {
         let pat = pattern();
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.01));
         let mut id = 0u64;
-        nodes.generate(0, &pat, &mut id);
-        assert!(!nodes.all_due, "the first walk files every node");
-        let filed = |nodes: &Nodes, now: Cycle| {
-            (nodes.wake.iter().zip(&nodes.paused))
-                .filter(|&(&wake, &paused)| !paused && wake == now)
-                .count()
-        };
+        assert_eq!(nodes.generate(0, &pat, &mut id).0, POPULATION as u64);
         let mut ticks = 0;
         for now in 1..1_000 {
-            ticks += filed(&nodes, now);
-            nodes.generate(now, &pat, &mut id);
+            ticks += nodes.generate(now, &pat, &mut id).0;
         }
         assert!(ticks < 13 * 10, "{ticks} ticks in 999 cycles of 13 nodes");
-        nodes.set_offered_load(0.02);
-        assert!(nodes.all_due && nodes.calendar_is_exact(1_000));
+        // a load change discards every gap: each node is due at once
+        nodes.set_offered_load(0.02, 1_000);
+        assert!(nodes.calendar_is_exact(1_000));
+        assert!((nodes.wake.iter()).all(|&wake| wake == 1_000));
     }
 
     #[test]
     fn a_pause_unlinks_its_node_from_anywhere_in_the_bucket() {
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.01));
-        nodes.all_due = false;
+        nodes.links.fill(NO_NODE);
         for idx in 0..POPULATION {
-            nodes.file(idx, if idx < 4 { 7 } else { 9 });
+            nodes.wake[idx] = if idx < 4 { 7 } else { 9 };
+            nodes.link(idx);
         }
         assert!(nodes.calendar_is_exact(3));
         // the chain of cycle 7 runs 3, 2, 1, 0: take the middle, the tail,
@@ -717,21 +718,36 @@ mod tests {
     }
 
     #[test]
-    fn silence_is_load_zero_and_not_bursty() {
+    fn silent_nodes_stay_unfiled_until_their_load_changes() {
         let bursty = InjectionKind::Bursty {
             mean_on: 10.0,
             mean_off: 10.0,
         };
-        assert!(Nodes::new(population(InjectionKind::Bernoulli, 0.0)).silent);
-        assert!(!Nodes::new(population(InjectionKind::Bernoulli, 0.1)).silent);
-        assert!(!Nodes::new(population(bursty, 0.0)).silent);
+        assert_eq!(
+            filed(&Nodes::new(population(InjectionKind::Bernoulli, 0.0))),
+            0
+        );
+        assert_eq!(
+            filed(&Nodes::new(population(InjectionKind::Bernoulli, 0.1))),
+            13
+        );
+        assert_eq!(filed(&Nodes::new(population(bursty, 0.0))), 13);
+        let (pat, mut id) = (pattern(), 0u64);
         let mut nodes = Nodes::new(population(InjectionKind::Bernoulli, 0.1));
-        nodes.set_offered_load(0.0);
-        assert!(nodes.silent);
-        nodes.set_offered_load(0.3);
-        assert!(!nodes.silent);
+        nodes.set_offered_load(0.0, 0);
+        assert_eq!(filed(&nodes), 0);
+        assert_eq!(nodes.generate(0, &pat, &mut id), (0, 0));
+        // a node paused and resumed while silent owes nothing and stays out
+        nodes.set_paused(4, true, 1);
+        nodes.set_paused(4, false, 2);
+        assert!(filed(&nodes) == 0 && nodes.calendar_is_exact(2));
+        nodes.set_paused(4, true, 2);
+        nodes.set_offered_load(0.3, 3);
+        assert!(filed(&nodes) == 12 && nodes.calendar_is_exact(3));
+        nodes.set_paused(4, false, 5);
+        assert!(filed(&nodes) == 13 && nodes.wake[4] == 5);
         // task packets queue and drain through a silent population
-        nodes.set_offered_load(0.0);
+        nodes.set_offered_load(0.0, 6);
         let packet = Packet::new(df_model::PacketId(1), NodeId(3), NodeId(9), 8, 0);
         nodes.enqueue_task_packet(3, packet);
         assert!(!nodes.all_queues_empty());

@@ -37,7 +37,7 @@
 use df_engine::DeterministicRng;
 use df_model::{Cycle, NetworkConfig, VcId};
 use df_router::{set_bits, AllocationRequest, Grant, Router};
-use df_routing::{minimal, Commitment, Decision, DecisionKind, RoutingAlgorithm};
+use df_routing::{minimal, Decision, DecisionKind, RoutingAlgorithm};
 use df_topology::{AnyTopology, Port, PortClass, PortPeer, RouterId, Topology};
 
 use crate::events::{Event, EventQueue};
@@ -320,37 +320,12 @@ fn apply_one_grant(
         .expect("grant matches a request");
     let decision = scratch.decisions[request];
     // apply the commitment to the head packet before it moves
-    {
-        let group = router.group();
-        if let Some(head) = router.head_mut(grant.input_port, grant.input_vc) {
-            match decision.commitment {
-                Commitment::None => {}
-                Commitment::Intermediate {
-                    router: inter,
-                    misroute,
-                } => head.routing.commit_intermediate(inter, misroute),
-                Commitment::NonminimalGlobal { gateway, port } => {
-                    head.routing.commit_nonminimal_global(gateway, port)
-                }
-                Commitment::LocalDetour { router: detour } => {
-                    head.routing.commit_local_detour(detour, group)
-                }
-                // fault re-commits: replace or abandon a committed
-                // continuation whose link died
-                Commitment::RecommitGlobal { gateway, port } => {
-                    head.routing.recommit_nonminimal_global(gateway, port)
-                }
-                Commitment::AbandonNonminimal => head.routing.abandon_nonminimal_global(),
-                Commitment::RecommitIntermediate { router: inter } => {
-                    head.routing.recommit_intermediate(inter)
-                }
-                Commitment::AbandonIntermediate => head.routing.abandon_intermediate(),
-                Commitment::AbandonLocalDetour => head.routing.abandon_local_detour(),
-            }
-        }
-        if decision.commitment.is_fault_recommit() {
-            fx.metrics.record_recommitted();
-        }
+    let group = router.group();
+    if let Some(head) = router.head_mut(grant.input_port, grant.input_vc) {
+        decision.commitment.apply(&mut head.routing, group);
+    }
+    if decision.commitment.is_fault_recommit() {
+        fx.metrics.record_recommitted();
     }
     // misrouted-percentage statistics: count each packet once, when it
     // takes its first global hop

@@ -73,22 +73,24 @@
 //! gates (the head and staged-router sets and the next-transmit cycles are
 //! recomputed from the routers, the queued-node set from the source queues,
 //! node pauses from the drain flags and the truth map's node marks; the
-//! wake-up calendar's buckets (every node due: each restored gap is in its
-//! injector, which the first tick counts down), changed outputs, dirty groups and
-//! staged-port sets restart conservatively — "everything dirty") and the
+//! wake-up calendar's buckets (each node filed at the snapshot's cycle plus
+//! its restored gap), changed outputs, dirty groups and staged-port sets
+//! restart conservatively — "everything dirty") and the
 //! step scratch. State only an observer reads (an attached probe) is not
 //! simulation state and is not in the payload at all. A packet staged at
 //! an unconnected port is refused: it could never leave. So is a packet,
 //! in any section, that does not fit the network ([`df_model::PacketBounds`]:
 //! a node, routing-state router or group or gateway port outside it, or
 //! another size than the configured one); a pending event that names a
-//! router, port or VC outside it; a
-//! lost-credit ledger entry that is not a link end the fault replay left
-//! down; and packet ledgers that disagree (the injected packets are not the
-//! delivered, in-flight and fault-dropped ones, or the run delivered fewer
-//! than its window); and an injector gap no run of failures leaves
-//! (`LOOKAHEAD_BOUND` ticks or more, or any gap on a process that draws
-//! none).
+//! router, port or VC outside it, or falls past the event wheel's horizon
+//! (the kernel schedules none there); a lost-credit ledger entry that is not
+//! a link end the fault replay left down; packet ledgers that disagree (the
+//! injected packets are not the delivered, in-flight and fault-dropped ones,
+//! or the run delivered fewer than its window); and node state the kernel
+//! cannot reach: an injector gap no run of failures leaves (`LOOKAHEAD_BOUND`
+//! ticks or more, or any gap on a process that draws none), an off burst
+//! state on a process that is not `Bursty`, or a VC pointer at or past the
+//! injection port's VC count.
 
 use df_engine::{CodecError, Decoder, DeterministicRng, Encoder};
 use df_model::{Cycle, Packet, PacketBounds, VcId};
@@ -311,19 +313,22 @@ impl Network {
             *rng = DeterministicRng::from_state(seed, words);
         }
         let bounds = PacketBounds::new(&net.ctx.topo, net.config.network.packet_size_phits);
-        net.nodes.restore_state(&mut d, &bounds)?;
+        let injection_vcs = usize::from(net.config.network.vcs.injection);
+        net.nodes
+            .restore_state(&mut d, &bounds, injection_vcs, net.cycle)?;
         net.metrics.restore_state(&mut d, net.cycle)?;
         // pending link events
         let pending = (0..d.seq(9)?)
             .map(|_| decode_event(&mut d, &bounds))
             .collect::<Result<Vec<_>, _>>()?;
-        let misplaced = pending
-            .iter()
-            .find(|(at, event)| *at < net.cycle || !net.is_inside(event));
+        // the kernel schedules every event inside the wheel's horizon
+        let horizon = net.cycle..net.cycle + net.events.horizon() as Cycle;
+        let misplaced =
+            (pending.iter()).find(|(at, event)| !horizon.contains(at) || !net.is_inside(event));
         if let Some((at, event)) = misplaced {
             return Err(CodecError::Invalid(format!(
-                "snapshot holds a link event before its own cycle or outside the \
-                 network: {event:?} at cycle {at}"
+                "snapshot holds a link event outside cycles {horizon:?} or outside \
+                 the network: {event:?} at cycle {at}"
             )));
         }
         net.events = EventQueue::rebuild(net.events.horizon(), net.cycle, pending);
@@ -444,7 +449,7 @@ mod tests {
     use df_router::Router;
     use df_routing::RoutingKind;
     use df_topology::{DragonflyParams, GroupId, NodeId};
-    use df_traffic::{PatternKind, LOOKAHEAD_BOUND};
+    use df_traffic::{InjectionKind, PatternKind, LOOKAHEAD_BOUND};
 
     fn config(kernel: KernelMode, seed: u64) -> SimulationConfig {
         SimulationConfig::builder()
@@ -1035,19 +1040,28 @@ mod tests {
         assert!(Network::restore(cfg, &with(&[(24, injected), (delivered, total)])).is_ok());
     }
 
-    /// Where node 0's injector gap lies in `payload`: the nodes section is
-    /// found by its bytes, then decoded up to the gap.
-    fn first_gap(net: &Network, payload: &[u8]) -> usize {
+    /// Where node 0's burst state, injector gap and VC pointer lie in
+    /// `payload`: the nodes section is found by its bytes, then decoded up
+    /// to each field.
+    fn node_zero_fields(net: &Network, payload: &[u8]) -> [usize; 3] {
         let mut e = Encoder::new();
         net.nodes.save_state(&mut e, net.cycle);
         let section = e.into_bytes();
-        let mut d = Decoder::new(&section);
+        let (at, mut d) = (position(payload, &section), Decoder::new(&section));
         d.f64().unwrap(); // the shared offered load
         for _ in 0..5 {
             d.u64().unwrap(); // node 0's stream: seed and four words
         }
-        d.bool().unwrap(); // its burst state
-        position(payload, &section) + d.position()
+        let on = at + d.position();
+        d.bool().unwrap();
+        let gap = at + d.position();
+        d.u32().unwrap();
+        d.bool().unwrap(); // whether a certain success follows the gap
+        let bounds = PacketBounds::new(&net.ctx.topo, net.config.network.packet_size_phits);
+        for _ in 0..d.seq(8).unwrap() {
+            Packet::decode(&mut d, &bounds).unwrap();
+        }
+        [on, gap, at + d.position()]
     }
 
     #[test]
@@ -1065,7 +1079,7 @@ mod tests {
             let mut net = Network::new(cfg.clone());
             net.run_cycles(40);
             let bytes = net.snapshot();
-            let at = first_gap(&net, &bytes[20..bytes.len() - 8]);
+            let [_, at, _] = node_zero_fields(&net, &bytes[20..bytes.len() - 8]);
             let with = |gap: u32| {
                 forged(&bytes, |p| {
                     p[at..at + 4].copy_from_slice(&gap.to_le_bytes())
@@ -1077,6 +1091,76 @@ mod tests {
                 assert!(restored.is_ok(), "the longest gap a run leaves restores");
             }
         }
+    }
+
+    /// Node state the kernel cannot reach restored `Ok`: a VC pointer at or
+    /// past the injection port's VC count (`take_vc_rr` keeps it below), and
+    /// an off burst state on a process that is not `Bursty` (always on).
+    /// Each is refused; the last VC, and off on a `Bursty` process, restore.
+    #[test]
+    fn forged_unreachable_node_states_are_refused() {
+        let cfg = config(KernelMode::Optimized, 3);
+        let mut bursty = cfg.clone();
+        bursty.injection = InjectionKind::Bursty {
+            mean_on: 20.0,
+            mean_off: 30.0,
+        };
+        for cfg in [&cfg, &bursty] {
+            let mut net = Network::new(cfg.clone());
+            net.run_cycles(40);
+            let bytes = net.snapshot();
+            let [on, _, next_vc] = node_zero_fields(&net, &bytes[20..bytes.len() - 8]);
+            let with = |at: usize, value: &[u8]| {
+                forged(&bytes, |p| p[at..at + value.len()].copy_from_slice(value))
+            };
+            let vcs = u64::from(cfg.network.vcs.injection);
+            assert_invalid(cfg, &with(next_vc, &vcs.to_le_bytes()), "VC pointer");
+            assert!(
+                Network::restore(cfg.clone(), &with(next_vc, &(vcs - 1).to_le_bytes())).is_ok()
+            );
+            let off = with(on, &[0]);
+            match cfg.injection {
+                InjectionKind::Bursty { .. } => {
+                    assert!(Network::restore(cfg.clone(), &off).is_ok())
+                }
+                _ => assert_invalid(cfg, &off, "off burst state"),
+            }
+        }
+    }
+
+    /// The kernel schedules every link event inside the wheel's horizon, so
+    /// one at or past `cycle + horizon` is forged: it restored `Ok` into the
+    /// queue's overflow map. The last pending event, found by decoding the
+    /// events section, is moved to the horizon's last cycle, then past it.
+    #[test]
+    fn forged_link_events_past_the_horizon_are_refused() {
+        let cfg = config(KernelMode::Optimized, 11);
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(20);
+        let bytes = net.snapshot();
+        let mut e = Encoder::new();
+        e.seq(net.events.len());
+        for (at, event) in net.events.pending_in_order() {
+            encode_event(at, event, &mut e);
+        }
+        let section = e.into_bytes();
+        let (base, mut d) = (position(&bytes[20..], &section), Decoder::new(&section));
+        let bounds = PacketBounds::new(&net.ctx.topo, net.config.network.packet_size_phits);
+        let mut last = None;
+        for _ in 0..d.seq(9).unwrap() {
+            last = Some(base + d.position());
+            decode_event(&mut d, &bounds).unwrap();
+        }
+        let last = last.expect("events pending at the snapshot");
+        let with = |at: Cycle| {
+            forged(&bytes, |p| {
+                p[last..last + 8].copy_from_slice(&at.to_le_bytes())
+            })
+        };
+        let end = net.cycle + net.events.horizon() as Cycle;
+        assert!(Network::restore(cfg.clone(), &with(end - 1)).is_ok());
+        assert_invalid(&cfg, &with(end), "an event at the horizon");
+        assert_invalid(&cfg, &with(u64::MAX), "an event at u64::MAX");
     }
 
     #[test]

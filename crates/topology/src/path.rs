@@ -147,12 +147,6 @@ pub fn validate_path(topo: &Dragonfly, src: RouterId, dst: RouterId, path: &[Pat
     current == dst
 }
 
-/// Convenience: the ports to traverse, in order (used by oblivious source
-/// routing such as VAL and the MIN/VAL source-routing mode of PB).
-pub fn path_ports(path: &[PathHop]) -> Vec<Port> {
-    path.iter().map(|h| h.port).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,12 +237,5 @@ mod tests {
             let (gw, _) = t.gateway_to(t.router_group(src), t.router_group(dst));
             assert_eq!(global_hops[0].from, gw);
         }
-    }
-
-    #[test]
-    fn path_ports_matches_hop_count() {
-        let t = df();
-        let path = minimal_path(&t, RouterId(0), RouterId(35));
-        assert_eq!(path_ports(&path).len(), path.len());
     }
 }

@@ -44,7 +44,8 @@
 //! probability depends on the cycle) and `Bursty` (a Markov draw per tick)
 //! draw every tick and never leave a gap.
 //! [`Injector::is_silent`] covers the other extreme: at load 0 a non-bursty
-//! tick draws nothing at all, so the caller may skip the whole population.
+//! tick draws nothing at all, so a caller need not tick it until its load
+//! changes.
 
 use df_engine::{failure_run_table, CodecError, DeterministicRng};
 use df_model::{Cycle, Packet, PacketId};
@@ -359,8 +360,8 @@ impl Injector {
     /// injector already at the captured offered load: the next
     /// [`tick`](Self::tick) behaves bit-identically to the injector the
     /// state was captured from. A gap no run leaves (`LOOKAHEAD_BOUND` or
-    /// longer), or a gap or certain success on a process that draws none,
-    /// is refused.
+    /// longer), a gap or certain success on a process that draws none, or
+    /// an off burst state on a process that is not `Bursty`, is refused.
     pub fn restore_state(&mut self, d: &mut df_engine::Decoder) -> Result<(), CodecError> {
         let seed = d.u64()?;
         let mut words = [0u64; 4];
@@ -369,6 +370,10 @@ impl Injector {
         }
         self.rng = DeterministicRng::from_state(seed, words);
         self.on = d.bool()?;
+        if !self.on && !matches!(self.kind, InjectionKind::Bursty { .. }) {
+            let what = format!("an off burst state on a {} process", self.kind.label());
+            return Err(CodecError::Invalid(what));
+        }
         (self.gap, self.hit) = (d.u32()?, d.bool()?);
         if self.gap >= LOOKAHEAD_BOUND {
             let what = format!("an injector gap of {} ticks", self.gap);
