@@ -92,7 +92,7 @@ fn main() {
     // busiest ADV+1 link and a graceful router drain/restore, scaled to the
     // run's windows (the outages also exercise snapshot/resume straddling
     // fault windows).
-    let (gw, gport) = FaultPlan::global_link_between(&topology.build(), GroupId(0), GroupId(1));
+    let (gw, gport) = FaultPlan::global_link_between(&topology, GroupId(0), GroupId(1));
     let scenarios = vec![
         Scenario::steady(PatternKind::Uniform),
         Scenario::steady(PatternKind::Adversarial { offset: 1 }),

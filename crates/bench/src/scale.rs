@@ -446,7 +446,7 @@ mod tests {
             Scale::from_arg_list(Scale::small(), &[], &strings(&["--topology=megafly"])).unwrap();
         assert_eq!(s.topology_kind, TopologyKind::Megafly);
         assert_eq!(s.name, "small");
-        let mf = s.topology_params().build();
+        let mf = s.topology_params();
         assert_eq!(mf.kind(), TopologyKind::Megafly);
         // the mapped Megafly keeps the template's group count and radix shape
         assert_eq!(mf.num_groups(), s.topology.num_groups());
@@ -478,10 +478,7 @@ mod tests {
             let mut s = Scale::from_name(name).unwrap();
             s.topology_kind = TopologyKind::Megafly;
             assert_eq!(s.topology_params().kind(), TopologyKind::Megafly);
-            assert_eq!(
-                s.topology_params().build().num_groups(),
-                s.topology.num_groups()
-            );
+            assert_eq!(s.topology_params().num_groups(), s.topology.num_groups());
         }
     }
 

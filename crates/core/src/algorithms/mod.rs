@@ -384,8 +384,8 @@ mod tests {
     use crate::minimal::minimal_output;
     use df_model::{NetworkConfig, PacketId};
     use df_topology::{
-        AnyTopology, DragonflyParams, GatewayLiveness, GroupId, MegaflyParams, NodeId, PortPeer,
-        RouterId, TopologyParams,
+        DragonflyParams, GatewayLiveness, GroupId, MegaflyParams, NodeId, PortPeer, RouterId,
+        TopologyParams,
     };
     use std::collections::BTreeSet;
 
@@ -404,7 +404,7 @@ mod tests {
     /// with `faulty`, a few down links and a non-pristine link view.
     fn random_router(
         id: RouterId,
-        topo: AnyTopology,
+        topo: TopologyParams,
         faulty: bool,
         rng: &mut DeterministicRng,
     ) -> Router {
@@ -417,7 +417,7 @@ mod tests {
     /// checks the counters against the registrations they count.
     fn random_router_counting(
         id: RouterId,
-        topo: AnyTopology,
+        topo: TopologyParams,
         faulty: bool,
         registered: bool,
         rng: &mut DeterministicRng,
@@ -488,7 +488,7 @@ mod tests {
     fn take_hop(
         packet: &mut Packet,
         d: &Decision,
-        topo: &AnyTopology,
+        topo: &TopologyParams,
         from: RouterId,
         to: RouterId,
     ) {
@@ -570,8 +570,8 @@ mod tests {
             ..RoutingConfig::default()
         };
         let topologies = [
-            TopologyParams::from(DragonflyParams::small()).build(),
-            TopologyParams::from(MegaflyParams::small()).build(),
+            TopologyParams::from(DragonflyParams::small()),
+            TopologyParams::from(MegaflyParams::small()),
         ];
         for topo in topologies {
             let layout = topo.layout();
@@ -725,7 +725,7 @@ mod tests {
     /// PB source head with room.
     #[test]
     fn a_decision_reads_its_head_packet_only_on_the_long_way() {
-        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let topo = TopologyParams::from(DragonflyParams::small());
         let fresh = Router::new(RouterId(0), topo, NetworkConfig::fast_test());
         let base = RoutingAlgorithm::new(RoutingKind::Base, RoutingConfig::default());
         let pb = RoutingAlgorithm::new(RoutingKind::PiggyBacking, RoutingConfig::default());
@@ -785,8 +785,8 @@ mod tests {
         };
         let net = NetworkConfig::fast_test();
         for topo in [
-            TopologyParams::from(DragonflyParams::small()).build(),
-            TopologyParams::from(MegaflyParams::small()).build(),
+            TopologyParams::from(DragonflyParams::small()),
+            TopologyParams::from(MegaflyParams::small()),
         ] {
             for kind in KINDS {
                 let algorithm = RoutingAlgorithm::new(kind, config);
@@ -846,7 +846,7 @@ mod tests {
 
     #[test]
     fn continuation_routes_minimally_towards_the_target() {
-        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let topo = TopologyParams::from(DragonflyParams::small());
         let r0 = Router::new(RouterId(0), topo, NetworkConfig::fast_test());
         let gport = Port::global(&topo.layout(), 0);
         let mut to_waypoint = Packet::new(PacketId(0), NodeId(0), NodeId(70), 8, 0);
@@ -873,7 +873,7 @@ mod tests {
 
     #[test]
     fn minimal_decision_matches_minimal_output() {
-        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let topo = TopologyParams::from(DragonflyParams::small());
         let r0 = Router::new(RouterId(0), topo, NetworkConfig::fast_test());
         let min = RoutingAlgorithm::new(RoutingKind::Minimal, RoutingConfig::default());
         for dst in [5u32, 20, 70, 71] {
@@ -892,7 +892,7 @@ mod tests {
     /// What the plan holds for a few typical heads.
     #[test]
     fn plans_resolve_the_objective_and_the_misroute_scope() {
-        let topo = TopologyParams::from(DragonflyParams::small()).build();
+        let topo = TopologyParams::from(DragonflyParams::small());
         let net = NetworkConfig::fast_test();
         let base = RoutingAlgorithm::new(RoutingKind::Base, RoutingConfig::default());
         let r0 = Router::new(RouterId(0), topo, net);

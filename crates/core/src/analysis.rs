@@ -13,45 +13,47 @@
 //!   paper's first-order analysis; with several VCs per injection port the
 //!   bound relaxes towards `p × injection_vcs`.
 //!
-//! These helpers are used by the calibration in [`crate::RoutingConfig`] and
-//! by the `threshold_analysis` tests/benches that reproduce Figure 10's
-//! qualitative conclusions.
+//! [`RoutingConfig::calibrated_for`](crate::RoutingConfig::calibrated_for)
+//! takes its floor and its cap from these bounds, and the
+//! `threshold_tuning` example prints them. Every helper takes a router's
+//! [`PortLayout`], so both topology families are analysed alike.
 
 use df_model::VcConfig;
-use df_topology::DragonflyParams;
+use df_topology::PortLayout;
 
 /// Expected average contention-counter value under saturated uniform traffic:
 /// the mean number of input VCs per router port.
-pub fn expected_saturation_counter(params: &DragonflyParams, vcs: &VcConfig) -> f64 {
-    vcs.mean_vcs_per_port(params.p, params.a - 1, params.h)
+pub fn expected_saturation_counter(layout: &impl PortLayout, vcs: &VcConfig) -> f64 {
+    vcs.mean_vcs_per_port(layout.terminals(), layout.locals(), layout.globals())
 }
 
 /// The paper's recommended lower bound for the misrouting threshold: twice
 /// the expected saturation counter, rounded up.
-pub fn threshold_lower_bound(params: &DragonflyParams, vcs: &VcConfig) -> u32 {
-    (2.0 * expected_saturation_counter(params, vcs)).ceil() as u32
+pub fn threshold_lower_bound(layout: &impl PortLayout, vcs: &VcConfig) -> u32 {
+    (2.0 * expected_saturation_counter(layout, vcs)).ceil() as u32
 }
 
 /// First-order upper bound for the misrouting threshold so that adversarial
 /// traffic can still trigger misrouting at the source router: the number of
 /// head packets the injection ports alone can register.
-pub fn threshold_upper_bound(params: &DragonflyParams, vcs: &VcConfig) -> u32 {
-    params.p * vcs.injection as u32
+pub fn threshold_upper_bound(layout: &impl PortLayout, vcs: &VcConfig) -> u32 {
+    layout.terminals() * vcs.injection as u32
 }
 
 /// The valid threshold range `(lower, upper)` per the §VI-A analysis; `None`
 /// when the network is too small for the two constraints to be simultaneously
 /// satisfiable (in which case the calibration clamps towards the adversarial
 /// constraint, trading a little uniform-traffic latency).
-pub fn valid_threshold_range(params: &DragonflyParams, vcs: &VcConfig) -> Option<(u32, u32)> {
-    let lo = threshold_lower_bound(params, vcs);
-    let hi = threshold_upper_bound(params, vcs);
+pub fn valid_threshold_range(layout: &impl PortLayout, vcs: &VcConfig) -> Option<(u32, u32)> {
+    let lo = threshold_lower_bound(layout, vcs);
+    let hi = threshold_upper_bound(layout, vcs);
     (lo <= hi).then_some((lo, hi))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use df_topology::DragonflyParams;
 
     #[test]
     fn paper_router_reproduces_section_vi_a() {

@@ -235,13 +235,13 @@ mod tests {
     /// The table is the enumerator, entry for entry and in order — a draw
     /// picks a position in the sequence — for every router of eight
     /// instances of both families, every minimal link (and none) and both
-    /// scopes, against the concrete family and the `AnyTopology` around it.
+    /// scopes, against the concrete family and the `TopologyParams` made from it.
     #[test]
     fn the_candidate_table_yields_the_enumerator_sequence() {
         use df_model::NetworkConfig;
-        use df_topology::{AnyTopology, Megafly, MegaflyParams};
-        fn check<T: Topology + Into<AnyTopology>>(t: T) {
-            let any: AnyTopology = t.into();
+        use df_topology::{Megafly, MegaflyParams, TopologyParams};
+        fn check<T: Topology + Into<TopologyParams>>(t: T) {
+            let any: TopologyParams = t.into();
             for id in t.routers() {
                 let router = Router::new(id, any, NetworkConfig::fast_test());
                 let minimal_links = (0..t.global_links_per_group()).map(Some);

@@ -5,9 +5,9 @@
 //! to the router geometry and Fig. 10 sweeps them. Every other Table I
 //! parameter of the mechanisms is a constant of this module.
 
+use crate::analysis::{threshold_lower_bound, threshold_upper_bound};
 use df_model::VcConfig;
 use df_topology::PortLayout;
-use serde::{Deserialize, Serialize};
 
 /// ECtN partial-array broadcast period, in cycles (Table I: 100).
 pub const ECTN_UPDATE_PERIOD: u64 = 100;
@@ -34,7 +34,7 @@ pub const PB_SATURATION_FRACTION: f64 = 0.50;
 /// 31-port, `p=8` router. For scaled-down networks use
 /// [`RoutingConfig::calibrated_for`], which applies the paper's §VI-A rule to
 /// the actual router geometry. Any value is valid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Base/ECtN contention threshold `th`: misroute when the contention
     /// counter of the minimal output exceeds this value (Table I: 6).
@@ -64,34 +64,27 @@ impl RoutingConfig {
     }
 
     /// Apply the paper's §VI-A calibration rule to an arbitrary router
-    /// geometry:
+    /// geometry, through the bounds of [`crate::analysis`]:
     ///
     /// * under saturation the average contention-counter value approaches the
-    ///   mean number of input VCs per port, so the threshold is set to twice
-    ///   that value (rounded up) to avoid false triggers under uniform
-    ///   traffic;
-    /// * the threshold must stay low enough that the `p` injection ports
-    ///   (with their VCs) can trigger misrouting under adversarial traffic,
-    ///   so it is capped just below `p × injection_vcs`;
+    ///   mean number of input VCs per port, so the threshold is at least
+    ///   [`threshold_lower_bound`], twice that value rounded up, to avoid
+    ///   false triggers under uniform traffic;
+    /// * the injection ports alone must be able to push a counter over the
+    ///   threshold well before their VCs are all backed up, so it is capped
+    ///   at half of [`threshold_upper_bound`] (`p × injection_vcs`), and at
+    ///   no less than 2;
     /// * Hybrid gets one extra unit of contention threshold; the ECtN
     ///   combined threshold is twice the per-link average of remote-bound
     ///   head packets in a group.
     pub fn calibrated_for(layout: &impl PortLayout, vcs: &VcConfig) -> Self {
-        let injection_ports = layout.terminals();
-        let local_ports = layout.locals();
-        let global_ports = layout.globals();
-        let mean_vcs = vcs.mean_vcs_per_port(injection_ports, local_ports, global_ports);
-        // Uniform-traffic constraint: stay above the saturation average.
-        let uniform_floor = (2.0 * mean_vcs).ceil() as u32;
-        // Adversarial constraint: the injection ports alone must be able to
-        // push a counter over the threshold well before their VCs are all
-        // backed up, so cap at half of the registrable injection demand.
-        let adv_cap = ((injection_ports * vcs.injection as u32) / 2).max(2);
+        let floor = threshold_lower_bound(layout, vcs);
+        let cap = (threshold_upper_bound(layout, vcs) / 2).max(2);
         // §VI-A: within the valid range pick the lowest value (favours
         // adversarial latency); when the two constraints conflict (very small
         // routers) the adversarial one wins, trading a little uniform-traffic
         // latency.
-        let th = uniform_floor.min(adv_cap).max(2);
+        let th = floor.min(cap).max(2);
         // The ECtN combined threshold keeps the paper's ratio to the local
         // threshold (10 vs 6).
         let combined = ((th as f64 * 10.0 / 6.0).round() as u32).max(th + 1);
@@ -162,9 +155,12 @@ mod tests {
         let vcs = VcConfig::default(); // 3/4/2
         let c = RoutingConfig::calibrated_for(&params, &vcs);
         // uniform floor = ceil(2*3.2) = 7, adversarial cap = 4*3/2 = 6 → 6,
-        // i.e. the same threshold the paper uses for its (larger) router
+        // i.e. the same threshold the paper uses for its (larger) router,
+        // below the analysis' valid range
         assert_eq!(c.contention_threshold, 6);
         assert_eq!(c.ectn_combined_threshold, 10);
+        let range = crate::analysis::valid_threshold_range(&params, &vcs);
+        assert_eq!(range, Some((7, 12)));
     }
 
     #[test]

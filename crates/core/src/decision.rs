@@ -2,10 +2,9 @@
 
 use df_model::{RoutingState, VcId};
 use df_topology::{GroupId, Port, RouterId};
-use serde::{Deserialize, Serialize};
 
 /// Why the chosen output was selected — used by the statistics and by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionKind {
     /// Eject to the destination node.
     Ejection,
@@ -29,7 +28,7 @@ pub enum DecisionKind {
 /// applied** (not at decision time: adaptive mechanisms re-evaluate their
 /// decision every cycle until the packet actually wins the switch, so a
 /// decision must not mutate the packet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Commitment {
     /// Nothing to record.
     None,
@@ -126,7 +125,7 @@ impl Commitment {
 }
 
 /// The output of a routing decision for one head packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Output port to request.
     pub output_port: Port,
@@ -170,14 +169,6 @@ impl Decision {
             commitment: Commitment::None,
         }
     }
-
-    /// Whether this decision commits or continues a nonminimal path.
-    pub fn is_nonminimal(&self) -> bool {
-        matches!(
-            self.kind,
-            DecisionKind::NonminimalGlobal | DecisionKind::NonminimalLocal
-        )
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +182,6 @@ mod tests {
         assert_eq!(d.output_vc, VcId(1));
         assert_eq!(d.kind, DecisionKind::Minimal);
         assert_eq!(d.commitment, Commitment::None);
-        assert!(!d.is_nonminimal());
 
         let e = Decision::ejection(Port(0));
         assert_eq!(e.kind, DecisionKind::Ejection);
@@ -203,7 +193,6 @@ mod tests {
         let d = Decision::discard();
         assert_eq!(d.kind, DecisionKind::Discard);
         assert_eq!(d.commitment, Commitment::None);
-        assert!(!d.is_nonminimal());
         assert!(!Commitment::None.is_fault_recommit());
         assert!(!Commitment::Intermediate {
             router: RouterId(1),
@@ -224,24 +213,5 @@ mod tests {
         ] {
             assert!(c.is_fault_recommit(), "{c:?}");
         }
-    }
-
-    #[test]
-    fn nonminimal_classification() {
-        let d = Decision {
-            output_port: Port(5),
-            output_vc: VcId(0),
-            kind: DecisionKind::NonminimalGlobal,
-            commitment: Commitment::NonminimalGlobal {
-                gateway: RouterId(2),
-                port: Port(5),
-            },
-        };
-        assert!(d.is_nonminimal());
-        let c = Decision {
-            kind: DecisionKind::Continuation,
-            ..d
-        };
-        assert!(!c.is_nonminimal());
     }
 }

@@ -1,10 +1,9 @@
 //! The routing mechanisms evaluated in the paper.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which routing mechanism a simulation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingKind {
     /// Oblivious hierarchical minimal routing.
     Minimal,

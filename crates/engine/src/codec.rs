@@ -3,7 +3,7 @@
 //! The snapshot subsystem (df-sim's `snapshot` module and the sweep
 //! runner's journal) needs to persist exact simulator state — RNG words,
 //! event queues, packet buffers — and read it back **bit-identically**.
-//! The vendored `serde` is a no-op marker stub, so the encoding is
+//! The workspace has no serialisation framework, so the encoding is
 //! hand-rolled here: little-endian fixed-width integers, `f64` via its IEEE
 //! bit pattern (exact round-trip, NaN included), length-prefixed sequences.
 //! No varints, no alignment tricks — the format is meant to be obvious and

@@ -5,13 +5,11 @@
 //! observed under saturation, which backs the paper's §VI-A threshold
 //! analysis).
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{CodecError, Decoder, Encoder};
 
 /// A histogram with fixed-width bins over `[low, high)` plus overflow and
 /// underflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     low: f64,
     high: f64,

@@ -131,12 +131,6 @@ impl DeterministicRng {
         self.inner.gen_range(0..bound)
     }
 
-    /// Pick a uniformly random element of a non-empty slice.
-    #[inline]
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
     /// Exponentially distributed `f64` with the given mean (inverse-CDF
     /// transform of one uniform draw). `mean` must be positive; the result
     /// is always finite because [`uniform`](Self::uniform) never returns 1.
@@ -349,10 +343,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.below(17) < 17);
             assert!(r.index(9) < 9);
-        }
-        let items = [10, 20, 30];
-        for _ in 0..100 {
-            assert!(items.contains(r.choose(&items)));
         }
     }
 

@@ -5,12 +5,10 @@
 //! seeds. [`RunningStats`] accumulates the per-run values with Welford's
 //! online algorithm (numerically stable, O(1) memory).
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{CodecError, Decoder, Encoder};
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,

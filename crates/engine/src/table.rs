@@ -5,11 +5,10 @@
 //! x-axis point (offered load, cycle, threshold value, ...). The same table
 //! can be written as aligned text for the terminal or as CSV for plotting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A simple column-oriented results table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

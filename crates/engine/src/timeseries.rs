@@ -5,8 +5,6 @@
 //! single cycle contains few packet deliveries, the plotted curves are binned
 //! over short windows; [`BinnedSeries`] implements exactly that.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{CodecError, Decoder, Encoder};
 
 /// A series of observations aggregated into fixed-width time bins, producing
@@ -14,7 +12,7 @@ use crate::codec::{CodecError, Decoder, Encoder};
 /// timestamp relative to `origin` (which may be negative relative to the
 /// recorded times — e.g. the traffic-change instant is cycle 0 and warm-up
 /// cycles are negative bins, exactly as in the paper's Figure 7 x-axis).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinnedSeries {
     origin: i64,
     bin_width: u64,

@@ -8,8 +8,6 @@
 //! experiment-level knobs (warm-up, measurement window, offered load) in
 //! `df-sim::SimulationConfig`.
 
-use serde::{Deserialize, Serialize};
-
 /// Crossbar / allocator frequency speedup: the allocator performs this many
 /// allocation iterations per cycle (Table I: 2×, to mitigate head-of-line
 /// blocking of the simple separable allocator).
@@ -23,7 +21,7 @@ pub const ALLOCATOR_SPEEDUP: u32 = 2;
 /// assignment we use needs the 4th VC whenever both a global misroute and a
 /// local misroute in the intermediate group are allowed on the same path,
 /// which keeps the scheme trivially deadlock-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VcConfig {
     /// VCs on injection (terminal, node→router) ports.
     pub injection: u8,
@@ -65,7 +63,7 @@ impl VcConfig {
 }
 
 /// Buffer depths, in phits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferConfig {
     /// Input buffer per VC on injection ports.
     pub injection_input_per_vc: u32,
@@ -106,7 +104,7 @@ impl BufferConfig {
 }
 
 /// Link and router latencies, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// Local (intra-group) link latency, applied to data and credits.
     pub local_link: u32,
@@ -130,7 +128,7 @@ impl Default for LatencyConfig {
 }
 
 /// Complete network configuration (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Packet size in phits (8 in the paper: 80-byte packets of 10-byte
     /// phits).

@@ -18,12 +18,11 @@
 //!   statistics of Figures 7b and the throughput discussion.
 
 use df_topology::{GroupId, NodeId, Port, PortLayout, RouterId, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::time::Cycle;
 
 /// Unique identifier of a packet within one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 impl PacketId {
@@ -36,7 +35,7 @@ impl PacketId {
 
 /// Summary of the misrouting a packet experienced, used by the statistics
 /// collectors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MisrouteFlags {
     /// The packet took (or irrevocably committed to) a nonminimal global
     /// path — through an intermediate group, or to a Valiant intermediate
@@ -47,7 +46,7 @@ pub struct MisrouteFlags {
 }
 
 /// The router a packet is currently trying to reach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteObjective {
     /// Head to the committed nonminimal global link's gateway router (and
     /// then take that global link).
@@ -63,7 +62,7 @@ pub enum RouteObjective {
 }
 
 /// Per-packet routing state, updated as the packet traverses the network.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingState {
     /// Local (intra-group) hops already taken.
     pub local_hops: u8,
@@ -101,11 +100,6 @@ impl RoutingState {
     /// in-transit or via a Valiant intermediate router).
     pub fn globally_misrouted(&self) -> bool {
         self.flags.global
-    }
-
-    /// True if the packet has taken a nonminimal local hop.
-    pub fn locally_misrouted(&self) -> bool {
-        self.flags.local
     }
 
     /// Commit to a Valiant-style intermediate router (source routing).
@@ -282,7 +276,7 @@ impl PacketBounds {
 }
 
 /// A packet travelling through the network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Unique identifier.
     pub id: PacketId,
@@ -404,7 +398,7 @@ mod tests {
         let p = Packet::new(PacketId(1), NodeId(0), NodeId(50), 8, 100);
         assert_eq!(p.hops(), 0);
         assert!(!p.routing.globally_misrouted());
-        assert!(!p.routing.locally_misrouted());
+        assert!(!p.routing.flags.local);
         assert_eq!(p.injected_at, None);
         assert_eq!(p.size_phits, 8);
     }
@@ -484,7 +478,7 @@ mod tests {
         let mut state = RoutingState::new();
         let group = t.router_group(RouterId(0));
         state.commit_local_detour(RouterId(2), group);
-        assert!(state.locally_misrouted());
+        assert!(state.flags.local);
         assert!(!state.local_misroute_allowed_in(group));
         assert!(state.local_misroute_allowed_in(GroupId(5)));
         match state.objective(&t, RouterId(0), dst) {

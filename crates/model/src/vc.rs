@@ -1,6 +1,5 @@
 //! Virtual-channel identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a virtual channel within a port.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The paper's deadlock-avoidance scheme assigns VCs by hop index (local VC =
 /// number of local hops already taken, global VC = number of global hops
 /// already taken), so VC indices are small (at most 3 locally, 1 globally).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcId(pub u8);
 
 impl VcId {

@@ -28,10 +28,8 @@
 //! `dissemination::install_linkview_group` next to
 //! [`EctnState::install_combined_from`].
 
-use serde::{Deserialize, Serialize};
-
 /// ECtN per-router state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EctnState {
     partial: Vec<u32>,
     combined: Vec<u32>,

@@ -27,10 +27,8 @@
 //! `dissemination::install_linkview_group` alongside
 //! [`PbState::install_group_from`].
 
-use serde::{Deserialize, Serialize};
-
 /// Per-router PB state: saturation flags for every global link of the group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PbState {
     /// Saturation of this router's own global links (indexed by global-port
     /// offset `0..h`), recomputed locally whenever the router's outputs

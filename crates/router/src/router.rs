@@ -10,8 +10,8 @@ use std::sync::OnceLock;
 
 use df_model::{Cycle, NetworkConfig, Packet, PacketBounds, VcId};
 use df_topology::{
-    AnyTopology, GatewayLiveness, GroupId, Port, PortClass, PortLayout, PortPeer, RouterId,
-    Topology,
+    GatewayLiveness, GroupId, Port, PortClass, PortLayout, PortPeer, RouterId, Topology,
+    TopologyParams,
 };
 
 use crate::allocator::{AllocationRequest, Allocator, Grant};
@@ -39,7 +39,7 @@ pub struct AppliedGrant {
 #[derive(Debug, Clone)]
 pub struct Router {
     id: RouterId,
-    topo: AnyTopology,
+    topo: TopologyParams,
     config: NetworkConfig,
     /// Every input VC, port by port in port order; each output port knows
     /// its port's range ([`OutputPort::vcs`]).
@@ -185,7 +185,7 @@ impl Router {
     /// configuration. Input buffers are sized by the class of the *local*
     /// port; output credits are sized by the class/VC-count of the peer's
     /// input port at the far end of each link.
-    pub fn new(id: RouterId, topo: impl Into<AnyTopology>, config: NetworkConfig) -> Self {
+    pub fn new(id: RouterId, topo: impl Into<TopologyParams>, config: NetworkConfig) -> Self {
         let topo = topo.into();
         let layout = topo.layout();
         let radix = layout.radix();
@@ -259,7 +259,7 @@ impl Router {
     }
 
     /// The topology the router is embedded in.
-    pub fn topology(&self) -> &AnyTopology {
+    pub fn topology(&self) -> &TopologyParams {
         &self.topo
     }
 

@@ -43,12 +43,11 @@ use crate::fault::FaultPlan;
 use df_engine::DeterministicRng;
 use df_model::Cycle;
 use df_topology::{NodeId, Port, PortLayout, PortPeer, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Mean time between failures / mean time to repair, in cycles, for one
 /// entity class. Both means parameterise exponential distributions and must
 /// be positive and finite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnRate {
     /// Mean up-time between failures (cycles).
     pub mtbf: f64,
@@ -79,7 +78,7 @@ impl ChurnRate {
 /// Attach one to a scenario (`Scenario::churn`) or a configuration builder;
 /// it lowers into the scenario's [`FaultPlan`] when the configuration is
 /// built. See the module docs for semantics and determinism guarantees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnModel {
     /// Seed of the churn random streams (independent of the traffic seed).
     pub seed: u64,

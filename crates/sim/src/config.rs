@@ -4,7 +4,6 @@ use df_model::NetworkConfig;
 use df_routing::{RoutingConfig, RoutingKind};
 use df_topology::{DragonflyParams, PortLayout, Topology, TopologyParams};
 use df_traffic::{validate_job_disjointness, InjectionKind, JobSpec, PatternKind, TrafficSchedule};
-use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnModel;
 use crate::fault::FaultPlan;
@@ -16,7 +15,7 @@ use crate::scenario::Scenario;
 /// away, so a snapshot restores under either. The enum, the builder's
 /// [`kernel`](SimulationConfigBuilder::kernel) and the field remain only
 /// for callers that name a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// The kernel. The default.
     #[default]
@@ -91,7 +90,7 @@ impl From<ConfigError> for String {
 }
 
 /// Complete configuration of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Topology kind and sizing parameters (canonical Dragonfly or
     /// Megafly/Dragonfly+).
@@ -116,7 +115,6 @@ pub struct SimulationConfig {
     /// background load; a closed run (one collective alone on the network)
     /// is a one-job set at `offered_load` 0. Empty means the task layer is
     /// completely inert and the run is a plain packet-level experiment.
-    #[serde(default)]
     pub jobs: Vec<JobSpec>,
     /// Offered load in phits/(node·cycle).
     pub offered_load: f64,
@@ -159,7 +157,7 @@ impl SimulationConfig {
         if self.measurement_cycles == 0 {
             return Err(ConfigError::MeasurementWindow);
         }
-        let topo = self.topology.build();
+        let topo = self.topology;
         if topo.num_groups() < 2 {
             return Err(ConfigError::Topology(
                 "the network needs at least two groups".into(),
@@ -224,7 +222,7 @@ impl SimulationConfig {
     /// never on the run's traffic seed, routing or kernel.
     pub(crate) fn lower_churn(&mut self, churn: &ChurnModel) -> Result<(), ConfigError> {
         churn.validate().map_err(ConfigError::Churn)?;
-        let generated = churn.generate(&self.topology.build());
+        let generated = churn.generate(&self.topology);
         self.faults = std::mem::take(&mut self.faults).merged(generated);
         Ok(())
     }
@@ -393,7 +391,7 @@ impl SimulationConfigBuilder {
     pub fn build(self) -> Result<SimulationConfig, ConfigError> {
         let mut config = self.config;
         config.routing_config = self.routing_config.unwrap_or_else(|| {
-            RoutingConfig::calibrated_for(&config.topology.build().layout(), &config.network.vcs)
+            RoutingConfig::calibrated_for(&config.topology.layout(), &config.network.vcs)
         });
         if let Some(churn) = &self.churn {
             config.lower_churn(churn)?;

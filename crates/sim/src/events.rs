@@ -7,8 +7,8 @@
 //!
 //! [`EventQueue`] is a **time wheel**: a ring of per-cycle buckets sized to
 //! the maximum scheduling horizon (packet serialisation + the longest link
-//! latency), with a small `BTreeMap` overflow for the rare event scheduled
-//! beyond the horizon. Scheduling is O(1), draining a cycle is O(events in
+//! latency), with a small `BTreeMap` overflow for an event scheduled beyond
+//! the horizon (the kernel never schedules one; a direct caller may). Scheduling is O(1), draining a cycle is O(events in
 //! that cycle), and in steady state neither allocates: buckets are recycled
 //! ring slots whose capacity persists, and [`EventQueue::pop_due_into`] fills
 //! a caller-owned scratch buffer. An empty current bucket is a no-op fast
@@ -58,10 +58,6 @@ pub enum Event {
     },
 }
 
-/// Default wheel size when no horizon hint is given (covers the Table I
-/// 100-cycle global link plus an 8-phit serialisation with room to spare).
-const DEFAULT_HORIZON: usize = 256;
-
 /// Time-wheel event queue.
 pub struct EventQueue {
     /// Ring of per-cycle buckets; slot `t & mask` holds the events for cycle
@@ -80,18 +76,7 @@ pub struct EventQueue {
     seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EventQueue {
-    /// Empty queue with the default horizon.
-    pub fn new() -> Self {
-        Self::with_horizon(DEFAULT_HORIZON)
-    }
-
     /// Empty queue whose ring covers at least `min_horizon` cycles ahead
     /// (rounded up to a power of two). Events scheduled further out than the
     /// ring covers fall back to the overflow map — correct, just slower.
@@ -289,7 +274,7 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(256);
         q.schedule(30, credit(3, 0));
         q.schedule(10, credit(1, 1));
         q.schedule(20, credit(2, 2));
@@ -305,7 +290,7 @@ mod tests {
 
     #[test]
     fn same_cycle_events_keep_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(256);
         for i in 0..5 {
             q.schedule(42, credit(i, i));
         }
@@ -315,7 +300,7 @@ mod tests {
 
     #[test]
     fn packet_and_delivery_events_round_trip() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(256);
         let p = Packet::new(PacketId(9), NodeId(0), NodeId(5), 8, 0);
         q.schedule(
             7,

@@ -11,7 +11,6 @@ use df_engine::{CodecError, Decoder, Encoder, RunningStats};
 use df_routing::RoutingKind;
 use df_topology::Topology;
 use df_traffic::PatternKind;
-use serde::{Deserialize, Serialize};
 
 use crate::config::SimulationConfig;
 use crate::metrics::accepted_load;
@@ -19,7 +18,7 @@ use crate::network::Network;
 use crate::runner::run_subrun;
 
 /// Result of one steady-state run (or the average of several seeds).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SteadyStateReport {
     /// Routing mechanism used.
     pub routing: RoutingKind,
@@ -135,7 +134,7 @@ impl SteadyStateReport {
 
 /// Accepted load of `delivered_packets` over `config`'s measurement window.
 fn window_accepted_load(config: &SimulationConfig, delivered_packets: u64) -> f64 {
-    let nodes = config.topology.build().num_nodes();
+    let nodes = config.topology.num_nodes();
     let size = config.network.packet_size_phits;
     accepted_load(delivered_packets, size, nodes, config.measurement_cycles)
 }
@@ -202,7 +201,7 @@ pub(crate) fn average_reports(
 
 /// Result of a transient experiment: time series centred on the
 /// traffic-change cycle (x = 0).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransientReport {
     /// Routing mechanism used.
     pub routing: RoutingKind,

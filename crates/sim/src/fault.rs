@@ -69,10 +69,9 @@
 
 use df_model::Cycle;
 use df_topology::{GroupId, NodeId, Port, PortClass, PortLayout, PortPeer, RouterId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// What a fault event does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Take the bidirectional link attached at `(router, port)` out of
     /// service (both directions). `port` must be a local or global port.
@@ -119,7 +118,7 @@ pub enum FaultKind {
 }
 
 /// One timed fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Cycle at which the fault takes effect (start of the cycle, before
     /// link-event delivery).
@@ -130,7 +129,7 @@ pub struct FaultEvent {
 
 /// A declarative list of timed fault events (see the module docs for the
 /// exact semantics of each kind).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

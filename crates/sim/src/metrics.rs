@@ -2,7 +2,6 @@
 
 use df_engine::{BinnedSeries, Histogram, RunningStats};
 use df_model::{Cycle, Packet};
-use serde::{Deserialize, Serialize};
 
 /// Collects everything the experiments report. Counts the network holds
 /// are not kept here: generation is the nodes', in-flight the routers' and
@@ -64,7 +63,7 @@ pub struct Metrics {
 }
 
 /// Final figures of a measurement window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowSummary {
     /// Packets delivered inside the window.
     pub delivered_packets: u64,

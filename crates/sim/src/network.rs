@@ -78,7 +78,7 @@ use df_routing::algorithms::piggyback;
 use df_routing::config::ECTN_UPDATE_PERIOD;
 use df_routing::RoutingAlgorithm;
 use df_topology::{
-    AnyTopology, GatewayLiveness, GroupId, NodeId, Port, PortPeer, RouterId, Topology,
+    GatewayLiveness, GroupId, NodeId, Port, PortPeer, RouterId, Topology, TopologyParams,
 };
 use df_traffic::TrafficPattern;
 use std::cell::OnceCell;
@@ -199,7 +199,7 @@ impl Network {
     /// Build a network from a validated configuration.
     pub fn new(config: SimulationConfig) -> Self {
         config.validate().expect("invalid simulation configuration");
-        let topo = config.topology.build();
+        let topo = config.topology;
         let root_rng = DeterministicRng::new(config.seed);
         let routers: Vec<Router> = topo
             .routers()
@@ -244,8 +244,8 @@ impl Network {
         let metrics = Metrics::new(origin, 20, config.network.packet_size_phits);
         // The wheel must cover the farthest schedule distance of any event:
         // packet serialisation plus the longest link latency plus the router
-        // pipeline, with a little slack. Anything beyond spills to the
-        // overflow map, which stays correct — just slower.
+        // pipeline, with a little slack. The kernel never schedules past it,
+        // and restore refuses a pending event that lies past it.
         let lat = &config.network.latencies;
         let max_link = lat.terminal_link.max(lat.local_link).max(lat.global_link);
         let horizon =
@@ -318,7 +318,7 @@ impl Network {
     }
 
     /// The topology.
-    pub fn topology(&self) -> &AnyTopology {
+    pub fn topology(&self) -> &TopologyParams {
         &self.ctx.topo
     }
 

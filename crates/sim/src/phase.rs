@@ -38,7 +38,7 @@ use df_engine::DeterministicRng;
 use df_model::{Cycle, NetworkConfig, VcId};
 use df_router::{set_bits, AllocationRequest, Grant, Router};
 use df_routing::{minimal, Decision, DecisionKind, RoutingAlgorithm};
-use df_topology::{AnyTopology, Port, PortClass, PortPeer, RouterId, Topology};
+use df_topology::{Port, PortClass, PortPeer, RouterId, Topology, TopologyParams};
 
 use crate::events::{Event, EventQueue};
 use crate::metrics::Metrics;
@@ -51,7 +51,7 @@ pub(crate) type SentPacket = (Port, df_model::Packet, VcId, Cycle);
 /// Read-only context of every phase.
 pub(crate) struct StepCtx {
     /// The topology (plain sizing data).
-    pub topo: AnyTopology,
+    pub topo: TopologyParams,
     /// The routing mechanism and its thresholds.
     pub algorithm: RoutingAlgorithm,
     /// Router/link microarchitecture (link latencies of scheduled events).
@@ -402,7 +402,7 @@ mod tests {
     /// loses it with the head it was made for.
     #[test]
     fn a_restored_router_plans_its_registered_heads_on_the_first_iteration() {
-        let topo = df_topology::TopologyParams::from(df_topology::DragonflyParams::small()).build();
+        let topo = df_topology::TopologyParams::from(df_topology::DragonflyParams::small());
         let network = NetworkConfig::fast_test();
         let ctx = StepCtx {
             topo,
@@ -411,7 +411,7 @@ mod tests {
         };
         let (mut rng, mut scratch) = (DeterministicRng::new(3), StepScratch::default());
         let (mut events, mut metrics) = (
-            EventQueue::new(),
+            EventQueue::with_horizon(256),
             Metrics::new(0, 20, network.packet_size_phits),
         );
         let mut fx = Effects {

@@ -40,14 +40,13 @@
 use df_model::Cycle;
 use df_topology::{NodeId, Port, RouterId};
 use df_traffic::{InjectionKind, JobSpec, PatternKind, PatternPhase, TrafficSchedule};
-use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnModel;
 use crate::fault::FaultPlan;
 
 /// A named, composable traffic workload: an injection process plus an ordered
 /// list of phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Name used in result tables and golden tests.
     pub name: String,
@@ -307,7 +306,7 @@ mod tests {
         // experiment's job, not the workload's)
         let schedule = s.schedule();
         assert_eq!(
-            schedule.pattern_at(10_000),
+            schedule.phases()[schedule.phase_index_at(10_000)].pattern,
             PatternKind::Adversarial { offset: 1 }
         );
     }

@@ -640,8 +640,8 @@ mod tests {
         let mut megafly = cfg.clone();
         megafly.topology = df_topology::MegaflyParams::small().into();
         assert_eq!(
-            megafly.topology.build().num_nodes(),
-            cfg.topology.build().num_nodes(),
+            megafly.topology.num_nodes(),
+            cfg.topology.num_nodes(),
             "the rejection must come from the kind, not the size"
         );
         assert!(matches!(
@@ -829,7 +829,7 @@ mod tests {
     #[test]
     fn forged_lost_credit_ledger_entries_are_refused() {
         let mut cfg = config(KernelMode::Optimized, 11);
-        let topo = cfg.topology.build();
+        let topo = cfg.topology;
         let (down_router, down_port) =
             FaultPlan::global_link_between(&topo, GroupId(0), GroupId(1));
         let (up_router, up_port) = FaultPlan::global_link_between(&topo, GroupId(2), GroupId(3));
@@ -859,7 +859,7 @@ mod tests {
         // applied) and the cycle after — so the replayed cursor must land
         // on either side of each event exactly as the run left it
         let base = config(KernelMode::Optimized, 31);
-        let topo = base.topology.build();
+        let topo = base.topology;
         let (r0, p0) = FaultPlan::global_link_between(&topo, GroupId(1), GroupId(6));
         let (r1, p1) = FaultPlan::global_link_between(&topo, GroupId(0), GroupId(3));
         let (r2, p2) = FaultPlan::global_link_between(&topo, GroupId(2), GroupId(5));
@@ -1167,7 +1167,7 @@ mod tests {
     fn forged_liveness_journals_are_rejected() {
         // a down gateway link and a failed node put records in the truth map
         let base = config(KernelMode::Optimized, 13);
-        let topo = base.topology.build();
+        let topo = base.topology;
         let (r, p) = FaultPlan::global_link_between(&topo, GroupId(1), GroupId(4));
         let mut cfg = base;
         cfg.faults = FaultPlan::new()

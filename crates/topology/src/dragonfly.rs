@@ -25,14 +25,13 @@
 
 use crate::ids::{GroupId, NodeId, RouterId};
 use crate::layout::RadixLayout;
-use crate::params::{DragonflyParams, ParamsError};
+use crate::params::DragonflyParams;
 use crate::port::Port;
 use crate::topology::{Topology, TopologyKind};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// What is attached at the far end of a router port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortPeer {
     /// A compute node (terminal ports).
     Node(NodeId),
@@ -48,7 +47,7 @@ pub enum PortPeer {
 /// The object is cheap (it stores only the parameters); all queries are
 /// computed arithmetically, so it can be freely cloned and shared between
 /// routers, traffic generators and routing algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dragonfly {
     params: DragonflyParams,
 }
@@ -57,11 +56,6 @@ impl Dragonfly {
     /// Build a topology from validated parameters.
     pub fn new(params: DragonflyParams) -> Self {
         Dragonfly { params }
-    }
-
-    /// Build a fully-populated canonical Dragonfly from `(p, a, h)`.
-    pub fn canonical(p: u32, a: u32, h: u32) -> Result<Self, ParamsError> {
-        Ok(Dragonfly::new(DragonflyParams::canonical(p, a, h)?))
     }
 
     /// Access the sizing parameters.

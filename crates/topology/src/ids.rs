@@ -1,30 +1,28 @@
 //! Strongly-typed identifiers for topology entities.
 //!
 //! All identifiers wrap a `u32` (the paper-scale network has 16,512 nodes and
-//! 2,064 routers, far below `u32::MAX`) and are ordered, hashable and
-//! serde-serialisable so they can be used as indices, map keys and in
-//! experiment dumps.
+//! 2,064 routers, far below `u32::MAX`) and are ordered and hashable so
+//! they can be used as indices and map keys.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a compute node (an injection/consumption endpoint).
 ///
 /// Nodes are numbered globally, router-major: node `n` attaches to router
 /// `n / p` at injection port index `n % p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a router.
 ///
 /// Routers are numbered globally, group-major: router `r` belongs to group
 /// `r / a` and has local index `r % a` within that group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub u32);
 
 /// Identifier of a Dragonfly group (a first-level complete graph of `a`
 /// routers plus their `a*p` nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 impl NodeId {

@@ -12,8 +12,6 @@
 //!
 //! [`Port`]: crate::port::Port
 
-use serde::{Deserialize, Serialize};
-
 /// The port-class widths of one router: how many terminal, local and global
 /// port indices its numbering reserves.
 ///
@@ -40,7 +38,7 @@ pub trait PortLayout {
 /// This is what [`Topology::layout`](crate::topology::Topology::layout)
 /// returns, so generic code can classify ports without keeping the concrete
 /// parameter struct around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RadixLayout {
     /// Terminal port indices (`0 .. terminals`).
     pub terminals: u32,

@@ -44,8 +44,8 @@ pub use dragonfly::{Dragonfly, PortPeer};
 pub use ids::{GroupId, NodeId, RouterId};
 pub use layout::{PortLayout, RadixLayout};
 pub use linkstate::GatewayLiveness;
-pub use megafly::{Megafly, MegaflyParams, MegaflyParamsError};
-pub use params::DragonflyParams;
+pub use megafly::{Megafly, MegaflyParams};
+pub use params::{DragonflyParams, ParamsError};
 pub use path::{HopKind, PathHop};
 pub use port::{Port, PortClass};
-pub use topology::{AnyTopology, IdIter, Topology, TopologyKind, TopologyParams};
+pub use topology::{IdIter, Topology, TopologyKind, TopologyParams};

@@ -34,13 +34,13 @@
 
 use crate::ids::{GroupId, NodeId, RouterId};
 use crate::layout::{PortLayout, RadixLayout};
+use crate::params::ParamsError;
 use crate::port::Port;
 use crate::topology::{Topology, TopologyKind};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Sizing parameters of a Megafly / Dragonfly+ network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MegaflyParams {
     /// Compute nodes attached to each leaf router.
     pub p: u32,
@@ -54,68 +54,22 @@ pub struct MegaflyParams {
     pub groups: u32,
 }
 
-/// Error produced when constructing invalid [`MegaflyParams`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MegaflyParamsError {
-    /// One of `p`, `l`, `s`, `h` or `groups` was zero.
-    ZeroParameter,
-    /// `l != s`: only balanced bipartite blocks are supported (the uniform
-    /// padded port layout and the VC-ladder argument both rely on it).
-    UnbalancedBlock {
-        /// Leaves requested.
-        l: u32,
-        /// Spines requested.
-        s: u32,
-    },
-    /// More groups were requested than the `s*h + 1` the palmtree wiring
-    /// supports.
-    TooManyGroups {
-        /// Groups requested.
-        requested: u32,
-        /// Maximum allowed, `s*h + 1`.
-        max: u32,
-    },
-    /// Fewer than two groups: the global level would be empty.
-    TooFewGroups,
-}
-
-impl std::fmt::Display for MegaflyParamsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MegaflyParamsError::ZeroParameter => {
-                write!(f, "p, l, s, h and groups must all be non-zero")
-            }
-            MegaflyParamsError::UnbalancedBlock { l, s } => write!(
-                f,
-                "Megafly blocks must be balanced (l == s), got l={l}, s={s}"
-            ),
-            MegaflyParamsError::TooManyGroups { requested, max } => write!(
-                f,
-                "requested {requested} groups but s*h+1 = {max} is the palmtree maximum"
-            ),
-            MegaflyParamsError::TooFewGroups => write!(f, "a Megafly needs at least 2 groups"),
-        }
-    }
-}
-
-impl std::error::Error for MegaflyParamsError {}
-
 impl MegaflyParams {
     /// Create a parameter set, validating the balanced-block and palmtree
     /// constraints.
-    pub fn new(p: u32, l: u32, s: u32, h: u32, groups: u32) -> Result<Self, MegaflyParamsError> {
+    pub fn new(p: u32, l: u32, s: u32, h: u32, groups: u32) -> Result<Self, ParamsError> {
         if p == 0 || l == 0 || s == 0 || h == 0 || groups == 0 {
-            return Err(MegaflyParamsError::ZeroParameter);
+            return Err(ParamsError::ZeroParameter);
         }
         if l != s {
-            return Err(MegaflyParamsError::UnbalancedBlock { l, s });
+            return Err(ParamsError::UnbalancedBlock { l, s });
         }
         if groups < 2 {
-            return Err(MegaflyParamsError::TooFewGroups);
+            return Err(ParamsError::TooFewGroups);
         }
         let max = s * h + 1;
         if groups > max {
-            return Err(MegaflyParamsError::TooManyGroups {
+            return Err(ParamsError::TooManyGroups {
                 requested: groups,
                 max,
             });
@@ -124,7 +78,7 @@ impl MegaflyParams {
     }
 
     /// Fully-populated Megafly: balanced `l == s` blocks, `groups = l*h+1`.
-    pub fn canonical(p: u32, l: u32, h: u32) -> Result<Self, MegaflyParamsError> {
+    pub fn canonical(p: u32, l: u32, h: u32) -> Result<Self, ParamsError> {
         Self::new(p, l, l, h, l * h + 1)
     }
 
@@ -220,7 +174,7 @@ impl PortLayout for MegaflyParams {
 /// only its parameters; every query is arithmetic.
 ///
 /// [`Dragonfly`]: crate::dragonfly::Dragonfly
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Megafly {
     params: MegaflyParams,
 }
@@ -229,11 +183,6 @@ impl Megafly {
     /// Build a topology from validated parameters.
     pub fn new(params: MegaflyParams) -> Self {
         Megafly { params }
-    }
-
-    /// Build a fully-populated balanced Megafly from `(p, l, h)`.
-    pub fn canonical(p: u32, l: u32, h: u32) -> Result<Self, MegaflyParamsError> {
-        Ok(Megafly::new(MegaflyParams::canonical(p, l, h)?))
     }
 
     /// Access the sizing parameters.
@@ -419,22 +368,22 @@ mod tests {
     fn parameter_validation() {
         assert_eq!(
             MegaflyParams::new(0, 4, 4, 2, 9),
-            Err(MegaflyParamsError::ZeroParameter)
+            Err(ParamsError::ZeroParameter)
         );
         assert_eq!(
             MegaflyParams::new(2, 4, 3, 2, 9),
-            Err(MegaflyParamsError::UnbalancedBlock { l: 4, s: 3 })
+            Err(ParamsError::UnbalancedBlock { l: 4, s: 3 })
         );
         assert_eq!(
             MegaflyParams::new(2, 4, 4, 2, 10),
-            Err(MegaflyParamsError::TooManyGroups {
+            Err(ParamsError::TooManyGroups {
                 requested: 10,
                 max: 9
             })
         );
         assert_eq!(
             MegaflyParams::new(2, 4, 4, 2, 1),
-            Err(MegaflyParamsError::TooFewGroups)
+            Err(ParamsError::TooFewGroups)
         );
         let p = MegaflyParams::small();
         assert_eq!(p.num_nodes(), 72);

@@ -1,7 +1,6 @@
 //! Dragonfly sizing parameters `(p, a, h)` and derived quantities.
 
 use crate::layout::PortLayout;
-use serde::{Deserialize, Serialize};
 
 /// Sizing parameters of a canonical Dragonfly network.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// The paper's Table I instance is `p=8, a=16, h=8` with 129 groups
 /// (16,512 nodes); [`DragonflyParams::paper_table1`] builds it. The balanced
 /// proportion recommended by Kim et al. is `a = 2p = 2h`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DragonflyParams {
     /// Compute nodes attached to each router.
     pub p: u32,
@@ -30,17 +29,27 @@ pub struct DragonflyParams {
     pub groups: u32,
 }
 
-/// Error produced when constructing invalid [`DragonflyParams`].
+/// Error produced when constructing invalid [`DragonflyParams`] or
+/// [`MegaflyParams`](crate::megafly::MegaflyParams).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamsError {
-    /// One of `p`, `a`, `h` or `groups` was zero.
+    /// A size parameter or the group count was zero.
     ZeroParameter,
-    /// More groups were requested than the `a*h + 1` the canonical wiring
-    /// supports.
+    /// A Megafly with `l != s`: only balanced bipartite blocks are
+    /// supported (the uniform padded port layout and the VC-ladder argument
+    /// both rely on it).
+    UnbalancedBlock {
+        /// Leaves requested.
+        l: u32,
+        /// Spines requested.
+        s: u32,
+    },
+    /// More groups were requested than the palmtree wiring supports: one
+    /// more than the global links per group.
     TooManyGroups {
         /// Groups requested.
         requested: u32,
-        /// Maximum allowed, `a*h + 1`.
+        /// Maximum allowed.
         max: u32,
     },
     /// Fewer than two groups: the global level would be empty.
@@ -50,12 +59,20 @@ pub enum ParamsError {
 impl std::fmt::Display for ParamsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParamsError::ZeroParameter => write!(f, "p, a, h and groups must all be non-zero"),
+            ParamsError::ZeroParameter => {
+                write!(
+                    f,
+                    "every size parameter and the group count must be non-zero"
+                )
+            }
+            ParamsError::UnbalancedBlock { l, s } => {
+                write!(f, "blocks must be balanced (l == s), got l={l}, s={s}")
+            }
             ParamsError::TooManyGroups { requested, max } => write!(
                 f,
-                "requested {requested} groups but a*h+1 = {max} is the canonical maximum"
+                "requested {requested} groups but the palmtree wiring supports at most {max}"
             ),
-            ParamsError::TooFewGroups => write!(f, "a Dragonfly needs at least 2 groups"),
+            ParamsError::TooFewGroups => write!(f, "a network needs at least 2 groups"),
         }
     }
 }
@@ -250,6 +267,42 @@ mod tests {
             DragonflyParams::new(2, 4, 2, 1),
             Err(ParamsError::TooFewGroups)
         );
+    }
+
+    #[test]
+    fn both_families_return_the_one_error() {
+        use crate::megafly::MegaflyParams;
+        let dragonfly: [Result<DragonflyParams, ParamsError>; 3] = [
+            DragonflyParams::new(0, 4, 2, 9),
+            DragonflyParams::new(2, 4, 2, 10),
+            DragonflyParams::new(2, 4, 2, 1),
+        ];
+        let megafly: [Result<MegaflyParams, ParamsError>; 3] = [
+            MegaflyParams::new(0, 4, 4, 2, 9),
+            MegaflyParams::new(2, 4, 4, 2, 10),
+            MegaflyParams::new(2, 4, 4, 2, 1),
+        ];
+        for (d, m) in dragonfly.into_iter().zip(megafly) {
+            assert_eq!(d.unwrap_err(), m.unwrap_err());
+        }
+        let unbalanced = MegaflyParams::new(2, 4, 3, 2, 9).unwrap_err();
+        assert_eq!(unbalanced, ParamsError::UnbalancedBlock { l: 4, s: 3 });
+        // the messages name no family: either constructor may return them
+        for err in [
+            ParamsError::ZeroParameter,
+            unbalanced,
+            ParamsError::TooManyGroups {
+                requested: 10,
+                max: 9,
+            },
+            ParamsError::TooFewGroups,
+        ] {
+            let msg = err.to_string();
+            assert!(
+                !msg.contains("Dragonfly") && !msg.contains("Megafly"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

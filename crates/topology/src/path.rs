@@ -13,10 +13,9 @@ use crate::dragonfly::Dragonfly;
 use crate::ids::RouterId;
 use crate::port::{Port, PortClass};
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// The kind of link a hop traverses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HopKind {
     /// Intra-group hop.
     Local,
@@ -26,7 +25,7 @@ pub enum HopKind {
 
 /// One hop of a router-level path: the router the hop leaves from, the output
 /// port used, and the router it arrives at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathHop {
     /// Router the hop departs from.
     pub from: RouterId,

@@ -16,11 +16,10 @@
 //! offset `k` is the router's `k`-th global link.
 
 use crate::layout::PortLayout;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classification of a router port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortClass {
     /// Port attached to a compute node; used for injection and ejection.
     Terminal,
@@ -41,7 +40,7 @@ impl fmt::Display for PortClass {
 }
 
 /// A port index within a router (0-based, covering all classes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Port(pub u32);
 
 impl Port {

@@ -26,10 +26,9 @@
 //!
 //! Two instances implement it, each next to its wiring: the canonical
 //! [`Dragonfly`] (the paper's network) and the [`Megafly`]/Dragonfly+
-//! (bipartite leaf/spine groups).
-//! [`AnyTopology`] is the `Copy` sum type stored in routers, networks and
-//! step contexts; [`TopologyParams`] is the matching configuration-level
-//! sum the `SimulationConfig` carries.
+//! (bipartite leaf/spine groups). [`TopologyParams`] is the one value that
+//! names a family and its size: the `SimulationConfig` carries it, and
+//! routers, networks, step contexts and traffic patterns store it.
 
 use crate::dragonfly::{Dragonfly, PortPeer};
 use crate::ids::{GroupId, NodeId, RouterId};
@@ -37,7 +36,6 @@ use crate::layout::RadixLayout;
 use crate::megafly::{Megafly, MegaflyParams};
 use crate::params::DragonflyParams;
 use crate::port::{Port, PortClass};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Iterator over a contiguous id range, yielding strongly-typed ids.
@@ -48,7 +46,7 @@ use std::ops::Range;
 pub type IdIter<T> = std::iter::Map<Range<u32>, fn(u32) -> T>;
 
 /// Which concrete network a topology value describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Canonical Dragonfly (complete-graph groups; the paper's network).
     Dragonfly,
@@ -105,7 +103,7 @@ impl std::fmt::Display for TopologyKind {
 /// three VC-ladder policies; every other method is derived from those here,
 /// once. A family that overrides a provided method (only [`Megafly`], only
 /// [`local_hop_toward`](Topology::local_hop_toward)) must also be
-/// re-dispatched by [`AnyTopology`].
+/// re-dispatched by [`TopologyParams`].
 pub trait Topology: Copy + std::fmt::Debug {
     /// Which concrete network this is.
     fn kind(&self) -> TopologyKind;
@@ -365,37 +363,71 @@ pub trait Topology: Copy + std::fmt::Debug {
     }
 }
 
-/// The `Copy` sum of every supported topology: what routers, networks and
-/// step contexts store when the concrete network is chosen at run time.
+/// The one topology value: which family, sized how. A `SimulationConfig`
+/// carries it, and routers, networks, step contexts and traffic patterns
+/// store it.
 ///
-/// `AnyTopology` itself implements [`Topology`] by match-dispatch, so
-/// generic code takes `&impl Topology` and works with either a concrete
-/// instance or this enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AnyTopology {
-    /// Canonical Dragonfly.
-    Dragonfly(Dragonfly),
-    /// Megafly / Dragonfly+.
-    Megafly(Megafly),
+/// It implements [`Topology`] by building the family object from its
+/// parameters (a copy: a family object stores only its parameters) and
+/// asking it, so generic code takes `&impl Topology` and works with either
+/// a concrete family or this enum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TopologyParams {
+    /// Canonical Dragonfly `(p, a, h, groups)`.
+    Dragonfly(DragonflyParams),
+    /// Megafly / Dragonfly+ `(p, l, s, h, groups)`.
+    Megafly(MegaflyParams),
 }
 
-impl From<Dragonfly> for AnyTopology {
-    fn from(t: Dragonfly) -> Self {
-        AnyTopology::Dragonfly(t)
+impl From<DragonflyParams> for TopologyParams {
+    fn from(p: DragonflyParams) -> Self {
+        TopologyParams::Dragonfly(p)
     }
 }
 
-impl From<Megafly> for AnyTopology {
+impl From<MegaflyParams> for TopologyParams {
+    fn from(p: MegaflyParams) -> Self {
+        TopologyParams::Megafly(p)
+    }
+}
+
+impl From<Dragonfly> for TopologyParams {
+    fn from(t: Dragonfly) -> Self {
+        TopologyParams::Dragonfly(*t.params())
+    }
+}
+
+impl From<Megafly> for TopologyParams {
     fn from(t: Megafly) -> Self {
-        AnyTopology::Megafly(t)
+        TopologyParams::Megafly(*t.params())
+    }
+}
+
+impl TopologyParams {
+    /// The topology itself: the identity, kept because the benchmark's
+    /// pinned surface calls it.
+    pub fn build(&self) -> TopologyParams {
+        *self
+    }
+
+    /// Total number of routers (also [`Topology::num_routers`]; this one
+    /// needs no trait import).
+    pub fn num_routers(&self) -> u32 {
+        Topology::num_routers(self)
     }
 }
 
 macro_rules! dispatch {
     ($self:ident, $t:ident => $e:expr) => {
-        match $self {
-            AnyTopology::Dragonfly($t) => $e,
-            AnyTopology::Megafly($t) => $e,
+        match *$self {
+            TopologyParams::Dragonfly(p) => {
+                let $t = Dragonfly::new(p);
+                $e
+            }
+            TopologyParams::Megafly(p) => {
+                let $t = Megafly::new(p);
+                $e
+            }
         }
     };
 }
@@ -404,7 +436,7 @@ macro_rules! dispatch {
 /// method a family overrides must be re-dispatched here, or the enum would
 /// answer with the trait's default. Every other provided method runs its
 /// one trait body over these arms.
-impl Topology for AnyTopology {
+impl Topology for TopologyParams {
     #[inline]
     fn kind(&self) -> TopologyKind {
         dispatch!(self, t => t.kind())
@@ -475,55 +507,6 @@ impl Topology for AnyTopology {
     }
 }
 
-/// Configuration-level sum of the supported topologies' sizing parameters:
-/// what a `SimulationConfig` carries, and what
-/// [`build`](TopologyParams::build) lowers into an [`AnyTopology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TopologyParams {
-    /// Canonical Dragonfly `(p, a, h, groups)`.
-    Dragonfly(DragonflyParams),
-    /// Megafly / Dragonfly+ `(p, l, s, h, groups)`.
-    Megafly(MegaflyParams),
-}
-
-impl From<DragonflyParams> for TopologyParams {
-    fn from(p: DragonflyParams) -> Self {
-        TopologyParams::Dragonfly(p)
-    }
-}
-
-impl From<MegaflyParams> for TopologyParams {
-    fn from(p: MegaflyParams) -> Self {
-        TopologyParams::Megafly(p)
-    }
-}
-
-impl TopologyParams {
-    /// Which network these parameters size.
-    pub fn kind(&self) -> TopologyKind {
-        match self {
-            TopologyParams::Dragonfly(_) => TopologyKind::Dragonfly,
-            TopologyParams::Megafly(_) => TopologyKind::Megafly,
-        }
-    }
-
-    /// Build the topology object.
-    pub fn build(&self) -> AnyTopology {
-        match *self {
-            TopologyParams::Dragonfly(p) => AnyTopology::Dragonfly(Dragonfly::new(p)),
-            TopologyParams::Megafly(p) => AnyTopology::Megafly(Megafly::new(p)),
-        }
-    }
-
-    /// Total number of routers.
-    pub fn num_routers(&self) -> u32 {
-        match self {
-            TopologyParams::Dragonfly(p) => p.num_routers(),
-            TopologyParams::Megafly(p) => p.num_routers(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,15 +527,15 @@ mod tests {
     }
 
     #[test]
-    fn topology_params_build_their_own_family() {
+    fn topology_params_answer_for_their_own_family() {
         let dfp = TopologyParams::from(DragonflyParams::small());
         assert_eq!(dfp.kind(), TopologyKind::Dragonfly);
-        assert_eq!(dfp.build(), Dragonfly::new(DragonflyParams::small()).into());
+        assert_eq!(dfp.build(), dfp);
         let mfp = TopologyParams::from(MegaflyParams::small());
         assert_eq!(mfp.kind(), TopologyKind::Megafly);
-        assert_eq!(mfp.build(), Megafly::new(MegaflyParams::small()).into());
+        assert_eq!(mfp.num_routers(), 72);
         for params in [dfp, mfp] {
-            assert_eq!(params.num_routers(), params.build().num_routers());
+            assert_eq!(params.num_routers(), Topology::num_routers(&params));
         }
     }
 
@@ -649,11 +632,13 @@ mod tests {
         }
     }
 
-    /// `any` answers every trait method exactly as the family it wraps, for
-    /// every id — a provided method a family overrides but `AnyTopology`
-    /// forgets to dispatch shows up here.
-    fn any_agrees<T: Topology + Into<AnyTopology>>(t: T) {
-        let any: AnyTopology = t.into();
+    /// The value made from the family object is the one made from its
+    /// parameters, and it answers every trait method exactly as the family
+    /// does, for every id — a provided method a family overrides but
+    /// `TopologyParams` forgets to dispatch shows up here.
+    fn any_agrees<T: Topology + Into<TopologyParams>>(t: T, params: TopologyParams) {
+        let any: TopologyParams = t.into();
+        assert_eq!(any, params);
         let layout = t.layout();
         assert_eq!(any.kind(), t.kind());
         assert_eq!(any.layout(), layout);
@@ -745,10 +730,10 @@ mod tests {
         }
     }
 
-    fn laws_hold<T: Topology + Into<AnyTopology>>(t: T) {
+    fn laws_hold<T: Topology + Into<TopologyParams>>(t: T, params: impl Into<TopologyParams>) {
         laws(t);
         laws(t.into());
-        any_agrees(t);
+        any_agrees(t, params.into());
     }
 
     #[test]
@@ -760,7 +745,7 @@ mod tests {
             DragonflyParams::medium(),
             partial,
         ] {
-            laws_hold(Dragonfly::new(params));
+            laws_hold(Dragonfly::new(params), params);
         }
     }
 
@@ -773,7 +758,7 @@ mod tests {
             MegaflyParams::medium(),
             partial,
         ] {
-            laws_hold(Megafly::new(params));
+            laws_hold(Megafly::new(params), params);
         }
     }
 }

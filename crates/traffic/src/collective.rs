@@ -23,10 +23,8 @@
 //! non-power-of-two recursive doubling — and such steps complete
 //! immediately.
 
-use serde::{Deserialize, Serialize};
-
 /// The algorithm an all-reduce lowers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllReduceAlgorithm {
     /// Ring all-reduce: `2(p-1)` steps; in each, rank `r` sends one message
     /// to `(r+1) mod p` and waits for one from `(r-1) mod p` (reduce-scatter
@@ -41,7 +39,7 @@ pub enum AllReduceAlgorithm {
 }
 
 /// One collective operation over all ranks of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CollectiveKind {
     /// Every rank sends one message to every other rank, in `p-1` phased
     /// rounds: in round `i` rank `r` sends to `(r+i) mod p` and receives
@@ -198,7 +196,7 @@ fn prev_power_of_two(n: usize) -> usize {
 }
 
 /// One dependency-gated step of a rank's script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskStep {
     /// Messages this rank injects when the step starts: `(destination rank,
     /// packet count)`. Multiple entries to the same destination are allowed
@@ -217,7 +215,7 @@ impl TaskStep {
 }
 
 /// How ranks map onto nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankPlacement {
     /// Rank `r` runs on node `r`: consecutive ranks share routers and
     /// groups, so ring/neighbor traffic stays local.
@@ -245,7 +243,7 @@ impl RankPlacement {
 /// `ranks` ranks, each message `packets_per_message` packets. Where the
 /// ranks live is not the workload's business: a [`crate::JobSpec`] pairs it
 /// with a [`crate::JobPlacement`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskWorkload {
     /// Number of ranks (each mapped onto one distinct node).
     pub ranks: u32,

@@ -50,7 +50,6 @@
 use df_engine::{failure_run_table, CodecError, DeterministicRng};
 use df_model::{Cycle, Packet, PacketId};
 use df_topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -58,7 +57,7 @@ use crate::pattern::TrafficPattern;
 
 /// Declarative description of an injection process, used in configuration
 /// files and experiment reports.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum InjectionKind {
     /// Memoryless Bernoulli injection (the paper's process). The default.
     #[default]

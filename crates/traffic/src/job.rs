@@ -17,13 +17,11 @@
 //! run — one collective alone on the network — is a one-job set at offered
 //! load 0.
 
-use serde::{Deserialize, Serialize};
-
 use crate::collective::{AllReduceAlgorithm, CollectiveKind, RankPlacement, TaskWorkload};
 
 /// Where a job's ranks live: a rank-spreading strategy offset to a base
 /// node, so several jobs can use the same strategy on disjoint node ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobPlacement {
     /// How consecutive ranks spread over the topology (relative map).
     pub strategy: RankPlacement,
@@ -58,7 +56,7 @@ impl JobPlacement {
 }
 
 /// One job of a multi-job traffic mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// The collective sequence the job's ranks execute.
     pub workload: TaskWorkload,

@@ -1,12 +1,11 @@
 //! Traffic patterns: who sends to whom.
 
 use df_engine::DeterministicRng;
-use df_topology::{AnyTopology, GroupId, NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use df_topology::{GroupId, NodeId, Topology, TopologyParams};
 
 /// Declarative description of a traffic pattern, used in configuration files
 /// and experiment reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PatternKind {
     /// Uniform random traffic (UN).
     Uniform,
@@ -144,7 +143,7 @@ impl PatternKind {
     /// # Panics
     /// Panics if [`validate`](Self::validate) rejects the pattern for this
     /// topology.
-    pub fn build(&self, topo: impl Into<AnyTopology>) -> TrafficPattern {
+    pub fn build(&self, topo: impl Into<TopologyParams>) -> TrafficPattern {
         let topo = topo.into();
         self.validate(&topo)
             .unwrap_or_else(|e| panic!("invalid pattern {self:?}: {e}"));
@@ -227,7 +226,7 @@ fn bit_reversal_map(n: usize) -> Vec<u32> {
 #[derive(Debug, Clone)]
 pub struct TrafficPattern {
     kind: PatternKind,
-    topo: AnyTopology,
+    topo: TopologyParams,
     /// Precomputed destination map for permutation-style patterns.
     map: Option<Vec<u32>>,
     /// Precomputed hot destination list for [`PatternKind::Hotspot`].
@@ -241,7 +240,7 @@ impl TrafficPattern {
     }
 
     /// The topology the pattern is bound to.
-    pub fn topology(&self) -> &AnyTopology {
+    pub fn topology(&self) -> &TopologyParams {
         &self.topo
     }
 
@@ -277,12 +276,6 @@ impl TrafficPattern {
                 self.group_local_destination(src, local_fraction, rng)
             }
         }
-    }
-
-    /// The fixed destination map of a permutation-style pattern, if any
-    /// (indexable by source node index; used by property tests and tooling).
-    pub fn destination_map(&self) -> Option<&[u32]> {
-        self.map.as_deref()
     }
 
     /// The hot destination nodes of a [`PatternKind::Hotspot`] pattern.
@@ -618,7 +611,7 @@ mod tests {
     fn bit_reversal_reverses_bits_on_a_power_of_two_network() {
         let pow2 = Dragonfly::new(DragonflyParams::new(2, 4, 2, 8).unwrap());
         let p = PatternKind::BitReversal.build(pow2);
-        let map = p.destination_map().unwrap();
+        let map = p.map.unwrap();
         // 0b000110 reversed in 6 bits is 0b011000; neither is a palindrome
         assert_eq!(map[0b000110], 0b011000);
         assert_eq!(map[0b011000], 0b000110);
@@ -628,7 +621,7 @@ mod tests {
     fn bit_complement_mirrors_the_index_range() {
         let t = topo();
         let p = PatternKind::BitComplement.build(t);
-        let map = p.destination_map().unwrap();
+        let map = p.map.unwrap();
         let n = t.num_nodes();
         for i in 0..n {
             assert_eq!(map[i as usize], n - 1 - i);
@@ -640,8 +633,8 @@ mod tests {
         let a = PatternKind::Permutation { seed: 5 }.build(topo());
         let b = PatternKind::Permutation { seed: 5 }.build(topo());
         let c = PatternKind::Permutation { seed: 6 }.build(topo());
-        assert_eq!(a.destination_map(), b.destination_map());
-        assert_ne!(a.destination_map(), c.destination_map());
+        assert_eq!(a.map, b.map);
+        assert_ne!(a.map, c.map);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! phase being a pattern (and optionally a different offered load) active
 //! from its start cycle until the next phase begins.
 
-use df_topology::AnyTopology;
-use serde::{Deserialize, Serialize};
+use df_topology::TopologyParams;
 
 use crate::pattern::{PatternKind, TrafficPattern};
 use df_model::Cycle;
 
 /// One phase of a traffic schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternPhase {
     /// First cycle (inclusive) at which this phase is active.
     pub start: Cycle,
@@ -25,7 +24,7 @@ pub struct PatternPhase {
 }
 
 /// A piecewise-constant traffic schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSchedule {
     phases: Vec<PatternPhase>,
 }
@@ -75,16 +74,6 @@ impl TrafficSchedule {
         &self.phases
     }
 
-    /// The phase active at `cycle`.
-    pub fn phase_at(&self, cycle: Cycle) -> &PatternPhase {
-        &self.phases[self.phase_index_at(cycle)]
-    }
-
-    /// The pattern kind active at `cycle`.
-    pub fn pattern_at(&self, cycle: Cycle) -> PatternKind {
-        self.phase_at(cycle).pattern
-    }
-
     /// Cycles at which the pattern changes (start of every phase after the
     /// first).
     pub fn change_points(&self) -> Vec<Cycle> {
@@ -93,7 +82,7 @@ impl TrafficSchedule {
 
     /// Materialise every phase's pattern against a topology, so the simulator
     /// can switch without re-allocating. Returned in phase order.
-    pub fn build_patterns(&self, topo: impl Into<AnyTopology>) -> Vec<TrafficPattern> {
+    pub fn build_patterns(&self, topo: impl Into<TopologyParams>) -> Vec<TrafficPattern> {
         let topo = topo.into();
         self.phases.iter().map(|p| p.pattern.build(topo)).collect()
     }
@@ -114,11 +103,15 @@ mod tests {
     use super::*;
     use df_topology::{Dragonfly, DragonflyParams};
 
+    fn phase_at(s: &TrafficSchedule, cycle: Cycle) -> &PatternPhase {
+        &s.phases()[s.phase_index_at(cycle)]
+    }
+
     #[test]
     fn constant_schedule_never_changes() {
         let s = TrafficSchedule::constant(PatternKind::Uniform);
-        assert_eq!(s.pattern_at(0), PatternKind::Uniform);
-        assert_eq!(s.pattern_at(1_000_000), PatternKind::Uniform);
+        assert_eq!(phase_at(&s, 0).pattern, PatternKind::Uniform);
+        assert_eq!(phase_at(&s, 1_000_000).pattern, PatternKind::Uniform);
         assert!(s.change_points().is_empty());
     }
 
@@ -129,11 +122,14 @@ mod tests {
             PatternKind::Adversarial { offset: 1 },
             5_000,
         );
-        assert_eq!(s.pattern_at(0), PatternKind::Uniform);
-        assert_eq!(s.pattern_at(4_999), PatternKind::Uniform);
-        assert_eq!(s.pattern_at(5_000), PatternKind::Adversarial { offset: 1 });
+        assert_eq!(phase_at(&s, 0).pattern, PatternKind::Uniform);
+        assert_eq!(phase_at(&s, 4_999).pattern, PatternKind::Uniform);
         assert_eq!(
-            s.pattern_at(9_999_999),
+            phase_at(&s, 5_000).pattern,
+            PatternKind::Adversarial { offset: 1 }
+        );
+        assert_eq!(
+            phase_at(&s, 9_999_999).pattern,
             PatternKind::Adversarial { offset: 1 }
         );
         assert_eq!(s.change_points(), vec![5_000]);
@@ -155,8 +151,8 @@ mod tests {
         ]);
         assert_eq!(s.phases()[0].pattern, PatternKind::Uniform);
         assert_eq!(s.phases()[0].start, 0, "first phase clamps to cycle 0");
-        assert_eq!(s.phase_at(499).pattern, PatternKind::Uniform);
-        assert_eq!(s.phase_at(500).load, Some(0.1));
+        assert_eq!(phase_at(&s, 499).pattern, PatternKind::Uniform);
+        assert_eq!(phase_at(&s, 500).load, Some(0.1));
     }
 
     #[test]

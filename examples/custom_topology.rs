@@ -13,9 +13,8 @@ fn main() {
     // --- 1. a custom, partially-populated Dragonfly ---------------------
     // Constructing the concrete `Dragonfly` directly is fine for
     // family-specific inspection like this; topology-agnostic code should
-    // instead take `TopologyParams` and call `.build()` to get an
-    // `AnyTopology` behind the `Topology` trait (see `MegaflyParams` for the
-    // second family).
+    // instead take a `TopologyParams`, which implements the `Topology`
+    // trait for either family (see `MegaflyParams` for the second).
     let params = DragonflyParams::new(3, 6, 3, 13).expect("valid parameters");
     let topo = Dragonfly::new(params);
     println!(

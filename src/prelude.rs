@@ -23,9 +23,8 @@ pub use df_sim::{
     ScenarioMatrix, SimulationConfig, SteadyStateReport, SweepOutcome, TransientReport,
 };
 pub use df_topology::{
-    AnyTopology, Dragonfly, DragonflyParams, GatewayLiveness, GroupId, Megafly, MegaflyParams,
-    NodeId, Port, PortClass, PortLayout, PortPeer, RadixLayout, RouterId, Topology, TopologyKind,
-    TopologyParams,
+    Dragonfly, DragonflyParams, GatewayLiveness, GroupId, Megafly, MegaflyParams, NodeId, Port,
+    PortClass, PortLayout, PortPeer, RadixLayout, RouterId, Topology, TopologyKind, TopologyParams,
 };
 pub use df_traffic::{
     validate_job_disjointness, AllReduceAlgorithm, CollectiveKind, InjectionKind, Injector,
