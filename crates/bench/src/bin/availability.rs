@@ -31,6 +31,7 @@
 use std::path::PathBuf;
 
 use df_bench::{parse_kv, write_or_exit, Scale};
+use df_engine::Table;
 use df_routing::RoutingKind;
 use df_sim::runner::{run_sweep_service, RunnerOptions};
 use df_sim::{ChurnModel, ChurnRate, Scenario, ScenarioMatrix, SimulationConfig};
@@ -136,11 +137,11 @@ fn main() {
             .expect("healthy reference cell present")
     };
 
-    let mut csv = String::from(
-        "routing,mtbf_cycles,mttr_cycles,failure_rate_per_link_cycle,seeds,\
+    let header = "routing,mtbf_cycles,mttr_cycles,failure_rate_per_link_cycle,seeds,\
          delivered_window,healthy_window,throughput_retained,avg_latency,latency_ci95,\
-         dropped_packets,retargeted_packets,injected_packets,packet_loss\n",
-    );
+         dropped_packets,retargeted_packets,injected_packets,packet_loss";
+    let header: Vec<&str> = header.split(',').collect();
+    let mut table = Table::new("availability under failure churn", &header);
     for (name, mtbf, mttr) in &cell_of {
         for routing in routings {
             let cell = outcome
@@ -152,27 +153,26 @@ fn main() {
             let healthy = healthy(routing);
             let retained = r.delivered_packets as f64 / healthy as f64;
             let loss = r.dropped_on_fault_packets as f64 / r.injected_packets as f64;
-            let line = format!(
-                "{},{},{},{:.6e},{},{},{},{:.4},{:.2},{:.2},{},{},{},{:.6}\n",
-                routing.label(),
-                mtbf,
-                mttr,
-                1.0 / mtbf,
-                seeds,
-                r.delivered_packets,
-                healthy,
-                retained,
-                r.avg_packet_latency,
-                r.latency_ci95,
-                r.dropped_on_fault_packets,
-                r.retargeted_packets,
-                r.injected_packets,
-                loss
-            );
-            csv.push_str(&line);
-            print!("{line}");
+            table.push_row(vec![
+                routing.label().to_string(),
+                mtbf.to_string(),
+                mttr.to_string(),
+                format!("{:.6e}", 1.0 / mtbf),
+                seeds.to_string(),
+                r.delivered_packets.to_string(),
+                healthy.to_string(),
+                format!("{retained:.4}"),
+                format!("{:.2}", r.avg_packet_latency),
+                format!("{:.2}", r.latency_ci95),
+                r.dropped_on_fault_packets.to_string(),
+                r.retargeted_packets.to_string(),
+                r.injected_packets.to_string(),
+                format!("{loss:.6}"),
+            ]);
         }
     }
+    let csv = table.to_csv();
+    print!("{csv}");
     write_or_exit("AVAILABILITY.csv", &csv);
     eprintln!("wrote AVAILABILITY.csv");
 

@@ -13,12 +13,14 @@
 //! cargo run --release -p df-bench --bin fault_recovery -- [small|medium|paper] [csv]
 //! ```
 //!
-//! Prints one row per time bin (cycles relative to the fault) with one
-//! column per routing mechanism (delivered phits per node·cycle in the
-//! bin), then a during/after summary per mechanism on stderr. Deterministic:
-//! rerun and diff.
+//! Prints a during/after summary per mechanism on stderr, then a table
+//! (CSV under `csv`, aligned text otherwise) with one row per time bin
+//! (cycles relative to the fault) and one column per routing mechanism
+//! (delivered phits per node·cycle in the bin). Deterministic: rerun and
+//! diff.
 
 use df_bench::Scale;
+use df_engine::Table;
 use df_routing::RoutingKind;
 use df_sim::{FaultPlan, Network, SimulationConfig};
 use df_topology::{Dragonfly, GroupId};
@@ -36,8 +38,8 @@ fn main() {
     let load = 0.15;
 
     // NOTE: deliberately pinned to the concrete Dragonfly family (the
-    // recovery curve is a paper artifact); new code should build
-    // `scale.topology_params().build()` and go through the `Topology` trait.
+    // recovery curve is a paper artifact); new code should take
+    // `scale.topology_params()`, which is itself a `Topology`.
     let topo = Dragonfly::new(scale.topology);
     let (gw, gport) = FaultPlan::global_link_between(&topo, GroupId(0), GroupId(1));
     let routings = [
@@ -113,11 +115,13 @@ fn main() {
         .collect();
     times.sort_unstable();
     times.dedup();
-    let sep = if csv { "," } else { "\t" };
-    let header: Vec<String> = std::iter::once("cycles_since_fault".to_string())
-        .chain(series.iter().map(|(r, _)| r.label().to_string()))
+    let header: Vec<&str> = std::iter::once("cycles_since_fault")
+        .chain(series.iter().map(|(r, _)| r.label()))
         .collect();
-    println!("{}", header.join(sep));
+    let mut table = Table::new(
+        "fault recovery: accepted load per bin, phits/(node·cycle)",
+        &header,
+    );
     for t in times {
         let mut row = vec![t.to_string()];
         for (_, s) in &series {
@@ -132,6 +136,11 @@ fn main() {
                 phits as f64 / (num_nodes * bin_width.max(1) as f64)
             ));
         }
-        println!("{}", row.join(sep));
+        table.push_row(row);
+    }
+    if csv {
+        print!("{}", table.to_csv());
+    } else {
+        println!("{}", table.to_text());
     }
 }

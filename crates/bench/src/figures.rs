@@ -20,7 +20,7 @@ use crate::scale::Scale;
 /// The mechanisms plotted in Figures 5–8: the oblivious reference (MIN for
 /// UN, VAL for ADV) plus the two credit-based and the three contention-based
 /// adaptive mechanisms.
-pub fn figure5_routings(pattern: PatternKind) -> Vec<RoutingKind> {
+pub(crate) fn figure5_routings(pattern: PatternKind) -> Vec<RoutingKind> {
     let reference = match pattern {
         PatternKind::Uniform => RoutingKind::Minimal,
         _ => RoutingKind::Valiant,
@@ -244,7 +244,7 @@ pub fn figure6(scale: &Scale, total_load: f64) -> Table {
 }
 
 /// One transient run (UN → ADV+1 at the end of warm-up) for one mechanism.
-pub fn transient_run(
+pub(crate) fn transient_run(
     scale: &Scale,
     routing: RoutingKind,
     network: NetworkConfig,

@@ -54,7 +54,7 @@ impl Scale {
 
     /// 1,056-node network (p=4, a=8, h=4), closer to the paper's threshold
     /// calibration; minutes to hours depending on the figure.
-    pub fn medium() -> Self {
+    pub(crate) fn medium() -> Self {
         Scale {
             name: "medium",
             topology: DragonflyParams::medium(),
@@ -88,7 +88,7 @@ impl Scale {
     /// prove the 16,512-node network constructs, routes and delivers (the
     /// `--ignored` paper-scale smoke test), without the hours a real
     /// `paper` point takes.
-    pub fn paper_smoke() -> Self {
+    pub(crate) fn paper_smoke() -> Self {
         Scale {
             name: "paper-smoke",
             topology: DragonflyParams::paper_table1(),
@@ -104,7 +104,7 @@ impl Scale {
 
     /// A deliberately tiny scale for the process-level CLI smokes
     /// (`crates/bench/tests/cli.rs`): seconds per figure, full code path.
-    pub fn bench() -> Self {
+    pub(crate) fn bench() -> Self {
         Scale {
             name: "bench",
             topology: DragonflyParams::small(),
@@ -137,11 +137,11 @@ impl Scale {
     }
 
     /// The names [`Scale::from_name`] accepts.
-    pub const NAMES: &'static [&'static str] =
+    pub(crate) const NAMES: &'static [&'static str] =
         &["small", "medium", "paper", "paper-smoke", "bench"];
 
     /// Parse a scale name from a CLI argument.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         match name {
             "small" => Some(Self::small()),
             "medium" => Some(Self::medium()),
@@ -152,7 +152,7 @@ impl Scale {
         }
     }
 
-    /// [`Scale::from_arg_list_dragonfly_only`] over a binary's own argument
+    /// `Scale::from_arg_list_dragonfly_only` over a binary's own argument
     /// list with the `small` default every Dragonfly-only binary uses,
     /// aborting with exit code 2 on a rejected argument.
     pub fn from_args_dragonfly_only(bin: &str, flags: &[&str], args: &[String]) -> Self {
@@ -171,7 +171,7 @@ impl Scale {
     /// alternatives instead of being silently ignored — running one under
     /// `--topology=megafly` used to produce a Dragonfly table labelled by
     /// nothing at all.
-    pub fn from_arg_list_dragonfly_only(
+    pub(crate) fn from_arg_list_dragonfly_only(
         default: Self,
         flags: &[&str],
         bin: &str,

@@ -214,8 +214,7 @@ fn select<C: Candidate, I: Iterator<Item = C> + Clone>(
                 }
             };
             row_passes
-                && router.output_can_accept(
-                    hop,
+                && router.output(hop).can_accept(
                     vc_for_next_hop(packet, hop.class(&layout), router.config()),
                     packet.size_phits,
                 )
@@ -295,7 +294,7 @@ pub(super) fn scope(router: &Router, packet: &Packet, min_out: Port) -> (u8, u32
 
 /// The in-transit adaptive decision for OLM / Base / Hybrid / ECtN, for a
 /// head whose misroute scope and minimal output are in `plan`.
-pub fn decide(
+pub(crate) fn decide(
     kind: RoutingKind,
     config: &RoutingConfig,
     plan: &HeadPlan,
@@ -415,7 +414,7 @@ pub fn decide(
 /// it is returned when live-but-congested alternatives exist, so the packet
 /// waits and re-decides next cycle. A packet with no live, view-viable
 /// option at all is discarded as unroutable.
-pub fn recommit_global(
+pub(crate) fn recommit_global(
     kind: RoutingKind,
     config: &RoutingConfig,
     router: &Router,
@@ -460,8 +459,7 @@ pub fn recommit_global(
     let eligible = viable.clone().filter(|c| {
         let hop = c.first_hop();
         cap.is_none_or(|th| contention_allows_candidate(router.contention().get(hop), th))
-            && router.output_can_accept(
-                hop,
+            && router.output(hop).can_accept(
                 vc_for_next_hop(packet, hop.class(&layout), net),
                 packet.size_phits,
             )

@@ -12,14 +12,14 @@ use crate::vcmap::vc_for_next_hop;
 /// Occupancy (in phits) of the path behind an output port, as seen through
 /// credits: staged output-buffer phits plus estimated downstream occupancy.
 /// This is the congestion signal used by the credit-based triggers.
-pub fn output_occupancy(router: &Router, port: Port) -> u32 {
+pub(crate) fn output_occupancy(router: &Router, port: Port) -> u32 {
     let o = router.output(port);
     o.buffer_occupancy_phits() + o.downstream_occupancy_phits()
 }
 
 /// Pick a uniformly random item of a replayable sequence without collecting
 /// it: count, draw one `rng.index(len)` (none if empty), walk to the drawn one.
-pub fn pick_random<I: Iterator + Clone>(
+pub(crate) fn pick_random<I: Iterator + Clone>(
     mut items: I,
     rng: &mut DeterministicRng,
 ) -> Option<I::Item> {
@@ -34,7 +34,7 @@ pub fn pick_random<I: Iterator + Clone>(
 /// Pick a uniformly random intermediate router outside both `src_group` and
 /// `dst_group` (the Valiant intermediate of VAL and of PB's nonminimal source
 /// routes). Returns `None` when no third group exists.
-pub fn pick_intermediate_router(
+pub(crate) fn pick_intermediate_router(
     router: &Router,
     src_group: GroupId,
     dst_group: GroupId,
@@ -78,7 +78,7 @@ pub fn pick_intermediate_router(
 /// On a healthy network the first draw always passes, so callers that gate
 /// on `any_link_down() || !link_view().all_up()` consume the exact RNG
 /// sequence of the unfiltered picker.
-pub fn pick_live_intermediate(
+pub(crate) fn pick_live_intermediate(
     router: &Router,
     src_group: GroupId,
     dst_group: GroupId,
@@ -127,7 +127,7 @@ pub fn pick_live_intermediate(
 /// this returns `false` no amount of redrawing can ever succeed — callers
 /// then discard the packet as unroutable instead of stalling on a dead
 /// port forever (churn can keep links down through the drain window).
-pub fn any_live_global_escape(router: &Router, dst_group: GroupId) -> bool {
+pub(crate) fn any_live_global_escape(router: &Router, dst_group: GroupId) -> bool {
     let topo = router.topology();
     let layout = topo.layout();
     let my_group = topo.router_group(router.id());
@@ -153,7 +153,7 @@ pub fn any_live_global_escape(router: &Router, dst_group: GroupId) -> bool {
 /// First-hop decision towards an intermediate router, carrying the Valiant
 /// commitment. `misroute` marks whether the statistics should count the
 /// packet as globally misrouted.
-pub fn valiant_first_hop(
+pub(crate) fn valiant_first_hop(
     router: &Router,
     packet: &Packet,
     intermediate: RouterId,

@@ -22,10 +22,10 @@
 //!
 //! * a dead nonminimal gateway link re-runs the mechanism's candidate
 //!   selection with the dead option filtered
-//!   ([`adaptive::recommit_global`], which documents the deadlock-freedom
+//!   (`adaptive::recommit_global`, which documents the deadlock-freedom
 //!   argument);
 //! * a dead path to a Valiant waypoint re-picks a live intermediate at the
-//!   source ([`common::pick_live_intermediate`]) or skips the waypoint once
+//!   source (`common::pick_live_intermediate`) or skips the waypoint once
 //!   past the first global hop (strictly fewer hops — trivially VC-safe);
 //! * a dead detour link abandons the detour and falls back to the
 //!   destination logic (the detour was an extra hop; skipping it stays on
@@ -162,7 +162,7 @@ impl RoutingAlgorithm {
     /// The head packet is behind an accessor, called only where a decision
     /// reads it: the long way of a fired row or fault routing, and a PB
     /// source head with room behind either first hop
-    /// ([`piggyback::decide`]); its size is the configured one. On a
+    /// (`piggyback::decide`); its size is the configured one. On a
     /// healthy router the planned output *is* the decision for an
     /// ejection, a continuation, a head with no misroute family in scope
     /// and an adaptive head whose rows are all quiet (one counter read per
@@ -649,7 +649,7 @@ mod tests {
                             );
                             inter.map_or(0, |inter| {
                                 let val = minimal_output_to_router(&topo, at, inter);
-                                let room = |port| router.output_can_accept(port, VcId(0), 8);
+                                let room = |port| router.output(port).can_accept(VcId(0), 8);
                                 room(plan.output()) as usize + room(val) as usize
                             })
                         });

@@ -14,7 +14,7 @@ use crate::decision::Decision;
 /// destination (the continuation is handled by the packet's objective once
 /// the commitment is applied). Falls back to minimal routing — the planned
 /// output — when no third group exists.
-pub fn valiant_decision(
+pub(crate) fn valiant_decision(
     plan: &HeadPlan,
     router: &Router,
     packet: &Packet,

@@ -50,7 +50,7 @@ pub(super) fn scope(router: &Router, packet: &Packet, at_source: bool) -> (u8, u
 /// size, and a head that has taken no hop uses [`FIRST_HOP_VC`] on every
 /// port class.
 /// Past the source the packet is read only under faults.
-pub fn decide<'p>(
+pub(crate) fn decide<'p>(
     plan: &HeadPlan,
     router: &Router,
     packet: impl Fn() -> &'p Packet,
@@ -137,8 +137,10 @@ fn rule<'p>(
         } else {
             (FIRST_HOP_VC, router.config().packet_size_phits)
         };
-        if !router.output_can_accept(min_first_hop, minimal.output_vc, size)
-            && !router.output_can_accept(val_first_hop, val_vc, size)
+        if !router
+            .output(min_first_hop)
+            .can_accept(minimal.output_vc, size)
+            && !router.output(val_first_hop).can_accept(val_vc, size)
         {
             return minimal;
         }

@@ -11,7 +11,7 @@
 //!   the current group before it continues minimally (used in the
 //!   intermediate and destination groups to spread load over local links).
 //!
-//! [`global_candidates`] is the one definition of the global candidates and
+//! `global_candidates` is the one definition of the global candidates and
 //! of their order — which the drawn index depends on. A selection walks the
 //! router's candidate table instead (`candidate_table`): the same sequence,
 //! enumerated once per router and packed, so a fired row pays a filter per
@@ -22,7 +22,7 @@ use df_topology::{Port, RouterId, Topology};
 
 /// A candidate nonminimal global link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GlobalCandidate {
+pub(crate) struct GlobalCandidate {
     /// Router of the current group owning the candidate global link.
     pub gateway: RouterId,
     /// Global port of that router.
@@ -38,7 +38,7 @@ pub struct GlobalCandidate {
 
 /// A candidate local detour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalCandidate {
+pub(crate) struct LocalCandidate {
     /// The detour router.
     pub router: RouterId,
     /// The local output port of the current router leading to it.
@@ -56,7 +56,7 @@ pub struct LocalCandidate {
 /// returned (the restriction the paper applies to ECtN misrouting at
 /// injection). The iterator allocates nothing and is `Clone`, so a
 /// selection can count its eligible candidates, then walk to the drawn one.
-pub fn global_candidates<T: Topology>(
+pub(crate) fn global_candidates<T: Topology>(
     topo: &T,
     router: RouterId,
     minimal_link: Option<u32>,
@@ -157,7 +157,7 @@ pub(crate) fn unpack(router: &Router, c: CandidateLink) -> GlobalCandidate {
 /// the group except the minimal next router `exclude` (the router the minimal
 /// path would visit, so a "detour" through it would not be a detour at all).
 /// Allocation-free and `Clone`, like [`global_candidates`].
-pub fn local_candidates<T: Topology>(
+pub(crate) fn local_candidates<T: Topology>(
     topo: &T,
     router: RouterId,
     exclude: Option<RouterId>,

@@ -26,7 +26,7 @@ pub const PB_UGAL_THRESHOLD_PACKETS: u32 = 3;
 /// Occupancy fraction above which PB marks one of its global links
 /// saturated (not listed in Table I; FOGSim uses a comparable
 /// fraction-of-buffer rule).
-pub const PB_SATURATION_FRACTION: f64 = 0.50;
+pub(crate) const PB_SATURATION_FRACTION: f64 = 0.50;
 
 /// The contention thresholds of the Base, Hybrid and ECtN mechanisms.
 ///

@@ -139,7 +139,7 @@ pub struct Decision {
 
 impl Decision {
     /// A plain minimal-path decision with no commitment.
-    pub fn minimal(output_port: Port, output_vc: VcId) -> Self {
+    pub(crate) fn minimal(output_port: Port, output_vc: VcId) -> Self {
         Decision {
             output_port,
             output_vc,
@@ -149,7 +149,7 @@ impl Decision {
     }
 
     /// An ejection decision.
-    pub fn ejection(output_port: Port) -> Self {
+    pub(crate) fn ejection(output_port: Port) -> Self {
         Decision {
             output_port,
             output_vc: VcId(0),
@@ -161,7 +161,7 @@ impl Decision {
     /// A discard decision: the packet is unroutable (fault routing). The
     /// port/VC fields are placeholders — the simulator never requests an
     /// output for a discarded packet.
-    pub fn discard() -> Self {
+    pub(crate) fn discard() -> Self {
         Decision {
             output_port: Port(0),
             output_vc: VcId(0),

@@ -38,20 +38,6 @@ impl RoutingKind {
         RoutingKind::Ectn,
     ];
 
-    /// The adaptive mechanisms compared in most figures (everything except
-    /// the oblivious references).
-    pub const ADAPTIVE: [RoutingKind; 5] = [
-        RoutingKind::PiggyBacking,
-        RoutingKind::Olm,
-        RoutingKind::Base,
-        RoutingKind::Hybrid,
-        RoutingKind::Ectn,
-    ];
-
-    /// The contention-based mechanisms introduced by the paper.
-    pub const CONTENTION_BASED: [RoutingKind; 3] =
-        [RoutingKind::Base, RoutingKind::Hybrid, RoutingKind::Ectn];
-
     /// Label used in tables and figures ("MIN", "VAL", "PB", "OLM", "Base",
     /// "Hybrid", "ECtN").
     pub fn label(&self) -> &'static str {
@@ -105,18 +91,6 @@ mod tests {
         for k in RoutingKind::ALL {
             assert_eq!(k.needs_ectn_broadcast(), k == RoutingKind::Ectn);
             assert_eq!(k.needs_pb_dissemination(), k == RoutingKind::PiggyBacking);
-        }
-    }
-
-    #[test]
-    fn constant_lists_are_nested_as_expected() {
-        assert_eq!(RoutingKind::ALL.len(), 7);
-        assert_eq!(RoutingKind::ADAPTIVE.len(), 5);
-        for k in RoutingKind::ADAPTIVE {
-            assert!(RoutingKind::ALL.contains(&k));
-        }
-        for k in RoutingKind::CONTENTION_BASED {
-            assert!(RoutingKind::ADAPTIVE.contains(&k));
         }
     }
 }

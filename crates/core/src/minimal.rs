@@ -22,7 +22,11 @@ pub fn minimal_output(topo: &impl Topology, router: RouterId, dst: NodeId) -> Po
 
 /// The output port a packet at `router` would take on the hierarchical
 /// minimal path towards `target` (a router).
-pub fn minimal_output_to_router(topo: &impl Topology, router: RouterId, target: RouterId) -> Port {
+pub(crate) fn minimal_output_to_router(
+    topo: &impl Topology,
+    router: RouterId,
+    target: RouterId,
+) -> Port {
     debug_assert_ne!(router, target, "already at the target router");
     let my_group = topo.router_group(router);
     let target_group = topo.router_group(target);
@@ -35,13 +39,6 @@ pub fn minimal_output_to_router(topo: &impl Topology, router: RouterId, target: 
     } else {
         topo.local_hop_toward(router, gateway)
     }
-}
-
-/// Number of hops of the hierarchical minimal path from `router` to node
-/// `dst` (0 if `dst` hangs off `router`).
-pub fn minimal_hops(topo: &impl Topology, router: RouterId, dst: NodeId) -> u32 {
-    let dst_router = topo.node_router(dst);
-    minimal_hops_to_router(topo, router, dst_router)
 }
 
 /// Number of hops of the hierarchical minimal path between two routers.
@@ -104,7 +101,7 @@ mod tests {
         let dst = NodeId(13);
         let r = t.node_router(dst);
         assert_eq!(minimal_output(&t, r, dst), t.node_port(dst));
-        assert_eq!(minimal_hops(&t, r, dst), 0);
+        assert_eq!(minimal_hops_to_router(&t, r, r), 0);
     }
 
     #[test]
@@ -114,7 +111,10 @@ mod tests {
         let dst = NodeId(7); // router 3, group 0
         let port = minimal_output(&t, RouterId(0), dst);
         assert_eq!(port.class(t.params()), PortClass::Local);
-        assert_eq!(minimal_hops(&t, RouterId(0), dst), 1);
+        assert_eq!(
+            minimal_hops_to_router(&t, RouterId(0), t.node_router(dst)),
+            1
+        );
         // following it reaches the destination router
         let n = t.local_neighbor(RouterId(0), port.class_offset(t.params()));
         assert_eq!(n, t.node_router(dst));
@@ -152,7 +152,7 @@ mod tests {
         let t = topo();
         for r in t.routers() {
             for dst in t.nodes().step_by(7) {
-                let hops = minimal_hops(&t, r, dst);
+                let hops = minimal_hops_to_router(&t, r, t.node_router(dst));
                 let path = df_topology::path::minimal_path(&t, r, t.node_router(dst));
                 assert_eq!(hops as usize, path.len(), "hops {r}->{dst}");
                 assert!(hops <= 3);

@@ -8,14 +8,14 @@
 /// Contention-based trigger (§III-B): misroute when the contention counter of
 /// the packet's minimal output exceeds the threshold `th`.
 #[inline]
-pub fn contention_exceeds(counter: u32, th: u32) -> bool {
+pub(crate) fn contention_exceeds(counter: u32, th: u32) -> bool {
     counter > th
 }
 
 /// Contention-based candidate filter: a nonminimal first hop is acceptable
 /// while its own counter stays under the threshold.
 #[inline]
-pub fn contention_allows_candidate(counter: u32, th: u32) -> bool {
+pub(crate) fn contention_allows_candidate(counter: u32, th: u32) -> bool {
     counter < th
 }
 
@@ -24,7 +24,7 @@ pub fn contention_allows_candidate(counter: u32, th: u32) -> bool {
 /// the candidate's occupancy is at most `fraction` of the minimal output's
 /// occupancy.
 #[inline]
-pub fn credit_comparison(
+pub(crate) fn credit_comparison(
     minimal_occupancy_phits: u32,
     candidate_occupancy_phits: u32,
     fraction: f64,
@@ -40,7 +40,7 @@ pub fn credit_comparison(
 /// path's cost (occupancy × hop count) exceeds the Valiant path's cost by
 /// more than the threshold.
 #[inline]
-pub fn ugal_prefers_valiant(
+pub(crate) fn ugal_prefers_valiant(
     minimal_occupancy_phits: u32,
     minimal_hops: u32,
     valiant_occupancy_phits: u32,
@@ -54,7 +54,7 @@ pub fn ugal_prefers_valiant(
 /// PB global-link saturation rule: a link is saturated when its occupancy
 /// fraction exceeds the configured fraction.
 #[inline]
-pub fn pb_link_saturated(occupancy_fraction: f64, saturation_fraction: f64) -> bool {
+pub(crate) fn pb_link_saturated(occupancy_fraction: f64, saturation_fraction: f64) -> bool {
     occupancy_fraction > saturation_fraction
 }
 

@@ -22,7 +22,7 @@
 //! The assignment needs 4 local VCs and 2 global VCs (Table I uses 3 local
 //! VCs for the OLM/contention family and 4 for VAL/PB; the uniform budget of
 //! 4 is the deviation documented on `df_model::VcConfig`). It also implies
-//! one policy restriction enforced by [`local_detour_fits`]: a packet that
+//! one policy restriction enforced by `local_detour_fits`: a packet that
 //! has already taken its *second* global hop (a globally misrouted packet
 //! arriving in its destination group) may not take a local detour there,
 //! because that hop would need a fifth local VC.
@@ -32,14 +32,14 @@ use df_topology::PortClass;
 
 /// Maximum local VC index any hop can be assigned (0-based), i.e. the scheme
 /// needs `MAX_LOCAL_VC + 1 = 4` local VCs.
-pub const MAX_LOCAL_VC: u8 = 3;
+pub(crate) const MAX_LOCAL_VC: u8 = 3;
 
 /// Maximum global VC index (the scheme needs 2 global VCs).
-pub const MAX_GLOBAL_VC: u8 = 1;
+pub(crate) const MAX_GLOBAL_VC: u8 = 1;
 
 /// The VC of a packet's first hop, through a port of any class: a packet
 /// that has taken no hop is on the first rung of both ladders.
-pub const FIRST_HOP_VC: VcId = VcId(0);
+pub(crate) const FIRST_HOP_VC: VcId = VcId(0);
 
 /// The local VC a packet would use for its next local hop, given its phase.
 fn next_local_vc(packet: &Packet) -> u8 {
@@ -58,7 +58,11 @@ fn next_local_vc(packet: &Packet) -> u8 {
 /// # Panics
 /// Panics (debug builds) if the routing policy requests a hop that exceeds
 /// the VC budget — allowed paths never do.
-pub fn vc_for_next_hop(packet: &Packet, output_class: PortClass, config: &NetworkConfig) -> VcId {
+pub(crate) fn vc_for_next_hop(
+    packet: &Packet,
+    output_class: PortClass,
+    config: &NetworkConfig,
+) -> VcId {
     match output_class {
         PortClass::Terminal => VcId(0),
         PortClass::Local => {
@@ -90,7 +94,7 @@ pub fn vc_for_next_hop(packet: &Packet, output_class: PortClass, config: &Networ
 /// the destination group of a minimal one) and before any other local hop was
 /// taken in that group: the detour then uses local VC `1 + l` and the
 /// remaining minimal local hops still fit under [`MAX_LOCAL_VC`].
-pub fn local_detour_fits(
+pub(crate) fn local_detour_fits(
     packet: &Packet,
     remaining_minimal_locals: u8,
     config: &NetworkConfig,
@@ -110,7 +114,7 @@ pub fn local_detour_fits(
 /// Whether a packet may still commit to a nonminimal global path: it must not
 /// have taken any global hop yet, and the VC budget must cover the worst
 /// remaining path (`l g l l g l`).
-pub fn global_misroute_fits(packet: &Packet, config: &NetworkConfig) -> bool {
+pub(crate) fn global_misroute_fits(packet: &Packet, config: &NetworkConfig) -> bool {
     packet.routing.global_hops == 0 && config.vcs.global >= 2 && config.vcs.local > MAX_LOCAL_VC
 }
 

@@ -118,16 +118,6 @@ impl Encoder {
         Encoder { buf: Vec::new() }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -149,7 +139,7 @@ impl Encoder {
     }
 
     /// Write a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -161,17 +151,6 @@ impl Encoder {
     /// Write an `f64` via its IEEE-754 bit pattern (exact round-trip).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
-    }
-
-    /// Write raw bytes with a `u64` length prefix.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Write a UTF-8 string with a `u64` length prefix.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
     }
 
     /// Write a sequence length prefix (callers then write the elements).
@@ -336,7 +315,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -350,18 +329,6 @@ impl<'a> Decoder<'a> {
     /// Read an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        let len = self.usize()?;
-        self.take(len)
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, CodecError> {
-        std::str::from_utf8(self.bytes()?)
-            .map_err(|e| CodecError::Invalid(format!("non-UTF-8 string: {e}")))
     }
 
     /// Read what [`Encoder::option`] wrote: a presence `bool`, then the
@@ -408,7 +375,6 @@ mod tests {
         e.f64(-0.0);
         e.f64(f64::NAN);
         e.f64(1.5e-300);
-        e.str("hello ✓");
         e.option(Some(9u32), Encoder::u32);
         e.option(None, Encoder::u32);
         let bytes = e.into_bytes();
@@ -423,7 +389,6 @@ mod tests {
         assert_eq!(d.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(d.f64().unwrap().is_nan());
         assert_eq!(d.f64().unwrap(), 1.5e-300);
-        assert_eq!(d.str().unwrap(), "hello ✓");
         assert_eq!(d.option(Decoder::u32).unwrap(), Some(9));
         assert_eq!(d.option(Decoder::u32).unwrap(), None);
         assert!(d.is_exhausted());
@@ -444,12 +409,12 @@ mod tests {
     fn frame_round_trip_and_rejections() {
         let mut e = Encoder::new();
         e.u64(99);
-        e.str("payload");
+        e.u32(7);
         let frame = e.finish_frame(MAGIC, 3);
 
         let mut d = Decoder::open_frame(&frame, MAGIC, 3).unwrap();
         assert_eq!(d.u64().unwrap(), 99);
-        assert_eq!(d.str().unwrap(), "payload");
+        assert_eq!(d.u32().unwrap(), 7);
         assert!(d.is_exhausted());
 
         // wrong magic

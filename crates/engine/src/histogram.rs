@@ -62,37 +62,13 @@ impl Histogram {
         self.count
     }
 
-    /// Mean of all observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Per-bin counts.
     pub fn bins(&self) -> &[u64] {
         &self.bins
     }
 
     /// `(bin_low, bin_high, count)` triples.
-    pub fn iter_bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
+    pub(crate) fn iter_bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
         self.bins.iter().enumerate().map(move |(i, &c)| {
             let lo = self.low + i as f64 * self.bin_width;
             (lo, lo + self.bin_width, c)
@@ -123,23 +99,6 @@ impl Histogram {
         f64::INFINITY
     }
 
-    /// Merge another histogram with identical binning.
-    ///
-    /// # Panics
-    /// Panics if the ranges or bin counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.low, other.low, "histogram ranges must match");
-        assert_eq!(self.high, other.high, "histogram ranges must match");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts must match");
-        for (a, b) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Serialize the histogram exactly (snapshot support). The shape — range,
     /// bin width and bin count — is the reader's, and the count is its
     /// parts' sum, so neither is written.
@@ -154,7 +113,7 @@ impl Histogram {
 
     /// Decode [`encode`](Self::encode) output *into* this histogram, which
     /// fixes the shape. The count is `underflow + overflow + Σ bins`, as
-    /// [`record`](Self::record) and [`merge`](Self::merge) keep it; a sum
+    /// [`record`](Self::record) keeps it; a sum
     /// past `u64` is `Invalid`.
     pub fn decode(&mut self, d: &mut Decoder) -> Result<(), CodecError> {
         self.underflow = d.u64()?;
@@ -193,8 +152,8 @@ mod tests {
         h.record(-1.0);
         h.record(10.0);
         h.record(100.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 2);
         assert_eq!(h.count(), 3);
         assert_eq!(h.bins().iter().sum::<u64>(), 0);
     }
@@ -205,7 +164,7 @@ mod tests {
         for x in [10.0, 20.0, 30.0] {
             h.record(x);
         }
-        assert!((h.mean() - 20.0).abs() < 1e-12);
+        assert!((h.sum / h.count as f64 - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -243,27 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let mut b = Histogram::new(0.0, 10.0, 10);
-        a.record(1.0);
-        b.record(1.0);
-        b.record(9.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bins()[1], 2);
-        assert_eq!(a.bins()[9], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "ranges must match")]
-    fn merge_rejects_mismatched_ranges() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let b = Histogram::new(0.0, 20.0, 10);
-        a.merge(&b);
-    }
-
-    #[test]
     fn iter_bins_covers_range() {
         let h = Histogram::new(0.0, 10.0, 4);
         let edges: Vec<_> = h.iter_bins().collect();
@@ -288,12 +226,12 @@ mod tests {
         assert_eq!(restored.bins(), h.bins());
         assert_eq!(
             (
-                restored.underflow(),
-                restored.overflow(),
-                restored.count(),
-                restored.sum()
+                restored.underflow,
+                restored.overflow,
+                restored.count,
+                restored.sum
             ),
-            (h.underflow(), h.overflow(), h.count(), h.sum())
+            (h.underflow, h.overflow, h.count, h.sum)
         );
         // a forged bin moves the count with it; counts past u64 are refused
         let mut forged = bytes.clone();

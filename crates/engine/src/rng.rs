@@ -88,7 +88,7 @@ impl DeterministicRng {
 
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
-    pub fn uniform(&mut self) -> f64 {
+    pub(crate) fn uniform(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 
@@ -133,7 +133,7 @@ impl DeterministicRng {
 
     /// Exponentially distributed `f64` with the given mean (inverse-CDF
     /// transform of one uniform draw). `mean` must be positive; the result
-    /// is always finite because [`uniform`](Self::uniform) never returns 1.
+    /// is always finite because `uniform` never returns 1.
     #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0, "exponential mean must be positive");

@@ -42,35 +42,9 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Merge another accumulator into this one (parallel sweep reduction).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Arithmetic mean (0 if empty).
@@ -83,7 +57,7 @@ impl RunningStats {
     }
 
     /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -97,7 +71,7 @@ impl RunningStats {
     }
 
     /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -112,15 +86,6 @@ impl RunningStats {
         1.96 * self.std_error()
     }
 
-    /// Minimum observation (`NaN` if empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
     /// Maximum observation (`NaN` if empty).
     pub fn max(&self) -> f64 {
         if self.count == 0 {
@@ -128,11 +93,6 @@ impl RunningStats {
         } else {
             self.max
         }
-    }
-
-    /// Whether no observation has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Serialize the accumulator exactly (snapshot support).
@@ -173,57 +133,19 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // population variance is 4, sample variance is 32/7
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
+        assert_eq!(s.min, 2.0);
         assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-12);
+        assert!((s.sum - 40.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_safe() {
         let s = RunningStats::new();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.ci95_half_width(), 0.0);
-        assert!(s.min().is_nan());
         assert!(s.max().is_nan());
-    }
-
-    #[test]
-    fn merge_equals_sequential_push() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &data[..37] {
-            left.push(x);
-        }
-        for &x in &data[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), all.min());
-        assert_eq!(left.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.mean();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.mean(), before);
-        let mut empty = RunningStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
-        assert_eq!(empty.mean(), before);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl Table {
         }
     }
 
-    /// Title of the table.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Column headers.
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -140,7 +135,7 @@ mod tests {
         assert_eq!(t.cell(0, 1), Some("140.00"));
         assert_eq!(t.cell(1, 2), Some("149"));
         assert_eq!(t.cell(5, 0), None);
-        assert_eq!(t.title(), "fig");
+        assert_eq!(t.title, "fig");
         assert_eq!(t.headers().len(), 3);
     }
 

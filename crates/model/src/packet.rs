@@ -25,14 +25,6 @@ use crate::time::Cycle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
-impl PacketId {
-    /// Raw value.
-    #[inline]
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
 /// Summary of the misrouting a packet experienced, used by the statistics
 /// collectors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,7 +84,7 @@ pub struct RoutingState {
 
 impl RoutingState {
     /// Fresh state for a newly generated packet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -8,17 +8,3 @@
 /// need signed arithmetic relative to an event (e.g. "cycles since the
 /// traffic change" in the transient figures) convert to `i64` locally.
 pub type Cycle = u64;
-
-/// Sentinel used for "never" / "not yet scheduled" timestamps.
-pub const NEVER: Cycle = Cycle::MAX;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn never_is_larger_than_any_realistic_time() {
-        let horizon: Cycle = 100_000_000;
-        assert!(NEVER > horizon);
-    }
-}

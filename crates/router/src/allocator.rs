@@ -25,7 +25,7 @@
 //! * the VC scan of an input port wraps at the port's **wrap point** this
 //!   iteration, not at its VC count. The wrap point is an input:
 //!   [`Allocator::allocate_into`] derives it from `requests` (the highest
-//!   requesting VC + 1), while [`Allocator::allocate_wrapped_into`] takes it
+//!   requesting VC + 1), while `Allocator::allocate_wrapped_into` takes it
 //!   from the caller — so a router can file only the requests that can be
 //!   granted right now and still pass the wrap its blocked heads would have
 //!   set (`tests::grantable_requests_with_wraps_match_the_full_list`);
@@ -170,7 +170,7 @@ impl Allocator {
     /// requests it knows cannot be granted out of the list passes the wrap
     /// they would have set, and gets the grants and pointers of the full
     /// list.
-    pub fn allocate_wrapped_into(
+    pub(crate) fn allocate_wrapped_into(
         &mut self,
         requests: &[AllocationRequest],
         wraps: &[(Port, usize)],
@@ -262,7 +262,7 @@ impl Allocator {
 
     /// Serialise the persistent round-robin pointers, each as a `usize`,
     /// one per port and stage (the scratch is at rest between iterations).
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
+    pub(crate) fn save_state(&self, e: &mut df_engine::Encoder) {
         for stage in [IN, OUT] {
             for slot in self.ports.iter() {
                 e.usize(usize::from(slot.rr[stage]));
@@ -274,7 +274,7 @@ impl Allocator {
     /// configured radix. Each pointer must be one a grant can store: an
     /// input pointer below `max(radix, 8)`, an output pointer below the
     /// radix.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {

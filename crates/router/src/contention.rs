@@ -29,13 +29,8 @@ impl ContentionCounters {
     }
 
     /// Number of counters (equal to the router radix).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.counters.len()
-    }
-
-    /// Whether the bank is empty (zero ports).
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
     }
 
     /// Current value of the counter for `port`.
@@ -68,14 +63,6 @@ impl ContentionCounters {
     pub fn total(&self) -> u32 {
         self.counters.iter().sum()
     }
-
-    /// Iterate over `(port, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Port, u32)> + '_ {
-        self.counters
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (Port(i as u32), v))
-    }
 }
 
 #[cfg(test)]
@@ -106,18 +93,6 @@ mod tests {
     fn underflow_panics() {
         let mut c = ContentionCounters::new(2);
         c.decrement(Port(0));
-    }
-
-    #[test]
-    fn iter_lists_every_port() {
-        let mut c = ContentionCounters::new(4);
-        c.increment(Port(3));
-        let v: Vec<_> = c.iter().collect();
-        assert_eq!(v.len(), 4);
-        assert_eq!(v[3], (Port(3), 1));
-        assert_eq!(v[0], (Port(0), 0));
-        assert_eq!(c.len(), 4);
-        assert!(!c.is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct EctnState {
 impl EctnState {
     /// Create the state for a group with `global_links` global links
     /// (`a*h`).
-    pub fn new(global_links: usize) -> Self {
+    pub(crate) fn new(global_links: usize) -> Self {
         EctnState {
             partial: vec![0; global_links],
             combined: vec![0; global_links],
@@ -46,14 +46,8 @@ impl EctnState {
     }
 
     /// Number of tracked global links.
-    pub fn num_links(&self) -> usize {
+    pub(crate) fn num_links(&self) -> usize {
         self.partial.len()
-    }
-
-    /// Current partial counter for group-level global link `link`.
-    #[inline]
-    pub fn partial(&self, link: u32) -> u32 {
-        self.partial[link as usize]
     }
 
     /// Current combined counter for group-level global link `link` (as of the
@@ -66,7 +60,7 @@ impl EctnState {
     /// Increment the partial counter for `link` (a packet bound to a remote
     /// group reached the head of an injection or global input queue).
     #[inline]
-    pub fn increment_partial(&mut self, link: u32) {
+    pub(crate) fn increment_partial(&mut self, link: u32) {
         self.partial[link as usize] += 1;
     }
 
@@ -76,7 +70,7 @@ impl EctnState {
     /// # Panics
     /// Panics on underflow (bookkeeping bug in the caller).
     #[inline]
-    pub fn decrement_partial(&mut self, link: u32) {
+    pub(crate) fn decrement_partial(&mut self, link: u32) {
         let c = &mut self.partial[link as usize];
         assert!(*c > 0, "ECtN partial counter underflow on link {link}");
         *c -= 1;
@@ -87,7 +81,7 @@ impl EctnState {
     ///
     /// # Panics
     /// Panics if the length does not match the number of global links.
-    pub fn add_partial_to(&self, acc: &mut [u32]) {
+    pub(crate) fn add_partial_to(&self, acc: &mut [u32]) {
         assert_eq!(acc.len(), self.partial.len(), "partial array size mismatch");
         for (a, p) in acc.iter_mut().zip(self.partial.iter()) {
             *a += p;
@@ -116,6 +110,14 @@ impl EctnState {
     /// Borrow the combined array.
     pub fn combined_array(&self) -> &[u32] {
         &self.combined
+    }
+}
+
+#[cfg(test)]
+impl EctnState {
+    /// Current partial counter for group-level global link `link`.
+    pub(crate) fn partial(&self, link: u32) -> u32 {
+        self.partial[link as usize]
     }
 }
 

@@ -124,7 +124,7 @@ impl InputVc {
     };
 
     /// Occupied phits.
-    pub fn occupancy_phits(&self) -> u32 {
+    pub(crate) fn occupancy_phits(&self) -> u32 {
         self.occupancy_phits
     }
 
@@ -194,7 +194,7 @@ impl InputVc {
 
     /// The ECtN partial-array link registered for the current head (if any).
     #[inline]
-    pub fn registered_ectn_link(&self) -> Option<u32> {
+    pub(crate) fn registered_ectn_link(&self) -> Option<u32> {
         (self.registered_ectn_link != NO_ECTN_LINK).then(|| u32::from(self.registered_ectn_link))
     }
 
@@ -308,11 +308,6 @@ impl<'a> InputPort<'a> {
         self.vcs.len()
     }
 
-    /// Buffer capacity of each VC in phits.
-    pub fn capacity_phits(&self) -> u32 {
-        self.capacity_phits
-    }
-
     /// Borrow a VC.
     #[inline]
     pub fn vc(&self, vc: usize) -> &'a InputVc {
@@ -320,7 +315,7 @@ impl<'a> InputPort<'a> {
     }
 
     /// Whether a packet of `size_phits` fits into VC `vc`.
-    pub fn can_accept(&self, vc: usize, size_phits: u32) -> bool {
+    pub(crate) fn can_accept(&self, vc: usize, size_phits: u32) -> bool {
         self.capacity_phits - self.vc(vc).occupancy_phits >= size_phits
     }
 }
@@ -490,10 +485,7 @@ mod tests {
             16
         );
         assert_eq!(port.vcs.iter().map(InputVc::len).sum::<usize>(), 2);
-        assert_eq!(
-            (port.class(), port.capacity_phits()),
-            (PortClass::Local, 32)
-        );
+        assert_eq!((port.class(), port.capacity_phits), (PortClass::Local, 32));
         assert_eq!(store.live(), 2, "both VCs queue through one store");
     }
 

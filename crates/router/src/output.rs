@@ -109,11 +109,6 @@ pub struct OutputRef<'a> {
 }
 
 impl OutputRef<'_> {
-    /// Port class.
-    pub fn class(&self) -> PortClass {
-        self.port.class
-    }
-
     /// Number of downstream VCs tracked by credits (0 for terminal ports).
     pub fn num_downstream_vcs(&self) -> usize {
         self.credits.len()
@@ -134,7 +129,7 @@ impl OutputRef<'_> {
     }
 
     /// Total free credits across downstream VCs.
-    pub fn total_credits(&self) -> u32 {
+    pub(crate) fn total_credits(&self) -> u32 {
         debug_assert_eq!(self.port.credits_total, self.credits.iter().sum::<u32>());
         self.port.credits_total
     }
@@ -155,7 +150,7 @@ impl OutputRef<'_> {
     }
 
     /// Free space in the output buffer.
-    pub fn buffer_free_phits(&self) -> u32 {
+    pub(crate) fn buffer_free_phits(&self) -> u32 {
         self.buffer_capacity_phits() - self.port.buffer_occupancy_phits
     }
 
@@ -174,12 +169,12 @@ impl OutputRef<'_> {
 
     /// The occupancy metric used by credit-based misrouting triggers (OLM,
     /// Hybrid, PB): staged output phits plus estimated downstream occupancy.
-    pub fn congestion_phits(&self) -> u32 {
+    pub(crate) fn congestion_phits(&self) -> u32 {
         self.port.buffer_occupancy_phits + self.downstream_occupancy_phits()
     }
 
     /// The corresponding capacity, for relative (percentage) thresholds.
-    pub fn congestion_capacity_phits(&self) -> u32 {
+    pub(crate) fn congestion_capacity_phits(&self) -> u32 {
         self.buffer_capacity_phits() + self.total_credit_capacity()
     }
 
@@ -236,7 +231,7 @@ pub struct OutputMut<'a> {
 impl OutputMut<'_> {
     /// The port read-only.
     #[inline]
-    pub fn view(&self) -> OutputRef<'_> {
+    pub(crate) fn view(&self) -> OutputRef<'_> {
         self.port.view(self.credits, self.config)
     }
 

@@ -42,7 +42,7 @@ pub struct PbState {
 impl PbState {
     /// Create state for a router with `h` own global links in a group with
     /// `global_links` (= `a*h`) total links.
-    pub fn new(h: usize, global_links: usize) -> Self {
+    pub(crate) fn new(h: usize, global_links: usize) -> Self {
         PbState {
             own: vec![false; h],
             group: vec![false; global_links],
@@ -89,18 +89,10 @@ impl PbState {
         self.group.len()
     }
 
-    /// Fraction of the group's global links currently marked saturated.
-    pub fn saturated_fraction(&self) -> f64 {
-        if self.group.is_empty() {
-            return 0.0;
-        }
-        self.group.iter().filter(|&&s| s).count() as f64 / self.group.len() as f64
-    }
-
     /// Serialise the own saturation flags, one per own global link. The
     /// group view is scratch and is not written: every exchange overwrites
     /// it from the members' own flags.
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
+    pub(crate) fn save_state(&self, e: &mut df_engine::Encoder) {
         for &b in &self.own {
             e.bool(b);
         }
@@ -109,7 +101,7 @@ impl PbState {
     /// Restore the own flags written by [`PbState::save_state`] and clear
     /// the group view, which the group's next exchange rewrites before any
     /// routing decision reads it.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
     ) -> Result<(), df_engine::CodecError> {
@@ -131,7 +123,7 @@ mod tests {
         assert!(!s.own_saturated(0));
         assert!(!s.group_saturated(100));
         assert_eq!(s.group_links(), 128);
-        assert_eq!(s.saturated_fraction(), 0.0);
+        assert!(s.group.iter().all(|&b| !b));
     }
 
     #[test]
@@ -150,7 +142,7 @@ mod tests {
         s.install_group_from(&[true, false, true, false]);
         assert!(s.group_saturated(0));
         assert!(!s.group_saturated(1));
-        assert_eq!(s.saturated_fraction(), 0.5);
+        assert_eq!(s.group, [true, false, true, false]);
     }
 
     #[test]

@@ -613,7 +613,7 @@ impl Router {
 
     /// Run one iteration of the separable allocator over `requests`, each
     /// input port of which `wraps` lists with its VC-scan wrap point
-    /// ([`Allocator::allocate_wrapped_into`]), checking [`Router::can_grant`].
+    /// (`Allocator::allocate_wrapped_into`), checking [`Router::can_grant`].
     /// Grants are appended to the caller's reusable `grants` buffer (cleared
     /// first) — no allocation in steady state.
     pub fn allocate_into(
@@ -844,11 +844,6 @@ impl Router {
         o.congestion_phits() as f64 / cap as f64
     }
 
-    /// Whether output `port` can accept a packet for downstream VC `vc`.
-    pub fn output_can_accept(&self, port: Port, vc: VcId, size_phits: u32) -> bool {
-        self.output(port).can_accept(vc, size_phits)
-    }
-
     /// The bytes the router holds, by part: the struct plus the capacity of
     /// every heap buffer it owns (the counter vectors never grow, so their
     /// length is their capacity).
@@ -874,12 +869,6 @@ impl Router {
             parts: parts.each_ref().map(|buffers| buffers.iter().sum()),
             buffers: parts.iter().flatten().filter(|&&b| b > 0).count(),
         }
-    }
-
-    /// [`Footprint::total`] of [`Router::footprint`]: the struct plus the
-    /// capacity of every heap buffer the router owns.
-    pub fn heap_bytes(&self) -> usize {
-        self.footprint().total()
     }
 
     // ------------------------------------------------------------------
@@ -1005,8 +994,8 @@ mod tests {
         assert_eq!(r.input(Port(2)).num_vcs(), 4);
         assert_eq!(r.input(Port(5)).num_vcs(), 2);
         // global input buffers are deeper
-        assert_eq!(r.input(Port(5)).capacity_phits(), 256);
-        assert_eq!(r.input(Port(2)).capacity_phits(), 32);
+        assert_eq!(r.input(Port(5)).capacity_phits, 256);
+        assert_eq!(r.input(Port(2)).capacity_phits, 32);
         // output credits match the peer input buffers
         assert_eq!(r.output(Port(5)).credit_capacity(VcId(0)), 256);
         assert_eq!(r.output(Port(2)).credit_capacity(VcId(0)), 32);
@@ -1103,7 +1092,7 @@ mod tests {
         let grants = r.allocate(&[req]);
         r.apply_grant(&grants[0], 0);
         assert!(r.output_congestion_fraction(Port(6)) > 0.0);
-        assert!(r.output_can_accept(Port(6), VcId(0), 8));
+        assert!(r.output(Port(6)).can_accept(VcId(0), 8));
     }
 
     #[test]
@@ -1534,7 +1523,7 @@ mod tests {
                 output.vcs(),
                 next..next + usize::from(config.vcs_for(class))
             );
-            assert_eq!(input.capacity_phits(), config.input_buffer_for(class));
+            assert_eq!(input.capacity_phits, config.input_buffer_for(class));
             next = output.vcs().end;
             let expected = if class == PortClass::Terminal {
                 0..0
@@ -1563,7 +1552,6 @@ mod tests {
             "the outputs and a credit slot per VC"
         );
         assert_eq!((slab, fresh.buffers), (0, 10), "{fresh:?}");
-        assert_eq!(r.heap_bytes(), fresh.total());
         r.receive_packet(Port(3), VcId(0), packet(1, 40));
         let busy = r.footprint();
         assert!(busy.parts[5] > 0 && busy.buffers == 11, "{busy:?}");

@@ -144,7 +144,7 @@ impl ChurnModel {
 
     /// Check the model's parameters (positive finite rates, non-empty
     /// window when any rate is set).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let classes = [
             ("global-link", &self.global_links),
             ("local-link", &self.local_links),
@@ -361,7 +361,10 @@ mod tests {
         let a = model.generate(&t);
         let b = model.generate(&t);
         assert_eq!(a, b, "same model must lower to the same plan");
-        assert!(!a.is_empty(), "rates are high enough to produce events");
+        assert!(
+            !a.events().is_empty(),
+            "rates are high enough to produce events"
+        );
         assert_eq!(a.validate(&t), Ok(()));
         // every event inside the window
         let end = 100 + 2_000;
@@ -427,7 +430,7 @@ mod tests {
     fn empty_model_lowers_to_an_empty_plan() {
         let t = topo();
         let plan = ChurnModel::new(5, 0, 10_000).generate(&t);
-        assert!(plan.is_empty());
+        assert!(plan.events().is_empty());
     }
 
     #[test]

@@ -513,7 +513,7 @@ mod tests {
             .scenario(&scenario)
             .build()
             .unwrap();
-        assert_eq!(c.faults.len(), 2);
+        assert_eq!(c.faults.events().len(), 2);
         let cycles: Vec<_> = c.faults.events().iter().map(|e| e.at).collect();
         assert_eq!(cycles, vec![100, 300]);
         // the default stays empty, and invalid plans are rejected
@@ -521,6 +521,7 @@ mod tests {
             .build()
             .unwrap()
             .faults
+            .events()
             .is_empty());
         assert!(SimulationConfig::builder()
             .faults(FaultPlan::new().router_drain(5, RouterId(10_000)))
@@ -542,7 +543,7 @@ mod tests {
         };
         let a = build();
         assert!(
-            !a.faults.is_empty(),
+            !a.faults.events().is_empty(),
             "a busy churn model must generate events"
         );
         // lowering is deterministic: the same model yields the same plan
@@ -555,7 +556,7 @@ mod tests {
             .churn(churn.clone())
             .build()
             .unwrap();
-        assert_eq!(merged.faults.len(), a.faults.len() + 1);
+        assert_eq!(merged.faults.events().len(), a.faults.events().len() + 1);
         // scenarios carry their churn model into the builder
         let scenario = Scenario::steady(PatternKind::Uniform).churn(churn.clone());
         let via_scenario = SimulationConfig::builder()

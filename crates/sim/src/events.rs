@@ -93,7 +93,7 @@ impl EventQueue {
     }
 
     /// Number of ring slots (the scheduling horizon in cycles).
-    pub fn horizon(&self) -> usize {
+    pub(crate) fn horizon(&self) -> usize {
         self.buckets.len()
     }
 
@@ -153,13 +153,8 @@ impl EventQueue {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no event is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Every pending event with its completion cycle, borrowed, in exact
@@ -168,7 +163,7 @@ impl EventQueue {
     /// before its bucket entries (both already in insertion order, see the
     /// module docs), then the overflow beyond the horizon. Used by the
     /// snapshot subsystem.
-    pub fn pending_in_order(&self) -> impl Iterator<Item = (Cycle, &Event)> + '_ {
+    pub(crate) fn pending_in_order(&self) -> impl Iterator<Item = (Cycle, &Event)> + '_ {
         let wheel_end = self.now + self.buckets.len() as Cycle;
         let wheel = (self.now..wheel_end).flat_map(move |t| {
             let overflow = self.overflow.get(&t).into_iter().flatten();
@@ -189,7 +184,7 @@ impl EventQueue {
 
     /// The packet of every pending arrival and delivery, in no particular
     /// order: the packets on the links.
-    pub fn packets(&self) -> impl Iterator<Item = &Packet> + '_ {
+    pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> + '_ {
         let events = self.buckets.iter().chain(self.overflow.values()).flatten();
         events.filter_map(|(_, event)| match event {
             Event::PacketArrival { packet, .. } | Event::Delivery { packet } => Some(packet),
@@ -203,7 +198,7 @@ impl EventQueue {
     /// preserve the relative order, and every restored event predates — in
     /// sequence — anything scheduled afterwards, exactly as in the original
     /// queue.
-    pub fn rebuild(
+    pub(crate) fn rebuild(
         min_horizon: usize,
         now: Cycle,
         events: impl IntoIterator<Item = (Cycle, Event)>,
@@ -285,7 +280,7 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(q.pop_due(29).is_empty());
         assert_eq!(q.pop_due(30).len(), 1);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -326,14 +321,14 @@ mod tests {
             q.pop_due_into(t, &mut out);
             assert!(out.is_empty());
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         // scheduling after a long quiet period still lands correctly
         q.schedule(150, credit(7, 0));
         q.pop_due_into(149, &mut out);
         assert!(out.is_empty(), "not due yet");
         q.pop_due_into(150, &mut out);
         assert_eq!(routers_of(&out), vec![7]);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         // buffer capacity survives for reuse; a later drain reuses it
         let cap = out.capacity();
         q.schedule(151, credit(8, 0));
@@ -404,6 +399,6 @@ mod tests {
         // drain the tail
         let a = wheel.pop_due(1_000);
         assert_eq!(routers_of(&a), heap.pop_due(1_000));
-        assert!(wheel.is_empty() && heap.heap.is_empty());
+        assert!(wheel.len() == 0 && heap.heap.is_empty());
     }
 }

@@ -140,18 +140,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan contains no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Append an arbitrary event.
-    pub fn push(mut self, at: Cycle, kind: FaultKind) -> Self {
+    pub(crate) fn push(mut self, at: Cycle, kind: FaultKind) -> Self {
         self.events.push(FaultEvent { at, kind });
         self
     }
@@ -182,13 +172,13 @@ impl FaultPlan {
     }
 
     /// Append a `NodeRestore` at `at`.
-    pub fn node_restore(self, at: Cycle, node: NodeId) -> Self {
+    pub(crate) fn node_restore(self, at: Cycle, node: NodeId) -> Self {
         self.push(at, FaultKind::NodeRestore { node })
     }
 
     /// Append every event of `other` (insertion order preserved per plan) —
     /// used to merge explicit scenario faults with churn-generated ones.
-    pub fn merged(mut self, other: FaultPlan) -> Self {
+    pub(crate) fn merged(mut self, other: FaultPlan) -> Self {
         self.events.extend(other.events);
         self
     }
@@ -209,7 +199,7 @@ impl FaultPlan {
 
     /// The events sorted by cycle (stable: same-cycle events keep insertion
     /// order) — the form the simulation kernel consumes.
-    pub fn sorted_events(&self) -> Vec<FaultEvent> {
+    pub(crate) fn sorted_events(&self) -> Vec<FaultEvent> {
         let mut events = self.events.clone();
         events.sort_by_key(|e| e.at);
         events
@@ -411,8 +401,6 @@ mod tests {
     #[test]
     fn empty_plan_is_the_default() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
-        assert_eq!(plan.len(), 0);
         assert!(plan.events().is_empty());
         assert!(plan.validate(&topo()).is_ok());
         assert_eq!(plan, FaultPlan::default());
@@ -427,7 +415,7 @@ mod tests {
             .router_drain(200, RouterId(3))
             .link_up(450, gw, port)
             .router_restore(500, RouterId(3));
-        assert_eq!(plan.len(), 4);
+        assert_eq!(plan.events().len(), 4);
         assert_eq!(cycles(plan.events()), vec![150, 200, 450, 500]);
         assert!(plan.validate(&t).is_ok());
         assert_eq!(
@@ -549,7 +537,7 @@ mod tests {
         let explicit = FaultPlan::new().link_down(150, gw, port);
         let churned = FaultPlan::new().node_fail(300, NodeId(9), NodeId(10));
         let merged = explicit.merged(churned);
-        assert_eq!(merged.len(), 2);
+        assert_eq!(merged.events().len(), 2);
         assert_eq!(cycles(merged.events()), vec![150, 300]);
         assert!(merged.validate(&t).is_ok());
     }

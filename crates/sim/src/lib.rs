@@ -72,7 +72,7 @@ pub use config::{ConfigError, KernelMode, SimulationConfig, SimulationConfigBuil
 pub use experiment::{run_steady_state, run_transient, SteadyStateReport, TransientReport};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{Metrics, WindowSummary};
-pub use network::snapshot::{config_fingerprint, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use network::snapshot::{config_fingerprint, SNAPSHOT_VERSION};
 pub use network::Network;
 pub use runner::{run_sweep_service, RunnerOptions, SweepOutcome};
 pub use scenario::Scenario;

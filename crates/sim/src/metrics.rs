@@ -88,7 +88,7 @@ impl Metrics {
     /// the transient time series (the traffic-change instant), and
     /// `series_bin` the bin width in cycles; `packet_size_phits` is the
     /// configured size of every packet.
-    pub fn new(series_origin: i64, series_bin: u64, packet_size_phits: u32) -> Self {
+    pub(crate) fn new(series_origin: i64, series_bin: u64, packet_size_phits: u32) -> Self {
         Metrics {
             packet_size_phits,
             window_start: None,
@@ -122,12 +122,12 @@ impl Metrics {
     }
 
     /// Whether the measurement window is open.
-    pub fn measuring(&self) -> bool {
+    pub(crate) fn measuring(&self) -> bool {
         self.window_start.is_some()
     }
 
     /// Record a packet delivered to its destination node at `now`.
-    pub fn record_delivery(&mut self, packet: &Packet, now: Cycle) {
+    pub(crate) fn record_delivery(&mut self, packet: &Packet, now: Cycle) {
         self.delivered_packets_total += 1;
         let latency = (now - packet.generated_at) as f64;
         self.latency_series.record(now as i64, latency);
@@ -146,53 +146,53 @@ impl Metrics {
 
     /// Record a min-vs-nonmin commitment (a packet crossed a global link):
     /// feeds the transient misrouting-percentage series.
-    pub fn record_commit(&mut self, now: Cycle, misrouted: bool) {
+    pub(crate) fn record_commit(&mut self, now: Cycle, misrouted: bool) {
         self.misroute_series
             .record(now as i64, if misrouted { 100.0 } else { 0.0 });
     }
 
     /// Record a packet dropped because its link failed while it was in
     /// flight (fault injection).
-    pub fn record_dropped_on_fault(&mut self) {
+    pub(crate) fn record_dropped_on_fault(&mut self) {
         self.dropped_on_fault_packets += 1;
     }
 
     /// Record a packet dropped because it was staged in an output buffer
     /// behind a link when the link failed (counts into the dropped-on-fault
     /// totals and the staged sub-counter).
-    pub fn record_dropped_staged(&mut self) {
+    pub(crate) fn record_dropped_staged(&mut self) {
         self.record_dropped_on_fault();
         self.dropped_staged_packets += 1;
     }
 
     /// Record a packet the routing layer discarded as unroutable (counts
     /// into the dropped-on-fault totals and the unroutable sub-counter).
-    pub fn record_dropped_unroutable(&mut self) {
+    pub(crate) fn record_dropped_unroutable(&mut self) {
         self.record_dropped_on_fault();
         self.dropped_unroutable_packets += 1;
     }
 
     /// Record a fault re-commit (a committed continuation replaced or
     /// abandoned because its link died).
-    pub fn record_recommitted(&mut self) {
+    pub(crate) fn record_recommitted(&mut self) {
         self.recommitted_packets += 1;
     }
 
     /// Record one cycle during which the disseminated gateway-liveness view
     /// lagged the true link state.
-    pub fn record_stale_linkstate_cycle(&mut self) {
+    pub(crate) fn record_stale_linkstate_cycle(&mut self) {
         self.stale_linkstate_cycles += 1;
     }
 
     /// Record a packet retargeted from its failed destination node to the
     /// node's designated spare at injection time.
-    pub fn record_retargeted(&mut self) {
+    pub(crate) fn record_retargeted(&mut self) {
         self.retargeted_packets += 1;
     }
 
     /// Record `ranks` ranks blocked on the network for the current cycle
     /// (task layer).
-    pub fn record_rank_stalls(&mut self, ranks: u64) {
+    pub(crate) fn record_rank_stalls(&mut self, ranks: u64) {
         self.rank_stall_cycles += ranks;
     }
 
@@ -298,7 +298,7 @@ impl Metrics {
 
     /// Per-bin mean latency around the series origin (transient figures).
     /// Times are relative to the origin (the traffic-change cycle is 0).
-    pub fn latency_series(&self) -> Vec<(i64, f64)> {
+    pub(crate) fn latency_series(&self) -> Vec<(i64, f64)> {
         let origin = self.series_origin;
         self.latency_series
             .iter_means()
@@ -325,7 +325,7 @@ impl Metrics {
 
     /// Per-bin percentage of globally misrouted commitments (transient
     /// figures). Times are relative to the origin.
-    pub fn misroute_series(&self) -> Vec<(i64, f64)> {
+    pub(crate) fn misroute_series(&self) -> Vec<(i64, f64)> {
         let origin = self.series_origin;
         self.misroute_series
             .iter_means()
@@ -336,7 +336,7 @@ impl Metrics {
     /// Serialise the whole collector (counters, running statistics, series
     /// and histogram). The series origin and bin width and the histogram's
     /// shape are configuration, not run state, and are not written.
-    pub fn save_state(&self, e: &mut df_engine::Encoder) {
+    pub(crate) fn save_state(&self, e: &mut df_engine::Encoder) {
         e.option(self.window_start, df_engine::Encoder::u64);
         self.latency.encode(e);
         self.hops.encode(e);
@@ -360,7 +360,7 @@ impl Metrics {
     /// they do not reshape it. The series may only hold bins a run of `now`
     /// cycles can have touched, and the window's records must agree with
     /// its delivery count and the run's.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
         now: Cycle,

@@ -1095,7 +1095,7 @@ mod tests {
                         };
                         waiting += (plan.has(HeadPlan::AT_SOURCE)
                             && plan.has(HeadPlan::GLOBAL_SCOPE)
-                            && !router.output_can_accept(plan.output(), plan.vc, size))
+                            && !router.output(plan.output()).can_accept(plan.vc, size))
                             as u32;
                     }
                 }

@@ -44,7 +44,7 @@ pub struct Node {
 
 impl Node {
     /// Create a node with its own RNG stream.
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         injection: InjectionKind,
         offered_load: f64,
@@ -59,14 +59,9 @@ impl Node {
         }
     }
 
-    /// The node identifier.
-    pub fn id(&self) -> NodeId {
-        self.injector.node()
-    }
-
     /// Generate this cycle's traffic (if any) into the source queue. Returns
     /// whether a packet was generated.
-    pub fn generate(
+    pub(crate) fn generate(
         &mut self,
         now: Cycle,
         pattern: &TrafficPattern,
@@ -84,24 +79,24 @@ impl Node {
     /// instead of the stochastic injector. It joins the same source queue
     /// and statistics as generated traffic, so the downstream injection
     /// machinery is identical for both.
-    pub fn enqueue_task_packet(&mut self, packet: Packet) {
+    pub(crate) fn enqueue_task_packet(&mut self, packet: Packet) {
         self.generated_phits += packet.size_phits as u64;
         self.source_queue.push_back(packet);
     }
 
     /// Change the offered load (phase changes with a load override).
-    pub fn set_offered_load(&mut self, load: f64) {
+    pub(crate) fn set_offered_load(&mut self, load: f64) {
         self.injector.set_offered_load(load);
     }
 
     /// Peek the packet waiting to enter the network.
-    pub fn head(&self) -> Option<&Packet> {
+    pub(crate) fn head(&self) -> Option<&Packet> {
         self.source_queue.front()
     }
 
     /// Remove the head packet (it was accepted by the router's injection
     /// buffer).
-    pub fn pop_head(&mut self) -> Option<Packet> {
+    pub(crate) fn pop_head(&mut self) -> Option<Packet> {
         self.source_queue.pop_front()
     }
 
@@ -116,7 +111,7 @@ impl Node {
     }
 
     /// Round-robin pointer over injection VCs; advances on every call.
-    pub fn take_vc_rr(&mut self, num_vcs: usize) -> usize {
+    pub(crate) fn take_vc_rr(&mut self, num_vcs: usize) -> usize {
         let s = self.next_vc % num_vcs.max(1);
         self.next_vc = (s + 1) % num_vcs.max(1);
         s
@@ -127,7 +122,7 @@ impl Node {
     /// phits. `owed` is how many ticks of the gap the calendar took out have
     /// not elapsed yet (0 for a node ticked every cycle): the gap written is
     /// the one a tick-every-cycle twin would hold now.
-    pub fn save_state(&self, e: &mut df_engine::Encoder, owed: u32) {
+    pub(crate) fn save_state(&self, e: &mut df_engine::Encoder, owed: u32) {
         self.injector.save_state(e, owed);
         e.seq(self.source_queue.len());
         for p in &self.source_queue {
@@ -142,7 +137,7 @@ impl Node {
     /// packets must fit `bounds` and whose VC pointer must lie below the
     /// injection port's `injection_vcs` (where [`Node::take_vc_rr`] keeps
     /// it).
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
         bounds: &PacketBounds,
@@ -201,7 +196,7 @@ const SLOTS: usize = (LOOKAHEAD_BOUND as usize + 1).next_power_of_two();
 
 impl Nodes {
     /// Wrap a freshly built population: every node filed for cycle 0.
-    pub fn new(nodes: Vec<Node>) -> Self {
+    pub(crate) fn new(nodes: Vec<Node>) -> Self {
         let mut this = Nodes {
             wake: vec![0; nodes.len()],
             paused: vec![false; nodes.len()],
@@ -215,7 +210,7 @@ impl Nodes {
     }
 
     /// Borrow node `idx`.
-    pub fn get(&self, idx: usize) -> &Node {
+    pub(crate) fn get(&self, idx: usize) -> &Node {
         &self.nodes[idx]
     }
 
@@ -271,7 +266,7 @@ impl Nodes {
     /// Change every node's offered load at the start of cycle `now` (phase
     /// changes, drain). The gaps were drawn against the old load: each
     /// injector discards its own, and every node is refiled.
-    pub fn set_offered_load(&mut self, load: f64, now: Cycle) {
+    pub(crate) fn set_offered_load(&mut self, load: f64, now: Cycle) {
         for node in &mut self.nodes {
             node.set_offered_load(load);
         }
@@ -288,7 +283,7 @@ impl Nodes {
     /// (draining router or failed node; idempotent). A paused node neither
     /// ticks nor counts its gap down, and resumes owing what it owed; its
     /// queued packets still inject.
-    pub fn set_paused(&mut self, idx: usize, paused: bool, now: Cycle) {
+    pub(crate) fn set_paused(&mut self, idx: usize, paused: bool, now: Cycle) {
         if self.paused[idx] == paused {
             return;
         }
@@ -312,7 +307,7 @@ impl Nodes {
     /// order, filing each again at its next live tick. Returns how many
     /// nodes ticked and how many of the ticks drew a run of failures (a
     /// gap).
-    pub fn generate(
+    pub(crate) fn generate(
         &mut self,
         now: Cycle,
         pattern: &TrafficPattern,
@@ -352,7 +347,7 @@ impl Nodes {
 
     /// Enqueue a task-layer packet at node `idx` (see
     /// [`Node::enqueue_task_packet`]).
-    pub fn enqueue_task_packet(&mut self, idx: usize, packet: Packet) {
+    pub(crate) fn enqueue_task_packet(&mut self, idx: usize, packet: Packet) {
         self.nodes[idx].enqueue_task_packet(packet);
         self.queued.insert(idx);
     }
@@ -360,7 +355,7 @@ impl Nodes {
     /// The injection walk: hand every node with a packet waiting to
     /// `inject`, in ascending node order, and leave out of the queued set
     /// the nodes whose queue it emptied.
-    pub fn inject_queued(&mut self, mut inject: impl FnMut(usize, &mut Node)) {
+    pub(crate) fn inject_queued(&mut self, mut inject: impl FnMut(usize, &mut Node)) {
         let nodes = &mut self.nodes;
         self.queued.retain(|idx| {
             inject(idx, &mut nodes[idx]);
@@ -370,13 +365,13 @@ impl Nodes {
 
     /// Whether no node has a packet waiting (O(1); exact at step
     /// boundaries).
-    pub fn all_queues_empty(&self) -> bool {
+    pub(crate) fn all_queues_empty(&self) -> bool {
         self.queued.is_empty()
     }
 
     /// The queued set against a full scan: exactly the nodes with a
     /// non-empty source queue.
-    pub fn queued_set_is_exact(&self) -> bool {
+    pub(crate) fn queued_set_is_exact(&self) -> bool {
         (self.nodes.iter().enumerate())
             .all(|(idx, node)| self.queued.contains(idx) == (node.queue_len() > 0))
     }
@@ -385,7 +380,7 @@ impl Nodes {
     /// `now`: exactly the unpaused nodes with a live injector are filed,
     /// each once, in its wake cycle's bucket, from `now` to a whole gap
     /// ahead.
-    pub fn calendar_is_exact(&self, now: Cycle) -> bool {
+    pub(crate) fn calendar_is_exact(&self, now: Cycle) -> bool {
         let (n, mut filed) = (self.nodes.len(), vec![false; self.nodes.len()]);
         for head in n..self.links.len() {
             let mut idx = self.links[head] as usize;
@@ -407,7 +402,7 @@ impl Nodes {
     /// Serialise every node at the start of cycle `now` (see
     /// [`Node::save_state`]), after the offered load they share: every node
     /// starts at one load and [`Nodes::set_offered_load`] sets all of them.
-    pub fn save_state(&self, e: &mut df_engine::Encoder, now: Cycle) {
+    pub(crate) fn save_state(&self, e: &mut df_engine::Encoder, now: Cycle) {
         let load = self.nodes[0].injector.offered_load();
         debug_assert!(
             (self.nodes.iter()).all(|n| n.injector.offered_load().to_bits() == load.to_bits()),
@@ -423,7 +418,7 @@ impl Nodes {
     /// cycle `now` (see [`Node::restore_state`] for `bounds` and
     /// `injection_vcs`; the offered load lies in `[0, 1]`), then rebuild the
     /// queued set and file each node at `now` plus its restored gap.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut df_engine::Decoder,
         bounds: &PacketBounds,

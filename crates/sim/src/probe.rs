@@ -96,7 +96,7 @@ pub struct StepCounts {
 
 impl StepCounts {
     /// Add `other` to these counts, field by field.
-    pub fn add(&mut self, other: &StepCounts) {
+    pub(crate) fn add(&mut self, other: &StepCounts) {
         self.events += other.events;
         self.due_ticks += other.due_ticks;
         self.gap_draws += other.gap_draws;

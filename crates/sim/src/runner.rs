@@ -61,11 +61,11 @@ use crate::network::Network;
 use crate::sweep::{matrix_cells, MatrixCell, ScenarioMatrix};
 
 /// Journal frame magic.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"DFSWPJNL";
+pub(crate) const JOURNAL_MAGIC: [u8; 8] = *b"DFSWPJNL";
 /// Journal format version: v2 records store no field a sub-run's
 /// configuration and seed index give (its seed, its accepted load). An
 /// older journal is refused by the frame's version check.
-pub const JOURNAL_VERSION: u32 = 2;
+pub(crate) const JOURNAL_VERSION: u32 = 2;
 
 const RECORD_HEADER: u8 = 0;
 const RECORD_SUBRUN: u8 = 1;
@@ -517,9 +517,10 @@ pub fn run_sweep_service(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::snapshot::SNAPSHOT_MAGIC;
     use crate::scenario::Scenario;
     use crate::sweep::{matrix_table, run_matrix};
-    use crate::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+    use crate::SNAPSHOT_VERSION;
     use df_model::NetworkConfig;
     use df_routing::RoutingKind;
     use df_topology::DragonflyParams;

@@ -13,7 +13,7 @@
 //! existing ones. A scenario is a builder for the [`TrafficSchedule`] the
 //! configuration already carries: each phase is stored as the schedule's own
 //! [`PatternPhase`] at its accumulated start cycle, and
-//! [`schedule`](Scenario::schedule) hands them over unchanged. Every
+//! `schedule` hands them over unchanged. Every
 //! workload rule (phase patterns and loads, injection, faults, jobs) is
 //! checked once, by [`SimulationConfig::validate`](crate::SimulationConfig::validate)
 //! on the configuration the scenario is applied to.
@@ -127,13 +127,6 @@ impl Scenario {
         self.push(pattern, Some(load), None)
     }
 
-    /// Attach a complete fault plan (replaces any previously attached
-    /// events).
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Append a `LinkDown` fault at absolute cycle `at` on the link attached
     /// at `(router, port)`.
     pub fn link_down(mut self, at: Cycle, router: RouterId, port: Port) -> Self {
@@ -194,14 +187,14 @@ impl Scenario {
     }
 
     /// The attached job set (empty for packet-level scenarios).
-    pub fn jobs(&self) -> &[JobSpec] {
+    pub(crate) fn jobs(&self) -> &[JobSpec] {
         &self.jobs
     }
 
     /// The attached fault plan (empty for healthy-network scenarios). Does
     /// *not* include churn-generated events — those are lowered at
     /// configuration-build time against a concrete topology.
-    pub fn fault_plan(&self) -> &FaultPlan {
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
         &self.faults
     }
 
@@ -240,7 +233,7 @@ impl Scenario {
     ///
     /// # Panics
     /// Panics if the scenario has no phases.
-    pub fn schedule(&self) -> TrafficSchedule {
+    pub(crate) fn schedule(&self) -> TrafficSchedule {
         TrafficSchedule::from_phases(self.phases.clone())
     }
 }
@@ -344,7 +337,7 @@ mod tests {
         assert!(s.churn_model().is_some());
         // healthy scenarios carry an empty plan and no churn
         let healthy = Scenario::steady(PatternKind::Uniform);
-        assert!(healthy.fault_plan().is_empty());
+        assert!(healthy.fault_plan().events().is_empty());
         assert!(healthy.churn_model().is_none());
     }
 }

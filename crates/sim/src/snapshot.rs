@@ -104,7 +104,7 @@ use crate::config::{KernelMode, SimulationConfig};
 use crate::events::{Event, EventQueue};
 
 /// Frame magic of a simulation snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// Current snapshot format version, bumped by every format change: v2
 /// added the task layer, v3 the topology kind to the fingerprint, v4 the
 /// per-rank compute clocks and one task section per job; v5 dropped the
@@ -1270,7 +1270,8 @@ mod tests {
         net.run_cycles(60);
         let bytes = net.snapshot();
         let engine = net.jobs().expect("job configured");
-        let (job, ranks) = (engine.job(0), engine.job(0).ranks());
+        let job = engine.job(0);
+        let ranks = job.stall_cycles().len() as u32;
         let (steps, pending) = (job.total_steps(), job.pending_packets());
         assert!(pending > 0 && !job.is_complete(), "checkpoint mid-script");
         assert!(job.steps_completed() > 0, "a step behind every rank");
@@ -1323,6 +1324,23 @@ mod tests {
             let restored = Network::restore(cfg.clone(), &bytes).expect("restores");
             assert_eq!(restored.jobs().unwrap().job(0).progress(), live);
             assert_eq!(restored.snapshot(), bytes);
+        }
+
+        // a finished rank has no step to enqueue: the flag is read as the
+        // rank's membership of the waiting set, so a set flag on a finished
+        // rank would re-snapshot to other bytes. Its offset comes from
+        // decoding the task section: rank 0's cursor, then its flag.
+        let bytes = net.snapshot();
+        let mut section = Encoder::new();
+        net.jobs().unwrap().save_state(&mut section);
+        let section = section.into_bytes();
+        let mut d = Decoder::new(&section);
+        assert_eq!(d.usize().unwrap(), steps, "rank 0 has finished");
+        let flag_at = (bytes.len() - 28) - section.len() + d.position();
+        assert!(!d.bool().unwrap(), "and enqueued nothing");
+        match Network::restore(cfg.clone(), &forged(&bytes, |p| p[flag_at] = 1)) {
+            Err(CodecError::Invalid(why)) if why.contains("past the end") => {}
+            other => panic!("forged finished-rank flag: got {:?}", other.err()),
         }
     }
 }

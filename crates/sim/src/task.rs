@@ -38,8 +38,10 @@
 //! rule of the `network` module): a rank's visit changes nothing unless a
 //! delivery credited it, its compute delay expired, its job started, it was
 //! restored or a pause changed, so each of those wakes it. Stall accounting
-//! walks the ranks waiting on the network. These sets are derived, rebuilt
-//! on restore and never stored.
+//! walks the ranks waiting on the network: the ranks whose step is
+//! enqueued, the one record of that fact (the snapshot writes it as a flag
+//! per rank). The woken and computing sets are derived, rebuilt on restore
+//! and never stored.
 //!
 //! When the configuration carries no jobs the engine does not exist and the
 //! packet-level simulator is byte-for-byte unaffected.
@@ -89,8 +91,9 @@ pub struct Job {
     // ---- per-rank execution state ----
     /// Current step index of each rank (`steps_total` once finished).
     cursor: Vec<usize>,
-    /// Whether the current step's sends have been enqueued.
-    enqueued: Vec<bool>,
+    /// Ranks whose current step's sends are enqueued (a finished rank has
+    /// no current step) — the only ranks that can stall.
+    waiting: BitSet,
     /// Packets sent in the current step and not yet delivered.
     sends_outstanding: Vec<u32>,
     /// Packets received per rank per step (early arrivals for future steps
@@ -120,9 +123,6 @@ pub struct Job {
     /// the step completes — in `ready_at` order, since `compute_delay` is
     /// fixed per job.
     computing: VecDeque<(Cycle, u32)>,
-    /// Ranks whose step is enqueued and whose script is unfinished — the
-    /// only ranks that can stall.
-    waiting: BitSet,
 }
 
 impl Job {
@@ -147,7 +147,7 @@ impl Job {
             packet_size,
             steps_total,
             cursor: vec![0; ranks],
-            enqueued: vec![false; ranks],
+            waiting: BitSet::new(ranks),
             sends_outstanding: vec![0; ranks],
             recvs: vec![vec![0; steps_total]; ranks],
             ready_at: vec![0; ranks],
@@ -157,7 +157,6 @@ impl Job {
             step_completion_cycles: vec![None; steps_total],
             woken: BitSet::full(ranks),
             computing: VecDeque::new(),
-            waiting: BitSet::new(ranks),
         }
     }
 
@@ -246,7 +245,7 @@ impl Job {
         let ranks = self.cursor.len() as u32;
         while self.cursor[r] < self.steps_total {
             let step = self.cursor[r];
-            if !self.enqueued[r] {
+            if !self.waiting.contains(r) {
                 // modelled computation between steps: the rank holds its
                 // sends back until the compute delay elapses (never gates
                 // when compute_delay == 0 — ready_at is then <= now)
@@ -274,7 +273,6 @@ impl Job {
                     outstanding += packets;
                 }
                 self.sends_outstanding[r] = outstanding;
-                self.enqueued[r] = true;
                 self.waiting.insert(r);
             }
             let expected = self.scripts[r][step].expected_packets;
@@ -287,7 +285,6 @@ impl Job {
                 self.step_completion_cycles[step] = Some(now);
             }
             self.cursor[r] += 1;
-            self.enqueued[r] = false;
             self.waiting.remove(r);
             self.ready_at[r] = now + self.spec.compute_delay;
             if self.cursor[r] < self.steps_total && self.ready_at[r] > now {
@@ -298,13 +295,13 @@ impl Job {
 
     /// The wake-up sets against a full scan after the advance at `now`: no
     /// unpaused rank can still enqueue or pass a step, each rank computing
-    /// past `now` is filed at its `ready_at` (in order), and the waiting
-    /// set holds exactly the unfinished ranks with an enqueued step.
+    /// past `now` is filed at its `ready_at` (in order), and no finished
+    /// rank is waiting.
     fn wake_sets_are_exact(&self, now: Cycle, nodes: &Nodes) -> bool {
         let mut filed = self.computing.iter().zip(self.computing.iter().skip(1));
         filed.all(|(a, b)| a.0 <= b.0)
             && (0..self.cursor.len()).all(|r| {
-                let (step, enqueued) = (self.cursor[r], self.enqueued[r]);
+                let (step, enqueued) = (self.cursor[r], self.waiting.contains(r));
                 let unfinished = step < self.steps_total;
                 let can_move = unfinished
                     && if enqueued {
@@ -315,7 +312,7 @@ impl Job {
                     };
                 let computing = unfinished && !enqueued && self.ready_at[r] > now;
                 (!can_move || nodes.is_paused(self.node_of_rank[r] as usize))
-                    && self.waiting.contains(r) == (unfinished && enqueued)
+                    && (unfinished || !enqueued)
                     && (!computing || self.computing.contains(&(self.ready_at[r], r as u32)))
             })
     }
@@ -329,11 +326,6 @@ impl Job {
     /// complete.
     pub fn completion_cycle(&self) -> Option<Cycle> {
         self.step_completion_cycles.last().copied().flatten()
-    }
-
-    /// Number of ranks.
-    pub fn ranks(&self) -> u32 {
-        self.node_of_rank.len() as u32
     }
 
     /// Steps per rank script.
@@ -351,18 +343,13 @@ impl Job {
 
     /// Cycle each step globally completed at (`None` for steps still in
     /// progress), indexed by step.
-    pub fn step_completion_cycles(&self) -> &[Option<Cycle>] {
+    pub(crate) fn step_completion_cycles(&self) -> &[Option<Cycle>] {
         &self.step_completion_cycles
     }
 
     /// Cycles each rank spent blocked on the network, indexed by rank.
     pub fn stall_cycles(&self) -> &[u64] {
         &self.stall_cycles
-    }
-
-    /// The node hosting `rank`.
-    pub fn node_of_rank(&self, rank: u32) -> NodeId {
-        NodeId(self.node_of_rank[rank as usize])
     }
 
     /// Task packets currently in the network (source queues + in flight).
@@ -376,7 +363,7 @@ impl Job {
     fn save_state(&self, e: &mut df_engine::Encoder) {
         for r in 0..self.cursor.len() {
             e.usize(self.cursor[r]);
-            e.bool(self.enqueued[r]);
+            e.bool(self.waiting.contains(r));
             e.u64(self.stall_cycles[r]);
             e.u64(self.ready_at[r]);
             for &c in &self.recvs[r] {
@@ -409,7 +396,17 @@ impl Job {
                     self.cursor[r], self.steps_total
                 ));
             }
-            self.enqueued[r] = d.bool()?;
+            if d.bool()? {
+                // a finished rank has no step to enqueue
+                if self.cursor[r] == self.steps_total {
+                    return invalid(format!(
+                        "snapshot task rank {r} has an enqueued step past the end of its \
+                         {}-step script",
+                        self.steps_total
+                    ));
+                }
+                self.waiting.insert(r);
+            }
             self.stall_cycles[r] = d.u64()?;
             self.ready_at[r] = d.u64()?;
             for c in &mut self.recvs[r] {
@@ -447,7 +444,7 @@ impl Job {
             }
             // a rank passes its step only once every send was delivered
             let (src, step) = (p.src_rank as usize, p.step as usize);
-            if step >= self.steps_total || !self.enqueued[src] || self.cursor[src] != step {
+            if step >= self.steps_total || !self.waiting.contains(src) || self.cursor[src] != step {
                 return invalid(format!(
                     "snapshot task packet {id} of step {step} was sent by rank {src}, which \
                      has not enqueued that step of its {}-step script",
@@ -459,11 +456,9 @@ impl Job {
         }
         self.pending = pending;
         // the wake-up sets: a fresh job's are empty with every rank woken;
-        // file the waiting ranks and the computing ranks by `ready_at`
+        // the waiting ranks are filed above, the computing ones by `ready_at`
         for r in (0..ranks).filter(|&r| self.cursor[r] < self.steps_total) {
-            if self.enqueued[r] {
-                self.waiting.insert(r);
-            } else {
+            if !self.waiting.contains(r) {
                 self.computing.push_back((self.ready_at[r], r as u32));
             }
         }

@@ -48,4 +48,4 @@ pub use megafly::{Megafly, MegaflyParams};
 pub use params::{DragonflyParams, ParamsError};
 pub use path::{HopKind, PathHop};
 pub use port::{Port, PortClass};
-pub use topology::{IdIter, Topology, TopologyKind, TopologyParams};
+pub use topology::{Topology, TopologyKind, TopologyParams};

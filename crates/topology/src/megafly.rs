@@ -78,7 +78,7 @@ impl MegaflyParams {
     }
 
     /// Fully-populated Megafly: balanced `l == s` blocks, `groups = l*h+1`.
-    pub fn canonical(p: u32, l: u32, h: u32) -> Result<Self, ParamsError> {
+    pub(crate) fn canonical(p: u32, l: u32, h: u32) -> Result<Self, ParamsError> {
         Self::new(p, l, l, h, l * h + 1)
     }
 
@@ -120,25 +120,19 @@ impl MegaflyParams {
 
     /// Routers per group (`l + s`).
     #[inline]
-    pub fn routers_per_group(&self) -> u32 {
+    pub(crate) fn routers_per_group(&self) -> u32 {
         self.l + self.s
     }
 
     /// Compute nodes per group (`p*l`).
     #[inline]
-    pub fn nodes_per_group(&self) -> u32 {
+    pub(crate) fn nodes_per_group(&self) -> u32 {
         self.p * self.l
-    }
-
-    /// Router radix of the uniform padded layout (`p + s + h`).
-    #[inline]
-    pub fn radix(&self) -> u32 {
-        self.p + self.s + self.h
     }
 
     /// Number of global links leaving each group (`s*h`).
     #[inline]
-    pub fn global_links_per_group(&self) -> u32 {
+    pub(crate) fn global_links_per_group(&self) -> u32 {
         self.s * self.h
     }
 
@@ -150,7 +144,7 @@ impl MegaflyParams {
 
     /// The uniform padded port layout.
     #[inline]
-    pub fn layout(&self) -> RadixLayout {
+    pub(crate) fn layout(&self) -> RadixLayout {
         RadixLayout::of(self)
     }
 }
@@ -199,7 +193,7 @@ impl Megafly {
 
     /// Whether `router` is a spine (owns global links, no nodes).
     #[inline]
-    pub fn is_spine(&self, router: RouterId) -> bool {
+    pub(crate) fn is_spine(&self, router: RouterId) -> bool {
         !self.is_leaf(router)
     }
 }
@@ -455,7 +449,7 @@ mod tests {
         let t = mf();
         for router in t.routers() {
             if t.is_leaf(router) {
-                for port in Port::globals(t.params()) {
+                for port in (0..t.params().h).map(|k| Port::global(t.params(), k)) {
                     assert_eq!(t.peer(router, port), PortPeer::Unconnected);
                 }
                 continue;

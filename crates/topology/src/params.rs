@@ -147,7 +147,7 @@ impl DragonflyParams {
 
     /// Compute nodes per group (`a*p`).
     #[inline]
-    pub fn nodes_per_group(&self) -> u32 {
+    pub(crate) fn nodes_per_group(&self) -> u32 {
         self.a * self.p
     }
 

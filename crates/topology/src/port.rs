@@ -100,23 +100,6 @@ impl Port {
     pub fn all(layout: &impl PortLayout) -> impl Iterator<Item = Port> {
         (0..layout.radix()).map(Port)
     }
-
-    /// Iterator over the terminal ports.
-    pub fn terminals(layout: &impl PortLayout) -> impl Iterator<Item = Port> {
-        (0..layout.terminals()).map(Port)
-    }
-
-    /// Iterator over the local ports.
-    pub fn locals(layout: &impl PortLayout) -> impl Iterator<Item = Port> {
-        let t = layout.terminals();
-        (0..layout.locals()).map(move |k| Port(t + k))
-    }
-
-    /// Iterator over the global ports.
-    pub fn globals(layout: &impl PortLayout) -> impl Iterator<Item = Port> {
-        let base = layout.terminals() + layout.locals();
-        (0..layout.globals()).map(move |k| Port(base + k))
-    }
 }
 
 impl fmt::Display for Port {
@@ -166,30 +149,13 @@ mod tests {
     }
 
     #[test]
-    fn iterators_partition_the_radix() {
-        let p = params();
-        let all: Vec<_> = Port::all(&p).collect();
-        assert_eq!(all.len(), p.radix() as usize);
-        let terminals: Vec<_> = Port::terminals(&p).collect();
-        let locals: Vec<_> = Port::locals(&p).collect();
-        let globals: Vec<_> = Port::globals(&p).collect();
-        assert_eq!(
-            terminals.len() + locals.len() + globals.len(),
-            all.len(),
-            "classes partition the radix"
-        );
-        assert!(terminals.iter().all(|q| q.class(&p) == PortClass::Terminal));
-        assert!(locals.iter().all(|q| q.class(&p) == PortClass::Local));
-        assert!(globals.iter().all(|q| q.class(&p) == PortClass::Global));
-    }
-
-    #[test]
     fn paper_radix_port_layout() {
         let p = DragonflyParams::paper_table1();
         // Table I: 31 ports = 8 injection + 15 local + 8 global.
-        assert_eq!(Port::terminals(&p).count(), 8);
-        assert_eq!(Port::locals(&p).count(), 15);
-        assert_eq!(Port::globals(&p).count(), 8);
+        let of = |class| Port::all(&p).filter(|q| q.class(&p) == class).count();
+        assert_eq!(of(PortClass::Terminal), 8);
+        assert_eq!(of(PortClass::Local), 15);
+        assert_eq!(of(PortClass::Global), 8);
         assert_eq!(Port::all(&p).count(), 31);
     }
 

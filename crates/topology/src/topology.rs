@@ -43,7 +43,7 @@ use std::ops::Range;
 /// Every id family of every topology in this crate is a contiguous range
 /// (Megafly spines simply own an *empty* node range), which keeps the
 /// iterators concrete and allocation-free.
-pub type IdIter<T> = std::iter::Map<Range<u32>, fn(u32) -> T>;
+pub(crate) type IdIter<T> = std::iter::Map<Range<u32>, fn(u32) -> T>;
 
 /// Which concrete network a topology value describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,11 +55,8 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
-    /// Every supported kind, in declaration order.
-    pub const ALL: [TopologyKind; 2] = [TopologyKind::Dragonfly, TopologyKind::Megafly];
-
     /// Stable lower-case name, used by CLI flags and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TopologyKind::Dragonfly => "dragonfly",
             TopologyKind::Megafly => "megafly",
@@ -67,7 +64,7 @@ impl TopologyKind {
     }
 
     /// Every CLI name with the kind it selects: each kind's
-    /// [`name`](Self::name), then Megafly's `dragonfly+` synonym.
+    /// `name`, then Megafly's `dragonfly+` synonym.
     pub const NAMES: [(&'static str, TopologyKind); 3] = [
         ("dragonfly", TopologyKind::Dragonfly),
         ("megafly", TopologyKind::Megafly),
@@ -514,7 +511,7 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in TopologyKind::ALL {
+        for kind in [TopologyKind::Dragonfly, TopologyKind::Megafly] {
             assert_eq!(TopologyKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(TopologyKind::from_name("df"), None);

@@ -17,7 +17,7 @@
 //! advancing cursors, accounting stalls.
 //!
 //! Lowered scripts satisfy a global conservation property checked by
-//! [`validate_scripts`]: in every step, the packets sent to rank `r` across
+//! `validate_scripts`: in every step, the packets sent to rank `r` across
 //! all ranks equal exactly what `r` expects. Steps may be empty for a rank
 //! (zero sends, zero expected receives) — e.g. the spare ranks of a
 //! non-power-of-two recursive doubling — and such steps complete
@@ -60,7 +60,7 @@ pub enum CollectiveKind {
 
 impl CollectiveKind {
     /// Short stable label for tables, CSV rows and corpus keys.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CollectiveKind::AllToAll => "all-to-all",
             CollectiveKind::AllReduce(AllReduceAlgorithm::Ring) => "all-reduce-ring",
@@ -74,7 +74,7 @@ impl CollectiveKind {
     /// `packets` packets per logical message. `scripts[r]` is rank `r`'s
     /// sequence; all ranks get the same number of steps (possibly empty for
     /// some ranks in some steps).
-    pub fn lower(&self, ranks: u32, packets: u32) -> Vec<Vec<TaskStep>> {
+    pub(crate) fn lower(&self, ranks: u32, packets: u32) -> Vec<Vec<TaskStep>> {
         let p = ranks as usize;
         let mut scripts: Vec<Vec<TaskStep>> = vec![Vec::new(); p];
         match self {
@@ -209,7 +209,7 @@ pub struct TaskStep {
 
 impl TaskStep {
     /// Total packets this step injects.
-    pub fn send_packets(&self) -> u32 {
+    pub(crate) fn send_packets(&self) -> u32 {
         self.sends.iter().map(|&(_, n)| n).sum()
     }
 }
@@ -231,7 +231,7 @@ impl RankPlacement {
     /// Node index hosting `rank`, for a topology with `groups` groups of
     /// `nodes_per_group` nodes. The map is injective for
     /// `rank < groups * nodes_per_group`.
-    pub fn node_of_rank(&self, rank: u32, groups: u32, nodes_per_group: u32) -> u32 {
+    pub(crate) fn node_of_rank(&self, rank: u32, groups: u32, nodes_per_group: u32) -> u32 {
         match self {
             RankPlacement::Block => rank,
             RankPlacement::GroupSpread => (rank % groups) * nodes_per_group + rank / groups,
@@ -332,7 +332,7 @@ impl TaskWorkload {
 /// Check the global conservation property of lowered scripts: every step's
 /// sends to rank `r`, summed over all ranks, must equal what `r` expects in
 /// that step, and all ranks must have equally long scripts.
-pub fn validate_scripts(scripts: &[Vec<TaskStep>]) -> Result<(), String> {
+pub(crate) fn validate_scripts(scripts: &[Vec<TaskStep>]) -> Result<(), String> {
     let p = scripts.len();
     let steps = scripts.first().map_or(0, |s| s.len());
     for (r, script) in scripts.iter().enumerate() {

@@ -124,7 +124,7 @@ impl InjectionKind {
     }
 
     /// The ON-state duty cycle of the process (1 for non-bursty kinds).
-    pub fn duty_cycle(&self) -> f64 {
+    pub(crate) fn duty_cycle(&self) -> f64 {
         match *self {
             InjectionKind::Bursty { mean_on, mean_off } => mean_on / (mean_on + mean_off),
             _ => 1.0,
@@ -212,16 +212,6 @@ impl Injector {
         };
         injector.set_offered_load(offered_load);
         injector
-    }
-
-    /// The node this injector generates traffic for.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The injection process.
-    pub fn kind(&self) -> InjectionKind {
-        self.kind
     }
 
     /// The offered load, phits/(node·cycle).

@@ -95,7 +95,7 @@ impl JobSpec {
 
     /// The node set this job's ranks occupy (sorted, for disjointness
     /// checks and reporting).
-    pub fn nodes(&self, groups: u32, nodes_per_group: u32) -> Vec<u32> {
+    pub(crate) fn nodes(&self, groups: u32, nodes_per_group: u32) -> Vec<u32> {
         let mut nodes: Vec<u32> = (0..self.workload.ranks)
             .map(|r| self.placement.node_of_rank(r, groups, nodes_per_group))
             .collect();

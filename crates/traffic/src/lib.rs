@@ -38,9 +38,7 @@ pub mod job;
 pub mod pattern;
 pub mod schedule;
 
-pub use collective::{
-    validate_scripts, AllReduceAlgorithm, CollectiveKind, RankPlacement, TaskStep, TaskWorkload,
-};
+pub use collective::{AllReduceAlgorithm, CollectiveKind, RankPlacement, TaskStep, TaskWorkload};
 pub use injection::{InjectionKind, Injector, LOOKAHEAD_BOUND};
 pub use job::{validate_job_disjointness, JobPlacement, JobSpec};
 pub use pattern::{PatternKind, TrafficPattern};

@@ -234,16 +234,6 @@ pub struct TrafficPattern {
 }
 
 impl TrafficPattern {
-    /// The declarative kind of this pattern.
-    pub fn kind(&self) -> PatternKind {
-        self.kind
-    }
-
-    /// The topology the pattern is bound to.
-    pub fn topology(&self) -> &TopologyParams {
-        &self.topo
-    }
-
     /// Draw a destination for a packet generated at `src`.
     ///
     /// The destination is always different from `src` (self-traffic is never
@@ -276,11 +266,6 @@ impl TrafficPattern {
                 self.group_local_destination(src, local_fraction, rng)
             }
         }
-    }
-
-    /// The hot destination nodes of a [`PatternKind::Hotspot`] pattern.
-    pub fn hotspot_nodes(&self) -> Option<&[u32]> {
-        self.hotspot_nodes.as_deref()
     }
 
     fn uniform_destination(&self, src: NodeId, rng: &mut DeterministicRng) -> NodeId {
@@ -376,6 +361,14 @@ impl TrafficPattern {
 }
 
 #[cfg(test)]
+impl TrafficPattern {
+    /// The declarative kind of this pattern.
+    pub(crate) fn kind(&self) -> PatternKind {
+        self.kind
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use df_topology::{Dragonfly, DragonflyParams};
@@ -412,7 +405,7 @@ mod tests {
         for _ in 0..5_000 {
             let d = p.destination(src, &mut r);
             assert_ne!(d, src);
-            assert!(d.0 < p.topology().num_nodes());
+            assert!(d.0 < p.topo.num_nodes());
             seen.insert(d);
         }
         // 71 possible destinations; 5000 draws should see almost all of them
@@ -423,7 +416,7 @@ mod tests {
     fn uniform_is_roughly_uniform() {
         let p = PatternKind::Uniform.build(topo());
         let mut r = rng();
-        let n = p.topology().num_nodes() as usize;
+        let n = p.topo.num_nodes() as usize;
         let mut counts = vec![0u32; n];
         let draws = 71_000;
         for _ in 0..draws {
@@ -645,8 +638,13 @@ mod tests {
             fraction: 0.6,
         };
         let p = kind.build(t);
-        let hot: std::collections::HashSet<u32> =
-            p.hotspot_nodes().unwrap().iter().copied().collect();
+        let hot: std::collections::HashSet<u32> = p
+            .hotspot_nodes
+            .as_deref()
+            .unwrap()
+            .iter()
+            .copied()
+            .collect();
         assert_eq!(hot.len(), 4, "hot nodes must be distinct");
         let mut r = rng();
         let src = NodeId(7); // not a hot node (hot nodes are 0,18,36,54)
@@ -674,7 +672,8 @@ mod tests {
         }
         .build(t);
         let groups: std::collections::HashSet<u32> = p
-            .hotspot_nodes()
+            .hotspot_nodes
+            .as_deref()
             .unwrap()
             .iter()
             .map(|&h| t.node_group(NodeId(h)).0)
@@ -690,7 +689,7 @@ mod tests {
             fraction: 1.0,
         }
         .build(t);
-        let hot = p.hotspot_nodes().unwrap()[0];
+        let hot = p.hotspot_nodes.as_deref().unwrap()[0];
         let mut r = rng();
         for _ in 0..2_000 {
             let d = p.destination(NodeId(hot), &mut r);

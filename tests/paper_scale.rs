@@ -62,7 +62,6 @@ fn a_fresh_router_is_its_state_not_its_allocations() {
         let topo = Dragonfly::new(params);
         let router = Router::new(RouterId(0), topo, NetworkConfig::paper_table1());
         let footprint = router.footprint();
-        assert_eq!(router.heap_bytes(), footprint.total());
         assert!(
             footprint.total() <= bound && footprint.buffers <= 16,
             "radix {}: {footprint:?} ({} bytes, bound {bound})",
@@ -109,7 +108,7 @@ fn paper_scale_runs_and_delivers() {
 /// `--ignored`: a router's packet store grows to its peak buffered packets,
 /// not to the VCs it has touched — at UN 0.01 over 2,000 cycles every
 /// router of the Table I network stays within a few slots on average. Also
-/// prints the bytes a router holds by then (`Router::heap_bytes`).
+/// prints the bytes a router holds by then (`Footprint::total`).
 #[test]
 #[ignore = "paper-scale footprint (tens of seconds); run with --ignored"]
 fn paper_scale_packet_slots_follow_live_packets() {
@@ -123,7 +122,10 @@ fn paper_scale_packet_slots_follow_live_packets() {
         slots <= 8 * routers,
         "{slots} packet slots over {routers} routers"
     );
-    let bytes: usize = topo.routers().map(|r| net.router(r).heap_bytes()).sum();
+    let bytes: usize = topo
+        .routers()
+        .map(|r| net.router(r).footprint().total())
+        .sum();
     println!(
         "{:.2} packet slots and {:.0} bytes per router",
         slots as f64 / routers as f64,
