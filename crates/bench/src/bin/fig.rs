@@ -14,11 +14,13 @@
 //! * `9` — long-timescale latency after UN→ADV+1 for PB versus ECtN, showing
 //!   PB's routing oscillations and ECtN's flat response.
 //! * `10` — sensitivity of Base to the misrouting threshold under UN and
-//!   ADV+1 traffic (`un` / `adv1` select one; default both).
+//!   ADV+1 traffic (`un` / `adv1` select one; default both; there is no
+//!   ADV+h sweep).
 //! * `table1` — Table I (simulation parameters) for the selected scale.
 //!
 //! Every figure is a Dragonfly-only paper reproduction (`figures.rs` builds
-//! the scale's canonical Dragonfly): `--topology=` selections are rejected.
+//! the scale's canonical Dragonfly): `--topology=` selections are rejected,
+//! and so are a pattern flag the figure does not read and a second pattern.
 //! Exit code 2 = bad arguments.
 
 use df_bench::Scale;
@@ -48,12 +50,21 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let has = |flag: &str| rest.iter().any(|a| a == flag);
     let flags: &[&str] = match figure.as_str() {
-        "5" | "10" => &["un", "adv1", "advh"],
+        "5" => &["un", "adv1", "advh"],
+        "10" => &["un", "adv1"],
         _ => &[],
     };
     let scale = Scale::from_args_dragonfly_only(&format!("fig {figure}"), flags, &rest);
+    let picks: Vec<&String> = rest
+        .iter()
+        .filter(|a| flags.contains(&a.as_str()))
+        .collect();
+    if let [first, second, ..] = picks[..] {
+        eprintln!("error: fig {figure} takes one pattern; two named ('{first}' and '{second}')");
+        std::process::exit(2);
+    }
+    let selected = |flag: &str| picks.first().is_none_or(|p| *p == flag);
     let adv1 = PatternKind::Adversarial { offset: 1 };
     let advh = PatternKind::Adversarial {
         offset: scale.topology.h,
@@ -61,17 +72,10 @@ fn main() {
 
     match figure.as_str() {
         "5" => {
-            let which = if has("un") {
-                vec![PatternKind::Uniform]
-            } else if has("adv1") {
-                vec![adv1]
-            } else if has("advh") {
-                vec![advh]
-            } else {
-                vec![PatternKind::Uniform, adv1, advh]
-            };
-            for pattern in which {
-                show_pair(df_bench::figure5(&scale, pattern));
+            for (flag, pattern) in [("un", PatternKind::Uniform), ("adv1", adv1), ("advh", advh)] {
+                if selected(flag) {
+                    show_pair(df_bench::figure5(&scale, pattern));
+                }
             }
         }
         "6" => show(df_bench::figure6(&scale, 0.35)),
@@ -105,11 +109,10 @@ fn main() {
             // the same way around the calibrated threshold
             let un_ths: Vec<u32> = (th.saturating_sub(3).max(1)..=th + 1).collect();
             let adv_ths: Vec<u32> = (th..=th + 6).step_by(2).collect();
-            let both = !(has("un") || has("adv1"));
-            if both || has("un") {
+            if selected("un") {
                 show_pair(df_bench::figure10(&scale, PatternKind::Uniform, &un_ths));
             }
-            if both || has("adv1") {
+            if selected("adv1") {
                 show_pair(df_bench::figure10(&scale, adv1, &adv_ths));
             }
         }

@@ -194,6 +194,23 @@ fn unknown_figures_abort_with_exit_2_listing_the_valid_ones() {
     }
 }
 
+#[test]
+fn fig_rejects_pattern_flags_its_figure_does_not_read() {
+    // Figure 10 has no ADV+h sweep, so `advh` must not run its UN and ADV+1
+    // sweeps under a flag that names neither
+    let stderr = rejected(env!("CARGO_BIN_EXE_fig"), &["10", "bench", "advh"]);
+    assert!(
+        stderr.contains("'advh'") && stderr.contains("flags: un, adv1"),
+        "fig 10 stderr must name the flag and the ones it reads: {stderr}"
+    );
+    // a figure runs one pattern or all of them; a second must not be dropped
+    let stderr = rejected(env!("CARGO_BIN_EXE_fig"), &["5", "bench", "un", "adv1"]);
+    assert!(
+        stderr.contains("'un'") && stderr.contains("'adv1'"),
+        "fig 5 stderr must name both patterns: {stderr}"
+    );
+}
+
 /// Run `fig <figure> <args>` at the `bench` scale and assert it exits 0 with
 /// a rendered table containing `title` on stdout.
 fn figure_smoke(figure: &str, args: &[&str], title: &str) {

@@ -7,13 +7,19 @@
 //! adding a router or reordering the per-cycle iteration does not perturb the
 //! random sequence seen by other entities. This is what makes the paper's
 //! "10 simulations averaged per point" reproducible as `seed in 0..10`.
+//!
+//! Every golden value and pinned snapshot is a function of the stream
+//! defined here: a stream seeded with `s` starts from the words
+//! `splitmix64(s + i · 0x9E37_79B9_7F4A_7C15)`, `i = 0..4` (SplitMix64
+//! expansion); each draw is one xoshiro256++ step (Blackman & Vigna, ACM TOMS
+//! 2021), which never reaches the all-zero state; `uniform` is the draw's top
+//! 53 bits times 2⁻⁵³, and `below(n)` is `(draw · n) >> 64` (Lemire's
+//! multiply-shift, ACM TOMACS 2019).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use crate::codec::CodecError;
 
 /// SplitMix64 finaliser — used to derive statistically independent seeds from
-/// `(seed, stream)` pairs. This is the standard constant set from Vigna's
-/// SplitMix64, which is also what `rand` uses internally to seed from `u64`.
+/// `(seed, stream)` pairs and to expand a seed into a stream's four words.
 #[inline]
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -23,10 +29,10 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// The raw draw at or above which a `bernoulli(p)` trial fails (`0 < p <
-/// 1`): `uniform()` is `m · 2^-53` for the draw's top 53 bits, so
-/// `uniform() < p` is exactly `m < t = ceil(p · 2^53)` (scaling by a power
-/// of two is exact), and since `t ≤ 2^53 − 1` for every `p < 1`, exactly
-/// `draw < t · 2^11`.
+/// 1`): [`DeterministicRng::uniform`] is `m · 2^-53` for the draw's top 53
+/// bits `m`, so `uniform() < p` is exactly `m < t = ceil(p · 2^53)` (scaling
+/// by a power of two is exact), and since `t ≤ 2^53 − 1` for every `p < 1`,
+/// exactly `draw < t · 2^11`.
 #[inline]
 fn failure_threshold(p: f64) -> u64 {
     debug_assert!(p > 0.0 && p < 1.0, "a trial that draws: 0 < p < 1");
@@ -50,24 +56,26 @@ pub fn failure_run_table(p: f64, bound: u32) -> Vec<u64> {
     .collect()
 }
 
-/// A deterministic random number generator with named sub-streams.
-///
-/// Internally wraps [`rand::rngs::SmallRng`] (xoshiro256++ on 64-bit
-/// platforms): fast, not cryptographic, statistically solid — exactly the
-/// trade-off a network simulator wants.
+/// A deterministic random number generator with named sub-streams: the
+/// split-derivation seed and the xoshiro256++ words of the module docs'
+/// stream. Fast, not cryptographic, statistically solid.
 #[derive(Debug, Clone)]
 pub struct DeterministicRng {
     seed: u64,
-    inner: SmallRng,
+    words: [u64; 4],
 }
 
 impl DeterministicRng {
+    /// The generator with split-derivation seed `seed` and stream seed `s`.
+    fn seeded(seed: u64, s: u64) -> Self {
+        let word = |i: u64| splitmix64(s.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let words = [0, 1, 2, 3].map(word);
+        DeterministicRng { seed, words }
+    }
+
     /// Create the root generator for an experiment.
     pub fn new(seed: u64) -> Self {
-        DeterministicRng {
-            seed,
-            inner: SmallRng::seed_from_u64(splitmix64(seed)),
-        }
+        Self::seeded(seed, splitmix64(seed))
     }
 
     /// The seed this generator (or its ancestor) was created from.
@@ -80,16 +88,13 @@ impl DeterministicRng {
     /// the same sequence, independent of any draws made on `self`.
     pub fn split(&self, stream: u64) -> DeterministicRng {
         let mixed = splitmix64(self.seed ^ splitmix64(stream.wrapping_add(0xA5A5_5A5A_DEAD_BEEF)));
-        DeterministicRng {
-            seed: mixed,
-            inner: SmallRng::seed_from_u64(mixed),
-        }
+        Self::seeded(mixed, mixed)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
+    /// Uniform `f64` in `[0, 1)`: the draw's top 53 bits times 2⁻⁵³.
     #[inline]
     pub(crate) fn uniform(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
@@ -100,7 +105,7 @@ impl DeterministicRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.uniform() < p
         }
     }
 
@@ -113,22 +118,22 @@ impl DeterministicRng {
     /// exactly the draws on which `bernoulli(p)` succeeds.
     #[inline]
     pub fn failure_run(&mut self, table: &[u64]) -> u32 {
-        let w = !self.inner.next_u64();
+        let w = !self.next_u64();
         table.partition_point(|&s| s > w) as u32
     }
 
-    /// Uniform integer in `[0, bound)`. `bound` must be non-zero.
+    /// Uniform integer in `[0, bound)`: `(draw · bound) >> 64`. `bound` must
+    /// be non-zero.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
-        self.inner.gen_range(0..bound)
+        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
     /// Uniform integer in `[0, bound)` as `usize`.
     #[inline]
     pub fn index(&mut self, bound: usize) -> usize {
-        debug_assert!(bound > 0);
-        self.inner.gen_range(0..bound)
+        self.below(bound as u64) as usize
     }
 
     /// Exponentially distributed `f64` with the given mean (inverse-CDF
@@ -140,10 +145,19 @@ impl DeterministicRng {
         -mean * (1.0 - self.uniform()).ln()
     }
 
-    /// Raw 64-bit draw.
+    /// Raw 64-bit draw: one xoshiro256++ step.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.words;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// Capture the complete generator state: the split-derivation seed and
@@ -152,14 +166,16 @@ impl DeterministicRng {
     /// *and* future [`split`](Self::split) derivations) from the point of
     /// capture — the primitive behind simulation snapshots.
     pub fn state(&self) -> (u64, [u64; 4]) {
-        (self.seed, self.inner.state())
+        (self.seed, self.words)
     }
 
-    /// Rebuild a generator from a [`state`](Self::state) capture.
-    pub fn from_state(seed: u64, words: [u64; 4]) -> Self {
-        DeterministicRng {
-            seed,
-            inner: SmallRng::from_state(words),
+    /// Rebuild a generator from a [`state`](Self::state) capture. All-zero
+    /// words are refused: no stream reaches them, and a generator built from
+    /// them would draw 0 forever.
+    pub fn from_state(seed: u64, words: [u64; 4]) -> Result<Self, CodecError> {
+        match words {
+            [0, 0, 0, 0] => Err(CodecError::Invalid("an all-zero random stream".into())),
+            words => Ok(DeterministicRng { seed, words }),
         }
     }
 }
@@ -370,7 +386,7 @@ mod tests {
             r.next_u64();
         }
         let (seed, words) = r.state();
-        let mut copy = DeterministicRng::from_state(seed, words);
+        let mut copy = DeterministicRng::from_state(seed, words).expect("a captured state");
         // draws continue identically…
         for _ in 0..64 {
             assert_eq!(r.next_u64(), copy.next_u64());
@@ -381,6 +397,33 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(sa.next_u64(), sb.next_u64());
         }
+    }
+
+    /// The xoshiro256++ reference outputs from the words `[1, 2, 3, 4]`; the
+    /// first is `rotl(1 + 4, 23) + 1`.
+    #[test]
+    fn the_step_matches_the_xoshiro256pp_reference() {
+        let mut r = DeterministicRng::from_state(0, [1, 2, 3, 4]).expect("non-zero words");
+        let draws: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
+        assert_eq!(draws[0], (5u64 << 23) + 1);
+        assert_eq!(
+            draws,
+            [
+                41_943_041,
+                58_720_359,
+                3_588_806_011_781_223,
+                3_591_011_842_654_386
+            ]
+        );
+    }
+
+    #[test]
+    fn from_state_refuses_the_stuck_zero_state() {
+        assert!(matches!(
+            DeterministicRng::from_state(7, [0; 4]),
+            Err(CodecError::Invalid(_))
+        ));
+        assert!(DeterministicRng::from_state(7, [0, 0, 0, 1]).is_ok());
     }
 
     #[test]

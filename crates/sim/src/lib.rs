@@ -23,8 +23,8 @@
 //!   barriers) on top of the packet engine, alone (offered load 0) or
 //!   under background traffic, with per-job completion time and rank
 //!   stall accounting ([`task::JobsEngine`]),
-//! * [`probe`] — observers of the per-cycle pipeline: per-phase wall time
-//!   and exact work counts ([`probe::PhaseClock`]),
+//! * [`probe`] — the phase clock ([`Network::set_phase_clock`]): per-phase
+//!   wall time and exact work counts of the per-cycle pipeline,
 //! * [`metrics`], [`events`], [`node`] — supporting machinery.
 //!
 //! ```

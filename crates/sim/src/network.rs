@@ -91,7 +91,7 @@ use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::Metrics;
 use crate::node::{Node, Nodes};
 use crate::phase::{route_and_allocate_one, transmit_one, Effects, StepCtx, StepScratch};
-use crate::probe::{Phase, Probe, StepCounts};
+use crate::probe::{Phase, PhaseTotals, StepCounts};
 use crate::task::JobsEngine;
 
 #[path = "snapshot.rs"]
@@ -191,8 +191,8 @@ pub struct Network {
     scratch: StepScratch,
     /// Reusable buffer for due events (step 1).
     scratch_events: Vec<Event>,
-    /// The attached observer, if any (`crate::probe`): not simulation state.
-    probe: Option<Box<dyn Probe>>,
+    /// The phase clock, if one runs (`crate::probe`): not simulation state.
+    clock: Option<PhaseTotals>,
 }
 
 impl Network {
@@ -291,23 +291,28 @@ impl Network {
             dirty_groups: BitSet::full(num_groups as usize),
             scratch: StepScratch::default(),
             scratch_events: Vec::new(),
-            probe: None,
+            clock: None,
         }
     }
 
-    /// Attach `probe` to observe every later step (`None` detaches it). A
-    /// probe only observes: a probed run takes the same trajectory and
-    /// snapshots to the same bytes as an unprobed one.
-    pub fn set_probe(&mut self, probe: Option<Box<dyn Probe>>) {
-        self.probe = probe;
+    /// Run the phase clock from `totals` over every later step (`None`
+    /// stops it). The clock only observes: a clocked run takes the same
+    /// trajectory and snapshots to the same bytes as an unclocked one.
+    pub fn set_phase_clock(&mut self, totals: Option<PhaseTotals>) {
+        self.clock = totals;
     }
 
-    /// Hand the phase that just ended to the probe, if one is attached, and
-    /// restart the phase clock.
-    fn lap(&mut self, clock: &mut Option<Instant>, phase: Phase) {
-        if let (Some(probe), Some(start)) = (self.probe.as_mut(), clock.as_mut()) {
+    /// The phase clock's totals so far, if it runs.
+    pub fn phase_clock(&self) -> Option<&PhaseTotals> {
+        self.clock.as_ref()
+    }
+
+    /// Add the phase that just ended to the phase clock, if it runs, and
+    /// restart the lap.
+    fn lap(&mut self, start: &mut Option<Instant>, phase: Phase) {
+        if let (Some(totals), Some(start)) = (self.clock.as_mut(), start.as_mut()) {
             let now = Instant::now();
-            probe.phase(phase, now - *start);
+            totals.time[phase as usize] += now - *start;
             *start = now;
         }
     }
@@ -619,7 +624,7 @@ impl Network {
     /// Advance one cycle.
     pub fn step(&mut self) {
         let (now, topo) = (self.cycle, self.ctx.topo);
-        let mut clock = self.probe.is_some().then(Instant::now);
+        let mut lap = self.clock.is_some().then(Instant::now);
         self.scratch.counts = StepCounts::default();
 
         // ---- 0. traffic-phase change ----
@@ -700,7 +705,7 @@ impl Network {
             }
         }
         self.scratch_events = due;
-        self.lap(&mut clock, Phase::Deliver);
+        self.lap(&mut lap, Phase::Deliver);
 
         // ---- 2. generation + injection ----
         // jobs layer over stochastic generation: started jobs enqueue their
@@ -721,7 +726,7 @@ impl Network {
             &self.patterns[self.current_phase],
             &mut self.next_packet_id,
         );
-        self.lap(&mut clock, Phase::Generate);
+        self.lap(&mut lap, Phase::Generate);
         // injection visits only the nodes with a packet waiting, in
         // ascending node order (the order the all-node walk it replaces
         // found them in)
@@ -761,7 +766,7 @@ impl Network {
             self.heads.insert(router_id.index());
             router.receive_packet(port, vc, packet);
         });
-        self.lap(&mut clock, Phase::Inject);
+        self.lap(&mut lap, Phase::Inject);
 
         // ---- 3. control-plane dissemination ----
         // Each exchange also carries the piggybacked gateway-liveness bits:
@@ -792,7 +797,7 @@ impl Network {
         {
             self.metrics.record_stale_linkstate_cycle();
         }
-        self.lap(&mut clock, Phase::Control);
+        self.lap(&mut lap, Phase::Control);
 
         // ---- 4. routing + allocation ----
         // over the head set, ascending (which fixes the event sequence
@@ -818,7 +823,7 @@ impl Network {
                 router.occupied_ports() != 0
             });
         }
-        self.lap(&mut clock, Phase::Route);
+        self.lap(&mut lap, Phase::Route);
 
         // ---- 5. link transmission ----
         // over the staged routers whose next transmission is due, ascending;
@@ -839,7 +844,7 @@ impl Network {
             next[r] = router.next_transmit().unwrap_or(Cycle::MAX);
             next[r] != Cycle::MAX
         });
-        self.lap(&mut clock, Phase::Transmit);
+        self.lap(&mut lap, Phase::Transmit);
 
         // the gates against a full scan: every set is exactly the routers
         // it stands for, and each next-transmit cycle is the router's own
@@ -883,11 +888,11 @@ impl Network {
                 .all(|router| *router.link_view() == self.group_views[router.group().index()]),
             "a router's link view differs from its group's flooded view at cycle {now}"
         );
-        if self.probe.is_some() {
+        if self.clock.is_some() {
             self.scratch.counts.holding = self.active_routers() as u64;
         }
-        if let Some(probe) = self.probe.as_mut() {
-            probe.step(now, &self.scratch.counts);
+        if let Some(totals) = self.clock.as_mut() {
+            totals.add_step(&self.scratch.counts);
         }
 
         self.cycle += 1;
@@ -1278,15 +1283,14 @@ mod tests {
         let cfg = config(faults);
 
         let mut reference = Network::new(cfg.clone());
-        let clock = crate::probe::PhaseClock::default();
-        reference.set_probe(Some(Box::new(clock.clone())));
+        reference.set_phase_clock(Some(PhaseTotals::default()));
         let mut lost = 0;
         while reference.cycle() < down + 300 {
             reference.step();
             assert_router_sets_exact(&reference);
             lost = lost.max(reference.fault_lost_credits());
         }
-        let counts = clock.totals().counts;
+        let counts = reference.phase_clock().expect("a running clock").counts;
         let (grants, sends) = (counts.grants, counts.senders);
         assert!(
             grants > 1_000 && sends > 1_000,
@@ -1398,28 +1402,28 @@ mod tests {
         );
     }
 
-    /// The probe is a pure observer: a probed run lands on the same bytes and
-    /// the same results as an unprobed one, and its counts add up.
+    /// The phase clock is a pure observer: a clocked run lands on the same
+    /// bytes and the same results as an unclocked one, and its counts add up.
     #[test]
-    fn a_probe_observes_without_perturbing() {
-        use crate::probe::{Phase, PhaseClock};
-        let run = |clock: Option<PhaseClock>| {
+    fn a_phase_clock_observes_without_perturbing() {
+        let run = |clock: Option<PhaseTotals>| {
             let mut net = Network::new(small_config(
                 RoutingKind::PiggyBacking,
                 PatternKind::Uniform,
                 0.3,
             ));
-            net.set_probe(clock.map(|clock| Box::new(clock) as Box<dyn Probe>));
+            net.set_phase_clock(clock);
             net.metrics_mut().start_measurement(0);
             net.run_cycles(300);
-            (
+            let observed = (
                 net.snapshot(),
                 format!("{:?}", net.metrics().window_summary()),
-            )
+            );
+            (observed, net.phase_clock().copied())
         };
-        let clock = PhaseClock::default();
-        assert_eq!(run(Some(clock.clone())), run(None));
-        let totals = clock.totals();
+        let (clocked, totals) = run(Some(PhaseTotals::default()));
+        assert_eq!(run(None), (clocked, None));
+        let totals = totals.expect("a running clock");
         assert_eq!(totals.steps, 300);
         assert!(Phase::ALL.iter().all(|&p| totals.us_per_step(p) >= 0.0));
         let c = totals.counts;

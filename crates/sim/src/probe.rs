@@ -1,25 +1,24 @@
-//! Observers of the per-cycle pipeline.
+//! The phase clock: what the per-cycle pipeline spent and did.
 //!
-//! A [`Probe`] attached with [`Network::set_probe`] sees every phase of
-//! [`Network::step`] as it ends, with its wall time, and every step's exact
-//! work counts ([`StepCounts`]) as the step ends. The network checks for a
-//! probe once per phase, never per router: the per-router counts are
-//! accumulated as the walks run, probe or not, and handed over at the end
-//! of the step.
+//! [`Network::set_phase_clock`] starts a [`PhaseTotals`] that sums every
+//! later step's wall time per phase of [`Network::step`] and its exact work
+//! counts ([`StepCounts`]); [`Network::phase_clock`] reads it. The network
+//! reads the clock once per phase, never per router: the per-router counts
+//! are accumulated as the walks run, clock or not, and added at the end of
+//! the step. A caller that wants one step's numbers reads the totals around
+//! its own `step()`.
 //!
-//! A probe is a pure observer: nothing in the simulation reads what it
-//! records, so a probed run takes the same trajectory as an unprobed one and
-//! snapshots byte-identically (the probe is not simulation state and is not
-//! in the payload). [`PhaseClock`] is the probe that sums both over a run;
-//! `cargo run --release --example phases` prints its tables.
+//! The clock is a pure observer: nothing in the simulation reads what it
+//! records, so a clocked run takes the same trajectory as an unclocked one
+//! and snapshots byte-identically (the clock is not simulation state and is
+//! not in the payload). `cargo run --release --example phases` prints its
+//! tables.
 //!
-//! [`Network::set_probe`]: crate::Network::set_probe
+//! [`Network::set_phase_clock`]: crate::Network::set_phase_clock
+//! [`Network::phase_clock`]: crate::Network::phase_clock
 //! [`Network::step`]: crate::Network::step
 
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-use df_model::Cycle;
 
 /// A phase of [`Network::step`](crate::Network::step), in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,33 +93,7 @@ pub struct StepCounts {
     pub holding: u64,
 }
 
-impl StepCounts {
-    /// Add `other` to these counts, field by field.
-    pub(crate) fn add(&mut self, other: &StepCounts) {
-        self.events += other.events;
-        self.due_ticks += other.due_ticks;
-        self.gap_draws += other.gap_draws;
-        self.pb_exchanges += other.pb_exchanges;
-        self.pb_refreshes += other.pb_refreshes;
-        self.router_iterations += other.router_iterations;
-        self.heads += other.heads;
-        self.requests += other.requests;
-        self.grants += other.grants;
-        self.transmit_visits += other.transmit_visits;
-        self.senders += other.senders;
-        self.holding += other.holding;
-    }
-}
-
-/// An observer of [`Network::step`](crate::Network::step) (module docs).
-pub trait Probe: Send {
-    /// `phase` of the current step ended after `elapsed` of wall time.
-    fn phase(&mut self, phase: Phase, elapsed: Duration);
-    /// The step of `cycle` ended, having done `counts`.
-    fn step(&mut self, cycle: Cycle, counts: &StepCounts);
-}
-
-/// What a [`PhaseClock`] has summed.
+/// What the phase clock has summed (module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
     /// Steps observed.
@@ -132,51 +105,31 @@ pub struct PhaseTotals {
 }
 
 impl PhaseTotals {
+    /// Add one step's work counts: the end of a clocked step.
+    pub(crate) fn add_step(&mut self, step: &StepCounts) {
+        self.steps += 1;
+        let c = &mut self.counts;
+        c.events += step.events;
+        c.due_ticks += step.due_ticks;
+        c.gap_draws += step.gap_draws;
+        c.pb_exchanges += step.pb_exchanges;
+        c.pb_refreshes += step.pb_refreshes;
+        c.router_iterations += step.router_iterations;
+        c.heads += step.heads;
+        c.requests += step.requests;
+        c.grants += step.grants;
+        c.transmit_visits += step.transmit_visits;
+        c.senders += step.senders;
+        c.holding += step.holding;
+    }
+
     /// Mean microseconds per step spent in `phase`.
     pub fn us_per_step(&self, phase: Phase) -> f64 {
-        let i = Phase::ALL
-            .iter()
-            .position(|&p| p == phase)
-            .expect("a phase");
-        self.time[i].as_secs_f64() * 1e6 / self.steps.max(1) as f64
+        self.time[phase as usize].as_secs_f64() * 1e6 / self.steps.max(1) as f64
     }
 
     /// Mean per step of a count read by `field`.
     pub fn per_step(&self, field: impl Fn(&StepCounts) -> u64) -> f64 {
         field(&self.counts) as f64 / self.steps.max(1) as f64
-    }
-}
-
-/// A probe that sums phase times and work counts over every step it sees.
-/// Clones share the totals, so a caller keeps one clone and hands the
-/// network another.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseClock {
-    totals: Arc<Mutex<PhaseTotals>>,
-}
-
-impl PhaseClock {
-    /// The totals so far.
-    pub fn totals(&self) -> PhaseTotals {
-        *self.totals.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Probe for PhaseClock {
-    fn phase(&mut self, phase: Phase, elapsed: Duration) {
-        let i = Phase::ALL
-            .iter()
-            .position(|&p| p == phase)
-            .expect("a phase");
-        self.totals
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .time[i] += elapsed;
-    }
-
-    fn step(&mut self, _cycle: Cycle, counts: &StepCounts) {
-        let mut totals = self.totals.lock().unwrap_or_else(PoisonError::into_inner);
-        totals.steps += 1;
-        totals.counts.add(counts);
     }
 }

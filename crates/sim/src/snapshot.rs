@@ -310,7 +310,7 @@ impl Network {
         for rng in &mut net.router_rngs {
             let seed = d.u64()?;
             let words = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-            *rng = DeterministicRng::from_state(seed, words);
+            *rng = DeterministicRng::from_state(seed, words)?;
         }
         let bounds = PacketBounds::new(&net.ctx.topo, net.config.network.packet_size_phits);
         let injection_vcs = usize::from(net.config.network.vcs.injection);
@@ -1040,15 +1040,16 @@ mod tests {
         assert!(Network::restore(cfg, &with(&[(24, injected), (delivered, total)])).is_ok());
     }
 
-    /// Where node 0's burst state, injector gap and VC pointer lie in
-    /// `payload`: the nodes section is found by its bytes, then decoded up
-    /// to each field.
-    fn node_zero_fields(net: &Network, payload: &[u8]) -> [usize; 3] {
+    /// Where node 0's random stream, burst state, injector gap and VC
+    /// pointer lie in `payload`: the nodes section is found by its bytes,
+    /// then decoded up to each field.
+    fn node_zero_fields(net: &Network, payload: &[u8]) -> [usize; 4] {
         let mut e = Encoder::new();
         net.nodes.save_state(&mut e, net.cycle);
         let section = e.into_bytes();
         let (at, mut d) = (position(payload, &section), Decoder::new(&section));
         d.f64().unwrap(); // the shared offered load
+        let stream = at + d.position();
         for _ in 0..5 {
             d.u64().unwrap(); // node 0's stream: seed and four words
         }
@@ -1061,7 +1062,7 @@ mod tests {
         for _ in 0..d.seq(8).unwrap() {
             Packet::decode(&mut d, &bounds).unwrap();
         }
-        [on, gap, at + d.position()]
+        [stream, on, gap, at + d.position()]
     }
 
     #[test]
@@ -1079,7 +1080,7 @@ mod tests {
             let mut net = Network::new(cfg.clone());
             net.run_cycles(40);
             let bytes = net.snapshot();
-            let [_, at, _] = node_zero_fields(&net, &bytes[20..bytes.len() - 8]);
+            let [_, _, at, _] = node_zero_fields(&net, &bytes[20..bytes.len() - 8]);
             let with = |gap: u32| {
                 forged(&bytes, |p| {
                     p[at..at + 4].copy_from_slice(&gap.to_le_bytes())
@@ -1090,6 +1091,30 @@ mod tests {
                 let restored = Network::restore(cfg.clone(), &with(LOOKAHEAD_BOUND - 1));
                 assert!(restored.is_ok(), "the longest gap a run leaves restores");
             }
+        }
+    }
+
+    /// xoshiro256++ never reaches the all-zero state, so a zeroed stream is
+    /// forged, and a generator that accepted it would draw 0 forever (or,
+    /// rewritten, re-snapshot to other bytes). Router 0's stream is found by
+    /// its own state bytes, node 0's by decoding the nodes section.
+    #[test]
+    fn forged_zeroed_random_streams_are_refused() {
+        let cfg = config(KernelMode::Optimized, 3);
+        let mut net = Network::new(cfg.clone());
+        net.run_cycles(40);
+        let bytes = net.snapshot();
+        let payload = &bytes[20..bytes.len() - 8];
+        let (seed, words) = net.router_rngs[0].state();
+        let mut e = Encoder::new();
+        for w in [seed, words[0], words[1], words[2], words[3]] {
+            e.u64(w);
+        }
+        let router = position(payload, &e.into_bytes()) + 8;
+        let [node, ..] = node_zero_fields(&net, payload);
+        for (at, what) in [(router, "router 0's stream"), (node + 8, "node 0's stream")] {
+            let zeroed = forged(&bytes, |p| p[at..at + 32].fill(0));
+            assert_invalid(&cfg, &zeroed, what);
         }
     }
 
@@ -1109,7 +1134,7 @@ mod tests {
             let mut net = Network::new(cfg.clone());
             net.run_cycles(40);
             let bytes = net.snapshot();
-            let [on, _, next_vc] = node_zero_fields(&net, &bytes[20..bytes.len() - 8]);
+            let [_, on, _, next_vc] = node_zero_fields(&net, &bytes[20..bytes.len() - 8]);
             let with = |at: usize, value: &[u8]| {
                 forged(&bytes, |p| p[at..at + value.len()].copy_from_slice(value))
             };

@@ -350,14 +350,15 @@ impl Injector {
     /// [`tick`](Self::tick) behaves bit-identically to the injector the
     /// state was captured from. A gap no run leaves (`LOOKAHEAD_BOUND` or
     /// longer), a gap or certain success on a process that draws none, or
-    /// an off burst state on a process that is not `Bursty`, is refused.
+    /// an off burst state on a process that is not `Bursty`, or an all-zero
+    /// random stream, is refused.
     pub fn restore_state(&mut self, d: &mut df_engine::Decoder) -> Result<(), CodecError> {
         let seed = d.u64()?;
         let mut words = [0u64; 4];
         for w in &mut words {
             *w = d.u64()?;
         }
-        self.rng = DeterministicRng::from_state(seed, words);
+        self.rng = DeterministicRng::from_state(seed, words)?;
         self.on = d.bool()?;
         if !self.on && !matches!(self.kind, InjectionKind::Bursty { .. }) {
             let what = format!("an off burst state on a {} process", self.kind.label());

@@ -1,5 +1,5 @@
 //! Where the time goes inside `Network::step`: per-phase wall time and
-//! exact work counts, from the phase clock (`df_sim::probe::PhaseClock`).
+//! exact work counts, from the phase clock (`Network::set_phase_clock`).
 //!
 //! ```text
 //! cargo run --release --example phases [runs]
@@ -22,7 +22,7 @@
 //! and for the whole step; counts are exact and equal in every run.
 
 use contention_dragonfly::prelude::*;
-use contention_dragonfly::sim::probe::{Phase, PhaseClock, PhaseTotals, StepCounts};
+use contention_dragonfly::sim::probe::{Phase, PhaseTotals, StepCounts};
 use contention_dragonfly::sim::Network;
 use std::cell::Cell;
 
@@ -47,11 +47,11 @@ fn config(
 
 /// Run `steps` steps of `net` under a phase clock and return its totals.
 fn clocked(net: &mut Network, steps: u64) -> PhaseTotals {
-    let clock = PhaseClock::default();
-    net.set_probe(Some(Box::new(clock.clone())));
+    net.set_phase_clock(Some(PhaseTotals::default()));
     net.run_cycles(steps);
-    net.set_probe(None);
-    clock.totals()
+    let totals = *net.phase_clock().expect("a running clock");
+    net.set_phase_clock(None);
+    totals
 }
 
 /// Mean µs per step over every phase.
