@@ -212,8 +212,10 @@ fn fig_rejects_pattern_flags_its_figure_does_not_read() {
 }
 
 /// Run `fig <figure> <args>` at the `bench` scale and assert it exits 0 with
-/// a rendered table containing `title` on stdout.
-fn figure_smoke(figure: &str, args: &[&str], title: &str) {
+/// a rendered table containing `title` on stdout, and that stdout's
+/// FNV-1a-64 is `digest` — captured while each figure still ran one sweep
+/// per series, so every number a figure prints is pinned bit for bit.
+fn figure_smoke(figure: &str, args: &[&str], title: &str, digest: u64) {
     let out = Command::new(env!("CARGO_BIN_EXE_fig"))
         .arg(figure)
         .args(args)
@@ -233,41 +235,46 @@ fn figure_smoke(figure: &str, args: &[&str], title: &str) {
         stdout.lines().filter(|l| !l.trim().is_empty()).count() >= 3,
         "fig {figure} must print a rendered table (title, header, rows): {stdout}"
     );
+    let got = df_engine::codec::fnv1a64(&out.stdout);
+    assert_eq!(
+        got, digest,
+        "fig {figure} {args:?} stdout digest {got:#018X} left the pinned {digest:#018X}: {stdout}"
+    );
 }
 
 #[test]
 fn fig5_runs_at_bench_scale() {
-    figure_smoke("5", &["bench", "un"], "Figure 5");
+    figure_smoke("5", &["bench", "un"], "Figure 5", 0x95ED_E3F8_79BE_CEDF);
 }
 
 #[test]
 fn fig6_runs_at_bench_scale() {
-    figure_smoke("6", &["bench"], "Figure 6");
+    figure_smoke("6", &["bench"], "Figure 6", 0xDFE7_99B0_0572_5F21);
 }
 
 #[test]
 fn fig7_runs_at_bench_scale() {
-    figure_smoke("7", &["bench"], "Figure 7");
+    figure_smoke("7", &["bench"], "Figure 7", 0x42F2_12D5_20C5_FF06);
 }
 
 #[test]
 fn fig8_runs_at_bench_scale() {
-    figure_smoke("8", &["bench"], "Figure 8");
+    figure_smoke("8", &["bench"], "Figure 8", 0xEF3F_17A9_6635_FE46);
 }
 
 #[test]
 fn fig9_runs_at_bench_scale() {
-    figure_smoke("9", &["bench"], "Figure 9");
+    figure_smoke("9", &["bench"], "Figure 9", 0x39AD_4D02_20D6_E9BB);
 }
 
 #[test]
 fn fig10_runs_at_bench_scale() {
-    figure_smoke("10", &["bench", "un"], "Figure 10");
+    figure_smoke("10", &["bench", "un"], "Figure 10", 0xABF5_25B9_DC3D_403E);
 }
 
 #[test]
 fn table1_runs_at_bench_scale() {
-    figure_smoke("table1", &["bench"], "Table I");
+    figure_smoke("table1", &["bench"], "Table I", 0x57A2_D66C_AD60_FD35);
 }
 
 #[test]
