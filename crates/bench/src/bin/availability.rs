@@ -30,11 +30,10 @@
 
 use std::path::PathBuf;
 
-use df_bench::{parse_kv, write_or_exit, Scale};
+use df_bench::{parse_kv, run_service_or_exit, write_or_exit, Scale};
 use df_engine::Table;
 use df_routing::RoutingKind;
-use df_sim::runner::{run_sweep_service, RunnerOptions};
-use df_sim::{ChurnModel, ChurnRate, Scenario, ScenarioMatrix, SimulationConfig};
+use df_sim::{ChurnModel, ChurnRate, RunnerOptions, Scenario, ScenarioMatrix, SimulationConfig};
 use df_traffic::PatternKind;
 
 fn main() {
@@ -109,33 +108,15 @@ fn main() {
 
     let mut options = RunnerOptions::new(PathBuf::from(run_dir));
     options.threads = parse_kv(&args, "threads").unwrap_or(df_sim::num_threads() as u64) as usize;
-    let outcome = match run_sweep_service(&matrix, &options) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("availability sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "availability: {} sub-runs recovered, {} executed, {} resumed mid-cell",
-        outcome.recovered_subruns,
-        outcome.executed_subruns,
-        outcome.resumed_from_snapshot.len(),
-    );
-    if !outcome.complete {
-        eprintln!("availability: interrupted; rerun the same command to resume");
-        std::process::exit(3);
-    }
-
-    // Pooled delivery of the churn-free scenario, per routing.
-    let healthy = |routing: RoutingKind| -> u64 {
-        outcome
-            .cells
+    let cells = run_service_or_exit("availability", &matrix, &options);
+    let report = |scenario: &str, routing: RoutingKind| {
+        let cell = cells
             .iter()
-            .find(|c| c.key.scenario == "healthy" && c.key.routing == routing)
-            .map(|c| c.report.delivered_packets)
-            .expect("healthy reference cell present")
+            .find(|c| c.key.scenario == scenario && c.key.routing == routing);
+        &cell.expect("every matrix cell is present").report
     };
+    // Pooled delivery of the churn-free scenario, per routing.
+    let healthy = |routing| report("healthy", routing).delivered_packets;
 
     let header = "routing,mtbf_cycles,mttr_cycles,failure_rate_per_link_cycle,seeds,\
          delivered_window,healthy_window,throughput_retained,avg_latency,latency_ci95,\
@@ -144,12 +125,7 @@ fn main() {
     let mut table = Table::new("availability under failure churn", &header);
     for (name, mtbf, mttr) in &cell_of {
         for routing in routings {
-            let cell = outcome
-                .cells
-                .iter()
-                .find(|c| &c.key.scenario == name && c.key.routing == routing)
-                .expect("churn cell present");
-            let r = &cell.report;
+            let r = report(name, routing);
             let healthy = healthy(routing);
             let retained = r.delivered_packets as f64 / healthy as f64;
             let loss = r.dropped_on_fault_packets as f64 / r.injected_packets as f64;
@@ -181,14 +157,8 @@ fn main() {
     // discovery-only Base. Report the comparison so a regression is
     // visible in the bench output, not just in the committed CSV.
     for (name, mtbf, mttr) in &cell_of {
-        let retained = |routing: RoutingKind| -> f64 {
-            outcome
-                .cells
-                .iter()
-                .find(|c| &c.key.scenario == name && c.key.routing == routing)
-                .map(|c| c.report.delivered_packets as f64 / healthy(routing) as f64)
-                .unwrap()
-        };
+        let retained =
+            |routing| report(name, routing).delivered_packets as f64 / healthy(routing) as f64;
         let base = retained(RoutingKind::Base);
         let pb = retained(RoutingKind::PiggyBacking);
         let ectn = retained(RoutingKind::Ectn);

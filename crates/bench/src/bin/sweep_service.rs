@@ -38,10 +38,9 @@
 
 use std::path::PathBuf;
 
-use df_bench::{or_exit_2, parse_kv, write_or_exit, Scale};
+use df_bench::{or_exit_2, parse_kv, run_service_or_exit, write_or_exit, Scale};
 use df_routing::RoutingKind;
-use df_sim::runner::{run_sweep_service, RunnerOptions};
-use df_sim::{matrix_table, FaultPlan, Scenario, ScenarioMatrix, SimulationConfig};
+use df_sim::{matrix_table, FaultPlan, RunnerOptions, Scenario, ScenarioMatrix, SimulationConfig};
 use df_topology::{GroupId, RouterId};
 use df_traffic::{InjectionKind, PatternKind};
 
@@ -161,30 +160,13 @@ fn main() {
         options.run_dir.display(),
     );
 
-    let outcome = match run_sweep_service(&matrix, &options) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("sweep service failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "sweep service: {} sub-runs recovered from the journal, {} executed, {} resumed mid-cell",
-        outcome.recovered_subruns,
-        outcome.executed_subruns,
-        outcome.resumed_from_snapshot.len(),
-    );
-    if !outcome.complete {
-        eprintln!("sweep service: interrupted; rerun the same command to resume");
-        std::process::exit(3);
-    }
-
+    let cells = run_service_or_exit("sweep service", &matrix, &options);
     let table = matrix_table(
         format!(
             "sweep service ({} {:?}, seed 1)",
             scale.name, scale.topology_kind
         ),
-        &outcome.cells,
+        &cells,
     );
     let rendered_csv = table.to_csv();
     let results_path = options.run_dir.join("results.csv");

@@ -17,22 +17,43 @@ use df_traffic::{PatternKind, TrafficSchedule};
 
 use crate::scale::Scale;
 
-/// The mechanisms plotted in Figures 5–8: the oblivious reference (MIN for
-/// UN, VAL for ADV) plus the two credit-based and the three contention-based
-/// adaptive mechanisms.
-pub(crate) fn figure5_routings(pattern: PatternKind) -> Vec<RoutingKind> {
-    let reference = match pattern {
+/// The five adaptive mechanisms of Figures 5–8, in the paper's order: the
+/// two credit-based (PB, OLM) and the three contention-based (Base, Hybrid,
+/// ECtN).
+const ADAPTIVE: [RoutingKind; 5] = [
+    RoutingKind::PiggyBacking,
+    RoutingKind::Olm,
+    RoutingKind::Base,
+    RoutingKind::Hybrid,
+    RoutingKind::Ectn,
+];
+
+/// The oblivious reference a load sweep is plotted against: MIN for UN,
+/// VAL for ADV.
+fn reference(pattern: PatternKind) -> RoutingKind {
+    match pattern {
         PatternKind::Uniform => RoutingKind::Minimal,
         _ => RoutingKind::Valiant,
-    };
-    vec![
-        reference,
-        RoutingKind::PiggyBacking,
-        RoutingKind::Olm,
-        RoutingKind::Base,
-        RoutingKind::Hybrid,
-        RoutingKind::Ectn,
-    ]
+    }
+}
+
+/// The offered loads a load sweep under `pattern` visits.
+fn loads(scale: &Scale, pattern: PatternKind) -> &[f64] {
+    match pattern {
+        PatternKind::Uniform => &scale.uniform_loads,
+        _ => &scale.adversarial_loads,
+    }
+}
+
+/// The mechanisms plotted in Figure 5: the oblivious reference, then the
+/// five adaptive ones.
+fn figure5_routings(pattern: PatternKind) -> Vec<RoutingKind> {
+    [&[reference(pattern)][..], &ADAPTIVE].concat()
+}
+
+/// A table whose first column is `first`, followed by `columns`.
+fn series_table(title: String, first: &str, columns: &[&str]) -> Table {
+    Table::new(title, &[&[first], columns].concat())
 }
 
 fn base_config(
@@ -54,22 +75,46 @@ fn base_config(
         .expect("scale configurations are valid")
 }
 
-fn sweep_reports(
+/// Run the configuration of every `outer × inner` pair in one sweep — the
+/// pool sees the whole figure at once — and return the reports one `Vec`
+/// per `outer` item, in `inner` order.
+fn sweep_grid<O, I>(
     scale: &Scale,
-    routings: &[RoutingKind],
-    pattern: PatternKind,
-    loads: &[f64],
+    outer: &[O],
+    inner: &[I],
+    config: impl Fn(&O, &I) -> SimulationConfig,
 ) -> Vec<Vec<SteadyStateReport>> {
-    routings
+    let config = &config;
+    let configs: Vec<SimulationConfig> = outer
         .iter()
-        .map(|&routing| {
-            let configs: Vec<SimulationConfig> = loads
-                .iter()
-                .map(|&load| base_config(scale, routing, pattern, load))
-                .collect();
-            run_sweep(&configs, scale.seeds, df_sim::num_threads())
-        })
+        .flat_map(|o| inner.iter().map(move |i| config(o, i)))
+        .collect();
+    run_sweep(&configs, scale.seeds, df_sim::num_threads())
+        .chunks(inner.len())
+        .map(<[SteadyStateReport]>::to_vec)
         .collect()
+}
+
+/// The latency and accepted-load pair of Figures 5 and 10: one row per
+/// offered load, one column per series of reports.
+fn load_tables(
+    titles: [String; 2],
+    columns: &[&str],
+    loads: &[f64],
+    series: &[Vec<SteadyStateReport>],
+) -> (Table, Table) {
+    let [mut latency, mut throughput] =
+        titles.map(|title| series_table(title, "offered_load", columns));
+    for (i, &load) in loads.iter().enumerate() {
+        let row = |value: fn(&SteadyStateReport) -> f64| -> Vec<f64> {
+            std::iter::once(load)
+                .chain(series.iter().map(|s| value(&s[i])))
+                .collect()
+        };
+        latency.push_numeric_row(&row(|r| r.avg_packet_latency), 2);
+        throughput.push_numeric_row(&row(|r| r.accepted_load), 4);
+    }
+    (latency, throughput)
 }
 
 /// Table I: the simulation parameters of the given scale (the paper's table
@@ -171,71 +216,39 @@ pub fn table1(scale: &Scale) -> Table {
 /// `(latency_table, throughput_table)`.
 pub fn figure5(scale: &Scale, pattern: PatternKind) -> (Table, Table) {
     let routings = figure5_routings(pattern);
-    let loads = match pattern {
-        PatternKind::Uniform => &scale.uniform_loads,
-        _ => &scale.adversarial_loads,
-    };
-    let all = sweep_reports(scale, &routings, pattern, loads);
-
-    let mut headers: Vec<String> = vec!["offered_load".into()];
-    headers.extend(routings.iter().map(|r| r.label().to_string()));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-
-    let mut latency = Table::new(
-        format!(
-            "Figure 5 ({}) — average packet latency (cycles)",
-            pattern.label()
-        ),
-        &header_refs,
-    );
-    let mut throughput = Table::new(
-        format!(
-            "Figure 5 ({}) — accepted load (phits/node/cycle)",
-            pattern.label()
-        ),
-        &header_refs,
-    );
-    for (i, &load) in loads.iter().enumerate() {
-        let mut lat_row = vec![load];
-        let mut thr_row = vec![load];
-        for series in &all {
-            lat_row.push(series[i].avg_packet_latency);
-            thr_row.push(series[i].accepted_load);
-        }
-        latency.push_numeric_row(&lat_row, 2);
-        throughput.push_numeric_row(&thr_row, 4);
-    }
-    (latency, throughput)
+    let loads = loads(scale, pattern);
+    let series = sweep_grid(scale, &routings, loads, |&routing, &load| {
+        base_config(scale, routing, pattern, load)
+    });
+    let label = pattern.label();
+    load_tables(
+        [
+            format!("Figure 5 ({label}) — average packet latency (cycles)"),
+            format!("Figure 5 ({label}) — accepted load (phits/node/cycle)"),
+        ],
+        &routings.iter().map(|r| r.label()).collect::<Vec<_>>(),
+        loads,
+        &series,
+    )
 }
 
 /// Figure 6: average latency under an ADV+1/UN mix at a fixed total load,
 /// versus the percentage of uniform traffic.
 pub fn figure6(scale: &Scale, total_load: f64) -> Table {
-    let routings = [
-        RoutingKind::PiggyBacking,
-        RoutingKind::Olm,
-        RoutingKind::Base,
-        RoutingKind::Hybrid,
-        RoutingKind::Ectn,
-    ];
     let fractions = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-    let mut headers: Vec<String> = vec!["pct_uniform".into()];
-    headers.extend(routings.iter().map(|r| r.label().to_string()));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(
-        format!("Figure 6 — latency with mixed ADV+1/UN traffic at load {total_load:.2}"),
-        &header_refs,
-    );
-    for &frac in &fractions {
+    let rows = sweep_grid(scale, &fractions, &ADAPTIVE, |&frac, &routing| {
         let pattern = PatternKind::Mixed {
             offset: 1,
             uniform_fraction: frac,
         };
-        let configs: Vec<SimulationConfig> = routings
-            .iter()
-            .map(|&r| base_config(scale, r, pattern, total_load))
-            .collect();
-        let reports = run_sweep(&configs, scale.seeds, df_sim::num_threads());
+        base_config(scale, routing, pattern, total_load)
+    });
+    let mut table = series_table(
+        format!("Figure 6 — latency with mixed ADV+1/UN traffic at load {total_load:.2}"),
+        "pct_uniform",
+        &ADAPTIVE.map(|r| r.label()),
+    );
+    for (frac, reports) in fractions.iter().zip(&rows) {
         let mut row = vec![frac * 100.0];
         row.extend(reports.iter().map(|r| r.avg_packet_latency));
         table.push_numeric_row(&row, 2);
@@ -244,7 +257,7 @@ pub fn figure6(scale: &Scale, total_load: f64) -> Table {
 }
 
 /// One transient run (UN → ADV+1 at the end of warm-up) for one mechanism.
-pub(crate) fn transient_run(
+fn transient_run(
     scale: &Scale,
     routing: RoutingKind,
     network: NetworkConfig,
@@ -281,23 +294,13 @@ pub fn figure7(
     window: i64,
     title: &str,
 ) -> (Table, Table) {
-    let routings = [
-        RoutingKind::PiggyBacking,
-        RoutingKind::Olm,
-        RoutingKind::Base,
-        RoutingKind::Hybrid,
-        RoutingKind::Ectn,
-    ];
-    let reports: Vec<TransientReport> = routings
+    let reports: Vec<TransientReport> = ADAPTIVE
         .iter()
         .map(|&r| transient_run(scale, r, network, load, follow))
         .collect();
-
-    let mut headers: Vec<String> = vec!["cycle".into()];
-    headers.extend(routings.iter().map(|r| r.label().to_string()));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut latency = Table::new(format!("{title} — average latency (cycles)"), &header_refs);
-    let mut misroute = Table::new(format!("{title} — misrouted packets (%)"), &header_refs);
+    let columns = ADAPTIVE.map(|r| r.label());
+    let [mut latency, mut misroute] = ["average latency (cycles)", "misrouted packets (%)"]
+        .map(|what| series_table(format!("{title} — {what}"), "cycle", &columns));
 
     let start = -(window / 4);
     let mut t = start;
@@ -366,68 +369,32 @@ pub fn figure9(scale: &Scale, load: f64, follow: u64, window: i64) -> (Table, Ta
 /// Figure 10 (a: UN, b: ADV+1): sensitivity of Base to the misrouting
 /// threshold. Returns `(latency_table, throughput_table)`.
 pub fn figure10(scale: &Scale, pattern: PatternKind, thresholds: &[u32]) -> (Table, Table) {
-    let loads = match pattern {
-        PatternKind::Uniform => &scale.uniform_loads,
-        _ => &scale.adversarial_loads,
-    };
-    let mut headers: Vec<String> = vec!["offered_load".into()];
-    headers.extend(thresholds.iter().map(|t| format!("th={t}")));
-    let reference = match pattern {
-        PatternKind::Uniform => RoutingKind::Minimal,
-        _ => RoutingKind::Valiant,
-    };
-    headers.push(reference.label().to_string());
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut latency = Table::new(
-        format!(
-            "Figure 10 ({}) — Base threshold sensitivity, latency (cycles)",
-            pattern.label()
-        ),
-        &header_refs,
-    );
-    let mut throughput = Table::new(
-        format!(
-            "Figure 10 ({}) — Base threshold sensitivity, accepted load (phits/node/cycle)",
-            pattern.label()
-        ),
-        &header_refs,
-    );
-
-    // one load sweep per threshold plus the oblivious reference
-    let mut series: Vec<Vec<SteadyStateReport>> = thresholds
-        .iter()
-        .map(|&th| {
-            let configs: Vec<SimulationConfig> = loads
-                .iter()
-                .map(|&load| {
-                    let mut c = base_config(scale, RoutingKind::Base, pattern, load);
-                    c.routing_config = c.routing_config.with_contention_threshold(th);
-                    c
-                })
-                .collect();
-            run_sweep(&configs, scale.seeds, df_sim::num_threads())
-        })
-        .collect();
-    let reference_series = {
-        let configs: Vec<SimulationConfig> = loads
-            .iter()
-            .map(|&load| base_config(scale, reference, pattern, load))
-            .collect();
-        run_sweep(&configs, scale.seeds, df_sim::num_threads())
-    };
-    series.push(reference_series);
-
-    for (i, &load) in loads.iter().enumerate() {
-        let mut lat_row = vec![load];
-        let mut thr_row = vec![load];
-        for s in &series {
-            lat_row.push(s[i].avg_packet_latency);
-            thr_row.push(s[i].accepted_load);
+    let loads = loads(scale, pattern);
+    let reference = reference(pattern);
+    // one load sweep per threshold, then the oblivious reference
+    let series: Vec<Option<u32>> = thresholds.iter().copied().map(Some).chain([None]).collect();
+    let reports = sweep_grid(scale, &series, loads, |threshold, &load| match threshold {
+        Some(th) => {
+            let mut c = base_config(scale, RoutingKind::Base, pattern, load);
+            c.routing_config = c.routing_config.with_contention_threshold(*th);
+            c
         }
-        latency.push_numeric_row(&lat_row, 2);
-        throughput.push_numeric_row(&thr_row, 4);
-    }
-    (latency, throughput)
+        None => base_config(scale, reference, pattern, load),
+    });
+    let names: Vec<String> = thresholds.iter().map(|t| format!("th={t}")).collect();
+    let columns: Vec<&str> = names.iter().map(String::as_str).collect();
+    let label = pattern.label();
+    load_tables(
+        [
+            format!("Figure 10 ({label}) — Base threshold sensitivity, latency (cycles)"),
+            format!(
+                "Figure 10 ({label}) — Base threshold sensitivity, accepted load (phits/node/cycle)"
+            ),
+        ],
+        &[&columns[..], &[reference.label()]].concat(),
+        loads,
+        &reports,
+    )
 }
 
 #[cfg(test)]

@@ -690,51 +690,6 @@ pub fn run_job_set(config: SimulationConfig, max_cycles: u64) -> JobSetReport {
     }
 }
 
-/// A job set's shared-network outcome next to each job's solo-run baseline
-/// (same configuration with every other job removed — background stochastic
-/// traffic, faults and schedule identical), the slowdown-vs-isolation
-/// comparison the interference studies report.
-#[derive(Debug, Clone)]
-pub struct InterferenceReport {
-    /// The shared run: all jobs contending for one network.
-    pub shared: JobSetReport,
-    /// Job `i` run alone (only the other jobs removed), in specification
-    /// order.
-    pub solo: Vec<JobReport>,
-}
-
-impl InterferenceReport {
-    /// Job `i`'s slowdown: shared elapsed time over solo elapsed time
-    /// (`None` unless both runs completed). `1.0` means no interference.
-    pub fn slowdown(&self, i: usize) -> Option<f64> {
-        let shared = self.shared.jobs[i].elapsed_cycles?;
-        let solo = self.solo[i].elapsed_cycles?;
-        Some(shared as f64 / solo as f64)
-    }
-}
-
-/// Run `config`'s job set shared, then each job solo under the otherwise
-/// identical configuration, and report the slowdown-vs-isolation
-/// comparison. Costs `jobs + 1` full simulations.
-pub fn run_interference(config: SimulationConfig, max_cycles: u64) -> InterferenceReport {
-    assert!(
-        !config.jobs.is_empty(),
-        "run_interference needs a configuration with at least one job"
-    );
-    let shared = run_job_set(config.clone(), max_cycles);
-    let solo = config
-        .jobs
-        .iter()
-        .map(|job| {
-            let mut solo_cfg = config.clone();
-            solo_cfg.jobs = vec![job.clone()];
-            let mut report = run_job_set(solo_cfg, max_cycles);
-            report.jobs.remove(0)
-        })
-        .collect();
-    InterferenceReport { shared, solo }
-}
-
 #[cfg(test)]
 impl Job {
     /// The progress counts restore recounts: outstanding sends per rank

@@ -16,11 +16,11 @@ pub use df_routing::{
     Commitment, Decision, DecisionKind, RoutingAlgorithm, RoutingConfig, RoutingKind,
 };
 pub use df_sim::{
-    cell_seed, config_fingerprint, matrix_table, run_interference, run_job_set, run_matrix,
-    run_steady_state, run_sweep, run_sweep_service, run_transient, ChurnModel, ChurnRate,
-    ConfigError, FaultEvent, FaultKind, FaultPlan, InterferenceReport, JobReport, JobSetReport,
-    JobsEngine, KernelMode, MatrixCell, MatrixKey, Network, RunnerOptions, Scenario,
-    ScenarioMatrix, SimulationConfig, SteadyStateReport, SweepOutcome, TransientReport,
+    cell_seed, config_fingerprint, matrix_table, run_job_set, run_matrix, run_steady_state,
+    run_sweep, run_sweep_service, run_transient, ChurnModel, ChurnRate, ConfigError, FaultEvent,
+    FaultKind, FaultPlan, JobReport, JobSetReport, JobsEngine, KernelMode, MatrixCell, MatrixKey,
+    Network, RunnerOptions, Scenario, ScenarioMatrix, SimulationConfig, SteadyStateReport,
+    SweepOutcome, TransientReport,
 };
 pub use df_topology::{
     Dragonfly, DragonflyParams, GatewayLiveness, GroupId, Megafly, MegaflyParams, NodeId, Port,
