@@ -19,7 +19,9 @@
 //!   fingerprint over every cell's kernel-normalised configuration); each
 //!   further record is one completed `(cell, seed)` sub-run with its
 //!   measured numbers. A torn tail (the process died mid-append) is
-//!   detected by the per-record checksum and ignored.
+//!   detected by the per-record checksum and cut off before the next
+//!   append, so every record a resume appends is read by the resume after
+//!   it; a journal whose header record is torn starts over, empty.
 //! * `cell<c>_s<s>.snap` — the latest mid-run snapshot of an in-progress
 //!   sub-run ([`Network::snapshot`]), rewritten every `checkpoint_every`
 //!   cycles via a temp-file + rename so it is never torn. Deleted when the
@@ -189,6 +191,11 @@ impl<'a> Journal<'a> {
             .append(true)
             .open(&path)
             .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
+        // cut a torn tail off before the first append: a record appended
+        // behind it could never be read again
+        let intact = recovered.as_ref().map_or(0, |&(_, intact)| intact);
+        file.set_len(intact)
+            .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
         let journal = Journal {
             options,
             file: Mutex::new(file),
@@ -203,7 +210,7 @@ impl<'a> Journal<'a> {
             e.u64(header.2);
             journal.append(e)?;
         }
-        Ok((journal, recovered.unwrap_or_default()))
+        Ok((journal, recovered.map(|(done, _)| done).unwrap_or_default()))
     }
 
     /// Append one framed record and flush it to disk.
@@ -237,12 +244,13 @@ impl<'a> Journal<'a> {
 /// must belong to (`expected` header; sub-run records regenerate their
 /// identification fields from `configs`). Stops silently at a torn or
 /// corrupt tail (the crash case), erroring only on a malformed prefix or
-/// the header of a different sweep. `None` = no intact header.
+/// the header of a different sweep. Returns the recovered sub-runs and the
+/// length of the intact prefix before the tail; `None` = no intact header.
 fn read_journal(
     bytes: &[u8],
     expected: JournalHeader,
     configs: &[SimulationConfig],
-) -> Result<Option<SubrunReports>, String> {
+) -> Result<Option<(SubrunReports, u64)>, String> {
     let mut header_seen = false;
     let mut done = HashMap::new();
     let mut rest = bytes;
@@ -291,7 +299,8 @@ fn read_journal(
             header_seen = true;
         }
     }
-    Ok(header_seen.then_some(done))
+    let intact = (bytes.len() - rest.len()) as u64;
+    Ok(header_seen.then_some((done, intact)))
 }
 
 /// Write `bytes` to `path` atomically (temp file + rename), fsynced.
@@ -741,6 +750,39 @@ mod tests {
             // the torn record's sub-run was re-run, the intact one recovered
             assert_eq!(resumed.recovered_subruns, 1);
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_appended_after_a_torn_tail_survive_the_next_resume() {
+        // a partial run whose last record is torn, a resume that journals
+        // two more sub-runs, then a second resume: the records the first
+        // resume appended must not hide behind the torn bytes
+        let matrix = small_matrix(1);
+        let reference = matrix_table("t", &run_matrix(&matrix, 2)).to_csv();
+        let dir = tmp_dir("torn_append");
+        let mut opts = RunnerOptions::new(&dir);
+        opts.interrupt_after_subruns = Some(2);
+        run_sweep_service(&matrix, &opts).expect("partial run");
+        let journal = journal_path(&dir);
+        let bytes = fs::read(&journal).unwrap();
+        fs::write(&journal, &bytes[..bytes.len() - 5]).unwrap();
+        let first = run_sweep_service(&matrix, &opts).expect("first resume");
+        assert_eq!((first.recovered_subruns, first.executed_subruns), (1, 2));
+        let second = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).expect("second resume");
+        assert!(second.complete);
+        assert_eq!(
+            second.recovered_subruns, 3,
+            "the first resume's records are read"
+        );
+        assert_eq!(matrix_table("t", &second.cells).to_csv(), reference);
+
+        // a torn header record: the run starts over and its records are read
+        fs::write(&journal, &bytes[..10]).unwrap();
+        run_sweep_service(&matrix, &opts).expect("run over a torn header");
+        let resumed = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).expect("resume");
+        assert_eq!(resumed.recovered_subruns, 2);
+        assert_eq!(matrix_table("t", &resumed.cells).to_csv(), reference);
         let _ = fs::remove_dir_all(&dir);
     }
 
