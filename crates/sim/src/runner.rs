@@ -184,7 +184,9 @@ impl<'a> Journal<'a> {
         let recovered = match fs::read(&path) {
             Ok(bytes) => read_journal(&bytes, header, configs)
                 .map_err(|e| format!("run dir {}: {e}", dir.display()))?,
-            Err(_) => None,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            // never cut back a journal that could not be read
+            Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
         };
         let file = OpenOptions::new()
             .create(true)
