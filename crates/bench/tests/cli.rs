@@ -1,6 +1,7 @@
 //! Process-level CLI tests: the scale parser's rejection paths and the
-//! `fig` binary's seven figures as end-to-end smokes at the tiny `bench`
-//! scale — all exercised on the real binaries (`CARGO_BIN_EXE_*` paths are
+//! `fig` binary's seven figures, the two job tables and the fault-recovery
+//! curve as end-to-end smokes at the tiny `bench` scale, each pinned by
+//! digest — all exercised on the real binaries (`CARGO_BIN_EXE_*` paths are
 //! provided by Cargo for integration tests).
 
 use std::process::Command;
@@ -296,6 +297,18 @@ fn dragonfly_only_figures_reject_topology_selections_with_exit_2() {
     }
 }
 
+/// Assert that `stdout`'s FNV-1a-64 is `digest`: every number a table prints
+/// is pinned bit for bit, not only rerun-deterministic.
+fn pin_stdout(run: &str, stdout: &[u8], digest: u64) {
+    let got = df_engine::codec::fnv1a64(stdout);
+    assert_eq!(
+        got,
+        digest,
+        "{run} stdout digest {got:#018X} left the pinned {digest:#018X}: {}",
+        String::from_utf8_lossy(stdout)
+    );
+}
+
 #[test]
 fn interference_bin_writes_deterministic_csv() {
     let dir = std::env::temp_dir().join(format!("df-bench-interference-{}", std::process::id()));
@@ -311,6 +324,7 @@ fn interference_bin_writes_deterministic_csv() {
             "interference bin failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+        pin_stdout("interference bench csv", &out.stdout, 0xD0E4_D56C_EDB6_B813);
         std::fs::read_to_string(dir.join("INTERFERENCE.csv")).expect("INTERFERENCE.csv written")
     };
     let first = run();
@@ -350,6 +364,7 @@ fn collectives_bin_writes_deterministic_csv() {
             "collectives bin failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+        pin_stdout("collectives bench csv", &out.stdout, 0xB81D_6CA5_7967_B87C);
         std::fs::read_to_string(dir.join("COLLECTIVES.csv")).expect("COLLECTIVES.csv written")
     };
     let first = run();
@@ -360,6 +375,24 @@ fn collectives_bin_writes_deterministic_csv() {
     let second = run();
     assert_eq!(first, second, "collective runs must be rerun-deterministic");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fault_recovery_bin_prints_the_pinned_curve() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fault_recovery"))
+        .args(["bench", "csv"])
+        .output()
+        .expect("spawn fault_recovery");
+    assert!(
+        out.status.success(),
+        "fault_recovery bin failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    pin_stdout(
+        "fault_recovery bench csv",
+        &out.stdout,
+        0x618D_7FD7_91F1_C99E,
+    );
 }
 
 #[test]
