@@ -278,110 +278,96 @@ impl FaultPlan {
                 }
             }
         }
-        self.validate_link_sequences(topo)?;
-        self.validate_node_sequences()
+        self.validate_sequences(topo)
     }
 
-    /// Walk the cycle-sorted plan and check per-link event consistency (see
-    /// [`validate`](Self::validate)). Links are canonicalised to their
-    /// lexicographically smaller directed end, so the two endpoint namings
-    /// of one bidirectional link collide as intended.
-    fn validate_link_sequences(&self, topo: &impl Topology) -> Result<(), String> {
-        use std::collections::BTreeMap;
-        let canonical = |router: RouterId, port: Port| -> (u32, u32) {
-            match topo.peer(router, port) {
-                PortPeer::Router(peer, back) => std::cmp::min((router.0, port.0), (peer.0, back.0)),
-                _ => (router.0, port.0),
-            }
-        };
-        // per canonical link: (is down, cycle of the last event touching it)
-        let mut state: BTreeMap<(u32, u32), (bool, Cycle)> = BTreeMap::new();
+    /// Walk the cycle-sorted plan once and check each link's and each
+    /// node's event sequence (see [`validate`](Self::validate)). A link is
+    /// keyed by its lexicographically smaller directed end, so the two
+    /// endpoint namings of one bidirectional link collide as intended.
+    fn validate_sequences(&self, topo: &impl Topology) -> Result<(), String> {
+        // per link, keyed `(false, its smaller directed end)`, or node,
+        // keyed `(true, node, 0)`: (is down or failed, cycle of the last
+        // event touching it)
+        let mut state = std::collections::BTreeMap::new();
         for event in self.sorted_events() {
-            let (router, port, down) = match event.kind {
-                FaultKind::LinkDown { router, port } => (router, port, true),
-                FaultKind::LinkUp { router, port } => (router, port, false),
-                _ => continue,
+            let (key, down, name, down_word, order) = match event.kind {
+                FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port } => {
+                    let end = (router.0, port.0);
+                    let (r, p) = match topo.peer(router, port) {
+                        PortPeer::Router(peer, back) => end.min((peer.0, back.0)),
+                        _ => end,
+                    };
+                    let down = matches!(event.kind, FaultKind::LinkDown { .. });
+                    let name = if down { "LinkDown" } else { "LinkUp" };
+                    ((false, r, p), down, name, "down", "up-before-down")
+                }
+                FaultKind::NodeFail { node, .. } | FaultKind::NodeRestore { node } => {
+                    let down = matches!(event.kind, FaultKind::NodeFail { .. });
+                    let name = if down { "NodeFail" } else { "NodeRestore" };
+                    (
+                        (true, node.0, 0),
+                        down,
+                        name,
+                        "failed",
+                        "restore-before-fail",
+                    )
+                }
+                FaultKind::RouterDrain { .. } | FaultKind::RouterRestore { .. } => continue,
             };
-            let key = canonical(router, port);
+            let at = event.at;
             match state.get(&key) {
-                Some(&(_, last)) if last == event.at => {
+                Some(&(_, last)) if last == at => {
                     return Err(format!(
-                        "fault plan: two events on the link at router {router} port {port} \
-                         in the same cycle {} (order would be insertion-dependent)",
-                        event.at
+                        "fault plan: two events on {} in the same cycle {at} (order would be \
+                         insertion-dependent)",
+                        event.kind.subject()
                     ));
                 }
                 Some(&(true, _)) if down => {
                     return Err(format!(
-                        "fault plan: LinkDown at cycle {} on the link at router {router} \
-                         port {port}, which is already down",
-                        event.at
+                        "fault plan: {name} at cycle {at} on {}, which is already {down_word}",
+                        event.kind.subject()
                     ));
                 }
                 Some(&(false, _)) | None if !down => {
                     return Err(format!(
-                        "fault plan: LinkUp at cycle {} on the link at router {router} \
-                         port {port}, which is not down (up-before-down)",
-                        event.at
-                    ));
-                }
-                _ => {}
-            }
-            state.insert(key, (down, event.at));
-        }
-        Ok(())
-    }
-
-    /// Walk the cycle-sorted plan and check per-node event consistency (see
-    /// [`validate`](Self::validate)): fail/restore alternation, no same-cycle
-    /// double events, and spares live at their fail cycle.
-    fn validate_node_sequences(&self) -> Result<(), String> {
-        use std::collections::BTreeMap;
-        // per node: (is failed, cycle of the last event touching it)
-        let mut state: BTreeMap<NodeId, (bool, Cycle)> = BTreeMap::new();
-        for event in self.sorted_events() {
-            let (node, failing) = match event.kind {
-                FaultKind::NodeFail { node, .. } => (node, true),
-                FaultKind::NodeRestore { node } => (node, false),
-                _ => continue,
-            };
-            match state.get(&node) {
-                Some(&(_, last)) if last == event.at => {
-                    return Err(format!(
-                        "fault plan: two events on node {node} in the same cycle {} \
-                         (order would be insertion-dependent)",
-                        event.at
-                    ));
-                }
-                Some(&(true, _)) if failing => {
-                    return Err(format!(
-                        "fault plan: NodeFail at cycle {} on node {node}, which is \
-                         already failed",
-                        event.at
-                    ));
-                }
-                Some(&(false, _)) | None if !failing => {
-                    return Err(format!(
-                        "fault plan: NodeRestore at cycle {} on node {node}, which is \
-                         not failed (restore-before-fail)",
-                        event.at
+                        "fault plan: {name} at cycle {at} on {}, which is not {down_word} \
+                         ({order})",
+                        event.kind.subject()
                     ));
                 }
                 _ => {}
             }
             if let FaultKind::NodeFail { spare, .. } = event.kind {
-                if matches!(state.get(&spare), Some(&(true, _))) {
+                if matches!(state.get(&(true, spare.0, 0)), Some(&(true, _))) {
                     return Err(format!(
-                        "fault plan: NodeFail at cycle {} names spare {spare}, which is \
+                        "fault plan: NodeFail at cycle {at} names spare {spare}, which is \
                          itself failed at that point — spares must be live so retarget \
-                         chains cannot cycle",
-                        event.at
+                         chains cannot cycle"
                     ));
                 }
             }
-            state.insert(node, (failing, event.at));
+            state.insert(key, (down, at));
         }
         Ok(())
+    }
+}
+
+impl FaultKind {
+    /// What the event acts on, as validation errors name it.
+    fn subject(self) -> String {
+        match self {
+            FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port } => {
+                format!("the link at router {router} port {port}")
+            }
+            FaultKind::RouterDrain { router } | FaultKind::RouterRestore { router } => {
+                format!("router {router}")
+            }
+            FaultKind::NodeFail { node, .. } | FaultKind::NodeRestore { node } => {
+                format!("node {node}")
+            }
+        }
     }
 }
 
