@@ -652,9 +652,11 @@ mod tests {
     #[test]
     fn stale_and_forged_snapshots_are_discarded_and_the_cells_rerun() {
         // a run directory left behind by the previous snapshot format (a
-        // frame stamped version 5) and one holding a checksummed frame whose
-        // injected-packet count disagrees with the other packet ledgers: both
-        // sub-runs start over and the table is the reference table
+        // frame stamped version 5), one holding a checksummed frame whose
+        // injected-packet count disagrees with the other packet ledgers, and
+        // the zero-filled and truncated files an unsynced rename can leave
+        // after a power loss: every sub-run starts over and the table is the
+        // reference table
         let matrix = small_matrix(1);
         let reference = matrix_table("t", &run_matrix(&matrix, 2)).to_csv();
         let dir = tmp_dir("stale_snap");
@@ -674,6 +676,10 @@ mod tests {
             "the frame itself is valid"
         );
         fs::write(dir.join("cell1_s0.snap"), &forged).unwrap();
+        let zeroed = vec![0u8; snapshot_of(2).len()];
+        fs::write(dir.join("cell2_s0.snap"), &zeroed).unwrap();
+        let truncated = snapshot_of(3);
+        fs::write(dir.join("cell3_s0.snap"), &truncated[..truncated.len() / 2]).unwrap();
 
         let outcome = run_sweep_service(&matrix, &RunnerOptions::new(&dir)).expect("runs");
         assert!(outcome.complete);
