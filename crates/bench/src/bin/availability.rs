@@ -20,8 +20,8 @@
 //!     [small|medium|paper] [run-dir=DIR] [seeds=N] [threads=N]
 //! ```
 //!
-//! A mistyped scale or `key=`, or a `--topology=` selection (the sweep is
-//! built on the canonical Dragonfly), aborts with exit code 2. Runs are
+//! A mistyped scale or `key=`, `seeds=0`, or a `--topology=` selection (the
+//! sweep is built on the canonical Dragonfly), aborts with exit code 2. Runs are
 //! journaled and checkpointed under the run directory
 //! (default `target/availability-run`): kill the process at any point and
 //! rerun the same command to resume; the finished surface is byte-identical
@@ -30,7 +30,7 @@
 
 use std::path::PathBuf;
 
-use df_bench::{parse_kv, run_service_or_exit, write_or_exit, Scale};
+use df_bench::{parse_kv, parse_seeds, run_service_or_exit, write_or_exit, Scale};
 use df_engine::Table;
 use df_routing::RoutingKind;
 use df_sim::{ChurnModel, ChurnRate, RunnerOptions, Scenario, ScenarioMatrix, SimulationConfig};
@@ -40,7 +40,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale =
         Scale::from_args_dragonfly_only("availability", &["seeds=", "run-dir=", "threads="], &args);
-    let seeds = parse_kv(&args, "seeds").unwrap_or(5).max(1);
+    let seeds = parse_seeds(&args, 5);
     let run_dir = args
         .iter()
         .find_map(|a| a.strip_prefix("run-dir="))

@@ -24,7 +24,8 @@
 //!   parallelism).
 //! * `checkpoint-every=` — cycles between mid-cell snapshots (default 2000;
 //!   0 disables mid-cell recovery).
-//! * `seeds=` — seeds averaged per cell (default 1, or the scale's count).
+//! * `seeds=` — seeds averaged per cell, at least 1 (default 1, or the
+//!   scale's count).
 //! * `interrupt-after=` / `interrupt-mid-at=` — CI hooks that stop the
 //!   service early as if it had been killed (between sub-runs, or mid-cell
 //!   right after a checkpoint).
@@ -38,7 +39,7 @@
 
 use std::path::PathBuf;
 
-use df_bench::{or_exit_2, parse_kv, run_service_or_exit, write_or_exit, Scale};
+use df_bench::{or_exit_2, parse_kv, parse_seeds, run_service_or_exit, write_or_exit, Scale};
 use df_routing::RoutingKind;
 use df_sim::{matrix_table, FaultPlan, RunnerOptions, Scenario, ScenarioMatrix, SimulationConfig};
 use df_topology::{GroupId, RouterId};
@@ -72,7 +73,7 @@ fn main() {
     } else {
         (scale.warmup, scale.measure, scale.seeds)
     };
-    let seeds = parse_kv(&args, "seeds").unwrap_or(seeds);
+    let seeds = parse_seeds(&args, seeds);
 
     let topology = scale.topology_params();
     let base = SimulationConfig::builder()

@@ -22,7 +22,7 @@ pub mod figures;
 pub mod scale;
 
 pub use figures::*;
-pub use scale::{or_exit_2, parse_kv, write_or_exit, Scale};
+pub use scale::{or_exit_2, parse_kv, parse_seeds, write_or_exit, Scale};
 
 use df_sim::{MatrixCell, RunnerOptions, ScenarioMatrix};
 

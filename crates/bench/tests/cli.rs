@@ -59,6 +59,13 @@ fn service_bins_reject_mistyped_scales_and_keys() {
                 "{bin} stderr must name the typo and the accepted keys: {stderr}"
             );
         }
+        // `seeds=0` used to fail the service with exit 1 (sweep_service) or
+        // silently run one seed (availability)
+        let stderr = rejected(exe, &["run-dir=target/never-created", "bench", "seeds=0"]);
+        assert!(
+            stderr.contains("seeds="),
+            "{bin} stderr must name seeds=: {stderr}"
+        );
     }
     assert!(!std::path::Path::new("target/never-created").exists());
 }
