@@ -223,60 +223,51 @@ impl FaultPlan {
     ///   a different node, and the spare must be *live* at the fail cycle
     ///   (so retarget chains can never cycle).
     pub fn validate(&self, topo: &impl Topology) -> Result<(), String> {
-        let layout = topo.layout();
-        let num_routers = topo.num_routers();
-        let num_nodes = topo.num_nodes();
+        let (layout, num_nodes) = (topo.layout(), topo.num_nodes());
         for (i, event) in self.events.iter().enumerate() {
-            let check_link = |router: RouterId, port: Port| -> Result<(), String> {
-                if router.0 >= num_routers {
-                    return Err(format!("fault event {i}: router {router} out of range"));
+            let problem = match event.kind {
+                FaultKind::LinkDown { router, .. }
+                | FaultKind::LinkUp { router, .. }
+                | FaultKind::RouterDrain { router }
+                | FaultKind::RouterRestore { router }
+                    if router.0 >= topo.num_routers() =>
+                {
+                    format!("router {router} out of range")
                 }
-                if port.0 >= layout.radix() {
-                    return Err(format!("fault event {i}: port {port} out of range"));
+                FaultKind::LinkDown { port, .. } | FaultKind::LinkUp { port, .. }
+                    if port.0 >= layout.radix() =>
+                {
+                    format!("port {port} out of range")
                 }
-                if port.class(&layout) == PortClass::Terminal {
-                    return Err(format!(
-                        "fault event {i}: terminal links cannot fail on their own (router \
-                         {router} port {port}) — model node failure as a NodeFail event \
-                         (drain-at-source + reroute-to-spare), which keeps every packet's \
-                         ejection path live and conservation decidable"
-                    ));
+                FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port }
+                    if port.class(&layout) == PortClass::Terminal =>
+                {
+                    format!(
+                        "terminal links cannot fail on their own (router {router} port \
+                         {port}) — model node failure as a NodeFail event (drain-at-source \
+                         + reroute-to-spare), which keeps every packet's ejection path live \
+                         and conservation decidable"
+                    )
                 }
-                if !matches!(topo.peer(router, port), PortPeer::Router(..)) {
-                    return Err(format!(
-                        "fault event {i}: router {router} port {port} is not wired"
-                    ));
+                FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port }
+                    if !matches!(topo.peer(router, port), PortPeer::Router(..)) =>
+                {
+                    format!("router {router} port {port} is not wired")
                 }
-                Ok(())
+                FaultKind::NodeFail { node, .. } | FaultKind::NodeRestore { node }
+                    if node.0 >= num_nodes =>
+                {
+                    format!("node {node} out of range")
+                }
+                FaultKind::NodeFail { spare, .. } if spare.0 >= num_nodes => {
+                    format!("spare node {spare} out of range")
+                }
+                FaultKind::NodeFail { node, spare } if spare == node => {
+                    format!("node {node} cannot be its own spare")
+                }
+                _ => continue,
             };
-            match event.kind {
-                FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port } => {
-                    check_link(router, port)?
-                }
-                FaultKind::RouterDrain { router } | FaultKind::RouterRestore { router } => {
-                    if router.0 >= num_routers {
-                        return Err(format!("fault event {i}: router {router} out of range"));
-                    }
-                }
-                FaultKind::NodeFail { node, spare } => {
-                    if node.0 >= num_nodes {
-                        return Err(format!("fault event {i}: node {node} out of range"));
-                    }
-                    if spare.0 >= num_nodes {
-                        return Err(format!("fault event {i}: spare node {spare} out of range"));
-                    }
-                    if spare == node {
-                        return Err(format!(
-                            "fault event {i}: node {node} cannot be its own spare"
-                        ));
-                    }
-                }
-                FaultKind::NodeRestore { node } => {
-                    if node.0 >= num_nodes {
-                        return Err(format!("fault event {i}: node {node} out of range"));
-                    }
-                }
-            }
+            return Err(format!("fault event {i}: {problem}"));
         }
         self.validate_sequences(topo)
     }
@@ -286,60 +277,53 @@ impl FaultPlan {
     /// keyed by its lexicographically smaller directed end, so the two
     /// endpoint namings of one bidirectional link collide as intended.
     fn validate_sequences(&self, topo: &impl Topology) -> Result<(), String> {
-        // per link, keyed `(false, its smaller directed end)`, or node,
-        // keyed `(true, node, 0)`: (is down or failed, cycle of the last
-        // event touching it)
+        // per `(false, link end)` or `(true, node, 0)`: (is down or failed,
+        // cycle of the last event touching it)
         let mut state = std::collections::BTreeMap::new();
-        for event in self.sorted_events() {
-            let (key, down, name, down_word, order) = match event.kind {
+        for FaultEvent { at, kind } in self.sorted_events() {
+            let (key, down, name, down_word, order) = match kind {
                 FaultKind::LinkDown { router, port } | FaultKind::LinkUp { router, port } => {
                     let end = (router.0, port.0);
                     let (r, p) = match topo.peer(router, port) {
                         PortPeer::Router(peer, back) => end.min((peer.0, back.0)),
                         _ => end,
                     };
-                    let down = matches!(event.kind, FaultKind::LinkDown { .. });
+                    let down = matches!(kind, FaultKind::LinkDown { .. });
                     let name = if down { "LinkDown" } else { "LinkUp" };
                     ((false, r, p), down, name, "down", "up-before-down")
                 }
                 FaultKind::NodeFail { node, .. } | FaultKind::NodeRestore { node } => {
-                    let down = matches!(event.kind, FaultKind::NodeFail { .. });
+                    let down = matches!(kind, FaultKind::NodeFail { .. });
                     let name = if down { "NodeFail" } else { "NodeRestore" };
-                    (
-                        (true, node.0, 0),
-                        down,
-                        name,
-                        "failed",
-                        "restore-before-fail",
-                    )
+                    let key = (true, node.0, 0);
+                    (key, down, name, "failed", "restore-before-fail")
                 }
                 FaultKind::RouterDrain { .. } | FaultKind::RouterRestore { .. } => continue,
             };
-            let at = event.at;
             match state.get(&key) {
                 Some(&(_, last)) if last == at => {
                     return Err(format!(
                         "fault plan: two events on {} in the same cycle {at} (order would be \
                          insertion-dependent)",
-                        event.kind.subject()
+                        kind.subject()
                     ));
                 }
                 Some(&(true, _)) if down => {
                     return Err(format!(
                         "fault plan: {name} at cycle {at} on {}, which is already {down_word}",
-                        event.kind.subject()
+                        kind.subject()
                     ));
                 }
                 Some(&(false, _)) | None if !down => {
                     return Err(format!(
                         "fault plan: {name} at cycle {at} on {}, which is not {down_word} \
                          ({order})",
-                        event.kind.subject()
+                        kind.subject()
                     ));
                 }
                 _ => {}
             }
-            if let FaultKind::NodeFail { spare, .. } = event.kind {
+            if let FaultKind::NodeFail { spare, .. } = kind {
                 if matches!(state.get(&(true, spare.0, 0)), Some(&(true, _))) {
                     return Err(format!(
                         "fault plan: NodeFail at cycle {at} names spare {spare}, which is \
