@@ -101,25 +101,27 @@ fn main() {
                 .job(job.clone())
                 .build()
                 .expect("valid collective configuration");
-            let set = run_job_set(config, 2_000_000);
-            let report = &set.jobs[0];
+            let net = run_job_set(config, 2_000_000);
+            let report = &net.jobs().expect("a one-job set").jobs()[0];
             assert!(
-                report.completed,
+                report.is_complete(),
                 "{} under {} must complete within the cycle budget",
                 workload.label(),
                 routing.label()
             );
+            let stalls = report.stall_cycles();
+            let total_stalls: u64 = stalls.iter().sum();
             table.push_row(vec![
                 workload.label(),
                 routing.label().to_string(),
                 workload.ranks.to_string(),
-                report.total_steps.to_string(),
-                report.completion_cycle.expect("completed").to_string(),
-                set.delivered_packets.to_string(),
-                report.total_stall_cycles.to_string(),
-                report.max_rank_stall_cycles.to_string(),
-                format!("{:.2}", report.mean_rank_stall_cycles),
-                format!("{:.3}", set.avg_packet_latency),
+                report.total_steps().to_string(),
+                report.completion_cycle().expect("completed").to_string(),
+                net.metrics().delivered_packets_total().to_string(),
+                total_stalls.to_string(),
+                stalls.iter().copied().max().unwrap_or(0).to_string(),
+                format!("{:.2}", total_stalls as f64 / stalls.len().max(1) as f64),
+                format!("{:.3}", net.metrics().window_summary().avg_packet_latency),
             ]);
         }
     }

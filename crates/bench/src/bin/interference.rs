@@ -109,21 +109,23 @@ fn main() {
                 .jobs(jobs.clone())
                 .build()
                 .expect("valid multi-job configuration");
-            let shared = run_job_set(config.clone(), 2_000_000);
+            let net = run_job_set(config.clone(), 2_000_000);
+            let set = net.jobs().expect("a job set");
             assert!(
-                shared.all_completed,
+                set.is_complete(),
                 "{mix} under {} must complete within the cycle budget",
                 routing.label()
             );
-            for (spec, shared) in jobs.iter().zip(&shared.jobs) {
+            for (spec, shared) in jobs.iter().zip(set.jobs()) {
                 // the same configuration with every other job removed
                 let alone = SimulationConfig {
                     jobs: vec![spec.clone()],
                     ..config.clone()
                 };
-                let solo = run_job_set(alone, 2_000_000).jobs.remove(0);
-                let solo_elapsed = solo.elapsed_cycles.expect("solo run completed");
-                let shared_elapsed = shared.elapsed_cycles.expect("shared run completed");
+                let solo = run_job_set(alone, 2_000_000);
+                let solo = &solo.jobs().expect("a one-job set").jobs()[0];
+                let solo_elapsed = solo.elapsed_cycles().expect("solo run completed");
+                let shared_elapsed = shared.elapsed_cycles().expect("shared run completed");
                 table.push_row(vec![
                     mix.to_string(),
                     spec.label(),
@@ -133,8 +135,8 @@ fn main() {
                     solo_elapsed.to_string(),
                     shared_elapsed.to_string(),
                     format!("{:.4}", shared_elapsed as f64 / solo_elapsed as f64),
-                    solo.total_stall_cycles.to_string(),
-                    shared.total_stall_cycles.to_string(),
+                    solo.stall_cycles().iter().sum::<u64>().to_string(),
+                    shared.stall_cycles().iter().sum::<u64>().to_string(),
                 ]);
             }
         }

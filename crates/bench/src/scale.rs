@@ -278,14 +278,13 @@ pub fn parse_kv(args: &[String], key: &str) -> Option<u64> {
         })
 }
 
-/// The `seeds=` argument, else `default`: seeds averaged per cell. A cell
+/// The `seeds=` argument (seeds averaged per cell), else `default`. A cell
 /// needs at least one, so `seeds=0` aborts with exit code 2.
 pub fn parse_seeds(args: &[String], default: u64) -> u64 {
-    let seeds = parse_kv(args, "seeds").unwrap_or(default);
-    or_exit_2(match seeds {
-        0 => Err("error: seeds= wants at least 1 seed per cell, got 0".to_string()),
-        n => Ok(n),
-    })
+    match parse_kv(args, "seeds").unwrap_or(default) {
+        0 => or_exit_2(Err("error: seeds= wants at least 1, got 0".into())),
+        seeds => seeds,
+    }
 }
 
 /// Whether `arg` is an argument nothing accepts: a `key=value` whose `key=`

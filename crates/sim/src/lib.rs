@@ -80,4 +80,4 @@ pub use sweep::{
     cell_seed, matrix_table, num_threads, run_matrix, run_sweep, MatrixCell, MatrixKey,
     ScenarioMatrix,
 };
-pub use task::{run_job_set, JobReport, JobSetReport, JobsEngine};
+pub use task::{run_job_set, Job, JobsEngine};

@@ -1295,7 +1295,7 @@ mod tests {
         net.run_cycles(60);
         let bytes = net.snapshot();
         let engine = net.jobs().expect("job configured");
-        let job = engine.job(0);
+        let job = &engine.jobs()[0];
         let ranks = job.stall_cycles().len() as u32;
         let (steps, pending) = (job.total_steps(), job.pending_packets());
         assert!(pending > 0 && !job.is_complete(), "checkpoint mid-script");
@@ -1344,10 +1344,10 @@ mod tests {
         let mid_script = job.progress();
         net.run_until_jobs_complete(100_000)
             .expect("the job completes");
-        let done = net.jobs().unwrap().job(0).progress();
+        let done = net.jobs().unwrap().jobs()[0].progress();
         for (live, bytes) in [(mid_script, bytes), (done, net.snapshot())] {
             let restored = Network::restore(cfg.clone(), &bytes).expect("restores");
-            assert_eq!(restored.jobs().unwrap().job(0).progress(), live);
+            assert_eq!(restored.jobs().unwrap().jobs()[0].progress(), live);
             assert_eq!(restored.snapshot(), bytes);
         }
 

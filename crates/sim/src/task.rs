@@ -317,6 +317,12 @@ impl Job {
             })
     }
 
+    /// The specification the job was built from (label, start cycle,
+    /// compute delay).
+    pub fn spec(&self) -> &JobSpec {
+        &self.spec
+    }
+
     /// Whether every rank has finished its script.
     pub fn is_complete(&self) -> bool {
         self.completion_cycle().is_some()
@@ -326,6 +332,12 @@ impl Job {
     /// complete.
     pub fn completion_cycle(&self) -> Option<Cycle> {
         self.step_completion_cycles.last().copied().flatten()
+    }
+
+    /// Completion cycle minus start cycle, once complete: the job's own
+    /// wall-clock, the quantity a solo-run baseline is compared against.
+    pub fn elapsed_cycles(&self) -> Option<Cycle> {
+        Some(self.completion_cycle()? - self.spec.start_cycle)
     }
 
     /// Steps per rank script.
@@ -343,7 +355,7 @@ impl Job {
 
     /// Cycle each step globally completed at (`None` for steps still in
     /// progress), indexed by step.
-    pub(crate) fn step_completion_cycles(&self) -> &[Option<Cycle>] {
+    pub fn step_completion_cycles(&self) -> &[Option<Cycle>] {
         &self.step_completion_cycles
     }
 
@@ -540,15 +552,10 @@ impl JobsEngine {
         latest
     }
 
-    /// Number of jobs in the set.
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Job `i` (per-job completion, stalls, pending packets), in
-    /// specification order.
-    pub fn job(&self, i: usize) -> &Job {
-        &self.jobs[i]
+    /// The jobs (per-job completion, step timeline, stalls, pending
+    /// packets), in specification order.
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs
     }
 
     /// Task packets of all jobs currently in the network.
@@ -577,117 +584,21 @@ impl JobsEngine {
     }
 }
 
-/// Binning of the rank-stall distribution reported by
-/// [`JobReport::stall_percentile`]: same shape as the packet-latency
-/// histogram.
-const STALL_HISTOGRAM_HIGH: f64 = 5_000.0;
-const STALL_HISTOGRAM_BINS: usize = 500;
-
-/// Per-job outcome of a job-set run: completion time, step timeline and the
-/// rank stall distribution.
-#[derive(Debug, Clone)]
-pub struct JobReport {
-    /// The job's stable label (`workload@base_node`).
-    pub label: String,
-    /// Cycle the job was scheduled to start.
-    pub start_cycle: u64,
-    /// Whether every rank of the job finished within the cycle budget.
-    pub completed: bool,
-    /// Cycle the job's last rank finished.
-    pub completion_cycle: Option<Cycle>,
-    /// `completion_cycle - start_cycle`: the job's own wall-clock, the
-    /// quantity compared against a solo-run baseline for slowdown.
-    pub elapsed_cycles: Option<u64>,
-    /// Steps per rank script.
-    pub total_steps: usize,
-    /// Steps every rank of the job passed.
-    pub steps_completed: usize,
-    /// Cycle each step globally completed at, indexed by step.
-    pub step_completion_cycles: Vec<Option<Cycle>>,
-    /// Sum of the job's rank stall cycles.
-    pub total_stall_cycles: u64,
-    /// Largest per-rank stall total in the job.
-    pub max_rank_stall_cycles: u64,
-    /// Mean per-rank stall total in the job.
-    pub mean_rank_stall_cycles: f64,
-    /// Per-rank stall totals, indexed by job-local rank.
-    pub rank_stall_cycles: Vec<u64>,
-}
-
-impl JobReport {
-    fn of(job: &Job) -> Self {
-        let stalls = job.stall_cycles();
-        let total_stall_cycles: u64 = stalls.iter().sum();
-        let completion_cycle = job.completion_cycle();
-        JobReport {
-            label: job.spec.label(),
-            start_cycle: job.spec.start_cycle,
-            completed: completion_cycle.is_some(),
-            completion_cycle,
-            elapsed_cycles: completion_cycle.map(|c| c - job.spec.start_cycle),
-            total_steps: job.total_steps(),
-            steps_completed: job.steps_completed(),
-            step_completion_cycles: job.step_completion_cycles().to_vec(),
-            total_stall_cycles,
-            max_rank_stall_cycles: stalls.iter().copied().max().unwrap_or(0),
-            mean_rank_stall_cycles: total_stall_cycles as f64 / stalls.len().max(1) as f64,
-            rank_stall_cycles: stalls.to_vec(),
-        }
-    }
-
-    /// Percentile of the job's per-rank stall distribution, through the same
-    /// binned histogram the packet-latency tail uses. Returns
-    /// `f64::INFINITY` when the requested rank lands past the binned range
-    /// — the tail is at least that bad, never clamped.
-    pub fn stall_percentile(&self, pct: f64) -> f64 {
-        let mut h = df_engine::Histogram::new(0.0, STALL_HISTOGRAM_HIGH, STALL_HISTOGRAM_BINS);
-        for &s in &self.rank_stall_cycles {
-            h.record(s as f64);
-        }
-        h.percentile(pct)
-    }
-}
-
-/// Outcome of a job-set run: one [`JobReport`] per job plus the shared
-/// network-level statistics.
-#[derive(Debug, Clone)]
-pub struct JobSetReport {
-    /// Whether every job finished within the cycle budget.
-    pub all_completed: bool,
-    /// Cycle the last job finished (the job-set makespan).
-    pub makespan: Option<Cycle>,
-    /// Per-job outcomes, in specification order.
-    pub jobs: Vec<JobReport>,
-    /// Packets delivered network-wide (task packets of every job plus the
-    /// stochastic background traffic).
-    pub delivered_packets: u64,
-    /// Mean packet latency network-wide, cycles.
-    pub avg_packet_latency: f64,
-}
-
 /// Run `config`'s job set until every job completes (or `max_cycles`
-/// elapse) and report per-job completion, stall distributions and the
-/// shared network statistics.
+/// elapse), measuring from cycle 0, and return the network that ran it: each
+/// job's outcome is its [`Job`] in [`Network::jobs`], the shared packet
+/// statistics are [`Network::metrics`].
 ///
 /// Panics if the configuration carries no jobs.
-pub fn run_job_set(config: SimulationConfig, max_cycles: u64) -> JobSetReport {
+pub fn run_job_set(config: SimulationConfig, max_cycles: u64) -> Network {
     assert!(
         !config.jobs.is_empty(),
         "run_job_set needs a configuration with at least one job"
     );
     let mut net = Network::new(config);
     net.metrics_mut().start_measurement(0);
-    let makespan = net.run_until_jobs_complete(max_cycles);
-    let jobs_engine = net.jobs().expect("job set checked above");
-    let jobs: Vec<JobReport> = jobs_engine.jobs.iter().map(JobReport::of).collect();
-    let summary = net.metrics().window_summary();
-    JobSetReport {
-        all_completed: makespan.is_some(),
-        makespan,
-        jobs,
-        delivered_packets: net.metrics().delivered_packets_total(),
-        avg_packet_latency: summary.avg_packet_latency,
-    }
+    net.run_until_jobs_complete(max_cycles);
+    net
 }
 
 #[cfg(test)]

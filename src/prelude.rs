@@ -18,9 +18,9 @@ pub use df_routing::{
 pub use df_sim::{
     cell_seed, config_fingerprint, matrix_table, run_job_set, run_matrix, run_steady_state,
     run_sweep, run_sweep_service, run_transient, ChurnModel, ChurnRate, ConfigError, FaultEvent,
-    FaultKind, FaultPlan, JobReport, JobSetReport, JobsEngine, KernelMode, MatrixCell, MatrixKey,
-    Network, RunnerOptions, Scenario, ScenarioMatrix, SimulationConfig, SteadyStateReport,
-    SweepOutcome, TransientReport,
+    FaultKind, FaultPlan, Job, JobsEngine, KernelMode, MatrixCell, MatrixKey, Network,
+    RunnerOptions, Scenario, ScenarioMatrix, SimulationConfig, SteadyStateReport, SweepOutcome,
+    TransientReport,
 };
 pub use df_topology::{
     Dragonfly, DragonflyParams, GatewayLiveness, GroupId, Megafly, MegaflyParams, NodeId, Port,

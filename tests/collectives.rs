@@ -72,22 +72,24 @@ fn every_collective_completes_under_every_mechanism() {
         let total_steps = workload.total_steps();
         for routing in collective_routings() {
             let cfg = collective_config(job.clone(), routing);
-            let set = run_job_set(cfg, 200_000);
-            let report = &set.jobs[0];
+            let net = run_job_set(cfg, 200_000);
+            let report = &net.jobs().expect("a job set").jobs()[0];
             let label = format!("{} under {}", workload.label(), routing.label());
-            assert!(report.completed, "{label} did not complete");
-            assert_eq!(report.total_steps, total_steps, "{label}: step count");
+            assert!(report.is_complete(), "{label} did not complete");
+            assert_eq!(report.total_steps(), total_steps, "{label}: step count");
             assert_eq!(
-                report.steps_completed, total_steps,
+                report.steps_completed(),
+                total_steps,
                 "{label}: unfinished steps"
             );
             assert_eq!(
-                set.delivered_packets, total_packets,
+                net.metrics().delivered_packets_total(),
+                total_packets,
                 "{label}: a closed run must deliver exactly the lowered packets"
             );
             // the step timeline is monotone and ends at the completion cycle
             let cycles: Vec<u64> = report
-                .step_completion_cycles
+                .step_completion_cycles()
                 .iter()
                 .map(|c| c.expect("every step completed"))
                 .collect();
@@ -97,15 +99,18 @@ fn every_collective_completes_under_every_mechanism() {
             );
             assert_eq!(
                 cycles.last().copied(),
-                report.completion_cycle,
+                report.completion_cycle(),
                 "{label}: the last step completes at the application completion time"
             );
             // messages traverse a real network: some rank must have waited
             assert!(
-                report.total_stall_cycles > 0,
+                report.stall_cycles().iter().sum::<u64>() > 0,
                 "{label}: rank stalls cannot all be zero"
             );
-            assert!(set.avg_packet_latency > 0.0, "{label}: latency");
+            assert!(
+                net.metrics().window_summary().avg_packet_latency > 0.0,
+                "{label}: latency"
+            );
         }
     }
 }
@@ -127,11 +132,11 @@ fn job_set_at_offered_load_zero_injects_exactly_the_lowered_packets() {
         assert_eq!(net.in_flight(), 0);
         let engine = net.jobs().expect("job set configured");
         assert_eq!(engine.pending_packets(), 0);
-        let tasks = || (0..engine.num_jobs()).map(|i| engine.job(i));
-        assert!(tasks().all(|t| t.steps_completed() == t.total_steps()));
+        let tasks = engine.jobs();
+        assert!(tasks.iter().all(|t| t.steps_completed() == t.total_steps()));
         assert_eq!(
             net.metrics().rank_stall_cycles(),
-            tasks().flat_map(|t| t.stall_cycles()).sum::<u64>()
+            tasks.iter().flat_map(|t| t.stall_cycles()).sum::<u64>()
         );
     }
 }
@@ -251,7 +256,7 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     let mut first = Network::new(cfg.clone());
     first.metrics_mut().start_measurement(0);
     first.run_cycles(done / 2);
-    let task = first.jobs().expect("job configured").job(0);
+    let task = &first.jobs().expect("job configured").jobs()[0];
     assert!(
         task.pending_packets() > 0 && !task.is_complete(),
         "checkpoint must land mid-collective for this test to bite"
@@ -269,8 +274,8 @@ fn snapshot_mid_collective_resumes_bit_identically() {
         reference.metrics().delivered_packets_total()
     );
     assert_eq!(
-        resumed.jobs().unwrap().job(0).stall_cycles(),
-        reference.jobs().unwrap().job(0).stall_cycles(),
+        resumed.jobs().unwrap().jobs()[0].stall_cycles(),
+        reference.jobs().unwrap().jobs()[0].stall_cycles(),
         "per-rank stall totals must match"
     );
     assert_eq!(
@@ -331,7 +336,8 @@ fn router_drain_mid_collective_delays_but_completes() {
     let job = a2a_spread();
     for routing in [RoutingKind::Base, RoutingKind::Ectn] {
         let healthy = run_job_set(collective_config(job.clone(), routing), 200_000);
-        let done = healthy.makespan.expect("healthy run completes");
+        let done = healthy.jobs().unwrap().completion_cycle();
+        let done = done.expect("healthy run completes");
 
         // drain router 0 (hosting ranks) through the middle of the run: its
         // nodes pause, nothing is lost, and the collective finishes late
@@ -341,19 +347,23 @@ fn router_drain_mid_collective_delays_but_completes() {
             .router_restore(done + 50, RouterId(0));
         cfg.validate().expect("fault plan is valid");
         let faulted = run_job_set(cfg, 400_000);
+        let Some(faulted_done) = faulted.jobs().unwrap().completion_cycle() else {
+            panic!(
+                "a drain cannot lose task packets, so the collective must finish ({})",
+                routing.label()
+            );
+        };
         assert!(
-            faulted.all_completed,
-            "a drain cannot lose task packets, so the collective must finish ({})",
-            routing.label()
-        );
-        assert!(
-            faulted.makespan.unwrap() > done,
+            faulted_done > done,
             "pausing rank hosts must delay completion ({})",
             routing.label()
         );
-        assert_eq!(faulted.delivered_packets, healthy.delivered_packets);
+        let delivered = |net: &Network| net.metrics().delivered_packets_total();
+        assert_eq!(delivered(&faulted), delivered(&healthy));
+        let stalls =
+            |net: &Network| -> u64 { net.jobs().unwrap().jobs()[0].stall_cycles().iter().sum() };
         assert!(
-            faulted.jobs[0].total_stall_cycles >= healthy.jobs[0].total_stall_cycles,
+            stalls(&faulted) >= stalls(&healthy),
             "peers wait for the drained ranks ({})",
             routing.label()
         );
@@ -375,7 +385,7 @@ fn failed_rank_stalls_peers_without_hanging_or_lying() {
         None,
         "a dead rank must not complete"
     );
-    let task = net.jobs().expect("job configured").job(0);
+    let task = &net.jobs().expect("job configured").jobs()[0];
     assert!(!task.is_complete());
     assert!(
         task.steps_completed() < task.total_steps(),

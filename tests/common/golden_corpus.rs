@@ -448,7 +448,7 @@ pub fn collective_fingerprint(cfg: SimulationConfig) -> (u64, u64, u64, u64) {
         .run_until_jobs_complete(200_000)
         .expect("corpus collectives must complete");
     assert_eq!(net.in_flight(), 0, "completion implies an empty network");
-    let task = net.jobs().expect("corpus runs carry a job").job(0);
+    let task = &net.jobs().expect("corpus runs carry a job").jobs()[0];
     assert_eq!(
         task.steps_completed(),
         task.total_steps(),
@@ -747,20 +747,23 @@ pub fn megafly_job_set_config(jobs: Vec<JobSpec>, routing: RoutingKind) -> Simul
 /// network does *not* drain (background injectors keep running), so
 /// delivery counts are read at the makespan cycle.
 pub fn job_set_fingerprint(cfg: SimulationConfig) -> (u64, u64, u64, u64, u64) {
-    let report = run_job_set(cfg, 200_000);
-    assert!(report.all_completed, "corpus job sets must complete");
-    let completion_sum: u64 = report
-        .jobs
+    let net = run_job_set(cfg, 200_000);
+    let engine = net.jobs().expect("a job set");
+    let makespan = engine
+        .completion_cycle()
+        .expect("corpus job sets must complete");
+    let completion_sum: u64 = engine
+        .jobs()
         .iter()
-        .map(|j| j.completion_cycle.expect("all_completed"))
+        .map(|j| j.completion_cycle().expect("every job completed"))
         .sum();
-    let stall_total: u64 = report.jobs.iter().map(|j| j.total_stall_cycles).sum();
+    let stall_total: u64 = engine.jobs().iter().flat_map(|j| j.stall_cycles()).sum();
     (
-        report.makespan.expect("all_completed"),
+        makespan,
         completion_sum,
-        report.delivered_packets,
+        net.metrics().delivered_packets_total(),
         stall_total,
-        report.avg_packet_latency.to_bits(),
+        net.metrics().window_summary().avg_packet_latency.to_bits(),
     )
 }
 

@@ -60,33 +60,33 @@ fn every_job_mix_completes_under_every_mechanism() {
         let task_packets: u64 = jobs.iter().map(|j| j.workload.total_packets()).sum();
         for routing in job_routings() {
             let cfg = job_set_config(jobs.clone(), routing);
-            let report = run_job_set(cfg, 200_000);
+            let net = run_job_set(cfg, 200_000);
+            let engine = net.jobs().expect("a job set");
             let label = format!("{mix} under {}", routing.label());
-            assert!(report.all_completed, "{label} did not complete");
-            assert_eq!(report.jobs.len(), jobs.len(), "{label}: job count");
-            for (job, spec) in report.jobs.iter().zip(&jobs) {
-                assert_eq!(job.label, spec.label(), "{label}: job labels");
-                assert!(job.completed, "{label}: job {} incomplete", job.label);
-                let done = job.completion_cycle.unwrap();
+            assert!(engine.is_complete(), "{label} did not complete");
+            assert_eq!(engine.jobs().len(), jobs.len(), "{label}: job count");
+            for (job, spec) in engine.jobs().iter().zip(&jobs) {
+                let name = job.spec().label();
+                assert_eq!(name, spec.label(), "{label}: job labels");
+                assert!(job.is_complete(), "{label}: job {name} incomplete");
+                let done = job.completion_cycle().unwrap();
                 assert!(
                     done >= spec.start_cycle,
-                    "{label}: job {} finished before it started",
-                    job.label
+                    "{label}: job {name} finished before it started"
                 );
-                assert_eq!(job.elapsed_cycles, Some(done - spec.start_cycle));
+                assert_eq!(job.elapsed_cycles(), Some(done - spec.start_cycle));
                 assert!(
-                    job.total_stall_cycles > 0,
-                    "{label}: ranks of {} crossed a real network",
-                    job.label
+                    job.stall_cycles().iter().sum::<u64>() > 0,
+                    "{label}: ranks of {name} crossed a real network"
                 );
             }
             // jobs layer OVER stochastic generation: background packets
             // must have been delivered on top of the lowered task packets
+            let delivered = net.metrics().delivered_packets_total();
             assert!(
-                report.delivered_packets > task_packets,
+                delivered > task_packets,
                 "{label}: background traffic must keep flowing \
-                 ({} delivered vs {task_packets} task packets)",
-                report.delivered_packets
+                 ({delivered} delivered vs {task_packets} task packets)"
             );
         }
     }
@@ -251,15 +251,16 @@ fn snapshot_mid_jobs_resumes_bit_identically() {
         resumed.metrics().delivered_packets_total(),
         reference.metrics().delivered_packets_total()
     );
-    for i in 0..reference.jobs().unwrap().num_jobs() {
+    let pairs = resumed.jobs().unwrap().jobs().iter();
+    for (i, (got, want)) in pairs.zip(reference.jobs().unwrap().jobs()).enumerate() {
         assert_eq!(
-            resumed.jobs().unwrap().job(i).completion_cycle(),
-            reference.jobs().unwrap().job(i).completion_cycle(),
+            got.completion_cycle(),
+            want.completion_cycle(),
             "job {i} completion cycle must match"
         );
         assert_eq!(
-            resumed.jobs().unwrap().job(i).stall_cycles(),
-            reference.jobs().unwrap().job(i).stall_cycles(),
+            got.stall_cycles(),
+            want.stall_cycles(),
             "job {i} per-rank stall totals must match"
         );
     }
@@ -310,9 +311,10 @@ fn job_snapshot_rejects_configuration_disagreement() {
 #[test]
 fn pinned_interference_cell_is_strictly_worse_than_solo() {
     let cfg = job_set_config(interference_jobs(), RoutingKind::Base);
-    let shared = run_job_set(cfg.clone(), 200_000);
+    let net = run_job_set(cfg.clone(), 200_000);
+    let shared = net.jobs().expect("a job set").jobs();
     // each job alone: the same configuration with every other job removed
-    let solo: Vec<JobReport> = cfg
+    let solo_runs: Vec<Network> = cfg
         .jobs
         .iter()
         .map(|job| {
@@ -320,38 +322,43 @@ fn pinned_interference_cell_is_strictly_worse_than_solo() {
                 jobs: vec![job.clone()],
                 ..cfg.clone()
             };
-            run_job_set(alone, 200_000).jobs.remove(0)
+            run_job_set(alone, 200_000)
         })
         .collect();
-    for (shared, solo) in shared.jobs.iter().zip(&solo) {
-        assert!(shared.completed && solo.completed, "both runs complete");
-        let (shared_elapsed, solo_elapsed) = (shared.elapsed_cycles, solo.elapsed_cycles);
+    let solo: Vec<&Job> = solo_runs
+        .iter()
+        .map(|n| &n.jobs().unwrap().jobs()[0])
+        .collect();
+    for (shared, solo) in shared.iter().zip(&solo) {
+        assert!(
+            shared.is_complete() && solo.is_complete(),
+            "both runs complete"
+        );
+        let (shared_elapsed, solo_elapsed) = (shared.elapsed_cycles(), solo.elapsed_cycles());
+        let name = shared.spec().label();
         assert!(
             shared_elapsed.unwrap() > solo_elapsed.unwrap(),
-            "job {} must be strictly slower shared ({shared_elapsed:?}) than solo ({solo_elapsed:?})",
-            shared.label
+            "job {name} must be strictly slower shared ({shared_elapsed:?}) than solo ({solo_elapsed:?})"
         );
         let slowdown = shared_elapsed.unwrap() as f64 / solo_elapsed.unwrap() as f64;
         assert!(
             slowdown > 1.0,
-            "job {} slowdown must exceed 1.0, got {slowdown}",
-            shared.label
+            "job {name} slowdown must exceed 1.0, got {slowdown}"
         );
     }
 
     // the comparison itself is pinned
     let expected: Vec<(Option<u64>, Option<u64>)> = shared
-        .jobs
         .iter()
         .zip(&solo)
-        .map(|(shared, solo)| (shared.elapsed_cycles, solo.elapsed_cycles))
+        .map(|(shared, solo)| (shared.elapsed_cycles(), solo.elapsed_cycles()))
         .collect();
     frozen::assert_frozen("interference cell", &expected, 0xD3E9_9DB5_A9FA_9C7F);
 
     // and survives a mid-run snapshot/resume byte-identically
     let mut first = Network::new(cfg.clone());
     first.metrics_mut().start_measurement(0);
-    let done = shared.makespan.unwrap();
+    let done = net.jobs().unwrap().completion_cycle().unwrap();
     first.run_cycles(done / 2);
     assert!(!first.jobs().unwrap().is_complete());
     let bytes = first.snapshot();
@@ -420,15 +427,17 @@ fn job_starting_after_the_cycle_budget_reports_honestly() {
     )
     .starting_at(10_000)];
     let cfg = job_set_config(jobs, RoutingKind::Base);
-    let report = run_job_set(cfg, 500);
-    assert!(!report.all_completed, "the job never started");
-    assert!(report.makespan.is_none());
-    let job = &report.jobs[0];
-    assert!(!job.completed);
-    assert_eq!(job.completion_cycle, None);
-    assert_eq!(job.elapsed_cycles, None);
+    let net = run_job_set(cfg, 500);
+    let engine = net.jobs().expect("a job set");
+    assert!(!engine.is_complete(), "the job never started");
+    assert!(engine.completion_cycle().is_none());
+    let job = &engine.jobs()[0];
+    assert!(!job.is_complete());
+    assert_eq!(job.completion_cycle(), None);
+    assert_eq!(job.elapsed_cycles(), None);
     assert_eq!(
-        job.total_stall_cycles, 0,
+        job.stall_cycles().iter().sum::<u64>(),
+        0,
         "a job that never starts cannot have stalled"
     );
 }
@@ -463,24 +472,4 @@ fn job_set_config_err(jobs: Vec<JobSpec>) -> ConfigError {
         .jobs(jobs)
         .build()
         .unwrap_err()
-}
-
-// ---------------------------------------------------------------------------
-// stall-distribution reporting inherits the histogram overflow fix
-// ---------------------------------------------------------------------------
-
-#[test]
-fn stall_percentiles_route_through_the_histogram_overflow_contract() {
-    let (_, jobs) = job_mixes().remove(0);
-    let cfg = job_set_config(jobs, RoutingKind::Base);
-    let report = run_job_set(cfg, 200_000);
-    for job in &report.jobs {
-        let p50 = job.stall_percentile(50.0);
-        assert!(p50.is_finite() && p50 >= 0.0, "in-range percentile");
-    }
-    // a synthetic report whose stalls exceed the histogram range must
-    // report the tail as unbounded, not silently clamp to the top edge
-    let mut job = report.jobs[0].clone();
-    job.rank_stall_cycles = vec![1_000_000; 8];
-    assert_eq!(job.stall_percentile(99.0), f64::INFINITY);
 }
