@@ -336,8 +336,11 @@ fn router_drain_mid_collective_delays_but_completes() {
     let job = a2a_spread();
     for routing in [RoutingKind::Base, RoutingKind::Ectn] {
         let healthy = run_job_set(collective_config(job.clone(), routing), 200_000);
-        let done = healthy.jobs().unwrap().completion_cycle();
-        let done = done.expect("healthy run completes");
+        let done = healthy
+            .jobs()
+            .unwrap()
+            .completion_cycle()
+            .expect("healthy run completes");
 
         // drain router 0 (hosting ranks) through the middle of the run: its
         // nodes pause, nothing is lost, and the collective finishes late
