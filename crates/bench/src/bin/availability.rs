@@ -21,8 +21,8 @@
 //! ```
 //!
 //! A mistyped scale or `key=`, `seeds=0`, or a `--topology=` selection (the
-//! sweep is built on the canonical Dragonfly), aborts with exit code 2. Runs are
-//! journaled and checkpointed under the run directory
+//! sweep is built on the canonical Dragonfly), aborts with exit code 2. Runs
+//! are journaled and checkpointed under the run directory
 //! (default `target/availability-run`): kill the process at any point and
 //! rerun the same command to resume; the finished surface is byte-identical
 //! either way. Prints the table and writes `AVAILABILITY.csv` into the

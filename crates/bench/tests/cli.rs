@@ -243,10 +243,18 @@ fn figure_smoke(figure: &str, args: &[&str], title: &str, digest: u64) {
         stdout.lines().filter(|l| !l.trim().is_empty()).count() >= 3,
         "fig {figure} must print a rendered table (title, header, rows): {stdout}"
     );
-    let got = df_engine::codec::fnv1a64(&out.stdout);
+    pin_stdout(&format!("fig {figure} {args:?}"), &out.stdout, digest);
+}
+
+/// Assert that `stdout`'s FNV-1a-64 is `digest`: every number a table prints
+/// is pinned bit for bit, not only rerun-deterministic.
+fn pin_stdout(run: &str, stdout: &[u8], digest: u64) {
+    let got = df_engine::codec::fnv1a64(stdout);
     assert_eq!(
-        got, digest,
-        "fig {figure} {args:?} stdout digest {got:#018X} left the pinned {digest:#018X}: {stdout}"
+        got,
+        digest,
+        "{run} stdout digest {got:#018X} left the pinned {digest:#018X}: {}",
+        String::from_utf8_lossy(stdout)
     );
 }
 
@@ -302,18 +310,6 @@ fn dragonfly_only_figures_reject_topology_selections_with_exit_2() {
             "fig {figure} stderr must name the figure and the reason: {stderr}"
         );
     }
-}
-
-/// Assert that `stdout`'s FNV-1a-64 is `digest`: every number a table prints
-/// is pinned bit for bit, not only rerun-deterministic.
-fn pin_stdout(run: &str, stdout: &[u8], digest: u64) {
-    let got = df_engine::codec::fnv1a64(stdout);
-    assert_eq!(
-        got,
-        digest,
-        "{run} stdout digest {got:#018X} left the pinned {digest:#018X}: {}",
-        String::from_utf8_lossy(stdout)
-    );
 }
 
 #[test]
